@@ -14,7 +14,8 @@
 //! 3. **Bitwise replay** — the noisy-neighbor arm runs twice with the same
 //!    seed and must produce byte-identical results.
 //!
-//! Prints the comparison tables and writes `BENCH_serving.json`, then fails
+//! Prints the comparison tables and writes `BENCH_serving.json`
+//! (`target/bench/serving.json` under `--smoke`), then fails
 //! (exit 1) unless (a) the hybrid-histogram arm has a strictly lower
 //! cold-start rate than fixed-TTL at no more than 1.05× its warm-pool
 //! cost, and (b) fair admission keeps the victim's p99 within 2× of its
@@ -410,8 +411,7 @@ fn main() {
         burst == burst_again,
     );
     json.push('\n');
-    std::fs::write("BENCH_serving.json", &json).expect("writing BENCH_serving.json");
-    println!("wrote BENCH_serving.json");
+    args.write_bench_json("serving", &json);
 
     // Regression gates, at any scale.
     assert_eq!(

@@ -50,6 +50,24 @@ impl BenchArgs {
         args
     }
 
+    /// Writes a bench binary's measurements: to the committed
+    /// `BENCH_<name>.json` at full scale, to `target/bench/<name>.json`
+    /// under `--smoke` — a committed bench file is always a full-scale run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the file cannot be written.
+    pub fn write_bench_json(&self, name: &str, json: &str) {
+        let path = if self.smoke {
+            std::fs::create_dir_all("target/bench").expect("creating target/bench");
+            format!("target/bench/{name}.json")
+        } else {
+            format!("BENCH_{name}.json")
+        };
+        std::fs::write(&path, json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+        println!("wrote {path}");
+    }
+
     /// Scales an experiment size down in smoke mode.
     pub fn scaled(&self, full: usize, smoke: usize) -> usize {
         if self.smoke {

@@ -223,64 +223,6 @@ impl Default for SpeculationConfig {
     }
 }
 
-/// Data-path round-trip elimination: which of the hot-path COS round trips
-/// the executor and agent skip.
-///
-/// Both optimisations preserve results bit-for-bit — they only change *how*
-/// bytes reach the agent, never *what* it computes — and both are fully
-/// deterministic, so chaos/replay timelines remain reproducible per seed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DataPathConfig {
-    /// Encoded task descriptors at or below this many bytes travel inside
-    /// the activation payload itself instead of behind a staged
-    /// `jobs/…/input` object: staging skips the per-task input PUT and the
-    /// agent skips the input GET. The same threshold governs the return
-    /// leg: results that encode at or below it ride inside the status
-    /// object, merging the agent's result+status PUTs into one and sparing
-    /// the gatherer's per-task result GET. `0` stages every input and
-    /// result (the original IBM-PyWren data path). Larger payloads are
-    /// always staged, keeping objects within platform limits.
-    pub inline_input_max_bytes: usize,
-    /// Warm containers keep the function blob in a container-local cache
-    /// keyed by its COS key, validated against its checksum stamp on every
-    /// hit: a 1,000-task job over 100 containers pays ~100 func GETs
-    /// instead of 1,000. Entries that fail validation (e.g. poisoned by a
-    /// chaos fault) are dropped and refetched from COS.
-    pub func_cache: bool,
-    /// Reducers watch their map dependencies with one LIST over the job's
-    /// status prefix per poll tick, gathering each result as its status
-    /// lands, instead of the legacy O(deps) per-key probes per tick. Purely
-    /// an op-count/latency change: results are still assembled in
-    /// submission order, bit-for-bit.
-    pub batched_dep_watch: bool,
-}
-
-impl DataPathConfig {
-    /// Default inline threshold: descriptors up to 64 KiB ride in the
-    /// payload.
-    pub const DEFAULT_INLINE_MAX_BYTES: usize = 64 * 1024;
-
-    /// Every optimisation off — the seed framework's 4-round-trips-per-task
-    /// data path.
-    pub fn staged() -> DataPathConfig {
-        DataPathConfig {
-            inline_input_max_bytes: 0,
-            func_cache: false,
-            batched_dep_watch: false,
-        }
-    }
-}
-
-impl Default for DataPathConfig {
-    fn default() -> DataPathConfig {
-        DataPathConfig {
-            inline_input_max_bytes: DataPathConfig::DEFAULT_INLINE_MAX_BYTES,
-            func_cache: true,
-            batched_dep_watch: true,
-        }
-    }
-}
-
 /// Configuration of one [`crate::Executor`] instance.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExecutorConfig {
@@ -308,9 +250,6 @@ pub struct ExecutorConfig {
     /// Caller-supplied hints fed into the pre-flight analyzer (recursion
     /// shape, per-task cost estimates the executor cannot infer).
     pub plan_hints: PlanHints,
-    /// Hot-path COS round-trip elimination (inline inputs, func-blob
-    /// cache).
-    pub data_path: DataPathConfig,
 }
 
 impl Default for ExecutorConfig {
@@ -326,7 +265,6 @@ impl Default for ExecutorConfig {
             speculation: SpeculationConfig::disabled(),
             analyze: AnalyzeMode::from_env(),
             plan_hints: PlanHints::default(),
-            data_path: DataPathConfig::default(),
         }
     }
 }
@@ -379,16 +317,6 @@ mod tests {
     fn with_attempts_enables_retry() {
         assert!(RetryPolicy::with_attempts(3).enabled());
         assert!(!RetryPolicy::with_attempts(0).enabled(), "clamped to 1");
-    }
-
-    #[test]
-    fn data_path_defaults_inline_and_cache() {
-        let dp = ExecutorConfig::default().data_path;
-        assert_eq!(dp.inline_input_max_bytes, 64 * 1024);
-        assert!(dp.func_cache);
-        let staged = DataPathConfig::staged();
-        assert_eq!(staged.inline_input_max_bytes, 0);
-        assert!(!staged.func_cache);
     }
 
     #[test]

@@ -16,13 +16,11 @@ use rustwren_sim::{NetworkProfile, SimInstant};
 use rustwren_store::{CosClient, OpCounters};
 
 use crate::cloud::SimCloud;
-use crate::config::{
-    DataPathConfig, ExecutorConfig, RetryPolicy, SpawnStrategy, SpeculationConfig,
-};
+use crate::config::{ExecutorConfig, RetryPolicy, SpawnStrategy, SpeculationConfig};
 use crate::error::{PywrenError, Result};
 use crate::future::{ResponseFuture, WaitPolicy};
 use crate::invoker::{agent_action_name, deploy_agent, spawn_tasks};
-use crate::job::{func_key, status_value, AgentPayload, TaskSpec};
+use crate::job::{func_key, status_value, AgentPayload, TaskSpec, INLINE_MAX_BYTES};
 use crate::partition::{discover, partition_objects, DataSource};
 use crate::shuffle::{ExchangeMode, Partitioner, ShufflePlane, MAX_REDUCERS};
 use crate::stats::{CosOpStats, RecoveryStats};
@@ -60,12 +58,12 @@ pub struct ShuffleOpts {
     pub reducers: usize,
     /// Chunk size for splitting storage objects; `None` = per object.
     pub chunk_size: Option<u64>,
-    /// Physical layout of map outputs: the sort-and-spill partitioned
-    /// segment plane (default) or the legacy one-object-per-(map, reducer)
-    /// layout.
+    /// Physical layout of map outputs. [`ShufflePlane`] has one value, so
+    /// this selects nothing; the field stays because the frozen `ledger`
+    /// benchmark source spells `ShuffleOpts { plane, exchange, .. }`.
     pub plane: ShufflePlane,
     /// How partitions travel: staged through COS (default) or pushed over
-    /// the simulated VM relay tier (requires the partitioned plane).
+    /// the simulated VM relay tier.
     pub exchange: ExchangeMode,
     /// Key-to-reducer assignment: seeded hash (default) or explicit ranges
     /// (see [`Partitioner::range_from_samples`] for the sampled-histogram
@@ -73,7 +71,7 @@ pub struct ShuffleOpts {
     pub partitioner: Partitioner,
     /// Optional registered function applied map-side to each sorted key
     /// group (`{"k", "vs": [...]}` → combined value) before spilling —
-    /// a MapReduce combiner. Requires the partitioned plane.
+    /// a MapReduce combiner.
     pub combiner: Option<String>,
     /// Maximum sorted runs a reducer merges at once; more runs take extra
     /// merge rounds, bounding reduce-side memory. Minimum 2.
@@ -297,15 +295,6 @@ impl ExecutorBuilder {
     /// nesting shape of recursive jobs, per-task cost estimates.
     pub fn plan_hints(mut self, hints: rustwren_analyze::PlanHints) -> ExecutorBuilder {
         self.config.plan_hints = hints;
-        self
-    }
-
-    /// Configures the hot-path data optimisations: inline task inputs and
-    /// the warm-container function-blob cache. Use
-    /// [`DataPathConfig::staged`] to reproduce the original framework's
-    /// 4-round-trips-per-task behaviour.
-    pub fn data_path(mut self, data_path: DataPathConfig) -> ExecutorBuilder {
-        self.config.data_path = data_path;
         self
     }
 
@@ -562,15 +551,18 @@ impl Executor {
 
     /// Runs a MapReduce flow **with a shuffle stage**: `map_func` runs once
     /// per input/partition and must return a list of `{"k": key, "v":
-    /// value}` pairs; the agents hash-partition those pairs into
-    /// `opts.reducers` COS objects; then `opts.reducers` parallel reducers
-    /// each receive `{"index", "groups": {key: [values…]}}` for their share
-    /// of the key space. Non-blocking; the tracked futures are the reducer
-    /// outputs, in reducer-index order.
+    /// value}` pairs; the agents partition those pairs `opts.reducers` ways
+    /// (`opts.partitioner`) into sorted per-reducer runs — one segment
+    /// object per map, small runs inline in the map's status — then
+    /// `opts.reducers` parallel reducers each merge their runs and receive
+    /// `{"index", "groups": {key: [values…]}}` for their share of the key
+    /// space. Non-blocking; the tracked futures are the reducer outputs, in
+    /// reducer-index order.
     ///
-    /// This is the storage-based shuffle that §2 of the paper singles out
-    /// as the open challenge of serverless MapReduce (the approach
-    /// Corral/Lambada take: stage the exchange through object storage).
+    /// Data shuffling is what §2 of the paper singles out as the open
+    /// challenge of serverless MapReduce. The exchange goes through object
+    /// storage by default (`opts.exchange`), the approach Corral/Lambada
+    /// take.
     ///
     /// # Errors
     ///
@@ -578,8 +570,7 @@ impl Executor {
     /// errors, or [`PywrenError::Config`] for an inconsistent `opts`:
     /// `reducers` zero or beyond [`MAX_REDUCERS`], a zero `chunk_size`, a
     /// range partitioner whose boundaries don't match `reducers`, a
-    /// `merge_fanin` below 2, an unregistered `combiner`, or a relay
-    /// exchange / combiner requested on the whole-object plane.
+    /// `merge_fanin` below 2, or an unregistered `combiner`.
     pub fn map_shuffle_reduce(
         &self,
         map_func: &str,
@@ -607,17 +598,7 @@ impl Executor {
         opts.partitioner
             .validate(opts.reducers)
             .map_err(PywrenError::Config)?;
-        if opts.plane == ShufflePlane::WholeObject && opts.exchange == ExchangeMode::Relay {
-            return Err(PywrenError::Config(
-                "the relay exchange requires the partitioned shuffle plane".into(),
-            ));
-        }
         if let Some(comb) = &opts.combiner {
-            if opts.plane == ShufflePlane::WholeObject {
-                return Err(PywrenError::Config(
-                    "a map-side combiner requires the partitioned shuffle plane".into(),
-                ));
-            }
             if !self.inner.cloud.registry().contains(comb) {
                 return Err(PywrenError::Config(format!(
                     "combiner `{comb}` is not registered"
@@ -641,7 +622,6 @@ impl Executor {
             .map(|inner| TaskSpec::ShuffleMap {
                 inner: Box::new(inner),
                 reducers: opts.reducers,
-                plane: opts.plane,
                 exchange: opts.exchange,
                 partitioner: opts.partitioner.clone(),
                 combiner: opts.combiner.clone(),
@@ -657,11 +637,15 @@ impl Executor {
         let poll = self.inner.config.reduce_poll_interval;
         let reduce_specs: Vec<TaskSpec> = (0..opts.reducers)
             .map(|index| TaskSpec::ShuffleReduce {
-                deps: map_futures.clone(),
+                bucket: self.inner.config.storage_bucket.clone(),
+                exec_id: self.inner.exec_id.clone(),
+                // A map stage without tasks has no job to name and no
+                // dependency to wait for.
+                map_job: map_futures.first().map_or(0, ResponseFuture::job_id),
+                maps: map_futures.len() as u32,
                 index,
                 poll,
                 reducers: opts.reducers,
-                plane: opts.plane,
                 exchange: opts.exchange,
                 fanin: opts.merge_fanin,
             })
@@ -722,22 +706,21 @@ impl Executor {
         plan.partition_bytes = specs.iter().filter_map(spec_bytes).collect();
         // A lone reducer consuming every map output is the W006 hot-spot;
         // sharded reduce stages (one task per group/index) spread the fan-in.
-        if let [TaskSpec::Reduce { deps, .. }] | [TaskSpec::ShuffleReduce { deps, .. }] = specs {
-            plan.reducer_fanin = Some(deps.len());
-        }
+        plan.reducer_fanin = match specs {
+            [TaskSpec::Reduce { deps, .. }] => Some(deps.len()),
+            [TaskSpec::ShuffleReduce { maps, .. }] => Some(*maps as usize),
+            _ => None,
+        };
         // The shuffle's data-plane shape (map fan-out × partition count,
         // W008) is read off the map stage's specs.
         if let Some(TaskSpec::ShuffleMap {
-            reducers,
-            plane,
-            exchange,
-            ..
+            reducers, exchange, ..
         }) = specs.first()
         {
             plan.shuffle = Some(rustwren_analyze::ShuffleShape {
                 maps: specs.len(),
                 partitions: *reducers,
-                segmented: *plane == ShufflePlane::Partitioned,
+                segmented: true,
                 via_relay: *exchange == ExchangeMode::Relay,
             });
         }
@@ -833,7 +816,6 @@ impl Executor {
         self.inner.job_funcs.lock().insert(job_id, func.to_owned());
         let bucket = &self.inner.config.storage_bucket;
         let exec_id = &self.inner.exec_id;
-        let data_path = &self.inner.config.data_path;
 
         // 1. Stage the "serialized function" once per job (checksum-stamped
         // like every staged object).
@@ -848,7 +830,6 @@ impl Executor {
         // descriptors small enough to ride inline in the activation payload,
         // which skip COS entirely (no input PUT here, no input GET in the
         // agent).
-        let threshold = data_path.inline_input_max_bytes;
         let mut payloads: Vec<AgentPayload> = Vec::with_capacity(specs.len());
         let mut uploads: Vec<(String, Bytes)> = Vec::new();
         for (task, desc) in descs.into_iter().enumerate() {
@@ -859,11 +840,8 @@ impl Executor {
                 task: task as u32,
                 func_name: func.to_owned(),
                 inline: None,
-                cache: data_path.func_cache,
-                batch: data_path.batched_dep_watch,
-                inline_max: data_path.inline_input_max_bytes,
             };
-            if threshold > 0 && desc.encoded_len() <= threshold {
+            if desc.encoded_len() <= INLINE_MAX_BYTES {
                 payload.inline = Some(desc);
             } else {
                 uploads.push((
@@ -1361,9 +1339,6 @@ impl Executor {
             task: f.task(),
             func_name,
             inline,
-            cache: self.inner.config.data_path.func_cache,
-            batch: self.inner.config.data_path.batched_dep_watch,
-            inline_max: self.inner.config.data_path.inline_input_max_bytes,
         };
         let ids = spawn_tasks(
             &self.inner.faas,
@@ -1883,9 +1858,6 @@ impl Executor {
                 task: f.task(),
                 func_name,
                 inline,
-                cache: self.inner.config.data_path.func_cache,
-                batch: self.inner.config.data_path.batched_dep_watch,
-                inline_max: self.inner.config.data_path.inline_input_max_bytes,
             });
         }
         let ids = spawn_tasks(

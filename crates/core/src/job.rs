@@ -2,19 +2,22 @@
 //!
 //! A *job* is one `call_async`/`map`/`map_reduce` submission. The client
 //! stages into COS, per job: one **function blob** (the modeled serialized
-//! user code) and one **input object** per task; it then invokes the agent
-//! action once per task with a small descriptor payload. The agent — the
-//! code that runs inside every IBM-PyWren container — downloads the blob
-//! and input, executes the user function from the registry, and writes a
-//! **result** and a **status** object back to COS, which the client polls.
+//! user code) and one **input object** per task whose descriptor is too big
+//! to ride in the activation payload; it then invokes the agent action once
+//! per task with a small descriptor payload. The agent — the code that runs
+//! inside every IBM-PyWren container — obtains the blob (container-local
+//! cache, else COS) and the input, executes the user function from the
+//! registry, and writes a **status** object back to COS, which the client
+//! polls; a result too big to ride inside the status goes to its own
+//! **result** object first.
 //!
 //! COS layout (per executor `e`, job `j`, task `n`):
 //!
 //! ```text
 //! jobs/e/j/func            the function blob
-//! jobs/e/j/t00000/input    task input descriptor
-//! jobs/e/j/t00000/result   encoded result value (on success)
-//! jobs/e/j/t00000/status   {"state": "done"|"error", timings…}
+//! jobs/e/j/t00000/input    task input descriptor (> INLINE_MAX_BYTES only)
+//! jobs/e/j/t00000/result   encoded result value (> INLINE_MAX_BYTES only)
+//! jobs/e/j/t00000/status   {"state": "done"|"error", timings…, result?}
 //! ```
 
 use std::panic::{self, AssertUnwindSafe};
@@ -31,8 +34,8 @@ use crate::error::PywrenError;
 use crate::future::ResponseFuture;
 use crate::partition::{read_aligned, Partition};
 use crate::shuffle::{
-    bitmap_get, bitmap_set, merge_runs, segment_key, shuffle_key, sort_run, ExchangeMode,
-    KeyedPair, Partitioner, ShufflePlane,
+    merge_runs, segment_key, shuffle_key, sort_run, ExchangeMode, KeyedPair, Partitioner,
+    ShufflePlane,
 };
 use crate::task::TaskCtx;
 use crate::wire::{self, Value};
@@ -120,9 +123,18 @@ pub(crate) fn func_key(exec_id: &str, job_id: u64) -> String {
     format!("jobs/{exec_id}/{job_id}/func")
 }
 
-/// The small payload carried by each agent invocation. With the inline
-/// data path, the task descriptor itself may ride along (`inline`),
-/// eliminating the staged input object and its PUT/GET round trip.
+/// Inline-vs-staged threshold, by encoded size. A task descriptor at or
+/// below it rides inside the activation payload instead of behind a staged
+/// `…/input` object; a result at or below it rides inside the status object
+/// instead of behind a `…/result` object; a shuffle slice at or below it
+/// rides inside the map's status manifest instead of in the segment object.
+/// Anything larger is staged, keeping payloads and statuses within platform
+/// limits.
+pub(crate) const INLINE_MAX_BYTES: usize = 64 * 1024;
+
+/// The small payload carried by each agent invocation. A descriptor of at
+/// most [`INLINE_MAX_BYTES`] rides along (`inline`), eliminating the staged
+/// input object and its PUT/GET round trip.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct AgentPayload {
     pub bucket: String,
@@ -133,16 +145,6 @@ pub(crate) struct AgentPayload {
     /// Inlined task descriptor: when set, the agent uses this instead of
     /// fetching `…/input` from COS (which is never staged for such tasks).
     pub inline: Option<Value>,
-    /// Whether the agent may serve the function blob from the
-    /// container-local cache instead of re-fetching it from COS.
-    pub cache: bool,
-    /// Whether reducers watch dependencies with one batched LIST per poll
-    /// tick (instead of the legacy O(deps) per-key probes).
-    pub batch: bool,
-    /// Inline-result threshold: results whose encoding is at most this many
-    /// bytes ride inside the status object (one PUT completes the task and
-    /// delivers the result). `0` always stages the result separately.
-    pub inline_max: usize,
 }
 
 impl AgentPayload {
@@ -153,9 +155,16 @@ impl AgentPayload {
             .with("job", self.job_id as i64)
             .with("task", i64::from(self.task))
             .with("func", self.func_name.as_str())
-            .with("cache", self.cache)
-            .with("batch", self.batch)
-            .with("ilmax", self.inline_max as i64);
+            // Vestigial: these once selected the blob cache, the batched
+            // dep watch and the inline threshold, which are now the only
+            // behaviour. They stay on the wire as literals because the wire
+            // is priced — `FaasClient` charges `request_cost(payload.len(),
+            // token)` and tokens are time-derived, so ~30 fewer bytes would
+            // re-roll every jitter draw and move every `kernel_equiv`
+            // fingerprint. Drop them with the next intentional re-bless.
+            .with("cache", true)
+            .with("batch", true)
+            .with("ilmax", INLINE_MAX_BYTES as i64);
         if let Some(inline) = &self.inline {
             v = v.with("inline", inline.clone());
         }
@@ -164,6 +173,16 @@ impl AgentPayload {
 
     pub(crate) fn decode(raw: &[u8]) -> Result<AgentPayload, String> {
         let v = Value::decode(raw).map_err(|e| e.to_string())?;
+        // `encode` always writes these three; a payload without them, or
+        // with other values, asks for a data path this agent does not have.
+        if v.get("cache").and_then(Value::as_bool) != Some(true)
+            || v.get("batch").and_then(Value::as_bool) != Some(true)
+            || v.get("ilmax").and_then(Value::as_i64) != Some(INLINE_MAX_BYTES as i64)
+        {
+            return Err(format!(
+                "fields `cache`/`batch`/`ilmax` must be true/true/{INLINE_MAX_BYTES}"
+            ));
+        }
         Ok(AgentPayload {
             bucket: v.req_str("bucket")?.to_owned(),
             exec_id: v.req_str("exec")?.to_owned(),
@@ -171,10 +190,6 @@ impl AgentPayload {
             task: v.req_i64("task")? as u32,
             func_name: v.req_str("func")?.to_owned(),
             inline: v.get("inline").cloned(),
-            // Absent on payloads from older clients: staged semantics.
-            cache: v.get("cache").and_then(Value::as_bool).unwrap_or(false),
-            batch: v.get("batch").and_then(Value::as_bool).unwrap_or(false),
-            inline_max: v.get("ilmax").and_then(Value::as_i64).unwrap_or(0).max(0) as usize,
         })
     }
 
@@ -197,28 +212,32 @@ pub(crate) enum TaskSpec {
         poll: Duration,
     },
     /// A shuffling map task: run the inner spec's function, then partition
-    /// its `(key, value)` output pairs across `reducers` partitions on the
-    /// chosen [`ShufflePlane`] and [`ExchangeMode`].
+    /// its `(key, value)` output pairs across `reducers` partitions over
+    /// the chosen [`ExchangeMode`].
     ShuffleMap {
         inner: Box<TaskSpec>,
         reducers: usize,
-        plane: ShufflePlane,
         exchange: ExchangeMode,
         partitioner: Partitioner,
         /// Optional registered combiner function applied map-side to each
         /// sorted key group before the partition is spilled.
         combiner: Option<String>,
     },
-    /// A shuffle-reduce task: wait for the map `deps`, fetch this reducer's
-    /// partition from every map (via each map's status manifest), merge the
-    /// sorted runs under the `fanin` budget, group pairs by key, and hand
-    /// the groups to the reduce function.
+    /// A shuffle-reduce task: wait for tasks `0..maps` of the map job, fetch
+    /// this reducer's partition from every map (via each map's status
+    /// manifest), merge the sorted runs under the `fanin` budget, group
+    /// pairs by key, and hand the groups to the reduce function.
     ShuffleReduce {
-        deps: Vec<ResponseFuture>,
+        /// The map job, by reference rather than as `maps` futures: the
+        /// descriptor stays O(1) in the map fan-out (an M-future list once
+        /// made big reduce descriptors invisible to W003's payload sizing).
+        bucket: String,
+        exec_id: String,
+        map_job: u64,
+        maps: u32,
         index: usize,
         poll: Duration,
         reducers: usize,
-        plane: ShufflePlane,
         exchange: ExchangeMode,
         fanin: usize,
     },
@@ -247,7 +266,6 @@ impl TaskSpec {
             TaskSpec::ShuffleMap {
                 inner,
                 reducers,
-                plane,
                 exchange,
                 partitioner,
                 combiner,
@@ -256,7 +274,7 @@ impl TaskSpec {
                     .with("kind", "shuffle-map")
                     .with("inner", inner.to_value())
                     .with("reducers", *reducers as i64)
-                    .with("plane", plane.as_str())
+                    .with("plane", ShufflePlane::Partitioned.as_str())
                     .with("exch", exchange.as_str())
                     .with("part", partitioner.to_value());
                 if let Some(c) = combiner {
@@ -265,77 +283,33 @@ impl TaskSpec {
                 v
             }
             TaskSpec::ShuffleReduce {
-                deps,
+                bucket,
+                exec_id,
+                map_job,
+                maps,
                 index,
                 poll,
                 reducers,
-                plane,
                 exchange,
                 fanin,
-            } => {
-                let v = Value::map()
-                    .with("kind", "shuffle-reduce")
-                    .with("index", *index as i64)
-                    .with("poll_ms", poll.as_millis() as i64)
-                    .with("reducers", *reducers as i64)
-                    .with("plane", plane.as_str())
-                    .with("exch", exchange.as_str())
-                    .with("fanin", *fanin as i64);
-                // Shuffle deps are one whole map job: ship them as a compact
-                // (bucket, exec, job, count) reference instead of M full
-                // futures, so the descriptor stays O(1) in the map fan-out
-                // (an M-future list once made big reduce descriptors invisible
-                // to W003's payload sizing).
-                match compact_shuffle_deps(deps) {
-                    Some(depr) => v.with("depr", depr),
-                    None => v.with(
-                        "deps",
-                        Value::List(deps.iter().map(ResponseFuture::to_value).collect()),
-                    ),
-                }
-            }
+            } => Value::map()
+                .with("kind", "shuffle-reduce")
+                .with("index", *index as i64)
+                .with("poll_ms", poll.as_millis() as i64)
+                .with("reducers", *reducers as i64)
+                .with("plane", ShufflePlane::Partitioned.as_str())
+                .with("exch", exchange.as_str())
+                .with("fanin", *fanin as i64)
+                .with(
+                    "depr",
+                    Value::map()
+                        .with("bucket", bucket.as_str())
+                        .with("exec", exec_id.as_str())
+                        .with("job", *map_job as i64)
+                        .with("n", i64::from(*maps)),
+                ),
         }
     }
-}
-
-/// Encodes shuffle-reduce deps as a compact whole-job reference when they
-/// are exactly tasks `0..n` of a single job (what `map_shuffle_reduce`
-/// always produces).
-fn compact_shuffle_deps(deps: &[ResponseFuture]) -> Option<Value> {
-    let first = deps.first()?;
-    deps.iter()
-        .enumerate()
-        .all(|(i, d)| {
-            d.bucket() == first.bucket()
-                && d.exec_id() == first.exec_id()
-                && d.job_id() == first.job_id()
-                && d.task() as usize == i
-        })
-        .then(|| {
-            Value::map()
-                .with("bucket", first.bucket())
-                .with("exec", first.exec_id())
-                .with("job", first.job_id() as i64)
-                .with("n", deps.len() as i64)
-        })
-}
-
-/// Decodes shuffle-reduce deps from either the compact whole-job reference
-/// (`depr`) or the legacy full futures list (`deps`).
-fn decode_shuffle_deps(desc: &Value) -> Result<Vec<ResponseFuture>, String> {
-    if let Some(d) = desc.get("depr") {
-        let bucket = d.req_str("bucket")?;
-        let exec = d.req_str("exec")?;
-        let job = d.req_i64("job")? as u64;
-        let n = d.req_i64("n")?.max(0) as u32;
-        return Ok((0..n)
-            .map(|t| ResponseFuture::new(bucket, exec, job, t))
-            .collect());
-    }
-    desc.req_list("deps")?
-        .iter()
-        .map(ResponseFuture::from_value)
-        .collect()
 }
 
 /// Builds a status object body.
@@ -385,7 +359,7 @@ pub(crate) fn run_agent(
                 // their partition without probing COS.
                 status = status.with("shuf", manifest.clone());
             }
-            if payload.inline_max > 0 && encoded.len() <= payload.inline_max {
+            if encoded.len() <= INLINE_MAX_BYTES {
                 // Small results ride inside the status object: a single PUT
                 // both marks the task done and delivers the result, so no
                 // `…/result` object (and no gather GET for it) ever exists.
@@ -435,7 +409,7 @@ fn execute_task(
 ) -> Result<(Value, Option<Value>), String> {
     let fut = payload.future();
     // Download the "pickled" function, as the real agent does — via the
-    // warm-container blob cache when the client allows it.
+    // warm-container blob cache.
     let _code = fetch_func_blob(ctx, cos, payload)?;
     let desc = match &payload.inline {
         // The descriptor rode inside the activation payload: no staged
@@ -468,26 +442,26 @@ fn execute_task(
         "shuffle-map" => {
             let params = ShuffleMapParams::from_desc(&desc)?;
             let inner = desc.get("inner").ok_or("missing field `inner`")?;
-            let input = build_input(ctx, cos, inner, payload.batch)?;
+            let input = build_input(ctx, cos, inner)?;
             let output = call(input)?;
             write_shuffle_output(cloud, cos, payload, &fut, &task_ctx, output, &params)
                 .map(|(result, manifest)| (result, Some(manifest)))
         }
         "shuffle-reduce" => {
-            let input = build_shuffle_reduce_input(cloud, ctx, cos, &desc, payload.batch)?;
+            let input = build_shuffle_reduce_input(cloud, ctx, cos, &desc)?;
             call(input).map(|r| (r, None))
         }
         _ => {
-            let input = build_input(ctx, cos, &desc, payload.batch)?;
+            let input = build_input(ctx, cos, &desc)?;
             call(input).map(|r| (r, None))
         }
     }
 }
 
 /// Decoded shuffle-map descriptor fields (partitioning policy).
+#[derive(Debug)]
 struct ShuffleMapParams {
     reducers: usize,
-    plane: ShufflePlane,
     exchange: ExchangeMode,
     partitioner: Partitioner,
     combiner: Option<String>,
@@ -495,32 +469,29 @@ struct ShuffleMapParams {
 
 impl ShuffleMapParams {
     fn from_desc(desc: &Value) -> Result<ShuffleMapParams, String> {
+        ShufflePlane::from_wire(desc.req_str("plane")?)?;
         Ok(ShuffleMapParams {
             reducers: desc.req_i64("reducers")?.max(1) as usize,
-            plane: ShufflePlane::from_wire(desc.get("plane").and_then(Value::as_str))?,
-            exchange: ExchangeMode::from_wire(desc.get("exch").and_then(Value::as_str))?,
-            partitioner: Partitioner::from_value(desc.get("part"))?,
+            exchange: ExchangeMode::from_wire(desc.req_str("exch")?)?,
+            partitioner: Partitioner::from_value(desc.get("part").ok_or("missing field `part`")?)?,
             combiner: desc.get("comb").and_then(Value::as_str).map(str::to_owned),
         })
     }
 }
 
 /// Fetches the job's function blob, serving warm-container repeats from the
-/// [`rustwren_faas::BlobCache`] when the payload allows it. The cache holds
-/// the *stamped* bytes, so every hit is re-validated against the end-to-end
-/// checksum: an entry poisoned in container memory (the chaos engine's
-/// `PoisonCache` fault) fails validation, is dropped, and heals via a fresh
-/// COS fetch — corruption never silently reaches the user function.
+/// [`rustwren_faas::BlobCache`]: a 1,000-task job over 100 containers pays
+/// ~100 func GETs instead of 1,000. The cache holds the *stamped* bytes, so
+/// every hit is re-validated against the end-to-end checksum: an entry
+/// poisoned in container memory (the chaos engine's `PoisonCache` fault)
+/// fails validation, is dropped, and heals via a fresh COS fetch —
+/// corruption never silently reaches the user function.
 fn fetch_func_blob(
     ctx: &ActivationCtx,
     cos: &CosClient,
     payload: &AgentPayload,
 ) -> Result<Bytes, String> {
     let key = func_key(&payload.exec_id, payload.job_id);
-    if !payload.cache {
-        return get_verified(cos, &payload.bucket, &key)
-            .map_err(|e| format!("fetching function: {e}"));
-    }
     let cache = ctx.blob_cache();
     if let Some(mut stamped) = cache.get(&key) {
         if let Some(chaos) = rustwren_sim::chaos::current() {
@@ -552,16 +523,15 @@ fn fetch_func_blob(
 }
 
 /// Partitions a shuffling map task's `(key, value)` pairs across the
-/// reducers on the configured plane and exchange; returns the summary
+/// reducers over the configured exchange; returns the summary
 /// stored as the task result plus the partition manifest embedded in the
 /// task's status object (`"shuf"`).
 ///
 /// Empty partitions are never written — the manifest records them as
 /// absent, so a reducer can distinguish "this map produced nothing for me"
 /// (run on) from "this map's data went missing" (typed loss error) under
-/// chaos. On the whole-object plane the record is a presence bitmap; on the
-/// partitioned plane the per-reducer entry is `Null`. The relay exchange
-/// always publishes every channel (publishes are datacenter-cheap and a
+/// chaos: the per-reducer entry is `Null`. The relay exchange always
+/// publishes every channel (publishes are datacenter-cheap and a
 /// present-but-empty channel needs no COS diagnosis round trip).
 fn write_shuffle_output(
     cloud: &SimCloud,
@@ -594,35 +564,8 @@ fn write_shuffle_output(
         )
     };
 
-    if params.plane == ShufflePlane::WholeObject {
-        // Legacy layout, minus the O(M×R) empty-partition PUTs: buckets keep
-        // emission order (no sort), non-empty ones go out whole, and the
-        // bitmap records which exist.
-        let mut bits = vec![0u8; reducers.div_ceil(8)];
-        for (r, bucket) in buckets.into_iter().enumerate() {
-            if bucket.is_empty() {
-                continue;
-            }
-            bitmap_set(&mut bits, r);
-            let list = Value::List(bucket.into_iter().map(|(_, p)| p).collect());
-            put_stamped(
-                cos,
-                &payload.bucket,
-                &shuffle_key(&prefix, r, reducers),
-                &list.encode(),
-            )
-            .map_err(|e| format!("writing shuffle partition {r}: {e}"))?;
-        }
-        return Ok(summary(
-            Value::map()
-                .with("n", reducers as i64)
-                .with("k", "whole")
-                .with("w", Value::bytes(bits)),
-        ));
-    }
-
-    // Partitioned plane: sort each spill (so reducers merge instead of
-    // re-sorting), optionally fold each key group through the combiner.
+    // Sort each spill (so reducers merge instead of re-sorting), optionally
+    // fold each key group through the combiner.
     let combiner = match &params.combiner {
         None => None,
         Some(name) => Some((
@@ -668,7 +611,7 @@ fn write_shuffle_output(
         }
         let list = Value::List(bucket.into_iter().map(|(_, p)| p).collect());
         let encoded = list.encode();
-        if payload.inline_max > 0 && encoded.len() <= payload.inline_max {
+        if encoded.len() <= INLINE_MAX_BYTES {
             parts.push(Value::map().with("d", list));
         } else {
             let stamped = wire::stamp(&encoded);
@@ -741,6 +684,38 @@ fn combine_run(
     Ok(out)
 }
 
+/// Decoded shuffle-reduce descriptor fields.
+#[derive(Debug)]
+struct ShuffleReduceParams {
+    deps: Vec<ResponseFuture>,
+    index: usize,
+    poll: Duration,
+    reducers: usize,
+    exchange: ExchangeMode,
+    fanin: usize,
+}
+
+impl ShuffleReduceParams {
+    fn from_desc(desc: &Value) -> Result<ShuffleReduceParams, String> {
+        ShufflePlane::from_wire(desc.req_str("plane")?)?;
+        let depr = desc.get("depr").ok_or("missing field `depr`")?;
+        let bucket = depr.req_str("bucket")?;
+        let exec = depr.req_str("exec")?;
+        let job = depr.req_i64("job")? as u64;
+        let maps = depr.req_i64("n")?.max(0) as u32;
+        Ok(ShuffleReduceParams {
+            deps: (0..maps)
+                .map(|t| ResponseFuture::new(bucket, exec, job, t))
+                .collect(),
+            index: desc.req_i64("index")?.max(0) as usize,
+            poll: Duration::from_millis(desc.req_i64("poll_ms")?.max(1) as u64),
+            reducers: desc.req_i64("reducers")?.max(1) as usize,
+            exchange: ExchangeMode::from_wire(desc.req_str("exch")?)?,
+            fanin: desc.req_i64("fanin")?.max(2) as usize,
+        })
+    }
+}
+
 /// Gathers one reducer's shuffle partitions from every map task, merges the
 /// runs, and groups the pairs by key.
 fn build_shuffle_reduce_input(
@@ -748,33 +723,19 @@ fn build_shuffle_reduce_input(
     ctx: &ActivationCtx,
     cos: &CosClient,
     desc: &Value,
-    batch: bool,
 ) -> Result<Value, String> {
-    let deps = decode_shuffle_deps(desc)?;
-    let index = desc.req_i64("index")?.max(0) as usize;
-    let poll = Duration::from_millis(desc.req_i64("poll_ms")?.max(1) as u64);
-    // Absent fields mean a payload from an older client: whole-object plane
-    // over COS, and a reducer count whose pad matches the legacy 4 digits.
-    let reducers = desc
-        .get("reducers")
-        .and_then(Value::as_i64)
-        .unwrap_or(1)
-        .max(1) as usize;
-    let plane = ShufflePlane::from_wire(desc.get("plane").and_then(Value::as_str))?;
-    let exchange = ExchangeMode::from_wire(desc.get("exch").and_then(Value::as_str))?;
-    let fanin = desc
-        .get("fanin")
-        .and_then(Value::as_i64)
-        .unwrap_or(16)
-        .max(2) as usize;
+    let p = ShuffleReduceParams::from_desc(desc)?;
+    let (deps, index) = (&p.deps, p.index);
 
     // Gather each map's partition as soon as its status lands, slotted by
     // dep index; runs are then merged in dep order, so the grouped output is
     // bitwise-identical to a barrier-then-gather pass.
     let mut slots: Vec<Option<Vec<KeyedPair>>> = vec![None; deps.len()];
-    for_each_dep_done(ctx, cos, &deps, poll, batch, |i, d| {
+    for_each_dep_done(ctx, cos, deps, p.poll, |i, d| {
         // lint: allow(L009) — for_each_dep_done yields i < deps.len() == slots.len()
-        slots[i] = Some(fetch_shuffle_run(cloud, cos, d, index, reducers, exchange)?);
+        slots[i] = Some(fetch_shuffle_run(
+            cloud, cos, d, index, p.reducers, p.exchange,
+        )?);
         Ok(())
     })?;
 
@@ -791,14 +752,9 @@ fn build_shuffle_reduce_input(
         })?);
     }
 
-    let merged: Vec<KeyedPair> = match plane {
-        // Partitioned runs arrive sorted: k-way merge under the bounded
-        // fan-in budget instead of holding and re-scanning everything.
-        ShufflePlane::Partitioned => merge_runs(runs, fanin).0,
-        // Whole-object runs are unsorted: concatenate in dep order, exactly
-        // like the legacy gather.
-        ShufflePlane::WholeObject => runs.into_iter().flatten().collect(),
-    };
+    // Runs arrive sorted: k-way merge under the bounded fan-in budget
+    // instead of holding and re-scanning everything.
+    let merged = merge_runs(runs, p.fanin).0;
 
     let mut groups: std::collections::BTreeMap<String, Value> = std::collections::BTreeMap::new();
     for (k, pair) in &merged {
@@ -818,8 +774,8 @@ fn build_shuffle_reduce_input(
 }
 
 /// Fetches reducer `index`'s partition run from one finished map task,
-/// using the map's status manifest (authoritative over the reducer's own
-/// decoded plane) to tell elided-empty partitions apart from lost data.
+/// using the map's status manifest to tell elided-empty partitions apart
+/// from lost data.
 fn fetch_shuffle_run(
     cloud: &SimCloud,
     cos: &CosClient,
@@ -829,9 +785,9 @@ fn fetch_shuffle_run(
     exchange: ExchangeMode,
 ) -> Result<Vec<KeyedPair>, String> {
     let prefix = d.task_prefix();
-    let channel = shuffle_key(&prefix, index, reducers);
 
     if exchange == ExchangeMode::Relay {
+        let channel = shuffle_key(&prefix, index, reducers);
         // Happy path: zero COS operations — maps publish every channel, so
         // the relay read alone settles it. Only a miss (map failed, or data
         // gone) costs one status GET to diagnose which.
@@ -859,35 +815,13 @@ fn fetch_shuffle_run(
     if let Some(msg) = map_error_of(&status) {
         return Err(format!("map task {} failed: {msg}", d.label()));
     }
-    let Some(manifest) = status.get("shuf") else {
-        // Pre-manifest map payload: every partition was written, fetch it
-        // directly (the legacy protocol).
-        let raw = get_verified(cos, d.bucket(), &channel)
-            .map_err(|e| format!("fetching shuffle partition: {e}"))?;
-        return keyed_pairs_of_raw(&raw);
-    };
+    let manifest = status.get("shuf").ok_or_else(|| {
+        format!(
+            "status of map task {} carries no shuffle manifest",
+            d.label()
+        )
+    })?;
     match manifest.req_str("k")? {
-        "whole" => {
-            let bits = manifest
-                .get("w")
-                .and_then(Value::as_bytes)
-                .ok_or("whole-object manifest missing its bitmap")?;
-            if !bitmap_get(bits, index) {
-                // Declared absent: this map produced nothing for us.
-                return Ok(Vec::new());
-            }
-            match get_verified(cos, d.bucket(), &channel) {
-                Ok(raw) => keyed_pairs_of_raw(&raw),
-                Err(PywrenError::Storage(rustwren_store::StoreError::NoSuchKey { .. })) => {
-                    Err(format!(
-                        "shuffle partition {index} of map task {} was written but is now \
-                         missing (lost)",
-                        d.label()
-                    ))
-                }
-                Err(e) => Err(format!("fetching shuffle partition: {e}")),
-            }
-        }
         "seg" => {
             let parts = manifest.req_list("parts")?;
             let entry = parts
@@ -990,13 +924,8 @@ fn keyed_pairs_of(v: &Value) -> Result<Vec<KeyedPair>, String> {
 
 /// Materializes the user function's input from the task descriptor,
 /// merging any job-level `extra` entries into map-shaped inputs.
-fn build_input(
-    ctx: &ActivationCtx,
-    cos: &CosClient,
-    desc: &Value,
-    batch: bool,
-) -> Result<Value, String> {
-    let input = build_input_base(ctx, cos, desc, batch)?;
+fn build_input(ctx: &ActivationCtx, cos: &CosClient, desc: &Value) -> Result<Value, String> {
+    let input = build_input_base(ctx, cos, desc)?;
     let Some(extra) = desc.get("extra").and_then(Value::as_map) else {
         return Ok(input);
     };
@@ -1013,12 +942,7 @@ fn build_input(
     }
 }
 
-fn build_input_base(
-    ctx: &ActivationCtx,
-    cos: &CosClient,
-    desc: &Value,
-    batch: bool,
-) -> Result<Value, String> {
+fn build_input_base(ctx: &ActivationCtx, cos: &CosClient, desc: &Value) -> Result<Value, String> {
     match desc.req_str("kind")? {
         "value" => Ok(desc.get("value").cloned().unwrap_or(Value::Null)),
         "partition" => {
@@ -1044,7 +968,7 @@ fn build_input_base(
             // index, so the reduce function still sees them in submission
             // order — only the download timing changes.
             let mut slots: Vec<Option<Value>> = vec![None; deps.len()];
-            for_each_dep_done(ctx, cos, &deps, poll, batch, |i, d| {
+            for_each_dep_done(ctx, cos, &deps, poll, |i, d| {
                 let status_raw = get_verified(cos, d.bucket(), &d.status_key())
                     .map_err(|e| format!("fetching dep status: {e}"))?;
                 let status =
@@ -1086,18 +1010,14 @@ fn build_input_base(
 /// LIST per distinct job prefix per poll tick covers every dependency
 /// (instead of O(deps) per-key probes), and `fetch(i, dep)` runs for each
 /// dependency *as its status lands*, so downloads overlap the stragglers
-/// still running rather than queueing behind a full barrier.
-///
-/// With `batch` off, each poll tick probes every still-pending status key
-/// individually — the original data path, kept for ablation and for
-/// payloads from older clients. Either way results are slotted by
-/// dependency index, so the assembled input is bitwise-identical.
+/// still running rather than queueing behind a full barrier. Results are
+/// slotted by dependency index, so the assembled input does not depend on
+/// completion order.
 fn for_each_dep_done<F>(
     ctx: &ActivationCtx,
     cos: &CosClient,
     deps: &[ResponseFuture],
     poll: Duration,
-    batch: bool,
     mut fetch: F,
 ) -> Result<(), String>
 where
@@ -1117,39 +1037,21 @@ where
     let mut fetched = vec![false; deps.len()];
     let mut done = 0usize;
     loop {
-        if batch {
-            for (bucket, prefix) in &prefixes {
-                let listed = cos
-                    .list(bucket, prefix)
-                    .map_err(|e| format!("listing statuses: {e}"))?;
-                for meta in listed {
-                    let Some(&i) = wanted.get(&meta.key) else {
-                        continue;
-                    };
-                    // lint: allow(L009) — wanted maps status keys to dep
-                    // indexes; fetched/deps are deps-sized
-                    if !fetched[i] {
-                        // lint: allow(L009) — same deps-sized index
-                        fetched[i] = true;
-                        // lint: allow(L009) — same deps-sized index
-                        fetch(i, &deps[i])?;
-                        done += 1;
-                    }
-                }
-            }
-        } else {
-            for (i, d) in deps.iter().enumerate() {
-                // lint: allow(L009) — enumerate index over deps-sized vec
-                if fetched[i] {
+        for (bucket, prefix) in &prefixes {
+            let listed = cos
+                .list(bucket, prefix)
+                .map_err(|e| format!("listing statuses: {e}"))?;
+            for meta in listed {
+                let Some(&i) = wanted.get(&meta.key) else {
                     continue;
-                }
-                // One existence probe per pending dependency per tick —
-                // a transient error reads as "not there yet" and is
-                // retried next tick.
-                if cos.get(d.bucket(), &d.status_key()).is_ok() {
-                    // lint: allow(L009) — enumerate index over deps-sized vec
+                };
+                // lint: allow(L009) — wanted maps status keys to dep
+                // indexes; fetched/deps are deps-sized
+                if !fetched[i] {
+                    // lint: allow(L009) — same deps-sized index
                     fetched[i] = true;
-                    fetch(i, d)?;
+                    // lint: allow(L009) — same deps-sized index
+                    fetch(i, &deps[i])?;
                     done += 1;
                 }
             }
@@ -1182,35 +1084,33 @@ fn panic_text(p: &Box<dyn std::any::Any + Send>) -> String {
 mod tests {
     use super::*;
 
-    #[test]
-    fn agent_payload_roundtrip() {
-        let p = AgentPayload {
-            bucket: "b".into(),
+    /// `v` (a map value) without its field `key`.
+    fn without(v: &Value, key: &str) -> Value {
+        let mut m = v.as_map().expect("a map value").clone();
+        assert!(m.remove(key).is_some(), "no field `{key}` to strip");
+        Value::Map(m)
+    }
+
+    fn sample_payload(inline: Option<Value>) -> AgentPayload {
+        AgentPayload {
+            bucket: "rustwren-runtime".into(),
             exec_id: "e1".into(),
             job_id: 4,
             task: 9,
             func_name: "tone".into(),
-            inline: None,
-            cache: false,
-            batch: false,
-            inline_max: 0,
-        };
+            inline,
+        }
+    }
+
+    #[test]
+    fn agent_payload_roundtrip() {
+        let p = sample_payload(None);
         assert_eq!(AgentPayload::decode(&p.encode()), Ok(p));
     }
 
     #[test]
-    fn agent_payload_carries_inline_desc_and_cache_flag() {
-        let p = AgentPayload {
-            bucket: "b".into(),
-            exec_id: "e1".into(),
-            job_id: 4,
-            task: 9,
-            func_name: "tone".into(),
-            inline: Some(Value::map().with("kind", "value").with("value", 7i64)),
-            cache: true,
-            batch: true,
-            inline_max: 64 * 1024,
-        };
+    fn agent_payload_carries_inline_desc() {
+        let p = sample_payload(Some(Value::map().with("kind", "value").with("value", 7i64)));
         let decoded = AgentPayload::decode(&p.encode()).expect("decodes");
         assert_eq!(decoded, p);
         assert_eq!(
@@ -1221,23 +1121,42 @@ mod tests {
                 .and_then(Value::as_str),
             Some("value")
         );
-        assert!(decoded.cache);
+    }
+
+    /// Payload bytes are priced by `request_cost` and feed every jitter
+    /// draw, so `kernel_equiv` moves if one byte does. The literal is what
+    /// commit 325ca27 (the last one with a configurable data path) encoded
+    /// for this payload under its default configuration.
+    #[test]
+    fn agent_payload_encoding_is_byte_identical_to_parent() {
+        let p = sample_payload(Some(Value::map().with("kind", "value").with("value", 7i64)));
+        let parent: &[u8] = b"\x07\t\x00\x00\x00\x05\x00\x00\x00batch\x01\x01\
+            \x06\x00\x00\x00bucket\x04\x10\x00\x00\x00rustwren-runtime\
+            \x05\x00\x00\x00cache\x01\x01\
+            \x04\x00\x00\x00exec\x04\x02\x00\x00\x00e1\
+            \x04\x00\x00\x00func\x04\x04\x00\x00\x00tone\
+            \x05\x00\x00\x00ilmax\x02\x00\x00\x01\x00\x00\x00\x00\x00\
+            \x06\x00\x00\x00inline\x07\x02\x00\x00\x00\
+            \x04\x00\x00\x00kind\x04\x05\x00\x00\x00value\
+            \x05\x00\x00\x00value\x02\x07\x00\x00\x00\x00\x00\x00\x00\
+            \x03\x00\x00\x00job\x02\x04\x00\x00\x00\x00\x00\x00\x00\
+            \x04\x00\x00\x00task\x02\t\x00\x00\x00\x00\x00\x00\x00";
+        assert_eq!(&p.encode()[..], parent);
     }
 
     #[test]
-    fn agent_payload_without_cache_key_defaults_to_staged_semantics() {
-        // A payload encoded before the data-path fields existed still
-        // decodes — and conservatively disables both optimisations.
-        let old = Value::map()
-            .with("bucket", "b")
-            .with("exec", "e1")
-            .with("job", 4i64)
-            .with("task", 9i64)
-            .with("func", "tone")
-            .encode();
-        let decoded = AgentPayload::decode(&old).expect("decodes");
-        assert_eq!(decoded.inline, None);
-        assert!(!decoded.cache);
+    fn agent_payload_decode_rejects_any_missing_field() {
+        // A truncated payload once decoded with `cache`/`batch` false and
+        // `ilmax` 0 and quietly ran the staged protocol.
+        let full = Value::decode(&sample_payload(None).encode()).expect("decodes");
+        for key in [
+            "bucket", "exec", "job", "task", "func", "cache", "batch", "ilmax",
+        ] {
+            let err = AgentPayload::decode(&without(&full, key).encode());
+            assert!(err.is_err(), "payload without `{key}` decoded: {err:?}");
+        }
+        let staged = full.clone().with("cache", false);
+        assert!(AgentPayload::decode(&staged.encode()).is_err());
     }
 
     #[test]
@@ -1270,38 +1189,95 @@ mod tests {
         assert_eq!(r.get("group").and_then(Value::as_str), Some("nyc"));
     }
 
+    fn sample_shuffle_reduce(maps: u32) -> Value {
+        TaskSpec::ShuffleReduce {
+            bucket: "b".into(),
+            exec_id: "e".into(),
+            map_job: 1,
+            maps,
+            index: 3,
+            poll: Duration::from_millis(500),
+            reducers: 8,
+            exchange: ExchangeMode::Cos,
+            fanin: 16,
+        }
+        .to_value()
+    }
+
     #[test]
     fn shuffle_reduce_descriptor_stays_compact_at_high_fanin() {
         // A reducer over 1,000 maps once carried 1,000 inlined futures in
         // its descriptor — big enough to evade W003's payload estimate and
-        // bloat every activation. The dense dep range compacts to a
-        // constant-size reference.
-        let deps: Vec<ResponseFuture> = (0..1_000)
-            .map(|t| ResponseFuture::new("b", "e", 1, t))
-            .collect();
-        let spec = TaskSpec::ShuffleReduce {
-            deps: deps.clone(),
-            index: 3,
-            poll: Duration::from_millis(500),
-            reducers: 8,
-            plane: ShufflePlane::Partitioned,
-            exchange: ExchangeMode::Cos,
-            fanin: 16,
-        };
-        let v = spec.to_value();
+        // bloat every activation. The map job travels as a constant-size
+        // reference.
+        let v = sample_shuffle_reduce(1_000);
         assert!(
             v.encoded_len() < 256,
             "1,000-dep descriptor must be a compact reference, was {} bytes",
             v.encoded_len()
         );
-        assert_eq!(decode_shuffle_deps(&v).expect("decodes"), deps);
+        let deps: Vec<ResponseFuture> = (0..1_000)
+            .map(|t| ResponseFuture::new("b", "e", 1, t))
+            .collect();
+        let params = ShuffleReduceParams::from_desc(&v).expect("decodes");
+        assert_eq!(params.deps, deps);
+        assert_eq!((params.index, params.reducers, params.fanin), (3, 8, 16));
+    }
 
-        // Legacy descriptors with an explicit "deps" list still decode.
-        let legacy = Value::map().with(
-            "deps",
-            Value::List(deps.iter().take(3).map(ResponseFuture::to_value).collect()),
-        );
-        assert_eq!(decode_shuffle_deps(&legacy).expect("decodes"), deps[..3]);
+    #[test]
+    fn shuffle_descriptors_reject_any_missing_field() {
+        // Each of these once fell back to a default (one reducer, fan-in
+        // 16, the COS exchange, the hash partitioner, the retired
+        // object-per-partition layout) and ran a protocol the client did
+        // not ask for.
+        let reduce = sample_shuffle_reduce(4);
+        assert!(ShuffleReduceParams::from_desc(&reduce).is_ok());
+        for key in [
+            "index", "poll_ms", "reducers", "plane", "exch", "fanin", "depr",
+        ] {
+            let r = ShuffleReduceParams::from_desc(&without(&reduce, key));
+            assert!(r.is_err(), "reduce descriptor without `{key}`: {r:?}");
+        }
+        let depr = reduce.get("depr").expect("depr");
+        for key in ["bucket", "exec", "job", "n"] {
+            let desc = reduce.clone().with("depr", without(depr, key));
+            let r = ShuffleReduceParams::from_desc(&desc);
+            assert!(r.is_err(), "reduce descriptor without `depr.{key}`: {r:?}");
+        }
+
+        let map = TaskSpec::ShuffleMap {
+            inner: Box::new(TaskSpec::Value(Value::Int(1))),
+            reducers: 8,
+            exchange: ExchangeMode::Relay,
+            partitioner: Partitioner::Hash,
+            combiner: None,
+        }
+        .to_value();
+        assert!(ShuffleMapParams::from_desc(&map).is_ok());
+        for key in ["reducers", "plane", "exch", "part"] {
+            let r = ShuffleMapParams::from_desc(&without(&map, key));
+            assert!(r.is_err(), "map descriptor without `{key}`: {r:?}");
+        }
+    }
+
+    #[test]
+    fn reducer_rejects_a_done_map_status_without_a_manifest() {
+        // Such a status once read as "every partition is a whole object
+        // under its channel key", and the reducer went and fetched one.
+        let cloud = SimCloud::builder().seed(3).build();
+        cloud.store().ensure_bucket("b");
+        cloud.run(|| {
+            let cos = CosClient::new(cloud.store(), rustwren_sim::NetworkProfile::lan(), 3);
+            let d = ResponseFuture::new("b", "e1", 1, 0);
+            let status = status_value("done", None, 0.0, 1.0);
+            put_stamped(&cos, "b", &d.status_key(), &status.encode()).expect("status");
+            let pairs = Value::List(vec![Value::map().with("k", "x").with("v", 1i64)]);
+            let channel = shuffle_key(&d.task_prefix(), 0, 4);
+            put_stamped(&cos, "b", &channel, &pairs.encode()).expect("partition");
+            let err = fetch_shuffle_run(&cloud, &cos, &d, 0, 4, ExchangeMode::Cos)
+                .expect_err("no manifest, no fetch");
+            assert!(err.contains("no shuffle manifest"), "{err}");
+        });
     }
 
     #[test]

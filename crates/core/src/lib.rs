@@ -87,7 +87,7 @@ pub mod wire;
 
 pub use cloud::{SimCloud, SimCloudBuilder};
 pub use compose::SEQUENCE_FN;
-pub use config::{DataPathConfig, ExecutorConfig, RetryPolicy, SpawnStrategy, SpeculationConfig};
+pub use config::{ExecutorConfig, RetryPolicy, SpawnStrategy, SpeculationConfig};
 pub use convert::FromValue;
 pub use error::{PywrenError, Result};
 pub use executor::{

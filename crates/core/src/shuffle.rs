@@ -1,23 +1,18 @@
-//! The partitioned shuffle data plane (ROADMAP item 2).
+//! The partitioned shuffle data plane.
 //!
 //! §2 of the paper singles out the shuffle as the open challenge of
-//! serverless MapReduce. The original plane here was the naive
-//! storage-based exchange: every map wrote one whole COS object per
-//! reducer (even empty ones) and every reducer read every map output
-//! whole, grouping everything in one in-memory `BTreeMap`. This module
-//! holds the machinery for the real plane:
+//! serverless MapReduce. This module holds the machinery of the plane:
 //!
 //! * [`Partitioner`] — pluggable hash/range key partitioning (range
 //!   boundaries come from a sampled key histogram).
-//! * [`ShufflePlane`] — the whole-object legacy layout vs the partitioned
-//!   segment layout (one object per *map*, sliced per reducer, with empty
-//!   partitions elided and recorded in the map's status manifest).
+//! * [`ShufflePlane`] — the segment layout (one object per *map*, sliced
+//!   per reducer, with empty partitions elided and recorded in the map's
+//!   status manifest).
 //! * [`ExchangeMode`] — COS-mediated exchange vs the direct
 //!   container-to-container relay tier ablation
 //!   ([`rustwren_store::RelayTier`]).
 //! * [`merge_runs`](crate::shuffle::merge_runs) — the reduce side's
-//!   streaming multi-round k-way merge with a bounded fan-in, replacing
-//!   the hold-everything re-sort.
+//!   streaming multi-round k-way merge with a bounded fan-in.
 //!
 //! The wire-level write/fetch protocol lives in [`crate::job`]; this
 //! module is the pure, separately-testable core.
@@ -30,7 +25,12 @@ use crate::wire::Value;
 /// [`crate::PywrenError::Config`] instead of melting down mid-run.
 pub const MAX_REDUCERS: usize = 100_000;
 
-/// Which physical layout the map outputs use in the exchange.
+/// The physical layout the map outputs use in the exchange.
+///
+/// One variant: the object-per-`(map, reducer)` layout it once selected
+/// against is retired (EXPERIMENTS.md, "Retired ablations"). The enum and
+/// [`crate::ShuffleOpts::plane`] stay because the frozen `ledger` benchmark
+/// source names both.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum ShufflePlane {
     /// One segment object per *map task*: per-reducer slices are sorted,
@@ -41,9 +41,6 @@ pub enum ShufflePlane {
     /// "lost" under chaos.
     #[default]
     Partitioned,
-    /// The legacy layout: one whole COS object per `(map, reducer)` pair,
-    /// unsorted. Kept for equivalence testing and as the ablation baseline.
-    WholeObject,
 }
 
 /// How map outputs physically travel to reducers.
@@ -55,7 +52,6 @@ pub enum ExchangeMode {
     Cos,
     /// Push partitions through the simulated low-latency relay tier —
     /// the VM-driven direct exchange of *A Milestone for FaaS Pipelines*.
-    /// Requires [`ShufflePlane::Partitioned`].
     Relay,
 }
 
@@ -64,18 +60,14 @@ impl ShufflePlane {
     pub(crate) fn as_str(self) -> &'static str {
         match self {
             ShufflePlane::Partitioned => "seg",
-            ShufflePlane::WholeObject => "whole",
         }
     }
 
-    /// Decodes [`ShufflePlane::as_str`]; absent (payloads from older
-    /// clients) means the legacy whole-object layout.
-    pub(crate) fn from_wire(s: Option<&str>) -> Result<ShufflePlane, String> {
+    /// Decodes [`ShufflePlane::as_str`].
+    pub(crate) fn from_wire(s: &str) -> Result<ShufflePlane, String> {
         match s {
-            None => Ok(ShufflePlane::WholeObject),
-            Some("seg") => Ok(ShufflePlane::Partitioned),
-            Some("whole") => Ok(ShufflePlane::WholeObject),
-            Some(other) => Err(format!("unknown shuffle plane `{other}`")),
+            "seg" => Ok(ShufflePlane::Partitioned),
+            other => Err(format!("unknown shuffle plane `{other}`")),
         }
     }
 }
@@ -89,12 +81,12 @@ impl ExchangeMode {
         }
     }
 
-    /// Decodes [`ExchangeMode::as_str`]; absent means COS-mediated.
-    pub(crate) fn from_wire(s: Option<&str>) -> Result<ExchangeMode, String> {
+    /// Decodes [`ExchangeMode::as_str`].
+    pub(crate) fn from_wire(s: &str) -> Result<ExchangeMode, String> {
         match s {
-            None | Some("cos") => Ok(ExchangeMode::Cos),
-            Some("relay") => Ok(ExchangeMode::Relay),
-            Some(other) => Err(format!("unknown exchange mode `{other}`")),
+            "cos" => Ok(ExchangeMode::Cos),
+            "relay" => Ok(ExchangeMode::Relay),
+            other => Err(format!("unknown exchange mode `{other}`")),
         }
     }
 }
@@ -183,12 +175,11 @@ impl Partitioner {
         }
     }
 
-    /// Decodes [`Partitioner::to_value`]; `None`/`Null` (payloads from
-    /// older clients) is the hash partitioner.
-    pub(crate) fn from_value(v: Option<&Value>) -> Result<Partitioner, String> {
+    /// Decodes [`Partitioner::to_value`].
+    pub(crate) fn from_value(v: &Value) -> Result<Partitioner, String> {
         match v {
-            None | Some(Value::Null) => Ok(Partitioner::Hash),
-            Some(v) => {
+            Value::Null => Ok(Partitioner::Hash),
+            v => {
                 let bounds = v.req_list("range")?;
                 let boundaries = bounds
                     .iter()
@@ -205,8 +196,7 @@ impl Partitioner {
 }
 
 /// Stable hash-reducer assignment for a shuffle key (FNV-ish fold, then
-/// mix) — byte-identical to the seed framework's assignment, so the
-/// whole-object and partitioned planes distribute keys identically.
+/// mix) — byte-identical to the seed framework's assignment.
 pub(crate) fn hash_bucket_of(key: &str, reducers: usize) -> usize {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for b in key.bytes() {
@@ -228,9 +218,9 @@ pub(crate) fn reducer_pad(reducers: usize) -> usize {
     digits.max(4)
 }
 
-/// Key of one map task's shuffle partition for reducer `r` (whole-object
-/// plane), or its relay channel name (relay exchange). The pad is derived
-/// from the job's reducer count on both the write and read side.
+/// Relay channel name of one map task's shuffle partition for reducer `r`
+/// (relay exchange). The pad is derived from the job's reducer count on
+/// both the write and read side.
 pub(crate) fn shuffle_key(task_prefix: &str, r: usize, reducers: usize) -> String {
     format!(
         "{task_prefix}/shuffle-{r:0pad$}",
@@ -244,18 +234,6 @@ pub(crate) fn segment_key(task_prefix: &str) -> String {
     format!("{task_prefix}/shuffle-seg")
 }
 
-/// Marks partition `i` written in the status manifest's elision bitmap.
-pub(crate) fn bitmap_set(bits: &mut [u8], i: usize) {
-    // lint: allow(L009) — callers allocate ceil(reducers/8) bytes and pass
-    // i < reducers (see write_shuffle_output)
-    bits[i / 8] |= 1 << (i % 8);
-}
-
-/// Whether partition `i` is marked written in the elision bitmap.
-pub(crate) fn bitmap_get(bits: &[u8], i: usize) -> bool {
-    bits.get(i / 8).is_some_and(|b| b & (1 << (i % 8)) != 0)
-}
-
 /// One decoded shuffle pair: the extracted key plus the original
 /// `{"k", "v"}` pair value (kept whole so regrouping is allocation-light).
 pub(crate) type KeyedPair = (String, Value);
@@ -265,7 +243,7 @@ pub(crate) type KeyedPair = (String, Value);
 /// (the bounded-memory discipline of an external merge sort). Ties are
 /// broken by run index, and each run's internal order is preserved, so for
 /// any key the merged value order is: run 0's values in emission order,
-/// then run 1's, … — exactly the order the legacy gather produced.
+/// then run 1's, … — the order of a plain dep-order gather.
 ///
 /// Returns the merged run and the number of merge rounds performed.
 pub(crate) fn merge_runs(runs: Vec<Vec<KeyedPair>>, fanin: usize) -> (Vec<KeyedPair>, usize) {
@@ -419,21 +397,22 @@ mod tests {
             },
         ] {
             let v = p.to_value();
-            assert_eq!(Partitioner::from_value(Some(&v)), Ok(p));
+            assert_eq!(Partitioner::from_value(&v), Ok(p));
         }
-        assert_eq!(Partitioner::from_value(None), Ok(Partitioner::Hash));
     }
 
     #[test]
-    fn bitmap_roundtrip() {
-        let mut bits = vec![0u8; 2];
-        bitmap_set(&mut bits, 0);
-        bitmap_set(&mut bits, 9);
-        assert!(bitmap_get(&bits, 0));
-        assert!(!bitmap_get(&bits, 1));
-        assert!(bitmap_get(&bits, 9));
-        assert!(!bitmap_get(&bits, 15));
-        assert!(!bitmap_get(&bits, 99)); // out of range reads as unwritten
+    fn wire_discriminators_roundtrip_and_reject_unknown_values() {
+        assert_eq!(
+            ShufflePlane::from_wire(ShufflePlane::Partitioned.as_str()),
+            Ok(ShufflePlane::Partitioned)
+        );
+        for e in [ExchangeMode::Cos, ExchangeMode::Relay] {
+            assert_eq!(ExchangeMode::from_wire(e.as_str()), Ok(e));
+        }
+        // The retired layout's discriminator is garbage now, not a mode.
+        assert!(ShufflePlane::from_wire("whole").is_err());
+        assert!(ExchangeMode::from_wire("").is_err());
     }
 
     #[test]
@@ -450,7 +429,7 @@ mod tests {
     #[test]
     fn merge_preserves_per_key_run_order() {
         // Equal keys: run 0's values must come out before run 1's, each in
-        // emission order — the legacy gather's exact order.
+        // emission order — a dep-order gather's exact order.
         let runs = vec![
             vec![pair("a", 1), pair("a", 2), pair("b", 10)],
             vec![pair("a", 3), pair("c", 20)],
@@ -544,7 +523,7 @@ mod tests {
                 .collect();
             let total: usize = runs.iter().map(Vec::len).sum();
             // Reference order: concatenate runs in index order per key —
-            // what the legacy dep-order gather produces.
+            // what a plain dep-order gather produces.
             let mut expected: std::collections::BTreeMap<String, Vec<i64>> = Default::default();
             for run in &runs {
                 for (k, p) in run {

@@ -696,15 +696,13 @@ fn clean_removes_all_staged_objects() {
             .unwrap()
             .is_empty());
 
-        // The legacy staged data path uploads an input object per task too.
-        let staged = cloud
-            .executor()
-            .data_path(rustwren_core::DataPathConfig::staged())
-            .build()
-            .unwrap();
-        staged.map("add7", (0..5).map(Value::from)).unwrap();
-        staged.get_result().unwrap();
-        let removed = staged.clean().unwrap();
+        // Inputs and results too big to ride inline are objects of their
+        // own, and `clean` removes those too.
+        cloud.register_fn("echo", |_ctx: &TaskCtx, v: Value| Ok(v));
+        let big = Value::bytes(vec![1u8; 100_000]);
+        exec.map("echo", vec![big; 5]).unwrap();
+        exec.get_result().unwrap();
+        let removed = exec.clean().unwrap();
         assert_eq!(removed, 1 + 5 * 3, "blob + inputs + statuses + results");
     });
 }

@@ -1,12 +1,13 @@
-//! Shuffle data-plane acceptance tests: cross-plane equivalence, empty
-//! partition elision, combiners, submit-time validation, and typed errors
-//! under chaos.
+//! Shuffle data-plane acceptance tests: both exchanges against a sequential
+//! oracle, empty partition elision, combiners, submit-time validation, and
+//! typed errors under chaos.
 
+use std::collections::BTreeMap;
 use std::time::Duration;
 
 use rustwren_core::{
     CorruptMode, DataSource, ExchangeMode, FaultPlan, Partitioner, PathScope, PywrenError,
-    ShuffleOpts, ShufflePlane, SimCloud, TaskCtx, TimeWindow, Value, MAX_REDUCERS,
+    ShuffleOpts, SimCloud, TaskCtx, TimeWindow, Value, MAX_REDUCERS,
 };
 use rustwren_sim::NetworkProfile;
 
@@ -17,20 +18,21 @@ fn test_cloud(seed: u64) -> SimCloud {
         .build()
 }
 
+/// The `(word, value)` pairs the `emit-pairs` map emits for input `n`.
+fn pairs_of(n: i64) -> impl Iterator<Item = (&'static str, i64)> {
+    const WORDS: [&str; 6] = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta"];
+    (0..12).map(move |i| (WORDS[((n + i) % 6) as usize], n + i))
+}
+
 /// Map: each input int emits (word, n) pairs over a fixed vocabulary.
 /// Reduce: sums the values per word. Deterministic and key-skewed enough
 /// to exercise multi-run merges.
 fn register_sum_job(cloud: &SimCloud) {
     cloud.register_fn("emit-pairs", |_ctx: &TaskCtx, v: Value| {
         let n = v.as_i64().ok_or("int")?;
-        let words = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta"];
         Ok(Value::List(
-            (0..12)
-                .map(|i| {
-                    Value::map()
-                        .with("k", words[((n + i) % 6) as usize])
-                        .with("v", n + i)
-                })
+            pairs_of(n)
+                .map(|(k, v)| Value::map().with("k", k).with("v", v))
                 .collect(),
         ))
     });
@@ -54,7 +56,7 @@ fn register_sum_job(cloud: &SimCloud) {
     });
 }
 
-fn run_sum_job(seed: u64, opts: ShuffleOpts) -> (Vec<Value>, u64) {
+fn run_sum_job(seed: u64, opts: ShuffleOpts) -> Vec<Value> {
     let cloud = test_cloud(seed);
     register_sum_job(&cloud);
     cloud.run(|| {
@@ -66,41 +68,52 @@ fn run_sum_job(seed: u64, opts: ShuffleOpts) -> (Vec<Value>, u64) {
             opts.clone(),
         )
         .unwrap();
-        let results = exec.get_result().unwrap();
-        (results, exec.cos_op_stats().agent.puts)
+        exec.get_result().unwrap()
     })
 }
 
 #[test]
 fn all_planes_produce_bitwise_identical_results() {
-    let arms = [
-        (ShufflePlane::WholeObject, ExchangeMode::Cos),
-        (ShufflePlane::Partitioned, ExchangeMode::Cos),
-        (ShufflePlane::Partitioned, ExchangeMode::Relay),
-    ];
-    let outputs: Vec<Vec<Value>> = arms
-        .iter()
-        .map(|&(plane, exchange)| {
+    // The oracle: the same input pairs, sorted and summed per key in one
+    // sequential pass with no cloud underneath.
+    let mut oracle: BTreeMap<String, i64> = BTreeMap::new();
+    for (k, v) in (0..20).flat_map(pairs_of) {
+        *oracle.entry(k.to_owned()).or_default() += v;
+    }
+
+    let outputs: Vec<Vec<Value>> = [ExchangeMode::Cos, ExchangeMode::Relay]
+        .into_iter()
+        .map(|exchange| {
             run_sum_job(
                 77,
                 ShuffleOpts {
                     reducers: 4,
-                    plane,
                     exchange,
                     ..ShuffleOpts::default()
                 },
             )
-            .0
         })
         .collect();
-    assert_eq!(outputs[0], outputs[1], "partitioned != whole-object");
-    assert_eq!(outputs[1], outputs[2], "relay != partitioned COS");
+    for (exchange, reducers) in ["cos", "relay"].iter().zip(&outputs) {
+        // Every key lands on exactly one reducer, with the oracle's sum.
+        let mut got: BTreeMap<String, i64> = BTreeMap::new();
+        for r in reducers {
+            for (k, v) in r.as_map().expect("reducer output is a map") {
+                let sum = v.as_i64().expect("int sum");
+                assert!(
+                    got.insert(k.clone(), sum).is_none(),
+                    "{exchange}: key `{k}` on two reducers"
+                );
+            }
+        }
+        assert_eq!(got, oracle, "{exchange} exchange != sequential oracle");
+    }
     // Bitwise: the encoded wire bytes agree, not just structural equality.
     for (r, (a, b)) in outputs[0].iter().zip(&outputs[1]).enumerate() {
         assert_eq!(
             a.encode(),
             b.encode(),
-            "reducer {r} bytes differ across planes"
+            "reducer {r} bytes differ across exchanges"
         );
     }
 }
@@ -116,8 +129,7 @@ fn small_fanin_merge_matches_single_round_merge() {
             merge_fanin: 2,
             ..ShuffleOpts::default()
         },
-    )
-    .0;
+    );
     let wide = run_sum_job(
         78,
         ShuffleOpts {
@@ -125,20 +137,17 @@ fn small_fanin_merge_matches_single_round_merge() {
             merge_fanin: 64,
             ..ShuffleOpts::default()
         },
-    )
-    .0;
+    );
     assert_eq!(narrow, wide);
 }
 
 #[test]
 fn empty_partitions_are_elided_not_put() {
     // Sparse: every map emits a single key, so 15 of 16 partitions are
-    // empty for every map. The old plane PUT all 16 per map regardless;
-    // elision must make the sparse job's agent PUTs strictly cheaper than
-    // the dense job's on the same plane and scale.
-    let dense_opts = ShuffleOpts {
+    // empty for every map. A plane that PUT all 16 per map regardless would
+    // cost O(M×R) objects.
+    let opts = ShuffleOpts {
         reducers: 16,
-        plane: ShufflePlane::WholeObject,
         ..ShuffleOpts::default()
     };
     let cloud = test_cloud(79);
@@ -155,7 +164,7 @@ fn empty_partitions_are_elided_not_put() {
             "emit-one-key",
             DataSource::Values((0..10).map(Value::from).collect()),
             "sum-per-key",
-            dense_opts.clone(),
+            opts,
         )
         .unwrap();
         let results = exec.get_result().unwrap();
@@ -170,14 +179,9 @@ fn empty_partitions_are_elided_not_put() {
         .flat_map(|m| m.values().map(|v| v.as_i64().unwrap_or(0)))
         .sum();
     assert_eq!(total, (0..10).sum::<i64>());
-
-    let (_, dense_puts) = run_sum_job(79, dense_opts);
-    // The sum job spreads keys over 6 of 16 partitions; the sparse job
-    // fills exactly 1. Same map count, so elision is the only difference.
-    assert!(
-        sparse_puts < dense_puts,
-        "sparse ({sparse_puts} agent puts) must elide partitions the dense job ({dense_puts}) writes"
-    );
+    // One status PUT per task and nothing else: the 150 empty partitions
+    // cost no object, and the 10 one-pair slices ride in the manifests.
+    assert_eq!(sparse_puts, 10 + 16, "agent PUTs");
 }
 
 #[test]
@@ -188,8 +192,7 @@ fn combiner_preserves_sums_and_runs_map_side() {
             reducers: 3,
             ..ShuffleOpts::default()
         },
-    )
-    .0;
+    );
     let combined = run_sum_job(
         80,
         ShuffleOpts {
@@ -197,8 +200,7 @@ fn combiner_preserves_sums_and_runs_map_side() {
             combiner: Some("sum-combiner".into()),
             ..ShuffleOpts::default()
         },
-    )
-    .0;
+    );
     // Summing is associative+commutative, so pre-aggregating map-side must
     // not change any reducer's per-key totals.
     assert_eq!(plain, combined);
@@ -274,22 +276,6 @@ fn submit_rejects_absurd_configs_with_typed_errors() {
                 ..ShuffleOpts::default()
             },
             "merge_fanin",
-        ),
-        (
-            ShuffleOpts {
-                plane: ShufflePlane::WholeObject,
-                exchange: ExchangeMode::Relay,
-                ..ShuffleOpts::default()
-            },
-            "relay exchange requires the partitioned",
-        ),
-        (
-            ShuffleOpts {
-                plane: ShufflePlane::WholeObject,
-                combiner: Some("sum-combiner".into()),
-                ..ShuffleOpts::default()
-            },
-            "combiner requires the partitioned",
         ),
         (
             ShuffleOpts {

@@ -1,10 +1,9 @@
-//! Hot-path data-path tests: inline payloads, the warm-container
-//! function-blob cache, and batched dep-watching must never change *what*
-//! a job computes — only how many COS round trips it takes.
+//! Data-path tests: inline payloads, the warm-container function-blob
+//! cache, and batched dep-watching must never change *what* a job computes
+//! — and must cost exactly the COS round trips README's per-task table says.
 
 use rustwren::core::{
-    DataPathConfig, DataSource, FaultPlan, MapReduceOpts, PathScope, SimCloud, TaskCtx, TimeWindow,
-    Value,
+    DataSource, FaultPlan, MapReduceOpts, PathScope, SimCloud, TaskCtx, TimeWindow, Value,
 };
 use rustwren::faas::PlatformConfig;
 use rustwren::sim::NetworkProfile;
@@ -13,6 +12,10 @@ use bytes::Bytes;
 use proptest::prelude::*;
 
 const BUCKET: &str = "rustwren-runtime";
+
+/// `rustwren_core`'s inline-vs-staged threshold (crate-private there;
+/// README "The data path" documents the value).
+const INLINE_MAX_BYTES: usize = 64 * 1024;
 
 fn cloud_with(seed: u64, plan: Option<FaultPlan>) -> SimCloud {
     // A small container pool forces warm reuse inside a single job — the
@@ -35,9 +38,9 @@ fn cloud_with(seed: u64, plan: Option<FaultPlan>) -> SimCloud {
     cloud
 }
 
-/// Encoded size of the descriptor the executor stages for a plain
-/// `map(Value::Int(_))` task — reconstructed here so the threshold sweep
-/// can pin the exact boundary.
+/// Encoded size of the descriptor the executor builds for a plain
+/// `map(value)` task — reconstructed here so the test can pin the exact
+/// boundary.
 fn value_desc_len(v: &Value) -> usize {
     Value::map()
         .with("kind", "value")
@@ -45,84 +48,98 @@ fn value_desc_len(v: &Value) -> usize {
         .encoded_len()
 }
 
-/// Runs a 12-task map under `data_path` and returns (encoded results,
-/// staged input-object count).
-fn run_map(seed: u64, data_path: DataPathConfig) -> (Vec<Bytes>, usize) {
-    let cloud = cloud_with(seed, None);
-    cloud.run(|| {
-        let exec = cloud.executor().data_path(data_path).build().unwrap();
-        exec.map("add7", (0..12).map(Value::from)).unwrap();
-        let results = exec.get_result().unwrap();
-        let inputs = cloud
-            .store()
-            .list(BUCKET, &format!("jobs/{}/", exec.exec_id()))
-            .unwrap()
-            .into_iter()
-            .filter(|m| m.key.ends_with("/input"))
-            .count();
-        (results.iter().map(Value::encode).collect(), inputs)
-    })
+/// Keys under this executor's job prefix that end in `suffix`.
+fn staged_keys(cloud: &SimCloud, exec_id: &str, suffix: &str) -> Vec<String> {
+    cloud
+        .store()
+        .list(BUCKET, &format!("jobs/{exec_id}/"))
+        .unwrap()
+        .into_iter()
+        .map(|m| m.key)
+        .filter(|k| k.ends_with(suffix))
+        .collect()
 }
 
 #[test]
 fn inline_and_staged_runs_are_bitwise_identical_across_thresholds() {
-    let exact = value_desc_len(&Value::Int(0));
-    // Threshold 0 stages everything; `exact` and `exact + 1` inline
-    // everything; the default (64 KiB) inlines these tiny descriptors too.
-    let (staged_results, staged_inputs) = run_map(5, DataPathConfig::staged());
-    assert_eq!(staged_inputs, 12, "threshold 0 stages one input per task");
-
-    for threshold in [exact, exact + 1, DataPathConfig::DEFAULT_INLINE_MAX_BYTES] {
-        let dp = DataPathConfig {
-            inline_input_max_bytes: threshold,
-            ..DataPathConfig::staged()
-        };
-        let (results, inputs) = run_map(5, dp);
-        assert_eq!(inputs, 0, "threshold {threshold} stages no inputs");
+    let cloud = cloud_with(5, None);
+    let byte_sum = |bytes: &[u8]| Value::Int(bytes.iter().map(|&b| i64::from(b)).sum());
+    cloud.register_fn("byte_sum", move |_ctx: &TaskCtx, v: Value| {
+        Ok(byte_sum(v.as_bytes().ok_or("bytes")?))
+    });
+    cloud.register_fn("zeros", |_ctx: &TaskCtx, v: Value| {
+        Ok(Value::bytes(vec![0u8; v.as_i64().ok_or("int")? as usize]))
+    });
+    // Input leg: task 0's descriptor encodes to exactly the threshold and
+    // rides in the activation payload; task 1's is one byte over and is
+    // staged. Which path carried the bytes must not show in the result.
+    let body = |len: usize| -> Vec<u8> { (0..len).map(|i| (i % 251) as u8).collect() };
+    let fits = INLINE_MAX_BYTES - value_desc_len(&Value::bytes(Vec::new()));
+    let inputs = [Value::bytes(body(fits)), Value::bytes(body(fits + 1))];
+    assert_eq!(value_desc_len(&inputs[0]), INLINE_MAX_BYTES);
+    assert_eq!(value_desc_len(&inputs[1]), INLINE_MAX_BYTES + 1);
+    let expected = [byte_sum(&body(fits)), byte_sum(&body(fits + 1))];
+    cloud.run(|| {
+        let exec = cloud.executor().build().unwrap();
+        let futures = exec.map("byte_sum", inputs.clone()).unwrap();
+        assert_eq!(exec.get_result().unwrap(), expected);
         assert_eq!(
-            results, staged_results,
-            "threshold {threshold}: inline results must be bitwise-identical to staged"
+            staged_keys(&cloud, exec.exec_id(), "/input"),
+            [format!("{}/input", futures[1].task_prefix())],
+            "only the over-threshold descriptor is staged"
         );
-    }
 
-    // One byte below the boundary: descriptors no longer fit, so the job
-    // falls back to the staged path wholesale.
-    let dp = DataPathConfig {
-        inline_input_max_bytes: exact - 1,
-        ..DataPathConfig::staged()
-    };
-    let (results, inputs) = run_map(5, dp);
-    assert_eq!(inputs, 12, "below-threshold descriptors are staged");
-    assert_eq!(results, staged_results);
+        // Return leg, same threshold: a result that encodes to exactly
+        // the threshold rides in the status object, one byte more gets a
+        // `…/result` object of its own.
+        let fits = INLINE_MAX_BYTES - Value::bytes(Vec::new()).encoded_len();
+        let futures = exec
+            .map("zeros", [fits, fits + 1].map(|n| Value::Int(n as i64)))
+            .unwrap();
+        let results = exec.get_result().unwrap();
+        assert_eq!(results[0].encoded_len(), INLINE_MAX_BYTES);
+        assert_eq!(results[1], Value::bytes(vec![0u8; fits + 1]));
+        assert_eq!(
+            staged_keys(&cloud, exec.exec_id(), "/result"),
+            [futures[1].result_key()],
+            "only the over-threshold result is staged"
+        );
+    });
 }
 
 #[test]
 fn inline_and_cache_cut_cos_ops_without_changing_results() {
-    let run = |dp: DataPathConfig| {
-        let cloud = cloud_with(6, None);
-        cloud.run(|| {
-            let exec = cloud.executor().data_path(dp).build().unwrap();
-            exec.map("add7", (0..50).map(Value::from)).unwrap();
-            let results = exec.get_result().unwrap();
-            (results, exec.cos_op_stats())
-        })
-    };
-    let (base_results, base_ops) = run(DataPathConfig::staged());
-    let (fast_results, fast_ops) = run(DataPathConfig::default());
-    assert_eq!(base_results, fast_results);
-    assert!(
-        fast_ops.agent.gets < base_ops.agent.gets,
-        "cache + inline must cut agent GETs: {} vs {}",
-        fast_ops.agent.gets,
-        base_ops.agent.gets
-    );
-    assert!(
-        fast_ops.staging.puts < base_ops.staging.puts,
-        "inline must cut staging PUTs: {} vs {}",
-        fast_ops.staging.puts,
-        base_ops.staging.puts
-    );
-    assert!(fast_ops.total_ops() < base_ops.total_ops());
+    // README "The data path", per-task table, for 50 small tasks.
+    let cloud = cloud_with(6, None);
+    cloud.run(|| {
+        let exec = cloud.executor().build().unwrap();
+        exec.map("add7", (0..50).map(Value::from)).unwrap();
+        let results = exec.get_result().unwrap();
+        assert_eq!(
+            results,
+            (0..50).map(|n| Value::Int(n + 7)).collect::<Vec<_>>()
+        );
+        assert!(staged_keys(&cloud, exec.exec_id(), "/input").is_empty());
+        assert!(staged_keys(&cloud, exec.exec_id(), "/result").is_empty());
+        let ops = exec.cos_op_stats();
+        let platform = cloud.functions().stats();
+        assert_eq!(ops.staging.puts, 1, "the func blob, no input PUTs");
+        assert_eq!(ops.agent.puts, 50, "one status PUT per task");
+        assert_eq!(
+            ops.agent.gets, platform.blob_cache_misses,
+            "func GETs on cold containers only, no input GETs"
+        );
+        assert_eq!(
+            platform.blob_cache_hits + platform.blob_cache_misses,
+            50,
+            "every task consulted the cache"
+        );
+        assert!(platform.blob_cache_hits > 0, "8 containers, 50 tasks");
+        assert_eq!(
+            ops.polling.gets, 50,
+            "one status GET per task, no result GETs"
+        );
+    });
 }
 
 #[test]

@@ -35,21 +35,18 @@ fn paper_fig1_flow() {
     assert!(staged.iter().any(|m| m.key.ends_with("/status")));
     assert!(!staged.iter().any(|m| m.key.ends_with("/result")));
 
-    // The original Fig 1 layout — one object per artifact — is preserved
-    // verbatim under the staged (all-optimisations-off) data path.
+    // The original Fig 1 layout — one object per artifact — is what a task
+    // too big for the activation payload and the status object still gets:
+    // a 100 KB input is staged as `…/input`, and its echo as `…/result`.
     let cloud = SimCloud::builder().seed(1).build();
-    cloud.register_fn("my_function", |_ctx: &TaskCtx, x: Value| {
-        Ok(Value::Int(x.as_i64().ok_or("int")? + 7))
+    cloud.register_fn("my_function", |_ctx: &TaskCtx, x: Value| Ok(x));
+    let big = Value::bytes(vec![3u8; 100_000]);
+    let results = cloud.run(|| {
+        let exec = cloud.executor().build().unwrap();
+        exec.map("my_function", [big.clone()]).unwrap();
+        exec.get_result().unwrap()
     });
-    cloud.run(|| {
-        let exec = cloud
-            .executor()
-            .data_path(rustwren::core::DataPathConfig::staged())
-            .build()
-            .unwrap();
-        exec.map("my_function", [Value::Int(3)]).unwrap();
-        exec.get_result().unwrap();
-    });
+    assert_eq!(results, vec![big]);
     let staged = cloud.store().list("rustwren-runtime", "jobs/").unwrap();
     assert!(staged.iter().any(|m| m.key.ends_with("/input")));
     assert!(staged.iter().any(|m| m.key.ends_with("/result")));
