@@ -235,10 +235,6 @@ pub struct ExecutorConfig {
     pub spawn: SpawnStrategy,
     /// How often `wait`/`get_result` poll COS for statuses.
     pub poll_interval: Duration,
-    /// How often an in-cloud reducer polls COS for its map inputs.
-    pub reduce_poll_interval: Duration,
-    /// Seed individualizing this executor's jitter/failure stream.
-    pub seed: u64,
     /// Automatic retry of failed tasks.
     pub retry: RetryPolicy,
     /// Speculative execution of straggler tasks.
@@ -259,8 +255,6 @@ impl Default for ExecutorConfig {
             storage_bucket: "rustwren-runtime".to_owned(),
             spawn: SpawnStrategy::default(),
             poll_interval: Duration::from_millis(500),
-            reduce_poll_interval: Duration::from_millis(1000),
-            seed: 1,
             retry: RetryPolicy::disabled(),
             speculation: SpeculationConfig::disabled(),
             analyze: AnalyzeMode::from_env(),

@@ -18,16 +18,24 @@ use rustwren_store::{CosClient, OpCounters};
 use crate::cloud::SimCloud;
 use crate::config::{ExecutorConfig, RetryPolicy, SpawnStrategy, SpeculationConfig};
 use crate::error::{PywrenError, Result};
-use crate::future::{ResponseFuture, WaitPolicy};
+use crate::future::{exec_prefix, func_key, ResponseFuture, StatusWatch, TaskStatus, WaitPolicy};
 use crate::invoker::{agent_action_name, deploy_agent, spawn_tasks};
-use crate::job::{func_key, status_value, AgentPayload, TaskSpec, INLINE_MAX_BYTES};
+use crate::job::{AgentPayload, TaskSpec, INLINE_MAX_BYTES};
 use crate::partition::{discover, partition_objects, DataSource};
 use crate::shuffle::{ExchangeMode, Partitioner, ShufflePlane, MAX_REDUCERS};
 use crate::stats::{CosOpStats, RecoveryStats};
 use crate::wire::Value;
 
-/// Client threads used to upload task inputs to COS before invocation.
+/// Client threads used to upload task inputs to COS before invocation, and
+/// to download results after it.
 const UPLOAD_THREADS: usize = 64;
+
+/// How often an in-cloud reducer polls COS for its map inputs.
+const REDUCE_POLL_INTERVAL: Duration = Duration::from_millis(1000);
+
+/// Seed of the retry-backoff jitter draws, the same for every executor: the
+/// draw is individualized by the task's identity and attempt number.
+const BACKOFF_JITTER_SEED: u64 = 1;
 
 /// Consecutive status-poll failures tolerated (when retry is enabled)
 /// before `wait`/`get_result` give up — rides out bounded COS outage
@@ -133,6 +141,43 @@ struct TaskRecovery {
     done_elapsed: Option<f64>,
     /// No attempts left; the error status in COS is final.
     exhausted: bool,
+}
+
+impl TaskRecovery {
+    /// Bookkeeping of a task just invoked for the first time: at submit, or
+    /// by a manual [`Executor::reinvoke`] — a fresh first attempt, not a
+    /// counted automatic retry.
+    fn first_attempt(
+        func_name: String,
+        inline: Option<Value>,
+        invoked_at: SimInstant,
+        activation: Option<ActivationId>,
+    ) -> TaskRecovery {
+        TaskRecovery {
+            func_name,
+            inline,
+            attempts: 1,
+            invoked_at,
+            activation,
+            retry_at: None,
+            speculated: false,
+            done_elapsed: None,
+            exhausted: false,
+        }
+    }
+}
+
+/// One job about to be submitted: its task list plus the facts only its
+/// submitter knows, which the task specs do not carry.
+#[derive(Default)]
+struct Stage {
+    specs: Vec<TaskSpec>,
+    /// Per-job extra data merged into every task's input.
+    extra: Option<Value>,
+    /// The partitioner's chunk size (pre-flight plan input).
+    chunk_size: Option<u64>,
+    /// Logical size of the largest source object (pre-flight plan input).
+    max_object_bytes: Option<u64>,
 }
 
 #[derive(Default)]
@@ -298,12 +343,6 @@ impl ExecutorBuilder {
         self
     }
 
-    /// Replaces the whole configuration.
-    pub fn config(mut self, config: ExecutorConfig) -> ExecutorBuilder {
-        self.config = config;
-        self
-    }
-
     /// Builds the executor, deploying the agent action for its runtime.
     ///
     /// # Errors
@@ -399,12 +438,11 @@ impl Executor {
     ///
     /// Unknown function, storage errors while staging, or invocation errors.
     pub fn call_async(&self, func: &str, input: Value) -> Result<ResponseFuture> {
-        let futures = self.run_job(func, vec![TaskSpec::Value(input)])?;
-        let fut = futures.into_iter().next().ok_or_else(|| {
-            PywrenError::Config(format!("run_job returned no future for `{func}`"))
-        })?;
-        self.inner.pending.lock().push(fut.clone());
-        Ok(fut)
+        let futures = self.submit_tracked(func, vec![TaskSpec::Value(input)])?;
+        futures
+            .into_iter()
+            .next()
+            .ok_or_else(|| PywrenError::Config(format!("submit returned no future for `{func}`")))
     }
 
     /// Runs one function per input value in parallel (§4.2 `map`).
@@ -418,10 +456,7 @@ impl Executor {
         func: &str,
         inputs: impl IntoIterator<Item = Value>,
     ) -> Result<Vec<ResponseFuture>> {
-        let specs: Vec<TaskSpec> = inputs.into_iter().map(TaskSpec::Value).collect();
-        let futures = self.run_job(func, specs)?;
-        self.inner.pending.lock().extend(futures.iter().cloned());
-        Ok(futures)
+        self.submit_tracked(func, inputs.into_iter().map(TaskSpec::Value).collect())
     }
 
     /// Runs a MapReduce flow (§4.2–§4.3): discovers and partitions `source`,
@@ -452,42 +487,17 @@ impl Executor {
         opts: MapReduceOpts,
         extra: Option<Value>,
     ) -> Result<Vec<ResponseFuture>> {
-        // Validate regardless of source: a Values source never reaches the
-        // partitioner, and a silently ignored chunk_size would make the
-        // same options behave differently across sources.
-        if opts.chunk_size == Some(0) {
-            return Err(PywrenError::Config("chunk_size must be non-zero".into()));
-        }
-        // Map phase.
-        let mut max_object_bytes = None;
-        let (map_specs, groups): (Vec<TaskSpec>, Vec<String>) = match &source {
-            DataSource::Values(values) => (
-                values.iter().cloned().map(TaskSpec::Value).collect(),
-                values.iter().map(|_| String::new()).collect(),
-            ),
-            _ => {
-                let objects = discover(&self.inner.cos_stage, &source)?;
-                max_object_bytes = objects.iter().map(|o| o.meta.logical_size).max();
-                let parts = partition_objects(&objects, opts.chunk_size)?;
-                let groups = parts.iter().map(|p| p.key.clone()).collect();
-                (parts.into_iter().map(TaskSpec::Partition).collect(), groups)
+        let (mut map_stage, groups) = self.lower_source(&source, opts.chunk_size)?;
+        map_stage.extra = extra;
+        self.submit_stages(map_func, map_stage, reduce_func, |map_futures| {
+            let poll = REDUCE_POLL_INTERVAL;
+            if !opts.reducer_one_per_object {
+                return vec![TaskSpec::Reduce {
+                    deps: map_futures.to_vec(),
+                    group: None,
+                    poll,
+                }];
             }
-        };
-        let map_futures = self.run_job_planned(
-            map_func,
-            map_specs,
-            extra,
-            opts.chunk_size,
-            max_object_bytes,
-        )?;
-        self.inner
-            .guarded
-            .lock()
-            .extend(map_futures.iter().cloned());
-
-        // Reduce phase.
-        let poll = self.inner.config.reduce_poll_interval;
-        let reduce_specs: Vec<TaskSpec> = if opts.reducer_one_per_object {
             // Order-preserving dedup: first-appearance order decides reducer
             // order, with a set alongside so this stays O(n) rather than the
             // former `Vec::contains` scan over every prior group.
@@ -510,19 +520,72 @@ impl Executor {
                     poll,
                 })
                 .collect()
-        } else {
-            vec![TaskSpec::Reduce {
-                deps: map_futures.clone(),
-                group: None,
-                poll,
-            }]
+        })
+    }
+
+    /// Lowers a data source to the map stage over it — one task per value,
+    /// or per partition of the discovered objects — plus each task's reducer
+    /// group: the key of its source object, empty for plain values.
+    fn lower_source(
+        &self,
+        source: &DataSource,
+        chunk_size: Option<u64>,
+    ) -> Result<(Stage, Vec<String>)> {
+        // Validate regardless of source: a Values source never reaches the
+        // partitioner, and a silently ignored chunk_size would make the
+        // same options behave differently across sources.
+        if chunk_size == Some(0) {
+            return Err(PywrenError::Config("chunk_size must be non-zero".into()));
+        }
+        let mut stage = Stage {
+            chunk_size,
+            ..Stage::default()
         };
-        let reduce_futures = self.run_job(reduce_func, reduce_specs)?;
+        let groups = match source {
+            DataSource::Values(values) => {
+                stage.specs = values.iter().cloned().map(TaskSpec::Value).collect();
+                vec![String::new(); values.len()]
+            }
+            _ => {
+                let objects = discover(&self.inner.cos_stage, source)?;
+                stage.max_object_bytes = objects.iter().map(|o| o.meta.logical_size).max();
+                let parts = partition_objects(&objects, chunk_size)?;
+                let groups = parts.iter().map(|p| p.key.clone()).collect();
+                stage.specs = parts.into_iter().map(TaskSpec::Partition).collect();
+                groups
+            }
+        };
+        Ok((stage, groups))
+    }
+
+    /// Submits one plain stage and tracks its futures for `get_result`.
+    fn submit_tracked(&self, func: &str, specs: Vec<TaskSpec>) -> Result<Vec<ResponseFuture>> {
+        let stage = Stage {
+            specs,
+            ..Stage::default()
+        };
+        let futures = self.submit(func, stage)?;
+        self.inner.pending.lock().extend(futures.iter().cloned());
+        Ok(futures)
+    }
+
+    /// The tail every MapReduce flow shares: submit the map stage *guarded*
+    /// (watched and healed by the recovery pass, never returned to the
+    /// caller), build the reduce stage from its futures, and submit that
+    /// tracked.
+    fn submit_stages(
+        &self,
+        map_func: &str,
+        map_stage: Stage,
+        reduce_func: &str,
+        reduce_specs: impl FnOnce(&[ResponseFuture]) -> Vec<TaskSpec>,
+    ) -> Result<Vec<ResponseFuture>> {
+        let map_futures = self.submit(map_func, map_stage)?;
         self.inner
-            .pending
+            .guarded
             .lock()
-            .extend(reduce_futures.iter().cloned());
-        Ok(reduce_futures)
+            .extend(map_futures.iter().cloned());
+        self.submit_tracked(reduce_func, reduce_specs(&map_futures))
     }
 
     /// [`map_reduce`](Executor::map_reduce) with per-job *extra data*: the
@@ -589,9 +652,6 @@ impl Executor {
                 opts.reducers
             )));
         }
-        if opts.chunk_size == Some(0) {
-            return Err(PywrenError::Config("chunk_size must be non-zero".into()));
-        }
         if opts.merge_fanin < 2 {
             return Err(PywrenError::Config("merge_fanin must be at least 2".into()));
         }
@@ -605,19 +665,9 @@ impl Executor {
                 )));
             }
         }
-        let mut max_object_bytes = None;
-        let inner_specs: Vec<TaskSpec> = match &source {
-            DataSource::Values(values) => values.iter().cloned().map(TaskSpec::Value).collect(),
-            _ => {
-                let objects = discover(&self.inner.cos_stage, &source)?;
-                max_object_bytes = objects.iter().map(|o| o.meta.logical_size).max();
-                partition_objects(&objects, opts.chunk_size)?
-                    .into_iter()
-                    .map(TaskSpec::Partition)
-                    .collect()
-            }
-        };
-        let map_specs: Vec<TaskSpec> = inner_specs
+        let (mut map_stage, _groups) = self.lower_source(&source, opts.chunk_size)?;
+        map_stage.specs = map_stage
+            .specs
             .into_iter()
             .map(|inner| TaskSpec::ShuffleMap {
                 inner: Box::new(inner),
@@ -627,45 +677,27 @@ impl Executor {
                 combiner: opts.combiner.clone(),
             })
             .collect();
-        let map_futures =
-            self.run_job_planned(map_func, map_specs, None, opts.chunk_size, max_object_bytes)?;
-        self.inner
-            .guarded
-            .lock()
-            .extend(map_futures.iter().cloned());
-
-        let poll = self.inner.config.reduce_poll_interval;
-        let reduce_specs: Vec<TaskSpec> = (0..opts.reducers)
-            .map(|index| TaskSpec::ShuffleReduce {
-                bucket: self.inner.config.storage_bucket.clone(),
-                exec_id: self.inner.exec_id.clone(),
-                // A map stage without tasks has no job to name and no
-                // dependency to wait for.
-                map_job: map_futures.first().map_or(0, ResponseFuture::job_id),
-                maps: map_futures.len() as u32,
-                index,
-                poll,
-                reducers: opts.reducers,
-                exchange: opts.exchange,
-                fanin: opts.merge_fanin,
-            })
-            .collect();
-        let reduce_futures = self.run_job(reduce_func, reduce_specs)?;
-        self.inner
-            .pending
-            .lock()
-            .extend(reduce_futures.iter().cloned());
-        Ok(reduce_futures)
+        self.submit_stages(map_func, map_stage, reduce_func, |map_futures| {
+            (0..opts.reducers)
+                .map(|index| TaskSpec::ShuffleReduce {
+                    bucket: self.inner.config.storage_bucket.clone(),
+                    exec_id: self.inner.exec_id.clone(),
+                    // A map stage without tasks has no job to name and no
+                    // dependency to wait for.
+                    map_job: map_futures.first().map_or(0, ResponseFuture::job_id),
+                    maps: map_futures.len() as u32,
+                    index,
+                    poll: REDUCE_POLL_INTERVAL,
+                    reducers: opts.reducers,
+                    exchange: opts.exchange,
+                    fanin: opts.merge_fanin,
+                })
+                .collect()
+        })
     }
 
-    /// Stages one job (function blob + per-task inputs) and fires its
-    /// invocations with the configured spawn strategy.
-    fn run_job(&self, func: &str, specs: Vec<TaskSpec>) -> Result<Vec<ResponseFuture>> {
-        self.run_job_planned(func, specs, None, None, None)
-    }
-
-    /// Builds the pre-flight [`JobPlan`] the analyzer sees for a job of
-    /// `specs` submitted under the name `func`: task count, resolved spawn
+    /// Builds the pre-flight [`JobPlan`] the analyzer sees for `stage`
+    /// submitted under the name `func`: task count, resolved spawn
     /// strategy, partition sizes, reducer fan-in, shuffle shape, plus the
     /// configured [`rustwren_analyze::PlanHints`]. `descs` are the
     /// encoded-to-be task descriptors: the largest one sizes the per-task
@@ -674,14 +706,7 @@ impl Executor {
     /// the activation payload, or staged and fetched whole), and filtering
     /// to inline-eligible ones once made exactly the pathological
     /// descriptors invisible to the analyzer.
-    fn plan_for(
-        &self,
-        func: &str,
-        specs: &[TaskSpec],
-        descs: &[Value],
-        chunk_size: Option<u64>,
-        max_object_bytes: Option<u64>,
-    ) -> JobPlan {
+    fn plan_for(&self, func: &str, stage: &Stage, descs: &[Value]) -> JobPlan {
         fn spec_bytes(spec: &TaskSpec) -> Option<u64> {
             match spec {
                 TaskSpec::Partition(p) => Some(p.logical_len()),
@@ -689,6 +714,7 @@ impl Executor {
                 _ => None,
             }
         }
+        let specs = stage.specs.as_slice();
         let mut plan = JobPlan::new(func, specs.len());
         plan.spawn = match self.inner.config.spawn.resolve_for(specs.len()) {
             SpawnStrategy::Direct { client_threads } => SpawnProfile::Direct { client_threads },
@@ -701,8 +727,8 @@ impl Executor {
             },
             SpawnStrategy::Auto { .. } => unreachable!("resolve_for returns a concrete strategy"),
         };
-        plan.chunk_size = chunk_size;
-        plan.max_object_bytes = max_object_bytes;
+        plan.chunk_size = stage.chunk_size;
+        plan.max_object_bytes = stage.max_object_bytes;
         plan.partition_bytes = specs.iter().filter_map(spec_bytes).collect();
         // A lone reducer consuming every map output is the W006 hot-spot;
         // sharded reduce stages (one task per group/index) spread the fan-in.
@@ -758,19 +784,12 @@ impl Executor {
 
     /// Pre-flight gate: analyze the would-be job before anything is staged
     /// or invoked, honoring the configured [`AnalyzeMode`].
-    fn preflight(
-        &self,
-        func: &str,
-        specs: &[TaskSpec],
-        descs: &[Value],
-        chunk_size: Option<u64>,
-        max_object_bytes: Option<u64>,
-    ) -> Result<()> {
+    fn preflight(&self, func: &str, stage: &Stage, descs: &[Value]) -> Result<()> {
         let mode = self.inner.config.analyze;
         if mode == AnalyzeMode::Off {
             return Ok(());
         }
-        let plan = self.plan_for(func, specs, descs, chunk_size, max_object_bytes);
+        let plan = self.plan_for(func, stage, descs);
         let diagnostics = self.analyze_plan(&plan);
         if diagnostics.is_empty() {
             return Ok(());
@@ -786,33 +805,33 @@ impl Executor {
         Ok(())
     }
 
-    fn run_job_planned(
-        &self,
-        func: &str,
-        specs: Vec<TaskSpec>,
-        extra: Option<Value>,
-        chunk_size: Option<u64>,
-        max_object_bytes: Option<u64>,
-    ) -> Result<Vec<ResponseFuture>> {
+    /// Stages one job (function blob + per-task inputs) and fires its
+    /// invocations with the configured spawn strategy.
+    fn submit(&self, func: &str, stage: Stage) -> Result<Vec<ResponseFuture>> {
         // Encode the task descriptors up front: the analyzer needs their
         // sizes (inline inputs count toward the activation payload), and
         // staging needs the values themselves.
-        let descs: Vec<Value> = specs
+        let descs: Vec<Value> = stage
+            .specs
             .iter()
             .map(|s| {
                 let mut desc = s.to_value();
-                if let Some(extra) = &extra {
+                if let Some(extra) = &stage.extra {
                     desc = desc.with("extra", extra.clone());
                 }
                 desc
             })
             .collect();
-        self.preflight(func, &specs, &descs, chunk_size, max_object_bytes)?;
+        self.preflight(func, &stage, &descs)?;
         let registry = self.inner.cloud.registry();
         let Some(f) = registry.get(func) else {
             return Err(PywrenError::UnknownFunction(func.to_owned()));
         };
         let job_id = self.inner.job_seq.fetch_add(1, Ordering::Relaxed);
+        // lint: allow(L011) — false positive: the guard is a temporary
+        // dropped at the end of this statement, not held across the launch
+        // below; and the semaphore that launch "reaches" is acquired by the
+        // activation's own thread, never by this one
         self.inner.job_funcs.lock().insert(job_id, func.to_owned());
         let bucket = &self.inner.config.storage_bucket;
         let exec_id = &self.inner.exec_id;
@@ -830,126 +849,55 @@ impl Executor {
         // descriptors small enough to ride inline in the activation payload,
         // which skip COS entirely (no input PUT here, no input GET in the
         // agent).
-        let mut payloads: Vec<AgentPayload> = Vec::with_capacity(specs.len());
+        let mut futures: Vec<ResponseFuture> = Vec::with_capacity(descs.len());
+        let mut payloads: Vec<AgentPayload> = Vec::with_capacity(descs.len());
         let mut uploads: Vec<(String, Bytes)> = Vec::new();
         for (task, desc) in descs.into_iter().enumerate() {
-            let mut payload = AgentPayload {
-                bucket: bucket.clone(),
-                exec_id: exec_id.clone(),
-                job_id,
-                task: task as u32,
-                func_name: func.to_owned(),
-                inline: None,
-            };
-            if desc.encoded_len() <= INLINE_MAX_BYTES {
-                payload.inline = Some(desc);
+            let fut = ResponseFuture::new(bucket, exec_id, job_id, task as u32);
+            let inline = if desc.encoded_len() <= INLINE_MAX_BYTES {
+                Some(desc)
             } else {
-                uploads.push((
-                    format!("{}/input", payload.future().task_prefix()),
-                    crate::wire::stamp(&desc.encode()),
-                ));
-            }
-            payloads.push(payload);
+                uploads.push((fut.input_key(), crate::wire::stamp(&desc.encode())));
+                None
+            };
+            payloads.push(AgentPayload::new(&fut, func, inline));
+            futures.push(fut);
         }
-        self.parallel_upload(uploads)?;
+        let (cos, upload_bucket) = (self.inner.cos_stage.clone(), bucket.clone());
+        rustwren_sim::fan_out("upload", UPLOAD_THREADS, uploads, move |(key, data)| {
+            cos.put(&upload_bucket, &key, data).map(|_| ())
+        })?;
 
         // 3. Invoke.
-        let futures: Vec<ResponseFuture> = payloads.iter().map(AgentPayload::future).collect();
-        let inlines: Vec<Option<Value>> = payloads.iter().map(|p| p.inline.clone()).collect();
-        let ids = spawn_tasks(
+        self.launch_first_attempts(payloads)?;
+        Ok(futures)
+    }
+
+    /// The one launch path for first attempts (a submitted job, a manual
+    /// [`reinvoke`](Executor::reinvoke)): invokes one agent per payload with
+    /// the configured spawn strategy and starts each task's recovery
+    /// bookkeeping afresh, retaining its inline descriptor for re-shipping.
+    fn launch_first_attempts(&self, payloads: Vec<AgentPayload>) -> Result<()> {
+        let ids = self.invoke_agents(&payloads)?;
+        let now = self.inner.cloud.kernel().now();
+        let mut recovery = self.inner.recovery.lock();
+        for (p, id) in payloads.into_iter().zip(ids) {
+            recovery.insert(
+                (p.job_id, p.task),
+                TaskRecovery::first_attempt(p.func_name, p.inline, now, id),
+            );
+        }
+        Ok(())
+    }
+
+    /// Invokes one agent per payload with the configured spawn strategy.
+    fn invoke_agents(&self, payloads: &[AgentPayload]) -> Result<Vec<Option<ActivationId>>> {
+        spawn_tasks(
             &self.inner.faas,
             &self.inner.config.spawn,
             &self.inner.agent_action,
             payloads,
-        )?;
-        let now = self.inner.cloud.kernel().now();
-        let mut recovery = self.inner.recovery.lock();
-        for ((f, id), inline) in futures.iter().zip(ids).zip(inlines) {
-            recovery.insert(
-                (f.job_id(), f.task()),
-                TaskRecovery {
-                    func_name: func.to_owned(),
-                    inline,
-                    attempts: 1,
-                    invoked_at: now,
-                    activation: id,
-                    retry_at: None,
-                    speculated: false,
-                    done_elapsed: None,
-                    exhausted: false,
-                },
-            );
-        }
-        drop(recovery);
-        Ok(futures)
-    }
-
-    fn parallel_upload(&self, uploads: Vec<(String, Bytes)>) -> Result<()> {
-        if uploads.is_empty() {
-            return Ok(());
-        }
-        let threads = UPLOAD_THREADS.min(uploads.len());
-        let mut chunks: Vec<Vec<(String, Bytes)>> = (0..threads).map(|_| Vec::new()).collect();
-        for (i, u) in uploads.into_iter().enumerate() {
-            chunks[i % threads].push(u);
-        }
-        let bucket = self.inner.config.storage_bucket.clone();
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .enumerate()
-            .map(|(t, chunk)| {
-                let cos = self.inner.cos_stage.clone();
-                let bucket = bucket.clone();
-                rustwren_sim::spawn(format!("upload-{t}"), move || {
-                    for (key, data) in chunk {
-                        cos.put(&bucket, &key, data)?;
-                    }
-                    Ok::<(), rustwren_store::StoreError>(())
-                })
-            })
-            .collect();
-        let mut first_err = None;
-        for h in handles {
-            if let Err(e) = h.join() {
-                first_err.get_or_insert(e);
-            }
-        }
-        match first_err {
-            Some(e) => Err(e.into()),
-            None => Ok(()),
-        }
-    }
-
-    /// Polls which of `futures` have a status object in COS. One LIST per
-    /// distinct job prefix; listed keys are matched against a precomputed
-    /// status-key index so polling stays cheap at thousands of tasks.
-    ///
-    /// Also returns how many prefix LISTs the snapshot took, so the
-    /// recovery pass — which consumes the same snapshot instead of
-    /// re-listing the identical prefixes in the same cycle — can account
-    /// the operations it avoided ([`RecoveryStats::lists_saved`]).
-    fn poll_done(&self, futures: &[ResponseFuture]) -> Result<(HashSet<ResponseFuture>, u64)> {
-        let mut prefixes: Vec<(String, String)> = Vec::new();
-        let mut by_status_key: std::collections::HashMap<String, &ResponseFuture> =
-            std::collections::HashMap::with_capacity(futures.len());
-        for f in futures {
-            let p = (f.bucket().to_owned(), f.job_prefix());
-            if !prefixes.contains(&p) {
-                prefixes.push(p);
-            }
-            by_status_key.insert(f.status_key(), f);
-        }
-        let listed_prefixes = prefixes.len() as u64;
-        let mut done = HashSet::new();
-        for (bucket, prefix) in prefixes {
-            let listed = self.inner.cos.list(&bucket, &prefix)?;
-            for meta in listed {
-                if let Some(f) = by_status_key.get(&meta.key) {
-                    done.insert((*f).clone());
-                }
-            }
-        }
-        Ok((done, listed_prefixes))
+        )
     }
 
     /// The automatic fault-recovery pass, run between status polls by
@@ -1030,19 +978,19 @@ impl Executor {
             // error finish (and so retried/exhausted below) rather than
             // re-polled forever: the object itself may be damaged, so only
             // a re-execution reliably heals it.
-            let (status, integrity) =
-                match crate::job::get_verified(&self.inner.cos, f.bucket(), &f.status_key()) {
-                    Ok(raw) => (Value::decode(&raw).ok(), false),
-                    Err(PywrenError::Integrity { .. }) => (None, true),
-                    Err(_) => {
-                        // Vanished between LIST and GET, or unreachable this
-                        // round: treat as still pending and re-poll.
-                        done.remove(f);
-                        continue;
-                    }
-                };
-            let succeeded =
-                status.is_some_and(|s| s.get("state").and_then(Value::as_str) == Some("done"));
+            let read = |b: &str, k: &str| crate::job::get_verified(&self.inner.cos, b, k);
+            let (succeeded, integrity) = match TaskStatus::read(f, read) {
+                Ok(status) => (status.error().is_none(), false),
+                Err(PywrenError::Integrity { .. }) => (false, true),
+                // Intact bytes that are no status: finished, and failed.
+                Err(PywrenError::Wire(_) | PywrenError::Task { .. }) => (false, false),
+                Err(_) => {
+                    // Vanished between LIST and GET, or unreachable this
+                    // round: treat as still pending and re-poll.
+                    done.remove(f);
+                    continue;
+                }
+            };
             if succeeded {
                 let mut recovery = self.inner.recovery.lock();
                 if let Some(r) = recovery.get_mut(&key) {
@@ -1066,14 +1014,7 @@ impl Executor {
                         .integrity_retries
                         .fetch_add(1, Ordering::Relaxed);
                 }
-                // Clear the stale completion markers so polling sees the
-                // rerun, then back off before re-invoking.
-                self.inner.cos.delete(f.bucket(), &f.status_key())?;
-                self.inner.cos.delete(f.bucket(), &f.result_key())?;
-                let mut recovery = self.inner.recovery.lock();
-                if let Some(r) = recovery.get_mut(&key) {
-                    r.retry_at = Some(self.retry_deadline(retry, key, r.attempts, now));
-                }
+                self.schedule_retry(f, retry, now)?;
                 done.remove(f);
             } else {
                 if integrity {
@@ -1088,10 +1029,7 @@ impl Executor {
                         .retries_exhausted
                         .fetch_add(1, Ordering::Relaxed);
                 }
-                let mut recovery = self.inner.recovery.lock();
-                if let Some(r) = recovery.get_mut(&key) {
-                    r.exhausted = true;
-                }
+                self.mark_exhausted(key);
                 // Left in `done`: fetch_result surfaces the final error.
             }
         }
@@ -1160,14 +1098,7 @@ impl Executor {
                         && attempts < retry.max_attempts
                         && self.reserve_job_retry(retry, f.job_id())
                     {
-                        // Drop any partial writes (a result without a
-                        // status, or a status that landed after our LIST).
-                        self.inner.cos.delete(f.bucket(), &f.status_key())?;
-                        self.inner.cos.delete(f.bucket(), &f.result_key())?;
-                        let mut recovery = self.inner.recovery.lock();
-                        if let Some(r) = recovery.get_mut(&key) {
-                            r.retry_at = Some(self.retry_deadline(retry, key, r.attempts, now));
-                        }
+                        self.schedule_retry(f, retry, now)?;
                     } else {
                         // Out of attempts (or unretryable): write the error
                         // status the agent could not, so the job terminates
@@ -1181,7 +1112,7 @@ impl Executor {
                             Outcome::Success => unreachable!("handled above"),
                         };
                         let message = format!("{message} (after {attempts} attempt(s))");
-                        self.repair_status(f, &key, &message, now)?;
+                        self.repair_status(f, &message, now)?;
                         if retryable {
                             self.inner
                                 .counters
@@ -1193,21 +1124,15 @@ impl Executor {
                 }
                 Action::PresumeDead(attempts) => {
                     if attempts < retry.max_attempts && self.reserve_job_retry(retry, f.job_id()) {
-                        // Same treatment as a silent death: drop partials
-                        // and schedule a fresh execution with backoff.
-                        self.inner.cos.delete(f.bucket(), &f.status_key())?;
-                        self.inner.cos.delete(f.bucket(), &f.result_key())?;
-                        let mut recovery = self.inner.recovery.lock();
-                        if let Some(r) = recovery.get_mut(&key) {
-                            r.retry_at = Some(self.retry_deadline(retry, key, r.attempts, now));
-                        }
+                        // Same treatment as a silent death.
+                        self.schedule_retry(f, retry, now)?;
                     } else {
                         let dead = retry.presumed_dead_after.unwrap_or_default();
                         let message = format!(
                             "presumed dead: no activation and no status after {dead:?} \
                              (after {attempts} attempt(s))"
                         );
-                        self.repair_status(f, &key, &message, now)?;
+                        self.repair_status(f, &message, now)?;
                         self.inner
                             .counters
                             .retries_exhausted
@@ -1220,35 +1145,63 @@ impl Executor {
         Ok(())
     }
 
-    /// Writes a (stamped) error status on behalf of a task that died
-    /// without reporting one, and marks it exhausted.
-    fn repair_status(
+    /// Deletes `f`'s completion markers, so that polling sees the rerun and
+    /// not the attempt before it.
+    fn clear_completion(&self, f: &ResponseFuture) -> Result<()> {
+        self.inner.cos.delete(f.bucket(), &f.status_key())?;
+        self.inner.cos.delete(f.bucket(), &f.result_key())?;
+        Ok(())
+    }
+
+    /// Gives a failed or silently dead task another execution: drops the
+    /// last one's partial writes (an error status, a result without a
+    /// status, a status that landed after our LIST) and schedules the
+    /// re-invocation after a backoff.
+    fn schedule_retry(
         &self,
         f: &ResponseFuture,
-        key: &(u64, u32),
-        message: &str,
+        retry: &RetryPolicy,
         now: SimInstant,
     ) -> Result<()> {
+        self.clear_completion(f)?;
+        let key = (f.job_id(), f.task());
+        let mut recovery = self.inner.recovery.lock();
+        if let Some(r) = recovery.get_mut(&key) {
+            r.retry_at = Some(self.retry_deadline(retry, key, r.attempts, now));
+        }
+        Ok(())
+    }
+
+    /// Records that task `key` has no attempts left: whatever error status
+    /// is in COS is final.
+    fn mark_exhausted(&self, key: (u64, u32)) {
+        let mut recovery = self.inner.recovery.lock();
+        if let Some(r) = recovery.get_mut(&key) {
+            r.exhausted = true;
+        }
+    }
+
+    /// Writes a (stamped) error status on behalf of a task that died
+    /// without reporting one, and marks it exhausted.
+    fn repair_status(&self, f: &ResponseFuture, message: &str, now: SimInstant) -> Result<()> {
+        let key = (f.job_id(), f.task());
         let start = {
             let recovery = self.inner.recovery.lock();
             recovery
-                .get(key)
+                .get(&key)
                 .map_or(0.0, |r| r.invoked_at.as_secs_f64())
         };
         crate::job::put_stamped(
             &self.inner.cos,
             f.bucket(),
             &f.status_key(),
-            &status_value("error", Some(message), start, now.as_secs_f64()).encode(),
+            &TaskStatus::new(Some(message), start, now.as_secs_f64()).encode(),
         )?;
         self.inner
             .counters
             .statuses_repaired
             .fetch_add(1, Ordering::Relaxed);
-        let mut recovery = self.inner.recovery.lock();
-        if let Some(r) = recovery.get_mut(key) {
-            r.exhausted = true;
-        }
+        self.mark_exhausted(key);
         Ok(())
     }
 
@@ -1332,20 +1285,7 @@ impl Executor {
             };
             (r.func_name.clone(), r.inline.clone())
         };
-        let payload = AgentPayload {
-            bucket: f.bucket().to_owned(),
-            exec_id: f.exec_id().to_owned(),
-            job_id: f.job_id(),
-            task: f.task(),
-            func_name,
-            inline,
-        };
-        let ids = spawn_tasks(
-            &self.inner.faas,
-            &self.inner.config.spawn,
-            &self.inner.agent_action,
-            vec![payload],
-        )?;
+        let ids = self.invoke_agents(&[AgentPayload::new(f, &func_name, inline)])?;
         let id = ids.into_iter().next().flatten();
         let now = self.inner.cloud.kernel().now();
         let mut recovery = self.inner.recovery.lock();
@@ -1419,7 +1359,7 @@ impl Executor {
             return base;
         }
         let token = hash2(
-            self.inner.config.seed,
+            BACKOFF_JITTER_SEED,
             hash2((key.0 << 20) ^ u64::from(key.1), u64::from(attempts)),
         );
         base.mul_f64(1.0 - jitter + 2.0 * jitter * unit_f64(token))
@@ -1504,31 +1444,56 @@ impl Executor {
             return Ok((Vec::new(), Vec::new()));
         }
         let watched = self.with_guarded(&tracked);
-        let mut poll_failures = 0u32;
-        loop {
-            let polled = self.poll_done(&watched).and_then(|(mut done, prefixes)| {
-                self.recover(&watched, &mut done, prefixes).map(|()| done)
-            });
-            let done = match polled {
-                Ok(done) => {
-                    poll_failures = 0;
-                    done
-                }
-                Err(_) if self.tolerate_poll_failure(&mut poll_failures) => {
-                    rustwren_sim::sleep(self.inner.config.poll_interval);
-                    continue;
-                }
-                Err(e) => return Err(e),
-            };
+        let done = self.poll_until(&watched, |done| {
             let done_tracked = tracked.iter().filter(|f| done.contains(*f)).count();
-            let satisfied = match policy {
+            Ok(match policy {
                 WaitPolicy::Always => true,
                 WaitPolicy::AnyCompleted => done_tracked > 0,
                 WaitPolicy::AllCompleted => done_tracked == tracked.len(),
-            };
-            if satisfied {
-                let (d, p) = tracked.into_iter().partition(|f| done.contains(f));
-                return Ok((d, p));
+            })
+        })?;
+        Ok(tracked.into_iter().partition(|f| done.contains(f)))
+    }
+
+    /// The one poll loop behind [`wait`](Executor::wait) and
+    /// [`resolve`](Executor::resolve). Each tick takes one listing snapshot
+    /// of which `watched` futures have a status object, runs the
+    /// [`recover`](Executor::recover) pass over it — which consumes the same
+    /// snapshot instead of re-listing the identical prefixes in the same
+    /// cycle, and accounts the operations it avoided
+    /// ([`RecoveryStats::lists_saved`]) — and asks `satisfied` about the
+    /// resulting done set; then sleeps one poll interval. Returns the done
+    /// set `satisfied` accepted, or its error (a deadline is its business).
+    /// Storage failures of a tick are ridden out per
+    /// [`tolerate_poll_failure`](Executor::tolerate_poll_failure).
+    fn poll_until(
+        &self,
+        watched: &[ResponseFuture],
+        mut satisfied: impl FnMut(&HashSet<ResponseFuture>) -> Result<bool>,
+    ) -> Result<HashSet<ResponseFuture>> {
+        let watch = StatusWatch::new(watched);
+        let mut poll_failures = 0u32;
+        loop {
+            let polled = watch
+                .landed(&self.inner.cos)
+                .map_err(PywrenError::from)
+                .and_then(|landed| {
+                    let mut done: HashSet<ResponseFuture> = landed
+                        .into_iter()
+                        .filter_map(|i| watched.get(i).cloned())
+                        .collect();
+                    self.recover(watched, &mut done, watch.prefixes())
+                        .map(|()| done)
+                });
+            match polled {
+                Ok(done) => {
+                    poll_failures = 0;
+                    if satisfied(&done)? {
+                        return Ok(done);
+                    }
+                }
+                Err(_) if self.tolerate_poll_failure(&mut poll_failures) => {}
+                Err(e) => return Err(e),
             }
             rustwren_sim::sleep(self.inner.config.poll_interval);
         }
@@ -1585,93 +1550,32 @@ impl Executor {
         }
         let deadline = opts.timeout.map(|t| self.inner.cloud.kernel().now() + t);
         let watched = self.with_guarded(futures);
-        let mut poll_failures = 0u32;
-        loop {
-            let polled = self.poll_done(&watched).and_then(|(mut done, prefixes)| {
-                self.recover(&watched, &mut done, prefixes).map(|()| done)
-            });
-            let done = match polled {
-                Ok(done) => {
-                    poll_failures = 0;
-                    done
-                }
-                Err(_) if self.tolerate_poll_failure(&mut poll_failures) => {
-                    rustwren_sim::sleep(self.inner.config.poll_interval);
-                    continue;
-                }
-                Err(e) => return Err(e),
-            };
+        self.poll_until(&watched, |done| {
             let done_tracked = futures.iter().filter(|f| done.contains(*f)).count();
             if let Some(cb) = &opts.progress {
                 cb(done_tracked, futures.len());
             }
             if done_tracked == futures.len() {
-                break;
+                return Ok(true);
             }
-            if let Some(d) = deadline {
-                if self.inner.cloud.kernel().now() >= d {
-                    return Err(PywrenError::Timeout {
-                        done: done_tracked,
-                        pending: futures.len() - done_tracked,
-                    });
-                }
+            match deadline {
+                Some(d) if self.inner.cloud.kernel().now() >= d => Err(PywrenError::Timeout {
+                    done: done_tracked,
+                    pending: futures.len() - done_tracked,
+                }),
+                _ => Ok(false),
             }
-            rustwren_sim::sleep(self.inner.config.poll_interval);
-        }
+        })?;
 
         // Download results with a client thread pool, as the Python client
         // does — serial WAN fetches would dwarf the job itself at scale.
-        let n = futures.len();
-        if n == 1 {
-            return Ok(vec![self.fetch_result(&futures[0], opts)?]);
+        if let [only] = futures {
+            return Ok(vec![self.fetch_result(only, opts)?]);
         }
-        let threads = n.min(UPLOAD_THREADS);
-        let mut chunks: Vec<Vec<(usize, ResponseFuture)>> =
-            (0..threads).map(|_| Vec::new()).collect();
-        for (i, f) in futures.iter().enumerate() {
-            chunks[i % threads].push((i, f.clone()));
-        }
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .enumerate()
-            .map(|(t, chunk)| {
-                let exec = self.clone();
-                let opts = opts.clone();
-                rustwren_sim::spawn(format!("results-{t}"), move || {
-                    chunk
-                        .into_iter()
-                        .map(|(i, f)| exec.fetch_result(&f, &opts).map(|v| (i, v)))
-                        .collect::<Result<Vec<_>>>()
-                })
-            })
-            .collect();
-        let mut slots: Vec<Option<Value>> = vec![None; n];
-        let mut first_err = None;
-        for h in handles {
-            match h.join() {
-                Ok(pairs) => {
-                    for (i, v) in pairs {
-                        slots[i] = Some(v);
-                    }
-                }
-                Err(e) => {
-                    first_err.get_or_insert(e);
-                }
-            }
-        }
-        if let Some(e) = first_err {
-            return Err(e);
-        }
-        slots
-            .into_iter()
-            .enumerate()
-            .map(|(i, s)| {
-                s.ok_or_else(|| PywrenError::Task {
-                    task: format!("result #{i}"),
-                    message: "download pool returned no value for this index".to_owned(),
-                })
-            })
-            .collect()
+        let (exec, opts) = (self.clone(), opts.clone());
+        rustwren_sim::fan_out("results", UPLOAD_THREADS, futures.to_vec(), move |f| {
+            exec.fetch_result(&f, &opts)
+        })
     }
 
     /// Whether a storage failure during status polling should be ridden
@@ -1731,31 +1635,8 @@ impl Executor {
 
     /// Fetches one completed task's result, following future-set markers.
     fn fetch_result(&self, f: &ResponseFuture, opts: &GetResultOpts) -> Result<Value> {
-        let status_raw = self.fetch_verified(f.bucket(), &f.status_key())?;
-        let status = Value::decode(&status_raw)?;
-        let state = status.req_str("state").map_err(|m| PywrenError::Task {
-            task: f.label(),
-            message: m,
-        })?;
-        if state != "done" {
-            return Err(PywrenError::Task {
-                task: f.label(),
-                message: status
-                    .get("error")
-                    .and_then(Value::as_str)
-                    .unwrap_or("unknown error")
-                    .to_owned(),
-            });
-        }
-        let value = match status.get("result") {
-            // Small results ride inside the status object — no separate
-            // `…/result` GET (nor the object itself) exists for them.
-            Some(v) => v.clone(),
-            None => {
-                let raw = self.fetch_verified(f.bucket(), &f.result_key())?;
-                Value::decode(&raw)?
-            }
-        };
+        let read = |b: &str, k: &str| self.fetch_verified(b, k);
+        let value = TaskStatus::read(f, read)?.into_result(f, read)?;
         match ResponseFuture::set_from_value(&value) {
             Ok(Some(subfutures)) => {
                 // Composition-aware: transparently await the sub-job. A
@@ -1786,15 +1667,16 @@ impl Executor {
 
     /// Deletes every COS object this executor staged (function blobs,
     /// inputs, statuses, results, shuffle partitions) — PyWren's `clean()`.
-    /// Returns how many objects were removed. Pending futures are cleared;
-    /// resolving previously returned futures afterwards will fail.
+    /// Returns how many objects were removed. Pending futures and every
+    /// per-job table are cleared: resolving or re-invoking previously
+    /// returned futures afterwards will fail.
     ///
     /// # Errors
     ///
     /// Storage errors from listing or deleting.
     pub fn clean(&self) -> Result<usize> {
         let bucket = &self.inner.config.storage_bucket;
-        let prefix = format!("jobs/{}/", self.inner.exec_id);
+        let prefix = exec_prefix(&self.inner.exec_id);
         let keys: Vec<String> = self
             .inner
             .cos
@@ -1809,8 +1691,14 @@ impl Executor {
             .counters
             .cleaned_objects
             .fetch_add(keys.len() as u64, Ordering::Relaxed);
+        // The objects the tables describe are gone; an entry kept here would
+        // outlive them (each `recovery` entry retains an inline descriptor)
+        // and let `reinvoke` launch agents that can only fail.
         self.inner.pending.lock().clear();
         self.inner.guarded.lock().clear();
+        self.inner.job_funcs.lock().clear();
+        self.inner.recovery.lock().clear();
+        self.inner.job_retries.lock().clear();
         Ok(keys.len())
     }
 
@@ -1822,9 +1710,10 @@ impl Executor {
     ///
     /// # Errors
     ///
-    /// [`PywrenError::UnknownFunction`] for futures from other executors
-    /// (their job → function mapping is unknown here), storage errors while
-    /// clearing old statuses, or invocation errors.
+    /// [`PywrenError::UnknownFunction`] for futures of other executors, or
+    /// of jobs swept by [`clean`](Executor::clean) (their job → function
+    /// mapping is unknown here), storage errors while clearing old
+    /// statuses, or invocation errors.
     pub fn reinvoke(&self, futures: &[ResponseFuture]) -> Result<()> {
         let mut payloads = Vec::with_capacity(futures.len());
         for f in futures {
@@ -1836,7 +1725,7 @@ impl Executor {
                 .cloned()
                 .ok_or_else(|| {
                     PywrenError::UnknownFunction(format!(
-                        "job {} was not submitted by this executor",
+                        "job {} is not one this executor submitted and still holds",
                         f.job_id()
                     ))
                 })?;
@@ -1848,45 +1737,10 @@ impl Executor {
                     .get(&(f.job_id(), f.task()))
                     .and_then(|r| r.inline.clone())
             };
-            // Clear stale completion markers so polling sees the rerun.
-            self.inner.cos.delete(f.bucket(), &f.status_key())?;
-            self.inner.cos.delete(f.bucket(), &f.result_key())?;
-            payloads.push(AgentPayload {
-                bucket: f.bucket().to_owned(),
-                exec_id: f.exec_id().to_owned(),
-                job_id: f.job_id(),
-                task: f.task(),
-                func_name,
-                inline,
-            });
+            self.clear_completion(f)?;
+            payloads.push(AgentPayload::new(f, &func_name, inline));
         }
-        let ids = spawn_tasks(
-            &self.inner.faas,
-            &self.inner.config.spawn,
-            &self.inner.agent_action,
-            payloads.clone(),
-        )?;
-        // A manual reinvocation resets the task's recovery bookkeeping: it
-        // is a fresh first attempt, not a counted automatic retry.
-        let now = self.inner.cloud.kernel().now();
-        let mut recovery = self.inner.recovery.lock();
-        for (payload, id) in payloads.into_iter().zip(ids) {
-            recovery.insert(
-                (payload.job_id, payload.task),
-                TaskRecovery {
-                    func_name: payload.func_name,
-                    inline: payload.inline,
-                    attempts: 1,
-                    invoked_at: now,
-                    activation: id,
-                    retry_at: None,
-                    speculated: false,
-                    done_elapsed: None,
-                    exhausted: false,
-                },
-            );
-        }
-        drop(recovery);
+        self.launch_first_attempts(payloads)?;
         self.inner.pending.lock().extend(futures.iter().cloned());
         Ok(())
     }
@@ -1904,22 +1758,12 @@ impl Executor {
         futures
             .iter()
             .map(|f| {
-                let raw = self.fetch_verified(f.bucket(), &f.status_key())?;
-                let status = Value::decode(&raw)?;
-                let field = |k: &str| {
-                    status
-                        .get(k)
-                        .and_then(Value::as_f64)
-                        .ok_or_else(|| PywrenError::Task {
-                            task: f.label(),
-                            message: format!("status missing field `{k}`"),
-                        })
-                };
+                let status = TaskStatus::read(f, |b, k| self.fetch_verified(b, k))?;
                 Ok(TaskTiming {
                     task: f.label(),
-                    start_secs: field("start")?,
-                    end_secs: field("end")?,
-                    succeeded: status.get("state").and_then(Value::as_str) == Some("done"),
+                    start_secs: status.start,
+                    end_secs: status.end,
+                    succeeded: status.error().is_none(),
                 })
             })
             .collect()
@@ -1963,9 +1807,13 @@ mod tests {
             let exec = cloud.executor().build().unwrap();
             let big = Value::bytes(vec![7u8; 2 * 1024 * 1024]);
             let small = Value::Int(1);
+            let stage = |specs: &[TaskSpec]| Stage {
+                specs: specs.to_vec(),
+                ..Stage::default()
+            };
             let specs = [TaskSpec::Value(small.clone()), TaskSpec::Value(big.clone())];
             let descs = [small.clone(), big.clone()];
-            let plan = exec.plan_for("id", &specs, &descs, None, None);
+            let plan = exec.plan_for("id", &stage(&specs), &descs);
             let est = plan.est_payload_bytes.expect("estimate present");
             assert!(
                 est >= 2 * 1024 * 1024,
@@ -1974,7 +1822,7 @@ mod tests {
 
             // Small-only jobs keep a small estimate — the fix widens what
             // is counted, not the numbers themselves.
-            let plan = exec.plan_for("id", &specs[..1], &descs[..1], None, None);
+            let plan = exec.plan_for("id", &stage(&specs[..1]), &descs[..1]);
             assert!(plan.est_payload_bytes.expect("estimate") < 1024);
         });
     }
@@ -1995,9 +1843,12 @@ mod tests {
         cloud.register_fn("id", |_ctx: &TaskCtx, v: Value| Ok(v));
         cloud.run(|| {
             let exec = cloud.executor().namespace("acme").build().unwrap();
-            let specs: Vec<TaskSpec> = (0..5).map(|i| TaskSpec::Value(Value::Int(i))).collect();
+            let stage = Stage {
+                specs: (0..5).map(|i| TaskSpec::Value(Value::Int(i))).collect(),
+                ..Stage::default()
+            };
             let descs: Vec<Value> = (0..5).map(Value::Int).collect();
-            let plan = exec.plan_for("id", &specs, &descs, None, None);
+            let plan = exec.plan_for("id", &stage, &descs);
             assert_eq!(plan.tenant_namespace.as_deref(), Some("acme"));
             assert_eq!(plan.tenant_quota, Some(2));
             assert!(
@@ -2009,7 +1860,7 @@ mod tests {
 
             // Default namespace with no TenantConfig: no quota on the plan.
             let exec = cloud.executor().build().unwrap();
-            let plan = exec.plan_for("id", &specs, &descs, None, None);
+            let plan = exec.plan_for("id", &stage, &descs);
             assert_eq!(plan.tenant_quota, None);
             assert!(
                 !exec

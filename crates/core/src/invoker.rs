@@ -101,23 +101,13 @@ fn run_invoker(
 
     let client = ctx.faas_client();
     let count = tasks.len();
-    let handles: Vec<_> = chunk_round_robin(tasks, threads)
-        .into_iter()
-        .enumerate()
-        .map(|(t, chunk)| {
-            let client = client.clone();
-            let action = action.clone();
-            rustwren_sim::spawn(format!("invoker-{t}"), move || {
-                for task in chunk {
-                    client.invoke(&action, task).map_err(|e| e.to_string())?;
-                }
-                Ok::<(), String>(())
-            })
-        })
-        .collect();
-    for h in handles {
-        h.join().map_err(rustwren_faas::ActionError)?;
-    }
+    rustwren_sim::fan_out("invoker", threads, tasks, move |task| {
+        client
+            .invoke(&action, task)
+            .map(|_| ())
+            .map_err(|e| e.to_string())
+    })
+    .map_err(rustwren_faas::ActionError)?;
     Ok(Value::Int(count as i64).encode())
 }
 
@@ -130,40 +120,37 @@ pub(crate) fn spawn_tasks(
     faas: &rustwren_faas::FaasClient,
     strategy: &SpawnStrategy,
     agent_action: &str,
-    payloads: Vec<AgentPayload>,
+    payloads: &[AgentPayload],
 ) -> Result<Vec<Option<ActivationId>>> {
     let count = payloads.len();
-    let strategy = strategy.resolve_for(count);
-    match &strategy {
+    // Invokes `action` once per payload over `threads` simulated client
+    // threads; the activation ids come back in payload order.
+    let invoke = |action: &str, payloads: Vec<Bytes>, threads: usize| {
+        let (client, action) = (faas.clone(), action.to_owned());
+        rustwren_sim::fan_out("spawn", threads, payloads, move |p| {
+            client.invoke(&action, p)
+        })
+    };
+    // Degenerate strategies (zero threads, zero group size) are rejected at
+    // executor build time.
+    match strategy.resolve_for(count) {
         // lint: allow(L009) — resolve_for never returns Auto by contract
         SpawnStrategy::Auto { .. } => unreachable!("resolve_for returns a concrete strategy"),
         SpawnStrategy::Direct { client_threads } => {
-            // Degenerate values are rejected at executor build time; a zero
-            // reaching this point is a bug, not something to silently clamp.
-            if *client_threads == 0 {
-                return Err(PywrenError::Config(
-                    "spawn strategy needs at least one client thread".into(),
-                ));
-            }
             let encoded: Vec<Bytes> = payloads.iter().map(AgentPayload::encode).collect();
-            parallel_invoke(faas, agent_action, encoded, *client_threads)
+            let ids = invoke(agent_action, encoded, client_threads)?;
+            Ok(ids.into_iter().map(Some).collect())
         }
         SpawnStrategy::RemoteInvoker {
             group_size,
             invoker_threads,
         } => {
-            if *group_size == 0 || *invoker_threads == 0 {
-                return Err(PywrenError::Config(
-                    "remote invoker needs a non-zero group size and thread count".into(),
-                ));
-            }
-            let group_size = *group_size;
             let groups: Vec<Bytes> = payloads
                 .chunks(group_size)
                 .map(|group| {
                     Value::map()
                         .with("action", agent_action)
-                        .with("threads", *invoker_threads as i64)
+                        .with("threads", invoker_threads as i64)
                         .with(
                             "tasks",
                             Value::List(
@@ -179,71 +166,10 @@ pub(crate) fn spawn_tasks(
             // The handful of invoker calls still leave the client over its
             // own network, from a small pool. The agent activation ids are
             // issued inside the cloud and never reported back.
-            parallel_invoke(faas, INVOKER_ACTION, groups, 5)?;
+            invoke(INVOKER_ACTION, groups, 5)?;
             Ok(vec![None; count])
         }
     }
-}
-
-/// Invokes `action` once per payload over `threads` simulated client
-/// threads; fails fast on the first unrecoverable error. Returns the
-/// activation ids in payload order.
-fn parallel_invoke(
-    faas: &rustwren_faas::FaasClient,
-    action: &str,
-    payloads: Vec<Bytes>,
-    threads: usize,
-) -> Result<Vec<Option<ActivationId>>> {
-    if payloads.is_empty() {
-        return Ok(Vec::new());
-    }
-    let n = payloads.len();
-    let threads = threads.min(n).max(1);
-    let indexed: Vec<(usize, Bytes)> = payloads.into_iter().enumerate().collect();
-    let handles: Vec<_> = chunk_round_robin(indexed, threads)
-        .into_iter()
-        .enumerate()
-        .map(|(t, chunk)| {
-            let client = faas.clone();
-            let action = action.to_owned();
-            rustwren_sim::spawn(format!("spawn-{t}"), move || {
-                chunk
-                    .into_iter()
-                    .map(|(i, p)| client.invoke(&action, p).map(|id| (i, id)))
-                    .collect::<std::result::Result<Vec<_>, rustwren_faas::InvokeError>>()
-            })
-        })
-        .collect();
-    let mut ids: Vec<Option<ActivationId>> = vec![None; n];
-    let mut first_err = None;
-    for h in handles {
-        match h.join() {
-            Ok(pairs) => {
-                for (i, id) in pairs {
-                    // lint: allow(L009) — i indexes the preallocated ids vec
-                    ids[i] = Some(id);
-                }
-            }
-            Err(e) => {
-                first_err.get_or_insert(e);
-            }
-        }
-    }
-    match first_err {
-        Some(e) => Err(e.into()),
-        None => Ok(ids),
-    }
-}
-
-/// Distributes items into `n` chunks preserving overall order within each.
-fn chunk_round_robin<T>(items: Vec<T>, n: usize) -> Vec<Vec<T>> {
-    let mut chunks: Vec<Vec<T>> = (0..n).map(|_| Vec::new()).collect();
-    for (i, item) in items.into_iter().enumerate() {
-        // lint: allow(L009) — `% n` keeps the index in bounds
-        chunks[i % n].push(item);
-    }
-    chunks.retain(|c| !c.is_empty());
-    chunks
 }
 
 #[cfg(test)]
@@ -257,19 +183,5 @@ mod tests {
             "rustwren-agent@python-jessie:3"
         );
         assert_ne!(agent_action_name("a"), agent_action_name("b"));
-    }
-
-    #[test]
-    fn chunking_covers_all_items() {
-        let chunks = chunk_round_robin((0..10).collect::<Vec<_>>(), 3);
-        let mut all: Vec<_> = chunks.into_iter().flatten().collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn chunking_with_more_threads_than_items() {
-        let chunks = chunk_round_robin(vec![1, 2], 8);
-        assert_eq!(chunks.len(), 2);
     }
 }

@@ -31,11 +31,11 @@ use rustwren_store::CosClient;
 
 use crate::cloud::{CloudInner, SimCloud};
 use crate::error::PywrenError;
-use crate::future::ResponseFuture;
+use crate::future::{func_key, ResponseFuture, StatusWatch, TaskStatus};
 use crate::partition::{read_aligned, Partition};
 use crate::shuffle::{
     merge_runs, segment_key, shuffle_key, sort_run, ExchangeMode, KeyedPair, Partitioner,
-    ShufflePlane,
+    ShufflePlane, MAX_REDUCERS,
 };
 use crate::task::TaskCtx;
 use crate::wire::{self, Value};
@@ -77,6 +77,29 @@ pub(crate) fn put_stamped(
     cos.put(bucket, key, wire::stamp(payload)).map(|_| ())
 }
 
+/// Reads issued for one stamped object before a bad stamp is final.
+const VERIFY_READS: u32 = 3;
+
+/// The one verified-read loop: a stamp failure means the *read* was
+/// corrupted — the stored object is intact — so a couple of immediate
+/// re-fetches usually heal it without burning a whole task attempt. Returns
+/// the whole stamped bytes of the first read that verifies; `integrity`
+/// turns the last read's stamp failure into the caller's error.
+fn read_verified<E>(
+    read: impl Fn() -> Result<Bytes, E>,
+    integrity: impl Fn(wire::WireError) -> E,
+) -> Result<Bytes, E> {
+    let mut reads = 1;
+    loop {
+        let raw = read()?;
+        match wire::verify_stamped(&raw) {
+            Ok(_) => return Ok(raw),
+            Err(e) if reads == VERIFY_READS => return Err(integrity(e)),
+            Err(_) => reads += 1,
+        }
+    }
+}
+
 /// Reads a staged object and verifies its checksum stamp, returning the
 /// *whole stamped representation* (magic + checksum + payload) — the form
 /// the container-local blob cache stores, so cache hits can be re-validated
@@ -86,26 +109,13 @@ pub(crate) fn get_stamped_raw(
     bucket: &str,
     key: &str,
 ) -> crate::error::Result<Bytes> {
-    // A stamp failure means the *read* was corrupted — the stored object is
-    // intact — so a couple of immediate re-fetches usually heal it without
-    // burning a whole task attempt.
-    let mut last = None;
-    for _ in 0..3 {
-        let raw = cos.get(bucket, key).map_err(PywrenError::Storage)?;
-        match wire::verify_stamped(&raw) {
-            Ok(_) => return Ok(raw),
-            Err(e) => {
-                last = Some(PywrenError::Integrity {
-                    key: format!("{bucket}/{key}"),
-                    detail: e.to_string(),
-                });
-            }
-        }
-    }
-    Err(last.unwrap_or_else(|| PywrenError::Integrity {
-        key: format!("{bucket}/{key}"),
-        detail: "no read attempts were made".to_owned(),
-    }))
+    read_verified(
+        || cos.get(bucket, key).map_err(PywrenError::Storage),
+        |e| PywrenError::Integrity {
+            key: format!("{bucket}/{key}"),
+            detail: e.to_string(),
+        },
+    )
 }
 
 /// Reads a staged object and verifies its checksum stamp, surfacing a
@@ -116,11 +126,6 @@ pub(crate) fn get_verified(
     key: &str,
 ) -> crate::error::Result<Bytes> {
     get_stamped_raw(cos, bucket, key).map(|raw| raw.slice(wire::STAMP_LEN..))
-}
-
-/// Key of a job's function blob.
-pub(crate) fn func_key(exec_id: &str, job_id: u64) -> String {
-    format!("jobs/{exec_id}/{job_id}/func")
 }
 
 /// Inline-vs-staged threshold, by encoded size. A task descriptor at or
@@ -148,6 +153,18 @@ pub(crate) struct AgentPayload {
 }
 
 impl AgentPayload {
+    /// The payload that (re-)runs task `f` as `func_name`.
+    pub(crate) fn new(f: &ResponseFuture, func_name: &str, inline: Option<Value>) -> AgentPayload {
+        AgentPayload {
+            bucket: f.bucket().to_owned(),
+            exec_id: f.exec_id().to_owned(),
+            job_id: f.job_id(),
+            task: f.task(),
+            func_name: func_name.to_owned(),
+            inline,
+        }
+    }
+
     pub(crate) fn encode(&self) -> Bytes {
         let mut v = Value::map()
             .with("bucket", self.bucket.as_str())
@@ -312,18 +329,6 @@ impl TaskSpec {
     }
 }
 
-/// Builds a status object body.
-pub(crate) fn status_value(state: &str, error: Option<&str>, start: f64, end: f64) -> Value {
-    let mut v = Value::map()
-        .with("state", state)
-        .with("start", start)
-        .with("end", end);
-    if let Some(e) = error {
-        v = v.with("error", e);
-    }
-    v
-}
-
 /// The agent body: runs inside every IBM-PyWren function container.
 // lint: entry(hot_path)
 // lint: entry(sim_path)
@@ -348,22 +353,16 @@ pub(crate) fn run_agent(
 
     let ended = ctx.now().as_secs_f64();
     // Best-effort status/result write: the client's wait() relies on it.
-    match &outcome {
+    match outcome {
         Ok((result, shuf)) => {
             chaos_crash_point(PHASE_AFTER_COMPUTE, crash_token);
             let encoded = result.encode();
-            let mut status = status_value("done", None, started, ended);
+            let mut status = TaskStatus::new(None, started, ended);
             if let Some(manifest) = shuf {
-                // A shuffle map's partition manifest always rides in the
-                // status object: reducers need it to locate (or rule out)
-                // their partition without probing COS.
-                status = status.with("shuf", manifest.clone());
+                status = status.with_shuf(manifest);
             }
             if encoded.len() <= INLINE_MAX_BYTES {
-                // Small results ride inside the status object: a single PUT
-                // both marks the task done and delivers the result, so no
-                // `…/result` object (and no gather GET for it) ever exists.
-                status = status.with("result", result.clone());
+                status = status.with_result(result);
             } else {
                 put_stamped(&cos, &payload.bucket, &fut.result_key(), &encoded)
                     .map_err(|e| ActionError(format!("writing result: {e}")))?;
@@ -381,20 +380,18 @@ pub(crate) fn run_agent(
             // overwriting a corrupted-on-read `done` status is safe (the
             // stored object wins at most once), silently keeping a bad one
             // is not.
-            let done_already = get_verified(&cos, &payload.bucket, &fut.status_key())
-                .ok()
-                .and_then(|raw| Value::decode(&raw).ok())
-                .is_some_and(|s| s.get("state").and_then(Value::as_str) == Some("done"));
+            let done_already = TaskStatus::read(&fut, |b, k| get_verified(&cos, b, k))
+                .is_ok_and(|s| s.error().is_none());
             if !done_already {
                 put_stamped(
                     &cos,
                     &payload.bucket,
                     &fut.status_key(),
-                    &status_value("error", Some(msg), started, ended).encode(),
+                    &TaskStatus::new(Some(&msg), started, ended).encode(),
                 )
                 .map_err(|e| ActionError(format!("writing status: {e}")))?;
             }
-            Err(ActionError(msg.clone()))
+            Err(ActionError(msg))
         }
     }
 }
@@ -416,12 +413,8 @@ fn execute_task(
         // input object exists for this task.
         Some(desc) => desc.clone(),
         None => {
-            let input_raw = get_verified(
-                cos,
-                &payload.bucket,
-                &format!("{}/input", fut.task_prefix()),
-            )
-            .map_err(|e| format!("fetching input: {e}"))?;
+            let input_raw = get_verified(cos, &payload.bucket, &fut.input_key())
+                .map_err(|e| format!("fetching input: {e}"))?;
             Value::decode(&input_raw).map_err(|e| format!("decoding input: {e}"))?
         }
     };
@@ -458,6 +451,15 @@ fn execute_task(
     }
 }
 
+/// The descriptor's reducer count, bounded before anything allocates one
+/// bucket per reducer for it.
+fn reducers_of(desc: &Value) -> Result<usize, String> {
+    match usize::try_from(desc.req_i64("reducers")?) {
+        Ok(n) if (1..=MAX_REDUCERS).contains(&n) => Ok(n),
+        _ => Err(format!("field `reducers` must be in 1..={MAX_REDUCERS}")),
+    }
+}
+
 /// Decoded shuffle-map descriptor fields (partitioning policy).
 #[derive(Debug)]
 struct ShuffleMapParams {
@@ -471,7 +473,7 @@ impl ShuffleMapParams {
     fn from_desc(desc: &Value) -> Result<ShuffleMapParams, String> {
         ShufflePlane::from_wire(desc.req_str("plane")?)?;
         Ok(ShuffleMapParams {
-            reducers: desc.req_i64("reducers")?.max(1) as usize,
+            reducers: reducers_of(desc)?,
             exchange: ExchangeMode::from_wire(desc.req_str("exch")?)?,
             partitioner: Partitioner::from_value(desc.get("part").ok_or("missing field `part`")?)?,
             combiner: desc.get("comb").and_then(Value::as_str).map(str::to_owned),
@@ -702,16 +704,26 @@ impl ShuffleReduceParams {
         let bucket = depr.req_str("bucket")?;
         let exec = depr.req_str("exec")?;
         let job = depr.req_i64("job")? as u64;
-        let maps = depr.req_i64("n")?.max(0) as u32;
+        let maps = u32::try_from(depr.req_i64("n")?)
+            .map_err(|_| "field `depr.n` must be in 0..=u32::MAX".to_owned())?;
+        let reducers = reducers_of(desc)?;
+        let index = match usize::try_from(desc.req_i64("index")?) {
+            Ok(i) if i < reducers => i,
+            _ => return Err(format!("field `index` must be in 0..{reducers}")),
+        };
+        let fanin = match usize::try_from(desc.req_i64("fanin")?) {
+            Ok(f) if f >= 2 => f,
+            _ => return Err("field `fanin` must be at least 2".to_owned()),
+        };
         Ok(ShuffleReduceParams {
             deps: (0..maps)
                 .map(|t| ResponseFuture::new(bucket, exec, job, t))
                 .collect(),
-            index: desc.req_i64("index")?.max(0) as usize,
+            index,
             poll: Duration::from_millis(desc.req_i64("poll_ms")?.max(1) as u64),
-            reducers: desc.req_i64("reducers")?.max(1) as usize,
+            reducers,
             exchange: ExchangeMode::from_wire(desc.req_str("exch")?)?,
-            fanin: desc.req_i64("fanin")?.max(2) as usize,
+            fanin,
         })
     }
 }
@@ -799,23 +811,17 @@ fn fetch_shuffle_run(
                 keyed_pairs_of_raw(raw)
             }
             Err(_) => {
-                let status = fetch_dep_status(cos, d)?;
-                Err(match map_error_of(&status) {
-                    Some(msg) => format!("map task {} failed: {msg}", d.label()),
-                    None => format!(
-                        "shuffle data of map task {} lost from the relay tier",
-                        d.label()
-                    ),
-                })
+                dep_status(cos, d)?;
+                Err(format!(
+                    "shuffle data of map task {} lost from the relay tier",
+                    d.label()
+                ))
             }
         };
     }
 
-    let status = fetch_dep_status(cos, d)?;
-    if let Some(msg) = map_error_of(&status) {
-        return Err(format!("map task {} failed: {msg}", d.label()));
-    }
-    let manifest = status.get("shuf").ok_or_else(|| {
+    let status = dep_status(cos, d)?;
+    let manifest = status.shuf().ok_or_else(|| {
         format!(
             "status of map task {} carries no shuffle manifest",
             d.label()
@@ -851,7 +857,7 @@ fn fetch_shuffle_run(
 }
 
 /// Range-reads one stamped slice out of a shuffle segment object and
-/// verifies its checksum (re-fetching a couple of times on a bad read, like
+/// verifies its checksum (re-fetching on a bad read, like
 /// [`get_stamped_raw`]). A missing segment is a typed loss error — the
 /// manifest said the slice exists.
 fn get_slice_verified(
@@ -861,50 +867,30 @@ fn get_slice_verified(
     off: u64,
     len: u64,
 ) -> Result<Bytes, String> {
-    let mut last = None;
-    for _ in 0..3 {
-        let raw = match cos.get_range(bucket, key, off, off + len) {
-            Ok(raw) => raw,
-            Err(e @ rustwren_store::StoreError::NoSuchKey { .. }) => {
-                return Err(format!(
-                    "shuffle segment {bucket}/{key} was written but is now missing (lost): {e}"
-                ));
-            }
-            Err(e) => return Err(format!("fetching shuffle slice: {e}")),
-        };
-        match wire::verify_stamped(&raw) {
-            Ok(_) => return Ok(raw.slice(wire::STAMP_LEN..)),
-            Err(e) => {
-                last = Some(format!(
-                    "integrity failure reading shuffle slice {bucket}/{key}@{off}: {e}"
-                ));
-            }
-        }
-    }
-    Err(last.unwrap_or_else(|| {
-        format!("shuffle slice {bucket}/{key}@{off}: no read attempts were made")
-    }))
-}
-
-/// Fetches and decodes one dependency's status object.
-fn fetch_dep_status(cos: &CosClient, d: &ResponseFuture) -> Result<Value, String> {
-    let raw = get_verified(cos, d.bucket(), &d.status_key())
-        .map_err(|e| format!("fetching dep status: {e}"))?;
-    Value::decode(&raw).map_err(|e| format!("decoding dep status: {e}"))
-}
-
-/// The error message of a non-`done` status, if any.
-fn map_error_of(status: &Value) -> Option<String> {
-    if status.get("state").and_then(Value::as_str) == Some("done") {
-        return None;
-    }
-    Some(
-        status
-            .get("error")
-            .and_then(Value::as_str)
-            .unwrap_or("unknown error")
-            .to_owned(),
+    read_verified(
+        || {
+            cos.get_range(bucket, key, off, off + len)
+                .map_err(|e| match e {
+                    rustwren_store::StoreError::NoSuchKey { .. } => format!(
+                        "shuffle segment {bucket}/{key} was written but is now missing (lost): {e}"
+                    ),
+                    e => format!("fetching shuffle slice: {e}"),
+                })
+        },
+        |e| format!("integrity failure reading shuffle slice {bucket}/{key}@{off}: {e}"),
     )
+    .map(|raw| raw.slice(wire::STAMP_LEN..))
+}
+
+/// Reads the status object of finished map task `d`; one that did not
+/// finish `done` is an error carrying its message.
+fn dep_status(cos: &CosClient, d: &ResponseFuture) -> Result<TaskStatus, String> {
+    let status = TaskStatus::read(d, |b, k| get_verified(cos, b, k))
+        .map_err(|e| format!("fetching dep status: {e}"))?;
+    match status.error() {
+        Some(msg) => Err(format!("map task {} failed: {msg}", d.label())),
+        None => Ok(status),
+    }
 }
 
 /// Decodes an encoded pair list into keyed pairs.
@@ -969,27 +955,11 @@ fn build_input_base(ctx: &ActivationCtx, cos: &CosClient, desc: &Value) -> Resul
             // order — only the download timing changes.
             let mut slots: Vec<Option<Value>> = vec![None; deps.len()];
             for_each_dep_done(ctx, cos, &deps, poll, |i, d| {
-                let status_raw = get_verified(cos, d.bucket(), &d.status_key())
-                    .map_err(|e| format!("fetching dep status: {e}"))?;
-                let status =
-                    Value::decode(&status_raw).map_err(|e| format!("decoding dep status: {e}"))?;
-                if status.req_str("state")? != "done" {
-                    let msg = status
-                        .get("error")
-                        .and_then(Value::as_str)
-                        .unwrap_or("unknown error");
-                    return Err(format!("map task {} failed: {msg}", d.label()));
-                }
+                let result = dep_status(cos, d)?
+                    .into_result(d, |b, k| get_verified(cos, b, k))
+                    .map_err(|e| format!("fetching dep result: {e}"))?;
                 // lint: allow(L009) — i is a dep index, slots is deps-sized
-                slots[i] = Some(match status.get("result") {
-                    // The map's result rode inside its status object.
-                    Some(r) => r.clone(),
-                    None => {
-                        let result_raw = get_verified(cos, d.bucket(), &d.result_key())
-                            .map_err(|e| format!("fetching dep result: {e}"))?;
-                        Value::decode(&result_raw).map_err(|e| format!("decoding dep: {e}"))?
-                    }
-                });
+                slots[i] = Some(result);
                 Ok(())
             })?;
             let results: Vec<Value> = slots
@@ -1006,13 +976,11 @@ fn build_input_base(ctx: &ActivationCtx, cos: &CosClient, desc: &Value) -> Resul
 }
 
 /// "The reduce function will wait for all the partial results before
-/// processing them" (§4.3) — implemented as a single batched watch: one
-/// LIST per distinct job prefix per poll tick covers every dependency
-/// (instead of O(deps) per-key probes), and `fetch(i, dep)` runs for each
-/// dependency *as its status lands*, so downloads overlap the stragglers
-/// still running rather than queueing behind a full barrier. Results are
-/// slotted by dependency index, so the assembled input does not depend on
-/// completion order.
+/// processing them" (§4.3) — implemented as a [`StatusWatch`] polled every
+/// `poll`: `fetch(i, dep)` runs for each dependency *as its status lands*,
+/// so downloads overlap the stragglers still running rather than queueing
+/// behind a full barrier. Results are slotted by dependency index, so the
+/// assembled input does not depend on completion order.
 fn for_each_dep_done<F>(
     ctx: &ActivationCtx,
     cos: &CosClient,
@@ -1023,37 +991,22 @@ fn for_each_dep_done<F>(
 where
     F: FnMut(usize, &ResponseFuture) -> Result<(), String>,
 {
-    // Precompute the wanted status keys so each poll is a set intersection.
-    let mut prefixes: Vec<(&str, String)> = Vec::new();
-    let mut wanted: std::collections::HashMap<String, usize> =
-        std::collections::HashMap::with_capacity(deps.len());
-    for (i, d) in deps.iter().enumerate() {
-        let p = (d.bucket(), d.job_prefix());
-        if !prefixes.iter().any(|q| q.0 == p.0 && q.1 == p.1) {
-            prefixes.push(p);
-        }
-        wanted.insert(d.status_key(), i);
-    }
+    let watch = StatusWatch::new(deps);
     let mut fetched = vec![false; deps.len()];
     let mut done = 0usize;
     loop {
-        for (bucket, prefix) in &prefixes {
-            let listed = cos
-                .list(bucket, prefix)
-                .map_err(|e| format!("listing statuses: {e}"))?;
-            for meta in listed {
-                let Some(&i) = wanted.get(&meta.key) else {
-                    continue;
-                };
-                // lint: allow(L009) — wanted maps status keys to dep
-                // indexes; fetched/deps are deps-sized
-                if !fetched[i] {
-                    // lint: allow(L009) — same deps-sized index
-                    fetched[i] = true;
-                    // lint: allow(L009) — same deps-sized index
-                    fetch(i, &deps[i])?;
-                    done += 1;
-                }
+        let landed = watch
+            .landed(cos)
+            .map_err(|e| format!("listing statuses: {e}"))?;
+        for i in landed {
+            // lint: allow(L009) — landed yields indexes into deps;
+            // fetched is deps-sized
+            if !fetched[i] {
+                // lint: allow(L009) — same deps-sized index
+                fetched[i] = true;
+                // lint: allow(L009) — same deps-sized index
+                fetch(i, &deps[i])?;
+                done += 1;
             }
         }
         if done >= deps.len() {
@@ -1092,14 +1045,8 @@ mod tests {
     }
 
     fn sample_payload(inline: Option<Value>) -> AgentPayload {
-        AgentPayload {
-            bucket: "rustwren-runtime".into(),
-            exec_id: "e1".into(),
-            job_id: 4,
-            task: 9,
-            func_name: "tone".into(),
-            inline,
-        }
+        let f = ResponseFuture::new("rustwren-runtime", "e1", 4, 9);
+        AgentPayload::new(&f, "tone", inline)
     }
 
     #[test]
@@ -1258,6 +1205,36 @@ mod tests {
             let r = ShuffleMapParams::from_desc(&without(&map, key));
             assert!(r.is_err(), "map descriptor without `{key}`: {r:?}");
         }
+
+        // Out-of-range integers were once clamped into something plausible
+        // (`reducers = i64::MAX` reached `vec![Vec::new(); reducers]`, an
+        // `index` past the last reducer read a neighbour's partition or
+        // none, `n` was truncated to 32 bits, `fanin = 0` became 2).
+        for (key, bad) in [
+            ("reducers", 0),
+            ("reducers", -1),
+            ("reducers", MAX_REDUCERS as i64 + 1),
+            ("reducers", i64::MAX),
+            ("index", -1),
+            ("index", 8),
+            ("fanin", 1),
+            ("fanin", 0),
+            ("fanin", -3),
+        ] {
+            let r = ShuffleReduceParams::from_desc(&reduce.clone().with(key, bad));
+            assert!(r.is_err(), "reduce descriptor with `{key}` = {bad}: {r:?}");
+        }
+        for bad in [-1, i64::from(u32::MAX) + 1] {
+            let desc = reduce.clone().with("depr", depr.clone().with("n", bad));
+            let r = ShuffleReduceParams::from_desc(&desc);
+            assert!(r.is_err(), "reduce descriptor with `depr.n` = {bad}: {r:?}");
+        }
+        for bad in [0, -1, MAX_REDUCERS as i64 + 1, i64::MAX] {
+            let r = ShuffleMapParams::from_desc(&map.clone().with("reducers", bad));
+            assert!(r.is_err(), "map descriptor with `reducers` = {bad}: {r:?}");
+        }
+        let edge = reduce.clone().with("index", 7i64).with("fanin", 2i64);
+        assert!(ShuffleReduceParams::from_desc(&edge).is_ok());
     }
 
     #[test]
@@ -1269,7 +1246,7 @@ mod tests {
         cloud.run(|| {
             let cos = CosClient::new(cloud.store(), rustwren_sim::NetworkProfile::lan(), 3);
             let d = ResponseFuture::new("b", "e1", 1, 0);
-            let status = status_value("done", None, 0.0, 1.0);
+            let status = TaskStatus::new(None, 0.0, 1.0);
             put_stamped(&cos, "b", &d.status_key(), &status.encode()).expect("status");
             let pairs = Value::List(vec![Value::map().with("k", "x").with("v", 1i64)]);
             let channel = shuffle_key(&d.task_prefix(), 0, 4);
@@ -1278,19 +1255,5 @@ mod tests {
                 .expect_err("no manifest, no fetch");
             assert!(err.contains("no shuffle manifest"), "{err}");
         });
-    }
-
-    #[test]
-    fn status_value_carries_error() {
-        let s = status_value("error", Some("boom"), 1.0, 2.0);
-        assert_eq!(s.req_str("state"), Ok("error"));
-        assert_eq!(s.get("error").and_then(Value::as_str), Some("boom"));
-        let ok = status_value("done", None, 1.0, 2.0);
-        assert!(ok.get("error").is_none());
-    }
-
-    #[test]
-    fn func_key_layout() {
-        assert_eq!(func_key("e2", 7), "jobs/e2/7/func");
     }
 }

@@ -706,3 +706,103 @@ fn clean_removes_all_staged_objects() {
         assert_eq!(removed, 1 + 5 * 3, "blob + inputs + statuses + results");
     });
 }
+
+/// `clean()` once deleted the objects but kept the tables that describe
+/// them: `recovery` (one retained inline descriptor per task ever
+/// submitted), `job_funcs`, `job_retries`. A cleaned future is unknown
+/// again, and re-invoking it launches nothing.
+#[test]
+fn clean_forgets_the_jobs_it_swept() {
+    let cloud = test_cloud();
+    register_add7(&cloud);
+    cloud.run(|| {
+        let exec = cloud.executor().build().unwrap();
+        let old = exec.map("add7", (0..3).map(Value::from)).unwrap();
+        exec.get_result().unwrap();
+        exec.clean().unwrap();
+
+        let submitted = cloud.functions().stats().submitted;
+        let err = exec.reinvoke(&old).unwrap_err();
+        assert!(matches!(err, PywrenError::UnknownFunction(_)), "{err:?}");
+        assert_eq!(
+            cloud.functions().stats().submitted,
+            submitted,
+            "no agent may be launched for a job whose func blob is gone"
+        );
+        assert_eq!(exec.pending_count(), 0);
+
+        // The executor itself is still usable.
+        exec.map("add7", [Value::Int(1)]).unwrap();
+        assert_eq!(exec.get_result().unwrap(), vec![Value::Int(8)]);
+    });
+}
+
+/// A remote invoker whose early lane fails must still join its other lanes
+/// before it reports: once its activation record says `ended`, nothing may
+/// still be invoking agents on its behalf.
+///
+/// The tenant runs the invoker plus one agent, queues three more and lets
+/// six invocations through per minute. The invoker's four lanes each get
+/// one agent in (invocations 2–5); of the four second-round invocations the
+/// first takes the sixth rate slot and is shed from the full queue — that
+/// lane fails — and the other three are throttled until the rate window
+/// reopens a minute later, when they resume invoking.
+#[test]
+fn failed_invoker_lane_does_not_abandon_the_live_ones() {
+    let platform = rustwren_faas::PlatformConfig {
+        tenants: vec![rustwren_faas::TenantConfig::new("acme", 2)
+            .queue_depth(3)
+            .rate_limit(6)],
+        ..rustwren_faas::PlatformConfig::default()
+    };
+    let cloud = SimCloud::builder()
+        .seed(11)
+        .client_network(NetworkProfile::lan())
+        .platform(platform)
+        .build();
+    register_add7(&cloud);
+    cloud.run(|| {
+        let exec = cloud
+            .executor()
+            .namespace("acme")
+            .analyze(rustwren_core::AnalyzeMode::Off)
+            .spawn(SpawnStrategy::RemoteInvoker {
+                group_size: 12,
+                invoker_threads: 4,
+            })
+            .build()
+            .unwrap();
+        exec.map("add7", (0..12).map(Value::from)).unwrap();
+        rustwren_sim::sleep(Duration::from_secs(300));
+
+        let records = cloud.functions().records();
+        let invokers: Vec<_> = records
+            .iter()
+            .filter(|r| r.action == rustwren_core::invoker::INVOKER_ACTION)
+            .collect();
+        assert_eq!(invokers.len(), 1);
+        assert!(
+            !invokers[0].is_success(),
+            "the scenario must make a lane fail"
+        );
+        let ended = invokers[0].ended.expect("invoker finished");
+        let agents: Vec<_> = records
+            .iter()
+            .filter(|r| r.action.starts_with("rustwren-agent@"))
+            .collect();
+        assert!(
+            agents.len() > 4,
+            "the throttled lanes must have resumed, got {} agents",
+            agents.len()
+        );
+        for agent in agents {
+            assert!(
+                agent.submitted <= ended,
+                "agent {:?} was submitted at {:?}, after its invoker reported \
+                 failure at {ended:?}",
+                agent.id,
+                agent.submitted
+            );
+        }
+    });
+}

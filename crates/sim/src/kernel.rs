@@ -1829,6 +1829,75 @@ where
     ctx.kernel.spawn(name, f)
 }
 
+/// Runs `f` over `items` on a pool of simulated threads — the one client
+/// fan-out pool behind invocation, upload, download and multipart lanes.
+///
+/// Items are dealt round-robin into `min(lanes, items.len())` non-empty
+/// lanes (item `k` goes to lane `k % lanes`); lane `t` runs on a thread
+/// named `"{prefix}-{t}"`, feeds its items to `f` in order and stops at its
+/// first error. Every lane is joined, in lane order, before this returns:
+/// the outputs in input order, or the error of the lowest-numbered failing
+/// lane. No items, no threads.
+///
+/// The observable sequence is the contract, not just the result: golden
+/// fingerprints fold `threads_started`, the final clock and the schedule
+/// trace, so thread count, names, spawn order and join order here are all
+/// load-bearing — a lane abandoned unjoined would also keep issuing
+/// requests after its caller reported failure.
+///
+/// # Panics
+///
+/// Panics if the calling thread is not registered with a kernel, or
+/// re-raises a lane's panic.
+pub fn fan_out<T, U, E, F>(prefix: &str, lanes: usize, items: Vec<T>, f: F) -> Result<Vec<U>, E>
+where
+    T: Send + 'static,
+    U: Send + 'static,
+    E: Send + 'static,
+    F: Fn(T) -> Result<U, E> + Send + Sync + 'static,
+{
+    let n = items.len();
+    let lanes = lanes.max(1).min(n);
+    let mut chunks: Vec<Vec<T>> = (0..lanes).map(|_| Vec::new()).collect();
+    for (k, item) in items.into_iter().enumerate() {
+        chunks[k % lanes].push(item);
+    }
+    let f = Arc::new(f);
+    let handles: Vec<_> = chunks
+        .into_iter()
+        .enumerate()
+        .map(|(t, chunk)| {
+            let f = Arc::clone(&f);
+            spawn(format!("{prefix}-{t}"), move || {
+                chunk
+                    .into_iter()
+                    .map(|item| f(item))
+                    .collect::<Result<Vec<U>, E>>()
+            })
+        })
+        .collect();
+    let mut outputs = Vec::with_capacity(lanes);
+    let mut first_err = None;
+    for h in handles {
+        match h.join() {
+            Ok(lane) => outputs.push(lane.into_iter()),
+            Err(e) => {
+                first_err.get_or_insert(e);
+            }
+        }
+    }
+    match first_err {
+        Some(e) => Err(e),
+        None => Ok((0..n)
+            .map(|k| {
+                outputs[k % lanes]
+                    .next()
+                    .expect("every lane yields one output per item it was dealt")
+            })
+            .collect()),
+    }
+}
+
 /// Spawns a lightweight task on the current thread's kernel — see
 /// [`Kernel::spawn_light`].
 ///
@@ -2064,6 +2133,92 @@ mod tests {
             panic::catch_unwind(AssertUnwindSafe(|| h.join())).is_err()
         });
         assert!(caught);
+    }
+
+    /// The dealt item's lane, recovered from the thread name `fan_out`
+    /// gave it: proof of both the naming and the round-robin deal.
+    fn lane_of_current_thread() -> usize {
+        let name = thread::current().name().expect("named").to_owned();
+        name.strip_prefix("lane-")
+            .expect("prefix")
+            .parse()
+            .expect("index")
+    }
+
+    #[test]
+    fn fan_out_chunking_covers_all_items_in_input_order() {
+        let k = Kernel::new();
+        k.run("client", || {
+            let before = kernel().stats().threads_started;
+            let out = fan_out("lane", 3, (0..10usize).collect(), |i| {
+                // Later items finish first, so completion order is the
+                // reverse of input order.
+                sleep(Duration::from_millis(100 - 10 * i as u64));
+                Ok::<_, ()>((i, lane_of_current_thread()))
+            })
+            .expect("no lane fails");
+            assert_eq!(kernel().stats().threads_started - before, 3);
+            let expected: Vec<_> = (0..10).map(|i| (i, i % 3)).collect();
+            assert_eq!(out, expected);
+        });
+    }
+
+    #[test]
+    fn fan_out_chunking_with_more_lanes_than_items() {
+        let k = Kernel::new();
+        k.run("client", || {
+            let before = kernel().stats().threads_started;
+            let out = fan_out("lane", 8, vec![1, 2], |i| {
+                Ok::<_, ()>((i, lane_of_current_thread()))
+            });
+            assert_eq!(out, Ok(vec![(1, 0), (2, 1)]));
+            assert_eq!(kernel().stats().threads_started - before, 2);
+        });
+    }
+
+    #[test]
+    fn fan_out_over_no_items_starts_no_thread() {
+        let k = Kernel::new();
+        k.run("client", || {
+            let before = kernel().stats().threads_started;
+            let out = fan_out("lane", 4, Vec::<u8>::new(), Ok::<_, ()>);
+            assert_eq!(out, Ok(Vec::new()));
+            assert_eq!(kernel().stats().threads_started, before);
+        });
+    }
+
+    #[test]
+    fn fan_out_joins_every_lane_and_reports_the_lowest_failing_one() {
+        let k = Kernel::new();
+        k.run("client", || {
+            let ran = Arc::new(RawMutex::new(Vec::new()));
+            let ran2 = Arc::clone(&ran);
+            let start = now();
+            // Lanes: 0 ← {0, 3, 6}, 1 ← {1, 4, 7}, 2 ← {2, 5}. Lane 1 fails
+            // first in time (item 1, t = 1 s), lane 0 later (item 3, t = 4 s);
+            // lane 2 is healthy and slowest (t = 10 s).
+            let out = fan_out("lane", 3, (0..8u64).collect(), move |i| {
+                sleep(Duration::from_secs(match i % 3 {
+                    0 => 2,
+                    1 => 1,
+                    _ => 5,
+                }));
+                ran2.lock().push(i);
+                match i {
+                    1 | 3 => Err(format!("item {i}")),
+                    _ => Ok(i),
+                }
+            });
+            // The lowest-numbered failing lane wins, not the earliest.
+            assert_eq!(out, Err("item 3".to_owned()));
+            // Returns only after the slowest lane has finished.
+            assert_eq!(now() - start, Duration::from_secs(10));
+            // A failed lane stops at its first error (6, 4 and 7 never
+            // run); the other lanes run to their own end.
+            let mut ran = ran.lock().clone();
+            ran.sort_unstable();
+            assert_eq!(ran, vec![0, 1, 2, 3, 5]);
+        });
     }
 
     #[test]

@@ -66,8 +66,8 @@ pub use chaos::{
     ChaosEngine, ChaosStats, CorruptMode, FaultPlan, FaultRecord, PathScope, TimeWindow,
 };
 pub use kernel::{
-    exploring, kernel, now, sleep, spawn, spawn_light, Kernel, KernelStats, LightStep, ResourceId,
-    SimJoinHandle,
+    exploring, fan_out, kernel, now, sleep, spawn, spawn_light, Kernel, KernelStats, LightStep,
+    ResourceId, SimJoinHandle,
 };
 pub use net::NetworkProfile;
 pub use order::{CondvarObs, LockInstance, OrderEdge, RunOrderReport, SyncKind, VectorClock};

@@ -425,49 +425,26 @@ impl CosClient {
             return self.put(bucket, key, data);
         }
         let part_count = data.len().div_ceil(part_size);
-        let threads = part_count.min(16);
-        let mut lanes: Vec<Vec<(usize, usize)>> = vec![Vec::new(); threads];
-        for i in 0..part_count {
-            let start = i * part_size;
-            let end = (start + part_size).min(data.len());
-            lanes[i % threads].push((start, end));
-        }
-        let handles: Vec<_> = lanes
-            .into_iter()
-            .enumerate()
-            .map(|(lane, parts)| {
-                let client = self.clone();
-                let bucket = bucket.to_owned();
-                let key = key.to_owned();
-                rustwren_sim::spawn(format!("mpu-{lane}"), move || {
-                    for (i, (start, end)) in parts.into_iter().enumerate() {
-                        client.counters.count(&client.counters.puts);
-                        client
-                            .counters
-                            .bytes_out
-                            .fetch_add((end - start) as u64, Ordering::Relaxed);
-                        client.charge(
-                            CosOp::new("PUT", &bucket, Some(&key))
-                                .with_suffix(OpSuffix::Part(lane, i)),
-                            &bucket,
-                            &key,
-                            (end - start) as u64,
-                            client.costs.data_op,
-                        )?;
-                    }
-                    Ok::<(), StoreError>(())
-                })
+        let lanes = part_count.min(16);
+        // (lane, position in lane, length): lane and position name the
+        // part's op path, so they are fixed here, before the deal.
+        let parts: Vec<(usize, usize, u64)> = (0..part_count)
+            .map(|k| {
+                let len = part_size.min(data.len() - k * part_size);
+                (k % lanes, k / lanes, len as u64)
             })
             .collect();
-        let mut first_err = None;
-        for h in handles {
-            if let Err(e) = h.join() {
-                first_err.get_or_insert(e);
-            }
-        }
-        if let Some(e) = first_err {
-            return Err(e);
-        }
+        let client = self.clone();
+        let (part_bucket, part_key) = (bucket.to_owned(), key.to_owned());
+        rustwren_sim::fan_out("mpu", lanes, parts, move |(lane, i, len)| {
+            client.counters.count(&client.counters.puts);
+            client.counters.bytes_out.fetch_add(len, Ordering::Relaxed);
+            let op = CosOp::new("PUT", &part_bucket, Some(&part_key))
+                .with_suffix(OpSuffix::Part(lane, i));
+            client
+                .charge(op, &part_bucket, &part_key, len, client.costs.data_op)
+                .map(|_| ())
+        })?;
         // Complete-multipart-upload request.
         self.charge(
             CosOp::new("POST", bucket, Some(key)).with_suffix(OpSuffix::Const(" complete")),
