@@ -2,7 +2,7 @@
 //! behavior, in the direction the rules guarantee:
 //!
 //! * a nested plan the analyzer *passes* (no W001 error) never deadlocks
-//!   when run on a queue-mode platform with the profiled concurrency limit;
+//!   when run on a queueing platform with the profiled concurrency limit;
 //! * a fan-out the analyzer flags as a throttle storm (W002) really
 //!   observes 429 rejections when slow tasks pile onto a small limit.
 //!
@@ -13,7 +13,10 @@
 use bytes::Bytes;
 use proptest::prelude::*;
 use rustwren_analyze::{analyze, CloudProfile, JobPlan, Rule, Severity};
-use rustwren_faas::{ActionConfig, ActivationCtx, CloudFunctions, PlatformConfig, PlatformStats};
+use rustwren_faas::{
+    ActionConfig, ActivationCtx, CloudFunctions, PlatformConfig, PlatformStats, TenantConfig,
+    DEFAULT_NAMESPACE,
+};
 use rustwren_sim::Kernel;
 use rustwren_store::ObjectStore;
 
@@ -62,9 +65,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Soundness of the W001 pass verdict: if the analyzer raises no W001
-    /// error for a nested plan, running that exact tree on a queue-mode
-    /// platform with the same concurrency limit completes every
-    /// activation (no deadlock, no throttling losses).
+    /// error for a nested plan, running that exact tree on a queueing
+    /// platform (the default namespace as a tenant with an admission
+    /// queue) with the same concurrency limit completes every activation
+    /// (no deadlock, no throttling losses).
     #[test]
     fn passed_nested_plans_complete(params in (2usize..7, 1usize..4, 0u32..3, 1u32..4)) {
         let (limit, tasks, depth, fanout) = params;
@@ -82,7 +86,7 @@ proptest! {
             let stats = run_tree(
                 PlatformConfig {
                     concurrency_limit: limit,
-                    queue_on_concurrency_limit: true,
+                    tenants: vec![TenantConfig::new(DEFAULT_NAMESPACE, limit).queue_depth(1024)],
                     ..PlatformConfig::default()
                 },
                 tasks,

@@ -828,10 +828,6 @@ impl Executor {
             return Err(PywrenError::UnknownFunction(func.to_owned()));
         };
         let job_id = self.inner.job_seq.fetch_add(1, Ordering::Relaxed);
-        // lint: allow(L011) — false positive: the guard is a temporary
-        // dropped at the end of this statement, not held across the launch
-        // below; and the semaphore that launch "reaches" is acquired by the
-        // activation's own thread, never by this one
         self.inner.job_funcs.lock().insert(job_id, func.to_owned());
         let bucket = &self.inner.config.storage_bucket;
         let exec_id = &self.inner.exec_id;

@@ -741,18 +741,21 @@ fn clean_forgets_the_jobs_it_swept() {
 /// before it reports: once its activation record says `ended`, nothing may
 /// still be invoking agents on its behalf.
 ///
-/// The tenant runs the invoker plus one agent, queues three more and lets
-/// six invocations through per minute. The invoker's four lanes each get
-/// one agent in (invocations 2–5); of the four second-round invocations the
-/// first takes the sixth rate slot and is shed from the full queue — that
-/// lane fails — and the other three are throttled until the rate window
-/// reopens a minute later, when they resume invoking.
+/// The tenant runs the invoker plus one agent, queues one more and accepts
+/// three invocations per minute; an invocation round trip costs a second,
+/// far longer than a warm agent runs. Minute one: the invoker and two
+/// agents use up the rate budget, so all four lanes are throttled until
+/// the window reopens. Minute two: the four lanes retry at the same
+/// instant; one agent is admitted, one queued, and the other two lanes are
+/// shed from the full queue — those lanes fail. The two surviving lanes
+/// keep invoking for another minute and more.
 #[test]
 fn failed_invoker_lane_does_not_abandon_the_live_ones() {
     let platform = rustwren_faas::PlatformConfig {
+        api_overhead: Duration::from_secs(1),
         tenants: vec![rustwren_faas::TenantConfig::new("acme", 2)
-            .queue_depth(3)
-            .rate_limit(6)],
+            .queue_depth(1)
+            .rate_limit(3)],
         ..rustwren_faas::PlatformConfig::default()
     };
     let cloud = SimCloud::builder()
@@ -792,7 +795,7 @@ fn failed_invoker_lane_does_not_abandon_the_live_ones() {
             .collect();
         assert!(
             agents.len() > 4,
-            "the throttled lanes must have resumed, got {} agents",
+            "the surviving lanes must have kept invoking, got {} agents",
             agents.len()
         );
         for agent in agents {

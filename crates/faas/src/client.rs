@@ -71,6 +71,9 @@ impl ThrottleSignal {
     }
 }
 
+/// How many 429-throttled attempts an invocation tolerates before giving up.
+const MAX_THROTTLE_ATTEMPTS: u32 = 200;
+
 /// A virtual-time client for [`CloudFunctions`]. Cheap to clone. Like
 /// [`rustwren_store::CosClient`], request tokens are a pure function of
 /// `(seed, action, virtual instant)`, so concurrent clones never perturb
@@ -82,7 +85,6 @@ pub struct FaasClient {
     seed: u64,
     namespace: TenantId,
     max_attempts: u32,
-    max_throttle_attempts: u32,
     honor_retry_after: bool,
     signal: Option<Arc<ThrottleSignal>>,
 }
@@ -105,7 +107,6 @@ impl FaasClient {
             seed,
             namespace: TenantId::default_namespace(),
             max_attempts: 5,
-            max_throttle_attempts: 200,
             honor_retry_after: true,
             signal: None,
         }
@@ -142,18 +143,6 @@ impl FaasClient {
     pub fn with_max_attempts(mut self, attempts: u32) -> FaasClient {
         assert!(attempts > 0, "max_attempts must be at least 1");
         self.max_attempts = attempts;
-        self
-    }
-
-    /// Sets how many 429-throttled attempts each invocation tolerates
-    /// before giving up.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `attempts` is zero.
-    pub fn with_max_throttle_attempts(mut self, attempts: u32) -> FaasClient {
-        assert!(attempts > 0, "max_throttle_attempts must be at least 1");
-        self.max_throttle_attempts = attempts;
         self
     }
 
@@ -219,7 +208,7 @@ impl FaasClient {
                     if let Some(s) = &self.signal {
                         s.record_throttle(rustwren_sim::now() + retry_after);
                     }
-                    if throttle_attempts >= self.max_throttle_attempts {
+                    if throttle_attempts >= MAX_THROTTLE_ATTEMPTS {
                         return Err(InvokeError::Throttled { limit, retry_after });
                     }
                     let backoff = if self.honor_retry_after {

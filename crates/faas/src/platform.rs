@@ -25,7 +25,7 @@ use std::time::Duration;
 use bytes::Bytes;
 use parking_lot::Mutex;
 use rustwren_sim::hash::{hash2, unit_f64};
-use rustwren_sim::sync::{Event, Semaphore};
+use rustwren_sim::sync::Event;
 use rustwren_sim::{Kernel, LightStep, NetworkProfile, ResourceId, SimInstant};
 use rustwren_store::{CosClient, ObjectStore, OpCounters, OpCounts};
 
@@ -79,14 +79,6 @@ pub struct PlatformConfig {
     /// Price per GB-second of function execution (IBM Cloud Functions
     /// charged $0.000017/GB-s at the time of the paper).
     pub price_per_gb_second: f64,
-    /// When `true`, invocations over [`PlatformConfig::concurrency_limit`]
-    /// *queue* on a namespace admission semaphore instead of being rejected
-    /// with a 429 (the per-minute rate limit still applies). This models a
-    /// platform without client-side retry — and is what turns a nested
-    /// over-fan-out into a *real* deadlock the kernel's wait-for graph can
-    /// report, rather than a throttle storm. Default `false` (the paper's
-    /// OpenWhisk behaviour).
-    pub queue_on_concurrency_limit: bool,
     /// Default container keep-alive/prewarm policy; `None` behaves as
     /// [`KeepAlivePolicy::FixedTtl`] with
     /// [`container_idle_timeout`](PlatformConfig::container_idle_timeout).
@@ -122,7 +114,6 @@ impl Default for PlatformConfig {
             internal_net: NetworkProfile::datacenter(),
             seed: 0xF00D,
             price_per_gb_second: 0.000_017,
-            queue_on_concurrency_limit: false,
             keep_alive: None,
             tenants: Vec::new(),
             retry_after_hint: Duration::from_secs(5),
@@ -290,6 +281,41 @@ struct CapacityWaiter {
     event: Event,
 }
 
+/// One per-minute rate-limit window: fixed, opened by the first request
+/// seen at or after the previous window's end (the first opens at t = 0).
+#[derive(Default)]
+struct RateWindow {
+    start: SimInstant,
+    /// Invocations accepted in the window.
+    count: u64,
+}
+
+impl RateWindow {
+    const LENGTH: Duration = Duration::from_secs(60);
+
+    /// Rolls the window if it has ended, then checks whether one more
+    /// invocation fits under `limit`. Consumes nothing: the caller
+    /// [`record`](RateWindow::record)s once the invocation is accepted.
+    ///
+    /// # Errors
+    ///
+    /// The remainder of the window (the exact `retry_after`) when full.
+    fn check(&mut self, now: SimInstant, limit: u64) -> Result<(), Duration> {
+        if now.duration_since(self.start) >= RateWindow::LENGTH {
+            self.start = now;
+            self.count = 0;
+        }
+        if self.count >= limit {
+            return Err(self.start + RateWindow::LENGTH - now);
+        }
+        Ok(())
+    }
+
+    fn record(&mut self) {
+        self.count += 1;
+    }
+}
+
 /// What the tenant admission plane decided for one invocation (computed
 /// while the tenant is mutably borrowed, applied to the global pool after).
 enum TenantAdmission {
@@ -314,8 +340,7 @@ struct TenantState {
     /// Smooth weighted-round-robin credit; the dispatcher picks the
     /// highest-credit eligible tenant and debits the round's total weight.
     wrr_credit: i64,
-    rate_window_start: SimInstant,
-    rate_window_count: u64,
+    rate: RateWindow,
     stats: TenantStats,
 }
 
@@ -326,8 +351,7 @@ impl TenantState {
             inflight: 0,
             queue: VecDeque::new(),
             wrr_credit: 0,
-            rate_window_start: SimInstant::ZERO,
-            rate_window_count: 0,
+            rate: RateWindow::default(),
             stats: TenantStats::default(),
         }
     }
@@ -335,9 +359,8 @@ impl TenantState {
 
 struct PoolState {
     total_containers: usize,
-    /// Start of the current rate window and invocations accepted in it.
-    rate_window_start: SimInstant,
-    rate_window_count: u64,
+    /// The namespace-wide per-minute rate limit.
+    rate: RateWindow,
     warm: HashMap<String, Vec<Container>>,
     waiters: VecDeque<CapacityWaiter>,
     inflight: usize,
@@ -433,9 +456,6 @@ struct Inner {
     // on the hasher.
     records: Mutex<BTreeMap<ActivationId, ActivationRecord>>,
     completions: Mutex<HashMap<ActivationId, Event>>,
-    /// Namespace admission semaphore, present only in
-    /// [`PlatformConfig::queue_on_concurrency_limit`] mode.
-    concurrency_sem: Option<Semaphore>,
     /// Wait-for-graph resource standing for the cluster's container
     /// capacity; activations hold it while they own a container, and
     /// capacity waiters block on it.
@@ -536,8 +556,7 @@ impl CloudFunctions {
                 actions: Mutex::new(HashMap::new()),
                 pool: Mutex::new(PoolState {
                     total_containers: 0,
-                    rate_window_start: SimInstant::ZERO,
-                    rate_window_count: 0,
+                    rate: RateWindow::default(),
                     warm: HashMap::new(),
                     waiters: VecDeque::new(),
                     inflight: 0,
@@ -551,9 +570,6 @@ impl CloudFunctions {
                 }),
                 records: Mutex::new(BTreeMap::new()),
                 completions: Mutex::new(HashMap::new()),
-                concurrency_sem: config.queue_on_concurrency_limit.then(|| {
-                    Semaphore::named(kernel, config.concurrency_limit, "namespace-concurrency")
-                }),
                 capacity_res: kernel.create_resource("capacity", "cluster-containers"),
                 admission_res: kernel.create_resource("admission", "tenant-admission"),
                 agent_ops: OpCounters::shared(),
@@ -679,20 +695,15 @@ impl CloudFunctions {
             .cloned()
             .ok_or_else(|| InvokeError::ActionNotFound(action.to_owned()))?;
 
-        let window = Duration::from_secs(60);
         let now = self.inner.kernel.now();
         let policy = self.effective_policy(namespace);
         let (id, gate, tenanted) = {
             let mut pool = self.inner.pool.lock();
-            if now.duration_since(pool.rate_window_start) >= window {
-                pool.rate_window_start = now;
-                pool.rate_window_count = 0;
-            }
-            if pool.rate_window_count >= self.inner.config.invocations_per_minute {
+            let limit = self.inner.config.invocations_per_minute;
+            if let Err(retry_after) = pool.rate.check(now, limit) {
                 pool.stats.throttled += 1;
-                let retry_after = pool.rate_window_start + window - now;
                 return Err(InvokeError::Throttled {
-                    limit: self.inner.config.invocations_per_minute as usize,
+                    limit: limit as usize,
                     retry_after,
                 });
             }
@@ -702,33 +713,30 @@ impl CloudFunctions {
                 // Tenant plane: rate limit, then admit / queue / shed.
                 // The tenant borrow is scoped so the global pool fields can
                 // be updated once the decision is known.
-                if now.duration_since(t.rate_window_start) >= window {
-                    t.rate_window_start = now;
-                    t.rate_window_count = 0;
-                }
-                let decision = if t.rate_window_count >= t.cfg.invocations_per_minute {
+                let limit = t.cfg.invocations_per_minute;
+                let decision = if let Err(retry_after) = t.rate.check(now, limit) {
                     t.stats.throttled += 1;
                     TenantAdmission::Throttle {
-                        limit: t.cfg.invocations_per_minute as usize,
-                        retry_after: t.rate_window_start + window - now,
+                        limit: limit as usize,
+                        retry_after,
                     }
+                } else if t.queue.is_empty()
+                    && t.inflight < t.cfg.concurrency_quota
+                    && global_inflight_ok
+                {
+                    t.inflight += 1;
+                    t.stats.submitted += 1;
+                    t.rate.record();
+                    TenantAdmission::Admit
+                } else if t.queue.len() < t.cfg.queue_depth {
+                    t.stats.submitted += 1;
+                    t.stats.queued += 1;
+                    t.rate.record();
+                    TenantAdmission::Queue
                 } else {
-                    t.rate_window_count += 1;
-                    if t.queue.is_empty()
-                        && t.inflight < t.cfg.concurrency_quota
-                        && global_inflight_ok
-                    {
-                        t.inflight += 1;
-                        t.stats.submitted += 1;
-                        TenantAdmission::Admit
-                    } else if t.queue.len() < t.cfg.queue_depth {
-                        t.stats.submitted += 1;
-                        t.stats.queued += 1;
-                        TenantAdmission::Queue
-                    } else {
-                        t.stats.shed += 1;
-                        TenantAdmission::Shed(t.cfg.queue_depth)
-                    }
+                    // Shed requests are refused, so they cost no rate budget.
+                    t.stats.shed += 1;
+                    TenantAdmission::Shed(t.cfg.queue_depth)
                 };
                 match decision {
                     TenantAdmission::Throttle { limit, retry_after } => {
@@ -761,11 +769,7 @@ impl CloudFunctions {
                 }
             } else {
                 // Single-tenant plane: the paper's global limits.
-                // In queue mode the admission semaphore bounds concurrency
-                // instead: over-limit activations park rather than bounce.
-                if self.inner.concurrency_sem.is_none()
-                    && pool.inflight >= self.inner.config.concurrency_limit
-                {
+                if pool.inflight >= self.inner.config.concurrency_limit {
                     pool.stats.throttled += 1;
                     return Err(InvokeError::Throttled {
                         limit: self.inner.config.concurrency_limit,
@@ -776,7 +780,7 @@ impl CloudFunctions {
                 (None, false)
             };
 
-            pool.rate_window_count += 1;
+            pool.rate.record();
             pool.stats.submitted += 1;
             let id = ActivationId(pool.next_activation_id);
             pool.next_activation_id += 1;
@@ -1105,12 +1109,6 @@ impl CloudFunctions {
             // invocations blocked on admission point here in wait-for
             // graphs until the slot is released at completion.
             self.inner.kernel.hold_resource(self.inner.admission_res);
-        } else if let Some(sem) = &self.inner.concurrency_sem {
-            // lint: allow(L011) — false positive: this is the workspace's
-            // only in-scope semaphore acquisition, so the semaphore→semaphore
-            // order can only mean run_activation re-entering itself — an
-            // artifact of name-based call resolution; activations never nest
-            sem.acquire_raw();
         }
         let (container, cold, pull_bytes) =
             self.acquire_container(namespace, action_name, &registered);
@@ -1194,11 +1192,6 @@ impl CloudFunctions {
         }
         if tenanted {
             self.inner.kernel.release_resource(self.inner.admission_res);
-        }
-        // Release admission before firing completion, so a parent woken by
-        // the completion finds the concurrency slot already free.
-        if let Some(sem) = &self.inner.concurrency_sem {
-            sem.release_raw();
         }
         completion.fire();
     }
@@ -1830,6 +1823,25 @@ mod tests {
     }
 
     #[test]
+    fn rate_window_checks_without_consuming_and_rolls_at_60s() {
+        let at = |s: u64| SimInstant::ZERO + Duration::from_secs(s);
+        let just_before_60 = SimInstant::from_nanos(60_000_000_000 - 1);
+        let mut w = RateWindow::default();
+        // `check` consumes nothing: only `record` spends budget.
+        for _ in 0..5 {
+            assert_eq!(w.check(at(10), 1), Ok(()));
+        }
+        w.record();
+        // Full: `retry_after` is the remainder of the window opened at t=0.
+        assert_eq!(w.check(at(10), 1), Err(Duration::from_secs(50)));
+        assert_eq!(w.check(just_before_60, 1), Err(Duration::from_nanos(1)));
+        // Rolls at exactly 60 s; the new window starts at the roll instant.
+        assert_eq!(w.check(at(60), 1), Ok(()));
+        w.record();
+        assert_eq!(w.check(at(90), 1), Err(Duration::from_secs(30)));
+    }
+
+    #[test]
     fn prewarm_halves_never_block_on_contended_platform_locks() {
         // A prewarm runs as a light task on a borrowed stack: parking
         // there aborts the simulation (lint rule L008). Both halves must
@@ -2070,95 +2082,6 @@ mod tests {
             faas.wait(id);
         });
         assert_eq!(faas.stats().throttled, 1);
-    }
-
-    #[test]
-    fn queue_mode_parks_instead_of_throttling() {
-        let cfg = PlatformConfig {
-            concurrency_limit: 2,
-            queue_on_concurrency_limit: true,
-            ..PlatformConfig::default()
-        };
-        let (kernel, faas) = setup(cfg);
-        faas.register_action(
-            "slow",
-            ActionConfig::default(),
-            |ctx: &ActivationCtx, _p: Bytes| {
-                ctx.charge(Duration::from_secs(60));
-                Ok(Bytes::new())
-            },
-        )
-        .unwrap();
-        kernel.run("client", || {
-            // 6 invocations through 2 admission slots: all accepted, none
-            // rejected, and the queue serializes them into 3 batches.
-            let ids: Vec<_> = (0..6)
-                .map(|_| faas.invoke("slow", Bytes::new()).unwrap())
-                .collect();
-            for id in ids {
-                let record = faas.wait(id);
-                assert!(record.result.is_some(), "activation succeeded");
-            }
-            assert!(
-                rustwren_sim::now().as_secs_f64() >= 180.0,
-                "3 batches of 60s"
-            );
-        });
-        assert_eq!(faas.stats().throttled, 0);
-        assert_eq!(faas.stats().completed, 6);
-    }
-
-    #[test]
-    fn queue_mode_nested_overcommit_deadlocks_with_cycle() {
-        // One admission slot; the parent holds it while blocking on its
-        // child, which queues on the same slot: a true self-deadlock the
-        // wait-for graph must spell out.
-        let cfg = PlatformConfig {
-            concurrency_limit: 1,
-            queue_on_concurrency_limit: true,
-            ..PlatformConfig::default()
-        };
-        let (kernel, faas) = setup(cfg);
-        let faas2 = faas.clone();
-        faas.register_action(
-            "parent",
-            ActionConfig::default(),
-            move |ctx: &ActivationCtx, _p: Bytes| {
-                let id = faas2
-                    .invoke("child", Bytes::new())
-                    .map_err(|e| crate::ActionError(e.to_string()))?;
-                ctx.platform().wait(id);
-                Ok(Bytes::new())
-            },
-        )
-        .unwrap();
-        faas.register_action(
-            "child",
-            ActionConfig::default(),
-            |_ctx: &ActivationCtx, _p: Bytes| Ok(Bytes::new()),
-        )
-        .unwrap();
-        let panic = panic::catch_unwind(AssertUnwindSafe(|| {
-            kernel.run("client", || {
-                let id = faas.invoke("parent", Bytes::new()).unwrap();
-                faas.wait(id);
-            });
-        }))
-        .expect_err("nested overcommit must deadlock");
-        let msg = panic
-            .downcast_ref::<String>()
-            .cloned()
-            .expect("panic payload is the report string");
-        assert!(msg.contains("simulation deadlock"), "missing header: {msg}");
-        assert!(msg.contains("wait-for cycle:"), "missing cycle: {msg}");
-        assert!(
-            msg.contains("semaphore `namespace-concurrency`"),
-            "missing admission semaphore: {msg}"
-        );
-        assert!(
-            msg.contains("act-"),
-            "missing activation thread names: {msg}"
-        );
     }
 
     #[test]

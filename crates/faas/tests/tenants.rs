@@ -101,6 +101,38 @@ fn full_admission_queue_sheds_with_depth() {
     assert_eq!(faas.tenant_stats("acme").unwrap().shed, 1);
 }
 
+#[test]
+fn shed_requests_do_not_consume_rate_budget() {
+    // The rate limit is "invocations *accepted* per minute": a request the
+    // tenant refused must not also count against it.
+    let cfg = PlatformConfig {
+        tenants: vec![TenantConfig::new("acme", 1).queue_depth(1).rate_limit(3)],
+        ..PlatformConfig::default()
+    };
+    let (kernel, faas) = setup(cfg);
+    faas.register_action("f", ActionConfig::default(), charge_action(5))
+        .unwrap();
+    kernel.run("client", || {
+        let invoke = || faas.invoke_in("acme", "f", Bytes::new());
+        let admitted = invoke().unwrap();
+        let queued = invoke().unwrap();
+        // Third: queue full. Fourth: still only two accepted of the three
+        // allowed, so it is shed again rather than throttled.
+        for _ in 0..2 {
+            assert!(matches!(invoke(), Err(InvokeError::ShedLoad { .. })));
+        }
+        assert!(faas.wait(admitted).is_success());
+        assert!(faas.wait(queued).is_success());
+        // Room again, in the same minute: the third accepted invocation
+        // uses up the budget and the next one is throttled.
+        let third = invoke().unwrap();
+        assert!(matches!(invoke(), Err(InvokeError::Throttled { .. })));
+        assert!(faas.wait(third).is_success());
+    });
+    let stats = faas.tenant_stats("acme").unwrap();
+    assert_eq!((stats.submitted, stats.shed, stats.throttled), (3, 2, 1));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 

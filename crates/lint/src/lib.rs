@@ -20,14 +20,14 @@
 //! | L003 | `HashMap`/`HashSet` iteration escaping into order-sensitive output |
 //! | L004 | `unwrap()`/`expect()` on agent/executor/shuffle hot paths |
 //! | L005 | `println!`/`eprintln!`/`dbg!` in library crates |
-//! | L006 | unbounded channel construction outside the sim kernel |
+//! | L006 | *retired in PR 15 (unbounded channel construction; number reserved)* |
 //! | L007 | static lock sites never exercised by any explored schedule |
 //! | L008 | blocking sim primitive reachable from a `spawn_light` closure |
 //! | L009 | panic site transitively reachable from an agent hot path |
 //! | L010 | wall-clock API transitively reachable from a simulated path |
 //! | L011 | static lock order never exercised by the dynamic lock graph |
 //!
-//! L001–L007 are per-line lexical rules; L008–L011 are *interprocedural*:
+//! L001–L005 and L007 are per-line lexical rules; L008–L011 are *interprocedural*:
 //! they run on a workspace-wide call graph ([`symbols`] → [`graph`] →
 //! [`reach`]) with conservative over-approximating edge resolution, so a
 //! clean report is a proof over all call paths the heuristics can see,
@@ -60,7 +60,6 @@ pub enum Rule {
     L003,
     L004,
     L005,
-    L006,
     L007,
     L008,
     L009,
@@ -70,13 +69,12 @@ pub enum Rule {
 
 impl Rule {
     /// Every rule, in order.
-    pub const ALL: [Rule; 11] = [
+    pub const ALL: [Rule; 10] = [
         Rule::L001,
         Rule::L002,
         Rule::L003,
         Rule::L004,
         Rule::L005,
-        Rule::L006,
         Rule::L007,
         Rule::L008,
         Rule::L009,
@@ -92,7 +90,6 @@ impl Rule {
             Rule::L003 => "L003",
             Rule::L004 => "L004",
             Rule::L005 => "L005",
-            Rule::L006 => "L006",
             Rule::L007 => "L007",
             Rule::L008 => "L008",
             Rule::L009 => "L009",
@@ -109,7 +106,6 @@ impl Rule {
             Rule::L003 => "hash-order iteration escaping into output",
             Rule::L004 => "unwrap/expect on an agent hot path",
             Rule::L005 => "print macro in library code",
-            Rule::L006 => "unbounded channel construction",
             Rule::L007 => "lock site unexercised by explored schedules",
             Rule::L008 => "blocking primitive reachable from a spawn_light closure",
             Rule::L009 => "panic site reachable from an agent hot path",
@@ -176,19 +172,11 @@ impl Rule {
                  Library output corrupts the structured trace/golden streams the\n\
                  harnesses compare. Fix: use the tracing hooks or return data."
             }
-            Rule::L006 => {
-                "L006 — unbounded channel construction\n\
-                 \n\
-                 Flags unbounded channel constructors outside the sim kernel.\n\
-                 Unbounded queues hide backpressure bugs the paper's COS-limited\n\
-                 environment would surface. Fix: `Channel::bounded` with an\n\
-                 explicit capacity."
-            }
             Rule::L007 => {
                 "L007 — lock site unexercised by explored schedules\n\
                  \n\
                  Cross-checks every static `Mutex::new` / `RwLock::new` /\n\
-                 `Semaphore::new` site against the dynamic lock-order graph\n\
+                 `Condvar::new` site against the dynamic lock-order graph\n\
                  exported by rustwren-verify (target/verify/lock-exercise.txt).\n\
                  A lock the model checker never exercises is a lock whose\n\
                  deadlocks ship unverified. Fix: add a verify scenario touching\n\
@@ -199,8 +187,7 @@ impl Rule {
                  \n\
                  Interprocedural. A closure passed to `spawn_light` runs as a\n\
                  poll on the kernel dispatch loop; calling a blocking primitive\n\
-                 (`Event::wait`, `Semaphore::acquire`, `Channel::recv`/`send`,\n\
-                 `Barrier::wait`, `WaitGroup::wait`, `sleep`) from inside it\n\
+                 (`Event::wait`, `sleep`, `Kernel::block_current`) from inside it\n\
                  would block the dispatcher itself — the kernel panics at\n\
                  runtime (kernel.rs `IN_LIGHT_STEP`). This rule proves the\n\
                  absence statically: it walks the call graph from every\n\
@@ -208,8 +195,8 @@ impl Rule {
                  with the full call chain in the message.\n\
                  \n\
                  Fix: restructure as `LightStep` state transitions (return\n\
-                 `LightStep::Sleep(..)` instead of calling `sleep`; use\n\
-                 `try_acquire`/`try_recv` and reschedule). The parking_lot shim\n\
+                 `LightStep::Sleep(..)` instead of calling `sleep`; poll\n\
+                 `Event::is_fired` and reschedule). The parking_lot shim\n\
                  `Mutex::lock` is NOT a blocking sink: it spins via `try_lock`\n\
                  and never parks the dispatcher.\n\
                  \n\
@@ -270,7 +257,7 @@ impl Rule {
         }
     }
 
-    /// Parses `"L001"` … `"L011"`.
+    /// Parses `"L001"` … `"L011"` (not the retired `"L006"`).
     pub fn parse(s: &str) -> Option<Rule> {
         Rule::ALL.iter().copied().find(|r| r.as_str() == s)
     }

@@ -83,6 +83,13 @@ fn parse_args() -> Result<Args, String> {
             "--graph-out" => graph_out = Some(PathBuf::from(value("--graph-out")?)),
             "--explain" => {
                 let id = value("--explain")?;
+                if id == "L006" {
+                    println!(
+                        "L006 — unbounded channel construction: retired in PR 15, when \
+                         the sim kernel's channels were deleted. The number stays reserved."
+                    );
+                    std::process::exit(0);
+                }
                 let Some(rule) = Rule::parse(&id) else {
                     return Err(format!(
                         "unknown rule `{id}` (valid: {})",

@@ -92,12 +92,6 @@ pub fn is_blocking_sink(def: &FnDef) -> bool {
     matches!(
         (def.receiver.as_deref(), def.name.as_str()),
         (Some("Event"), "wait")
-            | (Some("Semaphore"), "acquire")
-            | (Some("Semaphore"), "acquire_raw")
-            | (Some("Receiver"), "recv")
-            | (Some("Sender"), "send")
-            | (Some("Barrier"), "wait")
-            | (Some("WaitGroup"), "wait")
             | (Some("Kernel"), "sleep")
             | (Some("Kernel"), "block_current")
             | (Some("Kernel"), "block_current_with")
@@ -234,12 +228,11 @@ fn kind_bit(kind: &str) -> u8 {
     match kind {
         "mutex" => 1,
         "rwlock" => 2,
-        "semaphore" => 4,
         _ => 0,
     }
 }
 
-const KINDS: [&str; 3] = ["mutex", "rwlock", "semaphore"];
+const KINDS: [&str; 2] = ["mutex", "rwlock"];
 
 fn kinds_of(mask: u8) -> impl Iterator<Item = &'static str> {
     KINDS.into_iter().filter(move |k| mask & kind_bit(k) != 0)
@@ -524,25 +517,23 @@ mod tests {
 
     #[test]
     fn static_lock_edges_direct_and_through_calls() {
-        let g = graph_of(&[(
-            "crates/core/src/registry.rs",
-            "fn nested(a: &M, b: &M) {\n\
-                 let ga = a.lock();\n\
-                 let gb = b.read();\n\
-             }\n\
-             fn outer(a: &M) {\n\
-                 let ga = a.lock();\n\
-                 helper();\n\
-             }\n\
-             fn helper() { s.acquire(); }\n",
-        )]);
-        let e = static_lock_edges(&g);
-        assert!(e.contains_key(&("mutex", "rwlock")), "{e:?}");
-        assert!(e.contains_key(&("mutex", "semaphore")), "{e:?}");
-        assert!(
-            !e.contains_key(&("rwlock", "mutex")),
-            "order matters: {e:?}"
-        );
+        let direct = "fn nested(a: &M, b: &M) {\n\
+                          let ga = a.lock();\n\
+                          let gb = b.read();\n\
+                      }\n";
+        let through_call = "fn outer(a: &M) {\n\
+                                let ga = a.lock();\n\
+                                helper();\n\
+                            }\n\
+                            fn helper() { r.write(); }\n";
+        for src in [direct, through_call] {
+            let e = static_lock_edges(&graph_of(&[("crates/core/src/registry.rs", src)]));
+            assert!(e.contains_key(&("mutex", "rwlock")), "{e:?}");
+            assert!(
+                !e.contains_key(&("rwlock", "mutex")),
+                "order matters: {e:?}"
+            );
+        }
     }
 
     #[test]
@@ -557,15 +548,15 @@ mod tests {
     #[test]
     fn l011_reports_only_unexercised_orders() {
         let mut st = StaticLockEdges::new();
-        st.insert(("mutex", "rwlock"), ("crates/core/src/a.rs".into(), 3));
-        st.insert(("mutex", "semaphore"), ("crates/core/src/b.rs".into(), 9));
-        let dynamic: BTreeSet<(String, String)> = [("mutex".to_owned(), "rwlock".to_owned())]
+        st.insert(("mutex", "mutex"), ("crates/core/src/a.rs".into(), 3));
+        st.insert(("mutex", "rwlock"), ("crates/core/src/b.rs".into(), 9));
+        let dynamic: BTreeSet<(String, String)> = [("mutex".to_owned(), "mutex".to_owned())]
             .into_iter()
             .collect();
         let v = l011(&st, &dynamic, 42);
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].file, "crates/core/src/b.rs");
-        assert!(v[0].message.contains("mutex→semaphore"));
+        assert!(v[0].message.contains("mutex→rwlock"));
         assert!(v[0].message.contains("42 explored"));
     }
 }

@@ -41,8 +41,6 @@ pub fn rule_applies(rule: Rule, path: &str) -> bool {
                 && !path.ends_with("/main.rs")
                 && !path.starts_with("crates/bench/")
         }
-        // The sim sync layer defines (and owns) the unbounded channel.
-        Rule::L006 => !path.starts_with("crates/sim/src/sync/"),
         // L007 is workspace-level; per-file it only inventories lock
         // sites in the crates the model checker drives.
         Rule::L007 => ["crates/core/src/", "crates/store/src/", "crates/faas/src/"]
@@ -76,9 +74,6 @@ pub fn check_file(scan: &FileScan) -> Vec<Violation> {
     if rule_applies(Rule::L005, &scan.path) {
         l005_print(scan, &mut out);
     }
-    if rule_applies(Rule::L006, &scan.path) {
-        l006_unbounded(scan, &mut out);
-    }
     out
 }
 
@@ -89,24 +84,22 @@ pub struct LockSite {
     pub file: String,
     /// 1-indexed line.
     pub line: usize,
-    /// Dynamic-graph kind name (`mutex`, `rwlock`, `condvar`, `semaphore`).
+    /// Dynamic-graph kind name (`mutex`, `rwlock`, `condvar`).
     pub kind: &'static str,
 }
 
 /// Inventories instrumented-lock construction sites in `scan` (L007's
 /// static half). `StdMutex::new` is deliberately not matched: only the
-/// parking_lot shim and the kernel primitives feed the dynamic graph.
+/// parking_lot shim feeds the dynamic graph.
 pub fn lock_sites(scan: &FileScan) -> Vec<LockSite> {
     let mut out = Vec::new();
     if !rule_applies(Rule::L007, &scan.path) {
         return out;
     }
-    const PATTERNS: [(&str, &str); 5] = [
+    const PATTERNS: [(&str, &str); 3] = [
         ("Mutex::new(", "mutex"),
         ("RwLock::new(", "rwlock"),
         ("Condvar::new(", "condvar"),
-        ("Semaphore::new(", "semaphore"),
-        ("Semaphore::named(", "semaphore"),
     ];
     for (pat, kind) in PATTERNS {
         for (line, _) in find_all(scan, pat, true) {
@@ -571,33 +564,6 @@ fn l005_print(scan: &FileScan, out: &mut Vec<Violation>) {
     }
 }
 
-// ---------------------------------------------------------------------------
-// L006 — unbounded channels
-// ---------------------------------------------------------------------------
-
-fn l006_unbounded(scan: &FileScan, out: &mut Vec<Violation>) {
-    for (line, col) in find_all(scan, "unbounded", true) {
-        let idx = line - 1;
-        let l = &scan.lines[idx];
-        let after = &l[(col + "unbounded".len()).min(l.len())..];
-        let trimmed = after.trim_start();
-        if !(trimmed.starts_with('(') || trimmed.starts_with("::<")) {
-            continue; // re-export, doc link, identifier fragment
-        }
-        if l[..col].trim_end().ends_with("fn") {
-            continue; // the definition site itself (`pub fn unbounded<T>(…`)
-        }
-        out.push(Violation {
-            rule: Rule::L006,
-            file: scan.path.clone(),
-            line,
-            message: "unbounded channel construction: queues must be bounded so \
-                      backpressure is modeled (use `sync::bounded` with an explicit cap)"
-                .to_owned(),
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -682,33 +648,15 @@ mod tests {
     }
 
     #[test]
-    fn l006_calls_but_not_reexports_or_definitions() {
-        assert_eq!(
-            violations("crates/core/src/x.rs", "let (tx, rx) = unbounded(&k);\n").len(),
-            1
-        );
-        assert!(violations(
-            "crates/core/src/x.rs",
-            "pub use channel::{bounded, unbounded, Sender};\n"
-        )
-        .is_empty());
-        assert!(violations(
-            "crates/sim/src/channel2.rs",
-            "pub fn unbounded<T>(k: &K) {}\n"
-        )
-        .is_empty());
-    }
-
-    #[test]
     fn lock_sites_inventoried_in_scope() {
         let scan = scan_source(
             "crates/core/src/executor.rs",
-            "let m = Mutex::new(0);\nlet s = Semaphore::named(&k, 2, \"slots\");\nlet x = StdMutex::new(0);\n",
+            "let m = Mutex::new(0);\nlet s = RwLock::new(2);\nlet x = StdMutex::new(0);\n",
         );
         let sites = lock_sites(&scan);
         assert_eq!(sites.len(), 2);
         assert_eq!(sites[0].kind, "mutex");
-        assert_eq!(sites[1].kind, "semaphore");
+        assert_eq!(sites[1].kind, "rwlock");
         assert!(lock_sites(&scan_source("crates/bench/src/x.rs", "Mutex::new(0);")).is_empty());
     }
 

@@ -3,7 +3,7 @@
 //! against the model checker's dynamic lock-exercise report.
 //!
 //! The pass is two-phase. Phase one scans every file for the per-line
-//! rules (L001–L006) while accumulating the symbol index; phase two
+//! rules (L001–L005) while accumulating the symbol index; phase two
 //! builds the workspace call graph from the index and runs the
 //! interprocedural rules (L008–L011) plus the L007 cross-check.
 //! Interprocedural violations go through the same suppression → allow →

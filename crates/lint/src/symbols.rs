@@ -80,7 +80,7 @@ pub enum SiteKind {
     /// A wall-clock read (`Instant::now`, `SystemTime::now`).
     WallClock,
     /// An instrumented-lock acquisition; the payload is the dynamic
-    /// graph's kind name (`mutex`, `rwlock`, `semaphore`).
+    /// graph's kind name (`mutex`, `rwlock`).
     LockAcquire(&'static str),
 }
 
@@ -153,13 +153,8 @@ const PANIC_METHODS: [&str; 2] = ["unwrap", "expect"];
 /// Empty-args lock acquisition methods → dynamic-graph kind name. Only
 /// the zero-argument forms are matched: `.read()`/`.write()` with
 /// arguments are I/O, not parking_lot.
-const LOCK_METHODS: [(&str, &str); 5] = [
-    ("lock", "mutex"),
-    ("read", "rwlock"),
-    ("write", "rwlock"),
-    ("acquire", "semaphore"),
-    ("acquire_raw", "semaphore"),
-];
+const LOCK_METHODS: [(&str, &str); 3] =
+    [("lock", "mutex"), ("read", "rwlock"), ("write", "rwlock")];
 
 enum ScopeKind {
     Plain,
@@ -673,7 +668,7 @@ mod tests {
                  panic!(\"boom\");\n\
                  let t = Instant::now();\n\
                  let g = m.lock();\n\
-                 let s = sem.acquire();\n\
+                 let r = rw.read();\n\
                  let e = v[0];\n\
              }\n",
         );
@@ -683,7 +678,7 @@ mod tests {
         assert!(kinds.contains(&"panic!"));
         assert!(kinds.contains(&"Instant::now"));
         assert!(kinds.contains(&"mutex"));
-        assert!(kinds.contains(&"semaphore"));
+        assert!(kinds.contains(&"rwlock"));
         assert!(kinds.contains(&"index"));
     }
 

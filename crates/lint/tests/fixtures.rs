@@ -50,12 +50,6 @@ fn corpus() -> Vec<(Rule, &'static str, &'static str, &'static str)> {
             "fn f() { println!(\"hi\"); }\n",
             "fn f() { println!(\"hi\"); } // lint: allow(L005) — fixture\n",
         ),
-        (
-            Rule::L006,
-            "crates/core/src/planted.rs",
-            "fn f(k: &Kernel) { let (tx, rx) = unbounded(k); }\n",
-            "fn f(k: &Kernel) { let (tx, rx) = unbounded(k); } // lint: allow(L006) — fixture\n",
-        ),
     ]
 }
 
@@ -282,11 +276,11 @@ fn l007_end_to_end_with_lock_report() {
     plant(
         &root,
         "crates/core/src/planted.rs",
-        "fn f(k: &Kernel) { let s = Semaphore::new(k, 2); }\n",
+        "fn f() { let s = RwLock::new(2); }\n",
     );
     let opts = Options::new(&root);
 
-    // Report present but the semaphore kind was never exercised: L007.
+    // Report present but the rwlock kind was never exercised: L007.
     plant(
         &root,
         "target/verify/lock-exercise.txt",
@@ -301,7 +295,7 @@ fn l007_end_to_end_with_lock_report() {
     plant(
         &root,
         "target/verify/lock-exercise.txt",
-        "runs 2\nkind mutex 5\nkind semaphore 1\n",
+        "runs 2\nkind mutex 5\nkind rwlock 1\n",
     );
     let outcome = run(&opts);
     assert!(outcome.clean(), "{:?}", outcome.new_violations);

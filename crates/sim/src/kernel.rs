@@ -11,7 +11,7 @@
 //! # Determinism: cooperative serialization
 //!
 //! The kernel runs **at most one simulated thread at a time**. A wake (timer
-//! expiry, event fire, semaphore release) does not start the woken thread;
+//! expiry, event fire, lock release) does not start the woken thread;
 //! it appends the thread to a FIFO *ready queue*. Only when the currently
 //! running thread blocks (or exits) does the kernel dispatch the next ready
 //! thread; when the ready queue is empty it pops exactly one timer — the
@@ -38,7 +38,7 @@
 //! simulation can never progress. The kernel maintains a **wait-for graph**
 //! for exactly this moment: synchronization primitives register themselves
 //! as [`ResourceId`]s and record which threads currently *hold* them (a
-//! semaphore permit, the right to fire an event) and which threads are
+//! lock, an admission slot, the right to fire an event) and which threads are
 //! *blocked* on them. On deadlock the kernel panics with a diagnostic that
 //! lists each blocked thread, the resource it waits on and that resource's
 //! holders — and, when the blocked-on/held-by edges close a cycle, prints
@@ -47,9 +47,9 @@
 //! ```text
 //! simulation deadlock at t=1.234s: all 3 registered thread(s) are blocked and no timer is pending
 //!   - thread `act-1` blocked on event.wait (event `act-2`, held by `act-2`)
-//!   - thread `act-2` blocked on semaphore.acquire (semaphore `namespace-concurrency`, held by `act-1`)
+//!   - thread `act-2` blocked on event.wait (admission `tenant-admission`, held by `act-1`)
 //!   - thread `client` blocked on event.wait (event `act-1`, held by `act-1`)
-//! wait-for cycle: `act-1` -[event `act-2`]-> `act-2` -[semaphore `namespace-concurrency`]-> `act-1`
+//! wait-for cycle: `act-1` -[event `act-2`]-> `act-2` -[admission `tenant-admission`]-> `act-1`
 //! ```
 //!
 //! Every blocked thread is woken into the panic (not just the thread that
@@ -235,22 +235,21 @@ impl Ord for TimerEntry {
 /// Identifier of a resource registered for wait-for-graph diagnostics.
 ///
 /// A *resource* is anything a simulated thread can block on while another
-/// thread is responsible for releasing it: a semaphore's permits, an event's
-/// fire, a channel's slots. Synchronization primitives register themselves
-/// automatically; simulation layers (like the FaaS platform's container
-/// capacity) may register further resources via [`Kernel::create_resource`]
-/// and annotate holders with [`Kernel::hold_resource`] /
-/// [`Kernel::release_resource`]. The graph is purely diagnostic — it never
-/// affects scheduling — but it is what lets a deadlock panic name the cycle
-/// instead of just listing blocked threads.
+/// thread is responsible for releasing it: a lock, an event's fire.
+/// Synchronization primitives register themselves automatically; simulation
+/// layers (like the FaaS platform's container capacity) may register further
+/// resources via [`Kernel::create_resource`] and annotate holders with
+/// [`Kernel::hold_resource`] / [`Kernel::release_resource`]. The graph is
+/// purely diagnostic — it never affects scheduling — but it is what lets a
+/// deadlock panic name the cycle instead of just listing blocked threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ResourceId(u64);
 
 /// Diagnostic record for one registered resource.
 struct ResourceInfo {
-    /// Resource kind, e.g. `"semaphore"` or `"event"`.
+    /// Resource kind, e.g. `"mutex"` or `"event"`.
     kind: &'static str,
-    /// Human-readable instance label, e.g. `"namespace-concurrency"`.
+    /// Human-readable instance label, e.g. `"tenant-admission"`.
     label: String,
     /// Whether the label was generated (`kind#N`). Generated labels vary
     /// across schedules, so the lock-order recorder must not use them as
@@ -279,7 +278,7 @@ struct VcvEntry {
 /// Diagnostic record for one blocked thread.
 struct BlockedInfo {
     waiter: Arc<Waiter>,
-    /// The blocking operation, e.g. `"semaphore.acquire"`.
+    /// The blocking operation, e.g. `"event.wait"`.
     reason: &'static str,
     /// The resource being waited on, when the primitive registered one.
     resource: Option<ResourceId>,
@@ -409,47 +408,24 @@ impl State {
         }
     }
 
-    /// Records that `w` acquired kernel primitive `res` (lock semantics:
-    /// emits order edges against everything `w` holds).
-    pub(crate) fn rec_acquired(&mut self, res: ResourceId, kind: SyncKind, w: &Waiter) {
+    /// Records a true-ordering publish on `res` (event fire): `w`'s history
+    /// becomes visible to later observers.
+    pub(crate) fn rec_publish(&mut self, res: ResourceId, w: &Waiter) {
         self.touch(res);
         if let Some(order) = self.order.as_mut() {
             let label = Self::merge_label(&self.resources, res);
-            let inst = order.intern(Space::Resource, res.0, kind, label, &w.name);
-            order.acquired(w.id, &w.name, inst);
-        }
-    }
-
-    /// Records that `w` released kernel primitive `res`.
-    pub(crate) fn rec_released(&mut self, res: ResourceId, kind: SyncKind, w: &Waiter) {
-        self.touch(res);
-        if let Some(order) = self.order.as_mut() {
-            let label = Self::merge_label(&self.resources, res);
-            let inst = order.intern(Space::Resource, res.0, kind, label, &w.name);
-            order.released(w.id, &w.name, inst);
-        }
-    }
-
-    /// Records a true-ordering publish on `res` (event fire, channel send,
-    /// waitgroup done, barrier arrival): `w`'s history becomes visible to
-    /// later observers.
-    pub(crate) fn rec_publish(&mut self, res: ResourceId, kind: SyncKind, w: &Waiter) {
-        self.touch(res);
-        if let Some(order) = self.order.as_mut() {
-            let label = Self::merge_label(&self.resources, res);
-            let inst = order.intern(Space::Resource, res.0, kind, label, &w.name);
+            let inst = order.intern(Space::Resource, res.0, SyncKind::Event, label, &w.name);
             order.publish(w.id, &w.name, inst);
         }
     }
 
-    /// Records a true-ordering observe on `res` (event wait-return, channel
-    /// recv, waitgroup wait-return, barrier release): `w` inherits the
-    /// published history.
-    pub(crate) fn rec_observe(&mut self, res: ResourceId, kind: SyncKind, w: &Waiter) {
+    /// Records a true-ordering observe on `res` (event wait-return): `w`
+    /// inherits the published history.
+    pub(crate) fn rec_observe(&mut self, res: ResourceId, w: &Waiter) {
         self.touch(res);
         if let Some(order) = self.order.as_mut() {
             let label = Self::merge_label(&self.resources, res);
-            let inst = order.intern(Space::Resource, res.0, kind, label, &w.name);
+            let inst = order.intern(Space::Resource, res.0, SyncKind::Event, label, &w.name);
             order.observe(w.id, &w.name, inst);
         }
     }
@@ -578,9 +554,12 @@ const FLAG_EXPLORING: u8 = 1;
 /// no-chaos case instead of a mutex acquisition.
 const FLAG_CHAOS: u8 = 2;
 
+/// Stack size of every simulated thread. Large fan-out experiments spawn
+/// thousands of threads; 1 MiB keeps address-space usage modest.
+const STACK_SIZE: usize = 1 << 20;
+
 struct Inner {
     state: RawMutex<State>,
-    stack_size: usize,
     chaos: RawMutex<Option<Arc<crate::chaos::ChaosEngine>>>,
     /// Lock-free mirror of scheduler mode, checked by preemption probes
     /// before taking the state lock. Mutated only under the state lock.
@@ -631,15 +610,7 @@ impl Default for Kernel {
 }
 
 impl Kernel {
-    /// Creates a kernel with the default simulated-thread stack size (1 MiB).
-    pub fn new() -> Kernel {
-        Kernel::with_stack_size(1 << 20)
-    }
-
-    /// Creates a kernel whose simulated threads get `stack_size` byte stacks.
-    ///
-    /// Large fan-out experiments spawn thousands of threads; a smaller stack
-    /// keeps address-space usage modest.
+    /// Creates a kernel.
     ///
     /// When the `RUSTWREN_SCHEDULE` environment variable holds a `v1:` trace
     /// token (printed by schedule exploration on failure), the kernel starts
@@ -648,7 +619,7 @@ impl Kernel {
     /// # Panics
     ///
     /// Panics if `RUSTWREN_SCHEDULE` is set but malformed.
-    pub fn with_stack_size(stack_size: usize) -> Kernel {
+    pub fn new() -> Kernel {
         let kernel = Kernel {
             inner: Arc::new(Inner {
                 state: RawMutex::new(State {
@@ -675,7 +646,6 @@ impl Kernel {
                     vlocks: HashMap::new(),
                     vcvs: HashMap::new(),
                 }),
-                stack_size,
                 chaos: RawMutex::new(None),
                 flags: AtomicU8::new(0),
             }),
@@ -775,7 +745,7 @@ impl Kernel {
 
     /// Registers a resource for wait-for-graph deadlock diagnostics.
     ///
-    /// `kind` is the resource class (`"semaphore"`, `"event"`, ...); `label`
+    /// `kind` is the resource class (`"event"`, `"capacity"`, ...); `label`
     /// names the instance. An empty label gets a generated `kind#N` one.
     /// The id stays valid until [`Kernel::destroy_resource`].
     pub fn create_resource(&self, kind: &'static str, label: impl Into<String>) -> ResourceId {
@@ -917,7 +887,7 @@ impl Kernel {
         let slot2 = Arc::clone(&slot);
         thread::Builder::new()
             .name(name.to_string())
-            .stack_size(self.inner.stack_size)
+            .stack_size(STACK_SIZE)
             .spawn(move || {
                 if from_sim {
                     // Wait for the dispatcher before executing any user code.
@@ -1461,7 +1431,7 @@ impl Kernel {
     /// the resource it waits on) for a cycle and renders it:
     ///
     /// ```text
-    /// wait-for cycle: `a` -[semaphore `s2`]-> `b` -[semaphore `s1`]-> `a`
+    /// wait-for cycle: `a` -[event `e2`]-> `b` -[event `e1`]-> `a`
     /// ```
     fn find_cycle_locked(st: &State) -> Option<String> {
         // Deterministic adjacency: waiter id → [(holder id, resource id)].
@@ -2071,18 +2041,21 @@ mod tests {
         let k = Kernel::new();
         let panic = panic::catch_unwind(AssertUnwindSafe(|| {
             k.run("client", || {
-                let s1 = crate::sync::Semaphore::named(&kernel(), 1, "s1");
-                let s2 = crate::sync::Semaphore::named(&kernel(), 1, "s2");
-                let (s1b, s2b) = (s1.clone(), s2.clone());
+                // ABBA: `a` owes `e1` and waits for `e2`; `b` the reverse.
+                let e1 = Event::named(&kernel(), "e1");
+                let e2 = Event::named(&kernel(), "e2");
+                let (e1b, e2b) = (e1.clone(), e2.clone());
                 let a = spawn("a", move || {
-                    let _g1 = s1.acquire();
+                    e1.mark_holder();
                     sleep(Duration::from_secs(1));
-                    let _g2 = s2.acquire(); // deadlocks against `b`
+                    e2.wait(); // deadlocks against `b`
+                    e1.fire();
                 });
                 let _b = spawn("b", move || {
-                    let _g2 = s2b.acquire();
+                    e2b.mark_holder();
                     sleep(Duration::from_secs(1));
-                    let _g1 = s1b.acquire(); // deadlocks against `a`
+                    e1b.wait(); // deadlocks against `a`
+                    e2b.fire();
                 });
                 a.join();
             });
@@ -2094,12 +2067,12 @@ mod tests {
             .expect("panic payload is the report string");
         assert!(msg.contains("simulation deadlock"), "missing header: {msg}");
         assert!(
-            msg.contains("blocked on semaphore.acquire (semaphore `s2`, held by `b`)"),
+            msg.contains("blocked on event.wait (event `e2`, held by `b`)"),
             "missing holder info: {msg}"
         );
         assert!(msg.contains("wait-for cycle:"), "missing cycle: {msg}");
         assert!(
-            msg.contains("-[semaphore `s2`]-> `b` -[semaphore `s1`]-> `a`"),
+            msg.contains("-[event `e2`]-> `b` -[event `e1`]-> `a`"),
             "missing cycle edges: {msg}"
         );
     }
@@ -2494,7 +2467,7 @@ mod tests {
     #[test]
     fn holder_registration_shares_interned_name() {
         let k = Kernel::new();
-        let res = k.create_resource("semaphore", "gate");
+        let res = k.create_resource("admission", "gate");
         k.run("client", move || {
             let k = kernel();
             k.hold_resource(res);

@@ -31,8 +31,8 @@
 //!
 //! ## Modules
 //!
-//! * [`sync`] — events, MPMC channels, semaphores, wait groups, all blocking
-//!   in virtual time.
+//! * [`sync`] — [`sync::Event`], the one primitive that blocks in virtual
+//!   time.
 //! * [`NetworkProfile`] — latency/bandwidth/loss cost model used by the
 //!   object-store and FaaS simulators.
 //! * [`hash`] — deterministic mixing used for per-request jitter so repeated

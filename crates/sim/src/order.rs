@@ -2,21 +2,19 @@
 //!
 //! When enabled ([`crate::Kernel::record_lock_orders`]), the kernel observes
 //! every acquisition of an instrumented lock — the `parking_lot` shim's
-//! `Mutex`/`RwLock` plus the kernel's own [`crate::sync::Semaphore`] — and
-//! records *order edges*: while holding `A`, the thread acquired `B`. Each
-//! edge carries the set of other locks held at the time (the *guard set*,
-//! for gate-lock suppression) and a vector-clock timestamp (for
-//! happens-before suppression). Condvar notifies/waits are counted so a
-//! cross-run analysis can flag lost-wakeup patterns.
+//! `Mutex`/`RwLock` — and records *order edges*: while holding `A`, the
+//! thread acquired `B`. Each edge carries the set of other locks held at the
+//! time (the *guard set*, for gate-lock suppression) and a vector-clock
+//! timestamp (for happens-before suppression). Condvar notifies/waits are
+//! counted so a cross-run analysis can flag lost-wakeup patterns.
 //!
 //! Crucially, **lock operations do not advance the vector clocks** — only
-//! true ordering primitives do (spawn/join, events, channels, wait groups,
-//! barriers, condvar notify→wake). Two critical sections serialized merely
-//! by a mutex are still *logically concurrent*: the lock could have been
-//! taken in the other order. This is what lets cycle detection over the
-//! merged graphs report an AB-BA deadlock found on a schedule where it
-//! never fired, while init-then-handoff phases (ordered by a join) stay
-//! suppressed.
+//! true ordering primitives do (spawn/join, events, condvar notify→wake).
+//! Two critical sections serialized merely by a mutex are still *logically
+//! concurrent*: the lock could have been taken in the other order. This is
+//! what lets cycle detection over the merged graphs report an AB-BA deadlock
+//! found on a schedule where it never fired, while init-then-handoff phases
+//! (ordered by a join) stay suppressed.
 //!
 //! The per-run output is a [`RunOrderReport`]; `rustwren-analyze` merges
 //! reports from many explored schedules and runs cycle detection.
@@ -33,16 +31,8 @@ pub enum SyncKind {
     RwLock,
     /// `parking_lot` shim condition variable.
     Condvar,
-    /// [`crate::sync::Semaphore`].
-    Semaphore,
     /// [`crate::sync::Event`].
     Event,
-    /// Virtual-time channel endpoints.
-    Channel,
-    /// [`crate::sync::WaitGroup`].
-    WaitGroup,
-    /// [`crate::sync::Barrier`].
-    Barrier,
 }
 
 impl fmt::Display for SyncKind {
@@ -51,11 +41,7 @@ impl fmt::Display for SyncKind {
             SyncKind::Mutex => "mutex",
             SyncKind::RwLock => "rwlock",
             SyncKind::Condvar => "condvar",
-            SyncKind::Semaphore => "semaphore",
             SyncKind::Event => "event",
-            SyncKind::Channel => "channel",
-            SyncKind::WaitGroup => "waitgroup",
-            SyncKind::Barrier => "barrier",
         };
         f.write_str(s)
     }
@@ -241,8 +227,8 @@ impl OrderRecorder {
         self.by_raw.remove(&(space, raw));
     }
 
-    /// Records that thread `tid` acquired lock `inst` (mutex/rwlock/
-    /// semaphore): emits order edges against everything currently held.
+    /// Records that thread `tid` acquired lock `inst` (mutex/rwlock):
+    /// emits order edges against everything currently held.
     pub(crate) fn acquired(&mut self, tid: u64, name: &str, inst: usize) {
         let t = self.thread(tid, name);
         let held = t.held.clone();
@@ -289,8 +275,7 @@ impl OrderRecorder {
     }
 
     /// True-ordering publish: the thread's history becomes visible to later
-    /// acquirers of `inst` (event fire, channel send, waitgroup done,
-    /// condvar notify, barrier arrival).
+    /// acquirers of `inst` (event fire, condvar notify).
     pub(crate) fn publish(&mut self, tid: u64, name: &str, inst: usize) {
         let t = self.thread(tid, name);
         t.clock.tick(tid);
@@ -299,8 +284,7 @@ impl OrderRecorder {
     }
 
     /// True-ordering acquire: the thread inherits the history published to
-    /// `inst` (event wait-return, channel recv, waitgroup wait-return,
-    /// condvar wake, barrier release).
+    /// `inst` (event wait-return, condvar wake).
     pub(crate) fn observe(&mut self, tid: u64, name: &str, inst: usize) {
         let obj = self.object_clocks.get(&inst).cloned().unwrap_or_default();
         let t = self.thread(tid, name);

@@ -4,7 +4,6 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::kernel::{current_waiter, try_current_waiter, Kernel, ResourceId, Waiter};
-use crate::order::SyncKind;
 use crate::rawlock::RawMutex;
 
 #[derive(Default)]
@@ -121,7 +120,7 @@ impl Event {
         };
         if let Some(w) = try_current_waiter(&self.inner.kernel) {
             // Happens-before: waiters woken by this fire inherit our history.
-            st.rec_publish(self.inner.res, SyncKind::Event, &w);
+            st.rec_publish(self.inner.res, &w);
         }
         if self.inner.owns_res {
             // The obligation this event stood for is discharged.
@@ -155,7 +154,7 @@ impl Event {
                 let mut st = self.inner.kernel.lock_state();
                 let mut ev = self.inner.state.lock();
                 if ev.fired {
-                    st.rec_observe(self.inner.res, SyncKind::Event, &waiter);
+                    st.rec_observe(self.inner.res, &waiter);
                     return;
                 }
                 if !ev.waiters.iter().any(|w| w.id() == waiter.id()) {

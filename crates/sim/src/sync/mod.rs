@@ -1,28 +1,23 @@
-//! Virtual-time synchronization primitives.
+//! The virtual-time synchronization primitive.
 //!
-//! Every primitive here blocks in *virtual* time: a thread waiting on an
-//! [`Event`], [`Receiver`], [`Semaphore`] or [`WaitGroup`] counts as blocked
-//! for the kernel, allowing the clock to advance. Wakes are delivered at the
-//! current virtual instant.
+//! A thread waiting on an [`Event`] counts as blocked for the kernel,
+//! allowing the clock to advance. Wakes are delivered at the current
+//! virtual instant. [`Event`] is the only blocking primitive: hand-offs,
+//! latches and admission gates are all built from it (plus
+//! [`SimJoinHandle::join`](crate::SimJoinHandle::join), [`sleep`](crate::sleep)
+//! and the instrumented `parking_lot` locks, which live outside this
+//! module).
 //!
-//! Every primitive registers itself as a [`crate::ResourceId`] in the
-//! kernel's wait-for graph: blocked threads record which resource they wait
-//! on, and permit/event owners are recorded as holders, so a simulation
+//! An event registers itself as a [`crate::ResourceId`] in the kernel's
+//! wait-for graph: blocked threads record which resource they wait on, and
+//! the thread expected to fire is recorded as holder, so a simulation
 //! deadlock panics with the actual wait-for cycle instead of a bare thread
 //! list.
 //!
 //! Lock ordering (internal invariant): the kernel state lock is always
-//! acquired *before* a primitive's own lock, and both are released before a
+//! acquired *before* the event's own lock, and both are released before a
 //! thread parks.
 
-mod barrier;
-mod channel;
 mod event;
-mod semaphore;
-mod waitgroup;
 
-pub use barrier::Barrier;
-pub use channel::{bounded, unbounded, Receiver, RecvError, SendError, Sender, TryRecvError};
 pub use event::Event;
-pub use semaphore::Semaphore;
-pub use waitgroup::WaitGroup;

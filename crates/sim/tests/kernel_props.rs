@@ -3,7 +3,7 @@
 use std::time::Duration;
 
 use proptest::prelude::*;
-use rustwren_sim::{sync::Semaphore, Kernel};
+use rustwren_sim::Kernel;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -64,91 +64,6 @@ proptest! {
                 let now = rustwren_sim::now();
                 prop_assert!(now >= last);
                 last = now;
-            }
-            Ok(())
-        })?;
-    }
-
-    /// k-permit semaphore over n identical tasks takes ceil(n/k) rounds.
-    #[test]
-    fn semaphore_batching_law(n in 1usize..40, permits in 1usize..8, dur_ms in 1u64..100) {
-        let k = Kernel::new();
-        k.run("client", || {
-            let sem = Semaphore::new(&rustwren_sim::kernel(), permits);
-            let hs: Vec<_> = (0..n)
-                .map(|i| {
-                    let sem = sem.clone();
-                    rustwren_sim::spawn(format!("w{i}"), move || {
-                        let _p = sem.acquire();
-                        rustwren_sim::sleep(Duration::from_millis(dur_ms));
-                    })
-                })
-                .collect();
-            for h in hs {
-                h.join();
-            }
-            let rounds = n.div_ceil(permits) as u64;
-            prop_assert_eq!(
-                rustwren_sim::now().as_nanos(),
-                rounds * dur_ms * 1_000_000
-            );
-            Ok(())
-        })?;
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Values from a single producer arrive in send order, regardless of
-    /// interleaved sleeps.
-    #[test]
-    fn channel_preserves_per_producer_order(
-        delays in prop::collection::vec(0u64..500, 1..30)
-    ) {
-        let k = Kernel::new();
-        k.run("client", || {
-            let (tx, rx) = rustwren_sim::sync::unbounded(&rustwren_sim::kernel());
-            let delays2 = delays.clone();
-            rustwren_sim::spawn("producer", move || {
-                for (i, d) in delays2.into_iter().enumerate() {
-                    rustwren_sim::sleep(Duration::from_micros(d));
-                    tx.send(i).expect("receiver alive");
-                }
-            });
-            let got: Vec<usize> = rx.iter().collect();
-            prop_assert_eq!(got, (0..delays.len()).collect::<Vec<_>>());
-            Ok(())
-        })?;
-    }
-
-    /// A barrier releases all parties at the maximum arrival time, for any
-    /// arrival pattern.
-    #[test]
-    fn barrier_releases_at_last_arrival(
-        arrivals in prop::collection::vec(0u64..10_000, 2..12)
-    ) {
-        let k = Kernel::new();
-        let max = *arrivals.iter().max().expect("non-empty");
-        k.run("client", || {
-            let barrier = rustwren_sim::sync::Barrier::new(
-                &rustwren_sim::kernel(),
-                arrivals.len(),
-            );
-            let hs: Vec<_> = arrivals
-                .iter()
-                .enumerate()
-                .map(|(i, &a)| {
-                    let barrier = barrier.clone();
-                    rustwren_sim::spawn(format!("p{i}"), move || {
-                        rustwren_sim::sleep(Duration::from_micros(a));
-                        barrier.wait();
-                        rustwren_sim::now().as_nanos()
-                    })
-                })
-                .collect();
-            for h in hs {
-                prop_assert_eq!(h.join(), max * 1_000);
             }
             Ok(())
         })?;

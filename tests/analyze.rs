@@ -8,7 +8,9 @@ use std::panic::{self, AssertUnwindSafe};
 
 use bytes::Bytes;
 use rustwren::core::{AnalyzeMode, PlanHints, PywrenError, Rule, Severity, SimCloud};
-use rustwren::faas::{ActionConfig, ActivationCtx, CloudFunctions, PlatformConfig};
+use rustwren::faas::{
+    ActionConfig, ActivationCtx, CloudFunctions, PlatformConfig, TenantConfig, DEFAULT_NAMESPACE,
+};
 use rustwren::sim::Kernel;
 use rustwren::store::ObjectStore;
 use rustwren::workloads::mergesort;
@@ -146,7 +148,8 @@ fn tenant_quota_overflow_warns_but_never_blocks() {
 fn unanalyzed_overcommit_deadlocks_with_wait_for_cycle() {
     // The other half of the acceptance criterion: run the same
     // parent-blocks-on-child shape with no analyzer in the way, on a
-    // platform that queues on the concurrency limit instead of throttling.
+    // platform that queues over-limit invocations instead of throttling
+    // them (the default namespace as a tenant with an admission queue).
     // The parent holds the only admission slot while waiting on a child
     // that queues behind it — the kernel must name that cycle.
     let kernel = Kernel::new();
@@ -156,7 +159,7 @@ fn unanalyzed_overcommit_deadlocks_with_wait_for_cycle() {
         &store,
         PlatformConfig {
             concurrency_limit: 1,
-            queue_on_concurrency_limit: true,
+            tenants: vec![TenantConfig::new(DEFAULT_NAMESPACE, 1).queue_depth(1024)],
             ..PlatformConfig::default()
         },
     );
@@ -194,7 +197,7 @@ fn unanalyzed_overcommit_deadlocks_with_wait_for_cycle() {
     assert!(msg.contains("simulation deadlock"), "header missing: {msg}");
     assert!(msg.contains("wait-for cycle:"), "cycle missing: {msg}");
     assert!(
-        msg.contains("semaphore `namespace-concurrency`"),
+        msg.contains("admission `tenant-admission`"),
         "blocking primitive missing: {msg}"
     );
     assert!(

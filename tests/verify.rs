@@ -180,31 +180,29 @@ fn tenant_admission_is_schedule_independent() {
 
 /// A mixed lightweight/thread-backed scenario aimed at the light-task
 /// wakeup plumbing. Eight light state-machine tasks (two sleep phases
-/// each, staggered durations) signal a [`WaitGroup`] that a thread-backed
-/// aggregator blocks on, and one of them additionally fires an [`Event`]
-/// gating a thread-backed observer. Light polls run on the dispatcher
-/// thread, so a schedule that preempts between a poll and the gate firing
-/// must still wake every waiter — the sweep asserts no lost wakeups and
-/// that completion counts and the final virtual clock are bitwise
-/// schedule-independent.
+/// each, staggered durations) each fire their own [`Event`]; a
+/// thread-backed aggregator waits on all eight in order, and a
+/// thread-backed observer waits on the first. Light polls run on the
+/// dispatcher thread, so a schedule that preempts between a poll and the
+/// gate firing must still wake every waiter — the sweep asserts no lost
+/// wakeups and that completion counts and the final virtual clock are
+/// bitwise schedule-independent.
 fn light_task_job(kernel: Kernel) -> (usize, usize, u64, u64) {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
     use std::time::Duration;
 
-    use rustwren::sim::sync::{Event, WaitGroup};
+    use rustwren::sim::sync::Event;
     use rustwren::sim::LightStep;
 
     let k = kernel.clone();
     kernel.run("client", move || {
         let done = Arc::new(AtomicUsize::new(0));
-        let wg = WaitGroup::new(&k);
-        let gate = Event::named(&k, "light-0-done");
-        wg.add(8);
-        for i in 0..8usize {
+        let gates: Vec<Event> = (0..8)
+            .map(|i| Event::named(&k, format!("light-{i}-done")))
+            .collect();
+        for (i, gate) in gates.iter().cloned().enumerate() {
             let done = Arc::clone(&done);
-            let wg = wg.clone();
-            let gate = gate.clone();
             let mut phase = 0u8;
             rustwren_sim::spawn_light(format!("light-{i}"), move || match phase {
                 0 => {
@@ -217,26 +215,24 @@ fn light_task_job(kernel: Kernel) -> (usize, usize, u64, u64) {
                 }
                 _ => {
                     done.fetch_add(1, Ordering::Relaxed);
-                    if i == 0 {
-                        gate.fire();
-                    }
-                    wg.done();
+                    gate.fire();
                     LightStep::Done
                 }
             });
         }
         let observer = rustwren_sim::spawn("observer", {
-            let gate = gate.clone();
+            let gate = gates[0].clone();
             move || {
                 gate.wait();
                 rustwren_sim::now().as_nanos()
             }
         });
         let aggregator = rustwren_sim::spawn("aggregator", {
-            let wg = wg.clone();
             let done = Arc::clone(&done);
             move || {
-                wg.wait();
+                for gate in &gates {
+                    gate.wait();
+                }
                 done.load(Ordering::Relaxed)
             }
         });
@@ -266,41 +262,10 @@ fn light_tasks_are_schedule_independent_with_no_lost_wakeups() {
 /// cross-check (`target/verify/lock-exercise.txt`). A small budget is
 /// enough: L007 only asks whether each lock *kind* was ever exercised, not
 /// for schedule coverage. CI runs this before the lint job.
-/// Like [`map_job`], but with a tight namespace concurrency limit in
-/// queueing mode, so the platform's `namespace-concurrency` semaphore is
-/// constructed and contended — without this, semaphore sites would look
-/// unexercised to L007.
-fn queued_map_job(kernel: Kernel) -> Vec<Value> {
-    let cloud = SimCloud::builder()
-        .seed(7)
-        .client_network(NetworkProfile::lan())
-        .platform(rustwren::faas::PlatformConfig {
-            concurrency_limit: 2,
-            queue_on_concurrency_limit: true,
-            ..rustwren::faas::PlatformConfig::default()
-        })
-        .kernel(kernel)
-        .build();
-    cloud.register_fn("add7", |_ctx: &TaskCtx, x: Value| {
-        Ok(Value::Int(x.as_i64().ok_or("int")? + 7))
-    });
-    cloud.run(|| {
-        let exec = cloud
-            .executor()
-            .retry(RetryPolicy::with_attempts(3))
-            .speculation(SpeculationConfig::on())
-            .build()
-            .unwrap();
-        exec.map("add7", (0..6).map(Value::Int).collect::<Vec<_>>())
-            .unwrap();
-        exec.get_result().unwrap()
-    })
-}
-
 #[test]
 fn lock_exercise_export() {
     let report = explore(
-        queued_map_job,
+        map_job,
         &Budget {
             schedules: 8,
             strategy: Strategy::Random {
@@ -313,10 +278,9 @@ fn lock_exercise_export() {
     assert!(report.ok(), "{report}");
     let text = rustwren::verify::lock_exercise_text(&report);
     assert!(text.contains("runs 9"), "{text}");
-    // The executor/faas stack locks mutexes and waits on semaphores on
-    // every job; their kinds must appear or the export is useless to L007.
+    // The executor/faas stack locks mutexes on every job; the kind must
+    // appear or the export is useless to L007.
     assert!(text.contains("kind mutex "), "{text}");
-    assert!(text.contains("kind semaphore "), "{text}");
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("target")
         .join("verify")
@@ -329,12 +293,12 @@ fn lock_exercise_export() {
 /// schedules actually drove. A dynamic edge with no static counterpart
 /// would mean the call-graph heuristics missed a real nesting order —
 /// exactly the blind spot L011 exists to rule out — so this test pins the
-/// containment direction on the same queued-map scenario that feeds the
-/// exported report.
+/// containment direction on the same map scenario that feeds the exported
+/// report.
 #[test]
 fn static_lock_orders_cover_dynamic_graph() {
     let report = explore(
-        queued_map_job,
+        map_job,
         &Budget {
             schedules: 8,
             strategy: Strategy::Random {
@@ -347,7 +311,7 @@ fn static_lock_orders_cover_dynamic_graph() {
     assert!(report.ok(), "{report}");
     assert!(
         !report.lock_orders.kind_edges.is_empty(),
-        "queued-map scenario exercised no lock-order edges; the cross-check is vacuous"
+        "map scenario exercised no lock-order edges; the cross-check is vacuous"
     );
 
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -358,9 +322,9 @@ fn static_lock_orders_cover_dynamic_graph() {
     let static_edges = rustwren_lint::reach::static_lock_edges(&graph);
 
     // The static analysis models the lock kinds the instrumented crates
-    // acquire through guard methods; condvar/event/channel orders are
-    // dynamic-only and outside L011's scope.
-    const STATIC_KINDS: [&str; 3] = ["mutex", "rwlock", "semaphore"];
+    // acquire through guard methods; condvar/event orders are dynamic-only
+    // and outside L011's scope.
+    const STATIC_KINDS: [&str; 2] = ["mutex", "rwlock"];
     for (held, acquired) in &report.lock_orders.kind_edges {
         let (held, acquired) = (held.to_string(), acquired.to_string());
         if !STATIC_KINDS.contains(&held.as_str()) || !STATIC_KINDS.contains(&acquired.as_str()) {
