@@ -1,6 +1,6 @@
 //! The executor: IBM-PyWren's first-citizen object (§4.1–§4.2).
 
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -11,7 +11,7 @@ use rustwren_analyze::{
     analyze, AnalyzeMode, CloudProfile, Diagnostic, JobPlan, Severity, SpawnProfile,
 };
 use rustwren_faas::{ActivationId, FaasClient, Outcome, TenantId, ThrottleSignal};
-use rustwren_sim::hash::{hash2, unit_f64};
+use rustwren_sim::hash::{hash2, hash_str, unit_f64};
 use rustwren_sim::{NetworkProfile, SimInstant};
 use rustwren_store::{CosClient, OpCounters};
 
@@ -118,10 +118,9 @@ impl fmt::Debug for GetResultOpts {
     }
 }
 
-/// Per-task bookkeeping for automatic fault recovery. One entry per task
-/// the executor submitted, keyed by `(job_id, task)`.
+/// Per-task bookkeeping for automatic fault recovery: one entry per task
+/// the executor submitted, in its [`Job`]'s `tasks`.
 struct TaskRecovery {
-    func_name: String,
     /// The inlined task descriptor, when the task's input rode inside the
     /// activation payload: retries and re-invocations must re-ship it,
     /// because no staged input object exists in COS to fall back on.
@@ -148,13 +147,11 @@ impl TaskRecovery {
     /// by a manual [`Executor::reinvoke`] — a fresh first attempt, not a
     /// counted automatic retry.
     fn first_attempt(
-        func_name: String,
         inline: Option<Value>,
         invoked_at: SimInstant,
         activation: Option<ActivationId>,
     ) -> TaskRecovery {
         TaskRecovery {
-            func_name,
             inline,
             attempts: 1,
             invoked_at,
@@ -178,19 +175,67 @@ struct Stage {
     chunk_size: Option<u64>,
     /// Logical size of the largest source object (pre-flight plan input).
     max_object_bytes: Option<u64>,
+    /// Submit the job [guarded](Job::guarded).
+    guarded: bool,
 }
 
+/// What the client remembers about one submitted job.
+struct Job {
+    /// The function every task of the job runs, for re-invoking them.
+    func_name: String,
+    /// An internal stage (the map phase behind a tracked reducer): the
+    /// recovery pass watches and heals its tasks, but their results are
+    /// never returned to the caller. Without this, a map task dying under
+    /// fault injection would starve its reducer forever. Lasts until the
+    /// `get_result` that gathers the flow.
+    guarded: bool,
+    /// Automatic re-invocations spent so far, enforcing
+    /// [`RetryPolicy::job_retry_budget`].
+    retries_spent: u32,
+    /// Recovery state of each launched task, indexed by task number.
+    tasks: Vec<TaskRecovery>,
+}
+
+/// Everything the executor keeps per job on the client, behind one lock
+/// (the paper's client holds a list of futures and leaves every other fact
+/// in COS, §4.2). The lock is never held across a COS or FaaS call, or a
+/// sleep.
 #[derive(Default)]
-struct RecoveryCounters {
-    retries: AtomicU64,
-    retries_exhausted: AtomicU64,
-    speculative_launches: AtomicU64,
-    statuses_repaired: AtomicU64,
-    integrity_retries: AtomicU64,
-    integrity_failures: AtomicU64,
-    cleaned_objects: AtomicU64,
-    lists_saved: AtomicU64,
-    retries_denied_budget: AtomicU64,
+struct JobTable {
+    /// The futures the next `get_result` returns, in submission order.
+    pending: Vec<ResponseFuture>,
+    /// Every job submitted and not yet swept by `clean`, by job id.
+    jobs: BTreeMap<u64, Job>,
+    /// Recovery counters; `faults_injected` is filled in on read.
+    stats: RecoveryStats,
+}
+
+impl JobTable {
+    fn task(&self, f: &ResponseFuture) -> Option<&TaskRecovery> {
+        self.jobs.get(&f.job_id())?.tasks.get(f.task() as usize)
+    }
+
+    fn task_mut(&mut self, f: &ResponseFuture) -> Option<&mut TaskRecovery> {
+        self.jobs
+            .get_mut(&f.job_id())?
+            .tasks
+            .get_mut(f.task() as usize)
+    }
+
+    /// The payload that (re-)runs task `f`: its job's function plus the
+    /// inline descriptor retained at submit, which must be re-shipped
+    /// because an inline task has no staged input to fall back on.
+    fn payload(&self, f: &ResponseFuture) -> Option<AgentPayload> {
+        let job = self.jobs.get(&f.job_id())?;
+        let task = job.tasks.get(f.task() as usize)?;
+        Some(AgentPayload::new(f, &job.func_name, task.inline.clone()))
+    }
+
+    /// Forgets every job and pending future; the counters stay.
+    fn clear(&mut self) {
+        self.pending.clear();
+        self.jobs.clear();
+    }
 }
 
 struct ExecInner {
@@ -202,20 +247,7 @@ struct ExecInner {
     namespace: String,
     agent_action: String,
     job_seq: AtomicU64,
-    pending: parking_lot::Mutex<Vec<ResponseFuture>>,
-    /// Internal-stage futures (e.g. the map phase behind a tracked reducer)
-    /// that the recovery machinery watches and heals, but whose results are
-    /// never returned to the caller. Without this, a map task dying under
-    /// fault injection would starve its reducer forever.
-    guarded: parking_lot::Mutex<Vec<ResponseFuture>>,
-    /// job id → function name, for re-invoking failed tasks.
-    job_funcs: parking_lot::Mutex<std::collections::HashMap<u64, String>>,
-    /// (job id, task) → recovery state for the retry/speculation machinery.
-    recovery: parking_lot::Mutex<std::collections::HashMap<(u64, u32), TaskRecovery>>,
-    /// job id → automatic re-invocations spent so far, enforcing
-    /// [`RetryPolicy::job_retry_budget`].
-    job_retries: parking_lot::Mutex<std::collections::HashMap<u64, u32>>,
-    counters: RecoveryCounters,
+    table: parking_lot::Mutex<JobTable>,
     /// Client for the polling/gathering phase (status LISTs, recovery
     /// probes, result fetches, cleanup) — its op counters feed
     /// [`CosOpStats::polling`].
@@ -250,9 +282,11 @@ impl fmt::Debug for Executor {
             // lint: allow(L011) — false positive: the guard is a temporary
             // dropped inside the `.field(...)` expression, not held to scope
             // end as the static order rule conservatively assumes, and the
-            // trailing `.finish(`/`.field(` edges are name
-            // over-approximations onto unrelated impls
-            .field("pending", &self.inner.pending.lock().len())
+            // trailing `.finish(` edge is a name over-approximation onto
+            // unrelated impls. L011 reports a kind pair once, at its first
+            // site in scan order, and this is that site for mutex→mutex: the
+            // table lock is never held across a call that locks
+            .field("pending", &self.inner.table.lock().pending.len())
             .finish()
     }
 }
@@ -379,7 +413,7 @@ impl ExecutorBuilder {
         let net = self
             .net
             .unwrap_or_else(|| self.cloud.client_network().clone());
-        let seed = hash2(self.cloud.inner.seed, hash2(0xE0EC, exec_id.len() as u64));
+        let seed = hash2(self.cloud.inner.seed, hash2(0xE0EC, hash_str(&exec_id)));
         let cos = CosClient::new(self.cloud.store(), net.clone(), seed);
         // Same timing/seed behaviour, separate op-count ledger: per-phase
         // operation budgets stay attributable (CosOpStats).
@@ -400,12 +434,7 @@ impl ExecutorBuilder {
                 namespace: self.namespace,
                 agent_action,
                 job_seq: AtomicU64::new(1),
-                pending: parking_lot::Mutex::new(Vec::new()),
-                guarded: parking_lot::Mutex::new(Vec::new()),
-                job_funcs: parking_lot::Mutex::new(std::collections::HashMap::new()),
-                recovery: parking_lot::Mutex::new(std::collections::HashMap::new()),
-                job_retries: parking_lot::Mutex::new(std::collections::HashMap::new()),
-                counters: RecoveryCounters::default(),
+                table: parking_lot::Mutex::new(JobTable::default()),
                 cos,
                 cos_stage,
                 faas,
@@ -565,7 +594,11 @@ impl Executor {
             ..Stage::default()
         };
         let futures = self.submit(func, stage)?;
-        self.inner.pending.lock().extend(futures.iter().cloned());
+        self.inner
+            .table
+            .lock()
+            .pending
+            .extend(futures.iter().cloned());
         Ok(futures)
     }
 
@@ -576,15 +609,12 @@ impl Executor {
     fn submit_stages(
         &self,
         map_func: &str,
-        map_stage: Stage,
+        mut map_stage: Stage,
         reduce_func: &str,
         reduce_specs: impl FnOnce(&[ResponseFuture]) -> Vec<TaskSpec>,
     ) -> Result<Vec<ResponseFuture>> {
+        map_stage.guarded = true;
         let map_futures = self.submit(map_func, map_stage)?;
-        self.inner
-            .guarded
-            .lock()
-            .extend(map_futures.iter().cloned());
         self.submit_tracked(reduce_func, reduce_specs(&map_futures))
     }
 
@@ -828,7 +858,15 @@ impl Executor {
             return Err(PywrenError::UnknownFunction(func.to_owned()));
         };
         let job_id = self.inner.job_seq.fetch_add(1, Ordering::Relaxed);
-        self.inner.job_funcs.lock().insert(job_id, func.to_owned());
+        self.inner.table.lock().jobs.insert(
+            job_id,
+            Job {
+                func_name: func.to_owned(),
+                guarded: stage.guarded,
+                retries_spent: 0,
+                tasks: Vec::with_capacity(descs.len()),
+            },
+        );
         let bucket = &self.inner.config.storage_bucket;
         let exec_id = &self.inner.exec_id;
 
@@ -876,12 +914,19 @@ impl Executor {
     fn launch_first_attempts(&self, payloads: Vec<AgentPayload>) -> Result<()> {
         let ids = self.invoke_agents(&payloads)?;
         let now = self.inner.cloud.kernel().now();
-        let mut recovery = self.inner.recovery.lock();
+        let mut table = self.inner.table.lock();
         for (p, id) in payloads.into_iter().zip(ids) {
-            recovery.insert(
-                (p.job_id, p.task),
-                TaskRecovery::first_attempt(p.func_name, p.inline, now, id),
-            );
+            // No job: a concurrent `clean` swept it mid-launch.
+            let Some(job) = table.jobs.get_mut(&p.job_id) else {
+                continue;
+            };
+            let fresh = TaskRecovery::first_attempt(p.inline, now, id);
+            match job.tasks.get_mut(p.task as usize) {
+                Some(task) => *task = fresh,
+                // A submit launches tasks 0..n in order, so a task the job
+                // does not hold yet is its next one.
+                None => job.tasks.push(fresh),
+            }
         }
         Ok(())
     }
@@ -936,10 +981,7 @@ impl Executor {
         // The recovery pass derives "which tasks have a status" from the
         // poll tick's listing snapshot (`done`) instead of re-listing the
         // same prefixes itself — one LIST per prefix per cycle, not two.
-        self.inner
-            .counters
-            .lists_saved
-            .fetch_add(listed_prefixes, Ordering::Relaxed);
+        self.inner.table.lock().stats.lists_saved += listed_prefixes;
         self.classify_completed(tracked, done, &retry)?;
         self.handle_pending(tracked, done, &retry)?;
         if speculation.enabled {
@@ -956,20 +998,19 @@ impl Executor {
         retry: &RetryPolicy,
     ) -> Result<()> {
         let now = self.inner.cloud.kernel().now();
-        for f in tracked {
-            if !done.contains(f) {
-                continue;
-            }
-            let key = (f.job_id(), f.task());
-            let unclassified = {
-                let recovery = self.inner.recovery.lock();
-                recovery
-                    .get(&key)
-                    .is_some_and(|r| r.done_elapsed.is_none() && !r.exhausted)
-            };
-            if !unclassified {
-                continue;
-            }
+        let unclassified: Vec<&ResponseFuture> = {
+            let table = self.inner.table.lock();
+            tracked
+                .iter()
+                .filter(|f| done.contains(*f))
+                .filter(|f| {
+                    table
+                        .task(f)
+                        .is_some_and(|r| r.done_elapsed.is_none() && !r.exhausted)
+                })
+                .collect()
+        };
+        for f in unclassified {
             // A status that fails its checksum stamp is classified as an
             // error finish (and so retried/exhausted below) rather than
             // re-polled forever: the object itself may be damaged, so only
@@ -988,44 +1029,27 @@ impl Executor {
                 }
             };
             if succeeded {
-                let mut recovery = self.inner.recovery.lock();
-                if let Some(r) = recovery.get_mut(&key) {
+                if let Some(r) = self.inner.table.lock().task_mut(f) {
                     r.done_elapsed = Some(now.duration_since(r.invoked_at).as_secs_f64());
                 }
-                continue;
-            }
-            // The task finished with an error status.
-            let retryable = retry.enabled()
-                && {
-                    let recovery = self.inner.recovery.lock();
-                    recovery
-                        .get(&key)
-                        .is_some_and(|r| r.attempts < retry.max_attempts)
-                }
-                && self.reserve_job_retry(retry, f.job_id());
-            if retryable {
+            } else if retry.enabled() && self.reserve_retry(f, retry) {
+                // The task finished with an error status and has a retry left.
                 if integrity {
-                    self.inner
-                        .counters
-                        .integrity_retries
-                        .fetch_add(1, Ordering::Relaxed);
+                    self.inner.table.lock().stats.integrity_retries += 1;
                 }
                 self.schedule_retry(f, retry, now)?;
                 done.remove(f);
             } else {
+                let mut table = self.inner.table.lock();
                 if integrity {
-                    self.inner
-                        .counters
-                        .integrity_failures
-                        .fetch_add(1, Ordering::Relaxed);
+                    table.stats.integrity_failures += 1;
                 }
                 if retry.enabled() {
-                    self.inner
-                        .counters
-                        .retries_exhausted
-                        .fetch_add(1, Ordering::Relaxed);
+                    table.stats.retries_exhausted += 1;
                 }
-                self.mark_exhausted(key);
+                if let Some(r) = table.task_mut(f) {
+                    r.exhausted = true;
+                }
                 // Left in `done`: fetch_result surfaces the final error.
             }
         }
@@ -1040,25 +1064,21 @@ impl Executor {
         retry: &RetryPolicy,
     ) -> Result<()> {
         enum Action {
-            Skip,
             Reinvoke,
             Classify(ActivationId, u32),
             PresumeDead(u32),
         }
         let now = self.inner.cloud.kernel().now();
-        for f in tracked {
-            if done.contains(f) {
-                continue;
-            }
-            let key = (f.job_id(), f.task());
-            let action = {
-                let recovery = self.inner.recovery.lock();
-                match recovery.get(&key) {
-                    None => Action::Skip,
-                    Some(r) if r.exhausted => Action::Skip,
-                    Some(r) => match (r.retry_at, r.activation) {
+        let actions: Vec<(&ResponseFuture, Action)> = {
+            let table = self.inner.table.lock();
+            tracked
+                .iter()
+                .filter(|f| !done.contains(*f))
+                .filter_map(|f| {
+                    let r = table.task(f).filter(|r| !r.exhausted)?;
+                    let action = match (r.retry_at, r.activation) {
                         (Some(t), _) if now >= t => Action::Reinvoke,
-                        (Some(_), _) => Action::Skip,
+                        (Some(_), _) => return None,
                         (None, Some(id)) if retry.enabled() => Action::Classify(id, r.attempts),
                         // No activation id (remote-invoker spawning) and no
                         // status: if the task has been out past the
@@ -1072,12 +1092,14 @@ impl Executor {
                         {
                             Action::PresumeDead(r.attempts)
                         }
-                        (None, _) => Action::Skip,
-                    },
-                }
-            };
+                        (None, _) => return None,
+                    };
+                    Some((f, action))
+                })
+                .collect()
+        };
+        for (f, action) in actions {
             match action {
-                Action::Skip => {}
                 Action::Reinvoke => self.relaunch(f, false)?,
                 Action::Classify(id, attempts) => {
                     let Some(outcome) = self.inner.cloud.functions().outcome(id) else {
@@ -1090,10 +1112,7 @@ impl Executor {
                         Outcome::Failed(_) | Outcome::Crashed(_) => true,
                         Outcome::TimedOut => retry.retry_timeouts,
                     };
-                    if retryable
-                        && attempts < retry.max_attempts
-                        && self.reserve_job_retry(retry, f.job_id())
-                    {
+                    if retryable && self.reserve_retry(f, retry) {
                         self.schedule_retry(f, retry, now)?;
                     } else {
                         // Out of attempts (or unretryable): write the error
@@ -1108,18 +1127,12 @@ impl Executor {
                             Outcome::Success => unreachable!("handled above"),
                         };
                         let message = format!("{message} (after {attempts} attempt(s))");
-                        self.repair_status(f, &message, now)?;
-                        if retryable {
-                            self.inner
-                                .counters
-                                .retries_exhausted
-                                .fetch_add(1, Ordering::Relaxed);
-                        }
+                        self.repair_status(f, &message, retryable, now)?;
                         done.insert(f.clone());
                     }
                 }
                 Action::PresumeDead(attempts) => {
-                    if attempts < retry.max_attempts && self.reserve_job_retry(retry, f.job_id()) {
+                    if self.reserve_retry(f, retry) {
                         // Same treatment as a silent death.
                         self.schedule_retry(f, retry, now)?;
                     } else {
@@ -1128,11 +1141,7 @@ impl Executor {
                             "presumed dead: no activation and no status after {dead:?} \
                              (after {attempts} attempt(s))"
                         );
-                        self.repair_status(f, &message, now)?;
-                        self.inner
-                            .counters
-                            .retries_exhausted
-                            .fetch_add(1, Ordering::Relaxed);
+                        self.repair_status(f, &message, true, now)?;
                         done.insert(f.clone());
                     }
                 }
@@ -1149,6 +1158,36 @@ impl Executor {
         Ok(())
     }
 
+    /// Books one automatic re-invocation of `f`'s task: `true` when the
+    /// task has attempts left and its job has retry budget left. Otherwise
+    /// `false` — counting the denial when it was
+    /// [`RetryPolicy::job_retry_budget`] that ran out — and the task
+    /// surfaces its final error instead of retrying against a sick
+    /// platform.
+    fn reserve_retry(&self, f: &ResponseFuture, retry: &RetryPolicy) -> bool {
+        let mut table = self.inner.table.lock();
+        let JobTable { jobs, stats, .. } = &mut *table;
+        let Some(job) = jobs.get_mut(&f.job_id()) else {
+            return false;
+        };
+        let attempts_left = job
+            .tasks
+            .get(f.task() as usize)
+            .is_some_and(|r| r.attempts < retry.max_attempts);
+        if !attempts_left {
+            return false;
+        }
+        if retry
+            .job_retry_budget
+            .is_some_and(|budget| job.retries_spent >= budget)
+        {
+            stats.retries_denied_budget += 1;
+            return false;
+        }
+        job.retries_spent += 1;
+        true
+    }
+
     /// Gives a failed or silently dead task another execution: drops the
     /// last one's partial writes (an error status, a result without a
     /// status, a status that landed after our LIST) and schedules the
@@ -1160,44 +1199,44 @@ impl Executor {
         now: SimInstant,
     ) -> Result<()> {
         self.clear_completion(f)?;
-        let key = (f.job_id(), f.task());
-        let mut recovery = self.inner.recovery.lock();
-        if let Some(r) = recovery.get_mut(&key) {
+        if let Some(r) = self.inner.table.lock().task_mut(f) {
+            let key = (f.job_id(), f.task());
             r.retry_at = Some(self.retry_deadline(retry, key, r.attempts, now));
         }
         Ok(())
     }
 
-    /// Records that task `key` has no attempts left: whatever error status
-    /// is in COS is final.
-    fn mark_exhausted(&self, key: (u64, u32)) {
-        let mut recovery = self.inner.recovery.lock();
-        if let Some(r) = recovery.get_mut(&key) {
-            r.exhausted = true;
-        }
-    }
-
     /// Writes a (stamped) error status on behalf of a task that died
-    /// without reporting one, and marks it exhausted.
-    fn repair_status(&self, f: &ResponseFuture, message: &str, now: SimInstant) -> Result<()> {
-        let key = (f.job_id(), f.task());
-        let start = {
-            let recovery = self.inner.recovery.lock();
-            recovery
-                .get(&key)
-                .map_or(0.0, |r| r.invoked_at.as_secs_f64())
-        };
+    /// without reporting one, and marks it exhausted: whatever error status
+    /// is in COS is final. `out_of_retries` says the task would have been
+    /// retried had it attempts and budget left.
+    fn repair_status(
+        &self,
+        f: &ResponseFuture,
+        message: &str,
+        out_of_retries: bool,
+        now: SimInstant,
+    ) -> Result<()> {
+        let start = self
+            .inner
+            .table
+            .lock()
+            .task(f)
+            .map_or(0.0, |r| r.invoked_at.as_secs_f64());
         crate::job::put_stamped(
             &self.inner.cos,
             f.bucket(),
             &f.status_key(),
             &TaskStatus::new(Some(message), start, now.as_secs_f64()).encode(),
         )?;
-        self.inner
-            .counters
-            .statuses_repaired
-            .fetch_add(1, Ordering::Relaxed);
-        self.mark_exhausted(key);
+        let mut table = self.inner.table.lock();
+        table.stats.statuses_repaired += 1;
+        if out_of_retries {
+            table.stats.retries_exhausted += 1;
+        }
+        if let Some(r) = table.task_mut(f) {
+            r.exhausted = true;
+        }
         Ok(())
     }
 
@@ -1208,63 +1247,54 @@ impl Executor {
         done: &HashSet<ResponseFuture>,
         spec: &SpeculationConfig,
     ) -> Result<()> {
-        struct JobView {
-            total: usize,
-            done_elapsed: Vec<f64>,
-            speculated: usize,
-            candidates: Vec<(ResponseFuture, f64)>,
-        }
         let now = self.inner.cloud.kernel().now();
-        // BTreeMap so speculative relaunches are issued in job-id order,
-        // not hash order (relaunch order is sim-visible).
-        let mut jobs: std::collections::BTreeMap<u64, JobView> = std::collections::BTreeMap::new();
+        let mut stragglers: Vec<&ResponseFuture> = Vec::new();
         {
-            let recovery = self.inner.recovery.lock();
-            for f in tracked {
-                let Some(r) = recovery.get(&(f.job_id(), f.task())) else {
+            let table = self.inner.table.lock();
+            // Tasks still out and eligible for a backup copy, with how long
+            // they have been out, by job: relaunches are issued in job-id
+            // order (relaunch order is sim-visible).
+            let mut candidates: BTreeMap<u64, Vec<(&ResponseFuture, f64)>> = BTreeMap::new();
+            for f in tracked.iter().filter(|f| !done.contains(*f)) {
+                let eligible = table.task(f).filter(|r| {
+                    r.done_elapsed.is_none()
+                        && !r.exhausted
+                        && !r.speculated
+                        && r.retry_at.is_none()
+                });
+                if let Some(r) = eligible {
+                    candidates
+                        .entry(f.job_id())
+                        .or_default()
+                        .push((f, now.duration_since(r.invoked_at).as_secs_f64()));
+                }
+            }
+            for (job_id, candidates) in candidates {
+                let Some(job) = table.jobs.get(&job_id) else {
                     continue;
                 };
-                let view = jobs.entry(f.job_id()).or_insert_with(|| JobView {
-                    total: 0,
-                    done_elapsed: Vec::new(),
-                    speculated: 0,
-                    candidates: Vec::new(),
-                });
-                view.total += 1;
-                if r.speculated {
-                    view.speculated += 1;
-                }
-                if let Some(e) = r.done_elapsed {
-                    view.done_elapsed.push(e);
-                } else if !done.contains(f) && !r.exhausted && !r.speculated && r.retry_at.is_none()
+                let mut elapsed: Vec<f64> =
+                    job.tasks.iter().filter_map(|r| r.done_elapsed).collect();
+                if elapsed.len() < spec.min_done.max(1)
+                    || (elapsed.len() as f64) < spec.done_fraction * job.tasks.len() as f64
                 {
-                    view.candidates
-                        .push((f.clone(), now.duration_since(r.invoked_at).as_secs_f64()));
+                    continue;
                 }
+                elapsed.sort_by(f64::total_cmp);
+                // lint: allow(L009) — non-empty: len >= min_done.max(1)
+                let threshold = spec.straggler_factor * elapsed[elapsed.len() / 2];
+                let speculated = job.tasks.iter().filter(|r| r.speculated).count();
+                stragglers.extend(
+                    candidates
+                        .into_iter()
+                        .filter(|(_, pending_for)| *pending_for > threshold)
+                        .map(|(f, _)| f)
+                        .take(spec.max_speculative.saturating_sub(speculated)),
+                );
             }
         }
-        for view in jobs.into_values() {
-            let done_count = view.done_elapsed.len();
-            if done_count < spec.min_done.max(1)
-                || (done_count as f64) < spec.done_fraction * view.total as f64
-            {
-                continue;
-            }
-            let mut elapsed = view.done_elapsed;
-            elapsed.sort_by(f64::total_cmp);
-            // lint: allow(L009) — non-empty: done_count >= min_done.max(1)
-            let median = elapsed[elapsed.len() / 2];
-            let threshold = spec.straggler_factor * median;
-            let mut budget = spec.max_speculative.saturating_sub(view.speculated);
-            for (f, pending_for) in view.candidates {
-                if budget == 0 {
-                    break;
-                }
-                if pending_for > threshold {
-                    self.relaunch(&f, true)?;
-                    budget -= 1;
-                }
-            }
+        for f in stragglers {
+            self.relaunch(f, true)?;
         }
         Ok(())
     }
@@ -1273,55 +1303,30 @@ impl Executor {
     /// duplicate backup copy (speculation) that leaves the primary's
     /// bookkeeping untouched.
     fn relaunch(&self, f: &ResponseFuture, speculative: bool) -> Result<()> {
-        let key = (f.job_id(), f.task());
-        let (func_name, inline) = {
-            let recovery = self.inner.recovery.lock();
-            let Some(r) = recovery.get(&key) else {
-                return Ok(());
-            };
-            (r.func_name.clone(), r.inline.clone())
+        let Some(payload) = self.inner.table.lock().payload(f) else {
+            return Ok(());
         };
-        let ids = self.invoke_agents(&[AgentPayload::new(f, &func_name, inline)])?;
+        let ids = self.invoke_agents(&[payload])?;
         let id = ids.into_iter().next().flatten();
         let now = self.inner.cloud.kernel().now();
-        let mut recovery = self.inner.recovery.lock();
-        if let Some(r) = recovery.get_mut(&key) {
+        let mut table = self.inner.table.lock();
+        let JobTable { jobs, stats, .. } = &mut *table;
+        let task = jobs
+            .get_mut(&f.job_id())
+            .and_then(|job| job.tasks.get_mut(f.task() as usize));
+        if let Some(r) = task {
             if speculative {
                 r.speculated = true;
-                self.inner
-                    .counters
-                    .speculative_launches
-                    .fetch_add(1, Ordering::Relaxed);
+                stats.speculative_launches += 1;
             } else {
                 r.attempts += 1;
                 r.invoked_at = now;
                 r.activation = id;
                 r.retry_at = None;
-                self.inner.counters.retries.fetch_add(1, Ordering::Relaxed);
+                stats.retries += 1;
             }
         }
         Ok(())
-    }
-
-    /// Reserves one re-invocation from the job's retry budget. Returns
-    /// `false` (and counts the denial) when
-    /// [`RetryPolicy::job_retry_budget`] is spent — the task then surfaces
-    /// its final error instead of retrying against a sick platform.
-    fn reserve_job_retry(&self, retry: &RetryPolicy, job_id: u64) -> bool {
-        let Some(budget) = retry.job_retry_budget else {
-            return true;
-        };
-        let mut spent = self.inner.job_retries.lock();
-        let entry = spent.entry(job_id).or_insert(0);
-        if *entry >= budget {
-            self.inner
-                .counters
-                .retries_denied_budget
-                .fetch_add(1, Ordering::Relaxed);
-            return false;
-        }
-        *entry += 1;
-        true
     }
 
     /// When the next retry of task `key` should fire: jittered backoff,
@@ -1363,46 +1368,15 @@ impl Executor {
 
     /// Counters of the automatic fault recovery performed so far.
     pub fn recovery_stats(&self) -> RecoveryStats {
+        let stats = self.inner.table.lock().stats;
         RecoveryStats {
-            retries: self.inner.counters.retries.load(Ordering::Relaxed),
-            retries_exhausted: self
-                .inner
-                .counters
-                .retries_exhausted
-                .load(Ordering::Relaxed),
-            speculative_launches: self
-                .inner
-                .counters
-                .speculative_launches
-                .load(Ordering::Relaxed),
-            statuses_repaired: self
-                .inner
-                .counters
-                .statuses_repaired
-                .load(Ordering::Relaxed),
-            integrity_retries: self
-                .inner
-                .counters
-                .integrity_retries
-                .load(Ordering::Relaxed),
-            integrity_failures: self
-                .inner
-                .counters
-                .integrity_failures
-                .load(Ordering::Relaxed),
-            cleaned_objects: self.inner.counters.cleaned_objects.load(Ordering::Relaxed),
             faults_injected: self
                 .inner
                 .cloud
                 .kernel()
                 .chaos()
                 .map_or(0, |c| c.stats().total()),
-            lists_saved: self.inner.counters.lists_saved.load(Ordering::Relaxed),
-            retries_denied_budget: self
-                .inner
-                .counters
-                .retries_denied_budget
-                .load(Ordering::Relaxed),
+            ..stats
         }
     }
 
@@ -1435,7 +1409,7 @@ impl Executor {
     ///
     /// Storage errors from status polling.
     pub fn wait(&self, policy: WaitPolicy) -> Result<(Vec<ResponseFuture>, Vec<ResponseFuture>)> {
-        let tracked: Vec<ResponseFuture> = self.inner.pending.lock().clone();
+        let tracked: Vec<ResponseFuture> = self.inner.table.lock().pending.clone();
         if tracked.is_empty() {
             return Ok((Vec::new(), Vec::new()));
         }
@@ -1515,11 +1489,13 @@ impl Executor {
     ///
     /// Additionally [`PywrenError::Timeout`] if the deadline passes.
     pub fn get_result_with(&self, opts: GetResultOpts) -> Result<Vec<Value>> {
-        let futures: Vec<ResponseFuture> = std::mem::take(&mut *self.inner.pending.lock());
+        let futures: Vec<ResponseFuture> = std::mem::take(&mut self.inner.table.lock().pending);
         let result = self.resolve(&futures, &opts);
         // The jobs behind these futures are finished (or surfaced a final
         // error); their internal stages no longer need guarding.
-        self.inner.guarded.lock().clear();
+        for job in self.inner.table.lock().jobs.values_mut() {
+            job.guarded = false;
+        }
         result
     }
 
@@ -1527,9 +1503,14 @@ impl Executor {
     /// the poll/recover loop to watch.
     fn with_guarded(&self, futures: &[ResponseFuture]) -> Vec<ResponseFuture> {
         let mut watched = futures.to_vec();
-        for g in self.inner.guarded.lock().iter() {
-            if !watched.contains(g) {
-                watched.push(g.clone());
+        let bucket = &self.inner.config.storage_bucket;
+        let table = self.inner.table.lock();
+        for (&job_id, job) in table.jobs.iter().filter(|(_, job)| job.guarded) {
+            for task in 0..job.tasks.len() as u32 {
+                let g = ResponseFuture::new(bucket, &self.inner.exec_id, job_id, task);
+                if !futures.contains(&g) {
+                    watched.push(g);
+                }
             }
         }
         watched
@@ -1597,20 +1578,14 @@ impl Executor {
             match crate::job::get_verified(&self.inner.cos, bucket, key) {
                 Ok(payload) => {
                     if integrity_attempts > 0 {
-                        self.inner
-                            .counters
-                            .integrity_retries
-                            .fetch_add(1, Ordering::Relaxed);
+                        self.inner.table.lock().stats.integrity_retries += 1;
                     }
                     return Ok(payload);
                 }
                 Err(e @ PywrenError::Integrity { .. }) => {
                     integrity_attempts += 1;
                     if integrity_attempts > INTEGRITY_REFETCHES {
-                        self.inner
-                            .counters
-                            .integrity_failures
-                            .fetch_add(1, Ordering::Relaxed);
+                        self.inner.table.lock().stats.integrity_failures += 1;
                         return Err(e);
                     }
                 }
@@ -1658,13 +1633,13 @@ impl Executor {
 
     /// Number of futures currently tracked for `get_result`.
     pub fn pending_count(&self) -> usize {
-        self.inner.pending.lock().len()
+        self.inner.table.lock().pending.len()
     }
 
     /// Deletes every COS object this executor staged (function blobs,
     /// inputs, statuses, results, shuffle partitions) — PyWren's `clean()`.
     /// Returns how many objects were removed. Pending futures and every
-    /// per-job table are cleared: resolving or re-invoking previously
+    /// job record are forgotten: resolving or re-invoking previously
     /// returned futures afterwards will fail.
     ///
     /// # Errors
@@ -1683,18 +1658,12 @@ impl Executor {
         for key in &keys {
             self.inner.cos.delete(bucket, key)?;
         }
-        self.inner
-            .counters
-            .cleaned_objects
-            .fetch_add(keys.len() as u64, Ordering::Relaxed);
-        // The objects the tables describe are gone; an entry kept here would
-        // outlive them (each `recovery` entry retains an inline descriptor)
-        // and let `reinvoke` launch agents that can only fail.
-        self.inner.pending.lock().clear();
-        self.inner.guarded.lock().clear();
-        self.inner.job_funcs.lock().clear();
-        self.inner.recovery.lock().clear();
-        self.inner.job_retries.lock().clear();
+        // The objects the table describes are gone; an entry kept here would
+        // outlive them (each task retains its inline descriptor) and let
+        // `reinvoke` launch agents that can only fail.
+        let mut table = self.inner.table.lock();
+        table.stats.cleaned_objects += keys.len() as u64;
+        table.clear();
         Ok(keys.len())
     }
 
@@ -1707,37 +1676,33 @@ impl Executor {
     /// # Errors
     ///
     /// [`PywrenError::UnknownFunction`] for futures of other executors, or
-    /// of jobs swept by [`clean`](Executor::clean) (their job → function
-    /// mapping is unknown here), storage errors while clearing old
-    /// statuses, or invocation errors.
+    /// of jobs swept by [`clean`](Executor::clean) (their function is
+    /// unknown here) — checked for every future before anything is touched
+    /// — storage errors while clearing old statuses, or invocation errors.
     pub fn reinvoke(&self, futures: &[ResponseFuture]) -> Result<()> {
-        let mut payloads = Vec::with_capacity(futures.len());
+        let payloads = {
+            let table = self.inner.table.lock();
+            futures
+                .iter()
+                .map(|f| {
+                    table.payload(f).ok_or_else(|| {
+                        PywrenError::UnknownFunction(format!(
+                            "task {} is not one this executor submitted and still holds",
+                            f.label()
+                        ))
+                    })
+                })
+                .collect::<Result<Vec<_>>>()?
+        };
         for f in futures {
-            let func_name = self
-                .inner
-                .job_funcs
-                .lock()
-                .get(&f.job_id())
-                .cloned()
-                .ok_or_else(|| {
-                    PywrenError::UnknownFunction(format!(
-                        "job {} is not one this executor submitted and still holds",
-                        f.job_id()
-                    ))
-                })?;
-            // An inline task has no staged input to fall back on; re-ship
-            // the descriptor retained at submit time.
-            let inline = {
-                let recovery = self.inner.recovery.lock();
-                recovery
-                    .get(&(f.job_id(), f.task()))
-                    .and_then(|r| r.inline.clone())
-            };
             self.clear_completion(f)?;
-            payloads.push(AgentPayload::new(f, &func_name, inline));
         }
         self.launch_first_attempts(payloads)?;
-        self.inner.pending.lock().extend(futures.iter().cloned());
+        self.inner
+            .table
+            .lock()
+            .pending
+            .extend(futures.iter().cloned());
         Ok(())
     }
 
@@ -1821,6 +1786,37 @@ mod tests {
             let plan = exec.plan_for("id", &stage(&specs[..1]), &descs[..1]);
             assert!(plan.est_payload_bytes.expect("estimate") < 1024);
         });
+    }
+
+    /// Executors once seeded their COS/FaaS jitter from the *length* of
+    /// their id, so `e1`…`e9` drew one stream: the same request at the same
+    /// instant cost every one of them the same.
+    #[test]
+    fn executor_jitter_is_seeded_by_the_executor_id() {
+        // What the cloud's first two executors are each charged for the
+        // same GET issued at the same virtual instant.
+        let charges = |seed: u64| -> Vec<Duration> {
+            let cloud = crate::SimCloud::builder().seed(seed).build();
+            cloud.store().ensure_bucket("b");
+            cloud
+                .store()
+                .put("b", "k", Bytes::from_static(b"payload"))
+                .expect("stages");
+            cloud.run(|| {
+                let execs: Vec<Executor> = (0..2)
+                    .map(|_| cloud.executor().build().expect("builds"))
+                    .collect();
+                rustwren_sim::fan_out("probe", execs.len(), execs, |exec| {
+                    let issued = rustwren_sim::now();
+                    exec.inner.cos.get("b", "k")?;
+                    Ok::<_, PywrenError>(rustwren_sim::now().duration_since(issued))
+                })
+                .expect("both GETs succeed")
+            })
+        };
+        let (first, again) = (charges(5), charges(5));
+        assert_ne!(first[0], first[1], "e1 and e2 drew the same jitter");
+        assert_eq!(first, again, "same seed, same executor: same charge");
     }
 
     /// W009 wiring: an executor bound to a configured tenant namespace

@@ -35,7 +35,7 @@ use crate::future::{func_key, ResponseFuture, StatusWatch, TaskStatus};
 use crate::partition::{read_aligned, Partition};
 use crate::shuffle::{
     merge_runs, segment_key, shuffle_key, sort_run, ExchangeMode, KeyedPair, Partitioner,
-    ShufflePlane, MAX_REDUCERS,
+    MAX_REDUCERS,
 };
 use crate::task::TaskCtx;
 use crate::wire::{self, Value};
@@ -171,17 +171,7 @@ impl AgentPayload {
             .with("exec", self.exec_id.as_str())
             .with("job", self.job_id as i64)
             .with("task", i64::from(self.task))
-            .with("func", self.func_name.as_str())
-            // Vestigial: these once selected the blob cache, the batched
-            // dep watch and the inline threshold, which are now the only
-            // behaviour. They stay on the wire as literals because the wire
-            // is priced — `FaasClient` charges `request_cost(payload.len(),
-            // token)` and tokens are time-derived, so ~30 fewer bytes would
-            // re-roll every jitter draw and move every `kernel_equiv`
-            // fingerprint. Drop them with the next intentional re-bless.
-            .with("cache", true)
-            .with("batch", true)
-            .with("ilmax", INLINE_MAX_BYTES as i64);
+            .with("func", self.func_name.as_str());
         if let Some(inline) = &self.inline {
             v = v.with("inline", inline.clone());
         }
@@ -190,16 +180,6 @@ impl AgentPayload {
 
     pub(crate) fn decode(raw: &[u8]) -> Result<AgentPayload, String> {
         let v = Value::decode(raw).map_err(|e| e.to_string())?;
-        // `encode` always writes these three; a payload without them, or
-        // with other values, asks for a data path this agent does not have.
-        if v.get("cache").and_then(Value::as_bool) != Some(true)
-            || v.get("batch").and_then(Value::as_bool) != Some(true)
-            || v.get("ilmax").and_then(Value::as_i64) != Some(INLINE_MAX_BYTES as i64)
-        {
-            return Err(format!(
-                "fields `cache`/`batch`/`ilmax` must be true/true/{INLINE_MAX_BYTES}"
-            ));
-        }
         Ok(AgentPayload {
             bucket: v.req_str("bucket")?.to_owned(),
             exec_id: v.req_str("exec")?.to_owned(),
@@ -291,7 +271,6 @@ impl TaskSpec {
                     .with("kind", "shuffle-map")
                     .with("inner", inner.to_value())
                     .with("reducers", *reducers as i64)
-                    .with("plane", ShufflePlane::Partitioned.as_str())
                     .with("exch", exchange.as_str())
                     .with("part", partitioner.to_value());
                 if let Some(c) = combiner {
@@ -314,7 +293,6 @@ impl TaskSpec {
                 .with("index", *index as i64)
                 .with("poll_ms", poll.as_millis() as i64)
                 .with("reducers", *reducers as i64)
-                .with("plane", ShufflePlane::Partitioned.as_str())
                 .with("exch", exchange.as_str())
                 .with("fanin", *fanin as i64)
                 .with(
@@ -471,7 +449,6 @@ struct ShuffleMapParams {
 
 impl ShuffleMapParams {
     fn from_desc(desc: &Value) -> Result<ShuffleMapParams, String> {
-        ShufflePlane::from_wire(desc.req_str("plane")?)?;
         Ok(ShuffleMapParams {
             reducers: reducers_of(desc)?,
             exchange: ExchangeMode::from_wire(desc.req_str("exch")?)?,
@@ -699,7 +676,6 @@ struct ShuffleReduceParams {
 
 impl ShuffleReduceParams {
     fn from_desc(desc: &Value) -> Result<ShuffleReduceParams, String> {
-        ShufflePlane::from_wire(desc.req_str("plane")?)?;
         let depr = desc.get("depr").ok_or("missing field `depr`")?;
         let bucket = depr.req_str("bucket")?;
         let exec = depr.req_str("exec")?;
@@ -1071,39 +1047,33 @@ mod tests {
     }
 
     /// Payload bytes are priced by `request_cost` and feed every jitter
-    /// draw, so `kernel_equiv` moves if one byte does. The literal is what
-    /// commit 325ca27 (the last one with a configurable data path) encoded
-    /// for this payload under its default configuration.
+    /// draw, so `kernel_equiv` moves if one byte does. Up to commit b610208
+    /// this payload also carried `batch=true`, `cache=true` and
+    /// `ilmax=65536`, constants that selected nothing: 40 bytes (11 + 11 +
+    /// 18) that PR 16's re-bless took off the wire. The literal is the
+    /// encoding since.
     #[test]
-    fn agent_payload_encoding_is_byte_identical_to_parent() {
+    fn agent_payload_encoding_is_pinned() {
         let p = sample_payload(Some(Value::map().with("kind", "value").with("value", 7i64)));
-        let parent: &[u8] = b"\x07\t\x00\x00\x00\x05\x00\x00\x00batch\x01\x01\
+        let pinned: &[u8] = b"\x07\x06\x00\x00\x00\
             \x06\x00\x00\x00bucket\x04\x10\x00\x00\x00rustwren-runtime\
-            \x05\x00\x00\x00cache\x01\x01\
             \x04\x00\x00\x00exec\x04\x02\x00\x00\x00e1\
             \x04\x00\x00\x00func\x04\x04\x00\x00\x00tone\
-            \x05\x00\x00\x00ilmax\x02\x00\x00\x01\x00\x00\x00\x00\x00\
             \x06\x00\x00\x00inline\x07\x02\x00\x00\x00\
             \x04\x00\x00\x00kind\x04\x05\x00\x00\x00value\
             \x05\x00\x00\x00value\x02\x07\x00\x00\x00\x00\x00\x00\x00\
             \x03\x00\x00\x00job\x02\x04\x00\x00\x00\x00\x00\x00\x00\
             \x04\x00\x00\x00task\x02\t\x00\x00\x00\x00\x00\x00\x00";
-        assert_eq!(&p.encode()[..], parent);
+        assert_eq!(&p.encode()[..], pinned);
     }
 
     #[test]
     fn agent_payload_decode_rejects_any_missing_field() {
-        // A truncated payload once decoded with `cache`/`batch` false and
-        // `ilmax` 0 and quietly ran the staged protocol.
         let full = Value::decode(&sample_payload(None).encode()).expect("decodes");
-        for key in [
-            "bucket", "exec", "job", "task", "func", "cache", "batch", "ilmax",
-        ] {
+        for key in ["bucket", "exec", "job", "task", "func"] {
             let err = AgentPayload::decode(&without(&full, key).encode());
             assert!(err.is_err(), "payload without `{key}` decoded: {err:?}");
         }
-        let staged = full.clone().with("cache", false);
-        assert!(AgentPayload::decode(&staged.encode()).is_err());
     }
 
     #[test]
@@ -1174,14 +1144,11 @@ mod tests {
     #[test]
     fn shuffle_descriptors_reject_any_missing_field() {
         // Each of these once fell back to a default (one reducer, fan-in
-        // 16, the COS exchange, the hash partitioner, the retired
-        // object-per-partition layout) and ran a protocol the client did
-        // not ask for.
+        // 16, the COS exchange, the hash partitioner) and ran a protocol the
+        // client did not ask for.
         let reduce = sample_shuffle_reduce(4);
         assert!(ShuffleReduceParams::from_desc(&reduce).is_ok());
-        for key in [
-            "index", "poll_ms", "reducers", "plane", "exch", "fanin", "depr",
-        ] {
+        for key in ["index", "poll_ms", "reducers", "exch", "fanin", "depr"] {
             let r = ShuffleReduceParams::from_desc(&without(&reduce, key));
             assert!(r.is_err(), "reduce descriptor without `{key}`: {r:?}");
         }
@@ -1201,7 +1168,7 @@ mod tests {
         }
         .to_value();
         assert!(ShuffleMapParams::from_desc(&map).is_ok());
-        for key in ["reducers", "plane", "exch", "part"] {
+        for key in ["reducers", "exch", "part"] {
             let r = ShuffleMapParams::from_desc(&without(&map, key));
             assert!(r.is_err(), "map descriptor without `{key}`: {r:?}");
         }

@@ -55,23 +55,6 @@ pub enum ExchangeMode {
     Relay,
 }
 
-impl ShufflePlane {
-    /// Wire discriminator carried in shuffle task descriptors.
-    pub(crate) fn as_str(self) -> &'static str {
-        match self {
-            ShufflePlane::Partitioned => "seg",
-        }
-    }
-
-    /// Decodes [`ShufflePlane::as_str`].
-    pub(crate) fn from_wire(s: &str) -> Result<ShufflePlane, String> {
-        match s {
-            "seg" => Ok(ShufflePlane::Partitioned),
-            other => Err(format!("unknown shuffle plane `{other}`")),
-        }
-    }
-}
-
 impl ExchangeMode {
     /// Wire discriminator carried in shuffle task descriptors.
     pub(crate) fn as_str(self) -> &'static str {
@@ -403,15 +386,9 @@ mod tests {
 
     #[test]
     fn wire_discriminators_roundtrip_and_reject_unknown_values() {
-        assert_eq!(
-            ShufflePlane::from_wire(ShufflePlane::Partitioned.as_str()),
-            Ok(ShufflePlane::Partitioned)
-        );
         for e in [ExchangeMode::Cos, ExchangeMode::Relay] {
             assert_eq!(ExchangeMode::from_wire(e.as_str()), Ok(e));
         }
-        // The retired layout's discriminator is garbage now, not a mode.
-        assert!(ShufflePlane::from_wire("whole").is_err());
         assert!(ExchangeMode::from_wire("").is_err());
     }
 

@@ -6,8 +6,8 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use rustwren_core::{
-    DataSource, GetResultOpts, MapReduceOpts, PywrenError, SimCloud, SpawnStrategy, TaskCtx, Value,
-    WaitPolicy,
+    DataSource, GetResultOpts, MapReduceOpts, PywrenError, RetryPolicy, SimCloud, SpawnStrategy,
+    TaskCtx, Value, WaitPolicy,
 };
 use rustwren_sim::NetworkProfile;
 
@@ -707,10 +707,11 @@ fn clean_removes_all_staged_objects() {
     });
 }
 
-/// `clean()` once deleted the objects but kept the tables that describe
-/// them: `recovery` (one retained inline descriptor per task ever
-/// submitted), `job_funcs`, `job_retries`. A cleaned future is unknown
-/// again, and re-invoking it launches nothing.
+/// `clean()` once deleted the objects but kept the records that describe
+/// them (one retained inline descriptor per task ever submitted, the job's
+/// function, its spent retries). A cleaned future is unknown again, and
+/// re-invoking it launches nothing; the counters, which describe the
+/// executor and not a job, survive the sweep.
 #[test]
 fn clean_forgets_the_jobs_it_swept() {
     let cloud = test_cloud();
@@ -719,7 +720,11 @@ fn clean_forgets_the_jobs_it_swept() {
         let exec = cloud.executor().build().unwrap();
         let old = exec.map("add7", (0..3).map(Value::from)).unwrap();
         exec.get_result().unwrap();
-        exec.clean().unwrap();
+        let removed = exec.clean().unwrap();
+        assert_eq!(removed, 1 + 3, "blob + statuses");
+        assert_eq!(exec.recovery_stats().cleaned_objects, 4);
+        assert_eq!(exec.clean().unwrap(), 0, "nothing left to sweep");
+        assert_eq!(exec.recovery_stats().cleaned_objects, 4);
 
         let submitted = cloud.functions().stats().submitted;
         let err = exec.reinvoke(&old).unwrap_err();
@@ -734,6 +739,60 @@ fn clean_forgets_the_jobs_it_swept() {
         // The executor itself is still usable.
         exec.map("add7", [Value::Int(1)]).unwrap();
         assert_eq!(exec.get_result().unwrap(), vec![Value::Int(8)]);
+    });
+}
+
+/// The map stage behind a tracked reducer is *guarded*: its record in the
+/// executor's job table tells the recovery pass to watch and heal its tasks,
+/// while `get_result` returns the reducer's value only. Unwatched, a map
+/// task that failed once would fail its reducer on every attempt.
+#[test]
+fn guarded_map_task_is_healed_but_never_returned() {
+    let cloud = test_cloud();
+    let runs_of_three = Arc::new(AtomicUsize::new(0));
+    let counter = Arc::clone(&runs_of_three);
+    cloud.register_fn("square_flaky", move |_ctx: &TaskCtx, v: Value| {
+        let x = v.as_i64().ok_or("int")?;
+        if x == 3 && counter.fetch_add(1, Ordering::SeqCst) == 0 {
+            return Err("first execution of input 3 fails".into());
+        }
+        Ok(Value::Int(x * x))
+    });
+    cloud.register_fn("sum", |_ctx: &TaskCtx, v: Value| {
+        Ok(Value::Int(
+            v.req_list("results")?
+                .iter()
+                .filter_map(Value::as_i64)
+                .sum(),
+        ))
+    });
+    cloud.run(|| {
+        let exec = cloud
+            .executor()
+            .retry(RetryPolicy::with_attempts(4))
+            .build()
+            .unwrap();
+        let reducers = exec
+            .map_reduce(
+                "square_flaky",
+                DataSource::Values((1..=4).map(Value::from).collect()),
+                "sum",
+                MapReduceOpts::default(),
+            )
+            .unwrap();
+        assert_eq!(reducers.len(), 1);
+        assert_eq!(exec.pending_count(), 1, "only the reducer is tracked");
+
+        assert_eq!(exec.get_result().unwrap(), vec![Value::Int(30)]);
+        assert_eq!(
+            runs_of_three.load(Ordering::SeqCst),
+            2,
+            "the map task reran"
+        );
+        let stats = exec.recovery_stats();
+        assert!(stats.retries >= 1, "recover re-invoked it: {stats:?}");
+        assert_eq!(stats.retries_exhausted, 0, "{stats:?}");
+        assert_eq!(exec.pending_count(), 0);
     });
 }
 

@@ -697,7 +697,7 @@ impl CloudFunctions {
 
         let now = self.inner.kernel.now();
         let policy = self.effective_policy(namespace);
-        let (id, gate, tenanted) = {
+        let (id, gate) = {
             let mut pool = self.inner.pool.lock();
             let limit = self.inner.config.invocations_per_minute;
             if let Err(retry_after) = pool.rate.check(now, limit) {
@@ -709,7 +709,7 @@ impl CloudFunctions {
             }
 
             let global_inflight_ok = pool.inflight < self.inner.config.concurrency_limit;
-            let (gate, tenanted) = if let Some(t) = pool.tenants.get_mut(namespace) {
+            let gate = if let Some(t) = pool.tenants.get_mut(namespace) {
                 // Tenant plane: rate limit, then admit / queue / shed.
                 // The tenant borrow is scoped so the global pool fields can
                 // be updated once the decision is known.
@@ -752,19 +752,16 @@ impl CloudFunctions {
                     }
                     TenantAdmission::Admit => {
                         pool.inflight += 1;
-                        (None, true)
+                        None
                     }
                     TenantAdmission::Queue => {
                         pool.stats.queued += 1;
                         // The gate is pushed onto the queue below, once
                         // the activation id is allocated.
-                        (
-                            Some(Event::for_resource(
-                                &self.inner.kernel,
-                                self.inner.admission_res,
-                            )),
-                            true,
-                        )
+                        Some(Event::for_resource(
+                            &self.inner.kernel,
+                            self.inner.admission_res,
+                        ))
                     }
                 }
             } else {
@@ -777,7 +774,7 @@ impl CloudFunctions {
                     });
                 }
                 pool.inflight += 1;
-                (None, false)
+                None
             };
 
             pool.rate.record();
@@ -804,7 +801,7 @@ impl CloudFunctions {
                     .or_insert_with(|| ArrivalHistory::new(*buckets))
                     .record(now, *bucket);
             }
-            (id, gate, tenanted)
+            (id, gate)
         };
 
         self.inner.records.lock().insert(
@@ -832,7 +829,7 @@ impl CloudFunctions {
         let action = action.to_owned();
         let namespace = namespace.to_owned();
         self.inner.kernel.spawn(format!("act-{id}"), move || {
-            platform.run_activation(id, &namespace, &action, registered, payload, gate, tenanted);
+            platform.run_activation(id, &namespace, &action, registered, payload, gate);
         });
         Ok(id)
     }
@@ -1077,7 +1074,6 @@ impl CloudFunctions {
         self.inner.pool.lock().inflight
     }
 
-    #[allow(clippy::too_many_arguments)]
     // lint: entry(hot_path)
     // lint: entry(sim_path)
     fn run_activation(
@@ -1088,7 +1084,6 @@ impl CloudFunctions {
         registered: Arc<RegisteredAction>,
         payload: Bytes,
         gate: Option<Event>,
-        tenanted: bool,
     ) {
         let cfg = &self.inner.config;
         // `submit` registers the completion event before spawning this
@@ -1104,7 +1099,10 @@ impl CloudFunctions {
         if let Some(gate) = gate {
             gate.wait();
         }
-        if tenanted {
+        // The tenant table is fixed at construction, so looking the
+        // namespace up in it is the one test of "does this activation go
+        // through the tenant plane", here and below.
+        if self.inner.pool.lock().tenants.contains_key(namespace) {
             // Admitted: this thread now pins a tenant quota slot; queued
             // invocations blocked on admission point here in wait-for
             // graphs until the slot is released at completion.
@@ -1128,14 +1126,11 @@ impl CloudFunctions {
             r.worker = Some(container.worker);
             r.phase = Phase::Running;
         }
-        if tenanted {
-            let mut pool = self.inner.pool.lock();
-            if let Some(t) = pool.tenants.get_mut(namespace) {
-                if cold {
-                    t.stats.cold_starts += 1;
-                } else {
-                    t.stats.warm_starts += 1;
-                }
+        if let Some(t) = self.inner.pool.lock().tenants.get_mut(namespace) {
+            if cold {
+                t.stats.cold_starts += 1;
+            } else {
+                t.stats.warm_starts += 1;
             }
         }
 
@@ -1177,11 +1172,10 @@ impl CloudFunctions {
             if matches!(outcome, Outcome::TimedOut) {
                 pool.stats.timeouts += 1;
             }
-            if tenanted {
-                if let Some(t) = pool.tenants.get_mut(namespace) {
-                    t.inflight -= 1;
-                    t.stats.completed += 1;
-                }
+            if let Some(t) = pool.tenants.get_mut(namespace) {
+                t.inflight -= 1;
+                t.stats.completed += 1;
+                self.inner.kernel.release_resource(self.inner.admission_res);
             }
             // A concurrency slot (and possibly a quota slot) just freed:
             // admit queued work before anyone observes the completion.
@@ -1189,9 +1183,6 @@ impl CloudFunctions {
         };
         for gate in gates {
             gate.fire();
-        }
-        if tenanted {
-            self.inner.kernel.release_resource(self.inner.admission_res);
         }
         completion.fire();
     }

@@ -560,7 +560,11 @@ fn fault_timeline_replays_exactly_for_same_seed_and_plan() {
 
 #[test]
 fn integrity_faults_are_counted_and_healed() {
-    let seed = 61;
+    // The seed must make at least one object fail all three reads of the
+    // lowest-level verified read (1 in 64 at this rate), or every fault
+    // heals below the counters asserted on. 61 did until PR 16 re-rolled
+    // the jitter (and with it every time-derived fault draw); 63 does now.
+    let seed = 63;
     let expected = fault_free(seed, JobKind::Map);
     let plan = FaultPlan::new(seed).corrupt_get(
         PathScope::prefix("jobs/"),
