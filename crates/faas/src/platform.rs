@@ -23,13 +23,13 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use rustwren_sim::hash::{hash2, unit_f64};
 use rustwren_sim::sync::Event;
 use rustwren_sim::{Kernel, LightStep, NetworkProfile, ResourceId, SimInstant};
 use rustwren_store::{CosClient, ObjectStore, OpCounters, OpCounts};
 
-use crate::action::{Action, ActionConfig};
+use crate::action::{Action, ActionConfig, BodyStep, ResumableBody};
 use crate::activation::{ActivationId, ActivationRecord, Outcome, Phase};
 use crate::client::FaasClient;
 use crate::error::{FaasError, InvokeError, RegisterError};
@@ -196,10 +196,11 @@ enum PrewarmPhase {
     Finished,
 }
 
-/// Virtual-time backoff between polls when a prewarm finds a pool lock
-/// held. Light tasks run on a borrowed stack and must never park, so lock
-/// contention is handled by rescheduling the poll instead of blocking.
-const PREWARM_LOCK_RETRY: Duration = Duration::from_micros(100);
+/// Virtual-time backoff before a poll that found a platform lock held
+/// tries again. Activations and prewarms may run as light tasks, on a
+/// borrowed stack that must never park, so they take platform locks with
+/// `try_lock` and handle contention by rescheduling the poll.
+const LOCK_RETRY: Duration = Duration::from_micros(100);
 
 /// Outcome of the admission half of a prewarm (see
 /// [`CloudFunctions::prewarm_admit`]).
@@ -275,10 +276,96 @@ enum Handoff {
 }
 
 struct CapacityWaiter {
+    /// The waiting activation: the key its [`Handoff`] is left under.
+    id: ActivationId,
     /// Warm-pool key (`namespace/action`) the waiter can reuse warm.
     key: String,
-    slot: Arc<Mutex<Option<Handoff>>>,
     event: Event,
+}
+
+/// One activation from admission to completion: the single lifecycle
+/// every invocation runs, as a state machine whose [`poll`](Lifecycle::poll)
+/// returns the [`LightStep`] to suspend on. It performs the same kernel
+/// operations in the same order whichever vehicle polls it — a light task
+/// for a resumable body, a thread (through `rustwren_sim::run_blocking`)
+/// for a blocking one — so virtual timelines do not depend on the vehicle.
+/// Platform locks are only ever `try_lock`ed: a poll never parks.
+struct Lifecycle {
+    platform: CloudFunctions,
+    id: ActivationId,
+    namespace: String,
+    action: String,
+    registered: Arc<RegisteredAction>,
+    body: Box<dyn ResumableBody>,
+    /// Fired last; [`CloudFunctions::wait`] blocks on it.
+    completion: Event,
+    stage: Stage,
+}
+
+/// Where a [`Lifecycle`] is. A stage says "parks" where its step can
+/// suspend the activation; every stage that takes a platform lock can also
+/// back off for [`LOCK_RETRY`] and run again. Stages are moved by value at
+/// every step, beneath whatever a blocking body goes on to call, so what
+/// they carry is boxed: it keeps the thread vehicle's stack no deeper than
+/// the straight-line code this replaced.
+enum Stage {
+    /// Accepted. Parks on the admission gate if the invocation was queued.
+    Submitted { gate: Option<Event> },
+    /// Admitted: obtain a container (`first` until the tenant-slot hold is
+    /// on record). Parks on a capacity hand-off if the cluster is full.
+    Acquire { first: bool },
+    /// Woken by a releasing activation: collect what it handed over.
+    Handoff,
+    /// Container owned, image pull (if any) paid. Parks for the cold or
+    /// warm start.
+    Boot {
+        container: Box<Container>,
+        cold: bool,
+    },
+    /// Start paid: record `Running`.
+    Started {
+        container: Box<Container>,
+        cold: bool,
+    },
+    /// Count the start on the tenant and build the body's context (a stage
+    /// of its own so that no poll ever holds two platform locks at once).
+    Running {
+        container: Box<Container>,
+        cold: bool,
+        started: SimInstant,
+    },
+    /// The body. Parks wherever the body does.
+    Body {
+        container: Box<Container>,
+        ctx: Box<ActivationCtx>,
+    },
+    /// Body over: record `Done`.
+    Ended {
+        container: Box<Container>,
+        ended: SimInstant,
+        outcome: Outcome,
+        result: Option<Bytes>,
+    },
+    /// Return the container: to a capacity waiter, the warm pool, or
+    /// nowhere (scheduling a prewarm).
+    Release {
+        container: Box<Container>,
+        timed_out: bool,
+    },
+    /// Free the slots, admit queued work, fire the gates and the
+    /// completion.
+    Finish { timed_out: bool },
+    /// Terminal (also the placeholder while a step is in flight).
+    Finished,
+}
+
+/// A stage's verdict: the stage to be in next, and what to park on before
+/// it runs (`None`: run it now).
+type Step = (Stage, Option<LightStep>);
+
+/// Stay in `stage` and try again after [`LOCK_RETRY`].
+fn retry(stage: Stage) -> Step {
+    (stage, Some(LightStep::Sleep(LOCK_RETRY)))
 }
 
 /// One per-minute rate-limit window: fixed, opened by the first request
@@ -363,6 +450,9 @@ struct PoolState {
     rate: RateWindow,
     warm: HashMap<String, Vec<Container>>,
     waiters: VecDeque<CapacityWaiter>,
+    /// What releasing activations left for the capacity waiters they woke,
+    /// until each waiter's next poll collects it.
+    handoffs: HashMap<ActivationId, Handoff>,
     inflight: usize,
     worker_rr: usize,
     worker_images: Vec<HashSet<String>>,
@@ -439,8 +529,18 @@ pub struct PlatformStats {
     pub blob_cache_heals: u64,
 }
 
+/// An action's body, of the kind its registration call fixed. The kind is
+/// the only thing that decides what an activation rides: a blocking body
+/// may call anything, so it gets an OS thread; a resumable one suspends
+/// only by returning a [`BodyStep`], so it gets a light task.
+enum Body {
+    Blocking(Arc<dyn Action>),
+    /// Builds one activation's body from its payload.
+    Resumable(Arc<dyn Fn(Bytes) -> Box<dyn ResumableBody> + Send + Sync>),
+}
+
 struct RegisteredAction {
-    action: Arc<dyn Action>,
+    body: Body,
     config: ActionConfig,
 }
 
@@ -559,6 +659,7 @@ impl CloudFunctions {
                     rate: RateWindow::default(),
                     warm: HashMap::new(),
                     waiters: VecDeque::new(),
+                    handoffs: HashMap::new(),
                     inflight: 0,
                     worker_rr: 0,
                     worker_images: vec![HashSet::new(); workers],
@@ -614,7 +715,9 @@ impl CloudFunctions {
         self.inner.agent_ops.snapshot()
     }
 
-    /// Registers (deploys) an action under `name`.
+    /// Registers (deploys) an action under `name`. Its body may call
+    /// anything — COS and FaaS clients, `ctx.charge`, user code that blocks
+    /// — so each activation runs on a simulated OS thread.
     ///
     /// # Errors
     ///
@@ -630,6 +733,35 @@ impl CloudFunctions {
     where
         A: Action + 'static,
     {
+        self.register(name, config, Body::Blocking(Arc::new(action)))
+    }
+
+    /// Registers (deploys) a *resumable* action under `name`: `start`
+    /// builds one activation's [`ResumableBody`] from its payload (when the
+    /// invocation is accepted, on the invoker's stack: it should only
+    /// capture), and the platform polls that body instead of calling into
+    /// it. Such activations run as lightweight tasks — no OS thread — on
+    /// the same lifecycle and the same virtual timeline as a blocking
+    /// action that charges the same time.
+    ///
+    /// # Errors
+    ///
+    /// As [`register_action`](CloudFunctions::register_action).
+    pub fn register_resumable<B, F>(
+        &self,
+        name: &str,
+        config: ActionConfig,
+        start: F,
+    ) -> Result<(), RegisterError>
+    where
+        B: ResumableBody + 'static,
+        F: Fn(Bytes) -> B + Send + Sync + 'static,
+    {
+        let start = move |payload| Box::new(start(payload)) as Box<dyn ResumableBody>;
+        self.register(name, config, Body::Resumable(Arc::new(start)))
+    }
+
+    fn register(&self, name: &str, config: ActionConfig, body: Body) -> Result<(), RegisterError> {
         if !self.inner.registry.contains(&config.runtime) {
             return Err(RegisterError::UnknownRuntime(config.runtime.clone()));
         }
@@ -639,13 +771,10 @@ impl CloudFunctions {
                 limit_mb: self.inner.config.memory_limit_mb,
             });
         }
-        self.inner.actions.lock().insert(
-            name.to_owned(),
-            Arc::new(RegisteredAction {
-                action: Arc::new(action),
-                config,
-            }),
-        );
+        self.inner
+            .actions
+            .lock()
+            .insert(name.to_owned(), Arc::new(RegisteredAction { body, config }));
         Ok(())
     }
 
@@ -820,17 +949,51 @@ impl CloudFunctions {
                 logs: Vec::new(),
             },
         );
-        self.inner
-            .completions
-            .lock()
-            .insert(id, Event::named(&self.inner.kernel, format!("act-{id}")));
+        let completion = Event::named(&self.inner.kernel, format!("act-{id}"));
+        self.inner.completions.lock().insert(id, completion.clone());
 
-        let platform = self.clone();
-        let action = action.to_owned();
-        let namespace = namespace.to_owned();
-        self.inner.kernel.spawn(format!("act-{id}"), move || {
-            platform.run_activation(id, &namespace, &action, registered, payload, gate);
-        });
+        // The body's kind picks the vehicle; the lifecycle is the same.
+        let (body, light) = match &registered.body {
+            Body::Resumable(start) => (start(payload), true),
+            Body::Blocking(action) => {
+                // One step that calls, and blocks inside, the action.
+                let action = Arc::clone(action);
+                let mut payload = Some(payload);
+                let call = move |ctx: &ActivationCtx| {
+                    BodyStep::Done(action.invoke(ctx, payload.take().unwrap_or_default()))
+                };
+                (Box::new(call) as Box<dyn ResumableBody>, false)
+            }
+        };
+        let mut lifecycle = Lifecycle {
+            platform: self.clone(),
+            id,
+            namespace: namespace.to_owned(),
+            action: action.to_owned(),
+            registered,
+            body,
+            completion,
+            stage: Stage::Submitted { gate },
+        };
+        let name = format!("act-{id}");
+        if light {
+            // lint: allow(L008) — false positives of name-based dispatch: the
+            // lifecycle's std-map `.get`, the kernel's own `RawMutex::lock` and
+            // `RawCondvar::wait` resolve onto CosClient::get, the shim's
+            // Mutex::lock and Event::wait. Every platform lock in `step` is a
+            // try_lock that retries via LightStep::Sleep, and a blocking call
+            // from a body is refused by the kernel and booked as `Crashed`;
+            // guarded by lifecycle_reschedules_its_poll_on_a_contended_platform_lock
+            // and tests/verify.rs serving_burst_conserves_activations_under_every_schedule
+            self.inner.kernel.spawn_light(name, move || {
+                // Block-bodied so rustwren-lint roots L008 at this closure.
+                lifecycle.poll()
+            });
+        } else {
+            self.inner.kernel.spawn(name, move || {
+                rustwren_sim::run_blocking(|| lifecycle.poll())
+            });
+        }
         Ok(id)
     }
 
@@ -1074,218 +1237,16 @@ impl CloudFunctions {
         self.inner.pool.lock().inflight
     }
 
-    // lint: entry(hot_path)
-    // lint: entry(sim_path)
-    fn run_activation(
-        &self,
-        id: ActivationId,
-        namespace: &str,
-        action_name: &str,
-        registered: Arc<RegisteredAction>,
-        payload: Bytes,
-        gate: Option<Event>,
-    ) {
-        let cfg = &self.inner.config;
-        // `submit` registers the completion event before spawning this
-        // thread; a missing entry means the activation was torn down.
-        let Some(completion) = self.inner.completions.lock().get(&id).cloned() else {
-            return;
-        };
-        // This thread is the one that will fire the completion event;
-        // record it so waiter→activation edges appear in deadlock reports.
-        completion.mark_holder();
-        // Queued invocations park here until the weighted-round-robin
-        // dispatcher admits them.
-        if let Some(gate) = gate {
-            gate.wait();
-        }
-        // The tenant table is fixed at construction, so looking the
-        // namespace up in it is the one test of "does this activation go
-        // through the tenant plane", here and below.
-        if self.inner.pool.lock().tenants.contains_key(namespace) {
-            // Admitted: this thread now pins a tenant quota slot; queued
-            // invocations blocked on admission point here in wait-for
-            // graphs until the slot is released at completion.
-            self.inner.kernel.hold_resource(self.inner.admission_res);
-        }
-        let (container, cold, pull_bytes) =
-            self.acquire_container(namespace, action_name, &registered);
-        self.inner.kernel.hold_resource(self.inner.capacity_res);
-
-        if let Some(bytes) = pull_bytes {
-            rustwren_sim::sleep(Duration::from_secs_f64(
-                bytes as f64 / cfg.pull_bandwidth.max(1) as f64,
-            ));
-        }
-        rustwren_sim::sleep(if cold { cfg.cold_start } else { cfg.warm_start });
-
-        let started = self.inner.kernel.now();
-        if let Some(r) = self.inner.records.lock().get_mut(&id) {
-            r.started = Some(started);
-            r.cold_start = cold;
-            r.worker = Some(container.worker);
-            r.phase = Phase::Running;
-        }
-        if let Some(t) = self.inner.pool.lock().tenants.get_mut(namespace) {
-            if cold {
-                t.stats.cold_starts += 1;
-            } else {
-                t.stats.warm_starts += 1;
-            }
-        }
-
-        let timeout = registered.config.timeout.min(cfg.max_exec_time);
-        let ctx = ActivationCtx {
-            platform: self.clone(),
-            id,
-            tenant: TenantId::new(namespace),
-            action: action_name.to_owned(),
-            speed: container.speed,
-            started,
-            deadline: started + timeout,
-            worker: container.worker,
-            cache: container.cache.clone(),
-        };
-        let invoke_result =
-            panic::catch_unwind(AssertUnwindSafe(|| registered.action.invoke(&ctx, payload)));
-        let ended = self.inner.kernel.now();
-
-        let (outcome, result) = match invoke_result {
-            Ok(Ok(bytes)) if ended <= ctx.deadline => (Outcome::Success, Some(bytes)),
-            Ok(Ok(_)) => (Outcome::TimedOut, None),
-            Ok(Err(_)) if ended > ctx.deadline => (Outcome::TimedOut, None),
-            Ok(Err(e)) => (Outcome::Failed(e.0), None),
-            Err(p) => (Outcome::Crashed(panic_message(&p)), None),
-        };
-
-        if let Some(r) = self.inner.records.lock().get_mut(&id) {
-            r.ended = Some(ended);
-            r.result = result;
-            r.phase = Phase::Done(outcome.clone());
-        }
-        self.release_container(container);
-        self.inner.kernel.release_resource(self.inner.capacity_res);
-        let gates = {
-            let mut pool = self.inner.pool.lock();
-            pool.inflight -= 1;
-            pool.stats.completed += 1;
-            if matches!(outcome, Outcome::TimedOut) {
-                pool.stats.timeouts += 1;
-            }
-            if let Some(t) = pool.tenants.get_mut(namespace) {
-                t.inflight -= 1;
-                t.stats.completed += 1;
-                self.inner.kernel.release_resource(self.inner.admission_res);
-            }
-            // A concurrency slot (and possibly a quota slot) just freed:
-            // admit queued work before anyone observes the completion.
-            self.dispatch_queued_locked(&mut pool)
-        };
-        for gate in gates {
-            gate.fire();
-        }
-        completion.fire();
-    }
-
-    /// Obtains a container: warm reuse, fresh allocation, LRU eviction, or
-    /// blocking until capacity frees up. Returns `(container, cold,
-    /// image_bytes_to_pull)`.
-    fn acquire_container(
-        &self,
-        namespace: &str,
-        action_name: &str,
-        registered: &RegisteredAction,
-    ) -> (Container, bool, Option<u64>) {
-        let cfg = &self.inner.config;
-        let key = pool_key(namespace, action_name);
-        loop {
-            let waiter = {
-                let now = self.inner.kernel.now();
-                // Chaos cold-start storms bypass the warm pool: the warm
-                // container stays idle (it may still expire) while the
-                // activation pays the full cold-start path.
-                let storm = self
-                    .inner
-                    .kernel
-                    .chaos()
-                    .is_some_and(|c| c.cold_storm_active());
-                let mut pool = self.inner.pool.lock();
-                Self::expire_idle_locked(&mut pool, now);
-
-                let warm_available = pool.warm.get(&key).is_some_and(|v| !v.is_empty());
-                if storm && warm_available {
-                    if let Some(chaos) = self.inner.kernel.chaos() {
-                        chaos.record_forced_cold(action_name);
-                    }
-                } else if let Some(mut c) = pool.warm.get_mut(&key).and_then(Vec::pop) {
-                    Self::credit_warm_time_locked(&mut pool, &c, now);
-                    c.warmed_since = None;
-                    pool.stats.warm_starts += 1;
-                    return (c, false, None);
-                }
-
-                let has_capacity = pool.total_containers < cfg.cluster_containers
-                    || Self::evict_lru_locked(&mut pool, now);
-                if has_capacity {
-                    pool.total_containers += 1;
-                    let (c, pull) = self.make_container_locked(
-                        &mut pool,
-                        namespace,
-                        action_name,
-                        registered,
-                        self.image_bytes(registered),
-                        false,
-                    );
-                    return (c, true, pull);
-                }
-
-                // Cluster is full of busy containers: wait for a handoff.
-                // The wait is attributed to the shared capacity resource, so
-                // a wedged cluster shows *which* activations hold containers.
-                let waiter = CapacityWaiter {
-                    key: key.clone(),
-                    slot: Arc::new(Mutex::new(None)),
-                    event: Event::for_resource(&self.inner.kernel, self.inner.capacity_res),
-                };
-                let handle = (Arc::clone(&waiter.slot), waiter.event.clone());
-                pool.waiters.push_back(waiter);
-                handle
-            };
-            waiter.1.wait();
-            let handoff = waiter.0.lock().take();
-            match handoff {
-                Some(Handoff::Warm(c)) => {
-                    self.inner.pool.lock().stats.warm_starts += 1;
-                    return (c, false, None);
-                }
-                Some(Handoff::Capacity) => {
-                    // Capacity stays reserved (granter destroyed a container
-                    // without decrementing the total on our behalf).
-                    let mut pool = self.inner.pool.lock();
-                    let (c, pull) = self.make_container_locked(
-                        &mut pool,
-                        namespace,
-                        action_name,
-                        registered,
-                        self.image_bytes(registered),
-                        false,
-                    );
-                    return (c, true, pull);
-                }
-                None => continue, // spurious; re-enter the loop
-            }
-        }
-    }
-
-    /// Image size in bytes for `registered`'s runtime (0 if unknown), read
-    /// through the blocking registry lock — not light-poll safe; prewarms
-    /// use [`DockerRegistry::try_get`] instead.
-    fn image_bytes(&self, registered: &RegisteredAction) -> u64 {
-        self.inner
+    /// Image size in bytes for `registered`'s runtime (0 if unknown), or
+    /// `None` when a concurrent `docker push` holds the registry lock: a
+    /// poll reschedules itself instead of parking there.
+    fn image_bytes(&self, registered: &RegisteredAction) -> Option<u64> {
+        let image = self
+            .inner
             .registry
-            .get(&registered.config.runtime)
-            .map(|i| i.size_bytes)
-            .unwrap_or(0)
+            .try_get(&registered.config.runtime)
+            .ok()?;
+        Some(image.map_or(0, |i| i.size_bytes))
     }
 
     fn make_container_locked(
@@ -1341,71 +1302,62 @@ impl CloudFunctions {
         )
     }
 
-    fn release_container(&self, mut container: Container) {
+    /// Returns an activation's container: to a capacity waiter if there is
+    /// one, else wherever the keep-alive policy says. Hands the container
+    /// back on pool-lock contention so the poll can retry.
+    fn release_container(&self, mut container: Container) -> Result<(), Container> {
         let now = self.inner.kernel.now();
-        container.last_used = now;
-        let prewarm_req = {
-            let mut pool = self.inner.pool.lock();
-            // Prefer a waiter for the same tenant+action (warm handoff)…
-            if let Some(w) = pool
-                .waiters
-                .iter()
-                .position(|w| w.key == container.key)
-                .and_then(|idx| pool.waiters.remove(idx))
-            {
-                *w.slot.lock() = Some(Handoff::Warm(container));
-                drop(pool);
-                w.event.fire();
-                return;
-            }
-            // …then any waiter (destroy this container, grant its capacity)…
-            if let Some(w) = pool.waiters.pop_front() {
-                *w.slot.lock() = Some(Handoff::Capacity);
-                drop(pool);
-                w.event.fire();
-                return;
-            }
-            // …otherwise ask the keep-alive policy.
-            let policy = self.effective_policy(container.tenant.as_str());
-            let decision = pool
-                .arrivals
-                .get(&container.key)
-                .map_or(KeepDecision::KeepUntil(now + self.idle_ttl(&policy)), |h| {
-                    h.decide(&policy, now)
-                });
-            match decision {
-                KeepDecision::KeepUntil(until) => {
-                    container.expires_at = until;
-                    container.warmed_since = Some(now);
-                    pool.warm
-                        .entry(container.key.clone())
-                        .or_default()
-                        .push(container);
-                    None
-                }
-                KeepDecision::Release { prewarm } => {
-                    // Destroy immediately: the predicted gap to the next
-                    // arrival makes idling more expensive than a prewarm.
-                    pool.total_containers -= 1;
-                    prewarm.map(|(at, until)| {
-                        let generation = pool
-                            .arrivals
-                            .get(&container.key)
-                            .map_or(0, |h| h.generation);
-                        (
-                            container.tenant.clone(),
-                            container.key.clone(),
-                            at,
-                            until,
-                            generation,
-                        )
-                    })
-                }
-            }
+        let Some(mut pool) = self.inner.pool.try_lock() else {
+            return Err(container);
         };
-        if let Some((tenant, key, at, until, generation)) = prewarm_req {
-            self.schedule_prewarm(&tenant, &key, at, until, generation);
+        container.last_used = now;
+        // Prefer a waiter for the same tenant+action (warm handoff), then
+        // any waiter (destroy this container, grant its capacity)…
+        let hand_over = |mut pool: MutexGuard<'_, PoolState>, w: CapacityWaiter, handoff| {
+            pool.handoffs.insert(w.id, handoff);
+            drop(pool);
+            w.event.fire();
+            Ok(())
+        };
+        let same_key = pool.waiters.iter().position(|w| w.key == container.key);
+        if let Some(w) = same_key.and_then(|idx| pool.waiters.remove(idx)) {
+            return hand_over(pool, w, Handoff::Warm(container));
         }
+        if let Some(w) = pool.waiters.pop_front() {
+            return hand_over(pool, w, Handoff::Capacity);
+        }
+        // …otherwise ask the keep-alive policy.
+        let policy = self.effective_policy(container.tenant.as_str());
+        let decision = pool
+            .arrivals
+            .get(&container.key)
+            .map_or(KeepDecision::KeepUntil(now + self.idle_ttl(&policy)), |h| {
+                h.decide(&policy, now)
+            });
+        match decision {
+            KeepDecision::KeepUntil(until) => {
+                container.expires_at = until;
+                container.warmed_since = Some(now);
+                pool.warm
+                    .entry(container.key.clone())
+                    .or_default()
+                    .push(container);
+            }
+            KeepDecision::Release { prewarm } => {
+                // Destroy immediately: the predicted gap to the next
+                // arrival makes idling more expensive than a prewarm.
+                pool.total_containers -= 1;
+                if let Some((at, until)) = prewarm {
+                    let generation = pool
+                        .arrivals
+                        .get(&container.key)
+                        .map_or(0, |h| h.generation);
+                    drop(pool);
+                    self.schedule_prewarm(&container.tenant, &container.key, at, until, generation);
+                }
+            }
+        }
+        Ok(())
     }
 
     /// The fixed idle TTL equivalent of `policy`, for containers with no
@@ -1460,7 +1412,7 @@ impl CloudFunctions {
                                 PrewarmAdmit::Admitted(container, pull) => (container, pull),
                                 PrewarmAdmit::Retry => {
                                     phase = PrewarmPhase::Admit;
-                                    return LightStep::Sleep(PREWARM_LOCK_RETRY);
+                                    return LightStep::Sleep(LOCK_RETRY);
                                 }
                                 PrewarmAdmit::StandDown => return LightStep::Done,
                             };
@@ -1490,7 +1442,7 @@ impl CloudFunctions {
                             Ok(()) => LightStep::Done,
                             Err(container) => {
                                 phase = PrewarmPhase::Install { container };
-                                LightStep::Sleep(PREWARM_LOCK_RETRY)
+                                LightStep::Sleep(LOCK_RETRY)
                             }
                         }
                     }
@@ -1517,12 +1469,9 @@ impl CloudFunctions {
             return PrewarmAdmit::StandDown;
         };
         drop(actions);
-        // Resolve the image size outside the pool lock, non-blocking: a
-        // concurrent `docker push` must reschedule the poll, not park it.
-        let Ok(image) = self.inner.registry.try_get(&registered.config.runtime) else {
+        let Some(image_bytes) = self.image_bytes(&registered) else {
             return PrewarmAdmit::Retry;
         };
-        let image_bytes = image.map(|i| i.size_bytes).unwrap_or(0);
         let cfg = &self.inner.config;
         let now = self.inner.kernel.now();
         let Some(mut pool) = self.inner.pool.try_lock() else {
@@ -1658,6 +1607,317 @@ impl CloudFunctions {
     }
 }
 
+impl Lifecycle {
+    /// Runs the activation to its next suspension point.
+    // lint: entry(hot_path)
+    // lint: entry(sim_path)
+    fn poll(&mut self) -> LightStep {
+        loop {
+            let (next, park) = match std::mem::replace(&mut self.stage, Stage::Finished) {
+                // From here, not from beneath `step`'s frame: everything a
+                // blocking action calls runs on top of this call, on as
+                // many thread stacks as there are concurrent activations.
+                Stage::Body { container, ctx } => self.run_body(container, ctx),
+                stage => self.step(stage),
+            };
+            self.stage = next;
+            if let Some(park) = park {
+                return park;
+            }
+        }
+    }
+
+    /// The `Body` stage: polls the body, and classifies the outcome once it
+    /// is done.
+    #[inline(never)]
+    fn run_body(&mut self, container: Box<Container>, ctx: Box<ActivationCtx>) -> Step {
+        let body = &mut self.body;
+        let result = match panic::catch_unwind(AssertUnwindSafe(|| body.resume(&ctx))) {
+            Ok(BodyStep::Sleep(d)) => {
+                return (Stage::Body { container, ctx }, Some(LightStep::Sleep(d)));
+            }
+            Ok(BodyStep::Wait(event)) => {
+                return (Stage::Body { container, ctx }, Some(LightStep::Wait(event)));
+            }
+            Ok(BodyStep::Done(result)) => Ok(result),
+            Err(p) => Err(p),
+        };
+        let ended = self.platform.inner.kernel.now();
+        let (outcome, result) = match result {
+            Ok(Ok(bytes)) if ended <= ctx.deadline => (Outcome::Success, Some(bytes)),
+            Ok(Ok(_)) => (Outcome::TimedOut, None),
+            Ok(Err(_)) if ended > ctx.deadline => (Outcome::TimedOut, None),
+            Ok(Err(e)) => (Outcome::Failed(e.0), None),
+            Err(p) => (Outcome::Crashed(panic_message(&p)), None),
+        };
+        let next = Stage::Ended {
+            container,
+            ended,
+            outcome,
+            result,
+        };
+        (next, None)
+    }
+
+    /// One stage other than the body. Every platform lock is `try_lock`ed
+    /// before the stage changes anything, so backing off with [`retry`]
+    /// repeats nothing.
+    fn step(&mut self, stage: Stage) -> Step {
+        let inner = &self.platform.inner;
+        let cfg = &inner.config;
+        match stage {
+            Stage::Submitted { gate } => {
+                // This activation is the one that will fire the completion
+                // event; record it so waiter→activation edges appear in
+                // deadlock reports.
+                self.completion.mark_holder();
+                // Queued invocations park here until the weighted
+                // round-robin dispatcher admits them.
+                (Stage::Acquire { first: true }, gate.map(LightStep::Wait))
+            }
+            Stage::Acquire { first } => {
+                let Some(mut pool) = inner.pool.try_lock() else {
+                    return retry(Stage::Acquire { first });
+                };
+                // The tenant table is fixed at construction, so looking the
+                // namespace up in it is the one test of "does this
+                // activation go through the tenant plane", here and below.
+                if first && pool.tenants.contains_key(&self.namespace) {
+                    // Admitted: this activation now pins a tenant quota
+                    // slot; queued invocations blocked on admission point
+                    // here in wait-for graphs until it is released.
+                    inner.kernel.hold_resource(inner.admission_res);
+                }
+                self.acquire(&mut pool)
+            }
+            Stage::Handoff => {
+                let Some(mut pool) = inner.pool.try_lock() else {
+                    return retry(Stage::Handoff);
+                };
+                match pool.handoffs.remove(&self.id) {
+                    Some(Handoff::Warm(container)) => {
+                        pool.stats.warm_starts += 1;
+                        self.boot(container, false, None)
+                    }
+                    // Capacity stays reserved: the granter destroyed its
+                    // container without decrementing the total.
+                    Some(Handoff::Capacity) => match self.platform.image_bytes(&self.registered) {
+                        Some(image_bytes) => self.make_container(&mut pool, image_bytes),
+                        None => {
+                            pool.handoffs.insert(self.id, Handoff::Capacity);
+                            retry(Stage::Handoff)
+                        }
+                    },
+                    // Woken with nothing left for us: queue up again.
+                    None => (Stage::Acquire { first: false }, None),
+                }
+            }
+            Stage::Boot { container, cold } => {
+                let start = if cold { cfg.cold_start } else { cfg.warm_start };
+                (
+                    Stage::Started { container, cold },
+                    Some(LightStep::Sleep(start)),
+                )
+            }
+            Stage::Started { container, cold } => {
+                let Some(mut records) = inner.records.try_lock() else {
+                    return retry(Stage::Started { container, cold });
+                };
+                let started = inner.kernel.now();
+                if let Some(r) = records.get_mut(&self.id) {
+                    r.started = Some(started);
+                    r.cold_start = cold;
+                    r.worker = Some(container.worker);
+                    r.phase = Phase::Running;
+                }
+                let next = Stage::Running {
+                    container,
+                    cold,
+                    started,
+                };
+                (next, None)
+            }
+            Stage::Running {
+                container,
+                cold,
+                started,
+            } => {
+                let Some(mut pool) = inner.pool.try_lock() else {
+                    let again = Stage::Running {
+                        container,
+                        cold,
+                        started,
+                    };
+                    return retry(again);
+                };
+                if let Some(t) = pool.tenants.get_mut(&self.namespace) {
+                    if cold {
+                        t.stats.cold_starts += 1;
+                    } else {
+                        t.stats.warm_starts += 1;
+                    }
+                }
+                drop(pool);
+                let timeout = self.registered.config.timeout.min(cfg.max_exec_time);
+                let ctx = Box::new(ActivationCtx {
+                    platform: self.platform.clone(),
+                    id: self.id,
+                    tenant: TenantId::new(self.namespace.as_str()),
+                    action: self.action.clone(),
+                    speed: container.speed,
+                    started,
+                    deadline: started + timeout,
+                    worker: container.worker,
+                    cache: container.cache.clone(),
+                });
+                (Stage::Body { container, ctx }, None)
+            }
+            // `poll` runs the body itself.
+            Stage::Body { container, ctx } => self.run_body(container, ctx),
+            Stage::Ended {
+                container,
+                ended,
+                outcome,
+                result,
+            } => {
+                let Some(mut records) = inner.records.try_lock() else {
+                    let again = Stage::Ended {
+                        container,
+                        ended,
+                        outcome,
+                        result,
+                    };
+                    return retry(again);
+                };
+                let timed_out = matches!(outcome, Outcome::TimedOut);
+                if let Some(r) = records.get_mut(&self.id) {
+                    r.ended = Some(ended);
+                    r.result = result;
+                    r.phase = Phase::Done(outcome);
+                }
+                let next = Stage::Release {
+                    container,
+                    timed_out,
+                };
+                (next, None)
+            }
+            Stage::Release {
+                container,
+                timed_out,
+            } => match self.platform.release_container(*container) {
+                Ok(()) => {
+                    inner.kernel.release_resource(inner.capacity_res);
+                    (Stage::Finish { timed_out }, None)
+                }
+                Err(container) => retry(Stage::Release {
+                    container: Box::new(container),
+                    timed_out,
+                }),
+            },
+            Stage::Finish { timed_out } => {
+                let Some(mut pool) = inner.pool.try_lock() else {
+                    return retry(Stage::Finish { timed_out });
+                };
+                pool.inflight -= 1;
+                pool.stats.completed += 1;
+                if timed_out {
+                    pool.stats.timeouts += 1;
+                }
+                if let Some(t) = pool.tenants.get_mut(&self.namespace) {
+                    t.inflight -= 1;
+                    t.stats.completed += 1;
+                    inner.kernel.release_resource(inner.admission_res);
+                }
+                // A concurrency slot (and possibly a quota slot) just freed:
+                // admit queued work before anyone observes the completion.
+                let gates = self.platform.dispatch_queued_locked(&mut pool);
+                drop(pool);
+                for gate in gates {
+                    gate.fire();
+                }
+                self.completion.fire();
+                (Stage::Finished, Some(LightStep::Done))
+            }
+            Stage::Finished => (Stage::Finished, Some(LightStep::Done)),
+        }
+    }
+
+    /// One attempt, under the pool lock, to obtain a container: warm reuse,
+    /// fresh allocation, LRU eviction or — the cluster being full of busy
+    /// containers — a place in the capacity queue.
+    fn acquire(&self, pool: &mut PoolState) -> Step {
+        let inner = &self.platform.inner;
+        let key = pool_key(&self.namespace, &self.action);
+        let now = inner.kernel.now();
+        CloudFunctions::expire_idle_locked(pool, now);
+
+        // Chaos cold-start storms bypass the warm pool: the warm
+        // container stays idle (it may still expire) while the
+        // activation pays the full cold-start path.
+        let storm = inner.kernel.chaos().filter(|c| c.cold_storm_active());
+        let bypass = storm.filter(|_| pool.warm.get(&key).is_some_and(|v| !v.is_empty()));
+        if bypass.is_none() {
+            if let Some(mut c) = pool.warm.get_mut(&key).and_then(Vec::pop) {
+                CloudFunctions::credit_warm_time_locked(pool, &c, now);
+                c.warmed_since = None;
+                pool.stats.warm_starts += 1;
+                return self.boot(c, false, None);
+            }
+        }
+
+        // A fresh container it is. Its image size is the one thing that can
+        // send this attempt back, so it is resolved before anything counts.
+        let Some(image_bytes) = self.platform.image_bytes(&self.registered) else {
+            return retry(Stage::Acquire { first: false });
+        };
+        if let Some(chaos) = bypass {
+            chaos.record_forced_cold(&self.action);
+        }
+        let has_capacity = pool.total_containers < inner.config.cluster_containers
+            || CloudFunctions::evict_lru_locked(pool, now);
+        if has_capacity {
+            pool.total_containers += 1;
+            return self.make_container(pool, image_bytes);
+        }
+
+        // Cluster is full of busy containers: wait for a handoff. The wait
+        // is attributed to the shared capacity resource, so a wedged
+        // cluster shows *which* activations hold containers.
+        let event = Event::for_resource(&inner.kernel, inner.capacity_res);
+        pool.waiters.push_back(CapacityWaiter {
+            id: self.id,
+            key,
+            event: event.clone(),
+        });
+        (Stage::Handoff, Some(LightStep::Wait(event)))
+    }
+
+    /// Starts a fresh container in capacity already claimed.
+    fn make_container(&self, pool: &mut PoolState, image_bytes: u64) -> Step {
+        let (container, pull) = self.platform.make_container_locked(
+            pool,
+            &self.namespace,
+            &self.action,
+            &self.registered,
+            image_bytes,
+            false,
+        );
+        self.boot(container, true, pull)
+    }
+
+    /// The activation owns a container: pay the image pull, if any, before
+    /// the start.
+    fn boot(&self, container: Container, cold: bool, pull: Option<u64>) -> Step {
+        let inner = &self.platform.inner;
+        inner.kernel.hold_resource(inner.capacity_res);
+        let pull = pull.map(|bytes| {
+            Duration::from_secs_f64(bytes as f64 / inner.config.pull_bandwidth.max(1) as f64)
+        });
+        let container = Box::new(container);
+        (Stage::Boot { container, cold }, pull.map(LightStep::Sleep))
+    }
+}
+
 fn panic_message(p: &Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = p.downcast_ref::<&str>() {
         (*s).to_owned()
@@ -1731,11 +1991,19 @@ impl ActivationCtx {
         self.deadline.duration_since(self.now())
     }
 
-    /// Charges `d` of modeled CPU work, scaled by this container's speed
-    /// factor (slower containers take proportionally longer — the Fig 3
-    /// variability).
+    /// How long `d` of modeled CPU work takes on this container: `d`
+    /// scaled by its speed factor (slower containers take proportionally
+    /// longer — the Fig 3 variability). What a resumable body returns in
+    /// [`BodyStep::Sleep`] to charge `d`.
+    pub fn scaled(&self, d: Duration) -> Duration {
+        d.div_f64(self.speed)
+    }
+
+    /// Charges `d` of modeled CPU work by sleeping for
+    /// [`scaled`](ActivationCtx::scaled)`(d)`. Blocks, so only a blocking
+    /// action may call it.
     pub fn charge(&self, d: Duration) {
-        rustwren_sim::sleep(d.div_f64(self.speed));
+        rustwren_sim::sleep(self.scaled(d));
     }
 
     /// Appends a line to this activation's log (OpenWhisk captures stdout
@@ -1878,6 +2146,40 @@ mod tests {
         drop(pool);
         assert!(faas.prewarm_install(container, until).is_ok());
         assert_eq!(faas.inner.pool.lock().warm.get(key).map(Vec::len), Some(1));
+    }
+
+    #[test]
+    fn lifecycle_reschedules_its_poll_on_a_contended_platform_lock() {
+        // A resumable activation runs as a light task on a borrowed stack:
+        // parking there would wedge the dispatcher. Nothing in the tree
+        // sleeps holding a platform lock, so this test does: each stage
+        // that finds the lock taken must back off `LOCK_RETRY` at a time
+        // and carry on, unharmed, once it is free.
+        for hog_records in [true, false] {
+            let (kernel, faas) = setup(PlatformConfig::default());
+            faas.register_resumable("serve", ActionConfig::default(), |p: Bytes| {
+                move |_ctx: &ActivationCtx| BodyStep::Done(Ok(p.clone()))
+            })
+            .unwrap();
+            let record = kernel.run("client", || {
+                // Cold start: the activation next needs a lock at ~2.1 s.
+                let id = faas.invoke("serve", Bytes::from_static(b"x")).unwrap();
+                let hog = faas.clone();
+                rustwren_sim::spawn("hog", move || {
+                    rustwren_sim::sleep(Duration::from_secs(1));
+                    let _records = hog_records.then(|| hog.inner.records.lock());
+                    let _pool = (!hog_records).then(|| hog.inner.pool.lock());
+                    rustwren_sim::sleep(Duration::from_secs(2));
+                });
+                faas.wait(id)
+            });
+            assert!(record.is_success(), "{:?}", record.phase);
+            let hog_let_go = SimInstant::ZERO + Duration::from_secs(3);
+            assert!(record.ended.unwrap() >= hog_let_go);
+            assert!(record.ended.unwrap() < hog_let_go + 2 * LOCK_RETRY);
+            assert!(kernel.stats().light_polls > 1_000, "it kept polling");
+            assert_eq!(faas.inflight(), 0);
+        }
     }
 
     #[test]

@@ -108,6 +108,66 @@ fn l008_try_polling_closure_is_clean() {
     assert_eq!(rule_hits(&outcome, Rule::L008), Vec::<String>::new());
 }
 
+/// How the FaaS platform's activations are rooted: the `spawn_light`
+/// closure only calls the lifecycle's `poll`, which calls the body through
+/// a trait object. Name-based dispatch must carry L008 through both hops
+/// to every `resume` impl, in whichever crate it lives — while a blocking
+/// action, only ever called from the closure its registering function
+/// hands to a thread, stays out of the light closure's reach.
+#[test]
+fn l008_reaches_resumable_body_polls_through_the_lifecycle_closure() {
+    let root = workspace("l008-body");
+    plant(&root, "crates/sim/src/sync.rs", SIM_EVENT);
+    plant(
+        &root,
+        "crates/faas/src/platform.rs",
+        "impl Platform {\n\
+         \x20   fn invoke_in(&self, action: Arc<dyn Action>, mut lifecycle: Lifecycle) {\n\
+         \x20       if lifecycle.light {\n\
+         \x20           self.kernel.spawn_light(move || {\n\
+         \x20               lifecycle.poll()\n\
+         \x20           });\n\
+         \x20       } else {\n\
+         \x20           self.kernel.spawn(move || { action.invoke(); lifecycle.poll() });\n\
+         \x20       }\n\
+         \x20   }\n\
+         }\n\
+         impl Lifecycle {\n\
+         \x20   fn poll(&mut self) -> LightStep {\n\
+         \x20       self.body.resume(&self.ctx)\n\
+         \x20   }\n\
+         }\n",
+    );
+    plant(
+        &root,
+        "crates/workloads/src/bodies.rs",
+        "impl ResumableBody for Polite {\n\
+         \x20   fn resume(&mut self, ctx: &Ctx) -> LightStep { LightStep::Sleep(ctx.scaled(TICK)) }\n\
+         }\n\
+         impl ResumableBody for Careless {\n\
+         \x20   fn resume(&mut self, ctx: &Ctx) -> LightStep { self.ready.wait(); LightStep::Done }\n\
+         }\n\
+         impl Action for Blocking {\n\
+         \x20   fn invoke(&self) { self.ready.wait(); }\n\
+         }\n",
+    );
+    let outcome = run(&Options::new(&root));
+    let hits = rule_hits(&outcome, Rule::L008);
+    assert_eq!(hits.len(), 1, "expected one L008 finding: {hits:?}");
+    assert!(
+        hits[0].starts_with("crates/faas/src/platform.rs:4:"),
+        "{}",
+        hits[0]
+    );
+    for waypoint in ["Lifecycle::poll", "Careless::resume", "Event::wait"] {
+        assert!(
+            hits[0].contains(waypoint),
+            "missing `{waypoint}`: {}",
+            hits[0]
+        );
+    }
+}
+
 /// The documented false-positive class: name-based call resolution maps a
 /// `std` map lookup (`shared.get(&key)`) onto *every* in-workspace `get`
 /// impl, including one that blocks. The rule must fire (it cannot know

@@ -1,12 +1,18 @@
 //! The virtual-time kernel.
 //!
-//! Simulated processes are **real OS threads** registered with a [`Kernel`].
-//! Each registered thread is either *runnable* (executing Rust code) or
-//! *blocked* (sleeping until a virtual deadline, or waiting on a
-//! synchronization primitive from [`crate::sync`]). Virtual time advances
-//! only when every registered thread is blocked: the kernel then pops the
-//! earliest pending timer, moves the clock to its deadline, and wakes its
-//! waiter. Signals always wake threads at the *current* virtual instant.
+//! A simulated process is a *waiter* registered with a [`Kernel`], on one of
+//! two vehicles: a **real OS thread** ([`Kernel::spawn`], [`Kernel::run`]),
+//! which may run arbitrary blocking code, or a **lightweight task**
+//! ([`Kernel::spawn_light`]), a state machine the dispatch loop polls inline
+//! and which suspends only by returning a [`LightStep`]. Both share one
+//! waiter-id counter, one ready queue and one timer heap, so which vehicle a
+//! process rides is invisible to scheduling. Each waiter is either
+//! *runnable* (executing Rust code) or *blocked* (sleeping until a virtual
+//! deadline, or waiting on a synchronization primitive from
+//! [`crate::sync`]). Virtual time advances only when every waiter is
+//! blocked: the kernel then pops the earliest pending timer, moves the clock
+//! to its deadline, and wakes its waiter. Signals always wake waiters at the
+//! *current* virtual instant.
 //!
 //! # Determinism: cooperative serialization
 //!
@@ -26,11 +32,13 @@
 //! Same seed ⇒ bit-identical run, which is what lets the chaos engine
 //! ([`crate::chaos`]) promise exact fault-timeline replay.
 //!
-//! Because simulated processes are ordinary threads, arbitrary user code —
-//! including code that spawns further simulated threads mid-flight — runs
-//! unmodified inside the simulation. This is what lets the IBM-PyWren
+//! Because a thread-backed process is an ordinary thread, arbitrary user
+//! code — including code that spawns further simulated threads mid-flight —
+//! runs unmodified inside the simulation. This is what lets the IBM-PyWren
 //! composability features (functions that create executors and spawn
-//! sub-jobs) execute inside simulated cloud functions.
+//! sub-jobs) execute inside simulated cloud functions. Code that only
+//! charges time or waits on events needs no stack of its own and rides a
+//! light task instead.
 //!
 //! # Deadlocks
 //!
@@ -96,20 +104,31 @@ struct ThreadCtx {
 /// A lightweight task is a state machine driven by the kernel's dispatch
 /// loop: each poll runs to the task's next suspension point and returns
 /// how to proceed. Steps run inline on whichever OS thread is currently
-/// dispatching, so they must not block — the only way to suspend is to
-/// return [`LightStep::Sleep`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// dispatching, so they must not block — the only ways to suspend are to
+/// return [`LightStep::Sleep`] or [`LightStep::Wait`].
+#[derive(Debug, Clone)]
 pub enum LightStep {
     /// Re-poll after this much virtual time. A zero duration re-polls
     /// immediately (no timer is scheduled), mirroring how
     /// [`Kernel::sleep`] treats a zero-duration sleep as a no-op.
     Sleep(Duration),
+    /// Re-poll once this event has fired: the task parks in the event's
+    /// waiter list exactly as a thread inside [`Event::wait`] does (same
+    /// FIFO wake position, same `event.wait` entry in deadlock reports).
+    /// An event that has already fired re-polls immediately.
+    Wait(Event),
     /// The task is finished; the kernel forgets it.
     Done,
 }
 
-/// Boxed state-machine poll function of a lightweight task.
-type LightFn = Box<dyn FnMut() -> LightStep + Send>;
+/// A registered lightweight task.
+struct LightTask {
+    /// The state-machine poll function.
+    poll: Box<dyn FnMut() -> LightStep + Send>,
+    /// The event the task parked on with [`LightStep::Wait`], re-checked
+    /// before its next poll.
+    parked_on: Option<Event>,
+}
 
 /// Per-thread parking slot shared between the thread and its wakers.
 ///
@@ -325,9 +344,9 @@ pub(crate) struct State {
     /// recording sites copy-on-write only while a snapshot is live.
     trace: Arc<ScheduleTrace>,
     /// waiter id → lightweight-task state machine, for waiters spawned
-    /// with [`Kernel::spawn_light`]. The poll function is taken out of
-    /// the map while a step runs (the state lock is dropped during it).
-    light_tasks: HashMap<u64, LightFn>,
+    /// with [`Kernel::spawn_light`]. The task is taken out of the map
+    /// while a step runs (the state lock is dropped during it).
+    light_tasks: HashMap<u64, LightTask>,
     /// Sync-resource tokens touched since the last choice point (the
     /// running segment's footprint, for independence-based pruning).
     segment: Vec<u64>,
@@ -366,6 +385,22 @@ impl State {
         if let Some(r) = self.resources.get_mut(&res.0) {
             r.holders.clear();
         }
+    }
+
+    /// Schedules a timer that wakes `waiter` after `d` of virtual time.
+    fn schedule_timer(&mut self, d: Duration, waiter: &Arc<Waiter>) {
+        let deadline = self
+            .now
+            .checked_add(u64::try_from(d.as_nanos()).expect("sleep duration overflows u64 ns"))
+            .expect("virtual clock overflow");
+        let seq = self.timer_seq;
+        self.timer_seq += 1;
+        self.stats.timers_scheduled += 1;
+        self.timers.push(Reverse(TimerEntry {
+            deadline,
+            seq,
+            waiter: Arc::clone(waiter),
+        }));
     }
 
     /// Registers a resource; an empty label gets a generated `kind#N` one.
@@ -545,6 +580,10 @@ pub struct KernelStats {
     /// Lightweight-task state-machine polls run inline on the dispatch
     /// loop (zero except via [`Kernel::spawn_light`]).
     pub light_polls: u64,
+    /// OS threads actually created ([`Kernel::spawn`] only: a
+    /// [`Kernel::run`] caller brings its own thread and a light task has
+    /// none).
+    pub os_threads_spawned: u64,
 }
 
 /// [`Inner::flags`] bit: an exploring scheduler is installed.
@@ -865,6 +904,7 @@ impl Kernel {
             let mut st = self.inner.state.lock();
             st.live += 1;
             st.stats.threads_started += 1;
+            st.stats.os_threads_spawned += 1;
             let id = st.next_waiter_id;
             st.next_waiter_id += 1;
             let waiter = Waiter::new(id, Arc::clone(&name));
@@ -935,19 +975,24 @@ impl Kernel {
     /// Each poll must run to the task's next suspension point and return a
     /// [`LightStep`]: `Sleep(d)` schedules a timer and re-polls once it
     /// fires (zero duration re-polls immediately, like a zero-duration
-    /// [`Kernel::sleep`]); `Done` retires the task. Because polls run on
-    /// the dispatching OS thread, a poll must **never block** — calling
-    /// any blocking kernel operation (sleep, event wait, lock a contended
-    /// shim lock, …) from inside a poll panics with a diagnostic. Use a
-    /// real [`Kernel::spawn`] thread for code that blocks on sync
-    /// primitives.
+    /// [`Kernel::sleep`]); `Wait(event)` parks the task on the event and
+    /// re-polls once it fires (immediately if it already has); `Done`
+    /// retires the task. Because polls run on the dispatching OS thread, a
+    /// poll must **never block** — calling any blocking kernel operation
+    /// (sleep, event wait, lock a contended shim lock, …) from inside a
+    /// poll panics with a diagnostic, before the operation registers
+    /// anything. Use a real [`Kernel::spawn`] thread for code that blocks
+    /// inside calls it does not own; [`run_blocking`] drives the same
+    /// state machine there.
     ///
     /// May be called from inside or outside the simulation; either way the
     /// task starts parked in the ready queue and first polls when the
     /// dispatcher reaches it. A light task still pending when the last
-    /// thread-backed waiter exits simply freezes — the analogue of a
-    /// detached background thread dying at process exit — so immortal
-    /// pollers cannot wedge [`Kernel::run`]'s return.
+    /// thread-backed waiter exits freezes — the analogue of a detached
+    /// background thread dying at process exit — so immortal pollers
+    /// cannot wedge [`Kernel::run`]'s return. Frozen tasks stay registered:
+    /// [`Kernel::frozen_light_tasks`] lists them, and they resume under the
+    /// next [`Kernel::run`].
     pub fn spawn_light(
         &self,
         name: impl Into<String>,
@@ -968,7 +1013,33 @@ impl Kernel {
         }
         waiter.sync.lock().notified = true;
         st.ready.push_back(Arc::clone(&waiter));
-        st.light_tasks.insert(id, Box::new(f));
+        st.light_tasks.insert(
+            id,
+            LightTask {
+                poll: Box::new(f),
+                parked_on: None,
+            },
+        );
+    }
+
+    /// Names of the lightweight tasks still registered, in waiter-id (spawn)
+    /// order. Called after [`Kernel::run`] returns, this is what froze at
+    /// exit: work that was started and that nobody waited for.
+    pub fn frozen_light_tasks(&self) -> Vec<String> {
+        let st = self.inner.state.lock();
+        let mut tasks: Vec<(u64, &Arc<str>)> = st
+            .blocked
+            .values()
+            .map(|b| &b.waiter)
+            .chain(&st.ready)
+            .filter(|w| w.light)
+            .map(|w| (w.id, &w.name))
+            .collect();
+        tasks.sort_unstable_by_key(|&(id, _)| id);
+        tasks
+            .into_iter()
+            .map(|(_, name)| name.to_string())
+            .collect()
     }
 
     /// Suspends the current simulated thread for `d` of virtual time.
@@ -983,23 +1054,9 @@ impl Kernel {
         if d.is_zero() {
             return;
         }
-        let ctx = current_ctx("Kernel::sleep");
-        let waiter = ctx.waiter;
-        {
-            let mut st = self.inner.state.lock();
-            let deadline = st
-                .now
-                .checked_add(u64::try_from(d.as_nanos()).expect("sleep duration overflows u64 ns"))
-                .expect("virtual clock overflow");
-            let seq = st.timer_seq;
-            st.timer_seq += 1;
-            st.stats.timers_scheduled += 1;
-            st.timers.push(Reverse(TimerEntry {
-                deadline,
-                seq,
-                waiter: Arc::clone(&waiter),
-            }));
-        }
+        deny_blocking_in_light_step("sleep");
+        let waiter = current_ctx("Kernel::sleep").waiter;
+        self.inner.state.lock().schedule_timer(d, &waiter);
         self.block_current_with(&waiter, None, "sleep");
     }
 
@@ -1023,14 +1080,6 @@ impl Kernel {
         resource: Option<ResourceId>,
         reason: &'static str,
     ) {
-        if IN_LIGHT_STEP.with(std::cell::Cell::get) {
-            panic!(
-                "lightweight task `{}` attempted a blocking operation ({reason}); \
-                 a light task may only suspend by returning LightStep::Sleep — \
-                 use Kernel::spawn for code that blocks on sync primitives",
-                current_ctx("light step").waiter.name
-            );
-        }
         {
             let mut st = self.inner.state.lock();
             if let Some(report) = &st.deadlock {
@@ -1171,64 +1220,90 @@ impl Kernel {
     }
 
     /// Polls the lightweight task behind `w` once (re-polling immediately
-    /// on zero-duration sleeps), with the state lock dropped and the
-    /// calling OS thread temporarily impersonating the task — so kernel
-    /// operations, chaos draws and lock-order edges performed inside the
-    /// poll are attributed to the task, exactly as if it ran on its own
-    /// thread.
+    /// on zero-duration sleeps and already-fired events), with the state
+    /// lock dropped and the calling OS thread temporarily impersonating the
+    /// task — so kernel operations, chaos draws and lock-order edges
+    /// performed inside the poll are attributed to the task, exactly as if
+    /// it ran on its own thread.
     fn run_light_step<'a>(
         &'a self,
         mut st: RawMutexGuard<'a, State>,
         w: &Arc<Waiter>,
     ) -> RawMutexGuard<'a, State> {
-        let mut task = st
+        let LightTask {
+            mut poll,
+            mut parked_on,
+        } = st
             .light_tasks
             .remove(&w.id)
             .expect("lightweight waiter has a registered task");
         loop {
-            st.stats.light_polls += 1;
-            drop(st);
-            let step = {
-                let _scope = LightScope::enter(self, w);
-                task()
-            };
-            st = self.inner.state.lock();
-            match step {
-                LightStep::Sleep(d) if d.is_zero() => {}
-                LightStep::Sleep(d) => {
-                    let deadline = st
-                        .now
-                        .checked_add(
-                            u64::try_from(d.as_nanos()).expect("sleep duration overflows u64 ns"),
-                        )
-                        .expect("virtual clock overflow");
-                    let seq = st.timer_seq;
-                    st.timer_seq += 1;
-                    st.stats.timers_scheduled += 1;
-                    st.timers.push(Reverse(TimerEntry {
-                        deadline,
-                        seq,
-                        waiter: Arc::clone(w),
-                    }));
-                    w.sync.lock().parked = true;
-                    st.blocked.insert(
-                        w.id,
-                        BlockedInfo {
-                            waiter: Arc::clone(w),
-                            reason: "sleep",
-                            resource: None,
-                        },
-                    );
-                    st.light_tasks.insert(w.id, task);
+            // A task that parked on (or just asked to wait for) an event
+            // checks it the way a thread resumes inside `Event::wait`'s
+            // loop: fired means observe and carry on, anything else parks.
+            if let Some(event) = &parked_on {
+                if let Some(res) = event.enlist_locked(&mut st, w) {
+                    Self::park_light_locked(&mut st, w, "event.wait", Some(res));
+                    st.light_tasks.insert(w.id, LightTask { poll, parked_on });
                     return st;
                 }
+            }
+            st.stats.light_polls += 1;
+            drop(st);
+            // Event handles — the one just observed, and any the closure
+            // owns once it is done — are dropped with the state lock
+            // released: dropping an event's last handle takes that lock.
+            parked_on = None;
+            let step = {
+                let _scope = LightScope::enter(self, w);
+                poll()
+            };
+            match step {
                 LightStep::Done => {
+                    drop(poll);
+                    let mut st = self.inner.state.lock();
                     st.live -= 1;
                     st.light_live -= 1;
                     return st;
                 }
+                LightStep::Sleep(d) => {
+                    st = self.inner.state.lock();
+                    if !d.is_zero() {
+                        st.schedule_timer(d, w);
+                        Self::park_light_locked(&mut st, w, "sleep", None);
+                        st.light_tasks.insert(w.id, LightTask { poll, parked_on });
+                        return st;
+                    }
+                }
+                LightStep::Wait(event) => {
+                    assert!(
+                        event.is_on(self),
+                        "LightStep::Wait: event belongs to a different kernel"
+                    );
+                    parked_on = Some(event);
+                    st = self.inner.state.lock();
+                }
             }
         }
+    }
+
+    /// Marks the lightweight waiter `w` blocked, as `block_current_with`
+    /// does for a thread that is about to park.
+    fn park_light_locked(
+        st: &mut State,
+        w: &Arc<Waiter>,
+        reason: &'static str,
+        resource: Option<ResourceId>,
+    ) {
+        w.sync.lock().parked = true;
+        st.blocked.insert(
+            w.id,
+            BlockedInfo {
+                waiter: Arc::clone(w),
+                reason,
+                resource,
+            },
+        );
     }
 
     /// Immediately releases `waiter` outside the ready queue. Only used by
@@ -1525,6 +1600,11 @@ impl Kernel {
         let _st = self.drive(st);
     }
 
+    /// Whether `other` is a handle to this same kernel.
+    pub(crate) fn same_as(&self, other: &Kernel) -> bool {
+        Arc::ptr_eq(&self.inner, &other.inner)
+    }
+
     pub(crate) fn downgrade(&self) -> WeakKernel {
         WeakKernel(Arc::downgrade(&self.inner))
     }
@@ -1539,6 +1619,7 @@ impl Kernel {
         let Some(w) = try_current_waiter(self) else {
             return false;
         };
+        deny_blocking_in_light_step(lockop_reason(op));
         crate::vlock::track_addr(addr, self);
         let res = {
             let mut st = self.inner.state.lock();
@@ -1612,6 +1693,7 @@ impl Kernel {
         let Some(w) = try_current_waiter(self) else {
             return false;
         };
+        deny_blocking_in_light_step("condvar.wait");
         crate::vlock::track_addr(addr, self);
         // Probe *before* registering in the wait queue: if the probe yields
         // and a notify lands during the yield, that notify must see the
@@ -1755,6 +1837,22 @@ pub(crate) fn try_current_waiter(kernel: &Kernel) -> Option<Arc<Waiter>> {
         .and_then(|ctx| Arc::ptr_eq(&ctx.kernel.inner, &kernel.inner).then_some(ctx.waiter))
 }
 
+/// Panics when called from inside a lightweight poll: a blocking operation
+/// there would park the dispatch loop itself. Every blocking entry point
+/// calls this *before* it registers a timer or a waiter-list entry, so a
+/// caller that catches the panic (the FaaS platform records it as a crashed
+/// activation) is left with nothing stale to wake it later.
+pub(crate) fn deny_blocking_in_light_step(reason: &str) {
+    if IN_LIGHT_STEP.with(std::cell::Cell::get) {
+        panic!(
+            "lightweight task `{}` attempted a blocking operation ({reason}); \
+             a light task may only suspend by returning LightStep::Sleep or \
+             LightStep::Wait — use Kernel::spawn for code that blocks on sync primitives",
+            current_ctx("light step").waiter.name
+        );
+    }
+}
+
 fn current_ctx(op: &str) -> ThreadCtx {
     CURRENT.with(|c| {
         c.borrow().clone().unwrap_or_else(|| {
@@ -1877,6 +1975,25 @@ where
 pub fn spawn_light(name: impl Into<String>, f: impl FnMut() -> LightStep + Send + 'static) {
     let ctx = current_ctx("rustwren_sim::spawn_light");
     ctx.kernel.spawn_light(name, f);
+}
+
+/// Runs a lightweight task's state machine on the calling simulated
+/// thread instead: each step the dispatch loop would have parked the task
+/// for becomes the blocking call of the same name. This is how code that
+/// must ride a thread (because something it calls blocks) shares one state
+/// machine with code that need not.
+///
+/// # Panics
+///
+/// Panics if the calling thread is not registered with a kernel.
+pub fn run_blocking(mut poll: impl FnMut() -> LightStep) {
+    loop {
+        match poll() {
+            LightStep::Sleep(d) => sleep(d),
+            LightStep::Wait(event) => event.wait(),
+            LightStep::Done => return,
+        }
+    }
 }
 
 /// The kernel of the current simulated thread.
@@ -2460,6 +2577,285 @@ mod tests {
         // Polled at t=0s,1s,2s,3s while the client slept; frozen afterwards.
         assert_eq!(k.stats().light_polls, 4);
         assert_eq!(k.now(), SimInstant::ZERO + Duration::from_millis(3500));
+    }
+
+    /// One state machine (sleep, wait for the client's event, sleep, fire its
+    /// own event) on both vehicles: the light task and the thread running
+    /// it through `run_blocking` take the same FIFO wake positions, so a
+    /// bystander woken by the same event interleaves identically and every
+    /// counter but `light_polls`/`os_threads_spawned` agrees.
+    #[test]
+    fn light_wait_matches_thread_wait_schedule() {
+        fn run(light: bool) -> (Vec<(&'static str, u64)>, KernelStats, SimInstant) {
+            let k = Kernel::new();
+            let log: Arc<RawMutex<Vec<(&'static str, u64)>>> = Arc::new(RawMutex::new(Vec::new()));
+            let out = Arc::clone(&log);
+            let end = k.run("client", move || {
+                let note = {
+                    let log = Arc::clone(&log);
+                    move |what| log.lock().push((what, now().as_nanos() / 1_000_000))
+                };
+                let go = Event::named(&kernel(), "go");
+                let finished = Event::named(&kernel(), "finished");
+                let machine = {
+                    let (go, finished, note) = (go.clone(), finished.clone(), note.clone());
+                    let mut phase = 0u32;
+                    move || {
+                        phase += 1;
+                        match phase {
+                            1 => LightStep::Sleep(Duration::from_millis(5)),
+                            2 => {
+                                note("machine waits");
+                                LightStep::Wait(go.clone())
+                            }
+                            3 => {
+                                note("machine woke");
+                                LightStep::Sleep(Duration::from_millis(7))
+                            }
+                            _ => {
+                                note("machine done");
+                                finished.fire();
+                                LightStep::Done
+                            }
+                        }
+                    }
+                };
+                if light {
+                    spawn_light("machine", machine);
+                } else {
+                    spawn("machine", move || run_blocking(machine));
+                }
+                // Enlists on `go` after the machine does (t = 5 ms < 6 ms).
+                let bystander = spawn("bystander", {
+                    let (go, note) = (go.clone(), note.clone());
+                    move || {
+                        sleep(Duration::from_millis(6));
+                        go.wait();
+                        note("bystander woke");
+                    }
+                });
+                sleep(Duration::from_millis(20));
+                go.fire();
+                finished.wait();
+                note("client saw finish");
+                bystander.join();
+                now()
+            });
+            let events = out.lock().clone();
+            (events, k.stats(), end)
+        }
+        let (ev_thread, st_thread, end_thread) = run(false);
+        let (ev_light, st_light, end_light) = run(true);
+        assert_eq!(
+            ev_thread,
+            vec![
+                ("machine waits", 5),
+                ("machine woke", 20),
+                ("bystander woke", 20),
+                ("machine done", 27),
+                ("client saw finish", 27),
+            ]
+        );
+        assert_eq!(ev_thread, ev_light, "identical interleaving");
+        assert_eq!(end_thread, end_light);
+        assert_eq!(
+            KernelStats {
+                light_polls: 0,
+                os_threads_spawned: 0,
+                ..st_light
+            },
+            KernelStats {
+                os_threads_spawned: 0,
+                ..st_thread
+            }
+        );
+        assert_eq!(st_light.light_polls, 4);
+        // The bystander; plus, on the thread vehicle, the machine itself.
+        assert_eq!(st_light.os_threads_spawned, 1);
+        assert_eq!(st_thread.os_threads_spawned, 2);
+    }
+
+    /// Waiting on an event that has already fired re-polls at once: no
+    /// timer, no park, the clock does not move.
+    #[test]
+    fn light_wait_on_fired_event_repolls_inline() {
+        let k = Kernel::new();
+        let polls = k.clone().run("client", move || {
+            let ev = Event::new(&kernel());
+            ev.fire();
+            let polls = Arc::new(RawMutex::new(0u32));
+            let seen = Arc::clone(&polls);
+            spawn_light("eager", move || {
+                let mut n = seen.lock();
+                *n += 1;
+                if *n < 3 {
+                    LightStep::Wait(ev.clone())
+                } else {
+                    LightStep::Done
+                }
+            });
+            sleep(Duration::from_secs(1));
+            assert_eq!(now(), SimInstant::ZERO + Duration::from_secs(1));
+            let n = *polls.lock();
+            n
+        });
+        assert_eq!(polls, 3);
+        assert_eq!(k.stats().light_polls, 3);
+        assert_eq!(k.stats().timers_scheduled, 1, "only the client's sleep");
+        assert!(k.frozen_light_tasks().is_empty());
+    }
+
+    /// A light task parked on an event shows up in the deadlock report like
+    /// a thread would: `event.wait`, the event, its holder — and closes the
+    /// wait-for cycle through the blocked thread that holds it.
+    #[test]
+    fn deadlock_report_includes_light_task_parked_on_event() {
+        let k = Kernel::new();
+        let panic = panic::catch_unwind(AssertUnwindSafe(|| {
+            k.run("client", || {
+                // `worker` (a thread) owes `e1` and waits for `e2`; the
+                // light task `lt` owes `e2` and waits for `e1`.
+                let e1 = Event::named(&kernel(), "e1");
+                let e2 = Event::named(&kernel(), "e2");
+                let (e1w, e2l) = (e1.clone(), e2.clone());
+                let mut polled = false;
+                spawn_light("lt", move || {
+                    assert!(!polled, "never woken: `e1` never fires");
+                    polled = true;
+                    e2l.mark_holder();
+                    LightStep::Wait(e1.clone())
+                });
+                let worker = spawn("worker", move || {
+                    e1w.mark_holder();
+                    sleep(Duration::from_secs(1));
+                    e2.wait(); // deadlocks against `lt`
+                    e1w.fire();
+                });
+                worker.join();
+            });
+        }))
+        .expect_err("deadlock must panic");
+        let msg = panic
+            .downcast_ref::<String>()
+            .cloned()
+            .expect("panic payload is the report string");
+        assert!(msg.contains("simulation deadlock"), "missing header: {msg}");
+        assert!(
+            msg.contains("thread `lt` blocked on event.wait (event `e1`, held by `worker`)"),
+            "missing the light task's line: {msg}"
+        );
+        assert!(
+            msg.contains("wait-for cycle: `worker` -[event `e2`]-> `lt` -[event `e1`]-> `worker`"),
+            "missing cycle: {msg}"
+        );
+    }
+
+    /// What froze at exit is listed, in spawn order, and is still runnable:
+    /// a second `Kernel::run` polls it to completion.
+    #[test]
+    fn frozen_light_tasks_are_listed_and_resume_under_the_next_run() {
+        let k = Kernel::new();
+        let finished = Arc::new(RawMutex::new(Vec::new()));
+        let log = Arc::clone(&finished);
+        k.run("client", move || {
+            let gate = Event::named(&kernel(), "gate");
+            for (name, first) in [("sleeper", None), ("parked", Some(gate.clone()))] {
+                let log = Arc::clone(&log);
+                let mut phase = 0u32;
+                spawn_light(name, move || {
+                    phase += 1;
+                    match (phase, &first) {
+                        (1, None) => LightStep::Sleep(Duration::from_secs(5)),
+                        (1, Some(gate)) => LightStep::Wait(gate.clone()),
+                        _ => {
+                            log.lock().push(name);
+                            LightStep::Done
+                        }
+                    }
+                });
+            }
+            // Never polled at all: still in the ready queue at exit.
+            spawn_light("unpolled", || LightStep::Done);
+            let opener = gate.clone();
+            let mut opened = false;
+            spawn_light("opener", move || {
+                if opened {
+                    opener.fire();
+                    return LightStep::Done;
+                }
+                opened = true;
+                LightStep::Sleep(Duration::from_secs(2))
+            });
+            sleep(Duration::from_secs(1));
+        });
+        assert_eq!(
+            k.frozen_light_tasks(),
+            ["sleeper", "parked", "opener"],
+            "`unpolled` ran to Done at its first poll; the rest froze mid-flight"
+        );
+        assert!(finished.lock().is_empty());
+        k.run("second", || sleep(Duration::from_secs(10)));
+        assert!(k.frozen_light_tasks().is_empty());
+        assert_eq!(*finished.lock(), ["parked", "sleeper"]);
+        assert_eq!(k.live_threads(), 0);
+    }
+
+    /// `os_threads_spawned` counts `spawn` only; `threads_started` counts
+    /// every simulated process, whatever it rides.
+    #[test]
+    fn os_threads_spawned_counts_spawn_only() {
+        let k = Kernel::new();
+        k.run("client", || {
+            for i in 0..5 {
+                spawn_light(format!("l{i}"), || LightStep::Done);
+            }
+            let hs: Vec<_> = (0..3).map(|i| spawn(format!("t{i}"), || ())).collect();
+            for h in hs {
+                h.join();
+            }
+        });
+        assert_eq!(k.stats().threads_started, 9);
+        assert_eq!(k.stats().os_threads_spawned, 3);
+    }
+
+    /// A poll that catches the blocking-operation panic is left with nothing
+    /// stale: the refused `sleep` scheduled no timer and the refused `wait`
+    /// joined no waiter list, so neither can wake the task early later.
+    #[test]
+    fn refused_blocking_operations_leave_nothing_registered() {
+        let k = Kernel::new();
+        let polled_at = k.clone().run("client", || {
+            let never = Event::named(&kernel(), "never");
+            let fired_later = never.clone();
+            let polled_at = Arc::new(RawMutex::new(Vec::new()));
+            let log = Arc::clone(&polled_at);
+            let mut first = true;
+            spawn_light("careless", move || {
+                log.lock().push(now().as_nanos() / 1_000_000_000);
+                if !first {
+                    return LightStep::Done;
+                }
+                first = false;
+                for refused in [
+                    panic::catch_unwind(|| sleep(Duration::from_secs(1))),
+                    panic::catch_unwind(AssertUnwindSafe(|| never.wait())),
+                ] {
+                    assert!(refused.is_err());
+                }
+                LightStep::Sleep(Duration::from_secs(10))
+            });
+            sleep(Duration::from_secs(5));
+            fired_later.fire();
+            sleep(Duration::from_secs(10));
+            let log = polled_at.lock().clone();
+            log
+        });
+        assert_eq!(polled_at, [0, 10], "woken by its own timer only");
+        assert_eq!(
+            k.stats().timers_scheduled,
+            3,
+            "two client sleeps, one task sleep"
+        );
     }
 
     /// Waiter names are interned: holder registration shares the waiter's

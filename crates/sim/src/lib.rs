@@ -1,11 +1,12 @@
 //! # rustwren-sim — deterministic virtual-time kernel
 //!
 //! The foundation of the IBM-PyWren reproduction: a discrete-event
-//! simulation kernel over **real OS threads**. Simulated processes run
-//! arbitrary Rust code; whenever they sleep or wait on a primitive from
-//! [`sync`], they suspend in *virtual* time, and the kernel advances the
-//! clock to the next pending deadline once every registered thread is
-//! blocked. A 2,000-function, 60-second-per-function cloud experiment thus
+//! simulation kernel whose processes are **real OS threads** where they run
+//! arbitrary Rust code ([`spawn`]) and stackless state machines where they
+//! only charge time and wait on events ([`spawn_light`]). Whenever a
+//! process sleeps or waits on a primitive from [`sync`], it suspends in
+//! *virtual* time, and the kernel advances the clock to the next pending
+//! deadline once every registered process is blocked. A 2,000-function, 60-second-per-function cloud experiment thus
 //! completes in a fraction of a second of wall time, with timings that are a
 //! pure function of the configured cost models.
 //!
@@ -66,8 +67,8 @@ pub use chaos::{
     ChaosEngine, ChaosStats, CorruptMode, FaultPlan, FaultRecord, PathScope, TimeWindow,
 };
 pub use kernel::{
-    exploring, fan_out, kernel, now, sleep, spawn, spawn_light, Kernel, KernelStats, LightStep,
-    ResourceId, SimJoinHandle,
+    exploring, fan_out, kernel, now, run_blocking, sleep, spawn, spawn_light, Kernel, KernelStats,
+    LightStep, ResourceId, SimJoinHandle,
 };
 pub use net::NetworkProfile;
 pub use order::{CondvarObs, LockInstance, OrderEdge, RunOrderReport, SyncKind, VectorClock};

@@ -3,7 +3,10 @@
 use std::fmt;
 use std::sync::Arc;
 
-use crate::kernel::{current_waiter, try_current_waiter, Kernel, ResourceId, Waiter};
+use crate::kernel::{
+    current_waiter, deny_blocking_in_light_step, try_current_waiter, Kernel, ResourceId, State,
+    Waiter,
+};
 use crate::rawlock::RawMutex;
 
 #[derive(Default)]
@@ -142,31 +145,50 @@ impl Event {
     ///
     /// # Panics
     ///
-    /// Panics if the calling thread is not registered with this kernel.
+    /// Panics if the calling thread is not registered with this kernel, or
+    /// is polling a lightweight task (which waits by returning
+    /// [`LightStep::Wait`](crate::LightStep::Wait) instead).
     pub fn wait(&self) {
+        deny_blocking_in_light_step("event.wait");
         let waiter = current_waiter(&self.inner.kernel, "Event::wait");
         self.inner.kernel.preemption_point("event.wait");
         loop {
-            {
-                // Kernel state lock first, then the event's own lock — the
-                // same order as `fire` — so recording can never deadlock
-                // against a concurrent fire.
-                let mut st = self.inner.kernel.lock_state();
-                let mut ev = self.inner.state.lock();
-                if ev.fired {
-                    st.rec_observe(self.inner.res, &waiter);
-                    return;
-                }
-                if !ev.waiters.iter().any(|w| w.id() == waiter.id()) {
-                    ev.waiters.push(Arc::clone(&waiter));
-                }
-                drop(ev);
-                st.touch(self.inner.res);
+            let enlisted = self
+                .enlist_locked(&mut self.inner.kernel.lock_state(), &waiter)
+                .is_some();
+            if !enlisted {
+                return;
             }
             self.inner
                 .kernel
                 .block_current(Some(self.inner.res), "event.wait");
         }
+    }
+
+    /// The registration half of a wait, shared by [`wait`](Event::wait) and
+    /// the dispatch loop's handling of `LightStep::Wait`. With the kernel
+    /// state lock held (kernel lock first, then the event's own — the same
+    /// order as `fire`, so recording can never deadlock against a
+    /// concurrent fire): a fired event records the observe and returns
+    /// `None`; otherwise `waiter` joins the waiter list (once) and the
+    /// resource to block on is returned.
+    pub(crate) fn enlist_locked(&self, st: &mut State, waiter: &Arc<Waiter>) -> Option<ResourceId> {
+        let mut ev = self.inner.state.lock();
+        if ev.fired {
+            st.rec_observe(self.inner.res, waiter);
+            return None;
+        }
+        if !ev.waiters.iter().any(|w| w.id() == waiter.id()) {
+            ev.waiters.push(Arc::clone(waiter));
+        }
+        drop(ev);
+        st.touch(self.inner.res);
+        Some(self.inner.res)
+    }
+
+    /// Whether this event lives on `kernel`.
+    pub(crate) fn is_on(&self, kernel: &Kernel) -> bool {
+        self.inner.kernel.same_as(kernel)
     }
 }
 

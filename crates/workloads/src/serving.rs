@@ -16,7 +16,9 @@
 use std::time::Duration;
 
 use bytes::Bytes;
-use rustwren_faas::{ActionConfig, ActivationCtx, CloudFunctions, RegisterError};
+use rustwren_faas::{
+    ActionConfig, ActivationCtx, BodyStep, CloudFunctions, RegisterError, ResumableBody,
+};
 use rustwren_sim::hash::{hash2, hash_str, unit_f64};
 
 /// Name of the registered serving action.
@@ -212,6 +214,27 @@ pub fn payload(exec: Duration) -> Bytes {
     Bytes::copy_from_slice(&(exec.as_micros() as u64).to_le_bytes())
 }
 
+/// One activation of `serve`: decode the duration, charge it, echo the
+/// payload. It only charges time, so it is a resumable body and its
+/// activations run without an OS thread.
+struct Serve {
+    payload: Bytes,
+    charged: bool,
+}
+
+impl ResumableBody for Serve {
+    fn resume(&mut self, ctx: &ActivationCtx) -> BodyStep {
+        if self.charged {
+            return BodyStep::Done(Ok(self.payload.clone()));
+        }
+        let Ok(micros) = self.payload.as_ref().try_into().map(u64::from_le_bytes) else {
+            return BodyStep::Done(Err("serve: malformed duration payload".into()));
+        };
+        self.charged = true;
+        BodyStep::Sleep(ctx.scaled(Duration::from_micros(micros)))
+    }
+}
+
 /// Registers the `serve` action: charges the execution duration carried in
 /// its payload and echoes it back.
 ///
@@ -219,20 +242,10 @@ pub fn payload(exec: Duration) -> Bytes {
 ///
 /// Propagates [`RegisterError`] from the platform.
 pub fn register(faas: &CloudFunctions) -> Result<(), RegisterError> {
-    faas.register_action(
-        SERVE_FN,
-        ActionConfig::default(),
-        |ctx: &ActivationCtx, p: Bytes| {
-            let micros = p
-                .as_ref()
-                .try_into()
-                .map(u64::from_le_bytes)
-                .map_err(|_| "serve: malformed duration payload")?;
-            ctx.charge(Duration::from_micros(micros));
-            Ok(p)
-        },
-    )?;
-    Ok(())
+    faas.register_resumable(SERVE_FN, ActionConfig::default(), |payload| Serve {
+        payload,
+        charged: false,
+    })
 }
 
 #[cfg(test)]

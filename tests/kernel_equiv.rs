@@ -18,6 +18,17 @@
 //! has no executor and no payload, did not move. CHANGES.md (PR 16) lists
 //! each constant before and after with its reason.
 //!
+//! PR 17 made the activation lifecycle one resumable state machine that
+//! takes platform locks with `try_lock` (no preemption probe) where
+//! `run_activation` took them with `lock` (one probe each), and made
+//! `serve` a resumable body. Every `FIFO_*` constant held bit for bit —
+//! `FIFO_BURST` now runs all its activations as light tasks, so its not
+//! moving is the equivalence proof. Of the `RAND_*` constants `r=`, `adv=`,
+//! `tmr=`, `thr=` and `vt=` held everywhere; the `trace=` token of five of
+//! the six moved (all but `RAND_MAP[1]`) because dropping those probes
+//! renumbers the later choice points on the thread vehicle. Re-captured
+//! once; CHANGES.md (PR 17) lists each before and after.
+//!
 //! To re-bless after another *intentional* semantic change (new choice
 //! points, different workload shape, different priced bytes), run:
 //!
@@ -191,7 +202,7 @@ fn cloudsort_scenario(kernel: Kernel) -> String {
 /// Two-tenant burst trace under the hybrid keep-alive policy — drives the
 /// admission plane, warm-pool accounting, and the prewarm timers the
 /// light-task runtime absorbs.
-fn burst_scenario(kernel: Kernel) -> String {
+fn burst_scenario(kernel: Kernel, horizon: Duration) -> String {
     let traffic = vec![
         TenantTraffic::periodic("alpha", Duration::from_secs(4)),
         TenantTraffic::poisson("beta", 0.8).with_burst(BurstWindow {
@@ -200,7 +211,6 @@ fn burst_scenario(kernel: Kernel) -> String {
             multiplier: 6.0,
         }),
     ];
-    let horizon = Duration::from_secs(60);
     let cloud = SimCloud::builder()
         .seed(7)
         .client_network(NetworkProfile::lan())
@@ -278,6 +288,9 @@ fn burst_scenario(kernel: Kernel) -> String {
 
 const BLESS_ENV: &str = "RUSTWREN_BLESS";
 
+/// Trace horizon of the burst scenario `FIFO_BURST` was captured on.
+const BURST_HORIZON: Duration = Duration::from_secs(60);
+
 fn check(label: &str, golden: &str, got: &str) {
     if std::env::var(BLESS_ENV).is_ok() {
         println!("GOLDEN {label} = \"{got}\"");
@@ -321,7 +334,31 @@ fn cloudsort_fifo_fingerprint_is_stable() {
 
 #[test]
 fn burst_trace_fifo_fingerprint_is_stable() {
-    check("FIFO_BURST", FIFO_BURST, &burst_scenario(Kernel::new()));
+    check(
+        "FIFO_BURST",
+        FIFO_BURST,
+        &burst_scenario(Kernel::new(), BURST_HORIZON),
+    );
+}
+
+/// `serve` is a resumable body, so the burst's activations (and its
+/// prewarms) are light tasks: the only OS threads the scenario ever creates
+/// are its two drivers, however many arrivals they send.
+#[test]
+fn burst_activations_never_start_an_os_thread() {
+    let stats_after = |horizon| {
+        let kernel = Kernel::new();
+        burst_scenario(kernel.clone(), horizon);
+        kernel.stats()
+    };
+    let (pinned, doubled) = (stats_after(BURST_HORIZON), stats_after(2 * BURST_HORIZON));
+    assert_eq!(pinned.threads_started, 104, "what FIFO_BURST pins");
+    assert!(doubled.threads_started > 150, "{doubled:?}");
+    assert_eq!(
+        (pinned.os_threads_spawned, doubled.os_threads_spawned),
+        (2, 2)
+    );
+    assert!(pinned.light_polls > 0);
 }
 
 #[test]
@@ -363,22 +400,23 @@ fn cloudsort_random_schedule_fingerprints_are_stable() {
     }
 }
 
-// Captured with RUSTWREN_BLESS=1 at PR 16 (the re-bless; see the header).
-// `FIFO_BURST` is the PR 8 capture: that scenario has no executor and no
-// agent payload, so nothing in the re-bless reaches it.
+// `FIFO_*` captured with RUSTWREN_BLESS=1 at PR 16 (the re-bless; see the
+// header); `FIFO_BURST` is the PR 8 capture: that scenario has no executor
+// and no agent payload, so nothing in the re-bless reached it. The `trace=`
+// tokens of `RAND_*` are the PR 17 capture (all but `RAND_MAP[1]` moved).
 const FIFO_MAP: &str = "r=610214d1d0716dec adv=42 tmr=54 thr=18 vt=2778387049 trace=v1:";
 const FIFO_MAP_REDUCE: &str = "r=dd2c71163533fe08 adv=50 tmr=62 thr=13 vt=2888057780 trace=v1:";
 const FIFO_CLOUDSORT: &str = "r=9a876e1b9c41e132 adv=114 tmr=135 thr=24 vt=3952332348 trace=v1:";
 const FIFO_BURST: &str = "r=7b0471a08affaf50 adv=312 tmr=312 thr=104 vt=59766401093 trace=v1:";
 const RAND_MAP: [&str; 2] = [
-    "r=610214d1d0716dec adv=42 tmr=54 thr=18 vt=2778387049 trace=v1:0p1,1r4,3r1,6t2,8t1,9t2,18p1,29t3,30t3,31t1,32t1,34t3,38r4,42r3,44r1,45p1,46r1",
+    "r=610214d1d0716dec adv=42 tmr=54 thr=18 vt=2778387049 trace=v1:0p1,1r4,3r1,6t2,8t1,9t2,16t1,17t3,19t1,20t4,21t2,22t1,23t1,25r4,29r3,31r1,33r1",
     "r=610214d1d0716dec adv=42 tmr=54 thr=18 vt=2778387049 trace=v1:3r2,4r1,5t1,14r1,24t4,25t3,26t1,27t1,28t3,30t1,31t1,33r3,35r4,37r2,39r2,41r1",
 ];
 const RAND_MAP_REDUCE: [&str; 2] = [
-    "r=dd2c71163533fe08 adv=50 tmr=62 thr=13 vt=2888057780 trace=v1:0p1,1r4,3r1,6t2,8t1,15t2,17t1,37t1,38t2,39t1,40t1,41t4,42t1,43t2,44t1",
-    "r=dd2c71163533fe08 adv=50 tmr=62 thr=13 vt=2888057780 trace=v1:3r2,4r1,5t1,9r1,24r1,30t1,31t3,33t1,34t2,35t2,36t1,37t1",
+    "r=dd2c71163533fe08 adv=50 tmr=62 thr=13 vt=2888057780 trace=v1:0p1,1r4,3r1,6t2,8t1,22t1,23t2,24t1,25t4,26t3,27t2,28t1",
+    "r=dd2c71163533fe08 adv=50 tmr=62 thr=13 vt=2888057780 trace=v1:3r2,4r1,5t1,9r1,20r1,26t1,27t1,28t2,30t1,31t3,33t1",
 ];
 const RAND_CLOUDSORT: [&str; 2] = [
-    "r=9a876e1b9c41e132 adv=114 tmr=135 thr=24 vt=3952332348 trace=v1:0p1,1r4,3r1,6t2,8t1,9t2,18p1,29r1,30r1,31t3,33t1,35t1,39p1,49t1,50t1,51t2,52t1,54t1,55t1,56t1,57t3,58t1,59t1,61t2,64r2,66r1",
-    "r=9a876e1b9c41e132 adv=114 tmr=135 thr=24 vt=3952332348 trace=v1:3r2,4r1,5t1,14r1,23r3,24r2,25r1,26t1,28t2,36p1,48t3,49t2,50t1,51t1,52t2,54t1,55t3,56t2,57t1,58t1,59t3,60t2,67r1",
+    "r=9a876e1b9c41e132 adv=114 tmr=135 thr=24 vt=3952332348 trace=v1:0p1,1r4,3r1,6t2,8t1,9t2,18r1,19r1,23t2,26t1,30t3,31t3,33t1,34t3,37t1,38t2,39t1,40t1,41t3,42t2,45r2,47r1",
+    "r=9a876e1b9c41e132 adv=114 tmr=135 thr=24 vt=3952332348 trace=v1:3r2,4r1,5t1,14r1,23r3,24r2,25r1,26t1,28t2,31t1,36t4,37t1,38t2,40t1,43t4,45t2,46t1,47t2,55r1",
 ];

@@ -258,6 +258,178 @@ fn light_tasks_are_schedule_independent_with_no_lost_wakeups() {
     );
 }
 
+/// The joint fault × schedule slice: a two-tenant open-loop burst against
+/// resumable `serve` — every activation a light task interleaving with the
+/// two preemptible driver threads — optionally with a cold-start storm
+/// over the burst. Whatever the schedule, the books must balance when the
+/// client is done, and that is asserted here, per schedule; the returned
+/// totals are what every schedule must agree on.
+///
+/// Each driver also invokes `careless` once: a resumable body that calls
+/// the blocking `ctx.charge`. The kernel refuses the call; the platform
+/// must book that one activation as `Crashed` with the kernel's diagnostic
+/// and carry on — not unwind the dispatcher it was polled on.
+fn serving_burst_job(kernel: Kernel, storm: bool) -> (u64, u64, u64) {
+    use std::time::Duration;
+
+    use rustwren::faas::{
+        ActionConfig, ActivationCtx, BodyStep, InvokeError, Outcome, Phase, PlatformConfig,
+        TenantConfig,
+    };
+    use rustwren::sim::{FaultPlan, TimeWindow};
+    use rustwren::workloads::serving::{
+        self, Arrival, BurstWindow, TenantTraffic, TraceConfig, SERVE_FN,
+    };
+
+    const QUOTA: usize = 2;
+    let traffic = [
+        TenantTraffic::periodic("alpha", Duration::from_secs(2)),
+        TenantTraffic::poisson("beta", 1.0).with_burst(BurstWindow {
+            start: Duration::from_secs(4),
+            len: Duration::from_secs(4),
+            multiplier: 8.0,
+        }),
+    ];
+    // Fixed-TTL keep-alive (the default): no prewarm task outlives the run,
+    // so a light task still listed afterwards is a stranded activation.
+    let mut builder = SimCloud::builder()
+        .seed(7)
+        .client_network(NetworkProfile::lan())
+        .platform(PlatformConfig {
+            concurrency_limit: 3,
+            cluster_containers: 3,
+            tenants: traffic
+                .iter()
+                .map(|t| TenantConfig::new(t.namespace.as_str(), QUOTA).queue_depth(4))
+                .collect(),
+            ..PlatformConfig::default()
+        })
+        .kernel(kernel.clone());
+    if storm {
+        let window = TimeWindow::between(Duration::from_secs(3), Duration::from_secs(9));
+        builder = builder.chaos(FaultPlan::new(11).cold_storm(window));
+    }
+    let cloud = builder.build();
+    let faas = cloud.functions().clone();
+    serving::register(&faas).expect("register serve");
+    faas.register_resumable("careless", ActionConfig::default(), |p: bytes::Bytes| {
+        move |ctx: &ActivationCtx| {
+            ctx.charge(Duration::from_millis(50)); // blocks: refused
+            BodyStep::Done(Ok(p.clone()))
+        }
+    })
+    .expect("register careless");
+    let horizon = Duration::from_secs(12);
+    let trace = serving::generate(&traffic, &TraceConfig { horizon, seed: 7 });
+
+    let (ok, crashed) = cloud.run(|| {
+        let origin = rustwren_sim::now();
+        let drivers: Vec<_> = traffic
+            .iter()
+            .enumerate()
+            .map(|(idx, t)| {
+                let arrivals: Vec<Arrival> =
+                    trace.iter().filter(|a| a.tenant == idx).copied().collect();
+                let (faas, ns) = (faas.clone(), t.namespace.clone());
+                rustwren_sim::spawn(format!("driver-{ns}"), move || {
+                    let mut ids = Vec::new();
+                    let mut send =
+                        |action: &str, payload| match faas.invoke_in(&ns, action, payload) {
+                            Ok(id) => ids.push(id),
+                            Err(InvokeError::Throttled { .. } | InvokeError::ShedLoad { .. }) => {}
+                            Err(e) => panic!("driver {ns}: unexpected invoke error: {e}"),
+                        };
+                    send("careless", bytes::Bytes::new());
+                    for a in arrivals {
+                        let due = origin + a.at;
+                        let now = rustwren_sim::now();
+                        if due > now {
+                            rustwren_sim::sleep(due.duration_since(now));
+                        }
+                        send(SERVE_FN, serving::payload(a.exec));
+                    }
+                    ids
+                })
+            })
+            .collect();
+        let (mut ok, mut crashed) = (0u64, 0u64);
+        for id in drivers.into_iter().flat_map(|d| d.join()) {
+            // Every wait returns, and with a finished record.
+            match faas.wait(id).phase {
+                Phase::Done(Outcome::Success) => ok += 1,
+                Phase::Done(Outcome::Crashed(why)) => {
+                    assert!(why.contains("attempted a blocking operation"), "{why}");
+                    crashed += 1;
+                }
+                other => panic!("activation {id}: {other:?}"),
+            }
+        }
+        (ok, crashed)
+    });
+
+    let attempted = trace.len() as u64 + traffic.len() as u64;
+    let stats = faas.stats();
+    assert_eq!(
+        stats.completed + stats.shed + stats.throttled,
+        attempted,
+        "{stats:?}"
+    );
+    assert_eq!(stats.submitted, stats.completed, "{stats:?}");
+    assert_eq!(ok + crashed, stats.completed, "every wait returned");
+    assert_eq!(faas.inflight(), 0);
+    assert!(
+        stats.queued > 0 && stats.shed > 0,
+        "the burst bites: {stats:?}"
+    );
+    assert_eq!(storm, cloud.chaos_stats().forced_cold_starts > 0);
+    let records = faas.records();
+    for t in &traffic {
+        let ns = t.namespace.as_str();
+        let tenant = faas.tenant_stats(ns).expect("configured tenant");
+        assert_eq!(tenant.submitted, tenant.completed, "{ns}: {tenant:?}");
+        assert_eq!(faas.queue_depth(ns), Some(0));
+        // Never above its quota: sweep the tenant's running intervals.
+        let mut edges: Vec<(rustwren::sim::SimInstant, i32)> = records
+            .iter()
+            .filter(|r| r.tenant.as_str() == ns)
+            .flat_map(|r| [(r.started.unwrap(), 1), (r.ended.unwrap(), -1)])
+            .collect();
+        edges.sort();
+        let peak = edges.iter().scan(0, |n, (_, d)| {
+            *n += d;
+            Some(*n)
+        });
+        assert!(peak.max().unwrap_or(0) <= QUOTA as i32, "{ns} over quota");
+    }
+    assert_eq!(kernel.frozen_light_tasks(), Vec::<String>::new());
+    assert_eq!(kernel.stats().os_threads_spawned, traffic.len() as u64);
+    (
+        attempted,
+        stats.completed + stats.shed + stats.throttled,
+        crashed,
+    )
+}
+
+#[test]
+fn serving_burst_conserves_activations_under_every_schedule() {
+    let report = explore(
+        |kernel| serving_burst_job(kernel, false),
+        &budget(505, "sweep-serving-burst"),
+    );
+    assert!(report.ok(), "{report}");
+    assert_eq!(report.schedules, SCHEDULES + 1);
+}
+
+#[test]
+fn serving_burst_conserves_activations_under_a_cold_storm_and_every_schedule() {
+    let report = explore(
+        |kernel| serving_burst_job(kernel, true),
+        &budget(606, "sweep-serving-burst-cold-storm"),
+    );
+    assert!(report.ok(), "{report}");
+    assert_eq!(report.schedules, SCHEDULES + 1);
+}
+
 /// Exports the dynamic lock-exercise inventory for rustwren-lint's L007
 /// cross-check (`target/verify/lock-exercise.txt`). A small budget is
 /// enough: L007 only asks whether each lock *kind* was ever exercised, not
