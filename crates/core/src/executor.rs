@@ -202,6 +202,12 @@ struct Job {
 /// sleep.
 #[derive(Default)]
 struct JobTable {
+    /// The executor and bucket whose jobs these are. Job and task numbers
+    /// start over in every executor, so a future of another one — handed in
+    /// for resolving (composition), or by mistake — may carry numbers that
+    /// are also a job's here, and must still find nothing.
+    exec_id: String,
+    bucket: String,
     /// The futures the next `get_result` returns, in submission order.
     pending: Vec<ResponseFuture>,
     /// Every job submitted and not yet swept by `clean`, by job id.
@@ -211,22 +217,33 @@ struct JobTable {
 }
 
 impl JobTable {
+    /// The job `f` belongs to, if it is one of this executor's.
+    fn job(&self, f: &ResponseFuture) -> Option<&Job> {
+        self.jobs.get(&f.job_id()).filter(|_| self.owns(f))
+    }
+
+    fn owns(&self, f: &ResponseFuture) -> bool {
+        f.exec_id() == self.exec_id && f.bucket() == self.bucket
+    }
+
     fn task(&self, f: &ResponseFuture) -> Option<&TaskRecovery> {
-        self.jobs.get(&f.job_id())?.tasks.get(f.task() as usize)
+        self.job(f)?.tasks.get(f.task() as usize)
+    }
+
+    fn job_mut(&mut self, f: &ResponseFuture) -> Option<&mut Job> {
+        let own = self.owns(f);
+        self.jobs.get_mut(&f.job_id()).filter(|_| own)
     }
 
     fn task_mut(&mut self, f: &ResponseFuture) -> Option<&mut TaskRecovery> {
-        self.jobs
-            .get_mut(&f.job_id())?
-            .tasks
-            .get_mut(f.task() as usize)
+        self.job_mut(f)?.tasks.get_mut(f.task() as usize)
     }
 
     /// The payload that (re-)runs task `f`: its job's function plus the
     /// inline descriptor retained at submit, which must be re-shipped
     /// because an inline task has no staged input to fall back on.
     fn payload(&self, f: &ResponseFuture) -> Option<AgentPayload> {
-        let job = self.jobs.get(&f.job_id())?;
+        let job = self.job(f)?;
         let task = job.tasks.get(f.task() as usize)?;
         Some(AgentPayload::new(f, &job.func_name, task.inline.clone()))
     }
@@ -426,6 +443,11 @@ impl ExecutorBuilder {
             faas = faas.without_retry_hint();
         }
         let agent_action = agent_action_name(&self.config.runtime);
+        let table = JobTable {
+            exec_id: exec_id.clone(),
+            bucket: self.config.storage_bucket.clone(),
+            ..JobTable::default()
+        };
         Ok(Executor {
             inner: Arc::new(ExecInner {
                 cloud: self.cloud,
@@ -434,7 +456,7 @@ impl ExecutorBuilder {
                 namespace: self.namespace,
                 agent_action,
                 job_seq: AtomicU64::new(1),
-                table: parking_lot::Mutex::new(JobTable::default()),
+                table: parking_lot::Mutex::new(table),
                 cos,
                 cos_stage,
                 faas,
@@ -872,11 +894,10 @@ impl Executor {
 
         // 1. Stage the "serialized function" once per job (checksum-stamped
         // like every staged object).
-        crate::job::put_stamped(
-            &self.inner.cos_stage,
+        self.inner.cos_stage.put(
             bucket,
             &func_key(exec_id, job_id),
-            &vec![0u8; f.code_size() as usize],
+            crate::wire::stamp(&vec![0u8; f.code_size() as usize]),
         )?;
 
         // 2. Stage the per-task inputs from a client upload pool — except
@@ -891,7 +912,7 @@ impl Executor {
             let inline = if desc.encoded_len() <= INLINE_MAX_BYTES {
                 Some(desc)
             } else {
-                uploads.push((fut.input_key(), crate::wire::stamp(&desc.encode())));
+                uploads.push((fut.input_key(), desc.stamped()));
                 None
             };
             payloads.push(AgentPayload::new(&fut, func, inline));
@@ -1166,8 +1187,7 @@ impl Executor {
     /// platform.
     fn reserve_retry(&self, f: &ResponseFuture, retry: &RetryPolicy) -> bool {
         let mut table = self.inner.table.lock();
-        let JobTable { jobs, stats, .. } = &mut *table;
-        let Some(job) = jobs.get_mut(&f.job_id()) else {
+        let Some(job) = table.job_mut(f) else {
             return false;
         };
         let attempts_left = job
@@ -1181,7 +1201,7 @@ impl Executor {
             .job_retry_budget
             .is_some_and(|budget| job.retries_spent >= budget)
         {
-            stats.retries_denied_budget += 1;
+            table.stats.retries_denied_budget += 1;
             return false;
         }
         job.retries_spent += 1;
@@ -1223,12 +1243,7 @@ impl Executor {
             .lock()
             .task(f)
             .map_or(0.0, |r| r.invoked_at.as_secs_f64());
-        crate::job::put_stamped(
-            &self.inner.cos,
-            f.bucket(),
-            &f.status_key(),
-            &TaskStatus::new(Some(message), start, now.as_secs_f64()).encode(),
-        )?;
+        TaskStatus::new(Some(message), start, now.as_secs_f64()).put(&self.inner.cos, f)?;
         let mut table = self.inner.table.lock();
         table.stats.statuses_repaired += 1;
         if out_of_retries {
@@ -1310,21 +1325,18 @@ impl Executor {
         let id = ids.into_iter().next().flatten();
         let now = self.inner.cloud.kernel().now();
         let mut table = self.inner.table.lock();
-        let JobTable { jobs, stats, .. } = &mut *table;
-        let task = jobs
-            .get_mut(&f.job_id())
-            .and_then(|job| job.tasks.get_mut(f.task() as usize));
-        if let Some(r) = task {
-            if speculative {
-                r.speculated = true;
-                stats.speculative_launches += 1;
-            } else {
-                r.attempts += 1;
-                r.invoked_at = now;
-                r.activation = id;
-                r.retry_at = None;
-                stats.retries += 1;
-            }
+        let Some(r) = table.task_mut(f) else {
+            return Ok(());
+        };
+        if speculative {
+            r.speculated = true;
+            table.stats.speculative_launches += 1;
+        } else {
+            r.attempts += 1;
+            r.invoked_at = now;
+            r.activation = id;
+            r.retry_at = None;
+            table.stats.retries += 1;
         }
         Ok(())
     }

@@ -9,7 +9,7 @@ use bytes::Bytes;
 use rustwren_store::{CosClient, StoreError};
 
 use crate::error::{self, PywrenError};
-use crate::wire::Value;
+use crate::wire::{Value, ValueRef};
 
 /// Marker key identifying a result value that is really a set of futures
 /// produced by an in-cloud executor (dynamic composition, §4.4).
@@ -156,19 +156,12 @@ impl ResponseFuture {
 
 /// The status object written at [`ResponseFuture::status_key`] by the agent
 /// (or, for a task that died silently, by the client's recovery pass): how
-/// the task finished, when, and — when small — its result. This type is the
-/// only reader and writer of the object's fields.
+/// the task finished, when, and — when small — its result. This type and
+/// [`StatusView`], what [`TaskStatus::read`] returns, are the only writer
+/// and reader of the object's fields.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct TaskStatus {
-    /// Virtual time the function body started, in seconds.
-    pub start: f64,
-    /// Virtual time the function body ended, in seconds.
-    pub end: f64,
-    /// Every field as it travels (`start`/`end` included), shape-checked by
-    /// whichever of `new`/`decode` built this. Kept whole, with accessors
-    /// that borrow: a shuffle manifest with inline slices is most of a
-    /// status, every reducer reads one per map, and taking the decoded map
-    /// apart to own the manifest costs `cloudsort` 3–7 % of its wall time.
+    /// Every field as it travels.
     fields: Value,
 }
 
@@ -183,7 +176,7 @@ impl TaskStatus {
         if let Some(e) = error {
             fields = fields.with("error", e);
         }
-        TaskStatus { start, end, fields }
+        TaskStatus { fields }
     }
 
     /// Small results ride inside the status object: a single PUT then both
@@ -202,11 +195,24 @@ impl TaskStatus {
         self
     }
 
+    /// The unstamped bytes [`put`](TaskStatus::put) stamps and writes.
+    #[cfg(test)]
     pub(crate) fn encode(&self) -> Bytes {
         self.fields.encode()
     }
 
-    /// Decodes the (verified, unstamped) bytes of `f`'s status object.
+    /// Writes this as `f`'s status object, checksum-stamped.
+    ///
+    /// # Errors
+    ///
+    /// The PUT's.
+    pub(crate) fn put(&self, cos: &CosClient, f: &ResponseFuture) -> Result<(), StoreError> {
+        crate::job::put_stamped(cos, f.bucket(), &f.status_key(), &self.fields)
+    }
+
+    /// Checks the (verified, unstamped) bytes of `f`'s status object end to
+    /// end and reads what every reader wants, in one pass that builds
+    /// nothing.
     ///
     /// # Errors
     ///
@@ -214,26 +220,50 @@ impl TaskStatus {
     /// [`PywrenError::Task`] labelled with `f` for a status with no `state`,
     /// a state other than `done` with no `error` message, or a non-numeric
     /// `start`/`end`.
-    pub(crate) fn decode(raw: &[u8], f: &ResponseFuture) -> error::Result<TaskStatus> {
-        let fields = Value::decode(raw)?;
+    pub(crate) fn decode(raw: Bytes, f: &ResponseFuture) -> error::Result<StatusView> {
+        // The last entry under a key wins, as it would decoding into a map.
+        let (mut state, mut error, mut start, mut end) = (None, None, None, None);
+        let (mut result, mut shuf) = (None, None);
+        ValueRef::parse_entries(&raw, |key, v| match key {
+            "state" => state = Some(v),
+            "error" => error = Some(v),
+            "start" => start = Some(v),
+            "end" => end = Some(v),
+            "result" => result = Some(v.offset()),
+            "shuf" => shuf = Some(v.offset()),
+            _ => {}
+        })?;
         let malformed = |message: String| PywrenError::Task {
             task: f.label(),
             message,
         };
-        let secs = |k: &str| {
-            fields
-                .get(k)
-                .and_then(Value::as_f64)
+        let no_text = |k: &str| malformed(format!("missing or non-string field `{k}`"));
+        let secs = |v: Option<ValueRef>, k: &str| {
+            v.and_then(|v| v.as_f64())
                 .ok_or_else(|| malformed(format!("status missing field `{k}`")))
         };
-        if fields.req_str("state").map_err(malformed)? != "done" {
-            fields.req_str("error").map_err(malformed)?;
-        }
-        let (start, end) = (secs("start")?, secs("end")?);
-        Ok(TaskStatus { start, end, fields })
+        let state = state.and_then(|v| v.as_str());
+        let error = match state.ok_or_else(|| no_text("state"))? {
+            "done" => None,
+            _ => Some(
+                error
+                    .filter(|v| v.as_str().is_some())
+                    .ok_or_else(|| no_text("error"))?
+                    .offset(),
+            ),
+        };
+        let (start, end) = (secs(start, "start")?, secs(end, "end")?);
+        Ok(StatusView {
+            start,
+            end,
+            raw,
+            error,
+            result,
+            shuf,
+        })
     }
 
-    /// Reads and decodes `f`'s status object through `read(bucket, key)`,
+    /// Reads and checks `f`'s status object through `read(bucket, key)`,
     /// the verified GET the caller already uses.
     ///
     /// # Errors
@@ -242,25 +272,46 @@ impl TaskStatus {
     pub(crate) fn read(
         f: &ResponseFuture,
         read: impl Fn(&str, &str) -> error::Result<Bytes>,
-    ) -> error::Result<TaskStatus> {
-        TaskStatus::decode(&read(f.bucket(), &f.status_key())?, f)
+    ) -> error::Result<StatusView> {
+        TaskStatus::decode(read(f.bucket(), &f.status_key())?, f)
     }
+}
 
+/// A status object as read back: validated once, built on demand.
+#[derive(Debug)]
+pub(crate) struct StatusView {
+    /// Virtual time the function body started, in seconds.
+    pub start: f64,
+    /// Virtual time the function body ended, in seconds.
+    pub end: f64,
+    /// The verified bytes of the object — a zero-copy slice of the GET's
+    /// response past its stamp — which [`TaskStatus::decode`] has walked
+    /// once, checking every node. They stay encoded: a shuffle manifest
+    /// with inline slices is most of a map's status, each of R reducers
+    /// reads one per map and uses the R-th part of it, and most other
+    /// readers (the recovery pass, `task_timings`) want the scalars above
+    /// and nothing else. So nothing is built here; the offsets below are
+    /// where the walk passed the fields a reader may come back for.
+    raw: Bytes,
+    /// The `error` message: present exactly when `state` is not `done`.
+    error: Option<usize>,
+    result: Option<usize>,
+    shuf: Option<usize>,
+}
+
+impl StatusView {
     /// `None` for a task that finished `done`, else its error message.
     pub(crate) fn error(&self) -> Option<&str> {
-        match self.fields.get("state").and_then(Value::as_str) {
-            Some("done") => None,
-            _ => self.fields.get("error").and_then(Value::as_str),
-        }
+        ValueRef::at_offset(&self.raw, self.error?).as_str()
     }
 
     /// The partition manifest of a shuffle map.
-    pub(crate) fn shuf(&self) -> Option<&Value> {
-        self.fields.get("shuf")
+    pub(crate) fn shuf(&self) -> Option<ValueRef<'_>> {
+        Some(ValueRef::at_offset(&self.raw, self.shuf?))
     }
 
     /// The result of finished task `f`: inline in this status, else one GET
-    /// of `…/result` through `read`.
+    /// of `…/result` through `read`. Either way the only value built.
     ///
     /// # Errors
     ///
@@ -268,7 +319,7 @@ impl TaskStatus {
     /// finish `done`; otherwise whatever `read` returns, or
     /// [`PywrenError::Wire`] for an undecodable result object.
     pub(crate) fn into_result(
-        mut self,
+        self,
         f: &ResponseFuture,
         read: impl Fn(&str, &str) -> error::Result<Bytes>,
     ) -> error::Result<Value> {
@@ -278,12 +329,8 @@ impl TaskStatus {
                 message: message.to_owned(),
             });
         }
-        let inline = match &mut self.fields {
-            Value::Map(m) => m.remove("result"),
-            _ => None,
-        };
-        match inline {
-            Some(v) => Ok(v),
+        match self.result {
+            Some(at) => Ok(ValueRef::at_offset(&self.raw, at).to_value()?),
             None => Ok(Value::decode(&read(f.bucket(), &f.result_key())?)?),
         }
     }
@@ -421,21 +468,23 @@ mod tests {
         let full = TaskStatus::new(None, 1.5, 2.25)
             .with_result(Value::Int(7))
             .with_shuf(Value::map().with("n", 2i64));
-        let decoded = TaskStatus::decode(&full.encode(), &f).expect("decodes");
-        assert_eq!(decoded, full);
+        let decoded = TaskStatus::decode(full.encode(), &f).expect("decodes");
         assert_eq!((decoded.start, decoded.end), (1.5, 2.25));
         assert_eq!(decoded.error(), None);
-        assert_eq!(decoded.shuf(), Some(&Value::map().with("n", 2i64)));
+        let shuf = decoded.shuf().expect("a manifest").to_value();
+        assert_eq!(shuf, Ok(Value::map().with("n", 2i64)));
+        let no_read = |_: &str, _: &str| -> error::Result<Bytes> { panic!("inline needs no read") };
+        assert_eq!(decoded.into_result(&f, no_read), Ok(Value::Int(7)));
         let failed = TaskStatus::new(Some("boom"), 1.0, 2.0);
-        let decoded = TaskStatus::decode(&failed.encode(), &f).expect("decodes");
+        let decoded = TaskStatus::decode(failed.encode(), &f).expect("decodes");
         assert_eq!(decoded.error(), Some("boom"));
-        assert_eq!(decoded, failed);
+        assert!(decoded.shuf().is_none());
 
         let ok = Value::map()
             .with("state", "done")
             .with("start", 1.0)
             .with("end", 2.0);
-        let task_error = |v: &Value| match TaskStatus::decode(&v.encode(), &f) {
+        let task_error = |v: &Value| match TaskStatus::decode(v.encode(), &f) {
             Err(PywrenError::Task { task, message }) => {
                 assert_eq!(task, f.label());
                 message
@@ -451,7 +500,7 @@ mod tests {
         assert!(task_error(&ok.clone().with("end", Value::Null)).contains("`end`"));
         assert!(task_error(&Value::Int(3)).contains("`state`"));
         assert!(matches!(
-            TaskStatus::decode(b"nonsense", &f),
+            TaskStatus::decode(Bytes::from_static(b"nonsense"), &f),
             Err(PywrenError::Wire(_))
         ));
     }
@@ -459,15 +508,16 @@ mod tests {
     #[test]
     fn finished_result_is_inline_else_one_read_of_the_result_key() {
         let f = future();
+        let read_back = |s: TaskStatus| TaskStatus::decode(s.encode(), &f).expect("decodes");
         let no_read = |_: &str, _: &str| -> error::Result<Bytes> { panic!("inline needs no read") };
-        let inline = TaskStatus::new(None, 0.0, 1.0).with_result(Value::Int(7));
+        let inline = read_back(TaskStatus::new(None, 0.0, 1.0).with_result(Value::Int(7)));
         assert_eq!(inline.into_result(&f, no_read), Ok(Value::Int(7)));
-        let staged = TaskStatus::new(None, 0.0, 1.0).into_result(&f, |bucket, key| {
+        let staged = read_back(TaskStatus::new(None, 0.0, 1.0)).into_result(&f, |bucket, key| {
             assert_eq!((bucket, key), ("bkt", "jobs/e3/2/t00017/result"));
             Ok(Value::Int(9).encode())
         });
         assert_eq!(staged, Ok(Value::Int(9)));
-        let failed = TaskStatus::new(Some("boom"), 0.0, 1.0).into_result(&f, no_read);
+        let failed = read_back(TaskStatus::new(Some("boom"), 0.0, 1.0)).into_result(&f, no_read);
         assert_eq!(
             failed,
             Err(PywrenError::Task {
@@ -475,6 +525,181 @@ mod tests {
                 message: "boom".into()
             })
         );
+    }
+
+    #[test]
+    fn status_reader_checks_what_it_does_not_read_and_takes_whole_seconds() {
+        let f = future();
+        // A field no reader looks at, holding a string that is not UTF-8.
+        let junk = Value::map()
+            .with("state", "done")
+            .with("start", 1i64)
+            .with("end", 2i64)
+            .with("junk", "ab");
+        let mut raw = junk.encode().to_vec();
+        let at = raw.windows(2).position(|w| w == b"ab").expect("the junk");
+        raw[at] = 0xFF;
+        assert_eq!(
+            TaskStatus::decode(Bytes::from(raw), &f).err(),
+            Some(PywrenError::Wire(crate::wire::WireError::BadUtf8))
+        );
+        let whole = TaskStatus::decode(junk.encode(), &f).expect("decodes");
+        assert_eq!((whole.start, whole.end), (1.0, 2.0));
+    }
+
+    /// The reader this one replaced — build the whole value, then look —
+    /// as the reference: the fields it accepts, or which kind of error.
+    fn reference(bytes: &[u8]) -> Result<Value, &'static str> {
+        let v = Value::decode(bytes).map_err(|_| "wire")?;
+        let text = |k: &str| v.get(k).and_then(Value::as_str);
+        let finished = match text("state") {
+            None => false,
+            Some("done") => true,
+            Some(_) => text("error").is_some(),
+        };
+        let timed = ["start", "end"]
+            .iter()
+            .all(|k| v.get(k).and_then(Value::as_f64).is_some());
+        if finished && timed {
+            Ok(v)
+        } else {
+            Err("task")
+        }
+    }
+
+    /// The status reader makes of `bytes` what the reference does: the same
+    /// class of error — the recovery pass books `Wire` and `Task` as
+    /// "finished and failed" and anything else as "poll again" — or the
+    /// same fields.
+    fn check_status(bytes: Vec<u8>) -> Result<(), String> {
+        let f = future();
+        let want = reference(&bytes);
+        let (status, v) = match (TaskStatus::decode(Bytes::from(bytes), &f), want) {
+            (Err(PywrenError::Wire(_)), Err("wire")) => return Ok(()),
+            (Err(PywrenError::Task { .. }), Err("task")) => return Ok(()),
+            (Ok(status), Ok(v)) => (status, v),
+            (got, want) => return Err(format!("reader {got:?}, reference {want:?}")),
+        };
+        let secs = |k: &str| v.get(k).and_then(Value::as_f64).map(f64::to_bits);
+        let error = match v.get("state").and_then(Value::as_str) {
+            Some("done") => None,
+            _ => v.get("error").and_then(Value::as_str),
+        };
+        let shuf = status.shuf().map(|s| s.to_value());
+        let same = (Some(status.start.to_bits()), Some(status.end.to_bits()))
+            == (secs("start"), secs("end"))
+            && status.error() == error
+            && shuf == v.get("shuf").cloned().map(Ok);
+        if !same {
+            return Err(format!("reader {status:?}, reference {v:?}"));
+        }
+        if error.is_none() {
+            let staged = Value::from("read from the result key");
+            let result = status.into_result(&f, |_, _| Ok(staged.encode()));
+            if result.as_ref() != Ok(v.get("result").unwrap_or(&staged)) {
+                return Err(format!("result {result:?}, reference {v:?}"));
+            }
+        }
+        Ok(())
+    }
+
+    use crate::wire::corpus;
+    use proptest::prelude::*;
+
+    /// A status as the writer makes one, as `(key, value)` entries.
+    fn written_status() -> impl Strategy<Value = Vec<(String, Value)>> {
+        let secs = || {
+            prop_oneof![
+                (0.0f64..1e6).prop_map(Value::Float),
+                any::<i64>().prop_map(Value::Int)
+            ]
+        };
+        let optional = || prop::option::of(corpus::value());
+        let fields = (secs(), secs(), optional(), optional());
+        (prop::option::of("[a-z ]{0,12}"), fields).prop_map(
+            |(error, (start, end, result, shuf))| {
+                let state = if error.is_none() { "done" } else { "error" };
+                [
+                    Some(("state", Value::from(state))),
+                    error.map(|e| ("error", Value::from(e))),
+                    Some(("start", start)),
+                    Some(("end", end)),
+                    result.map(|r| ("result", r)),
+                    shuf.map(|s| ("shuf", s)),
+                ]
+                .into_iter()
+                .flatten()
+                .map(|(k, v)| (k.to_owned(), v))
+                .collect()
+            },
+        )
+    }
+
+    /// Entries that repeat, and so override, a written status's own: right
+    /// and wrong types under the keys the reader knows, and one it ignores.
+    fn overrides() -> impl Strategy<Value = Vec<(String, Value)>> {
+        let key = prop::sample::select(vec![
+            "state", "error", "start", "end", "result", "shuf", "other",
+        ]);
+        let value = prop_oneof![
+            Just(Value::from("done")),
+            Just(Value::from("error")),
+            (0.0f64..1e6).prop_map(Value::Float),
+            corpus::value(),
+        ];
+        prop::collection::vec((key.prop_map(str::to_owned), value), 0..3)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn status_reader_matches_the_reference_on_arbitrary_bytes(
+            bytes in prop::collection::vec(any::<u8>(), 0..512),
+        ) {
+            check_status(bytes).map_err(TestCaseError::fail)?;
+        }
+
+        #[test]
+        fn status_reader_matches_the_reference_on_damaged_statuses(
+            status in written_status(),
+            overrides in overrides(),
+            damage in corpus::damage(),
+        ) {
+            let entries: Vec<_> = status.into_iter().chain(overrides).collect();
+            for bytes in corpus::damaged(&corpus::encode_entries(&entries), damage) {
+                check_status(bytes).map_err(TestCaseError::fail)?;
+            }
+        }
+
+        #[test]
+        fn status_reader_matches_the_reference_on_damaged_values(
+            v in corpus::value(),
+            damage in corpus::damage(),
+        ) {
+            for bytes in corpus::damaged(&v.encode(), damage) {
+                check_status(bytes).map_err(TestCaseError::fail)?;
+            }
+        }
+    }
+
+    #[test]
+    fn status_reader_matches_the_reference_either_side_of_the_depth_limit() {
+        for levels in corpus::depths_around_the_limit() {
+            // The nest as the whole status (no status, or no value), and as
+            // the result of one, a level further down.
+            check_status(corpus::nested(levels, true)).unwrap_or_else(|e| panic!("{levels}: {e}"));
+            let mut status = corpus::encode_entries(&[
+                ("state".to_owned(), Value::from("done")),
+                ("start".to_owned(), Value::Int(1)),
+                ("end".to_owned(), Value::Int(2)),
+            ]);
+            status[1] += 1;
+            status.extend_from_slice(&6u32.to_le_bytes());
+            status.extend_from_slice(b"result");
+            status.extend_from_slice(&corpus::nested(levels - 1, false));
+            check_status(status).unwrap_or_else(|e| panic!("{levels} under `result`: {e}"));
+        }
     }
 
     #[test]

@@ -31,7 +31,7 @@ use rustwren_store::CosClient;
 
 use crate::cloud::{CloudInner, SimCloud};
 use crate::error::PywrenError;
-use crate::future::{func_key, ResponseFuture, StatusWatch, TaskStatus};
+use crate::future::{func_key, ResponseFuture, StatusView, StatusWatch, TaskStatus};
 use crate::partition::{read_aligned, Partition};
 use crate::shuffle::{
     merge_runs, segment_key, shuffle_key, sort_run, ExchangeMode, KeyedPair, Partitioner,
@@ -65,16 +65,17 @@ pub(crate) fn chaos_crash_point(phase: &str, token: u64) {
     }
 }
 
-/// Writes a staged object with the end-to-end checksum stamp. Every staged
-/// write in the system (func, input, status, result, shuffle) goes through
-/// here, so readers can always demand a valid stamp.
+/// Writes `value` as a staged object under the end-to-end checksum stamp,
+/// encoded and stamped in one buffer. Every staged object (func, input,
+/// status, result, shuffle slice) is written stamped — here, or where the
+/// writes are batched — so readers can always demand a valid stamp.
 pub(crate) fn put_stamped(
     cos: &CosClient,
     bucket: &str,
     key: &str,
-    payload: &[u8],
+    value: &Value,
 ) -> Result<(), rustwren_store::StoreError> {
-    cos.put(bucket, key, wire::stamp(payload)).map(|_| ())
+    cos.put(bucket, key, value.stamped()).map(|_| ())
 }
 
 /// Reads issued for one stamped object before a bad stamp is final.
@@ -179,14 +180,18 @@ impl AgentPayload {
     }
 
     pub(crate) fn decode(raw: &[u8]) -> Result<AgentPayload, String> {
-        let v = Value::decode(raw).map_err(|e| e.to_string())?;
+        let mut v = Value::decode(raw).map_err(|e| e.to_string())?;
+        let inline = match &mut v {
+            Value::Map(m) => m.remove("inline"),
+            _ => None,
+        };
         Ok(AgentPayload {
             bucket: v.req_str("bucket")?.to_owned(),
             exec_id: v.req_str("exec")?.to_owned(),
             job_id: v.req_i64("job")? as u64,
             task: v.req_i64("task")? as u32,
             func_name: v.req_str("func")?.to_owned(),
-            inline: v.get("inline").cloned(),
+            inline,
         })
     }
 
@@ -334,19 +339,19 @@ pub(crate) fn run_agent(
     match outcome {
         Ok((result, shuf)) => {
             chaos_crash_point(PHASE_AFTER_COMPUTE, crash_token);
-            let encoded = result.encode();
             let mut status = TaskStatus::new(None, started, ended);
             if let Some(manifest) = shuf {
                 status = status.with_shuf(manifest);
             }
-            if encoded.len() <= INLINE_MAX_BYTES {
+            if result.encoded_len() <= INLINE_MAX_BYTES {
                 status = status.with_result(result);
             } else {
-                put_stamped(&cos, &payload.bucket, &fut.result_key(), &encoded)
+                put_stamped(&cos, &payload.bucket, &fut.result_key(), &result)
                     .map_err(|e| ActionError(format!("writing result: {e}")))?;
             }
             chaos_crash_point(PHASE_AFTER_PUT, crash_token);
-            put_stamped(&cos, &payload.bucket, &fut.status_key(), &status.encode())
+            status
+                .put(&cos, &fut)
                 .map_err(|e| ActionError(format!("writing status: {e}")))?;
             Ok(Bytes::from_static(b"ok"))
         }
@@ -361,13 +366,9 @@ pub(crate) fn run_agent(
             let done_already = TaskStatus::read(&fut, |b, k| get_verified(&cos, b, k))
                 .is_ok_and(|s| s.error().is_none());
             if !done_already {
-                put_stamped(
-                    &cos,
-                    &payload.bucket,
-                    &fut.status_key(),
-                    &TaskStatus::new(Some(&msg), started, ended).encode(),
-                )
-                .map_err(|e| ActionError(format!("writing status: {e}")))?;
+                TaskStatus::new(Some(&msg), started, ended)
+                    .put(&cos, &fut)
+                    .map_err(|e| ActionError(format!("writing status: {e}")))?;
             }
             Err(ActionError(msg))
         }
@@ -567,10 +568,9 @@ fn write_shuffle_output(
         // relay tier. No COS data-plane operation at all.
         for (r, bucket) in buckets.into_iter().enumerate() {
             let list = Value::List(bucket.into_iter().map(|(_, p)| p).collect());
-            cloud.relay().put(
-                &shuffle_key(&prefix, r, reducers),
-                wire::stamp(&list.encode()),
-            );
+            cloud
+                .relay()
+                .put(&shuffle_key(&prefix, r, reducers), list.stamped());
         }
         return Ok(summary(
             Value::map().with("n", reducers as i64).with("k", "relay"),
@@ -589,11 +589,10 @@ fn write_shuffle_output(
             continue;
         }
         let list = Value::List(bucket.into_iter().map(|(_, p)| p).collect());
-        let encoded = list.encode();
-        if encoded.len() <= INLINE_MAX_BYTES {
+        if list.encoded_len() <= INLINE_MAX_BYTES {
             parts.push(Value::map().with("d", list));
         } else {
-            let stamped = wire::stamp(&encoded);
+            let stamped = list.stamped();
             let off = segment.len();
             segment.extend_from_slice(&stamped);
             parts.push(
@@ -796,6 +795,8 @@ fn fetch_shuffle_run(
         };
     }
 
+    // The status was checked end to end when it was read; of its manifest —
+    // every reducer's inline slice — only this reducer's entry is built.
     let status = dep_status(cos, d)?;
     let manifest = status.shuf().ok_or_else(|| {
         format!(
@@ -803,25 +804,36 @@ fn fetch_shuffle_run(
             d.label()
         )
     })?;
-    match manifest.req_str("k")? {
+    let kind = manifest.get("k").and_then(|k| k.as_str());
+    match kind.ok_or("missing or non-string field `k`")? {
         "seg" => {
-            let parts = manifest.req_list("parts")?;
-            let entry = parts
-                .get(index)
+            let entry = manifest
+                .get("parts")
+                .and_then(|parts| parts.at(index))
                 .ok_or_else(|| format!("manifest has no entry for partition {index}"))?;
-            match entry {
-                Value::Null => Ok(Vec::new()),
-                e => {
-                    if let Some(inline) = e.get("d") {
-                        return keyed_pairs_of(inline);
-                    }
-                    let off = e.req_i64("o")?.max(0) as u64;
-                    let len = e.req_i64("l")?.max(0) as u64;
-                    let raw = get_slice_verified(cos, d.bucket(), &segment_key(&prefix), off, len)
-                        .map_err(|e| format!("map task {}: {e}", d.label()))?;
-                    keyed_pairs_of_raw(&raw)
-                }
+            if entry.is_null() {
+                return Ok(Vec::new());
             }
+            if let Some(inline) = entry.get("d") {
+                let pairs = inline
+                    .to_value()
+                    .map_err(|e| format!("decoding shuffle data: {e}"))?;
+                return keyed_pairs_of(pairs);
+            }
+            let span = |k: &str| {
+                let n = entry.get(k).and_then(|n| n.as_i64());
+                n.map(|n| n.max(0) as u64)
+                    .ok_or_else(|| format!("missing or non-int field `{k}`"))
+            };
+            let raw = get_slice_verified(
+                cos,
+                d.bucket(),
+                &segment_key(&prefix),
+                span("o")?,
+                span("l")?,
+            )
+            .map_err(|e| format!("map task {}: {e}", d.label()))?;
+            keyed_pairs_of_raw(&raw)
         }
         "relay" => Err(format!(
             "map task {} exchanged its partitions via the relay tier, but this reducer \
@@ -860,7 +872,7 @@ fn get_slice_verified(
 
 /// Reads the status object of finished map task `d`; one that did not
 /// finish `done` is an error carrying its message.
-fn dep_status(cos: &CosClient, d: &ResponseFuture) -> Result<TaskStatus, String> {
+fn dep_status(cos: &CosClient, d: &ResponseFuture) -> Result<StatusView, String> {
     let status = TaskStatus::read(d, |b, k| get_verified(cos, b, k))
         .map_err(|e| format!("fetching dep status: {e}"))?;
     match status.error() {
@@ -871,16 +883,17 @@ fn dep_status(cos: &CosClient, d: &ResponseFuture) -> Result<TaskStatus, String>
 
 /// Decodes an encoded pair list into keyed pairs.
 fn keyed_pairs_of_raw(raw: &[u8]) -> Result<Vec<KeyedPair>, String> {
-    let v = Value::decode(raw).map_err(|e| format!("decoding shuffle data: {e}"))?;
-    keyed_pairs_of(&v)
+    keyed_pairs_of(Value::decode(raw).map_err(|e| format!("decoding shuffle data: {e}"))?)
 }
 
-/// Extracts `(key, pair)` tuples from a decoded pair-list value.
-fn keyed_pairs_of(v: &Value) -> Result<Vec<KeyedPair>, String> {
-    v.as_list()
-        .ok_or("shuffle object must hold a list")?
-        .iter()
-        .map(|p| Ok((p.req_str("k")?.to_owned(), p.clone())))
+/// Takes a decoded pair-list value apart into `(key, pair)` tuples.
+fn keyed_pairs_of(v: Value) -> Result<Vec<KeyedPair>, String> {
+    let Value::List(pairs) = v else {
+        return Err("shuffle object must hold a list".to_owned());
+    };
+    pairs
+        .into_iter()
+        .map(|p| Ok((p.req_str("k")?.to_owned(), p)))
         .collect()
 }
 
@@ -1213,11 +1226,12 @@ mod tests {
         cloud.run(|| {
             let cos = CosClient::new(cloud.store(), rustwren_sim::NetworkProfile::lan(), 3);
             let d = ResponseFuture::new("b", "e1", 1, 0);
-            let status = TaskStatus::new(None, 0.0, 1.0);
-            put_stamped(&cos, "b", &d.status_key(), &status.encode()).expect("status");
+            TaskStatus::new(None, 0.0, 1.0)
+                .put(&cos, &d)
+                .expect("status");
             let pairs = Value::List(vec![Value::map().with("k", "x").with("v", 1i64)]);
             let channel = shuffle_key(&d.task_prefix(), 0, 4);
-            put_stamped(&cos, "b", &channel, &pairs.encode()).expect("partition");
+            put_stamped(&cos, "b", &channel, &pairs).expect("partition");
             let err = fetch_shuffle_run(&cloud, &cos, &d, 0, 4, ExchangeMode::Cos)
                 .expect_err("no manifest, no fetch");
             assert!(err.contains("no shuffle manifest"), "{err}");

@@ -17,6 +17,12 @@ use bytes::Bytes;
 /// exhaustion on malformed input).
 const MAX_DEPTH: usize = 100;
 
+/// Most items the decoder reserves room for on the word of a list's header
+/// alone. Headers nest: without a cap, `MAX_DEPTH` of them each claiming
+/// more items than the buffer has bytes would reserve `MAX_DEPTH` × the
+/// buffer × the size of a [`Value`] before the first missing item is found.
+const MAX_RESERVED_ITEMS: usize = 1024;
+
 /// A dynamically-typed value, the unit of data exchanged between the client
 /// and function executors.
 ///
@@ -116,20 +122,53 @@ pub const STAMP_MAGIC: u8 = 0xC5;
 /// Bytes of stamp overhead: the magic plus a little-endian u64 checksum.
 pub const STAMP_LEN: usize = 9;
 
-/// Content checksum used by [`stamp`]/[`verify_stamped`]: a 64-bit FNV-1a
-/// fold finished with an avalanche mix, so single-byte flips and
-/// truncations change the digest with overwhelming probability. Not
-/// cryptographic — it detects corruption, not tampering.
+/// Content checksum used by [`stamp`]/[`verify_stamped`]. The payload is
+/// taken 32 bytes at a time (the last block zero-padded), each block as four
+/// little-endian words onto four independent lanes, each lane an FNV-style
+/// xor-multiply-rotate fold; lanes and length then fold through an avalanche
+/// mix. Every step is a bijection of the state it updates and injective in
+/// the word it absorbs, so two payloads of one length that differ inside one
+/// word — any single flipped byte — never share a digest, and a truncation
+/// changes the length and so, with overwhelming probability, the digest.
+/// Not cryptographic (it detects corruption, not tampering) and not a stable
+/// format: only [`verify_stamped`] of the same build reads a digest back.
 pub fn checksum64(data: &[u8]) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = FNV_OFFSET;
-    for &b in data {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    // The rotation brings a word's top bits, which a multiply can only push
+    // off the end, back under the next multiply.
+    let step = |h: u64, word: [u8; 8]| {
+        (h ^ u64::from_le_bytes(word))
+            .wrapping_mul(PRIME)
+            .rotate_left(29)
+    };
+    // Four chains keep the multiplier busy where one would wait out its
+    // latency word by word. Distinct seeds (the FNV offset basis first), so
+    // that words swapped between lanes do not swap back in the final fold.
+    let mut lanes: [u64; 4] = [
+        0xcbf2_9ce4_8422_2325,
+        0x9e37_79b9_7f4a_7c15,
+        0xbf58_476d_1ce4_e5b9,
+        0x94d0_49bb_1331_11eb,
+    ];
+    let mut absorb = |block: &[u8; 32]| {
+        for (lane, word) in lanes.iter_mut().zip(block.as_chunks::<8>().0) {
+            *lane = step(*lane, *word);
+        }
+    };
+    let (blocks, tail) = data.as_chunks::<32>();
+    blocks.iter().for_each(&mut absorb);
+    if !tail.is_empty() {
+        // The length in the final fold tells padding from payload zeros.
+        let mut last = [0u8; 32];
+        for (padded, byte) in last.iter_mut().zip(tail) {
+            *padded = *byte;
+        }
+        absorb(&last);
     }
-    // Final avalanche so length-extension-ish patterns don't collide.
-    rustwren_sim::hash::mix64(h ^ (data.len() as u64))
+    let folded = lanes
+        .into_iter()
+        .fold(0, |h, lane| step(h, lane.to_le_bytes()));
+    rustwren_sim::hash::mix64(folded ^ (data.len() as u64))
 }
 
 /// Prefixes `payload` with [`STAMP_MAGIC`] and its [`checksum64`], producing
@@ -266,6 +305,20 @@ impl Value {
                 }
             }
         }
+    }
+
+    /// [`stamp`]`(&self.encode())`, written into one buffer: header and
+    /// payload share the allocation the encoder fills, where stamping an
+    /// encoded value copies it into a second one.
+    pub(crate) fn stamped(&self) -> Bytes {
+        let mut out = Vec::with_capacity(STAMP_LEN + self.encoded_len());
+        // The magic, and room for the checksum of what follows.
+        out.extend_from_slice(&[STAMP_MAGIC; STAMP_LEN]);
+        self.encode_into(&mut out);
+        if let Some(([_magic, sum @ ..], payload)) = out.split_first_chunk_mut::<STAMP_LEN>() {
+            *sum = checksum64(payload).to_le_bytes();
+        }
+        Bytes::from(out)
     }
 
     /// Deserializes a value, requiring the input to be fully consumed.
@@ -476,13 +529,180 @@ impl FromIterator<Value> for Value {
     }
 }
 
+/// A borrowed view of one encoded value: a position in a buffer that
+/// [`ValueRef::parse_entries`] has validated end to end. Reading through a
+/// view allocates nothing, and [`to_value`](ValueRef::to_value) builds the
+/// subtree under it and only that — so a reader that uses one corner of a
+/// large value (a reducer, its own slice of a map task's whole manifest)
+/// checks all of it and builds what it uses.
+///
+/// Accessors mirror [`Value`]'s and answer `None` for a value of another
+/// type. [`get`](ValueRef::get) resolves a repeated key as decoding into a
+/// `BTreeMap` does: the last entry wins.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ValueRef<'a> {
+    /// The whole validated buffer.
+    buf: &'a [u8],
+    /// Where in `buf` this value's encoding starts.
+    pos: usize,
+}
+
+impl<'a> ValueRef<'a> {
+    /// Validates `buf` as exactly one encoded value, building nothing, and
+    /// hands each entry of a top-level map to `entry` as the validating walk
+    /// passes it, in encoded order: a reader after a few fields of a large
+    /// value finds them in the pass that checks it, not in a walk per field.
+    /// What `entry` saw counts only if the parse succeeds.
+    ///
+    /// # Errors
+    ///
+    /// Whatever [`Value::decode`] returns for the same bytes: the two accept
+    /// the same inputs and reject the rest with the same [`WireError`].
+    pub(crate) fn parse_entries(
+        buf: &'a [u8],
+        mut entry: impl FnMut(&'a str, ValueRef<'a>),
+    ) -> Result<ValueRef<'a>, WireError> {
+        let mut cursor = Cursor { data: buf, pos: 0 };
+        cursor.walk(0, |key, pos| entry(key, ValueRef { buf, pos }))?;
+        match buf.len() - cursor.pos {
+            0 => Ok(ValueRef { buf, pos: 0 }),
+            trailing => Err(WireError::TrailingBytes(trailing)),
+        }
+    }
+
+    /// Where this value's encoding starts in the parsed buffer: what an
+    /// owner of the bytes keeps to come back to the value without holding
+    /// a borrow or walking to it again.
+    pub(crate) fn offset(&self) -> usize {
+        self.pos
+    }
+
+    /// The view at an [`offset`](ValueRef::offset) kept of a buffer
+    /// `parse_entries` validated. Reads stay checked: a position that starts
+    /// no value yields `None`s and errors, never a panic.
+    pub(crate) fn at_offset(buf: &'a [u8], pos: usize) -> ValueRef<'a> {
+        ValueRef { buf, pos }
+    }
+
+    /// This value's node, and a cursor just past it (for a container: at
+    /// its first entry).
+    fn open(&self) -> Option<(Node<'a>, Cursor<'a>)> {
+        let mut cursor = self.cursor();
+        Some((cursor.read_node().ok()?, cursor))
+    }
+
+    fn cursor(&self) -> Cursor<'a> {
+        let (data, pos) = (self.buf, self.pos);
+        Cursor { data, pos }
+    }
+
+    fn node(&self) -> Option<Node<'a>> {
+        Some(self.open()?.0)
+    }
+
+    /// Whether this is `Null`.
+    pub(crate) fn is_null(&self) -> bool {
+        matches!(self.node(), Some(Node::Null))
+    }
+
+    /// The integer, if this is an `Int`.
+    pub(crate) fn as_i64(&self) -> Option<i64> {
+        let Node::Int(i) = self.node()? else {
+            return None;
+        };
+        Some(i)
+    }
+
+    /// The float, accepting `Int` with exact conversion.
+    pub(crate) fn as_f64(&self) -> Option<f64> {
+        match self.node()? {
+            Node::Float(f) => Some(f),
+            Node::Int(i) => Some(i as f64),
+            _ => None,
+        }
+    }
+
+    /// The string slice, if this is a `Str`.
+    pub(crate) fn as_str(&self) -> Option<&'a str> {
+        let Node::Str(s) = self.node()? else {
+            return None;
+        };
+        Some(s)
+    }
+
+    /// Looks a key up in a map value.
+    pub(crate) fn get(&self, key: &str) -> Option<ValueRef<'a>> {
+        let (Node::Map(count), mut cursor) = self.open()? else {
+            return None;
+        };
+        let mut found = None;
+        for left in (0..count).rev() {
+            if cursor.read_str().ok()? == key {
+                found = Some(ValueRef {
+                    pos: cursor.pos,
+                    ..*self
+                });
+            }
+            // Where the last value ends is nobody's start: not walked.
+            if left > 0 {
+                cursor.skip(0).ok()?;
+            }
+        }
+        found
+    }
+
+    /// The item at `index` of a list value.
+    pub(crate) fn at(&self, index: usize) -> Option<ValueRef<'a>> {
+        let (Node::List(count), mut cursor) = self.open()? else {
+            return None;
+        };
+        if index >= count {
+            return None;
+        }
+        for _ in 0..index {
+            cursor.skip(0).ok()?;
+        }
+        Some(ValueRef {
+            pos: cursor.pos,
+            ..*self
+        })
+    }
+
+    /// Builds the value under this view.
+    ///
+    /// # Errors
+    ///
+    /// None for a view reached from a successful
+    /// [`parse_entries`](ValueRef::parse_entries); the build checks what it
+    /// reads all the same.
+    pub(crate) fn to_value(self) -> Result<Value, WireError> {
+        self.cursor().read_value(0)
+    }
+}
+
+/// One value's tag with, for a scalar, its payload, and for a container the
+/// number of entries that follow it.
+enum Node<'a> {
+    Null,
+    Bool(bool),
+    Int(i64),
+    Float(f64),
+    Str(&'a str),
+    Bytes(&'a [u8]),
+    List(usize),
+    Map(usize),
+}
+
+/// The one reader of the encoded form: [`Value::decode`], [`ValueRef`]'s
+/// validation and its accessors all take bytes apart through
+/// [`read_node`](Cursor::read_node), with checked reads only.
 struct Cursor<'a> {
     data: &'a [u8],
     pos: usize,
 }
 
-impl Cursor<'_> {
-    fn take(&mut self, n: usize) -> Result<&[u8], WireError> {
+impl<'a> Cursor<'a> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
         let end = self.pos.checked_add(n).ok_or(WireError::UnexpectedEof)?;
         let s = self
             .data
@@ -492,70 +712,197 @@ impl Cursor<'_> {
         Ok(s)
     }
 
-    fn read_u8(&mut self) -> Result<u8, WireError> {
-        self.take(1)?
-            .first()
-            .copied()
-            .ok_or(WireError::UnexpectedEof)
-    }
-
-    fn read_u32(&mut self) -> Result<u32, WireError> {
-        let b: [u8; 4] = self
-            .take(4)?
+    fn take_array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        self.take(N)?
             .try_into()
-            .map_err(|_| WireError::UnexpectedEof)?;
-        Ok(u32::from_le_bytes(b))
+            .map_err(|_| WireError::UnexpectedEof)
     }
 
-    fn read_str(&mut self) -> Result<String, WireError> {
-        let len = self.read_u32()? as usize;
-        let raw = self.take(len)?;
-        String::from_utf8(raw.to_vec()).map_err(|_| WireError::BadUtf8)
+    fn read_u8(&mut self) -> Result<u8, WireError> {
+        Ok(u8::from_le_bytes(self.take_array()?))
     }
 
+    fn read_len(&mut self) -> Result<usize, WireError> {
+        Ok(u32::from_le_bytes(self.take_array()?) as usize)
+    }
+
+    fn read_str(&mut self) -> Result<&'a str, WireError> {
+        let len = self.read_len()?;
+        std::str::from_utf8(self.take(len)?).map_err(|_| WireError::BadUtf8)
+    }
+
+    /// The one place that knows the tag set.
+    fn read_node(&mut self) -> Result<Node<'a>, WireError> {
+        Ok(match self.read_u8()? {
+            TAG_NULL => Node::Null,
+            TAG_BOOL => Node::Bool(self.read_u8()? != 0),
+            TAG_INT => Node::Int(i64::from_le_bytes(self.take_array()?)),
+            TAG_FLOAT => Node::Float(f64::from_le_bytes(self.take_array()?)),
+            TAG_STR => Node::Str(self.read_str()?),
+            TAG_BYTES => {
+                let len = self.read_len()?;
+                Node::Bytes(self.take(len)?)
+            }
+            TAG_LIST => Node::List(self.read_len()?),
+            TAG_MAP => Node::Map(self.read_len()?),
+            t => return Err(WireError::BadTag(t)),
+        })
+    }
+
+    /// The validating walk: passes over one value, checking every node
+    /// under it and building nothing. If the value is a map, each of *its*
+    /// entries is reported to `entry` — the key, and where the entry's
+    /// value starts — once the walk has passed it.
+    fn walk(
+        &mut self,
+        depth: usize,
+        mut entry: impl FnMut(&'a str, usize),
+    ) -> Result<(), WireError> {
+        if depth > MAX_DEPTH {
+            return Err(WireError::TooDeep);
+        }
+        match self.read_node()? {
+            Node::List(count) => {
+                for _ in 0..count {
+                    self.skip(depth + 1)?;
+                }
+            }
+            Node::Map(count) => {
+                for _ in 0..count {
+                    let (key, value_at) = (self.read_str()?, self.pos);
+                    self.skip(depth + 1)?;
+                    entry(key, value_at);
+                }
+            }
+            _ => {}
+        }
+        Ok(())
+    }
+
+    fn skip(&mut self, depth: usize) -> Result<(), WireError> {
+        self.walk(depth, |_, _| {})
+    }
+
+    /// [`walk`](Cursor::walk)'s reads and checks in the same order,
+    /// building the [`Value`] as it goes.
     fn read_value(&mut self, depth: usize) -> Result<Value, WireError> {
         if depth > MAX_DEPTH {
             return Err(WireError::TooDeep);
         }
-        match self.read_u8()? {
-            TAG_NULL => Ok(Value::Null),
-            TAG_BOOL => Ok(Value::Bool(self.read_u8()? != 0)),
-            TAG_INT => {
-                let b = self.take(8)?;
-                let mut arr = [0u8; 8];
-                arr.copy_from_slice(b);
-                Ok(Value::Int(i64::from_le_bytes(arr)))
-            }
-            TAG_FLOAT => {
-                let b = self.take(8)?;
-                let mut arr = [0u8; 8];
-                arr.copy_from_slice(b);
-                Ok(Value::Float(f64::from_le_bytes(arr)))
-            }
-            TAG_STR => Ok(Value::Str(self.read_str()?)),
-            TAG_BYTES => {
-                let len = self.read_u32()? as usize;
-                Ok(Value::Bytes(self.take(len)?.to_vec()))
-            }
-            TAG_LIST => {
-                let count = self.read_u32()? as usize;
-                let mut v = Vec::new();
+        Ok(match self.read_node()? {
+            Node::Null => Value::Null,
+            Node::Bool(b) => Value::Bool(b),
+            Node::Int(i) => Value::Int(i),
+            Node::Float(f) => Value::Float(f),
+            Node::Str(s) => Value::Str(s.to_owned()),
+            Node::Bytes(b) => Value::Bytes(b.to_vec()),
+            Node::List(count) => {
+                // The count is untrusted: every item takes at least a byte,
+                // and past a modest reservation the vector grows as items
+                // are actually read.
+                let left = self.data.len() - self.pos;
+                let mut v = Vec::with_capacity(count.min(left).min(MAX_RESERVED_ITEMS));
                 for _ in 0..count {
                     v.push(self.read_value(depth + 1)?);
                 }
-                Ok(Value::List(v))
+                Value::List(v)
             }
-            TAG_MAP => {
-                let count = self.read_u32()? as usize;
+            Node::Map(count) => {
                 let mut m = BTreeMap::new();
                 for _ in 0..count {
-                    let k = self.read_str()?;
+                    let k = self.read_str()?.to_owned();
                     m.insert(k, self.read_value(depth + 1)?);
                 }
-                Ok(Value::Map(m))
+                Value::Map(m)
             }
-            t => Err(WireError::BadTag(t)),
+        })
+    }
+}
+
+/// Byte strings at and around the decoder's boundary, shared by the
+/// differential tests below and the status reader's in `future.rs`.
+#[cfg(test)]
+pub(crate) mod corpus {
+    use super::*;
+    use proptest::prelude::*;
+
+    pub(crate) fn value() -> BoxedStrategy<Value> {
+        let leaf = prop_oneof![
+            Just(Value::Null),
+            any::<bool>().prop_map(Value::Bool),
+            any::<i64>().prop_map(Value::Int),
+            // Finite floats: NaN breaks the `PartialEq` comparisons.
+            (-1e300f64..1e300).prop_map(Value::Float),
+            "[a-zA-Z0-9 _éü]{0,24}".prop_map(Value::Str),
+            prop::collection::vec(any::<u8>(), 0..64).prop_map(Value::Bytes),
+        ];
+        leaf.prop_recursive(4, 64, 8, |inner| {
+            prop_oneof![
+                prop::collection::vec(inner.clone(), 0..8).prop_map(Value::List),
+                prop::collection::btree_map("[a-z]{1,8}", inner, 0..8).prop_map(Value::Map),
+            ]
+        })
+    }
+
+    /// A map as no encoder here writes one but any decoder may meet: its
+    /// entries in the order given, repeated and unsorted keys included.
+    pub(crate) fn encode_entries(entries: &[(String, Value)]) -> Vec<u8> {
+        let mut out = vec![TAG_MAP];
+        out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
+        for (k, v) in entries {
+            out.extend_from_slice(&(k.len() as u32).to_le_bytes());
+            out.extend_from_slice(k.as_bytes());
+            v.encode_into(&mut out);
         }
+        out
+    }
+
+    /// How to damage an encoding: which byte to flip and how, and which
+    /// byte to insert where (positions as fractions of the length).
+    pub(crate) type Damage = (f64, u8, f64, u8);
+
+    pub(crate) fn damage() -> impl Strategy<Value = Damage> {
+        (0.0f64..1.0, any::<u8>(), 0.0f64..1.0, any::<u8>())
+    }
+
+    /// `encoded` itself, with one byte flipped, with one byte inserted, and
+    /// truncated at every length.
+    pub(crate) fn damaged(
+        encoded: &[u8],
+        (flip_at, mask, insert_at, byte): Damage,
+    ) -> Vec<Vec<u8>> {
+        let mut all = vec![encoded.to_vec()];
+        if !encoded.is_empty() {
+            let mut flipped = encoded.to_vec();
+            flipped[(flip_at * encoded.len() as f64) as usize] ^= mask | 1;
+            all.push(flipped);
+        }
+        let mut inserted = encoded.to_vec();
+        inserted.insert((insert_at * (encoded.len() + 1) as f64) as usize, byte);
+        all.push(inserted);
+        all.extend((0..encoded.len()).map(|cut| encoded[..cut].to_vec()));
+        all
+    }
+
+    /// `levels` single-item containers around a `Null`: lists, or maps
+    /// under the key `k`.
+    pub(crate) fn nested(levels: usize, maps: bool) -> Vec<u8> {
+        let mut out = Vec::new();
+        for _ in 0..levels {
+            out.push(if maps { TAG_MAP } else { TAG_LIST });
+            out.extend_from_slice(&1u32.to_le_bytes());
+            if maps {
+                out.extend_from_slice(&1u32.to_le_bytes());
+                out.push(b'k');
+            }
+        }
+        out.push(TAG_NULL);
+        out
+    }
+
+    /// Nesting depths either side of the decoder's limit.
+    pub(crate) fn depths_around_the_limit() -> std::ops::RangeInclusive<usize> {
+        MAX_DEPTH - 1..=MAX_DEPTH + 2
     }
 }
 
@@ -640,6 +987,25 @@ mod tests {
     }
 
     #[test]
+    fn list_headers_claiming_more_than_follows_are_not_taken_at_their_word() {
+        // `MAX_DEPTH` headers, each claiming `u32::MAX` items, over a filler
+        // no item can start with. Every header is read before the first
+        // item, so what one header reserves is reserved `MAX_DEPTH` times:
+        // 32 MiB each, 3 GiB in all, if the remaining length were the only
+        // bound; `MAX_RESERVED_ITEMS` values each as it is.
+        let mut enc = Vec::new();
+        for _ in 0..MAX_DEPTH {
+            enc.push(TAG_LIST);
+            enc.extend_from_slice(&u32::MAX.to_le_bytes());
+        }
+        enc.resize(enc.len() + (1 << 20), 0xFF);
+        assert_eq!(Value::decode(&enc), Err(WireError::BadTag(0xFF)));
+        check_agreement(&enc).expect("the view rejects it the same way");
+        // Past the reservation a list grows as its items arrive.
+        roundtrip(Value::List(vec![Value::Null; 4 * MAX_RESERVED_ITEMS]));
+    }
+
+    #[test]
     fn decode_rejects_invalid_utf8() {
         let mut enc = vec![TAG_STR];
         enc.extend_from_slice(&2u32.to_le_bytes());
@@ -698,29 +1064,107 @@ mod tests {
         assert_eq!(verify_stamped(&stamped).unwrap(), payload.as_ref());
     }
 
+    /// A payload of every length up to a few blocks: the lengths cross the
+    /// checksum's word (8), block (32) and tail boundaries.
+    fn payloads() -> impl Iterator<Item = Vec<u8>> {
+        (0..=100usize).map(|len| (0..len).map(|i| (i * 37 + 11) as u8).collect())
+    }
+
+    #[test]
+    fn stamp_roundtrips_at_every_length() {
+        for payload in payloads() {
+            assert_eq!(verify_stamped(&stamp(&payload)), Ok(&payload[..]));
+        }
+    }
+
     #[test]
     fn stamp_detects_any_single_byte_flip() {
-        let payload = b"the quick brown fox".to_vec();
-        let stamped = stamp(&payload);
-        for i in 0..stamped.len() {
-            let mut bad = stamped.to_vec();
-            bad[i] ^= 0x5A;
-            assert!(verify_stamped(&bad).is_err(), "flip at {i} undetected");
+        for payload in payloads() {
+            let stamped = stamp(&payload);
+            for i in 0..stamped.len() {
+                for mask in [0x01, 0x5A, 0x80, 0xFF] {
+                    let mut bad = stamped.to_vec();
+                    bad[i] ^= mask;
+                    assert!(
+                        verify_stamped(&bad).is_err(),
+                        "{mask:#04x} at {i} of {} undetected",
+                        stamped.len()
+                    );
+                }
+            }
         }
     }
 
     #[test]
     fn stamp_detects_truncation_at_every_length() {
-        let stamped = stamp(&Value::Int(42).encode());
-        for cut in 0..stamped.len() {
-            let err = verify_stamped(&stamped[..cut]).unwrap_err();
-            assert!(
-                matches!(
-                    err,
-                    WireError::MissingStamp | WireError::ChecksumMismatch { .. }
-                ),
-                "cut at {cut}: {err:?}"
-            );
+        for payload in payloads() {
+            let stamped = stamp(&payload);
+            for cut in 0..stamped.len() {
+                let err = verify_stamped(&stamped[..cut]).unwrap_err();
+                assert!(
+                    matches!(
+                        err,
+                        WireError::MissingStamp | WireError::ChecksumMismatch { .. }
+                    ),
+                    "cut at {cut} of {}: {err:?}",
+                    stamped.len()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn checksum_tells_lanes_words_and_lengths_apart() {
+        // Three blocks of four words, every word distinct.
+        let base: Vec<u8> = (0..96u8).collect();
+        let swap_words = |a: usize, b: usize| {
+            let mut p = base.clone();
+            for i in 0..8 {
+                p.swap(8 * a + i, 8 * b + i);
+            }
+            p
+        };
+        let mut payloads = vec![base.clone()];
+        // One byte off, in each lane of the middle block.
+        for lane in 0..4 {
+            let mut p = base.clone();
+            p[32 + 8 * lane + 3] ^= 0x10;
+            payloads.push(p);
+        }
+        // Neighbouring words, which sit in neighbouring lanes; two words of
+        // one lane; and two whole lanes.
+        payloads.push(swap_words(4, 5));
+        payloads.push(swap_words(4, 8));
+        let mut lanes_swapped = base.clone();
+        for block in 0..3 {
+            for i in 0..8 {
+                lanes_swapped.swap(32 * block + i, 32 * block + 8 + i);
+            }
+        }
+        payloads.push(lanes_swapped);
+        // The top bit of two words of one lane: a multiply alone cannot
+        // carry it anywhere, so without the rotation the second flip would
+        // undo the first.
+        let mut top_bits = base.clone();
+        top_bits[7] ^= 0x80;
+        top_bits[39] ^= 0x80;
+        payloads.push(top_bits);
+        // Zeros fold to nothing but the step itself: only their count, and
+        // the length, tell these apart.
+        payloads.extend((0..=100).map(|len| vec![0u8; len]));
+        let digests: std::collections::BTreeSet<u64> =
+            payloads.iter().map(|p| checksum64(p)).collect();
+        assert_eq!(digests.len(), payloads.len(), "two payloads share a digest");
+    }
+
+    #[test]
+    fn stamped_is_stamp_of_the_encoding() {
+        for v in [
+            Value::Null,
+            Value::bytes(Vec::new()),
+            Value::map().with("state", "done").with("end", 2.5),
+        ] {
+            assert_eq!(v.stamped(), stamp(&v.encode()));
         }
     }
 
@@ -743,5 +1187,152 @@ mod tests {
     fn checksum_distinguishes_length_patterns() {
         assert_ne!(checksum64(&[0u8; 8]), checksum64(&[0u8; 9]));
         assert_ne!(checksum64(b"ab"), checksum64(b"ba"));
+    }
+
+    #[test]
+    fn view_reads_scalars_and_navigates() {
+        let v = Value::map()
+            .with("s", "x")
+            .with("i", 7i64)
+            .with("f", 1.5)
+            .with("none", Value::Null)
+            .with("list", Value::from(vec![Value::Int(1), Value::from("two")]));
+        let encoded = v.encode();
+        let view = ValueRef::parse_entries(&encoded, |_, _| {}).expect("well-formed");
+        assert_eq!(view.offset(), 0);
+        assert_eq!(view.get("s").and_then(|s| s.as_str()), Some("x"));
+        assert_eq!(view.get("i").and_then(|i| i.as_i64()), Some(7));
+        assert_eq!(view.get("i").and_then(|i| i.as_f64()), Some(7.0));
+        assert_eq!(view.get("f").and_then(|f| f.as_f64()), Some(1.5));
+        assert!(view.get("none").is_some_and(|n| n.is_null()));
+        assert!(!view.is_null());
+        let list = view.get("list").expect("present");
+        assert_eq!(list.at(1).and_then(|s| s.as_str()), Some("two"));
+        assert!(list.at(2).is_none());
+        // Another type's accessor, and navigation into a scalar: `None`.
+        assert_eq!(view.get("s").and_then(|s| s.as_i64()), None);
+        assert!(view.get("s").and_then(|s| s.get("x")).is_none());
+        assert!(view.at(0).is_none());
+        assert!(list.get("x").is_none());
+        assert!(view.get("missing").is_none());
+        // A kept offset leads back to the same value.
+        let at = list.offset();
+        assert_eq!(
+            ValueRef::at_offset(&encoded, at).to_value(),
+            list.to_value()
+        );
+        assert_eq!(
+            list.to_value().as_ref(),
+            Ok(v.get("list").expect("present"))
+        );
+    }
+
+    /// The view and the decoder agree on `bytes`: both reject them, with
+    /// the same error, or both accept them and every path into the view
+    /// reads what the same path into the decoded value does.
+    fn check_agreement(bytes: &[u8]) -> Result<(), String> {
+        let mut entries = BTreeMap::new();
+        let parsed = ValueRef::parse_entries(bytes, |k, v| {
+            entries.insert(k.to_owned(), v.to_value());
+        });
+        match (Value::decode(bytes), parsed) {
+            (Err(d), Err(p)) if d == p => Ok(()),
+            (Ok(decoded), Ok(view)) => {
+                if let Value::Map(m) = &decoded {
+                    let noted: BTreeMap<_, _> =
+                        m.iter().map(|(k, v)| (k.clone(), Ok(v.clone()))).collect();
+                    if noted != entries {
+                        return Err(format!("entries noted {entries:?}, decoded {decoded:?}"));
+                    }
+                }
+                check_subtree(view, &decoded)
+            }
+            (d, p) => Err(format!("decode {d:?}, view {:?}", p.map(|v| v.to_value()))),
+        }
+    }
+
+    fn check_subtree(view: ValueRef<'_>, decoded: &Value) -> Result<(), String> {
+        let built = view.to_value();
+        if built.as_ref() != Ok(decoded) {
+            return Err(format!("view builds {built:?}, decoder {decoded:?}"));
+        }
+        let scalars_agree = view.is_null() == decoded.is_null()
+            && view.as_i64() == decoded.as_i64()
+            && view.as_f64() == decoded.as_f64()
+            && view.as_str() == decoded.as_str();
+        if !scalars_agree {
+            return Err(format!("scalar accessors disagree on {decoded:?}"));
+        }
+        let child = |c: Option<ValueRef<'_>>, d: &Value| match c {
+            Some(c) => check_subtree(c, d),
+            None => Err(format!("view finds nothing where the decoder has {d:?}")),
+        };
+        for (k, d) in decoded.as_map().into_iter().flatten() {
+            child(view.get(k), d)?;
+        }
+        let items = decoded.as_list().unwrap_or_default();
+        for (i, d) in items.iter().enumerate() {
+            child(view.at(i), d)?;
+        }
+        let past_the_end = view.at(items.len()).is_some() || view.get("no such key").is_some();
+        if past_the_end {
+            return Err(format!("view finds a child {decoded:?} does not have"));
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn view_and_decoder_agree_either_side_of_the_depth_limit() {
+        for levels in corpus::depths_around_the_limit() {
+            for maps in [false, true] {
+                let bytes = corpus::nested(levels, maps);
+                assert_eq!(
+                    Value::decode(&bytes).is_ok(),
+                    levels <= MAX_DEPTH,
+                    "{levels} levels"
+                );
+                check_agreement(&bytes).unwrap_or_else(|e| panic!("{levels} levels: {e}"));
+            }
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn view_and_decoder_agree_on_arbitrary_bytes(
+            bytes in prop::collection::vec(any::<u8>(), 0..512),
+            tag in 0u8..9,
+        ) {
+            check_agreement(&bytes).map_err(TestCaseError::fail)?;
+            // The same, steered past the first tag check.
+            let mut tagged = bytes;
+            if let Some(first) = tagged.first_mut() {
+                *first = tag;
+            }
+            check_agreement(&tagged).map_err(TestCaseError::fail)?;
+        }
+
+        #[test]
+        fn view_and_decoder_agree_on_damaged_encodings(
+            v in corpus::value(),
+            damage in corpus::damage(),
+        ) {
+            for bytes in corpus::damaged(&v.encode(), damage) {
+                check_agreement(&bytes).map_err(TestCaseError::fail)?;
+            }
+        }
+
+        #[test]
+        fn view_and_decoder_agree_on_repeated_and_unsorted_keys(
+            entries in prop::collection::vec(("[a-c]{1,2}", corpus::value()), 0..8),
+            damage in corpus::damage(),
+        ) {
+            for bytes in corpus::damaged(&corpus::encode_entries(&entries), damage) {
+                check_agreement(&bytes).map_err(TestCaseError::fail)?;
+            }
+        }
     }
 }

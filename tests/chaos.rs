@@ -7,7 +7,8 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use rustwren::core::{
-    PywrenError, RecoveryStats, RetryPolicy, SimCloud, SpeculationConfig, TaskCtx, Value,
+    GetResultOpts, PywrenError, RecoveryStats, RetryPolicy, SimCloud, SpeculationConfig, TaskCtx,
+    Value, WaitPolicy,
 };
 use rustwren::faas::PlatformConfig;
 use rustwren::sim::NetworkProfile;
@@ -80,6 +81,58 @@ fn reinvoke_rejects_foreign_futures() {
         let _ = e1.get_result().unwrap();
         let err = e2.reinvoke(&futs).unwrap_err();
         assert!(matches!(err, PywrenError::UnknownFunction(_)));
+    });
+}
+
+#[test]
+fn foreign_futures_with_aliasing_numbers_touch_nothing_of_either_executor() {
+    // Job and task numbers start over in every executor, so `e2/1/t00000`
+    // carries the numbers of one of e1's own tasks. e1 once took it for
+    // that task: `reinvoke` deleted e2's status and result and ran e1's
+    // function onto e2's keys, and the recovery pass booked e2's failure
+    // against e1's record and retried it the same way.
+    let cloud = SimCloud::builder()
+        .seed(37)
+        .client_network(NetworkProfile::lan())
+        .build();
+    cloud.register_fn("one", |_ctx: &TaskCtx, _: Value| Ok(Value::Int(1)));
+    cloud.register_fn("two", |_ctx: &TaskCtx, _: Value| Ok(Value::Int(2)));
+    cloud.register_fn("broken", |_ctx: &TaskCtx, _: Value| Err("no".into()));
+    cloud.run(|| {
+        let e1 = cloud
+            .executor()
+            .retry(RetryPolicy::with_attempts(3))
+            .build()
+            .unwrap();
+        let e2 = cloud.executor().build().unwrap();
+        e1.map("one", [Value::Null]).unwrap();
+        let foreign = e2.map("two", [Value::Null]).unwrap();
+        e2.wait(WaitPolicy::AllCompleted).unwrap();
+
+        let submitted = cloud.functions().stats().submitted;
+        let err = e1.reinvoke(&foreign).unwrap_err();
+        assert!(matches!(err, PywrenError::UnknownFunction(_)), "{err:?}");
+        assert_eq!(cloud.functions().stats().submitted, submitted);
+        let f = &foreign[0];
+        assert!(cloud.store().exists(f.bucket(), &f.status_key()));
+        assert_eq!(e2.get_result().unwrap(), vec![Value::Int(2)]);
+
+        // The second job of each: e2's fails, and e1 — retries on — is
+        // asked to resolve it while its own job 2 is still unclassified.
+        e1.map("one", [Value::Null]).unwrap();
+        let foreign = e2.map("broken", [Value::Null]).unwrap();
+        let err = e1.resolve(&foreign, &GetResultOpts::default()).unwrap_err();
+        assert!(
+            matches!(&err, PywrenError::Task { message, .. } if message.contains("no")),
+            "{err:?}"
+        );
+        let stats = e1.recovery_stats();
+        let untouched = RecoveryStats {
+            lists_saved: stats.lists_saved,
+            ..RecoveryStats::default()
+        };
+        assert_eq!(stats, untouched);
+        assert_eq!(e1.get_result().unwrap(), vec![Value::Int(1); 2]);
     });
 }
 
