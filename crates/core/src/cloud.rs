@@ -118,6 +118,16 @@ impl SimCloud {
         self.inner.registry.register(name, f);
     }
 
+    /// Registers a resumable user function under `name`; see
+    /// [`FunctionRegistry::register_resumable`].
+    pub fn register_resumable_fn<F, R>(&self, name: &str, f: F)
+    where
+        F: Fn(crate::TaskCtx, crate::Value) -> R + Send + Sync + 'static,
+        R: std::future::Future<Output = Result<crate::Value, String>> + Send + 'static,
+    {
+        self.inner.registry.register_resumable(name, f);
+    }
+
     /// Enters the simulation on the calling thread as "the client" and runs
     /// `f` to completion in virtual time.
     ///

@@ -206,8 +206,17 @@ impl TaskStatus {
     /// # Errors
     ///
     /// The PUT's.
+    pub(crate) async fn put_async(
+        &self,
+        cos: &CosClient,
+        f: &ResponseFuture,
+    ) -> Result<(), StoreError> {
+        crate::job::put_stamped(cos, f.bucket(), &f.status_key(), &self.fields).await
+    }
+
+    /// [`put_async`](TaskStatus::put_async), blocking.
     pub(crate) fn put(&self, cos: &CosClient, f: &ResponseFuture) -> Result<(), StoreError> {
-        crate::job::put_stamped(cos, f.bucket(), &f.status_key(), &self.fields)
+        rustwren_sim::task::block_on(self.put_async(cos, f))
     }
 
     /// Checks the (verified, unstamped) bytes of `f`'s status object end to

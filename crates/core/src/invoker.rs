@@ -35,10 +35,10 @@ pub(crate) fn deploy_agent(cloud: &SimCloud, runtime: &str) -> Result<()> {
     let weak = cloud.downgrade();
     cloud
         .functions()
-        .register_action(
+        .register_resumable(
             &name,
             ActionConfig::with_runtime(runtime).memory_mb(512),
-            move |ctx: &ActivationCtx, payload: Bytes| crate::job::run_agent(&weak, ctx, payload),
+            move |payload: Bytes| crate::job::AgentBody::new(weak.clone(), payload),
         )
         .map_err(|e| PywrenError::UnknownFunction(format!("agent runtime: {e}")))
 }

@@ -20,13 +20,19 @@
 //! jobs/e/j/t00000/status   {"state": "done"|"error", timings…, result?}
 //! ```
 
+use std::any::Any;
+use std::future::Future;
+use std::ops::ControlFlow;
 use std::panic::{self, AssertUnwindSafe};
+use std::pin::Pin;
 use std::sync::Weak;
+use std::task::{Context, Poll};
 use std::time::Duration;
 
 use bytes::Bytes;
-use rustwren_faas::{ActionError, ActivationCtx};
+use rustwren_faas::{ActionError, ActivationCtx, BodyStep, ResumableBody};
 use rustwren_sim::hash::hash2;
+use rustwren_sim::{task, LightStep};
 use rustwren_store::CosClient;
 
 use crate::cloud::{CloudInner, SimCloud};
@@ -69,13 +75,15 @@ pub(crate) fn chaos_crash_point(phase: &str, token: u64) {
 /// encoded and stamped in one buffer. Every staged object (func, input,
 /// status, result, shuffle slice) is written stamped — here, or where the
 /// writes are batched — so readers can always demand a valid stamp.
-pub(crate) fn put_stamped(
+pub(crate) async fn put_stamped(
     cos: &CosClient,
     bucket: &str,
     key: &str,
     value: &Value,
 ) -> Result<(), rustwren_store::StoreError> {
-    cos.put(bucket, key, value.stamped()).map(|_| ())
+    cos.put_async(bucket, key, value.stamped())
+        .await
+        .map(|_| ())
 }
 
 /// Reads issued for one stamped object before a bad stamp is final.
@@ -86,13 +94,16 @@ const VERIFY_READS: u32 = 3;
 /// re-fetches usually heal it without burning a whole task attempt. Returns
 /// the whole stamped bytes of the first read that verifies; `integrity`
 /// turns the last read's stamp failure into the caller's error.
-fn read_verified<E>(
-    read: impl Fn() -> Result<Bytes, E>,
+async fn read_verified<E, R>(
+    read: impl Fn() -> R,
     integrity: impl Fn(wire::WireError) -> E,
-) -> Result<Bytes, E> {
+) -> Result<Bytes, E>
+where
+    R: Future<Output = Result<Bytes, E>>,
+{
     let mut reads = 1;
     loop {
-        let raw = read()?;
+        let raw = read().await?;
         match wire::verify_stamped(&raw) {
             Ok(_) => return Ok(raw),
             Err(e) if reads == VERIFY_READS => return Err(integrity(e)),
@@ -105,28 +116,40 @@ fn read_verified<E>(
 /// *whole stamped representation* (magic + checksum + payload) — the form
 /// the container-local blob cache stores, so cache hits can be re-validated
 /// against the same stamp. Surfaces failure as [`PywrenError::Integrity`].
-pub(crate) fn get_stamped_raw(
-    cos: &CosClient,
-    bucket: &str,
-    key: &str,
-) -> crate::error::Result<Bytes> {
+async fn get_stamped_raw(cos: &CosClient, bucket: &str, key: &str) -> crate::error::Result<Bytes> {
     read_verified(
-        || cos.get(bucket, key).map_err(PywrenError::Storage),
+        || async {
+            cos.get_async(bucket, key)
+                .await
+                .map_err(PywrenError::Storage)
+        },
         |e| PywrenError::Integrity {
             key: format!("{bucket}/{key}"),
             detail: e.to_string(),
         },
     )
+    .await
 }
 
 /// Reads a staged object and verifies its checksum stamp, surfacing a
 /// failure as the typed [`PywrenError::Integrity`].
+pub(crate) async fn get_verified_async(
+    cos: &CosClient,
+    bucket: &str,
+    key: &str,
+) -> crate::error::Result<Bytes> {
+    let raw = get_stamped_raw(cos, bucket, key).await?;
+    Ok(raw.slice(wire::STAMP_LEN..))
+}
+
+/// [`get_verified_async`], blocking: for the client and for agent code that
+/// already has a thread.
 pub(crate) fn get_verified(
     cos: &CosClient,
     bucket: &str,
     key: &str,
 ) -> crate::error::Result<Bytes> {
-    get_stamped_raw(cos, bucket, key).map(|raw| raw.slice(wire::STAMP_LEN..))
+    task::block_on(get_verified_async(cos, bucket, key))
 }
 
 /// Inline-vs-staged threshold, by encoded size. A task descriptor at or
@@ -312,12 +335,68 @@ impl TaskSpec {
     }
 }
 
-/// The agent body: runs inside every IBM-PyWren function container.
+/// One agent activation as the platform polls it: [`run_agent`], started at
+/// the first resume (when the activation's context first exists) and from
+/// then on polled to each suspension point in turn.
+pub(crate) struct AgentBody {
+    cloud: Weak<CloudInner>,
+    payload: Bytes,
+    run: Option<AgentRun>,
+}
+
+/// A started [`run_agent`].
+type AgentRun = Pin<Box<dyn Future<Output = Result<Bytes, ActionError>> + Send>>;
+
+impl AgentBody {
+    pub(crate) fn new(cloud: Weak<CloudInner>, payload: Bytes) -> AgentBody {
+        AgentBody {
+            cloud,
+            payload,
+            run: None,
+        }
+    }
+}
+
+/// Starts the agent. Out of line: the future is built on this frame before
+/// it moves to the heap, and it is some 2 KB that [`AgentBody::resume`]'s —
+/// beneath every poll, and beneath the user function on a promoted
+/// thread — should not carry.
+#[inline(never)]
+fn start_agent(cloud: Weak<CloudInner>, ctx: ActivationCtx, payload: Bytes) -> AgentRun {
+    Box::pin(run_agent(cloud, ctx, payload))
+}
+
+impl ResumableBody for AgentBody {
+    fn resume(&mut self, ctx: &ActivationCtx) -> BodyStep {
+        let run = match &mut self.run {
+            Some(run) => run,
+            None => {
+                let payload = std::mem::take(&mut self.payload);
+                self.run
+                    .insert(start_agent(self.cloud.clone(), ctx.clone(), payload))
+            }
+        };
+        match task::resume(run.as_mut()) {
+            ControlFlow::Break(result) => BodyStep::Done(result),
+            ControlFlow::Continue(LightStep::Sleep(d)) => BodyStep::Sleep(d),
+            ControlFlow::Continue(LightStep::Wait(event)) => BodyStep::Wait(event),
+            ControlFlow::Continue(LightStep::Thread) => BodyStep::Thread,
+            // What a leaf asked for is handed over, and no leaf asks for this.
+            ControlFlow::Continue(LightStep::Done) => {
+                BodyStep::Done(Err(ActionError("agent suspended on nothing".into())))
+            }
+        }
+    }
+}
+
+/// The agent: runs inside every IBM-PyWren function container. Resumable:
+/// it suspends only at `.await`s, so it rides a light task up to the point,
+/// if any, where it asks for a thread ([`execute_task`]).
 // lint: entry(hot_path)
 // lint: entry(sim_path)
-pub(crate) fn run_agent(
-    cloud: &Weak<CloudInner>,
-    ctx: &ActivationCtx,
+async fn run_agent(
+    cloud: Weak<CloudInner>,
+    ctx: ActivationCtx,
     raw_payload: Bytes,
 ) -> Result<Bytes, ActionError> {
     let inner = cloud
@@ -332,7 +411,7 @@ pub(crate) fn run_agent(
     let crash_token = hash2(ctx.activation_id().0, 0xA6E7);
 
     chaos_crash_point(PHASE_BEFORE_RUN, crash_token);
-    let outcome = execute_task(&cloud, ctx, &cos, &payload);
+    let outcome = execute_task(&cloud, &ctx, &cos, &payload).await;
 
     let ended = ctx.now().as_secs_f64();
     // Best-effort status/result write: the client's wait() relies on it.
@@ -347,11 +426,13 @@ pub(crate) fn run_agent(
                 status = status.with_result(result);
             } else {
                 put_stamped(&cos, &payload.bucket, &fut.result_key(), &result)
+                    .await
                     .map_err(|e| ActionError(format!("writing result: {e}")))?;
             }
             chaos_crash_point(PHASE_AFTER_PUT, crash_token);
             status
-                .put(&cos, &fut)
+                .put_async(&cos, &fut)
+                .await
                 .map_err(|e| ActionError(format!("writing status: {e}")))?;
             Ok(Bytes::from_static(b"ok"))
         }
@@ -363,11 +444,14 @@ pub(crate) fn run_agent(
             // overwriting a corrupted-on-read `done` status is safe (the
             // stored object wins at most once), silently keeping a bad one
             // is not.
-            let done_already = TaskStatus::read(&fut, |b, k| get_verified(&cos, b, k))
+            let done_already = get_verified_async(&cos, fut.bucket(), &fut.status_key())
+                .await
+                .and_then(|raw| TaskStatus::decode(raw, &fut))
                 .is_ok_and(|s| s.error().is_none());
             if !done_already {
                 TaskStatus::new(Some(&msg), started, ended)
-                    .put(&cos, &fut)
+                    .put_async(&cos, &fut)
+                    .await
                     .map_err(|e| ActionError(format!("writing status: {e}")))?;
             }
             Err(ActionError(msg))
@@ -377,7 +461,7 @@ pub(crate) fn run_agent(
 
 /// Runs the task described by `payload`, returning its result value plus —
 /// for shuffle maps — the partition manifest to embed in the status object.
-fn execute_task(
+async fn execute_task(
     cloud: &SimCloud,
     ctx: &ActivationCtx,
     cos: &CosClient,
@@ -386,25 +470,82 @@ fn execute_task(
     let fut = payload.future();
     // Download the "pickled" function, as the real agent does — via the
     // warm-container blob cache.
-    let _code = fetch_func_blob(ctx, cos, payload)?;
+    let _code = fetch_func_blob(ctx, cos, payload).await?;
     let desc = match &payload.inline {
         // The descriptor rode inside the activation payload: no staged
         // input object exists for this task.
         Some(desc) => desc.clone(),
         None => {
-            let input_raw = get_verified(cos, &payload.bucket, &fut.input_key())
+            let input_raw = get_verified_async(cos, &payload.bucket, &fut.input_key())
+                .await
                 .map_err(|e| format!("fetching input: {e}"))?;
             Value::decode(&input_raw).map_err(|e| format!("decoding input: {e}"))?
         }
     };
 
+    let task_ctx = TaskCtx::new(ctx.clone(), cloud.clone());
+
+    // The dispatch point. A plain value is its own input and a resumable
+    // function suspends the way this agent does, so that pair carries on
+    // without a stack. Everything else blocks somewhere — a blocking
+    // function or combiner in code this crate does not own, a partition,
+    // reduce or shuffle input (and a shuffle map's output) in COS calls not
+    // yet converted — and so asks for a thread first.
+    if desc.req_str("kind")? == "value" {
+        if let Some(resume) = cloud.registry().resumable(&payload.func_name) {
+            let input = build_input(ctx, cos, &desc)?;
+            return match CatchUnwind(resume(task_ctx, input)).await {
+                Ok(result) => result.map(|r| (r, None)),
+                Err(p) => Err(format!("function panicked: {}", panic_text(&p))),
+            };
+        }
+    }
     let func = cloud
         .registry()
         .get(&payload.func_name)
         .ok_or_else(|| format!("function `{}` not registered", payload.func_name))?;
-    let task_ctx = TaskCtx::new(ctx.clone(), cloud.clone());
+    task::thread().await;
+    // lint: allow(L008) — what this calls blocks (user functions, COS calls
+    // on the blocking client), and may: the promotion on the line above has
+    // put the activation on an OS thread of its own, where
+    // `LightScope`/`IN_LIGHT_STEP` no longer apply; guarded by
+    // crates/core/tests/vehicles.rs (every kind, both registrations) and
+    // kernel.rs promoted_task_reproduces_the_all_thread_schedule
+    execute_blocking(cloud, ctx, cos, payload, &desc, func.as_ref(), &task_ctx)
+}
+
+/// `fut`, with a panic from any of its polls caught and returned: what
+/// `catch_unwind` is to a call.
+struct CatchUnwind<F>(F);
+
+impl<F: Future + Unpin> Future for CatchUnwind<F> {
+    type Output = Result<F::Output, Box<dyn Any + Send>>;
+
+    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
+        let inner = Pin::new(&mut self.0);
+        match panic::catch_unwind(AssertUnwindSafe(|| inner.poll(cx))) {
+            Ok(Poll::Pending) => Poll::Pending,
+            Ok(Poll::Ready(value)) => Poll::Ready(Ok(value)),
+            Err(p) => Poll::Ready(Err(p)),
+        }
+    }
+}
+
+/// [`execute_task`] from the dispatch point on, for every task that takes a
+/// thread there: builds the input, calls the function and — for a shuffle
+/// map — spills its output, blocking wherever those block.
+fn execute_blocking(
+    cloud: &SimCloud,
+    ctx: &ActivationCtx,
+    cos: &CosClient,
+    payload: &AgentPayload,
+    desc: &Value,
+    func: &dyn crate::registry::RemoteFn,
+    task_ctx: &TaskCtx,
+) -> Result<(Value, Option<Value>), String> {
+    let fut = payload.future();
     let call = |input: Value| -> Result<Value, String> {
-        match panic::catch_unwind(AssertUnwindSafe(|| func.call(&task_ctx, input))) {
+        match panic::catch_unwind(AssertUnwindSafe(|| func.call(task_ctx, input))) {
             Ok(result) => result,
             Err(p) => Err(format!("function panicked: {}", panic_text(&p))),
         }
@@ -412,19 +553,19 @@ fn execute_task(
 
     match desc.req_str("kind")? {
         "shuffle-map" => {
-            let params = ShuffleMapParams::from_desc(&desc)?;
+            let params = ShuffleMapParams::from_desc(desc)?;
             let inner = desc.get("inner").ok_or("missing field `inner`")?;
             let input = build_input(ctx, cos, inner)?;
             let output = call(input)?;
-            write_shuffle_output(cloud, cos, payload, &fut, &task_ctx, output, &params)
+            write_shuffle_output(cloud, cos, payload, &fut, task_ctx, output, &params)
                 .map(|(result, manifest)| (result, Some(manifest)))
         }
         "shuffle-reduce" => {
-            let input = build_shuffle_reduce_input(cloud, ctx, cos, &desc)?;
+            let input = build_shuffle_reduce_input(cloud, ctx, cos, desc)?;
             call(input).map(|r| (r, None))
         }
         _ => {
-            let input = build_input(ctx, cos, &desc)?;
+            let input = build_input(ctx, cos, desc)?;
             call(input).map(|r| (r, None))
         }
     }
@@ -466,7 +607,7 @@ impl ShuffleMapParams {
 /// poisoned in container memory (the chaos engine's `PoisonCache` fault)
 /// fails validation, is dropped, and heals via a fresh COS fetch —
 /// corruption never silently reaches the user function.
-fn fetch_func_blob(
+async fn fetch_func_blob(
     ctx: &ActivationCtx,
     cos: &CosClient,
     payload: &AgentPayload,
@@ -490,12 +631,14 @@ fn fetch_func_blob(
         }
         cache.remove(&key);
         let fresh = get_stamped_raw(cos, &payload.bucket, &key)
+            .await
             .map_err(|e| format!("refetching poisoned cached function: {e}"))?;
         cache.insert(&key, fresh.clone());
         ctx.note_blob_cache_heal();
         return Ok(fresh.slice(wire::STAMP_LEN..));
     }
     let stamped = get_stamped_raw(cos, &payload.bucket, &key)
+        .await
         .map_err(|e| format!("fetching function: {e}"))?;
     cache.insert(&key, stamped.clone());
     ctx.note_blob_cache(false);
@@ -705,6 +848,9 @@ impl ShuffleReduceParams {
 
 /// Gathers one reducer's shuffle partitions from every map task, merges the
 /// runs, and groups the pairs by key.
+// (Out of line: its kilobyte of locals is done with before the function is
+// called, and `execute_blocking`'s frame is beneath every user function.)
+#[inline(never)]
 fn build_shuffle_reduce_input(
     cloud: &SimCloud,
     ctx: &ActivationCtx,
@@ -855,18 +1001,18 @@ fn get_slice_verified(
     off: u64,
     len: u64,
 ) -> Result<Bytes, String> {
-    read_verified(
-        || {
-            cos.get_range(bucket, key, off, off + len)
-                .map_err(|e| match e {
-                    rustwren_store::StoreError::NoSuchKey { .. } => format!(
-                        "shuffle segment {bucket}/{key} was written but is now missing (lost): {e}"
-                    ),
-                    e => format!("fetching shuffle slice: {e}"),
-                })
-        },
-        |e| format!("integrity failure reading shuffle slice {bucket}/{key}@{off}: {e}"),
-    )
+    let read = || async {
+        let slice = cos.get_range_async(bucket, key, off, off + len).await;
+        slice.map_err(|e| match e {
+            rustwren_store::StoreError::NoSuchKey { .. } => {
+                format!("shuffle segment {bucket}/{key} was written but is now missing (lost): {e}")
+            }
+            e => format!("fetching shuffle slice: {e}"),
+        })
+    };
+    task::block_on(read_verified(read, |e| {
+        format!("integrity failure reading shuffle slice {bucket}/{key}@{off}: {e}")
+    }))
     .map(|raw| raw.slice(wire::STAMP_LEN..))
 }
 
@@ -1231,7 +1377,7 @@ mod tests {
                 .expect("status");
             let pairs = Value::List(vec![Value::map().with("k", "x").with("v", 1i64)]);
             let channel = shuffle_key(&d.task_prefix(), 0, 4);
-            put_stamped(&cos, "b", &channel, &pairs).expect("partition");
+            task::block_on(put_stamped(&cos, "b", &channel, &pairs)).expect("partition");
             let err = fetch_shuffle_run(&cloud, &cos, &d, 0, 4, ExchangeMode::Cos)
                 .expect_err("no manifest, no fetch");
             assert!(err.contains("no shuffle manifest"), "{err}");

@@ -9,9 +9,12 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::future::Future;
+use std::pin::Pin;
 use std::sync::Arc;
 
 use parking_lot::RwLock;
+use rustwren_sim::task;
 
 use crate::task::TaskCtx;
 use crate::wire::Value;
@@ -80,10 +83,24 @@ impl<F: RemoteFn> RemoteFn for SizedFn<F> {
     }
 }
 
+/// One call of a function registered as resumable code.
+pub(crate) type Resumed = Pin<Box<dyn Future<Output = Result<Value, String>> + Send>>;
+
+/// A function registered as resumable code: starts one call.
+pub(crate) type ResumableFn = dyn Fn(TaskCtx, Value) -> Resumed + Send + Sync;
+
+struct Registered {
+    /// The function as blocking code: every function has this form.
+    call: Arc<dyn RemoteFn>,
+    /// The function as resumable code, when that is how it was written
+    /// ([`FunctionRegistry::register_resumable`]); `call` then drives this.
+    resume: Option<Arc<ResumableFn>>,
+}
+
 /// A shared name → function table. Cheap to clone.
 #[derive(Clone, Default)]
 pub struct FunctionRegistry {
-    fns: Arc<RwLock<HashMap<String, Arc<dyn RemoteFn>>>>,
+    fns: Arc<RwLock<HashMap<String, Registered>>>,
 }
 
 impl fmt::Debug for FunctionRegistry {
@@ -104,17 +121,56 @@ impl FunctionRegistry {
         FunctionRegistry::default()
     }
 
-    /// Registers `f` under `name`, replacing any previous function.
+    /// Registers `f` under `name`, replacing any previous function. `f` may
+    /// block — charge time, use the COS client, run sub-jobs — so the agent
+    /// runs it on an OS thread.
     pub fn register<F>(&self, name: &str, f: F)
     where
         F: RemoteFn + 'static,
     {
-        self.fns.write().insert(name.to_owned(), Arc::new(f));
+        let call = Arc::new(f);
+        let entry = Registered { call, resume: None };
+        self.fns.write().insert(name.to_owned(), entry);
+    }
+
+    /// Registers the *resumable* function `f` under `name`, replacing any
+    /// previous function: `f(ctx, input)` is `async` code that suspends only
+    /// by awaiting [`rustwren_sim::task`]'s leaves (directly, or through
+    /// other resumable code such as the COS client's `*_async`
+    /// operations), so the agent runs it without an OS thread. Everywhere
+    /// else — a combiner, [`get`](FunctionRegistry::get)`.call(..)` — the
+    /// same code is driven to completion on the caller's thread.
+    pub fn register_resumable<F, R>(&self, name: &str, f: F)
+    where
+        F: Fn(TaskCtx, Value) -> R + Send + Sync + 'static,
+        R: Future<Output = Result<Value, String>> + Send + 'static,
+    {
+        let f = Arc::new(f);
+        // `f` itself runs inside the future, so that a panic in it is a
+        // panic in a poll, which is where the agent catches them.
+        let resume = move |ctx: TaskCtx, input: Value| -> Resumed {
+            let f = Arc::clone(&f);
+            Box::pin(async move { f(ctx, input).await })
+        };
+        let resume: Arc<ResumableFn> = Arc::new(resume);
+        let driven = Arc::clone(&resume);
+        let call = move |ctx: &TaskCtx, input: Value| task::block_on(driven(ctx.clone(), input));
+        let entry = Registered {
+            call: Arc::new(call),
+            resume: Some(resume),
+        };
+        self.fns.write().insert(name.to_owned(), entry);
     }
 
     /// Looks a function up by name.
     pub fn get(&self, name: &str) -> Option<Arc<dyn RemoteFn>> {
-        self.fns.read().get(name).cloned()
+        self.fns.read().get(name).map(|f| Arc::clone(&f.call))
+    }
+
+    /// The function under `name` as resumable code, if it was registered
+    /// as such.
+    pub(crate) fn resumable(&self, name: &str) -> Option<Arc<ResumableFn>> {
+        self.fns.read().get(name)?.resume.clone()
     }
 
     /// Whether `name` is registered.

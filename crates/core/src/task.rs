@@ -20,6 +20,7 @@ use crate::wire::Value;
 /// data-center network. This is the paper's *dynamic composability* (§4.4):
 /// any function can spawn further parallel jobs with two lines of code, with
 /// no predeployment.
+#[derive(Clone)]
 pub struct TaskCtx {
     activation: ActivationCtx,
     cloud: SimCloud,

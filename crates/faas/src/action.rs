@@ -46,6 +46,13 @@ pub enum BodyStep {
     Sleep(Duration),
     /// Resume once this event has fired (immediately if it already has).
     Wait(Event),
+    /// Resume at once, on an OS thread of the activation's own: from its
+    /// next resume on, the body may call anything that blocks. This is how
+    /// a [`CloudFunctions::register_action`](crate::CloudFunctions::register_action)
+    /// closure runs (asked for before it is called), and how a resumable
+    /// body reaches code it does not own — a user function, say — part way
+    /// through. Asking again once on a thread is a no-op.
+    Thread,
     /// The body is finished, with the action's result.
     Done(Result<Bytes, ActionError>),
 }

@@ -19,6 +19,7 @@
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -529,18 +530,9 @@ pub struct PlatformStats {
     pub blob_cache_heals: u64,
 }
 
-/// An action's body, of the kind its registration call fixed. The kind is
-/// the only thing that decides what an activation rides: a blocking body
-/// may call anything, so it gets an OS thread; a resumable one suspends
-/// only by returning a [`BodyStep`], so it gets a light task.
-enum Body {
-    Blocking(Arc<dyn Action>),
-    /// Builds one activation's body from its payload.
-    Resumable(Arc<dyn Fn(Bytes) -> Box<dyn ResumableBody> + Send + Sync>),
-}
-
 struct RegisteredAction {
-    body: Body,
+    /// Builds one activation's body from its payload.
+    start: Box<dyn Fn(Bytes) -> Box<dyn ResumableBody> + Send + Sync>,
     config: ActionConfig,
 }
 
@@ -567,6 +559,12 @@ struct Inner {
     /// COS operations issued from inside activations (the "agent" phase),
     /// tallied across every [`ActivationCtx::cos_client`].
     agent_ops: Arc<OpCounters>,
+    /// Blob-cache lookups reported by bodies, the `blob_cache_*` fields of
+    /// [`PlatformStats`]. Atomics, not pool fields, because a body notes
+    /// them mid-poll, where the pool lock may not be waited for.
+    blob_cache_hits: AtomicU64,
+    blob_cache_misses: AtomicU64,
+    blob_cache_heals: AtomicU64,
 }
 
 /// A simulated IBM Cloud Functions deployment. Cheap to clone.
@@ -674,6 +672,9 @@ impl CloudFunctions {
                 capacity_res: kernel.create_resource("capacity", "cluster-containers"),
                 admission_res: kernel.create_resource("admission", "tenant-admission"),
                 agent_ops: OpCounters::shared(),
+                blob_cache_hits: AtomicU64::new(0),
+                blob_cache_misses: AtomicU64::new(0),
+                blob_cache_heals: AtomicU64::new(0),
                 config,
             }),
         })
@@ -706,7 +707,13 @@ impl CloudFunctions {
 
     /// Aggregate counters.
     pub fn stats(&self) -> PlatformStats {
-        self.inner.pool.lock().stats
+        let inner = &self.inner;
+        PlatformStats {
+            blob_cache_hits: inner.blob_cache_hits.load(Ordering::Relaxed),
+            blob_cache_misses: inner.blob_cache_misses.load(Ordering::Relaxed),
+            blob_cache_heals: inner.blob_cache_heals.load(Ordering::Relaxed),
+            ..inner.pool.lock().stats
+        }
     }
 
     /// Snapshot of the COS operations issued from inside activations (every
@@ -717,7 +724,10 @@ impl CloudFunctions {
 
     /// Registers (deploys) an action under `name`. Its body may call
     /// anything — COS and FaaS clients, `ctx.charge`, user code that blocks
-    /// — so each activation runs on a simulated OS thread.
+    /// — so the body of each activation is the two steps "ask for a thread
+    /// ([`BodyStep::Thread`]), then call `action`": the activation queues,
+    /// waits for capacity and boots as every activation does, without a
+    /// stack, and gets its OS thread when `action` is about to run.
     ///
     /// # Errors
     ///
@@ -733,16 +743,28 @@ impl CloudFunctions {
     where
         A: Action + 'static,
     {
-        self.register(name, config, Body::Blocking(Arc::new(action)))
+        let action = Arc::new(action);
+        self.register_resumable(name, config, move |payload: Bytes| {
+            let action = Arc::clone(&action);
+            let mut payload = Some(payload);
+            let mut on_thread = false;
+            move |ctx: &ActivationCtx| {
+                if !on_thread {
+                    on_thread = true;
+                    return BodyStep::Thread;
+                }
+                BodyStep::Done(action.invoke(ctx, payload.take().unwrap_or_default()))
+            }
+        })
     }
 
     /// Registers (deploys) a *resumable* action under `name`: `start`
     /// builds one activation's [`ResumableBody`] from its payload (when the
     /// invocation is accepted, on the invoker's stack: it should only
     /// capture), and the platform polls that body instead of calling into
-    /// it. Such activations run as lightweight tasks — no OS thread — on
-    /// the same lifecycle and the same virtual timeline as a blocking
-    /// action that charges the same time.
+    /// it. Such activations run as lightweight tasks — no OS thread, unless
+    /// and until the body asks for one — on the same lifecycle and the same
+    /// virtual timeline as a blocking action that charges the same time.
     ///
     /// # Errors
     ///
@@ -757,11 +779,7 @@ impl CloudFunctions {
         B: ResumableBody + 'static,
         F: Fn(Bytes) -> B + Send + Sync + 'static,
     {
-        let start = move |payload| Box::new(start(payload)) as Box<dyn ResumableBody>;
-        self.register(name, config, Body::Resumable(Arc::new(start)))
-    }
-
-    fn register(&self, name: &str, config: ActionConfig, body: Body) -> Result<(), RegisterError> {
+        let start = Box::new(move |payload| Box::new(start(payload)) as Box<dyn ResumableBody>);
         if !self.inner.registry.contains(&config.runtime) {
             return Err(RegisterError::UnknownRuntime(config.runtime.clone()));
         }
@@ -771,10 +789,10 @@ impl CloudFunctions {
                 limit_mb: self.inner.config.memory_limit_mb,
             });
         }
-        self.inner
-            .actions
-            .lock()
-            .insert(name.to_owned(), Arc::new(RegisteredAction { body, config }));
+        self.inner.actions.lock().insert(
+            name.to_owned(),
+            Arc::new(RegisteredAction { start, config }),
+        );
         Ok(())
     }
 
@@ -952,19 +970,7 @@ impl CloudFunctions {
         let completion = Event::named(&self.inner.kernel, format!("act-{id}"));
         self.inner.completions.lock().insert(id, completion.clone());
 
-        // The body's kind picks the vehicle; the lifecycle is the same.
-        let (body, light) = match &registered.body {
-            Body::Resumable(start) => (start(payload), true),
-            Body::Blocking(action) => {
-                // One step that calls, and blocks inside, the action.
-                let action = Arc::clone(action);
-                let mut payload = Some(payload);
-                let call = move |ctx: &ActivationCtx| {
-                    BodyStep::Done(action.invoke(ctx, payload.take().unwrap_or_default()))
-                };
-                (Box::new(call) as Box<dyn ResumableBody>, false)
-            }
-        };
+        let body = (registered.start)(payload);
         let mut lifecycle = Lifecycle {
             platform: self.clone(),
             id,
@@ -975,25 +981,24 @@ impl CloudFunctions {
             completion,
             stage: Stage::Submitted { gate },
         };
-        let name = format!("act-{id}");
-        if light {
-            // lint: allow(L008) — false positives of name-based dispatch: the
-            // lifecycle's std-map `.get`, the kernel's own `RawMutex::lock` and
-            // `RawCondvar::wait` resolve onto CosClient::get, the shim's
-            // Mutex::lock and Event::wait. Every platform lock in `step` is a
-            // try_lock that retries via LightStep::Sleep, and a blocking call
-            // from a body is refused by the kernel and booked as `Crashed`;
-            // guarded by lifecycle_reschedules_its_poll_on_a_contended_platform_lock
-            // and tests/verify.rs serving_burst_conserves_activations_under_every_schedule
-            self.inner.kernel.spawn_light(name, move || {
-                // Block-bodied so rustwren-lint roots L008 at this closure.
-                lifecycle.poll()
-            });
-        } else {
-            self.inner.kernel.spawn(name, move || {
-                rustwren_sim::run_blocking(|| lifecycle.poll())
-            });
-        }
+        // Every activation starts without a stack; one whose body blocks
+        // says so when it gets there (`BodyStep::Thread`).
+        // lint: allow(L008) — false positives of name-based dispatch: the
+        // lifecycle's std-map `.get`, the kernel's own `RawMutex::lock` and
+        // `RawCondvar::wait` resolve onto RelayTier::get/CosClient::get, the
+        // shim's Mutex::lock and Event::wait. Every platform lock in `step`
+        // is a try_lock that retries via LightStep::Sleep; the shim locks a
+        // resumable body takes (function registry, blob cache, object
+        // store) are never held across a suspension, so never contended
+        // inside a poll; and a blocking call from a body that has not asked
+        // for a thread is refused by the kernel and booked as `Crashed`.
+        // Guarded by lifecycle_reschedules_its_poll_on_a_contended_platform_lock
+        // and tests/verify.rs serving_burst_conserves_activations_under_every_schedule,
+        // light_agents_conserve_activations_under_faults_and_every_schedule
+        self.inner.kernel.spawn_light(format!("act-{id}"), move || {
+            // Block-bodied so rustwren-lint roots L008 at this closure.
+            lifecycle.poll()
+        });
         Ok(id)
     }
 
@@ -1632,12 +1637,25 @@ impl Lifecycle {
     #[inline(never)]
     fn run_body(&mut self, container: Box<Container>, ctx: Box<ActivationCtx>) -> Step {
         let body = &mut self.body;
-        let result = match panic::catch_unwind(AssertUnwindSafe(|| body.resume(&ctx))) {
+        let resumed = panic::catch_unwind(AssertUnwindSafe(|| {
+            let step = body.resume(&ctx);
+            if let BodyStep::Sleep(d) = &step {
+                // The deadline the kernel is about to compute, computed
+                // while its overflow is still this body's panic — as it is
+                // inside a blocking body's `ctx.charge` — and nobody else's.
+                let _ = ctx.now() + *d;
+            }
+            step
+        }));
+        let result = match resumed {
             Ok(BodyStep::Sleep(d)) => {
                 return (Stage::Body { container, ctx }, Some(LightStep::Sleep(d)));
             }
             Ok(BodyStep::Wait(event)) => {
                 return (Stage::Body { container, ctx }, Some(LightStep::Wait(event)));
+            }
+            Ok(BodyStep::Thread) => {
+                return (Stage::Body { container, ctx }, Some(LightStep::Thread));
             }
             Ok(BodyStep::Done(result)) => Ok(result),
             Err(p) => Err(p),
@@ -2022,18 +2040,20 @@ impl ActivationCtx {
 
     /// Records a blob-cache lookup in [`PlatformStats`].
     pub fn note_blob_cache(&self, hit: bool) {
-        let mut pool = self.platform.inner.pool.lock();
-        if hit {
-            pool.stats.blob_cache_hits += 1;
+        let inner = &self.platform.inner;
+        let count = if hit {
+            &inner.blob_cache_hits
         } else {
-            pool.stats.blob_cache_misses += 1;
-        }
+            &inner.blob_cache_misses
+        };
+        count.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a cache entry that failed validation on hit and was healed
     /// by a refetch from storage.
     pub fn note_blob_cache_heal(&self) {
-        self.platform.inner.pool.lock().stats.blob_cache_heals += 1;
+        let heals = &self.platform.inner.blob_cache_heals;
+        heals.fetch_add(1, Ordering::Relaxed);
     }
 
     /// A COS client over the in-cloud network, seeded per-activation. All

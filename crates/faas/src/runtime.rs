@@ -100,14 +100,10 @@ impl DockerRegistry {
         self.images.write().insert(image.name.clone(), image);
     }
 
-    /// Looks up an image by name — `docker pull` metadata check.
-    pub fn get(&self, name: &str) -> Option<RuntimeImage> {
-        self.images.read().get(name).cloned()
-    }
-
-    /// Non-blocking [`get`](DockerRegistry::get): `Err(RegistryBusy)` when
-    /// a writer holds the registry lock. Used from light tasks, which run
-    /// on a borrowed stack and must never park on a contended lock.
+    /// Looks up an image by name — `docker pull` metadata check — without
+    /// blocking: `Err(RegistryBusy)` when a writer holds the registry lock.
+    /// Activations look images up from light tasks, which run on a
+    /// borrowed stack and must never park on a contended lock.
     pub fn try_get(&self, name: &str) -> Result<Option<RuntimeImage>, RegistryBusy> {
         match self.images.try_read() {
             Some(images) => Ok(images.get(name).cloned()),
@@ -135,7 +131,10 @@ mod tests {
     #[test]
     fn default_runtime_is_preloaded() {
         let reg = DockerRegistry::new();
-        let img = reg.get(DEFAULT_RUNTIME).expect("default runtime");
+        let img = reg
+            .try_get(DEFAULT_RUNTIME)
+            .unwrap()
+            .expect("default runtime");
         assert!(img.has_package("numpy"));
         assert!(img.size_bytes > 0);
     }
@@ -144,7 +143,10 @@ mod tests {
     fn push_and_get_custom_runtime() {
         let reg = DockerRegistry::new();
         reg.push(RuntimeImage::new("alice/matplotlib:1", 420 << 20).with_package("matplotlib"));
-        let img = reg.get("alice/matplotlib:1").expect("pushed image");
+        let img = reg
+            .try_get("alice/matplotlib:1")
+            .unwrap()
+            .expect("pushed image");
         assert!(img.has_package("matplotlib"));
         assert!(!img.has_package("torch"));
     }
@@ -175,7 +177,10 @@ mod tests {
         let reg = DockerRegistry::new();
         reg.push(RuntimeImage::new("img:1", 10));
         reg.push(RuntimeImage::new("img:1", 20));
-        assert_eq!(reg.get("img:1").map(|i| i.size_bytes), Some(20));
+        assert_eq!(
+            reg.try_get("img:1").unwrap().map(|i| i.size_bytes),
+            Some(20)
+        );
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! Vehicle equivalence: one activation lifecycle, two ways to ride it.
 //!
 //! Every scenario runs twice on fresh kernels under FIFO — once with its
-//! action registered as a blocking closure (each activation on a simulated
-//! OS thread), once as the resumable body that charges the same time (each
-//! activation a lightweight task) — and everything an observer can see
+//! action registered as a blocking closure (each activation is given an OS
+//! thread when that closure is about to be called, and charges its time
+//! blocked on it), once as the resumable body that charges the same time
+//! (each activation a lightweight task throughout) — and everything an
+//! observer can see
 //! must agree: every activation record, the platform and tenant counters,
 //! the bill, the final clock and the kernel's own counters (all but the
 //! two that count the vehicle itself). Between them the scenarios walk
@@ -371,6 +373,38 @@ fn panicking_body_crashes_but_releases_its_container_and_slots() {
     });
     assert_eq!(seen.tenants[0].1.completed, 2);
     assert_eq!(seen.platform.queued, 1);
+}
+
+/// A charge too long for the virtual clock is the charging activation's
+/// crash on either vehicle — refused inside `ctx.charge` on a thread, and
+/// as the body's own step on a light task — never a panic on whichever
+/// bystander (here the client, inside `wait`) was dispatching when the
+/// timer would have been scheduled.
+#[test]
+fn charge_past_the_end_of_the_clock_crashes_that_activation_alone() {
+    let setup = Setup {
+        platform: PlatformConfig {
+            concurrency_limit: 1,
+            cluster_containers: 1,
+            tenants: vec![TenantConfig::new("t", 1).queue_depth(4)],
+            ..PlatformConfig::default()
+        },
+        ..Setup::default()
+    };
+    let seen = on_both_vehicles(setup, |faas| {
+        let forever = faas.invoke_in("t", "serve", work(u64::MAX, Ending::Echo));
+        let after = faas.invoke_in("t", "serve", work(100, Ending::Echo));
+        let r = faas.wait(forever.expect("admitted"));
+        assert!(
+            matches!(&r.phase, Phase::Done(Outcome::Crashed(m)) if m.contains("virtual time overflow")),
+            "{:?}",
+            r.phase
+        );
+        let r = faas.wait(after.expect("queued"));
+        assert!(r.is_success());
+        assert!(!r.cold_start, "the crashed activation's container is warm");
+    });
+    assert_eq!(seen.tenants[0].1.completed, 2);
 }
 
 #[test]

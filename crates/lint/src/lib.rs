@@ -196,9 +196,17 @@ impl Rule {
                  \n\
                  Fix: restructure as `LightStep` state transitions (return\n\
                  `LightStep::Sleep(..)` instead of calling `sleep`; poll\n\
-                 `Event::is_fired` and reschedule). The parking_lot shim\n\
-                 `Mutex::lock` is NOT a blocking sink: it spins via `try_lock`\n\
-                 and never parks the dispatcher.\n\
+                 `Event::is_fired` and reschedule), or write the poll as\n\
+                 `async` code awaiting `rustwren_sim::task::{sleep, wait}`\n\
+                 (leaf futures, not sinks). The parking_lot shim `Mutex::lock`\n\
+                 is NOT a blocking sink: it spins via `try_lock` and never\n\
+                 parks the dispatcher.\n\
+                 \n\
+                 Code that runs after the task has asked for an OS thread\n\
+                 (`LightStep::Thread`, `task::thread().await`) may block. Say\n\
+                 so at the call that enters it: `// lint: allow(L008) — reason`\n\
+                 on a call-site line stops the walk from following that call\n\
+                 (and nothing else in the function).\n\
                  \n\
                  False positives come from over-approximated method dispatch\n\
                  (any `.wait(` resolves to every `wait` impl). Suppress at the\n\

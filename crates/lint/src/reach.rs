@@ -32,8 +32,14 @@ const UNSEEN: usize = usize::MAX;
 /// Multi-source BFS. Returns the parent array (`parents[root] == root`);
 /// nodes for which `stop` is true are visited but not expanded — rules
 /// use this to report the *first* sink on a path instead of everything
-/// behind it.
-fn bfs(graph: &CallGraph, roots: &[usize], stop: impl Fn(usize) -> bool) -> Vec<usize> {
+/// behind it — and call sites for which `cut(file, line)` is true are not
+/// followed.
+fn bfs(
+    graph: &CallGraph,
+    roots: &[usize],
+    stop: impl Fn(usize) -> bool,
+    cut: impl Fn(&str, usize) -> bool,
+) -> Vec<usize> {
     let mut parents = vec![UNSEEN; graph.defs.len()];
     let mut queue: std::collections::VecDeque<usize> = std::collections::VecDeque::new();
     for &r in roots {
@@ -47,6 +53,9 @@ fn bfs(graph: &CallGraph, roots: &[usize], stop: impl Fn(usize) -> bool) -> Vec<
             continue;
         }
         for e in &graph.edges[n] {
+            if cut(&graph.defs[n].file, e.line) {
+                continue;
+            }
             if parents[e.callee] == UNSEEN {
                 parents[e.callee] = n;
                 queue.push_back(e.callee);
@@ -84,31 +93,43 @@ fn chain(graph: &CallGraph, parents: &[usize], node: usize) -> String {
 /// Whether `def` is a blocking kernel primitive: calling it parks the
 /// current task on the virtual-time scheduler. The parking_lot shim's
 /// `Mutex::lock` is deliberately absent — it spins via `try_lock` and
-/// never blocks the dispatcher.
+/// never blocks the dispatcher. The free `sleep` is the kernel's: the
+/// function of the same name in `crates/sim/src/task.rs` builds the leaf
+/// future a resumable body awaits, which is how such a body *avoids*
+/// blocking.
 pub fn is_blocking_sink(def: &FnDef) -> bool {
     if !def.file.starts_with("crates/sim/src") {
         return false;
     }
-    matches!(
-        (def.receiver.as_deref(), def.name.as_str()),
-        (Some("Event"), "wait")
-            | (Some("Kernel"), "sleep")
-            | (Some("Kernel"), "block_current")
-            | (Some("Kernel"), "block_current_with")
-            | (None, "sleep")
-    )
+    match (def.receiver.as_deref(), def.name.as_str()) {
+        (Some("Event"), "wait") => true,
+        (Some("Kernel"), "sleep" | "block_current" | "block_current_with") => true,
+        (None, "sleep") => def.file.ends_with("/kernel.rs"),
+        _ => false,
+    }
 }
 
 /// L008: blocking primitives statically reachable from `spawn_light`
 /// closures. One violation per (closure, first-sink-on-path) pair,
 /// anchored at the closure (that is where the restructuring happens).
-pub fn l008(graph: &CallGraph) -> Vec<Violation> {
+///
+/// `promoted(file, line)` says that the call site on that line carries an
+/// inline `allow(L008)`: what it calls runs after the task has asked for
+/// an OS thread (`LightStep::Thread`), where blocking is allowed, so the
+/// walk does not follow it. Every other edge out of the same function is
+/// still followed.
+pub fn l008(graph: &CallGraph, promoted: impl Fn(&str, usize) -> bool) -> Vec<Violation> {
     let mut out = Vec::new();
     let roots: Vec<usize> = (0..graph.defs.len())
         .filter(|&i| graph.defs[i].is_light_closure)
         .collect();
     for &root in &roots {
-        let parents = bfs(graph, &[root], |n| is_blocking_sink(&graph.defs[n]));
+        let parents = bfs(
+            graph,
+            &[root],
+            |n| is_blocking_sink(&graph.defs[n]),
+            &promoted,
+        );
         for (i, d) in graph.defs.iter().enumerate() {
             if parents[i] == UNSEEN || !is_blocking_sink(d) {
                 continue;
@@ -142,7 +163,7 @@ pub fn l009(graph: &CallGraph) -> Vec<Violation> {
     let roots: Vec<usize> = (0..graph.defs.len())
         .filter(|&i| graph.defs[i].entries.iter().any(|e| e == "hot_path"))
         .collect();
-    let parents = bfs(graph, &roots, |_| false);
+    let parents = bfs(graph, &roots, |_| false, |_, _| false);
     let mut out = Vec::new();
     let mut seen = BTreeSet::new();
     for (i, d) in graph.defs.iter().enumerate() {
@@ -188,7 +209,7 @@ pub fn l010(graph: &CallGraph, is_l001_allowed: impl Fn(&str) -> bool) -> Vec<Vi
     let roots: Vec<usize> = (0..graph.defs.len())
         .filter(|&i| graph.defs[i].entries.iter().any(|e| e == "sim_path"))
         .collect();
-    let parents = bfs(graph, &roots, |_| false);
+    let parents = bfs(graph, &roots, |_| false, |_, _| false);
     let mut out = Vec::new();
     let mut seen = BTreeSet::new();
     for (i, d) in graph.defs.iter().enumerate() {
@@ -395,7 +416,7 @@ mod tests {
             ),
             EVENT_WAIT,
         ]);
-        let v = l008(&g);
+        let v = l008(&g, |_, _| false);
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].file, "crates/faas/src/platform.rs");
         assert_eq!(v[0].line, 2, "anchored at the closure");
@@ -418,7 +439,7 @@ mod tests {
             ),
             EVENT_WAIT,
         ]);
-        assert!(l008(&g).is_empty());
+        assert!(l008(&g, |_, _| false).is_empty());
     }
 
     #[test]
@@ -439,7 +460,7 @@ mod tests {
                 "impl Kernel { pub fn block_current(&self) {} }\n",
             ),
         ]);
-        let v = l008(&g);
+        let v = l008(&g, |_, _| false);
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].message.contains("Event::wait"));
     }

@@ -195,8 +195,17 @@ fn interprocedural(
         graph.unresolved,
     ));
 
+    let by_path: BTreeMap<&str, &FileScan> = scans.iter().map(|s| (s.path.as_str(), s)).collect();
+    let suppressed = |rule: Rule, file: &str, line: usize| {
+        by_path
+            .get(file)
+            .is_some_and(|s| s.is_suppressed(rule, line))
+    };
+
     let mut found: Vec<Violation> = Vec::new();
-    found.extend(reach::l008(graph));
+    found.extend(reach::l008(graph, |file, line| {
+        suppressed(Rule::L008, file, line)
+    }));
     found.extend(reach::l009(graph));
     found.extend(reach::l010(graph, |f| cfg.is_allowed(Rule::L001, f)));
 
@@ -218,12 +227,8 @@ fn interprocedural(
         None => {} // missing-report note already emitted by the loader
     }
 
-    let by_path: BTreeMap<&str, &FileScan> = scans.iter().map(|s| (s.path.as_str(), s)).collect();
     for v in found {
-        if by_path
-            .get(v.file.as_str())
-            .is_some_and(|s| s.is_suppressed(v.rule, v.line))
-        {
+        if suppressed(v.rule, &v.file, v.line) {
             out.suppressed += 1;
             continue;
         }

@@ -108,28 +108,52 @@ fn l008_try_polling_closure_is_clean() {
     assert_eq!(rule_hits(&outcome, Rule::L008), Vec::<String>::new());
 }
 
-/// How the FaaS platform's activations are rooted: the `spawn_light`
+/// How the FaaS platform's activations are rooted: the one `spawn_light`
 /// closure only calls the lifecycle's `poll`, which calls the body through
 /// a trait object. Name-based dispatch must carry L008 through both hops
-/// to every `resume` impl, in whichever crate it lives — while a blocking
-/// action, only ever called from the closure its registering function
-/// hands to a thread, stays out of the light closure's reach.
+/// to every `resume` impl, in whichever crate it lives — and on, through
+/// the `async fn`s a body polls, to whatever those await. Resumable COS
+/// operations end in `task::sleep`, the leaf future, which is not a sink;
+/// their blocking drivers end in the kernel's `sleep`, which is. What a
+/// body calls after it has asked for a thread is out of the light poll's
+/// reach once — and only if — the call site says so.
 #[test]
 fn l008_reaches_resumable_body_polls_through_the_lifecycle_closure() {
     let root = workspace("l008-body");
     plant(&root, "crates/sim/src/sync.rs", SIM_EVENT);
     plant(
         &root,
+        "crates/sim/src/kernel.rs",
+        "pub fn sleep(d: Duration) { park_current(); }\n\
+         pub fn run_blocking<P: FnMut() -> LightStep>(poll: P) { sleep(d); }\n",
+    );
+    plant(
+        &root,
+        "crates/sim/src/task.rs",
+        "pub fn sleep(d: Duration) -> Suspend { Suspend(d) }\n\
+         pub fn thread() -> Suspend { Suspend(THREAD) }\n\
+         pub fn block_on<F: Future>(fut: F) { run_blocking(|| resume(fut)); }\n",
+    );
+    plant(
+        &root,
+        "crates/store/src/client.rs",
+        "impl CosClient {\n\
+         \x20   pub fn fetch(&self) -> Bytes { task::block_on(self.fetch_async()) }\n\
+         \x20   pub async fn fetch_async(&self) -> Bytes { self.charge().await }\n\
+         \x20   async fn charge(&self) { task::sleep(self.cost).await; }\n\
+         }\n",
+    );
+    plant(
+        &root,
         "crates/faas/src/platform.rs",
         "impl Platform {\n\
-         \x20   fn invoke_in(&self, action: Arc<dyn Action>, mut lifecycle: Lifecycle) {\n\
-         \x20       if lifecycle.light {\n\
-         \x20           self.kernel.spawn_light(move || {\n\
-         \x20               lifecycle.poll()\n\
-         \x20           });\n\
-         \x20       } else {\n\
-         \x20           self.kernel.spawn(move || { action.invoke(); lifecycle.poll() });\n\
-         \x20       }\n\
+         \x20   fn register_action(&self, action: Arc<dyn Action>) {\n\
+         \x20       self.register_resumable(move |ctx| { action.invoke() });\n\
+         \x20   }\n\
+         \x20   fn invoke_in(&self, mut lifecycle: Lifecycle) {\n\
+         \x20       self.kernel.spawn_light(move || {\n\
+         \x20           lifecycle.poll()\n\
+         \x20       });\n\
          \x20   }\n\
          }\n\
          impl Lifecycle {\n\
@@ -151,11 +175,27 @@ fn l008_reaches_resumable_body_polls_through_the_lifecycle_closure() {
          \x20   fn invoke(&self) { self.ready.wait(); }\n\
          }\n",
     );
+    let agent = |allow: &str| {
+        format!(
+            "impl ResumableBody for AgentBody {{\n\
+             \x20   fn resume(&mut self, ctx: &Ctx) -> LightStep {{ step(run_agent(ctx)) }}\n\
+             }}\n\
+             async fn run_agent(ctx: &Ctx) {{\n\
+             \x20   let blob = ctx.cos.fetch_async().await;\n\
+             \x20   task::thread().await;\n\
+             {allow}\
+             \x20   execute_blocking(ctx)\n\
+             }}\n\
+             fn execute_blocking(ctx: &Ctx) {{ ctx.cos.fetch(); }}\n"
+        )
+    };
+    let allow = "\x20   // lint: allow(L008) — runs on the thread asked for on the line above\n";
+    plant(&root, "crates/core/src/job.rs", &agent(allow));
     let outcome = run(&Options::new(&root));
     let hits = rule_hits(&outcome, Rule::L008);
     assert_eq!(hits.len(), 1, "expected one L008 finding: {hits:?}");
     assert!(
-        hits[0].starts_with("crates/faas/src/platform.rs:4:"),
+        hits[0].starts_with("crates/faas/src/platform.rs:6:"),
         "{}",
         hits[0]
     );
@@ -166,6 +206,36 @@ fn l008_reaches_resumable_body_polls_through_the_lifecycle_closure() {
             hits[0]
         );
     }
+    // The agent's polls are in the graph, down to the leaf future…
+    let graph = outcome.graph.expect("the pass built a call graph");
+    let id = |display: &str| {
+        let found = graph.defs.iter().position(|d| d.display() == display);
+        found.unwrap_or_else(|| panic!("no definition `{display}`"))
+    };
+    let calls = |from: &str, to: &str| graph.edges[id(from)].iter().any(|e| e.callee == id(to));
+    assert!(calls("AgentBody::resume", "run_agent"));
+    assert!(calls("run_agent", "CosClient::fetch_async"));
+    assert!(calls("CosClient::fetch_async", "CosClient::charge"));
+    assert!(graph.edges[id("CosClient::charge")]
+        .iter()
+        .any(|e| graph.defs[e.callee].file == "crates/sim/src/task.rs"));
+    // …and the blocking half is cut at the marked call only: without the
+    // marker the kernel's `sleep` is one more sink the closure reaches.
+    plant(&root, "crates/core/src/job.rs", &agent(""));
+    let hits = rule_hits(&run(&Options::new(&root)), Rule::L008);
+    assert_eq!(hits.len(), 2, "{hits:?}");
+    // (Chains over eight hops are elided in the middle.)
+    let chain = [
+        "AgentBody::resume",
+        "run_agent",
+        "block_on",
+        "run_blocking",
+        "sleep",
+    ];
+    assert!(
+        hits.iter().any(|h| chain.iter().all(|w| h.contains(w))),
+        "{hits:?}"
+    );
 }
 
 /// The documented false-positive class: name-based call resolution maps a

@@ -6,7 +6,9 @@
 //! ([`Kernel::spawn_light`]), a state machine the dispatch loop polls inline
 //! and which suspends only by returning a [`LightStep`]. Both share one
 //! waiter-id counter, one ready queue and one timer heap, so which vehicle a
-//! process rides is invisible to scheduling. Each waiter is either
+//! process rides is invisible to scheduling — including when it changes: a
+//! light task whose poll returns [`LightStep::Thread`] is *promoted*,
+//! mid-turn, onto an OS thread that goes on polling it. Each waiter is either
 //! *runnable* (executing Rust code) or *blocked* (sleeping until a virtual
 //! deadline, or waiting on a synchronization primitive from
 //! [`crate::sync`]). Virtual time advances only when every waiter is
@@ -105,7 +107,8 @@ struct ThreadCtx {
 /// loop: each poll runs to the task's next suspension point and returns
 /// how to proceed. Steps run inline on whichever OS thread is currently
 /// dispatching, so they must not block — the only ways to suspend are to
-/// return [`LightStep::Sleep`] or [`LightStep::Wait`].
+/// return [`LightStep::Sleep`] or [`LightStep::Wait`], and the way to run
+/// code that does block is to return [`LightStep::Thread`] first.
 #[derive(Debug, Clone)]
 pub enum LightStep {
     /// Re-poll after this much virtual time. A zero duration re-polls
@@ -117,6 +120,13 @@ pub enum LightStep {
     /// FIFO wake position, same `event.wait` entry in deadlock reports).
     /// An event that has already fired re-polls immediately.
     Wait(Event),
+    /// Re-poll at once, on an OS thread of the task's own: from this poll
+    /// on the task may block. It keeps its waiter id and its turn — it is
+    /// not re-queued — so the schedule is the one an all-thread run has;
+    /// the polls continue under [`run_blocking`], where this step is a
+    /// no-op (the code already has its thread). Counted in
+    /// [`KernelStats::os_threads_spawned`], not again in `threads_started`.
+    Thread,
     /// The task is finished; the kernel forgets it.
     Done,
 }
@@ -155,9 +165,9 @@ struct WaiterSync {
     /// parked (in the ready queue) until released — this is what serializes
     /// execution to one simulated thread at a time.
     released: bool,
-    /// The wake was a deadlock broadcast: the woken thread must re-raise the
-    /// recorded deadlock report instead of resuming.
-    deadlocked: bool,
+    /// The wake was a failure broadcast: the woken thread must re-raise the
+    /// recorded report (a deadlock's, usually) instead of resuming.
+    failed: bool,
 }
 
 impl Waiter {
@@ -329,9 +339,10 @@ pub(crate) struct State {
     blocked: BTreeMap<u64, BlockedInfo>,
     /// resource id → kind/label/holders, for deadlock diagnostics.
     resources: HashMap<u64, ResourceInfo>,
-    /// Set once a deadlock is detected; every thread that wakes or blocks
-    /// afterwards panics with this report.
-    deadlock: Option<Arc<str>>,
+    /// Set once the simulation has failed — a deadlock was detected, or the
+    /// poll of a promoted task panicked with nobody to hand the panic to;
+    /// every thread that wakes or blocks afterwards panics with this report.
+    failure: Option<Arc<str>>,
     stats: KernelStats,
     /// The active scheduling policy (default: [`FifoScheduler`]).
     scheduler: Box<dyn Scheduler>,
@@ -388,11 +399,13 @@ impl State {
     }
 
     /// Schedules a timer that wakes `waiter` after `d` of virtual time.
+    ///
+    /// # Panics
+    ///
+    /// Panics, before anything is registered, if the deadline is beyond the
+    /// virtual clock's range ([`SimInstant`]'s `+`).
     fn schedule_timer(&mut self, d: Duration, waiter: &Arc<Waiter>) {
-        let deadline = self
-            .now
-            .checked_add(u64::try_from(d.as_nanos()).expect("sleep duration overflows u64 ns"))
-            .expect("virtual clock overflow");
+        let deadline = (SimInstant::from_nanos(self.now) + d).as_nanos();
         let seq = self.timer_seq;
         self.timer_seq += 1;
         self.stats.timers_scheduled += 1;
@@ -673,7 +686,7 @@ impl Kernel {
                     timers: BinaryHeap::new(),
                     blocked: BTreeMap::new(),
                     resources: HashMap::new(),
-                    deadlock: None,
+                    failure: None,
                     stats: KernelStats::default(),
                     scheduler: Box::new(FifoScheduler),
                     exploring: false,
@@ -868,14 +881,7 @@ impl Kernel {
         if self.inner.flags.load(Ordering::Relaxed) & FLAG_EXPLORING == 0 {
             return payload;
         }
-        let text = if let Some(s) = payload.downcast_ref::<String>() {
-            Some(s.clone())
-        } else {
-            payload
-                .downcast_ref::<&'static str>()
-                .map(|s| (*s).to_owned())
-        };
-        match text {
+        match panic_text(payload.as_ref()) {
             Some(mut s) if !s.contains("RUSTWREN_SCHEDULE=") => {
                 let token = self.inner.state.lock().trace.token();
                 let _ = write!(s, "\nschedule: RUSTWREN_SCHEDULE={token}");
@@ -976,14 +982,16 @@ impl Kernel {
     /// [`LightStep`]: `Sleep(d)` schedules a timer and re-polls once it
     /// fires (zero duration re-polls immediately, like a zero-duration
     /// [`Kernel::sleep`]); `Wait(event)` parks the task on the event and
-    /// re-polls once it fires (immediately if it already has); `Done`
+    /// re-polls once it fires (immediately if it already has); `Thread`
+    /// re-polls at once on an OS thread of the task's own; `Done`
     /// retires the task. Because polls run on the dispatching OS thread, a
     /// poll must **never block** — calling any blocking kernel operation
     /// (sleep, event wait, lock a contended shim lock, …) from inside a
     /// poll panics with a diagnostic, before the operation registers
-    /// anything. Use a real [`Kernel::spawn`] thread for code that blocks
-    /// inside calls it does not own; [`run_blocking`] drives the same
-    /// state machine there.
+    /// anything. Code that blocks inside calls it does not own returns
+    /// `Thread` first (or starts as a [`Kernel::spawn`] thread, where
+    /// [`run_blocking`] drives the same state machine). A poll that
+    /// panics fails the whole run with its message, like a deadlock.
     ///
     /// May be called from inside or outside the simulation; either way the
     /// task starts parked in the ready queue and first polls when the
@@ -1082,8 +1090,8 @@ impl Kernel {
     ) {
         {
             let mut st = self.inner.state.lock();
-            if let Some(report) = &st.deadlock {
-                // The simulation already deadlocked; refuse to park forever.
+            if let Some(report) = &st.failure {
+                // The simulation already failed; refuse to park forever.
                 panic!("{report}");
             }
             {
@@ -1106,7 +1114,7 @@ impl Kernel {
             );
             let _st = self.drive(st);
         }
-        let deadlocked = {
+        let failed = {
             let mut ws = waiter.sync.lock();
             while !ws.released {
                 waiter.cv.wait(&mut ws);
@@ -1114,16 +1122,16 @@ impl Kernel {
             ws.released = false;
             ws.notified = false;
             debug_assert!(!ws.parked, "dispatch must clear `parked`");
-            std::mem::take(&mut ws.deadlocked)
+            std::mem::take(&mut ws.failed)
         };
-        if deadlocked {
+        if failed {
             let report = self
                 .inner
                 .state
                 .lock()
-                .deadlock
+                .failure
                 .clone()
-                .expect("deadlock broadcast without a recorded report");
+                .expect("failure broadcast without a recorded report");
             panic!("{report}");
         }
     }
@@ -1249,15 +1257,39 @@ impl Kernel {
                 }
             }
             st.stats.light_polls += 1;
+            let now = SimInstant::from_nanos(st.now);
             drop(st);
             // Event handles — the one just observed, and any the closure
             // owns once it is done — are dropped with the state lock
             // released: dropping an event's last handle takes that lock.
             parked_on = None;
-            let step = {
+            let polled = {
                 let _scope = LightScope::enter(self, w);
-                poll()
+                panic::catch_unwind(AssertUnwindSafe(|| {
+                    let step = poll();
+                    // A step the kernel cannot honour is refused here,
+                    // while the panic is still the task's own and nothing
+                    // of the task is registered: a sleep past the end of
+                    // the clock (as `sleep` refuses it), a foreign event.
+                    match &step {
+                        LightStep::Sleep(d) => {
+                            let _deadline = now + *d;
+                        }
+                        LightStep::Wait(event) => assert!(
+                            event.is_on(self),
+                            "LightStep::Wait: event belongs to a different kernel"
+                        ),
+                        LightStep::Thread | LightStep::Done => {}
+                    }
+                    step
+                }))
             };
+            let step = polled.unwrap_or_else(|p| {
+                // Unwinds through whoever is dispatching, as it always
+                // has; but that may be a background thread nobody joins.
+                self.fail_with_poll_panic(w, p.as_ref());
+                panic::resume_unwind(p)
+            });
             match step {
                 LightStep::Done => {
                     drop(poll);
@@ -1276,15 +1308,67 @@ impl Kernel {
                     }
                 }
                 LightStep::Wait(event) => {
-                    assert!(
-                        event.is_on(self),
-                        "LightStep::Wait: event belongs to a different kernel"
-                    );
                     parked_on = Some(event);
                     st = self.inner.state.lock();
                 }
+                LightStep::Thread => return self.promote(self.inner.state.lock(), w, poll),
             }
         }
+    }
+
+    /// Fails the simulation with the panic of lightweight task `w`'s poll,
+    /// so that it reaches [`Kernel::run`]'s caller whichever OS thread the
+    /// poll happened to run on.
+    fn fail_with_poll_panic(&self, w: &Waiter, payload: &(dyn Any + Send)) {
+        let mut st = self.inner.state.lock();
+        if st.failure.is_none() {
+            let text = panic_text(payload);
+            let text = text.as_deref().unwrap_or("(no message)");
+            let report = format!("lightweight task `{}` panicked: {text}", w.name);
+            Self::fail_locked(&mut st, Arc::from(report));
+        }
+    }
+
+    /// Gives the running lightweight task behind `w` an OS thread of its
+    /// own and continues its polls there, through [`run_blocking`]. The
+    /// task is mid-turn — the dispatcher popped it and was polling it — and
+    /// stays so: it becomes the one runnable thread, under the same waiter
+    /// id, exactly as if it had been a thread all along and had just been
+    /// released. The thread is started with the state lock held, so its
+    /// first kernel operation comes after the dispatcher has seen
+    /// `runnable > 0` and stood down.
+    fn promote<'a>(
+        &'a self,
+        mut st: RawMutexGuard<'a, State>,
+        w: &Arc<Waiter>,
+        poll: Box<dyn FnMut() -> LightStep + Send>,
+    ) -> RawMutexGuard<'a, State> {
+        st.light_live -= 1;
+        st.runnable += 1;
+        st.stats.os_threads_spawned += 1;
+        // Nothing else refers to a *running* light task's waiter (it is in
+        // no timer, waiter list or queue), so the thread gets a fresh one.
+        let waiter = Waiter::new(w.id, Arc::clone(&w.name));
+        let kernel = self.clone();
+        thread::Builder::new()
+            .name(w.name.to_string())
+            .stack_size(STACK_SIZE)
+            .spawn(move || {
+                CURRENT.with(|c| {
+                    *c.borrow_mut() = Some(ThreadCtx {
+                        kernel: kernel.clone(),
+                        waiter: Arc::clone(&waiter),
+                    })
+                });
+                let result = panic::catch_unwind(AssertUnwindSafe(|| run_blocking(poll)));
+                CURRENT.with(|c| *c.borrow_mut() = None);
+                if let Err(p) = result {
+                    kernel.fail_with_poll_panic(&waiter, p.as_ref());
+                }
+                kernel.deregister(&waiter);
+            })
+            .expect("failed to spawn OS thread for a promoted lightweight task");
+        st
     }
 
     /// Marks the lightweight waiter `w` blocked, as `block_current_with`
@@ -1306,19 +1390,27 @@ impl Kernel {
         );
     }
 
-    /// Immediately releases `waiter` outside the ready queue. Only used by
-    /// the deadlock broadcast, where every blocked thread must wake into the
-    /// panic and no dispatcher will run again.
-    fn release_now_locked(st: &mut State, waiter: &Arc<Waiter>) {
-        let mut ws = waiter.sync.lock();
-        ws.notified = true;
-        ws.released = true;
-        if ws.parked {
+    /// Records `report` as the simulation's failure and releases every
+    /// thread-backed waiter into it, outside the dispatch order: no
+    /// dispatcher will run again, so each blocked thread — and each one
+    /// queued to run, when the failure is not a deadlock — must wake to
+    /// re-raise the report. Lightweight tasks have no parked OS thread to
+    /// do so; they stay where they are (and in a deadlock report's list).
+    fn fail_locked(st: &mut State, report: Arc<str>) {
+        st.failure = Some(report);
+        let blocked: Vec<Arc<Waiter>> = st.blocked.values().map(|b| &b.waiter).cloned().collect();
+        let ready = std::mem::take(&mut st.ready);
+        for w in blocked.iter().chain(&ready).filter(|w| !w.light) {
+            let mut ws = w.sync.lock();
+            ws.failed = true;
+            ws.notified = true;
+            ws.released = true;
             ws.parked = false;
-            st.blocked.remove(&waiter.id);
+            st.blocked.remove(&w.id);
             st.runnable += 1;
+            w.cv.notify_one();
         }
-        waiter.cv.notify_one();
+        st.ready = ready.into_iter().filter(|w| w.light).collect();
     }
 
     pub(crate) fn lock_state(&self) -> RawMutexGuard<'_, State> {
@@ -1346,7 +1438,7 @@ impl Kernel {
             return;
         };
         let mut st = self.inner.state.lock();
-        if !st.exploring || st.ready.is_empty() || st.deadlock.is_some() {
+        if !st.exploring || st.ready.is_empty() || st.failure.is_some() {
             return;
         }
         let candidates = [waiter.id];
@@ -1395,21 +1487,7 @@ impl Kernel {
             Some(Reverse(e)) => e.deadline,
             None => {
                 let report: Arc<str> = Arc::from(Self::deadlock_report_locked(st).as_str());
-                st.deadlock = Some(Arc::clone(&report));
-                // Broadcast to thread-backed waiters only: a lightweight
-                // task has no parked OS thread to re-raise the report (the
-                // dispatcher below panics with it directly) — it still
-                // appears in the report via the blocked map.
-                let waiters: Vec<Arc<Waiter>> = st
-                    .blocked
-                    .values()
-                    .filter(|b| !b.waiter.light)
-                    .map(|b| Arc::clone(&b.waiter))
-                    .collect();
-                for w in &waiters {
-                    w.sync.lock().deadlocked = true;
-                    Self::release_now_locked(st, w);
-                }
+                Self::fail_locked(st, Arc::clone(&report));
                 panic!("{report}");
             }
         };
@@ -1594,7 +1672,7 @@ impl Kernel {
         if st.blocked.remove(&waiter.id).is_none() {
             st.runnable -= 1;
         }
-        if thread::panicking() || st.deadlock.is_some() {
+        if thread::panicking() || st.failure.is_some() {
             return;
         }
         let _st = self.drive(st);
@@ -1986,13 +2064,28 @@ pub fn spawn_light(name: impl Into<String>, f: impl FnMut() -> LightStep + Send 
 /// # Panics
 ///
 /// Panics if the calling thread is not registered with a kernel.
-pub fn run_blocking(mut poll: impl FnMut() -> LightStep) {
+// (A named generic, not `impl FnMut`: rustwren-lint's extractor skips
+// functions with `impl` in their signature, and L008 must see this one.)
+pub fn run_blocking<P: FnMut() -> LightStep>(mut poll: P) {
     loop {
         match poll() {
             LightStep::Sleep(d) => sleep(d),
             LightStep::Wait(event) => event.wait(),
+            // Already on one.
+            LightStep::Thread => {}
             LightStep::Done => return,
         }
+    }
+}
+
+/// The message of a panic payload, when it is one of the two string types
+/// `panic!` produces.
+fn panic_text(payload: &(dyn Any + Send)) -> Option<String> {
+    match payload.downcast_ref::<String>() {
+        Some(s) => Some(s.clone()),
+        None => payload
+            .downcast_ref::<&'static str>()
+            .map(|s| (*s).to_owned()),
     }
 }
 
@@ -2856,6 +2949,221 @@ mod tests {
             3,
             "two client sleeps, one task sleep"
         );
+    }
+
+    /// A task that takes a thread part-way — two steps as a state machine,
+    /// then blocking calls from inside its poll — is, to everything else,
+    /// the thread it would have been from the start: same interleaving with
+    /// a bystander, same counters (the thread is counted as created, the
+    /// simulated process is not counted twice), nothing left registered.
+    #[test]
+    fn promoted_task_reproduces_the_all_thread_schedule() {
+        type Log = Vec<(&'static str, u64)>;
+        fn run(k: &Kernel, promote: bool) -> (Log, KernelStats, SimInstant) {
+            let log: Arc<RawMutex<Log>> = Arc::new(RawMutex::new(Vec::new()));
+            let out = Arc::clone(&log);
+            let end = k.run("client", move || {
+                let note = {
+                    let log = Arc::clone(&log);
+                    move |what| log.lock().push((what, now().as_nanos() / 1_000_000))
+                };
+                let go = Event::named(&kernel(), "go");
+                let machine = {
+                    let (go, note) = (go.clone(), note.clone());
+                    let mut phase = 0u32;
+                    move || {
+                        phase += 1;
+                        match phase {
+                            1 => LightStep::Sleep(Duration::from_millis(5)),
+                            2 => LightStep::Thread,
+                            _ => {
+                                note("machine blocks");
+                                go.wait();
+                                note("machine woke");
+                                sleep(Duration::from_millis(7));
+                                note("machine done");
+                                LightStep::Done
+                            }
+                        }
+                    }
+                };
+                if promote {
+                    spawn_light("machine", machine);
+                } else {
+                    spawn("machine", move || run_blocking(machine));
+                }
+                // Same deadlines as the machine's, to give a scheduler
+                // timer and ready choices between the two.
+                let bystander = spawn("bystander", {
+                    let (go, note) = (go.clone(), note.clone());
+                    move || {
+                        sleep(Duration::from_millis(5));
+                        go.wait();
+                        note("bystander woke");
+                        sleep(Duration::from_millis(7));
+                        note("bystander done");
+                    }
+                });
+                sleep(Duration::from_millis(20));
+                go.fire();
+                bystander.join();
+                sleep(Duration::from_millis(1));
+                now()
+            });
+            let events = out.lock().clone();
+            (events, k.stats(), end)
+        }
+        let (thread, light) = (Kernel::new(), Kernel::new());
+        let (ev_thread, st_thread, end_thread) = run(&thread, false);
+        let (ev_light, st_light, end_light) = run(&light, true);
+        assert_eq!(
+            ev_thread,
+            vec![
+                ("machine blocks", 5),
+                ("machine woke", 20),
+                ("bystander woke", 20),
+                ("machine done", 27),
+                ("bystander done", 27),
+            ]
+        );
+        assert_eq!(ev_thread, ev_light, "identical interleaving");
+        assert_eq!(end_thread, end_light);
+        assert_eq!(
+            KernelStats {
+                light_polls: 0,
+                ..st_light
+            },
+            st_thread,
+            "promotion counts an OS thread and no second simulated process"
+        );
+        assert_eq!(st_light.light_polls, 2, "polled inline until it asked");
+        assert_eq!(st_light.os_threads_spawned, 2);
+        assert!(light.frozen_light_tasks().is_empty());
+        assert_eq!(light.live_threads(), 0);
+
+        // Under a random schedule the promoting run is as replayable as
+        // any other: the recorded token reproduces it, decision for
+        // decision.
+        use crate::sched::RandomScheduler;
+        let random = Kernel::new();
+        random.set_scheduler(Box::new(RandomScheduler::new(19)));
+        let (ev_random, ..) = run(&random, true);
+        let trace = random.schedule_trace();
+        assert!(!trace.is_empty(), "the scenario offers choices");
+        let replay = Kernel::new();
+        replay.set_scheduler(Box::new(ReplayScheduler::new(&trace)));
+        assert_eq!(run(&replay, true).0, ev_random);
+        assert_eq!(replay.schedule_trace(), trace);
+    }
+
+    /// A promoted task blocked on an event is a blocked thread: it is in
+    /// the deadlock report under the task's name, holder edge and all.
+    #[test]
+    fn deadlock_report_includes_promoted_task_parked_on_event() {
+        let k = Kernel::new();
+        let panic = panic::catch_unwind(AssertUnwindSafe(|| {
+            k.run("client", || {
+                let never = Event::named(&kernel(), "never");
+                let done = Event::named(&kernel(), "done");
+                let (waited, fired) = (never.clone(), done.clone());
+                let mut on_thread = false;
+                spawn_light("lt", move || {
+                    if !std::mem::replace(&mut on_thread, true) {
+                        fired.mark_holder();
+                        return LightStep::Thread;
+                    }
+                    waited.wait(); // nobody fires it
+                    fired.fire();
+                    LightStep::Done
+                });
+                done.wait();
+            });
+        }))
+        .expect_err("deadlock must panic");
+        let msg = panic
+            .downcast_ref::<String>()
+            .cloned()
+            .expect("panic payload is the report string");
+        assert!(
+            msg.contains("thread `lt` blocked on event.wait (event `never`)"),
+            "missing the promoted task's line: {msg}"
+        );
+        assert!(
+            msg.contains("thread `client` blocked on event.wait (event `done`, held by `lt`)"),
+            "the holder mark survived the promotion: {msg}"
+        );
+    }
+
+    /// A poll that panics fails the run with its message, whether it was
+    /// still being polled inline (here by `queued` on its way out: a thread
+    /// whose own panic nobody would see) or had taken a thread (and has no
+    /// caller at all): every thread is woken into the report.
+    #[test]
+    fn poll_panicking_after_promotion_is_reported_like_one_before() {
+        for promote in [false, true] {
+            let k = Kernel::new();
+            let err = panic::catch_unwind(AssertUnwindSafe(|| {
+                k.run("client", || {
+                    // Ready, not blocked, when the poll panics: it must be
+                    // released into the failure too, or `run` never ends.
+                    let queued = spawn("queued", || sleep(Duration::from_secs(1)));
+                    let mut polls = 0u32;
+                    spawn_light("bad", move || {
+                        polls += 1;
+                        match polls {
+                            1 => LightStep::Sleep(Duration::from_secs(1)),
+                            2 if promote => LightStep::Thread,
+                            _ => panic!("boom in poll {polls}"),
+                        }
+                    });
+                    sleep(Duration::from_secs(5));
+                    queued.join();
+                });
+            }))
+            .expect_err("must panic");
+            let msg = err
+                .downcast_ref::<String>()
+                .cloned()
+                .expect("a formatted panic message");
+            let poll = if promote { 3 } else { 2 };
+            assert_eq!(
+                msg,
+                format!("lightweight task `bad` panicked: boom in poll {poll}"),
+                "promote={promote}"
+            );
+        }
+    }
+
+    /// A sleep too long for the clock is refused as the *task's* panic —
+    /// its name on the dispatching thread, nothing scheduled — exactly as
+    /// `sleep` refuses it on a thread.
+    #[test]
+    fn light_sleep_past_the_end_of_the_clock_panics_as_the_task() {
+        fn message(light: bool) -> String {
+            let k = Kernel::new();
+            let err = panic::catch_unwind(AssertUnwindSafe(|| {
+                k.run("client", || {
+                    let forever = Duration::from_millis(u64::MAX);
+                    if light {
+                        spawn_light("late", move || {
+                            assert_eq!(&*current_ctx("test").waiter.name, "late");
+                            LightStep::Sleep(forever)
+                        });
+                        sleep(Duration::from_secs(1));
+                    } else {
+                        spawn("late", move || sleep(forever)).join();
+                    }
+                });
+            }))
+            .expect_err("must panic");
+            assert_eq!(k.stats().timers_scheduled, u64::from(light));
+            err.downcast_ref::<&str>()
+                .map(|s| (*s).to_owned())
+                .or_else(|| err.downcast_ref::<String>().cloned())
+                .expect("a string payload")
+        }
+        assert!(message(true).contains("virtual time overflow"));
+        assert_eq!(message(true), message(false));
     }
 
     /// Waiter names are interned: holder registration shares the waiter's

@@ -3,7 +3,9 @@
 //! The foundation of the IBM-PyWren reproduction: a discrete-event
 //! simulation kernel whose processes are **real OS threads** where they run
 //! arbitrary Rust code ([`spawn`]) and stackless state machines where they
-//! only charge time and wait on events ([`spawn_light`]). Whenever a
+//! only charge time and wait on events ([`spawn_light`]) — and a state
+//! machine that reaches code that blocks is given a thread at that point
+//! ([`LightStep::Thread`]). Whenever a
 //! process sleeps or waits on a primitive from [`sync`], it suspends in
 //! *virtual* time, and the kernel advances the clock to the next pending
 //! deadline once every registered process is blocked. A 2,000-function, 60-second-per-function cloud experiment thus
@@ -34,6 +36,9 @@
 //!
 //! * [`sync`] — [`sync::Event`], the one primitive that blocks in virtual
 //!   time.
+//! * [`task`] — straight-line resumable code: `async` bodies over three
+//!   leaf futures (sleep, wait for an event, ask for a thread), polled as a
+//!   light task or driven to completion on a thread.
 //! * [`NetworkProfile`] — latency/bandwidth/loss cost model used by the
 //!   object-store and FaaS simulators.
 //! * [`hash`] — deterministic mixing used for per-request jitter so repeated
@@ -60,6 +65,7 @@ pub mod order;
 mod rawlock;
 pub mod sched;
 pub mod sync;
+pub mod task;
 mod time;
 mod vlock;
 

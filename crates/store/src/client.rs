@@ -15,7 +15,7 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use rustwren_sim::hash::{hash2, StrHasher};
-use rustwren_sim::NetworkProfile;
+use rustwren_sim::{task, NetworkProfile};
 
 use crate::error::StoreError;
 use crate::object::{BucketMeta, ObjectMeta};
@@ -321,7 +321,12 @@ impl CosClient {
     /// successful attempt so callers can derive further deterministic
     /// draws (e.g. GET corruption) without consuming extra sequence
     /// numbers.
-    fn charge(
+    ///
+    /// Resumable, like every operation built on it: the priced sleep and
+    /// the back-off are `task::sleep`s, so the one loop serves a light task
+    /// awaiting it and — through [`task::block_on`] — a thread calling the
+    /// blocking method of the same name.
+    async fn charge(
         &self,
         op: CosOp<'_>,
         bucket: &str,
@@ -344,7 +349,7 @@ impl CosClient {
             // can never leak into the timing or fault stream.
             let token = hash2(self.seed, hash2(path, rustwren_sim::now().as_nanos()));
             let cost = self.net.request_cost(payload, token) + service;
-            rustwren_sim::sleep(cost);
+            task::sleep(cost).await;
             let injected = match (chaos.as_deref(), op_str.as_deref()) {
                 (Some(c), Some(s)) => c.cos_attempt_fails(s, bucket, key, token),
                 _ => false,
@@ -359,7 +364,7 @@ impl CosClient {
                 });
             }
             // Exponential backoff, as in the COS SDKs.
-            rustwren_sim::sleep(Duration::from_millis(50) * 2u32.pow(attempt - 1));
+            task::sleep(Duration::from_millis(50) * 2u32.pow(attempt - 1)).await;
         }
     }
 
@@ -383,18 +388,7 @@ impl CosClient {
     /// Store errors from the service, or [`StoreError::Network`] after
     /// exhausting retries.
     pub fn put(&self, bucket: &str, key: &str, data: Bytes) -> Result<ObjectMeta, StoreError> {
-        self.counters.count(&self.counters.puts);
-        self.counters
-            .bytes_out
-            .fetch_add(data.len() as u64, Ordering::Relaxed);
-        self.charge(
-            CosOp::new("PUT", bucket, Some(key)),
-            bucket,
-            key,
-            data.len() as u64,
-            self.costs.data_op,
-        )?;
-        self.store.put(bucket, key, data)
+        task::block_on(self.put_async(bucket, key, data))
     }
 
     /// `PUT` an object using a multipart upload: parts of `part_size` bytes
@@ -404,6 +398,7 @@ impl CosClient {
     /// Falls back to a plain [`put`](CosClient::put) for small objects.
     ///
     /// At most 16 parts are in flight at a time, like the SDK defaults.
+    /// The lanes are threads, so this operation has no resumable form.
     ///
     /// # Errors
     ///
@@ -441,18 +436,17 @@ impl CosClient {
             client.counters.bytes_out.fetch_add(len, Ordering::Relaxed);
             let op = CosOp::new("PUT", &part_bucket, Some(&part_key))
                 .with_suffix(OpSuffix::Part(lane, i));
-            client
-                .charge(op, &part_bucket, &part_key, len, client.costs.data_op)
+            task::block_on(client.charge(op, &part_bucket, &part_key, len, client.costs.data_op))
                 .map(|_| ())
         })?;
         // Complete-multipart-upload request.
-        self.charge(
+        task::block_on(self.charge(
             CosOp::new("POST", bucket, Some(key)).with_suffix(OpSuffix::Const(" complete")),
             bucket,
             key,
             512,
             self.costs.head_op,
-        )?;
+        ))?;
         self.store.put(bucket, key, data)
     }
 
@@ -463,20 +457,7 @@ impl CosClient {
     /// Store errors from the service, or [`StoreError::Network`] after
     /// exhausting retries.
     pub fn get(&self, bucket: &str, key: &str) -> Result<Bytes, StoreError> {
-        // HEAD-sized request out, payload back: charge on payload size.
-        let data = self.store.get(bucket, key)?;
-        self.counters.count(&self.counters.gets);
-        self.counters
-            .bytes_in
-            .fetch_add(data.len() as u64, Ordering::Relaxed);
-        let token = self.charge(
-            CosOp::new("GET", bucket, Some(key)),
-            bucket,
-            key,
-            data.len() as u64,
-            self.costs.data_op,
-        )?;
-        Ok(self.maybe_corrupt(bucket, key, token, data))
+        task::block_on(self.get_async(bucket, key))
     }
 
     /// `GET` a byte range `[start, end)` of an object.
@@ -492,19 +473,7 @@ impl CosClient {
         start: u64,
         end: u64,
     ) -> Result<Bytes, StoreError> {
-        let data = self.store.get_range(bucket, key, start, end)?;
-        self.counters.count(&self.counters.gets);
-        self.counters
-            .bytes_in
-            .fetch_add(data.len() as u64, Ordering::Relaxed);
-        let token = self.charge(
-            CosOp::new("GET", bucket, Some(key)).with_suffix(OpSuffix::Range(start, end)),
-            bucket,
-            key,
-            data.len() as u64,
-            self.costs.data_op,
-        )?;
-        Ok(self.maybe_corrupt(bucket, key, token, data))
+        task::block_on(self.get_range_async(bucket, key, start, end))
     }
 
     /// `HEAD` an object.
@@ -514,15 +483,7 @@ impl CosClient {
     /// Store errors from the service, or [`StoreError::Network`] after
     /// exhausting retries.
     pub fn head(&self, bucket: &str, key: &str) -> Result<ObjectMeta, StoreError> {
-        self.counters.count(&self.counters.heads);
-        self.charge(
-            CosOp::new("HEAD", bucket, Some(key)),
-            bucket,
-            key,
-            256,
-            self.costs.head_op,
-        )?;
-        self.store.head(bucket, key)
+        task::block_on(self.head_async(bucket, key))
     }
 
     /// `HEAD` a bucket.
@@ -532,15 +493,7 @@ impl CosClient {
     /// Store errors from the service, or [`StoreError::Network`] after
     /// exhausting retries.
     pub fn head_bucket(&self, bucket: &str) -> Result<BucketMeta, StoreError> {
-        self.counters.count(&self.counters.heads);
-        self.charge(
-            CosOp::new("HEAD", bucket, None),
-            bucket,
-            "",
-            256,
-            self.costs.head_op,
-        )?;
-        self.store.head_bucket(bucket)
+        task::block_on(self.head_bucket_async(bucket))
     }
 
     /// `LIST` objects under a prefix.
@@ -550,17 +503,7 @@ impl CosClient {
     /// Store errors from the service, or [`StoreError::Network`] after
     /// exhausting retries.
     pub fn list(&self, bucket: &str, prefix: &str) -> Result<Vec<ObjectMeta>, StoreError> {
-        self.counters.count(&self.counters.lists);
-        let entries = self.store.list(bucket, prefix)?;
-        let batches = (entries.len() as u64).div_ceil(1_000).max(1) as u32;
-        self.charge(
-            CosOp::new("LIST", bucket, Some(prefix)).with_suffix(OpSuffix::Const("*")),
-            bucket,
-            prefix,
-            entries.len() as u64 * self.costs.list_entry_bytes,
-            self.costs.list_op * batches,
-        )?;
-        Ok(entries)
+        task::block_on(self.list_async(bucket, prefix))
     }
 
     /// `DELETE` an object (idempotent).
@@ -570,15 +513,7 @@ impl CosClient {
     /// Store errors from the service, or [`StoreError::Network`] after
     /// exhausting retries.
     pub fn delete(&self, bucket: &str, key: &str) -> Result<(), StoreError> {
-        self.counters.count(&self.counters.deletes);
-        self.charge(
-            CosOp::new("DELETE", bucket, Some(key)),
-            bucket,
-            key,
-            64,
-            self.costs.delete_op,
-        )?;
-        self.store.delete(bucket, key)
+        task::block_on(self.delete_async(bucket, key))
     }
 
     /// Whether an object exists, charged as a `HEAD`.
@@ -587,6 +522,83 @@ impl CosClient {
     ///
     /// [`StoreError::Network`] after exhausting retries.
     pub fn exists(&self, bucket: &str, key: &str) -> Result<bool, StoreError> {
+        task::block_on(self.exists_async(bucket, key))
+    }
+}
+
+/// The operations as resumable code (see [`rustwren_sim::task`]): what a
+/// light task awaits, and the one implementation the blocking methods above
+/// drive to completion. Same requests, same charges, same errors.
+impl CosClient {
+    /// Resumable [`put`](CosClient::put).
+    pub async fn put_async(
+        &self,
+        bucket: &str,
+        key: &str,
+        data: Bytes,
+    ) -> Result<ObjectMeta, StoreError> {
+        self.counters.count(&self.counters.puts);
+        self.counters
+            .bytes_out
+            .fetch_add(data.len() as u64, Ordering::Relaxed);
+        self.charge(
+            CosOp::new("PUT", bucket, Some(key)),
+            bucket,
+            key,
+            data.len() as u64,
+            self.costs.data_op,
+        )
+        .await?;
+        self.store.put(bucket, key, data)
+    }
+
+    /// Resumable [`get`](CosClient::get).
+    pub async fn get_async(&self, bucket: &str, key: &str) -> Result<Bytes, StoreError> {
+        // HEAD-sized request out, payload back: charge on payload size.
+        let data = self.store.get(bucket, key)?;
+        self.counters.count(&self.counters.gets);
+        self.counters
+            .bytes_in
+            .fetch_add(data.len() as u64, Ordering::Relaxed);
+        let token = self
+            .charge(
+                CosOp::new("GET", bucket, Some(key)),
+                bucket,
+                key,
+                data.len() as u64,
+                self.costs.data_op,
+            )
+            .await?;
+        Ok(self.maybe_corrupt(bucket, key, token, data))
+    }
+
+    /// Resumable [`get_range`](CosClient::get_range).
+    pub async fn get_range_async(
+        &self,
+        bucket: &str,
+        key: &str,
+        start: u64,
+        end: u64,
+    ) -> Result<Bytes, StoreError> {
+        let data = self.store.get_range(bucket, key, start, end)?;
+        self.counters.count(&self.counters.gets);
+        self.counters
+            .bytes_in
+            .fetch_add(data.len() as u64, Ordering::Relaxed);
+        let token = self
+            .charge(
+                CosOp::new("GET", bucket, Some(key)).with_suffix(OpSuffix::Range(start, end)),
+                bucket,
+                key,
+                data.len() as u64,
+                self.costs.data_op,
+            )
+            .await?;
+        Ok(self.maybe_corrupt(bucket, key, token, data))
+    }
+
+    /// Resumable [`head`](CosClient::head).
+    pub async fn head_async(&self, bucket: &str, key: &str) -> Result<ObjectMeta, StoreError> {
         self.counters.count(&self.counters.heads);
         self.charge(
             CosOp::new("HEAD", bucket, Some(key)),
@@ -594,7 +606,70 @@ impl CosClient {
             key,
             256,
             self.costs.head_op,
-        )?;
+        )
+        .await?;
+        self.store.head(bucket, key)
+    }
+
+    /// Resumable [`head_bucket`](CosClient::head_bucket).
+    pub async fn head_bucket_async(&self, bucket: &str) -> Result<BucketMeta, StoreError> {
+        self.counters.count(&self.counters.heads);
+        self.charge(
+            CosOp::new("HEAD", bucket, None),
+            bucket,
+            "",
+            256,
+            self.costs.head_op,
+        )
+        .await?;
+        self.store.head_bucket(bucket)
+    }
+
+    /// Resumable [`list`](CosClient::list).
+    pub async fn list_async(
+        &self,
+        bucket: &str,
+        prefix: &str,
+    ) -> Result<Vec<ObjectMeta>, StoreError> {
+        self.counters.count(&self.counters.lists);
+        let entries = self.store.list(bucket, prefix)?;
+        let batches = (entries.len() as u64).div_ceil(1_000).max(1) as u32;
+        self.charge(
+            CosOp::new("LIST", bucket, Some(prefix)).with_suffix(OpSuffix::Const("*")),
+            bucket,
+            prefix,
+            entries.len() as u64 * self.costs.list_entry_bytes,
+            self.costs.list_op * batches,
+        )
+        .await?;
+        Ok(entries)
+    }
+
+    /// Resumable [`delete`](CosClient::delete).
+    pub async fn delete_async(&self, bucket: &str, key: &str) -> Result<(), StoreError> {
+        self.counters.count(&self.counters.deletes);
+        self.charge(
+            CosOp::new("DELETE", bucket, Some(key)),
+            bucket,
+            key,
+            64,
+            self.costs.delete_op,
+        )
+        .await?;
+        self.store.delete(bucket, key)
+    }
+
+    /// Resumable [`exists`](CosClient::exists).
+    pub async fn exists_async(&self, bucket: &str, key: &str) -> Result<bool, StoreError> {
+        self.counters.count(&self.counters.heads);
+        self.charge(
+            CosOp::new("HEAD", bucket, Some(key)),
+            bucket,
+            key,
+            256,
+            self.costs.head_op,
+        )
+        .await?;
         Ok(self.store.exists(bucket, key))
     }
 }

@@ -8,6 +8,7 @@
 use std::time::Duration;
 
 use rustwren_core::{SimCloud, TaskCtx, Value};
+use rustwren_sim::task;
 
 /// Name of the registered compute-bound function.
 pub const COMPUTE_FN: &str = "compute-task";
@@ -17,9 +18,10 @@ pub fn input(secs: f64) -> Value {
     Value::map().with("secs", secs)
 }
 
-/// Registers the compute-bound function on `cloud`.
+/// Registers the compute-bound function on `cloud`. It only charges time,
+/// so it is resumable: a fan-out of these never starts an OS thread.
 pub fn register(cloud: &SimCloud) {
-    cloud.register_fn(COMPUTE_FN, |ctx: &TaskCtx, v: Value| {
+    cloud.register_resumable_fn(COMPUTE_FN, |ctx: TaskCtx, v: Value| async move {
         let secs = v
             .get("secs")
             .and_then(Value::as_f64)
@@ -27,7 +29,8 @@ pub fn register(cloud: &SimCloud) {
         if !(0.0..=86_400.0).contains(&secs) {
             return Err(format!("unreasonable task duration: {secs}s"));
         }
-        ctx.charge(Duration::from_secs_f64(secs));
+        // `ctx.charge`, as resumable code.
+        task::sleep(ctx.activation().scaled(Duration::from_secs_f64(secs))).await;
         Ok(Value::Float(secs))
     });
 }

@@ -30,7 +30,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .cloud()
             .functions()
             .registry()
-            .get("alice/python-matplotlib:1")
+            .try_get("alice/python-matplotlib:1")
+            .map_err(|_| "registry busy")?
             .ok_or("runtime image disappeared")?;
         if !runtime.has_package("matplotlib") {
             return Err("matplotlib not available in this runtime".into());

@@ -430,6 +430,99 @@ fn serving_burst_conserves_activations_under_a_cold_storm_and_every_schedule() {
     assert_eq!(report.schedules, SCHEDULES + 1);
 }
 
+/// The joint fault × schedule slice for the agent: a small `map` of a
+/// resumable function, so that every agent activation — lifecycle, COS
+/// round trips, the function itself — is a light task interleaving with the
+/// client's preemptible pool lanes; optionally under a plan that fails COS
+/// attempts (through back-off, sometimes to `StoreError::Network`) and
+/// crashes agents after they computed. Asserted here, per schedule: the
+/// job gives the oracle's results or a typed task/storage error, and once
+/// the client has also waited out every activation it caused (a retried
+/// task's earlier attempt may outlive `get_result`) the platform's books
+/// balance and no light task is left registered. What every schedule must
+/// then agree on is only how many tasks there were.
+fn light_map_job(kernel: Kernel, faults: bool) -> usize {
+    use std::time::Duration;
+
+    use rustwren::core::{FaultPlan, PathScope, PywrenError, TimeWindow, PHASE_AFTER_COMPUTE};
+    use rustwren::sim::task;
+
+    const TASKS: i64 = 6;
+    let mut builder = SimCloud::builder()
+        .seed(7)
+        .client_network(NetworkProfile::lan())
+        .kernel(kernel.clone());
+    if faults {
+        let plan = FaultPlan::new(13)
+            .cos_brownout(PathScope::prefix("jobs/"), TimeWindow::always(), 0.25)
+            .crash(PHASE_AFTER_COMPUTE, TimeWindow::always(), 0.5)
+            .limit_fires(3);
+        builder = builder.chaos(plan);
+    }
+    let cloud = builder.build();
+    cloud.register_resumable_fn("add7", |ctx: TaskCtx, x: Value| async move {
+        task::sleep(ctx.activation().scaled(Duration::from_millis(40))).await;
+        Ok(Value::Int(x.as_i64().ok_or("int")? + 7))
+    });
+    let faas = cloud.functions();
+    let result = cloud.run(|| {
+        let exec = cloud
+            .executor()
+            .retry(RetryPolicy::with_attempts(3))
+            .build()
+            .unwrap();
+        let result = exec
+            .map("add7", (0..TASKS).map(Value::Int).collect::<Vec<_>>())
+            .and_then(|_| exec.get_result());
+        for record in faas.records() {
+            faas.wait(record.id);
+        }
+        result
+    });
+    match result {
+        Ok(values) => assert_eq!(values, (7..7 + TASKS).map(Value::Int).collect::<Vec<_>>()),
+        Err(PywrenError::Task { .. } | PywrenError::Storage(_)) if faults => {}
+        Err(e) => panic!("untyped or unexpected failure: {e:?}"),
+    }
+    let stats = faas.stats();
+    assert_eq!(stats.submitted, stats.completed, "{stats:?}");
+    assert_eq!(faas.inflight(), 0);
+    assert_eq!(kernel.frozen_light_tasks(), Vec::<String>::new());
+    assert_eq!(faults, cloud.chaos_stats().cos_faults > 0);
+    // The function is resumable and the inputs plain values: the threads
+    // are the client's, never an agent's.
+    let k = kernel.stats();
+    assert!(
+        k.os_threads_spawned + stats.submitted <= k.threads_started,
+        "{k:?} vs {stats:?}"
+    );
+    TASKS as usize
+}
+
+#[test]
+fn light_agents_give_the_oracles_results_under_every_schedule() {
+    let report = explore(
+        |kernel| light_map_job(kernel, false),
+        &budget(707, "sweep-light-agents"),
+    );
+    assert!(report.ok(), "{report}");
+    assert_eq!(report.schedules, SCHEDULES + 1);
+    assert!(
+        report.lock_orders.cycles.is_empty() && report.lock_orders.lost_wakeups.is_empty(),
+        "{report}"
+    );
+}
+
+#[test]
+fn light_agents_conserve_activations_under_faults_and_every_schedule() {
+    let report = explore(
+        |kernel| light_map_job(kernel, true),
+        &budget(808, "sweep-light-agents-faults"),
+    );
+    assert!(report.ok(), "{report}");
+    assert_eq!(report.schedules, SCHEDULES + 1);
+}
+
 /// Exports the dynamic lock-exercise inventory for rustwren-lint's L007
 /// cross-check (`target/verify/lock-exercise.txt`). A small budget is
 /// enough: L007 only asks whether each lock *kind* was ever exercised, not
