@@ -2,7 +2,7 @@
 
 use std::time::Duration;
 
-use rustwren_analyze::{AnalyzeMode, PlanHints};
+use rustwren_analyze::{AnalyzeMode, PlanHints, SpawnProfile};
 use rustwren_faas::DEFAULT_RUNTIME;
 
 /// How the client turns a list of tasks into cloud invocations (§5.1).
@@ -46,20 +46,37 @@ impl SpawnStrategy {
         }
     }
 
-    /// Resolves this strategy for a job of `tasks` tasks ([`Auto`] picks
-    /// between direct and massive; concrete strategies return themselves).
-    ///
-    /// [`Auto`]: SpawnStrategy::Auto
-    pub fn resolve_for(&self, tasks: usize) -> SpawnStrategy {
-        match self {
-            SpawnStrategy::Auto { threshold } => {
-                if tasks >= *threshold {
-                    SpawnStrategy::massive()
-                } else {
-                    SpawnStrategy::default()
-                }
+    /// How a job of `tasks` tasks spawns under this strategy: `Auto` picks
+    /// between direct and massive, concrete strategies are themselves.
+    pub fn profile_for(&self, tasks: usize) -> SpawnProfile {
+        match *self {
+            SpawnStrategy::Direct { client_threads } => SpawnProfile::Direct { client_threads },
+            SpawnStrategy::RemoteInvoker {
+                group_size,
+                invoker_threads,
+            } => SpawnProfile::RemoteInvoker {
+                group_size,
+                invoker_threads,
+            },
+            SpawnStrategy::Auto { threshold } if tasks >= threshold => {
+                SpawnStrategy::massive().profile_for(tasks)
             }
-            concrete => concrete.clone(),
+            SpawnStrategy::Auto { .. } => SpawnStrategy::default().profile_for(tasks),
+        }
+    }
+
+    /// [`profile_for`](SpawnStrategy::profile_for), as a strategy (never
+    /// [`SpawnStrategy::Auto`]).
+    pub fn resolve_for(&self, tasks: usize) -> SpawnStrategy {
+        match self.profile_for(tasks) {
+            SpawnProfile::Direct { client_threads } => SpawnStrategy::Direct { client_threads },
+            SpawnProfile::RemoteInvoker {
+                group_size,
+                invoker_threads,
+            } => SpawnStrategy::RemoteInvoker {
+                group_size,
+                invoker_threads,
+            },
         }
     }
 }

@@ -7,9 +7,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
-use rustwren_analyze::{
-    analyze, AnalyzeMode, CloudProfile, Diagnostic, JobPlan, Severity, SpawnProfile,
-};
+use rustwren_analyze::{analyze, AnalyzeMode, CloudProfile, Diagnostic, JobPlan, Severity};
 use rustwren_faas::{ActivationId, FaasClient, Outcome, TenantId, ThrottleSignal};
 use rustwren_sim::hash::{hash2, hash_str, unit_f64};
 use rustwren_sim::{NetworkProfile, SimInstant};
@@ -768,17 +766,7 @@ impl Executor {
         }
         let specs = stage.specs.as_slice();
         let mut plan = JobPlan::new(func, specs.len());
-        plan.spawn = match self.inner.config.spawn.resolve_for(specs.len()) {
-            SpawnStrategy::Direct { client_threads } => SpawnProfile::Direct { client_threads },
-            SpawnStrategy::RemoteInvoker {
-                group_size,
-                invoker_threads,
-            } => SpawnProfile::RemoteInvoker {
-                group_size,
-                invoker_threads,
-            },
-            SpawnStrategy::Auto { .. } => unreachable!("resolve_for returns a concrete strategy"),
-        };
+        plan.spawn = self.inner.config.spawn.profile_for(specs.len());
         plan.chunk_size = stage.chunk_size;
         plan.max_object_bytes = stage.max_object_bytes;
         plan.partition_bytes = specs.iter().filter_map(spec_bytes).collect();

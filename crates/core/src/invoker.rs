@@ -10,6 +10,7 @@
 use std::sync::Weak;
 
 use bytes::Bytes;
+use rustwren_analyze::SpawnProfile;
 use rustwren_faas::{ActionConfig, ActivationCtx, ActivationId};
 
 use crate::cloud::{CloudInner, SimCloud};
@@ -35,10 +36,20 @@ pub(crate) fn deploy_agent(cloud: &SimCloud, runtime: &str) -> Result<()> {
     let weak = cloud.downgrade();
     cloud
         .functions()
+        // lint: allow(L008) — false positives of name-based dispatch: the
+        // agent's `ctx.now()` reaches the kernel's own `RawMutex::lock`
+        // (resolved onto the shim's), the COS client's `self.charge(..)` (a
+        // `task::sleep`) resolves onto ActivationCtx::charge. The shim locks
+        // the agent takes are never held across a suspension, and a blocking
+        // call before it has asked for a thread is refused by the kernel and
+        // booked `Crashed`. Guarded by crates/core/tests/vehicles.rs and
+        // tests/verify.rs light_agents_conserve_activations_under_faults_and_every_schedule
         .register_resumable(
             &name,
             ActionConfig::with_runtime(runtime).memory_mb(512),
-            move |payload: Bytes| crate::job::AgentBody::new(weak.clone(), payload),
+            move |ctx: ActivationCtx, payload: Bytes| {
+                crate::job::run_agent(weak.clone(), ctx, payload)
+            },
         )
         .map_err(|e| PywrenError::UnknownFunction(format!("agent runtime: {e}")))
 }
@@ -133,15 +144,13 @@ pub(crate) fn spawn_tasks(
     };
     // Degenerate strategies (zero threads, zero group size) are rejected at
     // executor build time.
-    match strategy.resolve_for(count) {
-        // lint: allow(L009) — resolve_for never returns Auto by contract
-        SpawnStrategy::Auto { .. } => unreachable!("resolve_for returns a concrete strategy"),
-        SpawnStrategy::Direct { client_threads } => {
+    match strategy.profile_for(count) {
+        SpawnProfile::Direct { client_threads } => {
             let encoded: Vec<Bytes> = payloads.iter().map(AgentPayload::encode).collect();
             let ids = invoke(agent_action, encoded, client_threads)?;
             Ok(ids.into_iter().map(Some).collect())
         }
-        SpawnStrategy::RemoteInvoker {
+        SpawnProfile::RemoteInvoker {
             group_size,
             invoker_threads,
         } => {

@@ -20,19 +20,15 @@
 //! jobs/e/j/t00000/status   {"state": "done"|"error", timings…, result?}
 //! ```
 
-use std::any::Any;
 use std::future::Future;
-use std::ops::ControlFlow;
 use std::panic::{self, AssertUnwindSafe};
-use std::pin::Pin;
 use std::sync::Weak;
-use std::task::{Context, Poll};
 use std::time::Duration;
 
 use bytes::Bytes;
-use rustwren_faas::{ActionError, ActivationCtx, BodyStep, ResumableBody};
+use rustwren_faas::{ActionError, ActivationCtx};
 use rustwren_sim::hash::hash2;
-use rustwren_sim::{task, LightStep};
+use rustwren_sim::task;
 use rustwren_store::CosClient;
 
 use crate::cloud::{CloudInner, SimCloud};
@@ -92,20 +88,21 @@ const VERIFY_READS: u32 = 3;
 /// The one verified-read loop: a stamp failure means the *read* was
 /// corrupted — the stored object is intact — so a couple of immediate
 /// re-fetches usually heal it without burning a whole task attempt. Returns
-/// the whole stamped bytes of the first read that verifies; `integrity`
-/// turns the last read's stamp failure into the caller's error.
+/// the first read that verifies, as (the whole stamped bytes, their
+/// payload); `integrity` turns the last read's stamp failure into the
+/// caller's error.
 async fn read_verified<E, R>(
     read: impl Fn() -> R,
     integrity: impl Fn(wire::WireError) -> E,
-) -> Result<Bytes, E>
+) -> Result<(Bytes, Bytes), E>
 where
     R: Future<Output = Result<Bytes, E>>,
 {
     let mut reads = 1;
     loop {
         let raw = read().await?;
-        match wire::verify_stamped(&raw) {
-            Ok(_) => return Ok(raw),
+        match wire::verified_payload(&raw) {
+            Ok(payload) => return Ok((raw, payload)),
             Err(e) if reads == VERIFY_READS => return Err(integrity(e)),
             Err(_) => reads += 1,
         }
@@ -115,8 +112,13 @@ where
 /// Reads a staged object and verifies its checksum stamp, returning the
 /// *whole stamped representation* (magic + checksum + payload) — the form
 /// the container-local blob cache stores, so cache hits can be re-validated
-/// against the same stamp. Surfaces failure as [`PywrenError::Integrity`].
-async fn get_stamped_raw(cos: &CosClient, bucket: &str, key: &str) -> crate::error::Result<Bytes> {
+/// against the same stamp — and the payload in it. Surfaces failure as
+/// [`PywrenError::Integrity`].
+async fn get_stamped(
+    cos: &CosClient,
+    bucket: &str,
+    key: &str,
+) -> crate::error::Result<(Bytes, Bytes)> {
     read_verified(
         || async {
             cos.get_async(bucket, key)
@@ -138,8 +140,8 @@ pub(crate) async fn get_verified_async(
     bucket: &str,
     key: &str,
 ) -> crate::error::Result<Bytes> {
-    let raw = get_stamped_raw(cos, bucket, key).await?;
-    Ok(raw.slice(wire::STAMP_LEN..))
+    let (_stamped, payload) = get_stamped(cos, bucket, key).await?;
+    Ok(payload)
 }
 
 /// [`get_verified_async`], blocking: for the client and for agent code that
@@ -335,66 +337,12 @@ impl TaskSpec {
     }
 }
 
-/// One agent activation as the platform polls it: [`run_agent`], started at
-/// the first resume (when the activation's context first exists) and from
-/// then on polled to each suspension point in turn.
-pub(crate) struct AgentBody {
-    cloud: Weak<CloudInner>,
-    payload: Bytes,
-    run: Option<AgentRun>,
-}
-
-/// A started [`run_agent`].
-type AgentRun = Pin<Box<dyn Future<Output = Result<Bytes, ActionError>> + Send>>;
-
-impl AgentBody {
-    pub(crate) fn new(cloud: Weak<CloudInner>, payload: Bytes) -> AgentBody {
-        AgentBody {
-            cloud,
-            payload,
-            run: None,
-        }
-    }
-}
-
-/// Starts the agent. Out of line: the future is built on this frame before
-/// it moves to the heap, and it is some 2 KB that [`AgentBody::resume`]'s —
-/// beneath every poll, and beneath the user function on a promoted
-/// thread — should not carry.
-#[inline(never)]
-fn start_agent(cloud: Weak<CloudInner>, ctx: ActivationCtx, payload: Bytes) -> AgentRun {
-    Box::pin(run_agent(cloud, ctx, payload))
-}
-
-impl ResumableBody for AgentBody {
-    fn resume(&mut self, ctx: &ActivationCtx) -> BodyStep {
-        let run = match &mut self.run {
-            Some(run) => run,
-            None => {
-                let payload = std::mem::take(&mut self.payload);
-                self.run
-                    .insert(start_agent(self.cloud.clone(), ctx.clone(), payload))
-            }
-        };
-        match task::resume(run.as_mut()) {
-            ControlFlow::Break(result) => BodyStep::Done(result),
-            ControlFlow::Continue(LightStep::Sleep(d)) => BodyStep::Sleep(d),
-            ControlFlow::Continue(LightStep::Wait(event)) => BodyStep::Wait(event),
-            ControlFlow::Continue(LightStep::Thread) => BodyStep::Thread,
-            // What a leaf asked for is handed over, and no leaf asks for this.
-            ControlFlow::Continue(LightStep::Done) => {
-                BodyStep::Done(Err(ActionError("agent suspended on nothing".into())))
-            }
-        }
-    }
-}
-
 /// The agent: runs inside every IBM-PyWren function container. Resumable:
 /// it suspends only at `.await`s, so it rides a light task up to the point,
 /// if any, where it asks for a thread ([`execute_task`]).
 // lint: entry(hot_path)
 // lint: entry(sim_path)
-async fn run_agent(
+pub(crate) async fn run_agent(
     cloud: Weak<CloudInner>,
     ctx: ActivationCtx,
     raw_payload: Bytes,
@@ -494,7 +442,7 @@ async fn execute_task(
     if desc.req_str("kind")? == "value" {
         if let Some(resume) = cloud.registry().resumable(&payload.func_name) {
             let input = build_input(ctx, cos, &desc)?;
-            return match CatchUnwind(resume(task_ctx, input)).await {
+            return match task::catch_unwind(resume(task_ctx, input)).await {
                 Ok(result) => result.map(|r| (r, None)),
                 Err(p) => Err(format!("function panicked: {}", panic_text(&p))),
             };
@@ -512,23 +460,6 @@ async fn execute_task(
     // crates/core/tests/vehicles.rs (every kind, both registrations) and
     // kernel.rs promoted_task_reproduces_the_all_thread_schedule
     execute_blocking(cloud, ctx, cos, payload, &desc, func.as_ref(), &task_ctx)
-}
-
-/// `fut`, with a panic from any of its polls caught and returned: what
-/// `catch_unwind` is to a call.
-struct CatchUnwind<F>(F);
-
-impl<F: Future + Unpin> Future for CatchUnwind<F> {
-    type Output = Result<F::Output, Box<dyn Any + Send>>;
-
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let inner = Pin::new(&mut self.0);
-        match panic::catch_unwind(AssertUnwindSafe(|| inner.poll(cx))) {
-            Ok(Poll::Pending) => Poll::Pending,
-            Ok(Poll::Ready(value)) => Poll::Ready(Ok(value)),
-            Err(p) => Poll::Ready(Err(p)),
-        }
-    }
 }
 
 /// [`execute_task`] from the dispatch point on, for every task that takes a
@@ -625,24 +556,24 @@ async fn fetch_func_blob(
                 cache.insert(&key, stamped.clone());
             }
         }
-        if wire::verify_stamped(&stamped).is_ok() {
+        if let Ok(code) = wire::verified_payload(&stamped) {
             ctx.note_blob_cache(true);
-            return Ok(stamped.slice(wire::STAMP_LEN..));
+            return Ok(code);
         }
         cache.remove(&key);
-        let fresh = get_stamped_raw(cos, &payload.bucket, &key)
+        let (fresh, code) = get_stamped(cos, &payload.bucket, &key)
             .await
             .map_err(|e| format!("refetching poisoned cached function: {e}"))?;
-        cache.insert(&key, fresh.clone());
+        cache.insert(&key, fresh);
         ctx.note_blob_cache_heal();
-        return Ok(fresh.slice(wire::STAMP_LEN..));
+        return Ok(code);
     }
-    let stamped = get_stamped_raw(cos, &payload.bucket, &key)
+    let (stamped, code) = get_stamped(cos, &payload.bucket, &key)
         .await
         .map_err(|e| format!("fetching function: {e}"))?;
-    cache.insert(&key, stamped.clone());
+    cache.insert(&key, stamped);
     ctx.note_blob_cache(false);
-    Ok(stamped.slice(wire::STAMP_LEN..))
+    Ok(code)
 }
 
 /// Partitions a shuffling map task's `(key, value)` pairs across the
@@ -992,7 +923,7 @@ fn fetch_shuffle_run(
 
 /// Range-reads one stamped slice out of a shuffle segment object and
 /// verifies its checksum (re-fetching on a bad read, like
-/// [`get_stamped_raw`]). A missing segment is a typed loss error — the
+/// [`get_stamped`]). A missing segment is a typed loss error — the
 /// manifest said the slice exists.
 fn get_slice_verified(
     cos: &CosClient,
@@ -1013,7 +944,7 @@ fn get_slice_verified(
     task::block_on(read_verified(read, |e| {
         format!("integrity failure reading shuffle slice {bucket}/{key}@{off}: {e}")
     }))
-    .map(|raw| raw.slice(wire::STAMP_LEN..))
+    .map(|(_stamped, slice)| slice)
 }
 
 /// Reads the status object of finished map task `d`; one that did not

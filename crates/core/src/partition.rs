@@ -284,7 +284,14 @@ pub fn read_aligned(cos: &CosClient, part: &Partition) -> Result<Bytes> {
         v.extend_from_slice(&extra);
         raw = Bytes::from(v);
     }
-    Ok(raw.slice((begin_abs - fetch_start) as usize..(end_abs - fetch_start) as usize))
+    let owned = (begin_abs - fetch_start) as usize..(end_abs - fetch_start) as usize;
+    let len = fetch_start + raw.len() as u64;
+    raw.try_slice(owned)
+        .ok_or(PywrenError::Storage(StoreError::InvalidRange {
+            start: begin_abs,
+            end: end_abs,
+            len,
+        }))
 }
 
 fn find_newline(buf: &[u8], from: usize) -> Option<usize> {

@@ -210,6 +210,17 @@ pub fn verify_stamped(data: &[u8]) -> Result<&[u8], WireError> {
     Ok(payload)
 }
 
+/// [`verify_stamped`] for an owned buffer: the payload it has just checked,
+/// sharing `data`'s allocation.
+///
+/// # Errors
+///
+/// As [`verify_stamped`].
+pub fn verified_payload(data: &Bytes) -> Result<Bytes, WireError> {
+    verify_stamped(data)?;
+    data.try_slice(STAMP_LEN..).ok_or(WireError::MissingStamp)
+}
+
 impl Value {
     /// Builds a `Value::Bytes` (explicit to avoid ambiguity with lists).
     pub fn bytes(data: impl Into<Vec<u8>>) -> Value {
@@ -221,19 +232,15 @@ impl Value {
         Value::Map(BTreeMap::new())
     }
 
-    /// Inserts into a map value (builder-style).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self` is not a map.
-    pub fn with(mut self, key: &str, value: impl Into<Value>) -> Value {
-        match &mut self {
-            Value::Map(m) => {
-                m.insert(key.to_owned(), value.into());
-            }
-            other => panic!("Value::with on non-map {other:?}"),
-        }
-        self
+    /// Inserts into a map value (builder-style). A `self` that is not a
+    /// map is replaced by one holding just this entry.
+    pub fn with(self, key: &str, value: impl Into<Value>) -> Value {
+        let mut map = match self {
+            Value::Map(map) => map,
+            _ => BTreeMap::new(),
+        };
+        map.insert(key.to_owned(), value.into());
+        Value::Map(map)
     }
 
     /// Serializes to bytes.
@@ -1042,9 +1049,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "non-map")]
-    fn with_on_non_map_panics() {
-        let _ = Value::Int(1).with("k", 2i64);
+    fn with_on_a_non_map_starts_a_map() {
+        assert_eq!(Value::Int(1).with("k", 2i64), Value::map().with("k", 2i64));
     }
 
     #[test]

@@ -4,7 +4,6 @@ use std::fmt;
 use std::time::Duration;
 
 use bytes::Bytes;
-use rustwren_sim::sync::Event;
 
 use crate::error::ActionError;
 use crate::platform::ActivationCtx;
@@ -34,56 +33,6 @@ where
 {
     fn invoke(&self, ctx: &ActivationCtx, payload: Bytes) -> Result<Bytes, ActionError> {
         self(ctx, payload)
-    }
-}
-
-/// What a [`ResumableBody`]'s poll asks the platform to do next.
-#[derive(Debug)]
-pub enum BodyStep {
-    /// Resume after this much virtual time — how a resumable body charges
-    /// modeled compute ([`ActivationCtx::scaled`] applies the container's
-    /// speed factor). A zero duration resumes immediately.
-    Sleep(Duration),
-    /// Resume once this event has fired (immediately if it already has).
-    Wait(Event),
-    /// Resume at once, on an OS thread of the activation's own: from its
-    /// next resume on, the body may call anything that blocks. This is how
-    /// a [`CloudFunctions::register_action`](crate::CloudFunctions::register_action)
-    /// closure runs (asked for before it is called), and how a resumable
-    /// body reaches code it does not own — a user function, say — part way
-    /// through. Asking again once on a thread is a no-op.
-    Thread,
-    /// The body is finished, with the action's result.
-    Done(Result<Bytes, ActionError>),
-}
-
-/// The body of one activation of a *resumable* action: a state machine the
-/// platform polls, instead of a function it calls and waits for. It may
-/// charge time and wait on events — by returning the matching [`BodyStep`],
-/// never by calling anything that blocks — so the platform runs the whole
-/// activation as a lightweight task with no OS thread behind it.
-///
-/// Which kind an action is follows from how it was registered
-/// ([`CloudFunctions::register_action`](crate::CloudFunctions::register_action)
-/// for a blocking [`Action`],
-/// [`CloudFunctions::register_resumable`](crate::CloudFunctions::register_resumable)
-/// for this); nothing else selects between them. Implemented automatically
-/// for closures of the right shape.
-pub trait ResumableBody: Send {
-    /// Runs the body to its next suspension point. Called again after each
-    /// `Sleep`/`Wait` it returned has elapsed/fired, and never after `Done`.
-    /// A panic, like a panic in an [`Action`], is recorded as
-    /// [`crate::Outcome::Crashed`]; that includes the kernel's refusal of a
-    /// blocking call (`ctx.charge`, a COS or FaaS client) made from here.
-    fn resume(&mut self, ctx: &ActivationCtx) -> BodyStep;
-}
-
-impl<F> ResumableBody for F
-where
-    F: FnMut(&ActivationCtx) -> BodyStep + Send,
-{
-    fn resume(&mut self, ctx: &ActivationCtx) -> BodyStep {
-        self(ctx)
     }
 }
 

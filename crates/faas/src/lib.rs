@@ -38,7 +38,7 @@ mod platform;
 mod runtime;
 mod tenant;
 
-pub use action::{Action, ActionConfig, BodyStep, ResumableBody};
+pub use action::{Action, ActionConfig};
 pub use activation::{ActivationId, ActivationRecord, Outcome, Phase};
 pub use client::{FaasClient, ThrottleSignal};
 pub use error::{ActionError, FaasError, InvokeError, RegisterError};

@@ -18,7 +18,8 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::fmt;
-use std::panic::{self, AssertUnwindSafe};
+use std::future::Future;
+use std::pin::{pin, Pin};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -27,13 +28,13 @@ use bytes::Bytes;
 use parking_lot::{Mutex, MutexGuard};
 use rustwren_sim::hash::{hash2, unit_f64};
 use rustwren_sim::sync::Event;
-use rustwren_sim::{Kernel, LightStep, NetworkProfile, ResourceId, SimInstant};
+use rustwren_sim::{task, Kernel, NetworkProfile, ResourceId, SimInstant};
 use rustwren_store::{CosClient, ObjectStore, OpCounters, OpCounts};
 
-use crate::action::{Action, ActionConfig, BodyStep, ResumableBody};
+use crate::action::{Action, ActionConfig};
 use crate::activation::{ActivationId, ActivationRecord, Outcome, Phase};
 use crate::client::FaasClient;
-use crate::error::{FaasError, InvokeError, RegisterError};
+use crate::error::{ActionError, FaasError, InvokeError, RegisterError};
 use crate::runtime::DockerRegistry;
 use crate::tenant::{
     ArrivalHistory, KeepAlivePolicy, KeepDecision, TenantConfig, TenantId, TenantStats,
@@ -152,11 +153,9 @@ struct Container {
     /// Unique container id, used to derive the deterministic speed factor
     /// and as the order-independent LRU-eviction tie-break.
     id: u64,
-    /// Warm-pool key: `namespace/action`. Containers never migrate across
-    /// tenants.
-    key: String,
-    /// The tenant whose warm-pool accounting this container bills to.
-    tenant: TenantId,
+    /// The warm pool it idles in, and the tenant whose warm-pool accounting
+    /// it bills to. Containers never migrate across tenants.
+    key: PoolKey,
     worker: usize,
     /// Relative CPU speed; `charge(d)` takes `d / speed` of virtual time.
     speed: f64,
@@ -174,46 +173,38 @@ struct Container {
     cache: BlobCache,
 }
 
-/// Warm-pool key for a tenant's action.
-fn pool_key(namespace: &str, action: &str) -> String {
-    format!("{namespace}/{action}")
+/// Warm-pool key: one tenant's one action. Compared and hashed as the pair
+/// it is — a formatted `namespace/action` would let `t` + `x/f` and `t/x` +
+/// `f` share containers, and neither half forbids a `/` (agent actions are
+/// named after `org/image:tag` runtimes).
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+struct PoolKey {
+    tenant: TenantId,
+    action: String,
 }
 
-/// State machine for a lightweight prewarm task (see
-/// [`SimPlatform::schedule_prewarm`]). One variant per suspension point so
-/// the task's virtual timeline — predicted-arrival delay, image pull, cold
-/// start — matches the thread-backed original sleep for sleep.
-enum PrewarmPhase {
-    /// Waiting out the gap until just before the predicted arrival.
-    Wait { delay: Duration },
-    /// Re-validate the prediction and claim capacity.
-    Admit,
-    /// Image pull paid; cold start still owed.
-    ColdStart { container: Container },
-    /// All delays paid; publish to the warm pool (or stand down if the
-    /// keep-alive window closed meanwhile).
-    Install { container: Container },
-    /// Terminal (also the placeholder while a poll is in flight).
-    Finished,
+impl fmt::Display for PoolKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}/{}", self.tenant, self.action)
+    }
 }
 
-/// Virtual-time backoff before a poll that found a platform lock held
-/// tries again. Activations and prewarms may run as light tasks, on a
-/// borrowed stack that must never park, so they take platform locks with
-/// `try_lock` and handle contention by rescheduling the poll.
+/// Virtual-time backoff before resumable code that found a platform lock
+/// held tries again (see [`locked`]).
 const LOCK_RETRY: Duration = Duration::from_micros(100);
 
-/// Outcome of the admission half of a prewarm (see
-/// [`CloudFunctions::prewarm_admit`]).
-enum PrewarmAdmit {
-    /// A platform lock was held; poll again after a short virtual backoff.
-    Retry,
-    /// The prediction no longer stands, the pool is already warm, or the
-    /// cluster is full: abandon the prewarm.
-    StandDown,
-    /// Capacity claimed: start this container, paying the optional image
-    /// pull (byte count) first.
-    Admitted(Container, Option<u64>),
+/// Takes a platform lock from resumable code. Activations and prewarms run
+/// as light tasks, on a borrowed stack that must never park, so contention
+/// is a [`LOCK_RETRY`] sleep and another try. The guard is not `Send`: the
+/// compiler rejects holding it across an `.await`, so a poll never parks
+/// holding a platform lock, nor holds two.
+async fn locked<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    loop {
+        if let Some(guard) = mutex.try_lock() {
+            return guard;
+        }
+        task::sleep(LOCK_RETRY).await;
+    }
 }
 
 /// A container-local byte cache, handed to actions through
@@ -279,94 +270,30 @@ enum Handoff {
 struct CapacityWaiter {
     /// The waiting activation: the key its [`Handoff`] is left under.
     id: ActivationId,
-    /// Warm-pool key (`namespace/action`) the waiter can reuse warm.
-    key: String,
+    /// The warm pool the waiter can be handed a container of.
+    key: PoolKey,
     event: Event,
 }
 
-/// One activation from admission to completion: the single lifecycle
-/// every invocation runs, as a state machine whose [`poll`](Lifecycle::poll)
-/// returns the [`LightStep`] to suspend on. It performs the same kernel
-/// operations in the same order whichever vehicle polls it — a light task
-/// for a resumable body, a thread (through `rustwren_sim::run_blocking`)
-/// for a blocking one — so virtual timelines do not depend on the vehicle.
-/// Platform locks are only ever `try_lock`ed: a poll never parks.
-struct Lifecycle {
-    platform: CloudFunctions,
-    id: ActivationId,
-    namespace: String,
-    action: String,
-    registered: Arc<RegisteredAction>,
-    body: Box<dyn ResumableBody>,
-    /// Fired last; [`CloudFunctions::wait`] blocks on it.
-    completion: Event,
-    stage: Stage,
-}
+/// What one attempt to obtain a container came to: the container (whether
+/// it starts cold, and after pulling how many image bytes), or what to park
+/// on before the next attempt.
+type Attempt = Result<(Container, bool, Option<u64>), task::Suspend>;
 
-/// Where a [`Lifecycle`] is. A stage says "parks" where its step can
-/// suspend the activation; every stage that takes a platform lock can also
-/// back off for [`LOCK_RETRY`] and run again. Stages are moved by value at
-/// every step, beneath whatever a blocking body goes on to call, so what
-/// they carry is boxed: it keeps the thread vehicle's stack no deeper than
-/// the straight-line code this replaced.
-enum Stage {
-    /// Accepted. Parks on the admission gate if the invocation was queued.
-    Submitted { gate: Option<Event> },
-    /// Admitted: obtain a container (`first` until the tenant-slot hold is
-    /// on record). Parks on a capacity hand-off if the cluster is full.
-    Acquire { first: bool },
-    /// Woken by a releasing activation: collect what it handed over.
-    Handoff,
-    /// Container owned, image pull (if any) paid. Parks for the cold or
-    /// warm start.
-    Boot {
-        container: Box<Container>,
-        cold: bool,
+/// What is left of a release once the pool lock is dropped.
+enum Released {
+    /// The container, or its capacity, went to this waiter: wake it.
+    Wake(Event),
+    /// The container was destroyed ahead of a predicted arrival: schedule
+    /// its replacement.
+    Prewarm {
+        key: PoolKey,
+        at: SimInstant,
+        until: SimInstant,
+        generation: u64,
     },
-    /// Start paid: record `Running`.
-    Started {
-        container: Box<Container>,
-        cold: bool,
-    },
-    /// Count the start on the tenant and build the body's context (a stage
-    /// of its own so that no poll ever holds two platform locks at once).
-    Running {
-        container: Box<Container>,
-        cold: bool,
-        started: SimInstant,
-    },
-    /// The body. Parks wherever the body does.
-    Body {
-        container: Box<Container>,
-        ctx: Box<ActivationCtx>,
-    },
-    /// Body over: record `Done`.
-    Ended {
-        container: Box<Container>,
-        ended: SimInstant,
-        outcome: Outcome,
-        result: Option<Bytes>,
-    },
-    /// Return the container: to a capacity waiter, the warm pool, or
-    /// nowhere (scheduling a prewarm).
-    Release {
-        container: Box<Container>,
-        timed_out: bool,
-    },
-    /// Free the slots, admit queued work, fire the gates and the
-    /// completion.
-    Finish { timed_out: bool },
-    /// Terminal (also the placeholder while a step is in flight).
-    Finished,
-}
-
-/// A stage's verdict: the stage to be in next, and what to park on before
-/// it runs (`None`: run it now).
-type Step = (Stage, Option<LightStep>);
-
-/// Stay in `stage` and try again after [`LOCK_RETRY`].
-fn retry(stage: Stage) -> Step {
-    (stage, Some(LightStep::Sleep(LOCK_RETRY)))
+    /// It idles in the warm pool, or is gone.
+    Settled,
 }
 
 /// One per-minute rate-limit window: fixed, opened by the first request
@@ -449,7 +376,7 @@ struct PoolState {
     total_containers: usize,
     /// The namespace-wide per-minute rate limit.
     rate: RateWindow,
-    warm: HashMap<String, Vec<Container>>,
+    warm: HashMap<PoolKey, Vec<Container>>,
     waiters: VecDeque<CapacityWaiter>,
     /// What releasing activations left for the capacity waiters they woke,
     /// until each waiter's next poll collects it.
@@ -463,9 +390,9 @@ struct PoolState {
     // BTreeMap, not HashMap: the admission dispatcher iterates tenants to
     // pick the next one, so the order must not depend on the hasher.
     tenants: BTreeMap<String, TenantState>,
-    /// Per `namespace/action` inter-arrival history (hybrid keep-alive
-    /// policies only; lookups by key, never iterated).
-    arrivals: HashMap<String, ArrivalHistory>,
+    /// Per-pool inter-arrival history (hybrid keep-alive policies only;
+    /// lookups by key, never iterated).
+    arrivals: HashMap<PoolKey, ArrivalHistory>,
 }
 
 /// Aggregate statistics for one action; see
@@ -530,9 +457,12 @@ pub struct PlatformStats {
     pub blob_cache_heals: u64,
 }
 
+/// One activation's body, started.
+type Body = Pin<Box<dyn Future<Output = Result<Bytes, ActionError>> + Send>>;
+
 struct RegisteredAction {
-    /// Builds one activation's body from its payload.
-    start: Box<dyn Fn(Bytes) -> Box<dyn ResumableBody> + Send + Sync>,
+    /// Starts one activation's body from its context and payload.
+    start: Box<dyn Fn(ActivationCtx, Bytes) -> Body + Send + Sync>,
     config: ActionConfig,
 }
 
@@ -724,10 +654,10 @@ impl CloudFunctions {
 
     /// Registers (deploys) an action under `name`. Its body may call
     /// anything — COS and FaaS clients, `ctx.charge`, user code that blocks
-    /// — so the body of each activation is the two steps "ask for a thread
-    /// ([`BodyStep::Thread`]), then call `action`": the activation queues,
-    /// waits for capacity and boots as every activation does, without a
-    /// stack, and gets its OS thread when `action` is about to run.
+    /// — so the body of each activation is "ask for a thread, then call
+    /// `action`": the activation queues, waits for capacity and boots as
+    /// every activation does, without a stack, and gets its OS thread when
+    /// `action` is about to run.
     ///
     /// # Errors
     ///
@@ -744,42 +674,48 @@ impl CloudFunctions {
         A: Action + 'static,
     {
         let action = Arc::new(action);
-        self.register_resumable(name, config, move |payload: Bytes| {
+        self.register_resumable(name, config, move |ctx: ActivationCtx, payload: Bytes| {
             let action = Arc::clone(&action);
-            let mut payload = Some(payload);
-            let mut on_thread = false;
-            move |ctx: &ActivationCtx| {
-                if !on_thread {
-                    on_thread = true;
-                    return BodyStep::Thread;
-                }
-                BodyStep::Done(action.invoke(ctx, payload.take().unwrap_or_default()))
+            async move {
+                task::thread().await;
+                // lint: allow(L008) — `action` may block, and may: the line
+                // above has put the activation on an OS thread of its own,
+                // where `LightScope`/`IN_LIGHT_STEP` no longer apply; guarded
+                // by crates/faas/tests/vehicles.rs (every scenario drives one
+                // body both ways) and kernel.rs
+                // promoted_task_reproduces_the_all_thread_schedule
+                action.invoke(&ctx, payload)
             }
         })
     }
 
-    /// Registers (deploys) a *resumable* action under `name`: `start`
-    /// builds one activation's [`ResumableBody`] from its payload (when the
-    /// invocation is accepted, on the invoker's stack: it should only
-    /// capture), and the platform polls that body instead of calling into
-    /// it. Such activations run as lightweight tasks — no OS thread, unless
-    /// and until the body asks for one — on the same lifecycle and the same
-    /// virtual timeline as a blocking action that charges the same time.
+    /// Registers (deploys) a *resumable* action under `name`: `start(ctx,
+    /// payload)` is one activation's body, `async` code that suspends only
+    /// by awaiting [`rustwren_sim::task`]'s leaves (directly, or through
+    /// other resumable code such as the COS client's `*_async` operations).
+    /// It is started once the activation has its container, and polled, not
+    /// called: such activations run as lightweight tasks — no OS thread,
+    /// unless and until the body awaits [`task::thread`] — on the same
+    /// lifecycle and the same virtual timeline as a blocking action that
+    /// charges the same time. A panic in the body is recorded as
+    /// [`Outcome::Crashed`]; that includes the kernel's refusal of a
+    /// blocking call (`ctx.charge`, a COS or FaaS client) made before it
+    /// has asked for a thread.
     ///
     /// # Errors
     ///
     /// As [`register_action`](CloudFunctions::register_action).
-    pub fn register_resumable<B, F>(
+    pub fn register_resumable<F, B>(
         &self,
         name: &str,
         config: ActionConfig,
         start: F,
     ) -> Result<(), RegisterError>
     where
-        B: ResumableBody + 'static,
-        F: Fn(Bytes) -> B + Send + Sync + 'static,
+        F: Fn(ActivationCtx, Bytes) -> B + Send + Sync + 'static,
+        B: Future<Output = Result<Bytes, ActionError>> + Send + 'static,
     {
-        let start = Box::new(move |payload| Box::new(start(payload)) as Box<dyn ResumableBody>);
+        let start = Box::new(move |ctx, payload| Box::pin(start(ctx, payload)) as Body);
         if !self.inner.registry.contains(&config.runtime) {
             return Err(RegisterError::UnknownRuntime(config.runtime.clone()));
         }
@@ -844,7 +780,7 @@ impl CloudFunctions {
 
         let now = self.inner.kernel.now();
         let policy = self.effective_policy(namespace);
-        let (id, gate) = {
+        let (id, gate, key) = {
             let mut pool = self.inner.pool.lock();
             let limit = self.inner.config.invocations_per_minute;
             if let Err(retry_after) = pool.rate.check(now, limit) {
@@ -934,6 +870,10 @@ impl CloudFunctions {
                     t.queue.push_back(gate.clone());
                 }
             }
+            let key = PoolKey {
+                tenant: TenantId::new(namespace),
+                action: action.to_owned(),
+            };
 
             // Feed the hybrid keep-alive histogram (arrivals of accepted
             // invocations only; shed and throttled requests carry no
@@ -942,21 +882,20 @@ impl CloudFunctions {
                 bucket, buckets, ..
             } = &policy
             {
-                let key = pool_key(namespace, action);
                 pool.arrivals
-                    .entry(key)
+                    .entry(key.clone())
                     .or_insert_with(|| ArrivalHistory::new(*buckets))
                     .record(now, *bucket);
             }
-            (id, gate)
+            (id, gate, key)
         };
 
         self.inner.records.lock().insert(
             id,
             ActivationRecord {
                 id,
-                action: action.to_owned(),
-                tenant: TenantId::new(namespace),
+                action: key.action.clone(),
+                tenant: key.tenant.clone(),
                 submitted: now,
                 started: None,
                 ended: None,
@@ -970,35 +909,20 @@ impl CloudFunctions {
         let completion = Event::named(&self.inner.kernel, format!("act-{id}"));
         self.inner.completions.lock().insert(id, completion.clone());
 
-        let body = (registered.start)(payload);
-        let mut lifecycle = Lifecycle {
-            platform: self.clone(),
-            id,
-            namespace: namespace.to_owned(),
-            action: action.to_owned(),
-            registered,
-            body,
-            completion,
-            stage: Stage::Submitted { gate },
-        };
         // Every activation starts without a stack; one whose body blocks
-        // says so when it gets there (`BodyStep::Thread`).
-        // lint: allow(L008) — false positives of name-based dispatch: the
-        // lifecycle's std-map `.get`, the kernel's own `RawMutex::lock` and
-        // `RawCondvar::wait` resolve onto RelayTier::get/CosClient::get, the
-        // shim's Mutex::lock and Event::wait. Every platform lock in `step`
-        // is a try_lock that retries via LightStep::Sleep; the shim locks a
-        // resumable body takes (function registry, blob cache, object
-        // store) are never held across a suspension, so never contended
-        // inside a poll; and a blocking call from a body that has not asked
-        // for a thread is refused by the kernel and booked as `Crashed`.
-        // Guarded by lifecycle_reschedules_its_poll_on_a_contended_platform_lock
-        // and tests/verify.rs serving_burst_conserves_activations_under_every_schedule,
-        // light_agents_conserve_activations_under_faults_and_every_schedule
-        self.inner.kernel.spawn_light(format!("act-{id}"), move || {
-            // Block-bodied so rustwren-lint roots L008 at this closure.
-            lifecycle.poll()
-        });
+        // asks for a thread when it gets there.
+        self.inner.kernel.spawn_light(
+            format!("act-{id}"),
+            task::light(activation(
+                self.clone(),
+                id,
+                key,
+                registered,
+                payload,
+                gate,
+                completion,
+            )),
+        );
         Ok(id)
     }
 
@@ -1069,7 +993,7 @@ impl CloudFunctions {
         let mut live: Vec<(u64, f64)> = Vec::new();
         for v in pool.warm.values() {
             for c in v {
-                if c.tenant.as_str() == namespace {
+                if c.key.tenant.as_str() == namespace {
                     if let Some(since) = c.warmed_since {
                         live.push((c.id, now.duration_since(since).as_secs_f64()));
                     }
@@ -1254,11 +1178,17 @@ impl CloudFunctions {
         Some(image.map_or(0, |i| i.size_bytes))
     }
 
+    /// How long pulling `bytes` of image takes a worker.
+    fn pull_time(&self, bytes: u64) -> Duration {
+        Duration::from_secs_f64(bytes as f64 / self.inner.config.pull_bandwidth.max(1) as f64)
+    }
+
+    /// Starts a fresh container in capacity already claimed; also returns
+    /// the image bytes its worker has to pull first, if any.
     fn make_container_locked(
         &self,
         pool: &mut PoolState,
-        namespace: &str,
-        action_name: &str,
+        key: &PoolKey,
         registered: &RegisteredAction,
         image_bytes: u64,
         prewarm: bool,
@@ -1270,23 +1200,23 @@ impl CloudFunctions {
         pool.next_container_id += 1;
         if prewarm {
             pool.stats.prewarmed += 1;
-            if let Some(t) = pool.tenants.get_mut(namespace) {
+            if let Some(t) = pool.tenants.get_mut(key.tenant.as_str()) {
                 t.stats.prewarmed += 1;
             }
         } else {
             pool.stats.cold_starts += 1;
         }
 
+        // (`worker` is `% cfg.workers`, so its image cache exists.)
         let runtime = &registered.config.runtime;
-        // lint: allow(L009) — worker is `% cfg.workers`, always in bounds
-        let pull = if pool.worker_images[worker].contains(runtime) {
-            None
-        } else {
-            // lint: allow(L009) — same modulo-bounded index
-            pool.worker_images[worker].insert(runtime.clone());
-            pool.stats.image_pulls += 1;
-            Some(image_bytes)
-        };
+        let mut pull = None;
+        if let Some(images) = pool.worker_images.get_mut(worker) {
+            if !images.contains(runtime) {
+                images.insert(runtime.clone());
+                pool.stats.image_pulls += 1;
+                pull = Some(image_bytes);
+            }
+        }
 
         let spread = cfg.speed_variation;
         let speed = 1.0 - spread + 2.0 * spread * unit_f64(hash2(cfg.seed, id ^ 0xC0F_FEE));
@@ -1294,8 +1224,7 @@ impl CloudFunctions {
         (
             Container {
                 id,
-                key: pool_key(namespace, action_name),
-                tenant: TenantId::new(namespace),
+                key: key.clone(),
                 worker,
                 speed,
                 last_used: now,
@@ -1307,38 +1236,151 @@ impl CloudFunctions {
         )
     }
 
-    /// Returns an activation's container: to a capacity waiter if there is
-    /// one, else wherever the keep-alive policy says. Hands the container
-    /// back on pool-lock contention so the poll can retry.
-    fn release_container(&self, mut container: Container) -> Result<(), Container> {
-        let now = self.inner.kernel.now();
-        let Some(mut pool) = self.inner.pool.try_lock() else {
-            return Err(container);
+    /// Obtains activation `id` a container, however many attempts and
+    /// capacity hand-offs that takes, and pays its image pull; returns it
+    /// and whether it starts cold.
+    async fn obtain_container(
+        &self,
+        id: ActivationId,
+        key: &PoolKey,
+        registered: &RegisteredAction,
+    ) -> (Container, bool) {
+        let inner = &self.inner;
+        let mut admitted = false;
+        loop {
+            let attempt = {
+                let mut pool = locked(&inner.pool).await;
+                // The tenant table is fixed at construction, so looking the
+                // namespace up in it is the one test of "does this
+                // activation go through the tenant plane", here and below.
+                if !admitted && pool.tenants.contains_key(key.tenant.as_str()) {
+                    // Admitted: this activation now pins a tenant quota
+                    // slot; queued invocations blocked on admission point
+                    // here in wait-for graphs until it is released.
+                    inner.kernel.hold_resource(inner.admission_res);
+                }
+                admitted = true;
+                self.attempt_locked(&mut pool, id, key, registered)
+            };
+            match attempt {
+                Ok((container, cold, pull)) => {
+                    if let Some(bytes) = pull {
+                        task::sleep(self.pull_time(bytes)).await;
+                    }
+                    return (container, cold);
+                }
+                Err(park) => park.await,
+            }
+        }
+    }
+
+    /// One attempt, under the pool lock, to obtain activation `id` a
+    /// container: what a releasing activation handed it, else warm reuse,
+    /// fresh allocation, LRU eviction or — the cluster being full of busy
+    /// containers — a place in the capacity queue.
+    fn attempt_locked(
+        &self,
+        pool: &mut PoolState,
+        id: ActivationId,
+        key: &PoolKey,
+        registered: &RegisteredAction,
+    ) -> Attempt {
+        let inner = &self.inner;
+        // Owning a container pins cluster capacity in wait-for graphs.
+        let own = |container, cold, pull| {
+            inner.kernel.hold_resource(inner.capacity_res);
+            Ok((container, cold, pull))
         };
+        match pool.handoffs.remove(&id) {
+            Some(Handoff::Warm(container)) => {
+                pool.stats.warm_starts += 1;
+                return own(container, false, None);
+            }
+            // Capacity stays reserved: the granter destroyed its container
+            // without decrementing the total.
+            Some(Handoff::Capacity) => {
+                let Some(image_bytes) = self.image_bytes(registered) else {
+                    pool.handoffs.insert(id, Handoff::Capacity);
+                    return Err(task::sleep(LOCK_RETRY));
+                };
+                let (container, pull) =
+                    self.make_container_locked(pool, key, registered, image_bytes, false);
+                return own(container, true, pull);
+            }
+            // Not a woken waiter (or woken with nothing left for it): take
+            // a turn like everyone else.
+            None => {}
+        }
+        let now = inner.kernel.now();
+        CloudFunctions::expire_idle_locked(pool, now);
+
+        // Chaos cold-start storms bypass the warm pool: the warm
+        // container stays idle (it may still expire) while the
+        // activation pays the full cold-start path.
+        let storm = inner.kernel.chaos().filter(|c| c.cold_storm_active());
+        let bypass = storm.filter(|_| pool.warm.get(key).is_some_and(|v| !v.is_empty()));
+        if bypass.is_none() {
+            if let Some(mut c) = pool.warm.get_mut(key).and_then(Vec::pop) {
+                CloudFunctions::credit_warm_time_locked(pool, &c, now);
+                c.warmed_since = None;
+                pool.stats.warm_starts += 1;
+                return own(c, false, None);
+            }
+        }
+
+        // A fresh container it is. Its image size is the one thing that can
+        // send this attempt back, so it is resolved before anything counts.
+        let Some(image_bytes) = self.image_bytes(registered) else {
+            return Err(task::sleep(LOCK_RETRY));
+        };
+        if let Some(chaos) = bypass {
+            chaos.record_forced_cold(&key.action);
+        }
+        let has_capacity = pool.total_containers < inner.config.cluster_containers
+            || CloudFunctions::evict_lru_locked(pool, now);
+        if has_capacity {
+            pool.total_containers += 1;
+            let (container, pull) =
+                self.make_container_locked(pool, key, registered, image_bytes, false);
+            return own(container, true, pull);
+        }
+
+        // Cluster is full of busy containers: wait for a handoff. The wait
+        // is attributed to the shared capacity resource, so a wedged
+        // cluster shows *which* activations hold containers.
+        let event = Event::for_resource(&inner.kernel, inner.capacity_res);
+        let park = task::wait(&event);
+        pool.waiters.push_back(CapacityWaiter {
+            id,
+            key: key.clone(),
+            event,
+        });
+        Err(park)
+    }
+
+    /// Returns an activation's container, under the pool lock: to a
+    /// capacity waiter if there is one, else wherever the keep-alive policy
+    /// says.
+    fn release_locked(&self, pool: &mut PoolState, mut container: Container) -> Released {
+        let now = self.inner.kernel.now();
         container.last_used = now;
         // Prefer a waiter for the same tenant+action (warm handoff), then
         // any waiter (destroy this container, grant its capacity)…
-        let hand_over = |mut pool: MutexGuard<'_, PoolState>, w: CapacityWaiter, handoff| {
-            pool.handoffs.insert(w.id, handoff);
-            drop(pool);
-            w.event.fire();
-            Ok(())
-        };
         let same_key = pool.waiters.iter().position(|w| w.key == container.key);
         if let Some(w) = same_key.and_then(|idx| pool.waiters.remove(idx)) {
-            return hand_over(pool, w, Handoff::Warm(container));
+            pool.handoffs.insert(w.id, Handoff::Warm(container));
+            return Released::Wake(w.event);
         }
         if let Some(w) = pool.waiters.pop_front() {
-            return hand_over(pool, w, Handoff::Capacity);
+            pool.handoffs.insert(w.id, Handoff::Capacity);
+            return Released::Wake(w.event);
         }
         // …otherwise ask the keep-alive policy.
-        let policy = self.effective_policy(container.tenant.as_str());
-        let decision = pool
-            .arrivals
-            .get(&container.key)
-            .map_or(KeepDecision::KeepUntil(now + self.idle_ttl(&policy)), |h| {
-                h.decide(&policy, now)
-            });
+        let policy = self.effective_policy(container.key.tenant.as_str());
+        let history = pool.arrivals.get(&container.key);
+        let decision = history.map_or(KeepDecision::KeepUntil(now + self.idle_ttl(&policy)), |h| {
+            h.decide(&policy, now)
+        });
         match decision {
             KeepDecision::KeepUntil(until) => {
                 container.expires_at = until;
@@ -1347,22 +1389,24 @@ impl CloudFunctions {
                     .entry(container.key.clone())
                     .or_default()
                     .push(container);
+                Released::Settled
             }
+            // Destroy immediately: the predicted gap to the next arrival
+            // makes idling more expensive than a prewarm.
             KeepDecision::Release { prewarm } => {
-                // Destroy immediately: the predicted gap to the next
-                // arrival makes idling more expensive than a prewarm.
+                let generation = history.map_or(0, |h| h.generation);
                 pool.total_containers -= 1;
-                if let Some((at, until)) = prewarm {
-                    let generation = pool
-                        .arrivals
-                        .get(&container.key)
-                        .map_or(0, |h| h.generation);
-                    drop(pool);
-                    self.schedule_prewarm(&container.tenant, &container.key, at, until, generation);
+                match prewarm {
+                    Some((at, until)) => Released::Prewarm {
+                        key: container.key,
+                        at,
+                        until,
+                        generation,
+                    },
+                    None => Released::Settled,
                 }
             }
         }
-        Ok(())
     }
 
     /// The fixed idle TTL equivalent of `policy`, for containers with no
@@ -1374,176 +1418,66 @@ impl CloudFunctions {
         }
     }
 
-    /// Schedules a lightweight prewarm task that starts a warm container
-    /// for `key` just before the predicted next arrival. Best-effort:
-    /// abandoned if newer arrivals supersede the prediction (`generation`),
-    /// a warm container already exists, or the cluster is full.
-    ///
-    /// Runs as a [`rustwren_sim::spawn_light`] state machine — no OS thread
-    /// — with one `Sleep` per phase so the virtual timeline (delay, image
-    /// pull, cold start) is identical to the thread-backed original.
-    fn schedule_prewarm(
-        &self,
-        tenant: &TenantId,
-        key: &str,
-        at: SimInstant,
-        until: SimInstant,
-        generation: u64,
-    ) {
+    /// Schedules a [`prewarm`] of `key`'s pool just before the predicted
+    /// next arrival, as a lightweight task.
+    fn schedule_prewarm(&self, key: PoolKey, at: SimInstant, until: SimInstant, generation: u64) {
         let now = self.inner.kernel.now();
         if at <= now || until <= at {
             return;
         }
         let delay = at.duration_since(now);
-        let platform = self.clone();
-        let tenant = tenant.clone();
-        let key = key.to_owned();
-        let mut phase = PrewarmPhase::Wait { delay };
-        self.inner
-            .kernel
-            // lint: allow(L008) — false positive: name-based dispatch maps the
-            // prewarm path's std-map `.get` lookups onto FunctionRegistry::get /
-            // CosClient::get; every real acquisition in this closure uses
-            // try_lock/try_read/try_get and retries via LightStep::Sleep
-            .spawn_light(format!("prewarm-{key}-{generation}"), move || {
-                match std::mem::replace(&mut phase, PrewarmPhase::Finished) {
-                    PrewarmPhase::Wait { delay } => {
-                        phase = PrewarmPhase::Admit;
-                        LightStep::Sleep(delay)
-                    }
-                    PrewarmPhase::Admit => {
-                        let (container, pull) =
-                            match platform.prewarm_admit(&tenant, &key, generation) {
-                                PrewarmAdmit::Admitted(container, pull) => (container, pull),
-                                PrewarmAdmit::Retry => {
-                                    phase = PrewarmPhase::Admit;
-                                    return LightStep::Sleep(LOCK_RETRY);
-                                }
-                                PrewarmAdmit::StandDown => return LightStep::Done,
-                            };
-                        // Pay the image pull and cold start on the prewarm
-                        // timer's dime — the whole point is that no
-                        // activation waits for them.
-                        let cfg = &platform.inner.config;
-                        match pull {
-                            Some(bytes) => {
-                                phase = PrewarmPhase::ColdStart { container };
-                                LightStep::Sleep(Duration::from_secs_f64(
-                                    bytes as f64 / cfg.pull_bandwidth.max(1) as f64,
-                                ))
-                            }
-                            None => {
-                                phase = PrewarmPhase::Install { container };
-                                LightStep::Sleep(cfg.cold_start)
-                            }
-                        }
-                    }
-                    PrewarmPhase::ColdStart { container } => {
-                        phase = PrewarmPhase::Install { container };
-                        LightStep::Sleep(platform.inner.config.cold_start)
-                    }
-                    PrewarmPhase::Install { container } => {
-                        match platform.prewarm_install(container, until) {
-                            Ok(()) => LightStep::Done,
-                            Err(container) => {
-                                phase = PrewarmPhase::Install { container };
-                                LightStep::Sleep(LOCK_RETRY)
-                            }
-                        }
-                    }
-                    PrewarmPhase::Finished => LightStep::Done,
-                }
-            });
+        self.inner.kernel.spawn_light(
+            format!("prewarm-{key}-{generation}"),
+            task::light(prewarm(self.clone(), key, delay, until, generation)),
+        );
     }
 
     /// Admission half of a prewarm: re-validates the prediction and, if it
-    /// still stands, claims cluster capacity and builds the container.
-    ///
-    /// Runs inside a light poll, so both platform locks are taken with
-    /// `try_lock`: contention yields [`PrewarmAdmit::Retry`] and the caller
-    /// reschedules the poll instead of parking on a borrowed stack.
-    fn prewarm_admit(&self, tenant: &TenantId, key: &str, generation: u64) -> PrewarmAdmit {
-        // `key` is `namespace/action`; recover the action name.
-        let Some(action_name) = key.strip_prefix(&format!("{tenant}/")).map(str::to_owned) else {
-            return PrewarmAdmit::StandDown;
+    /// still stands, claims cluster capacity and builds the container (to
+    /// be started after pulling the returned image bytes, if any). `None`:
+    /// the prediction no longer stands, the pool is already warm, or the
+    /// cluster is full — abandon the prewarm.
+    async fn prewarm_admit(
+        &self,
+        key: &PoolKey,
+        generation: u64,
+    ) -> Option<(Container, Option<u64>)> {
+        let inner = &self.inner;
+        let registered = locked(&inner.actions).await.get(&key.action).cloned()?;
+        let image_bytes = loop {
+            match self.image_bytes(&registered) {
+                Some(bytes) => break bytes,
+                None => task::sleep(LOCK_RETRY).await,
+            }
         };
-        let Some(actions) = self.inner.actions.try_lock() else {
-            return PrewarmAdmit::Retry;
-        };
-        let Some(registered) = actions.get(&action_name).cloned() else {
-            return PrewarmAdmit::StandDown;
-        };
-        drop(actions);
-        let Some(image_bytes) = self.image_bytes(&registered) else {
-            return PrewarmAdmit::Retry;
-        };
-        let cfg = &self.inner.config;
-        let now = self.inner.kernel.now();
-        let Some(mut pool) = self.inner.pool.try_lock() else {
-            return PrewarmAdmit::Retry;
-        };
+        let mut pool = locked(&inner.pool).await;
+        let now = inner.kernel.now();
         let fresh = pool
             .arrivals
             .get(key)
             .is_some_and(|h| h.generation == generation);
         if !fresh {
-            return PrewarmAdmit::StandDown; // a newer arrival re-predicted
+            return None; // a newer arrival re-predicted
         }
         // Reclamation is lazy, so reap before the warm check: a corpse
         // whose keep-alive window already closed must not stand the
         // prewarm down.
         Self::expire_idle_locked(&mut pool, now);
         if pool.warm.get(key).is_some_and(|v| !v.is_empty()) {
-            return PrewarmAdmit::StandDown; // already warm
+            return None; // already warm
         }
-        if pool.total_containers >= cfg.cluster_containers {
-            return PrewarmAdmit::StandDown; // best-effort: never evict
+        if pool.total_containers >= inner.config.cluster_containers {
+            return None; // best-effort: never evict
         }
         pool.total_containers += 1;
-        let (container, pull) = self.make_container_locked(
-            &mut pool,
-            tenant.as_str(),
-            &action_name,
-            &registered,
-            image_bytes,
-            true,
-        );
-        PrewarmAdmit::Admitted(container, pull)
-    }
-
-    /// Install half of a prewarm: after the pull/cold-start delays have
-    /// elapsed, publishes the container to the warm pool — unless the
-    /// keep-alive window closed while it started. Hands the container back
-    /// on pool-lock contention so the light poll can retry.
-    fn prewarm_install(
-        &self,
-        mut container: Container,
-        until: SimInstant,
-    ) -> Result<(), Container> {
-        let now = self.inner.kernel.now();
-        let Some(mut pool) = self.inner.pool.try_lock() else {
-            return Err(container);
-        };
-        if until <= now {
-            // The keep-alive window closed while the container started.
-            pool.total_containers -= 1;
-            return Ok(());
-        }
-        container.last_used = now;
-        container.expires_at = until;
-        container.warmed_since = Some(now);
-        pool.warm
-            .entry(container.key.clone())
-            .or_default()
-            .push(container);
-        Ok(())
+        Some(self.make_container_locked(&mut pool, key, &registered, image_bytes, true))
     }
 
     /// Credits `container`'s warm-pool idle time (from `warmed_since` to
     /// `until`) to its tenant's accounting.
     fn credit_warm_time_locked(pool: &mut PoolState, container: &Container, until: SimInstant) {
         if let Some(since) = container.warmed_since {
-            if let Some(t) = pool.tenants.get_mut(container.tenant.as_str()) {
+            if let Some(t) = pool.tenants.get_mut(container.key.tenant.as_str()) {
                 t.stats.warm_pool_seconds += until.duration_since(since).as_secs_f64();
             }
         }
@@ -1566,7 +1500,7 @@ impl CloudFunctions {
                     // The policy intended the container to die at
                     // `expires_at`; reclamation is lazy, so bill the idle
                     // time the policy chose, not the scan instant.
-                    *credits.entry(c.tenant.as_str().to_owned()).or_default() +=
+                    *credits.entry(c.key.tenant.as_str().to_owned()).or_default() +=
                         c.expires_at.duration_since(since).as_secs_f64();
                 }
                 false
@@ -1588,7 +1522,7 @@ impl CloudFunctions {
         // Tie-break equal `last_used` on container id: `warm` is a HashMap,
         // and its iteration order must never leak into which container dies
         // (determinism, see the sim kernel's serialization contract).
-        let mut oldest: Option<(&String, usize, SimInstant, u64)> = None;
+        let mut oldest: Option<(&PoolKey, usize, SimInstant, u64)> = None;
         // lint: allow(L003) — the (last_used, id) tie-break above makes the
         // selection independent of iteration order
         for (key, v) in &pool.warm {
@@ -1612,328 +1546,182 @@ impl CloudFunctions {
     }
 }
 
-impl Lifecycle {
-    /// Runs the activation to its next suspension point.
-    // lint: entry(hot_path)
-    // lint: entry(sim_path)
-    fn poll(&mut self) -> LightStep {
-        loop {
-            let (next, park) = match std::mem::replace(&mut self.stage, Stage::Finished) {
-                // From here, not from beneath `step`'s frame: everything a
-                // blocking action calls runs on top of this call, on as
-                // many thread stacks as there are concurrent activations.
-                Stage::Body { container, ctx } => self.run_body(container, ctx),
-                stage => self.step(stage),
-            };
-            self.stage = next;
-            if let Some(park) = park {
-                return park;
+/// One activation from admission to completion: the single lifecycle every
+/// invocation runs, read top to bottom. It performs the same kernel
+/// operations in the same order whichever vehicle polls it — a light task
+/// until its body asks for a thread, that thread from then on — so virtual
+/// timelines do not depend on the vehicle. Platform locks are only ever
+/// taken through [`locked`]: a poll never parks on one.
+// lint: allow(L008) — false positives of name-based dispatch: the pool's
+// std-map `.get`, the kernel's own `RawMutex::lock` (under `Kernel::now`)
+// and `RawCondvar::wait` (under `Event::fire`'s exploration-only probe,
+// which stands down in a light poll) resolve onto RelayTier::get, the shim's
+// Mutex::lock and Event::wait. Every platform lock here is taken through
+// `locked`, a try_lock that retries via `task::sleep`, and the guard cannot
+// be held across an `.await` (it is not `Send`); the body is rooted where it
+// is registered. Guarded by
+// lifecycle_reschedules_its_poll_on_a_contended_platform_lock and tests/verify.rs
+// serving_burst_conserves_activations_under_every_schedule
+// lint: entry(hot_path)
+// lint: entry(sim_path)
+async fn activation(
+    platform: CloudFunctions,
+    id: ActivationId,
+    key: PoolKey,
+    registered: Arc<RegisteredAction>,
+    payload: Bytes,
+    gate: Option<Event>,
+    completion: Event,
+) {
+    let inner = &*platform.inner;
+    let cfg = &inner.config;
+    // This activation is the one that will fire the completion event;
+    // record it so waiter→activation edges appear in deadlock reports.
+    completion.mark_holder();
+    // Queued invocations park here until the weighted round-robin
+    // dispatcher admits them.
+    if let Some(gate) = gate {
+        task::wait(&gate).await;
+    }
+
+    let (container, cold) = platform.obtain_container(id, &key, &registered).await;
+    task::sleep(if cold { cfg.cold_start } else { cfg.warm_start }).await;
+
+    let started = {
+        let mut records = locked(&inner.records).await;
+        let started = inner.kernel.now();
+        if let Some(r) = records.get_mut(&id) {
+            r.started = Some(started);
+            r.cold_start = cold;
+            r.worker = Some(container.worker);
+            r.phase = Phase::Running;
+        }
+        started
+    };
+    {
+        let mut pool = locked(&inner.pool).await;
+        if let Some(t) = pool.tenants.get_mut(key.tenant.as_str()) {
+            if cold {
+                t.stats.cold_starts += 1;
+            } else {
+                t.stats.warm_starts += 1;
             }
         }
     }
 
-    /// The `Body` stage: polls the body, and classifies the outcome once it
-    /// is done.
-    #[inline(never)]
-    fn run_body(&mut self, container: Box<Container>, ctx: Box<ActivationCtx>) -> Step {
-        let body = &mut self.body;
-        let resumed = panic::catch_unwind(AssertUnwindSafe(|| {
-            let step = body.resume(&ctx);
-            if let BodyStep::Sleep(d) = &step {
-                // The deadline the kernel is about to compute, computed
-                // while its overflow is still this body's panic — as it is
-                // inside a blocking body's `ctx.charge` — and nobody else's.
-                let _ = ctx.now() + *d;
-            }
-            step
-        }));
-        let result = match resumed {
-            Ok(BodyStep::Sleep(d)) => {
-                return (Stage::Body { container, ctx }, Some(LightStep::Sleep(d)));
-            }
-            Ok(BodyStep::Wait(event)) => {
-                return (Stage::Body { container, ctx }, Some(LightStep::Wait(event)));
-            }
-            Ok(BodyStep::Thread) => {
-                return (Stage::Body { container, ctx }, Some(LightStep::Thread));
-            }
-            Ok(BodyStep::Done(result)) => Ok(result),
-            Err(p) => Err(p),
-        };
-        let ended = self.platform.inner.kernel.now();
-        let (outcome, result) = match result {
-            Ok(Ok(bytes)) if ended <= ctx.deadline => (Outcome::Success, Some(bytes)),
-            Ok(Ok(_)) => (Outcome::TimedOut, None),
-            Ok(Err(_)) if ended > ctx.deadline => (Outcome::TimedOut, None),
-            Ok(Err(e)) => (Outcome::Failed(e.0), None),
-            Err(p) => (Outcome::Crashed(panic_message(&p)), None),
-        };
-        let next = Stage::Ended {
-            container,
-            ended,
-            outcome,
-            result,
-        };
-        (next, None)
-    }
-
-    /// One stage other than the body. Every platform lock is `try_lock`ed
-    /// before the stage changes anything, so backing off with [`retry`]
-    /// repeats nothing.
-    fn step(&mut self, stage: Stage) -> Step {
-        let inner = &self.platform.inner;
-        let cfg = &inner.config;
-        match stage {
-            Stage::Submitted { gate } => {
-                // This activation is the one that will fire the completion
-                // event; record it so waiter→activation edges appear in
-                // deadlock reports.
-                self.completion.mark_holder();
-                // Queued invocations park here until the weighted
-                // round-robin dispatcher admits them.
-                (Stage::Acquire { first: true }, gate.map(LightStep::Wait))
-            }
-            Stage::Acquire { first } => {
-                let Some(mut pool) = inner.pool.try_lock() else {
-                    return retry(Stage::Acquire { first });
-                };
-                // The tenant table is fixed at construction, so looking the
-                // namespace up in it is the one test of "does this
-                // activation go through the tenant plane", here and below.
-                if first && pool.tenants.contains_key(&self.namespace) {
-                    // Admitted: this activation now pins a tenant quota
-                    // slot; queued invocations blocked on admission point
-                    // here in wait-for graphs until it is released.
-                    inner.kernel.hold_resource(inner.admission_res);
-                }
-                self.acquire(&mut pool)
-            }
-            Stage::Handoff => {
-                let Some(mut pool) = inner.pool.try_lock() else {
-                    return retry(Stage::Handoff);
-                };
-                match pool.handoffs.remove(&self.id) {
-                    Some(Handoff::Warm(container)) => {
-                        pool.stats.warm_starts += 1;
-                        self.boot(container, false, None)
-                    }
-                    // Capacity stays reserved: the granter destroyed its
-                    // container without decrementing the total.
-                    Some(Handoff::Capacity) => match self.platform.image_bytes(&self.registered) {
-                        Some(image_bytes) => self.make_container(&mut pool, image_bytes),
-                        None => {
-                            pool.handoffs.insert(self.id, Handoff::Capacity);
-                            retry(Stage::Handoff)
-                        }
-                    },
-                    // Woken with nothing left for us: queue up again.
-                    None => (Stage::Acquire { first: false }, None),
-                }
-            }
-            Stage::Boot { container, cold } => {
-                let start = if cold { cfg.cold_start } else { cfg.warm_start };
-                (
-                    Stage::Started { container, cold },
-                    Some(LightStep::Sleep(start)),
-                )
-            }
-            Stage::Started { container, cold } => {
-                let Some(mut records) = inner.records.try_lock() else {
-                    return retry(Stage::Started { container, cold });
-                };
-                let started = inner.kernel.now();
-                if let Some(r) = records.get_mut(&self.id) {
-                    r.started = Some(started);
-                    r.cold_start = cold;
-                    r.worker = Some(container.worker);
-                    r.phase = Phase::Running;
-                }
-                let next = Stage::Running {
-                    container,
-                    cold,
-                    started,
-                };
-                (next, None)
-            }
-            Stage::Running {
-                container,
-                cold,
-                started,
-            } => {
-                let Some(mut pool) = inner.pool.try_lock() else {
-                    let again = Stage::Running {
-                        container,
-                        cold,
-                        started,
-                    };
-                    return retry(again);
-                };
-                if let Some(t) = pool.tenants.get_mut(&self.namespace) {
-                    if cold {
-                        t.stats.cold_starts += 1;
-                    } else {
-                        t.stats.warm_starts += 1;
-                    }
-                }
-                drop(pool);
-                let timeout = self.registered.config.timeout.min(cfg.max_exec_time);
-                let ctx = Box::new(ActivationCtx {
-                    platform: self.platform.clone(),
-                    id: self.id,
-                    tenant: TenantId::new(self.namespace.as_str()),
-                    action: self.action.clone(),
-                    speed: container.speed,
-                    started,
-                    deadline: started + timeout,
-                    worker: container.worker,
-                    cache: container.cache.clone(),
-                });
-                (Stage::Body { container, ctx }, None)
-            }
-            // `poll` runs the body itself.
-            Stage::Body { container, ctx } => self.run_body(container, ctx),
-            Stage::Ended {
-                container,
-                ended,
-                outcome,
-                result,
-            } => {
-                let Some(mut records) = inner.records.try_lock() else {
-                    let again = Stage::Ended {
-                        container,
-                        ended,
-                        outcome,
-                        result,
-                    };
-                    return retry(again);
-                };
-                let timed_out = matches!(outcome, Outcome::TimedOut);
-                if let Some(r) = records.get_mut(&self.id) {
-                    r.ended = Some(ended);
-                    r.result = result;
-                    r.phase = Phase::Done(outcome);
-                }
-                let next = Stage::Release {
-                    container,
-                    timed_out,
-                };
-                (next, None)
-            }
-            Stage::Release {
-                container,
-                timed_out,
-            } => match self.platform.release_container(*container) {
-                Ok(()) => {
-                    inner.kernel.release_resource(inner.capacity_res);
-                    (Stage::Finish { timed_out }, None)
-                }
-                Err(container) => retry(Stage::Release {
-                    container: Box::new(container),
-                    timed_out,
-                }),
-            },
-            Stage::Finish { timed_out } => {
-                let Some(mut pool) = inner.pool.try_lock() else {
-                    return retry(Stage::Finish { timed_out });
-                };
-                pool.inflight -= 1;
-                pool.stats.completed += 1;
-                if timed_out {
-                    pool.stats.timeouts += 1;
-                }
-                if let Some(t) = pool.tenants.get_mut(&self.namespace) {
-                    t.inflight -= 1;
-                    t.stats.completed += 1;
-                    inner.kernel.release_resource(inner.admission_res);
-                }
-                // A concurrency slot (and possibly a quota slot) just freed:
-                // admit queued work before anyone observes the completion.
-                let gates = self.platform.dispatch_queued_locked(&mut pool);
-                drop(pool);
-                for gate in gates {
-                    gate.fire();
-                }
-                self.completion.fire();
-                (Stage::Finished, Some(LightStep::Done))
-            }
-            Stage::Finished => (Stage::Finished, Some(LightStep::Done)),
+    let deadline = started + registered.config.timeout.min(cfg.max_exec_time);
+    let ctx = ActivationCtx {
+        platform: platform.clone(),
+        id,
+        tenant: key.tenant.clone(),
+        action: key.action.clone(),
+        speed: container.speed,
+        started,
+        deadline,
+        worker: container.worker,
+        cache: container.cache.clone(),
+    };
+    // The body: started and polled under `catch_unwind`, it parks wherever
+    // it awaits, and everything a blocking action calls runs on top of this
+    // poll — on as many thread stacks as there are concurrent activations.
+    let body = pin!(async { (registered.start)(ctx, payload).await });
+    let result = task::catch_unwind(body).await;
+    let ended = inner.kernel.now();
+    let (outcome, result) = match result {
+        Ok(Ok(bytes)) if ended <= deadline => (Outcome::Success, Some(bytes)),
+        Ok(Ok(_)) => (Outcome::TimedOut, None),
+        Ok(Err(_)) if ended > deadline => (Outcome::TimedOut, None),
+        Ok(Err(e)) => (Outcome::Failed(e.0), None),
+        Err(p) => (Outcome::Crashed(panic_message(&p)), None),
+    };
+    let timed_out = matches!(outcome, Outcome::TimedOut);
+    {
+        let mut records = locked(&inner.records).await;
+        if let Some(r) = records.get_mut(&id) {
+            r.ended = Some(ended);
+            r.result = result;
+            r.phase = Phase::Done(outcome);
         }
     }
 
-    /// One attempt, under the pool lock, to obtain a container: warm reuse,
-    /// fresh allocation, LRU eviction or — the cluster being full of busy
-    /// containers — a place in the capacity queue.
-    fn acquire(&self, pool: &mut PoolState) -> Step {
-        let inner = &self.platform.inner;
-        let key = pool_key(&self.namespace, &self.action);
-        let now = inner.kernel.now();
-        CloudFunctions::expire_idle_locked(pool, now);
-
-        // Chaos cold-start storms bypass the warm pool: the warm
-        // container stays idle (it may still expire) while the
-        // activation pays the full cold-start path.
-        let storm = inner.kernel.chaos().filter(|c| c.cold_storm_active());
-        let bypass = storm.filter(|_| pool.warm.get(&key).is_some_and(|v| !v.is_empty()));
-        if bypass.is_none() {
-            if let Some(mut c) = pool.warm.get_mut(&key).and_then(Vec::pop) {
-                CloudFunctions::credit_warm_time_locked(pool, &c, now);
-                c.warmed_since = None;
-                pool.stats.warm_starts += 1;
-                return self.boot(c, false, None);
-            }
-        }
-
-        // A fresh container it is. Its image size is the one thing that can
-        // send this attempt back, so it is resolved before anything counts.
-        let Some(image_bytes) = self.platform.image_bytes(&self.registered) else {
-            return retry(Stage::Acquire { first: false });
-        };
-        if let Some(chaos) = bypass {
-            chaos.record_forced_cold(&self.action);
-        }
-        let has_capacity = pool.total_containers < inner.config.cluster_containers
-            || CloudFunctions::evict_lru_locked(pool, now);
-        if has_capacity {
-            pool.total_containers += 1;
-            return self.make_container(pool, image_bytes);
-        }
-
-        // Cluster is full of busy containers: wait for a handoff. The wait
-        // is attributed to the shared capacity resource, so a wedged
-        // cluster shows *which* activations hold containers.
-        let event = Event::for_resource(&inner.kernel, inner.capacity_res);
-        pool.waiters.push_back(CapacityWaiter {
-            id: self.id,
+    let released = {
+        let mut pool = locked(&inner.pool).await;
+        platform.release_locked(&mut pool, container)
+    };
+    match released {
+        Released::Wake(waiter) => waiter.fire(),
+        Released::Prewarm {
             key,
-            event: event.clone(),
-        });
-        (Stage::Handoff, Some(LightStep::Wait(event)))
+            at,
+            until,
+            generation,
+        } => platform.schedule_prewarm(key, at, until, generation),
+        Released::Settled => {}
     }
+    inner.kernel.release_resource(inner.capacity_res);
 
-    /// Starts a fresh container in capacity already claimed.
-    fn make_container(&self, pool: &mut PoolState, image_bytes: u64) -> Step {
-        let (container, pull) = self.platform.make_container_locked(
-            pool,
-            &self.namespace,
-            &self.action,
-            &self.registered,
-            image_bytes,
-            false,
-        );
-        self.boot(container, true, pull)
+    let gates = {
+        let mut pool = locked(&inner.pool).await;
+        pool.inflight -= 1;
+        pool.stats.completed += 1;
+        if timed_out {
+            pool.stats.timeouts += 1;
+        }
+        if let Some(t) = pool.tenants.get_mut(key.tenant.as_str()) {
+            t.inflight -= 1;
+            t.stats.completed += 1;
+            inner.kernel.release_resource(inner.admission_res);
+        }
+        // A concurrency slot (and possibly a quota slot) just freed: admit
+        // queued work before anyone observes the completion.
+        platform.dispatch_queued_locked(&mut pool)
+    };
+    for gate in gates {
+        gate.fire();
     }
+    completion.fire();
+}
 
-    /// The activation owns a container: pay the image pull, if any, before
-    /// the start.
-    fn boot(&self, container: Container, cold: bool, pull: Option<u64>) -> Step {
-        let inner = &self.platform.inner;
-        inner.kernel.hold_resource(inner.capacity_res);
-        let pull = pull.map(|bytes| {
-            Duration::from_secs_f64(bytes as f64 / inner.config.pull_bandwidth.max(1) as f64)
-        });
-        let container = Box::new(container);
-        (Stage::Boot { container, cold }, pull.map(LightStep::Sleep))
+/// The prewarm pipeline: starts a warm container for `key`'s pool `delay`
+/// from now, just before the predicted next arrival, to idle there until
+/// `until`. Best-effort: abandoned if newer arrivals supersede the
+/// prediction (`generation`), a warm container already exists, or the
+/// cluster is full.
+// lint: allow(L008) — false positives of name-based dispatch, as on
+// `activation`: std-map `.get` lookups resolve onto RelayTier::get and
+// CosClient::get, the kernel's `RawMutex::lock` onto the shim's, and the
+// registry's `try_get` sits beside a `push` this never calls; every lock
+// here is `locked` or try_read. Guarded by
+// prewarm_backs_off_on_contended_platform_locks
+async fn prewarm(
+    platform: CloudFunctions,
+    key: PoolKey,
+    delay: Duration,
+    until: SimInstant,
+    generation: u64,
+) {
+    let inner = &*platform.inner;
+    task::sleep(delay).await;
+    let Some((mut container, pull)) = platform.prewarm_admit(&key, generation).await else {
+        return;
+    };
+    // Pay the image pull and cold start on the prewarm timer's dime — the
+    // whole point is that no activation waits for them.
+    if let Some(bytes) = pull {
+        task::sleep(platform.pull_time(bytes)).await;
     }
+    task::sleep(inner.config.cold_start).await;
+    let mut pool = locked(&inner.pool).await;
+    let now = inner.kernel.now();
+    if until <= now {
+        // The keep-alive window closed while the container started.
+        pool.total_containers -= 1;
+        return;
+    }
+    container.last_used = now;
+    container.expires_at = until;
+    container.warmed_since = Some(now);
+    pool.warm.entry(key).or_default().push(container);
 }
 
 fn panic_message(p: &Box<dyn std::any::Any + Send>) -> String {
@@ -2011,8 +1799,8 @@ impl ActivationCtx {
 
     /// How long `d` of modeled CPU work takes on this container: `d`
     /// scaled by its speed factor (slower containers take proportionally
-    /// longer — the Fig 3 variability). What a resumable body returns in
-    /// [`BodyStep::Sleep`] to charge `d`.
+    /// longer — the Fig 3 variability). What a resumable body awaits
+    /// [`task::sleep`] for to charge `d`.
     pub fn scaled(&self, d: Duration) -> Duration {
         d.div_f64(self.speed)
     }
@@ -2088,7 +1876,8 @@ impl ActivationCtx {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::ActionError;
+    use rustwren_sim::LightStep;
+    use std::ops::ControlFlow;
 
     fn setup(config: PlatformConfig) -> (Kernel, CloudFunctions) {
         let kernel = Kernel::new();
@@ -2120,86 +1909,179 @@ mod tests {
         assert_eq!(w.check(at(90), 1), Err(Duration::from_secs(30)));
     }
 
+    /// The sleep `step`, one poll of resumable code driven by hand, asked
+    /// for.
+    fn slept<T: fmt::Debug>(step: ControlFlow<T, LightStep>) -> Duration {
+        match step {
+            ControlFlow::Continue(LightStep::Sleep(d)) => d,
+            other => panic!("expected a sleep, got {other:?}"),
+        }
+    }
+
     #[test]
-    fn prewarm_halves_never_block_on_contended_platform_locks() {
+    fn prewarm_backs_off_on_contended_platform_locks() {
         // A prewarm runs as a light task on a borrowed stack: parking
-        // there aborts the simulation (lint rule L008). Both halves must
-        // bail out with a retry instead of blocking when a platform lock
-        // is held.
-        let (_kernel, faas) = setup(PlatformConfig::default());
+        // there aborts the simulation (lint rule L008). Polled by hand,
+        // one poll at a time, each one that finds a platform lock held
+        // must ask for a `LOCK_RETRY` sleep instead of blocking, and lose
+        // or double-count nothing for it.
+        let (kernel, faas) = setup(PlatformConfig::default());
         faas.register_action("echo", ActionConfig::default(), echo_action())
             .unwrap();
-        let tenant = TenantId::new("ns");
-        let key = "ns/echo";
-
-        let actions = faas.inner.actions.lock();
-        assert!(matches!(
-            faas.prewarm_admit(&tenant, key, 0),
-            PrewarmAdmit::Retry
-        ));
-        drop(actions);
-
-        let pool = faas.inner.pool.lock();
-        assert!(matches!(
-            faas.prewarm_admit(&tenant, key, 0),
-            PrewarmAdmit::Retry
-        ));
-        drop(pool);
-
-        // Uncontended with a fresh prediction: admission claims capacity…
-        faas.inner
-            .pool
-            .lock()
-            .arrivals
-            .insert(key.to_owned(), ArrivalHistory::new(4));
-        let PrewarmAdmit::Admitted(container, _pull) = faas.prewarm_admit(&tenant, key, 0) else {
-            panic!("expected admission with a fresh prediction");
+        let key = PoolKey {
+            tenant: TenantId::new("ns"),
+            action: "echo".to_owned(),
         };
+        kernel.run("client", || {
+            let inner = &faas.inner;
+            // A fresh prediction, so that admission claims capacity.
+            let mut pool = inner.pool.lock();
+            pool.arrivals.insert(key.clone(), ArrivalHistory::new(4));
+            drop(pool);
+            let delay = Duration::from_secs(1);
+            let until = SimInstant::ZERO + Duration::from_secs(60);
+            let mut prewarm = pin!(prewarm(faas.clone(), key.clone(), delay, until, 0));
+            let mut poll = || task::resume(prewarm.as_mut());
+            assert_eq!(slept(poll()), delay);
 
-        // …and a contended install hands the container back for a later
-        // poll instead of dropping (or double-counting) it.
-        let until = faas.inner.kernel.now() + Duration::from_secs(60);
-        let pool = faas.inner.pool.lock();
-        let container = faas
-            .prewarm_install(container, until)
-            .expect_err("contended install must hand the container back");
-        drop(pool);
-        assert!(faas.prewarm_install(container, until).is_ok());
-        assert_eq!(faas.inner.pool.lock().warm.get(key).map(Vec::len), Some(1));
+            let actions = inner.actions.lock();
+            assert_eq!(slept(poll()), LOCK_RETRY);
+            drop(actions);
+            let pool = inner.pool.lock();
+            assert_eq!(slept(poll()), LOCK_RETRY);
+            assert_eq!(pool.total_containers, 0);
+            drop(pool);
+
+            // Admitted: the image pull, then the cold start…
+            assert_eq!(slept(poll()), faas.pull_time(340 * 1024 * 1024));
+            assert_eq!(inner.pool.lock().total_containers, 1);
+            assert_eq!(slept(poll()), inner.config.cold_start);
+            // …and a contended install keeps the container for a later poll.
+            let pool = inner.pool.lock();
+            assert_eq!(slept(poll()), LOCK_RETRY);
+            assert!(pool.warm.is_empty());
+            drop(pool);
+            assert!(poll().is_break());
+            let pool = inner.pool.lock();
+            assert_eq!(pool.warm.get(&key).map(Vec::len), Some(1));
+            assert_eq!((pool.total_containers, pool.stats.prewarmed), (1, 1));
+        });
+    }
+
+    /// A resumable body that charges `millis` and echoes its payload.
+    fn register_charging(faas: &CloudFunctions, name: &str, millis: u64) {
+        let body = move |ctx: ActivationCtx, p: Bytes| async move {
+            task::sleep(ctx.scaled(Duration::from_millis(millis))).await;
+            Ok(p)
+        };
+        faas.register_resumable(name, ActionConfig::default(), body)
+            .unwrap();
     }
 
     #[test]
     fn lifecycle_reschedules_its_poll_on_a_contended_platform_lock() {
-        // A resumable activation runs as a light task on a borrowed stack:
-        // parking there would wedge the dispatcher. Nothing in the tree
-        // sleeps holding a platform lock, so this test does: each stage
-        // that finds the lock taken must back off `LOCK_RETRY` at a time
-        // and carry on, unharmed, once it is free.
-        for hog_records in [true, false] {
-            let (kernel, faas) = setup(PlatformConfig::default());
-            faas.register_resumable("serve", ActionConfig::default(), |p: Bytes| {
-                move |_ctx: &ActivationCtx| BodyStep::Done(Ok(p.clone()))
-            })
-            .unwrap();
+        // An activation runs as a light task on a borrowed stack: parking
+        // there would wedge the dispatcher. Nothing in the tree sleeps
+        // holding a platform lock, so this test's client does, across each
+        // region of the lifecycle in turn: the region that finds its lock
+        // taken must back off `LOCK_RETRY` at a time and carry on, unharmed,
+        // once it is free.
+        let run = |hog: Option<(bool, Duration, Duration)>| {
+            let (kernel, faas) = setup(PlatformConfig {
+                speed_variation: 0.0,
+                ..PlatformConfig::default()
+            });
+            register_charging(&faas, "serve", 1_000);
             let record = kernel.run("client", || {
-                // Cold start: the activation next needs a lock at ~2.1 s.
                 let id = faas.invoke("serve", Bytes::from_static(b"x")).unwrap();
-                let hog = faas.clone();
-                rustwren_sim::spawn("hog", move || {
-                    rustwren_sim::sleep(Duration::from_secs(1));
-                    let _records = hog_records.then(|| hog.inner.records.lock());
-                    let _pool = (!hog_records).then(|| hog.inner.pool.lock());
-                    rustwren_sim::sleep(Duration::from_secs(2));
-                });
+                if let Some((hog_records, from, to)) = hog {
+                    rustwren_sim::sleep(from);
+                    let _records = hog_records.then(|| faas.inner.records.lock());
+                    let _pool = (!hog_records).then(|| faas.inner.pool.lock());
+                    rustwren_sim::sleep(to - from);
+                }
                 faas.wait(id)
             });
             assert!(record.is_success(), "{:?}", record.phase);
-            let hog_let_go = SimInstant::ZERO + Duration::from_secs(3);
-            assert!(record.ended.unwrap() >= hog_let_go);
-            assert!(record.ended.unwrap() < hog_let_go + 2 * LOCK_RETRY);
-            assert!(kernel.stats().light_polls > 1_000, "it kept polling");
+            assert_eq!(record.result.as_deref(), Some(&b"x"[..]));
             assert_eq!(faas.inflight(), 0);
+            let completed = kernel.now().duration_since(record.submitted);
+            (record, completed, kernel.stats().light_polls)
+        };
+        let (clean, clean_completed, clean_polls) = run(None);
+        let since_submit = |t: Option<SimInstant>| t.unwrap().duration_since(clean.submitted);
+        let (started, ended) = (since_submit(clean.started), since_submit(clean.ended));
+        assert_eq!(clean_completed, ended);
+        // The lock each region takes, and how long after the invocation the
+        // activation reaches it (`finish` takes the pool right behind
+        // `release`, in the same poll).
+        let regions = [
+            ("obtain", false, Duration::ZERO),
+            ("started", true, started),
+            ("running", false, started),
+            ("ended", true, ended),
+            ("release", false, ended),
+        ];
+        for (region, hog_records, reached) in regions {
+            let from = reached.saturating_sub(Duration::from_millis(500));
+            let to = reached + Duration::from_secs(1);
+            let (record, completed, polls) = run(Some((hog_records, from, to)));
+            // The completion is late by what the hog cost the region, to
+            // within the back-off.
+            let late = completed - clean_completed;
+            assert!(late >= Duration::from_secs(1), "{region}: {late:?}");
+            assert!(
+                late < Duration::from_secs(1) + 2 * LOCK_RETRY,
+                "{region}: {late:?}"
+            );
+            assert!(polls > clean_polls + 1_000, "{region}: it kept polling");
+            assert_eq!(record.cold_start, clean.cold_start);
         }
+    }
+
+    #[test]
+    fn capacity_handoff_waits_out_a_registry_push_and_conserves_containers() {
+        // One container's worth of cluster: `b` queues for capacity behind
+        // `a`, and is woken with `a`'s capacity while the registry is
+        // mid-push, so it cannot size the image of the container it was
+        // just granted. It must put the hand-off back and retry, not lose
+        // the capacity or claim it twice.
+        let (kernel, faas) = setup(PlatformConfig {
+            cluster_containers: 1,
+            speed_variation: 0.0,
+            ..PlatformConfig::default()
+        });
+        register_charging(&faas, "a", 1_000);
+        register_charging(&faas, "b", 1_000);
+        kernel.run("client", || {
+            let inner = &faas.inner;
+            let a = faas.invoke("a", Bytes::new()).unwrap();
+            let b = faas.invoke("b", Bytes::new()).unwrap();
+            rustwren_sim::sleep(Duration::from_secs(3));
+            assert_eq!(inner.pool.lock().waiters.len(), 1, "b queued for capacity");
+            let push = inner.registry.pushing();
+            let released = faas.wait(a).ended.unwrap();
+            rustwren_sim::sleep(Duration::from_secs(1));
+            let pool = inner.pool.lock();
+            assert!(matches!(pool.handoffs.get(&b), Some(Handoff::Capacity)));
+            assert_eq!(pool.total_containers, 1, "a's capacity, still reserved");
+            drop(pool);
+            let polls = kernel.stats().light_polls;
+            assert!(polls > 1_000, "it kept polling");
+            drop(push);
+            let pushed = rustwren_sim::now();
+
+            let record = faas.wait(b);
+            assert!(record.is_success() && record.cold_start);
+            let boot = faas.pull_time(340 * 1024 * 1024) + inner.config.cold_start;
+            let started = record.started.unwrap();
+            assert!(released < pushed && started >= pushed + boot);
+            assert!(started < pushed + boot + 2 * LOCK_RETRY);
+            let pool = inner.pool.lock();
+            assert_eq!(pool.total_containers, 1);
+            assert!(pool.handoffs.is_empty() && pool.waiters.is_empty());
+            assert_eq!((pool.inflight, pool.stats.cold_starts), (0, 2));
+        });
     }
 
     #[test]

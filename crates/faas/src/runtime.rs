@@ -111,6 +111,12 @@ impl DockerRegistry {
         }
     }
 
+    /// Holds the registry as a `docker push` in progress does.
+    #[cfg(test)]
+    pub(crate) fn pushing(&self) -> impl Drop + '_ {
+        self.images.write()
+    }
+
     /// Whether an image exists.
     pub fn contains(&self, name: &str) -> bool {
         self.images.read().contains_key(name)

@@ -181,6 +181,50 @@ proptest! {
 }
 
 #[test]
+fn a_slash_in_a_namespace_or_action_name_never_shares_a_warm_container() {
+    // Neither half of a warm-pool key forbids `/` (agent actions are named
+    // after `org/image:tag` runtimes): tenant `t` running `x/f` and tenant
+    // `t/x` running `f` must stay apart — each starts cold in a container
+    // of its own, sees only its own blob cache, and is billed its own
+    // warm-pool time.
+    let cfg = PlatformConfig {
+        tenants: vec![TenantConfig::new("t", 1), TenantConfig::new("t/x", 1)],
+        ..PlatformConfig::default()
+    };
+    let (kernel, faas) = setup(cfg);
+    // Returns what the container's cache held, then leaves a mark in it.
+    let cachey = |ctx: &ActivationCtx, mark: Bytes| {
+        let found = ctx.blob_cache().get("mark").unwrap_or_default();
+        ctx.blob_cache().insert("mark", mark);
+        Ok(found)
+    };
+    for name in ["x/f", "f"] {
+        faas.register_action(name, ActionConfig::default(), cachey)
+            .unwrap();
+    }
+    let records = kernel.run("client", || {
+        let first = faas.invoke_in("t", "x/f", Bytes::from_static(b"t's"));
+        let first = faas.wait(first.unwrap());
+        rustwren_sim::sleep(Duration::from_secs(10));
+        let second = faas.invoke_in("t/x", "f", Bytes::from_static(b"t/x's"));
+        let second = faas.wait(second.unwrap());
+        rustwren_sim::sleep(Duration::from_secs(10));
+        assert!(first.cold_start && second.cold_start);
+        assert_eq!(second.result.as_deref(), Some(&b""[..]), "an empty cache");
+        assert_ne!(first.worker, second.worker, "a container of its own");
+        [first, second]
+    });
+    for record in records {
+        let ns = record.tenant.as_str();
+        let stats = faas.tenant_stats(ns).unwrap();
+        assert_eq!((stats.cold_starts, stats.warm_starts), (1, 0), "{ns}");
+        // Each container idles from its own activation's end to now.
+        let idle = kernel.now().duration_since(record.ended.unwrap());
+        assert_eq!(stats.warm_pool_seconds, idle.as_secs_f64(), "{ns}");
+    }
+}
+
+#[test]
 fn hybrid_prewarm_serves_periodic_arrivals_warm() {
     // Regression for two prewarm blind spots: (a) the histogram's head
     // quantile is a bucket *upper* edge, so a strictly periodic gap that

@@ -1,10 +1,10 @@
 //! Vehicle equivalence: one activation lifecycle, two ways to ride it.
 //!
-//! Every scenario runs twice on fresh kernels under FIFO — once with its
-//! action registered as a blocking closure (each activation is given an OS
-//! thread when that closure is about to be called, and charges its time
-//! blocked on it), once as the resumable body that charges the same time
-//! (each activation a lightweight task throughout) — and everything an
+//! Every scenario runs twice on fresh kernels under FIFO, with one `async`
+//! body — once registered as it is (each activation a lightweight task
+//! throughout), once driven by `task::block_on` inside a blocking closure
+//! (each activation is given an OS thread when that closure is about to be
+//! called, and charges its time blocked on it) — and everything an
 //! observer can see
 //! must agree: every activation record, the platform and tenant counters,
 //! the bill, the final clock and the kernel's own counters (all but the
@@ -17,12 +17,12 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use rustwren_faas::{
-    ActionConfig, ActivationCtx, ActivationId, ActivationRecord, BillingReport, BodyStep,
+    ActionConfig, ActionError, ActivationCtx, ActivationId, ActivationRecord, BillingReport,
     CloudFunctions, KeepAlivePolicy, Outcome, Phase, PlatformConfig, PlatformStats, TenantConfig,
     TenantStats,
 };
 use rustwren_sim::chaos::{ChaosEngine, FaultPlan, TimeWindow};
-use rustwren_sim::{Kernel, KernelStats, SimInstant};
+use rustwren_sim::{task, Kernel, KernelStats, SimInstant};
 use rustwren_store::ObjectStore;
 
 #[derive(Clone, Copy)]
@@ -31,7 +31,7 @@ enum Vehicle {
     Light,
 }
 
-/// How a body ends once it has charged its time.
+/// How the body ends once it has charged its time.
 #[derive(Clone, Copy)]
 enum Ending {
     Echo,
@@ -46,39 +46,25 @@ fn work(millis: u64, ending: Ending) -> Bytes {
     Bytes::from(p)
 }
 
-fn decode(p: &Bytes) -> (Duration, u8) {
+/// The test action: charge, then end. One piece of resumable code for both
+/// vehicles.
+async fn body(ctx: ActivationCtx, p: Bytes) -> Result<Bytes, ActionError> {
     let millis = u64::from_le_bytes(p[..8].try_into().expect("8-byte duration"));
-    (Duration::from_millis(millis), p[8])
-}
-
-fn finish(ending: u8, p: Bytes) -> Result<Bytes, rustwren_faas::ActionError> {
-    match ending {
+    task::sleep(ctx.scaled(Duration::from_millis(millis))).await;
+    match p[8] {
         e if e == Ending::Echo as u8 => Ok(p),
         e if e == Ending::Fail as u8 => Err("no such city".into()),
         _ => panic!("segfault simulation"),
     }
 }
 
-/// Registers the same behaviour — charge, then end — under `name`, as the
-/// kind of body `vehicle` names.
+/// Registers [`body`] under `name`, to ride `vehicle`.
 fn register(faas: &CloudFunctions, vehicle: Vehicle, name: &str, config: ActionConfig) {
     match vehicle {
         Vehicle::Thread => faas.register_action(name, config, |ctx: &ActivationCtx, p: Bytes| {
-            let (d, ending) = decode(&p);
-            ctx.charge(d);
-            finish(ending, p)
+            task::block_on(body(ctx.clone(), p))
         }),
-        Vehicle::Light => faas.register_resumable(name, config, |p: Bytes| {
-            let mut charged = false;
-            move |ctx: &ActivationCtx| {
-                let (d, ending) = decode(&p);
-                if !charged {
-                    charged = true;
-                    return BodyStep::Sleep(ctx.scaled(d));
-                }
-                BodyStep::Done(finish(ending, p.clone()))
-            }
-        }),
+        Vehicle::Light => faas.register_resumable(name, config, body),
     }
     .expect("the default runtime is always registered");
 }
@@ -376,8 +362,8 @@ fn panicking_body_crashes_but_releases_its_container_and_slots() {
 }
 
 /// A charge too long for the virtual clock is the charging activation's
-/// crash on either vehicle — refused inside `ctx.charge` on a thread, and
-/// as the body's own step on a light task — never a panic on whichever
+/// crash on either vehicle — refused inside the blocking sleep on a thread,
+/// and as the body's own step on a light task — never a panic on whichever
 /// bystander (here the client, inside `wait`) was dispatching when the
 /// timer would have been scheduled.
 #[test]

@@ -34,6 +34,9 @@ pub struct CallGraph {
     /// Call sites that resolved to no definition (external/std calls,
     /// tuple-struct constructors). Kept as a statistic for the report.
     pub unresolved: usize,
+    /// L008's roots, ascending: every light closure, and every definition
+    /// a `spawn_light(.., task::light(callee(..)))` call site resolves to.
+    pub light_roots: Vec<usize>,
 }
 
 /// `crates/core/src/job.rs` → `Some(("core", "rustwren_core"))`;
@@ -82,6 +85,9 @@ pub fn build(defs: Vec<FnDef>) -> CallGraph {
 
     let mut edges: Vec<Vec<Edge>> = vec![Vec::new(); defs.len()];
     let mut unresolved = 0usize;
+    let mut light_roots: BTreeSet<usize> = (0..defs.len())
+        .filter(|&i| defs[i].is_light_closure)
+        .collect();
 
     for (i, caller) in defs.iter().enumerate() {
         let caller_crate = crate_of(&caller.file);
@@ -157,6 +163,9 @@ pub fn build(defs: Vec<FnDef>) -> CallGraph {
                 unresolved += 1;
                 continue;
             }
+            if call.light_root {
+                light_roots.extend(&targets);
+            }
             for t in targets {
                 if seen.insert(t) {
                     edges[i].push(Edge {
@@ -172,6 +181,7 @@ pub fn build(defs: Vec<FnDef>) -> CallGraph {
         defs,
         edges,
         unresolved,
+        light_roots: light_roots.into_iter().collect(),
     }
 }
 
@@ -213,7 +223,7 @@ impl CallGraph {
                 },
                 esc(&d.file),
                 d.line,
-                d.is_light_closure,
+                self.light_roots.binary_search(&i).is_ok(),
                 entries,
                 if i + 1 == self.defs.len() { "" } else { "," }
             ));

@@ -22,7 +22,7 @@
 //! | L005 | `println!`/`eprintln!`/`dbg!` in library crates |
 //! | L006 | *retired in PR 15 (unbounded channel construction; number reserved)* |
 //! | L007 | static lock sites never exercised by any explored schedule |
-//! | L008 | blocking sim primitive reachable from a `spawn_light` closure |
+//! | L008 | blocking sim primitive reachable from a light root (`spawn_light`) |
 //! | L009 | panic site transitively reachable from an agent hot path |
 //! | L010 | wall-clock API transitively reachable from a simulated path |
 //! | L011 | static lock order never exercised by the dynamic lock graph |
@@ -107,7 +107,7 @@ impl Rule {
             Rule::L004 => "unwrap/expect on an agent hot path",
             Rule::L005 => "print macro in library code",
             Rule::L007 => "lock site unexercised by explored schedules",
-            Rule::L008 => "blocking primitive reachable from a spawn_light closure",
+            Rule::L008 => "blocking primitive reachable from a light root",
             Rule::L009 => "panic site reachable from an agent hot path",
             Rule::L010 => "wall-clock API reachable from a simulated path",
             Rule::L011 => "static lock order never dynamically exercised",
@@ -183,34 +183,36 @@ impl Rule {
                  it, or justify with a lint.toml allow entry."
             }
             Rule::L008 => {
-                "L008 — blocking primitive reachable from a spawn_light closure\n\
+                "L008 — blocking primitive reachable from a light root\n\
                  \n\
-                 Interprocedural. A closure passed to `spawn_light` runs as a\n\
-                 poll on the kernel dispatch loop; calling a blocking primitive\n\
+                 Interprocedural. What is handed to `spawn_light` — a closure,\n\
+                 or resumable code as `task::light(async { .. })` /\n\
+                 `task::light(an_async_fn(..))` — runs as a poll on the kernel\n\
+                 dispatch loop, and so does an action body handed to\n\
+                 `register_resumable`; calling a blocking primitive\n\
                  (`Event::wait`, `sleep`, `Kernel::block_current`) from inside it\n\
                  would block the dispatcher itself — the kernel panics at\n\
                  runtime (kernel.rs `IN_LIGHT_STEP`). This rule proves the\n\
-                 absence statically: it walks the call graph from every\n\
-                 `spawn_light` closure and reports any path to a blocking sink,\n\
-                 with the full call chain in the message.\n\
+                 absence statically: it walks the call graph from every such\n\
+                 light root and reports any path to a blocking sink, with the\n\
+                 full call chain in the message.\n\
                  \n\
-                 Fix: restructure as `LightStep` state transitions (return\n\
-                 `LightStep::Sleep(..)` instead of calling `sleep`; poll\n\
-                 `Event::is_fired` and reschedule), or write the poll as\n\
-                 `async` code awaiting `rustwren_sim::task::{sleep, wait}`\n\
-                 (leaf futures, not sinks). The parking_lot shim `Mutex::lock`\n\
-                 is NOT a blocking sink: it spins via `try_lock` and never\n\
-                 parks the dispatcher.\n\
+                 Fix: write the poll as `async` code awaiting\n\
+                 `rustwren_sim::task::{sleep, wait}` (leaf futures, not sinks)\n\
+                 and take locks with try_ variants. The parking_lot shim\n\
+                 `Mutex::lock` is NOT a blocking sink: it spins via `try_lock`\n\
+                 and never parks the dispatcher.\n\
                  \n\
                  Code that runs after the task has asked for an OS thread\n\
-                 (`LightStep::Thread`, `task::thread().await`) may block. Say\n\
-                 so at the call that enters it: `// lint: allow(L008) — reason`\n\
-                 on a call-site line stops the walk from following that call\n\
-                 (and nothing else in the function).\n\
+                 (`task::thread().await`) may block. Say so at the call that\n\
+                 enters it: `// lint: allow(L008) — reason` on a call-site line\n\
+                 stops the walk from following that call (and nothing else in\n\
+                 the function).\n\
                  \n\
                  False positives come from over-approximated method dispatch\n\
                  (any `.wait(` resolves to every `wait` impl). Suppress at the\n\
-                 closure line with `// lint: allow(L008) — reason`."
+                 root's line (the `spawn_light` call, or the `async fn`) with\n\
+                 `// lint: allow(L008) — reason`."
             }
             Rule::L009 => {
                 "L009 — panic site reachable from an agent hot path\n\

@@ -3,9 +3,10 @@
 //!
 //! All four rules are transitive-closure arguments, not line matches:
 //!
-//! - **L008** walks from every `spawn_light` closure and reports paths
-//!   to blocking kernel primitives — the static form of the kernel's
-//!   `IN_LIGHT_STEP` runtime panic.
+//! - **L008** walks from every light root — a closure or resumable code
+//!   handed to `spawn_light` — and reports paths to blocking kernel
+//!   primitives: the static form of the kernel's `IN_LIGHT_STEP` runtime
+//!   panic.
 //! - **L009** walks from `entry(hot_path)` functions to panic sites,
 //!   closing L004's direct-call-only blind spot.
 //! - **L010** walks from `entry(sim_path)` functions to wall-clock reads
@@ -109,9 +110,10 @@ pub fn is_blocking_sink(def: &FnDef) -> bool {
     }
 }
 
-/// L008: blocking primitives statically reachable from `spawn_light`
-/// closures. One violation per (closure, first-sink-on-path) pair,
-/// anchored at the closure (that is where the restructuring happens).
+/// L008: blocking primitives statically reachable from light roots
+/// ([`CallGraph::light_roots`]). One violation per (root,
+/// first-sink-on-path) pair, anchored at the root (that is where the
+/// restructuring happens).
 ///
 /// `promoted(file, line)` says that the call site on that line carries an
 /// inline `allow(L008)`: what it calls runs after the task has asked for
@@ -120,10 +122,7 @@ pub fn is_blocking_sink(def: &FnDef) -> bool {
 /// still followed.
 pub fn l008(graph: &CallGraph, promoted: impl Fn(&str, usize) -> bool) -> Vec<Violation> {
     let mut out = Vec::new();
-    let roots: Vec<usize> = (0..graph.defs.len())
-        .filter(|&i| graph.defs[i].is_light_closure)
-        .collect();
-    for &root in &roots {
+    for &root in &graph.light_roots {
         let parents = bfs(
             graph,
             &[root],
@@ -140,9 +139,9 @@ pub fn l008(graph: &CallGraph, promoted: impl Fn(&str, usize) -> bool) -> Vec<Vi
                 line: graph.defs[root].line,
                 message: format!(
                     "blocking primitive `{}` ({}:{}) is statically reachable from this \
-                     spawn_light closure via {}; a light poll must not block — return \
-                     `LightStep::Sleep`/use try_ variants, or suppress with a reason \
-                     if the dispatch is impossible",
+                     light root via {}; a light poll must not block — await \
+                     `task::sleep`/use try_ variants, ask for a thread first, or \
+                     suppress with a reason if the dispatch is impossible",
                     d.display(),
                     d.file,
                     d.line,

@@ -175,7 +175,7 @@ fn interprocedural(
     exercise: Option<&LockExercise>,
     out: &mut Outcome,
 ) {
-    let lights = graph.defs.iter().filter(|d| d.is_light_closure).count();
+    let lights = graph.light_roots.len();
     let hot = graph
         .defs
         .iter()
@@ -189,7 +189,7 @@ fn interprocedural(
     let edge_count: usize = graph.edges.iter().map(Vec::len).sum();
     out.notes.push(format!(
         "call graph: {} definitions, {} edges, {} unresolved call(s); roots: \
-         {lights} spawn_light closure(s), {hot} hot_path, {sim} sim_path",
+         {lights} light root(s), {hot} hot_path, {sim} sim_path",
         graph.defs.len(),
         edge_count,
         graph.unresolved,

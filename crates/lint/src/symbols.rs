@@ -1,5 +1,5 @@
-//! Symbol extraction: `fn`/`impl`/`trait` definitions and
-//! `spawn_light` closures, recovered from the blanked token stream.
+//! Symbol extraction: `fn`/`impl`/`trait` definitions and the light
+//! roots handed to `spawn_light`, recovered from the blanked token stream.
 //!
 //! This is the first layer of the interprocedural engine (DESIGN §15):
 //! it turns each [`FileScan`] into a list of [`FnDef`]s, where every
@@ -23,6 +23,14 @@
 //!   stays attributed to the parent — over-approximating the parent,
 //!   under-approximating the closure — which is why CONTRIBUTING asks
 //!   for block bodies in `spawn_light` calls.
+//! - Resumable code is handed over as `spawn_light(.., task::light(..))`.
+//!   An `async` block directly inside that `light(` is a synthetic
+//!   definition like the closure; a call directly inside it — the
+//!   `async fn` whose future is the task — is marked
+//!   [`CallSite::light_root`], and its callees are L008 roots.
+//! - The same holds for the code handed to `register_resumable(...)`: the
+//!   platform polls it from inside an activation, so a closure there —
+//!   block-bodied, or `|..| async move { .. }` — is a light closure too.
 //! - `#[cfg(test)]` definitions are extracted but flagged `in_test`;
 //!   the graph builder drops them.
 
@@ -69,6 +77,10 @@ pub struct CallSite {
     pub line: usize,
     /// How the callee is named.
     pub kind: CallKind,
+    /// Whether the call builds the future of a lightweight task
+    /// (`spawn_light(.., task::light(callee(..)))`): the callee then runs
+    /// under the no-blocking rule, as a light closure does.
+    pub light_root: bool,
 }
 
 /// The class of a primitive site recorded per function body.
@@ -107,7 +119,8 @@ pub struct FnDef {
     pub name: String,
     /// `impl`/`trait` type the definition lives in, if any.
     pub receiver: Option<String>,
-    /// Whether this is a closure passed to `spawn_light`.
+    /// Whether this is a closure (or `async` block) handed to
+    /// `spawn_light` or `register_resumable`.
     pub is_light_closure: bool,
     /// Entry-point sets this definition is annotated into
     /// (`// lint: entry(hot_path)`).
@@ -156,6 +169,24 @@ const PANIC_METHODS: [&str; 2] = ["unwrap", "expect"];
 const LOCK_METHODS: [(&str, &str); 3] =
     [("lock", "mutex"), ("read", "rwlock"), ("write", "rwlock")];
 
+/// Calls whose closure (or `task::light(..)`) argument runs in a light
+/// poll.
+const LIGHT_CALLS: [&str; 2] = ["spawn_light", "register_resumable"];
+
+/// Where the scan is relative to an open `spawn_light(`-like call.
+#[derive(Default)]
+struct LightCall {
+    /// Minimum paren depth of the open call, waiting for a `|…| {` closure
+    /// or a `light(` argument.
+    open: Option<usize>,
+    /// Line of the call: where its synthetic definition is anchored.
+    line: usize,
+    /// Paren depth directly inside an open `light(` within that call.
+    future: Option<usize>,
+    /// A synthetic definition was pushed; the next `{` opens its scope.
+    ready: bool,
+}
+
 enum ScopeKind {
     Plain,
     Impl(String),
@@ -182,11 +213,7 @@ pub fn extract(scan: &FileScan, errors: &mut Vec<String>) -> Vec<FnDef> {
     let mut defs: Vec<FnDef> = Vec::new();
     let mut scopes: Vec<ScopeKind> = Vec::new();
     let mut pending: Option<Pending> = None;
-    // Minimum paren depth of an open `spawn_light(` call waiting for a
-    // `|…| {` closure argument.
-    let mut light_call: Option<usize> = None;
-    let mut light_line = 0usize;
-    let mut light_ready = false;
+    let mut light = LightCall::default();
     let mut paren_depth = 0usize;
     // Last non-whitespace char (across lines) and the one before it.
     let mut prev_sig = ' ';
@@ -213,6 +240,32 @@ pub fn extract(scan: &FileScan, errors: &mut Vec<String>) -> Vec<FnDef> {
             _ => None,
         })
     }
+    // Opens the synthetic definition of a closure or `async` block handed
+    // to the open light call: the next `{` is its scope.
+    let open_light =
+        |defs: &mut Vec<FnDef>, scopes: &[ScopeKind], light: &mut LightCall, in_test: bool| {
+            let line = light.line;
+            let parent = current_fn(scopes).map(|i| defs[i].name.as_str());
+            let name = match parent {
+                Some(parent) => format!("{{spawn_light in {parent}@{line}}}"),
+                None => format!("{{spawn_light@{line}}}"),
+            };
+            defs.push(FnDef {
+                file: scan.path.clone(),
+                line,
+                name,
+                receiver: None,
+                is_light_closure: true,
+                entries: Vec::new(),
+                in_test,
+                calls: Vec::new(),
+                sites: Vec::new(),
+            });
+            *light = LightCall {
+                ready: true,
+                ..LightCall::default()
+            };
+        };
 
     for (li, (line_no, chars)) in flat.iter().enumerate() {
         let line_no = *line_no;
@@ -229,7 +282,9 @@ pub fn extract(scan: &FileScan, errors: &mut Vec<String>) -> Vec<FnDef> {
                 let tok: String = chars[start..ci].iter().collect();
                 let next = next_sig(chars, ci);
 
-                // Header-state tokens.
+                // Header-state tokens. (`impl` in a signature — `x: impl
+                // Trait`, `-> impl Trait` — opens no header.)
+                let in_signature = matches!(pending, Some(Pending::FnBody { .. }));
                 match &mut pending {
                     Some(Pending::FnKeyword) => {
                         pending = Some(Pending::FnBody {
@@ -255,7 +310,7 @@ pub fn extract(scan: &FileScan, errors: &mut Vec<String>) -> Vec<FnDef> {
                     }
                     _ => match tok.as_str() {
                         "fn" => pending = Some(Pending::FnKeyword),
-                        "impl" => {
+                        "impl" if !in_signature => {
                             pending = Some(Pending::ImplHeader {
                                 candidate: String::new(),
                                 angle: 0,
@@ -265,6 +320,10 @@ pub fn extract(scan: &FileScan, errors: &mut Vec<String>) -> Vec<FnDef> {
                             pending = Some(Pending::TraitHeader {
                                 name: String::new(),
                             })
+                        }
+                        // `task::light(async [move] { … })`.
+                        "async" if light.future == Some(paren_depth) => {
+                            open_light(&mut defs, &scopes, &mut light, in_test);
                         }
                         _ => {
                             scan_body_token(
@@ -279,8 +338,7 @@ pub fn extract(scan: &FileScan, errors: &mut Vec<String>) -> Vec<FnDef> {
                                 &last_ident,
                                 &mut defs,
                                 &scopes,
-                                &mut light_call,
-                                &mut light_line,
+                                &mut light,
                                 paren_depth,
                             );
                         }
@@ -297,11 +355,14 @@ pub fn extract(scan: &FileScan, errors: &mut Vec<String>) -> Vec<FnDef> {
                 '(' => paren_depth += 1,
                 ')' => {
                     paren_depth = paren_depth.saturating_sub(1);
-                    if light_call.is_some_and(|d| paren_depth < d) {
-                        light_call = None; // call closed without a block closure
+                    if light.future.is_some_and(|d| paren_depth < d) {
+                        light.future = None;
+                    }
+                    if light.open.is_some_and(|d| paren_depth < d) {
+                        light.open = None; // call closed without a block closure
                     }
                 }
-                '|' if light_call.is_some_and(|d| paren_depth >= d) && prev_sig != '|' => {
+                '|' if light.open.is_some_and(|d| paren_depth >= d) && prev_sig != '|' => {
                     // Closure parameter list inside the spawn_light call.
                     let mut cj = ci + 1;
                     if chars.get(cj) == Some(&'|') {
@@ -312,27 +373,15 @@ pub fn extract(scan: &FileScan, errors: &mut Vec<String>) -> Vec<FnDef> {
                         }
                         cj = (cj + 1).min(chars.len());
                     }
-                    if next_sig(chars, cj) == Some('{') {
-                        let parent = current_fn(&scopes)
-                            .map(|i| defs[i].name.clone())
-                            .unwrap_or_default();
-                        defs.push(FnDef {
-                            file: scan.path.clone(),
-                            line: light_line,
-                            name: if parent.is_empty() {
-                                format!("{{spawn_light@{light_line}}}")
-                            } else {
-                                format!("{{spawn_light in {parent}@{light_line}}}")
-                            },
-                            receiver: None,
-                            is_light_closure: true,
-                            entries: Vec::new(),
-                            in_test,
-                            calls: Vec::new(),
-                            sites: Vec::new(),
-                        });
-                        light_ready = true;
-                        light_call = None;
+                    // `|…| {` or `|…| async [move] {`.
+                    let rest: String = chars[cj.min(chars.len())..].iter().collect();
+                    let rest = rest.trim_start();
+                    let body = rest.strip_prefix("async").map_or(rest, |r| {
+                        let r = r.trim_start();
+                        r.strip_prefix("move").map_or(r, str::trim_start)
+                    });
+                    if body.starts_with('{') {
+                        open_light(&mut defs, &scopes, &mut light, in_test);
                     }
                     prev_sig2 = prev_sig;
                     prev_sig = '|';
@@ -362,8 +411,8 @@ pub fn extract(scan: &FileScan, errors: &mut Vec<String>) -> Vec<FnDef> {
                             ScopeKind::Impl(name)
                         }
                         _ => {
-                            if light_ready {
-                                light_ready = false;
+                            if light.ready {
+                                light.ready = false;
                                 ScopeKind::Light(defs.len() - 1)
                             } else {
                                 ScopeKind::Plain
@@ -482,8 +531,7 @@ fn scan_body_token(
     last_ident: &str,
     defs: &mut [FnDef],
     scopes: &[ScopeKind],
-    light_call: &mut Option<usize>,
-    light_line: &mut usize,
+    light: &mut LightCall,
     paren_depth: usize,
 ) {
     let fi = scopes.iter().rev().find_map(|s| match s {
@@ -562,13 +610,20 @@ fn scan_body_token(
             name: tok.to_owned(),
         }
     };
-    if tok == "spawn_light" {
-        *light_call = Some(paren_depth + 1);
-        *light_line = line_no;
+    let light_root = light.future == Some(paren_depth);
+    if LIGHT_CALLS.contains(&tok) {
+        *light = LightCall {
+            open: Some(paren_depth + 1),
+            line: line_no,
+            ..LightCall::default()
+        };
+    } else if tok == "light" && light.open.is_some_and(|d| paren_depth >= d) {
+        light.future = Some(paren_depth + 1);
     }
     defs[fi].calls.push(CallSite {
         line: line_no,
         kind,
+        light_root,
     });
 }
 
@@ -602,7 +657,8 @@ mod tests {
                 line: 1,
                 kind: CallKind::Free {
                     name: "helper".into()
-                }
+                },
+                light_root: false,
             }]
         );
         assert_eq!(

@@ -108,17 +108,19 @@ fn l008_try_polling_closure_is_clean() {
     assert_eq!(rule_hits(&outcome, Rule::L008), Vec::<String>::new());
 }
 
-/// How the FaaS platform's activations are rooted: the one `spawn_light`
-/// closure only calls the lifecycle's `poll`, which calls the body through
-/// a trait object. Name-based dispatch must carry L008 through both hops
-/// to every `resume` impl, in whichever crate it lives — and on, through
-/// the `async fn`s a body polls, to whatever those await. Resumable COS
-/// operations end in `task::sleep`, the leaf future, which is not a sink;
-/// their blocking drivers end in the kernel's `sleep`, which is. What a
-/// body calls after it has asked for a thread is out of the light poll's
-/// reach once — and only if — the call site says so.
+/// How the FaaS platform's activations are rooted. The lifecycle is an
+/// `async fn` whose future is handed to `spawn_light` through
+/// `task::light(..)`: the extractor roots L008 there, with no marker. The
+/// lifecycle starts each body through a boxed closure the call graph cannot
+/// follow, so a body is rooted where it is handed to `register_resumable`,
+/// in whichever crate that is — and on, through the `async fn`s it awaits,
+/// to whatever those await. Resumable COS operations end in `task::sleep`,
+/// the leaf future, which is not a sink; their blocking drivers end in the
+/// kernel's `sleep`, which is. What a body calls after it has asked for a
+/// thread is out of the light poll's reach once — and only if — the call
+/// site says so.
 #[test]
-fn l008_reaches_resumable_body_polls_through_the_lifecycle_closure() {
+fn l008_is_rooted_at_resumable_code_handed_to_the_kernel_and_the_platform() {
     let root = workspace("l008-body");
     plant(&root, "crates/sim/src/sync.rs", SIM_EVENT);
     plant(
@@ -132,6 +134,7 @@ fn l008_reaches_resumable_body_polls_through_the_lifecycle_closure() {
         "crates/sim/src/task.rs",
         "pub fn sleep(d: Duration) -> Suspend { Suspend(d) }\n\
          pub fn thread() -> Suspend { Suspend(THREAD) }\n\
+         pub fn light(fut: impl Future<Output = ()>) -> impl FnMut() -> LightStep { poller(fut) }\n\
          pub fn block_on<F: Future>(fut: F) { run_blocking(|| resume(fut)); }\n",
     );
     plant(
@@ -143,33 +146,48 @@ fn l008_reaches_resumable_body_polls_through_the_lifecycle_closure() {
          \x20   async fn charge(&self) { task::sleep(self.cost).await; }\n\
          }\n",
     );
+    // `settle` blocks, reachable only through the lifecycle; the same call
+    // behind a promotion that says so is not the lifecycle's business.
+    let platform = |settle: &str| {
+        format!(
+            "impl Platform {{\n\
+             \x20   fn register_action(&self, action: Arc<dyn Action>) {{\n\
+             \x20       self.register_resumable(move |ctx, payload| {{\n\
+             \x20           let action = action.clone();\n\
+             \x20           async move {{\n\
+             \x20               task::thread().await;\n\
+             \x20               // lint: allow(L008) — runs on the thread asked for on the line above\n\
+             \x20               action.invoke()\n\
+             \x20           }}\n\
+             \x20       }});\n\
+             \x20   }}\n\
+             \x20   fn invoke_in(&self, registered: Arc<Registered>) {{\n\
+             \x20       self.kernel.spawn_light(name(), task::light(activation(self.clone(), registered)));\n\
+             \x20   }}\n\
+             }}\n\
+             async fn activation(platform: Platform, registered: Arc<Registered>) {{\n\
+             \x20   task::sleep(platform.cold_start).await;\n\
+             \x20   (registered.start)(platform.ctx()).await;\n\
+             {settle}\
+             }}\n\
+             fn settle(platform: &Platform) {{ platform.settled.wait(); }}\n"
+        )
+    };
     plant(
         &root,
         "crates/faas/src/platform.rs",
-        "impl Platform {\n\
-         \x20   fn register_action(&self, action: Arc<dyn Action>) {\n\
-         \x20       self.register_resumable(move |ctx| { action.invoke() });\n\
-         \x20   }\n\
-         \x20   fn invoke_in(&self, mut lifecycle: Lifecycle) {\n\
-         \x20       self.kernel.spawn_light(move || {\n\
-         \x20           lifecycle.poll()\n\
-         \x20       });\n\
-         \x20   }\n\
-         }\n\
-         impl Lifecycle {\n\
-         \x20   fn poll(&mut self) -> LightStep {\n\
-         \x20       self.body.resume(&self.ctx)\n\
-         \x20   }\n\
-         }\n",
+        &platform("\x20   settle(&platform);\n"),
     );
     plant(
         &root,
         "crates/workloads/src/bodies.rs",
-        "impl ResumableBody for Polite {\n\
-         \x20   fn resume(&mut self, ctx: &Ctx) -> LightStep { LightStep::Sleep(ctx.scaled(TICK)) }\n\
-         }\n\
-         impl ResumableBody for Careless {\n\
-         \x20   fn resume(&mut self, ctx: &Ctx) -> LightStep { self.ready.wait(); LightStep::Done }\n\
+        "fn register(faas: &Platform) {\n\
+         \x20   faas.register_resumable(|ctx, payload| async move {\n\
+         \x20       task::sleep(ctx.scaled(TICK)).await;\n\
+         \x20   });\n\
+         \x20   faas.register_resumable(|ctx, payload| async move {\n\
+         \x20       ctx.ready.wait();\n\
+         \x20   });\n\
          }\n\
          impl Action for Blocking {\n\
          \x20   fn invoke(&self) { self.ready.wait(); }\n\
@@ -177,10 +195,12 @@ fn l008_reaches_resumable_body_polls_through_the_lifecycle_closure() {
     );
     let agent = |allow: &str| {
         format!(
-            "impl ResumableBody for AgentBody {{\n\
-             \x20   fn resume(&mut self, ctx: &Ctx) -> LightStep {{ step(run_agent(ctx)) }}\n\
+            "fn deploy_agent(faas: &Platform) {{\n\
+             \x20   faas.register_resumable(move |ctx, payload| {{\n\
+             \x20       run_agent(ctx)\n\
+             \x20   }});\n\
              }}\n\
-             async fn run_agent(ctx: &Ctx) {{\n\
+             async fn run_agent(ctx: Ctx) {{\n\
              \x20   let blob = ctx.cos.fetch_async().await;\n\
              \x20   task::thread().await;\n\
              {allow}\
@@ -193,49 +213,111 @@ fn l008_reaches_resumable_body_polls_through_the_lifecycle_closure() {
     plant(&root, "crates/core/src/job.rs", &agent(allow));
     let outcome = run(&Options::new(&root));
     let hits = rule_hits(&outcome, Rule::L008);
-    assert_eq!(hits.len(), 1, "expected one L008 finding: {hits:?}");
+    assert_eq!(hits.len(), 2, "expected two L008 findings: {hits:?}");
+    // The lifecycle, anchored at the `async fn`…
     assert!(
-        hits[0].starts_with("crates/faas/src/platform.rs:6:"),
+        hits[0].starts_with("crates/faas/src/platform.rs:16:"),
         "{}",
         hits[0]
     );
-    for waypoint in ["Lifecycle::poll", "Careless::resume", "Event::wait"] {
-        assert!(
-            hits[0].contains(waypoint),
-            "missing `{waypoint}`: {}",
-            hits[0]
-        );
+    for waypoint in ["activation", "settle", "Event::wait"] {
+        assert!(hits[0].contains(waypoint), "no `{waypoint}`: {}", hits[0]);
     }
-    // The agent's polls are in the graph, down to the leaf future…
+    // …and the careless body, anchored where it is registered: not the
+    // polite one before it, nor the blocking action behind its promotion.
+    assert!(
+        hits[1].starts_with("crates/workloads/src/bodies.rs:5:"),
+        "{}",
+        hits[1]
+    );
     let graph = outcome.graph.expect("the pass built a call graph");
+    let roots: Vec<String> = graph
+        .light_roots
+        .iter()
+        .map(|&i| format!("{}:{}", graph.defs[i].file, graph.defs[i].line))
+        .collect();
+    assert_eq!(
+        roots,
+        [
+            "crates/core/src/job.rs:2",
+            "crates/faas/src/platform.rs:3",
+            "crates/faas/src/platform.rs:16",
+            "crates/workloads/src/bodies.rs:2",
+            "crates/workloads/src/bodies.rs:5",
+        ]
+    );
+    assert!(outcome
+        .notes
+        .iter()
+        .any(|n| n.contains("roots: 5 light root(s)")));
+    // The agent's polls are in the graph, down to the leaf future…
     let id = |display: &str| {
         let found = graph.defs.iter().position(|d| d.display() == display);
         found.unwrap_or_else(|| panic!("no definition `{display}`"))
     };
     let calls = |from: &str, to: &str| graph.edges[id(from)].iter().any(|e| e.callee == id(to));
-    assert!(calls("AgentBody::resume", "run_agent"));
     assert!(calls("run_agent", "CosClient::fetch_async"));
     assert!(calls("CosClient::fetch_async", "CosClient::charge"));
     assert!(graph.edges[id("CosClient::charge")]
         .iter()
         .any(|e| graph.defs[e.callee].file == "crates/sim/src/task.rs"));
     // …and the blocking half is cut at the marked call only: without the
-    // marker the kernel's `sleep` is one more sink the closure reaches.
+    // marker the kernel's `sleep` is one more sink the agent's root reaches.
     plant(&root, "crates/core/src/job.rs", &agent(""));
     let hits = rule_hits(&run(&Options::new(&root)), Rule::L008);
-    assert_eq!(hits.len(), 2, "{hits:?}");
-    // (Chains over eight hops are elided in the middle.)
+    assert_eq!(hits.len(), 3, "{hits:?}");
     let chain = [
-        "AgentBody::resume",
+        "crates/core/src/job.rs:2:",
         "run_agent",
+        "execute_blocking",
         "block_on",
         "run_blocking",
         "sleep",
     ];
-    assert!(
-        hits.iter().any(|h| chain.iter().all(|w| h.contains(w))),
-        "{hits:?}"
+    assert!(chain.iter().all(|w| hits[0].contains(w)), "{hits:?}");
+    // The lifecycle's own blocking call, moved behind a promotion that says
+    // so, is the same cut.
+    plant(&root, "crates/core/src/job.rs", &agent(allow));
+    let promoted = format!("\x20   task::thread().await;\n{allow}\x20   settle(&platform);\n");
+    plant(&root, "crates/faas/src/platform.rs", &platform(&promoted));
+    let hits = rule_hits(&run(&Options::new(&root)), Rule::L008);
+    assert_eq!(hits.len(), 1, "{hits:?}");
+    assert!(hits[0].starts_with("crates/workloads/src/bodies.rs:5:"));
+}
+
+/// An `async` block handed to `spawn_light` through `task::light` is a
+/// root of its own, like a closure; a function with `impl` in its
+/// signature is a definition like any other (the extractor used to open an
+/// `impl` scope at its body and lose it).
+#[test]
+fn l008_sees_async_blocks_and_functions_with_impl_in_their_signature() {
+    let root = workspace("l008-async-block");
+    plant(&root, "crates/sim/src/sync.rs", SIM_EVENT);
+    plant(
+        &root,
+        "crates/core/src/light.rs",
+        "fn schedule(kernel: &Kernel, ev: Event) {\n\
+         \x20   kernel.spawn_light(\"t\", task::light(async move {\n\
+         \x20       pause(ev.clone(), || 3);\n\
+         \x20   }));\n\
+         }\n\
+         fn pause(ev: Event, f: impl Fn() -> u32) -> impl Sized {\n\
+         \x20   ev.wait();\n\
+         }\n\
+         fn after() {}\n",
     );
+    let outcome = run(&Options::new(&root));
+    let hits = rule_hits(&outcome, Rule::L008);
+    assert_eq!(hits.len(), 1, "{hits:?}");
+    assert!(
+        hits[0].starts_with("crates/core/src/light.rs:2:") && hits[0].contains("pause"),
+        "{}",
+        hits[0]
+    );
+    let graph = outcome.graph.expect("the pass built a call graph");
+    let names: Vec<String> = graph.defs.iter().map(|d| d.display()).collect();
+    assert!(names.contains(&"pause".to_owned()), "{names:?}");
+    assert!(names.contains(&"after".to_owned()), "{names:?}");
 }
 
 /// The documented false-positive class: name-based call resolution maps a

@@ -14,7 +14,8 @@
 //! [`Kernel::spawn_light`](crate::Kernel::spawn_light) task, and
 //! [`block_on`] runs one to completion on the calling simulated thread
 //! through [`run_blocking`]. [`resume`] is the single poll both are built
-//! on, for callers that wrap the steps in a type of their own.
+//! on. [`catch_unwind`] contains a panic — a refused blocking call and an
+//! over-long sleep included — in the code it wraps, on either vehicle.
 //!
 //! ```
 //! use rustwren_sim::{task, Kernel};
@@ -36,14 +37,16 @@
 //! });
 //! ```
 
+use std::any::Any;
 use std::cell::Cell;
 use std::future::Future;
 use std::ops::ControlFlow;
+use std::panic::{self, AssertUnwindSafe};
 use std::pin::{pin, Pin};
 use std::task::{Context, Poll, Waker};
 use std::time::Duration;
 
-use crate::kernel::{run_blocking, LightStep};
+use crate::kernel::{run_blocking, try_with_kernel, LightStep};
 use crate::sync::Event;
 
 thread_local! {
@@ -105,6 +108,47 @@ pub fn resume<F: Future + ?Sized>(fut: Pin<&mut F>) -> ControlFlow<F::Output, Li
             "resumable code may only await rustwren_sim::task::{sleep, wait, thread} \
              (directly or through other resumable code)",
         )),
+    }
+}
+
+/// `fut`, with a panic from any of its polls caught and returned: what
+/// [`std::panic::catch_unwind`] is to a call. See [`catch_unwind`].
+#[derive(Debug)]
+#[must_use = "futures do nothing unless awaited"]
+pub struct CatchUnwind<F>(F);
+
+/// Contains `fut`'s panics: the result is `Err(payload)` if any poll of it
+/// panicked. That covers what the kernel refuses on `fut`'s behalf — a
+/// blocking call made before [`thread`] was awaited — and a [`sleep`] too
+/// long for the virtual clock: the deadline the kernel is about to compute
+/// is computed here first, while its overflow is still `fut`'s own panic
+/// and not that of whichever bystander is dispatching.
+///
+/// `fut` must be `Unpin`: box it, or `pin!` it where it is awaited.
+pub fn catch_unwind<F: Future + Unpin>(fut: F) -> CatchUnwind<F> {
+    CatchUnwind(fut)
+}
+
+impl<F: Future + Unpin> Future for CatchUnwind<F> {
+    type Output = Result<F::Output, Box<dyn Any + Send>>;
+
+    fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<Self::Output> {
+        let inner = Pin::new(&mut self.0);
+        let polled = panic::catch_unwind(AssertUnwindSafe(|| {
+            let flow = resume(inner);
+            if let ControlFlow::Continue(LightStep::Sleep(d)) = &flow {
+                let _deadline = try_with_kernel(|kernel| kernel.now() + *d);
+            }
+            flow
+        }));
+        match polled {
+            Ok(ControlFlow::Continue(step)) => {
+                REQUEST.set(Some(step));
+                Poll::Pending
+            }
+            Ok(ControlFlow::Break(value)) => Poll::Ready(Ok(value)),
+            Err(payload) => Poll::Ready(Err(payload)),
+        }
     }
 }
 
@@ -197,6 +241,63 @@ mod tests {
         };
         assert_eq!(run(true), run(false));
         assert_eq!(run(true).0, [5, 20, 27]);
+    }
+
+    /// What `catch_unwind` contains, on both vehicles with the same
+    /// message: a panic, a sleep past the end of the clock, and — on the
+    /// light vehicle, where the kernel refuses it — a blocking call.
+    #[test]
+    fn catch_unwind_contains_the_wrapped_code_on_both_vehicles() {
+        async fn body(what: u8) -> u8 {
+            sleep(Duration::from_millis(5)).await;
+            match what {
+                0 => panic!("boom"),
+                1 => sleep(Duration::from_millis(u64::MAX)).await,
+                2 => crate::sleep(Duration::from_millis(1)),
+                _ => {}
+            }
+            what
+        }
+        let run = |light: bool, what: u8| {
+            let k = Kernel::new();
+            let caught = Arc::new(Mutex::new(None));
+            let seen = Arc::clone(&caught);
+            k.run("client", move || {
+                let done = Event::new(&kernel());
+                let fired = done.clone();
+                let contained = async move {
+                    let result = catch_unwind(pin!(body(what))).await;
+                    let message = result.map_err(|p| match p.downcast_ref::<&str>() {
+                        Some(text) => Some((*text).to_owned()),
+                        None => p.downcast_ref::<String>().cloned(),
+                    });
+                    *seen.lock().unwrap() = Some(message);
+                    fired.fire();
+                };
+                if light {
+                    spawn_light("body", super::light(contained));
+                } else {
+                    spawn("body", move || block_on(contained));
+                }
+                done.wait();
+            });
+            let caught = caught.lock().unwrap().take();
+            (caught.expect("the body ran"), k.stats().timers_scheduled)
+        };
+        for light in [true, false] {
+            assert_eq!(run(light, 0), (Err(Some("boom".to_owned())), 1));
+            let (overflow, timers) = run(light, 1);
+            let message = overflow.expect_err("contained").expect("a message");
+            assert!(message.contains("virtual time overflow"), "{message}");
+            assert_eq!(timers, 1, "the sleep was never scheduled");
+            assert_eq!(run(light, 3), (Ok(3), 1));
+        }
+        let refused = run(true, 2).0.expect_err("refused").expect("a message");
+        assert!(
+            refused.contains("attempted a blocking operation"),
+            "{refused}"
+        );
+        assert_eq!(run(false, 2), (Ok(2), 2));
     }
 
     #[test]

@@ -223,8 +223,9 @@ impl ObjectStore {
             if start > end || (start >= len && len > 0) || (len == 0 && start > 0) {
                 return Err(StoreError::InvalidRange { start, end, len });
             }
-            let end = end.min(len);
-            Ok(obj.data.slice(start as usize..end as usize))
+            let range = start as usize..end.min(len) as usize;
+            let invalid = StoreError::InvalidRange { start, end, len };
+            obj.data.try_slice(range).ok_or(invalid)
         })?
     }
 

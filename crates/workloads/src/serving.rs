@@ -16,10 +16,9 @@
 use std::time::Duration;
 
 use bytes::Bytes;
-use rustwren_faas::{
-    ActionConfig, ActivationCtx, BodyStep, CloudFunctions, RegisterError, ResumableBody,
-};
+use rustwren_faas::{ActionConfig, ActivationCtx, CloudFunctions, RegisterError};
 use rustwren_sim::hash::{hash2, hash_str, unit_f64};
+use rustwren_sim::task;
 
 /// Name of the registered serving action.
 pub const SERVE_FN: &str = "serve";
@@ -214,38 +213,25 @@ pub fn payload(exec: Duration) -> Bytes {
     Bytes::copy_from_slice(&(exec.as_micros() as u64).to_le_bytes())
 }
 
-/// One activation of `serve`: decode the duration, charge it, echo the
-/// payload. It only charges time, so it is a resumable body and its
-/// activations run without an OS thread.
-struct Serve {
-    payload: Bytes,
-    charged: bool,
-}
-
-impl ResumableBody for Serve {
-    fn resume(&mut self, ctx: &ActivationCtx) -> BodyStep {
-        if self.charged {
-            return BodyStep::Done(Ok(self.payload.clone()));
-        }
-        let Ok(micros) = self.payload.as_ref().try_into().map(u64::from_le_bytes) else {
-            return BodyStep::Done(Err("serve: malformed duration payload".into()));
-        };
-        self.charged = true;
-        BodyStep::Sleep(ctx.scaled(Duration::from_micros(micros)))
-    }
-}
-
 /// Registers the `serve` action: charges the execution duration carried in
-/// its payload and echoes it back.
+/// its payload and echoes it back. It only charges time, so it is resumable
+/// and its activations run without an OS thread.
 ///
 /// # Errors
 ///
 /// Propagates [`RegisterError`] from the platform.
 pub fn register(faas: &CloudFunctions) -> Result<(), RegisterError> {
-    faas.register_resumable(SERVE_FN, ActionConfig::default(), |payload| Serve {
-        payload,
-        charged: false,
-    })
+    faas.register_resumable(
+        SERVE_FN,
+        ActionConfig::default(),
+        |ctx: ActivationCtx, payload: Bytes| async move {
+            let micros = <[u8; 8]>::try_from(payload.as_ref())
+                .map_err(|_| "serve: malformed duration payload")?;
+            let exec = Duration::from_micros(u64::from_le_bytes(micros));
+            task::sleep(ctx.scaled(exec)).await;
+            Ok(payload)
+        },
+    )
 }
 
 #[cfg(test)]

@@ -57,6 +57,28 @@ impl Bytes {
         self.start == self.end
     }
 
+    /// Returns a sub-buffer sharing the same allocation (O(1)), or `None`
+    /// if the range is out of bounds or inverted — [`slice`](Bytes::slice)
+    /// for a range computed from input, where that is an error to report
+    /// and not a bug. (Not in the published crate: see `shims/README.md`.)
+    pub fn try_slice(&self, range: impl RangeBounds<usize>) -> Option<Bytes> {
+        let start = match range.start_bound() {
+            Bound::Included(&n) => n,
+            Bound::Excluded(&n) => n.checked_add(1)?,
+            Bound::Unbounded => 0,
+        };
+        let end = match range.end_bound() {
+            Bound::Included(&n) => n.checked_add(1)?,
+            Bound::Excluded(&n) => n,
+            Bound::Unbounded => self.len(),
+        };
+        (start <= end && end <= self.len()).then(|| Bytes {
+            data: Arc::clone(&self.data),
+            start: self.start + start,
+            end: self.start + end,
+        })
+    }
+
     /// Returns a sub-buffer sharing the same allocation (O(1)).
     ///
     /// # Panics
@@ -64,25 +86,13 @@ impl Bytes {
     /// Panics if the range is out of bounds or inverted, matching the real
     /// crate's behavior.
     pub fn slice(&self, range: impl RangeBounds<usize>) -> Bytes {
-        let len = self.len();
-        let start = match range.start_bound() {
-            Bound::Included(&n) => n,
-            Bound::Excluded(&n) => n + 1,
-            Bound::Unbounded => 0,
-        };
-        let end = match range.end_bound() {
-            Bound::Included(&n) => n + 1,
-            Bound::Excluded(&n) => n,
-            Bound::Unbounded => len,
-        };
-        assert!(
-            start <= end && end <= len,
-            "range start must not exceed end and end must not exceed len ({start}..{end} of {len})"
-        );
-        Bytes {
-            data: Arc::clone(&self.data),
-            start: self.start + start,
-            end: self.start + end,
+        let bounds = (range.start_bound().cloned(), range.end_bound().cloned());
+        match self.try_slice(bounds) {
+            Some(sub) => sub,
+            None => panic!(
+                "range start must not exceed end and end must not exceed len ({bounds:?} of {})",
+                self.len()
+            ),
         }
     }
 
@@ -229,6 +239,19 @@ mod tests {
     #[should_panic(expected = "must not exceed")]
     fn out_of_bounds_slice_panics() {
         Bytes::from_static(b"ab").slice(0..3);
+    }
+
+    #[test]
+    fn try_slice_is_slice_with_none_for_a_bad_range() {
+        let b = Bytes::from(vec![1, 2, 3, 4, 5]).slice(1..);
+        assert_eq!(b.try_slice(1..3), Some(b.slice(1..3)));
+        assert_eq!(b.try_slice(4..).map(|s| s.len()), Some(0));
+        assert_eq!(b.try_slice(..=3), Some(b.clone()));
+        #[allow(clippy::reversed_empty_ranges)]
+        let inverted = b.try_slice(3..2);
+        assert_eq!(inverted, None);
+        assert_eq!(b.try_slice(0..5), None);
+        assert_eq!(b.try_slice(..=usize::MAX), None);
     }
 
     #[test]

@@ -273,8 +273,7 @@ fn serving_burst_job(kernel: Kernel, storm: bool) -> (u64, u64, u64) {
     use std::time::Duration;
 
     use rustwren::faas::{
-        ActionConfig, ActivationCtx, BodyStep, InvokeError, Outcome, Phase, PlatformConfig,
-        TenantConfig,
+        ActionConfig, ActivationCtx, InvokeError, Outcome, Phase, PlatformConfig, TenantConfig,
     };
     use rustwren::sim::{FaultPlan, TimeWindow};
     use rustwren::workloads::serving::{
@@ -312,13 +311,12 @@ fn serving_burst_job(kernel: Kernel, storm: bool) -> (u64, u64, u64) {
     let cloud = builder.build();
     let faas = cloud.functions().clone();
     serving::register(&faas).expect("register serve");
-    faas.register_resumable("careless", ActionConfig::default(), |p: bytes::Bytes| {
-        move |ctx: &ActivationCtx| {
-            ctx.charge(Duration::from_millis(50)); // blocks: refused
-            BodyStep::Done(Ok(p.clone()))
-        }
-    })
-    .expect("register careless");
+    let careless = |ctx: ActivationCtx, p: bytes::Bytes| async move {
+        ctx.charge(Duration::from_millis(50)); // blocks: refused
+        Ok(p)
+    };
+    faas.register_resumable("careless", ActionConfig::default(), careless)
+        .expect("register careless");
     let horizon = Duration::from_secs(12);
     let trace = serving::generate(&traffic, &TraceConfig { horizon, seed: 7 });
 
