@@ -10,7 +10,7 @@ use bytes::Bytes;
 use rustwren_analyze::{analyze, AnalyzeMode, CloudProfile, Diagnostic, JobPlan, Severity};
 use rustwren_faas::{ActivationId, FaasClient, Outcome, TenantId, ThrottleSignal};
 use rustwren_sim::hash::{hash2, hash_str, unit_f64};
-use rustwren_sim::{NetworkProfile, SimInstant};
+use rustwren_sim::{task, NetworkProfile, SimInstant};
 use rustwren_store::{CosClient, OpCounters};
 
 use crate::cloud::SimCloud;
@@ -1444,8 +1444,7 @@ impl Executor {
         let watch = StatusWatch::new(watched);
         let mut poll_failures = 0u32;
         loop {
-            let polled = watch
-                .landed(&self.inner.cos)
+            let polled = task::block_on(watch.landed(&self.inner.cos))
                 .map_err(PywrenError::from)
                 .and_then(|landed| {
                     let mut done: HashSet<ResponseFuture> = landed
@@ -1607,7 +1606,8 @@ impl Executor {
     /// Fetches one completed task's result, following future-set markers.
     fn fetch_result(&self, f: &ResponseFuture, opts: &GetResultOpts) -> Result<Value> {
         let read = |b: &str, k: &str| self.fetch_verified(b, k);
-        let value = TaskStatus::read(f, read)?.into_result(f, read)?;
+        let staged = async { read(f.bucket(), &f.result_key()) };
+        let value = task::block_on(TaskStatus::read(f, read)?.into_result(f, staged))?;
         match ResponseFuture::set_from_value(&value) {
             Ok(Some(subfutures)) => {
                 // Composition-aware: transparently await the sub-job. A

@@ -4,12 +4,13 @@
 //! by which the client and in-cloud reducers alike learn that it has.
 
 use std::collections::HashMap;
+use std::future::Future;
 
 use bytes::Bytes;
 use rustwren_store::{CosClient, StoreError};
 
 use crate::error::{self, PywrenError};
-use crate::wire::{Value, ValueRef};
+use crate::wire::{Step, Value, ValueRef};
 
 /// Marker key identifying a result value that is really a set of futures
 /// produced by an in-cloud executor (dynamic composition, §4.4).
@@ -117,13 +118,13 @@ impl ResponseFuture {
     ///
     /// # Errors
     ///
-    /// A message naming the malformed field.
+    /// A message naming the missing, mistyped or out-of-range field.
     pub fn from_value(v: &Value) -> Result<ResponseFuture, String> {
         Ok(ResponseFuture {
             bucket: v.req_str("bucket")?.to_owned(),
             exec_id: v.req_str("exec")?.to_owned(),
-            job_id: v.req_i64("job")? as u64,
-            task: v.req_i64("task")? as u32,
+            job_id: v.req_int("job")?,
+            task: v.req_int("task")?,
         })
     }
 
@@ -230,10 +231,26 @@ impl TaskStatus {
     /// a state other than `done` with no `error` message, or a non-numeric
     /// `start`/`end`.
     pub(crate) fn decode(raw: Bytes, f: &ResponseFuture) -> error::Result<StatusView> {
+        TaskStatus::decode_for(raw, f, None)
+    }
+
+    /// [`decode`](TaskStatus::decode) for a reader that will come back for
+    /// shuffle partition `part`'s entry of the manifest
+    /// ([`StatusView::shuf_part`]): the one pass notes where that is too.
+    pub(crate) fn decode_for(
+        raw: Bytes,
+        f: &ResponseFuture,
+        part: Option<usize>,
+    ) -> error::Result<StatusView> {
         // The last entry under a key wins, as it would decoding into a map.
         let (mut state, mut error, mut start, mut end) = (None, None, None, None);
         let (mut result, mut shuf) = (None, None);
-        ValueRef::parse_entries(&raw, |key, v| match key {
+        let to_part = part.map(|i| [Step::Key("shuf"), Step::Key("parts"), Step::Index(i)]);
+        let path: &[Step<'_>] = match &to_part {
+            Some(path) => path,
+            None => &[],
+        };
+        let part = ValueRef::parse_entries(&raw, path, |key, v| match key {
             "state" => state = Some(v),
             "error" => error = Some(v),
             "start" => start = Some(v),
@@ -242,6 +259,7 @@ impl TaskStatus {
             "shuf" => shuf = Some(v.offset()),
             _ => {}
         })?;
+        let part = part.map(|v| v.offset());
         let malformed = |message: String| PywrenError::Task {
             task: f.label(),
             message,
@@ -269,6 +287,7 @@ impl TaskStatus {
             error,
             result,
             shuf,
+            part,
         })
     }
 
@@ -306,6 +325,8 @@ pub(crate) struct StatusView {
     error: Option<usize>,
     result: Option<usize>,
     shuf: Option<usize>,
+    /// `shuf.parts[i]`, for the `i` [`TaskStatus::decode_for`] was given.
+    part: Option<usize>,
 }
 
 impl StatusView {
@@ -319,18 +340,27 @@ impl StatusView {
         Some(ValueRef::at_offset(&self.raw, self.shuf?))
     }
 
-    /// The result of finished task `f`: inline in this status, else one GET
-    /// of `…/result` through `read`. Either way the only value built.
+    /// This reader's entry of the manifest's `parts` — `None` if the status
+    /// has no such entry, or was not decoded for one — from where the
+    /// validating walk passed it: half a manifest of inline slices is not
+    /// walked a second time to reach it.
+    pub(crate) fn shuf_part(&self) -> Option<ValueRef<'_>> {
+        Some(ValueRef::at_offset(&self.raw, self.part?))
+    }
+
+    /// The result of finished task `f`: inline in this status, else the
+    /// verified bytes of `…/result` that `staged` reads (awaited only then).
+    /// Either way the only value built.
     ///
     /// # Errors
     ///
     /// [`PywrenError::Task`] with the task's own message if it did not
-    /// finish `done`; otherwise whatever `read` returns, or
+    /// finish `done`; otherwise whatever `staged` returns, or
     /// [`PywrenError::Wire`] for an undecodable result object.
-    pub(crate) fn into_result(
+    pub(crate) async fn into_result(
         self,
         f: &ResponseFuture,
-        read: impl Fn(&str, &str) -> error::Result<Bytes>,
+        staged: impl Future<Output = error::Result<Bytes>>,
     ) -> error::Result<Value> {
         if let Some(message) = self.error() {
             return Err(PywrenError::Task {
@@ -340,7 +370,7 @@ impl StatusView {
         }
         match self.result {
             Some(at) => Ok(ValueRef::at_offset(&self.raw, at).to_value()?),
-            None => Ok(Value::decode(&read(f.bucket(), &f.result_key())?)?),
+            None => Ok(Value::decode(&staged.await?)?),
         }
     }
 }
@@ -386,10 +416,10 @@ impl StatusWatch {
     /// # Errors
     ///
     /// The first LIST that fails.
-    pub(crate) fn landed(&self, cos: &CosClient) -> Result<Vec<usize>, StoreError> {
+    pub(crate) async fn landed(&self, cos: &CosClient) -> Result<Vec<usize>, StoreError> {
         let mut landed = Vec::new();
         for (bucket, prefix) in &self.prefixes {
-            for meta in cos.list(bucket, prefix)? {
+            for meta in cos.list_async(bucket, prefix).await? {
                 if let Some(&i) = self.index.get(&meta.key) {
                     landed.push(i);
                 }
@@ -417,6 +447,23 @@ mod tests {
 
     fn future() -> ResponseFuture {
         ResponseFuture::new("bkt", "e3", 2, 17)
+    }
+
+    /// `into_result` over a staged read that does not suspend: one poll.
+    fn result_of(
+        status: StatusView,
+        f: &ResponseFuture,
+        staged: impl FnOnce() -> error::Result<Bytes>,
+    ) -> error::Result<Value> {
+        let result = std::pin::pin!(status.into_result(f, async { staged() }));
+        match rustwren_sim::task::resume(result) {
+            std::ops::ControlFlow::Break(result) => result,
+            std::ops::ControlFlow::Continue(_) => panic!("a ready read suspended"),
+        }
+    }
+
+    fn no_read() -> error::Result<Bytes> {
+        panic!("inline needs no read")
     }
 
     #[test]
@@ -482,8 +529,7 @@ mod tests {
         assert_eq!(decoded.error(), None);
         let shuf = decoded.shuf().expect("a manifest").to_value();
         assert_eq!(shuf, Ok(Value::map().with("n", 2i64)));
-        let no_read = |_: &str, _: &str| -> error::Result<Bytes> { panic!("inline needs no read") };
-        assert_eq!(decoded.into_result(&f, no_read), Ok(Value::Int(7)));
+        assert_eq!(result_of(decoded, &f, no_read), Ok(Value::Int(7)));
         let failed = TaskStatus::new(Some("boom"), 1.0, 2.0);
         let decoded = TaskStatus::decode(failed.encode(), &f).expect("decodes");
         assert_eq!(decoded.error(), Some("boom"));
@@ -515,18 +561,16 @@ mod tests {
     }
 
     #[test]
-    fn finished_result_is_inline_else_one_read_of_the_result_key() {
+    fn finished_result_is_inline_else_the_staged_read() {
         let f = future();
         let read_back = |s: TaskStatus| TaskStatus::decode(s.encode(), &f).expect("decodes");
-        let no_read = |_: &str, _: &str| -> error::Result<Bytes> { panic!("inline needs no read") };
         let inline = read_back(TaskStatus::new(None, 0.0, 1.0).with_result(Value::Int(7)));
-        assert_eq!(inline.into_result(&f, no_read), Ok(Value::Int(7)));
-        let staged = read_back(TaskStatus::new(None, 0.0, 1.0)).into_result(&f, |bucket, key| {
-            assert_eq!((bucket, key), ("bkt", "jobs/e3/2/t00017/result"));
-            Ok(Value::Int(9).encode())
-        });
+        assert_eq!(result_of(inline, &f, no_read), Ok(Value::Int(7)));
+        let staged = read_back(TaskStatus::new(None, 0.0, 1.0));
+        let staged = result_of(staged, &f, || Ok(Value::Int(9).encode()));
         assert_eq!(staged, Ok(Value::Int(9)));
-        let failed = read_back(TaskStatus::new(Some("boom"), 0.0, 1.0)).into_result(&f, no_read);
+        let failed = read_back(TaskStatus::new(Some("boom"), 0.0, 1.0));
+        let failed = result_of(failed, &f, no_read);
         assert_eq!(
             failed,
             Err(PywrenError::Task {
@@ -581,6 +625,9 @@ mod tests {
     /// "finished and failed" and anything else as "poll again" — or the
     /// same fields.
     fn check_status(bytes: Vec<u8>) -> Result<(), String> {
+        for part in [0, 1, 5] {
+            check_part(&bytes, part)?;
+        }
         let f = future();
         let want = reference(&bytes);
         let (status, v) = match (TaskStatus::decode(Bytes::from(bytes), &f), want) {
@@ -604,10 +651,36 @@ mod tests {
         }
         if error.is_none() {
             let staged = Value::from("read from the result key");
-            let result = status.into_result(&f, |_, _| Ok(staged.encode()));
+            let result = result_of(status, &f, || Ok(staged.encode()));
             if result.as_ref() != Ok(v.get("result").unwrap_or(&staged)) {
                 return Err(format!("result {result:?}, reference {v:?}"));
             }
+        }
+        Ok(())
+    }
+
+    /// Reading `bytes` for shuffle partition `part` checks them as reading
+    /// them for none does, and what the walk located on its way is what
+    /// walking there again finds: the `part`-th item of the last `parts`
+    /// of the last `shuf`.
+    fn check_part(bytes: &[u8], part: usize) -> Result<(), String> {
+        let f = future();
+        let plain = TaskStatus::decode(Bytes::copy_from_slice(bytes), &f);
+        let status = match TaskStatus::decode_for(Bytes::copy_from_slice(bytes), &f, Some(part)) {
+            Ok(status) if plain.is_ok() => status,
+            Err(e) if plain.as_ref().err() == Some(&e) => return Ok(()),
+            other => return Err(format!("for part {part} {other:?}, for none {plain:?}")),
+        };
+        let walked_to = status
+            .shuf()
+            .and_then(|shuf| shuf.get("parts"))
+            .and_then(|parts| parts.at(part));
+        let found = status.shuf_part().map(|v| v.offset());
+        let walked_to = walked_to.map(|v| v.offset());
+        if found != walked_to {
+            return Err(format!(
+                "part {part} of {bytes:?}: found at {found:?}, walking at {walked_to:?}"
+            ));
         }
         Ok(())
     }
@@ -659,8 +732,39 @@ mod tests {
         prop::collection::vec((key.prop_map(str::to_owned), value), 0..3)
     }
 
+    /// A `shuf` entry, encoded: a manifest as the writer makes one, one
+    /// whose `parts` is no list, one that names `parts` twice or not at
+    /// all, or no map.
+    fn manifest() -> impl Strategy<Value = Vec<u8>> {
+        let parts = prop_oneof![
+            prop::collection::vec(corpus::value(), 0..6).prop_map(Value::List),
+            corpus::value(),
+        ];
+        let key = prop::sample::select(vec!["parts", "parts", "k", "n"]);
+        let entries = prop::collection::vec((key.prop_map(str::to_owned), parts), 0..4);
+        prop_oneof![
+            entries.prop_map(|entries| corpus::encode_entries(&entries)),
+            corpus::value().prop_map(|v| v.encode().to_vec()),
+        ]
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn part_located_by_the_walk_is_the_part_walked_to(
+            status in written_status(),
+            manifests in prop::collection::vec(manifest(), 0..3),
+            part in 0usize..8,
+            damage in corpus::damage(),
+        ) {
+            let encoded = |(k, v): (String, Value)| (k, v.encode().to_vec());
+            let shufs = manifests.into_iter().map(|m| ("shuf".to_owned(), m));
+            let entries: Vec<_> = status.into_iter().map(encoded).chain(shufs).collect();
+            for bytes in corpus::damaged(&corpus::encode_raw_entries(&entries), damage) {
+                check_part(&bytes, part).map_err(TestCaseError::fail)?;
+            }
+        }
 
         #[test]
         fn status_reader_matches_the_reference_on_arbitrary_bytes(
@@ -721,6 +825,24 @@ mod tests {
     fn from_value_rejects_malformed() {
         assert!(ResponseFuture::from_value(&Value::map()).is_err());
         assert!(ResponseFuture::from_value(&Value::Int(3)).is_err());
+        // Once truncated to 32 bits (task 2^32 + 17 resolved as task 17) or
+        // wrapped into a job number near 2^64.
+        for (key, bad) in [
+            ("task", -1),
+            ("task", i64::from(u32::MAX) + 1),
+            ("task", (1 << 32) + 17),
+            ("job", -1),
+            ("job", i64::MIN),
+        ] {
+            let err = ResponseFuture::from_value(&future().to_value().with(key, bad))
+                .expect_err("out of range");
+            assert!(err.contains(&format!("`{key}`")), "{key} = {bad}: {err}");
+        }
+        let edge = future().to_value().with("task", i64::from(u32::MAX));
+        assert_eq!(
+            ResponseFuture::from_value(&edge).map(|f| f.task()),
+            Ok(u32::MAX)
+        );
     }
 
     #[test]

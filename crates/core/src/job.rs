@@ -20,9 +20,12 @@
 //! jobs/e/j/t00000/status   {"state": "done"|"error", timings…, result?}
 //! ```
 
+use std::any::Any;
+use std::collections::BTreeMap;
 use std::future::Future;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::Weak;
+use std::pin::Pin;
+use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 use bytes::Bytes;
@@ -34,7 +37,8 @@ use rustwren_store::CosClient;
 use crate::cloud::{CloudInner, SimCloud};
 use crate::error::PywrenError;
 use crate::future::{func_key, ResponseFuture, StatusView, StatusWatch, TaskStatus};
-use crate::partition::{read_aligned, Partition};
+use crate::partition::{read_aligned_async, Partition};
+use crate::registry::{RemoteFn, ResumableFn};
 use crate::shuffle::{
     merge_runs, segment_key, shuffle_key, sort_run, ExchangeMode, KeyedPair, Partitioner,
     MAX_REDUCERS,
@@ -144,8 +148,7 @@ pub(crate) async fn get_verified_async(
     Ok(payload)
 }
 
-/// [`get_verified_async`], blocking: for the client and for agent code that
-/// already has a thread.
+/// [`get_verified_async`], blocking: for the client.
 pub(crate) fn get_verified(
     cos: &CosClient,
     bucket: &str,
@@ -213,8 +216,8 @@ impl AgentPayload {
         Ok(AgentPayload {
             bucket: v.req_str("bucket")?.to_owned(),
             exec_id: v.req_str("exec")?.to_owned(),
-            job_id: v.req_i64("job")? as u64,
-            task: v.req_i64("task")? as u32,
+            job_id: v.req_int("job")?,
+            task: v.req_int("task")?,
             func_name: v.req_str("func")?.to_owned(),
             inline,
         })
@@ -339,7 +342,7 @@ impl TaskSpec {
 
 /// The agent: runs inside every IBM-PyWren function container. Resumable:
 /// it suspends only at `.await`s, so it rides a light task up to the point,
-/// if any, where it asks for a thread ([`execute_task`]).
+/// if any, where it asks for a thread ([`UserFn::call_caught`]).
 // lint: entry(hot_path)
 // lint: entry(sim_path)
 pub(crate) async fn run_agent(
@@ -409,6 +412,8 @@ pub(crate) async fn run_agent(
 
 /// Runs the task described by `payload`, returning its result value plus —
 /// for shuffle maps — the partition manifest to embed in the status object.
+/// Every kind's input and output I/O is resumable; what may block is the
+/// user's code, and [`UserFn::call_caught`] is where a thread is asked for.
 async fn execute_task(
     cloud: &SimCloud,
     ctx: &ActivationCtx,
@@ -432,72 +437,85 @@ async fn execute_task(
     };
 
     let task_ctx = TaskCtx::new(ctx.clone(), cloud.clone());
-
-    // The dispatch point. A plain value is its own input and a resumable
-    // function suspends the way this agent does, so that pair carries on
-    // without a stack. Everything else blocks somewhere — a blocking
-    // function or combiner in code this crate does not own, a partition,
-    // reduce or shuffle input (and a shuffle map's output) in COS calls not
-    // yet converted — and so asks for a thread first.
-    if desc.req_str("kind")? == "value" {
-        if let Some(resume) = cloud.registry().resumable(&payload.func_name) {
-            let input = build_input(ctx, cos, &desc)?;
-            return match task::catch_unwind(resume(task_ctx, input)).await {
-                Ok(result) => result.map(|r| (r, None)),
-                Err(p) => Err(format!("function panicked: {}", panic_text(&p))),
-            };
-        }
-    }
-    let func = cloud
-        .registry()
-        .get(&payload.func_name)
+    let kind = desc.req_str("kind")?;
+    let func = UserFn::lookup(cloud, &payload.func_name)
         .ok_or_else(|| format!("function `{}` not registered", payload.func_name))?;
-    task::thread().await;
-    // lint: allow(L008) — what this calls blocks (user functions, COS calls
-    // on the blocking client), and may: the promotion on the line above has
-    // put the activation on an OS thread of its own, where
-    // `LightScope`/`IN_LIGHT_STEP` no longer apply; guarded by
-    // crates/core/tests/vehicles.rs (every kind, both registrations) and
-    // kernel.rs promoted_task_reproduces_the_all_thread_schedule
-    execute_blocking(cloud, ctx, cos, payload, &desc, func.as_ref(), &task_ctx)
-}
-
-/// [`execute_task`] from the dispatch point on, for every task that takes a
-/// thread there: builds the input, calls the function and — for a shuffle
-/// map — spills its output, blocking wherever those block.
-fn execute_blocking(
-    cloud: &SimCloud,
-    ctx: &ActivationCtx,
-    cos: &CosClient,
-    payload: &AgentPayload,
-    desc: &Value,
-    func: &dyn crate::registry::RemoteFn,
-    task_ctx: &TaskCtx,
-) -> Result<(Value, Option<Value>), String> {
-    let fut = payload.future();
-    let call = |input: Value| -> Result<Value, String> {
-        match panic::catch_unwind(AssertUnwindSafe(|| func.call(task_ctx, input))) {
-            Ok(result) => result,
-            Err(p) => Err(format!("function panicked: {}", panic_text(&p))),
-        }
-    };
-
-    match desc.req_str("kind")? {
+    match kind {
         "shuffle-map" => {
-            let params = ShuffleMapParams::from_desc(desc)?;
+            let params = ShuffleMapParams::from_desc(&desc)?;
             let inner = desc.get("inner").ok_or("missing field `inner`")?;
-            let input = build_input(ctx, cos, inner)?;
-            let output = call(input)?;
-            write_shuffle_output(cloud, cos, payload, &fut, task_ctx, output, &params)
+            let input = build_input(ctx, cos, inner).await?;
+            let output = func.call_task(&task_ctx, input).await?;
+            boxed(|| write_shuffle_output(cloud, cos, payload, &fut, &task_ctx, output, &params))
+                .await
                 .map(|(result, manifest)| (result, Some(manifest)))
         }
         "shuffle-reduce" => {
-            let input = build_shuffle_reduce_input(cloud, ctx, cos, desc)?;
-            call(input).map(|r| (r, None))
+            let input = boxed(|| build_shuffle_reduce_input(cloud, ctx, cos, &desc)).await?;
+            func.call_task(&task_ctx, input).await.map(|r| (r, None))
         }
         _ => {
-            let input = build_input(ctx, cos, desc)?;
-            call(input).map(|r| (r, None))
+            let input = build_input(ctx, cos, &desc).await?;
+            func.call_task(&task_ctx, input).await.map(|r| (r, None))
+        }
+    }
+}
+
+/// The future `make` builds, on the heap: each kind's gather is boxed, so
+/// that a `value` task's agent does not carry a reducer's locals. Out of
+/// line, so that the future is built in this frame and not the caller's:
+/// unpolled it is already as big as everything it will ever hold, and the
+/// caller's poll frame stays beneath every poll of it — on a thread, beneath
+/// the user's function; on the light vehicle, on top of whichever thread
+/// dispatches.
+#[inline(never)]
+fn boxed<F: Future>(make: impl FnOnce() -> F) -> Pin<Box<F>> {
+    Box::pin(make())
+}
+
+/// A registered function — the task's, or a combiner — as the agent calls
+/// it: resumable code is awaited where the agent is, on either vehicle;
+/// blocking code is given a thread first.
+struct UserFn {
+    call: Arc<dyn RemoteFn>,
+    resume: Option<Arc<ResumableFn>>,
+}
+
+impl UserFn {
+    fn lookup(cloud: &SimCloud, name: &str) -> Option<UserFn> {
+        let registry = cloud.registry();
+        Some(UserFn {
+            call: registry.get(name)?,
+            resume: registry.resumable(name),
+        })
+    }
+
+    /// One call, with a panic in it caught and returned.
+    async fn call_caught(
+        &self,
+        ctx: &TaskCtx,
+        input: Value,
+    ) -> Result<Result<Value, String>, Box<dyn Any + Send>> {
+        if let Some(resume) = &self.resume {
+            return task::catch_unwind(resume(ctx.clone(), input)).await;
+        }
+        task::thread().await;
+        // lint: allow(L008) — a blocking function blocks (charges time,
+        // uses the blocking COS client, runs sub-jobs), and may: the
+        // promotion on the line above has put the activation on an OS thread
+        // of its own, where `LightScope`/`IN_LIGHT_STEP` no longer apply;
+        // guarded by crates/core/tests/vehicles.rs (every kind, both
+        // registrations) and kernel.rs
+        // promoted_task_reproduces_the_all_thread_schedule
+        panic::catch_unwind(AssertUnwindSafe(|| self.call.call(ctx, input)))
+    }
+
+    /// [`call_caught`](UserFn::call_caught) for the task's own function: a
+    /// panic is the task's error.
+    async fn call_task(&self, ctx: &TaskCtx, input: Value) -> Result<Value, String> {
+        match self.call_caught(ctx, input).await {
+            Ok(result) => result,
+            Err(p) => Err(format!("function panicked: {}", panic_text(&p))),
         }
     }
 }
@@ -587,7 +605,7 @@ async fn fetch_func_blob(
 /// chaos: the per-reducer entry is `Null`. The relay exchange always
 /// publishes every channel (publishes are datacenter-cheap and a
 /// present-but-empty channel needs no COS diagnosis round trip).
-fn write_shuffle_output(
+async fn write_shuffle_output(
     cloud: &SimCloud,
     cos: &CosClient,
     payload: &AgentPayload,
@@ -596,18 +614,21 @@ fn write_shuffle_output(
     output: Value,
     params: &ShuffleMapParams,
 ) -> Result<(Value, Value), String> {
-    let pairs = output
-        .as_list()
-        .ok_or("shuffle map functions must return a list of {k, v} pairs")?;
+    let Value::List(pairs) = output else {
+        return Err("shuffle map functions must return a list of {k, v} pairs".to_owned());
+    };
     let reducers = params.reducers;
+    let total = pairs.len();
+    // The output is taken apart, not copied: each pair moves into its
+    // bucket whole, beside the one copy of its key the sort compares by.
     let mut buckets: Vec<Vec<KeyedPair>> = vec![Vec::new(); reducers];
     for pair in pairs {
-        let key = pair.req_str("k")?;
-        // lint: allow(L009) — bucket_of's contract is `< reducers`, which is
-        // exactly the buckets length (checked by Partitioner::validate)
-        buckets[params.partitioner.bucket_of(key, reducers)].push((key.to_owned(), pair.clone()));
+        let key = pair.req_str("k")?.to_owned();
+        let bucket = buckets.get_mut(params.partitioner.bucket_of(&key, reducers));
+        bucket
+            .ok_or("internal: partitioner chose a bucket past the last reducer")?
+            .push((key, pair));
     }
-    let total = pairs.len();
     let prefix = fut.task_prefix();
     let summary = |manifest: Value| {
         (
@@ -624,27 +645,28 @@ fn write_shuffle_output(
         None => None,
         Some(name) => Some((
             name.as_str(),
-            cloud
-                .registry()
-                .get(name)
+            UserFn::lookup(cloud, name)
                 .ok_or_else(|| format!("combiner `{name}` is not registered"))?,
         )),
     };
     for bucket in &mut buckets {
         sort_run(bucket);
         if let Some((name, func)) = &combiner {
-            *bucket = combine_run(std::mem::take(bucket), name, func.as_ref(), task_ctx)?;
+            *bucket = combine_run(std::mem::take(bucket), name, func, task_ctx).await?;
         }
     }
 
     if params.exchange == ExchangeMode::Relay {
         // Direct exchange: publish every channel (empty included) to the
-        // relay tier. No COS data-plane operation at all.
+        // relay tier. No COS data-plane operation at all. The relay tier is
+        // blocking code on its way out (ROADMAP item 1): no resumable twin.
+        task::thread().await;
+        let relay = cloud.relay();
         for (r, bucket) in buckets.into_iter().enumerate() {
             let list = Value::List(bucket.into_iter().map(|(_, p)| p).collect());
-            cloud
-                .relay()
-                .put(&shuffle_key(&prefix, r, reducers), list.stamped());
+            // lint: allow(L008) — the relay tier blocks, on the thread asked
+            // for above; guarded by tests/shuffle_plane.rs (the relay arm)
+            relay.put(&shuffle_key(&prefix, r, reducers), list.stamped());
         }
         return Ok(summary(
             Value::map().with("n", reducers as i64).with("k", "relay"),
@@ -679,7 +701,8 @@ fn write_shuffle_output(
     if !segment.is_empty() {
         // Slices carry their own stamps (range reads can't verify a whole-
         // object stamp), so the segment is PUT raw.
-        cos.put(&payload.bucket, &segment_key(&prefix), Bytes::from(segment))
+        cos.put_async(&payload.bucket, &segment_key(&prefix), Bytes::from(segment))
+            .await
             .map_err(|e| format!("writing shuffle segment: {e}"))?;
     }
     Ok(summary(
@@ -695,32 +718,23 @@ fn write_shuffle_output(
 /// combiner sees `{"k": key, "vs": [values…]}` and returns the combined
 /// value (singletons included, so its semantics don't depend on luck of
 /// partition sizes).
-fn combine_run(
+async fn combine_run(
     run: Vec<KeyedPair>,
     name: &str,
-    func: &dyn crate::registry::RemoteFn,
+    func: &UserFn,
     task_ctx: &TaskCtx,
 ) -> Result<Vec<KeyedPair>, String> {
     let mut out: Vec<KeyedPair> = Vec::new();
-    let mut i = 0;
-    while i < run.len() {
-        let mut j = i + 1;
-        // lint: allow(L009) — i < run.len() from the loop condition, j is
-        // bounds-checked before dereference
-        while j < run.len() && run[j].0 == run[i].0 {
-            j += 1;
+    let mut run = run.into_iter().peekable();
+    while let Some((key, first)) = run.next() {
+        let mut vs = vec![value_of(first)];
+        while let Some((_, pair)) = run.next_if(|(k, _)| *k == key) {
+            vs.push(value_of(pair));
         }
-        // lint: allow(L009) — same loop invariant
-        let key = run[i].0.clone();
-        // lint: allow(L009) — i <= j <= run.len() by construction
-        let vs: Vec<Value> = run[i..j]
-            .iter()
-            .map(|(_, p)| p.get("v").cloned().unwrap_or(Value::Null))
-            .collect();
         let input = Value::map()
             .with("k", key.as_str())
             .with("vs", Value::List(vs));
-        let combined = match panic::catch_unwind(AssertUnwindSafe(|| func.call(task_ctx, input))) {
+        let combined = match func.call_caught(task_ctx, input).await {
             Ok(r) => r.map_err(|e| format!("combiner `{name}` failed for key `{key}`: {e}"))?,
             Err(p) => {
                 return Err(format!(
@@ -731,9 +745,16 @@ fn combine_run(
         };
         let pair = Value::map().with("k", key.as_str()).with("v", combined);
         out.push((key, pair));
-        i = j;
     }
     Ok(out)
+}
+
+/// The `v` of a `{k, v}` pair, moved out of it.
+fn value_of(pair: Value) -> Value {
+    match pair {
+        Value::Map(mut fields) => fields.remove("v").unwrap_or(Value::Null),
+        _ => Value::Null,
+    }
 }
 
 /// Decoded shuffle-reduce descriptor fields.
@@ -752,9 +773,9 @@ impl ShuffleReduceParams {
         let depr = desc.get("depr").ok_or("missing field `depr`")?;
         let bucket = depr.req_str("bucket")?;
         let exec = depr.req_str("exec")?;
-        let job = depr.req_i64("job")? as u64;
-        let maps = u32::try_from(depr.req_i64("n")?)
-            .map_err(|_| "field `depr.n` must be in 0..=u32::MAX".to_owned())?;
+        let in_depr = |e: String| format!("in `depr`: {e}");
+        let job: u64 = depr.req_int("job").map_err(in_depr)?;
+        let maps: u32 = depr.req_int("n").map_err(in_depr)?;
         let reducers = reducers_of(desc)?;
         let index = match usize::try_from(desc.req_i64("index")?) {
             Ok(i) if i < reducers => i,
@@ -779,68 +800,59 @@ impl ShuffleReduceParams {
 
 /// Gathers one reducer's shuffle partitions from every map task, merges the
 /// runs, and groups the pairs by key.
-// (Out of line: its kilobyte of locals is done with before the function is
-// called, and `execute_blocking`'s frame is beneath every user function.)
-#[inline(never)]
-fn build_shuffle_reduce_input(
+async fn build_shuffle_reduce_input(
     cloud: &SimCloud,
     ctx: &ActivationCtx,
     cos: &CosClient,
     desc: &Value,
 ) -> Result<Value, String> {
     let p = ShuffleReduceParams::from_desc(desc)?;
-    let (deps, index) = (&p.deps, p.index);
 
     // Gather each map's partition as soon as its status lands, slotted by
     // dep index; runs are then merged in dep order, so the grouped output is
     // bitwise-identical to a barrier-then-gather pass.
-    let mut slots: Vec<Option<Vec<KeyedPair>>> = vec![None; deps.len()];
-    for_each_dep_done(ctx, cos, deps, p.poll, |i, d| {
-        // lint: allow(L009) — for_each_dep_done yields i < deps.len() == slots.len()
-        slots[i] = Some(fetch_shuffle_run(
-            cloud, cos, d, index, p.reducers, p.exchange,
-        )?);
-        Ok(())
-    })?;
-
-    let mut runs: Vec<Vec<KeyedPair>> = Vec::with_capacity(slots.len());
-    for (i, slot) in slots.into_iter().enumerate() {
-        // An unfilled slot is an internal protocol bug; surface it as a
-        // typed task error (retry/speculation can heal it) instead of
-        // panicking the agent.
-        runs.push(slot.ok_or_else(|| {
-            format!(
-                "internal: shuffle dependency {i} of {} was never fetched",
-                deps.len()
-            )
-        })?);
+    let mut slots: Vec<Option<Vec<KeyedPair>>> = vec![None; p.deps.len()];
+    let mut landed = DepWatch::new(ctx, cos, &p.deps, p.poll);
+    while let Some((i, d)) = landed.next_landed().await? {
+        let run = fetch_shuffle_run(cloud, cos, d, p.index, p.reducers, p.exchange).await?;
+        if let Some(slot) = slots.get_mut(i) {
+            *slot = Some(run);
+        }
     }
 
     // Runs arrive sorted: k-way merge under the bounded fan-in budget
     // instead of holding and re-scanning everything.
-    let merged = merge_runs(runs, p.fanin).0;
+    let merged = merge_runs(filled(slots)?, p.fanin).0;
 
-    let mut groups: std::collections::BTreeMap<String, Value> = std::collections::BTreeMap::new();
-    for (k, pair) in &merged {
-        let v = pair.get("v").cloned().unwrap_or(Value::Null);
-        match groups
-            .entry(k.clone())
-            .or_insert_with(|| Value::List(Vec::new()))
-        {
-            Value::List(items) => items.push(v),
-            // lint: allow(L009) — entry is inserted as a list two lines up
-            _ => unreachable!("groups only hold lists"),
+    // Keys and values move out of the merged pairs into their groups.
+    let mut groups: BTreeMap<String, Value> = BTreeMap::new();
+    for (key, pair) in merged {
+        let group = groups.entry(key).or_insert_with(|| Value::List(Vec::new()));
+        if let Value::List(values) = group {
+            values.push(value_of(pair));
         }
     }
     Ok(Value::map()
-        .with("index", index as i64)
+        .with("index", p.index as i64)
         .with("groups", Value::Map(groups)))
+}
+
+/// What each dependency's slot was filled with, in dependency order.
+fn filled<T>(slots: Vec<Option<T>>) -> Result<Vec<T>, String> {
+    let deps = slots.len();
+    let filled = slots.into_iter().enumerate().map(|(i, slot)| {
+        // An unfilled slot is an internal protocol bug; surface it as a
+        // typed task error (retry/speculation can heal it) instead of
+        // panicking the agent.
+        slot.ok_or_else(|| format!("internal: dependency {i} of {deps} was never fetched"))
+    });
+    filled.collect()
 }
 
 /// Fetches reducer `index`'s partition run from one finished map task,
 /// using the map's status manifest to tell elided-empty partitions apart
 /// from lost data.
-fn fetch_shuffle_run(
+async fn fetch_shuffle_run(
     cloud: &SimCloud,
     cos: &CosClient,
     d: &ResponseFuture,
@@ -852,10 +864,16 @@ fn fetch_shuffle_run(
 
     if exchange == ExchangeMode::Relay {
         let channel = shuffle_key(&prefix, index, reducers);
+        // The relay tier is blocking code on its way out (ROADMAP item 1):
+        // a thread first, no resumable twin.
+        task::thread().await;
+        let relay = cloud.relay();
         // Happy path: zero COS operations — maps publish every channel, so
         // the relay read alone settles it. Only a miss (map failed, or data
         // gone) costs one status GET to diagnose which.
-        return match cloud.relay().get(&channel) {
+        // lint: allow(L008) — the relay tier blocks, on the thread asked for
+        // above; guarded by tests/shuffle_plane.rs (the relay arm)
+        return match relay.get(&channel) {
             Ok(stamped) => {
                 let raw = wire::verify_stamped(&stamped).map_err(|e| {
                     format!("integrity failure reading relay channel {channel}: {e}")
@@ -863,7 +881,7 @@ fn fetch_shuffle_run(
                 keyed_pairs_of_raw(raw)
             }
             Err(_) => {
-                dep_status(cos, d)?;
+                dep_status(cos, d, None).await?;
                 Err(format!(
                     "shuffle data of map task {} lost from the relay tier",
                     d.label()
@@ -872,9 +890,10 @@ fn fetch_shuffle_run(
         };
     }
 
-    // The status was checked end to end when it was read; of its manifest —
-    // every reducer's inline slice — only this reducer's entry is built.
-    let status = dep_status(cos, d)?;
+    // The status was checked end to end when it was read, in the one walk
+    // that also found this reducer's entry of its manifest — every
+    // reducer's inline slice — which is the only part of it built.
+    let status = dep_status(cos, d, Some(index)).await?;
     let manifest = status.shuf().ok_or_else(|| {
         format!(
             "status of map task {} carries no shuffle manifest",
@@ -884,9 +903,8 @@ fn fetch_shuffle_run(
     let kind = manifest.get("k").and_then(|k| k.as_str());
     match kind.ok_or("missing or non-string field `k`")? {
         "seg" => {
-            let entry = manifest
-                .get("parts")
-                .and_then(|parts| parts.at(index))
+            let entry = status
+                .shuf_part()
                 .ok_or_else(|| format!("manifest has no entry for partition {index}"))?;
             if entry.is_null() {
                 return Ok(Vec::new());
@@ -909,6 +927,7 @@ fn fetch_shuffle_run(
                 span("o")?,
                 span("l")?,
             )
+            .await
             .map_err(|e| format!("map task {}: {e}", d.label()))?;
             keyed_pairs_of_raw(&raw)
         }
@@ -925,7 +944,7 @@ fn fetch_shuffle_run(
 /// verifies its checksum (re-fetching on a bad read, like
 /// [`get_stamped`]). A missing segment is a typed loss error — the
 /// manifest said the slice exists.
-fn get_slice_verified(
+async fn get_slice_verified(
     cos: &CosClient,
     bucket: &str,
     key: &str,
@@ -941,16 +960,23 @@ fn get_slice_verified(
             e => format!("fetching shuffle slice: {e}"),
         })
     };
-    task::block_on(read_verified(read, |e| {
-        format!("integrity failure reading shuffle slice {bucket}/{key}@{off}: {e}")
-    }))
-    .map(|(_stamped, slice)| slice)
+    let integrity =
+        |e| format!("integrity failure reading shuffle slice {bucket}/{key}@{off}: {e}");
+    let (_stamped, slice) = read_verified(read, integrity).await?;
+    Ok(slice)
 }
 
-/// Reads the status object of finished map task `d`; one that did not
-/// finish `done` is an error carrying its message.
-fn dep_status(cos: &CosClient, d: &ResponseFuture) -> Result<StatusView, String> {
-    let status = TaskStatus::read(d, |b, k| get_verified(cos, b, k))
+/// Reads the status object of finished map task `d`, noting where shuffle
+/// partition `part`'s manifest entry is if one is named; a status that did
+/// not finish `done` is an error carrying its message.
+async fn dep_status(
+    cos: &CosClient,
+    d: &ResponseFuture,
+    part: Option<usize>,
+) -> Result<StatusView, String> {
+    let status = get_verified_async(cos, d.bucket(), &d.status_key())
+        .await
+        .and_then(|raw| TaskStatus::decode_for(raw, d, part))
         .map_err(|e| format!("fetching dep status: {e}"))?;
     match status.error() {
         Some(msg) => Err(format!("map task {} failed: {msg}", d.label())),
@@ -975,9 +1001,16 @@ fn keyed_pairs_of(v: Value) -> Result<Vec<KeyedPair>, String> {
 }
 
 /// Materializes the user function's input from the task descriptor,
-/// merging any job-level `extra` entries into map-shaped inputs.
-fn build_input(ctx: &ActivationCtx, cos: &CosClient, desc: &Value) -> Result<Value, String> {
-    let input = build_input_base(ctx, cos, desc)?;
+/// merging any job-level `extra` entries into map-shaped inputs. A plain
+/// value is its own input; the kinds that read COS do so in boxed futures
+/// of their own.
+async fn build_input(ctx: &ActivationCtx, cos: &CosClient, desc: &Value) -> Result<Value, String> {
+    let input = match desc.req_str("kind")? {
+        "value" => desc.get("value").cloned().unwrap_or(Value::Null),
+        "partition" => boxed(|| partition_input(cos, desc)).await?,
+        "reduce" => boxed(|| reduce_input(ctx, cos, desc)).await?,
+        other => return Err(format!("unknown task kind `{other}`")),
+    };
     let Some(extra) = desc.get("extra").and_then(Value::as_map) else {
         return Ok(input);
     };
@@ -994,102 +1027,115 @@ fn build_input(ctx: &ActivationCtx, cos: &CosClient, desc: &Value) -> Result<Val
     }
 }
 
-fn build_input_base(ctx: &ActivationCtx, cos: &CosClient, desc: &Value) -> Result<Value, String> {
-    match desc.req_str("kind")? {
-        "value" => Ok(desc.get("value").cloned().unwrap_or(Value::Null)),
-        "partition" => {
-            let part = Partition::from_value(desc.get("part").ok_or("missing field `part`")?)?;
-            let data = read_aligned(cos, &part).map_err(|e| e.to_string())?;
-            Ok(part
-                .to_value()
-                .with("group", part.key.as_str())
-                .with("data", Value::bytes(data.to_vec())))
-        }
-        "reduce" => {
-            let deps = desc
-                .req_list("deps")?
-                .iter()
-                .map(ResponseFuture::from_value)
-                .collect::<Result<Vec<_>, _>>()?;
-            let poll = Duration::from_millis(desc.req_i64("poll_ms")?.max(1) as u64);
-            let group = desc.get("group").cloned().unwrap_or(Value::Null);
+/// A partition task's input: the partition's line-aligned bytes.
+async fn partition_input(cos: &CosClient, desc: &Value) -> Result<Value, String> {
+    let part = Partition::from_value(desc.get("part").ok_or("missing field `part`")?)?;
+    let data = read_aligned_async(cos, &part)
+        .await
+        .map_err(|e| e.to_string())?;
+    Ok(part
+        .to_value()
+        .with("group", part.key.as_str())
+        .with("data", Value::bytes(data.to_vec())))
+}
 
-            // Gather map results in *completion order* as each status
-            // lands, instead of waiting for the full barrier and then
-            // downloading everything at once. Results are slotted by dep
-            // index, so the reduce function still sees them in submission
-            // order — only the download timing changes.
-            let mut slots: Vec<Option<Value>> = vec![None; deps.len()];
-            for_each_dep_done(ctx, cos, &deps, poll, |i, d| {
-                let result = dep_status(cos, d)?
-                    .into_result(d, |b, k| get_verified(cos, b, k))
-                    .map_err(|e| format!("fetching dep result: {e}"))?;
-                // lint: allow(L009) — i is a dep index, slots is deps-sized
-                slots[i] = Some(result);
-                Ok(())
-            })?;
-            let results: Vec<Value> = slots
-                .into_iter()
-                .enumerate()
-                .map(|(i, s)| s.ok_or_else(|| format!("dependency slot {i} was never fetched")))
-                .collect::<Result<_, _>>()?;
-            Ok(Value::map()
-                .with("group", group)
-                .with("results", Value::List(results)))
+/// A reduce task's input: its dependencies' results, gathered in
+/// *completion order* as each status lands instead of after the full
+/// barrier, and slotted by dep index — so the reduce function still sees
+/// them in submission order, and only the download timing changes.
+async fn reduce_input(ctx: &ActivationCtx, cos: &CosClient, desc: &Value) -> Result<Value, String> {
+    let deps = desc
+        .req_list("deps")?
+        .iter()
+        .map(ResponseFuture::from_value)
+        .collect::<Result<Vec<_>, _>>()?;
+    let poll = Duration::from_millis(desc.req_i64("poll_ms")?.max(1) as u64);
+    let group = desc.get("group").cloned().unwrap_or(Value::Null);
+
+    let mut slots: Vec<Option<Value>> = vec![None; deps.len()];
+    let mut landed = DepWatch::new(ctx, cos, &deps, poll);
+    while let Some((i, d)) = landed.next_landed().await? {
+        let staged = async { get_verified_async(cos, d.bucket(), &d.result_key()).await };
+        let result = dep_status(cos, d, None).await?.into_result(d, staged).await;
+        let result = result.map_err(|e| format!("fetching dep result: {e}"))?;
+        if let Some(slot) = slots.get_mut(i) {
+            *slot = Some(result);
         }
-        other => Err(format!("unknown task kind `{other}`")),
     }
+    Ok(Value::map()
+        .with("group", group)
+        .with("results", Value::List(filled(slots)?)))
 }
 
 /// "The reduce function will wait for all the partial results before
-/// processing them" (§4.3) — implemented as a [`StatusWatch`] polled every
-/// `poll`: `fetch(i, dep)` runs for each dependency *as its status lands*,
-/// so downloads overlap the stragglers still running rather than queueing
-/// behind a full barrier. Results are slotted by dependency index, so the
-/// assembled input does not depend on completion order.
-fn for_each_dep_done<F>(
-    ctx: &ActivationCtx,
-    cos: &CosClient,
-    deps: &[ResponseFuture],
+/// processing them" (§4.3) — as a [`StatusWatch`] polled every `poll` that
+/// yields each dependency *as its status lands*, so a reducer's downloads
+/// overlap the stragglers still running rather than queueing behind a full
+/// barrier. The one gather loop, for `reduce` and `shuffle-reduce` alike.
+struct DepWatch<'a> {
+    ctx: &'a ActivationCtx,
+    cos: &'a CosClient,
+    deps: &'a [ResponseFuture],
     poll: Duration,
-    mut fetch: F,
-) -> Result<(), String>
-where
-    F: FnMut(usize, &ResponseFuture) -> Result<(), String>,
-{
-    let watch = StatusWatch::new(deps);
-    let mut fetched = vec![false; deps.len()];
-    let mut done = 0usize;
-    loop {
-        let landed = watch
-            .landed(cos)
-            .map_err(|e| format!("listing statuses: {e}"))?;
-        for i in landed {
-            // lint: allow(L009) — landed yields indexes into deps;
-            // fetched is deps-sized
-            if !fetched[i] {
-                // lint: allow(L009) — same deps-sized index
-                fetched[i] = true;
-                // lint: allow(L009) — same deps-sized index
-                fetch(i, &deps[i])?;
-                done += 1;
+    watch: StatusWatch,
+    /// Per dependency, whether it has been yielded; and how many have.
+    seen: Vec<bool>,
+    done: usize,
+    /// What the last poll found landed and has not been looked at yet;
+    /// `None` before the first poll.
+    landed: Option<std::vec::IntoIter<usize>>,
+}
+
+impl<'a> DepWatch<'a> {
+    fn new(
+        ctx: &'a ActivationCtx,
+        cos: &'a CosClient,
+        deps: &'a [ResponseFuture],
+        poll: Duration,
+    ) -> DepWatch<'a> {
+        DepWatch {
+            ctx,
+            cos,
+            deps,
+            poll,
+            watch: StatusWatch::new(deps),
+            seen: vec![false; deps.len()],
+            done: 0,
+            landed: None,
+        }
+    }
+
+    /// The next dependency whose status has landed, with its index, polling
+    /// for as long as there is time; `None` once each has been yielded.
+    async fn next_landed(&mut self) -> Result<Option<(usize, &'a ResponseFuture)>, String> {
+        loop {
+            for i in self.landed.iter_mut().flatten() {
+                if let (Some(seen @ false), Some(d)) = (self.seen.get_mut(i), self.deps.get(i)) {
+                    *seen = true;
+                    self.done += 1;
+                    return Ok(Some((i, d)));
+                }
             }
+            if self.landed.is_some() {
+                if self.done >= self.deps.len() {
+                    return Ok(None);
+                }
+                if self.ctx.remaining() < self.poll {
+                    let (done, deps) = (self.done, self.deps.len());
+                    return Err(format!(
+                        "reducer ran out of time waiting for {done}/{deps} map results"
+                    ));
+                }
+                task::sleep(self.poll).await;
+            }
+            let landed = self.watch.landed(self.cos).await;
+            let landed = landed.map_err(|e| format!("listing statuses: {e}"))?;
+            self.landed = Some(landed.into_iter());
         }
-        if done >= deps.len() {
-            return Ok(());
-        }
-        if ctx.remaining() < poll {
-            return Err(format!(
-                "reducer ran out of time waiting for {}/{} map results",
-                done,
-                deps.len()
-            ));
-        }
-        rustwren_sim::sleep(poll);
     }
 }
 
-fn panic_text(p: &Box<dyn std::any::Any + Send>) -> String {
+fn panic_text(p: &Box<dyn Any + Send>) -> String {
     if let Some(s) = p.downcast_ref::<&str>() {
         (*s).to_owned()
     } else if let Some(s) = p.downcast_ref::<String>() {
@@ -1170,6 +1216,13 @@ mod tests {
     fn agent_payload_decode_rejects_garbage() {
         assert!(AgentPayload::decode(b"nonsense").is_err());
         assert!(AgentPayload::decode(&Value::map().with("bucket", "b").encode()).is_err());
+        // Once truncated (`task`) or wrapped (`job`) into another task's.
+        let full = Value::decode(&sample_payload(None).encode()).expect("decodes");
+        for (key, bad) in [("task", -1i64), ("task", 1 << 32), ("job", -1)] {
+            let err = AgentPayload::decode(&full.clone().with(key, bad).encode());
+            let err = err.expect_err("out of range");
+            assert!(err.contains(&format!("`{key}`")), "{key} = {bad}: {err}");
+        }
     }
 
     #[test]
@@ -1281,10 +1334,17 @@ mod tests {
             let r = ShuffleReduceParams::from_desc(&reduce.clone().with(key, bad));
             assert!(r.is_err(), "reduce descriptor with `{key}` = {bad}: {r:?}");
         }
-        for bad in [-1, i64::from(u32::MAX) + 1] {
-            let desc = reduce.clone().with("depr", depr.clone().with("n", bad));
-            let r = ShuffleReduceParams::from_desc(&desc);
-            assert!(r.is_err(), "reduce descriptor with `depr.n` = {bad}: {r:?}");
+        // …and a negative `depr.job` wrapped into a job number near 2^64.
+        for (key, bad) in [
+            ("n", -1),
+            ("n", i64::from(u32::MAX) + 1),
+            ("job", -1),
+            ("job", i64::MIN),
+        ] {
+            let desc = reduce.clone().with("depr", depr.clone().with(key, bad));
+            let err = ShuffleReduceParams::from_desc(&desc).expect_err("out of range");
+            let named = err.contains("`depr`") && err.contains(&format!("`{key}`"));
+            assert!(named, "reduce descriptor with `depr.{key}` = {bad}: {err}");
         }
         for bad in [0, -1, MAX_REDUCERS as i64 + 1, i64::MAX] {
             let r = ShuffleMapParams::from_desc(&map.clone().with("reducers", bad));
@@ -1309,8 +1369,8 @@ mod tests {
             let pairs = Value::List(vec![Value::map().with("k", "x").with("v", 1i64)]);
             let channel = shuffle_key(&d.task_prefix(), 0, 4);
             task::block_on(put_stamped(&cos, "b", &channel, &pairs)).expect("partition");
-            let err = fetch_shuffle_run(&cloud, &cos, &d, 0, 4, ExchangeMode::Cos)
-                .expect_err("no manifest, no fetch");
+            let run = fetch_shuffle_run(&cloud, &cos, &d, 0, 4, ExchangeMode::Cos);
+            let err = task::block_on(run).expect_err("no manifest, no fetch");
             assert!(err.contains("no shuffle manifest"), "{err}");
         });
     }

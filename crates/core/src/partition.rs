@@ -107,12 +107,11 @@ impl Partition {
     /// A message naming the malformed field: missing fields, negative
     /// offsets/index, or `end < start`.
     pub fn from_value(v: &Value) -> std::result::Result<Partition, String> {
-        let start = non_negative(v.req_i64("start")?, "start")?;
-        let end = non_negative(v.req_i64("end")?, "end")?;
+        let (start, end): (u64, u64) = (v.req_int("start")?, v.req_int("end")?);
         if end < start {
             return Err(format!("partition end {end} precedes start {start}"));
         }
-        let index = non_negative(v.req_i64("index")?, "index")? as usize;
+        let index = v.req_int("index")?;
         Ok(Partition {
             bucket: v.req_str("bucket")?.to_owned(),
             key: v.req_str("key")?.to_owned(),
@@ -121,10 +120,6 @@ impl Partition {
             index,
         })
     }
-}
-
-fn non_negative(n: i64, field: &str) -> std::result::Result<u64, String> {
-    u64::try_from(n).map_err(|_| format!("field `{field}` must be non-negative, got {n}"))
 }
 
 /// Discovers the objects behind a data source (HEAD/LIST requests, charged
@@ -223,12 +218,13 @@ pub fn partition_objects(
 
 /// Fetches a partition's payload, aligned to line boundaries (the function
 /// executor side of §4.3). Returns the physical bytes the partition owns.
+/// Resumable: what the agent awaits, on either vehicle.
 ///
 /// # Errors
 ///
 /// Storage errors from the ranged reads.
-pub fn read_aligned(cos: &CosClient, part: &Partition) -> Result<Bytes> {
-    let meta = cos.head(&part.bucket, &part.key)?;
+pub async fn read_aligned_async(cos: &CosClient, part: &Partition) -> Result<Bytes> {
+    let meta = cos.head_async(&part.bucket, &part.key).await?;
     let size = meta.size;
     if size == 0 {
         return Ok(Bytes::new());
@@ -243,7 +239,9 @@ pub fn read_aligned(cos: &CosClient, part: &Partition) -> Result<Bytes> {
     // exactly at `ps`.
     let fetch_start = ps.saturating_sub(1);
     let mut fetch_end = (pe + ALIGN_SLACK).min(size);
-    let mut raw = cos.get_range(&part.bucket, &part.key, fetch_start, fetch_end)?;
+    let mut raw = cos
+        .get_range_async(&part.bucket, &part.key, fetch_start, fetch_end)
+        .await?;
 
     // begin: offset 0 owns its first line; otherwise skip the partial line —
     // the first newline at absolute position >= ps - 1 ends it.
@@ -255,7 +253,8 @@ pub fn read_aligned(cos: &CosClient, part: &Partition) -> Result<Bytes> {
             None => {
                 // The record straddles the entire fetched window; this
                 // partition owns nothing (its line started earlier).
-                extend_to_newline(cos, part, &mut raw, fetch_start, &mut fetch_end, size)?
+                extend_to_newline(cos, part, &mut raw, fetch_start, &mut fetch_end, size)
+                    .await?
                     .map_or(size, |abs| abs + 1)
             }
         }
@@ -269,7 +268,8 @@ pub fn read_aligned(cos: &CosClient, part: &Partition) -> Result<Bytes> {
         let from = (pe - 1).saturating_sub(fetch_start) as usize;
         match find_newline(&raw, from) {
             Some(i) => fetch_start + i as u64 + 1,
-            None => extend_to_newline(cos, part, &mut raw, fetch_start, &mut fetch_end, size)?
+            None => extend_to_newline(cos, part, &mut raw, fetch_start, &mut fetch_end, size)
+                .await?
                 .map_or(size, |abs| abs + 1),
         }
     };
@@ -279,7 +279,9 @@ pub fn read_aligned(cos: &CosClient, part: &Partition) -> Result<Bytes> {
     }
     // Ensure the buffer covers end_abs (extension may have already done so).
     if end_abs > fetch_end {
-        let extra = cos.get_range(&part.bucket, &part.key, fetch_end, end_abs)?;
+        let extra = cos
+            .get_range_async(&part.bucket, &part.key, fetch_end, end_abs)
+            .await?;
         let mut v = raw.to_vec();
         v.extend_from_slice(&extra);
         raw = Bytes::from(v);
@@ -292,6 +294,15 @@ pub fn read_aligned(cos: &CosClient, part: &Partition) -> Result<Bytes> {
             end: end_abs,
             len,
         }))
+}
+
+/// [`read_aligned_async`], blocking: for callers on a thread of their own.
+///
+/// # Errors
+///
+/// As [`read_aligned_async`].
+pub fn read_aligned(cos: &CosClient, part: &Partition) -> Result<Bytes> {
+    rustwren_sim::task::block_on(read_aligned_async(cos, part))
 }
 
 fn find_newline(buf: &[u8], from: usize) -> Option<usize> {
@@ -308,7 +319,7 @@ fn find_newline(buf: &[u8], from: usize) -> Option<usize> {
 /// Grows `raw` in `ALIGN_SLACK` steps until a newline at absolute position
 /// `>=` the previous `fetch_end` is found, or EOF. Returns the newline's
 /// absolute position, if any.
-fn extend_to_newline(
+async fn extend_to_newline(
     cos: &CosClient,
     part: &Partition,
     raw: &mut Bytes,
@@ -318,7 +329,9 @@ fn extend_to_newline(
 ) -> std::result::Result<Option<u64>, StoreError> {
     while *fetch_end < size {
         let next_end = (*fetch_end + ALIGN_SLACK).min(size);
-        let extra = cos.get_range(&part.bucket, &part.key, *fetch_end, next_end)?;
+        let extra = cos
+            .get_range_async(&part.bucket, &part.key, *fetch_end, next_end)
+            .await?;
         let search_from = (*fetch_end - fetch_start) as usize;
         let mut v = raw.to_vec();
         v.extend_from_slice(&extra);

@@ -137,9 +137,10 @@ impl FunctionRegistry {
     /// previous function: `f(ctx, input)` is `async` code that suspends only
     /// by awaiting [`rustwren_sim::task`]'s leaves (directly, or through
     /// other resumable code such as the COS client's `*_async`
-    /// operations), so the agent runs it without an OS thread. Everywhere
-    /// else — a combiner, [`get`](FunctionRegistry::get)`.call(..)` — the
-    /// same code is driven to completion on the caller's thread.
+    /// operations), so the agent runs it without an OS thread, as a task of
+    /// any kind or as a combiner. Through
+    /// [`get`](FunctionRegistry::get)`.call(..)` the same code is driven to
+    /// completion on the caller's thread.
     pub fn register_resumable<F, R>(&self, name: &str, f: F)
     where
         F: Fn(TaskCtx, Value) -> R + Send + Sync + 'static,

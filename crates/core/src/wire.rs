@@ -435,6 +435,17 @@ impl Value {
             .ok_or_else(|| format!("missing or non-int field `{key}`"))
     }
 
+    /// Extracts a required integer field that must fit `T`: a count, an
+    /// index or an id arriving as the wire's one integer type.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the missing, mistyped or out-of-range field.
+    pub(crate) fn req_int<T: TryFrom<i64>>(&self, key: &str) -> Result<T, String> {
+        let n = self.req_i64(key)?;
+        T::try_from(n).map_err(|_| format!("field `{key}` is out of range: {n}"))
+    }
+
     /// Extracts a required list field from a map value.
     ///
     /// # Errors
@@ -536,6 +547,14 @@ impl FromIterator<Value> for Value {
     }
 }
 
+/// One step of a path into a value: into a map by key (the last entry under
+/// it, as [`ValueRef::get`] resolves a repeat), or into a list by position.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Step<'p> {
+    Key(&'p str),
+    Index(usize),
+}
+
 /// A borrowed view of one encoded value: a position in a buffer that
 /// [`ValueRef::parse_entries`] has validated end to end. Reading through a
 /// view allocates nothing, and [`to_value`](ValueRef::to_value) builds the
@@ -559,7 +578,10 @@ impl<'a> ValueRef<'a> {
     /// hands each entry of a top-level map to `entry` as the validating walk
     /// passes it, in encoded order: a reader after a few fields of a large
     /// value finds them in the pass that checks it, not in a walk per field.
-    /// What `entry` saw counts only if the parse succeeds.
+    /// The same pass follows `path` down from the top and returns the view of
+    /// what it leads to — what `get`/`at` along it would find, repeated keys
+    /// included — so a reader after one item deep inside does not walk to
+    /// it again either. What `entry` saw counts only if the parse succeeds.
     ///
     /// # Errors
     ///
@@ -567,12 +589,16 @@ impl<'a> ValueRef<'a> {
     /// the same inputs and reject the rest with the same [`WireError`].
     pub(crate) fn parse_entries(
         buf: &'a [u8],
+        path: &[Step<'_>],
         mut entry: impl FnMut(&'a str, ValueRef<'a>),
-    ) -> Result<ValueRef<'a>, WireError> {
+    ) -> Result<Option<ValueRef<'a>>, WireError> {
         let mut cursor = Cursor { data: buf, pos: 0 };
-        cursor.walk(0, |key, pos| entry(key, ValueRef { buf, pos }))?;
+        let mut found = None;
+        cursor.walk(0, path, &mut found, |key, pos| {
+            entry(key, ValueRef { buf, pos })
+        })?;
         match buf.len() - cursor.pos {
-            0 => Ok(ValueRef { buf, pos: 0 }),
+            0 => Ok(found.map(|pos| ValueRef { buf, pos })),
             trailing => Err(WireError::TrailingBytes(trailing)),
         }
     }
@@ -658,23 +684,6 @@ impl<'a> ValueRef<'a> {
         found
     }
 
-    /// The item at `index` of a list value.
-    pub(crate) fn at(&self, index: usize) -> Option<ValueRef<'a>> {
-        let (Node::List(count), mut cursor) = self.open()? else {
-            return None;
-        };
-        if index >= count {
-            return None;
-        }
-        for _ in 0..index {
-            cursor.skip(0).ok()?;
-        }
-        Some(ValueRef {
-            pos: cursor.pos,
-            ..*self
-        })
-    }
-
     /// Builds the value under this view.
     ///
     /// # Errors
@@ -757,27 +766,40 @@ impl<'a> Cursor<'a> {
     }
 
     /// The validating walk: passes over one value, checking every node
-    /// under it and building nothing. If the value is a map, each of *its*
-    /// entries is reported to `entry` — the key, and where the entry's
-    /// value starts — once the walk has passed it.
+    /// under it exactly once and building nothing. If the value is a map,
+    /// each of *its* entries is reported to `entry` — the key, and where the
+    /// entry's value starts — once the walk has passed it. Where the value
+    /// `path` leads to from this one starts is left in `found`.
     fn walk(
         &mut self,
         depth: usize,
+        path: &[Step<'_>],
+        found: &mut Option<usize>,
         mut entry: impl FnMut(&'a str, usize),
     ) -> Result<(), WireError> {
         if depth > MAX_DEPTH {
             return Err(WireError::TooDeep);
         }
+        let (step, rest) = match path.split_first() {
+            Some((step, rest)) => (Some(*step), rest),
+            None => (None, path),
+        };
         match self.read_node()? {
             Node::List(count) => {
-                for _ in 0..count {
-                    self.skip(depth + 1)?;
+                for i in 0..count {
+                    match step {
+                        Some(Step::Index(want)) if want == i => self.follow(depth + 1, rest, found),
+                        _ => self.skip(depth + 1),
+                    }?;
                 }
             }
             Node::Map(count) => {
                 for _ in 0..count {
                     let (key, value_at) = (self.read_str()?, self.pos);
-                    self.skip(depth + 1)?;
+                    match step {
+                        Some(Step::Key(want)) if want == key => self.follow(depth + 1, rest, found),
+                        _ => self.skip(depth + 1),
+                    }?;
                     entry(key, value_at);
                 }
             }
@@ -786,8 +808,23 @@ impl<'a> Cursor<'a> {
         Ok(())
     }
 
+    /// Walks a child the path's next step leads into: it is what was looked
+    /// for if the path ends here, else the walk descends with what is left
+    /// of the path. A child entered by the same step again — a repeated key
+    /// — overrides what the earlier one led to, found or not: the last entry
+    /// wins.
+    fn follow(
+        &mut self,
+        depth: usize,
+        rest: &[Step<'_>],
+        found: &mut Option<usize>,
+    ) -> Result<(), WireError> {
+        *found = rest.is_empty().then_some(self.pos);
+        self.walk(depth, rest, found, |_, _| {})
+    }
+
     fn skip(&mut self, depth: usize) -> Result<(), WireError> {
-        self.walk(depth, |_, _| {})
+        self.walk(depth, &[], &mut None, |_, _| {})
     }
 
     /// [`walk`](Cursor::walk)'s reads and checks in the same order,
@@ -833,6 +870,27 @@ pub(crate) mod corpus {
     use super::*;
     use proptest::prelude::*;
 
+    impl<'a> ValueRef<'a> {
+        /// The item at `index` of a list value. No reader walks to an item:
+        /// a [`Step::Index`] finds it during validation, and this is the
+        /// reference that is checked against.
+        pub(crate) fn at(&self, index: usize) -> Option<ValueRef<'a>> {
+            let (Node::List(count), mut cursor) = self.open()? else {
+                return None;
+            };
+            if index >= count {
+                return None;
+            }
+            for _ in 0..index {
+                cursor.skip(0).ok()?;
+            }
+            Some(ValueRef {
+                pos: cursor.pos,
+                ..*self
+            })
+        }
+    }
+
     pub(crate) fn value() -> BoxedStrategy<Value> {
         let leaf = prop_oneof![
             Just(Value::Null),
@@ -854,12 +912,19 @@ pub(crate) mod corpus {
     /// A map as no encoder here writes one but any decoder may meet: its
     /// entries in the order given, repeated and unsorted keys included.
     pub(crate) fn encode_entries(entries: &[(String, Value)]) -> Vec<u8> {
+        let encoded = |(k, v): &(String, Value)| (k.clone(), v.encode().to_vec());
+        encode_raw_entries(&entries.iter().map(encoded).collect::<Vec<_>>())
+    }
+
+    /// [`encode_entries`] over values already encoded, so that such a map
+    /// can hold another.
+    pub(crate) fn encode_raw_entries(entries: &[(String, Vec<u8>)]) -> Vec<u8> {
         let mut out = vec![TAG_MAP];
         out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
         for (k, v) in entries {
             out.extend_from_slice(&(k.len() as u32).to_le_bytes());
             out.extend_from_slice(k.as_bytes());
-            v.encode_into(&mut out);
+            out.extend_from_slice(v);
         }
         out
     }
@@ -1204,7 +1269,8 @@ mod tests {
             .with("none", Value::Null)
             .with("list", Value::from(vec![Value::Int(1), Value::from("two")]));
         let encoded = v.encode();
-        let view = ValueRef::parse_entries(&encoded, |_, _| {}).expect("well-formed");
+        ValueRef::parse_entries(&encoded, &[], |_, _| {}).expect("well-formed");
+        let view = ValueRef::at_offset(&encoded, 0);
         assert_eq!(view.offset(), 0);
         assert_eq!(view.get("s").and_then(|s| s.as_str()), Some("x"));
         assert_eq!(view.get("i").and_then(|i| i.as_i64()), Some(7));
@@ -1238,9 +1304,10 @@ mod tests {
     /// reads what the same path into the decoded value does.
     fn check_agreement(bytes: &[u8]) -> Result<(), String> {
         let mut entries = BTreeMap::new();
-        let parsed = ValueRef::parse_entries(bytes, |k, v| {
+        let parsed = ValueRef::parse_entries(bytes, &[], |k, v| {
             entries.insert(k.to_owned(), v.to_value());
-        });
+        })
+        .map(|_| ValueRef::at_offset(bytes, 0));
         match (Value::decode(bytes), parsed) {
             (Err(d), Err(p)) if d == p => Ok(()),
             (Ok(decoded), Ok(view)) => {

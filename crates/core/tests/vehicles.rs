@@ -4,9 +4,10 @@
 //! Every scenario runs the same jobs twice on fresh clouds under FIFO —
 //! once with the user functions registered blocking (`register_fn`: the
 //! agent asks for an OS thread before it calls them), once resumable
-//! (`register_resumable_fn`: a `map` task never leaves its light task; the
-//! other kinds still take a thread for their COS-bound input builders and
-//! call the function from there) — and everything an observer can see must
+//! (`register_resumable_fn`: a task of any kind — map, partition, reduce,
+//! shuffle map with its combiner, shuffle reduce — never leaves its light
+//! task; only the relay exchange, blocking code on its way out, still takes
+//! a thread) — and everything an observer can see must
 //! agree: results or errors, every activation record, the platform's
 //! counters, the COS operations of each phase, recovery counters, the bill,
 //! the fault timeline, the final clock and the kernel's own counters (all
@@ -17,9 +18,9 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use rustwren_core::{
-    CorruptMode, CosOpStats, DataSource, Executor, FaultPlan, FaultRecord, MapReduceOpts,
-    PathScope, RecoveryStats, RetryPolicy, ShuffleOpts, SimCloud, TaskCtx, TimeWindow, Value,
-    PHASE_AFTER_COMPUTE, PHASE_AFTER_PUT, PHASE_BEFORE_RUN,
+    CorruptMode, CosOpStats, DataSource, ExchangeMode, Executor, FaultPlan, FaultRecord,
+    MapReduceOpts, PathScope, RecoveryStats, RetryPolicy, ShuffleOpts, SimCloud, TaskCtx,
+    TimeWindow, Value, PHASE_AFTER_COMPUTE, PHASE_AFTER_PUT, PHASE_BEFORE_RUN,
 };
 use rustwren_faas::{
     ActivationRecord, BillingReport, Outcome, Phase, PlatformConfig, PlatformStats,
@@ -228,6 +229,29 @@ fn map_job(exec: &Executor, n: i64, mode: &str) -> Result<Vec<Value>, String> {
     finish(exec)
 }
 
+/// How many of the activations were the agent's.
+fn agents(seen: &Observed) -> u64 {
+    let agent = |r: &&ActivationRecord| r.action.starts_with("rustwren-agent");
+    seen.records.iter().filter(agent).count() as u64
+}
+
+fn word_count(exec: &Executor, exchange: ExchangeMode) -> Result<Vec<Value>, String> {
+    exec.map_shuffle_reduce(
+        "words",
+        DataSource::bucket("docs"),
+        "add-up",
+        ShuffleOpts {
+            reducers: 3,
+            chunk_size: Some(1_000),
+            combiner: Some("add-up".into()),
+            exchange,
+            ..ShuffleOpts::default()
+        },
+    )
+    .expect("submits");
+    finish(exec)
+}
+
 fn outcomes(seen: &Observed) -> Vec<&Outcome> {
     seen.records
         .iter()
@@ -253,19 +277,7 @@ fn every_job_shape_runs_the_same_on_either_vehicle() {
         )
         .expect("submits");
         let map_reduce = finish(exec);
-        exec.map_shuffle_reduce(
-            "words",
-            DataSource::bucket("docs"),
-            "add-up",
-            ShuffleOpts {
-                reducers: 3,
-                chunk_size: Some(1_000),
-                combiner: Some("add-up".into()),
-                ..ShuffleOpts::default()
-            },
-        )
-        .expect("submits");
-        vec![map, map_reduce, finish(exec)]
+        vec![map, map_reduce, word_count(exec, ExchangeMode::Cos)]
     });
     assert_eq!(seen.jobs[0], Ok((1..=12).map(Value::Int).collect()));
     assert_eq!(seen.jobs[1], Ok(vec![Value::Int(40 * (39 + 27))]));
@@ -279,20 +291,53 @@ fn every_job_shape_runs_the_same_on_either_vehicle() {
     assert_eq!(words, 40 * 11);
     assert!(outcomes(&seen).iter().all(|o| o.is_success()));
     // The count that is the point: with blocking functions every agent
-    // activation ends up on a thread; with resumable ones the 12 `map`
-    // tasks never do (the partition, reduce and shuffle kinds still take
-    // one, for their input builders).
-    let agents = seen
-        .records
-        .iter()
-        .filter(|r| r.action.starts_with("rustwren-agent"))
-        .count() as u64;
-    assert!(agents > 12);
+    // activation ends up on a thread, for the call; with resumable ones
+    // none does, whatever the kind: 12 `map` tasks, the partition maps and
+    // their reducer, the shuffle maps with their combiner and the three
+    // shuffle reducers.
+    assert!(agents(&seen) > 12 + 3);
     assert_eq!(
         blocking.os_threads_spawned - resumable.os_threads_spawned,
-        12
+        agents(&seen)
     );
     assert!(resumable.light_polls > blocking.light_polls);
+}
+
+/// A reducer waits out its maps — a LIST per poll, then a status GET per
+/// map — without a thread to park: of the nine agents here none takes one.
+#[test]
+fn a_resumable_reducer_over_eight_maps_holds_no_thread() {
+    let (seen, [blocking, resumable]) = on_both_vehicles(Setup::default(), |exec| {
+        let source = DataSource::Values(inputs(8, "ok"));
+        exec.map_reduce("work", source, "sum", MapReduceOpts::default())
+            .expect("submits");
+        vec![finish(exec)]
+    });
+    assert_eq!(seen.jobs[0], Ok(vec![Value::Int((1..=8).sum())]));
+    assert_eq!(agents(&seen), 9);
+    assert_eq!(
+        blocking.os_threads_spawned - resumable.os_threads_spawned,
+        9
+    );
+}
+
+/// The relay tier is blocking code: over that exchange every shuffle agent
+/// asks for its thread before the first relay call, whichever way its
+/// functions were registered (a blocking call left on the light path would
+/// crash the activation with no status written).
+#[test]
+fn the_relay_exchange_takes_its_thread_on_either_vehicle() {
+    let (seen, [blocking, resumable]) = on_both_vehicles(Setup::default(), |exec| {
+        vec![word_count(exec, ExchangeMode::Relay)]
+    });
+    let words = seen.jobs[0].as_ref().expect("shuffle finished").iter();
+    let words: i64 = words
+        .flat_map(|r| r.as_map().expect("a reducer's map").values())
+        .filter_map(Value::as_i64)
+        .sum();
+    assert_eq!(words, 40 * 11);
+    assert!(outcomes(&seen).iter().all(|o| o.is_success()));
+    assert_eq!(blocking.os_threads_spawned, resumable.os_threads_spawned);
 }
 
 #[test]
