@@ -906,10 +906,17 @@ impl Executor {
             payloads.push(AgentPayload::new(&fut, func, inline));
             futures.push(fut);
         }
-        let (cos, upload_bucket) = (self.inner.cos_stage.clone(), bucket.clone());
-        rustwren_sim::fan_out("upload", UPLOAD_THREADS, uploads, move |(key, data)| {
-            cos.put(&upload_bucket, &key, data).map(|_| ())
-        })?;
+        let stage = Arc::new((self.inner.cos_stage.clone(), bucket.clone()));
+        let upload = move |(key, data): (String, Bytes)| {
+            let stage = Arc::clone(&stage);
+            async move { stage.0.put_async(&stage.1, &key, data).await.map(|_| ()) }
+        };
+        task::block_on(rustwren_sim::fan_out(
+            "upload",
+            UPLOAD_THREADS,
+            uploads,
+            upload,
+        ))?;
 
         // 3. Invoke.
         self.launch_first_attempts(payloads)?;
@@ -942,12 +949,12 @@ impl Executor {
 
     /// Invokes one agent per payload with the configured spawn strategy.
     fn invoke_agents(&self, payloads: &[AgentPayload]) -> Result<Vec<Option<ActivationId>>> {
-        spawn_tasks(
+        task::block_on(spawn_tasks(
             &self.inner.faas,
             &self.inner.config.spawn,
             &self.inner.agent_action,
             payloads,
-        )
+        ))
     }
 
     /// The automatic fault-recovery pass, run between status polls by
@@ -1024,8 +1031,10 @@ impl Executor {
             // error finish (and so retried/exhausted below) rather than
             // re-polled forever: the object itself may be damaged, so only
             // a re-execution reliably heals it.
-            let read = |b: &str, k: &str| crate::job::get_verified(&self.inner.cos, b, k);
-            let (succeeded, integrity) = match TaskStatus::read(f, read) {
+            let key = f.status_key();
+            let read = crate::job::get_verified_async(&self.inner.cos, f.bucket(), &key);
+            let status = task::block_on(read).and_then(|raw| TaskStatus::decode(raw, f));
+            let (succeeded, integrity) = match status {
                 Ok(status) => (status.error().is_none(), false),
                 Err(PywrenError::Integrity { .. }) => (false, true),
                 // Intact bytes that are no status: finished, and failed.
@@ -1543,15 +1552,22 @@ impl Executor {
             }
         })?;
 
-        // Download results with a client thread pool, as the Python client
-        // does — serial WAN fetches would dwarf the job itself at scale.
+        // Download results from a client pool, as the Python client does —
+        // serial WAN fetches would dwarf the job itself at scale.
         if let [only] = futures {
-            return Ok(vec![self.fetch_result(only, opts)?]);
+            return Ok(vec![task::block_on(self.fetch_result(only, opts))?]);
         }
-        let (exec, opts) = (self.clone(), opts.clone());
-        rustwren_sim::fan_out("results", UPLOAD_THREADS, futures.to_vec(), move |f| {
-            exec.fetch_result(&f, &opts)
-        })
+        let shared = Arc::new((self.clone(), opts.clone()));
+        let fetch = move |f: ResponseFuture| {
+            let shared = Arc::clone(&shared);
+            async move { shared.0.fetch_result(&f, &shared.1).await }
+        };
+        task::block_on(rustwren_sim::fan_out(
+            "results",
+            UPLOAD_THREADS,
+            futures.to_vec(),
+            fetch,
+        ))
     }
 
     /// Whether a storage failure during status polling should be ridden
@@ -1570,11 +1586,11 @@ impl Executor {
     /// intact; only the read path corrupts). Healed refetches count as
     /// integrity retries; an exhausted budget surfaces the typed
     /// [`PywrenError::Integrity`] error and counts as an integrity failure.
-    fn fetch_verified(&self, bucket: &str, key: &str) -> Result<Bytes> {
+    async fn fetch_verified(&self, bucket: &str, key: &str) -> Result<Bytes> {
         let mut integrity_attempts = 0u32;
         let mut storage_attempts = 0u32;
         loop {
-            match crate::job::get_verified(&self.inner.cos, bucket, key) {
+            match crate::job::get_verified_async(&self.inner.cos, bucket, key).await {
                 Ok(payload) => {
                     if integrity_attempts > 0 {
                         self.inner.table.lock().stats.integrity_retries += 1;
@@ -1596,7 +1612,7 @@ impl Executor {
                     if storage_attempts > INTEGRITY_REFETCHES {
                         return Err(e);
                     }
-                    rustwren_sim::sleep(self.inner.config.poll_interval);
+                    task::sleep(self.inner.config.poll_interval).await;
                 }
                 Err(e) => return Err(e),
             }
@@ -1604,15 +1620,21 @@ impl Executor {
     }
 
     /// Fetches one completed task's result, following future-set markers.
-    fn fetch_result(&self, f: &ResponseFuture, opts: &GetResultOpts) -> Result<Value> {
-        let read = |b: &str, k: &str| self.fetch_verified(b, k);
-        let staged = async { read(f.bucket(), &f.result_key()) };
-        let value = task::block_on(TaskStatus::read(f, read)?.into_result(f, staged))?;
+    /// Resumable — a `results-*` lane awaits it — up to a future set:
+    /// awaiting a sub-job is the blocking [`resolve`](Executor::resolve), so
+    /// a lane that meets one asks for a thread first.
+    async fn fetch_result(&self, f: &ResponseFuture, opts: &GetResultOpts) -> Result<Value> {
+        let status = self.fetch_verified(f.bucket(), &f.status_key()).await?;
+        let staged = async { self.fetch_verified(f.bucket(), &f.result_key()).await };
+        let value = TaskStatus::decode(status, f)?
+            .into_result(f, staged)
+            .await?;
         match ResponseFuture::set_from_value(&value) {
             Ok(Some(subfutures)) => {
                 // Composition-aware: transparently await the sub-job. A
                 // single-future set (e.g. one sequence stage) yields its
                 // bare value; fan-outs yield the list.
+                task::thread().await;
                 let mut sub = self.resolve(&subfutures, opts)?;
                 match sub.pop() {
                     Some(only) if sub.is_empty() => Ok(only),
@@ -1719,7 +1741,8 @@ impl Executor {
         futures
             .iter()
             .map(|f| {
-                let status = TaskStatus::read(f, |b, k| self.fetch_verified(b, k))?;
+                let raw = task::block_on(self.fetch_verified(f.bucket(), &f.status_key()))?;
+                let status = TaskStatus::decode(raw, f)?;
                 Ok(TaskTiming {
                     task: f.label(),
                     start_secs: status.start,
@@ -1806,12 +1829,13 @@ mod tests {
                 let execs: Vec<Executor> = (0..2)
                     .map(|_| cloud.executor().build().expect("builds"))
                     .collect();
-                rustwren_sim::fan_out("probe", execs.len(), execs, |exec| {
+                let probe = |exec: Executor| async move {
                     let issued = rustwren_sim::now();
-                    exec.inner.cos.get("b", "k")?;
+                    exec.inner.cos.get_async("b", "k").await?;
                     Ok::<_, PywrenError>(rustwren_sim::now().duration_since(issued))
-                })
-                .expect("both GETs succeed")
+                };
+                task::block_on(rustwren_sim::fan_out("probe", execs.len(), execs, probe))
+                    .expect("both GETs succeed")
             })
         };
         let (first, again) = (charges(5), charges(5));

@@ -158,7 +158,7 @@ impl ResponseFuture {
 /// The status object written at [`ResponseFuture::status_key`] by the agent
 /// (or, for a task that died silently, by the client's recovery pass): how
 /// the task finished, when, and — when small — its result. This type and
-/// [`StatusView`], what [`TaskStatus::read`] returns, are the only writer
+/// [`StatusView`], what [`TaskStatus::decode`] returns, are the only writer
 /// and reader of the object's fields.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct TaskStatus {
@@ -289,19 +289,6 @@ impl TaskStatus {
             shuf,
             part,
         })
-    }
-
-    /// Reads and checks `f`'s status object through `read(bucket, key)`,
-    /// the verified GET the caller already uses.
-    ///
-    /// # Errors
-    ///
-    /// Whatever `read` returns, or a [`decode`](TaskStatus::decode) error.
-    pub(crate) fn read(
-        f: &ResponseFuture,
-        read: impl Fn(&str, &str) -> error::Result<Bytes>,
-    ) -> error::Result<StatusView> {
-        TaskStatus::decode(read(f.bucket(), &f.status_key())?, f)
     }
 }
 

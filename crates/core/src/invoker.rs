@@ -7,11 +7,13 @@
 //! invoker functions, each of which fires a group of invocations from
 //! inside the cloud, collapsing 38 s of WAN spawning into ~8 s.
 
-use std::sync::Weak;
+use std::sync::{Arc, Weak};
 
 use bytes::Bytes;
 use rustwren_analyze::SpawnProfile;
-use rustwren_faas::{ActionConfig, ActivationCtx, ActivationId};
+use rustwren_faas::{
+    ActionConfig, ActionError, ActivationCtx, ActivationId, FaasClient, InvokeError,
+};
 
 use crate::cloud::{CloudInner, SimCloud};
 use crate::config::SpawnStrategy;
@@ -59,14 +61,25 @@ pub(crate) fn deploy_invoker(cloud: &SimCloud) {
     let weak: Weak<CloudInner> = cloud.downgrade();
     cloud
         .functions()
-        .register_action(
+        // lint: allow(L008) — false positives of name-based dispatch, as on
+        // the agent above: the payload's `Value::get` resolves onto
+        // FunctionRegistry::get, RelayTier::get and CosClient::get. The
+        // invoker's own suspensions are `FaasClient::invoke_async`'s
+        // `task::sleep`s, the platform's `locked` and the fan-out's
+        // `task::wait`. Guarded by crates/core/tests/vehicles.rs
+        // a_map_of_compute_tasks_starts_no_thread_at_all and tests/verify.rs
+        // light_lanes_conserve_activations_under_faults_and_every_schedule
+        .register_resumable(
             INVOKER_ACTION,
             ActionConfig::default(),
-            move |ctx: &ActivationCtx, payload: Bytes| {
-                let _inner = weak
-                    .upgrade()
-                    .ok_or_else(|| rustwren_faas::ActionError("cloud torn down".into()))?;
-                run_invoker(ctx, payload)
+            move |ctx: ActivationCtx, payload: Bytes| {
+                let alive = weak.upgrade().is_some();
+                async move {
+                    if !alive {
+                        return Err(ActionError("cloud torn down".into()));
+                    }
+                    run_invoker(ctx, payload).await
+                }
             },
         )
         // lint: allow(L004) — runs once at cloud build, not in an
@@ -76,29 +89,24 @@ pub(crate) fn deploy_invoker(cloud: &SimCloud) {
 }
 
 /// Body of the remote invoker function: fire every invocation in its group
-/// from inside the cloud, over `threads` concurrent streams.
-fn run_invoker(
-    ctx: &ActivationCtx,
+/// from inside the cloud, over `threads` concurrent streams. Resumable, like
+/// its lanes: an invoker activation never takes a thread.
+async fn run_invoker(
+    ctx: ActivationCtx,
     payload: Bytes,
-) -> std::result::Result<Bytes, rustwren_faas::ActionError> {
-    let v = Value::decode(&payload)
-        .map_err(|e| rustwren_faas::ActionError(format!("bad invoker payload: {e}")))?;
-    let action = v
-        .req_str("action")
-        .map_err(rustwren_faas::ActionError)?
-        .to_owned();
-    let threads = v
-        .req_i64("threads")
-        .map_err(rustwren_faas::ActionError)?
-        .max(1) as usize;
+) -> std::result::Result<Bytes, ActionError> {
+    let v =
+        Value::decode(&payload).map_err(|e| ActionError(format!("bad invoker payload: {e}")))?;
+    let action = v.req_str("action").map_err(ActionError)?.to_owned();
+    let threads = v.req_i64("threads").map_err(ActionError)?.max(1) as usize;
     let tasks: Vec<Bytes> = v
         .req_list("tasks")
-        .map_err(rustwren_faas::ActionError)?
+        .map_err(ActionError)?
         .iter()
         .map(|t| {
             t.as_bytes()
                 .map(Bytes::copy_from_slice)
-                .ok_or_else(|| rustwren_faas::ActionError("task payload must be bytes".into()))
+                .ok_or_else(|| ActionError("task payload must be bytes".into()))
         })
         .collect::<std::result::Result<_, _>>()?;
 
@@ -110,16 +118,28 @@ fn run_invoker(
         rustwren_sim::hash::hash2(ctx.activation_id().0, 0x1412),
     );
 
-    let client = ctx.faas_client();
     let count = tasks.len();
-    rustwren_sim::fan_out("invoker", threads, tasks, move |task| {
-        client
-            .invoke(&action, task)
-            .map(|_| ())
-            .map_err(|e| e.to_string())
-    })
-    .map_err(rustwren_faas::ActionError)?;
+    invoke_each("invoker", threads, &ctx.faas_client(), &action, tasks)
+        .await
+        .map_err(|e| ActionError(e.to_string()))?;
     Ok(Value::Int(count as i64).encode())
+}
+
+/// Invokes `action` once per payload over `lanes` fan-out lanes of `client`;
+/// the activation ids come back in payload order.
+async fn invoke_each(
+    prefix: &str,
+    lanes: usize,
+    client: &FaasClient,
+    action: &str,
+    payloads: Vec<Bytes>,
+) -> std::result::Result<Vec<ActivationId>, InvokeError> {
+    let shared = Arc::new((client.clone(), action.to_owned()));
+    rustwren_sim::fan_out(prefix, lanes, payloads, move |p| {
+        let shared = Arc::clone(&shared);
+        async move { shared.0.invoke_async(&shared.1, p).await }
+    })
+    .await
 }
 
 /// Issues one agent invocation per payload according to `strategy`, using
@@ -127,27 +147,19 @@ fn run_invoker(
 /// with one entry per payload: the agent's [`ActivationId`] where the client
 /// issued the invocation itself (`Direct`), or `None` when a remote invoker
 /// issued it (the ids stay inside the cloud).
-pub(crate) fn spawn_tasks(
-    faas: &rustwren_faas::FaasClient,
+pub(crate) async fn spawn_tasks(
+    faas: &FaasClient,
     strategy: &SpawnStrategy,
     agent_action: &str,
     payloads: &[AgentPayload],
 ) -> Result<Vec<Option<ActivationId>>> {
     let count = payloads.len();
-    // Invokes `action` once per payload over `threads` simulated client
-    // threads; the activation ids come back in payload order.
-    let invoke = |action: &str, payloads: Vec<Bytes>, threads: usize| {
-        let (client, action) = (faas.clone(), action.to_owned());
-        rustwren_sim::fan_out("spawn", threads, payloads, move |p| {
-            client.invoke(&action, p)
-        })
-    };
     // Degenerate strategies (zero threads, zero group size) are rejected at
     // executor build time.
     match strategy.profile_for(count) {
         SpawnProfile::Direct { client_threads } => {
             let encoded: Vec<Bytes> = payloads.iter().map(AgentPayload::encode).collect();
-            let ids = invoke(agent_action, encoded, client_threads)?;
+            let ids = invoke_each("spawn", client_threads, faas, agent_action, encoded).await?;
             Ok(ids.into_iter().map(Some).collect())
         }
         SpawnProfile::RemoteInvoker {
@@ -175,7 +187,7 @@ pub(crate) fn spawn_tasks(
             // The handful of invoker calls still leave the client over its
             // own network, from a small pool. The agent activation ids are
             // issued inside the cloud and never reported back.
-            invoke(INVOKER_ACTION, groups, 5)?;
+            invoke_each("spawn", 5, faas, INVOKER_ACTION, groups).await?;
             Ok(vec![None; count])
         }
     }

@@ -148,15 +148,6 @@ pub(crate) async fn get_verified_async(
     Ok(payload)
 }
 
-/// [`get_verified_async`], blocking: for the client.
-pub(crate) fn get_verified(
-    cos: &CosClient,
-    bucket: &str,
-    key: &str,
-) -> crate::error::Result<Bytes> {
-    task::block_on(get_verified_async(cos, bucket, key))
-}
-
 /// Inline-vs-staged threshold, by encoded size. A task descriptor at or
 /// below it rides inside the activation payload instead of behind a staged
 /// `…/input` object; a result at or below it rides inside the status object

@@ -657,10 +657,10 @@ impl<'a> ValueRef<'a> {
 
     /// The string slice, if this is a `Str`.
     pub(crate) fn as_str(&self) -> Option<&'a str> {
-        let Node::Str(s) = self.node()? else {
+        let Node::Str(bytes) = self.node()? else {
             return None;
         };
-        Some(s)
+        text(bytes).ok()
     }
 
     /// Looks a key up in a map value.
@@ -703,10 +703,27 @@ enum Node<'a> {
     Bool(bool),
     Int(i64),
     Float(f64),
-    Str(&'a str),
+    /// A string's bytes, *not yet checked* to be UTF-8: whoever takes the
+    /// node does that next, with [`text`] if it wants the string and with
+    /// [`check_text`] if it only passes over it.
+    Str(&'a [u8]),
     Bytes(&'a [u8]),
     List(usize),
     Map(usize),
+}
+
+/// A string node's (or a map key's) bytes as the string they must be.
+fn text(bytes: &[u8]) -> Result<&str, WireError> {
+    std::str::from_utf8(bytes).map_err(|_| WireError::BadUtf8)
+}
+
+/// [`text`] for a reader that does not want the string. Nearly every string
+/// on this wire is ASCII — every key is — and seeing that takes no decoder.
+fn check_text(bytes: &[u8]) -> Result<(), WireError> {
+    if bytes.is_ascii() {
+        return Ok(());
+    }
+    text(bytes).map(|_| ())
 }
 
 /// The one reader of the encoded form: [`Value::decode`], [`ValueRef`]'s
@@ -742,23 +759,27 @@ impl<'a> Cursor<'a> {
         Ok(u32::from_le_bytes(self.take_array()?) as usize)
     }
 
-    fn read_str(&mut self) -> Result<&'a str, WireError> {
+    /// A length-prefixed run of bytes: a string's or a byte string's.
+    fn read_run(&mut self) -> Result<&'a [u8], WireError> {
         let len = self.read_len()?;
-        std::str::from_utf8(self.take(len)?).map_err(|_| WireError::BadUtf8)
+        self.take(len)
     }
 
-    /// The one place that knows the tag set.
+    fn read_str(&mut self) -> Result<&'a str, WireError> {
+        text(self.read_run()?)
+    }
+
+    /// The one place that knows the tag set. (Inlined: a call per node is a
+    /// fifth of what the validating walk costs.)
+    #[inline(always)]
     fn read_node(&mut self) -> Result<Node<'a>, WireError> {
         Ok(match self.read_u8()? {
             TAG_NULL => Node::Null,
             TAG_BOOL => Node::Bool(self.read_u8()? != 0),
             TAG_INT => Node::Int(i64::from_le_bytes(self.take_array()?)),
             TAG_FLOAT => Node::Float(f64::from_le_bytes(self.take_array()?)),
-            TAG_STR => Node::Str(self.read_str()?),
-            TAG_BYTES => {
-                let len = self.read_len()?;
-                Node::Bytes(self.take(len)?)
-            }
+            TAG_STR => Node::Str(self.read_run()?),
+            TAG_BYTES => Node::Bytes(self.read_run()?),
             TAG_LIST => Node::List(self.read_len()?),
             TAG_MAP => Node::Map(self.read_len()?),
             t => return Err(WireError::BadTag(t)),
@@ -803,6 +824,7 @@ impl<'a> Cursor<'a> {
                     entry(key, value_at);
                 }
             }
+            Node::Str(bytes) => check_text(bytes)?,
             _ => {}
         }
         Ok(())
@@ -823,8 +845,29 @@ impl<'a> Cursor<'a> {
         self.walk(depth, rest, found, |_, _| {})
     }
 
+    /// [`walk`](Cursor::walk) for a value nobody looks into — nearly all
+    /// of a large one: the same reads and checks in the same order, with
+    /// nothing to report and so no string to produce.
     fn skip(&mut self, depth: usize) -> Result<(), WireError> {
-        self.walk(depth, &[], &mut None, |_, _| {})
+        if depth > MAX_DEPTH {
+            return Err(WireError::TooDeep);
+        }
+        match self.read_node()? {
+            Node::List(count) => {
+                for _ in 0..count {
+                    self.skip(depth + 1)?;
+                }
+            }
+            Node::Map(count) => {
+                for _ in 0..count {
+                    check_text(self.read_run()?)?;
+                    self.skip(depth + 1)?;
+                }
+            }
+            Node::Str(bytes) => check_text(bytes)?,
+            _ => {}
+        }
+        Ok(())
     }
 
     /// [`walk`](Cursor::walk)'s reads and checks in the same order,
@@ -838,7 +881,7 @@ impl<'a> Cursor<'a> {
             Node::Bool(b) => Value::Bool(b),
             Node::Int(i) => Value::Int(i),
             Node::Float(f) => Value::Float(f),
-            Node::Str(s) => Value::Str(s.to_owned()),
+            Node::Str(bytes) => Value::Str(text(bytes)?.to_owned()),
             Node::Bytes(b) => Value::Bytes(b.to_vec()),
             Node::List(count) => {
                 // The count is untrusted: every item takes at least a byte,

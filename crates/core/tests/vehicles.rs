@@ -19,8 +19,8 @@ use std::time::Duration;
 use bytes::Bytes;
 use rustwren_core::{
     CorruptMode, CosOpStats, DataSource, ExchangeMode, Executor, FaultPlan, FaultRecord,
-    MapReduceOpts, PathScope, RecoveryStats, RetryPolicy, ShuffleOpts, SimCloud, TaskCtx,
-    TimeWindow, Value, PHASE_AFTER_COMPUTE, PHASE_AFTER_PUT, PHASE_BEFORE_RUN,
+    MapReduceOpts, PathScope, RecoveryStats, RetryPolicy, ShuffleOpts, SimCloud, SpawnStrategy,
+    TaskCtx, TimeWindow, Value, PHASE_AFTER_COMPUTE, PHASE_AFTER_PUT, PHASE_BEFORE_RUN,
 };
 use rustwren_faas::{
     ActivationRecord, BillingReport, Outcome, Phase, PlatformConfig, PlatformStats,
@@ -471,33 +471,77 @@ fn a_resumable_function_that_blocks_fails_its_task_only() {
     );
     assert_eq!(
         cloud.kernel().stats().os_threads_spawned,
-        1,
-        "the spawn lane"
+        0,
+        "nothing asked for one: the client's lanes are light too"
     );
 }
 
-/// A fan-out of `compute` tasks — `map_fanout` in small — runs without an
-/// OS thread per task: what is left are the client's pool lanes and the
-/// remote invokers.
+/// A fan-out of `compute` tasks — `map_fanout` in small — runs on the
+/// client's thread alone, however it is spawned: the agents, the remote
+/// invokers and every pool lane (`spawn-*`, `invoker-*`, `results-*`) are
+/// light tasks.
 #[test]
-fn a_map_of_compute_tasks_starts_no_thread_per_task() {
-    let cloud = SimCloud::builder()
-        .seed(3)
-        .client_network(NetworkProfile::lan())
-        .build();
-    rustwren_workloads::compute::register(&cloud);
-    let results = cloud.run(|| {
-        let exec = cloud.executor().build().expect("executor");
-        let inputs = (0..300).map(|_| rustwren_workloads::compute::input(1.0));
-        exec.map(rustwren_workloads::compute::COMPUTE_FN, inputs)
-            .expect("submits");
-        exec.get_result().expect("finishes")
-    });
-    assert_eq!(results, vec![Value::Float(1.0); 300]);
-    let stats = cloud.kernel().stats();
-    assert!(
-        stats.os_threads_spawned <= stats.threads_started - 300,
-        "{stats:?}"
-    );
-    assert!(stats.light_polls >= 300 * 4, "{stats:?}");
+fn a_map_of_compute_tasks_starts_no_thread_at_all() {
+    let direct = SpawnStrategy::Direct { client_threads: 5 };
+    for (spawn, invokers) in [(SpawnStrategy::massive(), 3), (direct, 0)] {
+        let cloud = SimCloud::builder()
+            .seed(3)
+            .client_network(NetworkProfile::lan())
+            .build();
+        rustwren_workloads::compute::register(&cloud);
+        let results = cloud.run(|| {
+            let exec = cloud.executor().spawn(spawn).build().expect("executor");
+            let inputs = (0..300).map(|_| rustwren_workloads::compute::input(1.0));
+            exec.map(rustwren_workloads::compute::COMPUTE_FN, inputs)
+                .expect("submits");
+            exec.get_result().expect("finishes")
+        });
+        assert_eq!(results, vec![Value::Float(1.0); 300]);
+        let stats = cloud.kernel().stats();
+        assert_eq!(stats.os_threads_spawned, 0, "{stats:?}");
+        assert_eq!(cloud.functions().stats().completed, 300 + invokers);
+        assert!(stats.light_polls >= 300 * 4, "{stats:?}");
+    }
+}
+
+/// Composition: a result that is a future set is awaited by the blocking
+/// `resolve`, so the `results-*` lane that meets one asks for a thread —
+/// that lane, and no other.
+#[test]
+fn a_results_lane_takes_a_thread_exactly_where_it_meets_a_future_set() {
+    let threads_with = |nested: i64| {
+        let cloud = SimCloud::builder()
+            .seed(3)
+            .client_network(NetworkProfile::lan())
+            .build();
+        register(&cloud, true);
+        cloud.register_fn("delegate", move |ctx: &TaskCtx, v: Value| {
+            let x = v.as_i64().ok_or("int")?;
+            if x >= nested {
+                return Ok(Value::Int(x + 1));
+            }
+            let exec = ctx.executor().map_err(|e| e.to_string())?;
+            let sub = exec.map("work", inputs(2, "ok"));
+            Ok(ctx.futures_value(&sub.map_err(|e| e.to_string())?))
+        });
+        let results = cloud.run(|| {
+            let exec = cloud.executor().build().expect("executor");
+            exec.map("delegate", (0..4).map(Value::Int))
+                .expect("submits");
+            exec.get_result().expect("finishes")
+        });
+        let sub = Value::List(vec![Value::Int(1), Value::Int(2)]);
+        let expected = (0..4).map(|x| {
+            if x < nested {
+                sub.clone()
+            } else {
+                Value::Int(x + 1)
+            }
+        });
+        assert_eq!(results, expected.collect::<Vec<_>>());
+        cloud.kernel().stats().os_threads_spawned
+    };
+    // `delegate` is a blocking function: its four agents take a thread each.
+    assert_eq!(threads_with(0), 4);
+    assert_eq!(threads_with(2), 4 + 2);
 }

@@ -14,7 +14,7 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use rustwren_sim::hash::{hash2, hash_str};
-use rustwren_sim::{NetworkProfile, SimInstant};
+use rustwren_sim::{task, NetworkProfile, SimInstant};
 
 use crate::activation::{ActivationId, ActivationRecord};
 use crate::error::InvokeError;
@@ -170,13 +170,28 @@ impl FaasClient {
     /// [`InvokeError::Network`] / [`InvokeError::Throttled`] after
     /// exhausting retries.
     pub fn invoke(&self, action: &str, payload: Bytes) -> Result<ActivationId, InvokeError> {
+        task::block_on(self.invoke_async(action, payload))
+    }
+
+    /// [`invoke`](FaasClient::invoke), resumable: the request cost and both
+    /// back-offs are `task::sleep`s, so the one loop serves a light task
+    /// awaiting it (a fan-out lane) and a thread calling `invoke`.
+    ///
+    /// # Errors
+    ///
+    /// As [`invoke`](FaasClient::invoke).
+    pub async fn invoke_async(
+        &self,
+        action: &str,
+        payload: Bytes,
+    ) -> Result<ActivationId, InvokeError> {
         let api_overhead = self.platform.config().api_overhead;
         let path = hash_str(action);
         let mut net_attempts = 0;
         let mut throttle_attempts = 0;
         loop {
             let token = hash2(self.seed, hash2(path, rustwren_sim::now().as_nanos()));
-            rustwren_sim::sleep(self.net.request_cost(payload.len() as u64, token) + api_overhead);
+            task::sleep(self.net.request_cost(payload.len() as u64, token) + api_overhead).await;
             if self.net.fails(token) {
                 net_attempts += 1;
                 if net_attempts >= self.max_attempts {
@@ -185,12 +200,17 @@ impl FaasClient {
                         attempts: net_attempts,
                     });
                 }
-                rustwren_sim::sleep(Duration::from_millis(40) * 2u32.pow(net_attempts - 1));
+                task::sleep(rustwren_sim::backoff(
+                    Duration::from_millis(40),
+                    net_attempts,
+                ))
+                .await;
                 continue;
             }
             match self
                 .platform
-                .invoke_in(self.namespace.as_str(), action, payload.clone())
+                .invoke_in_async(self.namespace.as_str(), action, payload.clone())
+                .await
             {
                 Ok(id) => return Ok(id),
                 Err(e @ InvokeError::ActionNotFound(_)) => return Err(e),
@@ -218,10 +238,10 @@ impl FaasClient {
                     } else {
                         // Blind exponential, as the PyWren client does;
                         // capped so a drained slot is picked up quickly.
-                        (Duration::from_millis(250) * 2u32.pow(throttle_attempts.min(4) - 1))
+                        rustwren_sim::backoff(Duration::from_millis(250), throttle_attempts.min(4))
                             .min(Duration::from_secs(2))
                     };
-                    rustwren_sim::sleep(backoff);
+                    task::sleep(backoff).await;
                 }
                 Err(e @ InvokeError::Network { .. }) => return Err(e),
             }
@@ -384,6 +404,109 @@ mod tests {
                 client.invoke("ghost", Bytes::new()),
                 Err(InvokeError::ActionNotFound("ghost".into()))
             );
+        });
+    }
+
+    /// One `invoke` of "slow" on a platform of concurrency 1 that is busy
+    /// for its first 2 s when `busy`: what came back, when, and what it
+    /// took — through the blocking entry on the client's thread, or the
+    /// resumable one awaited by a light task.
+    fn invoke_once(
+        light: bool,
+        net: NetworkProfile,
+        busy: bool,
+        honor: bool,
+    ) -> (Result<ActivationId, InvokeError>, SimInstant, u64, u64) {
+        let cfg = PlatformConfig {
+            concurrency_limit: 1,
+            ..PlatformConfig::default()
+        };
+        let (kernel, faas) = setup(cfg);
+        let slow = |ctx: &ActivationCtx, _p: Bytes| {
+            ctx.charge(Duration::from_secs(2));
+            Ok(Bytes::new())
+        };
+        faas.register_action("slow", ActionConfig::default(), slow)
+            .unwrap();
+        let signal = ThrottleSignal::new();
+        let mut client = FaasClient::new(&faas, net, 9)
+            .with_max_attempts(3)
+            .with_throttle_signal(Arc::clone(&signal));
+        if !honor {
+            client = client.without_retry_hint();
+        }
+        // When it returned, and how many sleeps that took.
+        let seen = || {
+            let timers = rustwren_sim::kernel().stats().timers_scheduled;
+            (rustwren_sim::now(), timers)
+        };
+        let (result, (at, timers)) = kernel.run("client", || {
+            if busy {
+                faas.invoke("slow", Bytes::new()).unwrap();
+            }
+            if !light {
+                return (client.invoke("slow", Bytes::new()), seen());
+            }
+            let done = rustwren_sim::sync::Event::new(&rustwren_sim::kernel());
+            let slot = Arc::new(std::sync::Mutex::new(None));
+            let (fired, filled) = (done.clone(), Arc::clone(&slot));
+            rustwren_sim::spawn_light(
+                "driver",
+                task::light(async move {
+                    let result = client.invoke_async("slow", Bytes::new()).await;
+                    *filled.lock().unwrap() = Some((result, seen()));
+                    fired.fire();
+                }),
+            );
+            done.wait();
+            let returned = slot.lock().unwrap().take();
+            returned.expect("the driver finished")
+        });
+        (result, at, signal.throttles(), timers)
+    }
+
+    /// Same token draws, same sleeps, same order: a success, a network
+    /// failure, and a 429 backed off with and without `retry_after`.
+    #[test]
+    fn invoke_and_invoke_async_take_the_same_virtual_time() {
+        let lossy = NetworkProfile::lan().with_failure_rate(1.0);
+        for (net, busy, honor) in [
+            (NetworkProfile::lan(), false, true),
+            (lossy, false, true),
+            (NetworkProfile::lan(), true, true),
+            (NetworkProfile::lan(), true, false),
+        ] {
+            let blocking = invoke_once(false, net.clone(), busy, honor);
+            let resumable = invoke_once(true, net.clone(), busy, honor);
+            assert_eq!(blocking, resumable, "{net} busy={busy} honor={honor}");
+            let (result, at, throttles, _) = blocking;
+            assert_eq!(result.is_ok(), net.failure_rate < 1.0, "{result:?}");
+            assert_eq!(throttles > 0, busy);
+            assert_eq!(at.as_secs_f64() > 2.0, busy, "{at}");
+        }
+    }
+
+    /// The back-off factor once overflowed at the 33rd consecutive failure:
+    /// a panic in debug builds, a wrap to a zero back-off in release.
+    #[test]
+    fn a_retry_budget_past_33_ends_in_the_typed_error() {
+        let (kernel, faas) = setup(PlatformConfig::default());
+        kernel.run("client", || {
+            let client = FaasClient::new(&faas, NetworkProfile::lan().with_failure_rate(1.0), 1)
+                .with_max_attempts(40);
+            assert_eq!(
+                client.invoke("echo", Bytes::new()),
+                Err(InvokeError::Network {
+                    action: "echo".into(),
+                    attempts: 40
+                })
+            );
+            // Every back-off was taken: none wrapped to zero.
+            let slept = rustwren_sim::now().duration_since(SimInstant::ZERO);
+            let owed: Duration = (1..40)
+                .map(|n| rustwren_sim::backoff(Duration::from_millis(40), n))
+                .sum();
+            assert!(slept > owed, "{slept:?} vs {owed:?}");
         });
     }
 

@@ -770,10 +770,24 @@ impl CloudFunctions {
         action: &str,
         payload: Bytes,
     ) -> Result<ActivationId, InvokeError> {
-        let registered = self
-            .inner
-            .actions
-            .lock()
+        task::block_on(self.invoke_in_async(namespace, action, payload))
+    }
+
+    /// [`invoke_in`](CloudFunctions::invoke_in), resumable — the one
+    /// admission body: it takes the platform locks as the lifecycle does
+    /// ([`locked`]), so a fan-out lane can submit without a thread.
+    ///
+    /// # Errors
+    ///
+    /// As [`invoke_in`](CloudFunctions::invoke_in).
+    pub async fn invoke_in_async(
+        &self,
+        namespace: &str,
+        action: &str,
+        payload: Bytes,
+    ) -> Result<ActivationId, InvokeError> {
+        let registered = locked(&self.inner.actions)
+            .await
             .get(action)
             .cloned()
             .ok_or_else(|| InvokeError::ActionNotFound(action.to_owned()))?;
@@ -781,7 +795,7 @@ impl CloudFunctions {
         let now = self.inner.kernel.now();
         let policy = self.effective_policy(namespace);
         let (id, gate, key) = {
-            let mut pool = self.inner.pool.lock();
+            let mut pool = locked(&self.inner.pool).await;
             let limit = self.inner.config.invocations_per_minute;
             if let Err(retry_after) = pool.rate.check(now, limit) {
                 pool.stats.throttled += 1;
@@ -890,7 +904,7 @@ impl CloudFunctions {
             (id, gate, key)
         };
 
-        self.inner.records.lock().insert(
+        locked(&self.inner.records).await.insert(
             id,
             ActivationRecord {
                 id,
@@ -907,7 +921,9 @@ impl CloudFunctions {
             },
         );
         let completion = Event::named(&self.inner.kernel, format!("act-{id}"));
-        self.inner.completions.lock().insert(id, completion.clone());
+        locked(&self.inner.completions)
+            .await
+            .insert(id, completion.clone());
 
         // Every activation starts without a stack; one whose body blocks
         // asks for a thread when it gets there.

@@ -72,7 +72,9 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
 use std::fmt;
 use std::fmt::Write as _;
+use std::future::Future;
 use std::panic::{self, AssertUnwindSafe};
+use std::pin::pin;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, Weak};
 use std::thread;
@@ -84,6 +86,7 @@ use crate::order::{OrderRecorder, RunOrderReport, Space, SyncKind};
 use crate::rawlock::{RawCondvar, RawMutex, RawMutexGuard};
 use crate::sched::{Choice, ChoiceKind, FifoScheduler, ReplayScheduler, ScheduleTrace, Scheduler};
 use crate::sync::Event;
+use crate::task;
 use crate::time::SimInstant;
 
 thread_local! {
@@ -1975,32 +1978,41 @@ where
     ctx.kernel.spawn(name, f)
 }
 
-/// Runs `f` over `items` on a pool of simulated threads — the one client
-/// fan-out pool behind invocation, upload, download and multipart lanes.
+/// Runs `f` over `items` on a pool of lightweight tasks — the one fan-out
+/// pool behind invocation, upload, download and multipart lanes. Resumable:
+/// a light task awaits it, blocking code drives it through
+/// [`task::block_on`](crate::task::block_on).
 ///
 /// Items are dealt round-robin into `min(lanes, items.len())` non-empty
-/// lanes (item `k` goes to lane `k % lanes`); lane `t` runs on a thread
-/// named `"{prefix}-{t}"`, feeds its items to `f` in order and stops at its
-/// first error. Every lane is joined, in lane order, before this returns:
-/// the outputs in input order, or the error of the lowest-numbered failing
-/// lane. No items, no threads.
+/// lanes (item `k` goes to lane `k % lanes`); lane `t` is a light task
+/// named `"{prefix}-{t}"` that feeds its items to `f` in order, awaiting
+/// each, and stops at its first error. Every lane is joined, in lane order,
+/// before this returns: the outputs in input order, or the error of the
+/// lowest-numbered failing lane. No items, no tasks.
 ///
 /// The observable sequence is the contract, not just the result: golden
 /// fingerprints fold `threads_started`, the final clock and the schedule
-/// trace, so thread count, names, spawn order and join order here are all
+/// trace, so lane count, names, spawn order and join order here are all
 /// load-bearing — a lane abandoned unjoined would also keep issuing
 /// requests after its caller reported failure.
 ///
 /// # Panics
 ///
 /// Panics if the calling thread is not registered with a kernel, or
-/// re-raises a lane's panic.
-pub fn fan_out<T, U, E, F>(prefix: &str, lanes: usize, items: Vec<T>, f: F) -> Result<Vec<U>, E>
+/// re-raises a lane's panic (a blocking call `f` made without asking for a
+/// thread included: the kernel refuses it inside the lane).
+pub async fn fan_out<T, U, E, F, R>(
+    prefix: &str,
+    lanes: usize,
+    items: Vec<T>,
+    f: F,
+) -> Result<Vec<U>, E>
 where
     T: Send + 'static,
     U: Send + 'static,
     E: Send + 'static,
-    F: Fn(T) -> Result<U, E> + Send + Sync + 'static,
+    F: Fn(T) -> R + Send + Sync + 'static,
+    R: Future<Output = Result<U, E>> + Send + 'static,
 {
     let n = items.len();
     let lanes = lanes.max(1).min(n);
@@ -2009,23 +2021,52 @@ where
         chunks[k % lanes].push(item);
     }
     let f = Arc::new(f);
-    let handles: Vec<_> = chunks
+    let joins: Vec<_> = chunks
         .into_iter()
         .enumerate()
         .map(|(t, chunk)| {
-            let f = Arc::clone(&f);
-            spawn(format!("{prefix}-{t}"), move || {
-                chunk
-                    .into_iter()
-                    .map(|item| f(item))
-                    .collect::<Result<Vec<U>, E>>()
-            })
+            let name = format!("{prefix}-{t}");
+            let done = Event::named(&kernel(), format!("join:{name}"));
+            let slot = Arc::new(RawMutex::new(None));
+            let (f, fired, filled) = (Arc::clone(&f), done.clone(), Arc::clone(&slot));
+            // lint: allow(L008) — false positives of name-based dispatch:
+            // `Vec::push` resolves onto DockerRegistry::push, the slot's
+            // `RawMutex::lock` onto the shim's Mutex::lock, and
+            // `Event::fire`'s exploration-only probe (which stands down in
+            // a light poll) onto Event::wait. What `f` does is its caller's:
+            // a blocking call there is refused by the kernel inside the lane
+            // and re-raised by the joiner. Guarded by
+            // fan_out_reraises_a_lane_panic_in_the_joiner
+            spawn_light(
+                name,
+                task::light(async move {
+                    // The lane is the one that will fire the join event:
+                    // record it so a stuck lane shows up in wait-for cycles.
+                    fired.mark_holder();
+                    let items = async move {
+                        let mut outputs = Vec::with_capacity(chunk.len());
+                        for item in chunk {
+                            outputs.push(f(item).await?);
+                        }
+                        Ok(outputs)
+                    };
+                    let result = task::catch_unwind(pin!(items)).await;
+                    *filled.lock() = Some(result);
+                    fired.fire();
+                }),
+            );
+            (done, slot)
         })
         .collect();
     let mut outputs = Vec::with_capacity(lanes);
     let mut first_err = None;
-    for h in handles {
-        match h.join() {
+    for (done, slot) in joins {
+        task::wait(&done).await;
+        let lane: thread::Result<Result<Vec<U>, E>> = slot
+            .lock()
+            .take()
+            .expect("a lane fills its slot before it fires");
+        match lane.unwrap_or_else(|p| panic::resume_unwind(p)) {
             Ok(lane) => outputs.push(lane.into_iter()),
             Err(e) => {
                 first_err.get_or_insert(e);
@@ -2218,21 +2259,42 @@ mod tests {
         assert_eq!(k.now(), SimInstant::ZERO + Duration::from_secs(5));
     }
 
+    /// Drives `scenario` on both vehicles, each on a fresh kernel: on the
+    /// client thread through `block_on`, then awaited inside a light task.
+    fn on_both_vehicles<S>(scenario: impl Fn() -> S)
+    where
+        S: Future<Output = ()> + Send + 'static,
+    {
+        Kernel::new().run("client", || task::block_on(scenario()));
+        Kernel::new().run("client", || {
+            let done = Event::new(&kernel());
+            let (body, fired) = (scenario(), done.clone());
+            spawn_light(
+                "driver",
+                task::light(async move {
+                    body.await;
+                    fired.fire();
+                }),
+            );
+            done.wait();
+        });
+    }
+
     #[test]
-    fn many_threads_fan_out() {
-        let k = Kernel::new();
-        k.run("client", || {
-            let handles: Vec<_> = (0..200)
-                .map(|i| {
-                    spawn(format!("w{i}"), move || {
-                        sleep(Duration::from_millis(10 * (i % 7 + 1)));
-                        i
-                    })
-                })
-                .collect();
-            let sum: u64 = handles.into_iter().map(SimJoinHandle::join).sum();
+    fn many_lanes_fan_out() {
+        on_both_vehicles(|| async {
+            let before = kernel().stats();
+            let out = fan_out("w", 200, (0..200u64).collect(), |i| async move {
+                task::sleep(Duration::from_millis(10 * (i % 7 + 1))).await;
+                Ok::<_, ()>(i)
+            });
+            let sum: u64 = out.await.expect("no lane fails").into_iter().sum();
             assert_eq!(sum, (0..200).sum::<u64>());
             assert_eq!(now(), SimInstant::ZERO + Duration::from_millis(70));
+            // A lane counts as the thread it replaced, and is none.
+            let after = kernel().stats();
+            assert_eq!(after.threads_started - before.threads_started, 200);
+            assert_eq!(after.os_threads_spawned, before.os_threads_spawned);
         });
     }
 
@@ -2318,11 +2380,12 @@ mod tests {
         assert!(caught);
     }
 
-    /// The dealt item's lane, recovered from the thread name `fan_out`
-    /// gave it: proof of both the naming and the round-robin deal.
-    fn lane_of_current_thread() -> usize {
-        let name = thread::current().name().expect("named").to_owned();
-        name.strip_prefix("lane-")
+    /// The dealt item's lane, recovered from the task name `fan_out` gave
+    /// it: proof of both the naming and the round-robin deal.
+    fn lane_of_current_task() -> usize {
+        let waiter = current_ctx("lane_of_current_task").waiter;
+        (waiter.name)
+            .strip_prefix("lane-")
             .expect("prefix")
             .parse()
             .expect("index")
@@ -2330,15 +2393,15 @@ mod tests {
 
     #[test]
     fn fan_out_chunking_covers_all_items_in_input_order() {
-        let k = Kernel::new();
-        k.run("client", || {
+        on_both_vehicles(|| async {
             let before = kernel().stats().threads_started;
-            let out = fan_out("lane", 3, (0..10usize).collect(), |i| {
+            let out = fan_out("lane", 3, (0..10usize).collect(), |i| async move {
                 // Later items finish first, so completion order is the
                 // reverse of input order.
-                sleep(Duration::from_millis(100 - 10 * i as u64));
-                Ok::<_, ()>((i, lane_of_current_thread()))
+                task::sleep(Duration::from_millis(100 - 10 * i as u64)).await;
+                Ok::<_, ()>((i, lane_of_current_task()))
             })
+            .await
             .expect("no lane fails");
             assert_eq!(kernel().stats().threads_started - before, 3);
             let expected: Vec<_> = (0..10).map(|i| (i, i % 3)).collect();
@@ -2348,32 +2411,34 @@ mod tests {
 
     #[test]
     fn fan_out_chunking_with_more_lanes_than_items() {
-        let k = Kernel::new();
-        k.run("client", || {
+        on_both_vehicles(|| async {
             let before = kernel().stats().threads_started;
-            let out = fan_out("lane", 8, vec![1, 2], |i| {
-                Ok::<_, ()>((i, lane_of_current_thread()))
+            let out = fan_out("lane", 8, vec![1, 2], |i| async move {
+                Ok::<_, ()>((i, lane_of_current_task()))
             });
-            assert_eq!(out, Ok(vec![(1, 0), (2, 1)]));
+            assert_eq!(out.await, Ok(vec![(1, 0), (2, 1)]));
             assert_eq!(kernel().stats().threads_started - before, 2);
         });
     }
 
     #[test]
-    fn fan_out_over_no_items_starts_no_thread() {
-        let k = Kernel::new();
-        k.run("client", || {
+    fn fan_out_over_no_items_starts_no_task() {
+        on_both_vehicles(|| async {
             let before = kernel().stats().threads_started;
-            let out = fan_out("lane", 4, Vec::<u8>::new(), Ok::<_, ()>);
-            assert_eq!(out, Ok(Vec::new()));
+            let out = fan_out(
+                "lane",
+                4,
+                Vec::<u8>::new(),
+                |i| async move { Ok::<_, ()>(i) },
+            );
+            assert_eq!(out.await, Ok(Vec::new()));
             assert_eq!(kernel().stats().threads_started, before);
         });
     }
 
     #[test]
     fn fan_out_joins_every_lane_and_reports_the_lowest_failing_one() {
-        let k = Kernel::new();
-        k.run("client", || {
+        on_both_vehicles(|| async {
             let ran = Arc::new(RawMutex::new(Vec::new()));
             let ran2 = Arc::clone(&ran);
             let start = now();
@@ -2381,19 +2446,23 @@ mod tests {
             // first in time (item 1, t = 1 s), lane 0 later (item 3, t = 4 s);
             // lane 2 is healthy and slowest (t = 10 s).
             let out = fan_out("lane", 3, (0..8u64).collect(), move |i| {
-                sleep(Duration::from_secs(match i % 3 {
-                    0 => 2,
-                    1 => 1,
-                    _ => 5,
-                }));
-                ran2.lock().push(i);
-                match i {
-                    1 | 3 => Err(format!("item {i}")),
-                    _ => Ok(i),
+                let ran = Arc::clone(&ran2);
+                async move {
+                    task::sleep(Duration::from_secs(match i % 3 {
+                        0 => 2,
+                        1 => 1,
+                        _ => 5,
+                    }))
+                    .await;
+                    ran.lock().push(i);
+                    match i {
+                        1 | 3 => Err(format!("item {i}")),
+                        _ => Ok(i),
+                    }
                 }
             });
             // The lowest-numbered failing lane wins, not the earliest.
-            assert_eq!(out, Err("item 3".to_owned()));
+            assert_eq!(out.await, Err("item 3".to_owned()));
             // Returns only after the slowest lane has finished.
             assert_eq!(now() - start, Duration::from_secs(10));
             // A failed lane stops at its first error (6, 4 and 7 never
@@ -2401,6 +2470,29 @@ mod tests {
             let mut ran = ran.lock().clone();
             ran.sort_unstable();
             assert_eq!(ran, vec![0, 1, 2, 3, 5]);
+        });
+    }
+
+    /// A lane's panic — its own, or the kernel's refusal of a blocking call
+    /// it made without asking for a thread — is the joiner's, not the run's.
+    #[test]
+    fn fan_out_reraises_a_lane_panic_in_the_joiner() {
+        on_both_vehicles(|| async {
+            for (bad, expected) in [(1, "lane boom"), (2, "attempted a blocking operation")] {
+                let out = fan_out("lane", 3, vec![0u8, 1, 2], move |i| async move {
+                    task::sleep(Duration::from_millis(1)).await;
+                    match i {
+                        1 if bad == 1 => panic!("lane boom"),
+                        2 if bad == 2 => sleep(Duration::from_millis(1)),
+                        _ => {}
+                    }
+                    Ok::<_, ()>(i)
+                });
+                let payload = task::catch_unwind(pin!(out)).await.expect_err("re-raised");
+                let text = panic_text(payload.as_ref()).expect("a message");
+                assert!(text.contains(expected), "{text}");
+            }
+            assert!(kernel().inner.state.lock().failure.is_none());
         });
     }
 

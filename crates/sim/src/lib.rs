@@ -76,7 +76,7 @@ pub use kernel::{
     exploring, fan_out, kernel, now, run_blocking, sleep, spawn, spawn_light, Kernel, KernelStats,
     LightStep, ResourceId, SimJoinHandle,
 };
-pub use net::NetworkProfile;
+pub use net::{backoff, NetworkProfile};
 pub use order::{CondvarObs, LockInstance, OrderEdge, RunOrderReport, SyncKind, VectorClock};
 pub use sched::{
     Choice, ChoiceKind, FifoScheduler, RandomScheduler, ReplayScheduler, ScheduleTrace, Scheduler,

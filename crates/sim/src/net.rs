@@ -123,6 +123,15 @@ impl NetworkProfile {
     }
 }
 
+/// The clients' exponential back-off before retry number `attempt` (from
+/// 1): `base`, doubled per earlier attempt. The exponent saturates at 16, so
+/// a retry budget past 33 neither overflows the factor (a panic in debug
+/// builds, a wrap to a *zero* back-off in release) nor walks off the end of
+/// the virtual clock; up to 17 attempts nothing is capped.
+pub fn backoff(base: Duration, attempt: u32) -> Duration {
+    base * (1 << attempt.saturating_sub(1).min(16))
+}
+
 impl fmt::Display for NetworkProfile {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -209,6 +218,19 @@ mod tests {
     #[should_panic(expected = "finite")]
     fn with_failure_rate_rejects_nan() {
         let _ = NetworkProfile::lan().with_failure_rate(f64::NAN);
+    }
+
+    #[test]
+    fn backoff_doubles_then_saturates() {
+        let base = Duration::from_millis(50);
+        assert_eq!(backoff(base, 1), base);
+        assert_eq!(backoff(base, 4), base * 8);
+        // Unchanged through the 17th attempt, level from there on.
+        assert_eq!(backoff(base, 17), base * 2u32.pow(16));
+        assert_eq!(backoff(base, 18), backoff(base, 17));
+        assert_eq!(backoff(base, 33), backoff(base, 17));
+        assert_eq!(backoff(base, u32::MAX), backoff(base, 17));
+        assert_eq!(backoff(base, 0), base);
     }
 
     #[test]

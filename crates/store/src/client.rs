@@ -364,7 +364,7 @@ impl CosClient {
                 });
             }
             // Exponential backoff, as in the COS SDKs.
-            task::sleep(Duration::from_millis(50) * 2u32.pow(attempt - 1)).await;
+            task::sleep(rustwren_sim::backoff(Duration::from_millis(50), attempt)).await;
         }
     }
 
@@ -392,13 +392,12 @@ impl CosClient {
     }
 
     /// `PUT` an object using a multipart upload: parts of `part_size` bytes
-    /// transfer **concurrently** (each on its own simulated thread), so the
+    /// transfer **concurrently** (each lane a lightweight task), so the
     /// virtual cost approaches `size / (parts × bandwidth)` plus one
     /// completion round trip — how the real COS SDKs move large payloads.
     /// Falls back to a plain [`put`](CosClient::put) for small objects.
     ///
     /// At most 16 parts are in flight at a time, like the SDK defaults.
-    /// The lanes are threads, so this operation has no resumable form.
     ///
     /// # Errors
     ///
@@ -415,39 +414,7 @@ impl CosClient {
         data: Bytes,
         part_size: usize,
     ) -> Result<ObjectMeta, StoreError> {
-        assert!(part_size > 0, "part_size must be non-zero");
-        if data.len() <= part_size {
-            return self.put(bucket, key, data);
-        }
-        let part_count = data.len().div_ceil(part_size);
-        let lanes = part_count.min(16);
-        // (lane, position in lane, length): lane and position name the
-        // part's op path, so they are fixed here, before the deal.
-        let parts: Vec<(usize, usize, u64)> = (0..part_count)
-            .map(|k| {
-                let len = part_size.min(data.len() - k * part_size);
-                (k % lanes, k / lanes, len as u64)
-            })
-            .collect();
-        let client = self.clone();
-        let (part_bucket, part_key) = (bucket.to_owned(), key.to_owned());
-        rustwren_sim::fan_out("mpu", lanes, parts, move |(lane, i, len)| {
-            client.counters.count(&client.counters.puts);
-            client.counters.bytes_out.fetch_add(len, Ordering::Relaxed);
-            let op = CosOp::new("PUT", &part_bucket, Some(&part_key))
-                .with_suffix(OpSuffix::Part(lane, i));
-            task::block_on(client.charge(op, &part_bucket, &part_key, len, client.costs.data_op))
-                .map(|_| ())
-        })?;
-        // Complete-multipart-upload request.
-        task::block_on(self.charge(
-            CosOp::new("POST", bucket, Some(key)).with_suffix(OpSuffix::Const(" complete")),
-            bucket,
-            key,
-            512,
-            self.costs.head_op,
-        ))?;
-        self.store.put(bucket, key, data)
+        task::block_on(self.put_multipart_async(bucket, key, data, part_size))
     }
 
     /// `GET` an entire object.
@@ -547,6 +514,53 @@ impl CosClient {
             key,
             data.len() as u64,
             self.costs.data_op,
+        )
+        .await?;
+        self.store.put(bucket, key, data)
+    }
+
+    /// Resumable [`put_multipart`](CosClient::put_multipart).
+    pub async fn put_multipart_async(
+        &self,
+        bucket: &str,
+        key: &str,
+        data: Bytes,
+        part_size: usize,
+    ) -> Result<ObjectMeta, StoreError> {
+        assert!(part_size > 0, "part_size must be non-zero");
+        if data.len() <= part_size {
+            return self.put_async(bucket, key, data).await;
+        }
+        let part_count = data.len().div_ceil(part_size);
+        let lanes = part_count.min(16);
+        // (lane, position in lane, length): lane and position name the
+        // part's op path, so they are fixed here, before the deal.
+        let parts: Vec<(usize, usize, u64)> = (0..part_count)
+            .map(|k| {
+                let len = part_size.min(data.len() - k * part_size);
+                (k % lanes, k / lanes, len as u64)
+            })
+            .collect();
+        let shared = Arc::new((self.clone(), bucket.to_owned(), key.to_owned()));
+        rustwren_sim::fan_out("mpu", lanes, parts, move |(lane, i, len)| {
+            let shared = Arc::clone(&shared);
+            async move {
+                let (client, bucket, key) = &*shared;
+                client.counters.count(&client.counters.puts);
+                client.counters.bytes_out.fetch_add(len, Ordering::Relaxed);
+                let op = CosOp::new("PUT", bucket, Some(key)).with_suffix(OpSuffix::Part(lane, i));
+                let charged = client.charge(op, bucket, key, len, client.costs.data_op);
+                charged.await.map(|_| ())
+            }
+        })
+        .await?;
+        // Complete-multipart-upload request.
+        self.charge(
+            CosOp::new("POST", bucket, Some(key)).with_suffix(OpSuffix::Const(" complete")),
+            bucket,
+            key,
+            512,
+            self.costs.head_op,
         )
         .await?;
         self.store.put(bucket, key, data)
@@ -800,6 +814,27 @@ mod tests {
                     attempts: 3
                 }
             );
+        });
+    }
+
+    /// The back-off factor once overflowed at the 33rd consecutive failure:
+    /// a panic in debug builds, a wrap to a zero back-off in release.
+    #[test]
+    fn a_retry_budget_past_33_ends_in_the_typed_error() {
+        let (kernel, client) = setup(NetworkProfile::lan().with_failure_rate(1.0));
+        let client = client.with_max_attempts(40);
+        kernel.run("client", || {
+            let err = client.head_bucket("b").unwrap_err();
+            assert!(
+                matches!(err, StoreError::Network { attempts: 40, .. }),
+                "{err:?}"
+            );
+            // Every back-off was taken: none wrapped to zero.
+            let slept = rustwren_sim::now().duration_since(rustwren_sim::SimInstant::ZERO);
+            let owed: Duration = (1..40)
+                .map(|n| rustwren_sim::backoff(Duration::from_millis(50), n))
+                .sum();
+            assert!(slept > owed, "{slept:?} vs {owed:?}");
         });
     }
 

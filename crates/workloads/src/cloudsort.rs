@@ -17,8 +17,9 @@
 //! shuffle-plane ablation.
 
 use bytes::Bytes;
-use rustwren_core::{DataSource, Executor, ResponseFuture, ShuffleOpts, SimCloud, Value};
+use rustwren_core::{DataSource, Executor, ResponseFuture, ShuffleOpts, SimCloud, TaskCtx, Value};
 use rustwren_sim::hash::hash2;
+use rustwren_sim::task;
 use rustwren_store::{ObjectStore, StoreError};
 use std::time::Duration;
 
@@ -140,50 +141,48 @@ pub fn stage(store: &ObjectStore, bucket: &str, cfg: &CloudSortConfig) -> Result
 }
 
 /// Registers the CloudSort map, reduce and combiner functions on `cloud`.
+/// None of them blocks — the map charges its sort as a `task::sleep` — so
+/// all three are resumable and a sort's agents never take a thread.
 pub fn register(cloud: &SimCloud) {
-    cloud.register_fn(
-        CLOUDSORT_MAP_FN,
-        |ctx: &rustwren_core::TaskCtx, input: Value| {
-            let data = input
-                .get("data")
-                .and_then(Value::as_bytes)
-                .ok_or("no data")?;
-            let desc = Value::decode(data).map_err(|e| format!("partition descriptor: {e}"))?;
-            let m = desc.req_i64("m")? as usize;
-            let seed = desc.req_i64("seed")? as u64;
-            let samples = desc.req_i64("samples")?.max(1) as usize;
-            let records = desc.req_i64("records")?.max(0) as u64;
-            // Sorting the partition dominates map-side compute.
-            ctx.charge(Duration::from_secs_f64(
-                (records * 100) as f64 / SORT_BYTES_PER_SEC,
-            ));
-            // Histogram: `samples` keys whose weights sum exactly to `records`.
-            let base = records / samples as u64;
-            let extra = (records % samples as u64) as usize;
-            Ok(Value::List(
-                (0..samples)
-                    .map(|i| {
-                        let w = base + u64::from(i < extra);
-                        Value::map()
-                            .with("k", sort_key(seed, m, i))
-                            .with("v", w as i64)
-                    })
-                    .collect(),
-            ))
-        },
-    );
+    cloud.register_resumable_fn(CLOUDSORT_MAP_FN, |ctx: TaskCtx, input: Value| async move {
+        let data = input
+            .get("data")
+            .and_then(Value::as_bytes)
+            .ok_or("no data")?;
+        let desc = Value::decode(data).map_err(|e| format!("partition descriptor: {e}"))?;
+        let m = desc.req_i64("m")? as usize;
+        let seed = desc.req_i64("seed")? as u64;
+        let samples = desc.req_i64("samples")?.max(1) as usize;
+        let records = desc.req_i64("records")?.max(0) as u64;
+        // Sorting the partition dominates map-side compute.
+        let sort = Duration::from_secs_f64((records * 100) as f64 / SORT_BYTES_PER_SEC);
+        task::sleep(ctx.activation().scaled(sort)).await;
+        // Histogram: `samples` keys whose weights sum exactly to `records`.
+        let base = records / samples as u64;
+        let extra = (records % samples as u64) as usize;
+        Ok(Value::List(
+            (0..samples)
+                .map(|i| {
+                    let w = base + u64::from(i < extra);
+                    Value::map()
+                        .with("k", sort_key(seed, m, i))
+                        .with("v", w as i64)
+                })
+                .collect(),
+        ))
+    });
 
-    cloud.register_fn(
+    cloud.register_resumable_fn(
         CLOUDSORT_COMBINE_FN,
-        |_ctx: &rustwren_core::TaskCtx, input: Value| {
+        |_ctx: TaskCtx, input: Value| async move {
             let sum: i64 = input.req_list("vs")?.iter().filter_map(Value::as_i64).sum();
             Ok(Value::Int(sum))
         },
     );
 
-    cloud.register_fn(
+    cloud.register_resumable_fn(
         CLOUDSORT_REDUCE_FN,
-        |_ctx: &rustwren_core::TaskCtx, input: Value| {
+        |_ctx: TaskCtx, input: Value| async move {
             let index = input.req_i64("index")?;
             let groups = input
                 .get("groups")

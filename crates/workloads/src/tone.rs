@@ -12,6 +12,7 @@ use std::fmt;
 use std::time::Duration;
 
 use rustwren_core::{SimCloud, TaskCtx, Value};
+use rustwren_sim::task;
 
 use crate::tonemap::{render_svg, TonePoint};
 
@@ -184,7 +185,7 @@ fn tone_index(t: Tone) -> usize {
 /// * `tone-reduce` — one per city with `reducer_one_per_object`; merges the
 ///   partial results and renders the city's SVG tone map (Fig 5).
 pub fn register(cloud: &SimCloud) {
-    cloud.register_fn(TONE_MAP_FN, |ctx: &TaskCtx, input: Value| {
+    cloud.register_resumable_fn(TONE_MAP_FN, |ctx: TaskCtx, input: Value| async move {
         let data = input
             .get("data")
             .and_then(Value::as_bytes)
@@ -196,9 +197,9 @@ pub fn register(cloud: &SimCloud) {
         // Model the full-size analysis cost at container speed; the
         // physically stored sample is analyzed for real below.
         let logical_bytes = (end - start).max(0) as f64;
-        ctx.charge(Duration::from_secs_f64(
-            logical_bytes * CONTAINER_SLOWDOWN / TONE_BYTES_PER_SEC,
-        ));
+        let analysis =
+            Duration::from_secs_f64(logical_bytes * CONTAINER_SLOWDOWN / TONE_BYTES_PER_SEC);
+        task::sleep(ctx.activation().scaled(analysis)).await;
 
         let (comments, counts, points) = analyze_lines(data);
         Ok(Value::map()
@@ -213,7 +214,7 @@ pub fn register(cloud: &SimCloud) {
             ))
     });
 
-    cloud.register_fn(TONE_REDUCE_FN, |ctx: &TaskCtx, input: Value| {
+    cloud.register_resumable_fn(TONE_REDUCE_FN, |ctx: TaskCtx, input: Value| async move {
         let group = input
             .get("group")
             .and_then(Value::as_str)
@@ -234,7 +235,8 @@ pub fn register(cloud: &SimCloud) {
         }
         // Rendering the city map took noticeable time in the paper's
         // notebook; charge a small fixed cost plus per-point work.
-        ctx.charge(Duration::from_millis(800 + points.len() as u64 / 10));
+        let render = Duration::from_millis(800 + points.len() as u64 / 10);
+        task::sleep(ctx.activation().scaled(render)).await;
         let svg = render_svg(&group, &points);
         Ok(Value::map()
             .with("city", group)

@@ -29,6 +29,16 @@
 //! renumbers the later choice points on the thread vehicle. Re-captured
 //! once; CHANGES.md (PR 17) lists each before and after.
 //!
+//! PR 24 took the client's pool lanes (`spawn-*`, `upload-*`, `results-*`),
+//! the remote invoker and its lanes off OS threads: `fan_out` lanes are
+//! light tasks, which have no preemption probe, where each thread lane had
+//! one per `lock()`, `Event::fire` and `Event::wait` it made. Every `FIFO_*`
+//! constant held bit for bit, and so did `r=`, `adv=`, `tmr=`, `thr=` and
+//! `vt=` of all six `RAND_*` (a light lane counts in `threads_started` as
+//! the thread it replaced); the `trace=` token of all six moved, because the
+//! lanes' probes are gone and the choice points after them renumber.
+//! Re-captured once; CHANGES.md (PR 24) lists each before and after.
+//!
 //! To re-bless after another *intentional* semantic change (new choice
 //! points, different workload shape, different priced bytes), run:
 //!
@@ -403,20 +413,20 @@ fn cloudsort_random_schedule_fingerprints_are_stable() {
 // `FIFO_*` captured with RUSTWREN_BLESS=1 at PR 16 (the re-bless; see the
 // header); `FIFO_BURST` is the PR 8 capture: that scenario has no executor
 // and no agent payload, so nothing in the re-bless reached it. The `trace=`
-// tokens of `RAND_*` are the PR 17 capture (all but `RAND_MAP[1]` moved).
+// tokens of `RAND_*` are the PR 24 capture (all six moved; see the header).
 const FIFO_MAP: &str = "r=610214d1d0716dec adv=42 tmr=54 thr=18 vt=2778387049 trace=v1:";
 const FIFO_MAP_REDUCE: &str = "r=dd2c71163533fe08 adv=50 tmr=62 thr=13 vt=2888057780 trace=v1:";
 const FIFO_CLOUDSORT: &str = "r=9a876e1b9c41e132 adv=114 tmr=135 thr=24 vt=3952332348 trace=v1:";
 const FIFO_BURST: &str = "r=7b0471a08affaf50 adv=312 tmr=312 thr=104 vt=59766401093 trace=v1:";
 const RAND_MAP: [&str; 2] = [
-    "r=610214d1d0716dec adv=42 tmr=54 thr=18 vt=2778387049 trace=v1:0p1,1r4,3r1,6t2,8t1,9t2,16t1,17t3,19t1,20t4,21t2,22t1,23t1,25r4,29r3,31r1,33r1",
-    "r=610214d1d0716dec adv=42 tmr=54 thr=18 vt=2778387049 trace=v1:3r2,4r1,5t1,14r1,24t4,25t3,26t1,27t1,28t3,30t1,31t1,33r3,35r4,37r2,39r2,41r1",
+    "r=610214d1d0716dec adv=42 tmr=54 thr=18 vt=2778387049 trace=v1:0p1,1r4,3r1,6t2,7t3,8t1,11t4,12t2,13t2,15t2,18t1,20r4,22r3,23r1,24r1",
+    "r=610214d1d0716dec adv=42 tmr=54 thr=18 vt=2778387049 trace=v1:3r2,4r1,5t1,6t2,9r1,19t2,20t2,21t2,22t1,23t2,24t1,25t2,26t1,28r3,29r4,30r2,31r2,32r1",
 ];
 const RAND_MAP_REDUCE: [&str; 2] = [
-    "r=dd2c71163533fe08 adv=50 tmr=62 thr=13 vt=2888057780 trace=v1:0p1,1r4,3r1,6t2,8t1,22t1,23t2,24t1,25t4,26t3,27t2,28t1",
-    "r=dd2c71163533fe08 adv=50 tmr=62 thr=13 vt=2888057780 trace=v1:3r2,4r1,5t1,9r1,20r1,26t1,27t1,28t2,30t1,31t3,33t1",
+    "r=dd2c71163533fe08 adv=50 tmr=62 thr=13 vt=2888057780 trace=v1:0p1,1r4,3r1,6t2,7t3,8t1,15t2,17t1,18t1,19t3",
+    "r=dd2c71163533fe08 adv=50 tmr=62 thr=13 vt=2888057780 trace=v1:3r2,4r1,5t1,6t2,8r1,11t1,15r1,21t1,22t3,23t2,24t1,25t1,26t1,27t2",
 ];
 const RAND_CLOUDSORT: [&str; 2] = [
-    "r=9a876e1b9c41e132 adv=114 tmr=135 thr=24 vt=3952332348 trace=v1:0p1,1r4,3r1,6t2,8t1,9t2,18r1,19r1,23t2,26t1,30t3,31t3,33t1,34t3,37t1,38t2,39t1,40t1,41t3,42t2,45r2,47r1",
-    "r=9a876e1b9c41e132 adv=114 tmr=135 thr=24 vt=3952332348 trace=v1:3r2,4r1,5t1,14r1,23r3,24r2,25r1,26t1,28t2,31t1,36t4,37t1,38t2,40t1,43t4,45t2,46t1,47t2,55r1",
+    "r=9a876e1b9c41e132 adv=114 tmr=135 thr=24 vt=3952332348 trace=v1:0p1,1r4,3r1,6t2,7t3,8t1,11p1,13r1,14r1,19t1,22t3,23t1,24t2,26t3,27t2,28t1,29t3,30t3,31t1,32t1,33t3,34t2,35t1,37r2,38r1",
+    "r=9a876e1b9c41e132 adv=114 tmr=135 thr=24 vt=3952332348 trace=v1:3r2,4r1,5t1,6t2,9r1,18r3,19r2,20r1,21t3,23t2,25t1,28t3,30t1,31t1,32t3,36t2,37t1,38t1,39t2,45r1",
 ];

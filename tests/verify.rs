@@ -428,33 +428,65 @@ fn serving_burst_conserves_activations_under_a_cold_storm_and_every_schedule() {
     assert_eq!(report.schedules, SCHEDULES + 1);
 }
 
-/// The joint fault × schedule slice for the agent: a small `map` of a
-/// resumable function, so that every agent activation — lifecycle, COS
-/// round trips, the function itself — is a light task interleaving with the
-/// client's preemptible pool lanes; optionally under a plan that fails COS
-/// attempts (through back-off, sometimes to `StoreError::Network`) and
-/// crashes agents after they computed. Asserted here, per schedule: the
-/// job gives the oracle's results or a typed task/storage error, and once
-/// the client has also waited out every activation it caused (a retried
-/// task's earlier attempt may outlive `get_result`) the platform's books
-/// balance and no light task is left registered. What every schedule must
-/// then agree on is only how many tasks there were.
-fn light_map_job(kernel: Kernel, faults: bool) -> usize {
+/// What a [`light_map_job`] run is put through.
+#[derive(Clone, Copy, PartialEq)]
+enum Faults {
+    None,
+    /// COS attempts fail (through back-off, sometimes to
+    /// `StoreError::Network`) and agents crash after they computed.
+    Agents,
+    /// Massive spawning with the first remote invoker killed before it
+    /// spawns its group, from a client whose network drops a fifth of its
+    /// requests (invocations and COS alike, sometimes past their retries).
+    Lanes,
+}
+
+/// The joint fault × schedule slice for the light vehicle: a small `map` of
+/// a resumable function, so that every agent activation — lifecycle, COS
+/// round trips, the function itself — and, since PR 24, every pool lane and
+/// remote invoker is a light task interleaving with the one preemptible
+/// thread there is, the client's. Asserted here, per schedule: the job
+/// gives the oracle's results or a typed error, and once the client has
+/// also waited out every activation it caused (a retried task's earlier
+/// attempt may outlive `get_result`, an invoker a failed `map`) the
+/// platform's books balance, no light task — lane, invoker or agent — is
+/// left registered, and no OS thread was ever started. What every schedule
+/// must then agree on is only how many tasks there were.
+fn light_map_job(kernel: Kernel, faults: Faults) -> usize {
     use std::time::Duration;
 
-    use rustwren::core::{FaultPlan, PathScope, PywrenError, TimeWindow, PHASE_AFTER_COMPUTE};
+    use rustwren::core::{
+        FaultPlan, PathScope, PywrenError, SpawnStrategy, TimeWindow, PHASE_AFTER_COMPUTE,
+        PHASE_INVOKER,
+    };
     use rustwren::sim::task;
 
     const TASKS: i64 = 6;
+    let (plan, loss, spawn) = match faults {
+        Faults::None => (None, 0.0, SpawnStrategy::default()),
+        Faults::Agents => {
+            let plan = FaultPlan::new(13)
+                .cos_brownout(PathScope::prefix("jobs/"), TimeWindow::always(), 0.25)
+                .crash(PHASE_AFTER_COMPUTE, TimeWindow::always(), 0.5)
+                .limit_fires(3);
+            (Some(plan), 0.0, SpawnStrategy::default())
+        }
+        Faults::Lanes => {
+            let plan = FaultPlan::new(13)
+                .crash(PHASE_INVOKER, TimeWindow::always(), 1.0)
+                .once();
+            let spawn = SpawnStrategy::RemoteInvoker {
+                group_size: 2,
+                invoker_threads: 2,
+            };
+            (Some(plan), 0.2, spawn)
+        }
+    };
     let mut builder = SimCloud::builder()
         .seed(7)
-        .client_network(NetworkProfile::lan())
+        .client_network(NetworkProfile::lan().with_failure_rate(loss))
         .kernel(kernel.clone());
-    if faults {
-        let plan = FaultPlan::new(13)
-            .cos_brownout(PathScope::prefix("jobs/"), TimeWindow::always(), 0.25)
-            .crash(PHASE_AFTER_COMPUTE, TimeWindow::always(), 0.5)
-            .limit_fires(3);
+    if let Some(plan) = plan {
         builder = builder.chaos(plan);
     }
     let cloud = builder.build();
@@ -466,41 +498,51 @@ fn light_map_job(kernel: Kernel, faults: bool) -> usize {
     let result = cloud.run(|| {
         let exec = cloud
             .executor()
-            .retry(RetryPolicy::with_attempts(3))
+            .spawn(spawn)
+            .retry(RetryPolicy {
+                // What notices the tasks of the killed invoker.
+                presumed_dead_after: (faults == Faults::Lanes).then_some(Duration::from_secs(5)),
+                ..RetryPolicy::with_attempts(3)
+            })
             .build()
             .unwrap();
         let result = exec
             .map("add7", (0..TASKS).map(Value::Int).collect::<Vec<_>>())
             .and_then(|_| exec.get_result());
-        for record in faas.records() {
-            faas.wait(record.id);
+        // An invoker still running starts activations of its own.
+        let mut waited = 0;
+        while waited < faas.records().len() {
+            let records = faas.records();
+            for record in &records[waited..] {
+                faas.wait(record.id);
+            }
+            waited = records.len();
         }
         result
     });
     match result {
         Ok(values) => assert_eq!(values, (7..7 + TASKS).map(Value::Int).collect::<Vec<_>>()),
-        Err(PywrenError::Task { .. } | PywrenError::Storage(_)) if faults => {}
+        Err(PywrenError::Task { .. } | PywrenError::Storage(_)) if faults != Faults::None => {}
+        Err(PywrenError::Invoke(_)) if faults == Faults::Lanes => {}
         Err(e) => panic!("untyped or unexpected failure: {e:?}"),
     }
     let stats = faas.stats();
     assert_eq!(stats.submitted, stats.completed, "{stats:?}");
     assert_eq!(faas.inflight(), 0);
     assert_eq!(kernel.frozen_light_tasks(), Vec::<String>::new());
-    assert_eq!(faults, cloud.chaos_stats().cos_faults > 0);
-    // The function is resumable and the inputs plain values: the threads
-    // are the client's, never an agent's.
-    let k = kernel.stats();
-    assert!(
-        k.os_threads_spawned + stats.submitted <= k.threads_started,
-        "{k:?} vs {stats:?}"
-    );
+    let chaos = cloud.chaos_stats();
+    assert_eq!(faults == Faults::Agents, chaos.cos_faults > 0);
+    assert_eq!(faults == Faults::Lanes, chaos.crashes == 1 && loss > 0.0);
+    // The function is resumable, the inputs plain values and the lanes
+    // light: the one thread is the client's.
+    assert_eq!(kernel.stats().os_threads_spawned, 0);
     TASKS as usize
 }
 
 #[test]
 fn light_agents_give_the_oracles_results_under_every_schedule() {
     let report = explore(
-        |kernel| light_map_job(kernel, false),
+        |kernel| light_map_job(kernel, Faults::None),
         &budget(707, "sweep-light-agents"),
     );
     assert!(report.ok(), "{report}");
@@ -514,8 +556,18 @@ fn light_agents_give_the_oracles_results_under_every_schedule() {
 #[test]
 fn light_agents_conserve_activations_under_faults_and_every_schedule() {
     let report = explore(
-        |kernel| light_map_job(kernel, true),
+        |kernel| light_map_job(kernel, Faults::Agents),
         &budget(808, "sweep-light-agents-faults"),
+    );
+    assert!(report.ok(), "{report}");
+    assert_eq!(report.schedules, SCHEDULES + 1);
+}
+
+#[test]
+fn light_lanes_conserve_activations_under_faults_and_every_schedule() {
+    let report = explore(
+        |kernel| light_map_job(kernel, Faults::Lanes),
+        &budget(909, "sweep-light-lanes-faults"),
     );
     assert!(report.ok(), "{report}");
     assert_eq!(report.schedules, SCHEDULES + 1);
