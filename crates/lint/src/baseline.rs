@@ -1,7 +1,8 @@
 //! The committed `lint.toml` — allowlist + ratchet baseline.
 //!
-//! The file is a deliberately tiny TOML subset (flat sections, quoted-key
-//! scalar entries) so the linter stays dependency-free:
+//! The file is a deliberately tiny TOML subset (flat sections, scalar
+//! entries keyed by a quoted file path, or by name in `[ratchet]`) so the
+//! linter stays dependency-free:
 //!
 //! ```toml
 //! # Permanent, reviewed exemptions: every violation of <rule> in <file>
@@ -14,6 +15,11 @@
 //! # baseline via `rustwren-lint --update-baseline`.
 //! [baseline.L004]
 //! "crates/bench/src/lib.rs" = 3
+//!
+//! # The suppression ratchet: inline `lint: allow` markers outside
+//! # crates/lint and shims/. More fail CI; `--update-baseline` lowers it.
+//! [ratchet]
+//! suppressions = 27
 //! ```
 //!
 //! Anything else — unknown sections, unknown rules, malformed entries —
@@ -31,6 +37,9 @@ pub struct LintConfig {
     pub allow: BTreeMap<(Rule, String), String>,
     /// `(rule, file)` → violation count: the ratchet.
     pub baseline: BTreeMap<(Rule, String), usize>,
+    /// Most inline suppressions allowed outside `crates/lint` and
+    /// `shims/`; `None` when the file sets no suppression ratchet.
+    pub suppressions: Option<usize>,
 }
 
 impl LintConfig {
@@ -52,6 +61,7 @@ enum Section {
     None,
     Allow(Rule),
     Baseline(Rule),
+    Ratchet,
 }
 
 /// Parses the `lint.toml` text.
@@ -76,10 +86,11 @@ pub fn parse(text: &str) -> Result<LintConfig, String> {
             section = match head.split_once('.') {
                 Some(("allow", r)) => Section::Allow(parse_rule(r, n)?),
                 Some(("baseline", r)) => Section::Baseline(parse_rule(r, n)?),
+                None if head == "ratchet" => Section::Ratchet,
                 _ => {
                     return Err(format!(
                         "lint.toml:{n}: unknown section `[{head}]` \
-                         (expected `[allow.Lxxx]` or `[baseline.Lxxx]`)"
+                         (expected `[allow.Lxxx]`, `[baseline.Lxxx]` or `[ratchet]`)"
                     ))
                 }
             };
@@ -90,16 +101,29 @@ pub fn parse(text: &str) -> Result<LintConfig, String> {
         };
         let key = key.trim();
         let value = value.trim();
-        let file = key
-            .strip_prefix('"')
-            .and_then(|k| k.strip_suffix('"'))
-            .ok_or_else(|| format!("lint.toml:{n}: file key must be double-quoted"))?
-            .to_owned();
+        let file = || {
+            key.strip_prefix('"')
+                .and_then(|k| k.strip_suffix('"'))
+                .map(str::to_owned)
+                .ok_or_else(|| format!("lint.toml:{n}: file key must be double-quoted"))
+        };
         match section {
             Section::None => {
                 return Err(format!("lint.toml:{n}: entry outside any section"));
             }
+            Section::Ratchet => {
+                if key != "suppressions" {
+                    return Err(format!(
+                        "lint.toml:{n}: unknown ratchet `{key}` (expected `suppressions`)"
+                    ));
+                }
+                let max = value
+                    .parse()
+                    .map_err(|_| format!("lint.toml:{n}: ratchet count must be an integer"))?;
+                cfg.suppressions = Some(max);
+            }
             Section::Allow(rule) => {
+                let file = file()?;
                 let reason = value
                     .strip_prefix('"')
                     .and_then(|v| v.strip_suffix('"'))
@@ -112,6 +136,7 @@ pub fn parse(text: &str) -> Result<LintConfig, String> {
                 cfg.allow.insert((rule, file), reason.to_owned());
             }
             Section::Baseline(rule) => {
+                let file = file()?;
                 let count: usize = value
                     .parse()
                     .map_err(|_| format!("lint.toml:{n}: baseline count must be an integer"))?;
@@ -169,6 +194,13 @@ pub fn serialize(cfg: &LintConfig) -> String {
             out.push_str(&format!("\"{file}\" = {count}\n"));
         }
     }
+    if let Some(max) = cfg.suppressions {
+        out.push_str(&format!(
+            "\n# Inline suppressions outside crates/lint and shims/: more fail\n\
+             # --check; --update-baseline lowers the count as they are paid down.\n\
+             [ratchet]\nsuppressions = {max}\n"
+        ));
+    }
     out
 }
 
@@ -186,6 +218,10 @@ mod tests {
         cfg.baseline
             .insert((Rule::L004, "crates/bench/src/lib.rs".into()), 3);
         let text = serialize(&cfg);
+        assert_eq!(parse(&text).expect("round trip"), cfg);
+        cfg.suppressions = Some(27);
+        let text = serialize(&cfg);
+        assert!(text.contains("[ratchet]\nsuppressions = 27\n"), "{text}");
         assert_eq!(parse(&text).expect("round trip"), cfg);
     }
 
@@ -206,5 +242,7 @@ mod tests {
         assert!(parse("[baseline.L004]\n\"a.rs\" = 0\n").is_err());
         assert!(parse("\"a.rs\" = 1\n").is_err());
         assert!(parse("[allow.L001]\n\"a.rs\" = \"\"\n").is_err());
+        assert!(parse("[ratchet]\nunwraps = 3\n").is_err());
+        assert!(parse("[ratchet]\nsuppressions = many\n").is_err());
     }
 }

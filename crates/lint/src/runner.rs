@@ -35,6 +35,10 @@ const SKIP_DIRS: [&str; 7] = [
     "node_modules",
 ];
 
+/// Trees whose inline suppressions the suppression ratchet does not count:
+/// the linter's own rule text and fixtures, and the vendored shims.
+const RATCHET_EXEMPT: [&str; 2] = ["crates/lint/", "shims/"];
+
 /// Options for one linter run.
 #[derive(Debug, Clone)]
 pub struct Options {
@@ -91,6 +95,9 @@ pub struct Outcome {
     pub counts: BTreeMap<Rule, usize>,
     /// Files scanned.
     pub files_scanned: usize,
+    /// Inline suppressions outside `crates/lint` and `shims/`: what the
+    /// suppression ratchet in `lint.toml` bounds.
+    pub inline_suppressions: usize,
     /// The L007 static lock inventory.
     pub lock_sites: Vec<LockSite>,
     /// Current per-(rule, file) counts — the input to `--update-baseline`.
@@ -135,6 +142,9 @@ pub fn run(opts: &Options) -> Outcome {
         let rel_str = rel.to_string_lossy().replace('\\', "/");
         let scan = scan_source(&rel_str, &src);
         out.errors.extend(scan.suppression_errors.iter().cloned());
+        if !RATCHET_EXEMPT.iter().any(|t| rel_str.starts_with(t)) {
+            out.inline_suppressions += scan.suppressions.len();
+        }
         out.lock_sites.extend(lock_sites(&scan));
         defs.extend(symbols::extract(&scan, &mut out.errors));
 
@@ -161,6 +171,7 @@ pub fn run(opts: &Options) -> Outcome {
     out.graph = Some(graph);
 
     apply_baseline(&cfg, &mut out);
+    apply_suppression_ratchet(&cfg, &mut out);
     out.new_violations
         .sort_by(|a, b| (a.rule, &a.file, a.line).cmp(&(b.rule, &b.file, b.line)));
     out
@@ -279,6 +290,30 @@ fn apply_baseline(cfg: &LintConfig, out: &mut Outcome) {
                 cfg.baseline_for(rule, &file)
             ));
         }
+    }
+}
+
+/// Holds the inline-suppression count to the `[ratchet]` in `lint.toml`:
+/// more is an error, fewer an improvement to record.
+fn apply_suppression_ratchet(cfg: &LintConfig, out: &mut Outcome) {
+    let Some(max) = cfg.suppressions else {
+        return;
+    };
+    let count = out.inline_suppressions;
+    let outside = "outside crates/lint and shims/";
+    out.notes.push(format!(
+        "suppression ratchet: {count} inline suppression(s) {outside}, lint.toml allows {max}"
+    ));
+    if count > max {
+        out.errors.push(format!(
+            "{count} inline suppression(s) {outside}, above the ratchet of {max} in \
+             lint.toml: fix the finding instead of suppressing it"
+        ));
+    } else if count < max {
+        out.improvements.push(format!(
+            "inline suppressions {outside}: {count}, ratchet allows {max}; \
+             tighten with --update-baseline"
+        ));
     }
 }
 
@@ -472,7 +507,8 @@ fn l007_cross_check(cfg: &LintConfig, exercise: Option<&LockExercise>, out: &mut
 }
 
 /// Rewrites the baseline file so every current violation count becomes
-/// the new ratchet position. Returns the serialized text.
+/// the new ratchet position, and the suppression ratchet the current
+/// count when that is lower (it never rises). Returns the serialized text.
 ///
 /// # Errors
 ///
@@ -490,6 +526,9 @@ pub fn update_baseline(opts: &Options, outcome: &Outcome) -> Result<String, Stri
         .filter(|(_, c)| **c > 0)
         .map(|(k, c)| (k.clone(), *c))
         .collect();
+    cfg.suppressions = cfg
+        .suppressions
+        .map(|max| max.min(outcome.inline_suppressions));
     let text = crate::baseline::serialize(&cfg);
     fs::write(&path, &text).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
     Ok(text)

@@ -271,6 +271,59 @@ fn allow_entries_and_inline_suppressions_keep_the_tree_clean() {
 }
 
 #[test]
+fn suppression_ratchet_fails_above_its_count_and_update_lowers_it() {
+    let root = workspace("suppressions");
+    let unwrap = "fn g(x: Option<u32>) -> u32 { x.unwrap() } // lint: allow(L004) — fixture\n";
+    plant(
+        &root,
+        "crates/core/src/planted.rs",
+        &format!("{unwrap}{}", unwrap.replace("fn g", "fn h")),
+    );
+    // Neither the linter's own tree nor the shims count.
+    plant(&root, "crates/lint/src/rules.rs", unwrap);
+    plant(&root, "shims/bytes/src/lib.rs", unwrap);
+    let opts = Options::new(&root);
+
+    plant(&root, "lint.toml", "[ratchet]\nsuppressions = 1\n");
+    let outcome = run(&opts);
+    assert_eq!(outcome.inline_suppressions, 2);
+    assert!(!outcome.clean(), "2 suppressions above a ratchet of 1");
+    assert!(
+        outcome
+            .errors
+            .iter()
+            .any(|e| e.contains("above the ratchet of 1")),
+        "{:?}",
+        outcome.errors
+    );
+
+    // Paying one down below the recorded count is clean, and prompts a
+    // tighter ratchet…
+    plant(&root, "lint.toml", "[ratchet]\nsuppressions = 3\n");
+    let outcome = run(&opts);
+    assert!(outcome.clean(), "{:?}", outcome.errors);
+    assert_eq!(outcome.improvements.len(), 1, "{:?}", outcome.improvements);
+    // …which --update-baseline records; it never raises the count.
+    let text = update_baseline(&opts, &outcome).expect("update");
+    assert!(text.contains("[ratchet]\nsuppressions = 2\n"), "{text}");
+    assert_eq!(
+        baseline::parse(&text).expect("parses").suppressions,
+        Some(2)
+    );
+    let outcome = run(&opts);
+    assert!(outcome.clean() && outcome.improvements.is_empty());
+    plant(
+        &root,
+        "crates/core/src/planted.rs",
+        &format!("{unwrap}{unwrap}{unwrap}").replacen("fn g", "fn h", 1),
+    );
+    let text = update_baseline(&opts, &run(&opts)).expect("update");
+    assert!(text.contains("suppressions = 2\n"), "{text}");
+    assert!(!run(&opts).clean());
+    let _ = fs::remove_dir_all(&root);
+}
+
+#[test]
 fn l007_end_to_end_with_lock_report() {
     let root = workspace("l007");
     plant(

@@ -636,7 +636,7 @@ fn virtual_now() -> Duration {
 /// unconditionally) and `None` when no engine is installed (the common,
 /// zero-overhead case).
 pub fn current() -> Option<Arc<ChaosEngine>> {
-    kernel::try_with_kernel(|k| k.chaos()).flatten()
+    kernel::try_with_current(|k, _| k.chaos()).flatten()
 }
 
 #[cfg(test)]

@@ -45,11 +45,13 @@
 //! # Deadlocks
 //!
 //! If every registered thread is blocked and no timer is pending, the
-//! simulation can never progress. The kernel maintains a **wait-for graph**
-//! for exactly this moment: synchronization primitives register themselves
-//! as [`ResourceId`]s and record which threads currently *hold* them (a
-//! lock, an admission slot, the right to fire an event) and which threads are
-//! *blocked* on them. On deadlock the kernel panics with a diagnostic that
+//! simulation can never progress. The kernel draws a **wait-for graph** for
+//! exactly this moment: a blocked thread records the [`ResourceId`] it waits
+//! on, and every thread carries its own list of *holds* (a shim lock, an
+//! admission slot, the right to fire an event), pushed and popped by the
+//! thread itself. Holders are read off the blocked threads only when the
+//! report is drawn, so a hold costs its thread a push and a pop and the
+//! kernel nothing. On deadlock the kernel panics with a diagnostic that
 //! lists each blocked thread, the resource it waits on and that resource's
 //! holders — and, when the blocked-on/held-by edges close a cycle, prints
 //! the cycle itself:
@@ -75,7 +77,7 @@ use std::fmt::Write as _;
 use std::future::Future;
 use std::panic::{self, AssertUnwindSafe};
 use std::pin::pin;
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::thread;
 use std::time::Duration;
@@ -145,8 +147,8 @@ struct LightTask {
 
 /// Per-thread parking slot shared between the thread and its wakers.
 ///
-/// `name` is an interned `Arc<str>`: holder registration, wait-for-graph
-/// edges and deadlock reports clone the handle, never the string.
+/// `name` is an interned `Arc<str>`: wait-for-graph edges and deadlock
+/// reports clone the handle, never the string.
 pub(crate) struct Waiter {
     id: u64,
     name: Arc<str>,
@@ -155,6 +157,21 @@ pub(crate) struct Waiter {
     light: bool,
     sync: RawMutex<WaiterSync>,
     cv: RawCondvar,
+    /// What this thread holds, in the order it took it. Only the thread
+    /// itself pushes and pops; the deadlock report reads it under the
+    /// state lock. A leaf lock: nothing takes the state lock under it.
+    held: RawMutex<Vec<Held>>,
+}
+
+/// One hold of a thread, for the wait-for graph.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Held {
+    /// The shim lock at this address. It maps to a resource only once
+    /// someone has parked on the lock, which is the only time a report can
+    /// need it.
+    Lock(usize),
+    /// A resource: an admission slot, the right to fire an event.
+    Resource(ResourceId),
 }
 
 #[derive(Default)]
@@ -187,6 +204,7 @@ impl Waiter {
             light: false,
             sync: RawMutex::new(WaiterSync::default()),
             cv: RawCondvar::new(),
+            held: RawMutex::new(Vec::new()),
         })
     }
 
@@ -197,7 +215,16 @@ impl Waiter {
             light: true,
             sync: RawMutex::new(WaiterSync::default()),
             cv: RawCondvar::new(),
+            held: RawMutex::new(Vec::new()),
         })
+    }
+
+    /// Drops the latest of this thread's holds equal to `h`, if any.
+    fn unhold(&self, h: Held) {
+        let mut held = self.held.lock();
+        if let Some(i) = held.iter().rposition(|x| *x == h) {
+            held.remove(i);
+        }
     }
 }
 
@@ -270,7 +297,7 @@ impl Ord for TimerEntry {
 /// thread is responsible for releasing it: a lock, an event's fire.
 /// Synchronization primitives register themselves automatically; simulation
 /// layers (like the FaaS platform's container capacity) may register further
-/// resources via [`Kernel::create_resource`] and annotate holders with
+/// resources via [`Kernel::create_resource`] and record holds with
 /// [`Kernel::hold_resource`] / [`Kernel::release_resource`]. The graph is
 /// purely diagnostic — it never affects scheduling — but it is what lets a
 /// deadlock panic name the cycle instead of just listing blocked threads.
@@ -287,9 +314,6 @@ struct ResourceInfo {
     /// across schedules, so the lock-order recorder must not use them as
     /// cross-run merge keys.
     generated: bool,
-    /// `(waiter id, interned thread name)` of current holders, in
-    /// acquisition order.
-    holders: Vec<(u64, Arc<str>)>,
 }
 
 /// Virtualized shim lock (`parking_lot` `Mutex`/`RwLock`): threads parked in
@@ -340,7 +364,7 @@ pub(crate) struct State {
     // BTreeMap so the deadlock report and wake-all broadcast iterate in
     // waiter-id order, independent of the hasher.
     blocked: BTreeMap<u64, BlockedInfo>,
-    /// resource id → kind/label/holders, for deadlock diagnostics.
+    /// resource id → kind/label, for deadlock diagnostics.
     resources: HashMap<u64, ResourceInfo>,
     /// Set once the simulation has failed — a deadlock was detected, or the
     /// poll of a promoted task panicked with nobody to hand the panic to;
@@ -366,41 +390,14 @@ pub(crate) struct State {
     segment: Vec<u64>,
     /// Lock-order recorder, present while recording is enabled.
     order: Option<OrderRecorder>,
-    /// addr → virtualized shim-lock state.
+    /// addr → virtualized shim-lock state, for the locks someone parked on
+    /// (and, while exploring or recording, for every lock touched).
     vlocks: HashMap<usize, VlockEntry>,
     /// addr → virtualized shim-condvar state.
     vcvs: HashMap<usize, VcvEntry>,
 }
 
 impl State {
-    /// Records the registered thread `waiter` as a holder of `res`.
-    pub(crate) fn hold_resource_locked(&mut self, res: ResourceId, waiter: &Waiter) {
-        if let Some(r) = self.resources.get_mut(&res.0) {
-            r.holders.push((waiter.id, Arc::clone(&waiter.name)));
-        }
-    }
-
-    /// Removes one holder entry of `res`: the entry for `waiter` when given
-    /// and present, the oldest entry otherwise.
-    pub(crate) fn release_resource_locked(&mut self, res: ResourceId, waiter: Option<&Waiter>) {
-        if let Some(r) = self.resources.get_mut(&res.0) {
-            let idx = waiter
-                .and_then(|w| r.holders.iter().position(|(id, _)| *id == w.id))
-                .unwrap_or(0);
-            if idx < r.holders.len() {
-                r.holders.remove(idx);
-            }
-        }
-    }
-
-    /// Clears every holder of `res` (used when an event fires: the obligation
-    /// it stood for is discharged for all waiters at once).
-    pub(crate) fn clear_resource_holders_locked(&mut self, res: ResourceId) {
-        if let Some(r) = self.resources.get_mut(&res.0) {
-            r.holders.clear();
-        }
-    }
-
     /// Schedules a timer that wakes `waiter` after `d` of virtual time.
     ///
     /// # Panics
@@ -435,7 +432,6 @@ impl State {
                 kind,
                 label,
                 generated,
-                holders: Vec::new(),
             },
         );
         ResourceId(id)
@@ -600,6 +596,10 @@ pub struct KernelStats {
     /// [`Kernel::run`] caller brings its own thread and a light task has
     /// none).
     pub os_threads_spawned: u64,
+    /// `parking_lot` shim-lock acquisitions by simulated threads.
+    pub lock_acquisitions: u64,
+    /// Simulated threads parked in virtual time on a contended shim lock.
+    pub lock_parks: u64,
 }
 
 /// [`Inner::flags`] bit: an exploring scheduler is installed.
@@ -608,6 +608,8 @@ const FLAG_EXPLORING: u8 = 1;
 /// [`Kernel::chaos`] probe is a single atomic load in the common
 /// no-chaos case instead of a mutex acquisition.
 const FLAG_CHAOS: u8 = 2;
+/// [`Inner::flags`] bit: lock-order recording is on.
+const FLAG_RECORDING: u8 = 4;
 
 /// Stack size of every simulated thread. Large fan-out experiments spawn
 /// thousands of threads; 1 MiB keeps address-space usage modest.
@@ -616,9 +618,20 @@ const STACK_SIZE: usize = 1 << 20;
 struct Inner {
     state: RawMutex<State>,
     chaos: RawMutex<Option<Arc<crate::chaos::ChaosEngine>>>,
-    /// Lock-free mirror of scheduler mode, checked by preemption probes
-    /// before taking the state lock. Mutated only under the state lock.
+    /// Lock-free mirror of scheduler and recording mode, checked by
+    /// preemption probes and shim-lock hooks before taking the state lock.
+    /// The exploring and recording bits are mutated only under it.
     flags: AtomicU8,
+    /// Entries in the shim locks' wait queues ([`VlockEntry::waiters`]);
+    /// changed only under the state lock. While it is zero and the flags
+    /// observe nothing, a shim-lock acquisition or release has no one to
+    /// tell and stays off the state lock. `Relaxed` is enough: a thread
+    /// that parked raised it before handing the turn over, and the hand-off
+    /// (the state lock, a waiter's parking lock) orders that before
+    /// whatever the next simulated thread reads.
+    parked_on_locks: AtomicUsize,
+    /// [`KernelStats::lock_acquisitions`], counted off the state lock.
+    lock_acquisitions: AtomicU64,
 }
 
 /// A deterministic virtual-time kernel. Cheap to clone (shared handle).
@@ -703,6 +716,8 @@ impl Kernel {
                 }),
                 chaos: RawMutex::new(None),
                 flags: AtomicU8::new(0),
+                parked_on_locks: AtomicUsize::new(0),
+                lock_acquisitions: AtomicU64::new(0),
             }),
         };
         crate::vlock::install();
@@ -727,13 +742,19 @@ impl Kernel {
         st.choice_step = 0;
         st.trace = Arc::new(ScheduleTrace::default());
         st.segment.clear();
-        let mut flags = self.inner.flags.load(Ordering::Relaxed);
-        if exploring {
-            flags |= FLAG_EXPLORING;
+        self.set_flag(FLAG_EXPLORING, exploring);
+    }
+
+    fn set_flag(&self, flag: u8, on: bool) {
+        if on {
+            self.inner.flags.fetch_or(flag, Ordering::Relaxed);
         } else {
-            flags &= !FLAG_EXPLORING;
+            self.inner.flags.fetch_and(!flag, Ordering::Relaxed);
         }
-        self.inner.flags.store(flags, Ordering::Relaxed);
+    }
+
+    pub(crate) fn is_exploring(&self) -> bool {
+        self.inner.flags.load(Ordering::Relaxed) & FLAG_EXPLORING != 0
     }
 
     /// The non-default scheduling decisions made since the scheduler was
@@ -750,18 +771,17 @@ impl Kernel {
     /// acquisition, true-ordering operation and condvar notify/wait from now
     /// on feeds a per-run order graph. See [`crate::order`].
     pub fn record_lock_orders(&self) {
-        self.inner.state.lock().order = Some(OrderRecorder::new());
+        let mut st = self.inner.state.lock();
+        st.order = Some(OrderRecorder::new());
+        self.set_flag(FLAG_RECORDING, true);
     }
 
     /// Finalizes lock-order recording and returns the run's report, or
     /// `None` when recording was never started.
     pub fn take_order_report(&self) -> Option<RunOrderReport> {
-        self.inner
-            .state
-            .lock()
-            .order
-            .take()
-            .map(OrderRecorder::into_report)
+        let mut st = self.inner.state.lock();
+        self.set_flag(FLAG_RECORDING, false);
+        st.order.take().map(OrderRecorder::into_report)
     }
 
     /// Installs a fault-injection engine on this kernel. Substrates running
@@ -790,7 +810,10 @@ impl Kernel {
 
     /// Kernel activity counters.
     pub fn stats(&self) -> KernelStats {
-        self.inner.state.lock().stats
+        KernelStats {
+            lock_acquisitions: self.inner.lock_acquisitions.load(Ordering::Relaxed),
+            ..self.inner.state.lock().stats
+        }
     }
 
     /// Number of registered simulated threads (runnable + blocked).
@@ -819,23 +842,29 @@ impl Kernel {
         }
     }
 
-    /// Records the current thread as a holder of `res`, so deadlock reports
+    /// Records a hold of `res` on the current thread, so deadlock reports
     /// can point at it. Purely diagnostic; a no-op when the calling thread is
     /// not simulated (or registered with a different kernel).
     pub fn hold_resource(&self, res: ResourceId) {
-        if let Some(w) = try_current_waiter(self) {
-            self.inner.state.lock().hold_resource_locked(res, &w);
-        }
+        self.with_own_waiter(|w| w.held.lock().push(Held::Resource(res)));
     }
 
-    /// Removes the current thread's holder entry of `res` (or the oldest
-    /// entry when the calling thread is not simulated).
+    /// Drops one of the current thread's holds of `res`. A no-op when the
+    /// calling thread is not simulated (or registered with a different
+    /// kernel): such a thread recorded no hold to drop, and a hold another
+    /// thread recorded is that thread's to drop.
     pub fn release_resource(&self, res: ResourceId) {
-        let w = try_current_waiter(self);
-        self.inner
-            .state
-            .lock()
-            .release_resource_locked(res, w.as_deref());
+        self.with_own_waiter(|w| w.unhold(Held::Resource(res)));
+    }
+
+    /// Applies `f` to the current thread's waiter when the thread is
+    /// registered with this kernel, without cloning the thread context.
+    pub(crate) fn with_own_waiter(&self, f: impl FnOnce(&Waiter)) {
+        try_with_current(|k, w| {
+            if k.same_as(self) {
+                f(w);
+            }
+        });
     }
 
     /// Registers the calling OS thread as a simulated thread named `name`,
@@ -881,7 +910,7 @@ impl Kernel {
     /// exploring scheduler is installed, so every failure a schedule
     /// explorer provokes carries its own reproduction recipe.
     fn augment_panic(&self, payload: Box<dyn Any + Send>) -> Box<dyn Any + Send> {
-        if self.inner.flags.load(Ordering::Relaxed) & FLAG_EXPLORING == 0 {
+        if !self.is_exploring() {
             return payload;
         }
         match panic_text(payload.as_ref()) {
@@ -1350,8 +1379,10 @@ impl Kernel {
         st.runnable += 1;
         st.stats.os_threads_spawned += 1;
         // Nothing else refers to a *running* light task's waiter (it is in
-        // no timer, waiter list or queue), so the thread gets a fresh one.
+        // no timer, waiter list or queue), so the thread gets a fresh one,
+        // holding what the task held.
         let waiter = Waiter::new(w.id, Arc::clone(&w.name));
+        *waiter.held.lock() = std::mem::take(&mut *w.held.lock());
         let kernel = self.clone();
         thread::Builder::new()
             .name(w.name.to_string())
@@ -1428,7 +1459,7 @@ impl Kernel {
     /// back of the ready queue and dispatches another — the interleaving
     /// that exposes atomicity bugs between a check and its act.
     pub(crate) fn preemption_point(&self, _op: &'static str) {
-        if self.inner.flags.load(Ordering::Relaxed) & FLAG_EXPLORING == 0 {
+        if !self.is_exploring() {
             return;
         }
         if IN_LIGHT_STEP.with(std::cell::Cell::get) {
@@ -1543,22 +1574,46 @@ impl Kernel {
         Self::wake_locked(st, &entry.waiter);
     }
 
+    /// Who holds what, read off the blocked threads' own holds: resource id
+    /// → its holders, each once, in waiter-id order. At a deadlock every
+    /// registered thread is blocked, so this is every holder there is. A
+    /// shim-lock hold maps through the lock's entry, which exists for any
+    /// lock a thread is blocked on.
+    fn holders_locked(st: &State) -> HashMap<u64, Vec<&Waiter>> {
+        let mut holders: HashMap<u64, Vec<&Waiter>> = HashMap::new();
+        for b in st.blocked.values() {
+            for h in b.waiter.held.lock().iter() {
+                let res = match *h {
+                    Held::Lock(addr) => st.vlocks.get(&addr).map(|e| e.res),
+                    Held::Resource(res) => Some(res),
+                };
+                if let Some(res) = res {
+                    let of = holders.entry(res.0).or_default();
+                    if of.last().is_none_or(|w| w.id != b.waiter.id) {
+                        of.push(&b.waiter);
+                    }
+                }
+            }
+        }
+        holders
+    }
+
     /// Renders the deadlock report: one line per blocked thread (with the
     /// resource it waits on and that resource's holders, when known),
     /// followed by the wait-for cycle if the blocked-on/held-by edges close
     /// one.
     fn deadlock_report_locked(st: &State) -> String {
+        let holders = Self::holders_locked(st);
         let mut lines: Vec<String> = Vec::new();
         for b in st.blocked.values() {
             let mut line = format!("  - thread `{}` blocked on {}", b.waiter.name, b.reason);
-            if let Some(res) = b.resource.and_then(|r| st.resources.get(&r.0)) {
+            if let Some((rid, res)) = b
+                .resource
+                .and_then(|r| Some((r.0, st.resources.get(&r.0)?)))
+            {
                 let _ = write!(line, " ({} `{}`", res.kind, res.label);
-                if !res.holders.is_empty() {
-                    let names: Vec<String> = res
-                        .holders
-                        .iter()
-                        .map(|(_, name)| format!("`{name}`"))
-                        .collect();
+                if let Some(of) = holders.get(&rid) {
+                    let names: Vec<String> = of.iter().map(|w| format!("`{}`", w.name)).collect();
                     let _ = write!(line, ", held by {}", names.join(", "));
                 }
                 line.push(')');
@@ -1573,7 +1628,7 @@ impl Kernel {
             st.live,
             lines.join("\n"),
         );
-        if let Some(cycle) = Self::find_cycle_locked(st) {
+        if let Some(cycle) = Self::find_cycle_locked(st, &holders) {
             report.push('\n');
             report.push_str(&cycle);
         }
@@ -1589,25 +1644,15 @@ impl Kernel {
     /// ```text
     /// wait-for cycle: `a` -[event `e2`]-> `b` -[event `e1`]-> `a`
     /// ```
-    fn find_cycle_locked(st: &State) -> Option<String> {
-        // Deterministic adjacency: waiter id → [(holder id, resource id)].
-        let mut ids: Vec<u64> = st.blocked.keys().copied().collect();
-        ids.sort_unstable();
+    fn find_cycle_locked(st: &State, holders: &HashMap<u64, Vec<&Waiter>>) -> Option<String> {
+        // Deterministic adjacency: waiter id → [(holder id, resource id)],
+        // in holder-id order.
+        let ids: Vec<u64> = st.blocked.keys().copied().collect();
         let mut adj: HashMap<u64, Vec<(u64, u64)>> = HashMap::new();
-        for wid in &ids {
-            let b = &st.blocked[wid];
-            if let Some(rid) = b.resource {
-                if let Some(res) = st.resources.get(&rid.0) {
-                    let mut outs: Vec<(u64, u64)> = res
-                        .holders
-                        .iter()
-                        .filter(|(hid, _)| st.blocked.contains_key(hid))
-                        .map(|(hid, _)| (*hid, rid.0))
-                        .collect();
-                    outs.sort_unstable();
-                    outs.dedup();
-                    adj.insert(*wid, outs);
-                }
+        for (wid, b) in &st.blocked {
+            if let Some(rid) = b.resource.filter(|r| st.resources.contains_key(&r.0)) {
+                let outs = holders.get(&rid.0).map_or(&[][..], Vec::as_slice);
+                adj.insert(*wid, outs.iter().map(|w| (w.id, rid.0)).collect());
             }
         }
         // Iterative DFS; `via[n]` is the resource whose edge reached `n`.
@@ -1704,10 +1749,12 @@ impl Kernel {
         crate::vlock::track_addr(addr, self);
         let res = {
             let mut st = self.inner.state.lock();
+            st.stats.lock_parks += 1;
             let res = st.vlock_res_locked(addr, op);
             let entry = st.vlocks.get_mut(&addr).expect("entry just ensured");
             if !entry.waiters.iter().any(|x| x.id == w.id) {
                 entry.waiters.push_back(Arc::clone(&w));
+                self.inner.parked_on_locks.fetch_add(1, Ordering::Relaxed);
             }
             st.touch(res);
             res
@@ -1716,36 +1763,69 @@ impl Kernel {
         true
     }
 
-    /// The calling thread acquired the shim lock at `addr`: record it as a
-    /// holder (for deadlock reports) and feed the lock-order recorder.
-    pub(crate) fn vlock_acquired(&self, addr: usize, op: LockOp) {
-        let Some(w) = try_current_waiter(self) else {
-            return;
-        };
-        crate::vlock::track_addr(addr, self);
-        let mut st = self.inner.state.lock();
-        let res = st.vlock_res_locked(addr, op);
-        let entry = st.vlocks.get_mut(&addr).expect("entry just ensured");
-        if let Some(pos) = entry.waiters.iter().position(|x| x.id == w.id) {
-            entry.waiters.remove(pos);
+    /// The state lock for an acquisition or release of the shim lock at
+    /// `addr`, or `None` when no one needs to hear of it: no thread is
+    /// parked on any shim lock (a release has no one to wake), and neither
+    /// an exploring scheduler (footprints) nor the lock-order recorder is
+    /// observing every lock operation. Those two modes give the lock its
+    /// entry on first touch, as they always have; otherwise a lock gets one
+    /// when a thread first parks on it. The check needs no lock: simulated
+    /// threads run one at a time, and a thread enters a wait queue under
+    /// the state lock before it parks.
+    fn vlock_state(&self, addr: usize, op: LockOp) -> Option<RawMutexGuard<'_, State>> {
+        let observed = self.inner.flags.load(Ordering::Relaxed) & (FLAG_EXPLORING | FLAG_RECORDING);
+        if observed == 0 && self.inner.parked_on_locks.load(Ordering::Relaxed) == 0 {
+            return None;
         }
-        st.hold_resource_locked(res, &w);
-        st.vrec_acquired(addr, res, op, &w);
+        if observed != 0 {
+            crate::vlock::track_addr(addr, self);
+        }
+        let mut st = self.inner.state.lock();
+        if observed != 0 {
+            st.vlock_res_locked(addr, op);
+        }
+        Some(st)
     }
 
-    /// The calling thread released the shim lock at `addr`: wake every
-    /// virtually parked waiter to retry (losers re-park).
-    pub(crate) fn vlock_released(&self, addr: usize, op: LockOp) {
-        let Some(w) = try_current_waiter(self) else {
+    /// The calling thread `w` acquired the shim lock at `addr`: record the
+    /// hold on `w`, leave the lock's wait queue, feed the lock-order
+    /// recorder.
+    pub(crate) fn vlock_acquired(&self, addr: usize, op: LockOp, w: &Waiter) {
+        // A load and a store, not a read-modify-write: simulated threads
+        // run one at a time and hand over to each other through locks.
+        let count = &self.inner.lock_acquisitions;
+        count.store(count.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+        w.held.lock().push(Held::Lock(addr));
+        let Some(mut st) = self.vlock_state(addr, op) else {
             return;
         };
-        let mut st = self.inner.state.lock();
-        let (res, waiters) = match st.vlocks.get_mut(&addr) {
-            Some(e) => (e.res, e.waiters.drain(..).collect::<Vec<_>>()),
-            None => return,
+        let Some(entry) = st.vlocks.get_mut(&addr) else {
+            return;
         };
-        st.release_resource_locked(res, Some(&w));
-        st.vrec_released(addr, res, op, &w);
+        let res = entry.res;
+        if let Some(pos) = entry.waiters.iter().position(|x| x.id == w.id) {
+            entry.waiters.remove(pos);
+            self.inner.parked_on_locks.fetch_sub(1, Ordering::Relaxed);
+        }
+        st.vrec_acquired(addr, res, op, w);
+    }
+
+    /// The calling thread `w` released the shim lock at `addr`: drop the
+    /// hold and wake every virtually parked waiter to retry (losers
+    /// re-park).
+    pub(crate) fn vlock_released(&self, addr: usize, op: LockOp, w: &Waiter) {
+        w.unhold(Held::Lock(addr));
+        let Some(mut st) = self.vlock_state(addr, op) else {
+            return;
+        };
+        let Some(entry) = st.vlocks.get_mut(&addr) else {
+            return;
+        };
+        let (res, waiters) = (entry.res, entry.waiters.drain(..).collect::<Vec<_>>());
+        self.inner
+            .parked_on_locks
+            .fetch_sub(waiters.len(), Ordering::Relaxed);
+        st.vrec_released(addr, res, op, w);
         for waiter in &waiters {
             Self::wake_locked(&mut st, waiter);
         }
@@ -1758,6 +1838,9 @@ impl Kernel {
         let Some(entry) = st.vlocks.remove(&addr) else {
             return;
         };
+        self.inner
+            .parked_on_locks
+            .fetch_sub(entry.waiters.len(), Ordering::Relaxed);
         st.resources.remove(&entry.res.0);
         if let Some(order) = st.order.as_mut() {
             order.forget(Space::Addr, addr as u64);
@@ -1911,7 +1994,8 @@ pub(crate) fn current_waiter(kernel: &Kernel, op: &'static str) -> Arc<Waiter> {
 
 /// Returns the current thread's waiter when it is registered with `kernel`,
 /// `None` otherwise (unregistered thread, or a different kernel). Used by
-/// diagnostic holder-tracking, which must never panic on foreign threads.
+/// hooks that must never panic on foreign threads and may block (a park,
+/// a preemption probe) or outlive the call (a spawn's parent edge).
 pub(crate) fn try_current_waiter(kernel: &Kernel) -> Option<Arc<Waiter>> {
     CURRENT
         .with(|c| c.borrow().clone())
@@ -2146,11 +2230,13 @@ pub(crate) fn try_kernel() -> Option<Kernel> {
     CURRENT.with(|c| c.borrow().clone()).map(|ctx| ctx.kernel)
 }
 
-/// Applies `f` to the current thread's kernel without cloning the thread
-/// context — the zero-refcount-traffic variant of [`try_kernel`] for
-/// per-request hooks.
-pub(crate) fn try_with_kernel<R>(f: impl FnOnce(&Kernel) -> R) -> Option<R> {
-    CURRENT.with(|c| c.borrow().as_ref().map(|ctx| f(&ctx.kernel)))
+/// Applies `f` to the current thread's kernel and waiter without cloning
+/// the thread context — the zero-refcount-traffic variant of
+/// [`try_kernel`] for per-operation hooks. The context stays borrowed while
+/// `f` runs, so `f` must not yield or block: a light poll dispatched
+/// meanwhile would swap the context.
+pub(crate) fn try_with_current<R>(f: impl FnOnce(&Kernel, &Waiter) -> R) -> Option<R> {
+    CURRENT.with(|c| c.borrow().as_ref().map(|ctx| f(&ctx.kernel, &ctx.waiter)))
 }
 
 /// Whether the calling thread is a simulated thread of a kernel that is
@@ -2158,7 +2244,7 @@ pub(crate) fn try_with_kernel<R>(f: impl FnOnce(&Kernel) -> R) -> Option<R> {
 /// the expected panics of schedule exploration without touching panics
 /// from anywhere else.
 pub fn exploring() -> bool {
-    try_kernel().is_some_and(|k| k.inner.flags.load(Ordering::Relaxed) & FLAG_EXPLORING != 0)
+    try_with_current(|k, _| k.is_exploring()).unwrap_or(false)
 }
 
 #[cfg(test)]
@@ -3258,24 +3344,195 @@ mod tests {
         assert_eq!(message(true), message(false));
     }
 
-    /// Waiter names are interned: holder registration shares the waiter's
-    /// `Arc<str>` instead of cloning the string (the id-table micro-test).
-    #[test]
-    fn holder_registration_shares_interned_name() {
+    /// The deadlock report of `scenario`, run as the client of a fresh
+    /// kernel.
+    fn deadlock_report(scenario: impl FnOnce()) -> String {
         let k = Kernel::new();
-        let res = k.create_resource("admission", "gate");
-        k.run("client", move || {
+        let panic = panic::catch_unwind(AssertUnwindSafe(|| k.run("client", scenario)))
+            .expect_err("deadlock must panic");
+        let msg = panic_text(panic.as_ref()).expect("panic payload is the report string");
+        assert!(msg.contains("simulation deadlock"), "missing header: {msg}");
+        msg
+    }
+
+    /// A parked `worker` waiting on resource `res` (through an event that
+    /// borrows it) while the client joins it.
+    fn block_worker_on(res: ResourceId) {
+        let gate = Event::for_resource(&kernel(), res);
+        spawn("worker", move || gate.wait()).join();
+    }
+
+    /// Holds on a resource are the holder's own: each hold needs its own
+    /// release, and the report names the thread for as long as one is left.
+    #[test]
+    fn resource_holds_are_read_off_the_holder() {
+        for (holds, named) in [(2, true), (1, false)] {
+            let msg = deadlock_report(move || {
+                let k = kernel();
+                let res = k.create_resource("admission", "gate");
+                for _ in 0..holds {
+                    k.hold_resource(res);
+                }
+                k.release_resource(res);
+                block_worker_on(res);
+            });
+            let line = "thread `worker` blocked on event.wait (admission `gate`";
+            let held = format!("{line}, held by `client`)");
+            assert_eq!(msg.contains(&held), named, "{msg}");
+            assert!(msg.contains(line), "{msg}");
+            assert_eq!(msg.contains("wait-for cycle: `client`"), named, "{msg}");
+        }
+    }
+
+    /// A release from a thread that is not simulated has no hold of its own
+    /// to drop, and drops nobody else's.
+    #[test]
+    fn release_off_the_simulation_drops_no_one_elses_hold() {
+        let msg = deadlock_report(|| {
             let k = kernel();
+            let res = k.create_resource("admission", "gate");
             k.hold_resource(res);
-            let ctx = CURRENT.with(|c| c.borrow().clone()).expect("registered");
-            let st = k.lock_state();
-            let holders = &st.resources[&res.0].holders;
-            assert_eq!(holders.len(), 1);
-            assert_eq!(holders[0].0, ctx.waiter.id);
-            assert!(
-                Arc::ptr_eq(&holders[0].1, &ctx.waiter.name),
-                "holder entry shares the interned name"
-            );
+            let foreign = k.clone();
+            std::thread::spawn(move || foreign.release_resource(res))
+                .join()
+                .expect("the foreign release returns");
+            block_worker_on(res);
+        });
+        assert!(
+            msg.contains(
+                "thread `worker` blocked on event.wait (admission `gate`, held by `client`)"
+            ),
+            "{msg}"
+        );
+        assert!(
+            msg.contains(
+                "wait-for cycle: `client` -[event `join:worker`]-> `worker` \
+                 -[admission `gate`]-> `client`"
+            ),
+            "{msg}"
+        );
+    }
+
+    /// AB-BA over two shim mutexes under the FIFO schedule: each thread
+    /// sleeps between its two locks, so both park, and the report names the
+    /// holders and the cycle through the two `mutex` resources. A lock gets
+    /// its resource when a thread first parks on it: `b` (parked on first)
+    /// is `mutex#2`, after the two join events.
+    #[test]
+    fn fifo_abba_over_shim_mutexes_names_holders_and_cycle() {
+        let msg = deadlock_report(|| {
+            let a = Arc::new(parking_lot::Mutex::new(()));
+            let b = Arc::new(parking_lot::Mutex::new(()));
+            let (a2, b2) = (Arc::clone(&a), Arc::clone(&b));
+            let t1 = spawn("t1", move || {
+                let _a = a.lock();
+                sleep(Duration::from_secs(1));
+                let _b = b.lock();
+            });
+            let _t2 = spawn("t2", move || {
+                let _b = b2.lock();
+                sleep(Duration::from_secs(1));
+                let _a = a2.lock();
+            });
+            t1.join();
+        });
+        for expected in [
+            "thread `t1` blocked on mutex.lock (mutex `mutex#2`, held by `t2`)",
+            "thread `t2` blocked on mutex.lock (mutex `mutex#3`, held by `t1`)",
+            "wait-for cycle: `t1` -[mutex `mutex#2`]-> `t2` -[mutex `mutex#3`]-> `t1`",
+        ] {
+            assert!(msg.contains(expected), "missing `{expected}`: {msg}");
+        }
+    }
+
+    /// A shared `RwLock` held by two readers that then block for good: the
+    /// writer that parks on it names both.
+    #[test]
+    fn rwlock_readers_are_all_named_as_holders() {
+        let msg = deadlock_report(|| {
+            let lock = Arc::new(parking_lot::RwLock::new(()));
+            let never = Event::named(&kernel(), "never");
+            for name in ["r1", "r2"] {
+                let (lock, never) = (Arc::clone(&lock), never.clone());
+                spawn(name, move || {
+                    let _shared = lock.read();
+                    never.wait();
+                });
+            }
+            spawn("writer", move || {
+                sleep(Duration::from_secs(1));
+                drop(lock.write());
+            })
+            .join();
+        });
+        assert!(
+            msg.contains("thread `writer` blocked on rwlock.write (rwlock `rwlock#"),
+            "{msg}"
+        );
+        assert!(msg.contains("`, held by `r1`, `r2`)"), "{msg}");
+    }
+
+    /// A contended shim mutex parks its loser in virtual time, and the
+    /// kernel counts both acquisitions and the park.
+    #[test]
+    fn contended_shim_mutex_counts_a_park() {
+        let k = Kernel::new();
+        k.run("client", || {
+            let m = Arc::new(parking_lot::Mutex::new(0u32));
+            let m2 = Arc::clone(&m);
+            let holder = spawn("holder", move || {
+                let mut g = m2.lock();
+                sleep(Duration::from_secs(1));
+                *g += 1;
+            });
+            sleep(Duration::from_millis(1));
+            *m.lock() += 1;
+            assert_eq!(now(), SimInstant::ZERO + Duration::from_secs(1));
+            holder.join();
+            assert_eq!(*m.lock(), 2);
+        });
+        let st = k.stats();
+        assert_eq!(st.lock_parks, 1);
+        assert_eq!(st.lock_acquisitions, 3);
+    }
+
+    /// A hold taken while a light task is polled inline travels with it to
+    /// the thread it is promoted onto.
+    #[test]
+    fn hold_taken_before_promotion_survives_it() {
+        let msg = deadlock_report(|| {
+            let k = kernel();
+            let res = k.create_resource("admission", "gate");
+            let never = Event::named(&k, "never");
+            let mut on_thread = false;
+            spawn_light("lt", move || {
+                if !std::mem::replace(&mut on_thread, true) {
+                    kernel().hold_resource(res);
+                    return LightStep::Thread;
+                }
+                never.wait();
+                LightStep::Done
+            });
+            block_worker_on(res);
+        });
+        assert!(
+            msg.contains("thread `worker` blocked on event.wait (admission `gate`, held by `lt`)"),
+            "{msg}"
+        );
+    }
+
+    /// Firing an event drops the firer's hold of it, so a long-lived thread
+    /// that marks and fires many events accumulates nothing.
+    #[test]
+    fn marking_and_firing_events_leaves_no_holds() {
+        Kernel::new().run("client", || {
+            for i in 0..1_000 {
+                let ev = Event::named(&kernel(), format!("ev-{i}"));
+                ev.mark_holder();
+                ev.fire();
+            }
+            let waiter = current_ctx("test").waiter;
+            assert!(waiter.held.lock().is_empty());
         });
     }
 

@@ -4,8 +4,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::kernel::{
-    current_waiter, deny_blocking_in_light_step, try_current_waiter, Kernel, ResourceId, State,
-    Waiter,
+    current_waiter, deny_blocking_in_light_step, Kernel, ResourceId, State, Waiter,
 };
 use crate::rawlock::RawMutex;
 
@@ -19,8 +18,9 @@ struct EventInner {
     kernel: Kernel,
     /// Wait-for-graph resource this event's waits are attributed to.
     res: ResourceId,
-    /// Whether the event created `res` itself (and thus owns its lifecycle
-    /// and holder list) or borrows a caller-provided resource.
+    /// Whether the event created `res` itself (and thus owns its lifecycle,
+    /// and a fire discharges the firer's hold of it) or borrows a
+    /// caller-provided resource.
     owns_res: bool,
     state: RawMutex<EventState>,
 }
@@ -88,8 +88,8 @@ impl Event {
 
     /// Creates an unfired event whose waits are attributed to an existing
     /// diagnostic resource `res` (e.g. a platform-wide capacity pool) rather
-    /// than a fresh one. The event borrows `res`: firing leaves its holder
-    /// list untouched, and dropping the event does not destroy it.
+    /// than a fresh one. The event borrows `res`: firing drops no hold of
+    /// it, and dropping the event does not destroy it.
     pub fn for_resource(kernel: &Kernel, res: ResourceId) -> Event {
         Event {
             inner: Arc::new(EventInner {
@@ -104,15 +104,28 @@ impl Event {
     /// Records the current thread as the holder of this event — the thread
     /// expected to fire it — so deadlock reports can draw the waiter→holder
     /// edge. Purely diagnostic; a no-op on unregistered threads.
+    ///
+    /// The hold lives on the marking thread, and only that thread's own
+    /// [`fire`](Event::fire) drops it. Every marker in this workspace fires
+    /// its own event (a spawned thread's join, a `fan_out` lane, an
+    /// activation's completion). A hold left by a marker whose event
+    /// someone else fired is inert — nothing can block on a fired event —
+    /// and goes with its thread.
     pub fn mark_holder(&self) {
         self.inner.kernel.hold_resource(self.inner.res);
     }
 
     /// Fires the event, waking all current and future waiters (in arrival
-    /// order). Idempotent.
+    /// order). Idempotent. Drops the firing thread's own hold of an event
+    /// it [marked](Event::mark_holder).
     pub fn fire(&self) {
-        self.inner.kernel.preemption_point("event.fire");
-        let mut st = self.inner.kernel.lock_state();
+        let kernel = &self.inner.kernel;
+        kernel.preemption_point("event.fire");
+        if self.inner.owns_res {
+            // The obligation this event stood for is discharged.
+            kernel.release_resource(self.inner.res);
+        }
+        let mut st = kernel.lock_state();
         let waiters = {
             let mut ev = self.inner.state.lock();
             if ev.fired {
@@ -121,14 +134,8 @@ impl Event {
             ev.fired = true;
             std::mem::take(&mut ev.waiters)
         };
-        if let Some(w) = try_current_waiter(&self.inner.kernel) {
-            // Happens-before: waiters woken by this fire inherit our history.
-            st.rec_publish(self.inner.res, &w);
-        }
-        if self.inner.owns_res {
-            // The obligation this event stood for is discharged.
-            st.clear_resource_holders_locked(self.inner.res);
-        }
+        // Happens-before: waiters woken by this fire inherit our history.
+        kernel.with_own_waiter(|w| st.rec_publish(self.inner.res, w));
         for w in &waiters {
             Kernel::wake_locked(&mut st, w);
         }

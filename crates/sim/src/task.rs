@@ -46,7 +46,7 @@ use std::pin::{pin, Pin};
 use std::task::{Context, Poll, Waker};
 use std::time::Duration;
 
-use crate::kernel::{run_blocking, try_with_kernel, LightStep};
+use crate::kernel::{run_blocking, try_with_current, LightStep};
 use crate::sync::Event;
 
 thread_local! {
@@ -137,7 +137,7 @@ impl<F: Future + Unpin> Future for CatchUnwind<F> {
         let polled = panic::catch_unwind(AssertUnwindSafe(|| {
             let flow = resume(inner);
             if let ControlFlow::Continue(LightStep::Sleep(d)) = &flow {
-                let _deadline = try_with_kernel(|kernel| kernel.now() + *d);
+                let _deadline = try_with_current(|kernel, _| kernel.now() + *d);
             }
             flow
         }));

@@ -2,15 +2,25 @@
 //!
 //! This module is the kernel side of the `parking_lot` shim's
 //! [`hooks`](parking_lot::hooks): it turns lock operations performed by
-//! *simulated* threads into kernel-visible events.
+//! *simulated* threads into kernel-visible events — but only when someone
+//! needs to see them.
 //!
+//! * **An uncontended lock costs the kernel nothing.** An acquisition
+//!   pushes a hold onto the acquiring thread's own list and a release pops
+//!   it, through the borrowed thread context (no clone, no registry, no
+//!   state lock). The kernel state is entered only while a thread is parked
+//!   on some shim lock, or while an exploring scheduler or the lock-order
+//!   recorder observes every lock operation; a lock gets its kernel entry
+//!   (wait queue, wait-for-graph resource, registry slot) at its first park,
+//!   or on first touch in those two modes.
 //! * **Contended acquisitions block in virtual time.** A simulated thread
 //!   that fails a try-lock parks in the kernel (with a wait-for-graph
-//!   resource, so deadlock reports name the lock) and retries when a
-//!   release wakes it. Without this, a thread that blocks *virtually* while
-//!   holding a std mutex would wedge every other simulated thread that
-//!   touches the lock at the OS level — an undiagnosable hang instead of a
-//!   clean simulation deadlock.
+//!   resource, so deadlock reports name the lock and, read off the blocked
+//!   threads' holds, its holders) and retries when a release wakes it.
+//!   Without this, a thread that blocks *virtually* while holding a std
+//!   mutex would wedge every other simulated thread that touches the lock
+//!   at the OS level — an undiagnosable hang instead of a clean simulation
+//!   deadlock.
 //! * **Condvars are fully virtualized** with an arrival-order wait queue:
 //!   `notify_one` wakes the longest-waiting thread, deterministically, and
 //!   dropped notifies (no waiter registered) are observable by the
@@ -26,11 +36,12 @@
 //! wake); nothing in this workspace does that.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex as StdMutex, OnceLock, PoisonError};
 
 use parking_lot::hooks::{self, GuardControl, LockOp, SimHooks};
 
-use crate::kernel::{try_kernel, Kernel, WeakKernel};
+use crate::kernel::{try_kernel, try_with_current, Kernel, WeakKernel};
 
 /// Process-wide map from lock/condvar address to the kernels that track it,
 /// so a `Drop` on *any* thread (simulated or not) can clear the tracking
@@ -41,26 +52,38 @@ fn registry() -> &'static StdMutex<HashMap<usize, Vec<WeakKernel>>> {
     REGISTRY.get_or_init(|| StdMutex::new(HashMap::new()))
 }
 
+/// The registry's length, so a drop can skip the registry while it tracks
+/// nothing. Stored only under the registry lock. `Relaxed` is enough: a
+/// drop runs after whatever handed the dropped object over, which orders
+/// it after any `track_addr` of that object.
+static TRACKED: AtomicUsize = AtomicUsize::new(0);
+
 pub(crate) fn track_addr(addr: usize, kernel: &Kernel) {
     let mut reg = registry().lock().unwrap_or_else(PoisonError::into_inner);
     let kernels = reg.entry(addr).or_default();
     if !kernels.iter().any(|w| w.is(kernel)) {
         kernels.push(kernel.downgrade());
     }
+    TRACKED.store(reg.len(), Ordering::Relaxed);
 }
 
 fn untrack_addr(addr: usize) -> Vec<Kernel> {
+    if TRACKED.load(Ordering::Relaxed) == 0 {
+        return Vec::new();
+    }
     let mut reg = registry().lock().unwrap_or_else(PoisonError::into_inner);
-    reg.remove(&addr)
-        .map(|ks| ks.iter().filter_map(WeakKernel::upgrade).collect())
-        .unwrap_or_default()
+    let kernels = reg.remove(&addr).unwrap_or_default();
+    TRACKED.store(reg.len(), Ordering::Relaxed);
+    kernels.iter().filter_map(WeakKernel::upgrade).collect()
 }
 
 struct KernelHooks;
 
 impl SimHooks for KernelHooks {
     fn preemption(&self, op: &'static str) {
-        if let Some(k) = try_kernel() {
+        // The probe may yield, and the thread context must not stay
+        // borrowed across a yield: clone the kernel, only when exploring.
+        if let Some(k) = try_with_current(|k, _| k.is_exploring().then(|| k.clone())).flatten() {
             k.preemption_point(op);
         }
     }
@@ -73,15 +96,11 @@ impl SimHooks for KernelHooks {
     }
 
     fn lock_acquired(&self, addr: usize, op: LockOp) {
-        if let Some(k) = try_kernel() {
-            k.vlock_acquired(addr, op);
-        }
+        try_with_current(|k, w| k.vlock_acquired(addr, op, w));
     }
 
     fn lock_released(&self, addr: usize, op: LockOp) {
-        if let Some(k) = try_kernel() {
-            k.vlock_released(addr, op);
-        }
+        try_with_current(|k, w| k.vlock_released(addr, op, w));
     }
 
     fn lock_destroyed(&self, addr: usize) {

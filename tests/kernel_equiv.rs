@@ -371,6 +371,21 @@ fn burst_activations_never_start_an_os_thread() {
     assert!(pinned.light_polls > 0);
 }
 
+/// The burst takes its platform locks uncontended: no thread ever parks on
+/// one, and the number of acquisitions is a pure function of the seed.
+#[test]
+fn burst_locks_are_uncontended_and_counted_deterministically() {
+    let stats = || {
+        let kernel = Kernel::new();
+        burst_scenario(kernel.clone(), BURST_HORIZON);
+        kernel.stats()
+    };
+    let (first, second) = (stats(), stats());
+    assert_eq!(first.lock_parks, 0, "{first:?}");
+    assert!(first.lock_acquisitions > 0, "{first:?}");
+    assert_eq!(first, second);
+}
+
 #[test]
 fn map_random_schedule_fingerprints_are_stable() {
     for (i, &seed) in RAND_SEEDS.iter().enumerate() {
