@@ -335,6 +335,11 @@ impl StatusView {
         Some(ValueRef::at_offset(&self.raw, self.part?))
     }
 
+    /// The verified bytes every view and offset above points into.
+    pub(crate) fn bytes(&self) -> &Bytes {
+        &self.raw
+    }
+
     /// The result of finished task `f`: inline in this status, else the
     /// verified bytes of `…/result` that `staged` reads (awaited only then).
     /// Either way the only value built.

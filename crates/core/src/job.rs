@@ -21,7 +21,6 @@
 //! ```
 
 use std::any::Any;
-use std::collections::BTreeMap;
 use std::future::Future;
 use std::panic::{self, AssertUnwindSafe};
 use std::pin::Pin;
@@ -44,7 +43,7 @@ use crate::shuffle::{
     MAX_REDUCERS,
 };
 use crate::task::TaskCtx;
-use crate::wire::{self, Value};
+use crate::wire::{self, Value, ValueRef};
 
 /// Chaos crash phase: the agent has decoded its payload but not yet run the
 /// user function (models a container dying mid-download).
@@ -748,6 +747,14 @@ fn value_of(pair: Value) -> Value {
     }
 }
 
+/// A reduce descriptor's poll interval, in whole milliseconds: at least one.
+fn poll_of(desc: &Value) -> Result<Duration, String> {
+    match u64::try_from(desc.req_i64("poll_ms")?) {
+        Ok(ms) if ms >= 1 => Ok(Duration::from_millis(ms)),
+        _ => Err("field `poll_ms` must be at least 1".to_owned()),
+    }
+}
+
 /// Decoded shuffle-reduce descriptor fields.
 #[derive(Debug)]
 struct ShuffleReduceParams {
@@ -781,7 +788,7 @@ impl ShuffleReduceParams {
                 .map(|t| ResponseFuture::new(bucket, exec, job, t))
                 .collect(),
             index,
-            poll: Duration::from_millis(desc.req_i64("poll_ms")?.max(1) as u64),
+            poll: poll_of(desc)?,
             reducers,
             exchange: ExchangeMode::from_wire(desc.req_str("exch")?)?,
             fanin,
@@ -802,7 +809,7 @@ async fn build_shuffle_reduce_input(
     // Gather each map's partition as soon as its status lands, slotted by
     // dep index; runs are then merged in dep order, so the grouped output is
     // bitwise-identical to a barrier-then-gather pass.
-    let mut slots: Vec<Option<Vec<KeyedPair>>> = vec![None; p.deps.len()];
+    let mut slots: Vec<Option<Run>> = vec![None; p.deps.len()];
     let mut landed = DepWatch::new(ctx, cos, &p.deps, p.poll);
     while let Some((i, d)) = landed.next_landed().await? {
         let run = fetch_shuffle_run(cloud, cos, d, p.index, p.reducers, p.exchange).await?;
@@ -810,22 +817,69 @@ async fn build_shuffle_reduce_input(
             *slot = Some(run);
         }
     }
-
-    // Runs arrive sorted: k-way merge under the bounded fan-in budget
-    // instead of holding and re-scanning everything.
-    let merged = merge_runs(filled(slots)?, p.fanin).0;
-
-    // Keys and values move out of the merged pairs into their groups.
-    let mut groups: BTreeMap<String, Value> = BTreeMap::new();
-    for (key, pair) in merged {
-        let group = groups.entry(key).or_insert_with(|| Value::List(Vec::new()));
-        if let Value::List(values) = group {
-            values.push(value_of(pair));
-        }
-    }
     Ok(Value::map()
         .with("index", p.index as i64)
-        .with("groups", Value::Map(groups)))
+        .with("groups", group_runs(&filled(slots)?, p.fanin)?))
+}
+
+/// One map's sorted run for this reducer, left in the verified bytes it
+/// arrived in (a status, a segment slice or a relay payload), with the
+/// offsets of each pair's `k` string and `v`: nothing per pair is built.
+#[derive(Debug, Clone, Default)]
+struct Run {
+    bytes: Bytes,
+    pairs: Vec<(usize, Option<usize>)>,
+}
+
+impl Run {
+    /// The pairs of the list at `at` in `bytes`, which a validating walk has
+    /// checked; fails as taking the decoded list apart would.
+    fn within(bytes: Bytes, at: usize) -> Result<Run, String> {
+        let pair = |p: ValueRef<'_>| {
+            let k = p.get("k").filter(|k| k.as_str().is_some());
+            let k = k.ok_or("missing or non-string field `k`")?;
+            Ok((k.offset(), p.get("v").map(|v| v.offset())))
+        };
+        let items = ValueRef::at_offset(&bytes, at).items();
+        let items = items.ok_or("shuffle object must hold a list")?;
+        let pairs = items.map(pair).collect::<Result<_, String>>()?;
+        Ok(Run { bytes, pairs })
+    }
+
+    /// [`within`](Run::within) a slice no walk has checked yet, first
+    /// checked end to end with the error decoding it would give.
+    fn parse(bytes: Bytes) -> Result<Run, String> {
+        ValueRef::parse_entries(&bytes, &[], |_, _| {})
+            .map_err(|e| format!("decoding shuffle data: {e}"))?;
+        Run::within(bytes, 0)
+    }
+
+    /// The pairs as `(k, v)` views into the bytes.
+    fn views(&self) -> Result<Vec<(&str, Option<ValueRef<'_>>)>, String> {
+        let at = |pos| ValueRef::at_offset(&self.bytes, pos);
+        let key = |k| at(k).as_str().ok_or("internal: a run's key moved");
+        let view = |&(k, v): &(usize, Option<usize>)| Ok((key(k)?, v.map(at)));
+        self.pairs.iter().map(view).collect()
+    }
+}
+
+/// The reduce function's `groups`: the runs' views merged under `fanin`, then
+/// one `String` per distinct key and one built `v` (or `Null`) per pair.
+fn group_runs(runs: &[Run], fanin: usize) -> Result<Value, String> {
+    let views = runs.iter().map(Run::views).collect::<Result<_, _>>()?;
+    let mut merged = merge_runs(views, fanin).0;
+    // Sorted already, unless some run was not: its key's values still group.
+    merged.sort_by_key(|&(key, _)| key);
+    let mut groups: Vec<(String, Value)> = Vec::new();
+    for (key, v) in merged {
+        let v = v.map_or(Ok(Value::Null), ValueRef::to_value);
+        let v = v.map_err(|e| format!("decoding shuffle data: {e}"))?;
+        match groups.last_mut() {
+            Some((last, Value::List(values))) if last == key => values.push(v),
+            _ => groups.push((key.to_owned(), Value::List(vec![v]))),
+        }
+    }
+    Ok(Value::Map(groups.into_iter().collect()))
 }
 
 /// What each dependency's slot was filled with, in dependency order.
@@ -850,7 +904,7 @@ async fn fetch_shuffle_run(
     index: usize,
     reducers: usize,
     exchange: ExchangeMode,
-) -> Result<Vec<KeyedPair>, String> {
+) -> Result<Run, String> {
     let prefix = d.task_prefix();
 
     if exchange == ExchangeMode::Relay {
@@ -866,10 +920,10 @@ async fn fetch_shuffle_run(
         // above; guarded by tests/shuffle_plane.rs (the relay arm)
         return match relay.get(&channel) {
             Ok(stamped) => {
-                let raw = wire::verify_stamped(&stamped).map_err(|e| {
+                let raw = wire::verified_payload(&stamped).map_err(|e| {
                     format!("integrity failure reading relay channel {channel}: {e}")
                 })?;
-                keyed_pairs_of_raw(raw)
+                Run::parse(raw)
             }
             Err(_) => {
                 dep_status(cos, d, None).await?;
@@ -883,7 +937,7 @@ async fn fetch_shuffle_run(
 
     // The status was checked end to end when it was read, in the one walk
     // that also found this reducer's entry of its manifest — every
-    // reducer's inline slice — which is the only part of it built.
+    // reducer's inline slice — and an inline run stays in its bytes.
     let status = dep_status(cos, d, Some(index)).await?;
     let manifest = status.shuf().ok_or_else(|| {
         format!(
@@ -898,29 +952,21 @@ async fn fetch_shuffle_run(
                 .shuf_part()
                 .ok_or_else(|| format!("manifest has no entry for partition {index}"))?;
             if entry.is_null() {
-                return Ok(Vec::new());
+                return Ok(Run::default());
             }
             if let Some(inline) = entry.get("d") {
-                let pairs = inline
-                    .to_value()
-                    .map_err(|e| format!("decoding shuffle data: {e}"))?;
-                return keyed_pairs_of(pairs);
+                return Run::within(status.bytes().clone(), inline.offset());
             }
             let span = |k: &str| {
                 let n = entry.get(k).and_then(|n| n.as_i64());
-                n.map(|n| n.max(0) as u64)
-                    .ok_or_else(|| format!("missing or non-int field `{k}`"))
+                let n = n.ok_or_else(|| format!("missing or non-int field `{k}`"))?;
+                u64::try_from(n).map_err(|_| format!("field `{k}` is out of range: {n}"))
             };
-            let raw = get_slice_verified(
-                cos,
-                d.bucket(),
-                &segment_key(&prefix),
-                span("o")?,
-                span("l")?,
-            )
-            .await
-            .map_err(|e| format!("map task {}: {e}", d.label()))?;
-            keyed_pairs_of_raw(&raw)
+            let (off, len) = (span("o")?, span("l")?);
+            let raw = get_slice_verified(cos, d.bucket(), &segment_key(&prefix), off, len)
+                .await
+                .map_err(|e| format!("map task {}: {e}", d.label()))?;
+            Run::parse(raw)
         }
         "relay" => Err(format!(
             "map task {} exchanged its partitions via the relay tier, but this reducer \
@@ -975,22 +1021,6 @@ async fn dep_status(
     }
 }
 
-/// Decodes an encoded pair list into keyed pairs.
-fn keyed_pairs_of_raw(raw: &[u8]) -> Result<Vec<KeyedPair>, String> {
-    keyed_pairs_of(Value::decode(raw).map_err(|e| format!("decoding shuffle data: {e}"))?)
-}
-
-/// Takes a decoded pair-list value apart into `(key, pair)` tuples.
-fn keyed_pairs_of(v: Value) -> Result<Vec<KeyedPair>, String> {
-    let Value::List(pairs) = v else {
-        return Err("shuffle object must hold a list".to_owned());
-    };
-    pairs
-        .into_iter()
-        .map(|p| Ok((p.req_str("k")?.to_owned(), p)))
-        .collect()
-}
-
 /// Materializes the user function's input from the task descriptor,
 /// merging any job-level `extra` entries into map-shaped inputs. A plain
 /// value is its own input; the kinds that read COS do so in boxed futures
@@ -1040,7 +1070,7 @@ async fn reduce_input(ctx: &ActivationCtx, cos: &CosClient, desc: &Value) -> Res
         .iter()
         .map(ResponseFuture::from_value)
         .collect::<Result<Vec<_>, _>>()?;
-    let poll = Duration::from_millis(desc.req_i64("poll_ms")?.max(1) as u64);
+    let poll = poll_of(desc)?;
     let group = desc.get("group").cloned().unwrap_or(Value::Null);
 
     let mut slots: Vec<Option<Value>> = vec![None; deps.len()];
@@ -1310,7 +1340,8 @@ mod tests {
         // Out-of-range integers were once clamped into something plausible
         // (`reducers = i64::MAX` reached `vec![Vec::new(); reducers]`, an
         // `index` past the last reducer read a neighbour's partition or
-        // none, `n` was truncated to 32 bits, `fanin = 0` became 2).
+        // none, `n` was truncated to 32 bits, `fanin = 0` became 2, a
+        // `poll_ms` of 0 or less a 1 ms poll).
         for (key, bad) in [
             ("reducers", 0),
             ("reducers", -1),
@@ -1321,6 +1352,9 @@ mod tests {
             ("fanin", 1),
             ("fanin", 0),
             ("fanin", -3),
+            ("poll_ms", 0),
+            ("poll_ms", -1),
+            ("poll_ms", i64::MIN),
         ] {
             let r = ShuffleReduceParams::from_desc(&reduce.clone().with(key, bad));
             assert!(r.is_err(), "reduce descriptor with `{key}` = {bad}: {r:?}");
@@ -1341,8 +1375,33 @@ mod tests {
             let r = ShuffleMapParams::from_desc(&map.clone().with("reducers", bad));
             assert!(r.is_err(), "map descriptor with `reducers` = {bad}: {r:?}");
         }
-        let edge = reduce.clone().with("index", 7i64).with("fanin", 2i64);
+        let edge = reduce
+            .clone()
+            .with("index", 7i64)
+            .with("fanin", 2i64)
+            .with("poll_ms", 1i64);
         assert!(ShuffleReduceParams::from_desc(&edge).is_ok());
+    }
+
+    #[test]
+    fn reduce_descriptor_rejects_a_garbage_poll() {
+        // The plain reduce descriptor's `poll_ms` went through the same
+        // clamp to 1 ms as the shuffle reducer's.
+        let reduce = TaskSpec::Reduce {
+            deps: vec![ResponseFuture::new("b", "e", 1, 0)],
+            group: None,
+            poll: Duration::from_millis(500),
+        }
+        .to_value();
+        assert_eq!(poll_of(&reduce), Ok(Duration::from_millis(500)));
+        assert!(poll_of(&without(&reduce, "poll_ms")).is_err());
+        assert!(poll_of(&reduce.clone().with("poll_ms", "500")).is_err());
+        for bad in [0, -1, i64::MIN] {
+            let err = poll_of(&reduce.clone().with("poll_ms", bad)).expect_err("garbage poll");
+            assert!(err.contains("`poll_ms`"), "poll_ms = {bad}: {err}");
+        }
+        let edge = reduce.clone().with("poll_ms", 1i64);
+        assert_eq!(poll_of(&edge), Ok(Duration::from_millis(1)));
     }
 
     #[test]
@@ -1364,5 +1423,184 @@ mod tests {
             let err = task::block_on(run).expect_err("no manifest, no fetch");
             assert!(err.contains("no shuffle manifest"), "{err}");
         });
+    }
+
+    #[test]
+    fn reducer_refuses_a_span_that_fits_no_offset_before_reading() {
+        // A negative `o` was once read as 0: with an `l` equal to slice 0's
+        // length, reducer 1 was handed reducer 0's pairs and no error.
+        let cloud = SimCloud::builder().seed(3).build();
+        cloud.store().ensure_bucket("b");
+        cloud.run(|| {
+            let cos = CosClient::new(cloud.store(), rustwren_sim::NetworkProfile::lan(), 3);
+            let d = ResponseFuture::new("b", "e1", 1, 0);
+            let slice0 = Value::List(vec![Value::map().with("k", "a").with("v", 1i64)]).stamped();
+            let len = slice0.len() as i64;
+            cos.put("b", &segment_key(&d.task_prefix()), slice0)
+                .expect("segment");
+            let fetch = |o: i64, l: i64| {
+                let span = |o: i64, l: i64| Value::map().with("o", o).with("l", l);
+                let parts = Value::List(vec![span(0, len), span(o, l)]);
+                let manifest = Value::map().with("n", 2i64).with("k", "seg");
+                TaskStatus::new(None, 0.0, 1.0)
+                    .with_shuf(manifest.with("parts", parts))
+                    .put(&cos, &d)
+                    .expect("status");
+                let before = cos.counters().snapshot();
+                let run =
+                    task::block_on(fetch_shuffle_run(&cloud, &cos, &d, 1, 2, ExchangeMode::Cos));
+                (run, cos.counters().snapshot().since(&before).gets)
+            };
+            let (run, gets) = fetch(0, len);
+            assert_eq!((run.map(|r| r.pairs.len()), gets), (Ok(1), 2));
+            for (o, l, field) in [(-1, len, "`o`"), (i64::MIN, len, "`o`"), (0, -len, "`l`")] {
+                let (run, gets) = fetch(o, l);
+                let err = run.expect_err("a span that fits no offset");
+                assert!(err.contains(field), "o = {o}, l = {l}: {err}");
+                assert_eq!(gets, 1, "o = {o}, l = {l}: the status GET alone");
+            }
+        });
+    }
+
+    /// The reference the reducer is checked against — its input as it was
+    /// built before runs stayed in their bytes: each slice decoded into a
+    /// `Value` and taken apart into whole pairs, ...
+    fn reference_run(encoded: &[u8]) -> Result<Vec<KeyedPair>, String> {
+        let v = Value::decode(encoded).map_err(|e| format!("decoding shuffle data: {e}"))?;
+        let Value::List(pairs) = v else {
+            return Err("shuffle object must hold a list".to_owned());
+        };
+        let keyed = |p: Value| Ok((p.req_str("k")?.to_owned(), p));
+        pairs.into_iter().map(keyed).collect()
+    }
+
+    /// ... the whole pairs merged, and each `v` moved into its key's group.
+    fn reference_groups(runs: Vec<Vec<KeyedPair>>, fanin: usize) -> Value {
+        let mut groups = std::collections::BTreeMap::new();
+        for (key, pair) in merge_runs(runs, fanin).0 {
+            let group = groups.entry(key).or_insert_with(|| Value::List(Vec::new()));
+            if let Value::List(values) = group {
+                values.push(value_of(pair));
+            }
+        }
+        Value::Map(groups)
+    }
+
+    /// One map's partition for the reducer under test: elided, or its pair
+    /// list inline in the manifest, or encoded behind `filler` bytes of the
+    /// segment.
+    #[derive(Debug, Clone)]
+    enum Slice {
+        Elided,
+        Inline(Value),
+        Segment { filler: usize, encoded: Vec<u8> },
+    }
+
+    /// A slice as a map writes one — sorted, keys repeating, some pairs
+    /// without a `v` — or one a writer failed to sort (one in four), or,
+    /// one time in eleven, damaged: no list (1), an item that is no map
+    /// (2), no `k` (3), a `k` that is no string (4), or a segment slice
+    /// that is no value at all (5).
+    fn slice() -> impl Strategy<Value = Slice> {
+        let pairs = prop::collection::vec(("[a-c]{1,2}", prop::option::of(any::<i64>())), 0..6);
+        let shape = (0u8..3, 0u8..4, 0u8..55, 0usize..24);
+        (shape, pairs).prop_map(|((kind, order, damage, filler), mut pairs)| {
+            if order > 0 {
+                pairs.sort_by(|a, b| a.0.cmp(&b.0));
+            }
+            let pair = |(k, v): (String, Option<i64>)| match v {
+                Some(v) => Value::map().with("k", k).with("v", v),
+                None => Value::map().with("k", k),
+            };
+            let mut items: Vec<Value> = pairs.into_iter().map(pair).collect();
+            match damage {
+                2 => items.push(Value::Int(7)),
+                3 => items.push(Value::map().with("v", 1i64)),
+                4 => items.push(Value::map().with("k", 5i64).with("v", 1i64)),
+                _ => {}
+            }
+            let list = if damage == 1 {
+                Value::Int(3)
+            } else {
+                Value::List(items)
+            };
+            match kind {
+                0 => Slice::Elided,
+                1 if damage != 5 => Slice::Inline(list),
+                _ => {
+                    let mut encoded = list.encode().to_vec();
+                    if damage == 5 {
+                        encoded.pop();
+                    }
+                    Slice::Segment { filler, encoded }
+                }
+            }
+        })
+    }
+
+    /// Each slice written as map task `t`'s partition 1 of 2 and fetched by
+    /// reducer 1, in order: the run and the reference fail at the same map
+    /// with the same message, or neither fails and the groups are equal.
+    fn check_reducer_input(slices: &[Slice], fanin: usize) -> Result<(), String> {
+        let cloud = SimCloud::builder().seed(5).build();
+        cloud.store().ensure_bucket("b");
+        cloud.run(|| {
+            let cos = CosClient::new(cloud.store(), rustwren_sim::NetworkProfile::lan(), 5);
+            let (mut runs, mut reference) = (Vec::new(), Vec::new());
+            for (t, slice) in (0u32..).zip(slices) {
+                let d = ResponseFuture::new("b", "e", 1, t);
+                let (entry, encoded) = match slice {
+                    Slice::Elided => (Value::Null, None),
+                    Slice::Inline(list) => (
+                        Value::map().with("d", list.clone()),
+                        Some(list.encode().to_vec()),
+                    ),
+                    Slice::Segment { filler, encoded } => {
+                        let stamped = wire::stamp(encoded);
+                        let mut segment = vec![0xEE; *filler];
+                        segment.extend_from_slice(&stamped);
+                        let key = segment_key(&d.task_prefix());
+                        cos.put("b", &key, Bytes::from(segment)).expect("segment");
+                        let span = Value::map().with("o", *filler).with("l", stamped.len());
+                        (span, Some(encoded.clone()))
+                    }
+                };
+                let parts = Value::List(vec![Value::Null, entry]);
+                let manifest = Value::map().with("n", 2i64).with("k", "seg");
+                TaskStatus::new(None, 0.0, 1.0)
+                    .with_shuf(manifest.with("parts", parts))
+                    .put(&cos, &d)
+                    .expect("status");
+                let run =
+                    task::block_on(fetch_shuffle_run(&cloud, &cos, &d, 1, 2, ExchangeMode::Cos));
+                match (run, encoded.map_or(Ok(Vec::new()), |e| reference_run(&e))) {
+                    (Ok(run), Ok(pairs)) => {
+                        runs.push(run);
+                        reference.push(pairs);
+                    }
+                    (Err(got), Err(want)) if got == want => return Ok(()),
+                    (got, want) => return Err(format!("map {t}: run {got:?}, reference {want:?}")),
+                }
+            }
+            let (got, want) = (group_runs(&runs, fanin), reference_groups(reference, fanin));
+            if got.as_ref() != Ok(&want) {
+                return Err(format!("groups {got:?}, reference {want:?}"));
+            }
+            Ok(())
+        })
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn reducer_input_from_views_is_the_decoded_reference(
+            slices in prop::collection::vec(slice(), 1..12),
+            fanin in 2usize..17,
+        ) {
+            check_reducer_input(&slices, fanin).map_err(TestCaseError::fail)?;
+        }
     }
 }

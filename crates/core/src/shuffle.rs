@@ -217,26 +217,29 @@ pub(crate) fn segment_key(task_prefix: &str) -> String {
     format!("{task_prefix}/shuffle-seg")
 }
 
-/// One decoded shuffle pair: the extracted key plus the original
+/// One map-side shuffle pair: the extracted key plus the original
 /// `{"k", "v"}` pair value (kept whole so regrouping is allocation-light).
 pub(crate) type KeyedPair = (String, Value);
 
-/// Merges per-dependency sorted runs into one sorted run with at most
-/// `fanin` runs open per merge, over as many rounds as that budget needs
-/// (the bounded-memory discipline of an external merge sort). Ties are
-/// broken by run index, and each run's internal order is preserved, so for
-/// any key the merged value order is: run 0's values in emission order,
-/// then run 1's, … — the order of a plain dep-order gather.
+/// Merges per-dependency sorted runs of `(key, pair)` into one sorted run
+/// with at most `fanin` runs open per merge, over as many rounds as that
+/// budget needs (the bounded-memory discipline of an external merge sort).
+/// Ties are broken by run index, and each run's internal order is
+/// preserved, so for any key the merged value order is: run 0's values in
+/// emission order, then run 1's, … — the order of a plain dep-order gather.
 ///
 /// Returns the merged run and the number of merge rounds performed.
-pub(crate) fn merge_runs(runs: Vec<Vec<KeyedPair>>, fanin: usize) -> (Vec<KeyedPair>, usize) {
+pub(crate) fn merge_runs<K: AsRef<str>, V>(
+    runs: Vec<Vec<(K, V)>>,
+    fanin: usize,
+) -> (Vec<(K, V)>, usize) {
     let fanin = fanin.max(2);
-    let mut runs: Vec<Vec<KeyedPair>> = runs.into_iter().filter(|r| !r.is_empty()).collect();
+    let mut runs: Vec<Vec<(K, V)>> = runs.into_iter().filter(|r| !r.is_empty()).collect();
     let mut rounds = 0;
     while runs.len() > 1 {
         rounds += 1;
         let mut next = Vec::with_capacity(runs.len().div_ceil(fanin));
-        let mut group: Vec<Vec<KeyedPair>> = Vec::with_capacity(fanin);
+        let mut group: Vec<Vec<(K, V)>> = Vec::with_capacity(fanin);
         for run in runs {
             group.push(run);
             if group.len() == fanin {
@@ -255,23 +258,23 @@ pub(crate) fn merge_runs(runs: Vec<Vec<KeyedPair>>, fanin: usize) -> (Vec<KeyedP
 /// fan-in is small and bounded, so a heap would be overkill). Equal keys
 /// resolve to the lowest run index first. Pairs are moved from run to
 /// output: a merge round allocates its output vector and nothing else.
-fn merge_group(group: Vec<Vec<KeyedPair>>) -> Vec<KeyedPair> {
+fn merge_group<K: AsRef<str>, V>(group: Vec<Vec<(K, V)>>) -> Vec<(K, V)> {
     let total = group.iter().map(Vec::len).sum();
     // Each run as its head, taken off, and the rest of it.
-    let mut runs: Vec<(Option<KeyedPair>, std::vec::IntoIter<KeyedPair>)> = group
+    let mut runs: Vec<_> = group
         .into_iter()
         .map(|run| {
             let mut rest = run.into_iter();
             (rest.next(), rest)
         })
         .collect();
-    let mut out: Vec<KeyedPair> = Vec::with_capacity(total);
+    let mut out: Vec<(K, V)> = Vec::with_capacity(total);
     loop {
         // `min_by_key` returns the first of equal minima.
         let lowest = runs
             .iter()
             .enumerate()
-            .filter_map(|(g, (head, _))| Some((g, &head.as_ref()?.0)))
+            .filter_map(|(g, (head, _))| Some((g, head.as_ref()?.0.as_ref())))
             .min_by_key(|&(_, key)| key)
             .map(|(g, _)| g);
         let Some((head, rest)) = lowest.and_then(|g| runs.get_mut(g)) else {
@@ -398,7 +401,8 @@ mod tests {
         assert_eq!(rounds, 3, "5 runs at fan-in 2: 5 -> 3 -> 2 -> 1");
         let (_, wide_rounds) = merge_runs(runs, 16);
         assert_eq!(wide_rounds, 1);
-        assert_eq!(merge_runs(Vec::new(), 2), (Vec::new(), 0));
+        let none: Vec<Vec<KeyedPair>> = Vec::new();
+        assert_eq!(merge_runs(none, 2), (Vec::new(), 0));
     }
 
     #[test]

@@ -663,6 +663,18 @@ impl<'a> ValueRef<'a> {
         text(bytes).ok()
     }
 
+    /// The items, if this is a `List`: a view of each, in order.
+    pub(crate) fn items(&self) -> Option<impl Iterator<Item = ValueRef<'a>>> {
+        let (Node::List(count), mut cursor) = self.open()? else {
+            return None;
+        };
+        let buf = self.buf;
+        Some((0..count).map_while(move |_| {
+            let pos = cursor.pos;
+            cursor.skip(0).ok().map(|()| ValueRef { buf, pos })
+        }))
+    }
+
     /// Looks a key up in a map value.
     pub(crate) fn get(&self, key: &str) -> Option<ValueRef<'a>> {
         let (Node::Map(count), mut cursor) = self.open()? else {
@@ -918,19 +930,7 @@ pub(crate) mod corpus {
         /// a [`Step::Index`] finds it during validation, and this is the
         /// reference that is checked against.
         pub(crate) fn at(&self, index: usize) -> Option<ValueRef<'a>> {
-            let (Node::List(count), mut cursor) = self.open()? else {
-                return None;
-            };
-            if index >= count {
-                return None;
-            }
-            for _ in 0..index {
-                cursor.skip(0).ok()?;
-            }
-            Some(ValueRef {
-                pos: cursor.pos,
-                ..*self
-            })
+            self.items()?.nth(index)
         }
     }
 
