@@ -1125,10 +1125,14 @@ impl Executor {
                     };
                     // The activation finished but left no status: a silent
                     // death (crash, timeout, or lost status write).
-                    let retryable = match &outcome {
+                    let (retryable, message) = match &outcome {
                         Outcome::Success => continue, // status write in flight
-                        Outcome::Failed(_) | Outcome::Crashed(_) => true,
-                        Outcome::TimedOut => retry.retry_timeouts,
+                        Outcome::Failed(m) => (true, format!("died without status: {m}")),
+                        Outcome::Crashed(m) => (true, format!("crashed: {m}")),
+                        Outcome::TimedOut => (
+                            retry.retry_timeouts,
+                            "hit the platform execution time limit".to_owned(),
+                        ),
                     };
                     if retryable && self.reserve_retry(f, retry) {
                         self.schedule_retry(f, retry, now)?;
@@ -1136,14 +1140,6 @@ impl Executor {
                         // Out of attempts (or unretryable): write the error
                         // status the agent could not, so the job terminates
                         // with a diagnosable failure instead of hanging.
-                        let message = match &outcome {
-                            Outcome::Failed(m) => format!("died without status: {m}"),
-                            Outcome::Crashed(m) => format!("crashed: {m}"),
-                            Outcome::TimedOut => "hit the platform execution time limit".to_owned(),
-                            // lint: allow(L009) — match-arm exhaustiveness
-                            // invariant, Success is filtered out above
-                            Outcome::Success => unreachable!("handled above"),
-                        };
                         let message = format!("{message} (after {attempts} attempt(s))");
                         self.repair_status(f, &message, retryable, now)?;
                         done.insert(f.clone());

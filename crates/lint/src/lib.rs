@@ -142,7 +142,10 @@ impl Rule {
                  `crates/sim`'s kernel. OS threads escape the virtual-time\n\
                  scheduler: their interleavings are invisible to the model\n\
                  checker and non-deterministic under replay. All concurrency\n\
-                 must go through `Kernel::spawn` / `spawn_light`."
+                 must go through `Kernel::spawn` / `spawn_light`: the one start\n\
+                 site of an OS thread is the kernel's `promote`, which gives a\n\
+                 light task that asks for one (`task::thread().await`, as every\n\
+                 `spawn`ed closure does first) a thread of its own."
             }
             Rule::L003 => {
                 "L003 — hash-order iteration escaping into output\n\

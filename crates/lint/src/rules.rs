@@ -18,9 +18,10 @@ pub fn rule_applies(rule: Rule, path: &str) -> bool {
     match rule {
         // Wall clocks poison virtual time everywhere, shims included.
         Rule::L001 => path.starts_with("crates/") || path.starts_with("shims/"),
-        // `kernel.rs` is the single OS-thread spawn site in the
-        // workspace; the parking_lot shim bridges those threads into the
-        // kernel. Everything else in `crates/sim` rides the dispatch
+        // `Kernel::promote` in `kernel.rs` is the one OS-thread start site
+        // in the workspace (`Kernel::spawn` is a light task that asks it
+        // for a thread); the parking_lot shim bridges those threads into
+        // the kernel. Everything else in `crates/sim` rides the dispatch
         // loop and is held to the same standard as the rest of the tree.
         Rule::L002 => path != "crates/sim/src/kernel.rs" && !path.starts_with("shims/parking_lot/"),
         Rule::L003 => lib_src,

@@ -1,14 +1,15 @@
 //! The virtual-time kernel.
 //!
 //! A simulated process is a *waiter* registered with a [`Kernel`], on one of
-//! two vehicles: a **real OS thread** ([`Kernel::spawn`], [`Kernel::run`]),
-//! which may run arbitrary blocking code, or a **lightweight task**
-//! ([`Kernel::spawn_light`]), a state machine the dispatch loop polls inline
-//! and which suspends only by returning a [`LightStep`]. Both share one
-//! waiter-id counter, one ready queue and one timer heap, so which vehicle a
-//! process rides is invisible to scheduling — including when it changes: a
-//! light task whose poll returns [`LightStep::Thread`] is *promoted*,
-//! mid-turn, onto an OS thread that goes on polling it. Each waiter is either
+//! two vehicles: a **real OS thread**, which may run arbitrary blocking
+//! code, or a **lightweight task** ([`Kernel::spawn_light`]), a state machine
+//! the dispatch loop polls inline and which suspends only by returning a
+//! [`LightStep`]. Both share one waiter-id counter, one ready queue and one
+//! timer heap, so which vehicle a process rides is invisible to scheduling —
+//! including when it changes: a light task whose poll returns
+//! [`LightStep::Thread`] is *promoted*, mid-turn, onto an OS thread that goes
+//! on polling it, the one way to get one ([`Kernel::spawn`] asks at its first
+//! poll; a [`Kernel::run`] caller brings its own). Each waiter is either
 //! *runnable* (executing Rust code) or *blocked* (sleeping until a virtual
 //! deadline, or waiting on a synchronization primitive from
 //! [`crate::sync`]). Virtual time advances only when every waiter is
@@ -128,7 +129,7 @@ pub enum LightStep {
     /// Re-poll at once, on an OS thread of the task's own: from this poll
     /// on the task may block. It keeps its waiter id and its turn — it is
     /// not re-queued — so the schedule is the one an all-thread run has;
-    /// the polls continue under [`run_blocking`], where this step is a
+    /// the polls continue under `run_blocking`, where this step is a
     /// no-op (the code already has its thread). Counted in
     /// [`KernelStats::os_threads_spawned`], not again in `threads_started`.
     Thread,
@@ -155,6 +156,9 @@ pub(crate) struct Waiter {
     /// Lightweight task: no OS thread is parked on `cv`; the dispatch
     /// loop polls its state machine inline instead of releasing it.
     light: bool,
+    /// Counts in [`State::light_live`]: a light task, but not a
+    /// [`Kernel::spawn`]ed one, which counts as its thread from the start.
+    freezes: bool,
     sync: RawMutex<WaiterSync>,
     cv: RawCondvar,
     /// What this thread holds, in the order it took it. Only the thread
@@ -197,22 +201,12 @@ impl Waiter {
         self.id
     }
 
-    fn new(id: u64, name: Arc<str>) -> Arc<Waiter> {
+    fn new(id: u64, name: Arc<str>, light: bool, freezes: bool) -> Arc<Waiter> {
         Arc::new(Waiter {
             id,
             name,
-            light: false,
-            sync: RawMutex::new(WaiterSync::default()),
-            cv: RawCondvar::new(),
-            held: RawMutex::new(Vec::new()),
-        })
-    }
-
-    fn new_light(id: u64, name: Arc<str>) -> Arc<Waiter> {
-        Arc::new(Waiter {
-            id,
-            name,
-            light: true,
+            light,
+            freezes,
             sync: RawMutex::new(WaiterSync::default()),
             cv: RawCondvar::new(),
             held: RawMutex::new(Vec::new()),
@@ -351,10 +345,11 @@ pub(crate) struct State {
     runnable: usize,
     /// Registered threads total (runnable + blocked).
     live: usize,
-    /// Of `live`, how many are lightweight tasks. When `live ==
-    /// light_live` no thread-backed work remains: the dispatch loop stops
-    /// and any remaining light tasks freeze (there is no observer left —
-    /// the analogue of background OS threads dying at process exit).
+    /// Of `live`, how many are lightweight tasks that freeze
+    /// ([`Waiter::freezes`]). When `live == light_live` no thread-backed
+    /// work remains: the dispatch loop stops and any remaining light tasks
+    /// freeze (there is no observer left — the analogue of background OS
+    /// threads dying at process exit).
     light_live: usize,
     /// Threads woken (or freshly spawned) but not yet dispatched, in
     /// deterministic FIFO order.
@@ -435,6 +430,37 @@ impl State {
             },
         );
         ResourceId(id)
+    }
+
+    /// Registers the lightweight task `poll`, parked in the ready queue, as
+    /// a child of `parent` (see [`Kernel::spawn_light`]) that counts in
+    /// `light_live` if it `freezes`.
+    fn spawn_light(
+        &mut self,
+        name: Arc<str>,
+        parent: Option<Arc<Waiter>>,
+        freezes: bool,
+        poll: impl FnMut() -> LightStep + Send + 'static,
+    ) {
+        self.live += 1;
+        self.light_live += usize::from(freezes);
+        self.stats.threads_started += 1;
+        let id = self.next_waiter_id;
+        self.next_waiter_id += 1;
+        let waiter = Waiter::new(id, Arc::clone(&name), true, freezes);
+        if let (Some(p), Some(order)) = (&parent, self.order.as_mut()) {
+            // Happens-before: the task inherits the spawner's history.
+            order.spawned(p.id, &p.name, id, &name);
+        }
+        waiter.sync.lock().notified = true;
+        self.ready.push_back(waiter);
+        self.light_tasks.insert(
+            id,
+            LightTask {
+                poll: Box::new(poll),
+                parked_on: None,
+            },
+        );
     }
 
     /// Appends `res` to the running segment's footprint (exploring only).
@@ -590,11 +616,10 @@ pub struct KernelStats {
     /// count: they are simulated threads without the OS thread).
     pub threads_started: u64,
     /// Lightweight-task state-machine polls run inline on the dispatch
-    /// loop (zero except via [`Kernel::spawn_light`]).
+    /// loop (one per [`Kernel::spawn`]: the poll that asks for its thread).
     pub light_polls: u64,
-    /// OS threads actually created ([`Kernel::spawn`] only: a
-    /// [`Kernel::run`] caller brings its own thread and a light task has
-    /// none).
+    /// OS threads actually created: promotions ([`LightStep::Thread`], one
+    /// per [`Kernel::spawn`]) and nothing else.
     pub os_threads_spawned: u64,
     /// `parking_lot` shim-lock acquisitions by simulated threads.
     pub lock_acquisitions: u64,
@@ -889,7 +914,7 @@ impl Kernel {
             st.stats.threads_started += 1;
             let id = st.next_waiter_id;
             st.next_waiter_id += 1;
-            Waiter::new(id, Arc::from(name))
+            Waiter::new(id, Arc::from(name), false, false)
         };
         CURRENT.with(|c| {
             *c.borrow_mut() = Some(ThreadCtx {
@@ -925,74 +950,55 @@ impl Kernel {
 
     /// Spawns a simulated thread running `f` and returns a join handle.
     ///
-    /// May be called from inside or outside the simulation. When the caller
-    /// is itself a simulated thread on this kernel, the new thread starts
-    /// *parked* in the ready queue and runs (at the current virtual instant)
-    /// only once the spawner blocks — preserving one-thread-at-a-time
-    /// determinism. External callers' threads start runnable immediately.
+    /// A lightweight task whose first poll asks for its thread: it starts
+    /// *parked* in the ready queue, whoever spawns it, and runs (at the
+    /// current virtual instant) once the dispatcher reaches it — preserving
+    /// one-thread-at-a-time determinism. Until then it counts as a thread:
+    /// it never freezes, and outlives a spawner that does not join it.
     pub fn spawn<T, F>(&self, name: impl Into<String>, f: F) -> SimJoinHandle<T>
     where
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
     {
-        let name: Arc<str> = Arc::from(name.into());
-        let parent = try_current_waiter(self);
-        let from_sim = parent.is_some();
-        let waiter = {
-            let mut st = self.inner.state.lock();
-            st.live += 1;
-            st.stats.threads_started += 1;
-            st.stats.os_threads_spawned += 1;
-            let id = st.next_waiter_id;
-            st.next_waiter_id += 1;
-            let waiter = Waiter::new(id, Arc::clone(&name));
-            if let (Some(p), Some(order)) = (&parent, st.order.as_mut()) {
-                // Happens-before: the child inherits the spawner's history.
-                order.spawned(p.id, &p.name, id, &name);
-            }
-            if from_sim {
-                waiter.sync.lock().notified = true;
-                st.ready.push_back(Arc::clone(&waiter));
-            } else {
-                st.runnable += 1;
-            }
-            waiter
-        };
+        self.spawn_joinable(name.into(), false, async move {
+            task::thread().await;
+            f()
+        })
+    }
+
+    /// Starts `body` as a lightweight task that may freeze ([`Waiter::freezes`])
+    /// and returns the handle that joins it: the one join of
+    /// [`Kernel::spawn`] and [`fan_out`]'s lanes. The task holds its
+    /// `join:{name}` event (a stuck one shows in wait-for cycles), runs
+    /// `body` with its panics caught, fills the slot and fires.
+    fn spawn_joinable<T: Send + 'static>(
+        &self,
+        name: String,
+        freezes: bool,
+        body: impl Future<Output = T> + Send + 'static,
+    ) -> SimJoinHandle<T> {
         let done = Event::named(self, format!("join:{name}"));
-        let slot: Arc<RawMutex<Option<thread::Result<T>>>> = Arc::new(RawMutex::new(None));
-        let kernel = self.clone();
-        let done2 = done.clone();
-        let slot2 = Arc::clone(&slot);
-        thread::Builder::new()
-            .name(name.to_string())
-            .stack_size(STACK_SIZE)
-            .spawn(move || {
-                if from_sim {
-                    // Wait for the dispatcher before executing any user code.
-                    let mut ws = waiter.sync.lock();
-                    while !ws.released {
-                        waiter.cv.wait(&mut ws);
-                    }
-                    ws.released = false;
-                    ws.notified = false;
-                    drop(ws);
-                }
-                CURRENT.with(|c| {
-                    *c.borrow_mut() = Some(ThreadCtx {
-                        kernel: kernel.clone(),
-                        waiter: Arc::clone(&waiter),
-                    })
-                });
-                // The new thread is the one that will fire the join event;
-                // record it so join-deadlocks show up in wait-for cycles.
-                done2.mark_holder();
-                let result = panic::catch_unwind(AssertUnwindSafe(f));
-                *slot2.lock() = Some(result);
-                done2.fire();
-                CURRENT.with(|c| *c.borrow_mut() = None);
-                kernel.deregister(&waiter);
-            })
-            .expect("failed to spawn OS thread for simulated thread");
+        let slot = Arc::new(RawMutex::new(None));
+        let (fired, filled) = (done.clone(), Arc::clone(&slot));
+        let parent = try_current_waiter(self);
+        // lint: allow(L008) — false positives of name-based dispatch: the
+        // slot's `RawMutex::lock` resolves onto the shim's Mutex::lock, and
+        // `Event::fire`'s exploration-only probe (which stands down in a
+        // light poll) onto Event::wait. What `body` does is its caller's:
+        // `spawn`'s asks for a thread first, and a lane's blocking call is
+        // refused by the kernel and re-raised by the joiner. Guarded by
+        // fan_out_reraises_a_lane_panic_in_the_joiner
+        self.inner.state.lock().spawn_light(
+            Arc::from(name),
+            parent,
+            freezes,
+            task::light(async move {
+                fired.mark_holder();
+                let result = task::catch_unwind(pin!(body)).await;
+                *filled.lock() = Some(result);
+                fired.fire();
+            }),
+        );
         SimJoinHandle { done, slot }
     }
 
@@ -1000,15 +1006,15 @@ impl Kernel {
     /// inline by the kernel's dispatch loop, with **no OS thread** behind
     /// it.
     ///
-    /// The task occupies exactly the same scheduling slots a thread
-    /// spawned with [`Kernel::spawn`] would — it gets a waiter id from the
-    /// same counter, joins the ready queue at the same position, counts in
-    /// [`KernelStats::threads_started`], schedules timers through the same
-    /// heap, and appears in deadlock reports while sleeping — so FIFO
-    /// order, `RUSTWREN_SCHEDULE` tokens and exploring schedulers see the
-    /// identical choice points. What changes is purely the execution
-    /// mechanism: instead of two condvar handoffs and an OS context switch
-    /// per step, the dispatcher calls `f` directly.
+    /// The task occupies exactly the same scheduling slots a thread would —
+    /// it gets a waiter id from the same counter, joins the ready queue at
+    /// the same position, counts in [`KernelStats::threads_started`],
+    /// schedules timers through the same heap, and appears in deadlock
+    /// reports while sleeping — so FIFO order, `RUSTWREN_SCHEDULE` tokens
+    /// and exploring schedulers see the identical choice points. What
+    /// changes is purely the execution mechanism: instead of two condvar
+    /// handoffs and an OS context switch per step, the dispatcher calls `f`
+    /// directly.
     ///
     /// Each poll must run to the task's next suspension point and return a
     /// [`LightStep`]: `Sleep(d)` schedules a timer and re-polls once it
@@ -1021,9 +1027,9 @@ impl Kernel {
     /// (sleep, event wait, lock a contended shim lock, …) from inside a
     /// poll panics with a diagnostic, before the operation registers
     /// anything. Code that blocks inside calls it does not own returns
-    /// `Thread` first (or starts as a [`Kernel::spawn`] thread, where
-    /// [`run_blocking`] drives the same state machine). A poll that
-    /// panics fails the whole run with its message, like a deadlock.
+    /// `Thread` first, as every [`Kernel::spawn`]ed closure does at its
+    /// first poll. A poll that panics fails the whole run with its message,
+    /// like a deadlock.
     ///
     /// May be called from inside or outside the simulation; either way the
     /// task starts parked in the ready queue and first polls when the
@@ -1038,28 +1044,9 @@ impl Kernel {
         name: impl Into<String>,
         f: impl FnMut() -> LightStep + Send + 'static,
     ) {
-        let name: Arc<str> = Arc::from(name.into());
         let parent = try_current_waiter(self);
         let mut st = self.inner.state.lock();
-        st.live += 1;
-        st.light_live += 1;
-        st.stats.threads_started += 1;
-        let id = st.next_waiter_id;
-        st.next_waiter_id += 1;
-        let waiter = Waiter::new_light(id, Arc::clone(&name));
-        if let (Some(p), Some(order)) = (&parent, st.order.as_mut()) {
-            // Happens-before: the task inherits the spawner's history.
-            order.spawned(p.id, &p.name, id, &name);
-        }
-        waiter.sync.lock().notified = true;
-        st.ready.push_back(Arc::clone(&waiter));
-        st.light_tasks.insert(
-            id,
-            LightTask {
-                poll: Box::new(f),
-                parked_on: None,
-            },
-        );
+        st.spawn_light(Arc::from(name.into()), parent, true, f);
     }
 
     /// Names of the lightweight tasks still registered, in waiter-id (spawn)
@@ -1072,7 +1059,7 @@ impl Kernel {
             .values()
             .map(|b| &b.waiter)
             .chain(&st.ready)
-            .filter(|w| w.light)
+            .filter(|w| w.freezes)
             .map(|w| (w.id, &w.name))
             .collect();
         tasks.sort_unstable_by_key(|&(id, _)| id);
@@ -1327,7 +1314,7 @@ impl Kernel {
                     drop(poll);
                     let mut st = self.inner.state.lock();
                     st.live -= 1;
-                    st.light_live -= 1;
+                    st.light_live -= usize::from(w.freezes);
                     return st;
                 }
                 LightStep::Sleep(d) => {
@@ -1368,20 +1355,21 @@ impl Kernel {
     /// id, exactly as if it had been a thread all along and had just been
     /// released. The thread is started with the state lock held, so its
     /// first kernel operation comes after the dispatcher has seen
-    /// `runnable > 0` and stood down.
+    /// `runnable > 0` and stood down. This is the one place a simulated
+    /// process gets an OS thread.
     fn promote<'a>(
         &'a self,
         mut st: RawMutexGuard<'a, State>,
         w: &Arc<Waiter>,
         poll: Box<dyn FnMut() -> LightStep + Send>,
     ) -> RawMutexGuard<'a, State> {
-        st.light_live -= 1;
+        st.light_live -= usize::from(w.freezes);
         st.runnable += 1;
         st.stats.os_threads_spawned += 1;
         // Nothing else refers to a *running* light task's waiter (it is in
         // no timer, waiter list or queue), so the thread gets a fresh one,
         // holding what the task held.
-        let waiter = Waiter::new(w.id, Arc::clone(&w.name));
+        let waiter = Waiter::new(w.id, Arc::clone(&w.name), false, false);
         *waiter.held.lock() = std::mem::take(&mut *w.held.lock());
         let kernel = self.clone();
         thread::Builder::new()
@@ -1940,7 +1928,7 @@ impl WeakKernel {
 }
 
 /// Handle to a simulated thread spawned with [`Kernel::spawn`] or
-/// [`crate::spawn`].
+/// [`crate::spawn`] (and, inside the kernel, to a [`fan_out`] lane).
 pub struct SimJoinHandle<T> {
     done: Event,
     slot: Arc<RawMutex<Option<thread::Result<T>>>>,
@@ -1963,16 +1951,15 @@ impl<T> SimJoinHandle<T> {
     /// Re-raises the thread's panic, like [`std::thread::JoinHandle::join`]
     /// followed by `unwrap`.
     pub fn join(self) -> T {
-        self.done.wait();
-        let result = self
-            .slot
-            .lock()
-            .take()
-            .expect("SimJoinHandle: result already taken");
-        match result {
-            Ok(v) => v,
-            Err(p) => panic::resume_unwind(p),
-        }
+        task::block_on(self.join_async())
+    }
+
+    /// [`join`](SimJoinHandle::join), resumable: suspends until the task
+    /// has finished.
+    pub(crate) async fn join_async(self) -> T {
+        task::wait(&self.done).await;
+        let result = self.slot.lock().take().expect("filled before it fires");
+        result.unwrap_or_else(|p| panic::resume_unwind(p))
     }
 
     /// Whether the thread has finished (without blocking).
@@ -2012,7 +1999,7 @@ pub(crate) fn deny_blocking_in_light_step(reason: &str) {
         panic!(
             "lightweight task `{}` attempted a blocking operation ({reason}); \
              a light task may only suspend by returning LightStep::Sleep or \
-             LightStep::Wait — use Kernel::spawn for code that blocks on sync primitives",
+             LightStep::Wait — to block, first await task::thread() (or return LightStep::Thread)",
             current_ctx("light step").waiter.name
         );
     }
@@ -2048,7 +2035,7 @@ pub fn sleep(d: Duration) {
     ctx.kernel.sleep(d);
 }
 
-/// Spawns a simulated thread on the current thread's kernel.
+/// Spawns a simulated thread on the current thread's kernel ([`Kernel::spawn`]).
 ///
 /// # Panics
 ///
@@ -2109,48 +2096,20 @@ where
         .into_iter()
         .enumerate()
         .map(|(t, chunk)| {
-            let name = format!("{prefix}-{t}");
-            let done = Event::named(&kernel(), format!("join:{name}"));
-            let slot = Arc::new(RawMutex::new(None));
-            let (f, fired, filled) = (Arc::clone(&f), done.clone(), Arc::clone(&slot));
-            // lint: allow(L008) — false positives of name-based dispatch:
-            // `Vec::push` resolves onto DockerRegistry::push, the slot's
-            // `RawMutex::lock` onto the shim's Mutex::lock, and
-            // `Event::fire`'s exploration-only probe (which stands down in
-            // a light poll) onto Event::wait. What `f` does is its caller's:
-            // a blocking call there is refused by the kernel inside the lane
-            // and re-raised by the joiner. Guarded by
-            // fan_out_reraises_a_lane_panic_in_the_joiner
-            spawn_light(
-                name,
-                task::light(async move {
-                    // The lane is the one that will fire the join event:
-                    // record it so a stuck lane shows up in wait-for cycles.
-                    fired.mark_holder();
-                    let items = async move {
-                        let mut outputs = Vec::with_capacity(chunk.len());
-                        for item in chunk {
-                            outputs.push(f(item).await?);
-                        }
-                        Ok(outputs)
-                    };
-                    let result = task::catch_unwind(pin!(items)).await;
-                    *filled.lock() = Some(result);
-                    fired.fire();
-                }),
-            );
-            (done, slot)
+            let f = Arc::clone(&f);
+            kernel().spawn_joinable(format!("{prefix}-{t}"), true, async move {
+                let mut outputs = Vec::with_capacity(chunk.len());
+                for item in chunk {
+                    outputs.push(f(item).await?);
+                }
+                Ok::<_, E>(outputs)
+            })
         })
         .collect();
     let mut outputs = Vec::with_capacity(lanes);
     let mut first_err = None;
-    for (done, slot) in joins {
-        task::wait(&done).await;
-        let lane: thread::Result<Result<Vec<U>, E>> = slot
-            .lock()
-            .take()
-            .expect("a lane fills its slot before it fires");
-        match lane.unwrap_or_else(|p| panic::resume_unwind(p)) {
+    for lane in joins {
+        match lane.join_async().await {
             Ok(lane) => outputs.push(lane.into_iter()),
             Err(e) => {
                 first_err.get_or_insert(e);
@@ -2182,16 +2141,15 @@ pub fn spawn_light(name: impl Into<String>, f: impl FnMut() -> LightStep + Send 
 
 /// Runs a lightweight task's state machine on the calling simulated
 /// thread instead: each step the dispatch loop would have parked the task
-/// for becomes the blocking call of the same name. This is how code that
-/// must ride a thread (because something it calls blocks) shares one state
-/// machine with code that need not.
+/// for becomes the blocking call of the same name. A promoted task's polls
+/// continue here, and [`task::block_on`] drives a future through it: this is
+/// how code that must ride a thread (because something it calls blocks)
+/// shares one state machine with code that need not.
 ///
 /// # Panics
 ///
 /// Panics if the calling thread is not registered with a kernel.
-// (A named generic, not `impl FnMut`: rustwren-lint's extractor skips
-// functions with `impl` in their signature, and L008 must see this one.)
-pub fn run_blocking<P: FnMut() -> LightStep>(mut poll: P) {
+pub(crate) fn run_blocking<P: FnMut() -> LightStep>(mut poll: P) {
     loop {
         match poll() {
             LightStep::Sleep(d) => sleep(d),
@@ -2759,7 +2717,7 @@ mod tests {
         assert_eq!(st_thread.threads_started, st_light.threads_started);
         assert_eq!(st_thread.timers_scheduled, st_light.timers_scheduled);
         assert_eq!(st_thread.clock_advances, st_light.clock_advances);
-        assert_eq!(st_thread.light_polls, 0);
+        assert_eq!(st_thread.light_polls, 1, "the spawn's, asking for it");
         assert_eq!(st_light.light_polls, 3);
     }
 
@@ -2936,11 +2894,15 @@ mod tests {
                 ..st_light
             },
             KernelStats {
+                light_polls: 0,
                 os_threads_spawned: 0,
                 ..st_thread
             }
         );
-        assert_eq!(st_light.light_polls, 4);
+        // The machine's four, plus one per spawn: the poll that asks for
+        // the spawned closure's thread.
+        assert_eq!(st_light.light_polls, 4 + 1);
+        assert_eq!(st_thread.light_polls, 2);
         // The bystander; plus, on the thread vehicle, the machine itself.
         assert_eq!(st_light.os_threads_spawned, 1);
         assert_eq!(st_thread.os_threads_spawned, 2);
@@ -3071,22 +3033,76 @@ mod tests {
         assert_eq!(k.live_threads(), 0);
     }
 
-    /// `os_threads_spawned` counts `spawn` only; `threads_started` counts
-    /// every simulated process, whatever it rides.
+    /// `os_threads_spawned` counts promotions and nothing else: a `spawn`
+    /// is one, and so is a light task that awaits `task::thread()`; a light
+    /// task that never asks is none. `threads_started` counts every
+    /// simulated process once, whatever it rides, and `light_polls` only
+    /// the polls run inline: a `spawn`'s is the one that asks for its
+    /// thread.
     #[test]
-    fn os_threads_spawned_counts_spawn_only() {
+    fn os_threads_spawned_counts_promotions_only() {
         let k = Kernel::new();
         k.run("client", || {
             for i in 0..5 {
                 spawn_light(format!("l{i}"), || LightStep::Done);
             }
+            for i in 0..2 {
+                let body = async {
+                    task::thread().await;
+                    sleep(Duration::from_secs(1));
+                };
+                spawn_light(format!("p{i}"), task::light(body));
+            }
             let hs: Vec<_> = (0..3).map(|i| spawn(format!("t{i}"), || ())).collect();
             for h in hs {
                 h.join();
             }
+            sleep(Duration::from_secs(2));
         });
-        assert_eq!(k.stats().threads_started, 9);
-        assert_eq!(k.stats().os_threads_spawned, 3);
+        let stats = k.stats();
+        assert_eq!(stats.threads_started, 1 + 5 + 2 + 3);
+        assert_eq!(stats.os_threads_spawned, 2 + 3);
+        assert_eq!(stats.light_polls, 5 + 2 + 3);
+    }
+
+    /// A spawned closure counts as the thread it asks for from the moment
+    /// it is spawned: a spawner that leaves `Kernel::run` without joining
+    /// it leaves it to run to the end, never frozen, and the clock to the
+    /// instant its last sleep ends.
+    #[test]
+    fn spawned_thread_outlives_an_unjoined_spawner() {
+        let k = Kernel::new();
+        let (finished, ended) = std::sync::mpsc::channel();
+        k.run("client", move || {
+            spawn("orphan", move || {
+                sleep(Duration::from_secs(5));
+                spawn("grandchild", || sleep(Duration::from_secs(2))).join();
+                finished.send(now()).expect("the test is waiting");
+            });
+        });
+        assert!(k.frozen_light_tasks().is_empty());
+        let end = ended.recv().expect("the orphan ran to the end");
+        assert_eq!(end, SimInstant::ZERO + Duration::from_secs(7));
+        assert_eq!(k.now(), end);
+        assert!(k.frozen_light_tasks().is_empty());
+    }
+
+    /// A spawn from outside the simulation starts parked, as a light task
+    /// does: it first runs when the next `Kernel::run` dispatches.
+    #[test]
+    fn spawn_from_off_the_simulation_starts_parked() {
+        let k = Kernel::new();
+        let ran_at = Arc::new(RawMutex::new(None));
+        let seen = Arc::clone(&ran_at);
+        let early = k.spawn("early", move || *seen.lock() = Some(now()));
+        assert_eq!(k.stats().light_polls, 0);
+        assert!(ran_at.lock().is_none() && !early.is_finished());
+        k.run("client", || {
+            sleep(Duration::from_secs(1));
+            early.join();
+        });
+        assert_eq!(*ran_at.lock(), Some(SimInstant::ZERO));
+        assert_eq!(k.stats().os_threads_spawned, 1);
     }
 
     /// A poll that catches the blocking-operation panic is left with nothing
@@ -3131,9 +3147,11 @@ mod tests {
 
     /// A task that takes a thread part-way — two steps as a state machine,
     /// then blocking calls from inside its poll — is, to everything else,
-    /// the thread it would have been from the start: same interleaving with
-    /// a bystander, same counters (the thread is counted as created, the
-    /// simulated process is not counted twice), nothing left registered.
+    /// the thread it would have been from the start (a `spawn`, promoted at
+    /// its first poll): same interleaving with a bystander, same counters
+    /// (the thread is counted as created, the simulated process is not
+    /// counted twice), nothing left registered. The expected log is the one
+    /// a born OS thread produced, before `spawn` was a promotion too.
     #[test]
     fn promoted_task_reproduces_the_all_thread_schedule() {
         type Log = Vec<(&'static str, u64)>;
@@ -3211,10 +3229,15 @@ mod tests {
                 light_polls: 0,
                 ..st_light
             },
-            st_thread,
+            KernelStats {
+                light_polls: 0,
+                ..st_thread
+            },
             "promotion counts an OS thread and no second simulated process"
         );
-        assert_eq!(st_light.light_polls, 2, "polled inline until it asked");
+        // One poll per spawn (machine and bystander), or the machine's two
+        // until it asked plus the bystander's.
+        assert_eq!((st_thread.light_polls, st_light.light_polls), (2, 3));
         assert_eq!(st_light.os_threads_spawned, 2);
         assert!(light.frozen_light_tasks().is_empty());
         assert_eq!(light.live_threads(), 0);

@@ -1,11 +1,11 @@
 //! # rustwren-sim — deterministic virtual-time kernel
 //!
 //! The foundation of the IBM-PyWren reproduction: a discrete-event
-//! simulation kernel whose processes are **real OS threads** where they run
-//! arbitrary Rust code ([`spawn`]) and stackless state machines where they
-//! only charge time and wait on events ([`spawn_light`]) — and a state
-//! machine that reaches code that blocks is given a thread at that point
-//! ([`LightStep::Thread`]). Whenever a
+//! simulation kernel whose processes are stackless state machines where
+//! they only charge time and wait on events ([`spawn_light`]), and are given
+//! a **real OS thread** at the point they reach arbitrary Rust code that
+//! blocks ([`LightStep::Thread`]; a [`spawn`]ed closure asks for its thread
+//! at once). Whenever a
 //! process sleeps or waits on a primitive from [`sync`], it suspends in
 //! *virtual* time, and the kernel advances the clock to the next pending
 //! deadline once every registered process is blocked. A 2,000-function, 60-second-per-function cloud experiment thus
@@ -73,8 +73,8 @@ pub use chaos::{
     ChaosEngine, ChaosStats, CorruptMode, FaultPlan, FaultRecord, PathScope, TimeWindow,
 };
 pub use kernel::{
-    exploring, fan_out, kernel, now, run_blocking, sleep, spawn, spawn_light, Kernel, KernelStats,
-    LightStep, ResourceId, SimJoinHandle,
+    exploring, fan_out, kernel, now, sleep, spawn, spawn_light, Kernel, KernelStats, LightStep,
+    ResourceId, SimJoinHandle,
 };
 pub use net::{backoff, NetworkProfile};
 pub use order::{CondvarObs, LockInstance, OrderEdge, RunOrderReport, SyncKind, VectorClock};

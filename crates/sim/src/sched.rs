@@ -287,6 +287,13 @@ pub struct TraceEntry {
     pub index: u32,
 }
 
+impl TraceEntry {
+    /// This decision as one part of a token: `{step}{kind letter}{index}`.
+    fn part(&self) -> String {
+        format!("{}{}{}", self.step, self.kind.letter(), self.index)
+    }
+}
+
 /// A sparse record of the non-default scheduling decisions of one run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ScheduleTrace {
@@ -317,20 +324,12 @@ impl ScheduleTrace {
 
     /// Renders the `v1:` replay token, e.g. `v1:17r1,44p1`.
     pub fn token(&self) -> String {
-        let mut s = String::from("v1:");
-        for (i, e) in self.entries.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = fmt::Write::write_fmt(
-                &mut s,
-                format_args!("{}{}{}", e.step, e.kind.letter(), e.index),
-            );
-        }
-        s
+        let parts: Vec<String> = self.entries.iter().map(TraceEntry::part).collect();
+        format!("v1:{}", parts.join(","))
     }
 
-    /// Parses a `v1:` token produced by [`ScheduleTrace::token`].
+    /// Parses a `v1:` token as [`ScheduleTrace::token`] renders one, steps
+    /// strictly increasing: nothing else is accepted.
     ///
     /// # Errors
     ///
@@ -339,10 +338,13 @@ impl ScheduleTrace {
         let body = token
             .strip_prefix("v1:")
             .ok_or_else(|| format!("schedule token must start with `v1:`, got `{token}`"))?;
-        let mut entries = Vec::new();
-        for part in body.split(',') {
+        let mut entries: Vec<TraceEntry> = Vec::new();
+        if body.is_empty() {
+            return Ok(ScheduleTrace { entries });
+        }
+        for (i, part) in body.split(',').enumerate() {
             if part.is_empty() {
-                continue;
+                return Err(format!("`{body}`: part {i} is empty"));
             }
             let letter_at = part
                 .find(|c: char| !c.is_ascii_digit())
@@ -360,9 +362,16 @@ impl ScheduleTrace {
                 .as_str()
                 .parse::<u32>()
                 .map_err(|e| format!("`{part}`: bad index: {e}"))?;
-            entries.push(TraceEntry { step, kind, index });
+            let entry = TraceEntry { step, kind, index };
+            if entry.part() != part {
+                return Err(format!("`{part}`: not as a token renders it"));
+            }
+            if let Some(prev) = entries.last().filter(|prev| prev.step >= step) {
+                return Err(format!("`{part}`: step does not follow step {}", prev.step));
+            }
+            entries.push(entry);
         }
-        Ok(ScheduleTrace::from_entries(entries))
+        Ok(ScheduleTrace { entries })
     }
 }
 
@@ -395,10 +404,68 @@ mod tests {
 
     #[test]
     fn parse_rejects_garbage() {
-        assert!(ScheduleTrace::parse("v2:1r1").is_err());
-        assert!(ScheduleTrace::parse("v1:12x3").is_err());
-        assert!(ScheduleTrace::parse("v1:r1").is_err());
-        assert!(ScheduleTrace::parse("v1:9r").is_err());
+        for (token, part) in [
+            ("v2:1r1", "v1:"),
+            ("v1:12x3", "`12x3`"),
+            ("v1:r1", "`r1`"),
+            ("v1:9r", "`9r`"),
+            ("v1:5r+1", "`5r+1`"),
+            ("v1:5r01", "`5r01`"),
+            ("v1:05r1", "`05r1`"),
+            ("v1:3r1,,4r1", "part 1 is empty"),
+            ("v1:3r1,", "part 1 is empty"),
+            ("v1:,3r1", "part 0 is empty"),
+            ("v1:9r1,3r1", "`3r1`"),
+            ("v1:5r1,5t2", "`5t2`"),
+            ("v1:18446744073709551616r1", "bad step"),
+            ("v1:1r4294967296", "bad index"),
+        ] {
+            let err = ScheduleTrace::parse(token).expect_err(token);
+            assert!(err.contains(part), "{token}: {err}");
+        }
+    }
+
+    /// Every token `token()` can render parses, down to the widest numbers,
+    /// and re-renders byte for byte.
+    #[test]
+    fn accepted_tokens_rerender_byte_for_byte() {
+        for token in [
+            "v1:",
+            "v1:0r0",
+            "v1:0p1,7t0,18446744073709551615r4294967295",
+        ] {
+            let trace = ScheduleTrace::parse(token).expect(token);
+            assert_eq!(trace.token(), token);
+        }
+    }
+
+    proptest::proptest! {
+        /// Whatever `parse` accepts is what `token()` renders back.
+        #[test]
+        fn accepted_garbage_rerenders_byte_for_byte(
+            parts in proptest::prop::collection::vec(("[0-9]{1,3}", "[rtpx]", "[0-9+]{1,2}"), 0..5)
+        ) {
+            let parts: Vec<String> = parts.into_iter().map(|(s, k, i)| s + &k + &i).collect();
+            let token = format!("v1:{}", parts.join(","));
+            if let Ok(trace) = ScheduleTrace::parse(&token) {
+                proptest::prop_assert_eq!(trace.token(), token);
+            }
+        }
+
+        /// A recorded trace survives `token()` and `parse` unchanged.
+        #[test]
+        fn random_traces_round_trip(
+            entries in proptest::prop::collection::vec((1u64..1_000, 0usize..3, 0u32..5), 0..20)
+        ) {
+            let mut trace = ScheduleTrace::default();
+            let mut step = 0;
+            for (gap, kind, index) in entries {
+                step += gap;
+                let kind = [ChoiceKind::Ready, ChoiceKind::Timer, ChoiceKind::Preempt][kind];
+                trace.record(step, kind, index as usize);
+            }
+            proptest::prop_assert_eq!(ScheduleTrace::parse(&trace.token()), Ok(trace));
+        }
     }
 
     #[test]

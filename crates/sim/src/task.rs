@@ -12,8 +12,9 @@
 //! Two pollers drive the same code to the same virtual timeline:
 //! [`light`] makes a future the poll function of a
 //! [`Kernel::spawn_light`](crate::Kernel::spawn_light) task, and
-//! [`block_on`] runs one to completion on the calling simulated thread
-//! through [`run_blocking`]. [`resume`] is the single poll both are built
+//! [`block_on`] runs one to completion on the calling simulated thread,
+//! blocking where the task would have parked — as a promoted task's thread
+//! goes on polling it. [`resume`] is the single poll both are built
 //! on. [`catch_unwind`] contains a panic — a refused blocking call and an
 //! over-long sleep included — in the code it wraps, on either vehicle.
 //!
@@ -172,9 +173,9 @@ pub fn light(
 ///
 /// Panics if the calling thread is not registered with a kernel and `fut`
 /// suspends, or — like any blocking call — from inside a light poll.
-// (A named generic for the same reason as `run_blocking`'s. Inlined so that
-// `fut` is built in place on the caller's frame, not there and here: this
-// sits beneath every blocking COS call on a thousand thread stacks.)
+// (Inlined so that `fut` is built in place on the caller's frame, not there
+// and here: this sits beneath every blocking COS call on a thousand thread
+// stacks.)
 #[inline(always)]
 pub fn block_on<F: Future>(fut: F) -> F::Output {
     let mut fut = pin!(fut);
