@@ -10,8 +10,9 @@
 //! whole chain.
 
 use crate::error::{PywrenError, Result};
-use crate::executor::{Executor, GetResultOpts};
+use crate::executor::Executor;
 use crate::future::ResponseFuture;
+use crate::job::TaskSpec;
 use crate::registry::FunctionRegistry;
 use crate::task::TaskCtx;
 use crate::wire::Value;
@@ -19,9 +20,12 @@ use crate::wire::Value;
 /// Name of the pre-registered sequence driver function.
 pub const SEQUENCE_FN: &str = "rustwren-sequence";
 
-/// Registers the sequence driver on `registry` (done at cloud build).
+/// Registers the sequence driver on `registry` (done at cloud build): it
+/// awaits the executor's `async` submit and resolve, so it needs no thread.
 pub(crate) fn register_sequence_driver(registry: &FunctionRegistry) {
-    registry.register(SEQUENCE_FN, |ctx: &TaskCtx, input: Value| {
+    // lint: allow(L008) — name dispatch (`Value::get` → CosClient::get), as on
+    // the agent; guarded by vehicles.rs a_sequence_of_resumable_stages_starts_no_thread
+    registry.register_resumable(SEQUENCE_FN, |ctx: TaskCtx, input: Value| async move {
         let funcs = input.req_list("funcs")?;
         let value = input.get("value").cloned().unwrap_or(Value::Null);
         let Some((first, rest)) = funcs.split_first() else {
@@ -31,9 +35,13 @@ pub(crate) fn register_sequence_driver(registry: &FunctionRegistry) {
 
         // Run this stage in the cloud we are already inside of.
         let exec = ctx.executor().map_err(|e| e.to_string())?;
-        let fut = exec.call_async(first, value).map_err(|e| e.to_string())?;
+        let futs = exec
+            .submit_tracked(first, vec![TaskSpec::Value(value)])
+            .await
+            .map_err(|e| e.to_string())?;
         let mut outputs = exec
-            .resolve(&[fut], &GetResultOpts::default())
+            .resolve_async(&futs, None, None)
+            .await
             .map_err(|e| e.to_string())?;
         let output = outputs
             .pop()
@@ -47,10 +55,11 @@ pub(crate) fn register_sequence_driver(registry: &FunctionRegistry) {
         let next = Value::map()
             .with("funcs", Value::List(rest.to_vec()))
             .with("value", output);
-        let fut = exec
-            .call_async(SEQUENCE_FN, next)
+        let futs = exec
+            .submit_tracked(SEQUENCE_FN, vec![TaskSpec::Value(next)])
+            .await
             .map_err(|e| e.to_string())?;
-        Ok(ctx.futures_value(&[fut]))
+        Ok(ctx.futures_value(&futs))
     });
 }
 

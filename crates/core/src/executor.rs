@@ -2,6 +2,8 @@
 
 use std::collections::{BTreeMap, HashSet};
 use std::fmt;
+use std::future::Future;
+use std::pin::Pin;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -118,6 +120,7 @@ impl fmt::Debug for GetResultOpts {
 
 /// Per-task bookkeeping for automatic fault recovery: one entry per task
 /// the executor submitted, in its [`Job`]'s `tasks`.
+#[derive(Default)]
 struct TaskRecovery {
     /// The inlined task descriptor, when the task's input rode inside the
     /// activation payload: retries and re-invocations must re-ship it,
@@ -138,28 +141,6 @@ struct TaskRecovery {
     done_elapsed: Option<f64>,
     /// No attempts left; the error status in COS is final.
     exhausted: bool,
-}
-
-impl TaskRecovery {
-    /// Bookkeeping of a task just invoked for the first time: at submit, or
-    /// by a manual [`Executor::reinvoke`] — a fresh first attempt, not a
-    /// counted automatic retry.
-    fn first_attempt(
-        inline: Option<Value>,
-        invoked_at: SimInstant,
-        activation: Option<ActivationId>,
-    ) -> TaskRecovery {
-        TaskRecovery {
-            inline,
-            attempts: 1,
-            invoked_at,
-            activation,
-            retry_at: None,
-            speculated: false,
-            done_elapsed: None,
-            exhausted: false,
-        }
-    }
 }
 
 /// One job about to be submitted: its task list plus the facts only its
@@ -487,7 +468,7 @@ impl Executor {
     ///
     /// Unknown function, storage errors while staging, or invocation errors.
     pub fn call_async(&self, func: &str, input: Value) -> Result<ResponseFuture> {
-        let futures = self.submit_tracked(func, vec![TaskSpec::Value(input)])?;
+        let futures = task::block_on(self.submit_tracked(func, vec![TaskSpec::Value(input)]))?;
         futures
             .into_iter()
             .next()
@@ -505,7 +486,7 @@ impl Executor {
         func: &str,
         inputs: impl IntoIterator<Item = Value>,
     ) -> Result<Vec<ResponseFuture>> {
-        self.submit_tracked(func, inputs.into_iter().map(TaskSpec::Value).collect())
+        task::block_on(self.submit_tracked(func, inputs.into_iter().map(TaskSpec::Value).collect()))
     }
 
     /// Runs a MapReduce flow (§4.2–§4.3): discovers and partitions `source`,
@@ -525,19 +506,18 @@ impl Executor {
         reduce_func: &str,
         opts: MapReduceOpts,
     ) -> Result<Vec<ResponseFuture>> {
-        self.map_reduce_inner(map_func, source, reduce_func, opts, None)
+        let lowered = self.lower_source(&source, opts.chunk_size)?;
+        task::block_on(self.submit_map_reduce(map_func, lowered, reduce_func, opts))
     }
 
-    fn map_reduce_inner(
+    /// Submits a MapReduce flow over a [lowered](Executor::lower_source) source.
+    async fn submit_map_reduce(
         &self,
         map_func: &str,
-        source: DataSource,
+        (map_stage, groups): (Stage, Vec<String>),
         reduce_func: &str,
         opts: MapReduceOpts,
-        extra: Option<Value>,
     ) -> Result<Vec<ResponseFuture>> {
-        let (mut map_stage, groups) = self.lower_source(&source, opts.chunk_size)?;
-        map_stage.extra = extra;
         self.submit_stages(map_func, map_stage, reduce_func, |map_futures| {
             let poll = REDUCE_POLL_INTERVAL;
             if !opts.reducer_one_per_object {
@@ -570,6 +550,7 @@ impl Executor {
                 })
                 .collect()
         })
+        .await
     }
 
     /// Lowers a data source to the map stage over it — one task per value,
@@ -608,12 +589,16 @@ impl Executor {
     }
 
     /// Submits one plain stage and tracks its futures for `get_result`.
-    fn submit_tracked(&self, func: &str, specs: Vec<TaskSpec>) -> Result<Vec<ResponseFuture>> {
+    pub(crate) async fn submit_tracked(
+        &self,
+        func: &str,
+        specs: Vec<TaskSpec>,
+    ) -> Result<Vec<ResponseFuture>> {
         let stage = Stage {
             specs,
             ..Stage::default()
         };
-        let futures = self.submit(func, stage)?;
+        let futures = self.submit(func, stage).await?;
         self.inner
             .table
             .lock()
@@ -626,7 +611,7 @@ impl Executor {
     /// (watched and healed by the recovery pass, never returned to the
     /// caller), build the reduce stage from its futures, and submit that
     /// tracked.
-    fn submit_stages(
+    async fn submit_stages(
         &self,
         map_func: &str,
         mut map_stage: Stage,
@@ -634,8 +619,9 @@ impl Executor {
         reduce_specs: impl FnOnce(&[ResponseFuture]) -> Vec<TaskSpec>,
     ) -> Result<Vec<ResponseFuture>> {
         map_stage.guarded = true;
-        let map_futures = self.submit(map_func, map_stage)?;
+        let map_futures = self.submit(map_func, map_stage).await?;
         self.submit_tracked(reduce_func, reduce_specs(&map_futures))
+            .await
     }
 
     /// [`map_reduce`](Executor::map_reduce) with per-job *extra data*: the
@@ -659,7 +645,9 @@ impl Executor {
         if extra.as_map().is_none() {
             return Err(PywrenError::Config("extra data must be a map value".into()));
         }
-        self.map_reduce_inner(map_func, source, reduce_func, opts, Some(extra))
+        let (mut map_stage, groups) = self.lower_source(&source, opts.chunk_size)?;
+        map_stage.extra = Some(extra);
+        task::block_on(self.submit_map_reduce(map_func, (map_stage, groups), reduce_func, opts))
     }
 
     /// Runs a MapReduce flow **with a shuffle stage**: `map_func` runs once
@@ -727,7 +715,7 @@ impl Executor {
                 combiner: opts.combiner.clone(),
             })
             .collect();
-        self.submit_stages(map_func, map_stage, reduce_func, |map_futures| {
+        let stages = self.submit_stages(map_func, map_stage, reduce_func, |map_futures| {
             (0..opts.reducers)
                 .map(|index| TaskSpec::ShuffleReduce {
                     bucket: self.inner.config.storage_bucket.clone(),
@@ -743,7 +731,8 @@ impl Executor {
                     fanin: opts.merge_fanin,
                 })
                 .collect()
-        })
+        });
+        task::block_on(stages)
     }
 
     /// Builds the pre-flight [`JobPlan`] the analyzer sees for `stage`
@@ -847,7 +836,7 @@ impl Executor {
 
     /// Stages one job (function blob + per-task inputs) and fires its
     /// invocations with the configured spawn strategy.
-    fn submit(&self, func: &str, stage: Stage) -> Result<Vec<ResponseFuture>> {
+    async fn submit(&self, func: &str, stage: Stage) -> Result<Vec<ResponseFuture>> {
         // Encode the task descriptors up front: the analyzer needs their
         // sizes (inline inputs count toward the activation payload), and
         // staging needs the values themselves.
@@ -882,11 +871,9 @@ impl Executor {
 
         // 1. Stage the "serialized function" once per job (checksum-stamped
         // like every staged object).
-        self.inner.cos_stage.put(
-            bucket,
-            &func_key(exec_id, job_id),
-            crate::wire::stamp(&vec![0u8; f.code_size() as usize]),
-        )?;
+        let blob = crate::wire::stamp(&vec![0u8; f.code_size() as usize]);
+        let key = func_key(exec_id, job_id);
+        self.inner.cos_stage.put_async(bucket, &key, blob).await?;
 
         // 2. Stage the per-task inputs from a client upload pool — except
         // descriptors small enough to ride inline in the activation payload,
@@ -911,15 +898,10 @@ impl Executor {
             let stage = Arc::clone(&stage);
             async move { stage.0.put_async(&stage.1, &key, data).await.map(|_| ()) }
         };
-        task::block_on(rustwren_sim::fan_out(
-            "upload",
-            UPLOAD_THREADS,
-            uploads,
-            upload,
-        ))?;
+        rustwren_sim::fan_out("upload", UPLOAD_THREADS, uploads, upload).await?;
 
         // 3. Invoke.
-        self.launch_first_attempts(payloads)?;
+        self.launch_first_attempts(payloads).await?;
         Ok(futures)
     }
 
@@ -927,8 +909,8 @@ impl Executor {
     /// [`reinvoke`](Executor::reinvoke)): invokes one agent per payload with
     /// the configured spawn strategy and starts each task's recovery
     /// bookkeeping afresh, retaining its inline descriptor for re-shipping.
-    fn launch_first_attempts(&self, payloads: Vec<AgentPayload>) -> Result<()> {
-        let ids = self.invoke_agents(&payloads)?;
+    async fn launch_first_attempts(&self, payloads: Vec<AgentPayload>) -> Result<()> {
+        let ids = self.invoke_agents(&payloads).await?;
         let now = self.inner.cloud.kernel().now();
         let mut table = self.inner.table.lock();
         for (p, id) in payloads.into_iter().zip(ids) {
@@ -936,7 +918,15 @@ impl Executor {
             let Some(job) = table.jobs.get_mut(&p.job_id) else {
                 continue;
             };
-            let fresh = TaskRecovery::first_attempt(p.inline, now, id);
+            // A fresh first attempt (at submit, or by a manual `reinvoke`),
+            // not a counted automatic retry.
+            let fresh = TaskRecovery {
+                inline: p.inline,
+                attempts: 1,
+                invoked_at: now,
+                activation: id,
+                ..TaskRecovery::default()
+            };
             match job.tasks.get_mut(p.task as usize) {
                 Some(task) => *task = fresh,
                 // A submit launches tasks 0..n in order, so a task the job
@@ -948,13 +938,9 @@ impl Executor {
     }
 
     /// Invokes one agent per payload with the configured spawn strategy.
-    fn invoke_agents(&self, payloads: &[AgentPayload]) -> Result<Vec<Option<ActivationId>>> {
-        task::block_on(spawn_tasks(
-            &self.inner.faas,
-            &self.inner.config.spawn,
-            &self.inner.agent_action,
-            payloads,
-        ))
+    async fn invoke_agents(&self, payloads: &[AgentPayload]) -> Result<Vec<Option<ActivationId>>> {
+        let spawn = &self.inner.config.spawn;
+        spawn_tasks(&self.inner.faas, spawn, &self.inner.agent_action, payloads).await
     }
 
     /// The automatic fault-recovery pass, run between status polls by
@@ -983,14 +969,13 @@ impl Executor {
     ///    time get a duplicate invocation; whichever copy finishes first
     ///    supplies the status and result (the agent never overwrites a
     ///    `done` status with an error).
-    fn recover(
+    async fn recover(
         &self,
         tracked: &[ResponseFuture],
         done: &mut HashSet<ResponseFuture>,
         listed_prefixes: u64,
     ) -> Result<()> {
-        let retry = self.inner.config.retry.clone();
-        let speculation = self.inner.config.speculation.clone();
+        let (retry, speculation) = (&self.inner.config.retry, &self.inner.config.speculation);
         if !retry.enabled() && !speculation.enabled {
             return Ok(());
         }
@@ -998,16 +983,16 @@ impl Executor {
         // poll tick's listing snapshot (`done`) instead of re-listing the
         // same prefixes itself — one LIST per prefix per cycle, not two.
         self.inner.table.lock().stats.lists_saved += listed_prefixes;
-        self.classify_completed(tracked, done, &retry)?;
-        self.handle_pending(tracked, done, &retry)?;
+        self.classify_completed(tracked, done, retry).await?;
+        self.handle_pending(tracked, done, retry).await?;
         if speculation.enabled {
-            self.speculate(tracked, done, &speculation)?;
+            self.speculate(tracked, done, speculation).await?;
         }
         Ok(())
     }
 
     /// Recovery sub-pass 1: see [`recover`](Executor::recover).
-    fn classify_completed(
+    async fn classify_completed(
         &self,
         tracked: &[ResponseFuture],
         done: &mut HashSet<ResponseFuture>,
@@ -1032,8 +1017,8 @@ impl Executor {
             // re-polled forever: the object itself may be damaged, so only
             // a re-execution reliably heals it.
             let key = f.status_key();
-            let read = crate::job::get_verified_async(&self.inner.cos, f.bucket(), &key);
-            let status = task::block_on(read).and_then(|raw| TaskStatus::decode(raw, f));
+            let read = crate::job::get_verified_async(&self.inner.cos, f.bucket(), &key).await;
+            let status = read.and_then(|raw| TaskStatus::decode(raw, f));
             let (succeeded, integrity) = match status {
                 Ok(status) => (status.error().is_none(), false),
                 Err(PywrenError::Integrity { .. }) => (false, true),
@@ -1055,7 +1040,7 @@ impl Executor {
                 if integrity {
                     self.inner.table.lock().stats.integrity_retries += 1;
                 }
-                self.schedule_retry(f, retry, now)?;
+                self.schedule_retry(f, retry, now).await?;
                 done.remove(f);
             } else {
                 let mut table = self.inner.table.lock();
@@ -1075,7 +1060,7 @@ impl Executor {
     }
 
     /// Recovery sub-pass 2: see [`recover`](Executor::recover).
-    fn handle_pending(
+    async fn handle_pending(
         &self,
         tracked: &[ResponseFuture],
         done: &mut HashSet<ResponseFuture>,
@@ -1118,7 +1103,7 @@ impl Executor {
         };
         for (f, action) in actions {
             match action {
-                Action::Reinvoke => self.relaunch(f, false)?,
+                Action::Reinvoke => self.relaunch(f, false).await?,
                 Action::Classify(id, attempts) => {
                     let Some(outcome) = self.inner.cloud.functions().outcome(id) else {
                         continue; // still running
@@ -1135,27 +1120,27 @@ impl Executor {
                         ),
                     };
                     if retryable && self.reserve_retry(f, retry) {
-                        self.schedule_retry(f, retry, now)?;
+                        self.schedule_retry(f, retry, now).await?;
                     } else {
                         // Out of attempts (or unretryable): write the error
                         // status the agent could not, so the job terminates
                         // with a diagnosable failure instead of hanging.
                         let message = format!("{message} (after {attempts} attempt(s))");
-                        self.repair_status(f, &message, retryable, now)?;
+                        self.repair_status(f, &message, retryable, now).await?;
                         done.insert(f.clone());
                     }
                 }
                 Action::PresumeDead(attempts) => {
                     if self.reserve_retry(f, retry) {
                         // Same treatment as a silent death.
-                        self.schedule_retry(f, retry, now)?;
+                        self.schedule_retry(f, retry, now).await?;
                     } else {
                         let dead = retry.presumed_dead_after.unwrap_or_default();
                         let message = format!(
                             "presumed dead: no activation and no status after {dead:?} \
                              (after {attempts} attempt(s))"
                         );
-                        self.repair_status(f, &message, true, now)?;
+                        self.repair_status(f, &message, true, now).await?;
                         done.insert(f.clone());
                     }
                 }
@@ -1166,9 +1151,10 @@ impl Executor {
 
     /// Deletes `f`'s completion markers, so that polling sees the rerun and
     /// not the attempt before it.
-    fn clear_completion(&self, f: &ResponseFuture) -> Result<()> {
-        self.inner.cos.delete(f.bucket(), &f.status_key())?;
-        self.inner.cos.delete(f.bucket(), &f.result_key())?;
+    async fn clear_completion(&self, f: &ResponseFuture) -> Result<()> {
+        let cos = &self.inner.cos;
+        cos.delete_async(f.bucket(), &f.status_key()).await?;
+        cos.delete_async(f.bucket(), &f.result_key()).await?;
         Ok(())
     }
 
@@ -1205,13 +1191,13 @@ impl Executor {
     /// last one's partial writes (an error status, a result without a
     /// status, a status that landed after our LIST) and schedules the
     /// re-invocation after a backoff.
-    fn schedule_retry(
+    async fn schedule_retry(
         &self,
         f: &ResponseFuture,
         retry: &RetryPolicy,
         now: SimInstant,
     ) -> Result<()> {
-        self.clear_completion(f)?;
+        self.clear_completion(f).await?;
         if let Some(r) = self.inner.table.lock().task_mut(f) {
             let key = (f.job_id(), f.task());
             r.retry_at = Some(self.retry_deadline(retry, key, r.attempts, now));
@@ -1223,7 +1209,7 @@ impl Executor {
     /// without reporting one, and marks it exhausted: whatever error status
     /// is in COS is final. `out_of_retries` says the task would have been
     /// retried had it attempts and budget left.
-    fn repair_status(
+    async fn repair_status(
         &self,
         f: &ResponseFuture,
         message: &str,
@@ -1236,7 +1222,8 @@ impl Executor {
             .lock()
             .task(f)
             .map_or(0.0, |r| r.invoked_at.as_secs_f64());
-        TaskStatus::new(Some(message), start, now.as_secs_f64()).put(&self.inner.cos, f)?;
+        let status = TaskStatus::new(Some(message), start, now.as_secs_f64());
+        status.put_async(&self.inner.cos, f).await?;
         let mut table = self.inner.table.lock();
         table.stats.statuses_repaired += 1;
         if out_of_retries {
@@ -1249,7 +1236,7 @@ impl Executor {
     }
 
     /// Recovery sub-pass 3: see [`recover`](Executor::recover).
-    fn speculate(
+    async fn speculate(
         &self,
         tracked: &[ResponseFuture],
         done: &HashSet<ResponseFuture>,
@@ -1289,8 +1276,10 @@ impl Executor {
                     continue;
                 }
                 elapsed.sort_by(f64::total_cmp);
-                // lint: allow(L009) — non-empty: len >= min_done.max(1)
-                let threshold = spec.straggler_factor * elapsed[elapsed.len() / 2];
+                let Some(median) = elapsed.get(elapsed.len() / 2) else {
+                    continue;
+                };
+                let threshold = spec.straggler_factor * median;
                 let speculated = job.tasks.iter().filter(|r| r.speculated).count();
                 stragglers.extend(
                     candidates
@@ -1302,7 +1291,7 @@ impl Executor {
             }
         }
         for f in stragglers {
-            self.relaunch(f, true)?;
+            self.relaunch(f, true).await?;
         }
         Ok(())
     }
@@ -1310,11 +1299,11 @@ impl Executor {
     /// Re-invokes one task: as a fresh primary attempt (retry), or as a
     /// duplicate backup copy (speculation) that leaves the primary's
     /// bookkeeping untouched.
-    fn relaunch(&self, f: &ResponseFuture, speculative: bool) -> Result<()> {
+    async fn relaunch(&self, f: &ResponseFuture, speculative: bool) -> Result<()> {
         let Some(payload) = self.inner.table.lock().payload(f) else {
             return Ok(());
         };
-        let ids = self.invoke_agents(&[payload])?;
+        let ids = self.invoke_agents(&[payload]).await?;
         let id = ids.into_iter().next().flatten();
         let now = self.inner.cloud.kernel().now();
         let mut table = self.inner.table.lock();
@@ -1418,58 +1407,59 @@ impl Executor {
         if tracked.is_empty() {
             return Ok((Vec::new(), Vec::new()));
         }
-        let watched = self.with_guarded(&tracked);
-        let done = self.poll_until(&watched, |done| {
+        let done = task::block_on(self.poll_until(&tracked, |done| {
             let done_tracked = tracked.iter().filter(|f| done.contains(*f)).count();
             Ok(match policy {
                 WaitPolicy::Always => true,
                 WaitPolicy::AnyCompleted => done_tracked > 0,
                 WaitPolicy::AllCompleted => done_tracked == tracked.len(),
             })
-        })?;
+        }))?;
         Ok(tracked.into_iter().partition(|f| done.contains(f)))
     }
 
     /// The one poll loop behind [`wait`](Executor::wait) and
     /// [`resolve`](Executor::resolve). Each tick takes one listing snapshot
-    /// of which `watched` futures have a status object, runs the
+    /// of which of `futures` and the [guarded](Executor::with_guarded)
+    /// stages' futures have a status object, runs the
     /// [`recover`](Executor::recover) pass over it — which consumes the same
     /// snapshot instead of re-listing the identical prefixes in the same
     /// cycle, and accounts the operations it avoided
     /// ([`RecoveryStats::lists_saved`]) — and asks `satisfied` about the
     /// resulting done set; then sleeps one poll interval. Returns the done
     /// set `satisfied` accepted, or its error (a deadline is its business).
-    /// Storage failures of a tick are ridden out per
-    /// [`tolerate_poll_failure`](Executor::tolerate_poll_failure).
-    fn poll_until(
+    /// With retry on, up to [`MAX_POLL_FAILURES`] consecutive failed ticks
+    /// are ridden out.
+    async fn poll_until(
         &self,
-        watched: &[ResponseFuture],
+        futures: &[ResponseFuture],
         mut satisfied: impl FnMut(&HashSet<ResponseFuture>) -> Result<bool>,
     ) -> Result<HashSet<ResponseFuture>> {
-        let watch = StatusWatch::new(watched);
+        let watched = self.with_guarded(futures);
+        let watch = StatusWatch::new(&watched);
+        let retrying = self.inner.config.retry.enabled();
         let mut poll_failures = 0u32;
         loop {
-            let polled = task::block_on(watch.landed(&self.inner.cos))
-                .map_err(PywrenError::from)
-                .and_then(|landed| {
-                    let mut done: HashSet<ResponseFuture> = landed
-                        .into_iter()
-                        .filter_map(|i| watched.get(i).cloned())
-                        .collect();
-                    self.recover(watched, &mut done, watch.prefixes())
-                        .map(|()| done)
-                });
-            match polled {
+            let tick = async {
+                let landed = watch.landed(&self.inner.cos).await?;
+                let mut done: HashSet<ResponseFuture> = landed
+                    .into_iter()
+                    .filter_map(|i| watched.get(i).cloned())
+                    .collect();
+                self.recover(&watched, &mut done, watch.prefixes()).await?;
+                Ok(done)
+            };
+            match tick.await {
                 Ok(done) => {
                     poll_failures = 0;
                     if satisfied(&done)? {
                         return Ok(done);
                     }
                 }
-                Err(_) if self.tolerate_poll_failure(&mut poll_failures) => {}
+                Err(_) if retrying && poll_failures < MAX_POLL_FAILURES => poll_failures += 1,
                 Err(e) => return Err(e),
             }
-            rustwren_sim::sleep(self.inner.config.poll_interval);
+            task::sleep(self.inner.config.poll_interval).await;
         }
     }
 
@@ -1526,14 +1516,25 @@ impl Executor {
     ///
     /// Same as [`get_result_with`](Executor::get_result_with).
     pub fn resolve(&self, futures: &[ResponseFuture], opts: &GetResultOpts) -> Result<Vec<Value>> {
+        let deadline = opts.timeout.map(|t| self.inner.cloud.kernel().now() + t);
+        task::block_on(self.resolve_async(futures, deadline, opts.progress.as_deref()))
+    }
+
+    /// [`resolve`](Executor::resolve), resumable, by an absolute `deadline`:
+    /// a composed result's sub-job is awaited by the same deadline, and
+    /// reports no progress.
+    pub(crate) async fn resolve_async(
+        &self,
+        futures: &[ResponseFuture],
+        deadline: Option<SimInstant>,
+        progress: Option<&(dyn Fn(usize, usize) + Send + Sync)>,
+    ) -> Result<Vec<Value>> {
         if futures.is_empty() {
             return Ok(Vec::new());
         }
-        let deadline = opts.timeout.map(|t| self.inner.cloud.kernel().now() + t);
-        let watched = self.with_guarded(futures);
-        self.poll_until(&watched, |done| {
+        self.poll_until(futures, |done| {
             let done_tracked = futures.iter().filter(|f| done.contains(*f)).count();
-            if let Some(cb) = &opts.progress {
+            if let Some(cb) = progress {
                 cb(done_tracked, futures.len());
             }
             if done_tracked == futures.len() {
@@ -1546,35 +1547,20 @@ impl Executor {
                 }),
                 _ => Ok(false),
             }
-        })?;
+        })
+        .await?;
 
         // Download results from a client pool, as the Python client does —
         // serial WAN fetches would dwarf the job itself at scale.
         if let [only] = futures {
-            return Ok(vec![task::block_on(self.fetch_result(only, opts))?]);
+            return Ok(vec![self.fetch_result(only, deadline).await?]);
         }
-        let shared = Arc::new((self.clone(), opts.clone()));
+        let exec = self.clone();
         let fetch = move |f: ResponseFuture| {
-            let shared = Arc::clone(&shared);
-            async move { shared.0.fetch_result(&f, &shared.1).await }
+            let exec = exec.clone();
+            async move { exec.fetch_result(&f, deadline).await }
         };
-        task::block_on(rustwren_sim::fan_out(
-            "results",
-            UPLOAD_THREADS,
-            futures.to_vec(),
-            fetch,
-        ))
-    }
-
-    /// Whether a storage failure during status polling should be ridden
-    /// out: only when automatic retry is on, and only for up to
-    /// [`MAX_POLL_FAILURES`] consecutive rounds.
-    fn tolerate_poll_failure(&self, poll_failures: &mut u32) -> bool {
-        if !self.inner.config.retry.enabled() || *poll_failures >= MAX_POLL_FAILURES {
-            return false;
-        }
-        *poll_failures += 1;
-        true
+        rustwren_sim::fan_out("results", UPLOAD_THREADS, futures.to_vec(), fetch).await
     }
 
     /// Reads a checksum-stamped staged object, re-fetching up to
@@ -1615,11 +1601,13 @@ impl Executor {
         }
     }
 
-    /// Fetches one completed task's result, following future-set markers.
-    /// Resumable — a `results-*` lane awaits it — up to a future set:
-    /// awaiting a sub-job is the blocking [`resolve`](Executor::resolve), so
-    /// a lane that meets one asks for a thread first.
-    async fn fetch_result(&self, f: &ResponseFuture, opts: &GetResultOpts) -> Result<Value> {
+    /// Fetches one completed task's result, following future-set markers:
+    /// a sub-job is awaited in place, by the caller's `deadline`.
+    async fn fetch_result(
+        &self,
+        f: &ResponseFuture,
+        deadline: Option<SimInstant>,
+    ) -> Result<Value> {
         let status = self.fetch_verified(f.bucket(), &f.status_key()).await?;
         let staged = async { self.fetch_verified(f.bucket(), &f.result_key()).await };
         let value = TaskStatus::decode(status, f)?
@@ -1630,16 +1618,8 @@ impl Executor {
                 // Composition-aware: transparently await the sub-job. A
                 // single-future set (e.g. one sequence stage) yields its
                 // bare value; fan-outs yield the list.
-                task::thread().await;
-                let mut sub = self.resolve(&subfutures, opts)?;
-                match sub.pop() {
-                    Some(only) if sub.is_empty() => Ok(only),
-                    Some(v) => {
-                        sub.push(v);
-                        Ok(Value::List(sub))
-                    }
-                    None => Ok(Value::List(sub)),
-                }
+                let sub = self.resolve_nested(&subfutures, deadline).await?;
+                Ok(<[Value; 1]>::try_from(sub).map_or_else(Value::List, |[only]| only))
             }
             Ok(None) => Ok(value),
             Err(m) => Err(PywrenError::Task {
@@ -1647,6 +1627,16 @@ impl Executor {
                 message: format!("malformed future set: {m}"),
             }),
         }
+    }
+
+    /// [`resolve_async`](Executor::resolve_async), boxed as the named `Send`
+    /// future that `fetch_result`'s recursion through a sub-job needs.
+    fn resolve_nested<'a>(
+        &'a self,
+        futures: &'a [ResponseFuture],
+        deadline: Option<SimInstant>,
+    ) -> Pin<Box<dyn Future<Output = Result<Vec<Value>>> + Send + 'a>> {
+        Box::pin(self.resolve_async(futures, deadline, None))
     }
 
     /// Number of futures currently tracked for `get_result`.
@@ -1712,10 +1702,12 @@ impl Executor {
                 })
                 .collect::<Result<Vec<_>>>()?
         };
-        for f in futures {
-            self.clear_completion(f)?;
-        }
-        self.launch_first_attempts(payloads)?;
+        task::block_on(async {
+            for f in futures {
+                self.clear_completion(f).await?;
+            }
+            self.launch_first_attempts(payloads).await
+        })?;
         self.inner
             .table
             .lock()
@@ -1734,19 +1726,20 @@ impl Executor {
     /// Storage errors, or [`PywrenError::Task`] for statuses that are
     /// missing or malformed.
     pub fn task_timings(&self, futures: &[ResponseFuture]) -> Result<Vec<TaskTiming>> {
-        futures
-            .iter()
-            .map(|f| {
-                let raw = task::block_on(self.fetch_verified(f.bucket(), &f.status_key()))?;
+        task::block_on(async {
+            let mut timings = Vec::with_capacity(futures.len());
+            for f in futures {
+                let raw = self.fetch_verified(f.bucket(), &f.status_key()).await?;
                 let status = TaskStatus::decode(raw, f)?;
-                Ok(TaskTiming {
+                timings.push(TaskTiming {
                     task: f.label(),
                     start_secs: status.start,
                     end_secs: status.end,
                     succeeded: status.error().is_none(),
-                })
-            })
-            .collect()
+                });
+            }
+            Ok(timings)
+        })
     }
 }
 
@@ -1837,6 +1830,70 @@ mod tests {
         let (first, again) = (charges(5), charges(5));
         assert_ne!(first[0], first[1], "e1 and e2 drew the same jitter");
         assert_eq!(first, again, "same seed, same executor: same charge");
+    }
+
+    /// The recovery pass is the same code on either vehicle: one job, with
+    /// crashes taking some first attempts and a straggler drawing a
+    /// speculative copy, resolved once by the blocking `resolve` on the
+    /// client's thread and once by `resolve_async` in a light task, retries
+    /// and speculates the same way at the same virtual instants.
+    #[test]
+    fn the_recovery_pass_runs_the_same_in_a_light_task() {
+        let run = |light: bool| {
+            let plan = rustwren_sim::FaultPlan::new(5)
+                .crash(
+                    crate::PHASE_AFTER_COMPUTE,
+                    rustwren_sim::TimeWindow::always(),
+                    0.5,
+                )
+                .limit_fires(3);
+            let cloud = crate::SimCloud::builder()
+                .seed(23)
+                .client_network(NetworkProfile::lan())
+                .chaos(plan)
+                .build();
+            cloud.register_resumable_fn("nap", |ctx: TaskCtx, v: Value| async move {
+                let x = v.as_i64().ok_or("int")?;
+                let secs = if x == 11 { 20.0 } else { 0.2 };
+                task::sleep(ctx.activation().scaled(Duration::from_secs_f64(secs))).await;
+                Ok(Value::Int(x + 1))
+            });
+            let observed = cloud.run(|| {
+                let exec = cloud
+                    .executor()
+                    .retry(RetryPolicy::with_attempts(3))
+                    .speculation(SpeculationConfig::on())
+                    .build()
+                    .unwrap();
+                let futures = exec.map("nap", (0..12).map(Value::Int)).unwrap();
+                let results = if light {
+                    let slot = Arc::new(parking_lot::Mutex::new(None));
+                    let done = rustwren_sim::sync::Event::new(&rustwren_sim::kernel());
+                    let (resolver, filled, fired) = (exec.clone(), Arc::clone(&slot), done.clone());
+                    let resolve = async move {
+                        let results = resolver.resolve_async(&futures, None, None).await;
+                        *filled.lock() = Some(results);
+                        fired.fire();
+                    };
+                    rustwren_sim::spawn_light("resolver", task::light(resolve));
+                    done.wait();
+                    let results = slot.lock().take();
+                    results.expect("the light task resolved the job")
+                } else {
+                    exec.resolve(&futures, &GetResultOpts::default())
+                };
+                // The straggler's primary runs out either way.
+                rustwren_sim::sleep(Duration::from_secs(60));
+                (results, exec.recovery_stats(), exec.cos_op_stats())
+            });
+            (observed, cloud.kernel().now())
+        };
+        let blocking = run(false);
+        assert_eq!(blocking, run(true));
+        let ((results, recovery, _), _) = &blocking;
+        assert_eq!(results, &Ok((1..=12).map(Value::Int).collect::<Vec<_>>()));
+        assert!(recovery.retries > 0, "{recovery:?}");
+        assert!(recovery.speculative_launches > 0, "{recovery:?}");
     }
 
     /// W009 wiring: an executor bound to a configured tenant namespace

@@ -196,7 +196,7 @@ impl TaskStatus {
         self
     }
 
-    /// The unstamped bytes [`put`](TaskStatus::put) stamps and writes.
+    /// The unstamped bytes [`put_async`](TaskStatus::put_async) stamps and writes.
     #[cfg(test)]
     pub(crate) fn encode(&self) -> Bytes {
         self.fields.encode()
@@ -213,11 +213,6 @@ impl TaskStatus {
         f: &ResponseFuture,
     ) -> Result<(), StoreError> {
         crate::job::put_stamped(cos, f.bucket(), &f.status_key(), &self.fields).await
-    }
-
-    /// [`put_async`](TaskStatus::put_async), blocking.
-    pub(crate) fn put(&self, cos: &CosClient, f: &ResponseFuture) -> Result<(), StoreError> {
-        rustwren_sim::task::block_on(self.put_async(cos, f))
     }
 
     /// Checks the (verified, unstamped) bytes of `f`'s status object end to

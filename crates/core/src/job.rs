@@ -1413,9 +1413,8 @@ mod tests {
         cloud.run(|| {
             let cos = CosClient::new(cloud.store(), rustwren_sim::NetworkProfile::lan(), 3);
             let d = ResponseFuture::new("b", "e1", 1, 0);
-            TaskStatus::new(None, 0.0, 1.0)
-                .put(&cos, &d)
-                .expect("status");
+            let status = TaskStatus::new(None, 0.0, 1.0);
+            task::block_on(status.put_async(&cos, &d)).expect("status");
             let pairs = Value::List(vec![Value::map().with("k", "x").with("v", 1i64)]);
             let channel = shuffle_key(&d.task_prefix(), 0, 4);
             task::block_on(put_stamped(&cos, "b", &channel, &pairs)).expect("partition");
@@ -1442,10 +1441,9 @@ mod tests {
                 let span = |o: i64, l: i64| Value::map().with("o", o).with("l", l);
                 let parts = Value::List(vec![span(0, len), span(o, l)]);
                 let manifest = Value::map().with("n", 2i64).with("k", "seg");
-                TaskStatus::new(None, 0.0, 1.0)
-                    .with_shuf(manifest.with("parts", parts))
-                    .put(&cos, &d)
-                    .expect("status");
+                let status =
+                    TaskStatus::new(None, 0.0, 1.0).with_shuf(manifest.with("parts", parts));
+                task::block_on(status.put_async(&cos, &d)).expect("status");
                 let before = cos.counters().snapshot();
                 let run =
                     task::block_on(fetch_shuffle_run(&cloud, &cos, &d, 1, 2, ExchangeMode::Cos));
@@ -1567,10 +1565,9 @@ mod tests {
                 };
                 let parts = Value::List(vec![Value::Null, entry]);
                 let manifest = Value::map().with("n", 2i64).with("k", "seg");
-                TaskStatus::new(None, 0.0, 1.0)
-                    .with_shuf(manifest.with("parts", parts))
-                    .put(&cos, &d)
-                    .expect("status");
+                let status =
+                    TaskStatus::new(None, 0.0, 1.0).with_shuf(manifest.with("parts", parts));
+                task::block_on(status.put_async(&cos, &d)).expect("status");
                 let run =
                     task::block_on(fetch_shuffle_run(&cloud, &cos, &d, 1, 2, ExchangeMode::Cos));
                 match (run, encoded.map_or(Ok(Vec::new()), |e| reference_run(&e))) {

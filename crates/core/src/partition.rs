@@ -306,11 +306,7 @@ pub fn read_aligned(cos: &CosClient, part: &Partition) -> Result<Bytes> {
 }
 
 fn find_newline(buf: &[u8], from: usize) -> Option<usize> {
-    if from >= buf.len() {
-        return None;
-    }
-    // lint: allow(L009) — from < buf.len() is guarded above
-    buf[from..]
+    buf.get(from..)?
         .iter()
         .position(|&b| b == b'\n')
         .map(|i| from + i)

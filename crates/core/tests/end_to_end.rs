@@ -353,6 +353,72 @@ fn composition_nested_map_resolves_transparently() {
     assert_eq!(got, (7..17).collect::<Vec<_>>());
 }
 
+/// A composed job honours the caller's timeout as a whole: its sub-job is
+/// awaited against the deadline `get_result_with` began with, not a fresh
+/// one counted from when the outer task finished.
+#[test]
+fn a_composed_result_times_out_at_the_callers_deadline() {
+    let cloud = test_cloud();
+    cloud.register_fn("slow", |ctx: &TaskCtx, v: Value| {
+        ctx.charge(Duration::from_secs(6));
+        Ok(v)
+    });
+    cloud.register_fn("delegate", |ctx: &TaskCtx, v: Value| {
+        ctx.charge(Duration::from_secs(4));
+        let exec = ctx.executor().map_err(|e| e.to_string())?;
+        let futs = exec.map("slow", [v]).map_err(|e| e.to_string())?;
+        Ok(ctx.futures_value(&futs))
+    });
+    let timeout = Duration::from_secs(8);
+    let (err, waited) = cloud.run(|| {
+        let exec = cloud.executor().build().unwrap();
+        exec.call_async("delegate", Value::Int(1)).unwrap();
+        let start = rustwren_sim::now();
+        let err = exec
+            .get_result_with(GetResultOpts {
+                timeout: Some(timeout),
+                progress: None,
+            })
+            .expect_err("the sub-job lands after the caller's deadline");
+        (err, rustwren_sim::now().duration_since(start))
+    });
+    assert!(matches!(err, PywrenError::Timeout { .. }), "{err:?}");
+    let tick = cloud.executor().build().unwrap().config().poll_interval;
+    assert!(waited < timeout + tick, "waited {waited:?}");
+}
+
+/// The progress callback counts the futures the caller passed, and only
+/// those: a composed result's sub-job reports nothing.
+#[test]
+fn progress_counts_only_the_callers_futures() {
+    let cloud = test_cloud();
+    register_add7(&cloud);
+    cloud.register_fn("fan", |ctx: &TaskCtx, _v: Value| {
+        let exec = ctx.executor().map_err(|e| e.to_string())?;
+        let futs = exec
+            .map("add7", (0..2).map(Value::from))
+            .map_err(|e| e.to_string())?;
+        Ok(ctx.futures_value(&futs))
+    });
+    let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
+    let log = Arc::clone(&seen);
+    let results = cloud.run(|| {
+        let exec = cloud.executor().build().unwrap();
+        exec.map("fan", (0..3).map(Value::from)).unwrap();
+        exec.get_result_with(GetResultOpts {
+            timeout: None,
+            progress: Some(Arc::new(move |done, total| {
+                log.lock().unwrap().push((done, total));
+            })),
+        })
+    });
+    let sub = Value::List(vec![Value::Int(7), Value::Int(8)]);
+    assert_eq!(results.unwrap(), vec![sub; 3]);
+    let seen = seen.lock().unwrap();
+    assert!(!seen.is_empty());
+    assert!(seen.iter().all(|&(_, total)| total == 3), "{seen:?}");
+}
+
 #[test]
 fn sequence_composition_chains_functions() {
     let cloud = test_cloud();

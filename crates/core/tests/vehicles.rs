@@ -504,12 +504,13 @@ fn a_map_of_compute_tasks_starts_no_thread_at_all() {
     }
 }
 
-/// Composition: a result that is a future set is awaited by the blocking
-/// `resolve`, so the `results-*` lane that meets one asks for a thread —
-/// that lane, and no other.
+/// Composition: a result that is a future set is awaited in place, in the
+/// `results-*` lane that meets it — a light task, so the only threads are
+/// the ones `delegate`, a blocking function, asks for — and at the same
+/// virtual instants as when the lane took a thread to wait.
 #[test]
-fn a_results_lane_takes_a_thread_exactly_where_it_meets_a_future_set() {
-    let threads_with = |nested: i64| {
+fn a_results_lane_awaits_a_future_set_without_a_thread() {
+    let run_with = |nested: i64| {
         let cloud = SimCloud::builder()
             .seed(3)
             .client_network(NetworkProfile::lan())
@@ -539,9 +540,38 @@ fn a_results_lane_takes_a_thread_exactly_where_it_meets_a_future_set() {
             }
         });
         assert_eq!(results, expected.collect::<Vec<_>>());
-        cloud.kernel().stats().os_threads_spawned
+        let threads = cloud.kernel().stats().os_threads_spawned;
+        (threads, cloud.kernel().now().as_nanos())
     };
-    // `delegate` is a blocking function: its four agents take a thread each.
-    assert_eq!(threads_with(0), 4);
-    assert_eq!(threads_with(2), 4 + 2);
+    // `delegate`'s four agents take a thread each; nothing else does.
+    assert_eq!(run_with(0), (4, 2_665_133_461));
+    assert_eq!(run_with(2), (4, 4_757_354_015));
+}
+
+/// The sequence driver is resumable: a chain of resumable stages runs on
+/// the client's thread alone, and ends with the value, at the instant, it
+/// did when every driver took a thread.
+#[test]
+fn a_sequence_of_resumable_stages_starts_no_thread() {
+    let cloud = SimCloud::builder()
+        .seed(3)
+        .client_network(NetworkProfile::lan())
+        .build();
+    for (name, k) in [("add7", 7), ("double", 2), ("negate", -1)] {
+        cloud.register_resumable_fn(name, move |ctx: TaskCtx, v: Value| async move {
+            let x = v.as_i64().ok_or("int")?;
+            task::sleep(ctx.activation().scaled(Duration::from_millis(100))).await;
+            Ok(Value::Int(if k == 7 { x + 7 } else { x * k }))
+        });
+    }
+    let results = cloud.run(|| {
+        let exec = cloud.executor().build().expect("executor");
+        exec.call_sequence(&["add7", "double", "negate"], Value::Int(3))
+            .expect("submits");
+        exec.get_result().expect("finishes")
+    });
+    assert_eq!(results, vec![Value::Int(-20)]);
+    assert_eq!(cloud.kernel().now().as_nanos(), 6_334_559_819);
+    let stats = cloud.kernel().stats();
+    assert_eq!(stats.os_threads_spawned, 0, "{stats:?}");
 }
