@@ -3,16 +3,18 @@
 //! The paper describes *sequences* — `f3 = f2 ∘ f1`, realized by having
 //! each function call the next via `call_async` — and *nested parallelism*
 //! (functions spawning parallel sub-jobs). Nested parallelism needs no
-//! special support ([`crate::TaskCtx::executor`] plus
-//! [`crate::TaskCtx::futures_value`]); sequences get the helper here: a
-//! pre-registered driver function that runs each stage in the cloud and
-//! feeds its output to the next, so the client gets back one future for the
-//! whole chain.
+//! special support: a function builds an executor with
+//! [`crate::TaskCtx::executor`] and awaits
+//! [`Executor::map_async`](crate::Executor::map_async) and
+//! [`Executor::resolve_async`](crate::Executor::resolve_async) (see the
+//! example there), or returns [`crate::TaskCtx::futures_value`]. Sequences
+//! get the helper here: a pre-registered driver function, composed on that
+//! same surface, that runs each stage in the cloud and feeds its output to
+//! the next, so the client gets back one future for the whole chain.
 
 use crate::error::{PywrenError, Result};
-use crate::executor::Executor;
+use crate::executor::{Executor, GetResultOpts};
 use crate::future::ResponseFuture;
-use crate::job::TaskSpec;
 use crate::registry::FunctionRegistry;
 use crate::task::TaskCtx;
 use crate::wire::Value;
@@ -21,7 +23,7 @@ use crate::wire::Value;
 pub const SEQUENCE_FN: &str = "rustwren-sequence";
 
 /// Registers the sequence driver on `registry` (done at cloud build): it
-/// awaits the executor's `async` submit and resolve, so it needs no thread.
+/// awaits `map_async` and `resolve_async`, so it needs no thread.
 pub(crate) fn register_sequence_driver(registry: &FunctionRegistry) {
     // lint: allow(L008) — name dispatch (`Value::get` → CosClient::get), as on
     // the agent; guarded by vehicles.rs a_sequence_of_resumable_stages_starts_no_thread
@@ -36,11 +38,11 @@ pub(crate) fn register_sequence_driver(registry: &FunctionRegistry) {
         // Run this stage in the cloud we are already inside of.
         let exec = ctx.executor().map_err(|e| e.to_string())?;
         let futs = exec
-            .submit_tracked(first, vec![TaskSpec::Value(value)])
+            .map_async(first, [value])
             .await
             .map_err(|e| e.to_string())?;
         let mut outputs = exec
-            .resolve_async(&futs, None, None)
+            .resolve_async(&futs, &GetResultOpts::default())
             .await
             .map_err(|e| e.to_string())?;
         let output = outputs
@@ -56,7 +58,7 @@ pub(crate) fn register_sequence_driver(registry: &FunctionRegistry) {
             .with("funcs", Value::List(rest.to_vec()))
             .with("value", output);
         let futs = exec
-            .submit_tracked(SEQUENCE_FN, vec![TaskSpec::Value(next)])
+            .map_async(SEQUENCE_FN, [next])
             .await
             .map_err(|e| e.to_string())?;
         Ok(ctx.futures_value(&futs))

@@ -154,7 +154,8 @@ struct Stage {
     chunk_size: Option<u64>,
     /// Logical size of the largest source object (pre-flight plan input).
     max_object_bytes: Option<u64>,
-    /// Submit the job [guarded](Job::guarded).
+    /// Submit the job [guarded](Job::guarded); otherwise its futures are
+    /// tracked for `get_result`.
     guarded: bool,
 }
 
@@ -468,7 +469,7 @@ impl Executor {
     ///
     /// Unknown function, storage errors while staging, or invocation errors.
     pub fn call_async(&self, func: &str, input: Value) -> Result<ResponseFuture> {
-        let futures = task::block_on(self.submit_tracked(func, vec![TaskSpec::Value(input)]))?;
+        let futures = task::block_on(self.map_async(func, [input]))?;
         futures
             .into_iter()
             .next()
@@ -486,7 +487,62 @@ impl Executor {
         func: &str,
         inputs: impl IntoIterator<Item = Value>,
     ) -> Result<Vec<ResponseFuture>> {
-        task::block_on(self.submit_tracked(func, inputs.into_iter().map(TaskSpec::Value).collect()))
+        task::block_on(self.map_async(func, inputs))
+    }
+
+    /// [`map`](Executor::map) as resumable code, which `map` drives on the
+    /// caller's thread: with [`resolve_async`](Executor::resolve_async), how
+    /// a function registered with [`SimCloud::register_resumable_fn`]
+    /// composes (§4.4) without an OS thread.
+    ///
+    /// # Errors
+    ///
+    /// As [`map`](Executor::map).
+    ///
+    /// # Examples
+    ///
+    /// A function that maps two children and gathers their results:
+    ///
+    /// ```
+    /// use rustwren_core::{GetResultOpts, SimCloud, TaskCtx, Value};
+    ///
+    /// let cloud = SimCloud::builder().build();
+    /// cloud.register_resumable_fn("inc", |_: TaskCtx, v: Value| async move {
+    ///     Ok(Value::Int(v.as_i64().ok_or("int")? + 1))
+    /// });
+    /// cloud.register_resumable_fn("both", |ctx: TaskCtx, v: Value| async move {
+    ///     let x = v.as_i64().ok_or("int")?;
+    ///     let exec = ctx.executor().map_err(|e| e.to_string())?;
+    ///     let children = exec
+    ///         .map_async("inc", [Value::Int(x), Value::Int(10 * x)])
+    ///         .await
+    ///         .map_err(|e| e.to_string())?;
+    ///     let results = exec
+    ///         .resolve_async(&children, &GetResultOpts::default())
+    ///         .await
+    ///         .map_err(|e| e.to_string())?;
+    ///     Ok(Value::List(results))
+    /// });
+    /// let results = cloud.run(|| {
+    ///     let exec = cloud.executor().build()?;
+    ///     exec.call_async("both", Value::Int(4))?;
+    ///     exec.get_result()
+    /// })?;
+    /// assert_eq!(results, vec![Value::List(vec![Value::Int(5), Value::Int(41)])]);
+    /// // Parent and children ran as light tasks: no OS thread was started.
+    /// assert_eq!(cloud.kernel().stats().os_threads_spawned, 0);
+    /// # Ok::<(), rustwren_core::PywrenError>(())
+    /// ```
+    pub async fn map_async(
+        &self,
+        func: &str,
+        inputs: impl IntoIterator<Item = Value>,
+    ) -> Result<Vec<ResponseFuture>> {
+        let stage = Stage {
+            specs: inputs.into_iter().map(TaskSpec::Value).collect(),
+            ..Stage::default()
+        };
+        self.submit(func, stage).await
     }
 
     /// Runs a MapReduce flow (§4.2–§4.3): discovers and partitions `source`,
@@ -588,29 +644,9 @@ impl Executor {
         Ok((stage, groups))
     }
 
-    /// Submits one plain stage and tracks its futures for `get_result`.
-    pub(crate) async fn submit_tracked(
-        &self,
-        func: &str,
-        specs: Vec<TaskSpec>,
-    ) -> Result<Vec<ResponseFuture>> {
-        let stage = Stage {
-            specs,
-            ..Stage::default()
-        };
-        let futures = self.submit(func, stage).await?;
-        self.inner
-            .table
-            .lock()
-            .pending
-            .extend(futures.iter().cloned());
-        Ok(futures)
-    }
-
     /// The tail every MapReduce flow shares: submit the map stage *guarded*
     /// (watched and healed by the recovery pass, never returned to the
-    /// caller), build the reduce stage from its futures, and submit that
-    /// tracked.
+    /// caller), build the reduce stage from its futures, and submit that.
     async fn submit_stages(
         &self,
         map_func: &str,
@@ -620,8 +656,11 @@ impl Executor {
     ) -> Result<Vec<ResponseFuture>> {
         map_stage.guarded = true;
         let map_futures = self.submit(map_func, map_stage).await?;
-        self.submit_tracked(reduce_func, reduce_specs(&map_futures))
-            .await
+        let reduce_stage = Stage {
+            specs: reduce_specs(&map_futures),
+            ..Stage::default()
+        };
+        self.submit(reduce_func, reduce_stage).await
     }
 
     /// [`map_reduce`](Executor::map_reduce) with per-job *extra data*: the
@@ -834,8 +873,9 @@ impl Executor {
         Ok(())
     }
 
-    /// Stages one job (function blob + per-task inputs) and fires its
-    /// invocations with the configured spawn strategy.
+    /// Stages one job (function blob + per-task inputs), fires its
+    /// invocations with the configured spawn strategy and, unless it is
+    /// guarded, tracks its futures for `get_result`.
     async fn submit(&self, func: &str, stage: Stage) -> Result<Vec<ResponseFuture>> {
         // Encode the task descriptors up front: the analyzer needs their
         // sizes (inline inputs count toward the activation payload), and
@@ -857,11 +897,12 @@ impl Executor {
             return Err(PywrenError::UnknownFunction(func.to_owned()));
         };
         let job_id = self.inner.job_seq.fetch_add(1, Ordering::Relaxed);
+        let guarded = stage.guarded;
         self.inner.table.lock().jobs.insert(
             job_id,
             Job {
                 func_name: func.to_owned(),
-                guarded: stage.guarded,
+                guarded,
                 retries_spent: 0,
                 tasks: Vec::with_capacity(descs.len()),
             },
@@ -902,6 +943,10 @@ impl Executor {
 
         // 3. Invoke.
         self.launch_first_attempts(payloads).await?;
+        if !guarded {
+            let mut table = self.inner.table.lock();
+            table.pending.extend(futures.iter().cloned());
+        }
         Ok(futures)
     }
 
@@ -1516,14 +1561,29 @@ impl Executor {
     ///
     /// Same as [`get_result_with`](Executor::get_result_with).
     pub fn resolve(&self, futures: &[ResponseFuture], opts: &GetResultOpts) -> Result<Vec<Value>> {
-        let deadline = opts.timeout.map(|t| self.inner.cloud.kernel().now() + t);
-        task::block_on(self.resolve_async(futures, deadline, opts.progress.as_deref()))
+        task::block_on(self.resolve_async(futures, opts))
     }
 
-    /// [`resolve`](Executor::resolve), resumable, by an absolute `deadline`:
+    /// [`resolve`](Executor::resolve) as resumable code, which `resolve`
+    /// drives on the caller's thread; see [`map_async`](Executor::map_async).
+    ///
+    /// # Errors
+    ///
+    /// As [`resolve`](Executor::resolve).
+    pub async fn resolve_async(
+        &self,
+        futures: &[ResponseFuture],
+        opts: &GetResultOpts,
+    ) -> Result<Vec<Value>> {
+        let deadline = opts.timeout.map(|t| self.inner.cloud.kernel().now() + t);
+        self.resolve_by(futures, deadline, opts.progress.as_deref())
+            .await
+    }
+
+    /// [`resolve_async`](Executor::resolve_async) by an absolute `deadline`:
     /// a composed result's sub-job is awaited by the same deadline, and
     /// reports no progress.
-    pub(crate) async fn resolve_async(
+    async fn resolve_by(
         &self,
         futures: &[ResponseFuture],
         deadline: Option<SimInstant>,
@@ -1629,14 +1689,14 @@ impl Executor {
         }
     }
 
-    /// [`resolve_async`](Executor::resolve_async), boxed as the named `Send`
+    /// [`resolve_by`](Executor::resolve_by), boxed as the named `Send`
     /// future that `fetch_result`'s recursion through a sub-job needs.
     fn resolve_nested<'a>(
         &'a self,
         futures: &'a [ResponseFuture],
         deadline: Option<SimInstant>,
     ) -> Pin<Box<dyn Future<Output = Result<Vec<Value>>> + Send + 'a>> {
-        Box::pin(self.resolve_async(futures, deadline, None))
+        Box::pin(self.resolve_by(futures, deadline, None))
     }
 
     /// Number of futures currently tracked for `get_result`.
@@ -1871,7 +1931,9 @@ mod tests {
                     let done = rustwren_sim::sync::Event::new(&rustwren_sim::kernel());
                     let (resolver, filled, fired) = (exec.clone(), Arc::clone(&slot), done.clone());
                     let resolve = async move {
-                        let results = resolver.resolve_async(&futures, None, None).await;
+                        let results = resolver
+                            .resolve_async(&futures, &GetResultOpts::default())
+                            .await;
                         *filled.lock() = Some(results);
                         fired.fire();
                     };

@@ -22,9 +22,8 @@
 
 use std::any::Any;
 use std::future::Future;
-use std::panic::{self, AssertUnwindSafe};
 use std::pin::Pin;
-use std::sync::{Arc, Weak};
+use std::sync::Weak;
 use std::time::Duration;
 
 use bytes::Bytes;
@@ -37,7 +36,7 @@ use crate::cloud::{CloudInner, SimCloud};
 use crate::error::PywrenError;
 use crate::future::{func_key, ResponseFuture, StatusView, StatusWatch, TaskStatus};
 use crate::partition::{read_aligned_async, Partition};
-use crate::registry::{RemoteFn, ResumableFn};
+use crate::registry::Registered;
 use crate::shuffle::{
     merge_runs, segment_key, shuffle_key, sort_run, ExchangeMode, KeyedPair, Partitioner,
     MAX_REDUCERS,
@@ -332,7 +331,8 @@ impl TaskSpec {
 
 /// The agent: runs inside every IBM-PyWren function container. Resumable:
 /// it suspends only at `.await`s, so it rides a light task up to the point,
-/// if any, where it asks for a thread ([`UserFn::call_caught`]).
+/// if any, where it asks for a thread: a function registered blocking asks
+/// inside its call, and the relay exchange before its first relay call.
 // lint: entry(hot_path)
 // lint: entry(sim_path)
 pub(crate) async fn run_agent(
@@ -403,7 +403,7 @@ pub(crate) async fn run_agent(
 /// Runs the task described by `payload`, returning its result value plus —
 /// for shuffle maps — the partition manifest to embed in the status object.
 /// Every kind's input and output I/O is resumable; what may block is the
-/// user's code, and [`UserFn::call_caught`] is where a thread is asked for.
+/// user's code, which asks for a thread itself when registered blocking.
 async fn execute_task(
     cloud: &SimCloud,
     ctx: &ActivationCtx,
@@ -428,25 +428,27 @@ async fn execute_task(
 
     let task_ctx = TaskCtx::new(ctx.clone(), cloud.clone());
     let kind = desc.req_str("kind")?;
-    let func = UserFn::lookup(cloud, &payload.func_name)
+    let func = cloud
+        .registry()
+        .lookup(&payload.func_name)
         .ok_or_else(|| format!("function `{}` not registered", payload.func_name))?;
     match kind {
         "shuffle-map" => {
             let params = ShuffleMapParams::from_desc(&desc)?;
             let inner = desc.get("inner").ok_or("missing field `inner`")?;
             let input = build_input(ctx, cos, inner).await?;
-            let output = func.call_task(&task_ctx, input).await?;
+            let output = call_task(&func, &task_ctx, input).await?;
             boxed(|| write_shuffle_output(cloud, cos, payload, &fut, &task_ctx, output, &params))
                 .await
                 .map(|(result, manifest)| (result, Some(manifest)))
         }
         "shuffle-reduce" => {
             let input = boxed(|| build_shuffle_reduce_input(cloud, ctx, cos, &desc)).await?;
-            func.call_task(&task_ctx, input).await.map(|r| (r, None))
+            call_task(&func, &task_ctx, input).await.map(|r| (r, None))
         }
         _ => {
             let input = build_input(ctx, cos, &desc).await?;
-            func.call_task(&task_ctx, input).await.map(|r| (r, None))
+            call_task(&func, &task_ctx, input).await.map(|r| (r, None))
         }
     }
 }
@@ -463,50 +465,14 @@ fn boxed<F: Future>(make: impl FnOnce() -> F) -> Pin<Box<F>> {
     Box::pin(make())
 }
 
-/// A registered function — the task's, or a combiner — as the agent calls
-/// it: resumable code is awaited where the agent is, on either vehicle;
-/// blocking code is given a thread first.
-struct UserFn {
-    call: Arc<dyn RemoteFn>,
-    resume: Option<Arc<ResumableFn>>,
-}
-
-impl UserFn {
-    fn lookup(cloud: &SimCloud, name: &str) -> Option<UserFn> {
-        let registry = cloud.registry();
-        Some(UserFn {
-            call: registry.get(name)?,
-            resume: registry.resumable(name),
-        })
-    }
-
-    /// One call, with a panic in it caught and returned.
-    async fn call_caught(
-        &self,
-        ctx: &TaskCtx,
-        input: Value,
-    ) -> Result<Result<Value, String>, Box<dyn Any + Send>> {
-        if let Some(resume) = &self.resume {
-            return task::catch_unwind(resume(ctx.clone(), input)).await;
-        }
-        task::thread().await;
-        // lint: allow(L008) — a blocking function blocks (charges time,
-        // uses the blocking COS client, runs sub-jobs), and may: the
-        // promotion on the line above has put the activation on an OS thread
-        // of its own, where `LightScope`/`IN_LIGHT_STEP` no longer apply;
-        // guarded by crates/core/tests/vehicles.rs (every kind, both
-        // registrations) and kernel.rs
-        // promoted_task_reproduces_the_all_thread_schedule
-        panic::catch_unwind(AssertUnwindSafe(|| self.call.call(ctx, input)))
-    }
-
-    /// [`call_caught`](UserFn::call_caught) for the task's own function: a
-    /// panic is the task's error.
-    async fn call_task(&self, ctx: &TaskCtx, input: Value) -> Result<Value, String> {
-        match self.call_caught(ctx, input).await {
-            Ok(result) => result,
-            Err(p) => Err(format!("function panicked: {}", panic_text(&p))),
-        }
+/// Calls the task's own function where the agent is, on either vehicle (a
+/// function registered blocking asks for its thread inside,
+/// [`FunctionRegistry::register`](crate::FunctionRegistry::register)): a
+/// panic is the task's error.
+async fn call_task(func: &Registered, ctx: &TaskCtx, input: Value) -> Result<Value, String> {
+    match task::catch_unwind((func.start)(ctx.clone(), input)).await {
+        Ok(result) => result,
+        Err(p) => Err(format!("function panicked: {}", panic_text(&p))),
     }
 }
 
@@ -635,7 +601,9 @@ async fn write_shuffle_output(
         None => None,
         Some(name) => Some((
             name.as_str(),
-            UserFn::lookup(cloud, name)
+            cloud
+                .registry()
+                .lookup(name)
                 .ok_or_else(|| format!("combiner `{name}` is not registered"))?,
         )),
     };
@@ -711,7 +679,7 @@ async fn write_shuffle_output(
 async fn combine_run(
     run: Vec<KeyedPair>,
     name: &str,
-    func: &UserFn,
+    func: &Registered,
     task_ctx: &TaskCtx,
 ) -> Result<Vec<KeyedPair>, String> {
     let mut out: Vec<KeyedPair> = Vec::new();
@@ -724,7 +692,7 @@ async fn combine_run(
         let input = Value::map()
             .with("k", key.as_str())
             .with("vs", Value::List(vs));
-        let combined = match func.call_caught(task_ctx, input).await {
+        let combined = match task::catch_unwind((func.start)(task_ctx.clone(), input)).await {
             Ok(r) => r.map_err(|e| format!("combiner `{name}` failed for key `{key}`: {e}"))?,
             Err(p) => {
                 return Err(format!(

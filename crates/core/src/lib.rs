@@ -41,8 +41,8 @@
 //! * **Data discovery & partitioning** — [`partition`] module; chunk-size or
 //!   object-granularity splits, newline-aligned range reads.
 //! * **Composability** — [`TaskCtx::executor`] gives any running function an
-//!   executor; returned future-sets are awaited transparently by
-//!   [`Executor::get_result`].
+//!   executor (a resumable one awaits [`Executor::map_async`]); returned
+//!   future-sets are awaited transparently by [`Executor::get_result`].
 //! * **Docker runtimes** — executors select a runtime image
 //!   ([`ExecutorBuilder::runtime`]); custom images are shared through the
 //!   platform's registry.

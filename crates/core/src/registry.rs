@@ -83,24 +83,34 @@ impl<F: RemoteFn> RemoteFn for SizedFn<F> {
     }
 }
 
-/// One call of a function registered as resumable code.
-pub(crate) type Resumed = Pin<Box<dyn Future<Output = Result<Value, String>> + Send>>;
+/// One call of a registered function.
+pub(crate) type Call = Pin<Box<dyn Future<Output = Result<Value, String>> + Send>>;
 
-/// A function registered as resumable code: starts one call.
-pub(crate) type ResumableFn = dyn Fn(TaskCtx, Value) -> Resumed + Send + Sync;
+/// A registered function in the one form the registry keeps: resumable
+/// code that starts one call. A blocking registration asks for its thread
+/// inside ([`FunctionRegistry::register`]).
+pub(crate) struct Registered {
+    /// Starts one call.
+    pub(crate) start: Box<dyn Fn(TaskCtx, Value) -> Call + Send + Sync>,
+    code_size: u64,
+}
 
-struct Registered {
-    /// The function as blocking code: every function has this form.
-    call: Arc<dyn RemoteFn>,
-    /// The function as resumable code, when that is how it was written
-    /// ([`FunctionRegistry::register_resumable`]); `call` then drives this.
-    resume: Option<Arc<ResumableFn>>,
+/// The blocking view of the one form: the same code, driven to completion
+/// on the caller's thread.
+impl RemoteFn for Registered {
+    fn call(&self, ctx: &TaskCtx, input: Value) -> Result<Value, String> {
+        task::block_on((self.start)(ctx.clone(), input))
+    }
+
+    fn code_size(&self) -> u64 {
+        self.code_size
+    }
 }
 
 /// A shared name → function table. Cheap to clone.
 #[derive(Clone, Default)]
 pub struct FunctionRegistry {
-    fns: Arc<RwLock<HashMap<String, Registered>>>,
+    fns: Arc<RwLock<HashMap<String, Arc<Registered>>>>,
 }
 
 impl fmt::Debug for FunctionRegistry {
@@ -122,26 +132,44 @@ impl FunctionRegistry {
     }
 
     /// Registers `f` under `name`, replacing any previous function. `f` may
-    /// block — charge time, use the COS client, run sub-jobs — so the agent
-    /// runs it on an OS thread.
+    /// block — charge time, use the COS client, run sub-jobs — so each call
+    /// asks for an OS thread before it calls `f`.
     pub fn register<F>(&self, name: &str, f: F)
     where
         F: RemoteFn + 'static,
     {
-        let call = Arc::new(f);
-        let entry = Registered { call, resume: None };
-        self.fns.write().insert(name.to_owned(), entry);
+        let code_size = f.code_size();
+        let f = Arc::new(f);
+        self.insert(name, code_size, move |ctx: TaskCtx, input: Value| {
+            let f = Arc::clone(&f);
+            async move {
+                // The thread first: `f` may block (charge time, use the
+                // blocking COS client, run sub-jobs).
+                task::thread().await;
+                f.call(&ctx, input)
+            }
+        });
     }
 
     /// Registers the *resumable* function `f` under `name`, replacing any
     /// previous function: `f(ctx, input)` is `async` code that suspends only
     /// by awaiting [`rustwren_sim::task`]'s leaves (directly, or through
-    /// other resumable code such as the COS client's `*_async`
-    /// operations), so the agent runs it without an OS thread, as a task of
-    /// any kind or as a combiner. Through
-    /// [`get`](FunctionRegistry::get)`.call(..)` the same code is driven to
-    /// completion on the caller's thread.
+    /// other resumable code such as the COS client's `*_async` operations or
+    /// [`Executor::map_async`](crate::Executor::map_async)), so the agent
+    /// runs it without an OS thread, as a task of any kind or as a combiner.
+    /// Through [`get`](FunctionRegistry::get)`.call(..)` the same code is
+    /// driven to completion on the caller's thread.
     pub fn register_resumable<F, R>(&self, name: &str, f: F)
+    where
+        F: Fn(TaskCtx, Value) -> R + Send + Sync + 'static,
+        R: Future<Output = Result<Value, String>> + Send + 'static,
+    {
+        self.insert(name, DEFAULT_CODE_SIZE, f);
+    }
+
+    /// Stores `f` under `name` as the one form, replacing any previous
+    /// function.
+    fn insert<F, R>(&self, name: &str, code_size: u64, f: F)
     where
         F: Fn(TaskCtx, Value) -> R + Send + Sync + 'static,
         R: Future<Output = Result<Value, String>> + Send + 'static,
@@ -149,29 +177,22 @@ impl FunctionRegistry {
         let f = Arc::new(f);
         // `f` itself runs inside the future, so that a panic in it is a
         // panic in a poll, which is where the agent catches them.
-        let resume = move |ctx: TaskCtx, input: Value| -> Resumed {
+        let start = Box::new(move |ctx: TaskCtx, input: Value| -> Call {
             let f = Arc::clone(&f);
             Box::pin(async move { f(ctx, input).await })
-        };
-        let resume: Arc<ResumableFn> = Arc::new(resume);
-        let driven = Arc::clone(&resume);
-        let call = move |ctx: &TaskCtx, input: Value| task::block_on(driven(ctx.clone(), input));
-        let entry = Registered {
-            call: Arc::new(call),
-            resume: Some(resume),
-        };
+        });
+        let entry = Arc::new(Registered { start, code_size });
         self.fns.write().insert(name.to_owned(), entry);
     }
 
     /// Looks a function up by name.
     pub fn get(&self, name: &str) -> Option<Arc<dyn RemoteFn>> {
-        self.fns.read().get(name).map(|f| Arc::clone(&f.call))
+        self.lookup(name).map(|f| f as Arc<dyn RemoteFn>)
     }
 
-    /// The function under `name` as resumable code, if it was registered
-    /// as such.
-    pub(crate) fn resumable(&self, name: &str) -> Option<Arc<ResumableFn>> {
-        self.fns.read().get(name)?.resume.clone()
+    /// The function under `name`, in the form the agent awaits.
+    pub(crate) fn lookup(&self, name: &str) -> Option<Arc<Registered>> {
+        self.fns.read().get(name).cloned()
     }
 
     /// Whether `name` is registered.

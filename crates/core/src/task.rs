@@ -83,7 +83,8 @@ impl TaskCtx {
     }
 
     /// An in-cloud executor with default settings (the two-line composition
-    /// hook from the paper's `foo()` example).
+    /// hook from the paper's `foo()` example): a resumable function awaits
+    /// its [`map_async`](crate::Executor::map_async) (see the example there).
     ///
     /// # Errors
     ///

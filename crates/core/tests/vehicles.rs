@@ -2,8 +2,8 @@
 //! a user function.
 //!
 //! Every scenario runs the same jobs twice on fresh clouds under FIFO —
-//! once with the user functions registered blocking (`register_fn`: the
-//! agent asks for an OS thread before it calls them), once resumable
+//! once with the user functions registered blocking (`register_fn`: each
+//! call asks for an OS thread before the function runs), once resumable
 //! (`register_resumable_fn`: a task of any kind — map, partition, reduce,
 //! shuffle map with its combiner, shuffle reduce — never leaves its light
 //! task; only the relay exchange, blocking code on its way out, still takes
@@ -19,8 +19,9 @@ use std::time::Duration;
 use bytes::Bytes;
 use rustwren_core::{
     CorruptMode, CosOpStats, DataSource, ExchangeMode, Executor, FaultPlan, FaultRecord,
-    MapReduceOpts, PathScope, RecoveryStats, RetryPolicy, ShuffleOpts, SimCloud, SpawnStrategy,
-    TaskCtx, TimeWindow, Value, PHASE_AFTER_COMPUTE, PHASE_AFTER_PUT, PHASE_BEFORE_RUN,
+    GetResultOpts, MapReduceOpts, PathScope, RecoveryStats, RetryPolicy, ShuffleOpts, SimCloud,
+    SpawnStrategy, TaskCtx, TimeWindow, Value, PHASE_AFTER_COMPUTE, PHASE_AFTER_PUT,
+    PHASE_BEFORE_RUN,
 };
 use rustwren_faas::{
     ActivationRecord, BillingReport, Outcome, Phase, PlatformConfig, PlatformStats,
@@ -572,6 +573,117 @@ fn a_sequence_of_resumable_stages_starts_no_thread() {
     });
     assert_eq!(results, vec![Value::Int(-20)]);
     assert_eq!(cloud.kernel().now().as_nanos(), 6_334_559_819);
+    let stats = cloud.kernel().stats();
+    assert_eq!(stats.os_threads_spawned, 0, "{stats:?}");
+}
+
+/// A node of a composed tree: `{"x", "depth"}`; its two children are
+/// `2x+1` and `2x+2`, one level down.
+fn tree_node(v: &Value) -> Result<(i64, i64, [Value; 2]), String> {
+    let (x, depth) = (v.req_i64("x")?, v.req_i64("depth")?);
+    let child = |x: i64| Value::map().with("x", x).with("depth", depth - 1);
+    Ok((x, depth, [child(2 * x + 1), child(2 * x + 2)]))
+}
+
+/// Composition under both registrations: a depth-2 tree (seven
+/// activations) whose inner nodes map their two children and gather them —
+/// blocking on `map`/`resolve`, or resumable on `map_async`/`resolve_async`.
+/// Both give the same results, activation records, final clock and kernel
+/// counters but the vehicle's own; only the blocking nodes take threads.
+#[test]
+fn a_composed_tree_runs_the_same_under_either_registration() {
+    const TICK: Duration = Duration::from_millis(100);
+    let run = |resumable: bool| {
+        let cloud = SimCloud::builder()
+            .seed(3)
+            .client_network(NetworkProfile::lan())
+            .build();
+        if resumable {
+            cloud.register_resumable_fn("tree", |ctx: TaskCtx, v: Value| async move {
+                let (x, depth, children) = tree_node(&v)?;
+                let mut sum = x;
+                if depth > 0 {
+                    let exec = ctx.executor().map_err(|e| e.to_string())?;
+                    let futures = exec
+                        .map_async("tree", children)
+                        .await
+                        .map_err(|e| e.to_string())?;
+                    let results = exec
+                        .resolve_async(&futures, &GetResultOpts::default())
+                        .await
+                        .map_err(|e| e.to_string())?;
+                    sum = results.iter().filter_map(Value::as_i64).sum();
+                }
+                task::sleep(ctx.activation().scaled(TICK)).await;
+                Ok(Value::Int(sum))
+            });
+        } else {
+            cloud.register_fn("tree", |ctx: &TaskCtx, v: Value| {
+                let (x, depth, children) = tree_node(&v)?;
+                let mut sum = x;
+                if depth > 0 {
+                    let exec = ctx.executor().map_err(|e| e.to_string())?;
+                    let futures = exec.map("tree", children).map_err(|e| e.to_string())?;
+                    let results = exec
+                        .resolve(&futures, &GetResultOpts::default())
+                        .map_err(|e| e.to_string())?;
+                    sum = results.iter().filter_map(Value::as_i64).sum();
+                }
+                ctx.charge(TICK);
+                Ok(Value::Int(sum))
+            });
+        }
+        let results = cloud.run(|| {
+            let exec = cloud.executor().build().expect("executor");
+            let root = Value::map().with("x", 1i64).with("depth", 2i64);
+            exec.call_async("tree", root).expect("submits");
+            let results = exec.get_result().expect("finishes");
+            // The root's activation runs out.
+            rustwren_sim::sleep(Duration::from_secs(60));
+            results
+        });
+        assert_eq!(cloud.functions().inflight(), 0, "every activation finished");
+        let stats = cloud.kernel().stats();
+        let vehicle = KernelStats {
+            light_polls: 0,
+            os_threads_spawned: 0,
+            ..stats
+        };
+        let seen = (
+            results,
+            cloud.functions().records(),
+            cloud.kernel().now(),
+            vehicle,
+        );
+        (seen, stats.os_threads_spawned)
+    };
+    let (blocking, blocking_threads) = run(false);
+    let (resumable, resumable_threads) = run(true);
+    assert_eq!(blocking, resumable, "blocking vs resumable composition");
+    assert_eq!(resumable.0, vec![Value::Int(7 + 8 + 9 + 10)]);
+    assert_eq!(resumable.1.len(), 7);
+    assert_eq!((blocking_threads, resumable_threads), (7, 0));
+}
+
+/// `mergesort_compose` in small: the workload's tree of depth 2 starts no
+/// OS thread.
+#[test]
+fn mergesort_composes_without_a_thread() {
+    use rustwren_workloads::mergesort;
+    let cloud = SimCloud::builder()
+        .seed(3)
+        .client_network(NetworkProfile::lan())
+        .build();
+    mergesort::register(&cloud);
+    let results = cloud.run(|| {
+        let exec = cloud.executor().build().expect("executor");
+        exec.call_async(mergesort::MERGESORT_FN, mergesort::input(1, 1_000, 2))
+            .expect("submits");
+        exec.get_result().expect("finishes")
+    });
+    let sorted = mergesort::decode_i64s(results[0].as_bytes().expect("bytes"));
+    assert_eq!(sorted.len(), 1_000);
+    assert_eq!(cloud.functions().records().len(), 7);
     let stats = cloud.kernel().stats();
     assert_eq!(stats.os_threads_spawned, 0, "{stats:?}");
 }

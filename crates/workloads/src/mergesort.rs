@@ -18,6 +18,7 @@ use std::time::Duration;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rustwren_core::{GetResultOpts, SimCloud, TaskCtx, Value};
+use rustwren_sim::task;
 
 /// Name of the registered recursive sort function.
 pub const MERGESORT_FN: &str = "mergesort";
@@ -38,26 +39,36 @@ pub fn input(seed: u64, n: u64, depth: u32) -> Value {
         .with("depth", i64::from(depth))
 }
 
-/// Registers the mergesort function on `cloud`.
+/// Registers the mergesort function on `cloud`. It charges time and
+/// composes by awaiting, so it is resumable: a tree of any depth runs
+/// without an OS thread.
 pub fn register(cloud: &SimCloud) {
-    cloud.register_fn(MERGESORT_FN, |ctx: &TaskCtx, v: Value| {
+    cloud.register_resumable_fn(MERGESORT_FN, |ctx: TaskCtx, v: Value| async move {
         let seed = v.req_i64("seed")? as u64;
-        let n = v.req_i64("n")? as u64;
-        let depth = v.req_i64("depth")? as u32;
-        let sorted = sort_node(ctx, seed, n, depth)?;
+        let n = field(&v, "n")?;
+        let depth = field(&v, "depth")?;
+        let sorted = sort_node(&ctx, seed, n, depth).await?;
         Ok(Value::bytes(encode_i64s(&sorted)))
     });
 }
 
-fn sort_node(ctx: &TaskCtx, seed: u64, n: u64, depth: u32) -> Result<Vec<i64>, String> {
+/// The integer field `name` of `v`, in `T`'s range.
+fn field<T: TryFrom<i64>>(v: &Value, name: &str) -> Result<T, String> {
+    let x = v.req_i64(name)?;
+    T::try_from(x).map_err(|_| format!("field `{name}` is out of range: {x}"))
+}
+
+async fn sort_node(ctx: &TaskCtx, seed: u64, n: u64, depth: u32) -> Result<Vec<i64>, String> {
     if depth == 0 || n < 2 {
         // Leaf: generate the segment and sort it locally.
         let data = generate(seed, n as usize);
-        ctx.charge(Duration::from_secs_f64(n as f64 / GEN_RATE));
+        let generating = Duration::from_secs_f64(n as f64 / GEN_RATE);
+        task::sleep(ctx.activation().scaled(generating)).await;
         let mut data = data;
         data.sort_unstable();
         let comparisons = n as f64 * (n.max(2) as f64).log2();
-        ctx.charge(Duration::from_secs_f64(comparisons / SORT_CMP_RATE));
+        let sorting = Duration::from_secs_f64(comparisons / SORT_CMP_RATE);
+        task::sleep(ctx.activation().scaled(sorting)).await;
         return Ok(data);
     }
     // Internal node: nested parallelism — two child invocations.
@@ -65,16 +76,18 @@ fn sort_node(ctx: &TaskCtx, seed: u64, n: u64, depth: u32) -> Result<Vec<i64>, S
     let right_n = n - left_n;
     let exec = ctx.executor().map_err(|e| e.to_string())?;
     let futures = exec
-        .map(
+        .map_async(
             MERGESORT_FN,
             [
                 input(seed.wrapping_mul(2).wrapping_add(1), left_n, depth - 1),
                 input(seed.wrapping_mul(2).wrapping_add(2), right_n, depth - 1),
             ],
         )
+        .await
         .map_err(|e| e.to_string())?;
     let results = exec
-        .resolve(&futures, &GetResultOpts::default())
+        .resolve_async(&futures, &GetResultOpts::default())
+        .await
         .map_err(|e| e.to_string())?;
     let left = decode_i64s(
         results[0]
@@ -86,7 +99,8 @@ fn sort_node(ctx: &TaskCtx, seed: u64, n: u64, depth: u32) -> Result<Vec<i64>, S
             .as_bytes()
             .ok_or("right child returned non-bytes")?,
     );
-    ctx.charge(Duration::from_secs_f64(n as f64 / MERGE_RATE));
+    let merging = Duration::from_secs_f64(n as f64 / MERGE_RATE);
+    task::sleep(ctx.activation().scaled(merging)).await;
     Ok(merge(left, right))
 }
 
@@ -161,31 +175,65 @@ mod tests {
         assert_ne!(generate(9, 100), generate(10, 100));
     }
 
+    /// What a tree of `depth` sorts: children get seeds `2s+1` and `2s+2`
+    /// and split `n` as `n/2` and `n - n/2`; the leaves' `generate` outputs,
+    /// concatenated and sorted.
+    fn reference(seed: u64, n: u64, depth: u32) -> Vec<i64> {
+        fn leaves(seed: u64, n: u64, depth: u32, out: &mut Vec<i64>) {
+            if depth == 0 || n < 2 {
+                out.extend(generate(seed, n as usize));
+                return;
+            }
+            leaves(2 * seed + 1, n / 2, depth - 1, out);
+            leaves(2 * seed + 2, n - n / 2, depth - 1, out);
+        }
+        let mut out = Vec::new();
+        leaves(seed, n, depth, &mut out);
+        out.sort_unstable();
+        out
+    }
+
+    fn lan_cloud() -> SimCloud {
+        let cloud = SimCloud::builder()
+            .seed(3)
+            .client_network(rustwren_sim::NetworkProfile::lan())
+            .build();
+        register(&cloud);
+        cloud
+    }
+
     #[test]
     fn end_to_end_sorts_at_every_depth() {
         for depth in 0..=2u32 {
-            let cloud = SimCloud::builder()
-                .seed(3)
-                .client_network(rustwren_sim::NetworkProfile::lan())
-                .build();
-            register(&cloud);
-            let cloud2 = cloud.clone();
-            let result = cloud.run(move || {
-                let exec = cloud2.executor().build().unwrap();
+            let cloud = lan_cloud();
+            let result = cloud.run(|| {
+                let exec = cloud.executor().build().unwrap();
                 exec.call_async(MERGESORT_FN, input(1, 500, depth)).unwrap();
                 exec.get_result().unwrap()
             });
             let sorted = decode_i64s(result[0].as_bytes().expect("bytes result"));
-            assert_eq!(sorted.len(), 500, "depth {depth}");
-            assert!(sorted.windows(2).all(|w| w[0] <= w[1]), "depth {depth}");
-            // Same multiset as the leaves generate in total.
-            let mut expected: Vec<i64> = if depth == 0 {
-                generate(1, 500)
-            } else {
-                sorted.clone() // deeper trees reshuffle seeds; just check order
-            };
-            expected.sort_unstable();
-            assert_eq!(sorted, expected);
+            assert_eq!(sorted, reference(1, 500, depth), "depth {depth}");
+        }
+    }
+
+    /// A negative size or depth is the task's error, naming the field,
+    /// before any child activation starts.
+    #[test]
+    fn negative_fields_are_task_errors() {
+        for (n, depth, field) in [(-1, 0, "n"), (-1, 2, "n"), (500, -1, "depth")] {
+            let cloud = lan_cloud();
+            let bad = Value::map()
+                .with("seed", 1i64)
+                .with("n", n)
+                .with("depth", depth);
+            let err = cloud.run(|| {
+                let exec = cloud.executor().build().unwrap();
+                exec.call_async(MERGESORT_FN, bad).unwrap();
+                exec.get_result().unwrap_err()
+            });
+            let err = err.to_string();
+            assert!(err.contains(&format!("field `{field}`")), "{err}");
+            assert_eq!(cloud.functions().records().len(), 1, "n {n}, depth {depth}");
         }
     }
 }
