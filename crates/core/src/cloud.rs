@@ -11,6 +11,7 @@ use rustwren_sim::{Kernel, NetworkProfile};
 use rustwren_store::{ObjectStore, RelayTier};
 
 use crate::executor::ExecutorBuilder;
+use crate::future::StatusMemo;
 use crate::registry::{FunctionRegistry, RemoteFn};
 
 pub(crate) struct CloudInner {
@@ -22,6 +23,8 @@ pub(crate) struct CloudInner {
     pub(crate) relay: RelayTier,
     pub(crate) exec_seq: AtomicU64,
     pub(crate) seed: u64,
+    /// What shuffle reducers have read of map statuses.
+    pub(crate) statuses: StatusMemo,
 }
 
 /// A complete simulated IBM Cloud plus the client's network position.
@@ -257,6 +260,7 @@ impl SimCloudBuilder {
             relay: RelayTier::new(rustwren_sim::hash::hash2(self.seed, 0x5E1A)),
             exec_seq: AtomicU64::new(1),
             seed: self.seed,
+            statuses: StatusMemo::default(),
         });
         let cloud = SimCloud { inner };
         crate::invoker::deploy_invoker(&cloud);

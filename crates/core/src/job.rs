@@ -34,7 +34,7 @@ use rustwren_store::CosClient;
 
 use crate::cloud::{CloudInner, SimCloud};
 use crate::error::PywrenError;
-use crate::future::{func_key, ResponseFuture, StatusView, StatusWatch, TaskStatus};
+use crate::future::{func_key, ResponseFuture, StatusMemo, StatusView, StatusWatch, TaskStatus};
 use crate::partition::{read_aligned_async, Partition};
 use crate::registry::Registered;
 use crate::shuffle::{
@@ -817,7 +817,7 @@ impl Run {
     /// [`within`](Run::within) a slice no walk has checked yet, first
     /// checked end to end with the error decoding it would give.
     fn parse(bytes: Bytes) -> Result<Run, String> {
-        ValueRef::parse_entries(&bytes, &[], |_, _| {})
+        ValueRef::parse_entries(&bytes, |_, _| {})
             .map_err(|e| format!("decoding shuffle data: {e}"))?;
         Run::within(bytes, 0)
     }
@@ -894,7 +894,7 @@ async fn fetch_shuffle_run(
                 Run::parse(raw)
             }
             Err(_) => {
-                dep_status(cos, d, None).await?;
+                dep_status(cos, d, Some(&cloud.inner.statuses)).await?;
                 Err(format!(
                     "shuffle data of map task {} lost from the relay tier",
                     d.label()
@@ -903,10 +903,10 @@ async fn fetch_shuffle_run(
         };
     }
 
-    // The status was checked end to end when it was read, in the one walk
-    // that also found this reducer's entry of its manifest — every
-    // reducer's inline slice — and an inline run stays in its bytes.
-    let status = dep_status(cos, d, Some(index)).await?;
+    // The status was checked end to end by the first of the reducers to
+    // read these bytes, which also found every reducer's entry of its
+    // manifest, and an inline run stays in its bytes.
+    let status = dep_status(cos, d, Some(&cloud.inner.statuses)).await?;
     let manifest = status.shuf().ok_or_else(|| {
         format!(
             "status of map task {} carries no shuffle manifest",
@@ -915,27 +915,17 @@ async fn fetch_shuffle_run(
     })?;
     let kind = manifest.get("k").and_then(|k| k.as_str());
     match kind.ok_or("missing or non-string field `k`")? {
-        "seg" => {
-            let entry = status
-                .shuf_part()
-                .ok_or_else(|| format!("manifest has no entry for partition {index}"))?;
-            if entry.is_null() {
-                return Ok(Run::default());
+        "seg" => match seg_part(status.shuf_part(index), index)? {
+            SegPart::Elided => Ok(Run::default()),
+            SegPart::Inline(at) => Run::within(status.bytes().clone(), at),
+            SegPart::Span(off, len) => {
+                let key = segment_key(&prefix);
+                let raw = get_slice_verified(cos, d.bucket(), &key, off, len)
+                    .await
+                    .map_err(|e| format!("map task {}: {e}", d.label()))?;
+                Run::parse(raw)
             }
-            if let Some(inline) = entry.get("d") {
-                return Run::within(status.bytes().clone(), inline.offset());
-            }
-            let span = |k: &str| {
-                let n = entry.get(k).and_then(|n| n.as_i64());
-                let n = n.ok_or_else(|| format!("missing or non-int field `{k}`"))?;
-                u64::try_from(n).map_err(|_| format!("field `{k}` is out of range: {n}"))
-            };
-            let (off, len) = (span("o")?, span("l")?);
-            let raw = get_slice_verified(cos, d.bucket(), &segment_key(&prefix), off, len)
-                .await
-                .map_err(|e| format!("map task {}: {e}", d.label()))?;
-            Run::parse(raw)
-        }
+        },
         "relay" => Err(format!(
             "map task {} exchanged its partitions via the relay tier, but this reducer \
              was told to use COS",
@@ -943,6 +933,35 @@ async fn fetch_shuffle_run(
         )),
         other => Err(format!("unknown shuffle manifest kind `{other}`")),
     }
+}
+
+/// Where a `seg` manifest's entry says a reducer's run is: nowhere (the
+/// partition was empty), inline in the status at an offset, or in the
+/// segment object at an offset and length.
+#[derive(Debug)]
+enum SegPart {
+    Elided,
+    Inline(usize),
+    Span(u64, u64),
+}
+
+/// Reads reducer `index`'s entry of a `seg` manifest (`None`: there is no
+/// such entry): `null`, a map with the inline list under `d`, or a map with
+/// the span's `o` and `l`.
+fn seg_part(entry: Option<ValueRef<'_>>, index: usize) -> Result<SegPart, String> {
+    let entry = entry.ok_or_else(|| format!("manifest has no entry for partition {index}"))?;
+    if entry.is_null() {
+        return Ok(SegPart::Elided);
+    }
+    if let Some(inline) = entry.get("d") {
+        return Ok(SegPart::Inline(inline.offset()));
+    }
+    let span = |k: &str| {
+        let n = entry.get(k).and_then(|n| n.as_i64());
+        let n = n.ok_or_else(|| format!("missing or non-int field `{k}`"))?;
+        u64::try_from(n).map_err(|_| format!("field `{k}` is out of range: {n}"))
+    };
+    Ok(SegPart::Span(span("o")?, span("l")?))
 }
 
 /// Range-reads one stamped slice out of a shuffle segment object and
@@ -971,17 +990,21 @@ async fn get_slice_verified(
     Ok(slice)
 }
 
-/// Reads the status object of finished map task `d`, noting where shuffle
-/// partition `part`'s manifest entry is if one is named; a status that did
-/// not finish `done` is an error carrying its message.
+/// Reads the status object of finished map task `d`, through `memo` if
+/// given; a status that did not finish `done` is an error carrying its
+/// message.
 async fn dep_status(
     cos: &CosClient,
     d: &ResponseFuture,
-    part: Option<usize>,
+    memo: Option<&StatusMemo>,
 ) -> Result<StatusView, String> {
-    let status = get_verified_async(cos, d.bucket(), &d.status_key())
-        .await
-        .and_then(|raw| TaskStatus::decode_for(raw, d, part))
+    let key = d.status_key();
+    let read = get_verified_async(cos, d.bucket(), &key).await;
+    let status = read
+        .and_then(|raw| match memo {
+            Some(memo) => memo.decode(key, raw, d),
+            None => TaskStatus::decode(raw, d),
+        })
         .map_err(|e| format!("fetching dep status: {e}"))?;
     match status.error() {
         Some(msg) => Err(format!("map task {} failed: {msg}", d.label())),
@@ -1555,10 +1578,139 @@ mod tests {
         })
     }
 
+    /// What the decoded entry says, as [`seg_part`] must read it: which
+    /// kind of slice, and the inline value under `d` or the span.
+    fn reference_seg_part(entry: Option<&Value>, index: usize) -> Result<(&str, Value), String> {
+        let entry = entry.ok_or_else(|| format!("manifest has no entry for partition {index}"))?;
+        if entry.is_null() {
+            return Ok(("elided", Value::Null));
+        }
+        if let Some(inline) = entry.get("d") {
+            return Ok(("inline", inline.clone()));
+        }
+        let span = |k: &str| {
+            let n = entry.get(k).and_then(Value::as_i64);
+            let n = n.ok_or_else(|| format!("missing or non-int field `{k}`"))?;
+            u64::try_from(n).map_err(|_| format!("field `{k}` is out of range: {n}"))
+        };
+        Ok(("span", span_value(span("o")?, span("l")?)))
+    }
+
+    /// A span as the reference reports one; each half came from an `i64`.
+    fn span_value(o: u64, l: u64) -> Value {
+        Value::from(vec![Value::Int(o as i64), Value::Int(l as i64)])
+    }
+
+    /// [`seg_part`] on `bytes` as reducer `index`'s entry: never a panic,
+    /// whether or not the bytes are a value; and, on bytes a walk accepts,
+    /// the reference's slice or its error.
+    fn check_seg_part(bytes: &[u8], index: usize) -> Result<(), String> {
+        let got = seg_part(Some(ValueRef::at_offset(bytes, 0)), index);
+        let Ok(decoded) = Value::decode(bytes) else {
+            return Ok(());
+        };
+        ValueRef::parse_entries(bytes, |_, _| {}).map_err(|e| format!("walk: {e}"))?;
+        let got = got.and_then(|part| match part {
+            SegPart::Elided => Ok(("elided", Value::Null)),
+            SegPart::Inline(at) => match ValueRef::at_offset(bytes, at).to_value() {
+                Ok(inline) => Ok(("inline", inline)),
+                Err(e) => Err(e.to_string()),
+            },
+            SegPart::Span(o, l) => Ok(("span", span_value(o, l))),
+        });
+        let want = reference_seg_part(Some(&decoded), index);
+        if got != want {
+            return Err(format!("{decoded:?}: read {got:?}, reference {want:?}"));
+        }
+        Ok(())
+    }
+
+    /// A manifest entry as a map writes one (`null`, an inline list, a
+    /// span), as one may arrive mangled (fields missing, repeated or
+    /// mistyped, a span out of range), or any value.
+    fn seg_entry() -> impl Strategy<Value = Vec<u8>> {
+        let field = prop_oneof![
+            any::<i64>().prop_map(Value::Int),
+            (0i64..1 << 20).prop_map(Value::Int),
+            corpus::value(),
+        ];
+        let key = prop::sample::select(vec!["d", "o", "l", "o", "l", "x"]);
+        let entries = prop::collection::vec((key.prop_map(str::to_owned), field), 0..5);
+        prop_oneof![
+            Just(Value::Null.encode().to_vec()),
+            corpus::value().prop_map(|d| Value::map().with("d", d).encode().to_vec()),
+            (0i64..1 << 20, 0i64..1 << 20).prop_map(|(o, l)| Value::map()
+                .with("o", o)
+                .with("l", l)
+                .encode()
+                .to_vec()),
+            entries.prop_map(|entries| corpus::encode_entries(&entries)),
+            corpus::value().prop_map(|v| v.encode().to_vec()),
+        ]
+    }
+
+    #[test]
+    fn seg_part_without_an_entry_is_a_typed_error() {
+        let err = seg_part(None, 3).expect_err("no entry");
+        assert_eq!(err, "manifest has no entry for partition 3");
+    }
+
+    /// A CloudSort-shaped job, M maps by R reducers: every reducer GETs and
+    /// verifies every map's status, and each status is walked once.
+    #[test]
+    fn each_map_status_is_walked_once_per_cloud() {
+        let (maps, reducers) = (6, 5);
+        let cloud = SimCloud::builder().seed(11).build();
+        cloud.register_fn("spread", |_ctx: &crate::TaskCtx, v: Value| {
+            let n = v.as_i64().ok_or("int")?;
+            let pair = |k: i64| Value::map().with("k", format!("k{k}")).with("v", n);
+            Ok(Value::List((0..16).map(pair).collect()))
+        });
+        cloud.register_fn("count", |_ctx: &crate::TaskCtx, v: Value| {
+            let groups = v.get("groups").and_then(Value::as_map).ok_or("no groups")?;
+            Ok(Value::from(groups.len()))
+        });
+        let counts = cloud.run(|| {
+            let exec = cloud.executor().build()?;
+            let source = crate::DataSource::Values((0..maps).map(Value::from).collect());
+            let opts = crate::ShuffleOpts {
+                reducers,
+                ..crate::ShuffleOpts::default()
+            };
+            exec.map_shuffle_reduce("spread", source, "count", opts)?;
+            exec.get_result()
+        });
+        let keys: i64 = counts
+            .expect("the job")
+            .iter()
+            .filter_map(Value::as_i64)
+            .sum();
+        assert_eq!(keys, 16, "every key reduced once");
+        let (walked, reused) = cloud.inner.statuses.counts();
+        assert_eq!(walked, maps as u64, "one walk per map status");
+        assert_eq!(
+            walked + reused,
+            (maps * reducers) as u64,
+            "one read per map and reducer"
+        );
+    }
+
+    use crate::wire::corpus;
     use proptest::prelude::*;
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn seg_part_reads_any_entry_as_the_decoded_reference(
+            entry in seg_entry(),
+            index in 0usize..4,
+            damage in corpus::damage(),
+        ) {
+            for bytes in corpus::damaged(&entry, damage) {
+                check_seg_part(&bytes, index).map_err(TestCaseError::fail)?;
+            }
+        }
 
         #[test]
         fn reducer_input_from_views_is_the_decoded_reference(

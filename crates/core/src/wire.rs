@@ -547,14 +547,6 @@ impl FromIterator<Value> for Value {
     }
 }
 
-/// One step of a path into a value: into a map by key (the last entry under
-/// it, as [`ValueRef::get`] resolves a repeat), or into a list by position.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Step<'p> {
-    Key(&'p str),
-    Index(usize),
-}
-
 /// A borrowed view of one encoded value: a position in a buffer that
 /// [`ValueRef::parse_entries`] has validated end to end. Reading through a
 /// view allocates nothing, and [`to_value`](ValueRef::to_value) builds the
@@ -578,10 +570,7 @@ impl<'a> ValueRef<'a> {
     /// hands each entry of a top-level map to `entry` as the validating walk
     /// passes it, in encoded order: a reader after a few fields of a large
     /// value finds them in the pass that checks it, not in a walk per field.
-    /// The same pass follows `path` down from the top and returns the view of
-    /// what it leads to — what `get`/`at` along it would find, repeated keys
-    /// included — so a reader after one item deep inside does not walk to
-    /// it again either. What `entry` saw counts only if the parse succeeds.
+    /// What `entry` saw counts only if the parse succeeds.
     ///
     /// # Errors
     ///
@@ -589,16 +578,21 @@ impl<'a> ValueRef<'a> {
     /// the same inputs and reject the rest with the same [`WireError`].
     pub(crate) fn parse_entries(
         buf: &'a [u8],
-        path: &[Step<'_>],
         mut entry: impl FnMut(&'a str, ValueRef<'a>),
-    ) -> Result<Option<ValueRef<'a>>, WireError> {
+    ) -> Result<(), WireError> {
         let mut cursor = Cursor { data: buf, pos: 0 };
-        let mut found = None;
-        cursor.walk(0, path, &mut found, |key, pos| {
-            entry(key, ValueRef { buf, pos })
-        })?;
+        if let Node::Map(count) = cursor.read_node()? {
+            for _ in 0..count {
+                let (key, pos) = (cursor.read_str()?, cursor.pos);
+                cursor.skip(1)?;
+                entry(key, ValueRef { buf, pos });
+            }
+        } else {
+            cursor.pos = 0;
+            cursor.skip(0)?;
+        }
         match buf.len() - cursor.pos {
-            0 => Ok(found.map(|pos| ValueRef { buf, pos })),
+            0 => Ok(()),
             trailing => Err(WireError::TrailingBytes(trailing)),
         }
     }
@@ -799,67 +793,7 @@ impl<'a> Cursor<'a> {
     }
 
     /// The validating walk: passes over one value, checking every node
-    /// under it exactly once and building nothing. If the value is a map,
-    /// each of *its* entries is reported to `entry` — the key, and where the
-    /// entry's value starts — once the walk has passed it. Where the value
-    /// `path` leads to from this one starts is left in `found`.
-    fn walk(
-        &mut self,
-        depth: usize,
-        path: &[Step<'_>],
-        found: &mut Option<usize>,
-        mut entry: impl FnMut(&'a str, usize),
-    ) -> Result<(), WireError> {
-        if depth > MAX_DEPTH {
-            return Err(WireError::TooDeep);
-        }
-        let (step, rest) = match path.split_first() {
-            Some((step, rest)) => (Some(*step), rest),
-            None => (None, path),
-        };
-        match self.read_node()? {
-            Node::List(count) => {
-                for i in 0..count {
-                    match step {
-                        Some(Step::Index(want)) if want == i => self.follow(depth + 1, rest, found),
-                        _ => self.skip(depth + 1),
-                    }?;
-                }
-            }
-            Node::Map(count) => {
-                for _ in 0..count {
-                    let (key, value_at) = (self.read_str()?, self.pos);
-                    match step {
-                        Some(Step::Key(want)) if want == key => self.follow(depth + 1, rest, found),
-                        _ => self.skip(depth + 1),
-                    }?;
-                    entry(key, value_at);
-                }
-            }
-            Node::Str(bytes) => check_text(bytes)?,
-            _ => {}
-        }
-        Ok(())
-    }
-
-    /// Walks a child the path's next step leads into: it is what was looked
-    /// for if the path ends here, else the walk descends with what is left
-    /// of the path. A child entered by the same step again — a repeated key
-    /// — overrides what the earlier one led to, found or not: the last entry
-    /// wins.
-    fn follow(
-        &mut self,
-        depth: usize,
-        rest: &[Step<'_>],
-        found: &mut Option<usize>,
-    ) -> Result<(), WireError> {
-        *found = rest.is_empty().then_some(self.pos);
-        self.walk(depth, rest, found, |_, _| {})
-    }
-
-    /// [`walk`](Cursor::walk) for a value nobody looks into — nearly all
-    /// of a large one: the same reads and checks in the same order, with
-    /// nothing to report and so no string to produce.
+    /// under it exactly once, in order, and building nothing.
     fn skip(&mut self, depth: usize) -> Result<(), WireError> {
         if depth > MAX_DEPTH {
             return Err(WireError::TooDeep);
@@ -882,7 +816,7 @@ impl<'a> Cursor<'a> {
         Ok(())
     }
 
-    /// [`walk`](Cursor::walk)'s reads and checks in the same order,
+    /// [`skip`](Cursor::skip)'s reads and checks in the same order,
     /// building the [`Value`] as it goes.
     fn read_value(&mut self, depth: usize) -> Result<Value, WireError> {
         if depth > MAX_DEPTH {
@@ -927,8 +861,8 @@ pub(crate) mod corpus {
 
     impl<'a> ValueRef<'a> {
         /// The item at `index` of a list value. No reader walks to an item:
-        /// a [`Step::Index`] finds it during validation, and this is the
-        /// reference that is checked against.
+        /// a status's reader records every manifest entry's offset once, and
+        /// this is the reference that is checked against.
         pub(crate) fn at(&self, index: usize) -> Option<ValueRef<'a>> {
             self.items()?.nth(index)
         }
@@ -1312,7 +1246,7 @@ mod tests {
             .with("none", Value::Null)
             .with("list", Value::from(vec![Value::Int(1), Value::from("two")]));
         let encoded = v.encode();
-        ValueRef::parse_entries(&encoded, &[], |_, _| {}).expect("well-formed");
+        ValueRef::parse_entries(&encoded, |_, _| {}).expect("well-formed");
         let view = ValueRef::at_offset(&encoded, 0);
         assert_eq!(view.offset(), 0);
         assert_eq!(view.get("s").and_then(|s| s.as_str()), Some("x"));
@@ -1347,7 +1281,7 @@ mod tests {
     /// reads what the same path into the decoded value does.
     fn check_agreement(bytes: &[u8]) -> Result<(), String> {
         let mut entries = BTreeMap::new();
-        let parsed = ValueRef::parse_entries(bytes, &[], |k, v| {
+        let parsed = ValueRef::parse_entries(bytes, |k, v| {
             entries.insert(k.to_owned(), v.to_value());
         })
         .map(|_| ValueRef::at_offset(bytes, 0));
