@@ -122,54 +122,9 @@ pub const STAMP_MAGIC: u8 = 0xC5;
 /// Bytes of stamp overhead: the magic plus a little-endian u64 checksum.
 pub const STAMP_LEN: usize = 9;
 
-/// Content checksum used by [`stamp`]/[`verify_stamped`]. The payload is
-/// taken 32 bytes at a time (the last block zero-padded), each block as four
-/// little-endian words onto four independent lanes, each lane an FNV-style
-/// xor-multiply-rotate fold; lanes and length then fold through an avalanche
-/// mix. Every step is a bijection of the state it updates and injective in
-/// the word it absorbs, so two payloads of one length that differ inside one
-/// word — any single flipped byte — never share a digest, and a truncation
-/// changes the length and so, with overwhelming probability, the digest.
-/// Not cryptographic (it detects corruption, not tampering) and not a stable
-/// format: only [`verify_stamped`] of the same build reads a digest back.
-pub fn checksum64(data: &[u8]) -> u64 {
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    // The rotation brings a word's top bits, which a multiply can only push
-    // off the end, back under the next multiply.
-    let step = |h: u64, word: [u8; 8]| {
-        (h ^ u64::from_le_bytes(word))
-            .wrapping_mul(PRIME)
-            .rotate_left(29)
-    };
-    // Four chains keep the multiplier busy where one would wait out its
-    // latency word by word. Distinct seeds (the FNV offset basis first), so
-    // that words swapped between lanes do not swap back in the final fold.
-    let mut lanes: [u64; 4] = [
-        0xcbf2_9ce4_8422_2325,
-        0x9e37_79b9_7f4a_7c15,
-        0xbf58_476d_1ce4_e5b9,
-        0x94d0_49bb_1331_11eb,
-    ];
-    let mut absorb = |block: &[u8; 32]| {
-        for (lane, word) in lanes.iter_mut().zip(block.as_chunks::<8>().0) {
-            *lane = step(*lane, *word);
-        }
-    };
-    let (blocks, tail) = data.as_chunks::<32>();
-    blocks.iter().for_each(&mut absorb);
-    if !tail.is_empty() {
-        // The length in the final fold tells padding from payload zeros.
-        let mut last = [0u8; 32];
-        for (padded, byte) in last.iter_mut().zip(tail) {
-            *padded = *byte;
-        }
-        absorb(&last);
-    }
-    let folded = lanes
-        .into_iter()
-        .fold(0, |h, lane| step(h, lane.to_le_bytes()));
-    rustwren_sim::hash::mix64(folded ^ (data.len() as u64))
-}
+/// Content checksum used by [`stamp`]/[`verify_stamped`]: the byte-hash
+/// kernel the store's ETag shares. Only the same build reads a digest back.
+pub use rustwren_sim::hash::hash_bytes as checksum64;
 
 /// Prefixes `payload` with [`STAMP_MAGIC`] and its [`checksum64`], producing
 /// the on-store representation of every staged object (func, data, status,
@@ -1162,50 +1117,6 @@ mod tests {
     }
 
     #[test]
-    fn checksum_tells_lanes_words_and_lengths_apart() {
-        // Three blocks of four words, every word distinct.
-        let base: Vec<u8> = (0..96u8).collect();
-        let swap_words = |a: usize, b: usize| {
-            let mut p = base.clone();
-            for i in 0..8 {
-                p.swap(8 * a + i, 8 * b + i);
-            }
-            p
-        };
-        let mut payloads = vec![base.clone()];
-        // One byte off, in each lane of the middle block.
-        for lane in 0..4 {
-            let mut p = base.clone();
-            p[32 + 8 * lane + 3] ^= 0x10;
-            payloads.push(p);
-        }
-        // Neighbouring words, which sit in neighbouring lanes; two words of
-        // one lane; and two whole lanes.
-        payloads.push(swap_words(4, 5));
-        payloads.push(swap_words(4, 8));
-        let mut lanes_swapped = base.clone();
-        for block in 0..3 {
-            for i in 0..8 {
-                lanes_swapped.swap(32 * block + i, 32 * block + 8 + i);
-            }
-        }
-        payloads.push(lanes_swapped);
-        // The top bit of two words of one lane: a multiply alone cannot
-        // carry it anywhere, so without the rotation the second flip would
-        // undo the first.
-        let mut top_bits = base.clone();
-        top_bits[7] ^= 0x80;
-        top_bits[39] ^= 0x80;
-        payloads.push(top_bits);
-        // Zeros fold to nothing but the step itself: only their count, and
-        // the length, tell these apart.
-        payloads.extend((0..=100).map(|len| vec![0u8; len]));
-        let digests: std::collections::BTreeSet<u64> =
-            payloads.iter().map(|p| checksum64(p)).collect();
-        assert_eq!(digests.len(), payloads.len(), "two payloads share a digest");
-    }
-
-    #[test]
     fn stamped_is_stamp_of_the_encoding() {
         for v in [
             Value::Null,
@@ -1235,6 +1146,37 @@ mod tests {
     fn checksum_distinguishes_length_patterns() {
         assert_ne!(checksum64(&[0u8; 8]), checksum64(&[0u8; 9]));
         assert_ne!(checksum64(b"ab"), checksum64(b"ba"));
+    }
+
+    /// The stamp's digests over fixed inputs (empty, one byte, either side
+    /// of a block boundary, three blocks, 1 MiB) and one whole stamped
+    /// payload. A change to the kernel's lanes, seeds, padding or final
+    /// fold moves every stamped byte, and one of these with it.
+    #[test]
+    fn checksum_and_stamp_are_pinned() {
+        let upto = |n: u8| (0..n).collect::<Vec<u8>>();
+        let mib: Vec<u8> = (0..1u64 << 20)
+            .map(|i| (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as u8)
+            .collect();
+        let pins = [
+            (Vec::new(), 0x9733_c975_5ed4_050a),
+            (vec![0xA5], 0xe87c_fc97_539b_f4a3),
+            (upto(31), 0xf9e4_8952_f021_8d5c),
+            (upto(32), 0x49c0_c52c_dc91_a120),
+            (upto(33), 0xb159_edbd_093c_305c),
+            (upto(96), 0xd5e1_5460_0f78_f55d),
+            (mib, 0x909d_45a7_a128_9533),
+        ];
+        for (input, digest) in pins {
+            assert_eq!(checksum64(&input), digest, "{} bytes", input.len());
+        }
+        assert_eq!(
+            stamp(b"rustwren").as_ref(),
+            [
+                0xc5, 0x98, 0x2a, 0x5c, 0xbf, 0x39, 0x64, 0x0f, 0x72, 0x72, 0x75, 0x73, 0x74, 0x77,
+                0x72, 0x65, 0x6e,
+            ]
+        );
     }
 
     #[test]

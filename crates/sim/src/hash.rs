@@ -40,6 +40,57 @@ pub fn hash_str(s: &str) -> u64 {
     mix64(h)
 }
 
+/// Hashes a byte string to a 64-bit digest: the workspace's one byte-hash
+/// kernel, behind both the wire stamp's checksum and the store's ETag.
+///
+/// The bytes are taken 32 at a time (the last block zero-padded), each block
+/// as four little-endian words onto four independent lanes, each lane an
+/// FNV-style xor-multiply-rotate fold; lanes and length then fold through an
+/// avalanche mix. Every step is a bijection of the state it updates and
+/// injective in the word it absorbs, so two inputs of one length that differ
+/// inside one word — any single flipped byte — never share a digest, and a
+/// truncation changes the length and so, with overwhelming probability, the
+/// digest. Not cryptographic (it detects corruption, not tampering) and not a
+/// stable format: digests are compared only within one build.
+pub fn hash_bytes(data: &[u8]) -> u64 {
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    // The rotation brings a word's top bits, which a multiply can only push
+    // off the end, back under the next multiply.
+    let step = |h: u64, word: [u8; 8]| {
+        (h ^ u64::from_le_bytes(word))
+            .wrapping_mul(PRIME)
+            .rotate_left(29)
+    };
+    // Four chains keep the multiplier busy where one would wait out its
+    // latency word by word. Distinct seeds (the FNV offset basis first), so
+    // that words swapped between lanes do not swap back in the final fold.
+    let mut lanes: [u64; 4] = [
+        0xcbf2_9ce4_8422_2325,
+        0x9e37_79b9_7f4a_7c15,
+        0xbf58_476d_1ce4_e5b9,
+        0x94d0_49bb_1331_11eb,
+    ];
+    let mut absorb = |block: &[u8; 32]| {
+        for (lane, word) in lanes.iter_mut().zip(block.as_chunks::<8>().0) {
+            *lane = step(*lane, *word);
+        }
+    };
+    let (blocks, tail) = data.as_chunks::<32>();
+    blocks.iter().for_each(&mut absorb);
+    if !tail.is_empty() {
+        // The length in the final fold tells padding from payload zeros.
+        let mut last = [0u8; 32];
+        for (padded, byte) in last.iter_mut().zip(tail) {
+            *padded = *byte;
+        }
+        absorb(&last);
+    }
+    let folded = lanes
+        .into_iter()
+        .fold(0, |h, lane| step(h, lane.to_le_bytes()));
+    mix64(folded ^ (data.len() as u64))
+}
+
 /// Incremental form of [`hash_str`]: feed string fragments in order (it
 /// implements [`core::fmt::Write`], so `write!` works) and [`finish`].
 /// Byte-for-byte equivalent to calling [`hash_str`] on the concatenation,
@@ -125,6 +176,50 @@ mod tests {
         assert_eq!(hash_str("GET b/k"), hash_str("GET b/k"));
         assert_ne!(hash_str("GET b/k0"), hash_str("GET b/k1"));
         assert_ne!(hash_str(""), hash_str("x"));
+    }
+
+    #[test]
+    fn hash_bytes_tells_lanes_words_and_lengths_apart() {
+        // Three blocks of four words, every word distinct.
+        let base: Vec<u8> = (0..96u8).collect();
+        let swap_words = |a: usize, b: usize| {
+            let mut p = base.clone();
+            for i in 0..8 {
+                p.swap(8 * a + i, 8 * b + i);
+            }
+            p
+        };
+        let mut payloads = vec![base.clone()];
+        // One byte off, in each lane of the middle block.
+        for lane in 0..4 {
+            let mut p = base.clone();
+            p[32 + 8 * lane + 3] ^= 0x10;
+            payloads.push(p);
+        }
+        // Neighbouring words, which sit in neighbouring lanes; two words of
+        // one lane; and two whole lanes.
+        payloads.push(swap_words(4, 5));
+        payloads.push(swap_words(4, 8));
+        let mut lanes_swapped = base.clone();
+        for block in 0..3 {
+            for i in 0..8 {
+                lanes_swapped.swap(32 * block + i, 32 * block + 8 + i);
+            }
+        }
+        payloads.push(lanes_swapped);
+        // The top bit of two words of one lane: a multiply alone cannot
+        // carry it anywhere, so without the rotation the second flip would
+        // undo the first.
+        let mut top_bits = base.clone();
+        top_bits[7] ^= 0x80;
+        top_bits[39] ^= 0x80;
+        payloads.push(top_bits);
+        // Zeros fold to nothing but the step itself: only their count, and
+        // the length, tell these apart.
+        payloads.extend((0..=100).map(|len| vec![0u8; len]));
+        let digests: std::collections::BTreeSet<u64> =
+            payloads.iter().map(|p| hash_bytes(p)).collect();
+        assert_eq!(digests.len(), payloads.len(), "two payloads share a digest");
     }
 
     #[test]

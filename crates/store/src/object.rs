@@ -18,7 +18,8 @@ pub struct ObjectMeta {
     ///
     /// [`size`]: ObjectMeta::size
     pub logical_size: u64,
-    /// Content hash, changing on every overwrite.
+    /// Content hash of the object's bytes and key: it changes whenever the
+    /// content changes, and an overwrite with identical bytes keeps it.
     pub etag: u64,
     /// Virtual time of the last write.
     pub last_modified: SimInstant,

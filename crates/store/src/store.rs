@@ -13,7 +13,7 @@ use std::sync::RwLock as StdRwLock;
 
 use bytes::Bytes;
 use parking_lot::RwLock;
-use rustwren_sim::hash::{hash2, hash_str, mix64};
+use rustwren_sim::hash::{hash2, hash_bytes, hash_str};
 use rustwren_sim::{Kernel, SimInstant};
 
 use crate::error::StoreError;
@@ -362,20 +362,11 @@ fn object_meta(key: &str, obj: &StoredObject) -> ObjectMeta {
     }
 }
 
-/// A fast content hash standing in for a real ETag/MD5.
+/// A fast content hash standing in for a real ETag/MD5: the digest of the
+/// bytes by [`hash_bytes`], the kernel the wire stamp's checksum also uses,
+/// folded with the key's hash.
 fn content_etag(key: &str, data: &Bytes) -> u64 {
-    let mut h = mix64(data.len() as u64 ^ 0xe7a6);
-    for chunk in data.chunks(8) {
-        let mut word = 0u64;
-        for (i, &b) in chunk.iter().enumerate() {
-            word |= (b as u64) << (i * 8);
-        }
-        h = hash2(h, word.wrapping_add(chunk.len() as u64));
-    }
-    for b in key.bytes() {
-        h = hash2(h, b as u64);
-    }
-    h
+    hash2(hash_bytes(data), hash_str(key))
 }
 
 #[cfg(test)]
@@ -440,6 +431,58 @@ mod tests {
         let m1 = s.put("b", "k", Bytes::from_static(b"same")).unwrap();
         let m2 = s.put("b", "k", Bytes::from_static(b"same")).unwrap();
         assert_eq!(m1.etag, m2.etag);
+    }
+
+    #[test]
+    fn any_flipped_byte_changes_etag() {
+        // Zeros put every flip where the kernel pads a short tail with
+        // zeros too; the counting pattern puts it among distinct words.
+        for len in 0..=100usize {
+            let zeros = vec![0u8; len];
+            let counting: Vec<u8> = (0..len as u8).collect();
+            for base in [zeros, counting] {
+                let etag = content_etag("k", &Bytes::from(base.clone()));
+                for i in 0..len {
+                    let mut flipped = base.clone();
+                    flipped[i] ^= 0xFF;
+                    assert_ne!(
+                        content_etag("k", &Bytes::from(flipped)),
+                        etag,
+                        "byte {i} of {len}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn zero_runs_of_neighbouring_lengths_differ() {
+        for n in 0..64 {
+            assert_ne!(
+                content_etag("k", &Bytes::from(vec![0u8; n])),
+                content_etag("k", &Bytes::from(vec![0u8; n + 1])),
+                "{n} zeros"
+            );
+        }
+    }
+
+    #[test]
+    fn same_bytes_under_two_keys_differ() {
+        let s = store();
+        let data = Bytes::from_static(b"same bytes");
+        let m1 = s.put("b", "k1", data.clone()).unwrap();
+        let m2 = s.put("b", "k2", data).unwrap();
+        assert_ne!(m1.etag, m2.etag);
+    }
+
+    #[test]
+    fn etag_covers_content_not_advertised_size() {
+        let s = store();
+        let data = Bytes::from_static(b"scaled");
+        let plain = s.put("b", "k", data.clone()).unwrap();
+        let scaled = s.put_scaled("b", "k", data, 1 << 30).unwrap();
+        assert_eq!(plain.etag, scaled.etag);
+        assert_ne!(plain.logical_size, scaled.logical_size);
     }
 
     #[test]
