@@ -49,7 +49,7 @@ plan (omit all to lint the built-in canonical suite):
   --reducer-fanin N       map outputs consumed by a single reducer
   --retry N               max invocation attempts per task
   --spec-copies N         speculative backup copies per straggler
-  --shuffle M:R[:seg][:relay]  shuffle shape (maps:partitions)
+  --shuffle M:R[:seg]     shuffle shape (maps:partitions)
   --tenant NS:QUOTA       submitting tenant namespace and concurrency quota
 ";
 
@@ -181,7 +181,6 @@ fn parse_shuffle(spec: &str) -> Result<ShuffleShape, String> {
     for extra in parts {
         match extra {
             "seg" | "segmented" => shape.segmented = true,
-            "relay" => shape.via_relay = true,
             other => return Err(format!("unknown shuffle modifier `{other}`")),
         }
     }

@@ -185,7 +185,9 @@ pub struct ShuffleShape {
     /// Whether maps spill one concatenated segment per task (true) instead
     /// of one object per (map, reducer) pair (false).
     pub segmented: bool,
-    /// Whether the exchange bypasses COS via a direct relay tier.
+    /// Nothing reads it: the VM relay exchange it once named is retired
+    /// (every shuffle goes through COS). The field stays because the frozen
+    /// `ledger` benchmark source spells it.
     pub via_relay: bool,
 }
 
@@ -616,14 +618,11 @@ fn rule_w007_retry_speculation_amplification(
 /// GET per pair) on the whole-object layout, `M·(1 + R)` (one segment PUT
 /// per map, one slice GET per pair) when segmented — and a big enough
 /// product throttles the job's own key prefix and dominates its request
-/// bill. A relay exchange stages nothing in COS, so it is never flagged.
+/// bill.
 fn rule_w008_shuffle_op_budget(plan: &JobPlan, profile: &CloudProfile, out: &mut Vec<Diagnostic>) {
     let Some(shape) = plan.shuffle else {
         return;
     };
-    if shape.via_relay {
-        return;
-    }
     let maps = shape.maps as u128;
     let partitions = shape.partitions as u128;
     let pairs = maps.saturating_mul(partitions);
@@ -650,8 +649,7 @@ fn rule_w008_shuffle_op_budget(plan: &JobPlan, profile: &CloudProfile, out: &mut
                 plan.label, shape.maps, shape.partitions, est_ops, layout, budget
             ),
             suggestion: "use the partitioned (segmented) plane with fewer partitions, \
-                         add a map-side combiner, or move the exchange to the direct \
-                         relay tier"
+                         or add a map-side combiner"
                 .to_string(),
         });
     }
@@ -882,7 +880,7 @@ mod tests {
     }
 
     #[test]
-    fn w008_respects_segmentation_relay_and_budget() {
+    fn w008_respects_segmentation_and_budget() {
         // The same fan-out segmented: 2,000 × (1 + 128) = 258,000 — still
         // over budget, but less than half the whole-object count.
         let mut plan = JobPlan::new("sort", 2_000);
@@ -896,16 +894,6 @@ mod tests {
         assert!(diags
             .iter()
             .any(|d| d.rule == Rule::W008 && d.message.contains("258000")));
-
-        // Relay exchange: nothing staged in COS, never flagged.
-        let mut relay = plan.clone();
-        relay.shuffle = Some(ShuffleShape {
-            maps: 2_000,
-            partitions: 128,
-            segmented: true,
-            via_relay: true,
-        });
-        assert!(!rules(&analyze(&relay, &CloudProfile::default())).contains(&Rule::W008));
 
         // A modest shuffle stays silent: 100 × (1 + 16) = 1,700 ops.
         let mut small = JobPlan::new("sort", 100);

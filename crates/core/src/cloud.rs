@@ -8,7 +8,7 @@ use std::sync::{Arc, Weak};
 use rustwren_faas::{CloudFunctions, PlatformConfig};
 use rustwren_sim::chaos::{ChaosEngine, ChaosStats, FaultPlan, FaultRecord};
 use rustwren_sim::{Kernel, NetworkProfile};
-use rustwren_store::{ObjectStore, RelayTier};
+use rustwren_store::ObjectStore;
 
 use crate::executor::ExecutorBuilder;
 use crate::future::StatusMemo;
@@ -20,7 +20,6 @@ pub(crate) struct CloudInner {
     pub(crate) faas: CloudFunctions,
     pub(crate) registry: FunctionRegistry,
     pub(crate) client_net: NetworkProfile,
-    pub(crate) relay: RelayTier,
     pub(crate) exec_seq: AtomicU64,
     pub(crate) seed: u64,
     /// What shuffle reducers have read of map statuses.
@@ -104,13 +103,6 @@ impl SimCloud {
     /// The client's network profile (WAN laptop by default).
     pub fn client_network(&self) -> &NetworkProfile {
         &self.inner.client_net
-    }
-
-    /// The simulated VM-exchange relay tier used by the shuffle plane's
-    /// direct container-to-container exchange
-    /// ([`crate::ExchangeMode::Relay`]).
-    pub fn relay(&self) -> &RelayTier {
-        &self.inner.relay
     }
 
     /// Registers a user function under `name`; see [`RemoteFn`].
@@ -257,7 +249,6 @@ impl SimCloudBuilder {
             faas,
             registry: FunctionRegistry::new(),
             client_net: self.client_net,
-            relay: RelayTier::new(rustwren_sim::hash::hash2(self.seed, 0x5E1A)),
             exec_seq: AtomicU64::new(1),
             seed: self.seed,
             statuses: StatusMemo::default(),

@@ -70,8 +70,9 @@ pub struct ShuffleOpts {
     /// this selects nothing; the field stays because the frozen `ledger`
     /// benchmark source spells `ShuffleOpts { plane, exchange, .. }`.
     pub plane: ShufflePlane,
-    /// How partitions travel: staged through COS (default) or pushed over
-    /// the simulated VM relay tier.
+    /// How partitions travel. [`ExchangeMode`] has one value, so this
+    /// selects nothing; the field stays because the frozen `ledger`
+    /// benchmark source spells it.
     pub exchange: ExchangeMode,
     /// Key-to-reducer assignment: seeded hash (default) or explicit ranges
     /// (see [`Partitioner::range_from_samples`] for the sampled-histogram
@@ -701,8 +702,7 @@ impl Executor {
     ///
     /// Data shuffling is what §2 of the paper singles out as the open
     /// challenge of serverless MapReduce. The exchange goes through object
-    /// storage by default (`opts.exchange`), the approach Corral/Lambada
-    /// take.
+    /// storage, the approach Corral/Lambada take.
     ///
     /// # Errors
     ///
@@ -749,7 +749,6 @@ impl Executor {
             .map(|inner| TaskSpec::ShuffleMap {
                 inner: Box::new(inner),
                 reducers: opts.reducers,
-                exchange: opts.exchange,
                 partitioner: opts.partitioner.clone(),
                 combiner: opts.combiner.clone(),
             })
@@ -766,7 +765,6 @@ impl Executor {
                     index,
                     poll: REDUCE_POLL_INTERVAL,
                     reducers: opts.reducers,
-                    exchange: opts.exchange,
                     fanin: opts.merge_fanin,
                 })
                 .collect()
@@ -807,15 +805,12 @@ impl Executor {
         };
         // The shuffle's data-plane shape (map fan-out × partition count,
         // W008) is read off the map stage's specs.
-        if let Some(TaskSpec::ShuffleMap {
-            reducers, exchange, ..
-        }) = specs.first()
-        {
+        if let Some(TaskSpec::ShuffleMap { reducers, .. }) = specs.first() {
             plan.shuffle = Some(rustwren_analyze::ShuffleShape {
                 maps: specs.len(),
                 partitions: *reducers,
                 segmented: true,
-                via_relay: *exchange == ExchangeMode::Relay,
+                via_relay: false,
             });
         }
         if let Some(b) = descs.iter().map(Value::encoded_len).max() {

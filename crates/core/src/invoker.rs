@@ -63,7 +63,8 @@ pub(crate) fn deploy_invoker(cloud: &SimCloud) {
         .functions()
         // lint: allow(L008) — false positives of name-based dispatch, as on
         // the agent above: the payload's `Value::get` resolves onto
-        // FunctionRegistry::get, RelayTier::get and CosClient::get. The
+        // ObjectStore::get, FunctionRegistry::get and CosClient::get, and an
+        // `Option::map` onto Executor::map. The
         // invoker's own suspensions are `FaasClient::invoke_async`'s
         // `task::sleep`s, the platform's `locked` and the fan-out's
         // `task::wait`. Guarded by crates/core/tests/vehicles.rs

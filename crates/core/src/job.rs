@@ -38,8 +38,7 @@ use crate::future::{func_key, ResponseFuture, StatusMemo, StatusView, StatusWatc
 use crate::partition::{read_aligned_async, Partition};
 use crate::registry::Registered;
 use crate::shuffle::{
-    merge_runs, segment_key, shuffle_key, sort_run, ExchangeMode, KeyedPair, Partitioner,
-    MAX_REDUCERS,
+    merge_runs, segment_key, sort_run, ExchangeMode, KeyedPair, Partitioner, MAX_REDUCERS,
 };
 use crate::task::TaskCtx;
 use crate::wire::{self, Value, ValueRef};
@@ -231,12 +230,11 @@ pub(crate) enum TaskSpec {
         poll: Duration,
     },
     /// A shuffling map task: run the inner spec's function, then partition
-    /// its `(key, value)` output pairs across `reducers` partitions over
-    /// the chosen [`ExchangeMode`].
+    /// its `(key, value)` output pairs across `reducers` partitions through
+    /// COS.
     ShuffleMap {
         inner: Box<TaskSpec>,
         reducers: usize,
-        exchange: ExchangeMode,
         partitioner: Partitioner,
         /// Optional registered combiner function applied map-side to each
         /// sorted key group before the partition is spilled.
@@ -257,7 +255,6 @@ pub(crate) enum TaskSpec {
         index: usize,
         poll: Duration,
         reducers: usize,
-        exchange: ExchangeMode,
         fanin: usize,
     },
 }
@@ -285,7 +282,6 @@ impl TaskSpec {
             TaskSpec::ShuffleMap {
                 inner,
                 reducers,
-                exchange,
                 partitioner,
                 combiner,
             } => {
@@ -293,7 +289,7 @@ impl TaskSpec {
                     .with("kind", "shuffle-map")
                     .with("inner", inner.to_value())
                     .with("reducers", *reducers as i64)
-                    .with("exch", exchange.as_str())
+                    .with("exch", ExchangeMode::Cos.as_str())
                     .with("part", partitioner.to_value());
                 if let Some(c) = combiner {
                     v = v.with("comb", c.as_str());
@@ -308,14 +304,13 @@ impl TaskSpec {
                 index,
                 poll,
                 reducers,
-                exchange,
                 fanin,
             } => Value::map()
                 .with("kind", "shuffle-reduce")
                 .with("index", *index as i64)
                 .with("poll_ms", poll.as_millis() as i64)
                 .with("reducers", *reducers as i64)
-                .with("exch", exchange.as_str())
+                .with("exch", ExchangeMode::Cos.as_str())
                 .with("fanin", *fanin as i64)
                 .with(
                     "depr",
@@ -332,7 +327,7 @@ impl TaskSpec {
 /// The agent: runs inside every IBM-PyWren function container. Resumable:
 /// it suspends only at `.await`s, so it rides a light task up to the point,
 /// if any, where it asks for a thread: a function registered blocking asks
-/// inside its call, and the relay exchange before its first relay call.
+/// inside its call.
 // lint: entry(hot_path)
 // lint: entry(sim_path)
 pub(crate) async fn run_agent(
@@ -489,16 +484,16 @@ fn reducers_of(desc: &Value) -> Result<usize, String> {
 #[derive(Debug)]
 struct ShuffleMapParams {
     reducers: usize,
-    exchange: ExchangeMode,
     partitioner: Partitioner,
     combiner: Option<String>,
 }
 
 impl ShuffleMapParams {
     fn from_desc(desc: &Value) -> Result<ShuffleMapParams, String> {
+        let reducers = reducers_of(desc)?;
+        ExchangeMode::from_wire(desc.req_str("exch")?)?;
         Ok(ShuffleMapParams {
-            reducers: reducers_of(desc)?,
-            exchange: ExchangeMode::from_wire(desc.req_str("exch")?)?,
+            reducers,
             partitioner: Partitioner::from_value(desc.get("part").ok_or("missing field `part`")?)?,
             combiner: desc.get("comb").and_then(Value::as_str).map(str::to_owned),
         })
@@ -551,16 +546,13 @@ async fn fetch_func_blob(
 }
 
 /// Partitions a shuffling map task's `(key, value)` pairs across the
-/// reducers over the configured exchange; returns the summary
-/// stored as the task result plus the partition manifest embedded in the
-/// task's status object (`"shuf"`).
+/// reducers through COS; returns the summary stored as the task result plus
+/// the partition manifest embedded in the task's status object (`"shuf"`).
 ///
 /// Empty partitions are never written — the manifest records them as
 /// absent, so a reducer can distinguish "this map produced nothing for me"
 /// (run on) from "this map's data went missing" (typed loss error) under
-/// chaos: the per-reducer entry is `Null`. The relay exchange always
-/// publishes every channel (publishes are datacenter-cheap and a
-/// present-but-empty channel needs no COS diagnosis round trip).
+/// chaos: the per-reducer entry is `Null`.
 async fn write_shuffle_output(
     cloud: &SimCloud,
     cos: &CosClient,
@@ -614,27 +606,10 @@ async fn write_shuffle_output(
         }
     }
 
-    if params.exchange == ExchangeMode::Relay {
-        // Direct exchange: publish every channel (empty included) to the
-        // relay tier. No COS data-plane operation at all. The relay tier is
-        // blocking code on its way out (ROADMAP item 1): no resumable twin.
-        task::thread().await;
-        let relay = cloud.relay();
-        for (r, bucket) in buckets.into_iter().enumerate() {
-            let list = Value::List(bucket.into_iter().map(|(_, p)| p).collect());
-            // lint: allow(L008) — the relay tier blocks, on the thread asked
-            // for above; guarded by tests/shuffle_plane.rs (the relay arm)
-            relay.put(&shuffle_key(&prefix, r, reducers), list.stamped());
-        }
-        return Ok(summary(
-            Value::map().with("n", reducers as i64).with("k", "relay"),
-        ));
-    }
-
-    // COS exchange: one *segment* object per map. Tiny slices ride inline in
-    // the manifest itself (the status PUT delivers them for free, like
-    // inline results); bigger ones are individually stamped and concatenated
-    // so each reducer range-GETs exactly its slice.
+    // One *segment* object per map. Tiny slices ride inline in the manifest
+    // itself (the status PUT delivers them for free, like inline results);
+    // bigger ones are individually stamped and concatenated so each reducer
+    // range-GETs exactly its slice.
     let mut parts: Vec<Value> = Vec::with_capacity(reducers);
     let mut segment: Vec<u8> = Vec::new();
     for bucket in buckets {
@@ -729,8 +704,6 @@ struct ShuffleReduceParams {
     deps: Vec<ResponseFuture>,
     index: usize,
     poll: Duration,
-    reducers: usize,
-    exchange: ExchangeMode,
     fanin: usize,
 }
 
@@ -751,14 +724,14 @@ impl ShuffleReduceParams {
             Ok(f) if f >= 2 => f,
             _ => return Err("field `fanin` must be at least 2".to_owned()),
         };
+        let poll = poll_of(desc)?;
+        ExchangeMode::from_wire(desc.req_str("exch")?)?;
         Ok(ShuffleReduceParams {
             deps: (0..maps)
                 .map(|t| ResponseFuture::new(bucket, exec, job, t))
                 .collect(),
             index,
-            poll: poll_of(desc)?,
-            reducers,
-            exchange: ExchangeMode::from_wire(desc.req_str("exch")?)?,
+            poll,
             fanin,
         })
     }
@@ -780,7 +753,7 @@ async fn build_shuffle_reduce_input(
     let mut slots: Vec<Option<Run>> = vec![None; p.deps.len()];
     let mut landed = DepWatch::new(ctx, cos, &p.deps, p.poll);
     while let Some((i, d)) = landed.next_landed().await? {
-        let run = fetch_shuffle_run(cloud, cos, d, p.index, p.reducers, p.exchange).await?;
+        let run = fetch_shuffle_run(cloud, cos, d, p.index).await?;
         if let Some(slot) = slots.get_mut(i) {
             *slot = Some(run);
         }
@@ -791,8 +764,8 @@ async fn build_shuffle_reduce_input(
 }
 
 /// One map's sorted run for this reducer, left in the verified bytes it
-/// arrived in (a status, a segment slice or a relay payload), with the
-/// offsets of each pair's `k` string and `v`: nothing per pair is built.
+/// arrived in (a status or a segment slice), with the offsets of each pair's
+/// `k` string and `v`: nothing per pair is built.
 #[derive(Debug, Clone, Default)]
 struct Run {
     bytes: Bytes,
@@ -870,39 +843,7 @@ async fn fetch_shuffle_run(
     cos: &CosClient,
     d: &ResponseFuture,
     index: usize,
-    reducers: usize,
-    exchange: ExchangeMode,
 ) -> Result<Run, String> {
-    let prefix = d.task_prefix();
-
-    if exchange == ExchangeMode::Relay {
-        let channel = shuffle_key(&prefix, index, reducers);
-        // The relay tier is blocking code on its way out (ROADMAP item 1):
-        // a thread first, no resumable twin.
-        task::thread().await;
-        let relay = cloud.relay();
-        // Happy path: zero COS operations — maps publish every channel, so
-        // the relay read alone settles it. Only a miss (map failed, or data
-        // gone) costs one status GET to diagnose which.
-        // lint: allow(L008) — the relay tier blocks, on the thread asked for
-        // above; guarded by tests/shuffle_plane.rs (the relay arm)
-        return match relay.get(&channel) {
-            Ok(stamped) => {
-                let raw = wire::verified_payload(&stamped).map_err(|e| {
-                    format!("integrity failure reading relay channel {channel}: {e}")
-                })?;
-                Run::parse(raw)
-            }
-            Err(_) => {
-                dep_status(cos, d, Some(&cloud.inner.statuses)).await?;
-                Err(format!(
-                    "shuffle data of map task {} lost from the relay tier",
-                    d.label()
-                ))
-            }
-        };
-    }
-
     // The status was checked end to end by the first of the reducers to
     // read these bytes, which also found every reducer's entry of its
     // manifest, and an inline run stays in its bytes.
@@ -919,18 +860,13 @@ async fn fetch_shuffle_run(
             SegPart::Elided => Ok(Run::default()),
             SegPart::Inline(at) => Run::within(status.bytes().clone(), at),
             SegPart::Span(off, len) => {
-                let key = segment_key(&prefix);
+                let key = segment_key(&d.task_prefix());
                 let raw = get_slice_verified(cos, d.bucket(), &key, off, len)
                     .await
                     .map_err(|e| format!("map task {}: {e}", d.label()))?;
                 Run::parse(raw)
             }
         },
-        "relay" => Err(format!(
-            "map task {} exchanged its partitions via the relay tier, but this reducer \
-             was told to use COS",
-            d.label()
-        )),
         other => Err(format!("unknown shuffle manifest kind `{other}`")),
     }
 }
@@ -1215,6 +1151,42 @@ mod tests {
         assert_eq!(&p.encode()[..], pinned);
     }
 
+    /// The shuffle descriptors are priced payload bytes too. Both still
+    /// carry `"exch": "cos"`, the one exchange: these literals were taken
+    /// while a second exchange existed, and pass unchanged since.
+    #[test]
+    fn shuffle_descriptor_encodings_are_pinned() {
+        let map = TaskSpec::ShuffleMap {
+            inner: Box::new(TaskSpec::Value(Value::Int(1))),
+            reducers: 8,
+            partitioner: Partitioner::Hash,
+            combiner: Some("sum".into()),
+        };
+        let pinned: &[u8] = b"\x07\x06\x00\x00\x00\
+            \x04\x00\x00\x00comb\x04\x03\x00\x00\x00sum\
+            \x04\x00\x00\x00exch\x04\x03\x00\x00\x00cos\
+            \x05\x00\x00\x00inner\x07\x02\x00\x00\x00\
+            \x04\x00\x00\x00kind\x04\x05\x00\x00\x00value\
+            \x05\x00\x00\x00value\x02\x01\x00\x00\x00\x00\x00\x00\x00\
+            \x04\x00\x00\x00kind\x04\x0b\x00\x00\x00shuffle-map\
+            \x04\x00\x00\x00part\x00\
+            \x08\x00\x00\x00reducers\x02\x08\x00\x00\x00\x00\x00\x00\x00";
+        assert_eq!(&map.to_value().encode()[..], pinned);
+        let pinned: &[u8] = b"\x07\x07\x00\x00\x00\
+            \x04\x00\x00\x00depr\x07\x04\x00\x00\x00\
+            \x06\x00\x00\x00bucket\x04\x01\x00\x00\x00b\
+            \x04\x00\x00\x00exec\x04\x01\x00\x00\x00e\
+            \x03\x00\x00\x00job\x02\x01\x00\x00\x00\x00\x00\x00\x00\
+            \x01\x00\x00\x00n\x02\x04\x00\x00\x00\x00\x00\x00\x00\
+            \x04\x00\x00\x00exch\x04\x03\x00\x00\x00cos\
+            \x05\x00\x00\x00fanin\x02\x10\x00\x00\x00\x00\x00\x00\x00\
+            \x05\x00\x00\x00index\x02\x03\x00\x00\x00\x00\x00\x00\x00\
+            \x04\x00\x00\x00kind\x04\x0e\x00\x00\x00shuffle-reduce\
+            \x07\x00\x00\x00poll_ms\x02\xf4\x01\x00\x00\x00\x00\x00\x00\
+            \x08\x00\x00\x00reducers\x02\x08\x00\x00\x00\x00\x00\x00\x00";
+        assert_eq!(&sample_shuffle_reduce(4).encode()[..], pinned);
+    }
+
     #[test]
     fn agent_payload_decode_rejects_any_missing_field() {
         let full = Value::decode(&sample_payload(None).encode()).expect("decodes");
@@ -1270,7 +1242,6 @@ mod tests {
             index: 3,
             poll: Duration::from_millis(500),
             reducers: 8,
-            exchange: ExchangeMode::Cos,
             fanin: 16,
         }
         .to_value()
@@ -1293,7 +1264,7 @@ mod tests {
             .collect();
         let params = ShuffleReduceParams::from_desc(&v).expect("decodes");
         assert_eq!(params.deps, deps);
-        assert_eq!((params.index, params.reducers, params.fanin), (3, 8, 16));
+        assert_eq!((params.index, params.fanin), (3, 16));
     }
 
     #[test]
@@ -1317,7 +1288,6 @@ mod tests {
         let map = TaskSpec::ShuffleMap {
             inner: Box::new(TaskSpec::Value(Value::Int(1))),
             reducers: 8,
-            exchange: ExchangeMode::Relay,
             partitioner: Partitioner::Hash,
             combiner: None,
         }
@@ -1366,6 +1336,21 @@ mod tests {
             let r = ShuffleMapParams::from_desc(&map.clone().with("reducers", bad));
             assert!(r.is_err(), "map descriptor with `reducers` = {bad}: {r:?}");
         }
+        // The retired relay exchange is refused by name, not run over COS.
+        for bad in ["relay", "", "COS"] {
+            let err = ShuffleReduceParams::from_desc(&reduce.clone().with("exch", bad));
+            let err = err.expect_err("one exchange");
+            assert!(
+                err.contains(&format!("`{bad}`")),
+                "reduce `exch` = {bad}: {err}"
+            );
+            let err = ShuffleMapParams::from_desc(&map.clone().with("exch", bad));
+            let err = err.expect_err("one exchange");
+            assert!(
+                err.contains(&format!("`{bad}`")),
+                "map `exch` = {bad}: {err}"
+            );
+        }
         let edge = reduce
             .clone()
             .with("index", 7i64)
@@ -1398,7 +1383,8 @@ mod tests {
     #[test]
     fn reducer_rejects_a_done_map_status_without_a_manifest() {
         // Such a status once read as "every partition is a whole object
-        // under its channel key", and the reducer went and fetched one.
+        // under its channel key", and the reducer went and fetched one. A
+        // manifest of the retired relay exchange is an unknown kind.
         let cloud = SimCloud::builder().seed(3).build();
         cloud.store().ensure_bucket("b");
         cloud.run(|| {
@@ -1407,11 +1393,18 @@ mod tests {
             let status = TaskStatus::new(None, 0.0, 1.0);
             task::block_on(status.put_async(&cos, &d)).expect("status");
             let pairs = Value::List(vec![Value::map().with("k", "x").with("v", 1i64)]);
-            let channel = shuffle_key(&d.task_prefix(), 0, 4);
+            let channel = format!("{}/shuffle-0000", d.task_prefix());
             task::block_on(put_stamped(&cos, "b", &channel, &pairs)).expect("partition");
-            let run = fetch_shuffle_run(&cloud, &cos, &d, 0, 4, ExchangeMode::Cos);
+            let run = fetch_shuffle_run(&cloud, &cos, &d, 0);
             let err = task::block_on(run).expect_err("no manifest, no fetch");
             assert!(err.contains("no shuffle manifest"), "{err}");
+
+            let relay = Value::map().with("n", 4i64).with("k", "relay");
+            let status = TaskStatus::new(None, 0.0, 1.0).with_shuf(relay);
+            task::block_on(status.put_async(&cos, &d)).expect("status");
+            let run = fetch_shuffle_run(&cloud, &cos, &d, 0);
+            let err = task::block_on(run).expect_err("an unknown manifest kind");
+            assert_eq!(err, "unknown shuffle manifest kind `relay`");
         });
     }
 
@@ -1436,8 +1429,7 @@ mod tests {
                     TaskStatus::new(None, 0.0, 1.0).with_shuf(manifest.with("parts", parts));
                 task::block_on(status.put_async(&cos, &d)).expect("status");
                 let before = cos.counters().snapshot();
-                let run =
-                    task::block_on(fetch_shuffle_run(&cloud, &cos, &d, 1, 2, ExchangeMode::Cos));
+                let run = task::block_on(fetch_shuffle_run(&cloud, &cos, &d, 1));
                 (run, cos.counters().snapshot().since(&before).gets)
             };
             let (run, gets) = fetch(0, len);
@@ -1559,8 +1551,7 @@ mod tests {
                 let status =
                     TaskStatus::new(None, 0.0, 1.0).with_shuf(manifest.with("parts", parts));
                 task::block_on(status.put_async(&cos, &d)).expect("status");
-                let run =
-                    task::block_on(fetch_shuffle_run(&cloud, &cos, &d, 1, 2, ExchangeMode::Cos));
+                let run = task::block_on(fetch_shuffle_run(&cloud, &cos, &d, 1));
                 match (run, encoded.map_or(Ok(Vec::new()), |e| reference_run(&e))) {
                     (Ok(run), Ok(pairs)) => {
                         runs.push(run);

@@ -54,9 +54,8 @@
 //!   [`PywrenError::Plan`].
 //! * **Partitioned shuffle data plane** — [`Executor::map_shuffle_reduce`]
 //!   with sort-and-spill segments, hash/range [`Partitioner`]s, map-side
-//!   combiners, empty-partition elision, a bounded-fan-in streaming merge
-//!   on the reduce side, and a COS-vs-relay exchange ablation
-//!   ([`ExchangeMode`]).
+//!   combiners, empty-partition elision, and a bounded-fan-in streaming
+//!   merge on the reduce side.
 //! * **Chaos engineering & data integrity** — a deterministic
 //!   fault-injection plan ([`FaultPlan`], installed via
 //!   [`SimCloudBuilder::chaos`]) schedules COS outages/brownouts, payload

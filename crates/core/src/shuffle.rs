@@ -8,9 +8,8 @@
 //! * [`ShufflePlane`] — the segment layout (one object per *map*, sliced
 //!   per reducer, with empty partitions elided and recorded in the map's
 //!   status manifest).
-//! * [`ExchangeMode`] — COS-mediated exchange vs the direct
-//!   container-to-container relay tier ablation
-//!   ([`rustwren_store::RelayTier`]).
+//! * [`ExchangeMode`] — how map outputs travel: through COS, the one
+//!   exchange.
 //! * [`merge_runs`](crate::shuffle::merge_runs) — the reduce side's
 //!   streaming multi-round k-way merge with a bounded fan-in.
 //!
@@ -44,15 +43,18 @@ pub enum ShufflePlane {
 }
 
 /// How map outputs physically travel to reducers.
+///
+/// One variant, so it selects nothing: the VM relay tier it once selected
+/// is retired (EXPERIMENTS.md, "Retired ablations"). The enum and
+/// [`crate::ShuffleOpts::exchange`] stay because the frozen `ledger`
+/// benchmark source names both; shuffle descriptors still carry
+/// `Cos`'s wire value.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum ExchangeMode {
     /// Stage the exchange through COS (the approach Corral/Lambada take;
     /// the paper's storage-based shuffle).
     #[default]
     Cos,
-    /// Push partitions through the simulated low-latency relay tier —
-    /// the VM-driven direct exchange of *A Milestone for FaaS Pipelines*.
-    Relay,
 }
 
 impl ExchangeMode {
@@ -60,15 +62,14 @@ impl ExchangeMode {
     pub(crate) fn as_str(self) -> &'static str {
         match self {
             ExchangeMode::Cos => "cos",
-            ExchangeMode::Relay => "relay",
         }
     }
 
-    /// Decodes [`ExchangeMode::as_str`].
+    /// Decodes [`ExchangeMode::as_str`]: a descriptor must name the one
+    /// exchange.
     pub(crate) fn from_wire(s: &str) -> Result<ExchangeMode, String> {
         match s {
             "cos" => Ok(ExchangeMode::Cos),
-            "relay" => Ok(ExchangeMode::Relay),
             other => Err(format!("unknown exchange mode `{other}`")),
         }
     }
@@ -188,29 +189,6 @@ pub(crate) fn hash_bucket_of(key: &str, reducers: usize) -> usize {
     (rustwren_sim::hash::mix64(h) % reducers.max(1) as u64) as usize
 }
 
-/// Zero-pad width for reducer indices in shuffle keys: at least the legacy
-/// 4 digits, widened to fit `reducers - 1` so lexicographic LIST grouping
-/// never interleaves (the `{r:04}` overflow bug at >= 10,000 reducers).
-pub(crate) fn reducer_pad(reducers: usize) -> usize {
-    let mut digits = 1;
-    let mut max_index = reducers.saturating_sub(1);
-    while max_index >= 10 {
-        digits += 1;
-        max_index /= 10;
-    }
-    digits.max(4)
-}
-
-/// Relay channel name of one map task's shuffle partition for reducer `r`
-/// (relay exchange). The pad is derived from the job's reducer count on
-/// both the write and read side.
-pub(crate) fn shuffle_key(task_prefix: &str, r: usize, reducers: usize) -> String {
-    format!(
-        "{task_prefix}/shuffle-{r:0pad$}",
-        pad = reducer_pad(reducers)
-    )
-}
-
 /// Key of one map task's concatenated partition segment (partitioned
 /// plane): all non-empty, non-inlined per-reducer slices in one object.
 pub(crate) fn segment_key(task_prefix: &str) -> String {
@@ -300,36 +278,6 @@ mod tests {
     }
 
     #[test]
-    fn reducer_pad_widens_past_legacy_width() {
-        assert_eq!(reducer_pad(1), 4);
-        assert_eq!(reducer_pad(4), 4);
-        assert_eq!(reducer_pad(9_999), 4);
-        assert_eq!(reducer_pad(10_000), 4); // max index 9999 still fits
-        assert_eq!(reducer_pad(10_001), 5); // index 10000 needs 5 digits
-        assert_eq!(reducer_pad(100_000), 5);
-    }
-
-    #[test]
-    fn shuffle_key_pad_follows_reducer_count() {
-        assert_eq!(
-            shuffle_key("jobs/e/1/t00000", 3, 4),
-            "jobs/e/1/t00000/shuffle-0003"
-        );
-        assert_eq!(
-            shuffle_key("jobs/e/1/t00000", 10_000, 10_001),
-            "jobs/e/1/t00000/shuffle-10000"
-        );
-        // Keys of one job sort lexicographically in index order.
-        let keys: Vec<String> = (0..10_001)
-            .step_by(997)
-            .map(|r| shuffle_key("p", r, 10_001))
-            .collect();
-        let mut sorted = keys.clone();
-        sorted.sort();
-        assert_eq!(keys, sorted);
-    }
-
-    #[test]
     fn range_partitioner_is_monotone_and_total() {
         let p = Partitioner::Range {
             boundaries: vec!["g".into(), "p".into()],
@@ -387,10 +335,15 @@ mod tests {
 
     #[test]
     fn wire_discriminators_roundtrip_and_reject_unknown_values() {
-        for e in [ExchangeMode::Cos, ExchangeMode::Relay] {
-            assert_eq!(ExchangeMode::from_wire(e.as_str()), Ok(e));
+        assert_eq!(
+            ExchangeMode::from_wire(ExchangeMode::Cos.as_str()),
+            Ok(ExchangeMode::Cos)
+        );
+        // The retired relay exchange is an unknown value, not a fallback.
+        for bad in ["", "relay", "COS"] {
+            let err = ExchangeMode::from_wire(bad).expect_err("one exchange");
+            assert!(err.contains(&format!("`{bad}`")), "{bad}: {err}");
         }
-        assert!(ExchangeMode::from_wire("").is_err());
     }
 
     #[test]

@@ -6,8 +6,7 @@
 //! call asks for an OS thread before the function runs), once resumable
 //! (`register_resumable_fn`: a task of any kind — map, partition, reduce,
 //! shuffle map with its combiner, shuffle reduce — never leaves its light
-//! task; only the relay exchange, blocking code on its way out, still takes
-//! a thread) — and everything an observer can see must
+//! task) — and everything an observer can see must
 //! agree: results or errors, every activation record, the platform's
 //! counters, the COS operations of each phase, recovery counters, the bill,
 //! the fault timeline, the final clock and the kernel's own counters (all
@@ -18,10 +17,9 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use rustwren_core::{
-    CorruptMode, CosOpStats, DataSource, ExchangeMode, Executor, FaultPlan, FaultRecord,
-    GetResultOpts, MapReduceOpts, PathScope, RecoveryStats, RetryPolicy, ShuffleOpts, SimCloud,
-    SpawnStrategy, TaskCtx, TimeWindow, Value, PHASE_AFTER_COMPUTE, PHASE_AFTER_PUT,
-    PHASE_BEFORE_RUN,
+    CorruptMode, CosOpStats, DataSource, Executor, FaultPlan, FaultRecord, GetResultOpts,
+    MapReduceOpts, PathScope, RecoveryStats, RetryPolicy, ShuffleOpts, SimCloud, SpawnStrategy,
+    TaskCtx, TimeWindow, Value, PHASE_AFTER_COMPUTE, PHASE_AFTER_PUT, PHASE_BEFORE_RUN,
 };
 use rustwren_faas::{
     ActivationRecord, BillingReport, Outcome, Phase, PlatformConfig, PlatformStats,
@@ -236,7 +234,7 @@ fn agents(seen: &Observed) -> u64 {
     seen.records.iter().filter(agent).count() as u64
 }
 
-fn word_count(exec: &Executor, exchange: ExchangeMode) -> Result<Vec<Value>, String> {
+fn word_count(exec: &Executor) -> Result<Vec<Value>, String> {
     exec.map_shuffle_reduce(
         "words",
         DataSource::bucket("docs"),
@@ -245,7 +243,6 @@ fn word_count(exec: &Executor, exchange: ExchangeMode) -> Result<Vec<Value>, Str
             reducers: 3,
             chunk_size: Some(1_000),
             combiner: Some("add-up".into()),
-            exchange,
             ..ShuffleOpts::default()
         },
     )
@@ -278,7 +275,7 @@ fn every_job_shape_runs_the_same_on_either_vehicle() {
         )
         .expect("submits");
         let map_reduce = finish(exec);
-        vec![map, map_reduce, word_count(exec, ExchangeMode::Cos)]
+        vec![map, map_reduce, word_count(exec)]
     });
     assert_eq!(seen.jobs[0], Ok((1..=12).map(Value::Int).collect()));
     assert_eq!(seen.jobs[1], Ok(vec![Value::Int(40 * (39 + 27))]));
@@ -320,25 +317,6 @@ fn a_resumable_reducer_over_eight_maps_holds_no_thread() {
         blocking.os_threads_spawned - resumable.os_threads_spawned,
         9
     );
-}
-
-/// The relay tier is blocking code: over that exchange every shuffle agent
-/// asks for its thread before the first relay call, whichever way its
-/// functions were registered (a blocking call left on the light path would
-/// crash the activation with no status written).
-#[test]
-fn the_relay_exchange_takes_its_thread_on_either_vehicle() {
-    let (seen, [blocking, resumable]) = on_both_vehicles(Setup::default(), |exec| {
-        vec![word_count(exec, ExchangeMode::Relay)]
-    });
-    let words = seen.jobs[0].as_ref().expect("shuffle finished").iter();
-    let words: i64 = words
-        .flat_map(|r| r.as_map().expect("a reducer's map").values())
-        .filter_map(Value::as_i64)
-        .sum();
-    assert_eq!(words, 40 * 11);
-    assert!(outcomes(&seen).iter().all(|o| o.is_success()));
-    assert_eq!(blocking.os_threads_spawned, resumable.os_threads_spawned);
 }
 
 #[test]

@@ -1571,7 +1571,7 @@ impl CloudFunctions {
 // lint: allow(L008) — false positives of name-based dispatch: the pool's
 // std-map `.get`, the kernel's own `RawMutex::lock` (under `Kernel::now`)
 // and `RawCondvar::wait` (under `Event::fire`'s exploration-only probe,
-// which stands down in a light poll) resolve onto RelayTier::get, the shim's
+// which stands down in a light poll) resolve onto CosClient::get, the shim's
 // Mutex::lock and Event::wait. Every platform lock here is taken through
 // `locked`, a try_lock that retries via `task::sleep`, and the guard cannot
 // be held across an `.await` (it is not `Send`); the body is rooted where it
@@ -1704,10 +1704,10 @@ async fn activation(
 /// prediction (`generation`), a warm container already exists, or the
 /// cluster is full.
 // lint: allow(L008) — false positives of name-based dispatch, as on
-// `activation`: std-map `.get` lookups resolve onto RelayTier::get and
-// CosClient::get, the kernel's `RawMutex::lock` onto the shim's, and the
-// registry's `try_get` sits beside a `push` this never calls; every lock
-// here is `locked` or try_read. Guarded by
+// `activation`: std-map `.get` lookups resolve onto CosClient::get, the
+// kernel's `RawMutex::lock` onto the shim's, and the registry's `try_get`
+// sits beside a `push` this never calls; every lock here is `locked` or
+// try_read. Guarded by
 // prewarm_backs_off_on_contended_platform_locks
 async fn prewarm(
     platform: CloudFunctions,

@@ -11,9 +11,6 @@
 //!   pays a [`rustwren_sim::NetworkProfile`] cost (round trip + payload
 //!   transfer + jitter) plus per-operation service latency ([`CosCosts`]),
 //!   and failures are retried with exponential backoff.
-//! * [`RelayTier`] — the simulated VM-hosted exchange relay used by the
-//!   shuffle plane's direct container-to-container ablation: in-memory
-//!   channels at datacenter latency, charged no COS operations at all.
 //!
 //! ## Example
 //!
@@ -43,11 +40,9 @@
 mod client;
 mod error;
 mod object;
-mod relay;
 mod store;
 
 pub use client::{CosClient, CosCosts, OpCounters, OpCounts};
 pub use error::StoreError;
 pub use object::{BucketMeta, ObjectMeta};
-pub use relay::{RelayOpCounts, RelayTier};
 pub use store::ObjectStore;
