@@ -129,8 +129,8 @@ struct Observed {
     billing: BillingReport,
     faults: Vec<FaultRecord>,
     now: SimInstant,
-    /// `light_polls` and `os_threads_spawned` zeroed: they count the
-    /// vehicle, which is the one thing meant to differ.
+    /// `light_polls`, `os_threads_spawned` and `thread_handoffs` zeroed:
+    /// they count the vehicle, which is the one thing meant to differ.
     kernel: KernelStats,
 }
 
@@ -194,6 +194,7 @@ fn run(resumable: bool, setup: &Setup, jobs: Jobs<'_>) -> (Observed, KernelStats
         kernel: KernelStats {
             light_polls: 0,
             os_threads_spawned: 0,
+            thread_handoffs: 0,
             ..stats
         },
     };
@@ -625,6 +626,7 @@ fn a_composed_tree_runs_the_same_under_either_registration() {
         let vehicle = KernelStats {
             light_polls: 0,
             os_threads_spawned: 0,
+            thread_handoffs: 0,
             ..stats
         };
         let seen = (

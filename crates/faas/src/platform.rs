@@ -1569,10 +1569,9 @@ impl CloudFunctions {
 /// timelines do not depend on the vehicle. Platform locks are only ever
 /// taken through [`locked`]: a poll never parks on one.
 // lint: allow(L008) — false positives of name-based dispatch: the pool's
-// std-map `.get`, the kernel's own `RawMutex::lock` (under `Kernel::now`)
-// and `RawCondvar::wait` (under `Event::fire`'s exploration-only probe,
-// which stands down in a light poll) resolve onto CosClient::get, the shim's
-// Mutex::lock and Event::wait. Every platform lock here is taken through
+// std-map `.get` and the kernel's own `RawMutex::lock` (under `Kernel::now`)
+// resolve onto CosClient::get (and through it Event::wait) and the shim's
+// Mutex::lock. Every platform lock here is taken through
 // `locked`, a try_lock that retries via `task::sleep`, and the guard cannot
 // be held across an `.await` (it is not `Send`); the body is rooted where it
 // is registered. Guarded by

@@ -78,8 +78,8 @@ struct Observed {
     billing: BillingReport,
     inflight: usize,
     now: SimInstant,
-    /// `light_polls` and `os_threads_spawned` zeroed: they count the
-    /// vehicle, which is the one thing meant to differ.
+    /// `light_polls`, `os_threads_spawned` and `thread_handoffs` zeroed:
+    /// they count the vehicle, which is the one thing meant to differ.
     kernel: KernelStats,
 }
 
@@ -109,7 +109,8 @@ fn run(vehicle: Vehicle, setup: &Setup, scenario: &dyn Fn(&CloudFunctions)) -> O
     let activations = faas.records().len() as u64;
     match vehicle {
         Vehicle::Thread => assert_eq!(stats.os_threads_spawned, activations),
-        Vehicle::Light => assert_eq!(stats.os_threads_spawned, 0),
+        // The client's thread alone: no turn passes between OS threads.
+        Vehicle::Light => assert_eq!((stats.os_threads_spawned, stats.thread_handoffs), (0, 0)),
     }
     Observed {
         records: faas.records(),
@@ -128,6 +129,7 @@ fn run(vehicle: Vehicle, setup: &Setup, scenario: &dyn Fn(&CloudFunctions)) -> O
         kernel: KernelStats {
             light_polls: 0,
             os_threads_spawned: 0,
+            thread_handoffs: 0,
             ..stats
         },
     }

@@ -245,4 +245,120 @@ mod tests {
         assert!(parse("[ratchet]\nunwraps = 3\n").is_err());
         assert!(parse("[ratchet]\nsuppressions = many\n").is_err());
     }
+
+    /// SplitMix64: the test's own seeded generator (the crate has no
+    /// dependencies to take one from).
+    struct Gen(u64);
+
+    impl Gen {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        fn text(&mut self, alphabet: &[char], max: usize) -> String {
+            (0..=self.below(max))
+                .map(|_| alphabet[self.below(alphabet.len())])
+                .collect()
+        }
+    }
+
+    /// `parse(serialize(cfg)) == cfg` over generated configs: any rule,
+    /// any count above zero (a zero entry is deleted, not kept), reasons
+    /// with quotes, `=`, `#` and non-ASCII in them. A file key holds no `=`
+    /// (the key ends at the first one) and no reason or key a line break.
+    #[test]
+    fn serialized_configs_parse_back_to_themselves() {
+        let path: Vec<char> = "abcxyz019/._-\"".chars().collect();
+        let reason: Vec<char> = "ab z#=\"'[]—é.".chars().collect();
+        let mut g = Gen(0x11D7);
+        for _ in 0..500 {
+            let mut cfg = LintConfig::default();
+            for _ in 0..g.below(6) {
+                let rule = Rule::ALL[g.below(Rule::ALL.len())];
+                let text = format!("x{}", g.text(&reason, 12));
+                cfg.allow.insert((rule, g.text(&path, 16)), text);
+            }
+            for _ in 0..g.below(6) {
+                let rule = Rule::ALL[g.below(Rule::ALL.len())];
+                let count = 1 + g.below(1 << 20);
+                cfg.baseline.insert((rule, g.text(&path, 16)), count);
+            }
+            cfg.suppressions = g.next().is_multiple_of(3).then(|| g.below(100));
+            let text = serialize(&cfg);
+            assert_eq!(parse(&text).as_ref(), Ok(&cfg), "{text}");
+        }
+    }
+
+    /// What `parse` may return for `text`: a config, or an error that names
+    /// a line of `text`. Anything else — a panic included — fails the test.
+    fn assert_parses_or_names_a_line(text: &str) {
+        let Err(e) = parse(text) else { return };
+        let line = e
+            .strip_prefix("lint.toml:")
+            .and_then(|rest| rest.split_once(": "))
+            .and_then(|(n, _)| n.parse::<usize>().ok());
+        let lines = text.lines().count();
+        assert!(
+            line.is_some_and(|n| (1..=lines).contains(&n)),
+            "{e:?} names no line of {text:?}"
+        );
+    }
+
+    /// Every single-bit flip, every truncation and every inserted line of
+    /// the committed `lint.toml` parses or fails with `lint.toml:N:`.
+    #[test]
+    fn damaged_committed_config_parses_or_names_the_line() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../lint.toml");
+        let committed = std::fs::read(path).expect("the committed lint.toml");
+        assert!(parse(&String::from_utf8_lossy(&committed)).is_ok());
+        for i in 0..committed.len() {
+            for bit in 0..8 {
+                let mut flipped = committed.clone();
+                flipped[i] ^= 1 << bit;
+                assert_parses_or_names_a_line(&String::from_utf8_lossy(&flipped));
+            }
+            assert_parses_or_names_a_line(&String::from_utf8_lossy(&committed[..i]));
+        }
+        let text = String::from_utf8_lossy(&committed);
+        let lines: Vec<&str> = text.lines().collect();
+        let inserts = [
+            "[",
+            "]",
+            "[]",
+            "[allow]",
+            "[allow.L001",
+            "[allow.]",
+            "[baseline.L999]",
+            "[ratchet.x]",
+            "=",
+            "==",
+            "\"\" = \"\"",
+            "\" = \"",
+            "\"a.rs\" = 0",
+            "\"a.rs\" = -1",
+            "\"a.rs\" = 99999999999999999999999",
+            "\"a.rs\" = \"r\"",
+            "\"a.rs\" = 3",
+            "a.rs = 3",
+            "suppressions =",
+            "suppressions = 1",
+            "x",
+            "\t",
+        ];
+        for at in 0..=lines.len() {
+            for insert in inserts {
+                let mut damaged = lines.clone();
+                damaged.insert(at, insert);
+                assert_parses_or_names_a_line(&damaged.join("\n"));
+            }
+        }
+    }
 }

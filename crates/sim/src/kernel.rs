@@ -80,13 +80,13 @@ use std::panic::{self, AssertUnwindSafe};
 use std::pin::pin;
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
-use std::thread;
+use std::thread::{self, Thread};
 use std::time::Duration;
 
 use parking_lot::hooks::{GuardControl, LockOp};
 
 use crate::order::{OrderRecorder, RunOrderReport, Space, SyncKind};
-use crate::rawlock::{RawCondvar, RawMutex, RawMutexGuard};
+use crate::rawlock::{RawMutex, RawMutexGuard};
 use crate::sched::{Choice, ChoiceKind, FifoScheduler, ReplayScheduler, ScheduleTrace, Scheduler};
 use crate::sync::Event;
 use crate::task;
@@ -97,7 +97,7 @@ thread_local! {
     /// Set while the dispatch loop is stepping a lightweight task on this
     /// OS thread. Guards against blocking kernel operations (which would
     /// wedge the dispatcher itself) and preemption probes (which would
-    /// park the dispatcher on a condvar nobody can signal).
+    /// park the dispatcher where nothing wakes it).
     static IN_LIGHT_STEP: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
@@ -153,14 +153,15 @@ struct LightTask {
 pub(crate) struct Waiter {
     id: u64,
     name: Arc<str>,
-    /// Lightweight task: no OS thread is parked on `cv`; the dispatch
-    /// loop polls its state machine inline instead of releasing it.
-    light: bool,
+    /// The OS thread that runs this waiter's turns and parks in
+    /// [`Kernel::park_until_released`] between them. `None` for a
+    /// lightweight task: the dispatch loop polls its state machine inline
+    /// instead of releasing it.
+    thread: Option<Thread>,
     /// Counts in [`State::light_live`]: a light task, but not a
     /// [`Kernel::spawn`]ed one, which counts as its thread from the start.
     freezes: bool,
     sync: RawMutex<WaiterSync>,
-    cv: RawCondvar,
     /// What this thread holds, in the order it took it. Only the thread
     /// itself pushes and pops; the deadlock report reads it under the
     /// state lock. A leaf lock: nothing takes the state lock under it.
@@ -182,8 +183,8 @@ enum Held {
 struct WaiterSync {
     /// A wake was delivered and not yet consumed.
     notified: bool,
-    /// The owning thread has decremented the runnable count and is (about to
-    /// be) parked on `cv`.
+    /// The owning thread has decremented the runnable count and sits in
+    /// `blocked` until a wake moves it to the ready queue.
     parked: bool,
     /// The dispatcher released this thread to run. A woken thread stays
     /// parked (in the ready queue) until released — this is what serializes
@@ -201,14 +202,13 @@ impl Waiter {
         self.id
     }
 
-    fn new(id: u64, name: Arc<str>, light: bool, freezes: bool) -> Arc<Waiter> {
+    fn new(id: u64, name: Arc<str>, thread: Option<Thread>, freezes: bool) -> Arc<Waiter> {
         Arc::new(Waiter {
             id,
             name,
-            light,
+            thread,
             freezes,
             sync: RawMutex::new(WaiterSync::default()),
-            cv: RawCondvar::new(),
             held: RawMutex::new(Vec::new()),
         })
     }
@@ -226,8 +226,10 @@ impl Waiter {
 enum Release {
     /// Ready queue empty — nothing to dispatch.
     None,
-    /// A thread-backed waiter was released through its condvar.
-    Thread,
+    /// This thread-backed waiter was released: its `released` flag is set,
+    /// and its OS thread is woken once the state lock is dropped (see
+    /// `Kernel::pass_turn`).
+    Thread(Arc<Waiter>),
     /// A lightweight waiter was selected; the caller must poll its state
     /// machine inline.
     Light(Arc<Waiter>),
@@ -447,7 +449,7 @@ impl State {
         self.stats.threads_started += 1;
         let id = self.next_waiter_id;
         self.next_waiter_id += 1;
-        let waiter = Waiter::new(id, Arc::clone(&name), true, freezes);
+        let waiter = Waiter::new(id, Arc::clone(&name), None, freezes);
         if let (Some(p), Some(order)) = (&parent, self.order.as_mut()) {
             // Happens-before: the task inherits the spawner's history.
             order.spawned(p.id, &p.name, id, &name);
@@ -621,6 +623,11 @@ pub struct KernelStats {
     /// OS threads actually created: promotions ([`LightStep::Thread`], one
     /// per [`Kernel::spawn`]) and nothing else.
     pub os_threads_spawned: u64,
+    /// Dispatches that passed the turn from one OS thread to another: each
+    /// costs a wake of the next thread and a park of the one that blocked.
+    /// A thread released by its own dispatch loop (the one it ran when it
+    /// blocked) keeps running and is not counted, nor is a promotion.
+    pub thread_handoffs: u64,
     /// `parking_lot` shim-lock acquisitions by simulated threads.
     pub lock_acquisitions: u64,
     /// Simulated threads parked in virtual time on a contended shim lock.
@@ -651,9 +658,11 @@ struct Inner {
     /// changed only under the state lock. While it is zero and the flags
     /// observe nothing, a shim-lock acquisition or release has no one to
     /// tell and stays off the state lock. `Relaxed` is enough: a thread
-    /// that parked raised it before handing the turn over, and the hand-off
-    /// (the state lock, a waiter's parking lock) orders that before
-    /// whatever the next simulated thread reads.
+    /// that parked raised it under the state lock, the dispatcher that next
+    /// takes that lock writes the released thread's `released` under its
+    /// `sync` lock, and the released thread takes that lock to read the
+    /// flag before it returns; a light task runs on the dispatcher itself.
+    /// Locks order all of it; the wake-up signal carries no ordering.
     parked_on_locks: AtomicUsize,
     /// [`KernelStats::lock_acquisitions`], counted off the state lock.
     lock_acquisitions: AtomicU64,
@@ -914,7 +923,7 @@ impl Kernel {
             st.stats.threads_started += 1;
             let id = st.next_waiter_id;
             st.next_waiter_id += 1;
-            Waiter::new(id, Arc::from(name), false, false)
+            Waiter::new(id, Arc::from(name), Some(thread::current()), false)
         };
         CURRENT.with(|c| {
             *c.borrow_mut() = Some(ThreadCtx {
@@ -1012,9 +1021,8 @@ impl Kernel {
     /// schedules timers through the same heap, and appears in deadlock
     /// reports while sleeping — so FIFO order, `RUSTWREN_SCHEDULE` tokens
     /// and exploring schedulers see the identical choice points. What
-    /// changes is purely the execution mechanism: instead of two condvar
-    /// handoffs and an OS context switch per step, the dispatcher calls `f`
-    /// directly.
+    /// changes is purely the execution mechanism: instead of a wake, a park
+    /// and an OS context switch per step, the dispatcher calls `f` directly.
     ///
     /// Each poll must run to the task's next suspension point and return a
     /// [`LightStep`]: `Sleep(d)` schedules a timer and re-polls once it
@@ -1131,19 +1139,9 @@ impl Kernel {
                     resource,
                 },
             );
-            let _st = self.drive(st);
+            self.pass_turn(st, Some(waiter));
         }
-        let failed = {
-            let mut ws = waiter.sync.lock();
-            while !ws.released {
-                waiter.cv.wait(&mut ws);
-            }
-            ws.released = false;
-            ws.notified = false;
-            debug_assert!(!ws.parked, "dispatch must clear `parked`");
-            std::mem::take(&mut ws.failed)
-        };
-        if failed {
+        if Self::park_until_released(waiter) {
             let report = self
                 .inner
                 .state
@@ -1182,9 +1180,9 @@ impl Kernel {
     /// With an exploring scheduler installed and ≥ 2 ready tasks, this is
     /// a *Ready* choice point: the scheduler picks which task runs. The
     /// default (index 0, queue front) reproduces historical FIFO dispatch.
-    /// Thread-backed waiters are released through their condvar;
-    /// lightweight waiters are handed back to the caller ([`Kernel::drive`])
-    /// to be polled inline.
+    /// Either kind of waiter is handed back to the caller ([`Kernel::drive`]):
+    /// a thread-backed one marked released, for its thread to be woken once
+    /// the state lock drops; a lightweight one to be polled inline.
     fn release_next_locked(st: &mut State) -> Release {
         if st.ready.is_empty() {
             return Release::None;
@@ -1211,16 +1209,13 @@ impl Kernel {
             0
         };
         let w = st.ready.remove(idx).expect("index in range");
-        if w.light {
+        if w.thread.is_none() {
             w.sync.lock().notified = false;
             return Release::Light(w);
         }
         st.runnable += 1;
-        let mut ws = w.sync.lock();
-        ws.released = true;
-        w.cv.notify_one();
-        drop(ws);
-        Release::Thread
+        w.sync.lock().released = true;
+        Release::Thread(w)
     }
 
     /// Runs the dispatch loop until a thread-backed waiter is runnable —
@@ -1233,16 +1228,62 @@ impl Kernel {
     /// simply freeze, like background OS threads at process exit. While a
     /// thread-backed caller is blocked (not deregistered) it counts in
     /// `live`, so for it the condition reduces to `runnable > 0`.
-    fn drive<'a>(&'a self, mut st: RawMutexGuard<'a, State>) -> RawMutexGuard<'a, State> {
+    ///
+    /// Returns the thread-backed waiter it released, if it released one
+    /// (rather than promoting a light task, or stopping with only light
+    /// tasks left): the caller wakes it, after dropping the state lock.
+    fn drive<'a>(
+        &'a self,
+        mut st: RawMutexGuard<'a, State>,
+    ) -> (RawMutexGuard<'a, State>, Option<Arc<Waiter>>) {
         loop {
             if st.runnable > 0 || st.live == st.light_live {
-                return st;
+                return (st, None);
             }
             match Self::release_next_locked(&mut st) {
-                Release::Thread => {}
+                Release::Thread(w) => return (st, Some(w)),
                 Release::Light(w) => st = self.run_light_step(st, &w),
                 Release::None => Self::advance_locked(&mut st),
             }
+        }
+    }
+
+    /// Runs the dispatch loop for `me`, which has just given up its turn
+    /// (`None`: a thread leaving the simulation), and wakes the thread it
+    /// released. The wake comes after the state lock drops, so the woken
+    /// thread does not wake into a held lock. There is no wake when the
+    /// released thread is `me`: it finds `released` set in
+    /// [`Kernel::park_until_released`] and runs on without parking.
+    fn pass_turn(&self, st: RawMutexGuard<'_, State>, me: Option<&Arc<Waiter>>) {
+        let (mut st, released) = self.drive(st);
+        let Some(next) = released.filter(|w| me.is_none_or(|me| !Arc::ptr_eq(me, w))) else {
+            return;
+        };
+        st.stats.thread_handoffs += 1;
+        drop(st);
+        if let Some(thread) = &next.thread {
+            thread.unpark();
+        }
+    }
+
+    /// Parks the calling thread, the one behind `waiter`, until a dispatch
+    /// releases it, and consumes the release. Returns whether the release
+    /// was a failure broadcast. `released` is re-checked under `sync` after
+    /// every return from `park`, so a wake that comes early (before the
+    /// thread parks) or late (meant for an earlier turn), and a spurious
+    /// one, are all harmless.
+    fn park_until_released(waiter: &Waiter) -> bool {
+        loop {
+            {
+                let mut ws = waiter.sync.lock();
+                if ws.released {
+                    ws.released = false;
+                    ws.notified = false;
+                    debug_assert!(!ws.parked, "dispatch must clear `parked`");
+                    return std::mem::take(&mut ws.failed);
+                }
+            }
+            thread::park();
         }
     }
 
@@ -1356,7 +1397,8 @@ impl Kernel {
     /// released. The thread is started with the state lock held, so its
     /// first kernel operation comes after the dispatcher has seen
     /// `runnable > 0` and stood down. This is the one place a simulated
-    /// process gets an OS thread.
+    /// process gets an OS thread; the thread builds its own waiter, so the
+    /// waiter knows its thread from the start.
     fn promote<'a>(
         &'a self,
         mut st: RawMutexGuard<'a, State>,
@@ -1369,13 +1411,15 @@ impl Kernel {
         // Nothing else refers to a *running* light task's waiter (it is in
         // no timer, waiter list or queue), so the thread gets a fresh one,
         // holding what the task held.
-        let waiter = Waiter::new(w.id, Arc::clone(&w.name), false, false);
-        *waiter.held.lock() = std::mem::take(&mut *w.held.lock());
+        let (id, name) = (w.id, Arc::clone(&w.name));
+        let held = std::mem::take(&mut *w.held.lock());
         let kernel = self.clone();
         thread::Builder::new()
             .name(w.name.to_string())
             .stack_size(STACK_SIZE)
             .spawn(move || {
+                let waiter = Waiter::new(id, name, Some(thread::current()), false);
+                *waiter.held.lock() = held;
                 CURRENT.with(|c| {
                     *c.borrow_mut() = Some(ThreadCtx {
                         kernel: kernel.clone(),
@@ -1422,7 +1466,8 @@ impl Kernel {
         st.failure = Some(report);
         let blocked: Vec<Arc<Waiter>> = st.blocked.values().map(|b| &b.waiter).cloned().collect();
         let ready = std::mem::take(&mut st.ready);
-        for w in blocked.iter().chain(&ready).filter(|w| !w.light) {
+        for w in blocked.iter().chain(&ready) {
+            let Some(thread) = &w.thread else { continue };
             let mut ws = w.sync.lock();
             ws.failed = true;
             ws.notified = true;
@@ -1430,9 +1475,9 @@ impl Kernel {
             ws.parked = false;
             st.blocked.remove(&w.id);
             st.runnable += 1;
-            w.cv.notify_one();
+            thread.unpark();
         }
-        st.ready = ready.into_iter().filter(|w| w.light).collect();
+        st.ready = ready.into_iter().filter(|w| w.thread.is_none()).collect();
     }
 
     pub(crate) fn lock_state(&self) -> RawMutexGuard<'_, State> {
@@ -1452,7 +1497,7 @@ impl Kernel {
         }
         if IN_LIGHT_STEP.with(std::cell::Cell::get) {
             // A lightweight poll runs *on* the dispatcher; yielding here
-            // would park the dispatch loop on a condvar nothing signals.
+            // would park the dispatch loop where nothing wakes it.
             // Light tasks interleave only at their Sleep boundaries.
             return;
         }
@@ -1483,14 +1528,10 @@ impl Kernel {
         // (release_next_locked always succeeds).
         st.ready.push_back(Arc::clone(&waiter));
         st.runnable -= 1;
-        let st = self.drive(st);
-        drop(st);
-        let mut ws = waiter.sync.lock();
-        while !ws.released {
-            waiter.cv.wait(&mut ws);
-        }
-        ws.released = false;
-        ws.notified = false;
+        self.pass_turn(st, Some(&waiter));
+        // A failure broadcast is re-raised at this thread's next block,
+        // which finds the recorded failure first.
+        Self::park_until_released(&waiter);
     }
 
     /// Advances the clock to the earliest timer deadline and wakes that one
@@ -1711,7 +1752,7 @@ impl Kernel {
         if thread::panicking() || st.failure.is_some() {
             return;
         }
-        let _st = self.drive(st);
+        self.pass_turn(st, None);
     }
 
     /// Whether `other` is a handle to this same kernel.
@@ -2812,7 +2853,8 @@ mod tests {
     /// own event) on both vehicles: the light task and the thread running
     /// it through `run_blocking` take the same FIFO wake positions, so a
     /// bystander woken by the same event interleaves identically and every
-    /// counter but `light_polls`/`os_threads_spawned` agrees.
+    /// counter but `light_polls`/`os_threads_spawned`/`thread_handoffs`
+    /// agrees.
     #[test]
     fn light_wait_matches_thread_wait_schedule() {
         fn run(light: bool) -> (Vec<(&'static str, u64)>, KernelStats, SimInstant) {
@@ -2891,11 +2933,13 @@ mod tests {
             KernelStats {
                 light_polls: 0,
                 os_threads_spawned: 0,
+                thread_handoffs: 0,
                 ..st_light
             },
             KernelStats {
                 light_polls: 0,
                 os_threads_spawned: 0,
+                thread_handoffs: 0,
                 ..st_thread
             }
         );
@@ -2906,6 +2950,13 @@ mod tests {
         // The bystander; plus, on the thread vehicle, the machine itself.
         assert_eq!(st_light.os_threads_spawned, 1);
         assert_eq!(st_thread.os_threads_spawned, 2);
+        // Turns passed between OS threads: every one of the machine's
+        // blocks is one more on the thread vehicle; on the light one the
+        // bystander's sleep releases the bystander itself, at no cost.
+        assert_eq!(
+            (st_light.thread_handoffs, st_thread.thread_handoffs),
+            (3, 7)
+        );
     }
 
     /// Waiting on an event that has already fired re-polls at once: no
@@ -3063,6 +3114,47 @@ mod tests {
         assert_eq!(stats.threads_started, 1 + 5 + 2 + 3);
         assert_eq!(stats.os_threads_spawned, 2 + 3);
         assert_eq!(stats.light_polls, 5 + 2 + 3);
+    }
+
+    /// Two spawned threads whose sleeps alternate (`a` wakes at 10, 20, …
+    /// ms, `b` at 5, 15, …): every timer but `b`'s first passes the turn to
+    /// the other thread, and a thread woken by its own dispatch loop is no
+    /// hand-off. A thread sleeping alone never hands off at all.
+    #[test]
+    fn thread_handoffs_count_turns_passed_between_os_threads() {
+        const ROUNDS: u64 = 50;
+        let k = Kernel::new();
+        k.run("client", || {
+            let a = spawn("a", || {
+                for _ in 0..ROUNDS {
+                    sleep(Duration::from_millis(10));
+                }
+            });
+            let b = spawn("b", || {
+                sleep(Duration::from_millis(5));
+                for _ in 0..ROUNDS {
+                    sleep(Duration::from_millis(10));
+                }
+            });
+            a.join();
+            b.join();
+        });
+        // `a`'s ROUNDS timers and the ROUNDS - 1 of `b`'s between them;
+        // then `a` exits to the client, the client blocks in `b.join()`
+        // until `b`'s last timer, and `b` exits to the client.
+        assert_eq!(k.stats().thread_handoffs, 2 * ROUNDS - 1 + 3);
+        assert_eq!(
+            k.now(),
+            SimInstant::ZERO + Duration::from_millis(5 + 10 * ROUNDS)
+        );
+
+        let alone = Kernel::new();
+        alone.run("client", || {
+            for _ in 0..ROUNDS {
+                sleep(Duration::from_millis(10));
+            }
+        });
+        assert_eq!(alone.stats().thread_handoffs, 0);
     }
 
     /// A spawned closure counts as the thread it asks for from the moment
@@ -3227,13 +3319,21 @@ mod tests {
         assert_eq!(
             KernelStats {
                 light_polls: 0,
+                thread_handoffs: 0,
                 ..st_light
             },
             KernelStats {
                 light_polls: 0,
+                thread_handoffs: 0,
                 ..st_thread
             },
             "promotion counts an OS thread and no second simulated process"
+        );
+        // The light machine's first sleep is polled on the dispatcher, not
+        // handed to a thread of its own.
+        assert_eq!(
+            (st_thread.thread_handoffs, st_light.thread_handoffs),
+            (8, 7)
         );
         // One poll per spawn (machine and bystander), or the machine's two
         // until it asked plus the bystander's.

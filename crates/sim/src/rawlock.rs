@@ -4,10 +4,10 @@
 //! The kernel cannot use the `parking_lot` shim: that shim is instrumented
 //! and *virtualized* — contended operations are routed back into the kernel
 //! (see [`crate::vlock`]) so schedule exploration can interleave and observe
-//! them. The kernel's state lock, per-waiter parking slots and other
-//! bookkeeping must stay ordinary OS-level primitives, invisible to the
-//! scheduler and the lock-order recorder, or every hook would recurse into
-//! itself.
+//! them. The kernel's state lock, each waiter's `sync` and `held` locks and
+//! other bookkeeping must stay ordinary OS-level primitives, invisible to
+//! the scheduler and the lock-order recorder, or every hook would recurse
+//! into itself. (A blocked thread itself parks with `std::thread::park`.)
 
 use std::ops::{Deref, DerefMut};
 use std::sync::PoisonError;
@@ -28,55 +28,25 @@ impl<T> RawMutex<T> {
 impl<T: ?Sized> RawMutex<T> {
     pub(crate) fn lock(&self) -> RawMutexGuard<'_, T> {
         RawMutexGuard {
-            inner: Some(self.inner.lock().unwrap_or_else(PoisonError::into_inner)),
+            inner: self.inner.lock().unwrap_or_else(PoisonError::into_inner),
         }
     }
 }
 
 /// RAII guard returned by [`RawMutex::lock`].
-///
-/// Holds an `Option` so [`RawCondvar::wait`] can temporarily take the std
-/// guard out while the thread is parked.
 pub(crate) struct RawMutexGuard<'a, T: ?Sized> {
-    inner: Option<std::sync::MutexGuard<'a, T>>,
+    inner: std::sync::MutexGuard<'a, T>,
 }
 
 impl<T: ?Sized> Deref for RawMutexGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
-        self.inner.as_ref().expect("guard present")
+        &self.inner
     }
 }
 
 impl<T: ?Sized> DerefMut for RawMutexGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
-        self.inner.as_mut().expect("guard present")
-    }
-}
-
-/// Condition variable compatible with [`RawMutexGuard`], kernel-internal.
-#[derive(Default)]
-pub(crate) struct RawCondvar {
-    inner: std::sync::Condvar,
-}
-
-impl RawCondvar {
-    pub(crate) const fn new() -> RawCondvar {
-        RawCondvar {
-            inner: std::sync::Condvar::new(),
-        }
-    }
-
-    pub(crate) fn wait<T>(&self, guard: &mut RawMutexGuard<'_, T>) {
-        let std_guard = guard.inner.take().expect("guard present");
-        let std_guard = self
-            .inner
-            .wait(std_guard)
-            .unwrap_or_else(PoisonError::into_inner);
-        guard.inner = Some(std_guard);
-    }
-
-    pub(crate) fn notify_one(&self) {
-        self.inner.notify_one();
+        &mut self.inner
     }
 }

@@ -61,6 +61,7 @@ use rustwren::faas::{ActivationId, InvokeError, KeepAlivePolicy, PlatformConfig,
 use rustwren::sim::hash::{hash2, hash_str};
 use rustwren::sim::{Kernel, NetworkProfile, RandomScheduler};
 use rustwren::workloads::cloudsort::{self, CloudSortConfig};
+use rustwren::workloads::compute::{self, COMPUTE_FN};
 use rustwren::workloads::serving::{self, BurstWindow, TenantTraffic, TraceConfig, SERVE_FN};
 
 /// Folds a stream of strings into a single order-sensitive digest.
@@ -384,6 +385,60 @@ fn burst_locks_are_uncontended_and_counted_deterministically() {
     assert_eq!(first.lock_parks, 0, "{first:?}");
     assert!(first.lock_acquisitions > 0, "{first:?}");
     assert_eq!(first, second);
+}
+
+/// Turns passed between OS threads under FIFO, an exact count per shape.
+/// A resumable job runs on the client's thread alone and passes none: the
+/// cloudsort shape, and the map shape over a resumable function. Each of
+/// the map shape's six blocking `add7` calls takes a thread of its own and
+/// passes the turn on when it exits; the burst's two driver threads pass
+/// it back and forth.
+#[test]
+fn thread_handoffs_are_exact_per_shape_and_zero_when_resumable() {
+    let handoffs = |scenario: &dyn Fn(Kernel)| {
+        let kernel = Kernel::new();
+        scenario(kernel.clone());
+        (
+            kernel.stats().os_threads_spawned,
+            kernel.stats().thread_handoffs,
+        )
+    };
+    let resumable_map = |kernel: Kernel| {
+        let cloud = cloud_on(kernel);
+        compute::register(&cloud);
+        cloud.run(|| {
+            let exec = cloud.executor().build().unwrap();
+            exec.map(
+                COMPUTE_FN,
+                (0..6)
+                    .map(|i| compute::input(f64::from(i)))
+                    .collect::<Vec<_>>(),
+            )
+            .unwrap();
+            exec.get_result().unwrap()
+        });
+    };
+    assert_eq!(handoffs(&resumable_map), (0, 0), "map, resumable");
+    assert_eq!(
+        handoffs(&|k| drop(cloudsort_scenario(k))),
+        (0, 0),
+        "FIFO_CLOUDSORT's shape"
+    );
+    assert_eq!(
+        handoffs(&|k| drop(map_scenario(k))),
+        (6, 6),
+        "FIFO_MAP's shape"
+    );
+    assert_eq!(
+        handoffs(&|k| drop(map_reduce_scenario(k))),
+        (6, 9),
+        "FIFO_MAP_REDUCE's shape"
+    );
+    assert_eq!(
+        handoffs(&|k| drop(burst_scenario(k, BURST_HORIZON))),
+        (2, 28),
+        "FIFO_BURST's shape"
+    );
 }
 
 #[test]

@@ -573,6 +573,76 @@ fn light_lanes_conserve_activations_under_faults_and_every_schedule() {
     assert_eq!(report.schedules, SCHEDULES + 1);
 }
 
+/// Threads in the token ring, and rounds the token makes.
+const RING_THREADS: usize = 8;
+const RING_ROUNDS: usize = 100;
+
+/// A token ring of blocking threads: eight `spawn`ed threads pass the
+/// token, one [`Event`](rustwren::sim::sync::Event) per turn, 100 times
+/// around, sleeping 1–3 ms in each turn. Nearly every turn passes the
+/// kernel's turn to another OS thread, woken after the kernel lock drops:
+/// a wake lost there hangs the ring, and a thread that runs out of turn
+/// fails the holder's check. Returns the turns taken and the virtual end.
+fn token_ring_job(kernel: Kernel) -> (u64, u64) {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
+    use std::time::Duration;
+
+    use rustwren::sim::sync::Event;
+
+    let turns = RING_THREADS * RING_ROUNDS;
+    let k = kernel.clone();
+    kernel.run("client", move || {
+        let tokens: Arc<Vec<Event>> = Arc::new((0..=turns).map(|_| Event::new(&k)).collect());
+        let taken = Arc::new(AtomicU64::new(0));
+        let holders: Vec<_> = (0..RING_THREADS)
+            .map(|i| {
+                let (tokens, taken) = (Arc::clone(&tokens), Arc::clone(&taken));
+                rustwren_sim::spawn(format!("ring-{i}"), move || {
+                    for turn in (i..turns).step_by(RING_THREADS) {
+                        tokens[turn].wait();
+                        assert_eq!(taken.load(Ordering::Relaxed), turn as u64, "out of turn");
+                        rustwren_sim::sleep(Duration::from_millis(1 + turn as u64 % 3));
+                        taken.fetch_add(1, Ordering::Relaxed);
+                        tokens[turn + 1].fire();
+                    }
+                })
+            })
+            .collect();
+        tokens[0].fire();
+        for holder in holders {
+            holder.join();
+        }
+        (
+            taken.load(Ordering::Relaxed),
+            rustwren_sim::now().as_nanos(),
+        )
+    })
+}
+
+#[test]
+fn token_ring_of_blocking_threads_loses_no_wakeup_under_every_schedule() {
+    let fifo = Kernel::new();
+    let turns = (RING_THREADS * RING_ROUNDS) as u64;
+    let sleeps_ms: u64 = (0..turns).map(|turn| 1 + turn % 3).sum();
+    assert_eq!(token_ring_job(fifo.clone()), (turns, sleeps_ms * 1_000_000));
+    // One hand-off ends every turn (to the next holder, or last to the
+    // client); one more starts the ring (the last thread to enlist hands
+    // over to the first, whose sleep is due); and in the last round each
+    // holder but the first sleeps while the client, joining it, runs and
+    // blocks again: two more per turn.
+    let rounds_end = 2 * (RING_THREADS as u64 - 1);
+    assert_eq!(fifo.stats().thread_handoffs, turns + 1 + rounds_end);
+
+    let report = explore(token_ring_job, &budget(1010, "sweep-token-ring"));
+    assert!(report.ok(), "{report}");
+    assert_eq!(report.schedules, SCHEDULES + 1);
+    assert!(
+        report.lock_orders.cycles.is_empty() && report.lock_orders.lost_wakeups.is_empty(),
+        "{report}"
+    );
+}
+
 /// Exports the dynamic lock-exercise inventory for rustwren-lint's L007
 /// cross-check (`target/verify/lock-exercise.txt`). A small budget is
 /// enough: L007 only asks whether each lock *kind* was ever exercised, not
