@@ -1,10 +1,8 @@
-//! Shared plumbing for the experiment binaries.
-//!
-//! Each binary in `src/bin/` regenerates one table or figure from the
-//! paper's evaluation (§6). They print the paper's reported numbers next to
-//! the measured ones so the shape comparison is immediate. All binaries
-//! accept `--smoke` to run a reduced-scale variant (used by the test
-//! suite) and `--seed N` to change the deterministic seed.
+//! The paper's evaluation, reproduced: [`paper`] holds one function per
+//! experiment (§5.1, Figs 2–5, Table 3, the ablations and the serving A/B),
+//! each returning typed rows, and the `reproduce` binary prints them next
+//! to the paper's reported numbers. This root holds the printing helpers
+//! they share.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -14,7 +12,9 @@ use std::fmt::Write as _;
 
 use rustwren_core::stats::ConcurrencyPoint;
 
-/// Parsed command-line options shared by every experiment binary.
+pub mod paper;
+
+/// The options every experiment takes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BenchArgs {
     /// Run a reduced-scale variant.
@@ -23,51 +23,17 @@ pub struct BenchArgs {
     pub seed: u64,
 }
 
-impl BenchArgs {
-    /// Parses `std::env::args`; unknown flags panic with usage help.
-    ///
-    /// # Panics
-    ///
-    /// Panics on unknown arguments.
-    pub fn parse() -> BenchArgs {
-        let mut args = BenchArgs {
+impl Default for BenchArgs {
+    /// Full scale at seed 42, the scale and seed the paper tables quote.
+    fn default() -> BenchArgs {
+        BenchArgs {
             smoke: false,
             seed: 42,
-        };
-        let mut it = std::env::args().skip(1);
-        while let Some(a) = it.next() {
-            match a.as_str() {
-                "--smoke" => args.smoke = true,
-                "--seed" => {
-                    args.seed = it
-                        .next()
-                        .and_then(|s| s.parse().ok())
-                        .expect("--seed requires an integer");
-                }
-                other => panic!("unknown argument `{other}` (expected --smoke or --seed N)"),
-            }
         }
-        args
     }
+}
 
-    /// Writes a bench binary's measurements: to the committed
-    /// `BENCH_<name>.json` at full scale, to `target/bench/<name>.json`
-    /// under `--smoke` — a committed bench file is always a full-scale run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the file cannot be written.
-    pub fn write_bench_json(&self, name: &str, json: &str) {
-        let path = if self.smoke {
-            std::fs::create_dir_all("target/bench").expect("creating target/bench");
-            format!("target/bench/{name}.json")
-        } else {
-            format!("BENCH_{name}.json")
-        };
-        std::fs::write(&path, json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-        println!("wrote {path}");
-    }
-
+impl BenchArgs {
     /// Scales an experiment size down in smoke mode.
     pub fn scaled(&self, full: usize, smoke: usize) -> usize {
         if self.smoke {

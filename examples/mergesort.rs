@@ -44,7 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!("\n(deeper trees parallelize the sort; the paper's Fig 4 sweeps N to 25M, d to 4 —");
     println!(
-        " run `cargo run --release -p rustwren-bench --bin fig4_mergesort` for the full figure)"
+        " run `cargo run --release -p rustwren-bench --bin reproduce -- fig4` for the full figure)"
     );
 
     // What-if analysis: a depth-11 tree would put 2^11 - 1 = 2047 blocking
