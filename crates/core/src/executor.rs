@@ -1721,6 +1721,7 @@ impl Executor {
         for key in &keys {
             self.inner.cos.delete(bucket, key)?;
         }
+        self.inner.cloud.inner.statuses.forget(&prefix);
         // The objects the table describes are gone; an entry kept here would
         // outlive them (each task retains its inline descriptor) and let
         // `reinvoke` launch agents that can only fail.

@@ -353,11 +353,11 @@ impl StatusView {
 /// of R reducers GETs every map's status and verifies its stamp; a read
 /// whose bytes are the bytes a successful [`TaskStatus::decode`] walked under
 /// the same key takes that walk's view instead of walking them again. Only a
-/// walk that succeeds is kept — one view per status key, for the life of the
-/// cloud, holding bytes the store already shares — so a re-written status, a
-/// failed walk or a corrupted read is walked as ever. The lock is a plain
-/// `std` one, as the store's shards are: host-only state, never contended
-/// under the kernel's one runner at a time.
+/// walk that succeeds is kept — one view per status key, until the
+/// executor's `clean` deletes the status, holding bytes the store already
+/// shares — so a re-written status, a failed walk or a corrupted read is
+/// walked as ever. The lock is a plain `std` one, as the store's shards are:
+/// host-only state, never contended under the kernel's one runner at a time.
 #[derive(Default)]
 pub(crate) struct StatusMemo(Mutex<Memo>);
 
@@ -393,11 +393,29 @@ impl StatusMemo {
         Ok(view)
     }
 
+    /// Drops the views of statuses under `prefix`, whose objects
+    /// [`Executor::clean`](crate::Executor::clean) deleted: a view kept
+    /// would hold their bytes for the life of the cloud.
+    pub(crate) fn forget(&self, prefix: &str) {
+        let mut memo = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        memo.views.retain(|key, _| !key.starts_with(prefix));
+    }
+
     /// Reads that walked their bytes, and reads that took a kept view.
     #[cfg(test)]
     pub(crate) fn counts(&self) -> (u64, u64) {
         let memo = self.0.lock().unwrap_or_else(PoisonError::into_inner);
         (memo.walked, memo.reused)
+    }
+
+    /// How many views are kept for statuses under `prefix`.
+    #[cfg(test)]
+    pub(crate) fn kept_under(&self, prefix: &str) -> usize {
+        let memo = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        memo.views
+            .keys()
+            .filter(|key| key.starts_with(prefix))
+            .count()
     }
 }
 

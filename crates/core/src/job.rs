@@ -1646,11 +1646,9 @@ mod tests {
         assert_eq!(err, "manifest has no entry for partition 3");
     }
 
-    /// A CloudSort-shaped job, M maps by R reducers: every reducer GETs and
-    /// verifies every map's status, and each status is walked once.
-    #[test]
-    fn each_map_status_is_walked_once_per_cloud() {
-        let (maps, reducers) = (6, 5);
+    /// A cloud for a CloudSort-shaped job: `spread` maps an int to 16
+    /// pairs, `count` counts a reducer's groups.
+    fn shuffle_cloud() -> SimCloud {
         let cloud = SimCloud::builder().seed(11).build();
         cloud.register_fn("spread", |_ctx: &crate::TaskCtx, v: Value| {
             let n = v.as_i64().ok_or("int")?;
@@ -1661,16 +1659,27 @@ mod tests {
             let groups = v.get("groups").and_then(Value::as_map).ok_or("no groups")?;
             Ok(Value::from(groups.len()))
         });
-        let counts = cloud.run(|| {
-            let exec = cloud.executor().build()?;
-            let source = crate::DataSource::Values((0..maps).map(Value::from).collect());
-            let opts = crate::ShuffleOpts {
-                reducers,
-                ..crate::ShuffleOpts::default()
-            };
-            exec.map_shuffle_reduce("spread", source, "count", opts)?;
-            exec.get_result()
-        });
+        cloud
+    }
+
+    /// Runs `spread` over `0..maps` shuffled to `reducers` `count`s.
+    fn shuffle(exec: &crate::Executor, maps: usize, reducers: usize) -> crate::Result<Vec<Value>> {
+        let source = crate::DataSource::Values((0..maps).map(Value::from).collect());
+        let opts = crate::ShuffleOpts {
+            reducers,
+            ..crate::ShuffleOpts::default()
+        };
+        exec.map_shuffle_reduce("spread", source, "count", opts)?;
+        exec.get_result()
+    }
+
+    /// A CloudSort-shaped job, M maps by R reducers: every reducer GETs and
+    /// verifies every map's status, and each status is walked once.
+    #[test]
+    fn each_map_status_is_walked_once_per_cloud() {
+        let (maps, reducers) = (6, 5);
+        let cloud = shuffle_cloud();
+        let counts = cloud.run(|| shuffle(&cloud.executor().build()?, maps, reducers));
         let keys: i64 = counts
             .expect("the job")
             .iter()
@@ -1684,6 +1693,37 @@ mod tests {
             (maps * reducers) as u64,
             "one read per map and reducer"
         );
+    }
+
+    /// `clean` deletes an executor's statuses, and the memo lets go of
+    /// their views with them; another executor's stay.
+    #[test]
+    fn clean_drops_the_memo_views_of_its_statuses() {
+        let cloud = shuffle_cloud();
+        let prefixes = cloud
+            .run(|| {
+                let (kept, cleaned) = (cloud.executor().build()?, cloud.executor().build()?);
+                shuffle(&kept, 3, 2)?;
+                shuffle(&cleaned, 4, 2)?;
+                cleaned.clean()?;
+                Ok::<_, crate::PywrenError>((
+                    kept.exec_id().to_owned(),
+                    cleaned.exec_id().to_owned(),
+                ))
+            })
+            .expect("the jobs");
+        let kept_under = |exec_id: &str| {
+            cloud
+                .inner
+                .statuses
+                .kept_under(&crate::future::exec_prefix(exec_id))
+        };
+        assert_eq!(
+            kept_under(&prefixes.0),
+            3,
+            "the other executor's views stay"
+        );
+        assert_eq!(kept_under(&prefixes.1), 0, "no view outlives its status");
     }
 
     use crate::wire::corpus;

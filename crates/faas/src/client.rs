@@ -16,7 +16,7 @@ use bytes::Bytes;
 use rustwren_sim::hash::{hash2, hash_str};
 use rustwren_sim::{task, NetworkProfile, SimInstant};
 
-use crate::activation::{ActivationId, ActivationRecord};
+use crate::activation::ActivationId;
 use crate::error::InvokeError;
 use crate::platform::CloudFunctions;
 use crate::tenant::TenantId;
@@ -247,28 +247,6 @@ impl FaasClient {
             }
         }
     }
-
-    /// Invokes `action` and blocks (in virtual time) until it finishes,
-    /// charging a polling round trip for the result fetch.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`invoke`](FaasClient::invoke).
-    pub fn invoke_blocking(
-        &self,
-        action: &str,
-        payload: Bytes,
-    ) -> Result<ActivationRecord, InvokeError> {
-        let id = self.invoke(action, payload)?;
-        let record = self.platform.wait(id);
-        let token = hash2(
-            self.seed,
-            hash2(hash_str(action), rustwren_sim::now().as_nanos()),
-        );
-        let result_len = record.result.as_ref().map_or(0, Bytes::len) as u64;
-        rustwren_sim::sleep(self.net.request_cost(result_len, token));
-        Ok(record)
-    }
 }
 
 #[cfg(test)]
@@ -306,19 +284,6 @@ mod tests {
             (t1 - t0, t2 - t1)
         });
         assert!(wan_cost > lan_cost * 2, "wan={wan_cost:?} lan={lan_cost:?}");
-    }
-
-    #[test]
-    fn invoke_blocking_returns_completed_record() {
-        let (kernel, faas) = setup(PlatformConfig::default());
-        kernel.run("client", || {
-            let client = FaasClient::new(&faas, NetworkProfile::lan(), 1);
-            let r = client
-                .invoke_blocking("echo", Bytes::from_static(b"x"))
-                .unwrap();
-            assert!(r.is_success());
-            assert_eq!(r.result.unwrap().as_ref(), b"x");
-        });
     }
 
     #[test]

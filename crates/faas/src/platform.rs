@@ -28,7 +28,7 @@ use bytes::Bytes;
 use parking_lot::{Mutex, MutexGuard};
 use rustwren_sim::hash::{hash2, unit_f64};
 use rustwren_sim::sync::Event;
-use rustwren_sim::{task, Kernel, NetworkProfile, ResourceId, SimInstant};
+use rustwren_sim::{task, Kernel, NetworkProfile, Resource, SimInstant};
 use rustwren_store::{CosClient, ObjectStore, OpCounters, OpCounts};
 
 use crate::action::{Action, ActionConfig};
@@ -481,11 +481,11 @@ struct Inner {
     /// Wait-for-graph resource standing for the cluster's container
     /// capacity; activations hold it while they own a container, and
     /// capacity waiters block on it.
-    capacity_res: ResourceId,
+    capacity_res: Resource,
     /// Wait-for-graph resource standing for tenant admission slots;
     /// admitted activations hold it, queued invocations block on it — so a
     /// wedged admission queue shows *which* activations pin the quota.
-    admission_res: ResourceId,
+    admission_res: Resource,
     /// COS operations issued from inside activations (the "agent" phase),
     /// tallied across every [`ActivationCtx::cos_client`].
     agent_ops: Arc<OpCounters>,
@@ -857,7 +857,7 @@ impl CloudFunctions {
                         // the activation id is allocated.
                         Some(Event::for_resource(
                             &self.inner.kernel,
-                            self.inner.admission_res,
+                            &self.inner.admission_res,
                         ))
                     }
                 }
@@ -920,7 +920,9 @@ impl CloudFunctions {
                 logs: Vec::new(),
             },
         );
-        let completion = Event::named(&self.inner.kernel, format!("act-{id}"));
+        // The task's name is its completion event's label too.
+        let name: Arc<str> = Arc::from(format!("act-{id}"));
+        let completion = Event::named(&self.inner.kernel, Arc::clone(&name));
         locked(&self.inner.completions)
             .await
             .insert(id, completion.clone());
@@ -928,7 +930,7 @@ impl CloudFunctions {
         // Every activation starts without a stack; one whose body blocks
         // asks for a thread when it gets there.
         self.inner.kernel.spawn_light(
-            format!("act-{id}"),
+            name,
             task::light(activation(
                 self.clone(),
                 id,
@@ -1085,15 +1087,6 @@ impl CloudFunctions {
             Phase::Done(o) => Some(o.clone()),
             _ => None,
         }
-    }
-
-    /// Whether the activation has finished.
-    pub fn is_done(&self, id: ActivationId) -> bool {
-        self.inner
-            .records
-            .lock()
-            .get(&id)
-            .is_some_and(|r| matches!(r.phase, Phase::Done(_)))
     }
 
     /// All activation records, sorted by id (submission order).
@@ -1273,7 +1266,7 @@ impl CloudFunctions {
                     // Admitted: this activation now pins a tenant quota
                     // slot; queued invocations blocked on admission point
                     // here in wait-for graphs until it is released.
-                    inner.kernel.hold_resource(inner.admission_res);
+                    inner.kernel.hold_resource(&inner.admission_res);
                 }
                 admitted = true;
                 self.attempt_locked(&mut pool, id, key, registered)
@@ -1304,7 +1297,7 @@ impl CloudFunctions {
         let inner = &self.inner;
         // Owning a container pins cluster capacity in wait-for graphs.
         let own = |container, cold, pull| {
-            inner.kernel.hold_resource(inner.capacity_res);
+            inner.kernel.hold_resource(&inner.capacity_res);
             Ok((container, cold, pull))
         };
         match pool.handoffs.remove(&id) {
@@ -1364,7 +1357,7 @@ impl CloudFunctions {
         // Cluster is full of busy containers: wait for a handoff. The wait
         // is attributed to the shared capacity resource, so a wedged
         // cluster shows *which* activations hold containers.
-        let event = Event::for_resource(&inner.kernel, inner.capacity_res);
+        let event = Event::for_resource(&inner.kernel, &inner.capacity_res);
         let park = task::wait(&event);
         pool.waiters.push_back(CapacityWaiter {
             id,
@@ -1673,7 +1666,7 @@ async fn activation(
         } => platform.schedule_prewarm(key, at, until, generation),
         Released::Settled => {}
     }
-    inner.kernel.release_resource(inner.capacity_res);
+    inner.kernel.release_resource(&inner.capacity_res);
 
     let gates = {
         let mut pool = locked(&inner.pool).await;
@@ -1685,7 +1678,7 @@ async fn activation(
         if let Some(t) = pool.tenants.get_mut(key.tenant.as_str()) {
             t.inflight -= 1;
             t.stats.completed += 1;
-            inner.kernel.release_resource(inner.admission_res);
+            inner.kernel.release_resource(&inner.admission_res);
         }
         // A concurrency slot (and possibly a quota slot) just freed: admit
         // queued work before anyone observes the completion.

@@ -47,15 +47,16 @@
 //!
 //! If every registered thread is blocked and no timer is pending, the
 //! simulation can never progress. The kernel draws a **wait-for graph** for
-//! exactly this moment: a blocked thread records the [`ResourceId`] it waits
+//! exactly this moment: a blocked thread records the [`Resource`] it waits
 //! on, and every thread carries its own list of *holds* (a shim lock, an
 //! admission slot, the right to fire an event), pushed and popped by the
-//! thread itself. Holders are read off the blocked threads only when the
-//! report is drawn, so a hold costs its thread a push and a pop and the
-//! kernel nothing. On deadlock the kernel panics with a diagnostic that
-//! lists each blocked thread, the resource it waits on and that resource's
-//! holders — and, when the blocked-on/held-by edges close a cycle, prints
-//! the cycle itself:
+//! thread itself. Holders are read off the blocked threads, and labels off
+//! the resources' own handles, only when the report is drawn: the kernel
+//! keeps no registry, so a hold costs its thread a push and a pop, a new
+//! event costs an id, and neither costs the kernel anything. On deadlock
+//! the kernel panics with a diagnostic that lists each blocked thread, the
+//! resource it waits on and that resource's holders — and, when the
+//! blocked-on/held-by edges close a cycle, prints the cycle itself:
 //!
 //! ```text
 //! simulation deadlock at t=1.234s: all 3 registered thread(s) are blocked and no timer is pending
@@ -85,7 +86,7 @@ use std::time::Duration;
 
 use parking_lot::hooks::{GuardControl, LockOp};
 
-use crate::order::{OrderRecorder, RunOrderReport, Space, SyncKind};
+use crate::order::{OrderRecorder, RunOrderReport, SyncKind};
 use crate::rawlock::{RawMutex, RawMutexGuard};
 use crate::sched::{Choice, ChoiceKind, FifoScheduler, ReplayScheduler, ScheduleTrace, Scheduler};
 use crate::sync::Event;
@@ -176,7 +177,7 @@ enum Held {
     /// need it.
     Lock(usize),
     /// A resource: an admission slot, the right to fire an event.
-    Resource(ResourceId),
+    Resource(u64),
 }
 
 #[derive(Default)]
@@ -287,42 +288,102 @@ impl Ord for TimerEntry {
     }
 }
 
-/// Identifier of a resource registered for wait-for-graph diagnostics.
+/// A node of the wait-for graph: anything a simulated thread can block on
+/// while another thread is responsible for releasing it — a lock, an event's
+/// fire.
 ///
-/// A *resource* is anything a simulated thread can block on while another
-/// thread is responsible for releasing it: a lock, an event's fire.
-/// Synchronization primitives register themselves automatically; simulation
-/// layers (like the FaaS platform's container capacity) may register further
-/// resources via [`Kernel::create_resource`] and record holds with
-/// [`Kernel::hold_resource`] / [`Kernel::release_resource`]. The graph is
-/// purely diagnostic — it never affects scheduling — but it is what lets a
-/// deadlock panic name the cycle instead of just listing blocked threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ResourceId(u64);
-
-/// Diagnostic record for one registered resource.
-struct ResourceInfo {
+/// Synchronization primitives make their own; simulation layers (like the
+/// FaaS platform's container capacity) may make further ones with
+/// [`Kernel::create_resource`] and record holds with
+/// [`Kernel::hold_resource`] / [`Kernel::release_resource`]. The handle
+/// carries its kind and label, and only a deadlock report or the lock-order
+/// recorder renders them. The graph is purely diagnostic — it never affects
+/// scheduling — but it is what lets a deadlock panic name the cycle instead
+/// of just listing blocked threads.
+#[derive(Debug, Clone)]
+pub struct Resource {
+    /// Allocated in program order: holds, exploration footprints and
+    /// lock-order instances are keyed by it.
+    pub(crate) id: u64,
     /// Resource kind, e.g. `"mutex"` or `"event"`.
     kind: &'static str,
-    /// Human-readable instance label, e.g. `"tenant-admission"`.
-    label: String,
-    /// Whether the label was generated (`kind#N`). Generated labels vary
-    /// across schedules, so the lock-order recorder must not use them as
-    /// cross-run merge keys.
-    generated: bool,
+    pub(crate) label: Label,
+}
+
+/// The instance label of a [`Resource`], kept as its parts.
+#[derive(Debug, Clone)]
+pub enum Label {
+    /// None supplied: rendered `kind#id`. Its numbering varies across
+    /// schedules, so the lock-order recorder keys the resource by its first
+    /// toucher instead.
+    Generated,
+    /// A fixed label, e.g. `tenant-admission`.
+    Static(&'static str),
+    /// A prefix and a shared name, e.g. `join:` and a spawned task's name.
+    Named(&'static str, Arc<str>),
+}
+
+impl From<&'static str> for Label {
+    fn from(label: &'static str) -> Label {
+        Label::Static(label)
+    }
+}
+
+impl From<Arc<str>> for Label {
+    fn from(label: Arc<str>) -> Label {
+        Label::Named("", label)
+    }
+}
+
+impl From<String> for Label {
+    fn from(label: String) -> Label {
+        Label::from(Arc::<str>::from(label))
+    }
+}
+
+/// A supplied label as written; [`Label::Generated`] renders empty, its
+/// `kind#id` being the [`Resource`]'s to render.
+impl fmt::Display for Label {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Label::Generated => Ok(()),
+            Label::Static(label) => f.write_str(label),
+            Label::Named(prefix, name) => write!(f, "{prefix}{name}"),
+        }
+    }
+}
+
+/// ``kind `label` ``, as deadlock reports and wait-for cycles print it.
+impl fmt::Display for Resource {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match &self.label {
+            Label::Generated => write!(f, "{0} `{0}#{1}`", self.kind, self.id),
+            label => write!(f, "{} `{label}`", self.kind),
+        }
+    }
+}
+
+impl Resource {
+    /// A resource with the next id of `ids`, the kernel's counter: an atomic,
+    /// so an event is made without the state lock, and in program order,
+    /// since simulated threads run one at a time.
+    fn new(ids: &AtomicU64, kind: &'static str, label: Label) -> Resource {
+        let id = ids.fetch_add(1, Ordering::Relaxed);
+        Resource { id, kind, label }
+    }
 }
 
 /// Virtualized shim lock (`parking_lot` `Mutex`/`RwLock`): threads parked in
 /// the kernel waiting to retry a contended acquisition.
 struct VlockEntry {
-    res: ResourceId,
+    res: Resource,
     /// Arrival-order queue of threads to wake (all at once) on release.
     waiters: VecDeque<Arc<Waiter>>,
 }
 
 /// Virtualized shim condvar: threads parked until a notify.
 struct VcvEntry {
-    res: ResourceId,
+    res: Resource,
     /// Arrival-order wait queue; `notify_one` wakes the front entry.
     waiters: VecDeque<Arc<Waiter>>,
 }
@@ -332,14 +393,13 @@ struct BlockedInfo {
     waiter: Arc<Waiter>,
     /// The blocking operation, e.g. `"event.wait"`.
     reason: &'static str,
-    /// The resource being waited on, when the primitive registered one.
-    resource: Option<ResourceId>,
+    /// The resource being waited on, when the primitive has one.
+    resource: Option<Resource>,
 }
 
 pub(crate) struct State {
     now: u64,
     next_waiter_id: u64,
-    next_resource_id: u64,
     timer_seq: u64,
     /// Registered threads currently executing (not blocked). Under
     /// cooperative serialization this is 0 or 1 except for externally
@@ -361,8 +421,6 @@ pub(crate) struct State {
     // BTreeMap so the deadlock report and wake-all broadcast iterate in
     // waiter-id order, independent of the hasher.
     blocked: BTreeMap<u64, BlockedInfo>,
-    /// resource id → kind/label, for deadlock diagnostics.
-    resources: HashMap<u64, ResourceInfo>,
     /// Set once the simulation has failed — a deadlock was detected, or the
     /// poll of a promoted task panicked with nobody to hand the panic to;
     /// every thread that wakes or blocks afterwards panics with this report.
@@ -413,27 +471,6 @@ impl State {
         }));
     }
 
-    /// Registers a resource; an empty label gets a generated `kind#N` one.
-    fn create_resource_locked(&mut self, kind: &'static str, label: String) -> ResourceId {
-        let id = self.next_resource_id;
-        self.next_resource_id += 1;
-        let generated = label.is_empty();
-        let label = if generated {
-            format!("{kind}#{id}")
-        } else {
-            label
-        };
-        self.resources.insert(
-            id,
-            ResourceInfo {
-                kind,
-                label,
-                generated,
-            },
-        );
-        ResourceId(id)
-    }
-
     /// Registers the lightweight task `poll`, parked in the ready queue, as
     /// a child of `parent` (see [`Kernel::spawn_light`]) that counts in
     /// `light_live` if it `freezes`.
@@ -466,116 +503,83 @@ impl State {
     }
 
     /// Appends `res` to the running segment's footprint (exploring only).
-    pub(crate) fn touch(&mut self, res: ResourceId) {
+    pub(crate) fn touch(&mut self, res: u64) {
         if self.exploring {
-            self.segment.push(res.0);
-        }
-    }
-
-    /// The recorder merge label of `res`: its diagnostic label when caller
-    /// supplied, empty for generated labels (whose numbering varies across
-    /// schedules — the recorder derives a toucher-based key instead). Takes
-    /// the field directly so callers can hold `order` mutably alongside.
-    fn merge_label(resources: &HashMap<u64, ResourceInfo>, res: ResourceId) -> &str {
-        match resources.get(&res.0) {
-            Some(r) if !r.generated => &r.label,
-            _ => "",
+            self.segment.push(res);
         }
     }
 
     /// Records a true-ordering publish on `res` (event fire): `w`'s history
     /// becomes visible to later observers.
-    pub(crate) fn rec_publish(&mut self, res: ResourceId, w: &Waiter) {
-        self.touch(res);
+    pub(crate) fn rec_publish(&mut self, res: &Resource, w: &Waiter) {
+        self.touch(res.id);
         if let Some(order) = self.order.as_mut() {
-            let label = Self::merge_label(&self.resources, res);
-            let inst = order.intern(Space::Resource, res.0, SyncKind::Event, label, &w.name);
+            let inst = order.intern_event(res, &w.name);
             order.publish(w.id, &w.name, inst);
         }
     }
 
     /// Records a true-ordering observe on `res` (event wait-return): `w`
     /// inherits the published history.
-    pub(crate) fn rec_observe(&mut self, res: ResourceId, w: &Waiter) {
-        self.touch(res);
+    pub(crate) fn rec_observe(&mut self, res: &Resource, w: &Waiter) {
+        self.touch(res.id);
         if let Some(order) = self.order.as_mut() {
-            let label = Self::merge_label(&self.resources, res);
-            let inst = order.intern(Space::Resource, res.0, SyncKind::Event, label, &w.name);
+            let inst = order.intern_event(res, &w.name);
             order.observe(w.id, &w.name, inst);
         }
     }
 
-    /// The wait-for resource of the virtualized shim lock at `addr`,
-    /// creating it on first touch.
-    fn vlock_res_locked(&mut self, addr: usize, op: LockOp) -> ResourceId {
-        match self.vlocks.get(&addr) {
-            Some(e) => e.res,
-            None => {
-                let res = self.create_resource_locked(lockop_kind(op), String::new());
-                self.vlocks.insert(
-                    addr,
-                    VlockEntry {
-                        res,
-                        waiters: VecDeque::new(),
-                    },
-                );
-                res
-            }
-        }
+    /// The entry of the virtualized shim lock at `addr`, made on first
+    /// touch with a resource id from `ids`.
+    fn vlock_locked(&mut self, addr: usize, op: LockOp, ids: &AtomicU64) -> &mut VlockEntry {
+        self.vlocks.entry(addr).or_insert_with(|| VlockEntry {
+            res: Resource::new(ids, lockop_kind(op), Label::Generated),
+            waiters: VecDeque::new(),
+        })
     }
 
-    /// The wait-for resource of the virtualized shim condvar at `addr`,
-    /// creating it on first touch.
-    fn vcv_res_locked(&mut self, addr: usize) -> ResourceId {
-        match self.vcvs.get(&addr) {
-            Some(e) => e.res,
-            None => {
-                let res = self.create_resource_locked("condvar", String::new());
-                self.vcvs.insert(
-                    addr,
-                    VcvEntry {
-                        res,
-                        waiters: VecDeque::new(),
-                    },
-                );
-                res
-            }
-        }
+    /// The entry of the virtualized shim condvar at `addr`, made on first
+    /// touch with a resource id from `ids`.
+    fn vcv_locked(&mut self, addr: usize, ids: &AtomicU64) -> &mut VcvEntry {
+        self.vcvs.entry(addr).or_insert_with(|| VcvEntry {
+            res: Resource::new(ids, "condvar", Label::Generated),
+            waiters: VecDeque::new(),
+        })
     }
 
-    fn vrec_acquired(&mut self, addr: usize, res: ResourceId, op: LockOp, w: &Waiter) {
+    fn vrec_acquired(&mut self, addr: usize, res: u64, op: LockOp, w: &Waiter) {
         self.touch(res);
         if let Some(order) = self.order.as_mut() {
-            let inst = order.intern(Space::Addr, addr as u64, lockop_sync(op), "", &w.name);
+            let inst = order.intern_addr(addr, lockop_sync(op), &w.name);
             order.acquired(w.id, &w.name, inst);
         }
     }
 
-    fn vrec_released(&mut self, addr: usize, res: ResourceId, op: LockOp, w: &Waiter) {
+    fn vrec_released(&mut self, addr: usize, res: u64, op: LockOp, w: &Waiter) {
         self.touch(res);
         if let Some(order) = self.order.as_mut() {
-            let inst = order.intern(Space::Addr, addr as u64, lockop_sync(op), "", &w.name);
+            let inst = order.intern_addr(addr, lockop_sync(op), &w.name);
             order.released(w.id, &w.name, inst);
         }
     }
 
     fn vrec_cv_wait(&mut self, addr: usize, w: &Waiter) {
         if let Some(order) = self.order.as_mut() {
-            let inst = order.intern(Space::Addr, addr as u64, SyncKind::Condvar, "", &w.name);
+            let inst = order.intern_addr(addr, SyncKind::Condvar, &w.name);
             order.cv_blocking_wait(inst);
         }
     }
 
     fn vrec_cv_observe(&mut self, addr: usize, w: &Waiter) {
         if let Some(order) = self.order.as_mut() {
-            let inst = order.intern(Space::Addr, addr as u64, SyncKind::Condvar, "", &w.name);
+            let inst = order.intern_addr(addr, SyncKind::Condvar, &w.name);
             order.observe(w.id, &w.name, inst);
         }
     }
 
     fn vrec_cv_notify(&mut self, addr: usize, w: &Waiter, had_waiters: bool) {
         if let Some(order) = self.order.as_mut() {
-            let inst = order.intern(Space::Addr, addr as u64, SyncKind::Condvar, "", &w.name);
+            let inst = order.intern_addr(addr, SyncKind::Condvar, &w.name);
             order.publish(w.id, &w.name, inst);
             order.cv_notify(inst, had_waiters);
         }
@@ -666,6 +670,8 @@ struct Inner {
     parked_on_locks: AtomicUsize,
     /// [`KernelStats::lock_acquisitions`], counted off the state lock.
     lock_acquisitions: AtomicU64,
+    /// The next resource id (see [`Resource::new`]).
+    next_resource_id: AtomicU64,
 }
 
 /// A deterministic virtual-time kernel. Cheap to clone (shared handle).
@@ -727,7 +733,6 @@ impl Kernel {
                 state: RawMutex::new(State {
                     now: 0,
                     next_waiter_id: 0,
-                    next_resource_id: 0,
                     timer_seq: 0,
                     runnable: 0,
                     live: 0,
@@ -735,7 +740,6 @@ impl Kernel {
                     ready: VecDeque::new(),
                     timers: BinaryHeap::new(),
                     blocked: BTreeMap::new(),
-                    resources: HashMap::new(),
                     failure: None,
                     stats: KernelStats::default(),
                     scheduler: Box::new(FifoScheduler),
@@ -752,6 +756,7 @@ impl Kernel {
                 flags: AtomicU8::new(0),
                 parked_on_locks: AtomicUsize::new(0),
                 lock_acquisitions: AtomicU64::new(0),
+                next_resource_id: AtomicU64::new(0),
             }),
         };
         crate::vlock::install();
@@ -855,40 +860,28 @@ impl Kernel {
         self.inner.state.lock().live
     }
 
-    /// Registers a resource for wait-for-graph deadlock diagnostics.
+    /// A new resource for wait-for-graph deadlock diagnostics. Takes no
+    /// lock and registers nothing.
     ///
     /// `kind` is the resource class (`"event"`, `"capacity"`, ...); `label`
-    /// names the instance. An empty label gets a generated `kind#N` one.
-    /// The id stays valid until [`Kernel::destroy_resource`].
-    pub fn create_resource(&self, kind: &'static str, label: impl Into<String>) -> ResourceId {
-        self.inner
-            .state
-            .lock()
-            .create_resource_locked(kind, label.into())
-    }
-
-    /// Unregisters a resource created with [`Kernel::create_resource`].
-    pub fn destroy_resource(&self, res: ResourceId) {
-        let mut st = self.inner.state.lock();
-        st.resources.remove(&res.0);
-        if let Some(order) = st.order.as_mut() {
-            order.forget(Space::Resource, res.0);
-        }
+    /// names the instance ([`Label::Generated`] renders as `kind#N`).
+    pub fn create_resource(&self, kind: &'static str, label: impl Into<Label>) -> Resource {
+        Resource::new(&self.inner.next_resource_id, kind, label.into())
     }
 
     /// Records a hold of `res` on the current thread, so deadlock reports
     /// can point at it. Purely diagnostic; a no-op when the calling thread is
     /// not simulated (or registered with a different kernel).
-    pub fn hold_resource(&self, res: ResourceId) {
-        self.with_own_waiter(|w| w.held.lock().push(Held::Resource(res)));
+    pub fn hold_resource(&self, res: &Resource) {
+        self.with_own_waiter(|w| w.held.lock().push(Held::Resource(res.id)));
     }
 
     /// Drops one of the current thread's holds of `res`. A no-op when the
     /// calling thread is not simulated (or registered with a different
     /// kernel): such a thread recorded no hold to drop, and a hold another
     /// thread recorded is that thread's to drop.
-    pub fn release_resource(&self, res: ResourceId) {
-        self.with_own_waiter(|w| w.unhold(Held::Resource(res)));
+    pub fn release_resource(&self, res: &Resource) {
+        self.with_own_waiter(|w| w.unhold(Held::Resource(res.id)));
     }
 
     /// Applies `f` to the current thread's waiter when the thread is
@@ -986,7 +979,8 @@ impl Kernel {
         freezes: bool,
         body: impl Future<Output = T> + Send + 'static,
     ) -> SimJoinHandle<T> {
-        let done = Event::named(self, format!("join:{name}"));
+        let name: Arc<str> = name.into();
+        let done = Event::named(self, Label::Named("join:", Arc::clone(&name)));
         let slot = Arc::new(RawMutex::new(None));
         let (fired, filled) = (done.clone(), Arc::clone(&slot));
         let parent = try_current_waiter(self);
@@ -998,7 +992,7 @@ impl Kernel {
         // refused by the kernel and re-raised by the joiner. Guarded by
         // fan_out_reraises_a_lane_panic_in_the_joiner
         self.inner.state.lock().spawn_light(
-            Arc::from(name),
+            name,
             parent,
             freezes,
             task::light(async move {
@@ -1049,12 +1043,12 @@ impl Kernel {
     /// next [`Kernel::run`].
     pub fn spawn_light(
         &self,
-        name: impl Into<String>,
+        name: impl Into<Arc<str>>,
         f: impl FnMut() -> LightStep + Send + 'static,
     ) {
         let parent = try_current_waiter(self);
         let mut st = self.inner.state.lock();
-        st.spawn_light(Arc::from(name.into()), parent, true, f);
+        st.spawn_light(name.into(), parent, true, f);
     }
 
     /// Names of the lightweight tasks still registered, in waiter-id (spawn)
@@ -1100,7 +1094,7 @@ impl Kernel {
     /// Internal: synchronization primitives register the waiter in their own
     /// queues first, then call this. `resource` is the wait-for-graph edge:
     /// the resource whose release this thread is waiting for, if any.
-    pub(crate) fn block_current(&self, resource: Option<ResourceId>, reason: &'static str) {
+    pub(crate) fn block_current(&self, resource: Option<Resource>, reason: &'static str) {
         let ctx = current_ctx("block");
         assert!(
             Arc::ptr_eq(&ctx.kernel.inner, &self.inner),
@@ -1112,7 +1106,7 @@ impl Kernel {
     fn block_current_with(
         &self,
         waiter: &Arc<Waiter>,
-        resource: Option<ResourceId>,
+        resource: Option<Resource>,
         reason: &'static str,
     ) {
         {
@@ -1319,9 +1313,6 @@ impl Kernel {
             st.stats.light_polls += 1;
             let now = SimInstant::from_nanos(st.now);
             drop(st);
-            // Event handles — the one just observed, and any the closure
-            // owns once it is done — are dropped with the state lock
-            // released: dropping an event's last handle takes that lock.
             parked_on = None;
             let polled = {
                 let _scope = LightScope::enter(self, w);
@@ -1443,7 +1434,7 @@ impl Kernel {
         st: &mut State,
         w: &Arc<Waiter>,
         reason: &'static str,
-        resource: Option<ResourceId>,
+        resource: Option<Resource>,
     ) {
         w.sync.lock().parked = true;
         st.blocked.insert(
@@ -1613,11 +1604,11 @@ impl Kernel {
         for b in st.blocked.values() {
             for h in b.waiter.held.lock().iter() {
                 let res = match *h {
-                    Held::Lock(addr) => st.vlocks.get(&addr).map(|e| e.res),
+                    Held::Lock(addr) => st.vlocks.get(&addr).map(|e| e.res.id),
                     Held::Resource(res) => Some(res),
                 };
                 if let Some(res) = res {
-                    let of = holders.entry(res.0).or_default();
+                    let of = holders.entry(res).or_default();
                     if of.last().is_none_or(|w| w.id != b.waiter.id) {
                         of.push(&b.waiter);
                     }
@@ -1636,12 +1627,9 @@ impl Kernel {
         let mut lines: Vec<String> = Vec::new();
         for b in st.blocked.values() {
             let mut line = format!("  - thread `{}` blocked on {}", b.waiter.name, b.reason);
-            if let Some((rid, res)) = b
-                .resource
-                .and_then(|r| Some((r.0, st.resources.get(&r.0)?)))
-            {
-                let _ = write!(line, " ({} `{}`", res.kind, res.label);
-                if let Some(of) = holders.get(&rid) {
+            if let Some(res) = &b.resource {
+                let _ = write!(line, " ({res}");
+                if let Some(of) = holders.get(&res.id) {
                     let names: Vec<String> = of.iter().map(|w| format!("`{}`", w.name)).collect();
                     let _ = write!(line, ", held by {}", names.join(", "));
                 }
@@ -1674,19 +1662,19 @@ impl Kernel {
     /// wait-for cycle: `a` -[event `e2`]-> `b` -[event `e1`]-> `a`
     /// ```
     fn find_cycle_locked(st: &State, holders: &HashMap<u64, Vec<&Waiter>>) -> Option<String> {
-        // Deterministic adjacency: waiter id → [(holder id, resource id)],
-        // in holder-id order.
+        // Deterministic adjacency: waiter id → [(holder id, resource)], in
+        // holder-id order.
         let ids: Vec<u64> = st.blocked.keys().copied().collect();
-        let mut adj: HashMap<u64, Vec<(u64, u64)>> = HashMap::new();
+        let mut adj: HashMap<u64, Vec<(u64, &Resource)>> = HashMap::new();
         for (wid, b) in &st.blocked {
-            if let Some(rid) = b.resource.filter(|r| st.resources.contains_key(&r.0)) {
-                let outs = holders.get(&rid.0).map_or(&[][..], Vec::as_slice);
-                adj.insert(*wid, outs.iter().map(|w| (w.id, rid.0)).collect());
+            if let Some(res) = &b.resource {
+                let outs = holders.get(&res.id).map_or(&[][..], Vec::as_slice);
+                adj.insert(*wid, outs.iter().map(|w| (w.id, res)).collect());
             }
         }
         // Iterative DFS; `via[n]` is the resource whose edge reached `n`.
         let mut color: HashMap<u64, u8> = HashMap::new(); // 1 = on stack, 2 = done
-        let mut via: HashMap<u64, u64> = HashMap::new();
+        let mut via: HashMap<u64, &Resource> = HashMap::new();
         for &start in &ids {
             if color.contains_key(&start) {
                 continue;
@@ -1717,15 +1705,11 @@ impl Kernel {
                             .expect("back edge target is on the stack");
                         let cycle: Vec<u64> = stack[pos..].iter().map(|(n, _)| *n).collect();
                         let name = |id: u64| format!("`{}`", st.blocked[&id].waiter.name);
-                        let res_label = |rid: u64| {
-                            let r = &st.resources[&rid];
-                            format!("{} `{}`", r.kind, r.label)
-                        };
                         let mut s = format!("wait-for cycle: {}", name(cycle[0]));
                         for &n in &cycle[1..] {
-                            let _ = write!(s, " -[{}]-> {}", res_label(via[&n]), name(n));
+                            let _ = write!(s, " -[{}]-> {}", via[&n], name(n));
                         }
-                        let _ = write!(s, " -[{}]-> {}", res_label(res), name(cycle[0]));
+                        let _ = write!(s, " -[{res}]-> {}", name(cycle[0]));
                         return Some(s);
                     }
                     Some(_) => {}
@@ -1779,13 +1763,13 @@ impl Kernel {
         let res = {
             let mut st = self.inner.state.lock();
             st.stats.lock_parks += 1;
-            let res = st.vlock_res_locked(addr, op);
-            let entry = st.vlocks.get_mut(&addr).expect("entry just ensured");
+            let entry = st.vlock_locked(addr, op, &self.inner.next_resource_id);
             if !entry.waiters.iter().any(|x| x.id == w.id) {
                 entry.waiters.push_back(Arc::clone(&w));
                 self.inner.parked_on_locks.fetch_add(1, Ordering::Relaxed);
             }
-            st.touch(res);
+            let res = entry.res.clone();
+            st.touch(res.id);
             res
         };
         self.block_current_with(&w, Some(res), lockop_reason(op));
@@ -1811,7 +1795,7 @@ impl Kernel {
         }
         let mut st = self.inner.state.lock();
         if observed != 0 {
-            st.vlock_res_locked(addr, op);
+            st.vlock_locked(addr, op, &self.inner.next_resource_id);
         }
         Some(st)
     }
@@ -1831,7 +1815,7 @@ impl Kernel {
         let Some(entry) = st.vlocks.get_mut(&addr) else {
             return;
         };
-        let res = entry.res;
+        let res = entry.res.id;
         if let Some(pos) = entry.waiters.iter().position(|x| x.id == w.id) {
             entry.waiters.remove(pos);
             self.inner.parked_on_locks.fetch_sub(1, Ordering::Relaxed);
@@ -1850,7 +1834,7 @@ impl Kernel {
         let Some(entry) = st.vlocks.get_mut(&addr) else {
             return;
         };
-        let (res, waiters) = (entry.res, entry.waiters.drain(..).collect::<Vec<_>>());
+        let (res, waiters) = (entry.res.id, entry.waiters.drain(..).collect::<Vec<_>>());
         self.inner
             .parked_on_locks
             .fetch_sub(waiters.len(), Ordering::Relaxed);
@@ -1870,9 +1854,8 @@ impl Kernel {
         self.inner
             .parked_on_locks
             .fetch_sub(entry.waiters.len(), Ordering::Relaxed);
-        st.resources.remove(&entry.res.0);
         if let Some(order) = st.order.as_mut() {
-            order.forget(Space::Addr, addr as u64);
+            order.forget_addr(addr);
         }
         for w in &entry.waiters {
             Self::wake_locked(&mut st, w);
@@ -1895,12 +1878,12 @@ impl Kernel {
         self.preemption_point("condvar.wait");
         let res = {
             let mut st = self.inner.state.lock();
-            let res = st.vcv_res_locked(addr);
-            let entry = st.vcvs.get_mut(&addr).expect("entry just ensured");
+            let entry = st.vcv_locked(addr, &self.inner.next_resource_id);
             if !entry.waiters.iter().any(|x| x.id == w.id) {
                 entry.waiters.push_back(Arc::clone(&w));
             }
-            st.touch(res);
+            let res = entry.res.clone();
+            st.touch(res.id);
             st.vrec_cv_wait(addr, &w);
             res
         };
@@ -1924,7 +1907,7 @@ impl Kernel {
         };
         crate::vlock::track_addr(addr, self);
         let mut st = self.inner.state.lock();
-        let res = st.vcv_res_locked(addr);
+        let res = st.vcv_locked(addr, &self.inner.next_resource_id).res.id;
         st.touch(res);
         let entry = st.vcvs.get_mut(&addr).expect("entry just ensured");
         let woken: Vec<Arc<Waiter>> = if all {
@@ -1945,9 +1928,8 @@ impl Kernel {
         let Some(entry) = st.vcvs.remove(&addr) else {
             return;
         };
-        st.resources.remove(&entry.res.0);
         if let Some(order) = st.order.as_mut() {
-            order.forget(Space::Addr, addr as u64);
+            order.forget_addr(addr);
         }
         for w in &entry.waiters {
             Self::wake_locked(&mut st, w);
@@ -2175,7 +2157,7 @@ where
 /// # Panics
 ///
 /// Panics if the calling thread is not registered with a kernel.
-pub fn spawn_light(name: impl Into<String>, f: impl FnMut() -> LightStep + Send + 'static) {
+pub fn spawn_light(name: impl Into<Arc<str>>, f: impl FnMut() -> LightStep + Send + 'static) {
     let ctx = current_ctx("rustwren_sim::spawn_light");
     ctx.kernel.spawn_light(name, f);
 }
@@ -3480,7 +3462,7 @@ mod tests {
 
     /// A parked `worker` waiting on resource `res` (through an event that
     /// borrows it) while the client joins it.
-    fn block_worker_on(res: ResourceId) {
+    fn block_worker_on(res: &Resource) {
         let gate = Event::for_resource(&kernel(), res);
         spawn("worker", move || gate.wait()).join();
     }
@@ -3494,10 +3476,10 @@ mod tests {
                 let k = kernel();
                 let res = k.create_resource("admission", "gate");
                 for _ in 0..holds {
-                    k.hold_resource(res);
+                    k.hold_resource(&res);
                 }
-                k.release_resource(res);
-                block_worker_on(res);
+                k.release_resource(&res);
+                block_worker_on(&res);
             });
             let line = "thread `worker` blocked on event.wait (admission `gate`";
             let held = format!("{line}, held by `client`)");
@@ -3514,12 +3496,12 @@ mod tests {
         let msg = deadlock_report(|| {
             let k = kernel();
             let res = k.create_resource("admission", "gate");
-            k.hold_resource(res);
-            let foreign = k.clone();
-            std::thread::spawn(move || foreign.release_resource(res))
+            k.hold_resource(&res);
+            let (foreign, held) = (k.clone(), res.clone());
+            std::thread::spawn(move || foreign.release_resource(&held))
                 .join()
                 .expect("the foreign release returns");
-            block_worker_on(res);
+            block_worker_on(&res);
         });
         assert!(
             msg.contains(
@@ -3619,6 +3601,55 @@ mod tests {
         assert_eq!(st.lock_acquisitions, 3);
     }
 
+    /// Labels nobody supplied are rendered from the kind and the id, and
+    /// are no merge key: the recorder keys an unlabelled event and a shim
+    /// mutex by their first toucher, a labelled join event by its label.
+    #[test]
+    fn generated_labels_and_merge_keys_are_pinned() {
+        let msg = deadlock_report(|| {
+            let ev = Event::new(&kernel());
+            spawn("stuck", move || ev.wait()).join();
+        });
+        assert_eq!(
+            msg,
+            "simulation deadlock at t=0.000000s: all 2 registered thread(s) are blocked \
+             and no timer is pending\n  \
+             - thread `client` blocked on event.wait (event `join:stuck`, held by `stuck`)\n  \
+             - thread `stuck` blocked on event.wait (event `event#0`)"
+        );
+        let k = Kernel::new();
+        k.record_lock_orders();
+        k.run("client", || {
+            let m = Arc::new(parking_lot::Mutex::new(()));
+            let ev = Event::new(&kernel());
+            let (m2, ev2) = (Arc::clone(&m), ev.clone());
+            let t1 = spawn("t1", move || {
+                let _held = m2.lock();
+                sleep(Duration::from_secs(1));
+                ev2.fire();
+            });
+            sleep(Duration::from_millis(1));
+            drop(m.lock());
+            ev.wait();
+            t1.join();
+        });
+        assert_eq!(k.stats().lock_parks, 1);
+        let report = k.take_order_report().expect("recording was on");
+        let instances: Vec<(&str, SyncKind, &str)> = report
+            .instances
+            .iter()
+            .map(|i| (i.key.as_str(), i.kind, i.label.as_str()))
+            .collect();
+        assert_eq!(
+            instances,
+            [
+                ("mutex:@t1#1", SyncKind::Mutex, "mutex:@t1#1"),
+                ("event:@t1#1", SyncKind::Event, "event:@t1#1"),
+                ("event:join:t1", SyncKind::Event, "event `join:t1`"),
+            ]
+        );
+    }
+
     /// A hold taken while a light task is polled inline travels with it to
     /// the thread it is promoted onto.
     #[test]
@@ -3626,17 +3657,17 @@ mod tests {
         let msg = deadlock_report(|| {
             let k = kernel();
             let res = k.create_resource("admission", "gate");
-            let never = Event::named(&k, "never");
+            let (never, held) = (Event::named(&k, "never"), res.clone());
             let mut on_thread = false;
             spawn_light("lt", move || {
                 if !std::mem::replace(&mut on_thread, true) {
-                    kernel().hold_resource(res);
+                    kernel().hold_resource(&held);
                     return LightStep::Thread;
                 }
                 never.wait();
                 LightStep::Done
             });
-            block_worker_on(res);
+            block_worker_on(&res);
         });
         assert!(
             msg.contains("thread `worker` blocked on event.wait (admission `gate`, held by `lt`)"),

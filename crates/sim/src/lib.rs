@@ -73,8 +73,8 @@ pub use chaos::{
     ChaosEngine, ChaosStats, CorruptMode, FaultPlan, FaultRecord, PathScope, TimeWindow,
 };
 pub use kernel::{
-    exploring, fan_out, kernel, now, sleep, spawn, spawn_light, Kernel, KernelStats, LightStep,
-    ResourceId, SimJoinHandle,
+    exploring, fan_out, kernel, now, sleep, spawn, spawn_light, Kernel, KernelStats, Label,
+    LightStep, Resource, SimJoinHandle,
 };
 pub use net::{backoff, NetworkProfile};
 pub use order::{CondvarObs, LockInstance, OrderEdge, RunOrderReport, SyncKind, VectorClock};

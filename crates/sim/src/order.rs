@@ -22,6 +22,8 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 
+use crate::kernel::{Label, Resource};
+
 /// The class of an instrumented synchronization object.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SyncKind {
@@ -49,10 +51,10 @@ impl fmt::Display for SyncKind {
 
 /// Which identifier space a raw sync-object key lives in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) enum Space {
+enum Space {
     /// Shim objects, keyed by address (valid until destroyed).
     Addr,
-    /// Kernel primitives, keyed by their diagnostic [`crate::ResourceId`].
+    /// Kernel primitives, keyed by their [`crate::Resource`]'s id.
     Resource,
 }
 
@@ -187,23 +189,23 @@ impl OrderRecorder {
 
     /// Resolves (or creates) the instance for a raw object key.
     ///
-    /// `label` is the diagnostic label when the primitive has one. Anonymous
-    /// objects get a key derived from the first thread that touched them and
+    /// `label` is the primitive's diagnostic label. Anonymous objects
+    /// ([`Label::Generated`]) get a key derived from the first thread that touched them and
     /// a per-(kind, thread) sequence number — stable across schedules as
     /// long as each thread touches its objects in a deterministic program
     /// order, which cooperative serialization guarantees per thread.
-    pub(crate) fn intern(
+    fn intern(
         &mut self,
         space: Space,
         raw: u64,
         kind: SyncKind,
-        label: &str,
+        label: &Label,
         toucher: &str,
     ) -> usize {
         if let Some(&i) = self.by_raw.get(&(space, raw)) {
             return i;
         }
-        let (key, display) = if label.is_empty() {
+        let (key, display) = if let Label::Generated = label {
             let seq = self.anon_seq.entry((kind, toucher.to_owned())).or_insert(0);
             *seq += 1;
             let key = format!("{kind}:@{toucher}#{seq}");
@@ -221,10 +223,27 @@ impl OrderRecorder {
         idx
     }
 
-    /// Forgets the raw-key mapping of a destroyed object, so a reused
-    /// address becomes a fresh instance.
-    pub(crate) fn forget(&mut self, space: Space, raw: u64) {
-        self.by_raw.remove(&(space, raw));
+    /// The instance of the shim object at `addr`: anonymous, so keyed by
+    /// its first toucher.
+    pub(crate) fn intern_addr(&mut self, addr: usize, kind: SyncKind, toucher: &str) -> usize {
+        self.intern(Space::Addr, addr as u64, kind, &Label::Generated, toucher)
+    }
+
+    /// The instance of an event on `res`, keyed by its label if it has one.
+    pub(crate) fn intern_event(&mut self, res: &Resource, toucher: &str) -> usize {
+        self.intern(
+            Space::Resource,
+            res.id,
+            SyncKind::Event,
+            &res.label,
+            toucher,
+        )
+    }
+
+    /// Forgets the instance of the destroyed shim object at `addr`, so a
+    /// reused address becomes a fresh instance.
+    pub(crate) fn forget_addr(&mut self, addr: usize) {
+        self.by_raw.remove(&(Space::Addr, addr as u64));
     }
 
     /// Records that thread `tid` acquired lock `inst` (mutex/rwlock):
@@ -352,9 +371,9 @@ mod tests {
     #[test]
     fn edges_carry_guard_intersection() {
         let mut r = OrderRecorder::new();
-        let g = r.intern(Space::Addr, 1, SyncKind::Mutex, "gate", "t");
-        let a = r.intern(Space::Addr, 2, SyncKind::Mutex, "a", "t");
-        let b = r.intern(Space::Addr, 3, SyncKind::Mutex, "b", "t");
+        let g = r.intern(Space::Addr, 1, SyncKind::Mutex, &Label::Static("gate"), "t");
+        let a = r.intern(Space::Addr, 2, SyncKind::Mutex, &Label::Static("a"), "t");
+        let b = r.intern(Space::Addr, 3, SyncKind::Mutex, &Label::Static("b"), "t");
         // t1: g, a, b — edge a→b guarded by g.
         r.acquired(1, "t1", g);
         r.acquired(1, "t1", a);
@@ -378,9 +397,9 @@ mod tests {
     #[test]
     fn anonymous_keys_are_stable_per_toucher() {
         let mut r1 = OrderRecorder::new();
-        let i1 = r1.intern(Space::Addr, 0xdead, SyncKind::Mutex, "", "worker");
+        let i1 = r1.intern_addr(0xdead, SyncKind::Mutex, "worker");
         let mut r2 = OrderRecorder::new();
-        let i2 = r2.intern(Space::Addr, 0xbeef, SyncKind::Mutex, "", "worker");
+        let i2 = r2.intern_addr(0xbeef, SyncKind::Mutex, "worker");
         assert_eq!(
             r1.instances[i1].key, r2.instances[i2].key,
             "key is independent of the address"
@@ -390,9 +409,9 @@ mod tests {
     #[test]
     fn destroyed_addresses_get_fresh_instances() {
         let mut r = OrderRecorder::new();
-        let i1 = r.intern(Space::Addr, 7, SyncKind::Mutex, "", "t");
-        r.forget(Space::Addr, 7);
-        let i2 = r.intern(Space::Addr, 7, SyncKind::Mutex, "", "t");
+        let i1 = r.intern_addr(7, SyncKind::Mutex, "t");
+        r.forget_addr(7);
+        let i2 = r.intern_addr(7, SyncKind::Mutex, "t");
         assert_ne!(i1, i2);
     }
 }

@@ -4,7 +4,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::kernel::{
-    current_waiter, deny_blocking_in_light_step, Kernel, ResourceId, State, Waiter,
+    current_waiter, deny_blocking_in_light_step, Kernel, Label, Resource, State, Waiter,
 };
 use crate::rawlock::RawMutex;
 
@@ -17,20 +17,11 @@ struct EventState {
 struct EventInner {
     kernel: Kernel,
     /// Wait-for-graph resource this event's waits are attributed to.
-    res: ResourceId,
-    /// Whether the event created `res` itself (and thus owns its lifecycle,
-    /// and a fire discharges the firer's hold of it) or borrows a
-    /// caller-provided resource.
+    res: Resource,
+    /// Whether the event made `res` itself (and a fire discharges the
+    /// firer's hold of it) or borrows a caller-provided resource.
     owns_res: bool,
     state: RawMutex<EventState>,
-}
-
-impl Drop for EventInner {
-    fn drop(&mut self) {
-        if self.owns_res {
-            self.kernel.destroy_resource(self.res);
-        }
-    }
 }
 
 /// A one-shot event: threads [`wait`](Event::wait) until some other thread
@@ -68,34 +59,32 @@ impl fmt::Debug for Event {
 }
 
 impl Event {
-    /// Creates an unfired event on `kernel`.
+    /// Creates an unfired event on `kernel`, labelled `event#N` in deadlock
+    /// diagnostics.
     pub fn new(kernel: &Kernel) -> Event {
-        Event::named(kernel, "")
+        Event::named(kernel, Label::Generated)
     }
 
     /// Creates an unfired event whose deadlock diagnostics carry `label`
-    /// (e.g. the name of the activation the event stands for).
-    pub fn named(kernel: &Kernel, label: impl Into<String>) -> Event {
-        Event {
-            inner: Arc::new(EventInner {
-                kernel: kernel.clone(),
-                res: kernel.create_resource("event", label),
-                owns_res: true,
-                state: RawMutex::new(EventState::default()),
-            }),
-        }
+    /// (e.g. the name of the activation the event stands for). The label is
+    /// kept as given and rendered only when a report reads it.
+    pub fn named(kernel: &Kernel, label: impl Into<Label>) -> Event {
+        Event::with(kernel, kernel.create_resource("event", label), true)
     }
 
     /// Creates an unfired event whose waits are attributed to an existing
     /// diagnostic resource `res` (e.g. a platform-wide capacity pool) rather
-    /// than a fresh one. The event borrows `res`: firing drops no hold of
-    /// it, and dropping the event does not destroy it.
-    pub fn for_resource(kernel: &Kernel, res: ResourceId) -> Event {
+    /// than a fresh one. The event borrows `res`: firing drops no hold of it.
+    pub fn for_resource(kernel: &Kernel, res: &Resource) -> Event {
+        Event::with(kernel, res.clone(), false)
+    }
+
+    fn with(kernel: &Kernel, res: Resource, owns_res: bool) -> Event {
         Event {
             inner: Arc::new(EventInner {
                 kernel: kernel.clone(),
                 res,
-                owns_res: false,
+                owns_res,
                 state: RawMutex::new(EventState::default()),
             }),
         }
@@ -112,7 +101,7 @@ impl Event {
     /// someone else fired is inert — nothing can block on a fired event —
     /// and goes with its thread.
     pub fn mark_holder(&self) {
-        self.inner.kernel.hold_resource(self.inner.res);
+        self.inner.kernel.hold_resource(&self.inner.res);
     }
 
     /// Fires the event, waking all current and future waiters (in arrival
@@ -123,7 +112,7 @@ impl Event {
         kernel.preemption_point("event.fire");
         if self.inner.owns_res {
             // The obligation this event stood for is discharged.
-            kernel.release_resource(self.inner.res);
+            kernel.release_resource(&self.inner.res);
         }
         let mut st = kernel.lock_state();
         let waiters = {
@@ -135,7 +124,7 @@ impl Event {
             std::mem::take(&mut ev.waiters)
         };
         // Happens-before: waiters woken by this fire inherit our history.
-        kernel.with_own_waiter(|w| st.rec_publish(self.inner.res, w));
+        kernel.with_own_waiter(|w| st.rec_publish(&self.inner.res, w));
         for w in &waiters {
             Kernel::wake_locked(&mut st, w);
         }
@@ -160,15 +149,10 @@ impl Event {
         let waiter = current_waiter(&self.inner.kernel, "Event::wait");
         self.inner.kernel.preemption_point("event.wait");
         loop {
-            let enlisted = self
-                .enlist_locked(&mut self.inner.kernel.lock_state(), &waiter)
-                .is_some();
-            if !enlisted {
+            let Some(res) = self.enlist_locked(&mut self.inner.kernel.lock_state(), &waiter) else {
                 return;
-            }
-            self.inner
-                .kernel
-                .block_current(Some(self.inner.res), "event.wait");
+            };
+            self.inner.kernel.block_current(Some(res), "event.wait");
         }
     }
 
@@ -179,18 +163,19 @@ impl Event {
     /// concurrent fire): a fired event records the observe and returns
     /// `None`; otherwise `waiter` joins the waiter list (once) and the
     /// resource to block on is returned.
-    pub(crate) fn enlist_locked(&self, st: &mut State, waiter: &Arc<Waiter>) -> Option<ResourceId> {
+    pub(crate) fn enlist_locked(&self, st: &mut State, waiter: &Arc<Waiter>) -> Option<Resource> {
         let mut ev = self.inner.state.lock();
         if ev.fired {
-            st.rec_observe(self.inner.res, waiter);
+            st.rec_observe(&self.inner.res, waiter);
             return None;
         }
         if !ev.waiters.iter().any(|w| w.id() == waiter.id()) {
             ev.waiters.push(Arc::clone(waiter));
         }
         drop(ev);
-        st.touch(self.inner.res);
-        Some(self.inner.res)
+        let res = self.inner.res.clone();
+        st.touch(res.id);
+        Some(res)
     }
 
     /// Whether this event lives on `kernel`.

@@ -8,11 +8,11 @@
 //! and the instrumented `parking_lot` locks, which live outside this
 //! module).
 //!
-//! An event registers itself as a [`crate::ResourceId`] in the kernel's
-//! wait-for graph: blocked threads record which resource they wait on, and
-//! the thread expected to fire is recorded as holder, so a simulation
-//! deadlock panics with the actual wait-for cycle instead of a bare thread
-//! list.
+//! An event carries its own [`crate::Resource`], a node of the kernel's
+//! wait-for graph that registers nothing: blocked threads record which
+//! resource they wait on, and the thread expected to fire is recorded as
+//! holder, so a simulation deadlock panics with the actual wait-for cycle
+//! instead of a bare thread list. Its label is rendered only then.
 //!
 //! Lock ordering (internal invariant): the kernel state lock is always
 //! acquired *before* the event's own lock, and both are released before a
