@@ -123,10 +123,11 @@ impl fmt::Debug for GetResultOpts {
 /// the executor submitted, in its [`Job`]'s `tasks`.
 #[derive(Default)]
 struct TaskRecovery {
-    /// The inlined task descriptor, when the task's input rode inside the
-    /// activation payload: retries and re-invocations must re-ship it,
-    /// because no staged input object exists in COS to fall back on.
-    inline: Option<Value>,
+    /// The inlined task descriptor, encoded once at submit, when the task's
+    /// input rode inside the activation payload: retries and re-invocations
+    /// must re-ship it, because no staged input object exists in COS to
+    /// fall back on.
+    inline: Option<Bytes>,
     /// Executions so far (1 after the initial invocation).
     attempts: u32,
     /// When the latest primary execution was invoked.
@@ -921,7 +922,7 @@ impl Executor {
         for (task, desc) in descs.into_iter().enumerate() {
             let fut = ResponseFuture::new(bucket, exec_id, job_id, task as u32);
             let inline = if desc.encoded_len() <= INLINE_MAX_BYTES {
-                Some(desc)
+                Some(desc.encode())
             } else {
                 uploads.push((fut.input_key(), desc.stamped()));
                 None
@@ -955,7 +956,7 @@ impl Executor {
         let mut table = self.inner.table.lock();
         for (p, id) in payloads.into_iter().zip(ids) {
             // No job: a concurrent `clean` swept it mid-launch.
-            let Some(job) = table.jobs.get_mut(&p.job_id) else {
+            let Some(job) = table.jobs.get_mut(&p.fut.job_id()) else {
                 continue;
             };
             // A fresh first attempt (at submit, or by a manual `reinvoke`),
@@ -967,7 +968,7 @@ impl Executor {
                 activation: id,
                 ..TaskRecovery::default()
             };
-            match job.tasks.get_mut(p.task as usize) {
+            match job.tasks.get_mut(p.fut.task() as usize) {
                 Some(task) => *task = fresh,
                 // A submit launches tasks 0..n in order, so a task the job
                 // does not hold yet is its next one.

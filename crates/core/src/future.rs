@@ -11,7 +11,7 @@ use bytes::Bytes;
 use rustwren_store::{CosClient, StoreError};
 
 use crate::error::{self, PywrenError};
-use crate::wire::{Value, ValueRef};
+use crate::wire::{self, Value, ValueRef, Writer};
 
 /// Marker key identifying a result value that is really a set of futures
 /// produced by an in-cloud executor (dynamic composition, §4.4).
@@ -84,20 +84,29 @@ impl ResponseFuture {
         format!("jobs/{}/{}/t{:05}", self.exec_id, self.job_id, self.task)
     }
 
+    /// Key of this task's object `leaf`, below its
+    /// [`task_prefix`](ResponseFuture::task_prefix), formatted in one go.
+    fn task_key(&self, leaf: &str) -> String {
+        format!(
+            "jobs/{}/{}/t{:05}/{leaf}",
+            self.exec_id, self.job_id, self.task
+        )
+    }
+
     /// Key of this task's staged input descriptor (exists only for
     /// descriptors too big to ride in the activation payload).
     pub(crate) fn input_key(&self) -> String {
-        format!("{}/input", self.task_prefix())
+        self.task_key("input")
     }
 
     /// Key of this task's status object.
     pub fn status_key(&self) -> String {
-        format!("{}/status", self.task_prefix())
+        self.task_key("status")
     }
 
     /// Key of this task's result object.
     pub fn result_key(&self) -> String {
-        format!("{}/result", self.task_prefix())
+        self.task_key("result")
     }
 
     /// Human-readable label for error messages, e.g. `"e1/j2/t00003"`.
@@ -162,48 +171,97 @@ impl ResponseFuture {
 /// [`StatusView`], what [`TaskStatus::decode`] returns, are the only writer
 /// and reader of the object's fields.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) struct TaskStatus {
-    /// Every field as it travels.
-    fields: Value,
+pub(crate) struct TaskStatus<'a> {
+    /// The task's error message; `None` for a task that finished `done`.
+    error: Option<&'a str>,
+    start: f64,
+    end: f64,
+    result: Option<Value>,
+    shuf: Option<Value>,
 }
 
-impl TaskStatus {
+impl<'a> TaskStatus<'a> {
     /// A status without result or manifest: `done` unless `error` is given.
-    pub(crate) fn new(error: Option<&str>, start: f64, end: f64) -> TaskStatus {
-        let state = if error.is_none() { "done" } else { "error" };
-        let mut fields = Value::map()
-            .with("state", state)
-            .with("start", start)
-            .with("end", end);
-        if let Some(e) = error {
-            fields = fields.with("error", e);
+    pub(crate) fn new(error: Option<&'a str>, start: f64, end: f64) -> TaskStatus<'a> {
+        TaskStatus {
+            error,
+            start,
+            end,
+            result: None,
+            shuf: None,
         }
-        TaskStatus { fields }
     }
 
     /// Small results ride inside the status object: a single PUT then both
     /// marks the task done and delivers the result, and no `…/result`
     /// object (nor a gather GET for it) ever exists.
-    pub(crate) fn with_result(mut self, result: Value) -> TaskStatus {
-        self.fields = self.fields.with("result", result);
+    pub(crate) fn with_result(mut self, result: Value) -> TaskStatus<'a> {
+        self.result = Some(result);
         self
     }
 
     /// A shuffle map's partition manifest always rides in its status:
     /// reducers need it to locate (or rule out) their partition without
     /// probing COS.
-    pub(crate) fn with_shuf(mut self, manifest: Value) -> TaskStatus {
-        self.fields = self.fields.with("shuf", manifest);
+    pub(crate) fn with_shuf(mut self, manifest: Value) -> TaskStatus<'a> {
+        self.shuf = Some(manifest);
         self
+    }
+
+    fn state(&self) -> &'static str {
+        if self.error.is_none() {
+            "done"
+        } else {
+            "error"
+        }
+    }
+
+    /// Exact length of what [`encode_into`](TaskStatus::encode_into) writes.
+    fn encoded_len(&self) -> usize {
+        let field = |key: &str, len: usize| wire::key_len(key) + len;
+        let text = |key: &str, s: &str| field(key, wire::HEADER_LEN + s.len());
+        let value =
+            |key: &str, v: &Option<Value>| v.as_ref().map_or(0, |v| field(key, v.encoded_len()));
+        wire::HEADER_LEN
+            + field("end", wire::NUM_LEN)
+            + self.error.map_or(0, |e| text("error", e))
+            + value("result", &self.result)
+            + value("shuf", &self.shuf)
+            + field("start", wire::NUM_LEN)
+            + text("state", self.state())
+    }
+
+    /// Writes the status as the map it is, into `w`'s one buffer.
+    fn encode_into(&self, mut w: Writer) -> Bytes {
+        let optional = [
+            self.error.is_some(),
+            self.result.is_some(),
+            self.shuf.is_some(),
+        ];
+        let mut fields = w.map_header(3 + optional.into_iter().filter(|&some| some).count());
+        fields.key("end").float(self.end);
+        if let Some(error) = self.error {
+            fields.key("error").str(error);
+        }
+        if let Some(result) = &self.result {
+            fields.key("result").value(result);
+        }
+        if let Some(shuf) = &self.shuf {
+            fields.key("shuf").value(shuf);
+        }
+        fields.key("start").float(self.start);
+        fields.key("state").str(self.state());
+        w.finish()
     }
 
     /// The unstamped bytes [`put_async`](TaskStatus::put_async) stamps and writes.
     #[cfg(test)]
     pub(crate) fn encode(&self) -> Bytes {
-        self.fields.encode()
+        self.encode_into(Writer::new(self.encoded_len()))
     }
 
-    /// Writes this as `f`'s status object, checksum-stamped.
+    /// Writes this as `f`'s status object, checksum-stamped, encoded
+    /// straight into the stamped buffer.
     ///
     /// # Errors
     ///
@@ -213,7 +271,10 @@ impl TaskStatus {
         cos: &CosClient,
         f: &ResponseFuture,
     ) -> Result<(), StoreError> {
-        crate::job::put_stamped(cos, f.bucket(), &f.status_key(), &self.fields).await
+        let stamped = self.encode_into(Writer::stamped(self.encoded_len()));
+        cos.put_async(f.bucket(), &f.status_key(), stamped)
+            .await
+            .map(|_| ())
     }
 
     /// Checks the (verified, unstamped) bytes of `f`'s status object end to
@@ -231,7 +292,7 @@ impl TaskStatus {
         // The last entry under a key wins, as it would decoding into a map.
         let (mut state, mut error, mut start, mut end) = (None, None, None, None);
         let (mut result, mut shuf) = (None, None);
-        ValueRef::parse_entries(&raw, |key, v| match key {
+        ValueRef::parse_entries(&raw, |key, v, _| match key {
             "state" => state = Some(v),
             "error" => error = Some(v),
             "start" => start = Some(v),
@@ -422,14 +483,14 @@ impl StatusMemo {
 /// "Which of these tasks have finished?", answered the way §4.2–§4.3 do for
 /// `wait()`/`get_result()` on the client and for the reducer inside the
 /// cloud: a task is finished once its status object exists, and existence is
-/// learned from one LIST per distinct job prefix — matched against a
-/// precomputed status-key index, so a poll stays cheap at thousands of tasks
-/// (instead of O(tasks) per-key probes).
+/// learned from one LIST per distinct job prefix — each listed key parsed
+/// for its task number and looked up in a precomputed index, so a poll stays
+/// cheap at thousands of tasks (instead of O(tasks) per-key probes).
 pub(crate) struct StatusWatch {
     /// Distinct `(bucket, job prefix)` pairs, in first-appearance order.
     prefixes: Vec<(String, String)>,
-    /// Status key → index into the watched slice.
-    index: HashMap<String, usize>,
+    /// (Prefix, task number) → index into the watched slice.
+    index: HashMap<(usize, u32), usize>,
 }
 
 impl StatusWatch {
@@ -440,11 +501,15 @@ impl StatusWatch {
         for (i, f) in futures.iter().enumerate() {
             // Compared by field: a prefix is formatted once per job.
             let job = (f.bucket(), f.exec_id(), f.job_id);
-            if !jobs.contains(&job) {
-                jobs.push(job);
-                prefixes.push((f.bucket().to_owned(), f.job_prefix()));
-            }
-            index.insert(f.status_key(), i);
+            let prefix = match jobs.iter().position(|j| *j == job) {
+                Some(prefix) => prefix,
+                None => {
+                    jobs.push(job);
+                    prefixes.push((f.bucket().to_owned(), f.job_prefix()));
+                    prefixes.len() - 1
+                }
+            };
+            index.insert((prefix, f.task), i);
         }
         StatusWatch { prefixes, index }
     }
@@ -462,15 +527,27 @@ impl StatusWatch {
     /// The first LIST that fails.
     pub(crate) async fn landed(&self, cos: &CosClient) -> Result<Vec<usize>, StoreError> {
         let mut landed = Vec::new();
-        for (bucket, prefix) in &self.prefixes {
+        for (p, (bucket, prefix)) in self.prefixes.iter().enumerate() {
             for meta in cos.list_async(bucket, prefix).await? {
-                if let Some(&i) = self.index.get(&meta.key) {
+                let task = meta.key.strip_prefix(prefix.as_str()).and_then(status_task);
+                if let Some(&i) = task.and_then(|t| self.index.get(&(p, t))) {
                     landed.push(i);
                 }
             }
         }
         Ok(landed)
     }
+}
+
+/// The task number of a status key below its job prefix: `t{:05}/status`,
+/// as [`ResponseFuture::status_key`] formats it and in no other spelling.
+fn status_task(key: &str) -> Option<u32> {
+    let digits = key.strip_prefix('t')?.strip_suffix("/status")?;
+    let padded = digits.len() == 5 || (digits.len() > 5 && !digits.starts_with('0'));
+    if !padded || !digits.bytes().all(|b| b.is_ascii_digit()) {
+        return None;
+    }
+    digits.parse().ok()
 }
 
 /// When [`crate::Executor::wait`] should unblock (§4.2).
@@ -889,6 +966,36 @@ mod tests {
             status.extend_from_slice(&corpus::nested(levels - 1, false));
             check_status(status).unwrap_or_else(|e| panic!("{levels} under `result`: {e}"));
         }
+    }
+
+    /// A job's statuses land under exactly the keys `status_key` formats:
+    /// other spellings of a task number, and other objects of a task, are
+    /// not statuses. A future watched twice lands once, as the last of the
+    /// two.
+    #[test]
+    fn status_watch_lands_only_canonical_status_keys() {
+        let cloud = crate::SimCloud::builder().seed(3).build();
+        cloud.store().ensure_bucket("bkt");
+        let landed = cloud.run(|| {
+            let cos = CosClient::new(cloud.store(), rustwren_sim::NetworkProfile::lan(), 3);
+            for key in [
+                "t3/status",
+                "t000003/status",
+                "t00003/status.tmp",
+                "t00003/result",
+                "t+0003/status",
+                "t00007/status",
+                "t123456/status",
+            ] {
+                let key = format!("jobs/e3/2/{key}");
+                cos.put("bkt", &key, Bytes::from_static(b"x")).expect("put");
+            }
+            let task = |t| ResponseFuture::new("bkt", "e3", 2, t);
+            let watched = [task(3), task(123_456), task(7), task(123_456)];
+            let watch = StatusWatch::new(&watched);
+            rustwren_sim::task::block_on(watch.landed(&cos)).expect("listed")
+        });
+        assert_eq!(landed, vec![2, 3]);
     }
 
     #[test]

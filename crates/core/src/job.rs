@@ -41,7 +41,7 @@ use crate::shuffle::{
     merge_runs, segment_key, sort_run, ExchangeMode, KeyedPair, Partitioner, MAX_REDUCERS,
 };
 use crate::task::TaskCtx;
-use crate::wire::{self, Value, ValueRef};
+use crate::wire::{self, required, required_int, Value, ValueRef, Writer, HEADER_LEN, NUM_LEN};
 
 /// Chaos crash phase: the agent has decoded its payload but not yet run the
 /// user function (models a container dying mid-download).
@@ -70,8 +70,9 @@ pub(crate) fn chaos_crash_point(phase: &str, token: u64) {
 
 /// Writes `value` as a staged object under the end-to-end checksum stamp,
 /// encoded and stamped in one buffer. Every staged object (func, input,
-/// status, result, shuffle slice) is written stamped — here, or where the
-/// writes are batched — so readers can always demand a valid stamp.
+/// status, result, shuffle slice) is written stamped — here, where the
+/// writes are batched, or as a status is — so readers can always demand a
+/// valid stamp.
 pub(crate) async fn put_stamped(
     cos: &CosClient,
     bucket: &str,
@@ -154,65 +155,95 @@ pub(crate) async fn get_verified_async(
 /// limits.
 pub(crate) const INLINE_MAX_BYTES: usize = 64 * 1024;
 
-/// The small payload carried by each agent invocation. A descriptor of at
-/// most [`INLINE_MAX_BYTES`] rides along (`inline`), eliminating the staged
-/// input object and its PUT/GET round trip.
+/// The small payload carried by each agent invocation, bytes from submit to
+/// agent: the client encodes a task's descriptor once, a remote invoker
+/// hands the agent a slice of its own payload, and the agent reads the
+/// fields in place. A descriptor of at most [`INLINE_MAX_BYTES`] rides along
+/// (`inline`), eliminating the staged input object and its PUT/GET round
+/// trip.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct AgentPayload {
-    pub bucket: String,
-    pub exec_id: String,
-    pub job_id: u64,
-    pub task: u32,
+    /// The task this payload (re-)runs.
+    pub fut: ResponseFuture,
     pub func_name: String,
-    /// Inlined task descriptor: when set, the agent uses this instead of
-    /// fetching `…/input` from COS (which is never staged for such tasks).
-    pub inline: Option<Value>,
+    /// Inlined task descriptor, encoded: when set, the agent decodes this
+    /// instead of fetching `…/input` from COS (which is never staged for
+    /// such tasks).
+    pub inline: Option<Bytes>,
 }
 
 impl AgentPayload {
     /// The payload that (re-)runs task `f` as `func_name`.
-    pub(crate) fn new(f: &ResponseFuture, func_name: &str, inline: Option<Value>) -> AgentPayload {
+    pub(crate) fn new(f: &ResponseFuture, func_name: &str, inline: Option<Bytes>) -> AgentPayload {
         AgentPayload {
-            bucket: f.bucket().to_owned(),
-            exec_id: f.exec_id().to_owned(),
-            job_id: f.job_id(),
-            task: f.task(),
+            fut: f.clone(),
             func_name: func_name.to_owned(),
             inline,
         }
     }
 
-    pub(crate) fn encode(&self) -> Bytes {
-        let mut v = Value::map()
-            .with("bucket", self.bucket.as_str())
-            .with("exec", self.exec_id.as_str())
-            .with("job", self.job_id as i64)
-            .with("task", i64::from(self.task))
-            .with("func", self.func_name.as_str());
-        if let Some(inline) = &self.inline {
-            v = v.with("inline", inline.clone());
+    /// Exact length of what [`encode_into`](AgentPayload::encode_into) writes.
+    pub(crate) fn encoded_len(&self) -> usize {
+        let text = |key: &str, s: &str| wire::key_len(key) + HEADER_LEN + s.len();
+        let inline = self.inline.as_ref();
+        HEADER_LEN
+            + text("bucket", self.fut.bucket())
+            + text("exec", self.fut.exec_id())
+            + text("func", &self.func_name)
+            + inline.map_or(0, |desc| wire::key_len("inline") + desc.len())
+            + wire::key_len("job")
+            + NUM_LEN
+            + wire::key_len("task")
+            + NUM_LEN
+    }
+
+    /// Writes the payload as the map it is, the descriptor's bytes spliced
+    /// in as they were encoded at submit.
+    pub(crate) fn encode_into(&self, w: &mut Writer) {
+        let mut fields = w.map_header(5 + usize::from(self.inline.is_some()));
+        fields.key("bucket").str(self.fut.bucket());
+        fields.key("exec").str(self.fut.exec_id());
+        fields.key("func").str(&self.func_name);
+        if let Some(desc) = &self.inline {
+            fields.key("inline").raw(desc);
         }
-        v.encode()
+        fields.key("job").int(self.fut.job_id() as i64);
+        fields.key("task").int(i64::from(self.fut.task()));
     }
 
-    pub(crate) fn decode(raw: &[u8]) -> Result<AgentPayload, String> {
-        let mut v = Value::decode(raw).map_err(|e| e.to_string())?;
-        let inline = match &mut v {
-            Value::Map(m) => m.remove("inline"),
-            _ => None,
-        };
-        Ok(AgentPayload {
-            bucket: v.req_str("bucket")?.to_owned(),
-            exec_id: v.req_str("exec")?.to_owned(),
-            job_id: v.req_int("job")?,
-            task: v.req_int("task")?,
-            func_name: v.req_str("func")?.to_owned(),
-            inline,
+    pub(crate) fn encode(&self) -> Bytes {
+        let mut w = Writer::new(self.encoded_len());
+        self.encode_into(&mut w);
+        w.finish()
+    }
+
+    /// Reads a payload in the one pass that validates it; the inline
+    /// descriptor is a slice of `raw`, not a copy.
+    pub(crate) fn decode(raw: &Bytes) -> Result<AgentPayload, String> {
+        // The last entry under a key wins, as it would decoding into a map.
+        let (mut bucket, mut exec, mut func, mut job, mut task) = (None, None, None, None, None);
+        let mut inline = None;
+        ValueRef::parse_entries(raw, |key, v, end| match key {
+            "bucket" => bucket = Some(v),
+            "exec" => exec = Some(v),
+            "func" => func = Some(v),
+            "job" => job = Some(v),
+            "task" => task = Some(v),
+            "inline" => inline = Some(v.offset()..end),
+            _ => {}
         })
-    }
-
-    pub(crate) fn future(&self) -> ResponseFuture {
-        ResponseFuture::new(&self.bucket, &self.exec_id, self.job_id, self.task)
+        .map_err(|e| e.to_string())?;
+        fn text<'a>(v: Option<ValueRef<'a>>, key: &str) -> Result<&'a str, String> {
+            required(v.and_then(|v| v.as_str()), key, "string")
+        }
+        let (bucket, exec) = (text(bucket, "bucket")?, text(exec, "exec")?);
+        let job = required_int(job.and_then(|v| v.as_i64()), "job")?;
+        let task = required_int(task.and_then(|v| v.as_i64()), "task")?;
+        Ok(AgentPayload {
+            fut: ResponseFuture::new(bucket, exec, job, task),
+            func_name: text(func, "func")?.to_owned(),
+            inline: inline.and_then(|span| raw.try_slice(span)),
+        })
     }
 }
 
@@ -342,7 +373,7 @@ pub(crate) async fn run_agent(
     let payload =
         AgentPayload::decode(&raw_payload).map_err(|e| ActionError(format!("bad payload: {e}")))?;
     let cos = ctx.cos_client();
-    let fut = payload.future();
+    let fut = &payload.fut;
     let started = ctx.now().as_secs_f64();
     let crash_token = hash2(ctx.activation_id().0, 0xA6E7);
 
@@ -361,13 +392,13 @@ pub(crate) async fn run_agent(
             if result.encoded_len() <= INLINE_MAX_BYTES {
                 status = status.with_result(result);
             } else {
-                put_stamped(&cos, &payload.bucket, &fut.result_key(), &result)
+                put_stamped(&cos, fut.bucket(), &fut.result_key(), &result)
                     .await
                     .map_err(|e| ActionError(format!("writing result: {e}")))?;
             }
             chaos_crash_point(PHASE_AFTER_PUT, crash_token);
             status
-                .put_async(&cos, &fut)
+                .put_async(&cos, fut)
                 .await
                 .map_err(|e| ActionError(format!("writing status: {e}")))?;
             Ok(Bytes::from_static(b"ok"))
@@ -382,11 +413,11 @@ pub(crate) async fn run_agent(
             // is not.
             let done_already = get_verified_async(&cos, fut.bucket(), &fut.status_key())
                 .await
-                .and_then(|raw| TaskStatus::decode(raw, &fut))
+                .and_then(|raw| TaskStatus::decode(raw, fut))
                 .is_ok_and(|s| s.error().is_none());
             if !done_already {
                 TaskStatus::new(Some(&msg), started, ended)
-                    .put_async(&cos, &fut)
+                    .put_async(&cos, fut)
                     .await
                     .map_err(|e| ActionError(format!("writing status: {e}")))?;
             }
@@ -405,44 +436,51 @@ async fn execute_task(
     cos: &CosClient,
     payload: &AgentPayload,
 ) -> Result<(Value, Option<Value>), String> {
-    let fut = payload.future();
+    let fut = &payload.fut;
     // Download the "pickled" function, as the real agent does — via the
     // warm-container blob cache.
     let _code = fetch_func_blob(ctx, cos, payload).await?;
+    // The descriptor is read in place, and what is built of it is the
+    // user's input (and, for the kinds that need them, their parameters).
+    let staged;
     let desc = match &payload.inline {
-        // The descriptor rode inside the activation payload: no staged
-        // input object exists for this task.
-        Some(desc) => desc.clone(),
+        // The descriptor rode inside the activation payload, whose parse
+        // checked it: no staged input object exists for this task.
+        Some(desc) => desc,
         None => {
-            let input_raw = get_verified_async(cos, &payload.bucket, &fut.input_key())
+            staged = get_verified_async(cos, fut.bucket(), &fut.input_key())
                 .await
                 .map_err(|e| format!("fetching input: {e}"))?;
-            Value::decode(&input_raw).map_err(|e| format!("decoding input: {e}"))?
+            ValueRef::parse_entries(&staged, |_, _, _| {})
+                .map_err(|e| format!("decoding input: {e}"))?;
+            &staged
         }
     };
+    let desc = ValueRef::at_offset(desc, 0);
 
     let task_ctx = TaskCtx::new(ctx.clone(), cloud.clone());
-    let kind = desc.req_str("kind")?;
+    let kind = required(desc.get("kind").and_then(|k| k.as_str()), "kind", "string")?;
     let func = cloud
         .registry()
         .lookup(&payload.func_name)
         .ok_or_else(|| format!("function `{}` not registered", payload.func_name))?;
     match kind {
         "shuffle-map" => {
-            let params = ShuffleMapParams::from_desc(&desc)?;
+            let params = ShuffleMapParams::from_desc(&built(desc)?)?;
             let inner = desc.get("inner").ok_or("missing field `inner`")?;
             let input = build_input(ctx, cos, inner).await?;
             let output = call_task(&func, &task_ctx, input).await?;
-            boxed(|| write_shuffle_output(cloud, cos, payload, &fut, &task_ctx, output, &params))
+            boxed(|| write_shuffle_output(cloud, cos, fut, &task_ctx, output, &params))
                 .await
                 .map(|(result, manifest)| (result, Some(manifest)))
         }
         "shuffle-reduce" => {
+            let desc = built(desc)?;
             let input = boxed(|| build_shuffle_reduce_input(cloud, ctx, cos, &desc)).await?;
             call_task(&func, &task_ctx, input).await.map(|r| (r, None))
         }
         _ => {
-            let input = build_input(ctx, cos, &desc).await?;
+            let input = build_input(ctx, cos, desc).await?;
             call_task(&func, &task_ctx, input).await.map(|r| (r, None))
         }
     }
@@ -512,13 +550,15 @@ async fn fetch_func_blob(
     cos: &CosClient,
     payload: &AgentPayload,
 ) -> Result<Bytes, String> {
-    let key = func_key(&payload.exec_id, payload.job_id);
+    let (bucket, key) = (
+        payload.fut.bucket(),
+        func_key(payload.fut.exec_id(), payload.fut.job_id()),
+    );
     let cache = ctx.blob_cache();
     if let Some(mut stamped) = cache.get(&key) {
         if let Some(chaos) = rustwren_sim::chaos::current() {
             let token = hash2(ctx.activation_id().0, 0xCACE);
-            if let Some(poisoned) = chaos.poison_cached_blob(&payload.bucket, &key, token, &stamped)
-            {
+            if let Some(poisoned) = chaos.poison_cached_blob(bucket, &key, token, &stamped) {
                 // The fault corrupts the cached copy itself, not just this
                 // read — keep the damage in the cache so the heal is real.
                 stamped = Bytes::from(poisoned);
@@ -530,14 +570,14 @@ async fn fetch_func_blob(
             return Ok(code);
         }
         cache.remove(&key);
-        let (fresh, code) = get_stamped(cos, &payload.bucket, &key)
+        let (fresh, code) = get_stamped(cos, bucket, &key)
             .await
             .map_err(|e| format!("refetching poisoned cached function: {e}"))?;
         cache.insert(&key, fresh);
         ctx.note_blob_cache_heal();
         return Ok(code);
     }
-    let (stamped, code) = get_stamped(cos, &payload.bucket, &key)
+    let (stamped, code) = get_stamped(cos, bucket, &key)
         .await
         .map_err(|e| format!("fetching function: {e}"))?;
     cache.insert(&key, stamped);
@@ -556,7 +596,6 @@ async fn fetch_func_blob(
 async fn write_shuffle_output(
     cloud: &SimCloud,
     cos: &CosClient,
-    payload: &AgentPayload,
     fut: &ResponseFuture,
     task_ctx: &TaskCtx,
     output: Value,
@@ -634,7 +673,7 @@ async fn write_shuffle_output(
     if !segment.is_empty() {
         // Slices carry their own stamps (range reads can't verify a whole-
         // object stamp), so the segment is PUT raw.
-        cos.put_async(&payload.bucket, &segment_key(&prefix), Bytes::from(segment))
+        cos.put_async(fut.bucket(), &segment_key(&prefix), Bytes::from(segment))
             .await
             .map_err(|e| format!("writing shuffle segment: {e}"))?;
     }
@@ -790,7 +829,7 @@ impl Run {
     /// [`within`](Run::within) a slice no walk has checked yet, first
     /// checked end to end with the error decoding it would give.
     fn parse(bytes: Bytes) -> Result<Run, String> {
-        ValueRef::parse_entries(&bytes, |_, _| {})
+        ValueRef::parse_entries(&bytes, |_, _, _| {})
             .map_err(|e| format!("decoding shuffle data: {e}"))?;
         Run::within(bytes, 0)
     }
@@ -950,29 +989,44 @@ async fn dep_status(
 
 /// Materializes the user function's input from the task descriptor,
 /// merging any job-level `extra` entries into map-shaped inputs. A plain
-/// value is its own input; the kinds that read COS do so in boxed futures
-/// of their own.
-async fn build_input(ctx: &ActivationCtx, cos: &CosClient, desc: &Value) -> Result<Value, String> {
-    let input = match desc.req_str("kind")? {
-        "value" => desc.get("value").cloned().unwrap_or(Value::Null),
-        "partition" => boxed(|| partition_input(cos, desc)).await?,
-        "reduce" => boxed(|| reduce_input(ctx, cos, desc)).await?,
+/// value is its own input, and the one part of the descriptor built; the
+/// kinds that read COS do so in boxed futures of their own.
+async fn build_input(
+    ctx: &ActivationCtx,
+    cos: &CosClient,
+    desc: ValueRef<'_>,
+) -> Result<Value, String> {
+    let input = match required(desc.get("kind").and_then(|k| k.as_str()), "kind", "string")? {
+        "value" => desc.get("value").map_or(Ok(Value::Null), built)?,
+        "partition" => {
+            let desc = built(desc)?;
+            boxed(|| partition_input(cos, &desc)).await?
+        }
+        "reduce" => {
+            let desc = built(desc)?;
+            boxed(|| reduce_input(ctx, cos, &desc)).await?
+        }
         other => return Err(format!("unknown task kind `{other}`")),
     };
-    let Some(extra) = desc.get("extra").and_then(Value::as_map) else {
+    let Some(Value::Map(extra)) = desc.get("extra").map(built).transpose()? else {
         return Ok(input);
     };
     match input {
         Value::Map(mut m) => {
             for (k, v) in extra {
-                m.entry(k.clone()).or_insert_with(|| v.clone());
+                m.entry(k).or_insert(v);
             }
             Ok(Value::Map(m))
         }
         other => Ok(Value::map()
             .with("value", other)
-            .with("extra", Value::Map(extra.clone()))),
+            .with("extra", Value::Map(extra))),
     }
+}
+
+/// The value under a view of a checked descriptor.
+fn built(v: ValueRef<'_>) -> Result<Value, String> {
+    v.to_value().map_err(|e| format!("decoding input: {e}"))
 }
 
 /// A partition task's input: the partition's line-aligned bytes.
@@ -1106,7 +1160,7 @@ mod tests {
 
     fn sample_payload(inline: Option<Value>) -> AgentPayload {
         let f = ResponseFuture::new("rustwren-runtime", "e1", 4, 9);
-        AgentPayload::new(&f, "tone", inline)
+        AgentPayload::new(&f, "tone", inline.map(|desc| desc.encode()))
     }
 
     #[test]
@@ -1120,14 +1174,9 @@ mod tests {
         let p = sample_payload(Some(Value::map().with("kind", "value").with("value", 7i64)));
         let decoded = AgentPayload::decode(&p.encode()).expect("decodes");
         assert_eq!(decoded, p);
-        assert_eq!(
-            decoded
-                .inline
-                .as_ref()
-                .and_then(|d| d.get("kind"))
-                .and_then(Value::as_str),
-            Some("value")
-        );
+        let desc = decoded.inline.map(|d| Value::decode(&d));
+        let desc = desc.expect("inline").expect("a descriptor");
+        assert_eq!(desc.req_str("kind"), Ok("value"));
     }
 
     /// Payload bytes are priced by `request_cost` and feed every jitter
@@ -1149,6 +1198,83 @@ mod tests {
             \x03\x00\x00\x00job\x02\x04\x00\x00\x00\x00\x00\x00\x00\
             \x04\x00\x00\x00task\x02\t\x00\x00\x00\x00\x00\x00\x00";
         assert_eq!(&p.encode()[..], pinned);
+    }
+
+    /// The payloads `spawn_tasks` hands the remote invoker action for
+    /// `payloads` in groups of `group_size`, as that action receives them.
+    fn invoker_groups(payloads: &[AgentPayload], group_size: usize) -> Vec<Bytes> {
+        use crate::invoker::{spawn_tasks, INVOKER_ACTION};
+        use rustwren_faas::{ActionConfig, CloudFunctions, FaasClient, PlatformConfig};
+        use rustwren_sim::Kernel;
+        use rustwren_store::ObjectStore;
+        use std::sync::{Arc, Mutex};
+
+        let kernel = Kernel::new();
+        let store = ObjectStore::new(&kernel);
+        let faas = CloudFunctions::new(&kernel, &store, PlatformConfig::default());
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let record = Arc::clone(&seen);
+        let invoker = move |_ctx: ActivationCtx, payload: Bytes| {
+            record.lock().expect("not poisoned").push(payload);
+            async { Ok(Bytes::new()) }
+        };
+        faas.register_resumable(INVOKER_ACTION, ActionConfig::default(), invoker)
+            .expect("a fresh platform");
+        let strategy = crate::SpawnStrategy::RemoteInvoker {
+            group_size,
+            invoker_threads: 3,
+        };
+        kernel.run("client", || {
+            let client = FaasClient::new(&faas, rustwren_sim::NetworkProfile::lan(), 1);
+            let spawned = spawn_tasks(&client, &strategy, "rustwren-agent@rt", payloads);
+            task::block_on(spawned).expect("spawned");
+            task::block_on(task::sleep(Duration::from_secs(60)));
+        });
+        let groups = seen.lock().expect("not poisoned").clone();
+        groups
+    }
+
+    /// A payload as an agent decodes it, with or without a descriptor.
+    fn payload(task: i64, inline: Option<Value>) -> AgentPayload {
+        let mut v = Value::map()
+            .with("bucket", "b")
+            .with("exec", "e1")
+            .with("job", 3i64)
+            .with("task", task)
+            .with("func", "f");
+        if let Some(desc) = inline {
+            v = v.with("inline", desc);
+        }
+        AgentPayload::decode(&v.encode()).expect("a payload")
+    }
+
+    /// The group payload is priced bytes, as the agent payloads inside it
+    /// are: `{action, tasks: [payload bytes…], threads}`.
+    #[test]
+    fn invoker_group_encoding_is_pinned() {
+        let desc = Value::map().with("kind", "value").with("value", 7i64);
+        let groups = invoker_groups(&[payload(0, Some(desc)), payload(1, None)], 2);
+        let pinned: &[u8] = b"\x07\x03\x00\x00\x00\
+            \x06\x00\x00\x00action\x04\x11\x00\x00\x00rustwren-agent@rt\
+            \x05\x00\x00\x00tasks\x06\x02\x00\x00\x00\
+            \x05\x86\x00\x00\x00\x07\x06\x00\x00\x00\
+            \x06\x00\x00\x00bucket\x04\x01\x00\x00\x00b\
+            \x04\x00\x00\x00exec\x04\x02\x00\x00\x00e1\
+            \x04\x00\x00\x00func\x04\x01\x00\x00\x00f\
+            \x06\x00\x00\x00inline\x07\x02\x00\x00\x00\
+            \x04\x00\x00\x00kind\x04\x05\x00\x00\x00value\
+            \x05\x00\x00\x00value\x02\x07\x00\x00\x00\x00\x00\x00\x00\
+            \x03\x00\x00\x00job\x02\x03\x00\x00\x00\x00\x00\x00\x00\
+            \x04\x00\x00\x00task\x02\x00\x00\x00\x00\x00\x00\x00\x00\
+            \x05S\x00\x00\x00\x07\x05\x00\x00\x00\
+            \x06\x00\x00\x00bucket\x04\x01\x00\x00\x00b\
+            \x04\x00\x00\x00exec\x04\x02\x00\x00\x00e1\
+            \x04\x00\x00\x00func\x04\x01\x00\x00\x00f\
+            \x03\x00\x00\x00job\x02\x03\x00\x00\x00\x00\x00\x00\x00\
+            \x04\x00\x00\x00task\x02\x01\x00\x00\x00\x00\x00\x00\x00\
+            \x07\x00\x00\x00threads\x02\x03\x00\x00\x00\x00\x00\x00\x00";
+        assert_eq!(groups.len(), 1);
+        assert_eq!(&groups[0][..], pinned);
     }
 
     /// The shuffle descriptors are priced payload bytes too. Both still
@@ -1198,7 +1324,7 @@ mod tests {
 
     #[test]
     fn agent_payload_decode_rejects_garbage() {
-        assert!(AgentPayload::decode(b"nonsense").is_err());
+        assert!(AgentPayload::decode(&Bytes::from_static(b"nonsense")).is_err());
         assert!(AgentPayload::decode(&Value::map().with("bucket", "b").encode()).is_err());
         // Once truncated (`task`) or wrapped (`job`) into another task's.
         let full = Value::decode(&sample_payload(None).encode()).expect("decodes");
@@ -1207,6 +1333,88 @@ mod tests {
             let err = err.expect_err("out of range");
             assert!(err.contains(&format!("`{key}`")), "{key} = {bad}: {err}");
         }
+    }
+
+    /// The payload reader this one replaced, as the reference: the whole
+    /// payload decoded into a `Value`, then the descriptor moved out of it.
+    fn reference_payload(raw: &[u8]) -> Result<(AgentPayload, Option<Value>), String> {
+        let mut v = Value::decode(raw).map_err(|e| e.to_string())?;
+        let inline = match &mut v {
+            Value::Map(m) => m.remove("inline"),
+            _ => None,
+        };
+        let (bucket, exec) = (v.req_str("bucket")?, v.req_str("exec")?);
+        let fields = AgentPayload {
+            fut: ResponseFuture::new(bucket, exec, v.req_int("job")?, v.req_int("task")?),
+            func_name: v.req_str("func")?.to_owned(),
+            inline: None,
+        };
+        Ok((fields, inline))
+    }
+
+    /// [`AgentPayload::decode`] makes of `bytes` what the reference does:
+    /// the same error text, or the same fields and a descriptor that is a
+    /// slice of the payload and decodes to the reference's.
+    fn check_payload(bytes: &[u8]) -> Result<(), String> {
+        let raw = Bytes::copy_from_slice(bytes);
+        match (AgentPayload::decode(&raw), reference_payload(bytes)) {
+            (Err(got), Err(want)) if got == want => Ok(()),
+            (Ok(mut got), Ok((want, want_desc))) => {
+                let desc = got.inline.take();
+                let (payload, within) =
+                    (raw.as_ptr_range(), desc.as_ref().map(|d| d.as_ptr_range()));
+                let shared =
+                    within.is_none_or(|d| payload.start <= d.start && d.end <= payload.end);
+                let desc = desc.map(|d| Value::decode(&d));
+                if got != want || desc != want_desc.clone().map(Ok) || !shared {
+                    return Err(format!(
+                        "decode {got:?} with {desc:?} (shared: {shared}), reference {want:?} with {want_desc:?}"
+                    ));
+                }
+                Ok(())
+            }
+            (got, want) => Err(format!("decode {got:?}, reference {want:?}")),
+        }
+    }
+
+    /// A payload as the client writes one.
+    fn written_payload() -> impl Strategy<Value = Vec<u8>> {
+        let text = || "[a-z0-9@-]{0,12}";
+        let fields = ((text(), text(), text()), (any::<u64>(), any::<u32>()));
+        (fields, prop::option::of(corpus::value())).prop_map(
+            |(((bucket, exec, func), (job, task)), desc)| {
+                let f = ResponseFuture::new(&bucket, &exec, job, task);
+                let p = AgentPayload::new(&f, &func, desc.map(|d| d.encode()));
+                p.encode().to_vec()
+            },
+        )
+    }
+
+    /// A payload's map as no client writes one: a whole payload's fields
+    /// followed by entries that repeat, and so override, them — right and
+    /// wrong types, integers out of range — and one it ignores.
+    fn mangled_payload() -> impl Strategy<Value = Vec<u8>> {
+        let key = prop::sample::select(vec![
+            "bucket", "exec", "job", "task", "func", "inline", "other",
+        ]);
+        let value = prop_oneof![
+            "[a-z]{0,6}".prop_map(Value::Str),
+            any::<i64>().prop_map(Value::Int),
+            (0i64..1 << 33).prop_map(Value::Int),
+            corpus::value(),
+        ];
+        let overrides = prop::collection::vec((key.prop_map(str::to_owned), value), 0..4);
+        (any::<u32>(), overrides).prop_map(|(task, overrides)| {
+            let fields = [
+                ("bucket", Value::from("b")),
+                ("exec", Value::from("e1")),
+                ("func", Value::from("f")),
+                ("job", Value::Int(3)),
+                ("task", Value::from(task)),
+            ];
+            let fields = fields.into_iter().map(|(k, v)| (k.to_owned(), v));
+            corpus::encode_entries(&fields.chain(overrides).collect::<Vec<_>>())
+        })
     }
 
     #[test]
@@ -1600,7 +1808,7 @@ mod tests {
         let Ok(decoded) = Value::decode(bytes) else {
             return Ok(());
         };
-        ValueRef::parse_entries(bytes, |_, _| {}).map_err(|e| format!("walk: {e}"))?;
+        ValueRef::parse_entries(bytes, |_, _, _| {}).map_err(|e| format!("walk: {e}"))?;
         let got = got.and_then(|part| match part {
             SegPart::Elided => Ok(("elided", Value::Null)),
             SegPart::Inline(at) => match ValueRef::at_offset(bytes, at).to_value() {
@@ -1731,6 +1939,23 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn agent_payload_decode_matches_the_reference_on_arbitrary_bytes(
+            bytes in prop::collection::vec(any::<u8>(), 0..256),
+        ) {
+            check_payload(&bytes).map_err(TestCaseError::fail)?;
+        }
+
+        #[test]
+        fn agent_payload_decode_matches_the_reference_on_damaged_payloads(
+            payload in prop_oneof![written_payload(), mangled_payload()],
+            damage in corpus::damage(),
+        ) {
+            for bytes in corpus::damaged(&payload, damage) {
+                check_payload(&bytes).map_err(TestCaseError::fail)?;
+            }
+        }
 
         #[test]
         fn seg_part_reads_any_entry_as_the_decoded_reference(

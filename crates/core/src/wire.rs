@@ -130,11 +130,9 @@ pub use rustwren_sim::hash::hash_bytes as checksum64;
 /// the on-store representation of every staged object (func, data, status,
 /// result). Verified on read by [`verify_stamped`].
 pub fn stamp(payload: &[u8]) -> Bytes {
-    let mut out = Vec::with_capacity(STAMP_LEN + payload.len());
-    out.push(STAMP_MAGIC);
-    out.extend_from_slice(&checksum64(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-    Bytes::from(out)
+    let mut w = Writer::stamped(payload.len());
+    w.raw(payload);
+    w.finish()
 }
 
 /// Checks a stamped payload and returns the inner bytes.
@@ -200,9 +198,9 @@ impl Value {
 
     /// Serializes to bytes.
     pub fn encode(&self) -> Bytes {
-        let mut out = Vec::with_capacity(self.encoded_len());
-        self.encode_into(&mut out);
-        Bytes::from(out)
+        let mut w = Writer::new(self.encoded_len());
+        w.value(self);
+        w.finish()
     }
 
     /// Exact number of bytes [`encode`](Value::encode) will produce,
@@ -212,59 +210,15 @@ impl Value {
         match self {
             Value::Null => 1,
             Value::Bool(_) => 2,
-            Value::Int(_) | Value::Float(_) => 9,
-            Value::Str(s) => 5 + s.len(),
-            Value::Bytes(b) => 5 + b.len(),
-            Value::List(v) => 5 + v.iter().map(Value::encoded_len).sum::<usize>(),
+            Value::Int(_) | Value::Float(_) => NUM_LEN,
+            Value::Str(s) => HEADER_LEN + s.len(),
+            Value::Bytes(b) => HEADER_LEN + b.len(),
+            Value::List(v) => HEADER_LEN + v.iter().map(Value::encoded_len).sum::<usize>(),
             Value::Map(m) => {
-                5 + m
-                    .iter()
-                    .map(|(k, v)| 4 + k.len() + v.encoded_len())
-                    .sum::<usize>()
-            }
-        }
-    }
-
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        match self {
-            Value::Null => out.push(TAG_NULL),
-            Value::Bool(b) => {
-                out.push(TAG_BOOL);
-                out.push(u8::from(*b));
-            }
-            Value::Int(i) => {
-                out.push(TAG_INT);
-                out.extend_from_slice(&i.to_le_bytes());
-            }
-            Value::Float(f) => {
-                out.push(TAG_FLOAT);
-                out.extend_from_slice(&f.to_le_bytes());
-            }
-            Value::Str(s) => {
-                out.push(TAG_STR);
-                out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-                out.extend_from_slice(s.as_bytes());
-            }
-            Value::Bytes(b) => {
-                out.push(TAG_BYTES);
-                out.extend_from_slice(&(b.len() as u32).to_le_bytes());
-                out.extend_from_slice(b);
-            }
-            Value::List(v) => {
-                out.push(TAG_LIST);
-                out.extend_from_slice(&(v.len() as u32).to_le_bytes());
-                for item in v {
-                    item.encode_into(out);
-                }
-            }
-            Value::Map(m) => {
-                out.push(TAG_MAP);
-                out.extend_from_slice(&(m.len() as u32).to_le_bytes());
-                for (k, v) in m {
-                    out.extend_from_slice(&(k.len() as u32).to_le_bytes());
-                    out.extend_from_slice(k.as_bytes());
-                    v.encode_into(out);
-                }
+                HEADER_LEN
+                    + m.iter()
+                        .map(|(k, v)| key_len(k) + v.encoded_len())
+                        .sum::<usize>()
             }
         }
     }
@@ -273,14 +227,9 @@ impl Value {
     /// payload share the allocation the encoder fills, where stamping an
     /// encoded value copies it into a second one.
     pub(crate) fn stamped(&self) -> Bytes {
-        let mut out = Vec::with_capacity(STAMP_LEN + self.encoded_len());
-        // The magic, and room for the checksum of what follows.
-        out.extend_from_slice(&[STAMP_MAGIC; STAMP_LEN]);
-        self.encode_into(&mut out);
-        if let Some(([_magic, sum @ ..], payload)) = out.split_first_chunk_mut::<STAMP_LEN>() {
-            *sum = checksum64(payload).to_le_bytes();
-        }
-        Bytes::from(out)
+        let mut w = Writer::stamped(self.encoded_len());
+        w.value(self);
+        w.finish()
     }
 
     /// Deserializes a value, requiring the input to be fully consumed.
@@ -374,9 +323,7 @@ impl Value {
     ///
     /// A human-readable message naming the missing/mistyped field.
     pub fn req_str(&self, key: &str) -> Result<&str, String> {
-        self.get(key)
-            .and_then(Value::as_str)
-            .ok_or_else(|| format!("missing or non-string field `{key}`"))
+        required(self.get(key).and_then(Value::as_str), key, "string")
     }
 
     /// Extracts a required integer field from a map value.
@@ -385,9 +332,7 @@ impl Value {
     ///
     /// A human-readable message naming the missing/mistyped field.
     pub fn req_i64(&self, key: &str) -> Result<i64, String> {
-        self.get(key)
-            .and_then(Value::as_i64)
-            .ok_or_else(|| format!("missing or non-int field `{key}`"))
+        required(self.get(key).and_then(Value::as_i64), key, "int")
     }
 
     /// Extracts a required integer field that must fit `T`: a count, an
@@ -397,8 +342,7 @@ impl Value {
     ///
     /// A message naming the missing, mistyped or out-of-range field.
     pub(crate) fn req_int<T: TryFrom<i64>>(&self, key: &str) -> Result<T, String> {
-        let n = self.req_i64(key)?;
-        T::try_from(n).map_err(|_| format!("field `{key}` is out of range: {n}"))
+        required_int(self.get(key).and_then(Value::as_i64), key)
     }
 
     /// Extracts a required list field from a map value.
@@ -407,9 +351,7 @@ impl Value {
     ///
     /// A human-readable message naming the missing/mistyped field.
     pub fn req_list(&self, key: &str) -> Result<&[Value], String> {
-        self.get(key)
-            .and_then(Value::as_list)
-            .ok_or_else(|| format!("missing or non-list field `{key}`"))
+        required(self.get(key).and_then(Value::as_list), key, "list")
     }
 }
 
@@ -523,8 +465,10 @@ pub(crate) struct ValueRef<'a> {
 impl<'a> ValueRef<'a> {
     /// Validates `buf` as exactly one encoded value, building nothing, and
     /// hands each entry of a top-level map to `entry` as the validating walk
-    /// passes it, in encoded order: a reader after a few fields of a large
-    /// value finds them in the pass that checks it, not in a walk per field.
+    /// passes it, in encoded order, with the offset where its value ends: a
+    /// reader after a few fields of a large value finds them in the pass
+    /// that checks it, not in a walk per field, and an owner of the bytes
+    /// can share one field's encoding without walking to its end again.
     /// What `entry` saw counts only if the parse succeeds.
     ///
     /// # Errors
@@ -533,14 +477,14 @@ impl<'a> ValueRef<'a> {
     /// the same inputs and reject the rest with the same [`WireError`].
     pub(crate) fn parse_entries(
         buf: &'a [u8],
-        mut entry: impl FnMut(&'a str, ValueRef<'a>),
+        mut entry: impl FnMut(&'a str, ValueRef<'a>, usize),
     ) -> Result<(), WireError> {
         let mut cursor = Cursor { data: buf, pos: 0 };
         if let Node::Map(count) = cursor.read_node()? {
             for _ in 0..count {
                 let (key, pos) = (cursor.read_str()?, cursor.pos);
                 cursor.skip(1)?;
-                entry(key, ValueRef { buf, pos });
+                entry(key, ValueRef { buf, pos }, cursor.pos);
             }
         } else {
             cursor.pos = 0;
@@ -610,6 +554,15 @@ impl<'a> ValueRef<'a> {
             return None;
         };
         text(bytes).ok()
+    }
+
+    /// Where a `Bytes` value's contents lie in the parsed buffer: what an
+    /// owner of the buffer slices to share them without a copy.
+    pub(crate) fn bytes_span(&self) -> Option<std::ops::Range<usize>> {
+        let (Node::Bytes(contents), cursor) = self.open()? else {
+            return None;
+        };
+        Some(cursor.pos - contents.len()..cursor.pos)
     }
 
     /// The items, if this is a `List`: a view of each, in order.
@@ -805,6 +758,197 @@ impl<'a> Cursor<'a> {
             }
         })
     }
+}
+
+/// Encoded length of a container's header, or of a string's or byte
+/// string's before its contents: the tag and a little-endian `u32`.
+pub(crate) const HEADER_LEN: usize = 5;
+
+/// Encoded length of an integer or a float: the tag and eight bytes.
+pub(crate) const NUM_LEN: usize = 9;
+
+/// Encoded length of a map key: its `u32` length and its text.
+pub(crate) fn key_len(key: &str) -> usize {
+    4 + key.len()
+}
+
+/// The one writer of the encoded form, as [`Cursor::read_node`] is its one
+/// reader: [`Value::encode`] and the records the client and the agent write
+/// field by field without building a [`Value`] (an agent payload, a remote
+/// invoker's group, a status) all write their tags here. A map's keys go in
+/// ascending order, as a `BTreeMap`'s do, so a record written field by field
+/// is byte for byte the `Value` map it stands for.
+///
+/// A writer is sized up front for an encoding of a known length, and
+/// [`finish`](Writer::finish) checks, in debug builds, that it got exactly
+/// that many bytes and every map entry its headers counted.
+pub(crate) struct Writer {
+    out: Vec<u8>,
+    /// Where the encoding starts: 0, or [`STAMP_LEN`] past the stamp's room.
+    start: usize,
+    /// The encoding's length, as the writer was sized for it.
+    len: usize,
+    /// Map entries that headers counted and are not written yet.
+    unwritten: usize,
+}
+
+impl Writer {
+    /// A writer for an encoding of `len` bytes.
+    pub(crate) fn new(len: usize) -> Writer {
+        Writer {
+            out: Vec::with_capacity(len),
+            start: 0,
+            len,
+            unwritten: 0,
+        }
+    }
+
+    /// A writer for the [`stamp`]ed form of an encoding of `len` bytes: the
+    /// magic and room for the checksum of what follows come first.
+    pub(crate) fn stamped(len: usize) -> Writer {
+        let mut out = Vec::with_capacity(STAMP_LEN + len);
+        out.extend_from_slice(&[STAMP_MAGIC; STAMP_LEN]);
+        Writer {
+            out,
+            start: STAMP_LEN,
+            len,
+            unwritten: 0,
+        }
+    }
+
+    /// The bytes written, with their checksum filled in if the writer was
+    /// made [`stamped`](Writer::stamped).
+    pub(crate) fn finish(mut self) -> Bytes {
+        debug_assert_eq!(
+            self.out.len() - self.start,
+            self.len,
+            "an encoding's length disagrees with what was written"
+        );
+        debug_assert_eq!(self.unwritten, 0, "map entries counted, never written");
+        if self.start == STAMP_LEN {
+            if let Some(([_magic, sum @ ..], payload)) =
+                self.out.split_first_chunk_mut::<STAMP_LEN>()
+            {
+                *sum = checksum64(payload).to_le_bytes();
+            }
+        }
+        Bytes::from(self.out)
+    }
+
+    fn len_prefix(&mut self, n: usize) {
+        self.out.extend_from_slice(&(n as u32).to_le_bytes());
+    }
+
+    /// A list of `count` items, which the caller writes next.
+    pub(crate) fn list_header(&mut self, count: usize) {
+        self.out.push(TAG_LIST);
+        self.len_prefix(count);
+    }
+
+    /// A map of `count` entries, which the caller writes through the
+    /// returned [`Entries`], keys in ascending order.
+    pub(crate) fn map_header<'k>(&mut self, count: usize) -> Entries<'_, 'k> {
+        self.out.push(TAG_MAP);
+        self.len_prefix(count);
+        self.unwritten += count;
+        Entries {
+            w: self,
+            last: None,
+        }
+    }
+
+    pub(crate) fn str(&mut self, s: &str) {
+        self.out.push(TAG_STR);
+        self.len_prefix(s.len());
+        self.out.extend_from_slice(s.as_bytes());
+    }
+
+    pub(crate) fn int(&mut self, i: i64) {
+        self.out.push(TAG_INT);
+        self.out.extend_from_slice(&i.to_le_bytes());
+    }
+
+    pub(crate) fn float(&mut self, f: f64) {
+        self.out.push(TAG_FLOAT);
+        self.out.extend_from_slice(&f.to_le_bytes());
+    }
+
+    /// A byte string of `len` bytes, which the caller writes next with
+    /// [`raw`](Writer::raw) or as an encoding of its own.
+    pub(crate) fn bytes_header(&mut self, len: usize) {
+        self.out.push(TAG_BYTES);
+        self.len_prefix(len);
+    }
+
+    /// Bytes already encoded (a value, or what a byte string's header
+    /// announced), copied in as they are.
+    pub(crate) fn raw(&mut self, encoded: &[u8]) {
+        self.out.extend_from_slice(encoded);
+    }
+
+    /// A whole [`Value`].
+    pub(crate) fn value(&mut self, v: &Value) {
+        match v {
+            Value::Null => self.out.push(TAG_NULL),
+            Value::Bool(b) => self.out.extend_from_slice(&[TAG_BOOL, u8::from(*b)]),
+            Value::Int(i) => self.int(*i),
+            Value::Float(f) => self.float(*f),
+            Value::Str(s) => self.str(s),
+            Value::Bytes(b) => {
+                self.bytes_header(b.len());
+                self.raw(b);
+            }
+            Value::List(items) => {
+                self.list_header(items.len());
+                for item in items {
+                    self.value(item);
+                }
+            }
+            Value::Map(m) => {
+                let mut entries = self.map_header(m.len());
+                for (k, v) in m {
+                    entries.key(k).value(v);
+                }
+            }
+        }
+    }
+}
+
+/// The entries of a map a [`Writer`] is writing: each a key, then its
+/// value written through the writer [`key`](Entries::key) returns.
+pub(crate) struct Entries<'w, 'k> {
+    w: &'w mut Writer,
+    last: Option<&'k str>,
+}
+
+impl<'k> Entries<'_, 'k> {
+    /// The next entry's key; its value goes to the writer returned.
+    pub(crate) fn key(&mut self, key: &'k str) -> &mut Writer {
+        debug_assert!(
+            self.last < Some(key),
+            "map key `{key}` written after {:?}: keys go in ascending order",
+            self.last
+        );
+        debug_assert!(self.w.unwritten > 0, "more map entries than headers count");
+        self.last = Some(key);
+        self.w.unwritten = self.w.unwritten.saturating_sub(1);
+        self.w.len_prefix(key.len());
+        self.w.raw(key.as_bytes());
+        self.w
+    }
+}
+
+/// A required field's value, or the message that names it as missing or
+/// not a `kind`.
+pub(crate) fn required<T>(v: Option<T>, key: &str, kind: &str) -> Result<T, String> {
+    v.ok_or_else(|| format!("missing or non-{kind} field `{key}`"))
+}
+
+/// A required integer field's value as `T`: a count, an index or an id
+/// arriving as the wire's one integer type.
+pub(crate) fn required_int<T: TryFrom<i64>>(v: Option<i64>, key: &str) -> Result<T, String> {
+    let n = required(v, key, "int")?;
+    T::try_from(n).map_err(|_| format!("field `{key}` is out of range: {n}"))
 }
 
 /// Byte strings at and around the decoder's boundary, shared by the
@@ -1188,7 +1332,7 @@ mod tests {
             .with("none", Value::Null)
             .with("list", Value::from(vec![Value::Int(1), Value::from("two")]));
         let encoded = v.encode();
-        ValueRef::parse_entries(&encoded, |_, _| {}).expect("well-formed");
+        ValueRef::parse_entries(&encoded, |_, _, _| {}).expect("well-formed");
         let view = ValueRef::at_offset(&encoded, 0);
         assert_eq!(view.offset(), 0);
         assert_eq!(view.get("s").and_then(|s| s.as_str()), Some("x"));
@@ -1223,16 +1367,21 @@ mod tests {
     /// reads what the same path into the decoded value does.
     fn check_agreement(bytes: &[u8]) -> Result<(), String> {
         let mut entries = BTreeMap::new();
-        let parsed = ValueRef::parse_entries(bytes, |k, v| {
-            entries.insert(k.to_owned(), v.to_value());
+        let parsed = ValueRef::parse_entries(bytes, |k, v, end| {
+            let encoding = bytes.get(v.offset()..end).map(Value::decode);
+            entries.insert(k.to_owned(), (v.to_value(), encoding));
         })
         .map(|_| ValueRef::at_offset(bytes, 0));
         match (Value::decode(bytes), parsed) {
             (Err(d), Err(p)) if d == p => Ok(()),
             (Ok(decoded), Ok(view)) => {
                 if let Value::Map(m) = &decoded {
-                    let noted: BTreeMap<_, _> =
-                        m.iter().map(|(k, v)| (k.clone(), Ok(v.clone()))).collect();
+                    // Each entry's value, from its view and from the
+                    // span of bytes that ends where it was said to.
+                    let noted: BTreeMap<_, _> = m
+                        .iter()
+                        .map(|(k, v)| (k.clone(), (Ok(v.clone()), Some(Ok(v.clone())))))
+                        .collect();
                     if noted != entries {
                         return Err(format!("entries noted {entries:?}, decoded {decoded:?}"));
                     }

@@ -1179,12 +1179,12 @@ impl CloudFunctions {
     /// `None` when a concurrent `docker push` holds the registry lock: a
     /// poll reschedules itself instead of parking there.
     fn image_bytes(&self, registered: &RegisteredAction) -> Option<u64> {
-        let image = self
+        let size = self
             .inner
             .registry
-            .try_get(&registered.config.runtime)
+            .try_size_bytes(&registered.config.runtime)
             .ok()?;
-        Some(image.map_or(0, |i| i.size_bytes))
+        Some(size.unwrap_or(0))
     }
 
     /// How long pulling `bytes` of image takes a worker.
@@ -1697,9 +1697,9 @@ async fn activation(
 /// cluster is full.
 // lint: allow(L008) — false positives of name-based dispatch, as on
 // `activation`: std-map `.get` lookups resolve onto CosClient::get, the
-// kernel's `RawMutex::lock` onto the shim's, and the registry's `try_get`
-// sits beside a `push` this never calls; every lock here is `locked` or
-// try_read. Guarded by
+// kernel's `RawMutex::lock` onto the shim's, and the registry's
+// `try_size_bytes` sits beside a `push` this never calls; every lock here
+// is `locked` or try_read. Guarded by
 // prewarm_backs_off_on_contended_platform_locks
 async fn prewarm(
     platform: CloudFunctions,

@@ -111,6 +111,16 @@ impl DockerRegistry {
         }
     }
 
+    /// [`try_get`](DockerRegistry::try_get)'s one `try_read` for the size
+    /// alone: a cold start reads it without copying the image's name and
+    /// package list.
+    pub(crate) fn try_size_bytes(&self, name: &str) -> Result<Option<u64>, RegistryBusy> {
+        match self.images.try_read() {
+            Some(images) => Ok(images.get(name).map(|i| i.size_bytes)),
+            None => Err(RegistryBusy),
+        }
+    }
+
     /// Holds the registry as a `docker push` in progress does.
     #[cfg(test)]
     pub(crate) fn pushing(&self) -> impl Drop + '_ {
@@ -162,10 +172,13 @@ mod tests {
         let reg = DockerRegistry::new();
         assert_eq!(reg.try_get(DEFAULT_RUNTIME).map(|i| i.is_some()), Ok(true));
         assert_eq!(reg.try_get("ghost:1"), Ok(None));
+        assert_eq!(reg.try_size_bytes(DEFAULT_RUNTIME), Ok(Some(340 << 20)));
+        assert_eq!(reg.try_size_bytes("ghost:1"), Ok(None));
         // With a writer parked on the lock, a light poll must get a
         // retry signal, never block.
         let writer = reg.images.write();
         assert_eq!(reg.try_get(DEFAULT_RUNTIME), Err(RegistryBusy));
+        assert_eq!(reg.try_size_bytes(DEFAULT_RUNTIME), Err(RegistryBusy));
         drop(writer);
         assert!(reg.try_get(DEFAULT_RUNTIME).is_ok());
     }
