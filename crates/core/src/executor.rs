@@ -18,7 +18,9 @@ use rustwren_store::{CosClient, OpCounters};
 use crate::cloud::SimCloud;
 use crate::config::{ExecutorConfig, RetryPolicy, SpawnStrategy, SpeculationConfig};
 use crate::error::{PywrenError, Result};
-use crate::future::{exec_prefix, func_key, ResponseFuture, StatusWatch, TaskStatus, WaitPolicy};
+use crate::future::{
+    exec_prefix, func_key, DoneSet, ResponseFuture, StatusWatch, TaskStatus, WaitPolicy,
+};
 use crate::invoker::{agent_action_name, deploy_agent, spawn_tasks};
 use crate::job::{AgentPayload, TaskSpec, INLINE_MAX_BYTES};
 use crate::partition::{discover, partition_objects, DataSource};
@@ -1012,8 +1014,8 @@ impl Executor {
     ///    `done` status with an error).
     async fn recover(
         &self,
-        tracked: &[ResponseFuture],
-        done: &mut HashSet<ResponseFuture>,
+        watched: &[ResponseFuture],
+        done: &mut DoneSet,
         listed_prefixes: u64,
     ) -> Result<()> {
         let (retry, speculation) = (&self.inner.config.retry, &self.inner.config.speculation);
@@ -1024,10 +1026,10 @@ impl Executor {
         // poll tick's listing snapshot (`done`) instead of re-listing the
         // same prefixes itself — one LIST per prefix per cycle, not two.
         self.inner.table.lock().stats.lists_saved += listed_prefixes;
-        self.classify_completed(tracked, done, retry).await?;
-        self.handle_pending(tracked, done, retry).await?;
+        self.classify_completed(watched, done, retry).await?;
+        self.handle_pending(watched, done, retry).await?;
         if speculation.enabled {
-            self.speculate(tracked, done, speculation).await?;
+            self.speculate(watched, done, speculation).await?;
         }
         Ok(())
     }
@@ -1035,24 +1037,25 @@ impl Executor {
     /// Recovery sub-pass 1: see [`recover`](Executor::recover).
     async fn classify_completed(
         &self,
-        tracked: &[ResponseFuture],
-        done: &mut HashSet<ResponseFuture>,
+        watched: &[ResponseFuture],
+        done: &mut DoneSet,
         retry: &RetryPolicy,
     ) -> Result<()> {
         let now = self.inner.cloud.kernel().now();
-        let unclassified: Vec<&ResponseFuture> = {
+        let unclassified: Vec<(usize, &ResponseFuture)> = {
             let table = self.inner.table.lock();
-            tracked
+            watched
                 .iter()
-                .filter(|f| done.contains(*f))
-                .filter(|f| {
+                .enumerate()
+                .filter(|(i, _)| done.contains(*i))
+                .filter(|(_, f)| {
                     table
                         .task(f)
                         .is_some_and(|r| r.done_elapsed.is_none() && !r.exhausted)
                 })
                 .collect()
         };
-        for f in unclassified {
+        for (i, f) in unclassified {
             // A status that fails its checksum stamp is classified as an
             // error finish (and so retried/exhausted below) rather than
             // re-polled forever: the object itself may be damaged, so only
@@ -1068,7 +1071,7 @@ impl Executor {
                 Err(_) => {
                     // Vanished between LIST and GET, or unreachable this
                     // round: treat as still pending and re-poll.
-                    done.remove(f);
+                    done.remove(i);
                     continue;
                 }
             };
@@ -1082,7 +1085,7 @@ impl Executor {
                     self.inner.table.lock().stats.integrity_retries += 1;
                 }
                 self.schedule_retry(f, retry, now).await?;
-                done.remove(f);
+                done.remove(i);
             } else {
                 let mut table = self.inner.table.lock();
                 if integrity {
@@ -1103,8 +1106,8 @@ impl Executor {
     /// Recovery sub-pass 2: see [`recover`](Executor::recover).
     async fn handle_pending(
         &self,
-        tracked: &[ResponseFuture],
-        done: &mut HashSet<ResponseFuture>,
+        watched: &[ResponseFuture],
+        done: &mut DoneSet,
         retry: &RetryPolicy,
     ) -> Result<()> {
         enum Action {
@@ -1113,12 +1116,13 @@ impl Executor {
             PresumeDead(u32),
         }
         let now = self.inner.cloud.kernel().now();
-        let actions: Vec<(&ResponseFuture, Action)> = {
+        let actions: Vec<(usize, &ResponseFuture, Action)> = {
             let table = self.inner.table.lock();
-            tracked
+            watched
                 .iter()
-                .filter(|f| !done.contains(*f))
-                .filter_map(|f| {
+                .enumerate()
+                .filter(|(i, _)| !done.contains(*i))
+                .filter_map(|(i, f)| {
                     let r = table.task(f).filter(|r| !r.exhausted)?;
                     let action = match (r.retry_at, r.activation) {
                         (Some(t), _) if now >= t => Action::Reinvoke,
@@ -1138,11 +1142,11 @@ impl Executor {
                         }
                         (None, _) => return None,
                     };
-                    Some((f, action))
+                    Some((i, f, action))
                 })
                 .collect()
         };
-        for (f, action) in actions {
+        for (i, f, action) in actions {
             match action {
                 Action::Reinvoke => self.relaunch(f, false).await?,
                 Action::Classify(id, attempts) => {
@@ -1168,7 +1172,7 @@ impl Executor {
                         // with a diagnosable failure instead of hanging.
                         let message = format!("{message} (after {attempts} attempt(s))");
                         self.repair_status(f, &message, retryable, now).await?;
-                        done.insert(f.clone());
+                        done.insert(i);
                     }
                 }
                 Action::PresumeDead(attempts) => {
@@ -1182,7 +1186,7 @@ impl Executor {
                              (after {attempts} attempt(s))"
                         );
                         self.repair_status(f, &message, true, now).await?;
-                        done.insert(f.clone());
+                        done.insert(i);
                     }
                 }
             }
@@ -1279,8 +1283,8 @@ impl Executor {
     /// Recovery sub-pass 3: see [`recover`](Executor::recover).
     async fn speculate(
         &self,
-        tracked: &[ResponseFuture],
-        done: &HashSet<ResponseFuture>,
+        watched: &[ResponseFuture],
+        done: &DoneSet,
         spec: &SpeculationConfig,
     ) -> Result<()> {
         let now = self.inner.cloud.kernel().now();
@@ -1291,7 +1295,11 @@ impl Executor {
             // they have been out, by job: relaunches are issued in job-id
             // order (relaunch order is sim-visible).
             let mut candidates: BTreeMap<u64, Vec<(&ResponseFuture, f64)>> = BTreeMap::new();
-            for f in tracked.iter().filter(|f| !done.contains(*f)) {
+            let pending = watched
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| !done.contains(*i));
+            for (_, f) in pending {
                 let eligible = table.task(f).filter(|r| {
                     r.done_elapsed.is_none()
                         && !r.exhausted
@@ -1449,14 +1457,22 @@ impl Executor {
             return Ok((Vec::new(), Vec::new()));
         }
         let done = task::block_on(self.poll_until(&tracked, |done| {
-            let done_tracked = tracked.iter().filter(|f| done.contains(*f)).count();
+            let done_tracked = (0..tracked.len()).filter(|&i| done.contains(i)).count();
             Ok(match policy {
                 WaitPolicy::Always => true,
                 WaitPolicy::AnyCompleted => done_tracked > 0,
                 WaitPolicy::AllCompleted => done_tracked == tracked.len(),
             })
         }))?;
-        Ok(tracked.into_iter().partition(|f| done.contains(f)))
+        let (mut finished, mut pending) = (Vec::new(), Vec::new());
+        for (i, f) in tracked.into_iter().enumerate() {
+            if done.contains(i) {
+                finished.push(f);
+            } else {
+                pending.push(f);
+            }
+        }
+        Ok((finished, pending))
     }
 
     /// The one poll loop behind [`wait`](Executor::wait) and
@@ -1469,29 +1485,31 @@ impl Executor {
     /// ([`RecoveryStats::lists_saved`]) — and asks `satisfied` about the
     /// resulting done set; then sleeps one poll interval. Returns the done
     /// set `satisfied` accepted, or its error (a deadline is its business).
+    /// The done set is indexed like `futures`, which lead the watched
+    /// slice.
     /// With retry on, up to [`MAX_POLL_FAILURES`] consecutive failed ticks
     /// are ridden out.
     async fn poll_until(
         &self,
         futures: &[ResponseFuture],
-        mut satisfied: impl FnMut(&HashSet<ResponseFuture>) -> Result<bool>,
-    ) -> Result<HashSet<ResponseFuture>> {
+        mut satisfied: impl FnMut(&DoneSet) -> Result<bool>,
+    ) -> Result<DoneSet> {
         let watched = self.with_guarded(futures);
         let watch = StatusWatch::new(&watched);
+        let mut done = watch.done_set();
         let retrying = self.inner.config.retry.enabled();
         let mut poll_failures = 0u32;
         loop {
             let tick = async {
                 let landed = watch.landed(&self.inner.cos).await?;
-                let mut done: HashSet<ResponseFuture> = landed
-                    .into_iter()
-                    .filter_map(|i| watched.get(i).cloned())
-                    .collect();
-                self.recover(&watched, &mut done, watch.prefixes()).await?;
-                Ok(done)
+                done.clear();
+                for i in landed {
+                    done.insert(i);
+                }
+                self.recover(&watched, &mut done, watch.prefixes()).await
             };
             match tick.await {
-                Ok(done) => {
+                Ok(()) => {
                     poll_failures = 0;
                     if satisfied(&done)? {
                         return Ok(done);
@@ -1589,7 +1607,7 @@ impl Executor {
             return Ok(Vec::new());
         }
         self.poll_until(futures, |done| {
-            let done_tracked = futures.iter().filter(|f| done.contains(*f)).count();
+            let done_tracked = (0..futures.len()).filter(|&i| done.contains(i)).count();
             if let Some(cb) = progress {
                 cb(done_tracked, futures.len());
             }
@@ -1998,5 +2016,84 @@ mod tests {
                 "no tenant, no W009"
             );
         });
+    }
+
+    /// What the done set must keep from tick to tick, through the public
+    /// `wait`: a landed error status that the retry clears is not done, on
+    /// its tick or the next; a status repaired for a task that died without
+    /// one is done on the tick that wrote it; a future tracked twice is done
+    /// or pending twice; and each side of the split keeps submission order.
+    #[test]
+    fn done_set_follows_retries_repairs_and_duplicates_tick_by_tick() {
+        // Task 2's agent dies after computing, with no status written.
+        let plan = rustwren_sim::FaultPlan::new(7).crash(
+            crate::PHASE_AFTER_COMPUTE,
+            rustwren_sim::TimeWindow::between(Duration::from_secs(8), Duration::from_secs(14)),
+            1.0,
+        );
+        let cloud = crate::SimCloud::builder()
+            .seed(31)
+            .client_network(NetworkProfile::lan())
+            .chaos(plan)
+            .build();
+        let failed_once = Arc::new(parking_lot::Mutex::new(false));
+        let first = Arc::clone(&failed_once);
+        cloud.register_resumable_fn("step", move |ctx: TaskCtx, v: Value| {
+            let first = Arc::clone(&first);
+            async move {
+                let x = v.as_i64().ok_or("int")?;
+                let secs = [1.0, 0.2, 10.0, 25.0]
+                    .get(x as usize)
+                    .copied()
+                    .unwrap_or(1.0);
+                task::sleep(ctx.activation().scaled(Duration::from_secs_f64(secs))).await;
+                // Task 1's first attempt fails.
+                if x == 1 && !std::mem::replace(&mut *first.lock(), true) {
+                    return Err("first attempt fails".to_owned());
+                }
+                Ok(Value::Int(x))
+            }
+        });
+        let (splits, stats, result) = cloud.run(|| {
+            // One retry for the whole job: task 1's takes it, so task 2's
+            // death is repaired instead.
+            let retry = RetryPolicy {
+                job_retry_budget: Some(1),
+                ..RetryPolicy::with_attempts(2)
+            };
+            let exec = cloud.executor().retry(retry).build().unwrap();
+            let futures = exec.map("step", (0..4).map(Value::Int)).unwrap();
+            let tasks = |fs: Vec<ResponseFuture>| fs.iter().map(|f| f.task()).collect::<Vec<_>>();
+            let split = |policy| {
+                let (done, pending) = exec.wait(policy).unwrap();
+                (tasks(done), tasks(pending))
+            };
+            let mut splits = vec![split(WaitPolicy::AnyCompleted), split(WaitPolicy::Always)];
+            rustwren_sim::sleep(Duration::from_secs(18));
+            splits.push(split(WaitPolicy::Always));
+            let repaired = exec.recovery_stats().statuses_repaired;
+            exec.reinvoke(&futures[..1]).unwrap();
+            splits.push(split(WaitPolicy::Always));
+            splits.push(split(WaitPolicy::AllCompleted));
+            (
+                splits,
+                (repaired, exec.recovery_stats().retries),
+                exec.get_result(),
+            )
+        });
+        let split = |done: &[u32], pending: &[u32]| (done.to_vec(), pending.to_vec());
+        assert_eq!(
+            splits,
+            vec![
+                split(&[0], &[1, 2, 3]),
+                split(&[0], &[1, 2, 3]),
+                split(&[0, 1, 2], &[3]),
+                split(&[1, 2], &[0, 3, 0]),
+                split(&[0, 1, 2, 3, 0], &[]),
+            ]
+        );
+        assert_eq!(stats, (1, 1));
+        let err = result.unwrap_err().to_string();
+        assert!(err.contains("crashed"), "{err}");
     }
 }

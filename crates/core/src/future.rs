@@ -8,7 +8,7 @@ use std::future::Future;
 use std::sync::{Arc, Mutex, PoisonError};
 
 use bytes::Bytes;
-use rustwren_store::{CosClient, StoreError};
+use rustwren_store::{CosClient, ListedObject, StoreError};
 
 use crate::error::{self, PywrenError};
 use crate::wire::{self, Value, ValueRef, Writer};
@@ -417,8 +417,8 @@ impl StatusView {
 /// walk that succeeds is kept — one view per status key, until the
 /// executor's `clean` deletes the status, holding bytes the store already
 /// shares — so a re-written status, a failed walk or a corrupted read is
-/// walked as ever. The lock is a plain `std` one, as the store's shards are:
-/// host-only state, never contended under the kernel's one runner at a time.
+/// walked as ever. The lock is a plain `std` one: host-only state, never
+/// contended under the kernel's one runner at a time.
 #[derive(Default)]
 pub(crate) struct StatusMemo(Mutex<Memo>);
 
@@ -483,35 +483,97 @@ impl StatusMemo {
 /// "Which of these tasks have finished?", answered the way §4.2–§4.3 do for
 /// `wait()`/`get_result()` on the client and for the reducer inside the
 /// cloud: a task is finished once its status object exists, and existence is
-/// learned from one LIST per distinct job prefix — each listed key parsed
-/// for its task number and looked up in a precomputed index, so a poll stays
-/// cheap at thousands of tasks (instead of O(tasks) per-key probes).
+/// learned from one LIST per distinct job prefix. The LIST is walked in
+/// place, each listed key parsed for its task number and looked up in its
+/// prefix's task table, so a poll stays one allocation-free pass over the
+/// listing at thousands of tasks (instead of O(tasks) per-key probes).
 pub(crate) struct StatusWatch {
-    /// Distinct `(bucket, job prefix)` pairs, in first-appearance order.
-    prefixes: Vec<(String, String)>,
-    /// (Prefix, task number) → index into the watched slice.
-    index: HashMap<(usize, u32), usize>,
+    /// Distinct job prefixes, in first-appearance order.
+    prefixes: Vec<Watched>,
+    /// Per watched index, the index its status lands as: itself, or the
+    /// last index watching an equal future.
+    slots: Vec<usize>,
+}
+
+/// One job prefix's watched tasks: an open-addressed table indexed by task
+/// number modulo its power-of-two length, at least twice the tasks, so a
+/// job's tasks `0..n` each sit in their own slot.
+struct Watched {
+    bucket: String,
+    prefix: String,
+    /// `(task, watched index)`; a slot holds the last index inserted for
+    /// its task.
+    table: Vec<Option<(u32, usize)>>,
+}
+
+impl Watched {
+    /// The table of `tasks`' `(task, watched index)`s, in watched order.
+    fn new(bucket: &str, prefix: String, tasks: &[(u32, usize)]) -> Watched {
+        let mut watched = Watched {
+            bucket: bucket.to_owned(),
+            prefix,
+            table: vec![None; (tasks.len() * 2).next_power_of_two()],
+        };
+        for &(task, i) in tasks {
+            if let Some(slot) = watched.find(task).and_then(|at| watched.table.get_mut(at)) {
+                *slot = Some((task, i));
+            }
+        }
+        watched
+    }
+
+    /// Slot positions probed for `task`, starting at its home slot.
+    fn probe(&self, task: u32) -> impl Iterator<Item = usize> {
+        let mask = self.table.len().wrapping_sub(1);
+        (0..self.table.len()).map(move |step| (task as usize).wrapping_add(step) & mask)
+    }
+
+    /// Where `task` is, or the empty slot where it would go.
+    fn find(&self, task: u32) -> Option<usize> {
+        self.probe(task).find(|&at| {
+            self.table
+                .get(at)
+                .is_some_and(|slot| slot.is_none_or(|(t, _)| t == task))
+        })
+    }
+
+    /// The watched index whose status `task`'s lands as.
+    fn get(&self, task: u32) -> Option<usize> {
+        let at = self.find(task)?;
+        self.table.get(at).copied().flatten().map(|(_, i)| i)
+    }
 }
 
 impl StatusWatch {
     pub(crate) fn new(futures: &[ResponseFuture]) -> StatusWatch {
-        let mut prefixes: Vec<(String, String)> = Vec::new();
         let mut jobs = Vec::new();
-        let mut index = HashMap::with_capacity(futures.len());
+        // Per job: its bucket, its prefix and its (task, watched index)s.
+        let mut watched = Vec::new();
+        let mut prefix_of = Vec::with_capacity(futures.len());
         for (i, f) in futures.iter().enumerate() {
             // Compared by field: a prefix is formatted once per job.
             let job = (f.bucket(), f.exec_id(), f.job_id);
-            let prefix = match jobs.iter().position(|j| *j == job) {
-                Some(prefix) => prefix,
-                None => {
-                    jobs.push(job);
-                    prefixes.push((f.bucket().to_owned(), f.job_prefix()));
-                    prefixes.len() - 1
-                }
-            };
-            index.insert((prefix, f.task), i);
+            let p = jobs.iter().position(|j| *j == job).unwrap_or_else(|| {
+                jobs.push(job);
+                watched.push((f.bucket(), f.job_prefix(), Vec::new()));
+                jobs.len() - 1
+            });
+            if let Some((_, _, tasks)) = watched.get_mut(p) {
+                tasks.push((f.task, i));
+            }
+            prefix_of.push(p);
         }
-        StatusWatch { prefixes, index }
+        let prefixes: Vec<Watched> = watched
+            .into_iter()
+            .map(|(bucket, prefix, tasks)| Watched::new(bucket, prefix, &tasks))
+            .collect();
+        let slots = futures
+            .iter()
+            .zip(prefix_of)
+            .enumerate()
+            .map(|(i, (f, p))| prefixes.get(p).and_then(|w| w.get(f.task)).unwrap_or(i))
+            .collect();
+        StatusWatch { prefixes, slots }
     }
 
     /// How many LISTs one [`landed`](StatusWatch::landed) call issues.
@@ -527,15 +589,68 @@ impl StatusWatch {
     /// The first LIST that fails.
     pub(crate) async fn landed(&self, cos: &CosClient) -> Result<Vec<usize>, StoreError> {
         let mut landed = Vec::new();
-        for (p, (bucket, prefix)) in self.prefixes.iter().enumerate() {
-            for meta in cos.list_async(bucket, prefix).await? {
-                let task = meta.key.strip_prefix(prefix.as_str()).and_then(status_task);
-                if let Some(&i) = task.and_then(|t| self.index.get(&(p, t))) {
+        for w in &self.prefixes {
+            let visit = |o: ListedObject<'_>| {
+                let task = o.key().get(w.prefix.len()..).and_then(status_task);
+                if let Some(i) = task.and_then(|t| w.get(t)) {
                     landed.push(i);
                 }
-            }
+            };
+            cos.list_each_async(&w.bucket, &w.prefix, visit).await?;
         }
         Ok(landed)
+    }
+
+    /// An empty done set over the watched futures.
+    pub(crate) fn done_set(&self) -> DoneSet {
+        DoneSet {
+            slots: self.slots.clone(),
+            bits: vec![0; self.slots.len().div_ceil(64)],
+        }
+    }
+}
+
+/// Which watched futures are done: one bit per watched index, under the
+/// index its status lands as, so equal futures are done or not together.
+pub(crate) struct DoneSet {
+    slots: Vec<usize>,
+    bits: Vec<u64>,
+}
+
+impl DoneSet {
+    /// Whether watched future `i` is done.
+    pub(crate) fn contains(&self, i: usize) -> bool {
+        let Some(&slot) = self.slots.get(i) else {
+            return false;
+        };
+        self.bits
+            .get(slot / 64)
+            .is_some_and(|w| w >> (slot % 64) & 1 == 1)
+    }
+
+    /// The word holding watched future `i`'s bit, and the bit.
+    fn word(&mut self, i: usize) -> Option<(&mut u64, u64)> {
+        let slot = *self.slots.get(i)?;
+        Some((self.bits.get_mut(slot / 64)?, 1 << (slot % 64)))
+    }
+
+    /// Marks watched future `i` (and every equal one) done.
+    pub(crate) fn insert(&mut self, i: usize) {
+        if let Some((w, bit)) = self.word(i) {
+            *w |= bit;
+        }
+    }
+
+    /// Marks watched future `i` (and every equal one) not done.
+    pub(crate) fn remove(&mut self, i: usize) {
+        if let Some((w, bit)) = self.word(i) {
+            *w &= !bit;
+        }
+    }
+
+    /// Marks every watched future not done.
+    pub(crate) fn clear(&mut self) {
+        self.bits.fill(0);
     }
 }
 
@@ -996,6 +1111,127 @@ mod tests {
             rustwren_sim::task::block_on(watch.landed(&cos)).expect("listed")
         });
         assert_eq!(landed, vec![2, 3]);
+    }
+
+    /// The watch before the in-place walk and the task tables: one owned
+    /// `ObjectMeta` per listed key, matched through a `HashMap` from
+    /// (prefix, task number) to the last index watching it.
+    struct ReferenceWatch {
+        prefixes: Vec<(String, String)>,
+        index: HashMap<(usize, u32), usize>,
+    }
+
+    impl ReferenceWatch {
+        fn new(futures: &[ResponseFuture]) -> ReferenceWatch {
+            let mut prefixes: Vec<(String, String)> = Vec::new();
+            let mut index = HashMap::new();
+            for (i, f) in futures.iter().enumerate() {
+                let prefix = (f.bucket().to_owned(), f.job_prefix());
+                let p = match prefixes.iter().position(|p| *p == prefix) {
+                    Some(p) => p,
+                    None => {
+                        prefixes.push(prefix);
+                        prefixes.len() - 1
+                    }
+                };
+                index.insert((p, f.task), i);
+            }
+            ReferenceWatch { prefixes, index }
+        }
+
+        async fn landed(&self, cos: &CosClient) -> Result<Vec<usize>, StoreError> {
+            let mut landed = Vec::new();
+            for (p, (bucket, prefix)) in self.prefixes.iter().enumerate() {
+                for meta in cos.list_async(bucket, prefix).await? {
+                    let task = meta.key.strip_prefix(prefix.as_str()).and_then(status_task);
+                    if let Some(&i) = task.and_then(|t| self.index.get(&(p, t))) {
+                        landed.push(i);
+                    }
+                }
+            }
+            Ok(landed)
+        }
+    }
+
+    use rustwren_sim::task::block_on;
+
+    /// Jobs whose prefixes are siblings (`jobs/e/1/`, `jobs/e/10/`) or
+    /// share an executor id's first letter, in two buckets.
+    const JOBS: [(&str, &str, u64); 4] =
+        [("b", "e", 1), ("b", "e", 10), ("b", "ef", 1), ("c", "e", 1)];
+
+    /// Task numbers: a job's first few, either side of 99,999 (whose keys
+    /// sort before 5-digit ones past it), and the largest.
+    fn task_number() -> impl Strategy<Value = u32> {
+        prop_oneof![0u32..12, 99_998u32..100_002, Just(123_456), Just(u32::MAX),]
+    }
+
+    /// An object key under one of [`JOBS`]: a task number spelled the
+    /// canonical way or another, and a task's leaf or something like one.
+    fn listed_key() -> impl Strategy<Value = (usize, String)> {
+        let spelling = 0usize..4;
+        let leaf = prop::sample::select(vec!["status", "result", "input", "status.tmp"]);
+        (0..JOBS.len(), task_number(), spelling, leaf).prop_map(|(job, t, spelling, leaf)| {
+            let (_, exec, job_id) = JOBS[job];
+            let task = match spelling {
+                0 => format!("t{t:05}"),
+                1 => format!("t{t}"),
+                2 => format!("t{t:06}"),
+                _ => format!("t+{t:04}"),
+            };
+            (job, format!("jobs/{exec}/{job_id}/{task}/{leaf}"))
+        })
+    }
+
+    /// What `landed` returns over `keys`, with how long its LISTs took in
+    /// virtual time, on a fresh store at a fixed seed.
+    fn landed_by(
+        keys: &[(usize, String)],
+        landed: impl FnOnce(&CosClient) -> Result<Vec<usize>, StoreError>,
+    ) -> (Vec<usize>, std::time::Duration) {
+        let kernel = rustwren_sim::Kernel::new();
+        let store = rustwren_store::ObjectStore::new(&kernel);
+        for bucket in ["b", "c"] {
+            store.ensure_bucket(bucket);
+        }
+        for (job, key) in keys {
+            store
+                .put(JOBS[*job].0, key, Bytes::from_static(b"x"))
+                .expect("put");
+        }
+        let cos = CosClient::new(&store, rustwren_sim::NetworkProfile::lan(), 9);
+        kernel.run("client", || {
+            let listed = landed(&cos).expect("listed");
+            (
+                listed,
+                kernel.now().duration_since(rustwren_sim::SimInstant::ZERO),
+            )
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The task tables land what the reference lands, in its order,
+        /// and the LISTs cost what the reference's did (the same entries
+        /// priced, so the same virtual time).
+        #[test]
+        fn status_watch_matches_the_reference(
+            keys in prop::collection::vec(listed_key(), 0..48),
+            watched in prop::collection::vec((0..JOBS.len(), task_number()), 0..24),
+        ) {
+            let watched: Vec<ResponseFuture> = watched
+                .into_iter()
+                .map(|(job, t)| {
+                    let (bucket, exec, job_id) = JOBS[job];
+                    ResponseFuture::new(bucket, exec, job_id, t)
+                })
+                .collect();
+            let (reference, tables) = (ReferenceWatch::new(&watched), StatusWatch::new(&watched));
+            let reference = landed_by(&keys, |cos| block_on(reference.landed(cos)));
+            let tables = landed_by(&keys, |cos| block_on(tables.landed(cos)));
+            prop_assert_eq!(tables, reference);
+        }
     }
 
     #[test]

@@ -180,12 +180,25 @@ struct Container {
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 struct PoolKey {
     tenant: TenantId,
-    action: String,
+    action: Arc<str>,
 }
 
 impl fmt::Display for PoolKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}/{}", self.tenant, self.action)
+    }
+}
+
+/// An activation's task name, `act-{id}`: formatted on the stack (an id is
+/// always 16 hex digits) and copied once, into the `Arc<str>` its task and
+/// completion event share.
+fn activation_name(id: ActivationId) -> Arc<str> {
+    use std::io::Write;
+    let mut name = [0u8; 20];
+    let written = write!(name.as_mut_slice(), "act-{id}").is_ok();
+    match std::str::from_utf8(&name) {
+        Ok(name) if written => Arc::from(name),
+        _ => Arc::from(format!("act-{id}")),
     }
 }
 
@@ -886,7 +899,7 @@ impl CloudFunctions {
             }
             let key = PoolKey {
                 tenant: TenantId::new(namespace),
-                action: action.to_owned(),
+                action: Arc::from(action),
             };
 
             // Feed the hybrid keep-alive histogram (arrivals of accepted
@@ -908,7 +921,7 @@ impl CloudFunctions {
             id,
             ActivationRecord {
                 id,
-                action: key.action.clone(),
+                action: key.action.to_string(),
                 tenant: key.tenant.clone(),
                 submitted: now,
                 started: None,
@@ -921,7 +934,7 @@ impl CloudFunctions {
             },
         );
         // The task's name is its completion event's label too.
-        let name: Arc<str> = Arc::from(format!("act-{id}"));
+        let name = activation_name(id);
         let completion = Event::named(&self.inner.kernel, Arc::clone(&name));
         locked(&self.inner.completions)
             .await
@@ -1452,7 +1465,7 @@ impl CloudFunctions {
         generation: u64,
     ) -> Option<(Container, Option<u64>)> {
         let inner = &self.inner;
-        let registered = locked(&inner.actions).await.get(&key.action).cloned()?;
+        let registered = locked(&inner.actions).await.get(&*key.action).cloned()?;
         let image_bytes = loop {
             match self.image_bytes(&registered) {
                 Some(bytes) => break bytes,
@@ -1622,7 +1635,7 @@ async fn activation(
         platform: platform.clone(),
         id,
         tenant: key.tenant.clone(),
-        action: key.action.clone(),
+        action: Arc::clone(&key.action),
         speed: container.speed,
         started,
         deadline,
@@ -1749,7 +1762,7 @@ fn panic_message(p: &Box<dyn std::any::Any + Send>) -> String {
 pub struct ActivationCtx {
     platform: CloudFunctions,
     id: ActivationId,
-    action: String,
+    action: Arc<str>,
     tenant: TenantId,
     speed: f64,
     started: SimInstant,
@@ -1938,7 +1951,7 @@ mod tests {
             .unwrap();
         let key = PoolKey {
             tenant: TenantId::new("ns"),
-            action: "echo".to_owned(),
+            action: Arc::from("echo"),
         };
         kernel.run("client", || {
             let inner = &faas.inner;
@@ -2285,6 +2298,14 @@ mod tests {
             faas.wait(id);
         });
         assert_eq!(faas.stats().throttled, 1);
+    }
+
+    #[test]
+    fn activation_names_are_formatted_as_before() {
+        for id in [0, 1, 0xdead_beef, u64::MAX] {
+            let id = ActivationId(id);
+            assert_eq!(&*activation_name(id), format!("act-{id}"));
+        }
     }
 
     #[test]

@@ -19,7 +19,7 @@ use rustwren_sim::{task, NetworkProfile};
 
 use crate::error::StoreError;
 use crate::object::{BucketMeta, ObjectMeta};
-use crate::store::ObjectStore;
+use crate::store::{ListedObject, ObjectStore};
 
 /// A COS request identity assembled from parts. Displays as the classic
 /// `"VERB bucket/key…"` form, and hashes to exactly
@@ -645,14 +645,36 @@ impl CosClient {
         bucket: &str,
         prefix: &str,
     ) -> Result<Vec<ObjectMeta>, StoreError> {
+        let mut entries = Vec::new();
+        self.list_each_async(bucket, prefix, |o| entries.push(o.meta()))
+            .await?;
+        Ok(entries)
+    }
+
+    /// `LIST` objects under a prefix, visiting each in key order in place
+    /// ([`ObjectStore::list_each`]) instead of returning owned metadata.
+    /// The listing is what the store holds when the request is issued, and
+    /// it is priced, counted and retried as [`list`](CosClient::list) is.
+    /// Returns how many objects were listed.
+    ///
+    /// # Errors
+    ///
+    /// Store errors from the service, or [`StoreError::Network`] after
+    /// exhausting retries (the objects were visited all the same).
+    pub async fn list_each_async(
+        &self,
+        bucket: &str,
+        prefix: &str,
+        visit: impl FnMut(ListedObject<'_>),
+    ) -> Result<usize, StoreError> {
         self.counters.count(&self.counters.lists);
-        let entries = self.store.list(bucket, prefix)?;
-        let batches = (entries.len() as u64).div_ceil(1_000).max(1) as u32;
+        let entries = self.store.list_each(bucket, prefix, visit)?;
+        let batches = (entries as u64).div_ceil(1_000).max(1) as u32;
         self.charge(
             CosOp::new("LIST", bucket, Some(prefix)).with_suffix(OpSuffix::Const("*")),
             bucket,
             prefix,
-            entries.len() as u64 * self.costs.list_entry_bytes,
+            entries as u64 * self.costs.list_entry_bytes,
             self.costs.list_op * batches,
         )
         .await?;

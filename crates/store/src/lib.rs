@@ -45,4 +45,4 @@ mod store;
 pub use client::{CosClient, CosCosts, OpCounters, OpCounts};
 pub use error::StoreError;
 pub use object::{BucketMeta, ObjectMeta};
-pub use store::ObjectStore;
+pub use store::{ListedObject, ObjectStore};

@@ -8,8 +8,8 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Bound;
 use std::sync::Arc;
-use std::sync::RwLock as StdRwLock;
 
 use bytes::Bytes;
 use parking_lot::RwLock;
@@ -26,51 +26,15 @@ struct StoredObject {
     last_modified: SimInstant,
 }
 
-/// Shards per bucket. A power of two so the seeded hash folds evenly.
-const SHARD_COUNT: usize = 16;
-
-/// Seed for [`shard_of`]. Fixed (not configurable) so an object's shard is
-/// a pure function of its key: identical across runs, processes, and both
-/// sides of a replay.
-const SHARD_SEED: u64 = 0x05EE_D0B1_EC75_702E;
-
-/// Deterministic shard index for `key`: seeded `sim::hash` mix, so shard
-/// selection never depends on `RandomState` or pointer identity.
-fn shard_of(key: &str) -> usize {
-    (hash2(SHARD_SEED, hash_str(key)) % SHARD_COUNT as u64) as usize
-}
-
-/// One bucket's objects, split across key-sharded interior maps.
-///
-/// The shards use **plain `std` locks**, not the instrumented `parking_lot`
-/// shim: every public [`ObjectStore`] op already passes through exactly one
-/// instrumented acquisition on the bucket registry, which is where the
-/// scheduler's preemption probes and the lock-order graph want to see the
-/// store. Adding sixteen more instrumented acquisitions per op would only
-/// multiply kernel bookkeeping on a lock that is, by the kernel's
-/// one-runner-at-a-time guarantee, never contended in simulation.
-struct Bucket {
-    shards: Vec<StdRwLock<BTreeMap<String, StoredObject>>>,
-}
-
-impl Bucket {
-    fn new() -> Bucket {
-        Bucket {
-            shards: (0..SHARD_COUNT)
-                .map(|_| StdRwLock::new(BTreeMap::new()))
-                .collect(),
-        }
-    }
-
-    fn shard(&self, key: &str) -> &StdRwLock<BTreeMap<String, StoredObject>> {
-        // lint: allow(L009) — shard_of is `% SHARD_COUNT`, always in bounds
-        &self.shards[shard_of(key)]
-    }
-}
-
+/// Every bucket's objects, each bucket one key-ordered map, so a LIST is
+/// one range walk. The registry's instrumented lock guards it all: every
+/// public [`ObjectStore`] op takes exactly one acquisition, a write for the
+/// ops that mutate, which is where the scheduler's preemption probes and
+/// the lock-order graph see the store (and, by the kernel's
+/// one-runner-at-a-time guarantee, it is never contended in simulation).
 #[derive(Default)]
 struct Buckets {
-    buckets: BTreeMap<String, Arc<Bucket>>,
+    buckets: BTreeMap<String, BTreeMap<String, StoredObject>>,
 }
 
 /// A simulated IBM Cloud Object Storage service. Cheap to clone.
@@ -128,19 +92,14 @@ impl ObjectStore {
         if inner.buckets.contains_key(name) {
             return Err(StoreError::BucketAlreadyExists(name.to_owned()));
         }
-        inner
-            .buckets
-            .insert(name.to_owned(), Arc::new(Bucket::new()));
+        inner.buckets.insert(name.to_owned(), BTreeMap::new());
         Ok(())
     }
 
     /// Creates a bucket if it does not already exist.
     pub fn ensure_bucket(&self, name: &str) {
         let mut inner = self.inner.write();
-        inner
-            .buckets
-            .entry(name.to_owned())
-            .or_insert_with(|| Arc::new(Bucket::new()));
+        inner.buckets.entry(name.to_owned()).or_default();
     }
 
     /// Lists all bucket names, sorted.
@@ -172,13 +131,10 @@ impl ObjectStore {
         logical_size: u64,
     ) -> Result<ObjectMeta, StoreError> {
         let now = self.kernel.now();
-        // A write acquisition to match the pre-sharding lock discipline
-        // (one instrumented write per mutating op), even though the
-        // registry itself is only read: the mutation happens in the shard.
-        let inner = self.inner.write();
+        let mut inner = self.inner.write();
         let b = inner
             .buckets
-            .get(bucket)
+            .get_mut(bucket)
             .ok_or_else(|| StoreError::NoSuchBucket(bucket.to_owned()))?;
         let etag = content_etag(key, &data);
         let obj = StoredObject {
@@ -188,7 +144,7 @@ impl ObjectStore {
             last_modified: now,
         };
         let meta = object_meta(key, &obj);
-        write_shard(b.shard(key)).insert(key.to_owned(), obj);
+        b.insert(key.to_owned(), obj);
         Ok(meta)
     }
 
@@ -256,12 +212,9 @@ impl ObjectStore {
             total_bytes: 0,
             total_logical_bytes: 0,
         };
-        for shard in &b.shards {
-            let s = read_shard(shard);
-            meta.object_count += s.len() as u64;
-            meta.total_bytes += s.values().map(|o| o.data.len() as u64).sum::<u64>();
-            meta.total_logical_bytes += s.values().map(|o| o.logical_size).sum::<u64>();
-        }
+        meta.object_count = b.len() as u64;
+        meta.total_bytes = b.values().map(|o| o.data.len() as u64).sum();
+        meta.total_logical_bytes = b.values().map(|o| o.logical_size).sum();
         Ok(meta)
     }
 
@@ -272,24 +225,41 @@ impl ObjectStore {
     ///
     /// [`StoreError::NoSuchBucket`].
     pub fn list(&self, bucket: &str, prefix: &str) -> Result<Vec<ObjectMeta>, StoreError> {
+        let mut out = Vec::new();
+        self.list_each(bucket, prefix, |o| out.push(o.meta()))?;
+        Ok(out)
+    }
+
+    /// Visits the objects in a bucket whose keys start with `prefix`, in
+    /// key order, in place: each key and its metadata are borrowed from the
+    /// store for one `visit` call, so a listing allocates nothing per
+    /// object. Returns how many objects it visited. The store stays locked
+    /// for reading while the walk runs, so `visit` must not call back into
+    /// it.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::NoSuchBucket`].
+    pub fn list_each(
+        &self,
+        bucket: &str,
+        prefix: &str,
+        mut visit: impl FnMut(ListedObject<'_>),
+    ) -> Result<usize, StoreError> {
         let inner = self.inner.read();
         let b = inner
             .buckets
             .get(bucket)
             .ok_or_else(|| StoreError::NoSuchBucket(bucket.to_owned()))?;
-        // Each shard yields its matches already key-sorted; re-sort the
-        // concatenation so the merged listing is globally sorted.
-        let mut out = Vec::new();
-        for shard in &b.shards {
-            let s = read_shard(shard);
-            out.extend(
-                s.range(prefix.to_owned()..)
-                    .take_while(|(k, _)| k.starts_with(prefix))
-                    .map(|(k, o)| object_meta(k, o)),
-            );
+        let mut visited = 0;
+        let listed = b
+            .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
+            .take_while(|(k, _)| k.starts_with(prefix));
+        for (key, obj) in listed {
+            visit(ListedObject { key, obj });
+            visited += 1;
         }
-        out.sort_unstable_by(|a, b| a.key.cmp(&b.key));
-        Ok(out)
+        Ok(visited)
     }
 
     /// Deletes an object. Deleting a missing key is not an error (matching
@@ -299,12 +269,12 @@ impl ObjectStore {
     ///
     /// [`StoreError::NoSuchBucket`].
     pub fn delete(&self, bucket: &str, key: &str) -> Result<(), StoreError> {
-        let inner = self.inner.write();
+        let mut inner = self.inner.write();
         let b = inner
             .buckets
-            .get(bucket)
+            .get_mut(bucket)
             .ok_or_else(|| StoreError::NoSuchBucket(bucket.to_owned()))?;
-        write_shard(b.shard(key)).remove(key);
+        b.remove(key);
         Ok(())
     }
 
@@ -314,27 +284,11 @@ impl ObjectStore {
         inner
             .buckets
             .get(bucket)
-            .is_some_and(|b| read_shard(b.shard(key)).contains_key(key))
+            .is_some_and(|b| b.contains_key(key))
     }
 }
 
-/// Locks a shard for reading. The shards are plain `std` locks (see
-/// [`Bucket`]); poisoning is impossible in practice — no panic unwinds
-/// while a shard guard is held — but recover rather than unwrap so a
-/// poisoned test scenario degrades instead of cascading.
-fn read_shard<T>(lock: &StdRwLock<T>) -> std::sync::RwLockReadGuard<'_, T> {
-    lock.read()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Locks a shard for writing; see [`read_shard`] on poisoning.
-fn write_shard<T>(lock: &StdRwLock<T>) -> std::sync::RwLockWriteGuard<'_, T> {
-    lock.write()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Resolves `bucket`/`key` to its shard and applies `f` to the stored
-/// object under that shard's read lock.
+/// Resolves `bucket`/`key` and applies `f` to the stored object.
 fn lookup<R>(
     inner: &Buckets,
     bucket: &str,
@@ -345,11 +299,38 @@ fn lookup<R>(
         .buckets
         .get(bucket)
         .ok_or_else(|| StoreError::NoSuchBucket(bucket.to_owned()))?;
-    let shard = read_shard(b.shard(key));
-    shard.get(key).map(f).ok_or_else(|| StoreError::NoSuchKey {
+    b.get(key).map(f).ok_or_else(|| StoreError::NoSuchKey {
         bucket: bucket.to_owned(),
         key: key.to_owned(),
     })
+}
+
+/// One object as [`ObjectStore::list_each`] visits it: its key and
+/// metadata, borrowed from the store for the length of the visit.
+#[derive(Clone, Copy)]
+pub struct ListedObject<'a> {
+    key: &'a str,
+    obj: &'a StoredObject,
+}
+
+impl<'a> ListedObject<'a> {
+    /// The object's key.
+    pub fn key(&self) -> &'a str {
+        self.key
+    }
+
+    /// The object's metadata, as `LIST` returns it.
+    pub fn meta(&self) -> ObjectMeta {
+        object_meta(self.key, self.obj)
+    }
+}
+
+impl fmt::Debug for ListedObject<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ListedObject")
+            .field("key", &self.key)
+            .finish()
+    }
 }
 
 fn object_meta(key: &str, obj: &StoredObject) -> ObjectMeta {
@@ -372,6 +353,7 @@ fn content_etag(key: &str, data: &Bytes) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn store() -> ObjectStore {
         let s = ObjectStore::new(&Kernel::new());
@@ -577,42 +559,56 @@ mod tests {
     }
 
     #[test]
-    fn shard_selection_is_deterministic_and_spread() {
-        // Pure function of the key: stable across calls (and, because the
-        // seed is a compile-time constant, across runs and processes).
-        for k in ["a", "part-00042", "city/nyc", ""] {
-            assert_eq!(shard_of(k), shard_of(k));
-            assert!(shard_of(k) < SHARD_COUNT);
-        }
-        // A realistic shuffle-partition key population should not collapse
-        // onto a few shards.
-        let mut used = [false; SHARD_COUNT];
-        for i in 0..256 {
-            used[shard_of(&format!("shuffle/map-{i}/part-{}", i % 7))] = true;
-        }
-        assert!(used.iter().filter(|u| **u).count() >= SHARD_COUNT / 2);
+    fn list_each_of_a_missing_bucket_is_a_typed_error() {
+        let s = store();
+        let mut visited = 0;
+        assert_eq!(
+            s.list_each("nope", "", |_| visited += 1),
+            Err(StoreError::NoSuchBucket("nope".into()))
+        );
+        assert_eq!(visited, 0);
     }
 
-    #[test]
-    fn list_merges_across_shards_sorted() {
-        let s = store();
-        // Enough keys to hit many shards; listing must still be globally
-        // key-sorted regardless of which shard held each key.
-        let mut keys: Vec<String> = (0..64).map(|i| format!("k{i:03}")).collect();
-        for k in &keys {
-            s.put("b", k, Bytes::from_static(b"d")).unwrap();
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The in-place walk visits the keys a sorted filter of what was
+        /// written picks, in that order, with each object's metadata, and
+        /// counts them; `list` returns the same.
+        #[test]
+        fn list_each_visits_the_prefixed_keys_in_order(
+            writes in prop::collection::vec(("[ab/]{0,5}", 0usize..4), 0..64),
+            prefix in "[ab/]{0,3}",
+        ) {
+            let s = store();
+            let mut oracle = BTreeMap::new();
+            for (key, len) in writes {
+                let data = Bytes::from(vec![b'd'; len]);
+                s.put("b", &key, data).unwrap();
+                oracle.insert(key, len as u64);
+            }
+            let want: Vec<(String, u64)> = oracle
+                .into_iter()
+                .filter(|(k, _)| k.starts_with(&prefix))
+                .collect();
+            let mut walked = Vec::new();
+            let visited = s
+                .list_each("b", &prefix, |o| {
+                    let meta = o.meta();
+                    assert_eq!(meta.key, o.key());
+                    walked.push((meta.key, meta.size));
+                })
+                .unwrap();
+            prop_assert_eq!(visited, want.len());
+            prop_assert_eq!(&walked, &want);
+            let listed: Vec<(String, u64)> = s
+                .list("b", &prefix)
+                .unwrap()
+                .into_iter()
+                .map(|m| (m.key, m.size))
+                .collect();
+            prop_assert_eq!(listed, want);
         }
-        keys.sort();
-        let listed: Vec<_> = s
-            .list("b", "")
-            .unwrap()
-            .into_iter()
-            .map(|m| m.key)
-            .collect();
-        assert_eq!(listed, keys);
-        let m = s.head_bucket("b").unwrap();
-        assert_eq!(m.object_count, 64);
-        assert_eq!(m.total_bytes, 64);
     }
 
     #[test]

@@ -1,17 +1,25 @@
-//! The cost ratchet: exact counts of what one scenario costs the host,
+//! The cost ratchet: exact counts of what a scenario costs the host,
 //! checked against `costs.toml` beside `lint.toml`.
 //!
-//! The scenario is the paper's massive spawning (§5.1) at 1,000 tasks: one
-//! `map` of `compute` tasks fired through remote invokers, on a fresh cloud
-//! at a fixed seed. Over its `cloud.run` the test counts heap allocations
-//! and the bytes they asked for (a counting global allocator, installed in
-//! this test binary only: `alloc`, `alloc_zeroed` and `realloc` each count
-//! once), and the kernel's events (clock advances, timers scheduled and
-//! threads started, as the ledger sums them) and light polls. The whole job
-//! runs on the test's own thread (it starts no OS thread, which the test
-//! checks), and only that thread's allocations count: the test harness's
-//! other threads allocate when they please. So each count repeats exactly
-//! from run to run: same seed, same program, same counts.
+//! Two scenarios, each on a fresh cloud at a fixed seed:
+//!
+//! * `map_massive_1000`, the paper's massive spawning (§5.1) at 1,000
+//!   tasks: one `map` of `compute` tasks fired through remote invokers.
+//! * `map_reduce_4x50`, a `map_reduce` over four objects of fifty
+//!   partitions each with one reducer per object (§4.3, the Airbnb job's
+//!   shape): four in-cloud reducers that poll the job's statuses by LIST
+//!   while the maps run.
+//!
+//! Over its `cloud.run` a test counts heap allocations and the bytes they
+//! asked for (a counting global allocator, installed in this test binary
+//! only: `alloc`, `alloc_zeroed` and `realloc` each count once), and the
+//! kernel's events (clock advances, timers scheduled and threads started,
+//! as the ledger sums them) and light polls. The whole job runs on the
+//! test's own thread (it starts no OS thread, which the test checks), and
+//! only that thread's allocations count: the test harness's other threads,
+//! the other scenario's among them, allocate when they please. So each
+//! count repeats exactly from run to run: same seed, same program, same
+//! counts.
 //!
 //! A count above its line in `costs.toml` fails: the change costs more. A
 //! count below its line fails too, naming the count to lower the line to:
@@ -20,33 +28,33 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Duration;
 
-use rustwren::core::{SimCloud, SpawnStrategy, Value};
+use bytes::Bytes;
+use rustwren::core::{DataSource, MapReduceOpts, SimCloud, SpawnStrategy, TaskCtx, Value};
 use rustwren::faas::PlatformConfig;
-use rustwren::sim::{KernelStats, NetworkProfile};
+use rustwren::sim::{task, KernelStats, NetworkProfile};
 use rustwren::workloads::compute;
 
 /// The system allocator, counting what it is asked for.
 struct Counting;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-static ALLOCATED_BYTES: AtomicU64 = AtomicU64::new(0);
-
 thread_local! {
-    /// Whether this thread's allocations count.
-    static COUNTING: Cell<bool> = const { Cell::new(false) };
+    /// This thread's allocations and the bytes they asked for, while it
+    /// counts.
+    static COUNTS: Cell<Option<(u64, u64)>> = const { Cell::new(None) };
 }
 
 fn count(bytes: usize) {
-    if COUNTING.try_with(Cell::get).unwrap_or(false) {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        ALLOCATED_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
-    }
+    let _ = COUNTS.try_with(|c| {
+        if let Some((n, b)) = c.get() {
+            c.set(Some((n + 1, b + bytes as u64)));
+        }
+    });
 }
 
 // SAFETY: every call is forwarded to `System` unchanged, with the caller's
-// own arguments; the counting touches atomics only.
+// own arguments; the counting touches a thread-local `Cell` only.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count(layout.size());
@@ -71,60 +79,109 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-const TASKS: usize = 1_000;
-
 /// What the kernel did, as the ledger's `sim.events` sums it.
 fn events(k: &KernelStats) -> u64 {
     k.clock_advances + k.timers_scheduled + k.threads_started
 }
 
-/// The scenario's counts, by the names `costs.toml` gives them.
-fn map_massive() -> Vec<(&'static str, u64)> {
-    // Room for every task and the invokers at once, as the ledger's
-    // `map_fanout` gives its job.
-    let limit = TASKS + TASKS / 10 + 50;
+/// A cloud at seed 42 with room for `tasks` activations at once, as the
+/// ledger's `map_fanout` gives its job.
+fn cloud_for(tasks: usize) -> SimCloud {
+    let limit = tasks + tasks / 10 + 50;
     let platform = PlatformConfig {
         concurrency_limit: limit,
         cluster_containers: limit + 200,
         ..PlatformConfig::default()
     };
-    let cloud = SimCloud::builder()
+    SimCloud::builder()
         .seed(42)
         .platform(platform)
         .client_network(NetworkProfile::lan())
-        .build();
-    compute::register(&cloud);
-    let inputs: Vec<Value> = (0..TASKS).map(|_| compute::input(1.0)).collect();
+        .build()
+}
 
+/// Runs `job` on `cloud` and returns its value with what it cost this
+/// thread, by the names `costs.toml` gives them.
+fn counted<T>(cloud: &SimCloud, job: impl FnOnce() -> T) -> (T, Vec<(&'static str, u64)>) {
     let kernel_before = cloud.kernel().stats();
-    COUNTING.set(true);
-    let results = cloud.run(|| {
-        let exec = cloud.executor().spawn(SpawnStrategy::massive()).build()?;
-        exec.map(compute::COMPUTE_FN, inputs)?;
-        exec.get_result()
-    });
-    COUNTING.set(false);
+    COUNTS.set(Some((0, 0)));
+    let value = cloud.run(job);
+    let (allocations, bytes) = COUNTS.take().unwrap_or_default();
     let kernel = cloud.kernel().stats();
-
     assert_eq!(
         kernel.os_threads_spawned, kernel_before.os_threads_spawned,
         "the job ran on OS threads whose allocations this thread does not see"
     );
+    let counts = vec![
+        ("allocations", allocations),
+        ("allocated_bytes", bytes),
+        ("kernel_events", events(&kernel) - events(&kernel_before)),
+        (
+            "light_polls",
+            kernel.light_polls - kernel_before.light_polls,
+        ),
+    ];
+    (value, counts)
+}
+
+const TASKS: usize = 1_000;
+
+fn map_massive() -> Vec<(&'static str, u64)> {
+    let cloud = cloud_for(TASKS);
+    compute::register(&cloud);
+    let inputs: Vec<Value> = (0..TASKS).map(|_| compute::input(1.0)).collect();
+    let (results, counts) = counted(&cloud, || {
+        let exec = cloud.executor().spawn(SpawnStrategy::massive()).build()?;
+        exec.map(compute::COMPUTE_FN, inputs)?;
+        exec.get_result()
+    });
     let results = results.expect("the job");
     assert_eq!(results.len(), TASKS);
     assert!(
         results.iter().all(|v| *v == Value::Float(1.0)),
         "{results:?}"
     );
-    vec![
-        ("allocations", ALLOCATIONS.load(Ordering::Relaxed)),
-        ("allocated_bytes", ALLOCATED_BYTES.load(Ordering::Relaxed)),
-        ("kernel_events", events(&kernel) - events(&kernel_before)),
-        (
-            "light_polls",
-            kernel.light_polls - kernel_before.light_polls,
-        ),
-    ]
+    counts
+}
+
+const OBJECTS: usize = 4;
+const PARTITIONS: u64 = 50;
+const CHUNK: u64 = 1 << 20;
+
+fn map_reduce() -> Vec<(&'static str, u64)> {
+    let cloud = cloud_for(OBJECTS * PARTITIONS as usize);
+    // Each map takes about a second per partition's logical MiB, spread by
+    // its container's speed, so the reducers see the maps land over
+    // several polls.
+    cloud.register_resumable_fn("chunk", |ctx: TaskCtx, input: Value| async move {
+        let mib = (input.req_i64("end")? - input.req_i64("start")?) as f64 / CHUNK as f64;
+        task::sleep(ctx.activation().scaled(Duration::from_secs_f64(mib))).await;
+        Ok(Value::Int(1))
+    });
+    cloud.register_resumable_fn("count", |_ctx: TaskCtx, input: Value| async move {
+        let results = input.req_list("results")?;
+        Ok(Value::Int(results.iter().filter_map(Value::as_i64).sum()))
+    });
+    let store = cloud.store();
+    store.ensure_bucket("cities");
+    for city in 0..OBJECTS {
+        let data = Bytes::from(vec![b'x'; 64]);
+        store
+            .put_scaled("cities", &format!("city-{city}"), data, PARTITIONS * CHUNK)
+            .expect("setup put");
+    }
+    let (results, counts) = counted(&cloud, || {
+        let exec = cloud.executor().build()?;
+        let opts = MapReduceOpts {
+            chunk_size: Some(CHUNK),
+            reducer_one_per_object: true,
+        };
+        exec.map_reduce("chunk", DataSource::bucket("cities"), "count", opts)?;
+        exec.get_result()
+    });
+    let results = results.expect("the job");
+    assert_eq!(results, vec![Value::Int(PARTITIONS as i64); OBJECTS]);
+    counts
 }
 
 /// The `name = count` lines of `table` in `costs.toml`.
@@ -148,15 +205,14 @@ fn pinned(table: &str) -> Vec<(String, u64)> {
         .collect()
 }
 
-#[test]
-fn costs_of_a_massive_spawn_map_are_pinned() {
-    let measured = map_massive();
-    let pinned = pinned("map_massive_1000");
+/// Checks `measured` against the lines of `table`.
+fn check(table: &str, measured: &[(&str, u64)]) {
+    let pinned = pinned(table);
     let names: Vec<&str> = pinned.iter().map(|(n, _)| n.as_str()).collect();
     let measured_names: Vec<&str> = measured.iter().map(|(n, _)| *n).collect();
     assert_eq!(names, measured_names, "costs.toml's lines");
     let mut wrong = Vec::new();
-    for ((name, want), (_, got)) in pinned.iter().zip(&measured) {
+    for ((name, want), (_, got)) in pinned.iter().zip(measured) {
         if got > want {
             wrong.push(format!("{name} rose from {want} to {got}"));
         } else if got < want {
@@ -165,5 +221,15 @@ fn costs_of_a_massive_spawn_map_are_pinned() {
             ));
         }
     }
-    assert!(wrong.is_empty(), "map_massive_1000: {}", wrong.join("; "));
+    assert!(wrong.is_empty(), "{table}: {}", wrong.join("; "));
+}
+
+#[test]
+fn costs_of_a_massive_spawn_map_are_pinned() {
+    check("map_massive_1000", &map_massive());
+}
+
+#[test]
+fn costs_of_a_map_reduce_with_polling_reducers_are_pinned() {
+    check("map_reduce_4x50", &map_reduce());
 }
