@@ -5,7 +5,7 @@
 //! [`merge_reports`] unifies the per-run graphs by the instances' stable
 //! cross-run keys and searches the merged graph for *potential* deadlocks —
 //! lock-order cycles that never fired on any explored schedule but could
-//! fire on another one — plus lost-wakeup condvar patterns.
+//! fire on another one.
 //!
 //! A cycle survives into the report only if it passes three classic
 //! suppression filters:
@@ -60,36 +60,11 @@ impl fmt::Display for LockCycle {
     }
 }
 
-/// A condvar that dropped a notify on some schedule while other schedules
-/// show threads blocking on it: the classic lost-wakeup shape.
-#[derive(Debug, Clone)]
-pub struct LostWakeup {
-    /// Label of the condvar instance.
-    pub label: String,
-    /// Notifies delivered with no waiter registered, across all runs.
-    pub dropped_notifies: u64,
-    /// Waits that actually blocked, across all runs.
-    pub blocking_waits: u64,
-}
-
-impl fmt::Display for LostWakeup {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "possible lost wakeup on {}: {} notify(ies) dropped with no waiter \
-             while {} wait(s) blocked on other schedules",
-            self.label, self.dropped_notifies, self.blocking_waits
-        )
-    }
-}
-
 /// The verdict of [`merge_reports`] over a set of explored schedules.
 #[derive(Debug, Clone, Default)]
 pub struct LockOrderReport {
     /// Surviving lock-order cycles, shortest first.
     pub cycles: Vec<LockCycle>,
-    /// Surviving lost-wakeup candidates.
-    pub lost_wakeups: Vec<LostWakeup>,
     /// Number of runs merged.
     pub runs: usize,
     /// Every sync object the explored schedules touched, deduplicated by
@@ -110,7 +85,7 @@ pub struct LockOrderReport {
 impl LockOrderReport {
     /// No findings at all.
     pub fn is_clean(&self) -> bool {
-        self.cycles.is_empty() && self.lost_wakeups.is_empty()
+        self.cycles.is_empty()
     }
 }
 
@@ -121,16 +96,12 @@ impl fmt::Display for LockOrderReport {
         }
         writeln!(
             f,
-            "lock-order analysis over {} run(s): {} cycle(s), {} lost-wakeup candidate(s)",
+            "lock-order analysis over {} run(s): {} cycle(s)",
             self.runs,
-            self.cycles.len(),
-            self.lost_wakeups.len()
+            self.cycles.len()
         )?;
         for c in &self.cycles {
             writeln!(f, "  {c}")?;
-        }
-        for lw in &self.lost_wakeups {
-            writeln!(f, "  {lw}")?;
         }
         Ok(())
     }
@@ -150,17 +121,14 @@ struct MergedEdge {
     obs: Vec<EdgeObs>,
 }
 
-/// Merges per-run reports by instance key and runs cycle + lost-wakeup
-/// detection over the union graph.
+/// Merges per-run reports by instance key and runs cycle detection over the
+/// union graph.
 pub fn merge_reports(reports: &[RunOrderReport]) -> LockOrderReport {
     let mut key_to_idx: HashMap<&str, usize> = HashMap::new();
     let mut keys: Vec<String> = Vec::new();
     let mut labels: Vec<String> = Vec::new();
     let mut kinds: Vec<SyncKind> = Vec::new();
     let mut edges: BTreeMap<(usize, usize), MergedEdge> = BTreeMap::new();
-    // BTreeMap: `lost_wakeups` is built by iterating this, so its order
-    // must not depend on the hasher.
-    let mut condvars: BTreeMap<usize, (u64, u64)> = BTreeMap::new();
 
     for (run, rep) in reports.iter().enumerate() {
         // Map this run's local instance indices to merged indices.
@@ -194,11 +162,6 @@ pub fn merge_reports(reports: &[RunOrderReport]) -> LockOrderReport {
                 clock: e.clock.clone(),
             });
         }
-        for &(inst, obs) in &rep.condvars {
-            let entry = condvars.entry(local[inst]).or_insert((0, 0));
-            entry.0 += obs.dropped_notifies;
-            entry.1 += obs.blocking_waits;
-        }
     }
 
     let cycles = find_cycles(labels.len(), &edges)
@@ -206,19 +169,6 @@ pub fn merge_reports(reports: &[RunOrderReport]) -> LockOrderReport {
         .filter_map(|cycle| judge_cycle(&cycle, &edges, &labels))
         .take(MAX_CYCLES)
         .collect();
-
-    let mut lost_wakeups: Vec<LostWakeup> = condvars
-        .into_iter()
-        .filter(|&(idx, (dropped, waits))| {
-            kinds[idx] == SyncKind::Condvar && dropped > 0 && waits > 0
-        })
-        .map(|(idx, (dropped, waits))| LostWakeup {
-            label: labels[idx].clone(),
-            dropped_notifies: dropped,
-            blocking_waits: waits,
-        })
-        .collect();
-    lost_wakeups.sort_by(|a, b| a.label.cmp(&b.label));
 
     let instances = keys
         .into_iter()
@@ -234,7 +184,6 @@ pub fn merge_reports(reports: &[RunOrderReport]) -> LockOrderReport {
 
     LockOrderReport {
         cycles,
-        lost_wakeups,
         runs: reports.len(),
         instances,
         kind_edges,
@@ -487,41 +436,6 @@ mod tests {
     }
 
     #[test]
-    fn lost_wakeup_pattern_is_reported_across_runs() {
-        // Run 1: the notify fires before any waiter registers — dropped.
-        // Run 2: the waiter blocks first and is woken cleanly. Neither run
-        // alone proves anything; merged, the condvar shows the lost-wakeup
-        // shape. The client is the condvar's first toucher in both runs so
-        // the anonymous instances merge.
-        let dropped_run = record(None, || {
-            let pair = Arc::new((parking_lot::Mutex::new(false), parking_lot::Condvar::new()));
-            let (lock, cv) = &*pair;
-            *lock.lock() = true;
-            cv.notify_one(); // no waiter registered: dropped
-        });
-        let blocking_run = record(None, || {
-            let pair = Arc::new((parking_lot::Mutex::new(false), parking_lot::Condvar::new()));
-            let p2 = Arc::clone(&pair);
-            rustwren_sim::spawn("notifier", move || {
-                rustwren_sim::sleep(Duration::from_millis(10));
-                let (lock, cv) = &*p2;
-                *lock.lock() = true;
-                cv.notify_one();
-            });
-            let (lock, cv) = &*pair;
-            let mut done = lock.lock();
-            while !*done {
-                cv.wait(&mut done);
-            }
-        });
-        let report = merge_reports(&[dropped_run, blocking_run]);
-        assert_eq!(report.lost_wakeups.len(), 1, "{report}");
-        let lw = &report.lost_wakeups[0];
-        assert!(lw.dropped_notifies >= 1);
-        assert!(lw.blocking_waits >= 1);
-    }
-
-    #[test]
     fn report_display_is_stable() {
         let clean = LockOrderReport {
             runs: 3,
@@ -533,7 +447,15 @@ mod tests {
         );
         let dirty = merge_reports(&[ab_ba(true)]);
         let text = dirty.to_string();
-        assert!(text.contains("lock-order cycle:"), "{text}");
-        assert!(text.contains("->"), "{text}");
+        let mut lines = text.lines();
+        assert_eq!(
+            lines.next(),
+            Some("lock-order analysis over 1 run(s): 1 cycle(s)"),
+            "{text}"
+        );
+        let cycle = lines.next().unwrap_or_default();
+        assert!(cycle.starts_with("  lock-order cycle:"), "{text}");
+        assert!(cycle.contains("->"), "{text}");
+        assert_eq!(lines.next(), None, "{text}");
     }
 }

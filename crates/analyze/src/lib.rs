@@ -46,7 +46,7 @@
 pub mod concurrency;
 pub mod report;
 
-pub use concurrency::{merge_reports, LockCycle, LockOrderReport, LostWakeup};
+pub use concurrency::{merge_reports, LockCycle, LockOrderReport};
 
 use std::fmt;
 use std::time::Duration;

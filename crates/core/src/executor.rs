@@ -1423,13 +1423,6 @@ impl Executor {
         }
     }
 
-    /// The fleet-wide throttle/shed pressure observed by this executor's
-    /// invocation clients (total 429s, load sheds, and the latest server
-    /// `retry_after` deadline).
-    pub fn throttle_signal(&self) -> &Arc<ThrottleSignal> {
-        &self.inner.throttle_signal
-    }
-
     /// Per-phase COS operation counts for this executor: client-side
     /// staging, client-side polling/gathering, and in-cloud agent traffic.
     /// The agent phase is tallied by the FaaS platform, so it covers every

@@ -111,28 +111,6 @@ pub fn concurrency_series(records: &[ActivationRecord]) -> Vec<ConcurrencyPoint>
     series
 }
 
-/// Samples a concurrency series at fixed intervals (for plotting/printing).
-pub fn sample_series(
-    series: &[ConcurrencyPoint],
-    step: Duration,
-    until: f64,
-) -> Vec<ConcurrencyPoint> {
-    let step = step.as_secs_f64().max(1e-9);
-    let mut out = Vec::new();
-    let mut idx = 0;
-    let mut level = 0;
-    let mut t = 0.0;
-    while t <= until + step / 2.0 {
-        while idx < series.len() && series[idx].0 <= t {
-            level = series[idx].1;
-            idx += 1;
-        }
-        out.push((t, level));
-        t += step;
-    }
-    out
-}
-
 /// Peak simultaneous running functions.
 pub fn max_concurrency(records: &[ActivationRecord]) -> usize {
     concurrency_series(records)
@@ -252,16 +230,6 @@ mod tests {
         assert!(concurrency_series(&[]).is_empty());
         assert_eq!(max_concurrency(&[]), 0);
         assert!(JobReport::from_records(&[]).is_none());
-    }
-
-    #[test]
-    fn sampling_holds_last_level() {
-        let series = vec![(1.0, 1), (2.0, 3), (4.0, 0)];
-        let sampled = sample_series(&series, Duration::from_secs(1), 5.0);
-        assert_eq!(
-            sampled,
-            vec![(0.0, 0), (1.0, 1), (2.0, 3), (3.0, 3), (4.0, 0), (5.0, 0)]
-        );
     }
 
     #[test]

@@ -1788,11 +1788,6 @@ impl ActivationCtx {
         self.id
     }
 
-    /// The name the action was invoked under.
-    pub fn action_name(&self) -> &str {
-        &self.action
-    }
-
     /// The tenant (namespace) this activation was invoked under.
     pub fn tenant(&self) -> &TenantId {
         &self.tenant

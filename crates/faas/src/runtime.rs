@@ -131,13 +131,6 @@ impl DockerRegistry {
     pub fn contains(&self, name: &str) -> bool {
         self.images.read().contains_key(name)
     }
-
-    /// All image names, sorted.
-    pub fn image_names(&self) -> Vec<String> {
-        let mut names: Vec<_> = self.images.read().keys().cloned().collect();
-        names.sort();
-        names
-    }
 }
 
 #[cfg(test)]
@@ -200,15 +193,5 @@ mod tests {
             reg.try_get("img:1").unwrap().map(|i| i.size_bytes),
             Some(20)
         );
-    }
-
-    #[test]
-    fn image_names_sorted() {
-        let reg = DockerRegistry::new();
-        reg.push(RuntimeImage::new("zzz:1", 1));
-        reg.push(RuntimeImage::new("aaa:1", 1));
-        let names = reg.image_names();
-        assert_eq!(names.first().map(String::as_str), Some("aaa:1"));
-        assert_eq!(names.last().map(String::as_str), Some("zzz:1"));
     }
 }

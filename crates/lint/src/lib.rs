@@ -178,9 +178,9 @@ impl Rule {
             Rule::L007 => {
                 "L007 — lock site unexercised by explored schedules\n\
                  \n\
-                 Cross-checks every static `Mutex::new` / `RwLock::new` /\n\
-                 `Condvar::new` site against the dynamic lock-order graph\n\
-                 exported by rustwren-verify (target/verify/lock-exercise.txt).\n\
+                 Cross-checks every static `Mutex::new` / `RwLock::new` site\n\
+                 against the dynamic lock-order graph exported by\n\
+                 rustwren-verify (target/verify/lock-exercise.txt).\n\
                  A lock the model checker never exercises is a lock whose\n\
                  deadlocks ship unverified. Fix: add a verify scenario touching\n\
                  it, or justify with a lint.toml allow entry."

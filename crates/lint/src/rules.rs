@@ -85,7 +85,7 @@ pub struct LockSite {
     pub file: String,
     /// 1-indexed line.
     pub line: usize,
-    /// Dynamic-graph kind name (`mutex`, `rwlock`, `condvar`).
+    /// Dynamic-graph kind name (`mutex`, `rwlock`).
     pub kind: &'static str,
 }
 
@@ -97,11 +97,7 @@ pub fn lock_sites(scan: &FileScan) -> Vec<LockSite> {
     if !rule_applies(Rule::L007, &scan.path) {
         return out;
     }
-    const PATTERNS: [(&str, &str); 3] = [
-        ("Mutex::new(", "mutex"),
-        ("RwLock::new(", "rwlock"),
-        ("Condvar::new(", "condvar"),
-    ];
+    const PATTERNS: [(&str, &str); 2] = [("Mutex::new(", "mutex"), ("RwLock::new(", "rwlock")];
     for (pat, kind) in PATTERNS {
         for (line, _) in find_all(scan, pat, true) {
             out.push(LockSite {

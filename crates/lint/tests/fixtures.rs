@@ -143,11 +143,11 @@ fn reasonless_suppression_is_an_error() {
 fn l007_fires_when_a_lock_kind_is_never_exercised() {
     let scan = scan_source(
         "crates/core/src/planted.rs",
-        "fn f(k: &Kernel) {\n    let m = Mutex::new(0);\n    let c = Condvar::new(k);\n}\n",
+        "fn f() {\n    let m = Mutex::new(0);\n    let r = RwLock::new(0);\n}\n",
     );
     let sites = lock_sites(&scan);
     assert_eq!(sites.len(), 2);
-    // The dynamic graph saw mutexes but never a condvar.
+    // The dynamic graph saw mutexes but never an rwlock.
     let exercise =
         parse_lock_exercise("# merged lock-order report\nruns 4\nkind mutex 3\nkey mutex:jobs\n")
             .expect("report parses");
@@ -155,16 +155,16 @@ fn l007_fires_when_a_lock_kind_is_never_exercised() {
     let v = check_lock_exercise(&sites, &exercise);
     assert_eq!(v.len(), 1, "{v:?}");
     assert_eq!(v[0].rule, Rule::L007);
-    assert!(v[0].message.contains("condvar"));
+    assert!(v[0].message.contains("rwlock"));
     assert!(v[0].message.contains("crates/core/src/planted.rs:3"));
 
-    // Exercising the condvar clears the violation.
+    // Exercising the rwlock clears the violation.
     let mut covered = LockExercise {
         runs: 4,
         ..Default::default()
     };
     covered.kinds.insert("mutex".into(), 3);
-    covered.kinds.insert("condvar".into(), 1);
+    covered.kinds.insert("rwlock".into(), 1);
     assert!(check_lock_exercise(&sites, &covered).is_empty());
 }
 

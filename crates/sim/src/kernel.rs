@@ -84,7 +84,7 @@ use std::sync::{Arc, Weak};
 use std::thread::{self, Thread};
 use std::time::Duration;
 
-use parking_lot::hooks::{GuardControl, LockOp};
+use parking_lot::hooks::LockOp;
 
 use crate::order::{OrderRecorder, RunOrderReport, SyncKind};
 use crate::rawlock::{RawMutex, RawMutexGuard};
@@ -381,13 +381,6 @@ struct VlockEntry {
     waiters: VecDeque<Arc<Waiter>>,
 }
 
-/// Virtualized shim condvar: threads parked until a notify.
-struct VcvEntry {
-    res: Resource,
-    /// Arrival-order wait queue; `notify_one` wakes the front entry.
-    waiters: VecDeque<Arc<Waiter>>,
-}
-
 /// Diagnostic record for one blocked thread.
 struct BlockedInfo {
     waiter: Arc<Waiter>,
@@ -448,8 +441,6 @@ pub(crate) struct State {
     /// addr → virtualized shim-lock state, for the locks someone parked on
     /// (and, while exploring or recording, for every lock touched).
     vlocks: HashMap<usize, VlockEntry>,
-    /// addr → virtualized shim-condvar state.
-    vcvs: HashMap<usize, VcvEntry>,
 }
 
 impl State {
@@ -538,15 +529,6 @@ impl State {
         })
     }
 
-    /// The entry of the virtualized shim condvar at `addr`, made on first
-    /// touch with a resource id from `ids`.
-    fn vcv_locked(&mut self, addr: usize, ids: &AtomicU64) -> &mut VcvEntry {
-        self.vcvs.entry(addr).or_insert_with(|| VcvEntry {
-            res: Resource::new(ids, "condvar", Label::Generated),
-            waiters: VecDeque::new(),
-        })
-    }
-
     fn vrec_acquired(&mut self, addr: usize, res: u64, op: LockOp, w: &Waiter) {
         self.touch(res);
         if let Some(order) = self.order.as_mut() {
@@ -560,28 +542,6 @@ impl State {
         if let Some(order) = self.order.as_mut() {
             let inst = order.intern_addr(addr, lockop_sync(op), &w.name);
             order.released(w.id, &w.name, inst);
-        }
-    }
-
-    fn vrec_cv_wait(&mut self, addr: usize, w: &Waiter) {
-        if let Some(order) = self.order.as_mut() {
-            let inst = order.intern_addr(addr, SyncKind::Condvar, &w.name);
-            order.cv_blocking_wait(inst);
-        }
-    }
-
-    fn vrec_cv_observe(&mut self, addr: usize, w: &Waiter) {
-        if let Some(order) = self.order.as_mut() {
-            let inst = order.intern_addr(addr, SyncKind::Condvar, &w.name);
-            order.observe(w.id, &w.name, inst);
-        }
-    }
-
-    fn vrec_cv_notify(&mut self, addr: usize, w: &Waiter, had_waiters: bool) {
-        if let Some(order) = self.order.as_mut() {
-            let inst = order.intern_addr(addr, SyncKind::Condvar, &w.name);
-            order.publish(w.id, &w.name, inst);
-            order.cv_notify(inst, had_waiters);
         }
     }
 }
@@ -750,7 +710,6 @@ impl Kernel {
                     segment: Vec::new(),
                     order: None,
                     vlocks: HashMap::new(),
-                    vcvs: HashMap::new(),
                 }),
                 chaos: RawMutex::new(None),
                 flags: AtomicU8::new(0),
@@ -807,8 +766,8 @@ impl Kernel {
     }
 
     /// Starts (or restarts) lock-order recording: every instrumented lock
-    /// acquisition, true-ordering operation and condvar notify/wait from now
-    /// on feeds a per-run order graph. See [`crate::order`].
+    /// acquisition and true-ordering operation from now on feeds a per-run
+    /// order graph. See [`crate::order`].
     pub fn record_lock_orders(&self) {
         let mut st = self.inner.state.lock();
         st.order = Some(OrderRecorder::new());
@@ -1854,80 +1813,6 @@ impl Kernel {
         self.inner
             .parked_on_locks
             .fetch_sub(entry.waiters.len(), Ordering::Relaxed);
-        if let Some(order) = st.order.as_mut() {
-            order.forget_addr(addr);
-        }
-        for w in &entry.waiters {
-            Self::wake_locked(&mut st, w);
-        }
-    }
-
-    /// Virtualized shim `Condvar::wait`: park in arrival order until a
-    /// notify, releasing and re-acquiring the mutex through `guard`. Returns
-    /// `false` when the caller is not a simulated thread of this kernel.
-    pub(crate) fn vcv_wait(&self, addr: usize, guard: &mut dyn GuardControl) -> bool {
-        let Some(w) = try_current_waiter(self) else {
-            return false;
-        };
-        deny_blocking_in_light_step("condvar.wait");
-        crate::vlock::track_addr(addr, self);
-        // Probe *before* registering in the wait queue: if the probe yields
-        // and a notify lands during the yield, that notify must see the
-        // queue without us — it must not be consumed by the park below,
-        // which would turn a lost wakeup into a silent spurious return.
-        self.preemption_point("condvar.wait");
-        let res = {
-            let mut st = self.inner.state.lock();
-            let entry = st.vcv_locked(addr, &self.inner.next_resource_id);
-            if !entry.waiters.iter().any(|x| x.id == w.id) {
-                entry.waiters.push_back(Arc::clone(&w));
-            }
-            let res = entry.res.clone();
-            st.touch(res.id);
-            st.vrec_cv_wait(addr, &w);
-            res
-        };
-        guard.unlock();
-        self.block_current_with(&w, Some(res), "condvar.wait");
-        {
-            let mut st = self.inner.state.lock();
-            st.vrec_cv_observe(addr, &w);
-        }
-        guard.relock();
-        true
-    }
-
-    /// Virtualized shim condvar notify: wakes the longest-parked waiter
-    /// (`all == false`) or every waiter, in arrival order. Returns the woken
-    /// count; a notify with no waiters is recorded as *dropped* (raw
-    /// material of lost-wakeup analysis).
-    pub(crate) fn vcv_notify(&self, addr: usize, all: bool) -> usize {
-        let Some(w) = try_current_waiter(self) else {
-            return 0;
-        };
-        crate::vlock::track_addr(addr, self);
-        let mut st = self.inner.state.lock();
-        let res = st.vcv_locked(addr, &self.inner.next_resource_id).res.id;
-        st.touch(res);
-        let entry = st.vcvs.get_mut(&addr).expect("entry just ensured");
-        let woken: Vec<Arc<Waiter>> = if all {
-            entry.waiters.drain(..).collect()
-        } else {
-            entry.waiters.pop_front().into_iter().collect()
-        };
-        st.vrec_cv_notify(addr, &w, !woken.is_empty());
-        for waiter in &woken {
-            Self::wake_locked(&mut st, waiter);
-        }
-        woken.len()
-    }
-
-    /// The shim condvar at `addr` was dropped: clear all tracking.
-    pub(crate) fn vcv_destroyed(&self, addr: usize) {
-        let mut st = self.inner.state.lock();
-        let Some(entry) = st.vcvs.remove(&addr) else {
-            return;
-        };
         if let Some(order) = st.order.as_mut() {
             order.forget_addr(addr);
         }

@@ -51,7 +51,7 @@
 //!   sparse [`ScheduleTrace`] token format used to replay failing schedules.
 //! * [`order`] — lock-order recording: per-run graphs of held→acquired
 //!   edges with vector-clock happens-before metadata, the raw material for
-//!   AB-BA deadlock and lost-wakeup detection in `rustwren-analyze`.
+//!   AB-BA deadlock detection in `rustwren-analyze`.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -77,7 +77,7 @@ pub use kernel::{
     LightStep, Resource, SimJoinHandle,
 };
 pub use net::{backoff, NetworkProfile};
-pub use order::{CondvarObs, LockInstance, OrderEdge, RunOrderReport, SyncKind, VectorClock};
+pub use order::{LockInstance, OrderEdge, RunOrderReport, SyncKind, VectorClock};
 pub use sched::{
     Choice, ChoiceKind, FifoScheduler, RandomScheduler, ReplayScheduler, ScheduleTrace, Scheduler,
     TraceEntry,

@@ -5,11 +5,10 @@
 //! `Mutex`/`RwLock` — and records *order edges*: while holding `A`, the
 //! thread acquired `B`. Each edge carries the set of other locks held at the
 //! time (the *guard set*, for gate-lock suppression) and a vector-clock
-//! timestamp (for happens-before suppression). Condvar notifies/waits are
-//! counted so a cross-run analysis can flag lost-wakeup patterns.
+//! timestamp (for happens-before suppression).
 //!
 //! Crucially, **lock operations do not advance the vector clocks** — only
-//! true ordering primitives do (spawn/join, events, condvar notify→wake).
+//! true ordering primitives do (spawn/join, events).
 //! Two critical sections serialized merely by a mutex are still *logically
 //! concurrent*: the lock could have been taken in the other order. This is
 //! what lets cycle detection over the merged graphs report an AB-BA deadlock
@@ -31,8 +30,6 @@ pub enum SyncKind {
     Mutex,
     /// `parking_lot` shim reader-writer lock.
     RwLock,
-    /// `parking_lot` shim condition variable.
-    Condvar,
     /// [`crate::sync::Event`].
     Event,
 }
@@ -42,7 +39,6 @@ impl fmt::Display for SyncKind {
         let s = match self {
             SyncKind::Mutex => "mutex",
             SyncKind::RwLock => "rwlock",
-            SyncKind::Condvar => "condvar",
             SyncKind::Event => "event",
         };
         f.write_str(s)
@@ -123,15 +119,6 @@ pub struct OrderEdge {
     pub clock: VectorClock,
 }
 
-/// Condvar activity counters for one instance in one run.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CondvarObs {
-    /// Notifies delivered while no waiter was registered (dropped).
-    pub dropped_notifies: u64,
-    /// Waits that actually blocked.
-    pub blocking_waits: u64,
-}
-
 /// Everything the recorder observed during one run.
 #[derive(Debug, Clone, Default)]
 pub struct RunOrderReport {
@@ -139,8 +126,6 @@ pub struct RunOrderReport {
     pub instances: Vec<LockInstance>,
     /// The acquired-while-holding edges, deduplicated per (from, to).
     pub edges: Vec<OrderEdge>,
-    /// Per-instance condvar counters (index into `instances`).
-    pub condvars: Vec<(usize, CondvarObs)>,
 }
 
 struct ThreadState {
@@ -161,7 +146,6 @@ pub(crate) struct OrderRecorder {
     /// Per-object clocks for true-ordering (non-lock) primitives.
     object_clocks: HashMap<usize, VectorClock>,
     edges: HashMap<(usize, usize), OrderEdge>,
-    condvars: HashMap<usize, CondvarObs>,
     /// Per (kind, first-toucher) counter for anonymous-object keys.
     anon_seq: HashMap<(SyncKind, String), u64>,
 }
@@ -174,7 +158,6 @@ impl OrderRecorder {
             threads: HashMap::new(),
             object_clocks: HashMap::new(),
             edges: HashMap::new(),
-            condvars: HashMap::new(),
             anon_seq: HashMap::new(),
         }
     }
@@ -294,7 +277,7 @@ impl OrderRecorder {
     }
 
     /// True-ordering publish: the thread's history becomes visible to later
-    /// acquirers of `inst` (event fire, condvar notify).
+    /// acquirers of `inst` (event fire).
     pub(crate) fn publish(&mut self, tid: u64, name: &str, inst: usize) {
         let t = self.thread(tid, name);
         t.clock.tick(tid);
@@ -303,7 +286,7 @@ impl OrderRecorder {
     }
 
     /// True-ordering acquire: the thread inherits the history published to
-    /// `inst` (event wait-return, condvar wake).
+    /// `inst` (event wait-return).
     pub(crate) fn observe(&mut self, tid: u64, name: &str, inst: usize) {
         let obj = self.object_clocks.get(&inst).cloned().unwrap_or_default();
         let t = self.thread(tid, name);
@@ -323,28 +306,13 @@ impl OrderRecorder {
         c.clock.tick(child);
     }
 
-    /// Counts a condvar wait that actually blocked.
-    pub(crate) fn cv_blocking_wait(&mut self, inst: usize) {
-        self.condvars.entry(inst).or_default().blocking_waits += 1;
-    }
-
-    /// Counts a condvar notify; `had_waiters` is whether anyone was woken.
-    pub(crate) fn cv_notify(&mut self, inst: usize, had_waiters: bool) {
-        if !had_waiters {
-            self.condvars.entry(inst).or_default().dropped_notifies += 1;
-        }
-    }
-
     /// Finalizes the run into its report.
     pub(crate) fn into_report(self) -> RunOrderReport {
         let mut edges: Vec<OrderEdge> = self.edges.into_values().collect();
         edges.sort_by_key(|e| (e.from, e.to));
-        let mut condvars: Vec<(usize, CondvarObs)> = self.condvars.into_iter().collect();
-        condvars.sort_by_key(|(i, _)| *i);
         RunOrderReport {
             instances: self.instances,
             edges,
-            condvars,
         }
     }
 }

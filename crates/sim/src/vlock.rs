@@ -21,10 +21,6 @@
 //!   mutex would wedge every other simulated thread that touches the lock
 //!   at the OS level — an undiagnosable hang instead of a clean simulation
 //!   deadlock.
-//! * **Condvars are fully virtualized** with an arrival-order wait queue:
-//!   `notify_one` wakes the longest-waiting thread, deterministically, and
-//!   dropped notifies (no waiter registered) are observable by the
-//!   lock-order recorder — the raw material of lost-wakeup detection.
 //! * **Every acquisition/release feeds the lock-order recorder** (when
 //!   enabled) and counts toward the exploring scheduler's segment
 //!   footprints.
@@ -39,11 +35,11 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex as StdMutex, OnceLock, PoisonError};
 
-use parking_lot::hooks::{self, GuardControl, LockOp, SimHooks};
+use parking_lot::hooks::{self, LockOp, SimHooks};
 
 use crate::kernel::{try_kernel, try_with_current, Kernel, WeakKernel};
 
-/// Process-wide map from lock/condvar address to the kernels that track it,
+/// Process-wide map from lock address to the kernels that track it,
 /// so a `Drop` on *any* thread (simulated or not) can clear the tracking
 /// state before the address is reused. Never held together with a kernel
 /// state lock.
@@ -106,23 +102,6 @@ impl SimHooks for KernelHooks {
     fn lock_destroyed(&self, addr: usize) {
         for k in untrack_addr(addr) {
             k.vlock_destroyed(addr);
-        }
-    }
-
-    fn condvar_wait(&self, addr: usize, guard: &mut dyn GuardControl) -> bool {
-        match try_kernel() {
-            Some(k) => k.vcv_wait(addr, guard),
-            None => false,
-        }
-    }
-
-    fn condvar_notify(&self, addr: usize, all: bool) -> Option<usize> {
-        try_kernel().map(|k| k.vcv_notify(addr, all))
-    }
-
-    fn condvar_destroyed(&self, addr: usize) {
-        for k in untrack_addr(addr) {
-            k.vcv_destroyed(addr);
         }
     }
 }

@@ -1,76 +1,12 @@
-//! Wake-order determinism: virtualized `Condvar::notify_one` wakes the
-//! longest-waiting thread and `Event::fire` releases waiters in arrival
-//! order, regardless of which exploration scheduler (or seed) is driving
-//! the simulation.
+//! Wake-order determinism: `Event::fire` releases waiters in arrival
+//! order.
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use rustwren_sim::sync::Event;
-use rustwren_sim::{Kernel, RandomScheduler, Scheduler};
-
-/// Five threads arrive at a condvar staggered in virtual time (arrival order
-/// is pinned by the clock, not the scheduler), then the client hands out one
-/// `notify_one` at a time. Returns the order in which waiters woke.
-fn condvar_wake_order(scheduler: Option<Box<dyn Scheduler>>) -> Vec<u64> {
-    let kernel = Kernel::new();
-    if let Some(s) = scheduler {
-        kernel.set_scheduler(s);
-    }
-    kernel.run("client", || {
-        let pair = Arc::new((Mutex::new(Vec::new()), Condvar::new()));
-        let handles: Vec<_> = (0..5u64)
-            .map(|i| {
-                let pair = Arc::clone(&pair);
-                rustwren_sim::spawn(format!("w{i}"), move || {
-                    // Arrival order pinned by virtual time: w0 first, w4 last.
-                    rustwren_sim::sleep(Duration::from_millis(i + 1));
-                    let (lock, cv) = &*pair;
-                    let mut log = lock.lock();
-                    cv.wait(&mut log);
-                    log.push(i);
-                })
-            })
-            .collect();
-        rustwren_sim::sleep(Duration::from_secs(1));
-        let (lock, cv) = &*pair;
-        for _ in 0..5 {
-            assert!(cv.notify_one(), "a waiter should be registered");
-            // Let the woken thread drain before the next hand-off; while it
-            // runs it is the only runnable thread, so no scheduler choice
-            // can reorder the log.
-            rustwren_sim::sleep(Duration::from_millis(1));
-        }
-        for h in handles {
-            h.join();
-        }
-        let order = lock.lock().clone();
-        order
-    })
-}
-
-#[test]
-fn condvar_notify_one_wakes_in_arrival_order_fifo() {
-    assert_eq!(condvar_wake_order(None), vec![0, 1, 2, 3, 4]);
-}
-
-#[test]
-fn condvar_notify_one_wakes_in_arrival_order_across_seeds() {
-    for seed in [1u64, 7, 19, 42, 1041] {
-        let order = condvar_wake_order(Some(Box::new(RandomScheduler::new(seed))));
-        assert_eq!(order, vec![0, 1, 2, 3, 4], "seed {seed}");
-    }
-}
-
-#[test]
-fn condvar_notify_with_no_waiters_reports_dropped() {
-    Kernel::new().run("client", || {
-        let cv = Condvar::new();
-        assert!(!cv.notify_one(), "no waiter: the notify is dropped");
-        assert_eq!(cv.notify_all(), 0);
-    });
-}
+use rustwren_sim::Kernel;
 
 #[test]
 fn event_fire_releases_waiters_in_arrival_order() {

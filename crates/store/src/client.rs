@@ -272,12 +272,6 @@ impl CosClient {
         }
     }
 
-    /// Replaces the per-operation service costs.
-    pub fn with_costs(mut self, costs: CosCosts) -> CosClient {
-        self.costs = costs;
-        self
-    }
-
     /// Sets how many attempts each operation makes before reporting
     /// [`StoreError::Network`].
     ///
@@ -387,7 +381,7 @@ impl CosClient {
     ///
     /// Store errors from the service, or [`StoreError::Network`] after
     /// exhausting retries.
-    pub fn put(&self, bucket: &str, key: &str, data: Bytes) -> Result<ObjectMeta, StoreError> {
+    pub fn put(&self, bucket: &str, key: &str, data: Bytes) -> Result<(), StoreError> {
         task::block_on(self.put_async(bucket, key, data))
     }
 
@@ -413,7 +407,7 @@ impl CosClient {
         key: &str,
         data: Bytes,
         part_size: usize,
-    ) -> Result<ObjectMeta, StoreError> {
+    ) -> Result<(), StoreError> {
         task::block_on(self.put_multipart_async(bucket, key, data, part_size))
     }
 
@@ -498,12 +492,7 @@ impl CosClient {
 /// drive to completion. Same requests, same charges, same errors.
 impl CosClient {
     /// Resumable [`put`](CosClient::put).
-    pub async fn put_async(
-        &self,
-        bucket: &str,
-        key: &str,
-        data: Bytes,
-    ) -> Result<ObjectMeta, StoreError> {
+    pub async fn put_async(&self, bucket: &str, key: &str, data: Bytes) -> Result<(), StoreError> {
         self.counters.count(&self.counters.puts);
         self.counters
             .bytes_out
@@ -526,7 +515,7 @@ impl CosClient {
         key: &str,
         data: Bytes,
         part_size: usize,
-    ) -> Result<ObjectMeta, StoreError> {
+    ) -> Result<(), StoreError> {
         assert!(part_size > 0, "part_size must be non-zero");
         if data.len() <= part_size {
             return self.put_async(bucket, key, data).await;
@@ -888,10 +877,10 @@ mod tests {
     fn small_multipart_falls_back_to_plain_put() {
         let (kernel, client) = setup(NetworkProfile::lan());
         kernel.run("client", || {
-            let meta = client
+            client
                 .put_multipart("b", "k", Bytes::from_static(b"small"), 1024)
                 .unwrap();
-            assert_eq!(meta.size, 5);
+            assert_eq!(client.head("b", "k").unwrap().size, 5);
         });
     }
 

@@ -112,7 +112,7 @@ impl ObjectStore {
     /// # Errors
     ///
     /// [`StoreError::NoSuchBucket`] if the bucket does not exist.
-    pub fn put(&self, bucket: &str, key: &str, data: Bytes) -> Result<ObjectMeta, StoreError> {
+    pub fn put(&self, bucket: &str, key: &str, data: Bytes) -> Result<(), StoreError> {
         let logical = data.len() as u64;
         self.put_scaled(bucket, key, data, logical)
     }
@@ -129,7 +129,7 @@ impl ObjectStore {
         key: &str,
         data: Bytes,
         logical_size: u64,
-    ) -> Result<ObjectMeta, StoreError> {
+    ) -> Result<(), StoreError> {
         let now = self.kernel.now();
         let mut inner = self.inner.write();
         let b = inner
@@ -143,9 +143,8 @@ impl ObjectStore {
             etag,
             last_modified: now,
         };
-        let meta = object_meta(key, &obj);
         b.insert(key.to_owned(), obj);
-        Ok(meta)
+        Ok(())
     }
 
     /// Retrieves an entire object (cheap clone of shared bytes).
@@ -355,6 +354,12 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// PUTs `data` and reads its metadata back with HEAD.
+    fn put_head(s: &ObjectStore, key: &str, data: Bytes) -> ObjectMeta {
+        s.put("b", key, data).unwrap();
+        s.head("b", key).unwrap()
+    }
+
     fn store() -> ObjectStore {
         let s = ObjectStore::new(&Kernel::new());
         s.create_bucket("b").expect("fresh bucket");
@@ -401,8 +406,8 @@ mod tests {
     #[test]
     fn overwrite_changes_etag() {
         let s = store();
-        let m1 = s.put("b", "k", Bytes::from_static(b"one")).unwrap();
-        let m2 = s.put("b", "k", Bytes::from_static(b"two")).unwrap();
+        let m1 = put_head(&s, "k", Bytes::from_static(b"one"));
+        let m2 = put_head(&s, "k", Bytes::from_static(b"two"));
         assert_ne!(m1.etag, m2.etag);
         assert_eq!(s.get("b", "k").unwrap().as_ref(), b"two");
     }
@@ -410,8 +415,8 @@ mod tests {
     #[test]
     fn same_content_same_etag() {
         let s = store();
-        let m1 = s.put("b", "k", Bytes::from_static(b"same")).unwrap();
-        let m2 = s.put("b", "k", Bytes::from_static(b"same")).unwrap();
+        let m1 = put_head(&s, "k", Bytes::from_static(b"same"));
+        let m2 = put_head(&s, "k", Bytes::from_static(b"same"));
         assert_eq!(m1.etag, m2.etag);
     }
 
@@ -452,8 +457,8 @@ mod tests {
     fn same_bytes_under_two_keys_differ() {
         let s = store();
         let data = Bytes::from_static(b"same bytes");
-        let m1 = s.put("b", "k1", data.clone()).unwrap();
-        let m2 = s.put("b", "k2", data).unwrap();
+        let m1 = put_head(&s, "k1", data.clone());
+        let m2 = put_head(&s, "k2", data);
         assert_ne!(m1.etag, m2.etag);
     }
 
@@ -461,8 +466,9 @@ mod tests {
     fn etag_covers_content_not_advertised_size() {
         let s = store();
         let data = Bytes::from_static(b"scaled");
-        let plain = s.put("b", "k", data.clone()).unwrap();
-        let scaled = s.put_scaled("b", "k", data, 1 << 30).unwrap();
+        let plain = put_head(&s, "k", data.clone());
+        s.put_scaled("b", "k", data, 1 << 30).unwrap();
+        let scaled = s.head("b", "k").unwrap();
         assert_eq!(plain.etag, scaled.etag);
         assert_ne!(plain.logical_size, scaled.logical_size);
     }
@@ -553,7 +559,7 @@ mod tests {
         s.create_bucket("b").unwrap();
         k.run("client", || {
             rustwren_sim::sleep(std::time::Duration::from_secs(9));
-            let m = s.put("b", "k", Bytes::from_static(b"t")).unwrap();
+            let m = put_head(&s, "k", Bytes::from_static(b"t"));
             assert_eq!(m.last_modified.as_secs_f64(), 9.0);
         });
     }

@@ -5,6 +5,12 @@ use proptest::prelude::*;
 use rustwren_sim::Kernel;
 use rustwren_store::{ObjectStore, StoreError};
 
+/// PUTs `data` under `key` in bucket `b` and returns the ETag HEAD reads.
+fn put_etag(store: &ObjectStore, key: &str, data: Bytes) -> u64 {
+    store.put("b", key, data).expect("put");
+    store.head("b", key).expect("head").etag
+}
+
 /// A random sequence of store operations applied both to the simulator and
 /// to a simple model (`std::collections::BTreeMap`), which must agree.
 #[derive(Debug, Clone)]
@@ -85,12 +91,12 @@ proptest! {
                              b in prop::collection::vec(any::<u8>(), 0..128)) {
         let store = ObjectStore::new(&Kernel::new());
         store.create_bucket("b").expect("fresh bucket");
-        let m1 = store.put("b", "k", Bytes::from(a.clone())).expect("put a");
-        let m2 = store.put("b", "k", Bytes::from(b.clone())).expect("put b");
+        let e1 = put_etag(&store, "k", Bytes::from(a.clone()));
+        let e2 = put_etag(&store, "k", Bytes::from(b.clone()));
         if a == b {
-            prop_assert_eq!(m1.etag, m2.etag);
+            prop_assert_eq!(e1, e2);
         } else {
-            prop_assert_ne!(m1.etag, m2.etag);
+            prop_assert_ne!(e1, e2);
         }
     }
 
@@ -105,9 +111,9 @@ proptest! {
         let i = at % data.len();
         let mut flipped = data.clone();
         flipped[i] ^= flip + 1;
-        let m1 = store.put("b", "k", Bytes::from(data)).expect("put");
-        let m2 = store.put("b", "k", Bytes::from(flipped)).expect("put flipped");
-        prop_assert!(m1.etag != m2.etag, "byte {}", i);
+        let e1 = put_etag(&store, "k", Bytes::from(data));
+        let e2 = put_etag(&store, "k", Bytes::from(flipped));
+        prop_assert!(e1 != e2, "byte {}", i);
     }
 
     /// The ETag names the key too, and not the advertised size: the same
@@ -118,10 +124,11 @@ proptest! {
         let store = ObjectStore::new(&Kernel::new());
         store.create_bucket("b").expect("fresh bucket");
         let data = Bytes::from(data);
-        let plain = store.put("b", "k", data.clone()).expect("put");
-        let other = store.put("b", "other", data.clone()).expect("put other key");
-        let scaled = store.put_scaled("b", "k", data, logical).expect("put scaled");
-        prop_assert_ne!(plain.etag, other.etag);
-        prop_assert_eq!(plain.etag, scaled.etag);
+        let plain = put_etag(&store, "k", data.clone());
+        let other = put_etag(&store, "other", data.clone());
+        store.put_scaled("b", "k", data, logical).expect("put scaled");
+        let scaled = store.head("b", "k").expect("head").etag;
+        prop_assert_ne!(plain, other);
+        prop_assert_eq!(plain, scaled);
     }
 }

@@ -10,8 +10,8 @@
 //!   visible.
 //! * **Clean lock orders** — the per-run lock-order graphs recorded by the
 //!   kernel are merged across all explored schedules and searched for
-//!   AB-BA cycles and lost-wakeup condvar patterns, so a latent deadlock is
-//!   reported even when every explored schedule passed.
+//!   AB-BA cycles, so a latent deadlock is reported even when every
+//!   explored schedule passed.
 //!
 //! Every run records its scheduling decisions as a sparse
 //! [`ScheduleTrace`]. When a run fails, the trace is minimized by delta
@@ -171,7 +171,7 @@ pub struct Report {
 
 impl Report {
     /// True when no schedule failed *and* the merged lock-order graphs are
-    /// free of cycles and lost-wakeup candidates.
+    /// free of cycles.
     pub fn ok(&self) -> bool {
         self.failure.is_none() && self.lock_orders.is_clean()
     }

@@ -2,10 +2,9 @@
 //! fixed budget, shrink the failing schedule, and the shrunk trace must
 //! replay to the *same* failure.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use rustwren_sim::Kernel;
 use rustwren_verify::{explore, replay, Budget, Failure, Strategy};
 
@@ -100,47 +99,7 @@ fn abba_cycle_reported_on_passing_schedules() {
 }
 
 // ---------------------------------------------------------------------------
-// Planted bug 2: lost notify_one
-// ---------------------------------------------------------------------------
-
-/// The waiter checks an atomic flag and then waits on the condvar, but the
-/// notifier does not hold the mutex while setting the flag — so the notify
-/// can land in the window between the check and the wait registration and
-/// be dropped, leaving the waiter blocked forever.
-fn lost_notify(kernel: Kernel) {
-    kernel.run("client", || {
-        let m = Arc::new(Mutex::new(()));
-        let cv = Arc::new(Condvar::new());
-        let flag = Arc::new(AtomicBool::new(false));
-
-        let (m1, cv1, f1) = (Arc::clone(&m), Arc::clone(&cv), Arc::clone(&flag));
-        let waiter = rustwren_sim::spawn("waiter", move || {
-            let mut g = m1.lock();
-            if !f1.load(Ordering::SeqCst) {
-                cv1.wait(&mut g);
-            }
-        });
-        let notifier = rustwren_sim::spawn("notifier", move || {
-            flag.store(true, Ordering::SeqCst);
-            cv.notify_one();
-        });
-        waiter.join();
-        notifier.join();
-    });
-}
-
-#[test]
-fn lost_notify_found_shrunk_and_replayed() {
-    let report = explore(lost_notify, &budget(300, 11, 0.25, "planted-lost-notify"));
-    let failure = report
-        .failure
-        .as_ref()
-        .expect("lost notify_one not found within 300 schedules");
-    assert_deadlock_replays(lost_notify, failure);
-}
-
-// ---------------------------------------------------------------------------
-// Planted bug 3: check-then-act counter
+// Planted bug 2: check-then-act counter
 // ---------------------------------------------------------------------------
 
 /// Each incrementer reads the counter under the lock, releases it, and

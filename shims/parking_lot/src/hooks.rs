@@ -1,8 +1,8 @@
 //! Simulation hooks.
 //!
 //! The `rustwren` simulator installs a [`SimHooks`] implementation at kernel
-//! start-up. Once installed, every `Mutex`/`RwLock`/`Condvar` operation in
-//! this shim reports to the hooks, and *blocking* operations on simulated
+//! start-up. Once installed, every `Mutex`/`RwLock` operation in this shim
+//! reports to the hooks, and *blocking* operations on simulated
 //! threads are **virtualized**: instead of parking the OS thread while the
 //! simulated holder is itself virtually asleep (which would wedge the whole
 //! process), the contended thread parks in the simulator's scheduler and is
@@ -26,19 +26,11 @@ pub enum LockOp {
     RwWrite,
 }
 
-/// Guard hand-off used by virtualized `Condvar::wait`: the hook must release
-/// the associated mutex before parking and re-acquire it after waking.
-pub trait GuardControl {
-    /// Releases the mutex (reporting the release to the hooks).
-    fn unlock(&mut self);
-    /// Re-acquires the mutex (reporting the acquisition to the hooks).
-    fn relock(&mut self);
-}
-
 /// Callbacks from the shim into the simulator.
 ///
-/// All `addr` values are the address of the lock/condvar object, valid as an
-/// identity until the corresponding `*_destroyed` call.
+/// All `addr` values are the address of the lock object, valid as an
+/// identity until the corresponding [`lock_destroyed`](SimHooks::lock_destroyed)
+/// call.
 pub trait SimHooks: Sync {
     /// A potential preemption point, called *before* the operation `op`.
     fn preemption(&self, op: &'static str);
@@ -57,18 +49,6 @@ pub trait SimHooks: Sync {
 
     /// The lock at `addr` was dropped.
     fn lock_destroyed(&self, addr: usize);
-
-    /// Virtualized condvar wait on `addr`. Returns `true` if handled (the
-    /// hook released the mutex via `guard`, parked, re-locked); `false` to
-    /// fall back to a real `std` wait.
-    fn condvar_wait(&self, addr: usize, guard: &mut dyn GuardControl) -> bool;
-
-    /// Virtualized condvar notify on `addr`. Returns `Some(woken)` if
-    /// handled, `None` to fall back to a real `std` notify.
-    fn condvar_notify(&self, addr: usize, all: bool) -> Option<usize>;
-
-    /// The condvar at `addr` was dropped.
-    fn condvar_destroyed(&self, addr: usize);
 }
 
 static HOOKS: OnceLock<&'static dyn SimHooks> = OnceLock::new();

@@ -1,8 +1,8 @@
 //! Offline stand-in for the `parking_lot` crate.
 //!
 //! The build environment has no access to a crates.io mirror, so the
-//! workspace vendors the tiny API subset it uses: [`Mutex`], [`RwLock`] and
-//! [`Condvar`] with parking_lot's non-poisoning semantics, implemented over
+//! workspace vendors the tiny API subset it uses: [`Mutex`] and [`RwLock`]
+//! with parking_lot's non-poisoning semantics, implemented over
 //! `std::sync`. Poisoned std locks are recovered transparently (parking_lot
 //! has no poisoning), which matches how the simulator treats panicking
 //! activations: the supervising thread inspects shared state afterwards.
@@ -42,29 +42,6 @@ fn try_lock_std<'a, T: ?Sized>(m: &'a std::sync::Mutex<T>) -> Option<std::sync::
     }
 }
 
-/// Acquires `inner`, virtually blocking through the hooks under contention
-/// when the calling thread is simulated.
-fn lock_instrumented<'a, T: ?Sized>(
-    addr: usize,
-    inner: &'a std::sync::Mutex<T>,
-) -> std::sync::MutexGuard<'a, T> {
-    let Some(h) = hooks::get() else {
-        return lock_std(inner);
-    };
-    loop {
-        if let Some(g) = try_lock_std(inner) {
-            h.lock_acquired(addr, LockOp::Mutex);
-            return g;
-        }
-        if !h.block_for_lock(addr, LockOp::Mutex) {
-            // Not a simulated thread: a real blocking acquire is safe.
-            let g = lock_std(inner);
-            h.lock_acquired(addr, LockOp::Mutex);
-            return g;
-        }
-    }
-}
-
 /// A mutual-exclusion primitive; `lock()` never returns a poison error.
 #[derive(Default)]
 pub struct Mutex<T: ?Sized> {
@@ -84,12 +61,26 @@ impl<T: ?Sized> Mutex<T> {
     /// Acquires the mutex, blocking until it is available. On a simulated
     /// thread, contended acquisitions block in *virtual* time.
     pub fn lock(&self) -> MutexGuard<'_, T> {
-        if let Some(h) = hooks::get() {
-            h.preemption("mutex.lock");
-        }
-        MutexGuard {
+        let guard = |g| MutexGuard {
             lock: self,
-            inner: Some(lock_instrumented(addr_of(self), &self.inner)),
+            inner: Some(g),
+        };
+        let Some(h) = hooks::get() else {
+            return guard(lock_std(&self.inner));
+        };
+        h.preemption("mutex.lock");
+        let addr = addr_of(self);
+        loop {
+            if let Some(g) = try_lock_std(&self.inner) {
+                h.lock_acquired(addr, LockOp::Mutex);
+                return guard(g);
+            }
+            if !h.block_for_lock(addr, LockOp::Mutex) {
+                // Not a simulated thread: a real blocking acquire is safe.
+                let g = lock_std(&self.inner);
+                h.lock_acquired(addr, LockOp::Mutex);
+                return guard(g);
+            }
         }
     }
 
@@ -124,30 +115,21 @@ impl<T: ?Sized + fmt::Debug> fmt::Debug for Mutex<T> {
 }
 
 /// RAII guard returned by [`Mutex::lock`].
-///
-/// Internally holds an `Option` so that [`Condvar::wait`] can temporarily
-/// take the std guard out while the thread is parked.
 pub struct MutexGuard<'a, T: ?Sized> {
     lock: &'a Mutex<T>,
     inner: Option<std::sync::MutexGuard<'a, T>>,
 }
 
-impl<T: ?Sized> MutexGuard<'_, T> {
+impl<T: ?Sized> Drop for MutexGuard<'_, T> {
     /// Releases the std guard and reports it, in that order: waiters woken
     /// by the hooks retry `try_lock` and must be able to win.
-    fn release_inner(&mut self) {
+    fn drop(&mut self) {
         if let Some(g) = self.inner.take() {
             drop(g);
             if let Some(h) = hooks::get() {
                 h.lock_released(addr_of(self.lock), LockOp::Mutex);
             }
         }
-    }
-}
-
-impl<T: ?Sized> Drop for MutexGuard<'_, T> {
-    fn drop(&mut self) {
-        self.release_inner();
     }
 }
 
@@ -167,98 +149,6 @@ impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
 impl<T: ?Sized + fmt::Debug> fmt::Debug for MutexGuard<'_, T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         fmt::Debug::fmt(&**self, f)
-    }
-}
-
-/// A condition variable compatible with [`MutexGuard`].
-#[derive(Default)]
-pub struct Condvar {
-    inner: std::sync::Condvar,
-}
-
-struct WaitControl<'g, 'a, T: ?Sized> {
-    guard: &'g mut MutexGuard<'a, T>,
-}
-
-impl<T: ?Sized> hooks::GuardControl for WaitControl<'_, '_, T> {
-    fn unlock(&mut self) {
-        self.guard.release_inner();
-    }
-
-    fn relock(&mut self) {
-        let lock = self.guard.lock;
-        self.guard.inner = Some(lock_instrumented(addr_of(lock), &lock.inner));
-    }
-}
-
-impl Condvar {
-    /// Creates a new condition variable.
-    pub const fn new() -> Condvar {
-        Condvar {
-            inner: std::sync::Condvar::new(),
-        }
-    }
-
-    /// Atomically releases the lock and parks until notified.
-    ///
-    /// On a simulated thread the park happens in *virtual* time, and wake
-    /// order is the waiters' arrival order.
-    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        if let Some(h) = hooks::get() {
-            let mut ctl = WaitControl { guard };
-            if h.condvar_wait(addr_of(self), &mut ctl) {
-                return;
-            }
-        }
-        // lint: allow(L009) — guard invariant: `inner` is only vacated inside
-        // this function and restored before it returns
-        let std_guard = guard.inner.take().expect("guard present");
-        let std_guard = self
-            .inner
-            .wait(std_guard)
-            .unwrap_or_else(PoisonError::into_inner);
-        guard.inner = Some(std_guard);
-    }
-
-    /// Wakes the longest-parked waiter (arrival order on simulated
-    /// threads). Returns whether a thread was woken when the simulator can
-    /// tell; plain `std` notifies always report `true`.
-    pub fn notify_one(&self) -> bool {
-        if let Some(h) = hooks::get() {
-            h.preemption("condvar.notify");
-            if let Some(woken) = h.condvar_notify(addr_of(self), false) {
-                return woken > 0;
-            }
-        }
-        self.inner.notify_one();
-        true
-    }
-
-    /// Wakes all parked waiters, in arrival order on simulated threads.
-    /// Returns the woken count when the simulator can tell, `0` otherwise.
-    pub fn notify_all(&self) -> usize {
-        if let Some(h) = hooks::get() {
-            h.preemption("condvar.notify");
-            if let Some(woken) = h.condvar_notify(addr_of(self), true) {
-                return woken;
-            }
-        }
-        self.inner.notify_all();
-        0
-    }
-}
-
-impl Drop for Condvar {
-    fn drop(&mut self) {
-        if let Some(h) = hooks::get() {
-            h.condvar_destroyed(addr_of(self));
-        }
-    }
-}
-
-impl fmt::Debug for Condvar {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.pad("Condvar { .. }")
     }
 }
 
@@ -464,7 +354,6 @@ impl<T: ?Sized + fmt::Debug> fmt::Debug for RwLockWriteGuard<'_, T> {
 mod tests {
     use super::*;
     use std::sync::Arc;
-    use std::time::Duration;
 
     #[test]
     fn mutex_roundtrip() {
@@ -502,24 +391,6 @@ mod tests {
         assert!(l.try_read().is_none(), "writer blocks try_read");
         drop(w);
         assert!(l.try_read().is_some());
-    }
-
-    #[test]
-    fn condvar_wakes_waiter() {
-        let pair = Arc::new((Mutex::new(false), Condvar::new()));
-        let pair2 = Arc::clone(&pair);
-        let h = std::thread::spawn(move || {
-            let (lock, cv) = &*pair2;
-            let mut started = lock.lock();
-            while !*started {
-                cv.wait(&mut started);
-            }
-        });
-        std::thread::sleep(Duration::from_millis(10));
-        let (lock, cv) = &*pair;
-        *lock.lock() = true;
-        cv.notify_one();
-        h.join().expect("waiter exits");
     }
 
     #[test]

@@ -200,12 +200,20 @@ fn table3_is_pinned_at_seed_42() {
         ]
     );
     // The paper's shape: its executor count at every chunk size, and a
-    // speed-up that grows as the chunk shrinks. (Seed 42 only: the sweep
-    // seeds would add ≈ 7 s of debug-build time each.)
-    let executors: Vec<usize> = table.rows.iter().map(|r| r.executors).collect();
-    assert_eq!(executors, TABLE3_PAPER.map(|p| p.1));
-    let speedups: Vec<f64> = table.rows.iter().map(|r| table.speedup(r)).collect();
-    assert!(speedups.windows(2).all(|w| w[0] < w[1]), "{speedups:?}");
+    // speed-up that grows as the chunk shrinks, at the golden seed and at
+    // every sweep seed.
+    for (seed, table) in [(42, table)]
+        .into_iter()
+        .chain(SWEEP_SEEDS.map(|seed| (seed, paper::table3(full(seed)))))
+    {
+        let executors: Vec<usize> = table.rows.iter().map(|r| r.executors).collect();
+        assert_eq!(executors, TABLE3_PAPER.map(|p| p.1), "seed {seed}");
+        let speedups: Vec<f64> = table.rows.iter().map(|r| table.speedup(r)).collect();
+        assert!(
+            speedups.windows(2).all(|w| w[0] < w[1]),
+            "seed {seed}: {speedups:?}"
+        );
+    }
 }
 
 #[test]

@@ -99,10 +99,7 @@ fn map_job_is_schedule_independent() {
     let report = explore(map_job, &budget(101, "sweep-map"));
     assert!(report.ok(), "{report}");
     assert_eq!(report.schedules, SCHEDULES + 1);
-    assert!(
-        report.lock_orders.cycles.is_empty() && report.lock_orders.lost_wakeups.is_empty(),
-        "{report}"
-    );
+    assert!(report.lock_orders.is_clean(), "{report}");
 }
 
 #[test]
@@ -110,10 +107,7 @@ fn map_reduce_job_is_schedule_independent() {
     let report = explore(map_reduce_job, &budget(202, "sweep-map-reduce"));
     assert!(report.ok(), "{report}");
     assert_eq!(report.schedules, SCHEDULES + 1);
-    assert!(
-        report.lock_orders.cycles.is_empty() && report.lock_orders.lost_wakeups.is_empty(),
-        "{report}"
-    );
+    assert!(report.lock_orders.is_clean(), "{report}");
 }
 
 /// Two tenants contending for a global concurrency limit below the sum of
@@ -172,10 +166,7 @@ fn tenant_admission_is_schedule_independent() {
     let report = explore(tenant_admission_job, &budget(303, "sweep-admission"));
     assert!(report.ok(), "{report}");
     assert_eq!(report.schedules, SCHEDULES + 1);
-    assert!(
-        report.lock_orders.cycles.is_empty() && report.lock_orders.lost_wakeups.is_empty(),
-        "{report}"
-    );
+    assert!(report.lock_orders.is_clean(), "{report}");
 }
 
 /// A mixed lightweight/thread-backed scenario aimed at the light-task
@@ -248,14 +239,11 @@ fn light_task_job(kernel: Kernel) -> (usize, usize, u64, u64) {
 }
 
 #[test]
-fn light_tasks_are_schedule_independent_with_no_lost_wakeups() {
+fn light_tasks_are_schedule_independent_and_lose_no_wakeup() {
     let report = explore(light_task_job, &budget(404, "sweep-light-tasks"));
     assert!(report.ok(), "{report}");
     assert_eq!(report.schedules, SCHEDULES + 1);
-    assert!(
-        report.lock_orders.cycles.is_empty() && report.lock_orders.lost_wakeups.is_empty(),
-        "{report}"
-    );
+    assert!(report.lock_orders.is_clean(), "{report}");
 }
 
 /// The joint fault × schedule slice: a two-tenant open-loop burst against
@@ -547,10 +535,7 @@ fn light_agents_give_the_oracles_results_under_every_schedule() {
     );
     assert!(report.ok(), "{report}");
     assert_eq!(report.schedules, SCHEDULES + 1);
-    assert!(
-        report.lock_orders.cycles.is_empty() && report.lock_orders.lost_wakeups.is_empty(),
-        "{report}"
-    );
+    assert!(report.lock_orders.is_clean(), "{report}");
 }
 
 #[test]
@@ -637,10 +622,7 @@ fn token_ring_of_blocking_threads_loses_no_wakeup_under_every_schedule() {
     let report = explore(token_ring_job, &budget(1010, "sweep-token-ring"));
     assert!(report.ok(), "{report}");
     assert_eq!(report.schedules, SCHEDULES + 1);
-    assert!(
-        report.lock_orders.cycles.is_empty() && report.lock_orders.lost_wakeups.is_empty(),
-        "{report}"
-    );
+    assert!(report.lock_orders.is_clean(), "{report}");
 }
 
 /// Exports the dynamic lock-exercise inventory for rustwren-lint's L007
@@ -707,8 +689,8 @@ fn static_lock_orders_cover_dynamic_graph() {
     let static_edges = rustwren_lint::reach::static_lock_edges(&graph);
 
     // The static analysis models the lock kinds the instrumented crates
-    // acquire through guard methods; condvar/event orders are dynamic-only
-    // and outside L011's scope.
+    // acquire through guard methods; event orders are dynamic-only and
+    // outside L011's scope.
     const STATIC_KINDS: [&str; 2] = ["mutex", "rwlock"];
     for (held, acquired) in &report.lock_orders.kind_edges {
         let (held, acquired) = (held.to_string(), acquired.to_string());
