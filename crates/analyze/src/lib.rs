@@ -44,7 +44,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod concurrency;
-pub mod report;
 
 pub use concurrency::{merge_reports, LockCycle, LockOrderReport};
 

@@ -356,7 +356,7 @@ pub fn fig4(args: BenchArgs) -> Fig4 {
     };
     let times = sizes
         .iter()
-        .map(|&n| depths.iter().map(|&d| fig4_sort(args.seed, n, d)).collect())
+        .map(|&n| depths.iter().map(|&d| fig4_cell(args.seed, n, d)).collect())
         .collect();
     Fig4 {
         sizes,
@@ -366,7 +366,7 @@ pub fn fig4(args: BenchArgs) -> Fig4 {
 }
 
 /// One Fig 4 cell: the virtual time of sorting `n` integers at `depth`.
-fn fig4_sort(seed: u64, n: u64, depth: u32) -> Duration {
+pub fn fig4_cell(seed: u64, n: u64, depth: u32) -> Duration {
     let cloud = wan_cloud(seed).build();
     mergesort::register(&cloud);
     cloud.run(|| {

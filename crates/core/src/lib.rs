@@ -71,7 +71,6 @@
 mod cloud;
 pub mod compose;
 mod config;
-mod convert;
 mod error;
 mod executor;
 mod future;
@@ -87,7 +86,6 @@ pub mod wire;
 pub use cloud::{SimCloud, SimCloudBuilder};
 pub use compose::SEQUENCE_FN;
 pub use config::{ExecutorConfig, RetryPolicy, SpawnStrategy, SpeculationConfig};
-pub use convert::FromValue;
 pub use error::{PywrenError, Result};
 pub use executor::{
     Executor, ExecutorBuilder, GetResultOpts, MapReduceOpts, ShuffleOpts, TaskTiming,

@@ -19,6 +19,7 @@
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::future::Future;
+use std::hash::{BuildHasherDefault, DefaultHasher};
 use std::pin::{pin, Pin};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -406,6 +407,11 @@ struct PoolState {
     /// Per-pool inter-arrival history (hybrid keep-alive policies only;
     /// lookups by key, never iterated).
     arrivals: HashMap<PoolKey, ArrivalHistory>,
+    /// The completion event of each unfinished activation: `wait`'s index.
+    /// An activation removes its own in its last pool section, just before
+    /// firing it. A fixed hasher: with removals, a random one would make
+    /// the table's growth, and so its allocations, differ run to run.
+    completions: HashMap<ActivationId, Event, BuildHasherDefault<DefaultHasher>>,
 }
 
 /// Aggregate statistics for one action; see
@@ -490,7 +496,6 @@ struct Inner {
     // the records (the latter summing f64s), so the order must not depend
     // on the hasher.
     records: Mutex<BTreeMap<ActivationId, ActivationRecord>>,
-    completions: Mutex<HashMap<ActivationId, Event>>,
     /// Wait-for-graph resource standing for the cluster's container
     /// capacity; activations hold it while they own a container, and
     /// capacity waiters block on it.
@@ -609,9 +614,9 @@ impl CloudFunctions {
                     stats: PlatformStats::default(),
                     tenants,
                     arrivals: HashMap::new(),
+                    completions: HashMap::default(),
                 }),
                 records: Mutex::new(BTreeMap::new()),
-                completions: Mutex::new(HashMap::new()),
                 capacity_res: kernel.create_resource("capacity", "cluster-containers"),
                 admission_res: kernel.create_resource("admission", "tenant-admission"),
                 agent_ops: OpCounters::shared(),
@@ -807,7 +812,7 @@ impl CloudFunctions {
 
         let now = self.inner.kernel.now();
         let policy = self.effective_policy(namespace);
-        let (id, gate, key) = {
+        let (id, gate, key, name, completion) = {
             let mut pool = locked(&self.inner.pool).await;
             let limit = self.inner.config.invocations_per_minute;
             if let Err(retry_after) = pool.rate.check(now, limit) {
@@ -891,6 +896,10 @@ impl CloudFunctions {
             pool.stats.submitted += 1;
             let id = ActivationId(pool.next_activation_id);
             pool.next_activation_id += 1;
+            // The task's name is its completion event's label too.
+            let name = activation_name(id);
+            let completion = Event::named(&self.inner.kernel, Arc::clone(&name));
+            pool.completions.insert(id, completion.clone());
 
             if let Some(gate) = &gate {
                 if let Some(t) = pool.tenants.get_mut(namespace) {
@@ -914,7 +923,7 @@ impl CloudFunctions {
                     .or_insert_with(|| ArrivalHistory::new(*buckets))
                     .record(now, *bucket);
             }
-            (id, gate, key)
+            (id, gate, key, name, completion)
         };
 
         locked(&self.inner.records).await.insert(
@@ -933,12 +942,6 @@ impl CloudFunctions {
                 logs: Vec::new(),
             },
         );
-        // The task's name is its completion event's label too.
-        let name = activation_name(id);
-        let completion = Event::named(&self.inner.kernel, Arc::clone(&name));
-        locked(&self.inner.completions)
-            .await
-            .insert(id, completion.clone());
 
         // Every activation starts without a stack; one whose body blocks
         // asks for a thread when it gets there.
@@ -1082,8 +1085,11 @@ impl CloudFunctions {
     /// Like [`wait`](CloudFunctions::wait), but returns `None` for an id
     /// this platform never issued instead of panicking.
     pub fn wait_checked(&self, id: ActivationId) -> Option<ActivationRecord> {
-        let event = self.inner.completions.lock().get(&id).cloned()?;
-        event.wait();
+        // A finished activation is out of the index; its record is final.
+        let event = self.inner.pool.lock().completions.get(&id).cloned();
+        if let Some(event) = event {
+            event.wait();
+        }
         self.record(id)
     }
 
@@ -1693,6 +1699,7 @@ async fn activation(
             t.stats.completed += 1;
             inner.kernel.release_resource(&inner.admission_res);
         }
+        pool.completions.remove(&id);
         // A concurrency slot (and possibly a quota slot) just freed: admit
         // queued work before anyone observes the completion.
         platform.dispatch_queued_locked(&mut pool)
@@ -2477,6 +2484,29 @@ mod tests {
             faas.wait(id);
             assert_eq!(faas.outcome(id), Some(Outcome::Failed("boom".into())));
             assert_eq!(faas.outcome(ActivationId(999_999)), None);
+        });
+    }
+
+    #[test]
+    fn finished_activations_leave_the_wait_index() {
+        let (kernel, faas) = setup(PlatformConfig::default());
+        faas.register_action("echo", ActionConfig::default(), echo_action())
+            .unwrap();
+        let ids = kernel.run("client", || {
+            let ids: Vec<_> = (0..20)
+                .map(|i| faas.invoke("echo", Bytes::from(vec![i])).unwrap())
+                .collect();
+            rustwren_sim::sleep(Duration::from_secs(10));
+            ids
+        });
+        assert!(faas.inner.pool.lock().completions.is_empty());
+        kernel.run("client", || {
+            for (i, id) in ids.iter().enumerate() {
+                let record = faas.wait(*id);
+                assert_eq!(record.phase, Phase::Done(Outcome::Success));
+                assert_eq!(record.result, Some(Bytes::from(vec![i as u8])));
+            }
+            assert_eq!(faas.wait_checked(ActivationId(999_999)), None);
         });
     }
 

@@ -26,12 +26,15 @@
 //! | L009 | panic site transitively reachable from an agent hot path |
 //! | L010 | wall-clock API transitively reachable from a simulated path |
 //! | L011 | static lock order never exercised by the dynamic lock graph |
+//! | L012 | `pub fn` in library or shim code whose name nothing else in the tree spells |
 //!
-//! L001–L005 and L007 are per-line lexical rules; L008–L011 are *interprocedural*:
-//! they run on a workspace-wide call graph ([`symbols`] → [`graph`] →
-//! [`reach`]) with conservative over-approximating edge resolution, so a
-//! clean report is a proof over all call paths the heuristics can see,
-//! not just the paths tests happen to execute (DESIGN §15).
+//! L001–L005 and L007 are per-line lexical rules; L012 is a name search
+//! over the whole tree, tests, examples and benches included; L008–L011
+//! are *interprocedural*: they run on a workspace-wide call graph
+//! ([`symbols`] → [`graph`] → [`reach`]) with conservative
+//! over-approximating edge resolution, so a clean report is a proof over
+//! all call paths the heuristics can see, not just the paths tests happen
+//! to execute (DESIGN §15).
 //!
 //! The crate is dependency-free (std only) so it builds and runs even
 //! when the rest of the workspace is broken, and consistent with the
@@ -65,11 +68,12 @@ pub enum Rule {
     L009,
     L010,
     L011,
+    L012,
 }
 
 impl Rule {
     /// Every rule, in order.
-    pub const ALL: [Rule; 10] = [
+    pub const ALL: [Rule; 11] = [
         Rule::L001,
         Rule::L002,
         Rule::L003,
@@ -80,6 +84,7 @@ impl Rule {
         Rule::L009,
         Rule::L010,
         Rule::L011,
+        Rule::L012,
     ];
 
     /// Stable textual id (`"L001"`).
@@ -95,6 +100,7 @@ impl Rule {
             Rule::L009 => "L009",
             Rule::L010 => "L010",
             Rule::L011 => "L011",
+            Rule::L012 => "L012",
         }
     }
 
@@ -111,6 +117,7 @@ impl Rule {
             Rule::L009 => "panic site reachable from an agent hot path",
             Rule::L010 => "wall-clock API reachable from a simulated path",
             Rule::L011 => "static lock order never dynamically exercised",
+            Rule::L012 => "pub fn that nothing in the tree calls",
         }
     }
 
@@ -267,10 +274,23 @@ impl Rule {
                  `// lint: allow(L011) — reason`. Without a lock-exercise\n\
                  report the rule degrades to a note, like L007."
             }
+            Rule::L012 => {
+                "L012 — pub fn that nothing in the tree calls\n\
+                 \n\
+                 rustc's dead-code lint covers every function except a `pub`\n\
+                 one, whose callers a library cannot see; this workspace can.\n\
+                 A `pub fn` in the non-test code of a library crate or a shim is\n\
+                 flagged when its name appears nowhere else in the tree: in no\n\
+                 `src/`, `tests/`, `examples/` or `benches/` (the ledger's home).\n\
+                 Comments and strings are blanked; a definition is not a use,\n\
+                 nor is the defining file's own `#[cfg(test)]` code.\n\
+                 \n\
+                 Fix: delete it, with what only it kept alive. Baseline: 0."
+            }
         }
     }
 
-    /// Parses `"L001"` … `"L011"` (not the retired `"L006"`).
+    /// Parses `"L001"` … `"L012"` (not the retired `"L006"`).
     pub fn parse(s: &str) -> Option<Rule> {
         Rule::ALL.iter().copied().find(|r| r.as_str() == s)
     }

@@ -7,6 +7,8 @@
 //! under `tests/`/`benches/`/`examples/`) are excluded here because test
 //! code legitimately unwraps, sleeps and prints.
 
+use std::collections::BTreeMap;
+
 use crate::lexer::FileScan;
 use crate::{Rule, Violation};
 
@@ -54,6 +56,13 @@ pub fn rule_applies(rule: Rule, path: &str) -> bool {
         // L011 derives acquisition edges only from the instrumented-lock
         // crates, mirroring L007's static inventory scope.
         Rule::L011 => rule_applies(Rule::L007, path),
+        // Public surface of library crates and shims; a binary's `pub fn`
+        // is rustc's dead-code lint's to find.
+        Rule::L012 => {
+            (lib_src || path.starts_with("shims/"))
+                && !path.contains("/bin/")
+                && !path.ends_with("/main.rs")
+        }
     }
 }
 
@@ -559,6 +568,99 @@ fn l005_print(scan: &FileScan, out: &mut Vec<Violation>) {
             });
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// L012 — public functions nothing calls
+// ---------------------------------------------------------------------------
+
+/// What an identifier in code is.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Name {
+    Use,
+    /// The name a `fn` item defines.
+    Fn,
+    /// The name a plain `pub fn` (not `pub(crate)`) defines.
+    PubFn,
+}
+
+/// L012 over the whole tree: every `pub fn` in an in-scope file of
+/// `linted` whose name no code in `linted` or `readers` (test, bench and
+/// example files, which only contribute uses) spells. A definition is not
+/// a use, and neither is the defining file's own `#[cfg(test)]` code.
+pub fn l012_uncalled_pub_fns(linted: &[FileScan], readers: &[FileScan]) -> Vec<Violation> {
+    let mut uses: BTreeMap<&str, usize> = BTreeMap::new();
+    for scan in linted.iter().chain(readers) {
+        for (_, name, kind) in names(scan) {
+            if kind == Name::Use {
+                *uses.entry(name).or_insert(0) += 1;
+            }
+        }
+    }
+    let mut out = Vec::new();
+    for scan in linted.iter().filter(|s| rule_applies(Rule::L012, &s.path)) {
+        let is_test = |line: usize| scan.line_is_test.get(line - 1).copied().unwrap_or(false);
+        let found = names(scan);
+        for &(line, name, _) in found
+            .iter()
+            .filter(|(l, _, kind)| *kind == Name::PubFn && !is_test(*l))
+        {
+            let own_tests = found
+                .iter()
+                .filter(|(l, n, kind)| *kind == Name::Use && *n == name && is_test(*l))
+                .count();
+            if uses.get(name).copied().unwrap_or(0) == own_tests {
+                out.push(Violation {
+                    rule: Rule::L012,
+                    file: scan.path.clone(),
+                    line,
+                    message: format!(
+                        "`pub fn {name}` is named nowhere in the tree (src, tests, examples, \
+                         benches) outside its own unit tests; delete it with whatever only \
+                         it keeps alive"
+                    ),
+                });
+            }
+        }
+    }
+    out
+}
+
+/// The identifiers of `scan`'s code as `(1-indexed line, name, kind)`.
+fn names(scan: &FileScan) -> Vec<(usize, &str, Name)> {
+    // Words split at every non-identifier char: punctuation leaves an ""
+    // token behind, so `pub(crate) fn` does not read as `pub fn`.
+    let toks: Vec<(usize, &str)> = scan
+        .lines
+        .iter()
+        .enumerate()
+        .flat_map(|(idx, line)| {
+            line.split_whitespace()
+                .flat_map(|w| w.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_')))
+                .map(move |tok| (idx + 1, tok))
+        })
+        .collect();
+    let mut out = Vec::new();
+    for (i, &(line, tok)) in toks.iter().enumerate() {
+        if !tok.starts_with(|c: char| c.is_ascii_alphabetic() || c == '_') {
+            continue;
+        }
+        let kind = if i > 0 && toks[i - 1].1 == "fn" {
+            let mut j = i - 1;
+            while j > 0 && ["const", "async", "unsafe", "extern"].contains(&toks[j - 1].1) {
+                j -= 1;
+            }
+            if j > 0 && toks[j - 1].1 == "pub" {
+                Name::PubFn
+            } else {
+                Name::Fn
+            }
+        } else {
+            Name::Use
+        };
+        out.push((line, tok, kind));
+    }
+    out
 }
 
 #[cfg(test)]

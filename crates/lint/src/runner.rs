@@ -5,7 +5,8 @@
 //! The pass is two-phase. Phase one scans every file for the per-line
 //! rules (L001–L005) while accumulating the symbol index; phase two
 //! builds the workspace call graph from the index and runs the
-//! interprocedural rules (L008–L011) plus the L007 cross-check.
+//! interprocedural rules (L008–L011), L012's name search over the whole
+//! tree, and the L007 cross-check.
 //! Interprocedural violations go through the same suppression → allow →
 //! baseline funnel as per-line ones, keyed by the file and line each
 //! violation anchors to.
@@ -18,22 +19,18 @@ use crate::baseline::LintConfig;
 use crate::graph::{self, CallGraph};
 use crate::lexer::{scan_source, FileScan};
 use crate::reach;
-use crate::rules::{check_file, lock_sites, LockSite};
+use crate::rules::{check_file, l012_uncalled_pub_fns, lock_sites, LockSite};
 use crate::symbols;
 use crate::{Rule, Violation};
 
-/// Directory components that are never scanned: generated output, test
-/// and bench code (which legitimately unwraps/sleeps/prints), and the
+/// Directory components that are never read: generated output and the
 /// linter's planted-violation fixtures.
-const SKIP_DIRS: [&str; 7] = [
-    "target",
-    ".git",
-    "tests",
-    "benches",
-    "examples",
-    "fixtures",
-    "node_modules",
-];
+const NEVER_DIRS: [&str; 4] = ["target", ".git", "fixtures", "node_modules"];
+
+/// Directory components whose code the per-file and call-graph rules skip:
+/// test, bench and example code legitimately unwraps, sleeps and prints.
+/// L012 still reads the names it uses.
+const SKIP_DIRS: [&str; 3] = ["tests", "benches", "examples"];
 
 /// Trees whose inline suppressions the suppression ratchet does not count:
 /// the linter's own rule text and fixtures, and the vendored shims.
@@ -129,7 +126,7 @@ pub fn run(opts: &Options) -> Outcome {
         }
     };
 
-    let files = collect_files(&opts.root);
+    let (files, readers) = collect_files(&opts.root);
     out.files_scanned = files.len();
 
     let mut scans: Vec<FileScan> = Vec::new();
@@ -164,9 +161,17 @@ pub fn run(opts: &Options) -> Outcome {
         scans.push(scan);
     }
 
+    let readers: Vec<FileScan> = readers
+        .iter()
+        .filter_map(|rel| {
+            let src = fs::read_to_string(opts.root.join(rel)).ok()?;
+            Some(scan_source(&rel.to_string_lossy().replace('\\', "/"), &src))
+        })
+        .collect();
+
     let graph = graph::build(defs);
     let exercise = load_lock_exercise(opts, &mut out);
-    interprocedural(&graph, &scans, &cfg, exercise.as_ref(), &mut out);
+    interprocedural(&graph, &scans, &readers, &cfg, exercise.as_ref(), &mut out);
     l007_cross_check(&cfg, exercise.as_ref(), &mut out);
     out.graph = Some(graph);
 
@@ -177,11 +182,12 @@ pub fn run(opts: &Options) -> Outcome {
     out
 }
 
-/// Phase two: the call-graph rules, funneled through the same
+/// Phase two: the call-graph rules and L012, funneled through the same
 /// suppression/allow machinery as the per-line rules.
 fn interprocedural(
     graph: &CallGraph,
     scans: &[FileScan],
+    readers: &[FileScan],
     cfg: &LintConfig,
     exercise: Option<&LockExercise>,
     out: &mut Outcome,
@@ -219,6 +225,7 @@ fn interprocedural(
     }));
     found.extend(reach::l009(graph));
     found.extend(reach::l010(graph, |f| cfg.is_allowed(Rule::L001, f)));
+    found.extend(l012_uncalled_pub_fns(scans, readers));
 
     let static_edges = reach::static_lock_edges(graph);
     match exercise {
@@ -317,15 +324,23 @@ fn apply_suppression_ratchet(cfg: &LintConfig, out: &mut Outcome) {
     }
 }
 
-/// Recursively collects `.rs` files under `crates/` and `shims/`,
-/// skipping [`SKIP_DIRS`], as sorted workspace-relative paths.
-fn collect_files(root: &Path) -> Vec<PathBuf> {
-    let mut out = Vec::new();
-    for top in ["crates", "shims"] {
-        walk(&root.join(top), root, &mut out);
+/// Collects `.rs` files as sorted workspace-relative paths, skipping
+/// [`NEVER_DIRS`]: first those the rules lint (under `crates/` and
+/// `shims/`, outside [`SKIP_DIRS`]), then those L012 only reads names from
+/// (the rest of those trees, and the root package's `src/`, `tests/` and
+/// `examples/`).
+fn collect_files(root: &Path) -> (Vec<PathBuf>, Vec<PathBuf>) {
+    let mut all = Vec::new();
+    for top in ["crates", "shims", "src", "tests", "examples"] {
+        walk(&root.join(top), root, &mut all);
     }
-    out.sort();
-    out
+    all.sort();
+    all.into_iter().partition(|rel| {
+        let mut dirs = rel.components().map(|c| c.as_os_str().to_string_lossy());
+        let top = dirs.next();
+        matches!(top.as_deref(), Some("crates" | "shims"))
+            && !dirs.any(|d| SKIP_DIRS.contains(&d.as_ref()))
+    })
 }
 
 fn walk(dir: &Path, root: &Path, out: &mut Vec<PathBuf>) {
@@ -339,7 +354,7 @@ fn walk(dir: &Path, root: &Path, out: &mut Vec<PathBuf>) {
         let name = e.file_name();
         let name = name.to_string_lossy();
         if path.is_dir() {
-            if SKIP_DIRS.contains(&name.as_ref()) {
+            if NEVER_DIRS.contains(&name.as_ref()) {
                 continue;
             }
             walk(&path, root, out);

@@ -1,7 +1,8 @@
 //! Planted-violation fixture corpus: one minimal bad snippet per rule
 //! L001–L007 asserting the rule fires, a suppressed twin asserting
-//! `// lint: allow(…)` silences it, and end-to-end ratchet behavior over
-//! a synthetic workspace in a temp directory.
+//! `// lint: allow(…)` silences it, and end-to-end ratchet behavior and
+//! L012's tree-wide name search over synthetic workspaces in a temp
+//! directory.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -370,5 +371,50 @@ fn malformed_baseline_is_a_hard_error() {
     let outcome = run(&Options::new(&root));
     assert!(!outcome.clean());
     assert!(outcome.errors[0].contains("unknown rule"));
+    let _ = fs::remove_dir_all(&root);
+}
+
+#[test]
+fn l012_fires_on_pub_fns_nothing_but_their_own_unit_tests_name() {
+    let root = workspace("l012");
+    plant(
+        &root,
+        "crates/core/src/lib.rs",
+        "pub fn orphan() {}\n\
+         pub fn tested_only() {}\n\
+         pub fn called_from_tests_dir() {}\n\
+         pub fn called_from_the_ledger() {}\n\
+         pub(crate) fn crate_private() {}\n\
+         #[cfg(test)]\n\
+         mod tests {\n    #[test]\n    fn t() { super::tested_only(); }\n}\n",
+    );
+    plant(
+        &root,
+        "crates/store/tests/it.rs",
+        "#[test]\nfn t() { rustwren_core::called_from_tests_dir(); }\n",
+    );
+    plant(
+        &root,
+        "crates/bench/benches/ledger/src/main.rs",
+        "fn main() { rustwren_core::called_from_the_ledger(); }\n",
+    );
+    // A name in a comment or a string is no use; a binary's `pub fn` is
+    // rustc's to find.
+    plant(
+        &root,
+        "crates/bench/src/bin/tool.rs",
+        "// orphan()\npub fn helper() -> &'static str { \"tested_only\" }\nfn main() {}\n",
+    );
+    let outcome = run(&Options::new(&root));
+    let hits: Vec<(&str, usize)> = outcome
+        .new_violations
+        .iter()
+        .filter(|v| v.rule == Rule::L012)
+        .map(|v| (v.file.as_str(), v.line))
+        .collect();
+    assert_eq!(
+        hits,
+        [("crates/core/src/lib.rs", 1), ("crates/core/src/lib.rs", 2)]
+    );
     let _ = fs::remove_dir_all(&root);
 }

@@ -115,12 +115,6 @@ impl PathScope {
         }
     }
 
-    /// Restrict this scope to keys starting with `prefix` as well.
-    pub fn under(mut self, prefix: impl Into<String>) -> PathScope {
-        self.key_prefix = Some(prefix.into());
-        self
-    }
-
     /// Whether `bucket`/`key` is covered by this scope.
     pub fn matches(&self, bucket: &str, key: &str) -> bool {
         if let Some(b) = &self.bucket {
@@ -672,7 +666,10 @@ mod tests {
 
     #[test]
     fn scope_filters_bucket_and_prefix() {
-        let scope = PathScope::bucket("data").under("jobs/");
+        let scope = PathScope {
+            bucket: Some("data".into()),
+            key_prefix: Some("jobs/".into()),
+        };
         assert!(scope.matches("data", "jobs/e/j/func"));
         assert!(!scope.matches("other", "jobs/e/j/func"));
         assert!(!scope.matches("data", "raw/part-0"));

@@ -39,12 +39,10 @@ struct CosOp<'a> {
 #[derive(Clone, Copy)]
 enum OpSuffix {
     None,
-    /// A fixed tail like `" complete"` or the LIST wildcard `"*"`.
+    /// A fixed tail like the LIST wildcard `"*"`.
     Const(&'static str),
     /// `"[{start}..{end}]"` — a range GET.
     Range(u64, u64),
-    /// `" part {lane}.{index}"` — one multipart-upload part.
-    Part(usize, usize),
 }
 
 impl<'a> CosOp<'a> {
@@ -83,7 +81,6 @@ impl fmt::Display for CosOp<'_> {
             OpSuffix::None => Ok(()),
             OpSuffix::Const(s) => f.write_str(s),
             OpSuffix::Range(start, end) => write!(f, "[{start}..{end}]"),
-            OpSuffix::Part(lane, i) => write!(f, " part {lane}.{i}"),
         }
     }
 }
@@ -137,7 +134,7 @@ impl OpCounters {
 pub struct OpCounts {
     /// Object-data GETs (full and ranged).
     pub gets: u64,
-    /// Object PUTs (multipart uploads count one per part).
+    /// Object PUTs.
     pub puts: u64,
     /// LIST requests.
     pub lists: u64,
@@ -385,32 +382,6 @@ impl CosClient {
         task::block_on(self.put_async(bucket, key, data))
     }
 
-    /// `PUT` an object using a multipart upload: parts of `part_size` bytes
-    /// transfer **concurrently** (each lane a lightweight task), so the
-    /// virtual cost approaches `size / (parts × bandwidth)` plus one
-    /// completion round trip — how the real COS SDKs move large payloads.
-    /// Falls back to a plain [`put`](CosClient::put) for small objects.
-    ///
-    /// At most 16 parts are in flight at a time, like the SDK defaults.
-    ///
-    /// # Errors
-    ///
-    /// Store errors from the service, or [`StoreError::Network`] if any
-    /// part exhausts its retries.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `part_size` is zero.
-    pub fn put_multipart(
-        &self,
-        bucket: &str,
-        key: &str,
-        data: Bytes,
-        part_size: usize,
-    ) -> Result<(), StoreError> {
-        task::block_on(self.put_multipart_async(bucket, key, data, part_size))
-    }
-
     /// `GET` an entire object.
     ///
     /// # Errors
@@ -503,53 +474,6 @@ impl CosClient {
             key,
             data.len() as u64,
             self.costs.data_op,
-        )
-        .await?;
-        self.store.put(bucket, key, data)
-    }
-
-    /// Resumable [`put_multipart`](CosClient::put_multipart).
-    pub async fn put_multipart_async(
-        &self,
-        bucket: &str,
-        key: &str,
-        data: Bytes,
-        part_size: usize,
-    ) -> Result<(), StoreError> {
-        assert!(part_size > 0, "part_size must be non-zero");
-        if data.len() <= part_size {
-            return self.put_async(bucket, key, data).await;
-        }
-        let part_count = data.len().div_ceil(part_size);
-        let lanes = part_count.min(16);
-        // (lane, position in lane, length): lane and position name the
-        // part's op path, so they are fixed here, before the deal.
-        let parts: Vec<(usize, usize, u64)> = (0..part_count)
-            .map(|k| {
-                let len = part_size.min(data.len() - k * part_size);
-                (k % lanes, k / lanes, len as u64)
-            })
-            .collect();
-        let shared = Arc::new((self.clone(), bucket.to_owned(), key.to_owned()));
-        rustwren_sim::fan_out("mpu", lanes, parts, move |(lane, i, len)| {
-            let shared = Arc::clone(&shared);
-            async move {
-                let (client, bucket, key) = &*shared;
-                client.counters.count(&client.counters.puts);
-                client.counters.bytes_out.fetch_add(len, Ordering::Relaxed);
-                let op = CosOp::new("PUT", bucket, Some(key)).with_suffix(OpSuffix::Part(lane, i));
-                let charged = client.charge(op, bucket, key, len, client.costs.data_op);
-                charged.await.map(|_| ())
-            }
-        })
-        .await?;
-        // Complete-multipart-upload request.
-        self.charge(
-            CosOp::new("POST", bucket, Some(key)).with_suffix(OpSuffix::Const(" complete")),
-            bucket,
-            key,
-            512,
-            self.costs.head_op,
         )
         .await?;
         self.store.put(bucket, key, data)
@@ -711,7 +635,7 @@ mod tests {
     #[test]
     fn cos_op_hashes_like_the_formatted_string() {
         use rustwren_sim::hash::hash_str;
-        let cases: [(CosOp<'_>, String); 6] = [
+        let cases: [(CosOp<'_>, String); 5] = [
             (
                 CosOp::new("PUT", "b", Some("k")),
                 format!("PUT {}/{}", "b", "k"),
@@ -724,10 +648,6 @@ mod tests {
             (
                 CosOp::new("LIST", "b", Some("pre/")).with_suffix(OpSuffix::Const("*")),
                 format!("LIST {}/{}*", "b", "pre/"),
-            ),
-            (
-                CosOp::new("PUT", "b", Some("k")).with_suffix(OpSuffix::Part(3, 7)),
-                format!("PUT {}/{} part {}.{}", "b", "k", 3, 7),
             ),
             (
                 CosOp::new("POST", "b", Some("k")).with_suffix(OpSuffix::Const(" complete")),
@@ -846,50 +766,6 @@ mod tests {
                 .map(|n| rustwren_sim::backoff(Duration::from_millis(50), n))
                 .sum();
             assert!(slept > owed, "{slept:?} vs {owed:?}");
-        });
-    }
-
-    #[test]
-    fn multipart_upload_is_faster_than_single_put() {
-        let (kernel, client) = setup(NetworkProfile::wan());
-        let data = Bytes::from(vec![0u8; 64 * 1024 * 1024]);
-        let (single, multi) = kernel.run("client", || {
-            let t0 = rustwren_sim::now();
-            client.put("b", "single", data.clone()).unwrap();
-            let t1 = rustwren_sim::now();
-            client
-                .put_multipart("b", "multi", data.clone(), 8 * 1024 * 1024)
-                .unwrap();
-            let t2 = rustwren_sim::now();
-            (t1 - t0, t2 - t1)
-        });
-        assert!(
-            multi < single / 3,
-            "8 parallel parts should be much faster: single={single:?} multi={multi:?}"
-        );
-        assert_eq!(
-            client.store().head("b", "multi").unwrap().size,
-            data.len() as u64
-        );
-    }
-
-    #[test]
-    fn small_multipart_falls_back_to_plain_put() {
-        let (kernel, client) = setup(NetworkProfile::lan());
-        kernel.run("client", || {
-            client
-                .put_multipart("b", "k", Bytes::from_static(b"small"), 1024)
-                .unwrap();
-            assert_eq!(client.head("b", "k").unwrap().size, 5);
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "part_size must be non-zero")]
-    fn zero_part_size_panics() {
-        let (kernel, client) = setup(NetworkProfile::lan());
-        kernel.run("client", || {
-            let _ = client.put_multipart("b", "k", Bytes::from(vec![0; 10_000]), 0);
         });
     }
 

@@ -1,7 +1,7 @@
 //! Offline stand-in for the `rand` crate.
 //!
 //! Provides the subset the workloads use — `StdRng::seed_from_u64` plus
-//! `Rng::{gen, gen_range, gen_bool}` — backed by splitmix64. Streams are
+//! `Rng::{gen, gen_range}` — backed by splitmix64. Streams are
 //! deterministic per seed (the property every simulation workload depends
 //! on) but are *not* the same streams as the real `rand` crate.
 
@@ -42,14 +42,6 @@ pub trait Rng: RngCore {
         Self: Sized,
     {
         T::sample_range(self, range)
-    }
-
-    /// Returns `true` with probability `p`.
-    fn gen_bool(&mut self, p: f64) -> bool
-    where
-        Self: Sized,
-    {
-        f64::sample(self) < p
     }
 }
 
@@ -200,12 +192,5 @@ mod tests {
             let n = rng.gen_range(-10i64..-2);
             assert!((-10..-2).contains(&n));
         }
-    }
-
-    #[test]
-    fn gen_bool_extremes() {
-        let mut rng = StdRng::seed_from_u64(3);
-        assert!(!rng.gen_bool(0.0));
-        assert!(rng.gen_bool(1.0));
     }
 }

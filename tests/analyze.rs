@@ -2,7 +2,8 @@
 //! nested plan is (a) rejected by `AnalyzeMode::Deny` before any function
 //! is invoked, and (b) — with analysis off and the platform queueing
 //! instead of throttling — wedges the simulation in a deadlock whose panic
-//! report names the actual wait-for cycle.
+//! report names the actual wait-for cycle. A suite of canonical
+//! paper-shaped plans has its findings pinned exactly.
 
 use std::panic::{self, AssertUnwindSafe};
 
@@ -91,7 +92,7 @@ fn warn_mode_runs_the_flagged_job_anyway() {
 
 #[test]
 fn tenant_quota_overflow_warns_but_never_blocks() {
-    // W009 plan-lint coverage: a map wider than the submitting tenant's
+    // W009 coverage: a map wider than the submitting tenant's
     // concurrency quota fires a warning, but warnings never block — the
     // same job completes under Deny mode because the overflow just waits
     // in the tenant's admission queue.
@@ -208,5 +209,73 @@ fn unanalyzed_overcommit_deadlocks_with_wait_for_cycle() {
          (event `act-0000000000000001`, held by `act-0000000000000001`)\n\
          wait-for cycle: `act-0000000000000001` -[event `act-0000000000000002`]-> \
          `act-0000000000000002` -[admission `tenant-admission`]-> `act-0000000000000001`"
+    );
+}
+
+/// The canonical suite: the paper's workload shapes, including the
+/// pathological corners the W-rules exist for, each pinned to its exact
+/// findings under the paper's platform limits.
+#[test]
+fn canonical_plans_have_exactly_their_pinned_findings() {
+    use rustwren::analyze::{analyze, CloudProfile, JobPlan, ShuffleShape};
+
+    let mut suite = Vec::new();
+    // Table 3 tone-map sweep: 1.9 GB over 2..64 MB chunks.
+    for (mb, tasks) in [(64u64, 47usize), (16, 129), (2, 923)] {
+        let mut plan = JobPlan::new(format!("tone-map@{mb}MB"), tasks);
+        plan.chunk_size = Some(mb << 20);
+        plan.max_object_bytes = Some(176_406_762);
+        plan.partition_bytes = vec![mb << 20; tasks];
+        suite.push(plan);
+    }
+    // Fig 4 mergesort: nested composition, depth 5, fanout 2.
+    let mut mergesort = JobPlan::new("mergesort-d5", 1);
+    mergesort.nesting_depth = 5;
+    mergesort.nested_fanout = 2;
+    suite.push(mergesort);
+    // CloudSort-style shuffle on the segmented plane.
+    let mut cloudsort = JobPlan::new("cloudsort-seg", 400);
+    cloudsort.shuffle = Some(ShuffleShape {
+        maps: 400,
+        partitions: 100,
+        segmented: true,
+        via_relay: false,
+    });
+    suite.push(cloudsort);
+    // Hyperparameter storm: 2,000-wide map with retries and speculation.
+    let mut storm = JobPlan::new("hyperparam-storm", 2_000);
+    storm.retry_max_attempts = 3;
+    storm.speculative_copies = 1;
+    suite.push(storm);
+    // Multi-tenant serving wave: a map sized to the global limit but far
+    // beyond the submitting tenant's quota.
+    let mut wave = JobPlan::new("serving-wave", 64);
+    wave.tenant_namespace = Some("acme".to_owned());
+    wave.tenant_quota = Some(8);
+    suite.push(wave);
+
+    let findings = |plan: &JobPlan| {
+        let diags = analyze(plan, &CloudProfile::default());
+        diags
+            .iter()
+            .map(|d| (d.rule, d.severity))
+            .collect::<Vec<_>>()
+    };
+    let found: Vec<_> = suite
+        .iter()
+        .map(|p| (p.label.as_str(), findings(p)))
+        .collect();
+    let warning = |rule| vec![(rule, Severity::Warning)];
+    assert_eq!(
+        found,
+        vec![
+            ("tone-map@64MB", vec![]),
+            ("tone-map@16MB", vec![]),
+            ("tone-map@2MB", vec![]),
+            ("mergesort-d5", vec![]),
+            ("cloudsort-seg", vec![]),
+            ("hyperparam-storm", warning(Rule::W002)),
+            ("serving-wave", warning(Rule::W009)),
+        ]
     );
 }

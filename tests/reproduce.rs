@@ -133,6 +133,11 @@ fn fig3_meets_every_target_at_every_sweep_seed() {
     }
 }
 
+/// A row of durations as printed.
+fn cells(times: &[Duration]) -> Vec<String> {
+    times.iter().map(|t| format!("{t:?}")).collect()
+}
+
 #[test]
 fn fig4_is_pinned_on_the_smoke_grid() {
     let fig = paper::fig4(smoke());
@@ -140,7 +145,6 @@ fn fig4_is_pinned_on_the_smoke_grid() {
         (fig.sizes.as_slice(), fig.depths.as_slice()),
         (&[20_000, 50_000][..], &[0, 1, 2][..])
     );
-    let cells = |times: &[Duration]| times.iter().map(|t| format!("{t:?}")).collect::<Vec<_>>();
     assert_eq!(
         cells(&fig.times[0]),
         ["3.426785394s", "6.080654202s", "8.807760445s"]
@@ -149,6 +153,38 @@ fn fig4_is_pinned_on_the_smoke_grid() {
         cells(&fig.times[1]),
         ["3.441090508s", "6.094959316s", "8.822065559s"]
     );
+}
+
+/// Fig 4 at full scale on the {500 K, 5 M} grid, every depth (the whole
+/// sweep takes ≈ 35 s): the 500 K row pinned at seed 42, and the paper's
+/// shape, in which a deeper tree wins only once N is large and gains
+/// flatten past d = 3.
+#[test]
+fn fig4_500k_row_is_pinned_and_the_best_depth_deepens_with_n() {
+    let sizes = vec![500_000, 5_000_000];
+    let depths = vec![0, 1, 2, 3, 4];
+    let times = sizes
+        .iter()
+        .map(|&n| depths.iter().map(|&d| paper::fig4_cell(42, n, d)).collect())
+        .collect();
+    let fig = paper::Fig4 {
+        sizes,
+        depths,
+        times,
+    };
+    assert_eq!(
+        cells(&fig.times[0]),
+        [
+            "5.684041649s",
+            "7.011030551s",
+            "9.72297634s",
+            "11.678722972s",
+            "13.718069999s"
+        ]
+    );
+    assert_eq!(fig.best_depth(0), 0, "{:?}", fig.times[0]);
+    assert_eq!(fig.best_depth(1), 3, "{:?}", fig.times[1]);
+    assert!(fig.times[1][4] >= fig.times[1][3], "{:?}", fig.times[1]);
 }
 
 #[test]
