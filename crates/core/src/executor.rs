@@ -26,7 +26,7 @@ use crate::job::{AgentPayload, TaskSpec, INLINE_MAX_BYTES};
 use crate::partition::{discover, partition_objects, DataSource};
 use crate::shuffle::{ExchangeMode, Partitioner, ShufflePlane, MAX_REDUCERS};
 use crate::stats::{CosOpStats, RecoveryStats};
-use crate::wire::Value;
+use crate::wire::{Value, Writer};
 
 /// Client threads used to upload task inputs to COS before invocation, and
 /// to download results after it.
@@ -242,7 +242,10 @@ impl JobTable {
 struct ExecInner {
     cloud: SimCloud,
     config: ExecutorConfig,
-    exec_id: String,
+    /// The executor's id and its storage bucket, which every future of its
+    /// jobs shares.
+    exec_id: Arc<str>,
+    bucket: Arc<str>,
     /// Tenant namespace this executor submits under (feeds W009 and the
     /// per-tenant admission plane).
     namespace: String,
@@ -435,8 +438,9 @@ impl ExecutorBuilder {
         Ok(Executor {
             inner: Arc::new(ExecInner {
                 cloud: self.cloud,
+                bucket: Arc::from(self.config.storage_bucket.as_str()),
                 config: self.config,
-                exec_id,
+                exec_id: Arc::from(exec_id),
                 namespace: self.namespace,
                 agent_action,
                 job_seq: AtomicU64::new(1),
@@ -759,8 +763,8 @@ impl Executor {
         let stages = self.submit_stages(map_func, map_stage, reduce_func, |map_futures| {
             (0..opts.reducers)
                 .map(|index| TaskSpec::ShuffleReduce {
-                    bucket: self.inner.config.storage_bucket.clone(),
-                    exec_id: self.inner.exec_id.clone(),
+                    bucket: Arc::clone(&self.inner.bucket),
+                    exec_id: Arc::clone(&self.inner.exec_id),
                     // A map stage without tasks has no job to name and no
                     // dependency to wait for.
                     map_job: map_futures.first().map_or(0, ResponseFuture::job_id),
@@ -778,14 +782,14 @@ impl Executor {
     /// Builds the pre-flight [`JobPlan`] the analyzer sees for `stage`
     /// submitted under the name `func`: task count, resolved spawn
     /// strategy, partition sizes, reducer fan-in, shuffle shape, plus the
-    /// configured [`rustwren_analyze::PlanHints`]. `descs` are the
-    /// encoded-to-be task descriptors: the largest one sizes the per-task
-    /// payload estimate (W003) *regardless* of inline eligibility — an
+    /// configured [`rustwren_analyze::PlanHints`]. `largest_desc` is the
+    /// encoded length of the largest task descriptor, which sizes the
+    /// per-task payload estimate (W003) *regardless* of inline eligibility — an
     /// oversized descriptor lands in container memory either way (inline in
     /// the activation payload, or staged and fetched whole), and filtering
     /// to inline-eligible ones once made exactly the pathological
     /// descriptors invisible to the analyzer.
-    fn plan_for(&self, func: &str, stage: &Stage, descs: &[Value]) -> JobPlan {
+    fn plan_for(&self, func: &str, stage: &Stage, largest_desc: Option<usize>) -> JobPlan {
         fn spec_bytes(spec: &TaskSpec) -> Option<u64> {
             match spec {
                 TaskSpec::Partition(p) => Some(p.logical_len()),
@@ -816,9 +820,7 @@ impl Executor {
                 via_relay: false,
             });
         }
-        if let Some(b) = descs.iter().map(Value::encoded_len).max() {
-            plan.est_payload_bytes = Some(b as u64);
-        }
+        plan.est_payload_bytes = largest_desc.map(|b| b as u64);
         plan.retry_max_attempts = self.inner.config.retry.max_attempts.max(1);
         plan.speculative_copies = if self.inner.config.speculation.enabled {
             self.inner.config.speculation.max_speculative as u32
@@ -850,12 +852,12 @@ impl Executor {
 
     /// Pre-flight gate: analyze the would-be job before anything is staged
     /// or invoked, honoring the configured [`AnalyzeMode`].
-    fn preflight(&self, func: &str, stage: &Stage, descs: &[Value]) -> Result<()> {
+    fn preflight(&self, func: &str, stage: &Stage, largest_desc: Option<usize>) -> Result<()> {
         let mode = self.inner.config.analyze;
         if mode == AnalyzeMode::Off {
             return Ok(());
         }
-        let plan = self.plan_for(func, stage, descs);
+        let plan = self.plan_for(func, stage, largest_desc);
         let diagnostics = self.analyze_plan(&plan);
         if diagnostics.is_empty() {
             return Ok(());
@@ -875,21 +877,12 @@ impl Executor {
     /// invocations with the configured spawn strategy and, unless it is
     /// guarded, tracks its futures for `get_result`.
     async fn submit(&self, func: &str, stage: Stage) -> Result<Vec<ResponseFuture>> {
-        // Encode the task descriptors up front: the analyzer needs their
-        // sizes (inline inputs count toward the activation payload), and
-        // staging needs the values themselves.
-        let descs: Vec<Value> = stage
-            .specs
-            .iter()
-            .map(|s| {
-                let mut desc = s.to_value();
-                if let Some(extra) = &stage.extra {
-                    desc = desc.with("extra", extra.clone());
-                }
-                desc
-            })
-            .collect();
-        self.preflight(func, &stage, &descs)?;
+        // Size the task descriptors up front: the analyzer needs their sizes
+        // (inline inputs count toward the activation payload), and each is
+        // then written once, into a buffer of its size.
+        let extra = stage.extra.as_ref();
+        let lens: Vec<usize> = stage.specs.iter().map(|s| s.encoded_len(extra)).collect();
+        self.preflight(func, &stage, lens.iter().copied().max())?;
         let registry = self.inner.cloud.registry();
         let Some(f) = registry.get(func) else {
             return Err(PywrenError::UnknownFunction(func.to_owned()));
@@ -902,7 +895,7 @@ impl Executor {
                 func_name: func.to_owned(),
                 guarded,
                 retries_spent: 0,
-                tasks: Vec::with_capacity(descs.len()),
+                tasks: Vec::with_capacity(lens.len()),
             },
         );
         let bucket = &self.inner.config.storage_bucket;
@@ -918,15 +911,15 @@ impl Executor {
         // descriptors small enough to ride inline in the activation payload,
         // which skip COS entirely (no input PUT here, no input GET in the
         // agent).
-        let mut futures: Vec<ResponseFuture> = Vec::with_capacity(descs.len());
-        let mut payloads: Vec<AgentPayload> = Vec::with_capacity(descs.len());
+        let mut futures: Vec<ResponseFuture> = Vec::with_capacity(lens.len());
+        let mut payloads: Vec<AgentPayload> = Vec::with_capacity(lens.len());
         let mut uploads: Vec<(String, Bytes)> = Vec::new();
-        for (task, desc) in descs.into_iter().enumerate() {
-            let fut = ResponseFuture::new(bucket, exec_id, job_id, task as u32);
-            let inline = if desc.encoded_len() <= INLINE_MAX_BYTES {
-                Some(desc.encode())
+        for (task, (spec, len)) in stage.specs.iter().zip(lens).enumerate() {
+            let fut = self.future(job_id, task as u32);
+            let inline = if len <= INLINE_MAX_BYTES {
+                Some(spec.encode(Writer::new(len), extra))
             } else {
-                uploads.push((fut.input_key(), desc.stamped()));
+                uploads.push((fut.input_key(), spec.encode(Writer::stamped(len), extra)));
                 None
             };
             payloads.push(AgentPayload::new(&fut, func, inline));
@@ -1549,17 +1542,21 @@ impl Executor {
     /// the poll/recover loop to watch.
     fn with_guarded(&self, futures: &[ResponseFuture]) -> Vec<ResponseFuture> {
         let mut watched = futures.to_vec();
-        let bucket = &self.inner.config.storage_bucket;
         let table = self.inner.table.lock();
         for (&job_id, job) in table.jobs.iter().filter(|(_, job)| job.guarded) {
             for task in 0..job.tasks.len() as u32 {
-                let g = ResponseFuture::new(bucket, &self.inner.exec_id, job_id, task);
+                let g = self.future(job_id, task);
                 if !futures.contains(&g) {
                     watched.push(g);
                 }
             }
         }
         watched
+    }
+
+    /// The future of task `task` of this executor's job `job_id`.
+    fn future(&self, job_id: u64, task: u32) -> ResponseFuture {
+        ResponseFuture::named(&self.inner.bucket, &self.inner.exec_id, job_id, task)
     }
 
     /// Resolves an explicit set of futures (used by composition and tests).
@@ -1853,8 +1850,8 @@ mod tests {
                 ..Stage::default()
             };
             let specs = [TaskSpec::Value(small.clone()), TaskSpec::Value(big.clone())];
-            let descs = [small.clone(), big.clone()];
-            let plan = exec.plan_for("id", &stage(&specs), &descs);
+            let largest = |specs: &[TaskSpec]| specs.iter().map(|s| s.encoded_len(None)).max();
+            let plan = exec.plan_for("id", &stage(&specs), largest(&specs));
             let est = plan.est_payload_bytes.expect("estimate present");
             assert!(
                 est >= 2 * 1024 * 1024,
@@ -1863,7 +1860,7 @@ mod tests {
 
             // Small-only jobs keep a small estimate — the fix widens what
             // is counted, not the numbers themselves.
-            let plan = exec.plan_for("id", &stage(&specs[..1]), &descs[..1]);
+            let plan = exec.plan_for("id", &stage(&specs[..1]), largest(&specs[..1]));
             assert!(plan.est_payload_bytes.expect("estimate") < 1024);
         });
     }
@@ -1986,8 +1983,8 @@ mod tests {
                 specs: (0..5).map(|i| TaskSpec::Value(Value::Int(i))).collect(),
                 ..Stage::default()
             };
-            let descs: Vec<Value> = (0..5).map(Value::Int).collect();
-            let plan = exec.plan_for("id", &stage, &descs);
+            let largest = stage.specs.iter().map(|s| s.encoded_len(None)).max();
+            let plan = exec.plan_for("id", &stage, largest);
             assert_eq!(plan.tenant_namespace.as_deref(), Some("acme"));
             assert_eq!(plan.tenant_quota, Some(2));
             assert!(
@@ -1999,7 +1996,7 @@ mod tests {
 
             // Default namespace with no TenantConfig: no quota on the plan.
             let exec = cloud.executor().build().unwrap();
-            let plan = exec.plan_for("id", &stage, &descs);
+            let plan = exec.plan_for("id", &stage, largest);
             assert_eq!(plan.tenant_quota, None);
             assert!(
                 !exec

@@ -35,10 +35,13 @@ pub(crate) fn func_key(exec_id: &str, job_id: u64) -> String {
 /// function, and resolved by any client. This is what makes IBM-PyWren's
 /// composability work: `get_result()` transparently follows futures returned
 /// by other functions.
+///
+/// The two names are shared, not copied: a clone, or a future of another
+/// task of the same executor, allocates nothing.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ResponseFuture {
-    bucket: String,
-    exec_id: String,
+    bucket: Arc<str>,
+    exec_id: Arc<str>,
     job_id: u64,
     task: u32,
 }
@@ -46,12 +49,27 @@ pub struct ResponseFuture {
 impl ResponseFuture {
     /// Creates a future descriptor.
     pub fn new(bucket: &str, exec_id: &str, job_id: u64, task: u32) -> ResponseFuture {
+        ResponseFuture::named(&Arc::from(bucket), &Arc::from(exec_id), job_id, task)
+    }
+
+    /// The future of task `task` of job `job_id`, sharing the names given.
+    pub(crate) fn named(
+        bucket: &Arc<str>,
+        exec_id: &Arc<str>,
+        job_id: u64,
+        task: u32,
+    ) -> ResponseFuture {
         ResponseFuture {
-            bucket: bucket.to_owned(),
-            exec_id: exec_id.to_owned(),
+            bucket: Arc::clone(bucket),
+            exec_id: Arc::clone(exec_id),
             job_id,
             task,
         }
+    }
+
+    /// The future of task `task` of this one's job, sharing its names.
+    pub(crate) fn sibling(&self, task: u32) -> ResponseFuture {
+        ResponseFuture::named(&self.bucket, &self.exec_id, self.job_id, task)
     }
 
     /// Bucket holding this task's objects.
@@ -117,10 +135,19 @@ impl ResponseFuture {
     /// Encodes the descriptor for shipping inside a result value.
     pub fn to_value(&self) -> Value {
         Value::map()
-            .with("bucket", self.bucket.as_str())
-            .with("exec", self.exec_id.as_str())
+            .with("bucket", self.bucket())
+            .with("exec", self.exec_id())
             .with("job", self.job_id as i64)
             .with("task", i64::from(self.task))
+    }
+
+    /// Writes [`to_value`](ResponseFuture::to_value)'s map, field by field.
+    pub(crate) fn encode_into(&self, w: &mut Writer) {
+        let mut fields = w.map_header(4);
+        fields.key("bucket").str(self.bucket());
+        fields.key("exec").str(self.exec_id());
+        fields.key("job").int(self.job_id as i64);
+        fields.key("task").int(i64::from(self.task));
     }
 
     /// Decodes a descriptor previously produced by
@@ -130,12 +157,13 @@ impl ResponseFuture {
     ///
     /// A message naming the missing, mistyped or out-of-range field.
     pub fn from_value(v: &Value) -> Result<ResponseFuture, String> {
-        Ok(ResponseFuture {
-            bucket: v.req_str("bucket")?.to_owned(),
-            exec_id: v.req_str("exec")?.to_owned(),
-            job_id: v.req_int("job")?,
-            task: v.req_int("task")?,
-        })
+        let (bucket, exec_id) = (v.req_str("bucket")?, v.req_str("exec")?);
+        Ok(ResponseFuture::new(
+            bucket,
+            exec_id,
+            v.req_int("job")?,
+            v.req_int("task")?,
+        ))
     }
 
     /// Wraps a set of futures into the marker value recognized by
@@ -177,7 +205,8 @@ pub(crate) struct TaskStatus<'a> {
     start: f64,
     end: f64,
     result: Option<Value>,
-    shuf: Option<Value>,
+    /// The partition manifest, as its writer encoded it.
+    shuf: Option<Bytes>,
 }
 
 impl<'a> TaskStatus<'a> {
@@ -202,8 +231,8 @@ impl<'a> TaskStatus<'a> {
 
     /// A shuffle map's partition manifest always rides in its status:
     /// reducers need it to locate (or rule out) their partition without
-    /// probing COS.
-    pub(crate) fn with_shuf(mut self, manifest: Value) -> TaskStatus<'a> {
+    /// probing COS. `manifest` is its encoding, spliced in as it is.
+    pub(crate) fn with_manifest(mut self, manifest: Bytes) -> TaskStatus<'a> {
         self.shuf = Some(manifest);
         self
     }
@@ -218,21 +247,18 @@ impl<'a> TaskStatus<'a> {
 
     /// Exact length of what [`encode_into`](TaskStatus::encode_into) writes.
     fn encoded_len(&self) -> usize {
-        let field = |key: &str, len: usize| wire::key_len(key) + len;
-        let text = |key: &str, s: &str| field(key, wire::HEADER_LEN + s.len());
-        let value =
-            |key: &str, v: &Option<Value>| v.as_ref().map_or(0, |v| field(key, v.encoded_len()));
-        wire::HEADER_LEN
-            + field("end", wire::NUM_LEN)
-            + self.error.map_or(0, |e| text("error", e))
-            + value("result", &self.result)
-            + value("shuf", &self.shuf)
-            + field("start", wire::NUM_LEN)
-            + text("state", self.state())
+        Writer::measure(|w| self.encode_into(w))
     }
 
-    /// Writes the status as the map it is, into `w`'s one buffer.
-    fn encode_into(&self, mut w: Writer) -> Bytes {
+    /// The status in a writer sized for it: plain, or `stamped`.
+    fn encode_with(&self, stamped: fn(usize) -> Writer) -> Bytes {
+        let mut w = stamped(self.encoded_len());
+        self.encode_into(&mut w);
+        w.finish()
+    }
+
+    /// Writes the status as the map it is.
+    fn encode_into(&self, w: &mut Writer) {
         let optional = [
             self.error.is_some(),
             self.result.is_some(),
@@ -246,18 +272,17 @@ impl<'a> TaskStatus<'a> {
         if let Some(result) = &self.result {
             fields.key("result").value(result);
         }
-        if let Some(shuf) = &self.shuf {
-            fields.key("shuf").value(shuf);
+        if let Some(manifest) = &self.shuf {
+            fields.key("shuf").raw(manifest);
         }
         fields.key("start").float(self.start);
         fields.key("state").str(self.state());
-        w.finish()
     }
 
     /// The unstamped bytes [`put_async`](TaskStatus::put_async) stamps and writes.
     #[cfg(test)]
     pub(crate) fn encode(&self) -> Bytes {
-        self.encode_into(Writer::new(self.encoded_len()))
+        self.encode_with(Writer::new)
     }
 
     /// Writes this as `f`'s status object, checksum-stamped, encoded
@@ -271,7 +296,7 @@ impl<'a> TaskStatus<'a> {
         cos: &CosClient,
         f: &ResponseFuture,
     ) -> Result<(), StoreError> {
-        let stamped = self.encode_into(Writer::stamped(self.encoded_len()));
+        let stamped = self.encode_with(Writer::stamped);
         cos.put_async(f.bucket(), &f.status_key(), stamped)
             .await
             .map(|_| ())
@@ -430,6 +455,29 @@ struct Memo {
 }
 
 impl StatusMemo {
+    /// [`wire::verified_payload`] of `raw`, the stamped bytes just read at
+    /// status key `key` — or, when `raw` is the very object a kept view's
+    /// bytes were verified in, those bytes, not checked again: the store
+    /// hands every reader of an unchanged object the one immutable
+    /// allocation, which the view keeps alive, so the same address and
+    /// length are the same bytes. A read corrupted on the way is a copy
+    /// elsewhere, and is checked.
+    pub(crate) fn verified(&self, key: &str, raw: &Bytes) -> Result<Bytes, wire::WireError> {
+        let memo = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        let within = |payload: &&Bytes| {
+            let at = raw.as_ptr().wrapping_add(wire::STAMP_LEN);
+            (payload.as_ptr(), payload.len() + wire::STAMP_LEN) == (at, raw.len())
+        };
+        let kept = memo
+            .views
+            .get(key)
+            .map(|view| &view.raw)
+            .filter(within)
+            .cloned();
+        drop(memo);
+        kept.map_or_else(|| wire::verified_payload(raw), Ok)
+    }
+
     /// [`TaskStatus::decode`] of `raw`, the verified bytes just read at
     /// status key `key` for `f`, and its errors.
     pub(crate) fn decode(
@@ -680,6 +728,14 @@ pub enum WaitPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl<'a> TaskStatus<'a> {
+        /// [`with_manifest`](TaskStatus::with_manifest) of `manifest`'s
+        /// encoding.
+        pub(crate) fn with_shuf(self, manifest: Value) -> TaskStatus<'a> {
+            self.with_manifest(manifest.encode())
+        }
+    }
 
     fn future() -> ResponseFuture {
         ResponseFuture::new("bkt", "e3", 2, 17)
@@ -951,6 +1007,49 @@ mod tests {
             }
         }
         Ok(())
+    }
+
+    /// A read is taken on trust only when it is the very stamped object a
+    /// kept view was verified in: a copy of it, a damaged copy, a read under
+    /// another key or a memo that kept nothing is verified as ever.
+    #[test]
+    fn memo_takes_only_the_kept_object_on_trust() {
+        let f = future();
+        let key = f.status_key();
+        let stamped = crate::wire::stamp(&TaskStatus::new(None, 0.0, 1.0).encode());
+        let memo = StatusMemo::default();
+        let fresh = memo.verified(&key, &stamped).expect("a good stamp");
+        assert_eq!(
+            fresh,
+            crate::wire::verified_payload(&stamped).expect("verifies")
+        );
+        let view = memo.decode(key.clone(), fresh, &f).expect("a status");
+        let trusted = memo
+            .verified(&key, &stamped.clone())
+            .expect("the kept object");
+        assert_eq!(
+            trusted.as_ptr(),
+            view.bytes().as_ptr(),
+            "taken from the view"
+        );
+        let copy = Bytes::copy_from_slice(&stamped);
+        let checked = memo.verified(&key, &copy).expect("an equal copy verifies");
+        assert_ne!(checked.as_ptr(), view.bytes().as_ptr(), "a copy is checked");
+        let mut damaged = stamped.to_vec();
+        if let Some(last) = damaged.last_mut() {
+            *last ^= 1;
+        }
+        let damaged = Bytes::from(damaged);
+        assert_eq!(
+            memo.verified(&key, &damaged),
+            crate::wire::verified_payload(&damaged),
+        );
+        assert!(memo.verified(&key, &damaged).is_err());
+        let other = ResponseFuture::new("bkt", "e3", 2, 18).status_key();
+        assert_eq!(
+            memo.verified(&other, &damaged),
+            crate::wire::verified_payload(&damaged)
+        );
     }
 
     use crate::wire::corpus;

@@ -23,7 +23,7 @@
 use std::any::Any;
 use std::future::Future;
 use std::pin::Pin;
-use std::sync::Weak;
+use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 use bytes::Bytes;
@@ -37,11 +37,9 @@ use crate::error::PywrenError;
 use crate::future::{func_key, ResponseFuture, StatusMemo, StatusView, StatusWatch, TaskStatus};
 use crate::partition::{read_aligned_async, Partition};
 use crate::registry::Registered;
-use crate::shuffle::{
-    merge_runs, segment_key, sort_run, ExchangeMode, KeyedPair, Partitioner, MAX_REDUCERS,
-};
+use crate::shuffle::{merge_runs, segment_key, ExchangeMode, Partitioner, Route, MAX_REDUCERS};
 use crate::task::TaskCtx;
-use crate::wire::{self, required, required_int, Value, ValueRef, Writer, HEADER_LEN, NUM_LEN};
+use crate::wire::{self, required, required_int, Entries, Value, ValueRef, Writer, STAMP_LEN};
 
 /// Chaos crash phase: the agent has decoded its payload but not yet run the
 /// user function (models a container dying mid-download).
@@ -90,11 +88,12 @@ const VERIFY_READS: u32 = 3;
 /// The one verified-read loop: a stamp failure means the *read* was
 /// corrupted — the stored object is intact — so a couple of immediate
 /// re-fetches usually heal it without burning a whole task attempt. Returns
-/// the first read that verifies, as (the whole stamped bytes, their
-/// payload); `integrity` turns the last read's stamp failure into the
-/// caller's error.
+/// the first read that `verify` (a [`wire::verified_payload`]) accepts, as
+/// (the whole stamped bytes, their payload); `integrity` turns the last
+/// read's stamp failure into the caller's error.
 async fn read_verified<E, R>(
     read: impl Fn() -> R,
+    verify: impl Fn(&Bytes) -> Result<Bytes, wire::WireError>,
     integrity: impl Fn(wire::WireError) -> E,
 ) -> Result<(Bytes, Bytes), E>
 where
@@ -103,7 +102,7 @@ where
     let mut reads = 1;
     loop {
         let raw = read().await?;
-        match wire::verified_payload(&raw) {
+        match verify(&raw) {
             Ok(payload) => return Ok((raw, payload)),
             Err(e) if reads == VERIFY_READS => return Err(integrity(e)),
             Err(_) => reads += 1,
@@ -114,12 +113,13 @@ where
 /// Reads a staged object and verifies its checksum stamp, returning the
 /// *whole stamped representation* (magic + checksum + payload) — the form
 /// the container-local blob cache stores, so cache hits can be re-validated
-/// against the same stamp — and the payload in it. Surfaces failure as
-/// [`PywrenError::Integrity`].
+/// against the same stamp — and the payload in it, as `verify` finds it.
+/// Surfaces failure as [`PywrenError::Integrity`].
 async fn get_stamped(
     cos: &CosClient,
     bucket: &str,
     key: &str,
+    verify: impl Fn(&Bytes) -> Result<Bytes, wire::WireError>,
 ) -> crate::error::Result<(Bytes, Bytes)> {
     read_verified(
         || async {
@@ -127,6 +127,7 @@ async fn get_stamped(
                 .await
                 .map_err(PywrenError::Storage)
         },
+        verify,
         |e| PywrenError::Integrity {
             key: format!("{bucket}/{key}"),
             detail: e.to_string(),
@@ -142,7 +143,7 @@ pub(crate) async fn get_verified_async(
     bucket: &str,
     key: &str,
 ) -> crate::error::Result<Bytes> {
-    let (_stamped, payload) = get_stamped(cos, bucket, key).await?;
+    let (_stamped, payload) = get_stamped(cos, bucket, key, wire::verified_payload).await?;
     Ok(payload)
 }
 
@@ -184,17 +185,7 @@ impl AgentPayload {
 
     /// Exact length of what [`encode_into`](AgentPayload::encode_into) writes.
     pub(crate) fn encoded_len(&self) -> usize {
-        let text = |key: &str, s: &str| wire::key_len(key) + HEADER_LEN + s.len();
-        let inline = self.inline.as_ref();
-        HEADER_LEN
-            + text("bucket", self.fut.bucket())
-            + text("exec", self.fut.exec_id())
-            + text("func", &self.func_name)
-            + inline.map_or(0, |desc| wire::key_len("inline") + desc.len())
-            + wire::key_len("job")
-            + NUM_LEN
-            + wire::key_len("task")
-            + NUM_LEN
+        Writer::measure(|w| self.encode_into(w))
     }
 
     /// Writes the payload as the map it is, the descriptor's bytes spliced
@@ -279,8 +270,8 @@ pub(crate) enum TaskSpec {
         /// The map job, by reference rather than as `maps` futures: the
         /// descriptor stays O(1) in the map fan-out (an M-future list once
         /// made big reduce descriptors invisible to W003's payload sizing).
-        bucket: String,
-        exec_id: String,
+        bucket: Arc<str>,
+        exec_id: Arc<str>,
         map_job: u64,
         maps: u32,
         index: usize,
@@ -291,24 +282,51 @@ pub(crate) enum TaskSpec {
 }
 
 impl TaskSpec {
-    pub(crate) fn to_value(&self) -> Value {
+    /// Exact length of the descriptor [`encode`](TaskSpec::encode) writes,
+    /// with `extra` merged in.
+    pub(crate) fn encoded_len(&self, extra: Option<&Value>) -> usize {
+        Writer::measure(|w| self.encode_into(w, extra))
+    }
+
+    /// The descriptor with `extra` merged in, written once into `w`, a
+    /// writer sized by [`encoded_len`](TaskSpec::encoded_len): plain to ride
+    /// inline in a payload, stamped to be staged.
+    pub(crate) fn encode(&self, mut w: Writer, extra: Option<&Value>) -> Bytes {
+        self.encode_into(&mut w, extra);
+        w.finish()
+    }
+
+    /// Writes the descriptor as the map it is, `extra` where its key sorts.
+    fn encode_into(&self, w: &mut Writer, extra: Option<&Value>) {
+        let count = |fields: usize| fields + usize::from(extra.is_some());
+        let exch = ExchangeMode::Cos.as_str();
         match self {
-            TaskSpec::Value(v) => Value::map().with("kind", "value").with("value", v.clone()),
-            TaskSpec::Partition(p) => Value::map()
-                .with("kind", "partition")
-                .with("part", p.to_value()),
+            TaskSpec::Value(v) => {
+                let mut fields = w.map_header(count(2));
+                extra_entry(&mut fields, extra);
+                fields.key("kind").str("value");
+                fields.key("value").value(v);
+            }
+            TaskSpec::Partition(p) => {
+                let mut fields = w.map_header(count(2));
+                extra_entry(&mut fields, extra);
+                fields.key("kind").str("partition");
+                p.encode_into(fields.key("part"));
+            }
             TaskSpec::Reduce { deps, group, poll } => {
-                let group_v = group
-                    .as_deref()
-                    .map_or(Value::Null, |g| Value::Str(g.to_owned()));
-                Value::map()
-                    .with("kind", "reduce")
-                    .with(
-                        "deps",
-                        Value::List(deps.iter().map(ResponseFuture::to_value).collect()),
-                    )
-                    .with("group", group_v)
-                    .with("poll_ms", poll.as_millis() as i64)
+                let mut fields = w.map_header(count(4));
+                let list = fields.key("deps");
+                list.list_header(deps.len());
+                for d in deps {
+                    d.encode_into(list);
+                }
+                extra_entry(&mut fields, extra);
+                match group {
+                    Some(g) => fields.key("group").str(g),
+                    None => fields.key("group").null(),
+                }
+                fields.key("kind").str("reduce");
+                fields.key("poll_ms").int(poll.as_millis() as i64);
             }
             TaskSpec::ShuffleMap {
                 inner,
@@ -316,16 +334,16 @@ impl TaskSpec {
                 partitioner,
                 combiner,
             } => {
-                let mut v = Value::map()
-                    .with("kind", "shuffle-map")
-                    .with("inner", inner.to_value())
-                    .with("reducers", *reducers as i64)
-                    .with("exch", ExchangeMode::Cos.as_str())
-                    .with("part", partitioner.to_value());
+                let mut fields = w.map_header(count(5 + usize::from(combiner.is_some())));
                 if let Some(c) = combiner {
-                    v = v.with("comb", c.as_str());
+                    fields.key("comb").str(c);
                 }
-                v
+                fields.key("exch").str(exch);
+                extra_entry(&mut fields, extra);
+                inner.encode_into(fields.key("inner"), None);
+                fields.key("kind").str("shuffle-map");
+                partitioner.encode_into(fields.key("part"));
+                fields.key("reducers").int(*reducers as i64);
             }
             TaskSpec::ShuffleReduce {
                 bucket,
@@ -336,22 +354,29 @@ impl TaskSpec {
                 poll,
                 reducers,
                 fanin,
-            } => Value::map()
-                .with("kind", "shuffle-reduce")
-                .with("index", *index as i64)
-                .with("poll_ms", poll.as_millis() as i64)
-                .with("reducers", *reducers as i64)
-                .with("exch", ExchangeMode::Cos.as_str())
-                .with("fanin", *fanin as i64)
-                .with(
-                    "depr",
-                    Value::map()
-                        .with("bucket", bucket.as_str())
-                        .with("exec", exec_id.as_str())
-                        .with("job", *map_job as i64)
-                        .with("n", i64::from(*maps)),
-                ),
+            } => {
+                let mut fields = w.map_header(count(7));
+                let mut depr = fields.key("depr").map_header(4);
+                depr.key("bucket").str(bucket);
+                depr.key("exec").str(exec_id);
+                depr.key("job").int(*map_job as i64);
+                depr.key("n").int(i64::from(*maps));
+                fields.key("exch").str(exch);
+                extra_entry(&mut fields, extra);
+                fields.key("fanin").int(*fanin as i64);
+                fields.key("index").int(*index as i64);
+                fields.key("kind").str("shuffle-reduce");
+                fields.key("poll_ms").int(poll.as_millis() as i64);
+                fields.key("reducers").int(*reducers as i64);
+            }
         }
+    }
+}
+
+/// A descriptor's `extra` entry, if it has one.
+fn extra_entry(fields: &mut Entries<'_, '_>, extra: Option<&Value>) {
+    if let Some(extra) = extra {
+        fields.key("extra").value(extra);
     }
 }
 
@@ -387,7 +412,7 @@ pub(crate) async fn run_agent(
             chaos_crash_point(PHASE_AFTER_COMPUTE, crash_token);
             let mut status = TaskStatus::new(None, started, ended);
             if let Some(manifest) = shuf {
-                status = status.with_shuf(manifest);
+                status = status.with_manifest(manifest);
             }
             if result.encoded_len() <= INLINE_MAX_BYTES {
                 status = status.with_result(result);
@@ -427,7 +452,8 @@ pub(crate) async fn run_agent(
 }
 
 /// Runs the task described by `payload`, returning its result value plus —
-/// for shuffle maps — the partition manifest to embed in the status object.
+/// for shuffle maps — the encoded partition manifest to embed in the status
+/// object.
 /// Every kind's input and output I/O is resumable; what may block is the
 /// user's code, which asks for a thread itself when registered blocking.
 async fn execute_task(
@@ -435,7 +461,7 @@ async fn execute_task(
     ctx: &ActivationCtx,
     cos: &CosClient,
     payload: &AgentPayload,
-) -> Result<(Value, Option<Value>), String> {
+) -> Result<(Value, Option<Bytes>), String> {
     let fut = &payload.fut;
     // Download the "pickled" function, as the real agent does — via the
     // warm-container blob cache.
@@ -466,7 +492,7 @@ async fn execute_task(
         .ok_or_else(|| format!("function `{}` not registered", payload.func_name))?;
     match kind {
         "shuffle-map" => {
-            let params = ShuffleMapParams::from_desc(&built(desc)?)?;
+            let params = ShuffleMapParams::from_desc(desc)?;
             let inner = desc.get("inner").ok_or("missing field `inner`")?;
             let input = build_input(ctx, cos, inner).await?;
             let output = call_task(&func, &task_ctx, input).await?;
@@ -509,31 +535,35 @@ async fn call_task(func: &Registered, ctx: &TaskCtx, input: Value) -> Result<Val
     }
 }
 
-/// The descriptor's reducer count, bounded before anything allocates one
-/// bucket per reducer for it.
-fn reducers_of(desc: &Value) -> Result<usize, String> {
-    match usize::try_from(desc.req_i64("reducers")?) {
+/// A descriptor's reducer count (its `reducers` field, if an integer),
+/// bounded before anything allocates one bucket per reducer for it.
+fn reducers_of(reducers: Option<i64>) -> Result<usize, String> {
+    match usize::try_from(required(reducers, "reducers", "int")?) {
         Ok(n) if (1..=MAX_REDUCERS).contains(&n) => Ok(n),
         _ => Err(format!("field `reducers` must be in 1..={MAX_REDUCERS}")),
     }
 }
 
-/// Decoded shuffle-map descriptor fields (partitioning policy).
+/// Decoded shuffle-map descriptor fields (partitioning policy), read in
+/// place: a range partitioner's boundaries and the combiner's name are
+/// slices of the descriptor.
 #[derive(Debug)]
-struct ShuffleMapParams {
+struct ShuffleMapParams<'a> {
     reducers: usize,
-    partitioner: Partitioner,
-    combiner: Option<String>,
+    route: Route<'a>,
+    combiner: Option<&'a str>,
 }
 
-impl ShuffleMapParams {
-    fn from_desc(desc: &Value) -> Result<ShuffleMapParams, String> {
-        let reducers = reducers_of(desc)?;
-        ExchangeMode::from_wire(desc.req_str("exch")?)?;
+impl<'a> ShuffleMapParams<'a> {
+    fn from_desc(desc: ValueRef<'a>) -> Result<ShuffleMapParams<'a>, String> {
+        let reducers = reducers_of(desc.get("reducers").and_then(|n| n.as_i64()))?;
+        let exch = desc.get("exch").and_then(|e| e.as_str());
+        ExchangeMode::from_wire(required(exch, "exch", "string")?)?;
+        let part = desc.get("part").ok_or("missing field `part`")?;
         Ok(ShuffleMapParams {
             reducers,
-            partitioner: Partitioner::from_value(desc.get("part").ok_or("missing field `part`")?)?,
-            combiner: desc.get("comb").and_then(Value::as_str).map(str::to_owned),
+            route: Route::from_view(part)?,
+            combiner: desc.get("comb").and_then(|c| c.as_str()),
         })
     }
 }
@@ -570,14 +600,14 @@ async fn fetch_func_blob(
             return Ok(code);
         }
         cache.remove(&key);
-        let (fresh, code) = get_stamped(cos, bucket, &key)
+        let (fresh, code) = get_stamped(cos, bucket, &key, wire::verified_payload)
             .await
             .map_err(|e| format!("refetching poisoned cached function: {e}"))?;
         cache.insert(&key, fresh);
         ctx.note_blob_cache_heal();
         return Ok(code);
     }
-    let (stamped, code) = get_stamped(cos, bucket, &key)
+    let (stamped, code) = get_stamped(cos, bucket, &key, wire::verified_payload)
         .await
         .map_err(|e| format!("fetching function: {e}"))?;
     cache.insert(&key, stamped);
@@ -587,7 +617,8 @@ async fn fetch_func_blob(
 
 /// Partitions a shuffling map task's `(key, value)` pairs across the
 /// reducers through COS; returns the summary stored as the task result plus
-/// the partition manifest embedded in the task's status object (`"shuf"`).
+/// the partition manifest embedded in the task's status object (`"shuf"`),
+/// encoded.
 ///
 /// Empty partitions are never written — the manifest records them as
 /// absent, so a reducer can distinguish "this map produced nothing for me"
@@ -599,114 +630,117 @@ async fn write_shuffle_output(
     fut: &ResponseFuture,
     task_ctx: &TaskCtx,
     output: Value,
-    params: &ShuffleMapParams,
-) -> Result<(Value, Value), String> {
-    let Value::List(pairs) = output else {
-        return Err("shuffle map functions must return a list of {k, v} pairs".to_owned());
+    params: &ShuffleMapParams<'_>,
+) -> Result<(Value, Bytes), String> {
+    let combiner = |name: &str| -> Result<_, String> {
+        let lookup = cloud.registry().lookup(name);
+        let func = lookup.ok_or_else(|| format!("combiner `{name}` is not registered"))?;
+        Ok(move |input| task::catch_unwind((func.start)(task_ctx.clone(), input)))
     };
-    let reducers = params.reducers;
-    let total = pairs.len();
-    // The output is taken apart, not copied: each pair moves into its
-    // bucket whole, beside the one copy of its key the sort compares by.
-    let mut buckets: Vec<Vec<KeyedPair>> = vec![Vec::new(); reducers];
-    for pair in pairs {
-        let key = pair.req_str("k")?.to_owned();
-        let bucket = buckets.get_mut(params.partitioner.bucket_of(&key, reducers));
-        bucket
-            .ok_or("internal: partitioner chose a bucket past the last reducer")?
-            .push((key, pair));
-    }
-    let prefix = fut.task_prefix();
-    let summary = |manifest: Value| {
-        (
-            Value::map()
-                .with("pairs", total as i64)
-                .with("reducers", reducers as i64),
-            manifest,
-        )
-    };
-
-    // Sort each spill (so reducers merge instead of re-sorting), optionally
-    // fold each key group through the combiner.
-    let combiner = match &params.combiner {
-        None => None,
-        Some(name) => Some((
-            name.as_str(),
-            cloud
-                .registry()
-                .lookup(name)
-                .ok_or_else(|| format!("combiner `{name}` is not registered"))?,
-        )),
-    };
-    for bucket in &mut buckets {
-        sort_run(bucket);
-        if let Some((name, func)) = &combiner {
-            *bucket = combine_run(std::mem::take(bucket), name, func, task_ctx).await?;
-        }
-    }
-
-    // One *segment* object per map. Tiny slices ride inline in the manifest
-    // itself (the status PUT delivers them for free, like inline results);
-    // bigger ones are individually stamped and concatenated so each reducer
-    // range-GETs exactly its slice.
-    let mut parts: Vec<Value> = Vec::with_capacity(reducers);
-    let mut segment: Vec<u8> = Vec::new();
-    for bucket in buckets {
-        if bucket.is_empty() {
-            parts.push(Value::Null);
-            continue;
-        }
-        let list = Value::List(bucket.into_iter().map(|(_, p)| p).collect());
-        if list.encoded_len() <= INLINE_MAX_BYTES {
-            parts.push(Value::map().with("d", list));
-        } else {
-            let stamped = list.stamped();
-            let off = segment.len();
-            segment.extend_from_slice(&stamped);
-            parts.push(
-                Value::map()
-                    .with("o", off as i64)
-                    .with("l", stamped.len() as i64),
-            );
-        }
-    }
-    if !segment.is_empty() {
+    let spill = spill(output, params, combiner).await?;
+    if !spill.segment.is_empty() {
         // Slices carry their own stamps (range reads can't verify a whole-
         // object stamp), so the segment is PUT raw.
-        cos.put_async(fut.bucket(), &segment_key(&prefix), Bytes::from(segment))
+        let key = segment_key(&fut.task_prefix());
+        cos.put_async(fut.bucket(), &key, Bytes::from(spill.segment))
             .await
             .map_err(|e| format!("writing shuffle segment: {e}"))?;
     }
-    Ok(summary(
-        Value::map()
-            .with("n", reducers as i64)
-            .with("k", "seg")
-            .with("parts", Value::List(parts)),
-    ))
+    let summary = Value::map()
+        .with("pairs", spill.pairs as i64)
+        .with("reducers", params.reducers as i64);
+    Ok((summary, spill.manifest))
 }
 
-/// Folds each group of consecutive equal keys in a sorted run through the
-/// map-side combiner, yielding one `{k, v}` pair per distinct key. The
-/// combiner sees `{"k": key, "vs": [values…]}` and returns the combined
-/// value (singletons included, so its semantics don't depend on luck of
-/// partition sizes).
-async fn combine_run(
-    run: Vec<KeyedPair>,
-    name: &str,
-    func: &Registered,
-    task_ctx: &TaskCtx,
-) -> Result<Vec<KeyedPair>, String> {
-    let mut out: Vec<KeyedPair> = Vec::new();
-    let mut run = run.into_iter().peekable();
-    while let Some((key, first)) = run.next() {
-        let mut vs = vec![value_of(first)];
-        while let Some((_, pair)) = run.next_if(|(k, _)| *k == key) {
-            vs.push(value_of(pair));
+/// A shuffle map's output as written: how many pairs it had, the encoded
+/// manifest of its runs, and the segment of the runs too big to ride in the
+/// manifest (empty: there is no segment object).
+#[derive(Debug)]
+struct Spill {
+    pairs: usize,
+    manifest: Bytes,
+    segment: Vec<u8>,
+}
+
+/// What one combiner call returns: the function's own result, or its panic.
+type Combined = Result<Result<Value, String>, Box<dyn Any + Send>>;
+
+/// Sorts a shuffle map's output into one run per reducer (so reducers merge
+/// instead of re-sorting) and writes the runs: each pair whole, or, with a
+/// combiner, one `{k, v}` per key, `v` what the combiner made of the key's
+/// values. `combiner` resolves the combiner's name once every pair is known
+/// to be good. The combiner sees `{"k": key, "vs": [values…]}` (singletons
+/// included, so its semantics don't depend on luck of partition sizes),
+/// made in place of the group's first pair; nothing else is built.
+async fn spill<C, F>(
+    output: Value,
+    params: &ShuffleMapParams<'_>,
+    combiner: impl FnOnce(&str) -> Result<C, String>,
+) -> Result<Spill, String>
+where
+    C: FnMut(Value) -> F,
+    F: Future<Output = Combined>,
+{
+    let Value::List(mut pairs) = output else {
+        return Err("shuffle map functions must return a list of {k, v} pairs".to_owned());
+    };
+    let reducers = params.reducers;
+    // Each pair's reducer and key, sorted as the runs hold them: by reducer,
+    // then key, equal keys in emission order (the sort is stable).
+    let mut order = Vec::with_capacity(pairs.len());
+    for (i, pair) in pairs.iter().enumerate() {
+        let key = pair.req_str("k")?;
+        match params.route.bucket_of(key, reducers) {
+            b if b < reducers => order.push((b, key, i)),
+            _ => return Err("internal: partitioner chose a bucket past the last reducer".into()),
         }
-        let input = Value::map()
-            .with("k", key.as_str())
-            .with("vs", Value::List(vs));
-        let combined = match task::catch_unwind((func.start)(task_ctx.clone(), input)).await {
+    }
+    order.sort_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)));
+    let total = pairs.len();
+    let (manifest, segment) = match params.combiner {
+        None => {
+            let whole = |&(b, _, i): &(usize, &str, usize)| Some((b, pairs.get(i)?));
+            let runs: Vec<(usize, &Value)> = order.iter().filter_map(whole).collect();
+            write_runs(&runs, reducers)
+        }
+        Some(name) => {
+            let order = order.into_iter().map(|(b, _, i)| (b, i)).collect();
+            let combined = combine_groups(&mut pairs, order, name, combiner(name)?).await?;
+            write_runs(&combined, reducers)
+        }
+    };
+    Ok(Spill {
+        pairs: total,
+        manifest,
+        segment,
+    })
+}
+
+/// Folds each key group of `pairs`, in `order` (reducer and pair index,
+/// sorted), through the combiner `name`: one `(reducer, (key, v))` per
+/// key. Each group folds into its first pair, whose key is copied out
+/// before the pair is handed over.
+async fn combine_groups<F: Future<Output = Combined>>(
+    pairs: &mut [Value],
+    order: Vec<(usize, usize)>,
+    name: &str,
+    mut combine: impl FnMut(Value) -> F,
+) -> Result<Vec<(usize, (String, Value))>, String> {
+    let mut combined = Vec::new();
+    let mut order = order.into_iter().peekable();
+    while let Some((bucket, first)) = order.next() {
+        let key = key_at(pairs, first).ok_or("internal: a pair lost its key")?;
+        let key = key.to_owned();
+        let mut vs = vec![take_value(pairs.get_mut(first))];
+        while let Some((_, i)) = order.next_if(|&(_, i)| key_at(pairs, i) == Some(&key)) {
+            vs.push(take_value(pairs.get_mut(i)));
+        }
+        let Some(Value::Map(mut input)) = pairs.get_mut(first).map(std::mem::take) else {
+            return Err("internal: a pair lost its key".to_owned());
+        };
+        input.retain(|k, _| k == "k");
+        input.insert("vs".to_owned(), Value::List(vs));
+        let v = match combine(Value::Map(input)).await {
             Ok(r) => r.map_err(|e| format!("combiner `{name}` failed for key `{key}`: {e}"))?,
             Err(p) => {
                 return Err(format!(
@@ -715,17 +749,100 @@ async fn combine_run(
                 ))
             }
         };
-        let pair = Value::map().with("k", key.as_str()).with("v", combined);
-        out.push((key, pair));
+        combined.push((bucket, (key, v)));
     }
-    Ok(out)
+    Ok(combined)
 }
 
-/// The `v` of a `{k, v}` pair, moved out of it.
-fn value_of(pair: Value) -> Value {
-    match pair {
-        Value::Map(mut fields) => fields.remove("v").unwrap_or(Value::Null),
-        _ => Value::Null,
+/// The key of pair `i`.
+fn key_at(pairs: &[Value], i: usize) -> Option<&str> {
+    pairs.get(i)?.get("k")?.as_str()
+}
+
+/// The `v` of a `{k, v}` pair, taken out of it (`null` if it has none).
+fn take_value(pair: Option<&mut Value>) -> Value {
+    let v = pair.and_then(|pair| match pair {
+        Value::Map(fields) => fields.get_mut("v").map(std::mem::take),
+        _ => None,
+    });
+    v.unwrap_or(Value::Null)
+}
+
+/// One pair of a reducer's run, as the manifest or a segment slice holds it.
+trait RunItem {
+    fn encode_into(&self, w: &mut Writer);
+}
+
+/// A pair whole, as the map function returned it.
+impl RunItem for &Value {
+    fn encode_into(&self, w: &mut Writer) {
+        w.value(self);
+    }
+}
+
+/// A key with what the combiner made of its values: `{k, v}`.
+impl RunItem for (String, Value) {
+    fn encode_into(&self, w: &mut Writer) {
+        let mut fields = w.map_header(2);
+        fields.key("k").str(&self.0);
+        fields.key("v").value(&self.1);
+    }
+}
+
+/// Writes `items`, sorted by reducer, as a `seg` manifest of `reducers`
+/// runs, and the segment of the runs it does not hold. One *segment*
+/// object per map: a tiny run rides inline in the manifest itself (the
+/// status PUT delivers it for free, like inline results), as `{"d": run}`;
+/// a bigger one is stamped on its own and appended to the segment, so each
+/// reducer range-GETs exactly its slice, found at `{"o": offset, "l":
+/// length}`; an empty one is `null`. The manifest is measured, then
+/// written, by the same code; the slices are written once.
+fn write_runs<T: RunItem>(items: &[(usize, T)], reducers: usize) -> (Bytes, Vec<u8>) {
+    let runs = || items.chunk_by(|a, b| a.0 == b.0);
+    let lens: Vec<usize> = runs()
+        .map(|run| Writer::measure(|w| write_run(w, run)))
+        .collect();
+    let spilled = lens.iter().filter(|&&len| len > INLINE_MAX_BYTES);
+    let mut segment = Vec::with_capacity(spilled.map(|len| STAMP_LEN + len).sum());
+    // Writes the manifest, and each spilled run onto `segment` if given.
+    let manifest = |w: &mut Writer, mut segment: Option<&mut Vec<u8>>| {
+        let mut fields = w.map_header(3);
+        fields.key("k").str("seg");
+        fields.key("n").int(reducers as i64);
+        let parts = fields.key("parts");
+        parts.list_header(reducers);
+        let (mut runs, mut off) = (runs().zip(&lens).peekable(), 0);
+        for r in 0..reducers {
+            let of_r = |(run, _): &(&[(usize, T)], _)| run.first().is_some_and(|&(b, _)| b == r);
+            match runs.next_if(of_r) {
+                None => parts.null(),
+                Some((run, &len)) if len <= INLINE_MAX_BYTES => {
+                    write_run(parts.map_header(1).key("d"), run);
+                }
+                Some((run, &len)) => {
+                    if let Some(segment) = segment.as_deref_mut() {
+                        let mut slice = Writer::stamped_onto(std::mem::take(segment), len);
+                        write_run(&mut slice, run);
+                        *segment = slice.finish_vec();
+                    }
+                    let mut at = parts.map_header(2);
+                    at.key("l").int((STAMP_LEN + len) as i64);
+                    at.key("o").int(off as i64);
+                    off += STAMP_LEN + len;
+                }
+            }
+        }
+    };
+    let mut w = Writer::new(Writer::measure(|w| manifest(w, None)));
+    manifest(&mut w, Some(&mut segment));
+    (w.finish(), segment)
+}
+
+/// One run's items as the list they are.
+fn write_run<T: RunItem>(w: &mut Writer, run: &[(usize, T)]) {
+    w.list_header(run.len());
+    for (_, item) in run {
+        item.encode_into(w);
     }
 }
 
@@ -754,7 +871,7 @@ impl ShuffleReduceParams {
         let in_depr = |e: String| format!("in `depr`: {e}");
         let job: u64 = depr.req_int("job").map_err(in_depr)?;
         let maps: u32 = depr.req_int("n").map_err(in_depr)?;
-        let reducers = reducers_of(desc)?;
+        let reducers = reducers_of(desc.get("reducers").and_then(Value::as_i64))?;
         let index = match usize::try_from(desc.req_i64("index")?) {
             Ok(i) if i < reducers => i,
             _ => return Err(format!("field `index` must be in 0..{reducers}")),
@@ -765,10 +882,10 @@ impl ShuffleReduceParams {
         };
         let poll = poll_of(desc)?;
         ExchangeMode::from_wire(desc.req_str("exch")?)?;
+        // Siblings of one future, sharing its names.
+        let map_job = ResponseFuture::new(bucket, exec, job, 0);
         Ok(ShuffleReduceParams {
-            deps: (0..maps)
-                .map(|t| ResponseFuture::new(bucket, exec, job, t))
-                .collect(),
+            deps: (0..maps).map(|t| map_job.sibling(t)).collect(),
             index,
             poll,
             fanin,
@@ -815,10 +932,20 @@ impl Run {
     /// The pairs of the list at `at` in `bytes`, which a validating walk has
     /// checked; fails as taking the decoded list apart would.
     fn within(bytes: Bytes, at: usize) -> Result<Run, String> {
+        // One pass over each pair's entries; the last of a repeated key
+        // wins, as it would decoding into a map.
         let pair = |p: ValueRef<'_>| {
-            let k = p.get("k").filter(|k| k.as_str().is_some());
+            let (mut k, mut v) = (None, None);
+            for (key, value) in p.entries().into_iter().flatten() {
+                match key {
+                    "k" => k = Some(value),
+                    "v" => v = Some(value),
+                    _ => {}
+                }
+            }
+            let k = k.filter(|k| k.as_str().is_some());
             let k = k.ok_or("missing or non-string field `k`")?;
-            Ok((k.offset(), p.get("v").map(|v| v.offset())))
+            Ok((k.offset(), v.map(|v| v.offset())))
         };
         let items = ValueRef::at_offset(&bytes, at).items();
         let items = items.ok_or("shuffle object must hold a list")?;
@@ -961,7 +1088,7 @@ async fn get_slice_verified(
     };
     let integrity =
         |e| format!("integrity failure reading shuffle slice {bucket}/{key}@{off}: {e}");
-    let (_stamped, slice) = read_verified(read, integrity).await?;
+    let (_stamped, slice) = read_verified(read, wire::verified_payload, integrity).await?;
     Ok(slice)
 }
 
@@ -974,13 +1101,18 @@ async fn dep_status(
     memo: Option<&StatusMemo>,
 ) -> Result<StatusView, String> {
     let key = d.status_key();
-    let read = get_verified_async(cos, d.bucket(), &key).await;
-    let status = read
-        .and_then(|raw| match memo {
-            Some(memo) => memo.decode(key, raw, d),
-            None => TaskStatus::decode(raw, d),
-        })
-        .map_err(|e| format!("fetching dep status: {e}"))?;
+    let status = match memo {
+        Some(memo) => {
+            let verify = |raw: &Bytes| memo.verified(&key, raw);
+            let read = get_stamped(cos, d.bucket(), &key, verify).await;
+            read.and_then(|(_, raw)| memo.decode(key, raw, d))
+        }
+        None => {
+            let read = get_verified_async(cos, d.bucket(), &key).await;
+            read.and_then(|raw| TaskStatus::decode(raw, d))
+        }
+    };
+    let status = status.map_err(|e| format!("fetching dep status: {e}"))?;
     match status.error() {
         Some(msg) => Err(format!("map task {} failed: {msg}", d.label())),
         None => Ok(status),
@@ -1150,6 +1282,81 @@ fn panic_text(p: &Box<dyn Any + Send>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shuffle::tests::{sort_run, KeyedPair};
+
+    impl TaskSpec {
+        /// The descriptor as a value: what [`encode`](TaskSpec::encode) writes
+        /// without `extra`, built the way the client built every descriptor
+        /// before it was written field by field.
+        pub(crate) fn to_value(&self) -> Value {
+            match self {
+                TaskSpec::Value(v) => Value::map().with("kind", "value").with("value", v.clone()),
+                TaskSpec::Partition(p) => Value::map()
+                    .with("kind", "partition")
+                    .with("part", p.to_value()),
+                TaskSpec::Reduce { deps, group, poll } => {
+                    let group_v = group
+                        .as_deref()
+                        .map_or(Value::Null, |g| Value::Str(g.to_owned()));
+                    Value::map()
+                        .with("kind", "reduce")
+                        .with(
+                            "deps",
+                            Value::List(deps.iter().map(ResponseFuture::to_value).collect()),
+                        )
+                        .with("group", group_v)
+                        .with("poll_ms", poll.as_millis() as i64)
+                }
+                TaskSpec::ShuffleMap {
+                    inner,
+                    reducers,
+                    partitioner,
+                    combiner,
+                } => {
+                    let mut v = Value::map()
+                        .with("kind", "shuffle-map")
+                        .with("inner", inner.to_value())
+                        .with("reducers", *reducers as i64)
+                        .with("exch", ExchangeMode::Cos.as_str())
+                        .with("part", partitioner.to_value());
+                    if let Some(c) = combiner {
+                        v = v.with("comb", c.as_str());
+                    }
+                    v
+                }
+                TaskSpec::ShuffleReduce {
+                    bucket,
+                    exec_id,
+                    map_job,
+                    maps,
+                    index,
+                    poll,
+                    reducers,
+                    fanin,
+                } => Value::map()
+                    .with("kind", "shuffle-reduce")
+                    .with("index", *index as i64)
+                    .with("poll_ms", poll.as_millis() as i64)
+                    .with("reducers", *reducers as i64)
+                    .with("exch", ExchangeMode::Cos.as_str())
+                    .with("fanin", *fanin as i64)
+                    .with(
+                        "depr",
+                        Value::map()
+                            .with("bucket", &**bucket)
+                            .with("exec", &**exec_id)
+                            .with("job", *map_job as i64)
+                            .with("n", i64::from(*maps)),
+                    ),
+            }
+        }
+    }
+
+    /// [`ShuffleMapParams::from_desc`] of `desc`'s encoding, or its error.
+    fn map_params(desc: &Value) -> Result<(), String> {
+        let encoded = desc.encode();
+        ShuffleMapParams::from_desc(ValueRef::at_offset(&encoded, 0)).map(drop)
+    }
 
     /// `v` (a map value) without its field `key`.
     fn without(v: &Value, key: &str) -> Value {
@@ -1500,9 +1707,9 @@ mod tests {
             combiner: None,
         }
         .to_value();
-        assert!(ShuffleMapParams::from_desc(&map).is_ok());
+        assert!(map_params(&map).is_ok());
         for key in ["reducers", "exch", "part"] {
-            let r = ShuffleMapParams::from_desc(&without(&map, key));
+            let r = map_params(&without(&map, key));
             assert!(r.is_err(), "map descriptor without `{key}`: {r:?}");
         }
 
@@ -1541,7 +1748,7 @@ mod tests {
             assert!(named, "reduce descriptor with `depr.{key}` = {bad}: {err}");
         }
         for bad in [0, -1, MAX_REDUCERS as i64 + 1, i64::MAX] {
-            let r = ShuffleMapParams::from_desc(&map.clone().with("reducers", bad));
+            let r = map_params(&map.clone().with("reducers", bad));
             assert!(r.is_err(), "map descriptor with `reducers` = {bad}: {r:?}");
         }
         // The retired relay exchange is refused by name, not run over COS.
@@ -1552,7 +1759,7 @@ mod tests {
                 err.contains(&format!("`{bad}`")),
                 "reduce `exch` = {bad}: {err}"
             );
-            let err = ShuffleMapParams::from_desc(&map.clone().with("exch", bad));
+            let err = map_params(&map.clone().with("exch", bad));
             let err = err.expect_err("one exchange");
             assert!(
                 err.contains(&format!("`{bad}`")),
@@ -1777,6 +1984,355 @@ mod tests {
         })
     }
 
+    /// The `v` of a `{k, v}` pair, moved out of it.
+    fn value_of(pair: Value) -> Value {
+        match pair {
+            Value::Map(mut fields) => fields.remove("v").unwrap_or(Value::Null),
+            _ => Value::Null,
+        }
+    }
+
+    /// The map-side writer [`spill`] replaced, as the reference: the output
+    /// taken apart into one owned key and whole pair per pair, bucketed,
+    /// each bucket sorted and folded through the combiner into new `{k, v}`
+    /// pairs, and the manifest built as a `Value` — returned with the
+    /// segment and the pair count.
+    async fn reference_spill<C, F>(
+        output: Value,
+        params: &ShuffleMapParams<'_>,
+        combiner: impl FnOnce(&str) -> Result<C, String>,
+    ) -> Result<(Value, Vec<u8>, usize), String>
+    where
+        C: FnMut(Value) -> F,
+        F: Future<Output = Combined>,
+    {
+        let Value::List(pairs) = output else {
+            return Err("shuffle map functions must return a list of {k, v} pairs".to_owned());
+        };
+        let reducers = params.reducers;
+        let total = pairs.len();
+        let mut buckets: Vec<Vec<KeyedPair>> = vec![Vec::new(); reducers];
+        for pair in pairs {
+            let key = pair.req_str("k")?.to_owned();
+            let bucket = buckets.get_mut(params.route.bucket_of(&key, reducers));
+            bucket
+                .ok_or("internal: partitioner chose a bucket past the last reducer")?
+                .push((key, pair));
+        }
+        let mut combiner = match params.combiner {
+            None => None,
+            Some(name) => Some((name, combiner(name)?)),
+        };
+        for bucket in &mut buckets {
+            sort_run(bucket);
+            if let Some((name, combine)) = &mut combiner {
+                *bucket = reference_combine_run(std::mem::take(bucket), name, combine).await?;
+            }
+        }
+        let mut parts: Vec<Value> = Vec::with_capacity(reducers);
+        let mut segment: Vec<u8> = Vec::new();
+        for bucket in buckets {
+            if bucket.is_empty() {
+                parts.push(Value::Null);
+                continue;
+            }
+            let list = Value::List(bucket.into_iter().map(|(_, p)| p).collect());
+            if list.encoded_len() <= INLINE_MAX_BYTES {
+                parts.push(Value::map().with("d", list));
+            } else {
+                let stamped = list.stamped();
+                let off = segment.len();
+                segment.extend_from_slice(&stamped);
+                parts.push(
+                    Value::map()
+                        .with("o", off as i64)
+                        .with("l", stamped.len() as i64),
+                );
+            }
+        }
+        let manifest = Value::map()
+            .with("n", reducers as i64)
+            .with("k", "seg")
+            .with("parts", Value::List(parts));
+        Ok((manifest, segment, total))
+    }
+
+    /// The reference's combine step: a new `{"k", "vs"}` input per key
+    /// group, and a new `{k, v}` pair for what the combiner returns.
+    async fn reference_combine_run<F: Future<Output = Combined>>(
+        run: Vec<KeyedPair>,
+        name: &str,
+        combine: &mut impl FnMut(Value) -> F,
+    ) -> Result<Vec<KeyedPair>, String> {
+        let mut out: Vec<KeyedPair> = Vec::new();
+        let mut run = run.into_iter().peekable();
+        while let Some((key, first)) = run.next() {
+            let mut vs = vec![value_of(first)];
+            while let Some((_, pair)) = run.next_if(|(k, _)| *k == key) {
+                vs.push(value_of(pair));
+            }
+            let input = Value::map()
+                .with("k", key.as_str())
+                .with("vs", Value::List(vs));
+            let combined = match combine(input).await {
+                Ok(r) => r.map_err(|e| format!("combiner `{name}` failed for key `{key}`: {e}"))?,
+                Err(p) => {
+                    return Err(format!(
+                        "combiner `{name}` panicked for key `{key}`: {}",
+                        panic_text(&p)
+                    ))
+                }
+            };
+            let pair = Value::map().with("k", key.as_str()).with("v", combined);
+            out.push((key, pair));
+        }
+        Ok(out)
+    }
+
+    /// The test's combiner: its own input back, so the bytes written show
+    /// every input it saw; it fails on key `x` and panics on key `y`.
+    fn echo(input: Value) -> std::future::Ready<Combined> {
+        std::future::ready(match input.get("k").and_then(Value::as_str) {
+            Some("x") => Ok(Err("no x".to_owned())),
+            Some("y") => Err(Box::new("no y")),
+            _ => Ok(Ok(input)),
+        })
+    }
+
+    /// A future that is ready at its first poll, polled once.
+    fn ready<T>(fut: impl Future<Output = T>) -> T {
+        match task::resume(std::pin::pin!(fut)) {
+            std::ops::ControlFlow::Break(out) => out,
+            std::ops::ControlFlow::Continue(_) => panic!("a ready future suspended"),
+        }
+    }
+
+    /// [`spill`] writes of `output` what the reference does: the same error,
+    /// or the same status bytes around its manifest, the same segment and
+    /// the same pair count. `known` says whether the combiner named, if
+    /// any, is registered.
+    fn check_spill(
+        output: Value,
+        params: &ShuffleMapParams<'_>,
+        known: bool,
+    ) -> Result<(), String> {
+        let combiner = |name: &str| match known {
+            true => Ok(echo),
+            false => Err(format!("combiner `{name}` is not registered")),
+        };
+        let got = ready(spill(output.clone(), params, combiner));
+        let want = ready(reference_spill(output, params, combiner));
+        let status =
+            |result: usize| TaskStatus::new(None, 0.0, 1.0).with_result(Value::from(result));
+        match (got, want) {
+            (Err(got), Err(want)) if got == want => Ok(()),
+            (Ok(got), Ok((manifest, segment, pairs))) => {
+                let got_status = status(got.pairs).with_manifest(got.manifest.clone());
+                let want_status = status(pairs).with_shuf(manifest);
+                if got_status.encode() != want_status.encode() || got.segment != segment {
+                    return Err(format!(
+                        "wrote {got:?}, reference {want_status:?} with {segment:?}"
+                    ));
+                }
+                Ok(())
+            }
+            (got, want) => Err(format!("spill {got:?}, reference {want:?}")),
+        }
+    }
+
+    /// A map output as a map function returns one — keys repeating, pairs
+    /// without a `v` or with fields besides `k` and `v`, now and then a `v`
+    /// big enough that its run spills past [`INLINE_MAX_BYTES`] into the
+    /// segment — or, one time in nine, damaged: no list (1), an item that is
+    /// no map (2), no `k` (3), a `k` that is no string (4).
+    fn map_output() -> impl Strategy<Value = Value> {
+        let int = || any::<i64>().prop_map(|v| Some(Value::Int(v)));
+        let v = prop_oneof![
+            int(),
+            int(),
+            int(),
+            Just(None),
+            corpus::value().prop_map(Some),
+            (0usize..3).prop_map(|n| Some(Value::bytes(vec![7u8; n * 30_000]))),
+        ];
+        let extra = prop::option::of((prop::sample::select(vec!["vs", "w", "a"]), any::<i64>()));
+        let pair = ("[a-dxy]{1,2}", v, extra).prop_map(|(k, v, extra)| {
+            let mut pair = Value::map().with("k", k);
+            if let Some(v) = v {
+                pair = pair.with("v", v);
+            }
+            if let Some((key, x)) = extra {
+                pair = pair.with(key, x);
+            }
+            pair
+        });
+        let pairs = prop::collection::vec(pair, 0..24);
+        (pairs, 0u8..36, any::<usize>()).prop_map(|(mut pairs, damage, at)| {
+            let bad = match damage {
+                1 => return Value::Int(3),
+                2 => Some(Value::Int(7)),
+                3 => Some(Value::map().with("v", 1i64)),
+                4 => Some(Value::map().with("k", 5i64).with("v", 1i64)),
+                _ => None,
+            };
+            if let Some(bad) = bad {
+                pairs.insert(at % (pairs.len() + 1), bad);
+            }
+            Value::List(pairs)
+        })
+    }
+
+    /// A shuffle map's routing: the hash partitioner, or a range one whose
+    /// boundaries put every key of [`map_output`] somewhere.
+    fn route() -> impl Strategy<Value = (usize, Route<'static>)> {
+        prop_oneof![
+            (1usize..6).prop_map(|n| (n, Route::Hash)),
+            prop::collection::vec(
+                prop::sample::select(vec!["a", "b", "bz", "c", "d", "x"]),
+                0..4
+            )
+            .prop_map(|mut bounds| {
+                bounds.sort_unstable();
+                (bounds.len() + 1, Route::Range(bounds))
+            }),
+        ]
+    }
+
+    /// Each map output spills as the reference's does, for the shapes a
+    /// proptest rarely draws: a combiner that fails or panics on the second
+    /// group, runs on both sides of the inline threshold, every partition
+    /// empty.
+    #[test]
+    fn map_side_writer_matches_the_reference_at_its_edges() {
+        let pair = |k: &str, v: Value| Value::map().with("k", k).with("v", v);
+        let big = |n: usize| Value::bytes(vec![1u8; n]);
+        let hash = |reducers, combiner| ShuffleMapParams {
+            reducers,
+            route: Route::Hash,
+            combiner,
+        };
+        let outputs = [
+            Value::List(vec![
+                pair("a", 1.into()),
+                pair("x", 2.into()),
+                pair("a", 3.into()),
+            ]),
+            Value::List(vec![pair("a", 1.into()), pair("y", 2.into())]),
+            Value::List(vec![
+                pair("a", big(INLINE_MAX_BYTES - 40)),
+                pair("a", big(20)),
+            ]),
+            Value::List(vec![
+                pair("a", big(INLINE_MAX_BYTES)),
+                pair("b", big(3)),
+                pair("c", big(INLINE_MAX_BYTES)),
+            ]),
+            Value::List(Vec::new()),
+            Value::Int(1),
+            // Many equal keys: their values keep emission order.
+            (0..200)
+                .map(|i| pair(["a", "b", "c"][i % 3], Value::from(i)))
+                .collect(),
+        ];
+        for output in outputs {
+            for params in [
+                hash(1, None),
+                hash(3, None),
+                hash(1, Some("echo")),
+                hash(4, Some("echo")),
+            ] {
+                for known in [true, false] {
+                    check_spill(output.clone(), &params, known)
+                        .unwrap_or_else(|e| panic!("{output:?} {params:?}: {e}"));
+                }
+            }
+        }
+        let err = ready(spill(Value::Int(1), &hash(2, None), |_| Ok(echo))).expect_err("no list");
+        assert_eq!(
+            err,
+            "shuffle map functions must return a list of {k, v} pairs"
+        );
+    }
+
+    /// A task descriptor as a submit may make one.
+    fn task_spec() -> impl Strategy<Value = TaskSpec> {
+        let text = || "[a-z0-9/-]{0,8}";
+        let partition = ((text(), text()), (any::<u32>(), any::<u32>()), 0usize..1000)
+            .prop_map(|((bucket, key), (start, len), index)| {
+                let (start, end) = (u64::from(start), u64::from(start) + u64::from(len));
+                TaskSpec::Partition(Partition {
+                    bucket,
+                    key,
+                    start,
+                    end,
+                    index,
+                })
+            })
+            .boxed();
+        let value = corpus::value().prop_map(TaskSpec::Value).boxed();
+        let inner = prop_oneof![value.clone(), partition.clone()];
+        let future = (text(), text(), any::<u64>(), any::<u32>())
+            .prop_map(|(b, e, j, t)| ResponseFuture::new(&b, &e, j, t));
+        let poll = (1u64..100_000).prop_map(Duration::from_millis);
+        let reduce = (
+            prop::collection::vec(future, 0..4),
+            prop::option::of(text()),
+            poll.clone(),
+        )
+            .prop_map(|(deps, group, poll)| TaskSpec::Reduce { deps, group, poll });
+        let partitioner = prop_oneof![
+            Just(Partitioner::Hash),
+            prop::collection::vec(text(), 0..5)
+                .prop_map(|boundaries| Partitioner::Range { boundaries }),
+        ];
+        let shuffle_map = (inner, 1usize..100, partitioner, prop::option::of(text())).prop_map(
+            |(inner, reducers, partitioner, combiner)| TaskSpec::ShuffleMap {
+                inner: Box::new(inner),
+                reducers,
+                partitioner,
+                combiner,
+            },
+        );
+        let shuffle_reduce = (
+            (text(), text(), any::<u64>(), any::<u32>()),
+            (0usize..99, poll, 1usize..100, 2usize..64),
+        )
+            .prop_map(
+                |((bucket, exec_id, map_job, maps), (index, poll, reducers, fanin))| {
+                    TaskSpec::ShuffleReduce {
+                        bucket: bucket.into(),
+                        exec_id: exec_id.into(),
+                        map_job,
+                        maps,
+                        index,
+                        poll,
+                        reducers,
+                        fanin,
+                    }
+                },
+            );
+        prop_oneof![value, partition, reduce, shuffle_map, shuffle_reduce]
+    }
+
+    /// `spec` with `extra` written in one pass is what the client encoded
+    /// before, its value with `extra` merged in — plain and stamped — and
+    /// its length is the length written.
+    fn check_descriptor(spec: &TaskSpec, extra: Option<&Value>) -> Result<(), String> {
+        let mut want = spec.to_value();
+        if let Some(extra) = extra {
+            want = want.with("extra", extra.clone());
+        }
+        let len = spec.encoded_len(extra);
+        let plain = spec.encode(Writer::new(len), extra);
+        let stamped = spec.encode(Writer::stamped(len), extra);
+        if plain != want.encode() || stamped != want.stamped() || len != want.encoded_len() {
+            return Err(format!(
+                "{spec:?} with {extra:?}: wrote {plain:?}, reference {want:?}"
+            ));
+        }
+        Ok(())
+    }
+
     /// What the decoded entry says, as [`seg_part`] must read it: which
     /// kind of slice, and the inline value under `d` or the span.
     fn reference_seg_part(entry: Option<&Value>, index: usize) -> Result<(&str, Value), String> {
@@ -1966,6 +2522,26 @@ mod tests {
             for bytes in corpus::damaged(&entry, damage) {
                 check_seg_part(&bytes, index).map_err(TestCaseError::fail)?;
             }
+        }
+
+        #[test]
+        fn map_side_writer_matches_the_reference(
+            output in map_output(),
+            routing in route(),
+            combiner in prop::option::of(Just("echo")),
+            unknown in 0u8..20,
+        ) {
+            let (reducers, route) = routing;
+            let params = ShuffleMapParams { reducers, route, combiner };
+            check_spill(output, &params, unknown != 0).map_err(TestCaseError::fail)?;
+        }
+
+        #[test]
+        fn task_descriptors_are_written_as_the_reference_encodes_them(
+            spec in task_spec(),
+            extra in prop::option::of(corpus::value()),
+        ) {
+            check_descriptor(&spec, extra.as_ref()).map_err(TestCaseError::fail)?;
         }
 
         #[test]

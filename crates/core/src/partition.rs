@@ -16,7 +16,7 @@ use bytes::Bytes;
 use rustwren_store::{CosClient, ObjectMeta, StoreError};
 
 use crate::error::{PywrenError, Result};
-use crate::wire::Value;
+use crate::wire::{Value, Writer};
 
 /// Extra bytes fetched past a partition boundary while hunting for the
 /// aligning newline; reads extend in further steps of this size if a single
@@ -98,6 +98,16 @@ impl Partition {
             .with("start", self.start as i64)
             .with("end", self.end as i64)
             .with("index", self.index as i64)
+    }
+
+    /// Writes [`to_value`](Partition::to_value)'s map, field by field.
+    pub(crate) fn encode_into(&self, w: &mut Writer) {
+        let mut fields = w.map_header(5);
+        fields.key("bucket").str(&self.bucket);
+        fields.key("end").int(self.end as i64);
+        fields.key("index").int(self.index as i64);
+        fields.key("key").str(&self.key);
+        fields.key("start").int(self.start as i64);
     }
 
     /// Decodes a partition descriptor.

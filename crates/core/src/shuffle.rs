@@ -16,7 +16,7 @@
 //! The wire-level write/fetch protocol lives in [`crate::job`]; this
 //! module is the pure, separately-testable core.
 
-use crate::wire::Value;
+use crate::wire::{self, ValueRef, Writer};
 
 /// Hard ceiling on [`crate::ShuffleOpts::reducers`]: beyond this the
 /// per-map partition bookkeeping (and any real platform's request budget)
@@ -97,9 +97,7 @@ impl Partitioner {
     pub fn bucket_of(&self, key: &str, reducers: usize) -> usize {
         match self {
             Partitioner::Hash => hash_bucket_of(key, reducers),
-            Partitioner::Range { boundaries } => boundaries
-                .partition_point(|b| b.as_str() <= key)
-                .min(reducers.saturating_sub(1)),
+            Partitioner::Range { boundaries } => range_bucket_of(boundaries, key, reducers),
         }
     }
 
@@ -148,35 +146,58 @@ impl Partitioner {
         Ok(())
     }
 
-    /// Wire encoding carried in the `ShuffleMap` task descriptor.
-    pub(crate) fn to_value(&self) -> Value {
+    /// Writes the descriptor's encoding: `null` for the hash partitioner,
+    /// `{"range": [boundaries…]}` for a range partitioner.
+    pub(crate) fn encode_into(&self, w: &mut Writer) {
         match self {
-            Partitioner::Hash => Value::Null,
-            Partitioner::Range { boundaries } => Value::map().with(
-                "range",
-                Value::List(boundaries.iter().map(|b| Value::Str(b.clone())).collect()),
-            ),
-        }
-    }
-
-    /// Decodes [`Partitioner::to_value`].
-    pub(crate) fn from_value(v: &Value) -> Result<Partitioner, String> {
-        match v {
-            Value::Null => Ok(Partitioner::Hash),
-            v => {
-                let bounds = v.req_list("range")?;
-                let boundaries = bounds
-                    .iter()
-                    .map(|b| {
-                        b.as_str()
-                            .map(str::to_owned)
-                            .ok_or_else(|| "range boundary must be a string".to_owned())
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                Ok(Partitioner::Range { boundaries })
+            Partitioner::Hash => w.null(),
+            Partitioner::Range { boundaries } => {
+                let mut fields = w.map_header(1);
+                let list = fields.key("range");
+                list.list_header(boundaries.len());
+                for b in boundaries {
+                    list.str(b);
+                }
             }
         }
     }
+}
+
+/// A [`Partitioner`] as a shuffle-map descriptor carries it, read in place:
+/// a range partitioner's boundaries are slices of the descriptor.
+#[derive(Debug)]
+pub(crate) enum Route<'a> {
+    Hash,
+    Range(Vec<&'a str>),
+}
+
+impl<'a> Route<'a> {
+    /// Reads the encoding [`Partitioner::encode_into`] writes.
+    pub(crate) fn from_view(v: ValueRef<'a>) -> Result<Route<'a>, String> {
+        if v.is_null() {
+            return Ok(Route::Hash);
+        }
+        let bounds = wire::required(v.get("range").and_then(|r| r.items()), "range", "list")?;
+        let bound = |b: ValueRef<'a>| b.as_str().ok_or("range boundary must be a string");
+        let boundaries = bounds.map(bound).collect::<Result<_, _>>()?;
+        Ok(Route::Range(boundaries))
+    }
+
+    /// [`Partitioner::bucket_of`].
+    pub(crate) fn bucket_of(&self, key: &str, reducers: usize) -> usize {
+        match self {
+            Route::Hash => hash_bucket_of(key, reducers),
+            Route::Range(boundaries) => range_bucket_of(boundaries, key, reducers),
+        }
+    }
+}
+
+/// A range partitioner's reducer for `key`: the number of `boundaries` at or
+/// below it, capped at the last of `reducers`.
+fn range_bucket_of<B: AsRef<str>>(boundaries: &[B], key: &str, reducers: usize) -> usize {
+    boundaries
+        .partition_point(|b| b.as_ref() <= key)
+        .min(reducers.saturating_sub(1))
 }
 
 /// Stable hash-reducer assignment for a shuffle key (FNV-ish fold, then
@@ -194,10 +215,6 @@ pub(crate) fn hash_bucket_of(key: &str, reducers: usize) -> usize {
 pub(crate) fn segment_key(task_prefix: &str) -> String {
     format!("{task_prefix}/shuffle-seg")
 }
-
-/// One map-side shuffle pair: the extracted key plus the original
-/// `{"k", "v"}` pair value (kept whole so regrouping is allocation-light).
-pub(crate) type KeyedPair = (String, Value);
 
 /// Merges per-dependency sorted runs of `(key, pair)` into one sorted run
 /// with at most `fanin` runs open per merge, over as many rounds as that
@@ -262,16 +279,35 @@ fn merge_group<K: AsRef<str>, V>(group: Vec<Vec<(K, V)>>) -> Vec<(K, V)> {
     }
 }
 
-/// Stable sort of one spill by key: equal keys keep their emission order,
-/// which [`merge_runs`] then preserves across runs.
-pub(crate) fn sort_run(run: &mut [KeyedPair]) {
-    run.sort_by(|a, b| a.0.cmp(&b.0));
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::wire::Value;
     use proptest::prelude::*;
+
+    impl Partitioner {
+        /// The wire encoding carried in the `ShuffleMap` task descriptor,
+        /// as a value: what [`encode_into`](Partitioner::encode_into) writes.
+        pub(crate) fn to_value(&self) -> Value {
+            match self {
+                Partitioner::Hash => Value::Null,
+                Partitioner::Range { boundaries } => Value::map().with(
+                    "range",
+                    Value::List(boundaries.iter().map(|b| Value::Str(b.clone())).collect()),
+                ),
+            }
+        }
+    }
+
+    /// One map-side shuffle pair as the writer before the in-place one kept
+    /// it: the extracted key plus the original `{"k", "v"}` pair value.
+    pub(crate) type KeyedPair = (String, Value);
+
+    /// Stable sort of one spill by key: equal keys keep their emission
+    /// order, which [`merge_runs`] then preserves across runs.
+    pub(crate) fn sort_run(run: &mut [KeyedPair]) {
+        run.sort_by(|a, b| a.0.cmp(&b.0));
+    }
 
     fn pair(k: &str, v: i64) -> KeyedPair {
         (k.to_owned(), Value::map().with("k", k).with("v", v))
@@ -328,8 +364,35 @@ mod tests {
                 boundaries: vec!["g".into(), "p".into()],
             },
         ] {
-            let v = p.to_value();
-            assert_eq!(Partitioner::from_value(&v), Ok(p));
+            let mut w = Writer::new(Writer::measure(|w| p.encode_into(w)));
+            p.encode_into(&mut w);
+            let encoded = w.finish();
+            assert_eq!(encoded, p.to_value().encode());
+            let route = Route::from_view(ValueRef::at_offset(&encoded, 0));
+            let read: Option<Vec<String>> = match route.expect("reads back") {
+                Route::Hash => None,
+                Route::Range(b) => Some(b.into_iter().map(str::to_owned).collect()),
+            };
+            match &p {
+                Partitioner::Hash => assert_eq!(read, None),
+                Partitioner::Range { boundaries } => assert_eq!(read.as_ref(), Some(boundaries)),
+            }
+        }
+        // What the reader refuses, with the messages it always gave.
+        for (bad, want) in [
+            (Value::Int(3), "missing or non-list field `range`"),
+            (
+                Value::map().with("range", 1i64),
+                "missing or non-list field `range`",
+            ),
+            (
+                Value::map().with("range", Value::List(vec![Value::Int(1)])),
+                "range boundary must be a string",
+            ),
+        ] {
+            let encoded = bad.encode();
+            let err = Route::from_view(ValueRef::at_offset(&encoded, 0)).expect_err("refused");
+            assert_eq!(err, want);
         }
     }
 

@@ -577,6 +577,19 @@ impl<'a> ValueRef<'a> {
         }))
     }
 
+    /// The entries, if this is a `Map`: each key with a view of its value,
+    /// in encoded order.
+    pub(crate) fn entries(&self) -> Option<impl Iterator<Item = (&'a str, ValueRef<'a>)>> {
+        let (Node::Map(count), mut cursor) = self.open()? else {
+            return None;
+        };
+        let buf = self.buf;
+        Some((0..count).map_while(move |_| {
+            let (key, pos) = (cursor.read_str().ok()?, cursor.pos);
+            cursor.skip(0).ok().map(|()| (key, ValueRef { buf, pos }))
+        }))
+    }
+
     /// Looks a key up in a map value.
     pub(crate) fn get(&self, key: &str) -> Option<ValueRef<'a>> {
         let (Node::Map(count), mut cursor) = self.open()? else {
@@ -781,13 +794,20 @@ pub(crate) fn key_len(key: &str) -> usize {
 ///
 /// A writer is sized up front for an encoding of a known length, and
 /// [`finish`](Writer::finish) checks, in debug builds, that it got exactly
-/// that many bytes and every map entry its headers counted.
+/// that many bytes and every map entry its headers counted. A record's
+/// length is what [`measure`](Writer::measure) counts its own writing code
+/// to write, so the two cannot disagree.
 pub(crate) struct Writer {
     out: Vec<u8>,
-    /// Where the encoding starts: 0, or [`STAMP_LEN`] past the stamp's room.
+    /// `Some` for a writer that only counts what it is given.
+    counted: Option<usize>,
+    /// Where the encoding starts in `out`: past what `out` held before and,
+    /// if stamped, past the stamp's room.
     start: usize,
     /// The encoding's length, as the writer was sized for it.
     len: usize,
+    /// Whether the [`STAMP_LEN`] bytes before `start` are its stamp.
+    stamped: bool,
     /// Map entries that headers counted and are not written yet.
     unwritten: usize,
 }
@@ -797,8 +817,10 @@ impl Writer {
     pub(crate) fn new(len: usize) -> Writer {
         Writer {
             out: Vec::with_capacity(len),
+            counted: None,
             start: 0,
             len,
+            stamped: false,
             unwritten: 0,
         }
     }
@@ -806,49 +828,82 @@ impl Writer {
     /// A writer for the [`stamp`]ed form of an encoding of `len` bytes: the
     /// magic and room for the checksum of what follows come first.
     pub(crate) fn stamped(len: usize) -> Writer {
-        let mut out = Vec::with_capacity(STAMP_LEN + len);
+        Writer::stamped_onto(Vec::new(), len)
+    }
+
+    /// [`stamped`](Writer::stamped), written on after what `out` holds: the
+    /// next slice of a segment of stamped slices.
+    pub(crate) fn stamped_onto(mut out: Vec<u8>, len: usize) -> Writer {
+        out.reserve(STAMP_LEN + len);
         out.extend_from_slice(&[STAMP_MAGIC; STAMP_LEN]);
         Writer {
+            start: out.len(),
             out,
-            start: STAMP_LEN,
+            counted: None,
             len,
+            stamped: true,
             unwritten: 0,
         }
     }
 
+    /// The length of the encoding `write` writes, counted as it writes it
+    /// into a writer that keeps nothing.
+    pub(crate) fn measure(write: impl FnOnce(&mut Writer)) -> usize {
+        let mut w = Writer {
+            counted: Some(0),
+            ..Writer::new(0)
+        };
+        write(&mut w);
+        w.counted.unwrap_or_default()
+    }
+
     /// The bytes written, with their checksum filled in if the writer was
-    /// made [`stamped`](Writer::stamped).
-    pub(crate) fn finish(mut self) -> Bytes {
+    /// made stamped.
+    pub(crate) fn finish(self) -> Bytes {
+        Bytes::from(self.finish_vec())
+    }
+
+    /// [`finish`](Writer::finish)'s bytes, in the vector they were written
+    /// to: what a segment's next slice is [written onto](Writer::stamped_onto).
+    pub(crate) fn finish_vec(mut self) -> Vec<u8> {
         debug_assert_eq!(
             self.out.len() - self.start,
             self.len,
             "an encoding's length disagrees with what was written"
         );
         debug_assert_eq!(self.unwritten, 0, "map entries counted, never written");
-        if self.start == STAMP_LEN {
-            if let Some(([_magic, sum @ ..], payload)) =
-                self.out.split_first_chunk_mut::<STAMP_LEN>()
-            {
-                *sum = checksum64(payload).to_le_bytes();
+        if self.stamped {
+            if let Some((head, payload)) = self.out.split_at_mut_checked(self.start) {
+                if let Some(sum) = head.last_chunk_mut::<{ STAMP_LEN - 1 }>() {
+                    *sum = checksum64(payload).to_le_bytes();
+                }
             }
         }
-        Bytes::from(self.out)
+        self.out
+    }
+
+    /// Bytes written as they are, or counted.
+    fn put(&mut self, bytes: &[u8]) {
+        match &mut self.counted {
+            None => self.out.extend_from_slice(bytes),
+            Some(n) => *n += bytes.len(),
+        }
     }
 
     fn len_prefix(&mut self, n: usize) {
-        self.out.extend_from_slice(&(n as u32).to_le_bytes());
+        self.put(&(n as u32).to_le_bytes());
     }
 
     /// A list of `count` items, which the caller writes next.
     pub(crate) fn list_header(&mut self, count: usize) {
-        self.out.push(TAG_LIST);
+        self.put(&[TAG_LIST]);
         self.len_prefix(count);
     }
 
     /// A map of `count` entries, which the caller writes through the
     /// returned [`Entries`], keys in ascending order.
     pub(crate) fn map_header<'k>(&mut self, count: usize) -> Entries<'_, 'k> {
-        self.out.push(TAG_MAP);
+        self.put(&[TAG_MAP]);
         self.len_prefix(count);
         self.unwritten += count;
         Entries {
@@ -857,40 +912,48 @@ impl Writer {
         }
     }
 
+    pub(crate) fn null(&mut self) {
+        self.put(&[TAG_NULL]);
+    }
+
     pub(crate) fn str(&mut self, s: &str) {
-        self.out.push(TAG_STR);
+        self.put(&[TAG_STR]);
         self.len_prefix(s.len());
-        self.out.extend_from_slice(s.as_bytes());
+        self.put(s.as_bytes());
     }
 
     pub(crate) fn int(&mut self, i: i64) {
-        self.out.push(TAG_INT);
-        self.out.extend_from_slice(&i.to_le_bytes());
+        self.put(&[TAG_INT]);
+        self.put(&i.to_le_bytes());
     }
 
     pub(crate) fn float(&mut self, f: f64) {
-        self.out.push(TAG_FLOAT);
-        self.out.extend_from_slice(&f.to_le_bytes());
+        self.put(&[TAG_FLOAT]);
+        self.put(&f.to_le_bytes());
     }
 
     /// A byte string of `len` bytes, which the caller writes next with
     /// [`raw`](Writer::raw) or as an encoding of its own.
     pub(crate) fn bytes_header(&mut self, len: usize) {
-        self.out.push(TAG_BYTES);
+        self.put(&[TAG_BYTES]);
         self.len_prefix(len);
     }
 
     /// Bytes already encoded (a value, or what a byte string's header
     /// announced), copied in as they are.
     pub(crate) fn raw(&mut self, encoded: &[u8]) {
-        self.out.extend_from_slice(encoded);
+        self.put(encoded);
     }
 
     /// A whole [`Value`].
     pub(crate) fn value(&mut self, v: &Value) {
+        if let Some(n) = &mut self.counted {
+            *n += v.encoded_len();
+            return;
+        }
         match v {
-            Value::Null => self.out.push(TAG_NULL),
-            Value::Bool(b) => self.out.extend_from_slice(&[TAG_BOOL, u8::from(*b)]),
+            Value::Null => self.null(),
+            Value::Bool(b) => self.put(&[TAG_BOOL, u8::from(*b)]),
             Value::Int(i) => self.int(*i),
             Value::Float(f) => self.float(*f),
             Value::Str(s) => self.str(s),
@@ -933,7 +996,7 @@ impl<'k> Entries<'_, 'k> {
         self.last = Some(key);
         self.w.unwritten = self.w.unwritten.saturating_sub(1);
         self.w.len_prefix(key.len());
-        self.w.raw(key.as_bytes());
+        self.w.put(key.as_bytes());
         self.w
     }
 }
@@ -1414,6 +1477,24 @@ mod tests {
         let items = decoded.as_list().unwrap_or_default();
         for (i, d) in items.iter().enumerate() {
             child(view.at(i), d)?;
+        }
+        // Each key's last entry is the one `get` finds.
+        let mut last = BTreeMap::new();
+        for (k, v) in view.entries().into_iter().flatten() {
+            last.insert(k, v.offset());
+        }
+        let found = |k: &&str| view.get(k).map(|v| v.offset());
+        let keys: Vec<&str> = decoded
+            .as_map()
+            .into_iter()
+            .flatten()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        let same = view.entries().is_some() == decoded.as_map().is_some()
+            && last.keys().copied().eq(keys.iter().copied())
+            && last.iter().all(|(k, &at)| found(k) == Some(at));
+        if !same {
+            return Err(format!("entries {last:?} disagree with {decoded:?}"));
         }
         let past_the_end = view.at(items.len()).is_some() || view.get("no such key").is_some();
         if past_the_end {

@@ -134,18 +134,6 @@ impl FaasClient {
         self
     }
 
-    /// Sets how many attempts each invocation makes against *network
-    /// failures* before giving up.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `attempts` is zero.
-    pub fn with_max_attempts(mut self, attempts: u32) -> FaasClient {
-        assert!(attempts > 0, "max_attempts must be at least 1");
-        self.max_attempts = attempts;
-        self
-    }
-
     /// The platform this client talks to.
     pub fn platform(&self) -> &CloudFunctions {
         &self.platform
@@ -256,6 +244,15 @@ mod tests {
     use crate::platform::{ActivationCtx, PlatformConfig};
     use rustwren_sim::Kernel;
     use rustwren_store::ObjectStore;
+
+    impl FaasClient {
+        /// This client, making `attempts` attempts per invocation against
+        /// network failures before giving up.
+        fn with_max_attempts(mut self, attempts: u32) -> FaasClient {
+            self.max_attempts = attempts;
+            self
+        }
+    }
 
     fn setup(config: PlatformConfig) -> (Kernel, CloudFunctions) {
         let kernel = Kernel::new();

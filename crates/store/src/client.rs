@@ -269,18 +269,6 @@ impl CosClient {
         }
     }
 
-    /// Sets how many attempts each operation makes before reporting
-    /// [`StoreError::Network`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `attempts` is zero.
-    pub fn with_max_attempts(mut self, attempts: u32) -> CosClient {
-        assert!(attempts > 0, "max_attempts must be at least 1");
-        self.max_attempts = attempts;
-        self
-    }
-
     /// Shares `counters` with this client: every operation it (and its
     /// future clones) issues is tallied there. Lets several clients —
     /// e.g. all the upload lanes of one staging phase — account into a
@@ -628,6 +616,15 @@ mod tests {
     use super::*;
     use rustwren_sim::Kernel;
     use std::sync::Arc;
+
+    impl CosClient {
+        /// This client, making `attempts` attempts per operation before
+        /// reporting [`StoreError::Network`].
+        fn with_max_attempts(mut self, attempts: u32) -> CosClient {
+            self.max_attempts = attempts;
+            self
+        }
+    }
 
     /// Token-stream parity: the zero-alloc op identity must hash exactly
     /// like the `format!`ed strings the client used to build, or every

@@ -1,7 +1,7 @@
 //! The cost ratchet: exact counts of what a scenario costs the host,
 //! checked against `costs.toml` beside `lint.toml`.
 //!
-//! Two scenarios, each on a fresh cloud at a fixed seed:
+//! Three scenarios, each on a fresh cloud at a fixed seed:
 //!
 //! * `map_massive_1000`, the paper's massive spawning (§5.1) at 1,000
 //!   tasks: one `map` of `compute` tasks fired through remote invokers.
@@ -9,6 +9,9 @@
 //!   partitions each with one reducer per object (§4.3, the Airbnb job's
 //!   shape): four in-cloud reducers that poll the job's statuses by LIST
 //!   while the maps run.
+//! * `cloudsort_24x8`, the smoke CloudSort (24 maps, 8 reducers, seed 42)
+//!   on the partitioned shuffle plane with its combiner, on the ledger's
+//!   platform shape: the shuffle's map-side writer and reduce-side merge.
 //!
 //! Over its `cloud.run` a test counts heap allocations and the bytes they
 //! asked for (a counting global allocator, installed in this test binary
@@ -31,9 +34,13 @@ use std::cell::Cell;
 use std::time::Duration;
 
 use bytes::Bytes;
-use rustwren::core::{DataSource, MapReduceOpts, SimCloud, SpawnStrategy, TaskCtx, Value};
+use rustwren::core::{
+    DataSource, MapReduceOpts, Partitioner, ShuffleOpts, ShufflePlane, SimCloud, SpawnStrategy,
+    TaskCtx, Value,
+};
 use rustwren::faas::PlatformConfig;
 use rustwren::sim::{task, KernelStats, NetworkProfile};
+use rustwren::workloads::cloudsort::{self, CloudSortConfig};
 use rustwren::workloads::compute;
 
 /// The system allocator, counting what it is asked for.
@@ -184,6 +191,39 @@ fn map_reduce() -> Vec<(&'static str, u64)> {
     counts
 }
 
+fn cloudsort() -> Vec<(&'static str, u64)> {
+    let cfg = CloudSortConfig::smoke(42);
+    // The ledger's `cloudsort` platform: room for every map at once, and
+    // fewer containers than maps, so the job runs in waves over warm ones.
+    let platform = PlatformConfig {
+        concurrency_limit: cfg.maps + cfg.maps / 10 + 50,
+        cluster_containers: (cfg.maps / 4).max(10),
+        ..PlatformConfig::default()
+    };
+    let cloud = SimCloud::builder()
+        .seed(cfg.seed)
+        .platform(platform)
+        .client_network(NetworkProfile::lan())
+        .build();
+    cloudsort::register(&cloud);
+    cloudsort::stage(cloud.store(), "cloudsort", &cfg).expect("setup stage");
+    let partitioner = Partitioner::range_from_samples(cloudsort::sample_keys(&cfg), cfg.reducers);
+    let (results, counts) = counted(&cloud, || {
+        let exec = cloud.executor().build()?;
+        let opts = ShuffleOpts {
+            plane: ShufflePlane::Partitioned,
+            partitioner,
+            combiner: Some(cloudsort::CLOUDSORT_COMBINE_FN.into()),
+            ..ShuffleOpts::default()
+        };
+        cloudsort::submit(&exec, "cloudsort", &cfg, opts)?;
+        exec.get_result()
+    });
+    let reports = cloudsort::verify(&results.expect("the job"), &cfg).expect("a sorted run");
+    assert_eq!(reports.len(), cfg.reducers);
+    counts
+}
+
 /// The `name = count` lines of `table` in `costs.toml`.
 fn pinned(table: &str) -> Vec<(String, u64)> {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/costs.toml");
@@ -232,4 +272,9 @@ fn costs_of_a_massive_spawn_map_are_pinned() {
 #[test]
 fn costs_of_a_map_reduce_with_polling_reducers_are_pinned() {
     check("map_reduce_4x50", &map_reduce());
+}
+
+#[test]
+fn costs_of_a_cloudsort_shuffle_are_pinned() {
+    check("cloudsort_24x8", &cloudsort());
 }
