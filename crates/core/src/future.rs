@@ -103,12 +103,28 @@ impl ResponseFuture {
     }
 
     /// Key of this task's object `leaf`, below its
-    /// [`task_prefix`](ResponseFuture::task_prefix), formatted in one go.
+    /// [`task_prefix`](ResponseFuture::task_prefix), written into one
+    /// `String` of its exact length.
     fn task_key(&self, leaf: &str) -> String {
-        format!(
-            "jobs/{}/{}/t{:05}/{leaf}",
-            self.exec_id, self.job_id, self.task
-        )
+        let task = u64::from(self.task);
+        let len = "jobs/".len()
+            + self.exec_id.len()
+            + "/".len()
+            + decimal_digits(self.job_id)
+            + "/t".len()
+            + decimal_digits(task).max(TASK_DIGITS)
+            + "/".len()
+            + leaf.len();
+        let mut key = String::with_capacity(len);
+        key.push_str("jobs/");
+        key.push_str(&self.exec_id);
+        key.push('/');
+        push_decimal(&mut key, self.job_id, 0);
+        key.push_str("/t");
+        push_decimal(&mut key, task, TASK_DIGITS);
+        key.push('/');
+        key.push_str(leaf);
+        key
     }
 
     /// Key of this task's staged input descriptor (exists only for
@@ -725,6 +741,26 @@ pub enum WaitPolicy {
     AllCompleted,
 }
 
+/// Width a task number is zero-padded to in its keys (`t00017`).
+const TASK_DIGITS: usize = 5;
+
+/// Digits of `n` in decimal.
+fn decimal_digits(n: u64) -> usize {
+    n.checked_ilog10().map_or(1, |d| d as usize + 1)
+}
+
+/// Appends `n` in decimal, zero-padded to `width` digits, one digit at a
+/// time.
+fn push_decimal(out: &mut String, n: u64, width: usize) {
+    let digits = decimal_digits(n);
+    out.extend(std::iter::repeat_n('0', width.saturating_sub(digits)));
+    let mut place = 10u64.pow(digits as u32 - 1);
+    while place > 0 {
+        out.push(char::from(b'0' + (n / place % 10) as u8));
+        place /= 10;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -739,6 +775,25 @@ mod tests {
 
     fn future() -> ResponseFuture {
         ResponseFuture::new("bkt", "e3", 2, 17)
+    }
+
+    /// Task keys are the `format!` reference's, padding and all, and fill
+    /// their `String` exactly.
+    #[test]
+    fn task_keys_equal_the_formatted_reference() {
+        for job in [0, 7, 4_096, u64::MAX] {
+            for task in [0, 7, 99_999, 100_000, u32::MAX] {
+                let fut = ResponseFuture::new("bkt", "e12", job, task);
+                for (key, leaf) in [
+                    (fut.input_key(), "input"),
+                    (fut.status_key(), "status"),
+                    (fut.result_key(), "result"),
+                ] {
+                    assert_eq!(key, format!("jobs/e12/{job}/t{task:05}/{leaf}"));
+                    assert_eq!(key.capacity(), key.len(), "{key}");
+                }
+            }
+        }
     }
 
     /// `into_result` over a staged read that does not suspend: one poll.

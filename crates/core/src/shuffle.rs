@@ -105,16 +105,20 @@ impl Partitioner {
     /// `reducers - 1` quantile cut points of `samples` (a sampled key
     /// histogram): with representative samples, every reducer receives a
     /// near-equal share of the key space.
+    ///
+    /// Only the cut points' ranks are selected, not the whole histogram
+    /// sorted; a rank's sample is unique by value, so the boundaries are
+    /// those of the sorted histogram.
     pub fn range_from_samples(mut samples: Vec<String>, reducers: usize) -> Partitioner {
-        samples.sort();
-        let boundaries = (1..reducers)
-            .map(|i| {
-                if samples.is_empty() {
-                    String::new()
-                } else {
-                    samples[(i * samples.len() / reducers.max(1)).min(samples.len() - 1)].clone()
-                }
-            })
+        let len = samples.len();
+        let rank = |i: usize| (i * len / reducers).min(len.saturating_sub(1));
+        let ranks: Vec<usize> = (1..reducers).map(rank).collect();
+        if len > 0 {
+            select_ranks(&mut samples, 0, &ranks);
+        }
+        let boundaries = ranks
+            .iter()
+            .map(|&r| samples.get(r).cloned().unwrap_or_default())
             .collect();
         Partitioner::Range { boundaries }
     }
@@ -198,6 +202,20 @@ fn range_bucket_of<B: AsRef<str>>(boundaries: &[B], key: &str, reducers: usize) 
     boundaries
         .partition_point(|b| b.as_ref() <= key)
         .min(reducers.saturating_sub(1))
+}
+
+/// Moves the sample of every rank in `ranks` (ascending, offset by
+/// `base`, each inside `samples`) to where a sort would put it: select the
+/// middle rank, then the lower ranks below it and the upper ones above.
+fn select_ranks(samples: &mut [String], base: usize, ranks: &[usize]) {
+    let Some(&rank) = ranks.get(ranks.len() / 2) else {
+        return;
+    };
+    let (lower, _, upper) = samples.select_nth_unstable(rank - base);
+    let below = ranks.partition_point(|&r| r < rank);
+    let above = ranks.partition_point(|&r| r <= rank);
+    select_ranks(lower, base, ranks.get(..below).unwrap_or_default());
+    select_ranks(upper, rank + 1, ranks.get(above..).unwrap_or_default());
 }
 
 /// Stable hash-reducer assignment for a shuffle key (FNV-ish fold, then
@@ -322,6 +340,22 @@ pub(crate) mod tests {
         assert_eq!(p.bucket_of("g", 3), 1); // boundary belongs to the right
         assert_eq!(p.bucket_of("mango", 3), 1);
         assert_eq!(p.bucket_of("zebra", 3), 2);
+    }
+
+    /// [`Partitioner::range_from_samples`] as it was before it selected:
+    /// sort the whole histogram, then read the cut points off it.
+    fn range_from_sorted_samples(mut samples: Vec<String>, reducers: usize) -> Partitioner {
+        samples.sort();
+        let boundaries = (1..reducers)
+            .map(|i| {
+                if samples.is_empty() {
+                    String::new()
+                } else {
+                    samples[(i * samples.len() / reducers.max(1)).min(samples.len() - 1)].clone()
+                }
+            })
+            .collect();
+        Partitioner::Range { boundaries }
     }
 
     #[test]
@@ -450,6 +484,20 @@ pub(crate) mod tests {
     }
 
     proptest! {
+        /// Selecting the cut points' ranks gives the sorted histogram's
+        /// boundaries: with duplicate keys, with more reducers than
+        /// samples, and with no samples at all.
+        #[test]
+        fn prop_range_from_samples_equals_the_sorted_reference(
+            samples in prop::collection::vec("[a-c]{0,3}", 0..48),
+            reducers in 1usize..64,
+        ) {
+            prop_assert_eq!(
+                Partitioner::range_from_samples(samples.clone(), reducers),
+                range_from_sorted_samples(samples, reducers)
+            );
+        }
+
         /// Every key lands in exactly one in-range bucket, for both
         /// partitioners — the partition function is total and covers the
         /// key space exactly once.

@@ -47,8 +47,7 @@ pub fn register(cloud: &SimCloud) {
         let seed = v.req_i64("seed")? as u64;
         let n = field(&v, "n")?;
         let depth = field(&v, "depth")?;
-        let sorted = sort_node(&ctx, seed, n, depth).await?;
-        Ok(Value::bytes(encode_i64s(&sorted)))
+        Ok(Value::bytes(sort_node(&ctx, seed, n, depth).await?))
     });
 }
 
@@ -58,18 +57,18 @@ fn field<T: TryFrom<i64>>(v: &Value, name: &str) -> Result<T, String> {
     T::try_from(x).map_err(|_| format!("field `{name}` is out of range: {x}"))
 }
 
-async fn sort_node(ctx: &TaskCtx, seed: u64, n: u64, depth: u32) -> Result<Vec<i64>, String> {
+/// The node's sorted run, encoded as [`encode_i64s`] writes it.
+async fn sort_node(ctx: &TaskCtx, seed: u64, n: u64, depth: u32) -> Result<Vec<u8>, String> {
     if depth == 0 || n < 2 {
         // Leaf: generate the segment and sort it locally.
-        let data = generate(seed, n as usize);
+        let mut data = generate(seed, n as usize);
         let generating = Duration::from_secs_f64(n as f64 / GEN_RATE);
         task::sleep(ctx.activation().scaled(generating)).await;
-        let mut data = data;
         data.sort_unstable();
         let comparisons = n as f64 * (n.max(2) as f64).log2();
         let sorting = Duration::from_secs_f64(comparisons / SORT_CMP_RATE);
         task::sleep(ctx.activation().scaled(sorting)).await;
-        return Ok(data);
+        return Ok(encode_i64s(&data));
     }
     // Internal node: nested parallelism — two child invocations.
     let left_n = n / 2;
@@ -89,19 +88,19 @@ async fn sort_node(ctx: &TaskCtx, seed: u64, n: u64, depth: u32) -> Result<Vec<i
         .resolve_async(&futures, &GetResultOpts::default())
         .await
         .map_err(|e| e.to_string())?;
-    let left = decode_i64s(
-        results[0]
-            .as_bytes()
-            .ok_or("left child returned non-bytes")?,
-    );
-    let right = decode_i64s(
-        results[1]
-            .as_bytes()
-            .ok_or("right child returned non-bytes")?,
-    );
+    let run = |i: usize, side: &str| {
+        results
+            .get(i)
+            .and_then(Value::as_bytes)
+            .ok_or_else(|| format!("{side} child returned non-bytes"))
+    };
+    let merged = merge_runs(run(0, "left")?, run(1, "right")?);
+    // Free the children's runs now, not after the merge's modeled time,
+    // while the rest of the tree still runs.
+    drop(results);
     let merging = Duration::from_secs_f64(n as f64 / MERGE_RATE);
     task::sleep(ctx.activation().scaled(merging)).await;
-    Ok(merge(left, right))
+    Ok(merged)
 }
 
 /// Deterministic input segment for a leaf.
@@ -110,48 +109,75 @@ pub fn generate(seed: u64, n: usize) -> Vec<i64> {
     (0..n).map(|_| rng.gen()).collect()
 }
 
-/// Standard two-way merge of sorted runs.
-pub fn merge(left: Vec<i64>, right: Vec<i64>) -> Vec<i64> {
+/// Two-way merge of runs sorted by `value` without a data-dependent
+/// branch: each step copies the smaller head and advances its run by the
+/// comparison's result. On ties the left run goes first.
+fn merge_words<W: Copy>(left: &[W], right: &[W], value: impl Fn(W) -> i64) -> Vec<W> {
     let mut out = Vec::with_capacity(left.len() + right.len());
     let (mut i, mut j) = (0, 0);
-    while i < left.len() && j < right.len() {
-        if left[i] <= right[j] {
-            out.push(left[i]);
-            i += 1;
-        } else {
-            out.push(right[j]);
-            j += 1;
-        }
+    while let (Some(&l), Some(&r)) = (left.get(i), right.get(j)) {
+        let right_first = value(r) < value(l);
+        out.push(if right_first { r } else { l });
+        i += usize::from(!right_first);
+        j += usize::from(right_first);
     }
-    out.extend_from_slice(&left[i..]);
-    out.extend_from_slice(&right[j..]);
+    out.extend_from_slice(left.get(i..).unwrap_or_default());
+    out.extend_from_slice(right.get(j..).unwrap_or_default());
     out
+}
+
+/// Merges two runs encoded by [`encode_i64s`] into one, word by word; a
+/// trailing partial word of either run is dropped.
+fn merge_runs(left: &[u8], right: &[u8]) -> Vec<u8> {
+    let (left, right) = (left.as_chunks::<8>().0, right.as_chunks::<8>().0);
+    merge_words(left, right, i64::from_le_bytes).into_flattened()
+}
+
+/// Standard two-way merge of sorted runs; on ties the left run goes first.
+pub fn merge(left: Vec<i64>, right: Vec<i64>) -> Vec<i64> {
+    merge_words(&left, &right, |x| x)
 }
 
 /// Packs integers little-endian for the wire.
 pub fn encode_i64s(data: &[i64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(data.len() * 8);
-    for x in data {
-        out.extend_from_slice(&x.to_le_bytes());
-    }
-    out
+    data.iter()
+        .map(|x| x.to_le_bytes())
+        .collect::<Vec<_>>()
+        .into_flattened()
 }
 
 /// Unpacks integers packed by [`encode_i64s`]; ignores trailing partial
 /// words.
 pub fn decode_i64s(data: &[u8]) -> Vec<i64> {
-    data.chunks_exact(8)
-        .map(|c| {
-            let mut word = [0u8; 8];
-            word.copy_from_slice(c);
-            i64::from_le_bytes(word)
-        })
+    data.as_chunks::<8>()
+        .0
+        .iter()
+        .map(|&w| i64::from_le_bytes(w))
         .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The branchy merge the kernel replaced: the reference it must equal.
+    fn merge_reference(left: Vec<i64>, right: Vec<i64>) -> Vec<i64> {
+        let mut out = Vec::with_capacity(left.len() + right.len());
+        let (mut i, mut j) = (0, 0);
+        while i < left.len() && j < right.len() {
+            if left[i] <= right[j] {
+                out.push(left[i]);
+                i += 1;
+            } else {
+                out.push(right[j]);
+                j += 1;
+            }
+        }
+        out.extend_from_slice(&left[i..]);
+        out.extend_from_slice(&right[j..]);
+        out
+    }
 
     #[test]
     fn merge_interleaves_sorted_runs() {
@@ -161,6 +187,64 @@ mod tests {
         );
         assert_eq!(merge(vec![], vec![1]), vec![1]);
         assert_eq!(merge(vec![1], vec![]), vec![1]);
+    }
+
+    /// Words that remember which run they came from tell a tie's order.
+    #[test]
+    fn ties_take_the_left_run_first() {
+        let left = [(1, 'l'), (2, 'l')];
+        let right = [(1, 'r'), (2, 'r')];
+        assert_eq!(
+            merge_words(&left, &right, |(v, _)| v),
+            [(1, 'l'), (1, 'r'), (2, 'l'), (2, 'r')]
+        );
+    }
+
+    #[test]
+    fn encoded_merge_handles_extremes_and_partial_words() {
+        let l = encode_i64s(&[i64::MIN, 0, 0, i64::MAX]);
+        let r = encode_i64s(&[i64::MIN, 0, i64::MAX, i64::MAX]);
+        assert_eq!(
+            decode_i64s(&merge_runs(&l, &r)),
+            [i64::MIN, i64::MIN, 0, 0, 0, i64::MAX, i64::MAX, i64::MAX]
+        );
+        assert!(merge_runs(&[], &[]).is_empty());
+        assert_eq!(merge_runs(&l, &[]), l);
+        assert_eq!(merge_runs(&[], &r), r);
+        let mut partial = encode_i64s(&[-3, 4]);
+        partial.extend_from_slice(&[0xff; 5]);
+        assert_eq!(decode_i64s(&merge_runs(&partial, &[1, 2, 3])), [-3, 4]);
+    }
+
+    /// Sorted runs drawn around a few shared values and the extremes, so
+    /// that ties across the two runs are common.
+    fn sorted_run() -> impl Strategy<Value = Vec<i64>> {
+        let word = prop_oneof![any::<i64>(), -3i64..4, Just(i64::MIN), Just(i64::MAX)];
+        prop::collection::vec(word, 0..40).prop_map(|mut v| {
+            v.sort_unstable();
+            v
+        })
+    }
+
+    proptest! {
+        /// The encoded merge equals decoding both runs, merging them with
+        /// the branchy reference and encoding the result; a trailing
+        /// partial word of either run is dropped, as `decode_i64s` drops it.
+        #[test]
+        fn prop_encoded_merge_equals_the_reference(
+            left in sorted_run(),
+            right in sorted_run(),
+            left_tail in 0usize..8,
+            right_tail in 0usize..8,
+        ) {
+            let mut l = encode_i64s(&left);
+            l.extend(std::iter::repeat_n(0xa5, left_tail));
+            let mut r = encode_i64s(&right);
+            r.extend(std::iter::repeat_n(0x5a, right_tail));
+            let want = encode_i64s(&merge_reference(decode_i64s(&l), decode_i64s(&r)));
+            prop_assert_eq!(merge_runs(&l, &r), want);
+            prop_assert_eq!(merge(left.clone(), right.clone()), merge_reference(left, right));
+        }
     }
 
     #[test]

@@ -128,10 +128,10 @@ pub fn analyze(text: &str) -> Tone {
         if word.is_empty() {
             continue;
         }
-        let lower = word.to_ascii_lowercase();
-        if POSITIVE_WORDS.contains(&lower.as_str()) {
+        let is = |lexicon: &[&str]| lexicon.iter().any(|w| w.eq_ignore_ascii_case(word));
+        if is(POSITIVE_WORDS) {
             score += 1;
-        } else if NEGATIVE_WORDS.contains(&lower.as_str()) {
+        } else if is(NEGATIVE_WORDS) {
             score -= 1;
         }
     }
@@ -251,6 +251,68 @@ pub fn register(cloud: &SimCloud) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// [`analyze`] as it was before it compared case-insensitively: one
+    /// lowercased `String` per word.
+    fn analyze_lowercasing(text: &str) -> Tone {
+        let mut score = 0i32;
+        for word in text.split(|c: char| !c.is_ascii_alphabetic()) {
+            if word.is_empty() {
+                continue;
+            }
+            let lower = word.to_ascii_lowercase();
+            if POSITIVE_WORDS.contains(&lower.as_str()) {
+                score += 1;
+            } else if NEGATIVE_WORDS.contains(&lower.as_str()) {
+                score -= 1;
+            }
+        }
+        match score.cmp(&0) {
+            std::cmp::Ordering::Greater => Tone::Positive,
+            std::cmp::Ordering::Equal => Tone::Neutral,
+            std::cmp::Ordering::Less => Tone::Negative,
+        }
+    }
+
+    /// Text of lexicon words, random letters and separators (non-ASCII
+    /// ones among them, the Kelvin sign and the long s included), each
+    /// character's case flipped at random.
+    fn review() -> impl Strategy<Value = String> {
+        let lexicon: Vec<&str> = POSITIVE_WORDS
+            .iter()
+            .chain(NEGATIVE_WORDS)
+            .copied()
+            .collect();
+        let token = prop_oneof![
+            prop::sample::select(lexicon).prop_map(String::from),
+            "[a-zA-Z]{0,6}",
+            "[ ,.!'éÉßſ\u{212A}日本-]{1,3}",
+        ];
+        prop::collection::vec((token, any::<u64>()), 0..24).prop_map(|tokens| {
+            tokens
+                .iter()
+                .flat_map(|(token, case)| {
+                    token.chars().enumerate().map(move |(i, c)| {
+                        if case >> (i % 64) & 1 == 1 {
+                            c.to_ascii_uppercase()
+                        } else {
+                            c
+                        }
+                    })
+                })
+                .collect()
+        })
+    }
+
+    proptest! {
+        /// Comparing without lowercasing scores every text as lowercasing
+        /// each word did.
+        #[test]
+        fn prop_analyze_equals_the_lowercasing_reference(text in review()) {
+            prop_assert_eq!(analyze(&text), analyze_lowercasing(&text));
+        }
+    }
 
     #[test]
     fn analyzer_matches_generated_tones() {

@@ -1,7 +1,7 @@
 //! The cost ratchet: exact counts of what a scenario costs the host,
 //! checked against `costs.toml` beside `lint.toml`.
 //!
-//! Three scenarios, each on a fresh cloud at a fixed seed:
+//! Four scenarios, each on a fresh cloud at a fixed seed:
 //!
 //! * `map_massive_1000`, the paper's massive spawning (§5.1) at 1,000
 //!   tasks: one `map` of `compute` tasks fired through remote invokers.
@@ -12,6 +12,9 @@
 //! * `cloudsort_24x8`, the smoke CloudSort (24 maps, 8 reducers, seed 42)
 //!   on the partitioned shuffle plane with its combiner, on the ledger's
 //!   platform shape: the shuffle's map-side writer and reduce-side merge.
+//! * `mergesort_d2`, Fig 4's mergesort (§4.4) at depth 2 over 20,000
+//!   integers on a LAN cloud: seven nested activations, each internal one
+//!   awaiting its two children's runs and merging them.
 //!
 //! Over its `cloud.run` a test counts heap allocations and the bytes they
 //! asked for (a counting global allocator, installed in this test binary
@@ -42,6 +45,7 @@ use rustwren::faas::PlatformConfig;
 use rustwren::sim::{task, KernelStats, NetworkProfile};
 use rustwren::workloads::cloudsort::{self, CloudSortConfig};
 use rustwren::workloads::compute;
+use rustwren::workloads::mergesort;
 
 /// The system allocator, counting what it is asked for.
 struct Counting;
@@ -224,6 +228,27 @@ fn cloudsort() -> Vec<(&'static str, u64)> {
     counts
 }
 
+const SORTED: u64 = 20_000;
+
+fn mergesort_d2() -> Vec<(&'static str, u64)> {
+    let cloud = SimCloud::builder()
+        .seed(42)
+        .client_network(NetworkProfile::lan())
+        .build();
+    mergesort::register(&cloud);
+    let (results, counts) = counted(&cloud, || {
+        let exec = cloud.executor().build()?;
+        exec.call_async(mergesort::MERGESORT_FN, mergesort::input(42, SORTED, 2))?;
+        exec.get_result()
+    });
+    let results = results.expect("the job");
+    let run = results.first().and_then(Value::as_bytes).expect("a run");
+    let sorted = mergesort::decode_i64s(run);
+    assert_eq!(sorted.len() as u64, SORTED);
+    assert!(sorted.is_sorted(), "the run is not sorted");
+    counts
+}
+
 /// The `name = count` lines of `table` in `costs.toml`.
 fn pinned(table: &str) -> Vec<(String, u64)> {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/costs.toml");
@@ -277,4 +302,9 @@ fn costs_of_a_map_reduce_with_polling_reducers_are_pinned() {
 #[test]
 fn costs_of_a_cloudsort_shuffle_are_pinned() {
     check("cloudsort_24x8", &cloudsort());
+}
+
+#[test]
+fn costs_of_a_depth_two_mergesort_are_pinned() {
+    check("mergesort_d2", &mergesort_d2());
 }
