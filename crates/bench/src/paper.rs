@@ -1183,7 +1183,7 @@ fn replay(
 /// being compared.
 fn keepalive_platform(tenants: &[TenantTraffic], policy: KeepAlivePolicy) -> PlatformConfig {
     PlatformConfig {
-        keep_alive: Some(policy),
+        keep_alive: policy,
         tenants: tenants
             .iter()
             .map(|t| TenantConfig::new(&t.namespace, 8))

@@ -4,6 +4,7 @@ use std::time::Duration;
 
 use rustwren_analyze::{AnalyzeMode, PlanHints, SpawnProfile};
 use rustwren_faas::DEFAULT_RUNTIME;
+use rustwren_sim::hash::{hash2, unit_f64};
 
 /// How the client turns a list of tasks into cloud invocations (§5.1).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -87,33 +88,58 @@ impl Default for SpawnStrategy {
     }
 }
 
+/// Delay before the first automatic retry of a task.
+const INITIAL_BACKOFF: Duration = Duration::from_millis(500);
+/// Factor applied to the retry delay after each further failure.
+const BACKOFF_MULTIPLIER: f64 = 2.0;
+/// Upper bound on the retry delay.
+const MAX_BACKOFF: Duration = Duration::from_secs(30);
+/// Jitter fraction: each retry delay is scaled by a deterministic factor in
+/// `[1 - BACKOFF_JITTER, 1 + BACKOFF_JITTER]`, so retry storms decorrelate
+/// without breaking reproducibility.
+const BACKOFF_JITTER: f64 = 0.2;
+/// Seed of the retry-backoff jitter draws, the same for every executor: the
+/// draw is individualized by the task's identity and attempt number.
+const BACKOFF_JITTER_SEED: u64 = 1;
+
+/// Backoff before retry number `retry` (1-based), without jitter:
+/// `INITIAL_BACKOFF * BACKOFF_MULTIPLIER^(retry-1)`, capped at
+/// `MAX_BACKOFF`.
+fn base_backoff(retry: u32) -> Duration {
+    let exp = retry.saturating_sub(1).min(16);
+    INITIAL_BACKOFF
+        .mul_f64(BACKOFF_MULTIPLIER.powi(exp as i32))
+        .min(MAX_BACKOFF)
+}
+
+/// Deterministic jittered backoff before retry number `attempts` of task
+/// `key` (job id, task number): the jitter factor is drawn from the task's
+/// identity, so identically-seeded runs recover identically.
+pub(crate) fn backoff_delay(key: (u64, u32), attempts: u32) -> Duration {
+    let token = hash2(
+        BACKOFF_JITTER_SEED,
+        hash2((key.0 << 20) ^ u64::from(key.1), u64::from(attempts)),
+    );
+    base_backoff(attempts).mul_f64(1.0 - BACKOFF_JITTER + 2.0 * BACKOFF_JITTER * unit_f64(token))
+}
+
 /// Automatic re-invocation of failed tasks during `wait`/`get_result`
 /// polling.
 ///
 /// Disabled by default (`max_attempts = 1`): the executor then surfaces
 /// failures exactly as IBM-PyWren does, leaving re-execution to a manual
 /// [`crate::Executor::reinvoke`]. With a larger budget the executor
-/// transparently re-invokes failed tasks with exponential backoff while it
-/// polls, so transient faults never reach `get_result`.
+/// transparently re-invokes failed tasks while it polls, so transient
+/// faults never reach `get_result`. The delay before a retry is fixed: 500 ms
+/// doubling per further failure up to 30 s, scaled by a deterministic ±20 %
+/// jitter, and pushed past any `retry_after` deadline the platform
+/// published with a 429. A task that hit the platform execution time limit
+/// is not retried: it would usually just hit the limit again.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RetryPolicy {
     /// Total executions allowed per task, including the first.
     /// `1` disables automatic retry.
     pub max_attempts: u32,
-    /// Delay before the first retry.
-    pub initial_backoff: Duration,
-    /// Factor applied to the delay after each further failure.
-    pub backoff_multiplier: f64,
-    /// Upper bound on the delay.
-    pub max_backoff: Duration,
-    /// Jitter fraction in `[0, 1]`: each delay is scaled by a deterministic
-    /// factor in `[1 - jitter, 1 + jitter]` drawn from the executor's seed,
-    /// so retry storms decorrelate without breaking reproducibility.
-    pub jitter: f64,
-    /// Whether tasks that hit the platform execution limit are retried too.
-    /// Off by default: a task that needs more than the limit will usually
-    /// just hit it again.
-    pub retry_timeouts: bool,
     /// Presume a task dead once it has been out this long with **no**
     /// activation id and **no** status object — the signature of an invoker
     /// that was killed before spawning its group. `None` (the default)
@@ -126,11 +152,6 @@ pub struct RetryPolicy {
     /// failing stops retrying once the budget is spent instead of grinding
     /// against a sick platform forever. `None` (default) = unbounded.
     pub job_retry_budget: Option<u32>,
-    /// Honor server `retry_after` hints as a circuit breaker: when the
-    /// platform answers 429 with a deadline, retries scheduled before that
-    /// deadline are pushed past it (analyzer W007's dynamic counterpart).
-    /// On by default.
-    pub honor_retry_after: bool,
 }
 
 impl RetryPolicy {
@@ -138,19 +159,12 @@ impl RetryPolicy {
     pub fn disabled() -> RetryPolicy {
         RetryPolicy {
             max_attempts: 1,
-            initial_backoff: Duration::from_millis(500),
-            backoff_multiplier: 2.0,
-            max_backoff: Duration::from_secs(30),
-            jitter: 0.2,
-            retry_timeouts: false,
             presumed_dead_after: None,
             job_retry_budget: None,
-            honor_retry_after: true,
         }
     }
 
-    /// Default backoff parameters with a budget of `max_attempts` total
-    /// executions per task.
+    /// A budget of `max_attempts` total executions per task.
     pub fn with_attempts(max_attempts: u32) -> RetryPolicy {
         RetryPolicy {
             max_attempts: max_attempts.max(1),
@@ -164,24 +178,9 @@ impl RetryPolicy {
         self
     }
 
-    /// Disables the `retry_after` circuit breaker (blind backoff only).
-    pub fn without_retry_hint(mut self) -> RetryPolicy {
-        self.honor_retry_after = false;
-        self
-    }
-
     /// Whether this policy retries at all.
     pub fn enabled(&self) -> bool {
         self.max_attempts > 1
-    }
-
-    /// Backoff before retry number `retry` (1-based), without jitter:
-    /// `initial_backoff * multiplier^(retry-1)`, capped at `max_backoff`.
-    pub fn base_backoff(&self, retry: u32) -> Duration {
-        let exp = retry.saturating_sub(1).min(16);
-        self.initial_backoff
-            .mul_f64(self.backoff_multiplier.max(1.0).powi(exp as i32))
-            .min(self.max_backoff)
     }
 }
 
@@ -193,44 +192,25 @@ impl Default for RetryPolicy {
 
 /// Speculative (backup) execution of straggler tasks.
 ///
-/// Once most of a job has finished, tasks running far beyond the median
-/// completion time are re-invoked as duplicates; whichever copy finishes
+/// Once three quarters of a job's tasks (and at least five) have finished,
+/// tasks out for longer than twice the median completion time are
+/// re-invoked as duplicates, at most 16 per job; whichever copy finishes
 /// first supplies the status and result. Disabled by default.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpeculationConfig {
     /// Master switch.
     pub enabled: bool,
-    /// Fraction of the job's tasks that must be done before stragglers are
-    /// considered.
-    pub done_fraction: f64,
-    /// A pending task becomes a straggler once it has been out for longer
-    /// than this multiple of the median completion time of the job's done
-    /// tasks.
-    pub straggler_factor: f64,
-    /// Minimum number of completed tasks before the median is trusted.
-    pub min_done: usize,
-    /// Cap on speculative copies per job.
-    pub max_speculative: usize,
 }
 
 impl SpeculationConfig {
     /// Speculation off (the seed framework's behaviour).
     pub fn disabled() -> SpeculationConfig {
-        SpeculationConfig {
-            enabled: false,
-            done_fraction: 0.75,
-            straggler_factor: 2.0,
-            min_done: 5,
-            max_speculative: 16,
-        }
+        SpeculationConfig { enabled: false }
     }
 
-    /// Speculation on, with the default thresholds.
+    /// Speculation on.
     pub fn on() -> SpeculationConfig {
-        SpeculationConfig {
-            enabled: true,
-            ..SpeculationConfig::disabled()
-        }
+        SpeculationConfig { enabled: true }
     }
 }
 
@@ -306,22 +286,11 @@ mod tests {
 
     #[test]
     fn backoff_grows_exponentially_and_caps() {
-        let p = RetryPolicy {
-            max_attempts: 10,
-            initial_backoff: Duration::from_millis(100),
-            backoff_multiplier: 2.0,
-            max_backoff: Duration::from_millis(500),
-            jitter: 0.0,
-            retry_timeouts: false,
-            presumed_dead_after: None,
-            job_retry_budget: None,
-            honor_retry_after: true,
-        };
-        assert_eq!(p.base_backoff(1), Duration::from_millis(100));
-        assert_eq!(p.base_backoff(2), Duration::from_millis(200));
-        assert_eq!(p.base_backoff(3), Duration::from_millis(400));
-        assert_eq!(p.base_backoff(4), Duration::from_millis(500));
-        assert_eq!(p.base_backoff(40), Duration::from_millis(500));
+        assert_eq!(base_backoff(1), Duration::from_millis(500));
+        assert_eq!(base_backoff(2), Duration::from_secs(1));
+        assert_eq!(base_backoff(3), Duration::from_secs(2));
+        assert_eq!(base_backoff(7), Duration::from_secs(30));
+        assert_eq!(base_backoff(40), Duration::from_secs(30));
     }
 
     #[test]

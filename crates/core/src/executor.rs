@@ -11,12 +11,12 @@ use std::time::Duration;
 use bytes::Bytes;
 use rustwren_analyze::{analyze, AnalyzeMode, CloudProfile, Diagnostic, JobPlan, Severity};
 use rustwren_faas::{ActivationId, FaasClient, Outcome, TenantId, ThrottleSignal};
-use rustwren_sim::hash::{hash2, hash_str, unit_f64};
+use rustwren_sim::hash::{hash2, hash_str};
 use rustwren_sim::{task, NetworkProfile, SimInstant};
 use rustwren_store::{CosClient, OpCounters};
 
 use crate::cloud::SimCloud;
-use crate::config::{ExecutorConfig, RetryPolicy, SpawnStrategy, SpeculationConfig};
+use crate::config::{backoff_delay, ExecutorConfig, RetryPolicy, SpawnStrategy, SpeculationConfig};
 use crate::error::{PywrenError, Result};
 use crate::future::{
     exec_prefix, func_key, DoneSet, ResponseFuture, StatusWatch, TaskStatus, WaitPolicy,
@@ -35,9 +35,20 @@ const UPLOAD_THREADS: usize = 64;
 /// How often an in-cloud reducer polls COS for its map inputs.
 const REDUCE_POLL_INTERVAL: Duration = Duration::from_millis(1000);
 
-/// Seed of the retry-backoff jitter draws, the same for every executor: the
-/// draw is individualized by the task's identity and attempt number.
-const BACKOFF_JITTER_SEED: u64 = 1;
+/// Fraction of a job's tasks that must be done before its stragglers are
+/// considered for speculation.
+const SPECULATE_DONE_FRACTION: f64 = 0.75;
+
+/// A pending task becomes a straggler once it has been out for longer than
+/// this multiple of the median completion time of its job's done tasks.
+const STRAGGLER_FACTOR: f64 = 2.0;
+
+/// Completed tasks a job needs before its median completion time is
+/// trusted for speculation.
+const SPECULATE_MIN_DONE: usize = 5;
+
+/// Cap on speculative copies per job.
+const MAX_SPECULATIVE: usize = 16;
 
 /// Consecutive status-poll failures tolerated (when retry is enabled)
 /// before `wait`/`get_result` give up — rides out bounded COS outage
@@ -423,12 +434,9 @@ impl ExecutorBuilder {
         // operation budgets stay attributable (CosOpStats).
         let cos_stage = cos.clone().with_counters(OpCounters::shared());
         let throttle_signal = ThrottleSignal::new();
-        let mut faas = FaasClient::new(self.cloud.functions(), net, hash2(seed, 0xFA))
+        let faas = FaasClient::new(self.cloud.functions(), net, hash2(seed, 0xFA))
             .with_throttle_signal(Arc::clone(&throttle_signal))
             .with_namespace(TenantId::new(&self.namespace));
-        if !self.config.retry.honor_retry_after {
-            faas = faas.without_retry_hint();
-        }
         let agent_action = agent_action_name(&self.config.runtime);
         let table = JobTable {
             exec_id: exec_id.clone(),
@@ -823,7 +831,7 @@ impl Executor {
         plan.est_payload_bytes = largest_desc.map(|b| b as u64);
         plan.retry_max_attempts = self.inner.config.retry.max_attempts.max(1);
         plan.speculative_copies = if self.inner.config.speculation.enabled {
-            self.inner.config.speculation.max_speculative as u32
+            MAX_SPECULATIVE as u32
         } else {
             0
         };
@@ -1001,10 +1009,10 @@ impl Executor {
     ///    has an error status written on its behalf so the job terminates
     ///    with a clear [`PywrenError::Task`] instead of polling forever.
     /// 3. **Speculate on stragglers.** Once enough of a job is done, tasks
-    ///    out for longer than `straggler_factor ×` the median completion
-    ///    time get a duplicate invocation; whichever copy finishes first
-    ///    supplies the status and result (the agent never overwrites a
-    ///    `done` status with an error).
+    ///    out for longer than twice the median completion time get a
+    ///    duplicate invocation; whichever copy finishes first supplies the
+    ///    status and result (the agent never overwrites a `done` status
+    ///    with an error).
     async fn recover(
         &self,
         watched: &[ResponseFuture],
@@ -1022,7 +1030,7 @@ impl Executor {
         self.classify_completed(watched, done, retry).await?;
         self.handle_pending(watched, done, retry).await?;
         if speculation.enabled {
-            self.speculate(watched, done, speculation).await?;
+            self.speculate(watched, done).await?;
         }
         Ok(())
     }
@@ -1077,7 +1085,7 @@ impl Executor {
                 if integrity {
                     self.inner.table.lock().stats.integrity_retries += 1;
                 }
-                self.schedule_retry(f, retry, now).await?;
+                self.schedule_retry(f, now).await?;
                 done.remove(i);
             } else {
                 let mut table = self.inner.table.lock();
@@ -1152,13 +1160,12 @@ impl Executor {
                         Outcome::Success => continue, // status write in flight
                         Outcome::Failed(m) => (true, format!("died without status: {m}")),
                         Outcome::Crashed(m) => (true, format!("crashed: {m}")),
-                        Outcome::TimedOut => (
-                            retry.retry_timeouts,
-                            "hit the platform execution time limit".to_owned(),
-                        ),
+                        Outcome::TimedOut => {
+                            (false, "hit the platform execution time limit".to_owned())
+                        }
                     };
                     if retryable && self.reserve_retry(f, retry) {
-                        self.schedule_retry(f, retry, now).await?;
+                        self.schedule_retry(f, now).await?;
                     } else {
                         // Out of attempts (or unretryable): write the error
                         // status the agent could not, so the job terminates
@@ -1171,7 +1178,7 @@ impl Executor {
                 Action::PresumeDead(attempts) => {
                     if self.reserve_retry(f, retry) {
                         // Same treatment as a silent death.
-                        self.schedule_retry(f, retry, now).await?;
+                        self.schedule_retry(f, now).await?;
                     } else {
                         let dead = retry.presumed_dead_after.unwrap_or_default();
                         let message = format!(
@@ -1229,16 +1236,11 @@ impl Executor {
     /// last one's partial writes (an error status, a result without a
     /// status, a status that landed after our LIST) and schedules the
     /// re-invocation after a backoff.
-    async fn schedule_retry(
-        &self,
-        f: &ResponseFuture,
-        retry: &RetryPolicy,
-        now: SimInstant,
-    ) -> Result<()> {
+    async fn schedule_retry(&self, f: &ResponseFuture, now: SimInstant) -> Result<()> {
         self.clear_completion(f).await?;
         if let Some(r) = self.inner.table.lock().task_mut(f) {
             let key = (f.job_id(), f.task());
-            r.retry_at = Some(self.retry_deadline(retry, key, r.attempts, now));
+            r.retry_at = Some(self.retry_deadline(key, r.attempts, now));
         }
         Ok(())
     }
@@ -1274,12 +1276,7 @@ impl Executor {
     }
 
     /// Recovery sub-pass 3: see [`recover`](Executor::recover).
-    async fn speculate(
-        &self,
-        watched: &[ResponseFuture],
-        done: &DoneSet,
-        spec: &SpeculationConfig,
-    ) -> Result<()> {
+    async fn speculate(&self, watched: &[ResponseFuture], done: &DoneSet) -> Result<()> {
         let now = self.inner.cloud.kernel().now();
         let mut stragglers: Vec<&ResponseFuture> = Vec::new();
         {
@@ -1312,8 +1309,8 @@ impl Executor {
                 };
                 let mut elapsed: Vec<f64> =
                     job.tasks.iter().filter_map(|r| r.done_elapsed).collect();
-                if elapsed.len() < spec.min_done.max(1)
-                    || (elapsed.len() as f64) < spec.done_fraction * job.tasks.len() as f64
+                if elapsed.len() < SPECULATE_MIN_DONE
+                    || (elapsed.len() as f64) < SPECULATE_DONE_FRACTION * job.tasks.len() as f64
                 {
                     continue;
                 }
@@ -1321,14 +1318,14 @@ impl Executor {
                 let Some(median) = elapsed.get(elapsed.len() / 2) else {
                     continue;
                 };
-                let threshold = spec.straggler_factor * median;
+                let threshold = STRAGGLER_FACTOR * median;
                 let speculated = job.tasks.iter().filter(|r| r.speculated).count();
                 stragglers.extend(
                     candidates
                         .into_iter()
                         .filter(|(_, pending_for)| *pending_for > threshold)
                         .map(|(f, _)| f)
-                        .take(spec.max_speculative.saturating_sub(speculated)),
+                        .take(MAX_SPECULATIVE.saturating_sub(speculated)),
                 );
             }
         }
@@ -1369,37 +1366,12 @@ impl Executor {
     /// pushed past any open `retry_after` circuit-breaker deadline the
     /// platform has published (so a fleet under 429 pressure drains
     /// instead of amplifying).
-    fn retry_deadline(
-        &self,
-        retry: &RetryPolicy,
-        key: (u64, u32),
-        attempts: u32,
-        now: SimInstant,
-    ) -> SimInstant {
-        let at = now + self.backoff_delay(retry, key, attempts);
-        if !retry.honor_retry_after {
-            return at;
-        }
+    fn retry_deadline(&self, key: (u64, u32), attempts: u32, now: SimInstant) -> SimInstant {
+        let at = now + backoff_delay(key, attempts);
         match self.inner.throttle_signal.open_until(now) {
             Some(open) => at.max(open),
             None => at,
         }
-    }
-
-    /// Deterministic jittered backoff before retry number `attempts` of
-    /// task `key`: the jitter factor is drawn from the executor seed and
-    /// the task's identity, so identically-seeded runs recover identically.
-    fn backoff_delay(&self, retry: &RetryPolicy, key: (u64, u32), attempts: u32) -> Duration {
-        let base = retry.base_backoff(attempts);
-        let jitter = retry.jitter.clamp(0.0, 1.0);
-        if jitter == 0.0 {
-            return base;
-        }
-        let token = hash2(
-            BACKOFF_JITTER_SEED,
-            hash2((key.0 << 20) ^ u64::from(key.1), u64::from(attempts)),
-        );
-        base.mul_f64(1.0 - jitter + 2.0 * jitter * unit_f64(token))
     }
 
     /// Counters of the automatic fault recovery performed so far.

@@ -306,15 +306,6 @@ pub async fn read_aligned_async(cos: &CosClient, part: &Partition) -> Result<Byt
         }))
 }
 
-/// [`read_aligned_async`], blocking: for callers on a thread of their own.
-///
-/// # Errors
-///
-/// As [`read_aligned_async`].
-pub fn read_aligned(cos: &CosClient, part: &Partition) -> Result<Bytes> {
-    rustwren_sim::task::block_on(read_aligned_async(cos, part))
-}
-
 fn find_newline(buf: &[u8], from: usize) -> Option<usize> {
     buf.get(from..)?
         .iter()
@@ -353,7 +344,7 @@ async fn extend_to_newline(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rustwren_sim::{Kernel, NetworkProfile};
+    use rustwren_sim::{task, Kernel, NetworkProfile};
     use rustwren_store::ObjectStore;
 
     fn setup() -> (Kernel, ObjectStore, CosClient) {
@@ -500,7 +491,7 @@ mod tests {
                 let parts = partition_objects(&objs, Some(chunk)).unwrap();
                 let mut all = Vec::new();
                 for p in &parts {
-                    all.extend_from_slice(&read_aligned(&cos, p).unwrap());
+                    all.extend_from_slice(&task::block_on(read_aligned_async(&cos, p)).unwrap());
                 }
                 assert_eq!(all, text, "chunk={chunk}");
             }
@@ -522,7 +513,12 @@ mod tests {
                 end: 12,
                 index: 0,
             };
-            assert_eq!(read_aligned(&cos, &p).unwrap().as_ref(), b"ghij\n");
+            assert_eq!(
+                task::block_on(read_aligned_async(&cos, &p))
+                    .unwrap()
+                    .as_ref(),
+                b"ghij\n"
+            );
         });
     }
 
@@ -538,7 +534,7 @@ mod tests {
             let parts = partition_objects(&objs, Some(4)).unwrap();
             let datas: Vec<_> = parts
                 .iter()
-                .map(|p| read_aligned(&cos, p).unwrap())
+                .map(|p| task::block_on(read_aligned_async(&cos, p)).unwrap())
                 .collect();
             // First partition owns the single unterminated record.
             assert_eq!(datas[0].as_ref(), b"0123456789");
@@ -560,7 +556,7 @@ mod tests {
             assert_eq!(parts.len(), 4, "logical partitioning");
             let mut all = Vec::new();
             for p in &parts {
-                all.extend_from_slice(&read_aligned(&cos, p).unwrap());
+                all.extend_from_slice(&task::block_on(read_aligned_async(&cos, p)).unwrap());
             }
             assert_eq!(all, b"aa\nbb\ncc\ndd\n");
         });

@@ -2,9 +2,11 @@
 
 use bytes::Bytes;
 use proptest::prelude::*;
-use rustwren_core::partition::{discover, partition_objects, read_aligned, DataSource, ObjectRef};
+use rustwren_core::partition::{
+    discover, partition_objects, read_aligned_async, DataSource, ObjectRef,
+};
 use rustwren_core::wire::Value;
-use rustwren_sim::{Kernel, NetworkProfile};
+use rustwren_sim::{task, Kernel, NetworkProfile};
 use rustwren_store::{CosClient, ObjectStore};
 
 fn value_strategy() -> impl Strategy<Value = Value> {
@@ -124,7 +126,7 @@ proptest! {
             let parts = partition_objects(&objs, Some(chunk)).expect("non-zero chunk");
             let mut assembled = Vec::new();
             for p in &parts {
-                assembled.extend_from_slice(&read_aligned(&cos, p).expect("aligned read"));
+                assembled.extend_from_slice(&task::block_on(read_aligned_async(&cos, p)).expect("aligned read"));
             }
             prop_assert_eq!(assembled, text.as_bytes());
             Ok(())

@@ -85,7 +85,6 @@ pub struct FaasClient {
     seed: u64,
     namespace: TenantId,
     max_attempts: u32,
-    honor_retry_after: bool,
     signal: Option<Arc<ThrottleSignal>>,
 }
 
@@ -107,7 +106,6 @@ impl FaasClient {
             seed,
             namespace: TenantId::default_namespace(),
             max_attempts: 5,
-            honor_retry_after: true,
             signal: None,
         }
     }
@@ -116,14 +114,6 @@ impl FaasClient {
     /// that tenant's quota, rate limit and admission queue.
     pub fn with_namespace(mut self, namespace: TenantId) -> FaasClient {
         self.namespace = namespace;
-        self
-    }
-
-    /// Disables honoring the server's `retry_after` hint on 429, reverting
-    /// to blind exponential backoff — the pre-hint client behaviour, kept
-    /// for A/B measurement.
-    pub fn without_retry_hint(mut self) -> FaasClient {
-        self.honor_retry_after = false;
         self
     }
 
@@ -219,17 +209,9 @@ impl FaasClient {
                     if throttle_attempts >= MAX_THROTTLE_ATTEMPTS {
                         return Err(InvokeError::Throttled { limit, retry_after });
                     }
-                    let backoff = if self.honor_retry_after {
-                        // The server told us exactly when capacity may
-                        // free; sleeping any less just buys another 429.
-                        retry_after.max(Duration::from_millis(1))
-                    } else {
-                        // Blind exponential, as the PyWren client does;
-                        // capped so a drained slot is picked up quickly.
-                        rustwren_sim::backoff(Duration::from_millis(250), throttle_attempts.min(4))
-                            .min(Duration::from_secs(2))
-                    };
-                    task::sleep(backoff).await;
+                    // The server told us exactly when capacity may free;
+                    // sleeping any less just buys another 429.
+                    task::sleep(retry_after.max(Duration::from_millis(1))).await;
                 }
                 Err(e @ InvokeError::Network { .. }) => return Err(e),
             }
@@ -313,50 +295,6 @@ mod tests {
         assert!(faas.stats().throttled > 0, "expected some 429s");
     }
 
-    /// Runs the 6-invocations-through-a-limit-of-2 overload with or
-    /// without `retry_after` honoring and reports the total 429 count.
-    fn throttle_count(honor: bool) -> u64 {
-        let cfg = PlatformConfig {
-            concurrency_limit: 2,
-            ..PlatformConfig::default()
-        };
-        let (kernel, faas) = setup(cfg);
-        faas.register_action(
-            "slow",
-            ActionConfig::default(),
-            |ctx: &ActivationCtx, _p: Bytes| {
-                ctx.charge(Duration::from_secs(2));
-                Ok(Bytes::new())
-            },
-        )
-        .unwrap();
-        kernel.run("client", || {
-            let signal = ThrottleSignal::new();
-            let mut client = FaasClient::new(&faas, NetworkProfile::lan(), 1)
-                .with_throttle_signal(Arc::clone(&signal));
-            if !honor {
-                client = client.without_retry_hint();
-            }
-            let ids: Vec<_> = (0..6)
-                .map(|_| client.invoke("slow", Bytes::new()).unwrap())
-                .collect();
-            for id in ids {
-                assert!(faas.wait(id).is_success());
-            }
-            signal.throttles()
-        })
-    }
-
-    #[test]
-    fn honoring_retry_after_cuts_429_count() {
-        let blind = throttle_count(false);
-        let hinted = throttle_count(true);
-        assert!(
-            hinted < blind,
-            "retry_after hint should reduce 429s: hinted={hinted} blind={blind}"
-        );
-    }
-
     #[test]
     fn unknown_action_fails_fast_without_retry() {
         let (kernel, faas) = setup(PlatformConfig::default());
@@ -371,14 +309,20 @@ mod tests {
 
     /// One `invoke` of "slow" on a platform of concurrency 1 that is busy
     /// for its first 2 s when `busy`: what came back, when, and what it
-    /// took — through the blocking entry on the client's thread, or the
+    /// took (429s, sleeps, and the last `retry_after` deadline a 429
+    /// named) — through the blocking entry on the client's thread, or the
     /// resumable one awaited by a light task.
     fn invoke_once(
         light: bool,
         net: NetworkProfile,
         busy: bool,
-        honor: bool,
-    ) -> (Result<ActivationId, InvokeError>, SimInstant, u64, u64) {
+    ) -> (
+        Result<ActivationId, InvokeError>,
+        SimInstant,
+        u64,
+        u64,
+        Option<SimInstant>,
+    ) {
         let cfg = PlatformConfig {
             concurrency_limit: 1,
             ..PlatformConfig::default()
@@ -391,12 +335,9 @@ mod tests {
         faas.register_action("slow", ActionConfig::default(), slow)
             .unwrap();
         let signal = ThrottleSignal::new();
-        let mut client = FaasClient::new(&faas, net, 9)
+        let client = FaasClient::new(&faas, net, 9)
             .with_max_attempts(3)
             .with_throttle_signal(Arc::clone(&signal));
-        if !honor {
-            client = client.without_retry_hint();
-        }
         // When it returned, and how many sleeps that took.
         let seen = || {
             let timers = rustwren_sim::kernel().stats().timers_scheduled;
@@ -424,26 +365,44 @@ mod tests {
             let returned = slot.lock().unwrap().take();
             returned.expect("the driver finished")
         });
-        (result, at, signal.throttles(), timers)
+        let retry_at = signal.open_until(SimInstant::ZERO);
+        (result, at, signal.throttles(), timers, retry_at)
+    }
+
+    /// A 429 on a platform of concurrency 1 kept busy for its first 2 s:
+    /// the client sleeps exactly the server's `retry_after` (5 s), so one
+    /// retry after a single 429 is admitted, at a pinned virtual instant.
+    #[test]
+    fn a_throttled_invocation_retries_once_at_the_retry_after_instant() {
+        let (result, at, throttles, _, retry_at) = invoke_once(false, NetworkProfile::lan(), true);
+        assert!(result.is_ok(), "{result:?}");
+        assert_eq!(throttles, 1);
+        // The 429 came back one LAN round trip in, at 0.042469736 s.
+        let retry_at = retry_at.expect("a 429 named its deadline");
+        assert_eq!(
+            retry_at,
+            SimInstant::ZERO + Duration::from_nanos(5_042_469_736)
+        );
+        assert!(at > retry_at, "returned at {at}, before its retry");
     }
 
     /// Same token draws, same sleeps, same order: a success, a network
-    /// failure, and a 429 backed off with and without `retry_after`.
+    /// failure, and a 429 backed off until its `retry_after`.
     #[test]
     fn invoke_and_invoke_async_take_the_same_virtual_time() {
         let lossy = NetworkProfile::lan().with_failure_rate(1.0);
-        for (net, busy, honor) in [
-            (NetworkProfile::lan(), false, true),
-            (lossy, false, true),
-            (NetworkProfile::lan(), true, true),
-            (NetworkProfile::lan(), true, false),
+        for (net, busy) in [
+            (NetworkProfile::lan(), false),
+            (lossy, false),
+            (NetworkProfile::lan(), true),
         ] {
-            let blocking = invoke_once(false, net.clone(), busy, honor);
-            let resumable = invoke_once(true, net.clone(), busy, honor);
-            assert_eq!(blocking, resumable, "{net} busy={busy} honor={honor}");
-            let (result, at, throttles, _) = blocking;
+            let blocking = invoke_once(false, net.clone(), busy);
+            let resumable = invoke_once(true, net.clone(), busy);
+            assert_eq!(blocking, resumable, "{net} busy={busy}");
+            let (result, at, throttles, _, retry_at) = blocking;
             assert_eq!(result.is_ok(), net.failure_rate < 1.0, "{result:?}");
             assert_eq!(throttles > 0, busy);
+            assert_eq!(retry_at.is_some(), busy);
             assert_eq!(at.as_secs_f64() > 2.0, busy, "{at}");
         }
     }

@@ -17,9 +17,9 @@ pub enum InvokeError {
         limit: usize,
         /// Deterministic server-side hint: how long to wait before the
         /// request has a chance of being admitted (the remainder of the
-        /// rate window for rate throttles, a configured drain estimate for
-        /// concurrency throttles). Clients that honor it instead of blind
-        /// exponential backoff issue far fewer 429s.
+        /// rate window for rate throttles, a fixed 5 s drain estimate for
+        /// concurrency throttles). [`FaasClient`](crate::FaasClient)
+        /// sleeps exactly this long before it retries.
         retry_after: Duration,
     },
     /// The tenant's bounded admission queue is full and the invocation was

@@ -42,9 +42,28 @@ use crate::tenant::{
     DEFAULT_NAMESPACE,
 };
 
+/// Time to reuse a warm container.
+const WARM_START: Duration = Duration::from_millis(8);
+
+/// Per-worker image pull bandwidth in bytes/second.
+const PULL_BANDWIDTH: u64 = 200 * 1024 * 1024;
+
+/// Price per GB-second of function execution (IBM Cloud Functions charged
+/// $0.000017/GB-s at the time of the paper).
+const PRICE_PER_GB_SECOND: f64 = 0.000_017;
+
+/// Deterministic `retry_after` hint attached to *concurrency* 429s
+/// (rate-limit 429s hint the exact window remainder instead). A drain
+/// estimate: how long a rejected caller should wait before a slot has
+/// plausibly freed.
+const RETRY_AFTER_HINT: Duration = Duration::from_secs(5);
+
 /// Cluster-level configuration; the calibration constants behind every
 /// timing experiment. Defaults are calibrated once against the numbers the
-/// paper itself reports (see `EXPERIMENTS.md`) and then held fixed.
+/// paper itself reports (see `EXPERIMENTS.md`) and then held fixed. Four
+/// calibration values are not settable: a warm start takes 8 ms, a worker
+/// pulls images at 200 MiB/s, execution is billed at $0.000017 per
+/// GB-second, and a concurrency 429 hints `retry_after` = 5 s.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlatformConfig {
     /// Maximum concurrent activations per namespace (paper: 1,000 default,
@@ -60,18 +79,12 @@ pub struct PlatformConfig {
     pub workers: usize,
     /// Time to start a fresh container (image already local).
     pub cold_start: Duration,
-    /// Time to reuse a warm container.
-    pub warm_start: Duration,
     /// Control-plane processing time per invocation request.
     pub api_overhead: Duration,
     /// Hard per-invocation execution limit (paper: 600 s).
     pub max_exec_time: Duration,
     /// Per-function memory limit in MB (paper: 512 MB).
     pub memory_limit_mb: u32,
-    /// Idle warm containers are reclaimed after this long.
-    pub container_idle_timeout: Duration,
-    /// Per-worker image pull bandwidth in bytes/second.
-    pub pull_bandwidth: u64,
     /// Containers run at a deterministic speed in
     /// `[1 - speed_variation, 1 + speed_variation]`.
     pub speed_variation: f64,
@@ -79,24 +92,16 @@ pub struct PlatformConfig {
     pub internal_net: NetworkProfile,
     /// Seed for all deterministic per-container/per-request draws.
     pub seed: u64,
-    /// Price per GB-second of function execution (IBM Cloud Functions
-    /// charged $0.000017/GB-s at the time of the paper).
-    pub price_per_gb_second: f64,
-    /// Default container keep-alive/prewarm policy; `None` behaves as
-    /// [`KeepAlivePolicy::FixedTtl`] with
-    /// [`container_idle_timeout`](PlatformConfig::container_idle_timeout).
-    /// Tenants may override per namespace via [`TenantConfig::keep_alive`].
-    pub keep_alive: Option<KeepAlivePolicy>,
+    /// Container keep-alive/prewarm policy: by default idle warm
+    /// containers are reclaimed after 600 s
+    /// ([`KeepAlivePolicy::FixedTtl`]). Tenants may override it per
+    /// namespace via [`TenantConfig::keep_alive`].
+    pub keep_alive: KeepAlivePolicy,
     /// Tenant set for multi-tenant serving. Empty (the default) keeps the
     /// platform single-tenant: every invocation lands in the
     /// [`DEFAULT_NAMESPACE`] under the global limits only. Validated at
     /// build time ([`CloudFunctions::try_new`]).
     pub tenants: Vec<TenantConfig>,
-    /// Deterministic `retry_after` hint attached to *concurrency* 429s
-    /// (rate-limit 429s hint the exact window remainder instead). A drain
-    /// estimate: how long a rejected caller should wait before a slot has
-    /// plausibly freed.
-    pub retry_after_hint: Duration,
 }
 
 impl Default for PlatformConfig {
@@ -107,19 +112,14 @@ impl Default for PlatformConfig {
             cluster_containers: 2_600,
             workers: 120,
             cold_start: Duration::from_millis(420),
-            warm_start: Duration::from_millis(8),
             api_overhead: Duration::from_millis(40),
             max_exec_time: Duration::from_secs(600),
             memory_limit_mb: 512,
-            container_idle_timeout: Duration::from_secs(600),
-            pull_bandwidth: 200 * 1024 * 1024,
             speed_variation: 0.12,
             internal_net: NetworkProfile::datacenter(),
             seed: 0xF00D,
-            price_per_gb_second: 0.000_017,
-            keep_alive: None,
+            keep_alive: KeepAlivePolicy::fixed(Duration::from_secs(600)),
             tenants: Vec::new(),
-            retry_after_hint: Duration::from_secs(5),
         }
     }
 }
@@ -440,7 +440,8 @@ pub struct BillingReport {
     pub activations: u64,
     /// Total billed GB-seconds (memory × execution time, per activation).
     pub gb_seconds: f64,
-    /// Estimated cost at [`PlatformConfig::price_per_gb_second`].
+    /// Estimated cost at IBM Cloud Functions' price at the time of the
+    /// paper, $0.000017 per GB-second.
     pub estimated_usd: f64,
 }
 
@@ -885,7 +886,7 @@ impl CloudFunctions {
                     pool.stats.throttled += 1;
                     return Err(InvokeError::Throttled {
                         limit: self.inner.config.concurrency_limit,
-                        retry_after: self.inner.config.retry_after_hint,
+                        retry_after: RETRY_AFTER_HINT,
                     });
                 }
                 pool.inflight += 1;
@@ -998,18 +999,14 @@ impl CloudFunctions {
     }
 
     /// The keep-alive policy in effect for `namespace`: the tenant's
-    /// override, else the platform's, else fixed-TTL at
-    /// [`PlatformConfig::container_idle_timeout`].
+    /// override, else the platform's.
     fn effective_policy(&self, namespace: &str) -> KeepAlivePolicy {
         let cfg = &self.inner.config;
         cfg.tenants
             .iter()
             .find(|t| t.namespace == namespace)
             .and_then(|t| t.keep_alive.clone())
-            .or_else(|| cfg.keep_alive.clone())
-            .unwrap_or(KeepAlivePolicy::FixedTtl {
-                ttl: cfg.container_idle_timeout,
-            })
+            .unwrap_or_else(|| cfg.keep_alive.clone())
     }
 
     /// Per-tenant serving counters, including warm-pool seconds accrued by
@@ -1179,7 +1176,7 @@ impl CloudFunctions {
             report.activations += 1;
             report.gb_seconds += memory_gb * exec.as_secs_f64();
         }
-        report.estimated_usd = report.gb_seconds * self.inner.config.price_per_gb_second;
+        report.estimated_usd = report.gb_seconds * PRICE_PER_GB_SECOND;
         report
     }
 
@@ -1208,7 +1205,7 @@ impl CloudFunctions {
 
     /// How long pulling `bytes` of image takes a worker.
     fn pull_time(&self, bytes: u64) -> Duration {
-        Duration::from_secs_f64(bytes as f64 / self.inner.config.pull_bandwidth.max(1) as f64)
+        Duration::from_secs_f64(bytes as f64 / PULL_BANDWIDTH as f64)
     }
 
     /// Starts a fresh container in capacity already claimed; also returns
@@ -1256,7 +1253,9 @@ impl CloudFunctions {
                 worker,
                 speed,
                 last_used: now,
-                expires_at: now + cfg.container_idle_timeout,
+                // Read only in the warm pool, which it enters through
+                // `release_locked` or `prewarm`; both set the real deadline.
+                expires_at: now,
                 warmed_since: None,
                 cache: BlobCache::new(),
             },
@@ -1612,7 +1611,7 @@ async fn activation(
     }
 
     let (container, cold) = platform.obtain_container(id, &key, &registered).await;
-    task::sleep(if cold { cfg.cold_start } else { cfg.warm_start }).await;
+    task::sleep(if cold { cfg.cold_start } else { WARM_START }).await;
 
     let started = {
         let mut records = locked(&inner.records).await;
@@ -2149,7 +2148,7 @@ mod tests {
             assert!(r.cold_start);
             // Cold start + image pull happened before execution.
             let cfg = faas.config();
-            let pull = Duration::from_secs_f64(340.0 * 1024.0 * 1024.0 / cfg.pull_bandwidth as f64);
+            let pull = Duration::from_secs_f64(340.0 * 1024.0 * 1024.0 / PULL_BANDWIDTH as f64);
             assert_eq!(
                 r.started.unwrap().duration_since(r.submitted),
                 pull + cfg.cold_start
@@ -2205,7 +2204,7 @@ mod tests {
     #[test]
     fn blob_cache_survives_warm_reuse_and_dies_with_container() {
         let (kernel, faas) = setup(PlatformConfig {
-            container_idle_timeout: Duration::from_secs(30),
+            keep_alive: KeepAlivePolicy::fixed(Duration::from_secs(30)),
             ..PlatformConfig::default()
         });
         faas.register_action(

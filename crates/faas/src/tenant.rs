@@ -71,8 +71,7 @@ impl Default for TenantId {
 #[derive(Debug, Clone, PartialEq)]
 pub enum KeepAlivePolicy {
     /// Keep every idle container warm for a fixed TTL (OpenWhisk's
-    /// behaviour; the platform default mirrors
-    /// [`container_idle_timeout`](crate::PlatformConfig::container_idle_timeout)).
+    /// behaviour; the platform default, with a 600 s TTL).
     FixedTtl {
         /// Idle time after which the container is reclaimed.
         ttl: Duration,

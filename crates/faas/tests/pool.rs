@@ -3,7 +3,9 @@
 use std::time::Duration;
 
 use bytes::Bytes;
-use rustwren_faas::{ActionConfig, ActivationCtx, CloudFunctions, Outcome, Phase, PlatformConfig};
+use rustwren_faas::{
+    ActionConfig, ActivationCtx, CloudFunctions, KeepAlivePolicy, Outcome, Phase, PlatformConfig,
+};
 use rustwren_sim::Kernel;
 use rustwren_store::ObjectStore;
 
@@ -23,7 +25,7 @@ fn charge_action(secs: u64) -> impl rustwren_faas::Action {
 #[test]
 fn idle_containers_expire_after_timeout() {
     let cfg = PlatformConfig {
-        container_idle_timeout: Duration::from_secs(30),
+        keep_alive: KeepAlivePolicy::fixed(Duration::from_secs(30)),
         ..PlatformConfig::default()
     };
     let (kernel, faas) = setup(cfg);

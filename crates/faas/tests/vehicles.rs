@@ -168,7 +168,8 @@ fn cold_start_with_image_pull_then_warm_reuse() {
         }
     });
     let cfg = PlatformConfig::default();
-    let pull = Duration::from_secs_f64(340.0 * 1024.0 * 1024.0 / cfg.pull_bandwidth as f64);
+    // A 340 MiB image at the platform's 200 MiB/s pull bandwidth.
+    let pull = Duration::from_secs_f64(340.0 * 1024.0 * 1024.0 / (200.0 * 1024.0 * 1024.0));
     let first = &seen.records[0];
     assert!(first.cold_start);
     assert_eq!(

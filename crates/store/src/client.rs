@@ -169,36 +169,21 @@ impl OpCounts {
     }
 }
 
-/// Per-operation service-side latency, independent of payload size.
-///
-/// Defaults are in the ballpark of public COS/S3 numbers; they only shift
-/// constants, not the shape of the paper's results.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CosCosts {
-    /// Service time for GET/PUT of object data.
-    pub data_op: Duration,
-    /// Service time for HEAD (object or bucket).
-    pub head_op: Duration,
-    /// Service time for LIST, per returned batch of 1,000 keys.
-    pub list_op: Duration,
-    /// Service time for DELETE.
-    pub delete_op: Duration,
-    /// Approximate bytes of metadata returned per listed key (affects LIST
-    /// transfer time).
-    pub list_entry_bytes: u64,
-}
+// Per-operation service-side latency, independent of payload size. The
+// values are in the ballpark of public COS/S3 numbers; they only shift
+// constants, not the shape of the paper's results.
 
-impl Default for CosCosts {
-    fn default() -> CosCosts {
-        CosCosts {
-            data_op: Duration::from_millis(9),
-            head_op: Duration::from_millis(5),
-            list_op: Duration::from_millis(14),
-            delete_op: Duration::from_millis(6),
-            list_entry_bytes: 200,
-        }
-    }
-}
+/// Service time for GET/PUT of object data.
+const DATA_OP: Duration = Duration::from_millis(9);
+/// Service time for HEAD (object or bucket).
+const HEAD_OP: Duration = Duration::from_millis(5);
+/// Service time for LIST, per returned batch of 1,000 keys.
+const LIST_OP: Duration = Duration::from_millis(14);
+/// Service time for DELETE.
+const DELETE_OP: Duration = Duration::from_millis(6);
+/// Approximate bytes of metadata returned per listed key (affects LIST
+/// transfer time).
+const LIST_ENTRY_BYTES: u64 = 200;
 
 /// A virtual-time client for the simulated object store.
 ///
@@ -230,7 +215,6 @@ impl Default for CosCosts {
 pub struct CosClient {
     store: ObjectStore,
     net: NetworkProfile,
-    costs: CosCosts,
     seed: u64,
     max_attempts: u32,
     counters: Arc<OpCounters>,
@@ -262,7 +246,6 @@ impl CosClient {
         CosClient {
             store: store.clone(),
             net,
-            costs: CosCosts::default(),
             seed,
             max_attempts: 4,
             counters: OpCounters::shared(),
@@ -461,7 +444,7 @@ impl CosClient {
             bucket,
             key,
             data.len() as u64,
-            self.costs.data_op,
+            DATA_OP,
         )
         .await?;
         self.store.put(bucket, key, data)
@@ -481,7 +464,7 @@ impl CosClient {
                 bucket,
                 key,
                 data.len() as u64,
-                self.costs.data_op,
+                DATA_OP,
             )
             .await?;
         Ok(self.maybe_corrupt(bucket, key, token, data))
@@ -506,7 +489,7 @@ impl CosClient {
                 bucket,
                 key,
                 data.len() as u64,
-                self.costs.data_op,
+                DATA_OP,
             )
             .await?;
         Ok(self.maybe_corrupt(bucket, key, token, data))
@@ -520,7 +503,7 @@ impl CosClient {
             bucket,
             key,
             256,
-            self.costs.head_op,
+            HEAD_OP,
         )
         .await?;
         self.store.head(bucket, key)
@@ -529,14 +512,8 @@ impl CosClient {
     /// Resumable [`head_bucket`](CosClient::head_bucket).
     pub async fn head_bucket_async(&self, bucket: &str) -> Result<BucketMeta, StoreError> {
         self.counters.count(&self.counters.heads);
-        self.charge(
-            CosOp::new("HEAD", bucket, None),
-            bucket,
-            "",
-            256,
-            self.costs.head_op,
-        )
-        .await?;
+        self.charge(CosOp::new("HEAD", bucket, None), bucket, "", 256, HEAD_OP)
+            .await?;
         self.store.head_bucket(bucket)
     }
 
@@ -575,8 +552,8 @@ impl CosClient {
             CosOp::new("LIST", bucket, Some(prefix)).with_suffix(OpSuffix::Const("*")),
             bucket,
             prefix,
-            entries as u64 * self.costs.list_entry_bytes,
-            self.costs.list_op * batches,
+            entries as u64 * LIST_ENTRY_BYTES,
+            LIST_OP * batches,
         )
         .await?;
         Ok(entries)
@@ -590,7 +567,7 @@ impl CosClient {
             bucket,
             key,
             64,
-            self.costs.delete_op,
+            DELETE_OP,
         )
         .await?;
         self.store.delete(bucket, key)
@@ -604,7 +581,7 @@ impl CosClient {
             bucket,
             key,
             256,
-            self.costs.head_op,
+            HEAD_OP,
         )
         .await?;
         Ok(self.store.exists(bucket, key))
@@ -697,10 +674,7 @@ mod tests {
         kernel.run("client", || {
             client.put("b", "k", Bytes::from_static(b"v")).unwrap();
             let elapsed = rustwren_sim::now();
-            assert_eq!(
-                elapsed.as_nanos(),
-                CosCosts::default().data_op.as_nanos() as u64
-            );
+            assert_eq!(elapsed.as_nanos(), DATA_OP.as_nanos() as u64);
         });
     }
 

@@ -31,7 +31,7 @@
 //!             h.join()
 //!         })
 //!     },
-//!     &Budget::random(20, 7),
+//!     &Budget::dfs(20, 2),
 //! );
 //! assert!(report.ok(), "{report}");
 //! ```
@@ -89,18 +89,6 @@ pub struct Budget {
 }
 
 impl Budget {
-    /// Randomized exploration of `schedules` schedules from `seed`.
-    pub fn random(schedules: usize, seed: u64) -> Budget {
-        Budget {
-            schedules,
-            strategy: Strategy::Random {
-                seed,
-                preempt_probability: 0.1,
-            },
-            label: "explore".to_string(),
-        }
-    }
-
     /// Bounded-exhaustive exploration of up to `schedules` schedules with
     /// at most `max_preemptions` injected preemptions each.
     pub fn dfs(schedules: usize, max_preemptions: usize) -> Budget {
@@ -735,7 +723,14 @@ mod tests {
                     hs.into_iter().map(|h| h.join()).sum::<i32>()
                 })
             },
-            &Budget::random(25, 11),
+            &Budget {
+                schedules: 25,
+                strategy: Strategy::Random {
+                    seed: 11,
+                    preempt_probability: 0.1,
+                },
+                label: "explore".to_string(),
+            },
         );
         assert!(report.ok(), "{report}");
         assert_eq!(report.schedules, 26);

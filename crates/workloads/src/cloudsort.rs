@@ -33,6 +33,9 @@ pub const CLOUDSORT_COMBINE_FN: &str = "cloudsort-combine";
 /// Modeled map-side throughput: read + sort one partition, bytes/second.
 pub const SORT_BYTES_PER_SEC: f64 = 180.0e6;
 
+/// Fixed record width in bytes: CloudSort defines a record as 100 bytes.
+const RECORD_BYTES: u64 = 100;
+
 /// Shape of one CloudSort run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CloudSortConfig {
@@ -42,8 +45,6 @@ pub struct CloudSortConfig {
     pub reducers: usize,
     /// Total logical dataset size in bytes.
     pub logical_bytes: u64,
-    /// Fixed record width in bytes (CloudSort uses 100-byte records).
-    pub record_bytes: u64,
     /// Histogram resolution: keyed pairs emitted per map task.
     pub samples_per_map: usize,
     /// Deterministic seed for key synthesis.
@@ -57,7 +58,6 @@ impl CloudSortConfig {
             maps: 400,
             reducers: 50,
             logical_bytes: 100_000_000_000,
-            record_bytes: 100,
             samples_per_map: 128,
             seed,
         }
@@ -69,7 +69,6 @@ impl CloudSortConfig {
             maps: 24,
             reducers: 8,
             logical_bytes: 6_000_000_000,
-            record_bytes: 100,
             samples_per_map: 64,
             seed,
         }
@@ -82,7 +81,7 @@ impl CloudSortConfig {
 
     /// Records per input partition.
     pub fn records_per_map(&self) -> u64 {
-        self.bytes_per_map() / self.record_bytes
+        self.bytes_per_map() / RECORD_BYTES
     }
 
     /// Total records across the dataset.
@@ -353,7 +352,6 @@ mod tests {
             maps: 6,
             reducers: 4,
             logical_bytes: 60_000_000,
-            record_bytes: 100,
             samples_per_map: 32,
             seed: 9,
         };

@@ -173,7 +173,6 @@ fn cloudsort_scenario(kernel: Kernel) -> String {
         maps: 6,
         reducers: 4,
         logical_bytes: 60_000_000,
-        record_bytes: 100,
         samples_per_map: 32,
         seed: 9,
     };
@@ -227,7 +226,7 @@ fn burst_scenario(kernel: Kernel, horizon: Duration) -> String {
         .client_network(NetworkProfile::lan())
         .platform(PlatformConfig {
             concurrency_limit: 8,
-            keep_alive: Some(KeepAlivePolicy::hybrid(Duration::from_secs(6))),
+            keep_alive: KeepAlivePolicy::hybrid(Duration::from_secs(6)),
             tenants: vec![
                 TenantConfig::new("alpha", 4).queue_depth(32),
                 TenantConfig::new("beta", 4).queue_depth(32),
