@@ -253,7 +253,8 @@ pub struct JobPlan {
     /// Maximum invocation attempts per task under the executor's retry
     /// policy (1 = no retries).
     pub retry_max_attempts: u32,
-    /// Speculative backup copies launched per straggling task (0 =
+    /// Speculative backup copies the job can have in flight at once, over
+    /// all its tasks: the extra in-flight width speculation adds (0 =
     /// speculation disabled).
     pub speculative_copies: u32,
     /// Shape of the job's shuffle data plane, if it has one (W008).
@@ -579,8 +580,8 @@ fn rule_w006_reducer_fanin(plan: &JobPlan, out: &mut Vec<Diagnostic>) {
 
 /// W007: retry x speculation amplification. A map that fits the
 /// concurrency limit on paper can still storm the throttle once the
-/// speculation layer doubles the in-flight width and the retry policy
-/// multiplies the total invocation volume.
+/// speculation layer's backups widen the in-flight width and the retry
+/// policy multiplies the total invocation volume.
 fn rule_w007_retry_speculation_amplification(
     plan: &JobPlan,
     profile: &CloudProfile,
@@ -593,20 +594,24 @@ fn rule_w007_retry_speculation_amplification(
     }
     let tasks = plan.tasks as u128;
     let limit = profile.concurrency_limit as u128;
-    // Worst-case simultaneously-live activations: every task plus its
-    // backup copies in flight at once.
-    let width = tasks.saturating_mul(1 + copies);
+    // Worst-case simultaneously-live activations: every task plus every
+    // backup copy in flight at once.
+    let width = tasks.saturating_add(copies);
     if tasks <= limit && width > limit {
         let volume = width.saturating_mul(attempts);
         out.push(Diagnostic {
             rule: Rule::W007,
             severity: Severity::Warning,
             message: format!(
-                "job `{}` fits the concurrency limit at {} task(s), but {} speculative                  cop(ies) per task amplify the in-flight width to {} against a limit of                  {} (worst-case {} invocation(s) with {} retry attempt(s)): backups will                  throttle the very stragglers they are meant to cover",
+                "job `{}` fits the concurrency limit at {} task(s), but {} speculative \
+                 cop(ies) amplify the in-flight width to {} against a limit of {} \
+                 (worst-case {} invocation(s) with {} retry attempt(s)): backups will \
+                 throttle the very stragglers they are meant to cover",
                 plan.label, tasks, copies, width, limit, volume, attempts
             ),
             suggestion: format!(
-                "cap speculation so tasks x (1 + copies) stays within {limit}, lower the                  retry budget, or split the map into waves"
+                "cap speculation so tasks + copies stays within {limit}, lower the \
+                 retry budget, or split the map into waves"
             ),
         });
     }
@@ -658,12 +663,12 @@ fn rule_w008_shuffle_op_budget(plan: &JobPlan, profile: &CloudProfile, out: &mut
 /// sized to the *global* concurrency limit still stalls when the tenant's
 /// own quota is smaller: the overflow waits in the tenant's bounded
 /// admission queue and, past its depth, is shed outright. Speculative
-/// copies widen the wave the same way they do for W007.
+/// copies widen the wave by their number, as they do for W007.
 fn rule_w009_tenant_quota(plan: &JobPlan, out: &mut Vec<Diagnostic>) {
     let Some(quota) = plan.tenant_quota else {
         return;
     };
-    let wave = (plan.tasks as u128).saturating_mul(1 + u128::from(plan.speculative_copies));
+    let wave = (plan.tasks as u128).saturating_add(u128::from(plan.speculative_copies));
     if plan.tasks == 0 || wave <= quota as u128 {
         return;
     }
@@ -834,19 +839,20 @@ mod tests {
 
     #[test]
     fn w007_fires_only_when_amplification_crosses_the_limit() {
-        // 600 tasks fit a limit of 1000, but one backup copy per task makes
-        // 1200 simultaneously-live activations.
-        let mut plan = JobPlan::new("map", 600);
-        plan.speculative_copies = 1;
+        // 990 tasks fit a limit of 1000, but 16 backup copies in flight
+        // make 1006 simultaneously-live activations.
+        let mut plan = JobPlan::new("map", 990);
+        plan.speculative_copies = 16;
         plan.retry_max_attempts = 3;
         let diags = analyze(&plan, &CloudProfile::default());
         let w007 = diags.iter().find(|d| d.rule == Rule::W007).expect("W007");
         assert_eq!(w007.severity, Severity::Warning);
-        assert!(w007.message.contains("1200"), "{}", w007.message);
+        assert!(w007.message.contains("to 1006 against"), "{}", w007.message);
+        assert!(!w007.message.contains("  "), "{}", w007.message);
 
         // Amplified width within the limit: silent.
-        let mut ok = JobPlan::new("map", 400);
-        ok.speculative_copies = 1;
+        let mut ok = JobPlan::new("map", 984);
+        ok.speculative_copies = 16;
         ok.retry_max_attempts = 3;
         assert!(!rules(&analyze(&ok, &CloudProfile::default())).contains(&Rule::W007));
 
@@ -857,7 +863,7 @@ mod tests {
 
         // Already wider than the limit without speculation: W002 owns it.
         let mut over = JobPlan::new("map", 1_500);
-        over.speculative_copies = 1;
+        over.speculative_copies = 16;
         assert!(!rules(&analyze(&over, &CloudProfile::default())).contains(&Rule::W007));
     }
 
@@ -932,14 +938,14 @@ mod tests {
 
     #[test]
     fn w009_counts_speculative_copies_toward_the_wave() {
-        // 6 tasks fit a quota of 8 on paper, but one backup copy per task
-        // makes the worst-case wave 12.
+        // 6 tasks fit a quota of 8 on paper, but a backup copy for every
+        // task makes the worst-case wave 12; two copies make it 8, which fits.
         let mut plan = JobPlan::new("map", 6);
         plan.tenant_namespace = Some("acme".into());
         plan.tenant_quota = Some(8);
-        plan.speculative_copies = 1;
+        plan.speculative_copies = 6;
         assert!(rules(&analyze(&plan, &CloudProfile::default())).contains(&Rule::W009));
-        plan.speculative_copies = 0;
+        plan.speculative_copies = 2;
         assert!(!rules(&analyze(&plan, &CloudProfile::default())).contains(&Rule::W009));
     }
 

@@ -830,8 +830,10 @@ impl Executor {
         }
         plan.est_payload_bytes = largest_desc.map(|b| b as u64);
         plan.retry_max_attempts = self.inner.config.retry.max_attempts.max(1);
+        // At most one backup per task and MAX_SPECULATIVE per job: the
+        // in-flight width speculation can add (W007, W009).
         plan.speculative_copies = if self.inner.config.speculation.enabled {
-            MAX_SPECULATIVE as u32
+            specs.len().min(MAX_SPECULATIVE) as u32
         } else {
             0
         };
@@ -910,10 +912,13 @@ impl Executor {
         let exec_id = &self.inner.exec_id;
 
         // 1. Stage the "serialized function" once per job (checksum-stamped
-        // like every staged object).
+        // and vouched for, like every staged object).
         let blob = crate::wire::stamp(&vec![0u8; f.code_size() as usize]);
         let key = func_key(exec_id, job_id);
-        self.inner.cos_stage.put_async(bucket, &key, blob).await?;
+        self.inner
+            .cos_stage
+            .put_vouched_async(bucket, &key, blob)
+            .await?;
 
         // 2. Stage the per-task inputs from a client upload pool — except
         // descriptors small enough to ride inline in the activation payload,
@@ -936,7 +941,7 @@ impl Executor {
         let stage = Arc::new((self.inner.cos_stage.clone(), bucket.clone()));
         let upload = move |(key, data): (String, Bytes)| {
             let stage = Arc::clone(&stage);
-            async move { stage.0.put_async(&stage.1, &key, data).await.map(|_| ()) }
+            async move { stage.0.put_vouched_async(&stage.1, &key, data).await }
         };
         rustwren_sim::fan_out("upload", UPLOAD_THREADS, uploads, upload).await?;
 
@@ -1692,13 +1697,11 @@ impl Executor {
     pub fn clean(&self) -> Result<usize> {
         let bucket = &self.inner.config.storage_bucket;
         let prefix = exec_prefix(&self.inner.exec_id);
-        let keys: Vec<String> = self
-            .inner
-            .cos
-            .list(bucket, &prefix)?
-            .into_iter()
-            .map(|m| m.key)
-            .collect();
+        let mut keys = Vec::new();
+        let listing = self.inner.cos.list_each_async(bucket, &prefix, |o| {
+            keys.push(o.key().to_owned());
+        });
+        task::block_on(listing)?;
         for key in &keys {
             self.inner.cos.delete(bucket, key)?;
         }

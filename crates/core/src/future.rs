@@ -11,7 +11,7 @@ use bytes::Bytes;
 use rustwren_store::{CosClient, ListedObject, StoreError};
 
 use crate::error::{self, PywrenError};
-use crate::wire::{self, Value, ValueRef, Writer};
+use crate::wire::{Value, ValueRef, Writer};
 
 /// Marker key identifying a result value that is really a set of futures
 /// produced by an in-cloud executor (dynamic composition, §4.4).
@@ -302,7 +302,7 @@ impl<'a> TaskStatus<'a> {
     }
 
     /// Writes this as `f`'s status object, checksum-stamped, encoded
-    /// straight into the stamped buffer.
+    /// straight into the stamped buffer, and vouched for.
     ///
     /// # Errors
     ///
@@ -313,9 +313,8 @@ impl<'a> TaskStatus<'a> {
         f: &ResponseFuture,
     ) -> Result<(), StoreError> {
         let stamped = self.encode_with(Writer::stamped);
-        cos.put_async(f.bucket(), &f.status_key(), stamped)
+        cos.put_vouched_async(f.bucket(), &f.status_key(), stamped)
             .await
-            .map(|_| ())
     }
 
     /// Checks the (verified, unstamped) bytes of `f`'s status object end to
@@ -452,14 +451,14 @@ impl StatusView {
 }
 
 /// The shuffle reducers' one reading of each map status (DESIGN §10). Each
-/// of R reducers GETs every map's status and verifies its stamp; a read
-/// whose bytes are the bytes a successful [`TaskStatus::decode`] walked under
-/// the same key takes that walk's view instead of walking them again. Only a
-/// walk that succeeds is kept — one view per status key, until the
-/// executor's `clean` deletes the status, holding bytes the store already
-/// shares — so a re-written status, a failed walk or a corrupted read is
-/// walked as ever. The lock is a plain `std` one: host-only state, never
-/// contended under the kernel's one runner at a time.
+/// of R reducers GETs every map's status, its stamp checked as every read's
+/// is; a read whose bytes are the bytes a successful [`TaskStatus::decode`]
+/// walked under the same key takes that walk's view instead of walking them
+/// again. Only a walk that succeeds is kept — one view per status key,
+/// until the executor's `clean` deletes the status, holding bytes the store
+/// already shares — so a re-written status, a failed walk or a corrupted
+/// read is walked as ever. The lock is a plain `std` one: host-only state,
+/// never contended under the kernel's one runner at a time.
 #[derive(Default)]
 pub(crate) struct StatusMemo(Mutex<Memo>);
 
@@ -471,29 +470,6 @@ struct Memo {
 }
 
 impl StatusMemo {
-    /// [`wire::verified_payload`] of `raw`, the stamped bytes just read at
-    /// status key `key` — or, when `raw` is the very object a kept view's
-    /// bytes were verified in, those bytes, not checked again: the store
-    /// hands every reader of an unchanged object the one immutable
-    /// allocation, which the view keeps alive, so the same address and
-    /// length are the same bytes. A read corrupted on the way is a copy
-    /// elsewhere, and is checked.
-    pub(crate) fn verified(&self, key: &str, raw: &Bytes) -> Result<Bytes, wire::WireError> {
-        let memo = self.0.lock().unwrap_or_else(PoisonError::into_inner);
-        let within = |payload: &&Bytes| {
-            let at = raw.as_ptr().wrapping_add(wire::STAMP_LEN);
-            (payload.as_ptr(), payload.len() + wire::STAMP_LEN) == (at, raw.len())
-        };
-        let kept = memo
-            .views
-            .get(key)
-            .map(|view| &view.raw)
-            .filter(within)
-            .cloned();
-        drop(memo);
-        kept.map_or_else(|| wire::verified_payload(raw), Ok)
-    }
-
     /// [`TaskStatus::decode`] of `raw`, the verified bytes just read at
     /// status key `key` for `f`, and its errors.
     pub(crate) fn decode(
@@ -1064,47 +1040,56 @@ mod tests {
         Ok(())
     }
 
-    /// A read is taken on trust only when it is the very stamped object a
-    /// kept view was verified in: a copy of it, a damaged copy, a read under
-    /// another key or a memo that kept nothing is verified as ever.
+    /// The one rule: a read is taken on trust only when it is the store's
+    /// own allocation of an object its writer vouched for. A writer that
+    /// vouches for a stamp it did not compute shows it — its read is taken
+    /// as written — while the same bytes planted without a vouch, or
+    /// planted over a vouched object, fail as [`PywrenError::Integrity`] at
+    /// a status key and at a result key alike; a read through the memo is
+    /// checked first, and only then decoded or reused.
     #[test]
-    fn memo_takes_only_the_kept_object_on_trust() {
+    fn reads_take_only_a_vouched_allocation_on_trust() {
         let f = future();
-        let key = f.status_key();
-        let stamped = crate::wire::stamp(&TaskStatus::new(None, 0.0, 1.0).encode());
-        let memo = StatusMemo::default();
-        let fresh = memo.verified(&key, &stamped).expect("a good stamp");
-        assert_eq!(
-            fresh,
-            crate::wire::verified_payload(&stamped).expect("verifies")
-        );
-        let view = memo.decode(key.clone(), fresh, &f).expect("a status");
-        let trusted = memo
-            .verified(&key, &stamped.clone())
-            .expect("the kept object");
-        assert_eq!(
-            trusted.as_ptr(),
-            view.bytes().as_ptr(),
-            "taken from the view"
-        );
-        let copy = Bytes::copy_from_slice(&stamped);
-        let checked = memo.verified(&key, &copy).expect("an equal copy verifies");
-        assert_ne!(checked.as_ptr(), view.bytes().as_ptr(), "a copy is checked");
-        let mut damaged = stamped.to_vec();
-        if let Some(last) = damaged.last_mut() {
-            *last ^= 1;
+        let kernel = rustwren_sim::Kernel::new();
+        let store = rustwren_store::ObjectStore::new(&kernel);
+        store.create_bucket(f.bucket()).expect("bucket");
+        let cos = CosClient::new(&store, rustwren_sim::NetworkProfile::lan(), 9);
+        let payload = TaskStatus::new(None, 0.0, 1.0).encode();
+        let good = crate::wire::stamp(&payload);
+        let mut lie = good.to_vec();
+        if let Some(checksum) = lie.get_mut(1) {
+            *checksum ^= 1;
         }
-        let damaged = Bytes::from(damaged);
-        assert_eq!(
-            memo.verified(&key, &damaged),
-            crate::wire::verified_payload(&damaged),
-        );
-        assert!(memo.verified(&key, &damaged).is_err());
-        let other = ResponseFuture::new("bkt", "e3", 2, 18).status_key();
-        assert_eq!(
-            memo.verified(&other, &damaged),
-            crate::wire::verified_payload(&damaged)
-        );
+        let lie = Bytes::from(lie);
+        let read = |key: &str| block_on(crate::job::get_verified_async(&cos, f.bucket(), key));
+        let integrity = |r: error::Result<Bytes>| matches!(r, Err(PywrenError::Integrity { .. }));
+        kernel.run("client", || {
+            for key in [f.status_key(), f.result_key()] {
+                block_on(cos.put_vouched_async(f.bucket(), &key, lie.clone())).expect("put");
+                let trusted = read(&key).expect("a vouched read is taken as written");
+                let stored = store.get(f.bucket(), &key).expect("stored");
+                assert_eq!(
+                    trusted.as_ptr(),
+                    stored.as_ptr().wrapping_add(crate::wire::STAMP_LEN)
+                );
+                assert_eq!(trusted, payload);
+                store.put(f.bucket(), &key, lie.clone()).expect("plant");
+                assert!(integrity(read(&key)), "an unvouched plant at {key}");
+                block_on(cos.put_vouched_async(f.bucket(), &key, good.clone())).expect("put");
+                assert_eq!(read(&key), Ok(payload.clone()));
+                store.put(f.bucket(), &key, lie.clone()).expect("plant");
+                assert!(integrity(read(&key)), "a plant over a vouched {key}");
+            }
+            let memo = StatusMemo::default();
+            let key = f.status_key();
+            let through_memo = || read(&key).and_then(|raw| memo.decode(key.clone(), raw, &f));
+            assert!(integrity(through_memo().map(|view| view.bytes().clone())));
+            block_on(TaskStatus::new(None, 0.0, 1.0).put_async(&cos, &f)).expect("put");
+            let first = through_memo().expect("a status");
+            let again = through_memo().expect("a status");
+            assert_eq!(first.bytes().as_ptr(), again.bytes().as_ptr());
+            assert_eq!(memo.counts(), (1, 1), "checked, then walked once");
+        });
     }
 
     use crate::wire::corpus;

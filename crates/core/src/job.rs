@@ -67,7 +67,8 @@ pub(crate) fn chaos_crash_point(phase: &str, token: u64) {
 }
 
 /// Writes `value` as a staged object under the end-to-end checksum stamp,
-/// encoded and stamped in one buffer. Every staged object (func, input,
+/// encoded and stamped in one buffer, and vouched for: the checksum was
+/// just computed over these very bytes. Every staged object (func, input,
 /// status, result, shuffle slice) is written stamped — here, where the
 /// writes are batched, or as a status is — so readers can always demand a
 /// valid stamp.
@@ -77,9 +78,7 @@ pub(crate) async fn put_stamped(
     key: &str,
     value: &Value,
 ) -> Result<(), rustwren_store::StoreError> {
-    cos.put_async(bucket, key, value.stamped())
-        .await
-        .map(|_| ())
+    cos.put_vouched_async(bucket, key, value.stamped()).await
 }
 
 /// Reads issued for one stamped object before a bad stamp is final.
@@ -87,22 +86,31 @@ const VERIFY_READS: u32 = 3;
 
 /// The one verified-read loop: a stamp failure means the *read* was
 /// corrupted — the stored object is intact — so a couple of immediate
-/// re-fetches usually heal it without burning a whole task attempt. Returns
-/// the first read that `verify` (a [`wire::verified_payload`]) accepts, as
+/// re-fetches usually heal it without burning a whole task attempt. `read`
+/// returns the bytes and whether they are the very allocation a vouching
+/// writer stamped ([`CosClient::get_vouched_async`]); such a read's stamp
+/// is the one its writer computed over these bytes, so only its payload is
+/// taken, and every other read has its stamp checked
+/// ([`wire::verified_payload`]). Returns the first read that passes, as
 /// (the whole stamped bytes, their payload); `integrity` turns the last
 /// read's stamp failure into the caller's error.
 async fn read_verified<E, R>(
     read: impl Fn() -> R,
-    verify: impl Fn(&Bytes) -> Result<Bytes, wire::WireError>,
     integrity: impl Fn(wire::WireError) -> E,
 ) -> Result<(Bytes, Bytes), E>
 where
-    R: Future<Output = Result<Bytes, E>>,
+    R: Future<Output = Result<(Bytes, bool), E>>,
 {
     let mut reads = 1;
     loop {
-        let raw = read().await?;
-        match verify(&raw) {
+        let (raw, vouched) = read().await?;
+        let payload = match vouched {
+            true => raw
+                .try_slice(STAMP_LEN..)
+                .ok_or(wire::WireError::MissingStamp),
+            false => wire::verified_payload(&raw),
+        };
+        match payload {
             Ok(payload) => return Ok((raw, payload)),
             Err(e) if reads == VERIFY_READS => return Err(integrity(e)),
             Err(_) => reads += 1,
@@ -110,24 +118,21 @@ where
     }
 }
 
-/// Reads a staged object and verifies its checksum stamp, returning the
-/// *whole stamped representation* (magic + checksum + payload) — the form
-/// the container-local blob cache stores, so cache hits can be re-validated
-/// against the same stamp — and the payload in it, as `verify` finds it.
-/// Surfaces failure as [`PywrenError::Integrity`].
+/// Reads a staged object and checks its stamp ([`read_verified`]),
+/// returning the *whole stamped representation* (magic + checksum +
+/// payload) — the form the container-local blob cache stores — and the
+/// payload in it. Surfaces failure as [`PywrenError::Integrity`].
 async fn get_stamped(
     cos: &CosClient,
     bucket: &str,
     key: &str,
-    verify: impl Fn(&Bytes) -> Result<Bytes, wire::WireError>,
 ) -> crate::error::Result<(Bytes, Bytes)> {
     read_verified(
         || async {
-            cos.get_async(bucket, key)
+            cos.get_vouched_async(bucket, key)
                 .await
                 .map_err(PywrenError::Storage)
         },
-        verify,
         |e| PywrenError::Integrity {
             key: format!("{bucket}/{key}"),
             detail: e.to_string(),
@@ -136,14 +141,14 @@ async fn get_stamped(
     .await
 }
 
-/// Reads a staged object and verifies its checksum stamp, surfacing a
+/// Reads a staged object and checks its checksum stamp, surfacing a
 /// failure as the typed [`PywrenError::Integrity`].
 pub(crate) async fn get_verified_async(
     cos: &CosClient,
     bucket: &str,
     key: &str,
 ) -> crate::error::Result<Bytes> {
-    let (_stamped, payload) = get_stamped(cos, bucket, key, wire::verified_payload).await?;
+    let (_stamped, payload) = get_stamped(cos, bucket, key).await?;
     Ok(payload)
 }
 
@@ -570,11 +575,12 @@ impl<'a> ShuffleMapParams<'a> {
 
 /// Fetches the job's function blob, serving warm-container repeats from the
 /// [`rustwren_faas::BlobCache`]: a 1,000-task job over 100 containers pays
-/// ~100 func GETs instead of 1,000. The cache holds the *stamped* bytes, so
-/// every hit is re-validated against the end-to-end checksum: an entry
-/// poisoned in container memory (the chaos engine's `PoisonCache` fault)
-/// fails validation, is dropped, and heals via a fresh COS fetch —
-/// corruption never silently reaches the user function.
+/// ~100 func GETs instead of 1,000. The cache holds the *stamped* bytes of a
+/// read that passed [`read_verified`], so a hit is taken as it is — except
+/// an entry poisoned in container memory (the chaos engine's `PoisonCache`
+/// fault), a copy, whose stamp is checked: it fails, is dropped, and heals
+/// via a fresh COS fetch — corruption never silently reaches the user
+/// function.
 async fn fetch_func_blob(
     ctx: &ActivationCtx,
     cos: &CosClient,
@@ -585,33 +591,39 @@ async fn fetch_func_blob(
         func_key(payload.fut.exec_id(), payload.fut.job_id()),
     );
     let cache = ctx.blob_cache();
-    if let Some(mut stamped) = cache.get(&key) {
-        if let Some(chaos) = rustwren_sim::chaos::current() {
-            let token = hash2(ctx.activation_id().0, 0xCACE);
-            if let Some(poisoned) = chaos.poison_cached_blob(bucket, &key, token, &stamped) {
-                // The fault corrupts the cached copy itself, not just this
-                // read — keep the damage in the cache so the heal is real.
-                stamped = Bytes::from(poisoned);
-                cache.insert(&key, stamped.clone());
+    let hit = cache.get(&key).map(|stamped| {
+        let token = hash2(ctx.activation_id().0, 0xCACE);
+        let chaos = rustwren_sim::chaos::current();
+        match chaos.and_then(|chaos| chaos.poison_cached_blob(bucket, &key, token, &stamped)) {
+            // The fault corrupts the cached copy itself, not just this
+            // read — keep the damage in the cache so the heal is real.
+            Some(poisoned) => {
+                let poisoned = Bytes::from(poisoned);
+                cache.insert(&key, poisoned.clone());
+                wire::verified_payload(&poisoned).ok()
             }
+            None => stamped.try_slice(STAMP_LEN..),
         }
-        if let Ok(code) = wire::verified_payload(&stamped) {
-            ctx.note_blob_cache(true);
-            return Ok(code);
-        }
-        cache.remove(&key);
-        let (fresh, code) = get_stamped(cos, bucket, &key, wire::verified_payload)
-            .await
-            .map_err(|e| format!("refetching poisoned cached function: {e}"))?;
-        cache.insert(&key, fresh);
-        ctx.note_blob_cache_heal();
+    });
+    if let Some(Some(code)) = hit {
+        ctx.note_blob_cache(true);
         return Ok(code);
     }
-    let (stamped, code) = get_stamped(cos, bucket, &key, wire::verified_payload)
+    let heal = hit.is_some();
+    if heal {
+        cache.remove(&key);
+    }
+    let (stamped, code) = get_stamped(cos, bucket, &key)
         .await
-        .map_err(|e| format!("fetching function: {e}"))?;
+        .map_err(|e| match heal {
+            true => format!("refetching poisoned cached function: {e}"),
+            false => format!("fetching function: {e}"),
+        })?;
     cache.insert(&key, stamped);
-    ctx.note_blob_cache(false);
+    match heal {
+        true => ctx.note_blob_cache_heal(),
+        false => ctx.note_blob_cache(false),
+    }
     Ok(code)
 }
 
@@ -1079,7 +1091,7 @@ async fn get_slice_verified(
 ) -> Result<Bytes, String> {
     let read = || async {
         let slice = cos.get_range_async(bucket, key, off, off + len).await;
-        slice.map_err(|e| match e {
+        slice.map(|slice| (slice, false)).map_err(|e| match e {
             rustwren_store::StoreError::NoSuchKey { .. } => {
                 format!("shuffle segment {bucket}/{key} was written but is now missing (lost): {e}")
             }
@@ -1088,7 +1100,7 @@ async fn get_slice_verified(
     };
     let integrity =
         |e| format!("integrity failure reading shuffle slice {bucket}/{key}@{off}: {e}");
-    let (_stamped, slice) = read_verified(read, wire::verified_payload, integrity).await?;
+    let (_stamped, slice) = read_verified(read, integrity).await?;
     Ok(slice)
 }
 
@@ -1101,17 +1113,11 @@ async fn dep_status(
     memo: Option<&StatusMemo>,
 ) -> Result<StatusView, String> {
     let key = d.status_key();
-    let status = match memo {
-        Some(memo) => {
-            let verify = |raw: &Bytes| memo.verified(&key, raw);
-            let read = get_stamped(cos, d.bucket(), &key, verify).await;
-            read.and_then(|(_, raw)| memo.decode(key, raw, d))
-        }
-        None => {
-            let read = get_verified_async(cos, d.bucket(), &key).await;
-            read.and_then(|raw| TaskStatus::decode(raw, d))
-        }
-    };
+    let read = get_verified_async(cos, d.bucket(), &key).await;
+    let status = read.and_then(|raw| match memo {
+        Some(memo) => memo.decode(key, raw, d),
+        None => TaskStatus::decode(raw, d),
+    });
     let status = status.map_err(|e| format!("fetching dep status: {e}"))?;
     match status.error() {
         Some(msg) => Err(format!("map task {} failed: {msg}", d.label())),

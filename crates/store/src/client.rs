@@ -9,6 +9,7 @@
 //! exponential backoff like the real COS SDKs.
 
 use std::fmt;
+use std::future::Future;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -330,16 +331,17 @@ impl CosClient {
         }
     }
 
-    /// Applies any scheduled GET corruption to a response body. The draw is
-    /// derived from the successful request's token, so installing a chaos
-    /// engine never perturbs the client's token sequence (timings stay
-    /// comparable with fault-free runs).
-    fn maybe_corrupt(&self, bucket: &str, key: &str, token: u64, data: Bytes) -> Bytes {
+    /// Applies any scheduled GET corruption to a response body, and says
+    /// whether the body came through intact (not a mangled copy). The draw
+    /// is derived from the successful request's token, so installing a
+    /// chaos engine never perturbs the client's token sequence (timings
+    /// stay comparable with fault-free runs).
+    fn maybe_corrupt(&self, bucket: &str, key: &str, token: u64, data: Bytes) -> (Bytes, bool) {
         match rustwren_sim::chaos::current()
             .and_then(|c| c.corrupt_get(bucket, key, hash2(token, 0xC0DE), &data))
         {
-            Some(mangled) => Bytes::from(mangled),
-            None => data,
+            Some(mangled) => (Bytes::from(mangled), false),
+            None => (data, true),
         }
     }
 
@@ -434,7 +436,36 @@ impl CosClient {
 /// drive to completion. Same requests, same charges, same errors.
 impl CosClient {
     /// Resumable [`put`](CosClient::put).
-    pub async fn put_async(&self, bucket: &str, key: &str, data: Bytes) -> Result<(), StoreError> {
+    pub fn put_async<'a>(
+        &'a self,
+        bucket: &'a str,
+        key: &'a str,
+        data: Bytes,
+    ) -> impl Future<Output = Result<(), StoreError>> + 'a {
+        self.put_with(bucket, key, data, false)
+    }
+
+    /// [`put_async`](CosClient::put_async) by a writer that vouches for
+    /// `data`: it computed the bytes' own integrity stamp, so an intact
+    /// read of this allocation needs no second check (see
+    /// [`get_vouched_async`](CosClient::get_vouched_async)). The store keeps
+    /// the vouch until the object's next PUT.
+    pub fn put_vouched_async<'a>(
+        &'a self,
+        bucket: &'a str,
+        key: &'a str,
+        data: Bytes,
+    ) -> impl Future<Output = Result<(), StoreError>> + 'a {
+        self.put_with(bucket, key, data, true)
+    }
+
+    async fn put_with(
+        &self,
+        bucket: &str,
+        key: &str,
+        data: Bytes,
+        vouched: bool,
+    ) -> Result<(), StoreError> {
         self.counters.count(&self.counters.puts);
         self.counters
             .bytes_out
@@ -447,13 +478,31 @@ impl CosClient {
             DATA_OP,
         )
         .await?;
-        self.store.put(bucket, key, data)
+        let len = data.len() as u64;
+        self.store.write(bucket, key, data, len, vouched)
     }
 
     /// Resumable [`get`](CosClient::get).
     pub async fn get_async(&self, bucket: &str, key: &str) -> Result<Bytes, StoreError> {
+        Ok(self.get_vouched_async(bucket, key).await?.0)
+    }
+
+    /// [`get_async`](CosClient::get_async), and whether the body is the
+    /// allocation a vouching writer PUT
+    /// ([`put_vouched_async`](CosClient::put_vouched_async)): `false` for an
+    /// object its last writer did not vouch for, and for the copy a
+    /// corrupted read returns.
+    ///
+    /// # Errors
+    ///
+    /// As [`get`](CosClient::get).
+    pub async fn get_vouched_async(
+        &self,
+        bucket: &str,
+        key: &str,
+    ) -> Result<(Bytes, bool), StoreError> {
         // HEAD-sized request out, payload back: charge on payload size.
-        let data = self.store.get(bucket, key)?;
+        let (data, vouched) = self.store.get_vouched(bucket, key)?;
         self.counters.count(&self.counters.gets);
         self.counters
             .bytes_in
@@ -467,7 +516,8 @@ impl CosClient {
                 DATA_OP,
             )
             .await?;
-        Ok(self.maybe_corrupt(bucket, key, token, data))
+        let (data, intact) = self.maybe_corrupt(bucket, key, token, data);
+        Ok((data, vouched && intact))
     }
 
     /// Resumable [`get_range`](CosClient::get_range).
@@ -492,7 +542,7 @@ impl CosClient {
                 DATA_OP,
             )
             .await?;
-        Ok(self.maybe_corrupt(bucket, key, token, data))
+        Ok(self.maybe_corrupt(bucket, key, token, data).0)
     }
 
     /// Resumable [`head`](CosClient::head).
@@ -805,6 +855,41 @@ mod tests {
             // The stored object is intact; a re-fetch heals.
             let second = client.get("b", "k").unwrap();
             assert_eq!(second, body);
+        });
+    }
+
+    /// A read is vouched for only when it is the intact allocation a
+    /// vouching PUT stored: not the copy a corrupted read returns, and not
+    /// after a PUT that did not vouch overwrote the object.
+    #[test]
+    fn a_vouch_covers_intact_reads_until_the_next_put() {
+        use rustwren_sim::chaos::{ChaosEngine, CorruptMode, FaultPlan, PathScope, TimeWindow};
+
+        let (kernel, client) = setup(NetworkProfile::instant());
+        let corrupt_once = FaultPlan::new(13)
+            .corrupt_get(
+                PathScope::any(),
+                TimeWindow::always(),
+                CorruptMode::FlipByte,
+                1.0,
+            )
+            .once();
+        kernel.install_chaos(Arc::new(ChaosEngine::new(corrupt_once)));
+        kernel.run("client", || {
+            let read = || task::block_on(client.get_vouched_async("b", "k")).unwrap();
+            let body = Bytes::from(vec![9u8; 64]);
+            task::block_on(client.put_vouched_async("b", "k", body.clone())).unwrap();
+            let (mangled, vouched) = read();
+            assert!(mangled != body && !vouched, "a corrupted read is a copy");
+            let (intact, vouched) = read();
+            assert!(vouched);
+            assert_eq!(intact.as_ptr(), body.as_ptr(), "the writer's allocation");
+            client.put("b", "k", body.clone()).unwrap();
+            assert_eq!(read(), (body.clone(), false), "an unvouched PUT drops it");
+            task::block_on(client.put_vouched_async("b", "k", body.clone())).unwrap();
+            assert!(read().1);
+            client.store().put("b", "k", body.clone()).unwrap();
+            assert!(!read().1, "so does a write straight to the store");
         });
     }
 

@@ -20,6 +20,7 @@ pub struct ObjectMeta {
     pub logical_size: u64,
     /// Content hash of the object's bytes and key: it changes whenever the
     /// content changes, and an overwrite with identical bytes keeps it.
+    /// The store computes it when first asked, not at PUT.
     pub etag: u64,
     /// Virtual time of the last write.
     pub last_modified: SimInstant,

@@ -9,6 +9,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Bound;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -22,7 +23,13 @@ use crate::object::{BucketMeta, ObjectMeta};
 struct StoredObject {
     data: Bytes,
     logical_size: u64,
-    etag: u64,
+    /// [`content_etag`] of `data` once a HEAD or a LIST's
+    /// [`ListedObject::meta`] has asked for it, 0 before: a PUT hashes
+    /// nothing. See [`etag`].
+    etag: AtomicU64,
+    /// Whether the writer vouched for `data` at PUT (it stamped the bytes
+    /// itself); every PUT sets or clears it.
+    vouched: bool,
     last_modified: SimInstant,
 }
 
@@ -34,7 +41,7 @@ struct StoredObject {
 /// one-runner-at-a-time guarantee, it is never contended in simulation).
 #[derive(Default)]
 struct Buckets {
-    buckets: BTreeMap<String, BTreeMap<String, StoredObject>>,
+    buckets: BTreeMap<String, BTreeMap<Box<str>, StoredObject>>,
 }
 
 /// A simulated IBM Cloud Object Storage service. Cheap to clone.
@@ -130,20 +137,33 @@ impl ObjectStore {
         data: Bytes,
         logical_size: u64,
     ) -> Result<(), StoreError> {
+        self.write(bucket, key, data, logical_size, false)
+    }
+
+    /// Stores an object whose writer does (`vouched`) or does not vouch
+    /// for its bytes; see [`get_vouched`](ObjectStore::get_vouched).
+    pub(crate) fn write(
+        &self,
+        bucket: &str,
+        key: &str,
+        data: Bytes,
+        logical_size: u64,
+        vouched: bool,
+    ) -> Result<(), StoreError> {
         let now = self.kernel.now();
         let mut inner = self.inner.write();
         let b = inner
             .buckets
             .get_mut(bucket)
             .ok_or_else(|| StoreError::NoSuchBucket(bucket.to_owned()))?;
-        let etag = content_etag(key, &data);
         let obj = StoredObject {
             data,
             logical_size,
-            etag,
+            etag: AtomicU64::new(0),
+            vouched,
             last_modified: now,
         };
-        b.insert(key.to_owned(), obj);
+        b.insert(key.into(), obj);
         Ok(())
     }
 
@@ -153,8 +173,15 @@ impl ObjectStore {
     ///
     /// [`StoreError::NoSuchBucket`] / [`StoreError::NoSuchKey`].
     pub fn get(&self, bucket: &str, key: &str) -> Result<Bytes, StoreError> {
+        Ok(self.get_vouched(bucket, key)?.0)
+    }
+
+    /// [`get`](ObjectStore::get), and whether the last PUT of the object
+    /// vouched for the bytes: the bytes returned are then that writer's
+    /// own allocation.
+    pub(crate) fn get_vouched(&self, bucket: &str, key: &str) -> Result<(Bytes, bool), StoreError> {
         let inner = self.inner.read();
-        lookup(&inner, bucket, key, |obj| obj.data.clone())
+        lookup(&inner, bucket, key, |obj| (obj.data.clone(), obj.vouched))
     }
 
     /// Retrieves the byte range `[start, end)` of an object.
@@ -337,9 +364,22 @@ fn object_meta(key: &str, obj: &StoredObject) -> ObjectMeta {
         key: key.to_owned(),
         size: obj.data.len() as u64,
         logical_size: obj.logical_size,
-        etag: obj.etag,
+        etag: etag(key, obj),
         last_modified: obj.last_modified,
     }
+}
+
+/// `obj`'s ETag, computed on the first ask and kept. An ETag that is
+/// itself 0, the mark of "not asked yet", is computed at every ask: the
+/// same value either way.
+fn etag(key: &str, obj: &StoredObject) -> u64 {
+    let kept = obj.etag.load(Ordering::Relaxed);
+    if kept != 0 {
+        return kept;
+    }
+    let etag = content_etag(key, &obj.data);
+    obj.etag.store(etag, Ordering::Relaxed);
+    etag
 }
 
 /// A fast content hash standing in for a real ETag/MD5: the digest of the
@@ -614,6 +654,44 @@ mod tests {
                 .map(|m| (m.key, m.size))
                 .collect();
             prop_assert_eq!(listed, want);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// After any sequence of PUTs and overwrites, some of them asked
+        /// for their ETag at once, HEAD and LIST report the ETag computed
+        /// eagerly from the bytes last written, and a read is vouched for
+        /// exactly when the last PUT vouched.
+        #[test]
+        fn lazy_etags_and_vouches_follow_the_last_put(
+            writes in prop::collection::vec(
+                ("[ab]{1,2}", prop::collection::vec(any::<u8>(), 0..40), any::<bool>(), any::<bool>()),
+                1..40,
+            ),
+        ) {
+            let s = store();
+            let mut oracle = BTreeMap::new();
+            for (key, data, vouched, head_now) in writes {
+                let len = data.len() as u64;
+                s.write("b", &key, Bytes::from(data.clone()), len, vouched).unwrap();
+                if head_now {
+                    s.head("b", &key).unwrap();
+                }
+                oracle.insert(key, (data, vouched));
+            }
+            let listed = s.list("b", "").unwrap();
+            prop_assert_eq!(listed.len(), oracle.len());
+            for (meta, (key, (data, vouched))) in listed.iter().zip(&oracle) {
+                let eager = content_etag(key, &Bytes::from(data.clone()));
+                prop_assert_eq!(&meta.key, key);
+                prop_assert_eq!(meta.etag, eager);
+                prop_assert_eq!(s.head("b", key).unwrap().etag, eager);
+                let (got, got_vouched) = s.get_vouched("b", key).unwrap();
+                prop_assert_eq!(got.as_ref(), &data[..]);
+                prop_assert_eq!(got_vouched, *vouched);
+            }
         }
     }
 

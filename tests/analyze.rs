@@ -245,7 +245,7 @@ fn canonical_plans_have_exactly_their_pinned_findings() {
     // Hyperparameter storm: 2,000-wide map with retries and speculation.
     let mut storm = JobPlan::new("hyperparam-storm", 2_000);
     storm.retry_max_attempts = 3;
-    storm.speculative_copies = 1;
+    storm.speculative_copies = 16;
     suite.push(storm);
     // Multi-tenant serving wave: a map sized to the global limit but far
     // beyond the submitting tenant's quota.
