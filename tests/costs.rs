@@ -20,10 +20,11 @@
 //! asked for (a counting global allocator, installed in this test binary
 //! only: `alloc`, `alloc_zeroed` and `realloc` each count once), and the
 //! kernel's events (clock advances, timers scheduled and threads started,
-//! as the ledger sums them) and light polls. The whole job runs on the
-//! test's own thread (it starts no OS thread, which the test checks), and
-//! only that thread's allocations count: the test harness's other threads,
-//! the other scenario's among them, allocate when they please. So each
+//! as the ledger sums them), light polls and shim-lock acquisitions. The
+//! whole job runs on the test's own thread (it starts no OS thread, which
+//! the test checks), and only that thread's allocations count: the test
+//! harness's other threads, the other scenario's among them, allocate when
+//! they please. So each
 //! count repeats exactly from run to run: same seed, same program, same
 //! counts.
 //!
@@ -130,6 +131,10 @@ fn counted<T>(cloud: &SimCloud, job: impl FnOnce() -> T) -> (T, Vec<(&'static st
         (
             "light_polls",
             kernel.light_polls - kernel_before.light_polls,
+        ),
+        (
+            "lock_acquisitions",
+            kernel.lock_acquisitions - kernel_before.lock_acquisitions,
         ),
     ];
     (value, counts)
