@@ -77,6 +77,7 @@ use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
 use std::fmt;
 use std::fmt::Write as _;
 use std::future::Future;
+use std::hash::{BuildHasherDefault, DefaultHasher};
 use std::panic::{self, AssertUnwindSafe};
 use std::pin::pin;
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
@@ -431,8 +432,11 @@ pub(crate) struct State {
     trace: Arc<ScheduleTrace>,
     /// waiter id → lightweight-task state machine, for waiters spawned
     /// with [`Kernel::spawn_light`]. The task is taken out of the map
-    /// while a step runs (the state lock is dropped during it).
-    light_tasks: HashMap<u64, LightTask>,
+    /// while a step runs (the state lock is dropped during it). A fixed
+    /// hasher: every poll removes and re-inserts, and with a random one the
+    /// tombstones, and so the table's growth and its allocations, would
+    /// differ run to run.
+    light_tasks: HashMap<u64, LightTask, BuildHasherDefault<DefaultHasher>>,
     /// Sync-resource tokens touched since the last choice point (the
     /// running segment's footprint, for independence-based pruning).
     segment: Vec<u64>,
@@ -706,7 +710,7 @@ impl Kernel {
                     exploring: false,
                     choice_step: 0,
                     trace: Arc::new(ScheduleTrace::default()),
-                    light_tasks: HashMap::new(),
+                    light_tasks: HashMap::default(),
                     segment: Vec::new(),
                     order: None,
                     vlocks: HashMap::new(),
