@@ -43,10 +43,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod concurrency;
-
-pub use concurrency::{merge_reports, LockCycle, LockOrderReport};
-
 use std::fmt;
 use std::time::Duration;
 

@@ -294,13 +294,6 @@ impl fmt::Debug for Executor {
         f.debug_struct("Executor")
             .field("exec_id", &self.inner.exec_id)
             .field("runtime", &self.inner.config.runtime)
-            // lint: allow(L011) — false positive: the guard is a temporary
-            // dropped inside the `.field(...)` expression, not held to scope
-            // end as the static order rule conservatively assumes, and the
-            // trailing `.finish(` edge is a name over-approximation onto
-            // unrelated impls. L011 reports a kind pair once, at its first
-            // site in scan order, and this is that site for mutex→mutex: the
-            // table lock is never held across a call that locks
             .field("pending", &self.inner.table.lock().pending.len())
             .finish()
     }

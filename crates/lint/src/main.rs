@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! rustwren-lint [--root DIR] [--check] [--format human|json] [--out FILE]
-//!               [--baseline FILE] [--lock-report FILE] [--update-baseline]
-//!               [--graph-out FILE] [--explain Lxxx]
+//!               [--baseline FILE] [--update-baseline] [--graph-out FILE]
+//!               [--explain Lxxx]
 //! ```
 //!
 //! Exit codes: 0 clean, 1 new violations or suppression/baseline errors
@@ -32,16 +32,14 @@ fn usage() -> String {
     format!(
         "rustwren-lint — workspace sim-safety & determinism linter\n\n\
          USAGE: rustwren-lint [--root DIR] [--check] [--format human|json]\n\
-                [--out FILE] [--baseline FILE] [--lock-report FILE]\n\
-                [--update-baseline] [--graph-out FILE] [--explain Lxxx]\n\n\
+                [--out FILE] [--baseline FILE] [--update-baseline]\n\
+                [--graph-out FILE] [--explain Lxxx]\n\n\
          --root DIR          workspace root (default: nearest dir with lint.toml\n\
                              or Cargo.toml, walking up from the cwd)\n\
          --check             exit 1 on any violation above the ratchet baseline\n\
          --format human|json stdout format (default human)\n\
          --out FILE          additionally write the JSON report to FILE\n\
          --baseline FILE     baseline path (default lint.toml)\n\
-         --lock-report FILE  L007/L011 dynamic lock-exercise report\n\
-                             (default target/verify/lock-exercise.txt)\n\
          --update-baseline   rewrite the baseline to the current counts\n\
          --graph-out FILE    write the workspace call graph as JSON\n\
          --explain Lxxx      print the rule's long-form documentation and exit\n\n\
@@ -57,7 +55,6 @@ fn parse_args() -> Result<Args, String> {
     let mut out = None;
     let mut update = false;
     let mut baseline: Option<PathBuf> = None;
-    let mut lock_report: Option<PathBuf> = None;
     let mut graph_out: Option<PathBuf> = None;
 
     let mut argv = std::env::args().skip(1);
@@ -78,7 +75,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--out" => out = Some(PathBuf::from(value("--out")?)),
             "--baseline" => baseline = Some(PathBuf::from(value("--baseline")?)),
-            "--lock-report" => lock_report = Some(PathBuf::from(value("--lock-report")?)),
             "--update-baseline" => update = true,
             "--graph-out" => graph_out = Some(PathBuf::from(value("--graph-out")?)),
             "--explain" => {
@@ -87,6 +83,14 @@ fn parse_args() -> Result<Args, String> {
                     println!(
                         "L006 — unbounded channel construction: retired in PR 15, when \
                          the sim kernel's channels were deleted. The number stays reserved."
+                    );
+                    std::process::exit(0);
+                }
+                if id == "L007" || id == "L011" {
+                    println!(
+                        "{id} — lock sites and lock orders no explored schedule exercised: \
+                         retired when a simulated task that finds a shim lock held began to \
+                         panic, leaving no contended lock to explore. The number stays reserved."
                     );
                     std::process::exit(0);
                 }
@@ -112,9 +116,6 @@ fn parse_args() -> Result<Args, String> {
     let mut options = Options::new(root);
     if let Some(b) = baseline {
         options.baseline_path = b;
-    }
-    if let Some(l) = lock_report {
-        options.lock_report_path = l;
     }
     Ok(Args {
         options,

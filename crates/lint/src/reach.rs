@@ -1,7 +1,7 @@
 //! Reachability queries over the call graph: the interprocedural rules
-//! L008–L011 (DESIGN §15).
+//! L008–L010 (DESIGN §15).
 //!
-//! All four rules are transitive-closure arguments, not line matches:
+//! All three rules are transitive-closure arguments, not line matches:
 //!
 //! - **L008** walks from every light root — a closure or resumable code
 //!   handed to `spawn_light` — and reports paths to blocking kernel
@@ -13,13 +13,10 @@
 //!   in L001-*allowlisted* files: the per-file allow entry says the file
 //!   may read wall clocks for its own purposes, reachability proves the
 //!   read leaks into a simulated path.
-//! - **L011** projects the call graph onto lock-acquisition order and
-//!   diffs it against the dynamic lock-order graph from rustwren-verify.
 //!
 //! Every violation message carries the full call chain so the report is
 //! actionable without re-running the query by hand.
 
-use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 
 use crate::graph::CallGraph;
@@ -93,8 +90,8 @@ fn chain(graph: &CallGraph, parents: &[usize], node: usize) -> String {
 
 /// Whether `def` is a blocking kernel primitive: calling it parks the
 /// current task on the virtual-time scheduler. The parking_lot shim's
-/// `Mutex::lock` is deliberately absent — it spins via `try_lock` and
-/// never blocks the dispatcher. The free `sleep` is the kernel's: the
+/// `Mutex::lock` is deliberately absent — it never blocks a simulated task
+/// (one that finds the lock held panics). The free `sleep` is the kernel's: the
 /// function of the same name in `crates/sim/src/task.rs` builds the leaf
 /// future a resumable body awaits, which is how such a body *avoids*
 /// blocking.
@@ -236,144 +233,6 @@ pub fn l010(graph: &CallGraph, is_l001_allowed: impl Fn(&str) -> bool) -> Vec<Vi
                 ),
             });
         }
-    }
-    out
-}
-
-/// A kind-level static lock-order edge: `(held, acquired)` with the
-/// example holding-acquisition site it was derived from.
-pub type StaticLockEdges = BTreeMap<(&'static str, &'static str), (String, usize)>;
-
-fn kind_bit(kind: &str) -> u8 {
-    match kind {
-        "mutex" => 1,
-        "rwlock" => 2,
-        _ => 0,
-    }
-}
-
-const KINDS: [&str; 2] = ["mutex", "rwlock"];
-
-fn kinds_of(mask: u8) -> impl Iterator<Item = &'static str> {
-    KINDS.into_iter().filter(move |k| mask & kind_bit(k) != 0)
-}
-
-/// Derives the static lock-order edge set from the call graph: edge
-/// `held → acquired` when a function acquires `acquired` — directly
-/// later in its body, or anywhere inside a callee reachable from a call
-/// after the acquisition — while `held` is (conservatively assumed)
-/// still held. Acquisition sites count only in L011's file scope, which
-/// mirrors L007's instrumented-lock crates.
-pub fn static_lock_edges(graph: &CallGraph) -> StaticLockEdges {
-    let n = graph.defs.len();
-    let in_scope: Vec<bool> = graph
-        .defs
-        .iter()
-        .map(|d| rule_applies(Rule::L011, &d.file))
-        .collect();
-
-    // Transitive "kinds acquired anywhere inside" per definition, by
-    // fixpoint over the (cyclic) graph.
-    let mut mask: Vec<u8> = graph
-        .defs
-        .iter()
-        .enumerate()
-        .map(|(i, d)| {
-            if !in_scope[i] {
-                return 0;
-            }
-            d.sites
-                .iter()
-                .filter_map(|s| match s.kind {
-                    SiteKind::LockAcquire(k) => Some(kind_bit(k)),
-                    _ => None,
-                })
-                .fold(0u8, |m, b| m | b)
-        })
-        .collect();
-    loop {
-        let mut changed = false;
-        for i in 0..n {
-            let mut m = mask[i];
-            for e in &graph.edges[i] {
-                m |= mask[e.callee];
-            }
-            if m != mask[i] {
-                mask[i] = m;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-
-    let mut edges: StaticLockEdges = BTreeMap::new();
-    for (i, d) in graph.defs.iter().enumerate() {
-        if !in_scope[i] {
-            continue;
-        }
-        let acquisitions: Vec<(usize, &'static str, usize)> = d
-            .sites
-            .iter()
-            .enumerate()
-            .filter_map(|(si, s)| match s.kind {
-                SiteKind::LockAcquire(k) => Some((si, k, s.line)),
-                _ => None,
-            })
-            .collect();
-        for &(si, held, held_line) in &acquisitions {
-            // Held from the acquisition to the end of the function
-            // (guards usually live to scope end); any later acquisition
-            // nests under it.
-            for &(sj, acq, acq_line) in &acquisitions {
-                if sj != si && acq_line >= held_line {
-                    edges
-                        .entry((held, acq))
-                        .or_insert_with(|| (d.file.clone(), held_line));
-                }
-            }
-            for e in &graph.edges[i] {
-                if e.line < held_line {
-                    continue;
-                }
-                for acq in kinds_of(mask[e.callee]) {
-                    edges
-                        .entry((held, acq))
-                        .or_insert_with(|| (d.file.clone(), held_line));
-                }
-            }
-        }
-    }
-    edges
-}
-
-/// L011: static lock-order edges the dynamic lock-order graph never
-/// exercised. `dynamic` is the kind-level edge set parsed from the
-/// verify export; `runs` is its explored-schedule count.
-pub fn l011(
-    static_edges: &StaticLockEdges,
-    dynamic: &BTreeSet<(String, String)>,
-    runs: usize,
-) -> Vec<Violation> {
-    let mut out = Vec::new();
-    for (&(held, acq), (file, line)) in static_edges {
-        if dynamic.contains(&(held.to_owned(), acq.to_owned())) {
-            continue;
-        }
-        out.push(Violation {
-            rule: Rule::L011,
-            file: file.clone(),
-            line: *line,
-            message: format!(
-                "static lock order {held}→{acq} (acquire a {acq} while holding the \
-                 {held} taken here) is never exercised by the dynamic lock-order \
-                 graph over {runs} explored schedule(s) — a deadlock cycle through \
-                 this order would go undetected; add a verify scenario that drives \
-                 the nested acquisition, or suppress with a reason if the order is \
-                 a heuristic artifact"
-            ),
-        });
     }
     out
 }
@@ -533,50 +392,5 @@ mod tests {
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].file, "crates/verify/src/lib.rs");
         assert!(v[0].message.contains("Instant::now"));
-    }
-
-    #[test]
-    fn static_lock_edges_direct_and_through_calls() {
-        let direct = "fn nested(a: &M, b: &M) {\n\
-                          let ga = a.lock();\n\
-                          let gb = b.read();\n\
-                      }\n";
-        let through_call = "fn outer(a: &M) {\n\
-                                let ga = a.lock();\n\
-                                helper();\n\
-                            }\n\
-                            fn helper() { r.write(); }\n";
-        for src in [direct, through_call] {
-            let e = static_lock_edges(&graph_of(&[("crates/core/src/registry.rs", src)]));
-            assert!(e.contains_key(&("mutex", "rwlock")), "{e:?}");
-            assert!(
-                !e.contains_key(&("rwlock", "mutex")),
-                "order matters: {e:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn out_of_scope_acquisitions_do_not_create_edges() {
-        let g = graph_of(&[(
-            "crates/sim/src/kernel.rs",
-            "fn f(a: &M, b: &M) { let ga = a.lock(); let gb = b.read(); }\n",
-        )]);
-        assert!(static_lock_edges(&g).is_empty());
-    }
-
-    #[test]
-    fn l011_reports_only_unexercised_orders() {
-        let mut st = StaticLockEdges::new();
-        st.insert(("mutex", "mutex"), ("crates/core/src/a.rs".into(), 3));
-        st.insert(("mutex", "rwlock"), ("crates/core/src/b.rs".into(), 9));
-        let dynamic: BTreeSet<(String, String)> = [("mutex".to_owned(), "mutex".to_owned())]
-            .into_iter()
-            .collect();
-        let v = l011(&st, &dynamic, 42);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].file, "crates/core/src/b.rs");
-        assert!(v[0].message.contains("mutex→rwlock"));
-        assert!(v[0].message.contains("42 explored"));
     }
 }

@@ -99,25 +99,6 @@ pub fn json(outcome: &Outcome) -> String {
     s.push_str("  \"notes\": [");
     let notes: Vec<String> = outcome.notes.iter().map(|n| quote(n)).collect();
     s.push_str(&notes.join(", "));
-    s.push_str("],\n");
-
-    s.push_str("  \"lock_sites\": [");
-    let sites: Vec<String> = outcome
-        .lock_sites
-        .iter()
-        .map(|l| {
-            format!(
-                "\n    {{\"file\": {}, \"line\": {}, \"kind\": {}}}",
-                quote(&l.file),
-                l.line,
-                quote(l.kind)
-            )
-        })
-        .collect();
-    s.push_str(&sites.join(","));
-    if !sites.is_empty() {
-        s.push_str("\n  ");
-    }
     s.push_str("]\n}\n");
     s
 }

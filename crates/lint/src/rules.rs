@@ -44,18 +44,10 @@ pub fn rule_applies(rule: Rule, path: &str) -> bool {
                 && !path.ends_with("/main.rs")
                 && !path.starts_with("crates/bench/")
         }
-        // L007 is workspace-level; per-file it only inventories lock
-        // sites in the crates the model checker drives.
-        Rule::L007 => ["crates/core/src/", "crates/store/src/", "crates/faas/src/"]
-            .iter()
-            .any(|p| path.starts_with(p)),
         // Interprocedural rules run on the workspace call graph
         // ([`crate::reach`]); their roots and sinks carry their own
         // scoping, so every scanned file feeds the symbol index.
         Rule::L008 | Rule::L009 | Rule::L010 => true,
-        // L011 derives acquisition edges only from the instrumented-lock
-        // crates, mirroring L007's static inventory scope.
-        Rule::L011 => rule_applies(Rule::L007, path),
         // Public surface of library crates and shims; a binary's `pub fn`
         // is rustc's dead-code lint's to find.
         Rule::L012 => {
@@ -84,39 +76,6 @@ pub fn check_file(scan: &FileScan) -> Vec<Violation> {
     if rule_applies(Rule::L005, &scan.path) {
         l005_print(scan, &mut out);
     }
-    out
-}
-
-/// A lock construction site for L007's static inventory.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LockSite {
-    /// Workspace-relative path.
-    pub file: String,
-    /// 1-indexed line.
-    pub line: usize,
-    /// Dynamic-graph kind name (`mutex`, `rwlock`).
-    pub kind: &'static str,
-}
-
-/// Inventories instrumented-lock construction sites in `scan` (L007's
-/// static half). `StdMutex::new` is deliberately not matched: only the
-/// parking_lot shim feeds the dynamic graph.
-pub fn lock_sites(scan: &FileScan) -> Vec<LockSite> {
-    let mut out = Vec::new();
-    if !rule_applies(Rule::L007, &scan.path) {
-        return out;
-    }
-    const PATTERNS: [(&str, &str); 2] = [("Mutex::new(", "mutex"), ("RwLock::new(", "rwlock")];
-    for (pat, kind) in PATTERNS {
-        for (line, _) in find_all(scan, pat, true) {
-            out.push(LockSite {
-                file: scan.path.clone(),
-                line,
-                kind,
-            });
-        }
-    }
-    out.sort_by(|a, b| (a.line, a.kind).cmp(&(b.line, b.kind)));
     out
 }
 
@@ -744,19 +703,6 @@ mod tests {
         assert_eq!(violations("crates/core/src/executor.rs", src).len(), 1);
         assert!(violations("crates/bench/src/bin/fig4.rs", src).is_empty());
         assert!(violations("crates/lint/src/main.rs", src).is_empty());
-    }
-
-    #[test]
-    fn lock_sites_inventoried_in_scope() {
-        let scan = scan_source(
-            "crates/core/src/executor.rs",
-            "let m = Mutex::new(0);\nlet s = RwLock::new(2);\nlet x = StdMutex::new(0);\n",
-        );
-        let sites = lock_sites(&scan);
-        assert_eq!(sites.len(), 2);
-        assert_eq!(sites[0].kind, "mutex");
-        assert_eq!(sites[1].kind, "rwlock");
-        assert!(lock_sites(&scan_source("crates/bench/src/x.rs", "Mutex::new(0);")).is_empty());
     }
 
     #[test]

@@ -1,17 +1,16 @@
-//! The workspace pass: walk, scan, apply suppressions/allowlist, compare
-//! against the ratchet baseline, and cross-check the L007 lock inventory
-//! against the model checker's dynamic lock-exercise report.
+//! The workspace pass: walk, scan, apply suppressions/allowlist, and
+//! compare against the ratchet baseline.
 //!
 //! The pass is two-phase. Phase one scans every file for the per-line
 //! rules (L001–L005) while accumulating the symbol index; phase two
 //! builds the workspace call graph from the index and runs the
-//! interprocedural rules (L008–L011), L012's name search over the whole
-//! tree, and the L007 cross-check.
+//! interprocedural rules (L008–L010) and L012's name search over the whole
+//! tree.
 //! Interprocedural violations go through the same suppression → allow →
 //! baseline funnel as per-line ones, keyed by the file and line each
 //! violation anchors to.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -19,7 +18,7 @@ use crate::baseline::LintConfig;
 use crate::graph::{self, CallGraph};
 use crate::lexer::{scan_source, FileScan};
 use crate::reach;
-use crate::rules::{check_file, l012_uncalled_pub_fns, lock_sites, LockSite};
+use crate::rules::{check_file, l012_uncalled_pub_fns};
 use crate::symbols;
 use crate::{Rule, Violation};
 
@@ -43,19 +42,14 @@ pub struct Options {
     pub root: PathBuf,
     /// Baseline path, relative to `root` unless absolute.
     pub baseline_path: PathBuf,
-    /// Lock-exercise report path for L007, relative to `root` unless
-    /// absolute. Missing file ⇒ L007 degrades to a note.
-    pub lock_report_path: PathBuf,
 }
 
 impl Options {
-    /// Defaults rooted at `root`: `lint.toml` and
-    /// `target/verify/lock-exercise.txt`.
+    /// Defaults rooted at `root`: `lint.toml`.
     pub fn new(root: impl Into<PathBuf>) -> Options {
         Options {
             root: root.into(),
             baseline_path: PathBuf::from("lint.toml"),
-            lock_report_path: PathBuf::from("target/verify/lock-exercise.txt"),
         }
     }
 
@@ -85,7 +79,8 @@ pub struct Outcome {
     /// `(rule, file)` keys whose current count is *below* the baseline —
     /// the ratchet can be tightened.
     pub improvements: Vec<String>,
-    /// Informational notes (e.g. L007 skipped for lack of dynamic data).
+    /// Informational notes (the call graph's size, the suppression
+    /// ratchet's count).
     pub notes: Vec<String>,
     /// Current violation totals per rule, after suppression/allow but
     /// before baseline subtraction.
@@ -95,8 +90,6 @@ pub struct Outcome {
     /// Inline suppressions outside `crates/lint` and `shims/`: what the
     /// suppression ratchet in `lint.toml` bounds.
     pub inline_suppressions: usize,
-    /// The L007 static lock inventory.
-    pub lock_sites: Vec<LockSite>,
     /// Current per-(rule, file) counts — the input to `--update-baseline`.
     pub current: BTreeMap<(Rule, String), usize>,
     /// The workspace call graph the interprocedural rules ran on
@@ -142,7 +135,6 @@ pub fn run(opts: &Options) -> Outcome {
         if !RATCHET_EXEMPT.iter().any(|t| rel_str.starts_with(t)) {
             out.inline_suppressions += scan.suppressions.len();
         }
-        out.lock_sites.extend(lock_sites(&scan));
         defs.extend(symbols::extract(&scan, &mut out.errors));
 
         for v in check_file(&scan) {
@@ -170,9 +162,7 @@ pub fn run(opts: &Options) -> Outcome {
         .collect();
 
     let graph = graph::build(defs);
-    let exercise = load_lock_exercise(opts, &mut out);
-    interprocedural(&graph, &scans, &readers, &cfg, exercise.as_ref(), &mut out);
-    l007_cross_check(&cfg, exercise.as_ref(), &mut out);
+    interprocedural(&graph, &scans, &readers, &cfg, &mut out);
     out.graph = Some(graph);
 
     apply_baseline(&cfg, &mut out);
@@ -189,7 +179,6 @@ fn interprocedural(
     scans: &[FileScan],
     readers: &[FileScan],
     cfg: &LintConfig,
-    exercise: Option<&LockExercise>,
     out: &mut Outcome,
 ) {
     let lights = graph.light_roots.len();
@@ -226,24 +215,6 @@ fn interprocedural(
     found.extend(reach::l009(graph));
     found.extend(reach::l010(graph, |f| cfg.is_allowed(Rule::L001, f)));
     found.extend(l012_uncalled_pub_fns(scans, readers));
-
-    let static_edges = reach::static_lock_edges(graph);
-    match exercise {
-        Some(ex) if ex.edge_count.is_some() || !ex.edges.is_empty() => {
-            out.notes.push(format!(
-                "L011: {} static lock-order edge(s) vs {} dynamically exercised",
-                static_edges.len(),
-                ex.edges.len()
-            ));
-            found.extend(reach::l011(&static_edges, &ex.edges, ex.runs));
-        }
-        Some(_) => out.notes.push(
-            "L011 skipped: lock-exercise report predates edge export \
-             (regenerate: `cargo test --release --test verify lock_exercise_export`)"
-                .to_owned(),
-        ),
-        None => {} // missing-report note already emitted by the loader
-    }
 
     for v in found {
         if suppressed(v.rule, &v.file, v.line) {
@@ -363,161 +334,6 @@ fn walk(dir: &Path, root: &Path, out: &mut Vec<PathBuf>) {
                 out.push(rel.to_owned());
             }
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// L007 — static inventory × dynamic lock-exercise report
-// ---------------------------------------------------------------------------
-
-/// Distinct exercised lock instances per kind, parsed from the report the
-/// model-checker sweep writes (`rustwren::verify::write_lock_exercise`).
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct LockExercise {
-    /// Explored schedules merged into the report.
-    pub runs: usize,
-    /// kind → distinct instance count.
-    pub kinds: BTreeMap<String, usize>,
-    /// Kind-level lock-order edges the explored schedules exercised
-    /// (`edge mutex rwlock` lines) — L011's dynamic half.
-    pub edges: BTreeSet<(String, String)>,
-    /// The report's declared edge count (`edges N`). `None` means the
-    /// report predates edge export, and L011 degrades to a note rather
-    /// than treating every static order as untested.
-    pub edge_count: Option<usize>,
-}
-
-/// Parses the `lock-exercise.txt` format: `runs N`, `kind <name> <n>`,
-/// `edges N` and `edge <from> <to>` lines, `#` comments.
-pub fn parse_lock_exercise(text: &str) -> Result<LockExercise, String> {
-    let mut ex = LockExercise::default();
-    for (idx, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut parts = line.split_whitespace();
-        match parts.next() {
-            Some("runs") => {
-                ex.runs = parts
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or_else(|| format!("lock-exercise:{}: bad runs line", idx + 1))?;
-            }
-            Some("kind") => {
-                let name = parts
-                    .next()
-                    .ok_or_else(|| format!("lock-exercise:{}: missing kind", idx + 1))?;
-                let count: usize = parts
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or_else(|| format!("lock-exercise:{}: bad count", idx + 1))?;
-                *ex.kinds.entry(name.to_owned()).or_insert(0) += count;
-            }
-            Some("edges") => {
-                ex.edge_count = Some(
-                    parts
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or_else(|| format!("lock-exercise:{}: bad edges line", idx + 1))?,
-                );
-            }
-            Some("edge") => {
-                let from = parts
-                    .next()
-                    .ok_or_else(|| format!("lock-exercise:{}: missing edge source", idx + 1))?;
-                let to = parts
-                    .next()
-                    .ok_or_else(|| format!("lock-exercise:{}: missing edge target", idx + 1))?;
-                ex.edges.insert((from.to_owned(), to.to_owned()));
-            }
-            Some("key") => {} // per-instance detail, informational
-            _ => return Err(format!("lock-exercise:{}: unknown line `{line}`", idx + 1)),
-        }
-    }
-    Ok(ex)
-}
-
-/// Reads and parses the lock-exercise report; a missing file degrades to
-/// a note (L007 and L011 are skipped), a malformed one is a hard error.
-fn load_lock_exercise(opts: &Options, out: &mut Outcome) -> Option<LockExercise> {
-    let path = opts.resolve(&opts.lock_report_path);
-    let text = match fs::read_to_string(&path) {
-        Ok(t) => t,
-        Err(_) => {
-            out.notes.push(format!(
-                "L007/L011 skipped: no lock-exercise report at {} (run the model-checker \
-                 sweep first: `cargo test --release --test verify lock_exercise_export`)",
-                path.display()
-            ));
-            return None;
-        }
-    };
-    match parse_lock_exercise(&text) {
-        Ok(e) => Some(e),
-        Err(e) => {
-            out.errors.push(e);
-            None
-        }
-    }
-}
-
-/// The cross-check proper, shared with the fixture tests: static lock
-/// sites of a kind the explored schedules never touched are reported —
-/// the model checker's clean verdict says nothing about those locks.
-pub fn check_lock_exercise(sites: &[LockSite], exercise: &LockExercise) -> Vec<Violation> {
-    let mut by_kind: BTreeMap<&str, Vec<&LockSite>> = BTreeMap::new();
-    for s in sites {
-        by_kind.entry(s.kind).or_default().push(s);
-    }
-    let mut out = Vec::new();
-    for (kind, sites) in by_kind {
-        let exercised = exercise.kinds.get(kind).copied().unwrap_or(0);
-        if exercised > 0 {
-            continue;
-        }
-        let mut listing: Vec<String> = sites
-            .iter()
-            .take(5)
-            .map(|s| format!("{}:{}", s.file, s.line))
-            .collect();
-        if sites.len() > 5 {
-            listing.push(format!("… {} more", sites.len() - 5));
-        }
-        out.push(Violation {
-            rule: Rule::L007,
-            file: "<workspace>".to_owned(),
-            line: 0,
-            message: format!(
-                "{} static {kind} construction site(s) but no {kind} instance appears \
-                 in the dynamic lock-order graph over {} explored schedule(s); the \
-                 checker's clean verdict does not cover them: {}",
-                sites.len(),
-                exercise.runs,
-                listing.join(", ")
-            ),
-        });
-    }
-    out
-}
-
-fn l007_cross_check(cfg: &LintConfig, exercise: Option<&LockExercise>, out: &mut Outcome) {
-    let Some(exercise) = exercise else {
-        return; // missing/malformed report: note or error already recorded
-    };
-    out.notes.push(format!(
-        "L007: cross-checked {} static lock site(s) against {} explored schedule(s)",
-        out.lock_sites.len(),
-        exercise.runs
-    ));
-    for v in check_lock_exercise(&out.lock_sites, exercise) {
-        if cfg.is_allowed(v.rule, &v.file) {
-            out.allowed += 1;
-            continue;
-        }
-        *out.counts.entry(v.rule).or_insert(0) += 1;
-        *out.current.entry((v.rule, v.file.clone())).or_insert(0) += 1;
-        out.new_violations.push(v);
     }
 }
 

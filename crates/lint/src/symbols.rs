@@ -91,9 +91,6 @@ pub enum SiteKind {
     Panic,
     /// A wall-clock read (`Instant::now`, `SystemTime::now`).
     WallClock,
-    /// An instrumented-lock acquisition; the payload is the dynamic
-    /// graph's kind name (`mutex`, `rwlock`).
-    LockAcquire(&'static str),
 }
 
 /// One primitive site inside a function body.
@@ -162,12 +159,6 @@ const PANIC_MACROS: [(&str, &str); 7] = [
 
 /// Panicking methods recorded as [`SiteKind::Panic`] (empty-args or not).
 const PANIC_METHODS: [&str; 2] = ["unwrap", "expect"];
-
-/// Empty-args lock acquisition methods → dynamic-graph kind name. Only
-/// the zero-argument forms are matched: `.read()`/`.write()` with
-/// arguments are I/O, not parking_lot.
-const LOCK_METHODS: [(&str, &str); 3] =
-    [("lock", "mutex"), ("read", "rwlock"), ("write", "rwlock")];
 
 /// Calls whose closure (or `task::light(..)`) argument runs in a light
 /// poll.
@@ -331,8 +322,6 @@ pub fn extract(scan: &FileScan, errors: &mut Vec<String>) -> Vec<FnDef> {
                                 line_no,
                                 in_test,
                                 next,
-                                chars,
-                                ci,
                                 prev_sig,
                                 prev_sig2,
                                 &last_ident,
@@ -499,23 +488,6 @@ fn next_sig(chars: &[char], from: usize) -> Option<char> {
         .find(|c| !c.is_whitespace())
 }
 
-/// Whether the call's argument list is empty: `name()` with only
-/// whitespace between the parens (same line).
-fn empty_args(chars: &[char], after_name: usize) -> bool {
-    let mut i = after_name;
-    while i < chars.len() && chars[i].is_whitespace() {
-        i += 1;
-    }
-    if chars.get(i) != Some(&'(') {
-        return false;
-    }
-    i += 1;
-    while i < chars.len() && chars[i].is_whitespace() {
-        i += 1;
-    }
-    chars.get(i) == Some(&')')
-}
-
 /// Handles one identifier token inside a function body: records call
 /// sites and primitive sites on the innermost enclosing definition.
 #[allow(clippy::too_many_arguments)]
@@ -524,8 +496,6 @@ fn scan_body_token(
     line_no: usize,
     in_test: bool,
     next: Option<char>,
-    chars: &[char],
-    after: usize,
     prev_sig: char,
     prev_sig2: char,
     last_ident: &str,
@@ -565,23 +535,12 @@ fn scan_body_token(
     let is_qualified = prev_sig == ':' && prev_sig2 == ':';
 
     // Primitive sites.
-    if is_method {
-        if PANIC_METHODS.contains(&tok) {
-            defs[fi].sites.push(PrimSite {
-                line: line_no,
-                kind: SiteKind::Panic,
-                what: if tok == "unwrap" { "unwrap" } else { "expect" },
-            });
-        }
-        if empty_args(chars, after) {
-            if let Some((_, kind)) = LOCK_METHODS.iter().find(|(m, _)| *m == tok) {
-                defs[fi].sites.push(PrimSite {
-                    line: line_no,
-                    kind: SiteKind::LockAcquire(kind),
-                    what: kind,
-                });
-            }
-        }
+    if is_method && PANIC_METHODS.contains(&tok) {
+        defs[fi].sites.push(PrimSite {
+            line: line_no,
+            kind: SiteKind::Panic,
+            what: if tok == "unwrap" { "unwrap" } else { "expect" },
+        });
     }
     if is_qualified && tok == "now" && (last_ident == "Instant" || last_ident == "SystemTime") {
         defs[fi].sites.push(PrimSite {
@@ -716,7 +675,7 @@ mod tests {
     }
 
     #[test]
-    fn panic_wallclock_and_lock_sites() {
+    fn panic_and_wallclock_sites() {
         let d = defs(
             "fn f(x: Option<u32>, m: &Mutex<u32>, v: &[u32]) {\n\
                  x.unwrap();\n\
@@ -724,18 +683,14 @@ mod tests {
                  panic!(\"boom\");\n\
                  let t = Instant::now();\n\
                  let g = m.lock();\n\
-                 let r = rw.read();\n\
                  let e = v[0];\n\
              }\n",
         );
         let kinds: Vec<&str> = d[0].sites.iter().map(|s| s.what).collect();
-        assert!(kinds.contains(&"unwrap"));
-        assert!(kinds.contains(&"expect"));
-        assert!(kinds.contains(&"panic!"));
-        assert!(kinds.contains(&"Instant::now"));
-        assert!(kinds.contains(&"mutex"));
-        assert!(kinds.contains(&"rwlock"));
-        assert!(kinds.contains(&"index"));
+        assert_eq!(
+            kinds,
+            ["unwrap", "expect", "panic!", "Instant::now", "index"]
+        );
     }
 
     #[test]
@@ -744,18 +699,6 @@ mod tests {
         assert_eq!(d[0].sites.len(), 1);
         assert_eq!(d[0].sites[0].what, "unwrap");
         assert_eq!(d[0].sites[0].line, 3);
-    }
-
-    #[test]
-    fn io_write_with_args_is_not_a_lock() {
-        let d = defs("fn f(w: &mut W, l: &L) { w.write(buf); let g = l.write(); }\n");
-        let locks: Vec<_> = d[0]
-            .sites
-            .iter()
-            .filter(|s| matches!(s.kind, SiteKind::LockAcquire(_)))
-            .collect();
-        assert_eq!(locks.len(), 1);
-        assert_eq!(locks[0].what, "rwlock");
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Planted-violation fixture corpus: one minimal bad snippet per rule
-//! L001–L007 asserting the rule fires, a suppressed twin asserting
+//! L001–L005 asserting the rule fires, a suppressed twin asserting
 //! `// lint: allow(…)` silences it, and end-to-end ratchet behavior and
 //! L012's tree-wide name search over synthetic workspaces in a temp
 //! directory.
@@ -8,14 +8,12 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use rustwren_lint::lexer::scan_source;
-use rustwren_lint::rules::{check_file, lock_sites};
-use rustwren_lint::runner::{
-    check_lock_exercise, parse_lock_exercise, run, update_baseline, LockExercise, Options,
-};
+use rustwren_lint::rules::check_file;
+use rustwren_lint::runner::{run, update_baseline, Options};
 use rustwren_lint::{baseline, Rule};
 
 /// `(rule, path-in-scope, bad snippet, suppressed twin)` — the corpus for
-/// the per-file rules. L007 is workspace-level and tested separately.
+/// the per-file rules.
 fn corpus() -> Vec<(Rule, &'static str, &'static str, &'static str)> {
     vec![
         (
@@ -140,35 +138,6 @@ fn reasonless_suppression_is_an_error() {
     assert!(scan.suppression_errors[0].contains("no reason"));
 }
 
-#[test]
-fn l007_fires_when_a_lock_kind_is_never_exercised() {
-    let scan = scan_source(
-        "crates/core/src/planted.rs",
-        "fn f() {\n    let m = Mutex::new(0);\n    let r = RwLock::new(0);\n}\n",
-    );
-    let sites = lock_sites(&scan);
-    assert_eq!(sites.len(), 2);
-    // The dynamic graph saw mutexes but never an rwlock.
-    let exercise =
-        parse_lock_exercise("# merged lock-order report\nruns 4\nkind mutex 3\nkey mutex:jobs\n")
-            .expect("report parses");
-    assert_eq!(exercise.runs, 4);
-    let v = check_lock_exercise(&sites, &exercise);
-    assert_eq!(v.len(), 1, "{v:?}");
-    assert_eq!(v[0].rule, Rule::L007);
-    assert!(v[0].message.contains("rwlock"));
-    assert!(v[0].message.contains("crates/core/src/planted.rs:3"));
-
-    // Exercising the rwlock clears the violation.
-    let mut covered = LockExercise {
-        runs: 4,
-        ..Default::default()
-    };
-    covered.kinds.insert("mutex".into(), 3);
-    covered.kinds.insert("rwlock".into(), 1);
-    assert!(check_lock_exercise(&sites, &covered).is_empty());
-}
-
 // ---------------------------------------------------------------------------
 // End-to-end ratchet behavior over a synthetic workspace
 // ---------------------------------------------------------------------------
@@ -205,10 +174,6 @@ fn planted_violation_fails_check_and_baseline_absorbs_it() {
     assert!(!outcome.clean());
     assert_eq!(outcome.new_violations.len(), 1);
     assert_eq!(outcome.new_violations[0].rule, Rule::L004);
-    assert!(outcome
-        .notes
-        .iter()
-        .any(|n| n.contains("L007/L011 skipped")));
 
     // Ratcheting the baseline to the current counts makes the tree clean…
     let text = update_baseline(&opts, &outcome).expect("update");
@@ -321,45 +286,6 @@ fn suppression_ratchet_fails_above_its_count_and_update_lowers_it() {
     let text = update_baseline(&opts, &run(&opts)).expect("update");
     assert!(text.contains("suppressions = 2\n"), "{text}");
     assert!(!run(&opts).clean());
-    let _ = fs::remove_dir_all(&root);
-}
-
-#[test]
-fn l007_end_to_end_with_lock_report() {
-    let root = workspace("l007");
-    plant(
-        &root,
-        "crates/core/src/planted.rs",
-        "fn f() { let s = RwLock::new(2); }\n",
-    );
-    let opts = Options::new(&root);
-
-    // Report present but the rwlock kind was never exercised: L007.
-    plant(
-        &root,
-        "target/verify/lock-exercise.txt",
-        "runs 2\nkind mutex 5\n",
-    );
-    let outcome = run(&opts);
-    assert_eq!(outcome.new_violations.len(), 1);
-    assert_eq!(outcome.new_violations[0].rule, Rule::L007);
-    assert_eq!(outcome.new_violations[0].file, "<workspace>");
-
-    // Exercised: clean, with the cross-check noted.
-    plant(
-        &root,
-        "target/verify/lock-exercise.txt",
-        "runs 2\nkind mutex 5\nkind rwlock 1\n",
-    );
-    let outcome = run(&opts);
-    assert!(outcome.clean(), "{:?}", outcome.new_violations);
-    assert!(outcome.notes.iter().any(|n| n.contains("cross-checked")));
-
-    // Corrupt report: hard error, not silence.
-    plant(&root, "target/verify/lock-exercise.txt", "frobnicate\n");
-    let outcome = run(&opts);
-    assert!(!outcome.clean());
-    assert!(outcome.errors[0].contains("unknown line"));
     let _ = fs::remove_dir_all(&root);
 }
 

@@ -1,4 +1,4 @@
-//! Planted-fixture corpus for the interprocedural rules L008–L011: each
+//! Planted-fixture corpus for the interprocedural rules L008–L010: each
 //! test builds a synthetic workspace in a temp directory and runs the
 //! full pass (`runner::run`), so detection is exercised end-to-end —
 //! scanner → symbol index → call graph → reachability — not against
@@ -463,65 +463,4 @@ fn l010_wall_clock_leak_through_an_l001_allowed_file() {
     plant(&root, "crates/core/src/replay.rs", &entry(""));
     let outcome = run(&Options::new(&root));
     assert_eq!(rule_hits(&outcome, Rule::L010), Vec::<String>::new());
-}
-
-/// The nested acquisition all L011 fixtures share: holding the mutex
-/// across the rwlock read creates the static order mutex→rwlock.
-const NESTED_LOCKS: &str = "fn swap(a: &Mutex<u32>, b: &RwLock<u32>) {\n\
-                            \x20   let held = a.lock();\n\
-                            \x20   let nested = b.read();\n\
-                            }\n";
-
-#[test]
-fn l011_static_order_fires_only_when_dynamically_unexercised() {
-    let root = workspace("l011");
-    plant(&root, "crates/core/src/locks.rs", NESTED_LOCKS);
-    // Dynamic graph drove other kinds but never mutex→rwlock.
-    plant(
-        &root,
-        "target/verify/lock-exercise.txt",
-        "runs 4\nkind mutex 2\nkind rwlock 1\nedges 1\nedge rwlock mutex\n",
-    );
-    let outcome = run(&Options::new(&root));
-    let hits = rule_hits(&outcome, Rule::L011);
-    assert_eq!(hits.len(), 1, "{hits:?}");
-    assert!(
-        hits[0].starts_with("crates/core/src/locks.rs:2:")
-            && hits[0].contains("mutex\u{2192}rwlock"),
-        "L011 anchors at the holding acquisition: {}",
-        hits[0]
-    );
-    // Once a schedule exercises the order, the same static edge is
-    // covered and the report is clean.
-    plant(
-        &root,
-        "target/verify/lock-exercise.txt",
-        "runs 4\nkind mutex 2\nkind rwlock 1\nedges 2\nedge rwlock mutex\nedge mutex rwlock\n",
-    );
-    let outcome = run(&Options::new(&root));
-    assert_eq!(rule_hits(&outcome, Rule::L011), Vec::<String>::new());
-}
-
-#[test]
-fn l011_degrades_to_a_note_on_a_pre_edge_export_report() {
-    let root = workspace("l011-old");
-    plant(&root, "crates/core/src/locks.rs", NESTED_LOCKS);
-    // An old-format report (no `edges` line) cannot distinguish "never
-    // exercised" from "not recorded": L011 must skip with a regeneration
-    // hint instead of flagging every static order.
-    plant(
-        &root,
-        "target/verify/lock-exercise.txt",
-        "runs 4\nkind mutex 2\nkind rwlock 1\n",
-    );
-    let outcome = run(&Options::new(&root));
-    assert_eq!(rule_hits(&outcome, Rule::L011), Vec::<String>::new());
-    assert!(
-        outcome
-            .notes
-            .iter()
-            .any(|n| n.contains("L011 skipped") && n.contains("predates edge export")),
-        "{:?}",
-        outcome.notes
-    );
 }

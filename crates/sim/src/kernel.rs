@@ -20,7 +20,7 @@
 //! # Determinism: cooperative serialization
 //!
 //! The kernel runs **at most one simulated thread at a time**. A wake (timer
-//! expiry, event fire, lock release) does not start the woken thread;
+//! expiry, event fire) does not start the woken thread;
 //! it appends the thread to a FIFO *ready queue*. Only when the currently
 //! running thread blocks (or exits) does the kernel dispatch the next ready
 //! thread; when the ready queue is empty it pops exactly one timer — the
@@ -48,8 +48,8 @@
 //! If every registered thread is blocked and no timer is pending, the
 //! simulation can never progress. The kernel draws a **wait-for graph** for
 //! exactly this moment: a blocked thread records the [`Resource`] it waits
-//! on, and every thread carries its own list of *holds* (a shim lock, an
-//! admission slot, the right to fire an event), pushed and popped by the
+//! on, and every thread carries its own list of *holds* (an admission slot,
+//! the right to fire an event), pushed and popped by the
 //! thread itself. Holders are read off the blocked threads, and labels off
 //! the resources' own handles, only when the report is drawn: the kernel
 //! keeps no registry, so a hold costs its thread a push and a pop, a new
@@ -80,14 +80,11 @@ use std::future::Future;
 use std::hash::{BuildHasherDefault, DefaultHasher};
 use std::panic::{self, AssertUnwindSafe};
 use std::pin::pin;
-use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::Arc;
 use std::thread::{self, Thread};
 use std::time::Duration;
 
-use parking_lot::hooks::LockOp;
-
-use crate::order::{OrderRecorder, RunOrderReport, SyncKind};
 use crate::rawlock::{RawMutex, RawMutexGuard};
 use crate::sched::{Choice, ChoiceKind, FifoScheduler, ReplayScheduler, ScheduleTrace, Scheduler};
 use crate::sync::Event;
@@ -164,21 +161,11 @@ pub(crate) struct Waiter {
     /// [`Kernel::spawn`]ed one, which counts as its thread from the start.
     freezes: bool,
     sync: RawMutex<WaiterSync>,
-    /// What this thread holds, in the order it took it. Only the thread
+    /// The resources this thread holds (an admission slot, the right to
+    /// fire an event), by id, in the order it took them. Only the thread
     /// itself pushes and pops; the deadlock report reads it under the
     /// state lock. A leaf lock: nothing takes the state lock under it.
-    held: RawMutex<Vec<Held>>,
-}
-
-/// One hold of a thread, for the wait-for graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Held {
-    /// The shim lock at this address. It maps to a resource only once
-    /// someone has parked on the lock, which is the only time a report can
-    /// need it.
-    Lock(usize),
-    /// A resource: an admission slot, the right to fire an event.
-    Resource(u64),
+    held: RawMutex<Vec<u64>>,
 }
 
 #[derive(Default)]
@@ -204,6 +191,11 @@ impl Waiter {
         self.id
     }
 
+    /// The thread's name, as deadlock reports print it.
+    pub(crate) fn name(&self) -> &str {
+        &self.name
+    }
+
     fn new(id: u64, name: Arc<str>, thread: Option<Thread>, freezes: bool) -> Arc<Waiter> {
         Arc::new(Waiter {
             id,
@@ -215,10 +207,10 @@ impl Waiter {
         })
     }
 
-    /// Drops the latest of this thread's holds equal to `h`, if any.
-    fn unhold(&self, h: Held) {
+    /// Drops the latest of this thread's holds of `res`, if any.
+    fn unhold(&self, res: u64) {
         let mut held = self.held.lock();
-        if let Some(i) = held.iter().rposition(|x| *x == h) {
+        if let Some(i) = held.iter().rposition(|x| *x == res) {
             held.remove(i);
         }
     }
@@ -290,23 +282,23 @@ impl Ord for TimerEntry {
 }
 
 /// A node of the wait-for graph: anything a simulated thread can block on
-/// while another thread is responsible for releasing it — a lock, an event's
-/// fire.
+/// while another thread is responsible for releasing it — an admission
+/// slot, an event's fire.
 ///
 /// Synchronization primitives make their own; simulation layers (like the
 /// FaaS platform's container capacity) may make further ones with
 /// [`Kernel::create_resource`] and record holds with
 /// [`Kernel::hold_resource`] / [`Kernel::release_resource`]. The handle
-/// carries its kind and label, and only a deadlock report or the lock-order
-/// recorder renders them. The graph is purely diagnostic — it never affects
-/// scheduling — but it is what lets a deadlock panic name the cycle instead
-/// of just listing blocked threads.
+/// carries its kind and label, and only a deadlock report renders them.
+/// The graph is purely diagnostic — it never affects scheduling — but it
+/// is what lets a deadlock panic name the cycle instead of just listing
+/// blocked threads.
 #[derive(Debug, Clone)]
 pub struct Resource {
-    /// Allocated in program order: holds, exploration footprints and
-    /// lock-order instances are keyed by it.
+    /// Allocated in program order: holds and exploration footprints are
+    /// keyed by it.
     pub(crate) id: u64,
-    /// Resource kind, e.g. `"mutex"` or `"event"`.
+    /// Resource kind, e.g. `"event"` or `"capacity"`.
     kind: &'static str,
     pub(crate) label: Label,
 }
@@ -314,9 +306,7 @@ pub struct Resource {
 /// The instance label of a [`Resource`], kept as its parts.
 #[derive(Debug, Clone)]
 pub enum Label {
-    /// None supplied: rendered `kind#id`. Its numbering varies across
-    /// schedules, so the lock-order recorder keys the resource by its first
-    /// toucher instead.
+    /// None supplied: rendered `kind#id`.
     Generated,
     /// A fixed label, e.g. `tenant-admission`.
     Static(&'static str),
@@ -372,14 +362,6 @@ impl Resource {
         let id = ids.fetch_add(1, Ordering::Relaxed);
         Resource { id, kind, label }
     }
-}
-
-/// Virtualized shim lock (`parking_lot` `Mutex`/`RwLock`): threads parked in
-/// the kernel waiting to retry a contended acquisition.
-struct VlockEntry {
-    res: Resource,
-    /// Arrival-order queue of threads to wake (all at once) on release.
-    waiters: VecDeque<Arc<Waiter>>,
 }
 
 /// Diagnostic record for one blocked thread.
@@ -440,11 +422,6 @@ pub(crate) struct State {
     /// Sync-resource tokens touched since the last choice point (the
     /// running segment's footprint, for independence-based pruning).
     segment: Vec<u64>,
-    /// Lock-order recorder, present while recording is enabled.
-    order: Option<OrderRecorder>,
-    /// addr → virtualized shim-lock state, for the locks someone parked on
-    /// (and, while exploring or recording, for every lock touched).
-    vlocks: HashMap<usize, VlockEntry>,
 }
 
 impl State {
@@ -466,13 +443,12 @@ impl State {
         }));
     }
 
-    /// Registers the lightweight task `poll`, parked in the ready queue, as
-    /// a child of `parent` (see [`Kernel::spawn_light`]) that counts in
-    /// `light_live` if it `freezes`.
+    /// Registers the lightweight task `poll`, parked in the ready queue
+    /// (see [`Kernel::spawn_light`]), that counts in `light_live` if it
+    /// `freezes`.
     fn spawn_light(
         &mut self,
         name: Arc<str>,
-        parent: Option<Arc<Waiter>>,
         freezes: bool,
         poll: impl FnMut() -> LightStep + Send + 'static,
     ) {
@@ -481,11 +457,7 @@ impl State {
         self.stats.threads_started += 1;
         let id = self.next_waiter_id;
         self.next_waiter_id += 1;
-        let waiter = Waiter::new(id, Arc::clone(&name), None, freezes);
-        if let (Some(p), Some(order)) = (&parent, self.order.as_mut()) {
-            // Happens-before: the task inherits the spawner's history.
-            order.spawned(p.id, &p.name, id, &name);
-        }
+        let waiter = Waiter::new(id, name, None, freezes);
         waiter.sync.lock().notified = true;
         self.ready.push_back(waiter);
         self.light_tasks.insert(
@@ -502,76 +474,6 @@ impl State {
         if self.exploring {
             self.segment.push(res);
         }
-    }
-
-    /// Records a true-ordering publish on `res` (event fire): `w`'s history
-    /// becomes visible to later observers.
-    pub(crate) fn rec_publish(&mut self, res: &Resource, w: &Waiter) {
-        self.touch(res.id);
-        if let Some(order) = self.order.as_mut() {
-            let inst = order.intern_event(res, &w.name);
-            order.publish(w.id, &w.name, inst);
-        }
-    }
-
-    /// Records a true-ordering observe on `res` (event wait-return): `w`
-    /// inherits the published history.
-    pub(crate) fn rec_observe(&mut self, res: &Resource, w: &Waiter) {
-        self.touch(res.id);
-        if let Some(order) = self.order.as_mut() {
-            let inst = order.intern_event(res, &w.name);
-            order.observe(w.id, &w.name, inst);
-        }
-    }
-
-    /// The entry of the virtualized shim lock at `addr`, made on first
-    /// touch with a resource id from `ids`.
-    fn vlock_locked(&mut self, addr: usize, op: LockOp, ids: &AtomicU64) -> &mut VlockEntry {
-        self.vlocks.entry(addr).or_insert_with(|| VlockEntry {
-            res: Resource::new(ids, lockop_kind(op), Label::Generated),
-            waiters: VecDeque::new(),
-        })
-    }
-
-    fn vrec_acquired(&mut self, addr: usize, res: u64, op: LockOp, w: &Waiter) {
-        self.touch(res);
-        if let Some(order) = self.order.as_mut() {
-            let inst = order.intern_addr(addr, lockop_sync(op), &w.name);
-            order.acquired(w.id, &w.name, inst);
-        }
-    }
-
-    fn vrec_released(&mut self, addr: usize, res: u64, op: LockOp, w: &Waiter) {
-        self.touch(res);
-        if let Some(order) = self.order.as_mut() {
-            let inst = order.intern_addr(addr, lockop_sync(op), &w.name);
-            order.released(w.id, &w.name, inst);
-        }
-    }
-}
-
-/// The wait-for-graph resource kind of a shim lock operation.
-fn lockop_kind(op: LockOp) -> &'static str {
-    match op {
-        LockOp::Mutex => "mutex",
-        LockOp::RwRead | LockOp::RwWrite => "rwlock",
-    }
-}
-
-/// The blocking reason shown in deadlock reports for a shim lock operation.
-fn lockop_reason(op: LockOp) -> &'static str {
-    match op {
-        LockOp::Mutex => "mutex.lock",
-        LockOp::RwRead => "rwlock.read",
-        LockOp::RwWrite => "rwlock.write",
-    }
-}
-
-/// The lock-order recorder class of a shim lock operation.
-fn lockop_sync(op: LockOp) -> SyncKind {
-    match op {
-        LockOp::Mutex => SyncKind::Mutex,
-        LockOp::RwRead | LockOp::RwWrite => SyncKind::RwLock,
     }
 }
 
@@ -598,8 +500,6 @@ pub struct KernelStats {
     pub thread_handoffs: u64,
     /// `parking_lot` shim-lock acquisitions by simulated threads.
     pub lock_acquisitions: u64,
-    /// Simulated threads parked in virtual time on a contended shim lock.
-    pub lock_parks: u64,
 }
 
 /// [`Inner::flags`] bit: an exploring scheduler is installed.
@@ -608,8 +508,6 @@ const FLAG_EXPLORING: u8 = 1;
 /// [`Kernel::chaos`] probe is a single atomic load in the common
 /// no-chaos case instead of a mutex acquisition.
 const FLAG_CHAOS: u8 = 2;
-/// [`Inner::flags`] bit: lock-order recording is on.
-const FLAG_RECORDING: u8 = 4;
 
 /// Stack size of every simulated thread. Large fan-out experiments spawn
 /// thousands of threads; 1 MiB keeps address-space usage modest.
@@ -618,20 +516,11 @@ const STACK_SIZE: usize = 1 << 20;
 struct Inner {
     state: RawMutex<State>,
     chaos: RawMutex<Option<Arc<crate::chaos::ChaosEngine>>>,
-    /// Lock-free mirror of scheduler and recording mode, checked by
-    /// preemption probes and shim-lock hooks before taking the state lock.
-    /// The exploring and recording bits are mutated only under it.
+    /// Lock-free mirror of the scheduler's mode and of chaos being
+    /// installed, checked by preemption probes and chaos probes before
+    /// taking a lock. The exploring bit is mutated only under the state
+    /// lock.
     flags: AtomicU8,
-    /// Entries in the shim locks' wait queues ([`VlockEntry::waiters`]);
-    /// changed only under the state lock. While it is zero and the flags
-    /// observe nothing, a shim-lock acquisition or release has no one to
-    /// tell and stays off the state lock. `Relaxed` is enough: a thread
-    /// that parked raised it under the state lock, the dispatcher that next
-    /// takes that lock writes the released thread's `released` under its
-    /// `sync` lock, and the released thread takes that lock to read the
-    /// flag before it returns; a light task runs on the dispatcher itself.
-    /// Locks order all of it; the wake-up signal carries no ordering.
-    parked_on_locks: AtomicUsize,
     /// [`KernelStats::lock_acquisitions`], counted off the state lock.
     lock_acquisitions: AtomicU64,
     /// The next resource id (see [`Resource::new`]).
@@ -712,12 +601,9 @@ impl Kernel {
                     trace: Arc::new(ScheduleTrace::default()),
                     light_tasks: HashMap::default(),
                     segment: Vec::new(),
-                    order: None,
-                    vlocks: HashMap::new(),
                 }),
                 chaos: RawMutex::new(None),
                 flags: AtomicU8::new(0),
-                parked_on_locks: AtomicUsize::new(0),
                 lock_acquisitions: AtomicU64::new(0),
                 next_resource_id: AtomicU64::new(0),
             }),
@@ -767,23 +653,6 @@ impl Kernel {
     /// the snapshot stays frozen at the moment it was taken.
     pub fn schedule_trace(&self) -> Arc<ScheduleTrace> {
         Arc::clone(&self.inner.state.lock().trace)
-    }
-
-    /// Starts (or restarts) lock-order recording: every instrumented lock
-    /// acquisition and true-ordering operation from now on feeds a per-run
-    /// order graph. See [`crate::order`].
-    pub fn record_lock_orders(&self) {
-        let mut st = self.inner.state.lock();
-        st.order = Some(OrderRecorder::new());
-        self.set_flag(FLAG_RECORDING, true);
-    }
-
-    /// Finalizes lock-order recording and returns the run's report, or
-    /// `None` when recording was never started.
-    pub fn take_order_report(&self) -> Option<RunOrderReport> {
-        let mut st = self.inner.state.lock();
-        self.set_flag(FLAG_RECORDING, false);
-        st.order.take().map(OrderRecorder::into_report)
     }
 
     /// Installs a fault-injection engine on this kernel. Substrates running
@@ -836,7 +705,7 @@ impl Kernel {
     /// can point at it. Purely diagnostic; a no-op when the calling thread is
     /// not simulated (or registered with a different kernel).
     pub fn hold_resource(&self, res: &Resource) {
-        self.with_own_waiter(|w| w.held.lock().push(Held::Resource(res.id)));
+        self.with_own_waiter(|w| w.held.lock().push(res.id));
     }
 
     /// Drops one of the current thread's holds of `res`. A no-op when the
@@ -844,7 +713,7 @@ impl Kernel {
     /// kernel): such a thread recorded no hold to drop, and a hold another
     /// thread recorded is that thread's to drop.
     pub fn release_resource(&self, res: &Resource) {
-        self.with_own_waiter(|w| w.unhold(Held::Resource(res.id)));
+        self.with_own_waiter(|w| w.unhold(res.id));
     }
 
     /// Applies `f` to the current thread's waiter when the thread is
@@ -946,7 +815,6 @@ impl Kernel {
         let done = Event::named(self, Label::Named("join:", Arc::clone(&name)));
         let slot = Arc::new(RawMutex::new(None));
         let (fired, filled) = (done.clone(), Arc::clone(&slot));
-        let parent = try_current_waiter(self);
         // lint: allow(L008) — false positives of name-based dispatch: the
         // slot's `RawMutex::lock` resolves onto the shim's Mutex::lock, and
         // `Event::fire`'s exploration-only probe (which stands down in a
@@ -956,7 +824,6 @@ impl Kernel {
         // fan_out_reraises_a_lane_panic_in_the_joiner
         self.inner.state.lock().spawn_light(
             name,
-            parent,
             freezes,
             task::light(async move {
                 fired.mark_holder();
@@ -989,12 +856,11 @@ impl Kernel {
     /// re-polls at once on an OS thread of the task's own; `Done`
     /// retires the task. Because polls run on the dispatching OS thread, a
     /// poll must **never block** — calling any blocking kernel operation
-    /// (sleep, event wait, lock a contended shim lock, …) from inside a
-    /// poll panics with a diagnostic, before the operation registers
-    /// anything. Code that blocks inside calls it does not own returns
-    /// `Thread` first, as every [`Kernel::spawn`]ed closure does at its
-    /// first poll. A poll that panics fails the whole run with its message,
-    /// like a deadlock.
+    /// (sleep, event wait, …) from inside a poll panics with a diagnostic,
+    /// before the operation registers anything. Code that blocks inside
+    /// calls it does not own returns `Thread` first, as every
+    /// [`Kernel::spawn`]ed closure does at its first poll. A poll that
+    /// panics fails the whole run with its message, like a deadlock.
     ///
     /// May be called from inside or outside the simulation; either way the
     /// task starts parked in the ready queue and first polls when the
@@ -1009,9 +875,8 @@ impl Kernel {
         name: impl Into<Arc<str>>,
         f: impl FnMut() -> LightStep + Send + 'static,
     ) {
-        let parent = try_current_waiter(self);
         let mut st = self.inner.state.lock();
-        st.spawn_light(name.into(), parent, true, f);
+        st.spawn_light(name.into(), true, f);
     }
 
     /// Names of the lightweight tasks still registered, in waiter-id (spawn)
@@ -1247,9 +1112,9 @@ impl Kernel {
     /// Polls the lightweight task behind `w` once (re-polling immediately
     /// on zero-duration sleeps and already-fired events), with the state
     /// lock dropped and the calling OS thread temporarily impersonating the
-    /// task — so kernel operations, chaos draws and lock-order edges
-    /// performed inside the poll are attributed to the task, exactly as if
-    /// it ran on its own thread.
+    /// task — so kernel operations and chaos draws performed inside the
+    /// poll are attributed to the task, exactly as if it ran on its own
+    /// thread.
     fn run_light_step<'a>(
         &'a self,
         mut st: RawMutexGuard<'a, State>,
@@ -1438,7 +1303,7 @@ impl Kernel {
         self.inner.state.lock()
     }
 
-    /// A potential preemption probe at an instrumented sync operation.
+    /// A potential preemption probe at an event operation.
     ///
     /// Free unless an exploring scheduler is installed (one atomic load).
     /// While exploring, and when at least one other thread is ready, this is
@@ -1559,22 +1424,14 @@ impl Kernel {
 
     /// Who holds what, read off the blocked threads' own holds: resource id
     /// → its holders, each once, in waiter-id order. At a deadlock every
-    /// registered thread is blocked, so this is every holder there is. A
-    /// shim-lock hold maps through the lock's entry, which exists for any
-    /// lock a thread is blocked on.
+    /// registered thread is blocked, so this is every holder there is.
     fn holders_locked(st: &State) -> HashMap<u64, Vec<&Waiter>> {
         let mut holders: HashMap<u64, Vec<&Waiter>> = HashMap::new();
         for b in st.blocked.values() {
-            for h in b.waiter.held.lock().iter() {
-                let res = match *h {
-                    Held::Lock(addr) => st.vlocks.get(&addr).map(|e| e.res.id),
-                    Held::Resource(res) => Some(res),
-                };
-                if let Some(res) = res {
-                    let of = holders.entry(res).or_default();
-                    if of.last().is_none_or(|w| w.id != b.waiter.id) {
-                        of.push(&b.waiter);
-                    }
+            for &res in b.waiter.held.lock().iter() {
+                let of = holders.entry(res).or_default();
+                if of.last().is_none_or(|w| w.id != b.waiter.id) {
+                    of.push(&b.waiter);
                 }
             }
         }
@@ -1707,135 +1564,13 @@ impl Kernel {
         Arc::ptr_eq(&self.inner, &other.inner)
     }
 
-    pub(crate) fn downgrade(&self) -> WeakKernel {
-        WeakKernel(Arc::downgrade(&self.inner))
-    }
-
-    // ---- Virtualized shim locks (see `crate::vlock`) --------------------
-
-    /// The calling simulated thread failed a try-acquire on the shim lock at
-    /// `addr`: park it (in virtual time, with a wait-for-graph edge) until a
-    /// release wakes it to retry. Returns `false` when the caller is not a
-    /// simulated thread of this kernel.
-    pub(crate) fn vlock_block(&self, addr: usize, op: LockOp) -> bool {
-        let Some(w) = try_current_waiter(self) else {
-            return false;
-        };
-        deny_blocking_in_light_step(lockop_reason(op));
-        crate::vlock::track_addr(addr, self);
-        let res = {
-            let mut st = self.inner.state.lock();
-            st.stats.lock_parks += 1;
-            let entry = st.vlock_locked(addr, op, &self.inner.next_resource_id);
-            if !entry.waiters.iter().any(|x| x.id == w.id) {
-                entry.waiters.push_back(Arc::clone(&w));
-                self.inner.parked_on_locks.fetch_add(1, Ordering::Relaxed);
-            }
-            let res = entry.res.clone();
-            st.touch(res.id);
-            res
-        };
-        self.block_current_with(&w, Some(res), lockop_reason(op));
-        true
-    }
-
-    /// The state lock for an acquisition or release of the shim lock at
-    /// `addr`, or `None` when no one needs to hear of it: no thread is
-    /// parked on any shim lock (a release has no one to wake), and neither
-    /// an exploring scheduler (footprints) nor the lock-order recorder is
-    /// observing every lock operation. Those two modes give the lock its
-    /// entry on first touch, as they always have; otherwise a lock gets one
-    /// when a thread first parks on it. The check needs no lock: simulated
-    /// threads run one at a time, and a thread enters a wait queue under
-    /// the state lock before it parks.
-    fn vlock_state(&self, addr: usize, op: LockOp) -> Option<RawMutexGuard<'_, State>> {
-        let observed = self.inner.flags.load(Ordering::Relaxed) & (FLAG_EXPLORING | FLAG_RECORDING);
-        if observed == 0 && self.inner.parked_on_locks.load(Ordering::Relaxed) == 0 {
-            return None;
-        }
-        if observed != 0 {
-            crate::vlock::track_addr(addr, self);
-        }
-        let mut st = self.inner.state.lock();
-        if observed != 0 {
-            st.vlock_locked(addr, op, &self.inner.next_resource_id);
-        }
-        Some(st)
-    }
-
-    /// The calling thread `w` acquired the shim lock at `addr`: record the
-    /// hold on `w`, leave the lock's wait queue, feed the lock-order
-    /// recorder.
-    pub(crate) fn vlock_acquired(&self, addr: usize, op: LockOp, w: &Waiter) {
-        // A load and a store, not a read-modify-write: simulated threads
-        // run one at a time and hand over to each other through locks.
+    /// Counts a shim-lock acquisition by a simulated thread (see
+    /// [`crate::vlock`]). A load and a store, not a read-modify-write:
+    /// simulated threads run one at a time and hand over to each other
+    /// through locks.
+    pub(crate) fn count_lock_acquisition(&self) {
         let count = &self.inner.lock_acquisitions;
         count.store(count.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
-        w.held.lock().push(Held::Lock(addr));
-        let Some(mut st) = self.vlock_state(addr, op) else {
-            return;
-        };
-        let Some(entry) = st.vlocks.get_mut(&addr) else {
-            return;
-        };
-        let res = entry.res.id;
-        if let Some(pos) = entry.waiters.iter().position(|x| x.id == w.id) {
-            entry.waiters.remove(pos);
-            self.inner.parked_on_locks.fetch_sub(1, Ordering::Relaxed);
-        }
-        st.vrec_acquired(addr, res, op, w);
-    }
-
-    /// The calling thread `w` released the shim lock at `addr`: drop the
-    /// hold and wake every virtually parked waiter to retry (losers
-    /// re-park).
-    pub(crate) fn vlock_released(&self, addr: usize, op: LockOp, w: &Waiter) {
-        w.unhold(Held::Lock(addr));
-        let Some(mut st) = self.vlock_state(addr, op) else {
-            return;
-        };
-        let Some(entry) = st.vlocks.get_mut(&addr) else {
-            return;
-        };
-        let (res, waiters) = (entry.res.id, entry.waiters.drain(..).collect::<Vec<_>>());
-        self.inner
-            .parked_on_locks
-            .fetch_sub(waiters.len(), Ordering::Relaxed);
-        st.vrec_released(addr, res, op, w);
-        for waiter in &waiters {
-            Self::wake_locked(&mut st, waiter);
-        }
-    }
-
-    /// The shim lock at `addr` was dropped (possibly on a foreign thread):
-    /// clear all tracking so a reused address becomes a fresh instance.
-    pub(crate) fn vlock_destroyed(&self, addr: usize) {
-        let mut st = self.inner.state.lock();
-        let Some(entry) = st.vlocks.remove(&addr) else {
-            return;
-        };
-        self.inner
-            .parked_on_locks
-            .fetch_sub(entry.waiters.len(), Ordering::Relaxed);
-        if let Some(order) = st.order.as_mut() {
-            order.forget_addr(addr);
-        }
-        for w in &entry.waiters {
-            Self::wake_locked(&mut st, w);
-        }
-    }
-}
-
-/// Weak kernel handle used by the shim-lock destroy-routing registry.
-pub(crate) struct WeakKernel(Weak<Inner>);
-
-impl WeakKernel {
-    pub(crate) fn upgrade(&self) -> Option<Kernel> {
-        self.0.upgrade().map(|inner| Kernel { inner })
-    }
-
-    pub(crate) fn is(&self, kernel: &Kernel) -> bool {
-        std::ptr::eq(self.0.as_ptr(), Arc::as_ptr(&kernel.inner))
     }
 }
 
@@ -1893,8 +1628,8 @@ pub(crate) fn current_waiter(kernel: &Kernel, op: &'static str) -> Arc<Waiter> {
 
 /// Returns the current thread's waiter when it is registered with `kernel`,
 /// `None` otherwise (unregistered thread, or a different kernel). Used by
-/// hooks that must never panic on foreign threads and may block (a park,
-/// a preemption probe) or outlive the call (a spawn's parent edge).
+/// the preemption probe, which must never panic on a foreign thread and may
+/// yield (so it cannot keep the thread context borrowed).
 pub(crate) fn try_current_waiter(kernel: &Kernel) -> Option<Arc<Waiter>> {
     CURRENT
         .with(|c| c.borrow().clone())
@@ -2093,18 +1828,11 @@ pub fn kernel() -> Kernel {
     current_ctx("rustwren_sim::kernel").kernel
 }
 
-/// The kernel of the current simulated thread, or `None` when the calling
-/// thread is not registered with one. Used by hooks (e.g. fault injection)
-/// that must stay silent off the simulation.
-pub(crate) fn try_kernel() -> Option<Kernel> {
-    CURRENT.with(|c| c.borrow().clone()).map(|ctx| ctx.kernel)
-}
-
-/// Applies `f` to the current thread's kernel and waiter without cloning
-/// the thread context — the zero-refcount-traffic variant of
-/// [`try_kernel`] for per-operation hooks. The context stays borrowed while
-/// `f` runs, so `f` must not yield or block: a light poll dispatched
-/// meanwhile would swap the context.
+/// Applies `f` to the current thread's kernel and waiter, when the calling
+/// thread is simulated, without cloning the thread context: for
+/// per-operation hooks, which must stay silent off the simulation. The
+/// context stays borrowed while `f` runs, so `f` must not yield or block:
+/// a light poll dispatched meanwhile would swap the context.
 pub(crate) fn try_with_current<R>(f: impl FnOnce(&Kernel, &Waiter) -> R) -> Option<R> {
     CURRENT.with(|c| c.borrow().as_ref().map(|ctx| f(&ctx.kernel, &ctx.waiter)))
 }
@@ -2476,7 +2204,7 @@ mod tests {
 
     /// Runs a workload whose outcome depends on the schedule: six threads
     /// repeatedly sleep to the *same* deadlines (timer choices) and append
-    /// to a shared shim-locked log (ready choices + preemption probes).
+    /// to a shared shim-locked log (ready choices).
     fn interleaving_probe(k: &Kernel) -> Vec<u64> {
         k.run("client", || {
             let log = Arc::new(parking_lot::Mutex::new(Vec::new()));
@@ -3407,94 +3135,72 @@ mod tests {
         );
     }
 
-    /// AB-BA over two shim mutexes under the FIFO schedule: each thread
-    /// sleeps between its two locks, so both park, and the report names the
-    /// holders and the cycle through the two `mutex` resources. A lock gets
-    /// its resource when a thread first parks on it: `b` (parked on first)
-    /// is `mutex#2`, after the two join events.
+    /// A thread-backed task that holds a shim mutex across a sleep makes the
+    /// next task that asks for it panic, naming the lock kind and itself;
+    /// the holder is untouched and the run goes on.
     #[test]
-    fn fifo_abba_over_shim_mutexes_names_holders_and_cycle() {
-        let msg = deadlock_report(|| {
-            let a = Arc::new(parking_lot::Mutex::new(()));
-            let b = Arc::new(parking_lot::Mutex::new(()));
-            let (a2, b2) = (Arc::clone(&a), Arc::clone(&b));
-            let t1 = spawn("t1", move || {
-                let _a = a.lock();
-                sleep(Duration::from_secs(1));
-                let _b = b.lock();
-            });
-            let _t2 = spawn("t2", move || {
-                let _b = b2.lock();
-                sleep(Duration::from_secs(1));
-                let _a = a2.lock();
-            });
-            t1.join();
-        });
-        for expected in [
-            "thread `t1` blocked on mutex.lock (mutex `mutex#2`, held by `t2`)",
-            "thread `t2` blocked on mutex.lock (mutex `mutex#3`, held by `t1`)",
-            "wait-for cycle: `t1` -[mutex `mutex#2`]-> `t2` -[mutex `mutex#3`]-> `t1`",
-        ] {
-            assert!(msg.contains(expected), "missing `{expected}`: {msg}");
-        }
-    }
-
-    /// A shared `RwLock` held by two readers that then block for good: the
-    /// writer that parks on it names both.
-    #[test]
-    fn rwlock_readers_are_all_named_as_holders() {
-        let msg = deadlock_report(|| {
-            let lock = Arc::new(parking_lot::RwLock::new(()));
-            let never = Event::named(&kernel(), "never");
-            for name in ["r1", "r2"] {
-                let (lock, never) = (Arc::clone(&lock), never.clone());
-                spawn(name, move || {
-                    let _shared = lock.read();
-                    never.wait();
-                });
-            }
-            spawn("writer", move || {
-                sleep(Duration::from_secs(1));
-                drop(lock.write());
-            })
-            .join();
-        });
-        assert!(
-            msg.contains("thread `writer` blocked on rwlock.write (rwlock `rwlock#"),
-            "{msg}"
-        );
-        assert!(msg.contains("`, held by `r1`, `r2`)"), "{msg}");
-    }
-
-    /// A contended shim mutex parks its loser in virtual time, and the
-    /// kernel counts both acquisitions and the park.
-    #[test]
-    fn contended_shim_mutex_counts_a_park() {
+    fn shim_mutex_held_across_a_sleep_panics_the_thread_that_asks() {
         let k = Kernel::new();
-        k.run("client", || {
+        let msg = k.run("client", || {
             let m = Arc::new(parking_lot::Mutex::new(0u32));
             let m2 = Arc::clone(&m);
             let holder = spawn("holder", move || {
-                let mut g = m2.lock();
+                let mut held = m2.lock();
                 sleep(Duration::from_secs(1));
-                *g += 1;
+                *held += 1;
             });
-            sleep(Duration::from_millis(1));
-            *m.lock() += 1;
-            assert_eq!(now(), SimInstant::ZERO + Duration::from_secs(1));
+            let asker = spawn("asker", move || {
+                sleep(Duration::from_millis(1));
+                *m.lock() += 1;
+            });
+            let asked = panic::catch_unwind(AssertUnwindSafe(|| asker.join()))
+                .expect_err("the asker must panic");
             holder.join();
-            assert_eq!(*m.lock(), 2);
+            panic_text(asked.as_ref()).expect("a message")
         });
-        let st = k.stats();
-        assert_eq!(st.lock_parks, 1);
-        assert_eq!(st.lock_acquisitions, 3);
+        assert_eq!(
+            msg,
+            "shim lock held across a yield: task `asker` found a mutex held \
+             (mutex.lock); its holder suspended without releasing it"
+        );
+        assert_eq!(k.stats().lock_acquisitions, 1);
     }
 
-    /// Labels nobody supplied are rendered from the kind and the id, and
-    /// are no merge key: the recorder keys an unlabelled event and a shim
-    /// mutex by their first toucher, a labelled join event by its label.
+    /// The same for a light task asking for a shim `RwLock` a thread holds
+    /// across a sleep: its poll panics, which fails the run with the task's
+    /// name, the lock kind and the rule.
     #[test]
-    fn generated_labels_and_merge_keys_are_pinned() {
+    fn shim_rwlock_held_across_a_sleep_panics_the_light_task_that_asks() {
+        let k = Kernel::new();
+        let panic = panic::catch_unwind(AssertUnwindSafe(|| {
+            k.run("client", || {
+                let lock = Arc::new(parking_lot::RwLock::new(()));
+                let held = Arc::clone(&lock);
+                let holder = spawn("holder", move || {
+                    let _shared = held.read();
+                    sleep(Duration::from_secs(1));
+                });
+                sleep(Duration::from_millis(1));
+                spawn_light("asker", move || {
+                    drop(lock.write());
+                    LightStep::Done
+                });
+                holder.join();
+            });
+        }))
+        .expect_err("the light task's panic fails the run");
+        let msg = panic_text(panic.as_ref()).expect("a message");
+        assert!(
+            msg.contains(
+                "shim lock held across a yield: task `asker` found a rwlock held (rwlock.write)"
+            ),
+            "{msg}"
+        );
+    }
+
+    /// Labels nobody supplied are rendered from the kind and the id.
+    #[test]
+    fn generated_labels_are_pinned() {
         let msg = deadlock_report(|| {
             let ev = Event::new(&kernel());
             spawn("stuck", move || ev.wait()).join();
@@ -3505,37 +3211,6 @@ mod tests {
              and no timer is pending\n  \
              - thread `client` blocked on event.wait (event `join:stuck`, held by `stuck`)\n  \
              - thread `stuck` blocked on event.wait (event `event#0`)"
-        );
-        let k = Kernel::new();
-        k.record_lock_orders();
-        k.run("client", || {
-            let m = Arc::new(parking_lot::Mutex::new(()));
-            let ev = Event::new(&kernel());
-            let (m2, ev2) = (Arc::clone(&m), ev.clone());
-            let t1 = spawn("t1", move || {
-                let _held = m2.lock();
-                sleep(Duration::from_secs(1));
-                ev2.fire();
-            });
-            sleep(Duration::from_millis(1));
-            drop(m.lock());
-            ev.wait();
-            t1.join();
-        });
-        assert_eq!(k.stats().lock_parks, 1);
-        let report = k.take_order_report().expect("recording was on");
-        let instances: Vec<(&str, SyncKind, &str)> = report
-            .instances
-            .iter()
-            .map(|i| (i.key.as_str(), i.kind, i.label.as_str()))
-            .collect();
-        assert_eq!(
-            instances,
-            [
-                ("mutex:@t1#1", SyncKind::Mutex, "mutex:@t1#1"),
-                ("event:@t1#1", SyncKind::Event, "event:@t1#1"),
-                ("event:join:t1", SyncKind::Event, "event `join:t1`"),
-            ]
         );
     }
 

@@ -49,9 +49,11 @@
 //! * [`sched`] — pluggable schedulers (FIFO, seeded random, replay) that
 //!   decide which ready thread runs at every kernel choice point, plus the
 //!   sparse [`ScheduleTrace`] token format used to replay failing schedules.
-//! * [`order`] — lock-order recording: per-run graphs of held→acquired
-//!   edges with vector-clock happens-before metadata, the raw material for
-//!   AB-BA deadlock detection in `rustwren-analyze`.
+//!
+//! `parking_lot` shim locks are plain locks here: the kernel counts their
+//! acquisitions ([`KernelStats::lock_acquisitions`]), and a simulated task
+//! that finds one held panics ("shim lock held across a yield"), since one
+//! task runs at a time and only a holder that suspended can still hold it.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -61,7 +63,6 @@ pub mod chaos;
 pub mod hash;
 mod kernel;
 mod net;
-pub mod order;
 mod rawlock;
 pub mod sched;
 pub mod sync;
@@ -77,7 +78,6 @@ pub use kernel::{
     LightStep, Resource, SimJoinHandle,
 };
 pub use net::{backoff, NetworkProfile};
-pub use order::{LockInstance, OrderEdge, RunOrderReport, SyncKind, VectorClock};
 pub use sched::{
     Choice, ChoiceKind, FifoScheduler, RandomScheduler, ReplayScheduler, ScheduleTrace, Scheduler,
     TraceEntry,

@@ -1,13 +1,14 @@
 //! Internal, non-poisoning wrappers over `std::sync` for the kernel's own
 //! state.
 //!
-//! The kernel cannot use the `parking_lot` shim: that shim is instrumented
-//! and *virtualized* — contended operations are routed back into the kernel
-//! (see [`crate::vlock`]) so schedule exploration can interleave and observe
-//! them. The kernel's state lock, each waiter's `sync` and `held` locks and
-//! other bookkeeping must stay ordinary OS-level primitives, invisible to
-//! the scheduler and the lock-order recorder, or every hook would recurse
-//! into itself. (A blocked thread itself parks with `std::thread::park`.)
+//! The kernel cannot use the `parking_lot` shim: that shim reports to the
+//! kernel (see [`crate::vlock`]), counting every acquisition by a simulated
+//! thread and refusing one that finds its lock held. The kernel's state
+//! lock, each waiter's `sync` and `held` locks and other bookkeeping must
+//! stay ordinary OS-level primitives, invisible to the hooks: the dispatch
+//! loop takes them while another thread holds them for a moment, and they
+//! would count in `lock_acquisitions`. (A blocked thread itself parks with
+//! `std::thread::park`.)
 
 use std::ops::{Deref, DerefMut};
 use std::sync::PoisonError;

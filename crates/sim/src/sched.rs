@@ -11,7 +11,7 @@
 //! * **Timer** — which of several timers sharing the earliest deadline to
 //!   pop first (historically: lowest sequence number).
 //! * **Preempt** — whether the running thread yields at an instrumented
-//!   preemption point (a sync-primitive operation; historically: never).
+//!   preemption point (an event fire or wait; historically: never).
 //!
 //! A decision only counts as a *choice point* when it is non-trivial: a
 //! Ready/Timer pick among ≥ 2 candidates, or any Preempt probe while

@@ -123,8 +123,8 @@ impl Event {
             ev.fired = true;
             std::mem::take(&mut ev.waiters)
         };
-        // Happens-before: waiters woken by this fire inherit our history.
-        kernel.with_own_waiter(|w| st.rec_publish(&self.inner.res, w));
+        // The fire belongs to the firing thread's running segment.
+        kernel.with_own_waiter(|_| st.touch(self.inner.res.id));
         for w in &waiters {
             Kernel::wake_locked(&mut st, w);
         }
@@ -159,14 +159,13 @@ impl Event {
     /// The registration half of a wait, shared by [`wait`](Event::wait) and
     /// the dispatch loop's handling of `LightStep::Wait`. With the kernel
     /// state lock held (kernel lock first, then the event's own — the same
-    /// order as `fire`, so recording can never deadlock against a
-    /// concurrent fire): a fired event records the observe and returns
-    /// `None`; otherwise `waiter` joins the waiter list (once) and the
-    /// resource to block on is returned.
+    /// order as `fire`): a fired event joins the running segment's
+    /// footprint and returns `None`; otherwise `waiter` joins the waiter
+    /// list (once) and the resource to block on is returned.
     pub(crate) fn enlist_locked(&self, st: &mut State, waiter: &Arc<Waiter>) -> Option<Resource> {
         let mut ev = self.inner.state.lock();
         if ev.fired {
-            st.rec_observe(&self.inner.res, waiter);
+            st.touch(self.inner.res.id);
             return None;
         }
         if !ev.waiters.iter().any(|w| w.id() == waiter.id()) {

@@ -4,9 +4,10 @@
 //! allowing the clock to advance. Wakes are delivered at the current
 //! virtual instant. [`Event`] is the only blocking primitive: hand-offs,
 //! latches and admission gates are all built from it (plus
-//! [`SimJoinHandle::join`](crate::SimJoinHandle::join), [`sleep`](crate::sleep)
-//! and the instrumented `parking_lot` locks, which live outside this
-//! module).
+//! [`SimJoinHandle::join`](crate::SimJoinHandle::join) and
+//! [`sleep`](crate::sleep), which live outside this module). The
+//! `parking_lot` shim locks never block a simulated task: one that finds a
+//! lock held panics (see the crate docs).
 //!
 //! An event carries its own [`crate::Resource`], a node of the kernel's
 //! wait-for graph that registers nothing: blocked threads record which

@@ -1,108 +1,42 @@
-//! Virtualized shim locks.
+//! Shim locks under the kernel.
 //!
 //! This module is the kernel side of the `parking_lot` shim's
-//! [`hooks`](parking_lot::hooks): it turns lock operations performed by
-//! *simulated* threads into kernel-visible events — but only when someone
-//! needs to see them.
+//! [`hooks`](parking_lot::hooks). The kernel runs one simulated task at a
+//! time, so a simulated task can find a shim lock held only when its holder
+//! yielded (slept, waited or awaited) while holding it. Nothing handles
+//! that: the task that finds the lock held panics, naming the lock kind and
+//! itself, where blocking would wedge the simulation (the holder cannot run
+//! again until the blocked task yields). A thread outside the simulation
+//! blocks for real.
 //!
-//! * **An uncontended lock costs the kernel nothing.** An acquisition
-//!   pushes a hold onto the acquiring thread's own list and a release pops
-//!   it, through the borrowed thread context (no clone, no registry, no
-//!   state lock). The kernel state is entered only while a thread is parked
-//!   on some shim lock, or while an exploring scheduler or the lock-order
-//!   recorder observes every lock operation; a lock gets its kernel entry
-//!   (wait queue, wait-for-graph resource, registry slot) at its first park,
-//!   or on first touch in those two modes.
-//! * **Contended acquisitions block in virtual time.** A simulated thread
-//!   that fails a try-lock parks in the kernel (with a wait-for-graph
-//!   resource, so deadlock reports name the lock and, read off the blocked
-//!   threads' holds, its holders) and retries when a release wakes it.
-//!   Without this, a thread that blocks *virtually* while holding a std
-//!   mutex would wedge every other simulated thread that touches the lock
-//!   at the OS level — an undiagnosable hang instead of a clean simulation
-//!   deadlock.
-//! * **Every acquisition/release feeds the lock-order recorder** (when
-//!   enabled) and counts toward the exploring scheduler's segment
-//!   footprints.
-//!
-//! Operations from threads that are not simulated fall back to plain std
-//! behavior inside the shim and are invisible here. Sharing a shim lock
-//! between simulated and non-simulated threads is not supported while the
-//! simulated side contends (the release would not know which kernel to
-//! wake); nothing in this workspace does that.
-
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex as StdMutex, OnceLock, PoisonError};
+//! An acquisition by a simulated task counts in
+//! [`KernelStats::lock_acquisitions`](crate::KernelStats::lock_acquisitions);
+//! it touches nothing else.
 
 use parking_lot::hooks::{self, LockOp, SimHooks};
 
-use crate::kernel::{try_kernel, try_with_current, Kernel, WeakKernel};
-
-/// Process-wide map from lock address to the kernels that track it,
-/// so a `Drop` on *any* thread (simulated or not) can clear the tracking
-/// state before the address is reused. Never held together with a kernel
-/// state lock.
-fn registry() -> &'static StdMutex<HashMap<usize, Vec<WeakKernel>>> {
-    static REGISTRY: OnceLock<StdMutex<HashMap<usize, Vec<WeakKernel>>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| StdMutex::new(HashMap::new()))
-}
-
-/// The registry's length, so a drop can skip the registry while it tracks
-/// nothing. Stored only under the registry lock. `Relaxed` is enough: a
-/// drop runs after whatever handed the dropped object over, which orders
-/// it after any `track_addr` of that object.
-static TRACKED: AtomicUsize = AtomicUsize::new(0);
-
-pub(crate) fn track_addr(addr: usize, kernel: &Kernel) {
-    let mut reg = registry().lock().unwrap_or_else(PoisonError::into_inner);
-    let kernels = reg.entry(addr).or_default();
-    if !kernels.iter().any(|w| w.is(kernel)) {
-        kernels.push(kernel.downgrade());
-    }
-    TRACKED.store(reg.len(), Ordering::Relaxed);
-}
-
-fn untrack_addr(addr: usize) -> Vec<Kernel> {
-    if TRACKED.load(Ordering::Relaxed) == 0 {
-        return Vec::new();
-    }
-    let mut reg = registry().lock().unwrap_or_else(PoisonError::into_inner);
-    let kernels = reg.remove(&addr).unwrap_or_default();
-    TRACKED.store(reg.len(), Ordering::Relaxed);
-    kernels.iter().filter_map(WeakKernel::upgrade).collect()
-}
+use crate::kernel::try_with_current;
 
 struct KernelHooks;
 
 impl SimHooks for KernelHooks {
-    fn preemption(&self, op: &'static str) {
-        // The probe may yield, and the thread context must not stay
-        // borrowed across a yield: clone the kernel, only when exploring.
-        if let Some(k) = try_with_current(|k, _| k.is_exploring().then(|| k.clone())).flatten() {
-            k.preemption_point(op);
-        }
+    fn lock_acquired(&self) {
+        try_with_current(|k, _| k.count_lock_acquisition());
     }
 
-    fn block_for_lock(&self, addr: usize, op: LockOp) -> bool {
-        match try_kernel() {
-            Some(k) => k.vlock_block(addr, op),
-            None => false,
-        }
-    }
-
-    fn lock_acquired(&self, addr: usize, op: LockOp) {
-        try_with_current(|k, w| k.vlock_acquired(addr, op, w));
-    }
-
-    fn lock_released(&self, addr: usize, op: LockOp) {
-        try_with_current(|k, w| k.vlock_released(addr, op, w));
-    }
-
-    fn lock_destroyed(&self, addr: usize) {
-        for k in untrack_addr(addr) {
-            k.vlock_destroyed(addr);
-        }
+    fn lock_held(&self, op: LockOp) {
+        let Some(task) = try_with_current(|_, w| w.name().to_string()) else {
+            return;
+        };
+        let (kind, at) = match op {
+            LockOp::Mutex => ("mutex", "mutex.lock"),
+            LockOp::RwRead => ("rwlock", "rwlock.read"),
+            LockOp::RwWrite => ("rwlock", "rwlock.write"),
+        };
+        panic!(
+            "shim lock held across a yield: task `{task}` found a {kind} held ({at}); \
+             its holder suspended without releasing it"
+        );
     }
 }
 

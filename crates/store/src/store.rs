@@ -34,10 +34,9 @@ struct StoredObject {
 }
 
 /// Every bucket's objects, each bucket one key-ordered map, so a LIST is
-/// one range walk. The registry's instrumented lock guards it all: every
-/// public [`ObjectStore`] op takes exactly one acquisition, a write for the
-/// ops that mutate, which is where the scheduler's preemption probes and
-/// the lock-order graph see the store (and, by the kernel's
+/// one range walk. The registry's shim lock guards it all: every public
+/// [`ObjectStore`] op takes exactly one acquisition, a write for the ops
+/// that mutate, and never holds it across a yield (so, by the kernel's
 /// one-runner-at-a-time guarantee, it is never contended in simulation).
 #[derive(Default)]
 struct Buckets {

@@ -1,17 +1,19 @@
 //! # rustwren-verify — schedule-exploration model checker
 //!
 //! Runs a simulated program many times under adversarial schedulers and
-//! checks three invariants on every run:
+//! checks two invariants on every run:
 //!
 //! * **No panic** — including kernel-detected deadlocks, which surface as
-//!   panics carrying the wait-for-graph report.
+//!   panics carrying the wait-for-graph report, and a shim lock found held
+//!   across a yield.
 //! * **Bitwise result equality** — every schedule must produce exactly the
 //!   result of the reference FIFO run; any divergence is a race made
 //!   visible.
-//! * **Clean lock orders** — the per-run lock-order graphs recorded by the
-//!   kernel are merged across all explored schedules and searched for
-//!   AB-BA cycles, so a latent deadlock is reported even when every
-//!   explored schedule passed.
+//!
+//! The choice points are the kernel's: which ready task runs, which of the
+//! timers due at one instant fires first, and whether a thread yields at an
+//! event's fire or wait. Shim locks are no choice point: the kernel runs one
+//! task at a time, so a lock no task holds across a yield is atomic.
 //!
 //! Every run records its scheduling decisions as a sparse
 //! [`ScheduleTrace`]. When a run fails, the trace is minimized by delta
@@ -47,10 +49,9 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex as StdMutex, OnceLock, PoisonError};
 
-use rustwren_analyze::{merge_reports, LockOrderReport};
 use rustwren_sim::{
-    Choice, ChoiceKind, FifoScheduler, Kernel, RandomScheduler, ReplayScheduler, RunOrderReport,
-    ScheduleTrace, Scheduler, TraceEntry,
+    Choice, ChoiceKind, FifoScheduler, Kernel, RandomScheduler, ReplayScheduler, ScheduleTrace,
+    Scheduler, TraceEntry,
 };
 
 /// Hard cap on shrink replays, so delta debugging cannot dominate a test
@@ -153,15 +154,12 @@ pub struct Report {
     pub schedules: usize,
     /// The first failing schedule found, if any.
     pub failure: Option<Failure>,
-    /// Lock-order analysis merged over every completed run.
-    pub lock_orders: LockOrderReport,
 }
 
 impl Report {
-    /// True when no schedule failed *and* the merged lock-order graphs are
-    /// free of cycles.
+    /// True when no schedule failed.
     pub fn ok(&self) -> bool {
-        self.failure.is_none() && self.lock_orders.is_clean()
+        self.failure.is_none()
     }
 }
 
@@ -169,54 +167,9 @@ impl fmt::Display for Report {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match &self.failure {
             Some(fail) => write!(f, "FAILED after {} schedule(s): {fail}", self.schedules),
-            None => write!(
-                f,
-                "{} schedule(s) passed; {}",
-                self.schedules, self.lock_orders
-            ),
+            None => write!(f, "{} schedule(s) passed", self.schedules),
         }
     }
-}
-
-/// Renders the dynamic lock-exercise inventory consumed by rustwren-lint's
-/// L007 and L011 cross-checks: `runs N`, one `kind <name> <count>` line per
-/// sync-object class (count = distinct instances exercised), an `edges N`
-/// count followed by one `edge <held> <acquired>` line per kind-level
-/// lock-order edge the schedules drove, and informational `key` lines
-/// listing each instance's stable merge key.
-pub fn lock_exercise_text(report: &Report) -> String {
-    let mut kinds: std::collections::BTreeMap<String, usize> = std::collections::BTreeMap::new();
-    for inst in &report.lock_orders.instances {
-        *kinds.entry(inst.kind.to_string()).or_insert(0) += 1;
-    }
-    let mut out = String::new();
-    out.push_str(
-        "# rustwren-verify lock-exercise inventory (consumed by rustwren-lint L007/L011)\n",
-    );
-    out.push_str(&format!("runs {}\n", report.lock_orders.runs));
-    for (kind, count) in &kinds {
-        out.push_str(&format!("kind {kind} {count}\n"));
-    }
-    out.push_str(&format!("edges {}\n", report.lock_orders.kind_edges.len()));
-    for (held, acquired) in &report.lock_orders.kind_edges {
-        out.push_str(&format!("edge {held} {acquired}\n"));
-    }
-    for inst in &report.lock_orders.instances {
-        out.push_str(&format!("key {}\n", inst.key));
-    }
-    out
-}
-
-/// Writes [`lock_exercise_text`] to `path`, creating parent directories.
-///
-/// # Errors
-///
-/// Any I/O failure creating the directories or writing the file.
-pub fn write_lock_exercise(report: &Report, path: &std::path::Path) -> std::io::Result<()> {
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)?;
-    }
-    std::fs::write(path, lock_exercise_text(report))
 }
 
 // ---------------------------------------------------------------------------
@@ -262,7 +215,6 @@ struct RunOutcome<R> {
     /// `Err` carries the panic payload text.
     result: Result<R, String>,
     trace: ScheduleTrace,
-    orders: Option<RunOrderReport>,
 }
 
 fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
@@ -275,15 +227,12 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-fn run_once<R, F>(program: &F, scheduler: Box<dyn Scheduler>, record_orders: bool) -> RunOutcome<R>
+fn run_once<R, F>(program: &F, scheduler: Box<dyn Scheduler>) -> RunOutcome<R>
 where
     F: Fn(Kernel) -> R,
 {
     let kernel = Kernel::new();
     kernel.set_scheduler(scheduler);
-    if record_orders {
-        kernel.record_lock_orders();
-    }
     let result = panic::catch_unwind(AssertUnwindSafe(|| program(kernel.clone())));
     if result.is_err() {
         // A failing run's spawned threads are still unwinding on their own
@@ -300,7 +249,6 @@ where
     RunOutcome {
         result: result.map_err(|p| panic_text(p.as_ref())),
         trace: kernel.schedule_trace().as_ref().clone(),
-        orders: kernel.take_order_report(),
     }
 }
 
@@ -327,7 +275,7 @@ fn signature(message: &str) -> String {
 /// Explores schedules of `program` under `budget`.
 ///
 /// `program` receives a fresh [`Kernel`] per schedule (pre-configured with
-/// the exploration scheduler and lock-order recording) and is expected to
+/// the exploration scheduler) and is expected to
 /// drive it with [`Kernel::run`] and return the job's result. The first,
 /// reference run uses the plain FIFO scheduler and defines the expected
 /// result; every explored schedule must reproduce it bitwise.
@@ -337,10 +285,8 @@ where
     F: Fn(Kernel) -> R,
 {
     let _quiet = QuietGuard::new();
-    let mut order_reports = Vec::new();
 
-    let baseline = run_once(&program, Box::new(FifoScheduler), true);
-    order_reports.extend(baseline.orders);
+    let baseline = run_once(&program, Box::new(FifoScheduler));
     let expected = match baseline.result {
         Ok(r) => r,
         Err(message) => {
@@ -357,19 +303,14 @@ where
             return Report {
                 schedules: 1,
                 failure: Some(failure),
-                lock_orders: merge_reports(&order_reports),
             };
         }
     };
 
     let mut schedules = 1;
-    let run_schedule = |scheduler: Box<dyn Scheduler>,
-                        order_reports: &mut Vec<RunOrderReport>,
-                        schedules: &mut usize|
-     -> Result<Option<Failure>, ()> {
-        let out = run_once(&program, scheduler, true);
+    let run_schedule = |scheduler: Box<dyn Scheduler>, schedules: &mut usize| -> Option<Failure> {
+        let out = run_once(&program, scheduler);
         *schedules += 1;
-        order_reports.extend(out.orders);
         let message = match out.result {
             Err(m) => m,
             Ok(r) if r != expected => {
@@ -379,9 +320,9 @@ where
                     out.trace.token()
                 )
             }
-            Ok(_) => return Ok(None),
+            Ok(_) => return None,
         };
-        Ok(Some(shrink(&program, &expected, out.trace, message)))
+        Some(shrink(&program, &expected, out.trace, message))
     };
 
     let failure = match budget.strategy {
@@ -393,9 +334,7 @@ where
             for i in 0..budget.schedules {
                 let sched = RandomScheduler::new(seed.wrapping_add(i as u64))
                     .with_preempt_probability(preempt_probability);
-                if let Ok(Some(f)) =
-                    run_schedule(Box::new(sched), &mut order_reports, &mut schedules)
-                {
+                if let Some(f) = run_schedule(Box::new(sched), &mut schedules) {
                     found = Some(f);
                     break;
                 }
@@ -411,8 +350,7 @@ where
                 }
                 let log = Arc::new(StdMutex::new(Vec::new()));
                 let sched = DfsScheduler::new(prefix.clone(), max_preemptions, Arc::clone(&log));
-                let fail = run_schedule(Box::new(sched), &mut order_reports, &mut schedules);
-                if let Ok(Some(f)) = fail {
+                if let Some(f) = run_schedule(Box::new(sched), &mut schedules) {
                     found = Some(f);
                     break;
                 }
@@ -426,11 +364,7 @@ where
     if let Some(f) = &failure {
         write_artifact(&budget.label, f);
     }
-    Report {
-        schedules,
-        failure,
-        lock_orders: merge_reports(&order_reports),
-    }
+    Report { schedules, failure }
 }
 
 /// Replays `program` once under the schedule encoded in `token` (a
@@ -447,7 +381,7 @@ where
 {
     let _quiet = QuietGuard::new();
     let sched = ReplayScheduler::from_token(token)?;
-    run_once(&program, Box::new(sched), false).result
+    run_once(&program, Box::new(sched)).result
 }
 
 // ---------------------------------------------------------------------------
@@ -471,7 +405,7 @@ where
         }
         replays += 1;
         let t = ScheduleTrace::from_entries(entries.to_vec());
-        let out: RunOutcome<R> = run_once(program, Box::new(ReplayScheduler::new(&t)), false);
+        let out: RunOutcome<R> = run_once(program, Box::new(ReplayScheduler::new(&t)));
         match out.result {
             Err(m) => signature(&m) == sig,
             Ok(r) => sig == "result mismatch" && r != *expected,

@@ -3,10 +3,11 @@
 //! replay to the *same* failure.
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use parking_lot::Mutex;
 use rustwren_sim::Kernel;
-use rustwren_verify::{explore, replay, Budget, Failure, Strategy};
+use rustwren_verify::{explore, replay, Budget, Strategy};
 
 /// Base seed: `RUSTWREN_VERIFY_SEED` when set (the CI matrix), mixed with a
 /// per-test default so the suites stay decorrelated.
@@ -28,91 +29,31 @@ fn budget(schedules: usize, default_seed: u64, preempt: f64, label: &str) -> Bud
     }
 }
 
-/// Replays the shrunk schedule and asserts it reproduces the deadlock the
-/// explorer reported.
-fn assert_deadlock_replays<R: std::fmt::Debug>(program: fn(Kernel) -> R, failure: &Failure) {
-    assert_eq!(failure.signature, "simulation deadlock", "{failure}");
-    assert!(
-        failure.shrunk.entries.len() <= failure.trace.entries.len(),
-        "shrinking must not grow the trace"
-    );
-    let err =
-        replay(program, &failure.schedule()).expect_err("shrunk schedule must still deadlock");
-    assert!(
-        err.starts_with("simulation deadlock"),
-        "replay diverged from the planted failure: {err}"
-    );
-}
-
 // ---------------------------------------------------------------------------
-// Planted bug 1: AB-BA double lock
-// ---------------------------------------------------------------------------
-
-/// Two threads acquire the same two shim mutexes in opposite orders. A
-/// single preemption between the first and second acquisition deadlocks.
-fn abba(kernel: Kernel) {
-    kernel.run("client", || {
-        let a = Arc::new(Mutex::new(0u32));
-        let b = Arc::new(Mutex::new(0u32));
-        let (a1, b1) = (Arc::clone(&a), Arc::clone(&b));
-        let t1 = rustwren_sim::spawn("t1", move || {
-            let ga = a1.lock();
-            let gb = b1.lock();
-            *ga + *gb
-        });
-        let (a2, b2) = (Arc::clone(&a), Arc::clone(&b));
-        let t2 = rustwren_sim::spawn("t2", move || {
-            let gb = b2.lock();
-            let ga = a2.lock();
-            *ga + *gb
-        });
-        t1.join();
-        t2.join();
-    });
-}
-
-#[test]
-fn abba_deadlock_found_shrunk_and_replayed() {
-    let report = explore(abba, &budget(300, 7, 0.25, "planted-abba"));
-    let failure = report
-        .failure
-        .as_ref()
-        .expect("AB-BA deadlock not found within 300 schedules");
-    assert_deadlock_replays(abba, failure);
-}
-
-/// Even when no explored schedule happens to deadlock (preemption disabled,
-/// so each thread takes both locks without interleaving), the merged
-/// lock-order graphs still expose the AB-BA cycle.
-#[test]
-fn abba_cycle_reported_on_passing_schedules() {
-    let report = explore(abba, &budget(30, 3, 0.0, "planted-abba-passing"));
-    assert!(
-        report.failure.is_none(),
-        "without preemption no schedule should deadlock: {report}"
-    );
-    assert!(
-        !report.lock_orders.cycles.is_empty(),
-        "latent AB-BA cycle must be reported: {report}"
-    );
-    assert!(!report.ok());
-}
-
-// ---------------------------------------------------------------------------
-// Planted bug 2: check-then-act counter
+// Planted bug: check-then-act counter
 // ---------------------------------------------------------------------------
 
 /// Each incrementer reads the counter under the lock, releases it, and
 /// writes back `read + 1` under a second acquisition — a lost-update race.
-/// The FIFO reference run yields 2; a preempted schedule can yield 1.
+/// `inc0` reads, sleeps 1 ms and writes; `inc1` sleeps 1 ms, then reads and
+/// writes. Both wake at the same instant: the FIFO reference run wakes
+/// `inc0` first and yields 2, a schedule that picks `inc1`'s timer first
+/// yields 1.
 fn racy_counter(kernel: Kernel) -> u64 {
     kernel.run("client", || {
         let counter = Arc::new(Mutex::new(0u64));
+        let tick = Duration::from_millis(1);
         let workers: Vec<_> = (0..2)
             .map(|i| {
                 let counter = Arc::clone(&counter);
                 rustwren_sim::spawn(format!("inc{i}"), move || {
+                    if i == 1 {
+                        rustwren_sim::sleep(tick);
+                    }
                     let v = *counter.lock();
+                    if i == 0 {
+                        rustwren_sim::sleep(tick);
+                    }
                     *counter.lock() = v + 1;
                 })
             })

@@ -1,14 +1,13 @@
 //! Simulation hooks.
 //!
 //! The `rustwren` simulator installs a [`SimHooks`] implementation at kernel
-//! start-up. Once installed, every `Mutex`/`RwLock` operation in this shim
-//! reports to the hooks, and *blocking* operations on simulated
-//! threads are **virtualized**: instead of parking the OS thread while the
-//! simulated holder is itself virtually asleep (which would wedge the whole
-//! process), the contended thread parks in the simulator's scheduler and is
-//! retried when the lock is released. This is what lets the schedule
-//! explorer interleave lock acquisitions and detect AB-BA deadlocks as
-//! clean simulation deadlocks rather than OS hangs.
+//! start-up. Once installed, every acquisition in this shim is counted, and
+//! a lock found held is reported before the caller blocks on it. The
+//! simulator runs one simulated task at a time, so a simulated task finds a
+//! lock held only when the holder yielded while holding it: the hooks panic
+//! then, naming the lock kind and the task, where a real blocking acquire
+//! would wedge the process (the holder cannot run again until the blocked
+//! task yields).
 //!
 //! Without hooks installed (or on threads the hooks do not recognize as
 //! simulated), every operation falls back to plain `std::sync` behavior.
@@ -27,28 +26,14 @@ pub enum LockOp {
 }
 
 /// Callbacks from the shim into the simulator.
-///
-/// All `addr` values are the address of the lock object, valid as an
-/// identity until the corresponding [`lock_destroyed`](SimHooks::lock_destroyed)
-/// call.
 pub trait SimHooks: Sync {
-    /// A potential preemption point, called *before* the operation `op`.
-    fn preemption(&self, op: &'static str);
+    /// The calling thread acquired a lock.
+    fn lock_acquired(&self);
 
-    /// The calling thread failed a try-acquire on `addr`. Returns `true` if
-    /// the thread is simulated and was virtually blocked until the lock may
-    /// be available (the caller then retries); `false` to fall back to a
-    /// real blocking acquire.
-    fn block_for_lock(&self, addr: usize, op: LockOp) -> bool;
-
-    /// The calling thread acquired `addr`.
-    fn lock_acquired(&self, addr: usize, op: LockOp);
-
-    /// The calling thread released `addr`.
-    fn lock_released(&self, addr: usize, op: LockOp);
-
-    /// The lock at `addr` was dropped.
-    fn lock_destroyed(&self, addr: usize);
+    /// The calling thread found the lock it asks for with `op` held, and
+    /// is about to block on it. Panics when the thread is a simulated
+    /// task; returns on any other thread, which then blocks for real.
+    fn lock_held(&self, op: LockOp);
 }
 
 static HOOKS: OnceLock<&'static dyn SimHooks> = OnceLock::new();

@@ -7,39 +7,49 @@
 //! has no poisoning), which matches how the simulator treats panicking
 //! activations: the supervising thread inspects shared state afterwards.
 //!
-//! Additionally, the shim is the simulator's **lock instrumentation point**:
-//! when the `rustwren` kernel installs [`hooks::SimHooks`], operations on
-//! simulated threads are reported (feeding lock-order analysis and schedule
-//! exploration) and contended acquisitions are *virtualized* — parked in
-//! the simulator instead of the OS — so an AB-BA mistake inside the system
-//! under test surfaces as a diagnosable simulation deadlock, never an OS
-//! hang. See the [`hooks`] module. Off the simulation everything behaves
-//! exactly like `std::sync`.
+//! Additionally, the shim reports to the simulator: when the `rustwren`
+//! kernel installs [`hooks::SimHooks`], every acquisition is counted, and a
+//! simulated task that finds a lock held panics instead of blocking (it
+//! could only be held across a yield, and blocking there would wedge the
+//! simulation). See the [`hooks`] module. Off the simulation everything
+//! behaves exactly like `std::sync`.
 
 #![warn(missing_docs)]
 
 pub mod hooks;
 
 use std::fmt;
-use std::ops::{Deref, DerefMut};
-use std::sync::{PoisonError, TryLockError};
+use std::sync::{PoisonError, TryLockError, TryLockResult};
 
 use hooks::LockOp;
 
-fn addr_of<T: ?Sized>(x: &T) -> usize {
-    std::ptr::from_ref(x).cast::<()>() as usize
-}
-
-fn lock_std<'a, T: ?Sized>(m: &'a std::sync::Mutex<T>) -> std::sync::MutexGuard<'a, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-fn try_lock_std<'a, T: ?Sized>(m: &'a std::sync::Mutex<T>) -> Option<std::sync::MutexGuard<'a, T>> {
-    match m.try_lock() {
+/// The guard of a try-acquire, `None` when the lock is held; a poisoned
+/// lock is recovered.
+fn recovered<G>(attempt: TryLockResult<G>) -> Option<G> {
+    match attempt {
         Ok(g) => Some(g),
         Err(TryLockError::Poisoned(p)) => Some(p.into_inner()),
         Err(TryLockError::WouldBlock) => None,
     }
+}
+
+/// Acquires with `try_acquire`, counting the acquisition; a lock found held
+/// is reported as `op` to the hooks (which panic on a simulated task) and
+/// then taken with the blocking `acquire`.
+fn acquired<G>(
+    op: LockOp,
+    try_acquire: impl FnOnce() -> TryLockResult<G>,
+    acquire: impl FnOnce() -> G,
+) -> G {
+    let Some(h) = hooks::get() else {
+        return acquire();
+    };
+    let guard = recovered(try_acquire()).unwrap_or_else(|| {
+        h.lock_held(op);
+        acquire()
+    });
+    h.lock_acquired();
+    guard
 }
 
 /// A mutual-exclusion primitive; `lock()` never returns a poison error.
@@ -58,53 +68,14 @@ impl<T> Mutex<T> {
 }
 
 impl<T: ?Sized> Mutex<T> {
-    /// Acquires the mutex, blocking until it is available. On a simulated
-    /// thread, contended acquisitions block in *virtual* time.
+    /// Acquires the mutex, blocking until it is available. A simulated
+    /// task that finds it held panics instead.
     pub fn lock(&self) -> MutexGuard<'_, T> {
-        let guard = |g| MutexGuard {
-            lock: self,
-            inner: Some(g),
-        };
-        let Some(h) = hooks::get() else {
-            return guard(lock_std(&self.inner));
-        };
-        h.preemption("mutex.lock");
-        let addr = addr_of(self);
-        loop {
-            if let Some(g) = try_lock_std(&self.inner) {
-                h.lock_acquired(addr, LockOp::Mutex);
-                return guard(g);
-            }
-            if !h.block_for_lock(addr, LockOp::Mutex) {
-                // Not a simulated thread: a real blocking acquire is safe.
-                let g = lock_std(&self.inner);
-                h.lock_acquired(addr, LockOp::Mutex);
-                return guard(g);
-            }
-        }
-    }
-
-    /// Attempts to acquire the mutex without blocking, in either real or
-    /// virtual time. Returns `None` if it is held. This is the only safe
-    /// acquisition inside a `spawn_light` poll, which runs on a borrowed
-    /// stack and must never park.
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        let g = try_lock_std(&self.inner)?;
-        if let Some(h) = hooks::get() {
-            h.lock_acquired(addr_of(self), LockOp::Mutex);
-        }
-        Some(MutexGuard {
-            lock: self,
-            inner: Some(g),
-        })
-    }
-}
-
-impl<T: ?Sized> Drop for Mutex<T> {
-    fn drop(&mut self) {
-        if let Some(h) = hooks::get() {
-            h.lock_destroyed(addr_of(self));
-        }
+        acquired(
+            LockOp::Mutex,
+            || self.inner.try_lock(),
+            || self.inner.lock().unwrap_or_else(PoisonError::into_inner),
+        )
     }
 }
 
@@ -115,42 +86,7 @@ impl<T: ?Sized + fmt::Debug> fmt::Debug for Mutex<T> {
 }
 
 /// RAII guard returned by [`Mutex::lock`].
-pub struct MutexGuard<'a, T: ?Sized> {
-    lock: &'a Mutex<T>,
-    inner: Option<std::sync::MutexGuard<'a, T>>,
-}
-
-impl<T: ?Sized> Drop for MutexGuard<'_, T> {
-    /// Releases the std guard and reports it, in that order: waiters woken
-    /// by the hooks retry `try_lock` and must be able to win.
-    fn drop(&mut self) {
-        if let Some(g) = self.inner.take() {
-            drop(g);
-            if let Some(h) = hooks::get() {
-                h.lock_released(addr_of(self.lock), LockOp::Mutex);
-            }
-        }
-    }
-}
-
-impl<T: ?Sized> Deref for MutexGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        self.inner.as_ref().expect("guard present")
-    }
-}
-
-impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        self.inner.as_mut().expect("guard present")
-    }
-}
-
-impl<T: ?Sized + fmt::Debug> fmt::Debug for MutexGuard<'_, T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(&**self, f)
-    }
-}
+pub type MutexGuard<'a, T> = std::sync::MutexGuard<'a, T>;
 
 /// A reader-writer lock; `read()`/`write()` never return poison errors.
 #[derive(Default)]
@@ -168,113 +104,34 @@ impl<T> RwLock<T> {
 }
 
 impl<T: ?Sized> RwLock<T> {
-    /// Acquires shared read access; contended acquisitions on simulated
-    /// threads block in virtual time.
+    /// Acquires shared read access. A simulated task that finds a writer
+    /// holding the lock panics instead of blocking.
     pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        let addr = addr_of(self);
-        let Some(h) = hooks::get() else {
-            return RwLockReadGuard {
-                lock: self,
-                inner: Some(self.inner.read().unwrap_or_else(PoisonError::into_inner)),
-            };
-        };
-        h.preemption("rwlock.read");
-        loop {
-            match self.inner.try_read() {
-                Ok(g) => {
-                    h.lock_acquired(addr, LockOp::RwRead);
-                    return RwLockReadGuard {
-                        lock: self,
-                        inner: Some(g),
-                    };
-                }
-                Err(TryLockError::Poisoned(p)) => {
-                    h.lock_acquired(addr, LockOp::RwRead);
-                    return RwLockReadGuard {
-                        lock: self,
-                        inner: Some(p.into_inner()),
-                    };
-                }
-                Err(TryLockError::WouldBlock) => {
-                    if !h.block_for_lock(addr, LockOp::RwRead) {
-                        let g = self.inner.read().unwrap_or_else(PoisonError::into_inner);
-                        h.lock_acquired(addr, LockOp::RwRead);
-                        return RwLockReadGuard {
-                            lock: self,
-                            inner: Some(g),
-                        };
-                    }
-                }
-            }
-        }
+        acquired(
+            LockOp::RwRead,
+            || self.inner.try_read(),
+            || self.inner.read().unwrap_or_else(PoisonError::into_inner),
+        )
     }
 
-    /// Attempts to acquire shared read access without blocking, in either
-    /// real or virtual time. Returns `None` if a writer holds the lock.
-    /// Like [`Mutex::try_lock`], this is the only safe acquisition inside
-    /// a `spawn_light` poll.
+    /// Attempts to acquire shared read access without blocking. Returns
+    /// `None` if a writer holds the lock.
     pub fn try_read(&self) -> Option<RwLockReadGuard<'_, T>> {
-        let g = match self.inner.try_read() {
-            Ok(g) => g,
-            Err(TryLockError::Poisoned(p)) => p.into_inner(),
-            Err(TryLockError::WouldBlock) => return None,
-        };
+        let g = recovered(self.inner.try_read())?;
         if let Some(h) = hooks::get() {
-            h.lock_acquired(addr_of(self), LockOp::RwRead);
+            h.lock_acquired();
         }
-        Some(RwLockReadGuard {
-            lock: self,
-            inner: Some(g),
-        })
+        Some(g)
     }
 
-    /// Acquires exclusive write access; contended acquisitions on simulated
-    /// threads block in virtual time.
+    /// Acquires exclusive write access. A simulated task that finds the
+    /// lock held panics instead of blocking.
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        let addr = addr_of(self);
-        let Some(h) = hooks::get() else {
-            return RwLockWriteGuard {
-                lock: self,
-                inner: Some(self.inner.write().unwrap_or_else(PoisonError::into_inner)),
-            };
-        };
-        h.preemption("rwlock.write");
-        loop {
-            match self.inner.try_write() {
-                Ok(g) => {
-                    h.lock_acquired(addr, LockOp::RwWrite);
-                    return RwLockWriteGuard {
-                        lock: self,
-                        inner: Some(g),
-                    };
-                }
-                Err(TryLockError::Poisoned(p)) => {
-                    h.lock_acquired(addr, LockOp::RwWrite);
-                    return RwLockWriteGuard {
-                        lock: self,
-                        inner: Some(p.into_inner()),
-                    };
-                }
-                Err(TryLockError::WouldBlock) => {
-                    if !h.block_for_lock(addr, LockOp::RwWrite) {
-                        let g = self.inner.write().unwrap_or_else(PoisonError::into_inner);
-                        h.lock_acquired(addr, LockOp::RwWrite);
-                        return RwLockWriteGuard {
-                            lock: self,
-                            inner: Some(g),
-                        };
-                    }
-                }
-            }
-        }
-    }
-}
-
-impl<T: ?Sized> Drop for RwLock<T> {
-    fn drop(&mut self) {
-        if let Some(h) = hooks::get() {
-            h.lock_destroyed(addr_of(self));
-        }
+        acquired(
+            LockOp::RwWrite,
+            || self.inner.try_write(),
+            || self.inner.write().unwrap_or_else(PoisonError::into_inner),
+        )
     }
 }
 
@@ -285,70 +142,10 @@ impl<T: ?Sized + fmt::Debug> fmt::Debug for RwLock<T> {
 }
 
 /// RAII guard returned by [`RwLock::read`].
-pub struct RwLockReadGuard<'a, T: ?Sized> {
-    lock: &'a RwLock<T>,
-    inner: Option<std::sync::RwLockReadGuard<'a, T>>,
-}
-
-impl<T: ?Sized> Drop for RwLockReadGuard<'_, T> {
-    fn drop(&mut self) {
-        if let Some(g) = self.inner.take() {
-            drop(g);
-            if let Some(h) = hooks::get() {
-                h.lock_released(addr_of(self.lock), LockOp::RwRead);
-            }
-        }
-    }
-}
-
-impl<T: ?Sized> Deref for RwLockReadGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        self.inner.as_ref().expect("guard present")
-    }
-}
-
-impl<T: ?Sized + fmt::Debug> fmt::Debug for RwLockReadGuard<'_, T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(&**self, f)
-    }
-}
+pub type RwLockReadGuard<'a, T> = std::sync::RwLockReadGuard<'a, T>;
 
 /// RAII guard returned by [`RwLock::write`].
-pub struct RwLockWriteGuard<'a, T: ?Sized> {
-    lock: &'a RwLock<T>,
-    inner: Option<std::sync::RwLockWriteGuard<'a, T>>,
-}
-
-impl<T: ?Sized> Drop for RwLockWriteGuard<'_, T> {
-    fn drop(&mut self) {
-        if let Some(g) = self.inner.take() {
-            drop(g);
-            if let Some(h) = hooks::get() {
-                h.lock_released(addr_of(self.lock), LockOp::RwWrite);
-            }
-        }
-    }
-}
-
-impl<T: ?Sized> Deref for RwLockWriteGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        self.inner.as_ref().expect("guard present")
-    }
-}
-
-impl<T: ?Sized> DerefMut for RwLockWriteGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        self.inner.as_mut().expect("guard present")
-    }
-}
-
-impl<T: ?Sized + fmt::Debug> fmt::Debug for RwLockWriteGuard<'_, T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(&**self, f)
-    }
-}
+pub type RwLockWriteGuard<'a, T> = std::sync::RwLockWriteGuard<'a, T>;
 
 #[cfg(test)]
 mod tests {
@@ -368,17 +165,6 @@ mod tests {
         let r1 = l.read();
         let r2 = l.read();
         assert_eq!(*r1 + *r2, 10);
-    }
-
-    #[test]
-    fn try_lock_fails_cleanly_under_contention() {
-        let m = Mutex::new(7);
-        {
-            let g = m.try_lock().expect("uncontended try_lock wins");
-            assert_eq!(*g, 7);
-            assert!(m.try_lock().is_none(), "held mutex must not re-lock");
-        }
-        assert!(m.try_lock().is_some(), "released mutex is available");
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!   throttle storms and limit violations before any function is invoked.
 //! * [`verify`] — schedule-exploration model checker: seeded random and
 //!   bounded-exhaustive interleaving search with delta-debugged replayable
-//!   failing traces and cross-schedule lock-order analysis.
+//!   failing traces.
 //! * [`workloads`] — the paper's workloads: synthetic Airbnb reviews, tone
 //!   analysis, mergesort, compute-bound tasks.
 //!

@@ -39,6 +39,15 @@
 //! lanes' probes are gone and the choice points after them renumber.
 //! Re-captured once; CHANGES.md (PR 24) lists each before and after.
 //!
+//! Later, shim locks stopped being choice points: a simulated task that
+//! finds one held panics, so `Mutex::lock`, `RwLock::read` and
+//! `RwLock::write` lost their preemption probes. Every `FIFO_*` constant
+//! held bit for bit, and so did `r=`, `adv=`, `tmr=`, `thr=` and `vt=` of
+//! all six `RAND_*`; the `trace=` token of `RAND_MAP[1]`,
+//! `RAND_MAP_REDUCE[1]` and `RAND_CLOUDSORT[1]` moved, the later choice
+//! points of their thread-backed tasks renumbering. Re-captured once;
+//! CHANGES.md lists each before and after.
+//!
 //! To re-bless after another *intentional* semantic change (new choice
 //! points, different workload shape, different priced bytes), run:
 //!
@@ -371,8 +380,9 @@ fn burst_activations_never_start_an_os_thread() {
     assert!(pinned.light_polls > 0);
 }
 
-/// The burst takes its platform locks uncontended: no thread ever parks on
-/// one, and the number of acquisitions is a pure function of the seed.
+/// The burst takes its platform locks uncontended (a task that found one
+/// held would panic), and the number of acquisitions is a pure function of
+/// the seed.
 #[test]
 fn burst_locks_are_uncontended_and_counted_deterministically() {
     let stats = || {
@@ -381,7 +391,6 @@ fn burst_locks_are_uncontended_and_counted_deterministically() {
         kernel.stats()
     };
     let (first, second) = (stats(), stats());
-    assert_eq!(first.lock_parks, 0, "{first:?}");
     assert!(first.lock_acquisitions > 0, "{first:?}");
     assert_eq!(first, second);
 }
@@ -489,13 +498,13 @@ const FIFO_CLOUDSORT: &str = "r=9a876e1b9c41e132 adv=114 tmr=135 thr=24 vt=39523
 const FIFO_BURST: &str = "r=7b0471a08affaf50 adv=312 tmr=312 thr=104 vt=59766401093 trace=v1:";
 const RAND_MAP: [&str; 2] = [
     "r=610214d1d0716dec adv=42 tmr=54 thr=18 vt=2778387049 trace=v1:0p1,1r4,3r1,6t2,7t3,8t1,11t4,12t2,13t2,15t2,18t1,20r4,22r3,23r1,24r1",
-    "r=610214d1d0716dec adv=42 tmr=54 thr=18 vt=2778387049 trace=v1:3r2,4r1,5t1,6t2,9r1,19t2,20t2,21t2,22t1,23t2,24t1,25t2,26t1,28r3,29r4,30r2,31r2,32r1",
+    "r=610214d1d0716dec adv=42 tmr=54 thr=18 vt=2778387049 trace=v1:3r2,4r1,5t1,6t2,9r1,14t4,15t3,17t1,18t2,19t3,20t2,21t1,23r3,24r4,25r2,26r2,27r1",
 ];
 const RAND_MAP_REDUCE: [&str; 2] = [
     "r=dd2c71163533fe08 adv=50 tmr=62 thr=13 vt=2888057780 trace=v1:0p1,1r4,3r1,6t2,7t3,8t1,15t2,17t1,18t1,19t3",
-    "r=dd2c71163533fe08 adv=50 tmr=62 thr=13 vt=2888057780 trace=v1:3r2,4r1,5t1,6t2,8r1,11t1,15r1,21t1,22t3,23t2,24t1,25t1,26t1,27t2",
+    "r=dd2c71163533fe08 adv=50 tmr=62 thr=13 vt=2888057780 trace=v1:3r2,4r1,5t1,6t2,8r1,11t1,15r1,17t3,18t2,19t1,20t1,21t3,23t1",
 ];
 const RAND_CLOUDSORT: [&str; 2] = [
     "r=9a876e1b9c41e132 adv=114 tmr=135 thr=24 vt=3952332348 trace=v1:0p1,1r4,3r1,6t2,7t3,8t1,11p1,13r1,14r1,19t1,22t3,23t1,24t2,26t3,27t2,28t1,29t3,30t3,31t1,32t1,33t3,34t2,35t1,37r2,38r1",
-    "r=9a876e1b9c41e132 adv=114 tmr=135 thr=24 vt=3952332348 trace=v1:3r2,4r1,5t1,6t2,9r1,18r3,19r2,20r1,21t3,23t2,25t1,28t3,30t1,31t1,32t3,36t2,37t1,38t1,39t2,45r1",
+    "r=9a876e1b9c41e132 adv=114 tmr=135 thr=24 vt=3952332348 trace=v1:3r2,4r1,5t1,6t2,9r1,15r3,16r2,17r1,18t3,20t2,22t1,25t1,26t1,27t2,30t1,31t1,32t4,33t3,34t2,36t2,37t1,38t1,42r1",
 ];
