@@ -1564,13 +1564,27 @@ impl Kernel {
         Arc::ptr_eq(&self.inner, &other.inner)
     }
 
-    /// Counts a shim-lock acquisition by a simulated thread (see
-    /// [`crate::vlock`]). A load and a store, not a read-modify-write:
+    /// Counts the acquisition of the shim lock at `addr` by a simulated
+    /// thread (see [`crate::vlock`]), and returns whether its release is to
+    /// be reported: while exploring, both join the running segment's
+    /// footprint. The count is a load and a store, not a read-modify-write:
     /// simulated threads run one at a time and hand over to each other
     /// through locks.
-    pub(crate) fn count_lock_acquisition(&self) {
+    pub(crate) fn lock_acquired(&self, addr: usize) -> bool {
         let count = &self.inner.lock_acquisitions;
         count.store(count.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+        let exploring = self.is_exploring();
+        if exploring {
+            self.touch_lock(addr);
+        }
+        exploring
+    }
+
+    /// Puts the shim lock at `addr` into the running segment's footprint.
+    /// Its token is the address with the top bit set, apart from every
+    /// [`Resource`] id (user-space addresses leave that bit clear).
+    pub(crate) fn touch_lock(&self, addr: usize) {
+        self.inner.state.lock().touch(1 << 63 | addr as u64);
     }
 }
 
@@ -3161,9 +3175,74 @@ mod tests {
         assert_eq!(
             msg,
             "shim lock held across a yield: task `asker` found a mutex held \
-             (mutex.lock); its holder suspended without releasing it"
+             (mutex.lock) by a task suspended without releasing it, or by itself"
         );
         assert_eq!(k.stats().lock_acquisitions, 1);
+    }
+
+    /// A task that asks again for a shim mutex it holds panics by the same
+    /// rule, and the message allows that the holder is the task itself.
+    #[test]
+    fn shim_mutex_asked_for_again_by_its_holder_panics() {
+        let k = Kernel::new();
+        let msg = k.run("client", || {
+            let m = parking_lot::Mutex::new(0u32);
+            let again = panic::catch_unwind(AssertUnwindSafe(|| {
+                let _held = m.lock();
+                drop(m.lock());
+            }))
+            .expect_err("the second acquisition must panic");
+            panic_text(again.as_ref()).expect("a message")
+        });
+        assert!(msg.contains("task `client` found a mutex held"), "{msg}");
+        assert!(msg.ends_with("or by itself"), "{msg}");
+    }
+
+    /// FIFO dispatch that explores, keeping every choice point's footprint.
+    struct Footprints(Arc<RawMutex<Vec<Vec<u64>>>>);
+
+    impl Scheduler for Footprints {
+        fn choose(&mut self, c: &Choice<'_>) -> usize {
+            self.0.lock().push(c.segment.to_vec());
+            0
+        }
+
+        fn preempt(&mut self, c: &Choice<'_>) -> bool {
+            self.0.lock().push(c.segment.to_vec());
+            false
+        }
+
+        fn exploring(&self) -> bool {
+            true
+        }
+    }
+
+    /// While exploring, a shim lock joins the footprint of the segment that
+    /// acquires it and of the later one that releases it: a guard held
+    /// across a sleep leaves a release-only segment, which must not look
+    /// independent of a segment that asks for the lock.
+    #[test]
+    fn shim_lock_acquire_and_release_join_their_segments_footprints() {
+        let k = Kernel::new();
+        let footprints = Arc::new(RawMutex::new(Vec::new()));
+        k.set_scheduler(Box::new(Footprints(Arc::clone(&footprints))));
+        let m = Arc::new(parking_lot::Mutex::new(()));
+        let token = 1 << 63 | Arc::as_ptr(&m) as u64;
+        k.run("client", || {
+            let holder = spawn("holder", move || {
+                let held = m.lock();
+                sleep(Duration::from_millis(1));
+                drop(held);
+                sleep(Duration::from_millis(1));
+            });
+            // Each sleep ends with the holder's: two timer ties.
+            sleep(Duration::from_millis(1));
+            sleep(Duration::from_millis(1));
+            holder.join();
+        });
+        let footprints = footprints.lock();
+        let touched = footprints.iter().filter(|f| f.contains(&token)).count();
+        assert_eq!(touched, 2, "{:?}", *footprints);
     }
 
     /// The same for a light task asking for a shim `RwLock` a thread holds

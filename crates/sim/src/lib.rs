@@ -54,6 +54,8 @@
 //! acquisitions ([`KernelStats::lock_acquisitions`]), and a simulated task
 //! that finds one held panics ("shim lock held across a yield"), since one
 //! task runs at a time and only a holder that suspended can still hold it.
+//! While exploring, a lock joins the footprint of the segments that take
+//! and release it ([`Choice::segment`]).
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

@@ -82,8 +82,10 @@ pub struct Choice<'a> {
     /// [`ChoiceKind::Preempt`].
     pub candidates: &'a [u64],
     /// Sync-resource tokens touched since the previous choice point, i.e.
-    /// the footprint of the segment the running thread just executed. Used
-    /// by exhaustive explorers for independence-based pruning.
+    /// the footprint of the segment the running thread just executed: event
+    /// resource ids, and shim locks by address (so tokens compare only
+    /// within one run). Used by exhaustive explorers for
+    /// independence-based pruning.
     pub segment: &'a [u64],
 }
 

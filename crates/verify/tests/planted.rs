@@ -6,7 +6,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::Mutex;
-use rustwren_sim::Kernel;
+use rustwren_sim::sync::Event;
+use rustwren_sim::{Kernel, LightStep};
 use rustwren_verify::{explore, replay, Budget, Strategy};
 
 /// Base seed: `RUSTWREN_VERIFY_SEED` when set (the CI matrix), mixed with a
@@ -80,6 +81,66 @@ fn racy_counter_mismatch_found_shrunk_and_replayed() {
     let replayed = replay(racy_counter, &failure.schedule())
         .expect("replaying a result-mismatch schedule must complete");
     assert_ne!(replayed, 2, "shrunk schedule no longer loses the update");
+}
+
+// ---------------------------------------------------------------------------
+// Planted bug: a log whose order only the ready queue decides
+// ---------------------------------------------------------------------------
+
+/// Two light tasks each push their number to a shared log under a shim
+/// lock and fire their own event, in one step with no probe in it, so the
+/// order of the log is decided by which ready pusher runs first alone. FIFO
+/// yields `[0, 1]`. A follower per pusher waits for that event and fires
+/// one the client waits for: after each push another choice point follows,
+/// and so two pushes are always adjacent segments the explorer compares.
+fn locked_log(kernel: Kernel) -> Vec<u32> {
+    let k = kernel.clone();
+    kernel.run("client", move || {
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let events = || (0..2).map(|_| Event::new(&k)).collect::<Vec<_>>();
+        let (pushed, followed) = (events(), events());
+        for (i, done) in pushed.iter().cloned().enumerate() {
+            let log = Arc::clone(&log);
+            rustwren_sim::spawn_light(format!("push{i}"), move || {
+                log.lock().push(i as u32);
+                done.fire();
+                LightStep::Done
+            });
+        }
+        for (i, (after, done)) in pushed.iter().zip(&followed).enumerate() {
+            let (after, done) = (after.clone(), done.clone());
+            let mut waited = false;
+            rustwren_sim::spawn_light(format!("follow{i}"), move || {
+                if !std::mem::replace(&mut waited, true) {
+                    return LightStep::Wait(after.clone());
+                }
+                done.fire();
+                LightStep::Done
+            });
+        }
+        for done in &followed {
+            done.wait();
+        }
+        let order = log.lock().clone();
+        order
+    })
+}
+
+/// The two pushes share only the lock, so the explorer may not prune the
+/// reordering as an independent transposition.
+#[test]
+fn locked_log_order_found_by_bounded_dfs() {
+    let report = explore(
+        locked_log,
+        &Budget::dfs(400, 1).with_label("planted-log-dfs"),
+    );
+    let failure = report
+        .failure
+        .expect("bounded-exhaustive search must find the other push order");
+    assert_eq!(failure.signature, "result mismatch", "{failure}");
+    let replayed = replay(locked_log, &failure.schedule())
+        .expect("replaying a result-mismatch schedule must complete");
+    assert_eq!(replayed, vec![1, 0]);
 }
 
 #[test]

@@ -19,6 +19,7 @@
 pub mod hooks;
 
 use std::fmt;
+use std::ops::{Deref, DerefMut};
 use std::sync::{PoisonError, TryLockError, TryLockResult};
 
 use hooks::LockOp;
@@ -33,23 +34,72 @@ fn recovered<G>(attempt: TryLockResult<G>) -> Option<G> {
     }
 }
 
-/// Acquires with `try_acquire`, counting the acquisition; a lock found held
-/// is reported as `op` to the hooks (which panic on a simulated task) and
-/// then taken with the blocking `acquire`.
+fn addr_of<T: ?Sized>(x: &T) -> usize {
+    std::ptr::from_ref(x).cast::<()>() as usize
+}
+
+/// Wraps `inner`, a guard of the lock at `addr`, reporting the acquisition
+/// to the hooks (when installed).
+fn reported<G>(h: Option<&'static dyn hooks::SimHooks>, addr: usize, inner: G) -> Guard<G> {
+    let release = h.is_some_and(|h| h.lock_acquired(addr)).then_some(addr);
+    Guard { inner, release }
+}
+
+/// Acquires the lock at `addr` with `try_acquire`, reporting the
+/// acquisition; a lock found held is reported as `op` to the hooks (which
+/// panic on a simulated task) and then taken with the blocking `acquire`.
 fn acquired<G>(
+    addr: usize,
     op: LockOp,
     try_acquire: impl FnOnce() -> TryLockResult<G>,
     acquire: impl FnOnce() -> G,
-) -> G {
-    let Some(h) = hooks::get() else {
-        return acquire();
+) -> Guard<G> {
+    let h = hooks::get();
+    let inner = match h {
+        None => acquire(),
+        Some(h) => recovered(try_acquire()).unwrap_or_else(|| {
+            h.lock_held(op);
+            acquire()
+        }),
     };
-    let guard = recovered(try_acquire()).unwrap_or_else(|| {
-        h.lock_held(op);
-        acquire()
-    });
-    h.lock_acquired();
-    guard
+    reported(h, addr, inner)
+}
+
+/// A `std::sync` guard that reports its release to the hooks when its
+/// acquisition asked for it. Dereferences to the protected data.
+pub struct Guard<G> {
+    inner: G,
+    /// The lock's address, when the release is reported.
+    release: Option<usize>,
+}
+
+impl<G> Drop for Guard<G> {
+    fn drop(&mut self) {
+        if let Some(addr) = self.release {
+            if let Some(h) = hooks::get() {
+                h.lock_released(addr);
+            }
+        }
+    }
+}
+
+impl<G: Deref> Deref for Guard<G> {
+    type Target = G::Target;
+    fn deref(&self) -> &G::Target {
+        &self.inner
+    }
+}
+
+impl<G: DerefMut> DerefMut for Guard<G> {
+    fn deref_mut(&mut self) -> &mut G::Target {
+        &mut self.inner
+    }
+}
+
+impl<G: fmt::Debug> fmt::Debug for Guard<G> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&self.inner, f)
+    }
 }
 
 /// A mutual-exclusion primitive; `lock()` never returns a poison error.
@@ -72,6 +122,7 @@ impl<T: ?Sized> Mutex<T> {
     /// task that finds it held panics instead.
     pub fn lock(&self) -> MutexGuard<'_, T> {
         acquired(
+            addr_of(self),
             LockOp::Mutex,
             || self.inner.try_lock(),
             || self.inner.lock().unwrap_or_else(PoisonError::into_inner),
@@ -86,7 +137,7 @@ impl<T: ?Sized + fmt::Debug> fmt::Debug for Mutex<T> {
 }
 
 /// RAII guard returned by [`Mutex::lock`].
-pub type MutexGuard<'a, T> = std::sync::MutexGuard<'a, T>;
+pub type MutexGuard<'a, T> = Guard<std::sync::MutexGuard<'a, T>>;
 
 /// A reader-writer lock; `read()`/`write()` never return poison errors.
 #[derive(Default)]
@@ -108,6 +159,7 @@ impl<T: ?Sized> RwLock<T> {
     /// holding the lock panics instead of blocking.
     pub fn read(&self) -> RwLockReadGuard<'_, T> {
         acquired(
+            addr_of(self),
             LockOp::RwRead,
             || self.inner.try_read(),
             || self.inner.read().unwrap_or_else(PoisonError::into_inner),
@@ -118,16 +170,14 @@ impl<T: ?Sized> RwLock<T> {
     /// `None` if a writer holds the lock.
     pub fn try_read(&self) -> Option<RwLockReadGuard<'_, T>> {
         let g = recovered(self.inner.try_read())?;
-        if let Some(h) = hooks::get() {
-            h.lock_acquired();
-        }
-        Some(g)
+        Some(reported(hooks::get(), addr_of(self), g))
     }
 
     /// Acquires exclusive write access. A simulated task that finds the
     /// lock held panics instead of blocking.
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
         acquired(
+            addr_of(self),
             LockOp::RwWrite,
             || self.inner.try_write(),
             || self.inner.write().unwrap_or_else(PoisonError::into_inner),
@@ -142,10 +192,10 @@ impl<T: ?Sized + fmt::Debug> fmt::Debug for RwLock<T> {
 }
 
 /// RAII guard returned by [`RwLock::read`].
-pub type RwLockReadGuard<'a, T> = std::sync::RwLockReadGuard<'a, T>;
+pub type RwLockReadGuard<'a, T> = Guard<std::sync::RwLockReadGuard<'a, T>>;
 
 /// RAII guard returned by [`RwLock::write`].
-pub type RwLockWriteGuard<'a, T> = std::sync::RwLockWriteGuard<'a, T>;
+pub type RwLockWriteGuard<'a, T> = Guard<std::sync::RwLockWriteGuard<'a, T>>;
 
 #[cfg(test)]
 mod tests {
